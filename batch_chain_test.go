@@ -83,7 +83,7 @@ func packChainDataset(t *testing.T, files, size int, compressed bool) (*storage.
 		contents[i] = buf
 		payload, codec := buf, recordio.CodecNone
 		if compressed {
-			comp, ok := recordio.Compress(buf)
+			comp, ok := recordio.AppendCompress(nil, buf)
 			if !ok {
 				t.Fatalf("fixture payload %d unexpectedly incompressible", i)
 			}

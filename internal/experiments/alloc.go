@@ -106,7 +106,7 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 				content := compressibleSample(i, cfg.FileSize, 0.25)
 				payload, codec := content, recordio.CodecNone
 				if cfg.Compressed {
-					comp, ok := recordio.Compress(content)
+					comp, ok := recordio.AppendCompress(nil, content)
 					if !ok {
 						b.Fatal("alloc: patterned payload did not compress")
 					}

@@ -17,7 +17,7 @@ import (
 // Returns the compressed size, or -1 when the codec declined.
 func lzRoundTrip(t *testing.T, src []byte) int {
 	t.Helper()
-	comp, ok := Compress(src)
+	comp, ok := AppendCompress(nil, src)
 	if !ok {
 		return -1
 	}
@@ -47,12 +47,12 @@ func TestLZRoundTrip(t *testing.T) {
 	// Pseudo-random: must decline rather than inflate.
 	rnd := make([]byte, 32<<10)
 	rand.New(rand.NewSource(1)).Read(rnd)
-	if _, ok := Compress(rnd); ok {
+	if _, ok := AppendCompress(nil, rnd); ok {
 		t.Error("pseudo-random payload should be incompressible")
 	}
 	// Tiny payloads decline (no room for framing to win).
 	for n := 0; n < lzMinMatch+2; n++ {
-		if _, ok := Compress(bytes.Repeat([]byte{1}, n)); ok {
+		if _, ok := AppendCompress(nil, bytes.Repeat([]byte{1}, n)); ok {
 			t.Errorf("%d-byte payload accepted", n)
 		}
 	}
@@ -73,7 +73,7 @@ func TestLZRoundTripProperty(t *testing.T) {
 		for i := range src {
 			src[i] = byte(rng.Intn(alpha))
 		}
-		comp, ok := Compress(src)
+		comp, ok := AppendCompress(nil, src)
 		if !ok {
 			continue
 		}
@@ -89,7 +89,7 @@ func TestLZRoundTripProperty(t *testing.T) {
 
 func TestDecompressIntoRejectsCorruption(t *testing.T) {
 	src := bytes.Repeat([]byte("abcdefgh"), 1024)
-	comp, ok := Compress(src)
+	comp, ok := AppendCompress(nil, src)
 	if !ok {
 		t.Fatal("fixture should compress")
 	}
@@ -342,7 +342,7 @@ func TestMemBackendReadRangePooled(t *testing.T) {
 // buffers. CI runs this at -benchtime 1x; it must stay cheap.
 func BenchmarkDecompressInto(b *testing.B) {
 	src := bytes.Repeat([]byte("prisma-sample-abcdefghijklmnop"), 2184) // ~64 KiB
-	comp, ok := Compress(src)
+	comp, ok := AppendCompress(nil, src)
 	if !ok {
 		b.Fatal("fixture should compress")
 	}

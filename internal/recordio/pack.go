@@ -149,6 +149,7 @@ func PackDirOpts(srcDir string, man *dataset.Manifest, dstDir, prefix string, sh
 	if opts.Dedup {
 		seen = make(map[[32]byte]Entry)
 	}
+	var scratch []byte // compressed payload of the sample in hand, reused
 	for i := 0; i < man.Len(); i++ {
 		s := man.Sample(i)
 		data, err := src.ReadFile(s.Name)
@@ -171,8 +172,9 @@ func PackDirOpts(srcDir string, man *dataset.Manifest, dstDir, prefix string, sh
 		payload := data.Bytes
 		codec := CodecNone
 		if opts.Compress {
-			if comp, ok := Compress(data.Bytes); ok {
-				payload = comp
+			var ok bool
+			if scratch, ok = AppendCompress(scratch[:0], data.Bytes); ok {
+				payload = scratch
 				codec = CodecLZ
 			}
 		}

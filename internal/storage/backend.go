@@ -206,10 +206,26 @@ func NewDirBackend(dir string) *DirBackend { return &DirBackend{root: dir} }
 // buffers instead of fresh os.ReadFile allocations.
 func (b *DirBackend) SetBufferPool(p *mempool.Pool) { b.pool = p }
 
+// path maps a sample name to its file under the root. Names are untrusted
+// — un-planned reads arrive verbatim from the socket — so one that is
+// absolute, empty, or climbs out of the root through ".." does not exist
+// as far as this backend is concerned. The check is lexical (symlinks
+// inside the dataset are the operator's business) and allocation-free.
+func (b *DirBackend) path(name string) (string, error) {
+	local := filepath.FromSlash(name)
+	if !filepath.IsLocal(local) {
+		return "", &NotExistError{Name: name}
+	}
+	return filepath.Join(b.root, local), nil
+}
+
 // ReadFile reads the file from disk. With a pool attached the payload is
 // read directly into a pooled buffer sized from the file's metadata.
 func (b *DirBackend) ReadFile(name string) (Data, error) {
-	path := filepath.Join(b.root, filepath.FromSlash(name))
+	path, err := b.path(name)
+	if err != nil {
+		return Data{}, err
+	}
 	if b.pool != nil {
 		return readFilePooled(b.pool, name, path)
 	}
@@ -254,7 +270,10 @@ func (b *DirBackend) ReadRange(name string, off, n int64) (Data, error) {
 	if off < 0 || n < 0 {
 		return Data{}, fmt.Errorf("storage: negative range (%d, %d)", off, n)
 	}
-	path := filepath.Join(b.root, filepath.FromSlash(name))
+	path, err := b.path(name)
+	if err != nil {
+		return Data{}, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -273,7 +292,10 @@ func (b *DirBackend) ReadRange(name string, off, n int64) (Data, error) {
 
 // Size stats the file.
 func (b *DirBackend) Size(name string) (int64, error) {
-	path := filepath.Join(b.root, filepath.FromSlash(name))
+	path, err := b.path(name)
+	if err != nil {
+		return 0, err
+	}
 	info, err := os.Stat(path)
 	if err != nil {
 		if os.IsNotExist(err) {

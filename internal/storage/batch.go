@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 )
@@ -144,7 +143,10 @@ func (b *DirBackend) ReadRangeBatch(name string, ranges []Range, out []Data) ([]
 	if err := validateRanges(name, ranges); err != nil {
 		return out, err
 	}
-	path := filepath.Join(b.root, filepath.FromSlash(name))
+	path, err := b.path(name)
+	if err != nil {
+		return out, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {

@@ -11,6 +11,7 @@ import (
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
+	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 )
 
@@ -355,6 +356,50 @@ func TestDirBackendMissing(t *testing.T) {
 	}
 	if _, err := b.Size("ghost"); !errors.As(err, &ne) {
 		t.Fatalf("Size err = %v, want NotExistError", err)
+	}
+}
+
+// TestDirBackendNamesStayUnderRoot: names come from the socket, so every
+// entry point must refuse one that would resolve outside the dataset root
+// — with the same typed error as any other unknown file.
+func TestDirBackendNamesStayUnderRoot(t *testing.T) {
+	outer := t.TempDir()
+	root := filepath.Join(outer, "data")
+	if err := os.MkdirAll(filepath.Join(root, "train"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	secret := filepath.Join(outer, "secret.txt")
+	for path, content := range map[string]string{secret: "outside", filepath.Join(root, "train", "x.jpg"): "inside"} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pooled := range []bool{false, true} {
+		b := NewDirBackend(root)
+		if pooled {
+			b.SetBufferPool(mempool.New(mempool.Config{}))
+		}
+		for _, name := range []string{"../secret.txt", "train/../../secret.txt", "train/../..", secret, "/etc/hostname", ""} {
+			var ne *NotExistError
+			if d, err := b.ReadFile(name); !errors.As(err, &ne) {
+				t.Errorf("pooled=%v ReadFile(%q) = %q, %v; want NotExistError", pooled, name, d.Bytes, err)
+			}
+			if d, err := b.ReadRange(name, 0, 4); !errors.As(err, &ne) {
+				t.Errorf("pooled=%v ReadRange(%q) = %q, %v; want NotExistError", pooled, name, d.Bytes, err)
+			}
+			if out, err := b.ReadRangeBatch(name, []Range{{Off: 0, N: 4}}, nil); !errors.As(err, &ne) || len(out) != 0 {
+				t.Errorf("pooled=%v ReadRangeBatch(%q) = %d views, %v; want NotExistError", pooled, name, len(out), err)
+			}
+			if n, err := b.Size(name); !errors.As(err, &ne) {
+				t.Errorf("pooled=%v Size(%q) = %d, %v; want NotExistError", pooled, name, n, err)
+			}
+		}
+		// Dot-dot that stays inside the root is an ordinary name.
+		d, err := b.ReadFile("train/../train/x.jpg")
+		if err != nil || string(d.Bytes) != "inside" {
+			t.Errorf("pooled=%v in-root name: %q, %v", pooled, d.Bytes, err)
+		}
+		d.Release()
 	}
 }
 

@@ -205,3 +205,44 @@ func TestIncompressibleResidentKeepsPooledRef(t *testing.T) {
 		t.Fatalf("%d pooled buffers leaked", n)
 	}
 }
+
+// TestCompressedResidentsPinWhatTheyCharge is the accounting regression
+// test: FastCapacity is a physical byte budget, so the memory compressed
+// residents hold (the capacity of their backing arrays, not just the
+// length in use) must be exactly what FastUsed charges for them.
+func TestCompressedResidentsPinWhatTheyCharge(t *testing.T) {
+	env := conc.NewReal()
+	mem := storage.NewMemBackend()
+	const n = 32
+	for i := 0; i < n; i++ {
+		mem.Add(fmt.Sprintf("s%02d", i), patternedContent(2*i, 8<<10+i*100)) // even index: compressible
+	}
+	b, err := NewBackend(env, Config{FastCapacity: 1 << 24, PromoteAfter: 1, Compress: true}, mem, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i := 0; i < n; i++ {
+		if _, err := b.ReadFile(fmt.Sprintf("s%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := b.Stats()
+	if st.Residents != n || st.FastUsed >= st.FastLogical {
+		t.Fatalf("fixture should hold %d compressed residents: %+v", n, st)
+	}
+	var pinned int64
+	for el := b.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		if !e.compressed {
+			t.Fatalf("%s: stored verbatim", e.name)
+		}
+		if int64(cap(e.bytes)) != e.stored {
+			t.Errorf("%s: resident pins %d bytes, charged %d", e.name, cap(e.bytes), e.stored)
+		}
+		pinned += int64(cap(e.bytes))
+	}
+	if pinned != st.FastUsed {
+		t.Fatalf("residents pin %d bytes, FastUsed charges %d", pinned, st.FastUsed)
+	}
+}

@@ -17,6 +17,7 @@ package tiering
 import (
 	"container/list"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -90,7 +91,7 @@ type Stats struct {
 	TrackedNames int
 	AccessDecays int64
 	// PromoteTime is cumulative read-path promotion work (compression +
-	// admission) and DecodeTime cumulative hit-path decompression — the
+	// admission) of admitted promotions and DecodeTime cumulative hit-path decompression — the
 	// tier's CPU contribution to the attribution split (always on,
 	// independent of trace sampling).
 	PromoteTime time.Duration
@@ -108,6 +109,9 @@ type Backend struct {
 	// remains the source of truth for content).
 	fastDevice *storage.Device
 	pool       *mempool.Pool
+	// scratch recycles the encoder's output buffers (*[]byte) across
+	// promotions; each settles at the largest sample it has compressed.
+	scratch sync.Pool
 
 	mu       conc.Mutex
 	planCond conc.Cond
@@ -189,6 +193,7 @@ func NewBackend(env conc.Env, cfg Config, slow storage.Backend, fastDevice *stor
 		decodeTime:   metrics.NewCounter(env),
 	}
 	b.planCond = env.NewCond(b.mu)
+	b.scratch.New = func() any { return new([]byte) }
 	return b, nil
 }
 
@@ -265,30 +270,36 @@ func (b *Backend) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 	}
 	b.slowReads.Inc()
 
+	// Decide under one lock hold: a name that became resident while this
+	// read was in flight (a racing misser or the warmer won) needs neither
+	// an access count nor a second resident copy prepared.
 	b.mu.Lock()
-	b.accesses[name]++
-	if len(b.accesses) > b.cfg.MaxTracked {
-		b.decayAccessesLocked()
+	promote := false
+	if _, res := b.resident[name]; !res {
+		b.accesses[name]++
+		if len(b.accesses) > b.cfg.MaxTracked {
+			b.decayAccessesLocked()
+		}
+		promote = b.accesses[name] >= b.cfg.PromoteAfter &&
+			data.Size <= b.cfg.FastCapacity
 	}
-	promote := b.accesses[name] >= b.cfg.PromoteAfter &&
-		data.Size <= b.cfg.FastCapacity
 	b.mu.Unlock()
 	if !promote {
 		return data, nil
 	}
 
 	// Prepare the resident copy outside the lock (compression is CPU
-	// work), then race to admit: concurrent misses on the same name all
-	// reach here, but only the winner charges the fast device and the
-	// promotion counter.
+	// work), then race to admit: misses on the same name that all passed
+	// the check above reach here together, but only the winner charges
+	// the fast device, the promotion counter and the promote time.
 	promStart := b.env.Now()
 	e := b.prepareEntry(name, data)
 	b.mu.Lock()
 	admitted := b.admitLocked(e, true)
 	b.mu.Unlock()
-	promDur := b.env.Now() - promStart
-	b.promoteTime.Add(int64(promDur))
 	if admitted {
+		promDur := b.env.Now() - promStart
+		b.promoteTime.Add(int64(promDur))
 		b.promotions.Inc()
 		if b.fastDevice != nil {
 			b.fastDevice.Write(e.stored) // copy-in cost
@@ -315,14 +326,16 @@ func (b *Backend) sampleBuf(n int) ([]byte, *mempool.Ref) {
 // prepareEntry builds the fast-tier resident for a slow-tier read. Live
 // uncompressed entries alias the payload and retain its pooled reference;
 // compressed entries own a private compressed copy (pool buffers are not
-// held hostage at compressed lifetimes); modeled reads carry sizes only.
+// held hostage at compressed lifetimes) of exactly the stored size, so
+// the bytes the tier pins are the bytes FastCapacity is charged; modeled
+// reads carry sizes only.
 func (b *Backend) prepareEntry(name string, data storage.Data) *entry {
 	e := &entry{name: name, size: data.Size, stored: data.Size}
 	if data.Bytes == nil {
 		return e
 	}
 	if b.cfg.Compress {
-		if comp, ok := recordio.Compress(data.Bytes); ok {
+		if comp, ok := b.compress(data.Bytes); ok {
 			e.bytes = comp
 			e.stored = int64(len(comp))
 			e.compressed = true
@@ -335,6 +348,21 @@ func (b *Backend) prepareEntry(name string, data storage.Data) *entry {
 	}
 	e.bytes = data.Bytes
 	return e
+}
+
+// compress LZ-encodes src into recycled scratch and returns an exact-size
+// copy (cap == len), or false when src does not compress.
+func (b *Backend) compress(src []byte) ([]byte, bool) {
+	scratch := b.scratch.Get().(*[]byte)
+	defer b.scratch.Put(scratch)
+	comp, ok := recordio.AppendCompress((*scratch)[:0], src)
+	*scratch = comp
+	if !ok {
+		return nil, false
+	}
+	exact := make([]byte, len(comp))
+	copy(exact, comp)
+	return exact, true
 }
 
 // admitLocked inserts the prepared entry, evicting LRU residents when

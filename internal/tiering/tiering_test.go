@@ -3,6 +3,7 @@ package tiering
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -249,12 +250,28 @@ func TestPrefetcherOverTieredBackend(t *testing.T) {
 	})
 }
 
+// tickEnv makes every clock reading advance by one tick, so a span of
+// work bracketed by two Now calls measures exactly one tick whatever the
+// scheduler did — PromoteTime then counts the readers that charged it.
+type tickEnv struct {
+	conc.Env
+	ticks atomic.Int64
+}
+
+func (e *tickEnv) Now() time.Duration { return time.Duration(e.ticks.Add(1)) * time.Millisecond }
+
 func TestConcurrentMissesChargeOneWinner(t *testing.T) {
-	// Eight readers miss on the same name at once. Each promotes a
-	// prepared entry, but only one may enter the tier — the losers must
-	// neither inflate the promotion counter nor charge the fast device.
+	// Eight readers miss on the same name at once; all eight slow-tier
+	// reads are in flight together. Only one may enter the tier — the
+	// others find the name resident when their read returns and must
+	// neither prepare a second copy, nor inflate the promotion counter,
+	// nor charge the fast device or the promote time.
 	runSim(t, func(env conc.Env) {
-		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 1, 1000)
+		fix, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 1, 1000)
+		b, err := NewBackend(&tickEnv{Env: env}, fix.cfg, fix.slow, fix.fastDevice)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg := env.NewWaitGroup()
 		wg.Add(8)
 		for w := 0; w < 8; w++ {
@@ -273,8 +290,14 @@ func TestConcurrentMissesChargeOneWinner(t *testing.T) {
 		if st.Residents != 1 || st.FastUsed != 1000 {
 			t.Fatalf("stats = %+v, want one 1000-byte resident", st)
 		}
-		if st.SlowReads+st.FastHits != 8 {
-			t.Fatalf("8 reads accounted as %d slow + %d fast", st.SlowReads, st.FastHits)
+		if st.SlowReads != 8 || st.FastHits != 0 {
+			t.Fatalf("8 concurrent misses accounted as %d slow + %d fast", st.SlowReads, st.FastHits)
+		}
+		if st.PromoteTime != time.Millisecond {
+			t.Fatalf("promote time = %v, want one tick (1ms): only the winner charges it", st.PromoteTime)
+		}
+		if st.TrackedNames != 0 {
+			t.Fatalf("%d names tracked: late readers re-counted a resident name", st.TrackedNames)
 		}
 	})
 }

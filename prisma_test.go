@@ -188,6 +188,44 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestReadCannotLeaveDatasetRoot is the regression test for the traversal
+// ROADMAP item 4 confirmed: an un-planned name bypasses the buffer and
+// reaches the directory backend verbatim, from the facade and from any
+// socket client alike, and must not resolve outside Options.Dir.
+func TestReadCannotLeaveDatasetRoot(t *testing.T) {
+	dir := makeDataset(t, 4)
+	secret := filepath.Join(filepath.Dir(dir), "secret.txt")
+	if err := os.WriteFile(secret, []byte("outside the dataset"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Remove(secret) })
+	p := open(t, dir, nil)
+	sock := filepath.Join(t.TempDir(), "prisma.sock")
+	if err := p.ServeUnix(sock); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	hostile := []string{"../secret.txt", "train/../../secret.txt", secret}
+	for _, name := range hostile {
+		if b, err := p.Read(name); err == nil {
+			t.Errorf("Prisma.Read(%q) returned %q", name, b)
+		}
+		if b, err := c.Read(name); err == nil {
+			t.Errorf("Client.Read(%q) over the socket returned %q", name, b)
+		}
+	}
+	// The refusals are per-read errors: the same connection still serves
+	// the dataset.
+	if b, err := c.Read("train/0000.jpg"); err != nil || len(b) != 2048 {
+		t.Fatalf("in-root read after refusals: %d bytes, %v", len(b), err)
+	}
+}
+
 func TestServeUnixRoundTrip(t *testing.T) {
 	dir := makeDataset(t, 16)
 	p := open(t, dir, nil)
