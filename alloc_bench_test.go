@@ -30,6 +30,7 @@ type allocBudget struct {
 	CachedAllocsPerOp     int64   // hard ceiling for pooled + shared cache
 	CompressedAllocsPerOp int64   // hard ceiling for pooled + compressed shards
 	BatchedAllocsPerOp    int64   // hard ceiling for pooled + read coalescing
+	ResilientAllocsPerOp  int64   // hard ceiling for pooled + resilient layer
 }
 
 func readAllocBudget(t *testing.T, path string) allocBudget {
@@ -82,6 +83,12 @@ func readAllocBudget(t *testing.T, path string) allocBudget {
 				t.Fatalf("alloc budget: %q: %v", line, err)
 			}
 			b.BatchedAllocsPerOp = v
+		case "resilient_allocs_per_op":
+			v, err := strconv.ParseInt(fields[1], 10, 64)
+			if err != nil {
+				t.Fatalf("alloc budget: %q: %v", line, err)
+			}
+			b.ResilientAllocsPerOp = v
 		default:
 			t.Fatalf("alloc budget: unknown key %q", fields[0])
 		}
@@ -90,7 +97,7 @@ func readAllocBudget(t *testing.T, path string) allocBudget {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"pooled_allocs_per_op", "min_reduction_percent", "cached_allocs_per_op", "compressed_allocs_per_op", "batched_allocs_per_op"} {
+	for _, key := range []string{"pooled_allocs_per_op", "min_reduction_percent", "cached_allocs_per_op", "compressed_allocs_per_op", "batched_allocs_per_op", "resilient_allocs_per_op"} {
 		if !seen[key] {
 			t.Fatalf("alloc budget: missing %s", key)
 		}
@@ -155,6 +162,15 @@ func TestAllocRegressionGate(t *testing.T) {
 	if batched.AllocsPerOp > budget.BatchedAllocsPerOp {
 		t.Errorf("pooled hot path with read coalescing allocates %d/op, budget is %d/op (see CONTRIBUTING.md to re-baseline)",
 			batched.AllocsPerOp, budget.BatchedAllocsPerOp)
+	}
+	// Resilient cell: the retry/breaker layer Open interposes by default
+	// must ride the pooled hot path for free (it once cost one escaping
+	// closure per read, invisible while the gate's chain had no such layer).
+	resilient := experiments.RunAllocCell(experiments.AllocConfig{Pool: true, Resilient: true})
+	t.Logf("pooled+resilient: %d allocs/op (%d ops)", resilient.AllocsPerOp, resilient.Ops)
+	if resilient.AllocsPerOp > budget.ResilientAllocsPerOp {
+		t.Errorf("pooled hot path through the resilient layer allocates %d/op, budget is %d/op (see CONTRIBUTING.md to re-baseline)",
+			resilient.AllocsPerOp, budget.ResilientAllocsPerOp)
 	}
 	if unpooled.AllocsPerOp == 0 {
 		t.Error("unpooled variant reported zero allocs/op: the benchmark is not measuring the hot path")

@@ -146,12 +146,9 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 		}
 		b = rb
 	}
-	rr, ok := b.(storage.RangeReader)
-	if !ok {
-		t.Fatalf("%s: chain lost the RangeReader surface (%T)", wrap, b)
-	}
-	backend := recordio.NewIndexedBackend(ix, rr)
+	backend := recordio.NewIndexedBackend(ix, b)
 	pool := mempool.New(mempool.Config{Debug: true})
+	mem.SetBufferPool(pool)
 	backend.SetBufferPool(pool)
 
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{

@@ -415,13 +415,13 @@ func BenchmarkSharedCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := cache.ReadFile("hot"); err != nil {
+	if _, err := cache.Read(storage.Request{Name: "hot"}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cache.ReadFile("hot"); err != nil {
+		if _, err := cache.Read(storage.Request{Name: "hot"}); err != nil {
 			b.Fatal(err)
 		}
 	}

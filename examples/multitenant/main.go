@@ -74,19 +74,17 @@ func run(arbitrate bool) [2]int64 {
 			}
 			backend := storage.NewModeledBackend(dataset.MustNew(samples), dev, nil)
 			count := metrics.NewCounter(env)
-			var read func(name string) error
+			read := func(name string) error { _, err := backend.Read(storage.Request{Name: name}); return err }
 			if arbitrate {
 				bucket, err := fairness.NewTokenBucket(env, 8000, 1)
 				if err != nil {
 					log.Fatal(err)
 				}
-				tb := fairness.ThrottledBackend{Bucket: bucket, Inner: backend}
 				if err := arb.Register(id, 1, bucket, count.Value); err != nil {
 					log.Fatal(err)
 				}
-				read = func(name string) error { _, err := tb.ReadFile(name); return err }
-			} else {
-				read = func(name string) error { _, err := backend.ReadFile(name); return err }
+				unthrottled := read
+				read = func(name string) error { bucket.Acquire(1); return unthrottled(name) }
 			}
 			for w := 0; w < threads; w++ {
 				env.Go(fmt.Sprintf("%s-w%d", id, w), func() {

@@ -190,7 +190,8 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	faulty := storage.NewFaultyBackend(env, storage.NewModeledBackend(man, dev, nil))
+	leaf := storage.NewModeledBackend(man, dev, nil)
+	faulty := storage.NewFaultyBackend(env, leaf)
 	resilient, err := storage.NewResilientBackend(env, faulty, cfg.Resilience)
 	if err != nil {
 		return res, err
@@ -205,13 +206,14 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 		return res, err
 	}
 	st := core.NewStage(env, resilient, core.NewPrefetchObject(pf))
+	st.SetResilienceSource(resilient.ResilienceStats)
 	var pool *mempool.Pool
 	if cfg.UsePool {
 		// Debug mode: the ledger names any Get call-site whose lease the
 		// faulted pipeline fails to release, and released buffers are
 		// poisoned so aliasing bugs corrupt visibly.
 		pool = mempool.New(mempool.Config{Debug: true})
-		resilient.SetBufferPool(pool)
+		leaf.SetBufferPool(pool)
 		st.SetBufferPool(pool)
 	}
 	pf.Start()

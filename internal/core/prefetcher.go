@@ -42,11 +42,11 @@ type PrefetcherConfig struct {
 	// BatchSamples, when > 1, coalesces up to that many FIFO-adjacent plan
 	// entries living in the same storage container (recordio shard) into
 	// one vectored backend read — the plan-aware read coalescer. It only
-	// takes effect when the backend implements storage.BatchProvider and
-	// storage.BatchLocator (recordio.IndexedBackend); other backends keep
-	// per-sample reads. The run length is additionally capped by the
-	// backend's BatchParallelism hint (the modeled device's channel count)
-	// when it offers one. 0 or 1 disables coalescing.
+	// takes effect when the backend is a storage.Coalescer
+	// (recordio.IndexedBackend); other backends keep per-sample reads. A
+	// vectored request wider than the device's channel count stops
+	// amortizing and starts queueing, so callers that know the device pass
+	// its channel count here. 0 or 1 disables coalescing.
 	BatchSamples int
 	// BatchBytes bounds the stored bytes one coalesced read may carry
 	// (0 = DefaultBatchBytes when coalescing is enabled).
@@ -134,13 +134,12 @@ type Prefetcher struct {
 	takeDL  time.Duration // consumer take deadline (0 = none)
 	closed  bool
 
-	// Plan-aware read coalescer (nil batcher = per-sample reads).
-	batcher    storage.BatchProvider
-	locator    storage.BatchLocator
+	// Plan-aware read coalescer (nil = per-sample reads, batchMax 1).
+	coalescer  storage.Coalescer
 	batchMax   int
 	batchBytes int64
 
-	activeReaders  *metrics.TimeInState       // threads inside backend.ReadFile (Fig. 3 signal)
+	activeReaders  *metrics.TimeInState       // threads inside backend.Read (Fig. 3 signal)
 	readLat        *metrics.BucketedHistogram // producer-observed storage read latency
 	prefetched     *metrics.Counter
 	readErrors     *metrics.Counter
@@ -166,6 +165,7 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 		queue:          conc.NewQueue[planEntry](env, cfg.PlanQueueCapacity),
 		plans:          newPlanManager(env),
 		takeDL:         cfg.TakeDeadline,
+		batchMax:       1,
 		activeReaders:  metrics.NewTimeInState(env, 0),
 		readLat:        metrics.NewBucketedHistogram(env, nil),
 		prefetched:     metrics.NewCounter(env),
@@ -175,16 +175,12 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 		batchFallbacks: metrics.NewCounter(env),
 	}
 	if cfg.BatchSamples > 1 {
-		bp, okP := backend.(storage.BatchProvider)
-		bl, okL := backend.(storage.BatchLocator)
-		if okP && okL {
-			pf.batcher, pf.locator = bp, bl
+		// The one capability discovered by type assertion: it belongs to
+		// the sample view at the top of the chain, not to a request, and
+		// wrappers sit below that view (DESIGN.md §18).
+		if co, ok := backend.(storage.Coalescer); ok {
+			pf.coalescer = co
 			pf.batchMax = cfg.BatchSamples
-			if h, okH := backend.(storage.BatchParallelismHinter); okH {
-				if hint := h.BatchParallelism(); hint > 0 && hint < pf.batchMax {
-					pf.batchMax = hint
-				}
-			}
 			pf.batchBytes = cfg.BatchBytes
 			if pf.batchBytes == 0 {
 				pf.batchBytes = DefaultBatchBytes
@@ -391,150 +387,22 @@ func (pf *Prefetcher) surplus() bool {
 	return pf.closed || pf.running > pf.target
 }
 
-// readOne dispatches one per-sample read through the richest extension the
-// backend offers for sampled traces (detail annotation, trace context).
-func (pf *Prefetcher) readOne(e planEntry) (storage.Data, storage.ReadDetail, error) {
-	if dr, ok := pf.backend.(storage.DetailedCtxReader); ok && e.ctx.Sampled {
-		return dr.ReadFileDetailedCtx(e.name, e.ctx)
-	}
-	if dr, ok := pf.backend.(storage.DetailedReader); ok && e.ctx.Sampled {
-		return dr.ReadFileDetailed(e.name)
-	}
-	d, err := storage.ReadFileCtx(pf.backend, e.name, e.ctx)
-	return d, storage.ReadDetail{}, err
-}
-
-// producerLoop is the body of one producer thread.
+// producerLoop is the body of one producer thread. It pops contiguous
+// same-shard runs off the plan FIFO — bounded by BatchSamples and
+// BatchBytes; always of length 1 without a coalescer — and serves each run
+// of several samples with one vectored backend read, delivering per-sample
+// views into the buffer with per-entry cancel checks, spans, counters,
+// PopDelay attribution, and pooled single-ownership hand-off. A failed
+// batch falls back to per-sample reads for that run, so batching can
+// degrade but never lose or duplicate a sample.
 func (pf *Prefetcher) producerLoop() {
-	if pf.batcher != nil {
-		pf.producerLoopBatched()
-		return
-	}
 	// prevPark is how long this thread's previous Put parked on a full
 	// shard. It rides on the next Item as PopDelay: that sample's read
 	// started late by (up to) this much because of buffer capacity, which
 	// is the causal signal the consumer-wait attribution needs.
 	var prevPark time.Duration
-	for {
-		pf.mu.Lock()
-		if pf.closed || pf.running > pf.target {
-			pf.running--
-			pf.mu.Unlock()
-			return
-		}
-		pf.mu.Unlock()
-
-		e, ok, stopped := pf.queue.GetOr(pf.surplus)
-		if stopped {
-			// Woken while surplus (SetProducers shrank t on an idle queue):
-			// loop to the top, where the retire check decrements running
-			// under pf.mu — serializing concurrent retirees so the count
-			// never undershoots the new target.
-			continue
-		}
-		if !ok { // queue closed and drained
-			pf.mu.Lock()
-			pf.running--
-			pf.mu.Unlock()
-			return
-		}
-		if pf.plans.cancelledEpoch(e.epoch) {
-			// The entry's epoch was cancelled while it sat in the FIFO
-			// (or popped concurrently with the cancel's DropWhere): skip
-			// the read entirely.
-			pf.plans.noteDropped(e.epoch, 1)
-			continue
-		}
-
-		readStart := pf.env.Now()
-		if e.ctx.Sampled {
-			pf.tracer.Record(obs.Span{
-				Trace:   e.ctx.Trace,
-				Stage:   obs.StageFIFOPop,
-				Name:    e.name,
-				At:      e.at,
-				Latency: readStart - e.at,
-			})
-		}
-
-		pf.activeReaders.Add(1)
-		data, detail, err := pf.readOne(e)
-		pf.activeReaders.Add(-1)
-		readEnd := pf.env.Now()
-		pf.readLat.Observe(readEnd - readStart)
-
-		if e.ctx.Sampled {
-			sp := obs.Span{
-				Trace:   e.ctx.Trace,
-				Stage:   obs.StageStorageRead,
-				Name:    e.name,
-				At:      readStart,
-				Latency: readEnd - readStart,
-				Size:    data.Size,
-				Breaker: detail.Breaker,
-			}
-			if detail.Attempts > 1 {
-				sp.Retries = detail.Attempts - 1
-			}
-			if err != nil {
-				sp.Error = err.Error()
-			}
-			pf.tracer.Record(sp)
-		}
-
-		it := Item{
-			Name:      e.name,
-			Size:      data.Size,
-			Bytes:     data.Bytes,
-			Ref:       data.Ref,
-			Err:       err,
-			Ctx:       e.ctx,
-			Epoch:     e.epoch,
-			ReadStart: readStart,
-			ReadEnd:   readEnd,
-			PopDelay:  prevPark,
-		}
-		if err != nil {
-			pf.readErrors.Inc()
-		} else {
-			pf.prefetched.Inc()
-		}
-		parked, perr := pf.buffer.PutTimed(it)
-		switch {
-		case perr == nil:
-			prevPark = parked
-		case errors.Is(perr, ErrEpochCancelled):
-			// The sample's epoch was cancelled mid-read or while parked:
-			// the item never entered the buffer, so its pooled lease is
-			// still this thread's to drop. The producer itself lives on.
-			it.Release()
-			pf.plans.noteDropped(e.epoch, 1)
-			prevPark = 0
-		default:
-			// Buffer closed: shutting down. Same ownership rule.
-			it.Release()
-			pf.mu.Lock()
-			pf.running--
-			pf.mu.Unlock()
-			return
-		}
-	}
-}
-
-// producerLoopBatched is producerLoop with the plan-aware read coalescer:
-// it pops contiguous same-shard runs off the plan FIFO (bounded by
-// BatchSamples, BatchBytes, and the device's parallelism hint) and serves
-// each run with one vectored backend read, delivering per-sample views
-// into the buffer under the exact semantics of the per-sample loop —
-// per-entry cancel checks, spans, counters, PopDelay attribution, and
-// pooled single-ownership hand-off all included. A failed batch falls back
-// to per-sample reads for that run, so batching can degrade but never
-// lose or duplicate a sample.
-func (pf *Prefetcher) producerLoopBatched() {
-	reader := pf.batcher.BatchReader()
-	var prevPark time.Duration
-	// Per-producer scratch, reused every iteration: the batched hot path
-	// must stay 0 allocs/op like the per-sample one.
+	// Per-producer scratch, reused every iteration: the hot path must stay
+	// 0 allocs/op, batched or not.
 	run := make([]planEntry, 0, pf.batchMax)
 	names := make([]string, 0, pf.batchMax)
 	datas := make([]storage.Data, 0, pf.batchMax)
@@ -543,32 +411,39 @@ func (pf *Prefetcher) producerLoopBatched() {
 
 	// Run-grouping state for the queue predicate, reset before each pop.
 	// The closure is allocated once per producer; it runs under the queue
-	// lock and touches only the read-only locator index.
-	var runShard string
-	var runBytes int64
-	var haveFirst, firstBatchable bool
-	same := func(first, cand planEntry) bool {
-		if !haveFirst {
-			haveFirst = true
-			sh, n, ok := pf.locator.Locate(first.name)
-			firstBatchable = ok
-			if !ok {
+	// lock and touches only the coalescer's read-only index. Without a
+	// coalescer batchMax is 1 and the queue never calls it.
+	var reader storage.SampleBatcher
+	var same func(first, cand planEntry) bool
+	var haveFirst bool
+	if co := pf.coalescer; co != nil {
+		reader = co.BatchReader()
+		var runShard string
+		var runBytes int64
+		var firstBatchable bool
+		same = func(first, cand planEntry) bool {
+			if !haveFirst {
+				haveFirst = true
+				sh, n, ok := co.Locate(first.name)
+				firstBatchable = ok
+				if !ok {
+					return false
+				}
+				runShard, runBytes = sh, n
+			}
+			if !firstBatchable || cand.epoch != first.epoch {
 				return false
 			}
-			runShard, runBytes = sh, n
+			sh, n, ok := co.Locate(cand.name)
+			if !ok || sh != runShard {
+				return false
+			}
+			if pf.batchBytes > 0 && runBytes+n > pf.batchBytes {
+				return false
+			}
+			runBytes += n
+			return true
 		}
-		if !firstBatchable || cand.epoch != first.epoch {
-			return false
-		}
-		sh, n, ok := pf.locator.Locate(cand.name)
-		if !ok || sh != runShard {
-			return false
-		}
-		if pf.batchBytes > 0 && runBytes+n > pf.batchBytes {
-			return false
-		}
-		runBytes += n
-		return true
 	}
 
 	for {
@@ -584,6 +459,10 @@ func (pf *Prefetcher) producerLoopBatched() {
 		var ok, stopped bool
 		run, ok, stopped = pf.queue.GetRunOr(pf.surplus, pf.batchMax, same, run[:0])
 		if stopped {
+			// Woken while surplus (SetProducers shrank t on an idle queue):
+			// loop to the top, where the retire check decrements running
+			// under pf.mu — serializing concurrent retirees so the count
+			// never undershoots the new target.
 			continue
 		}
 		if !ok { // queue closed and drained
@@ -593,7 +472,8 @@ func (pf *Prefetcher) producerLoopBatched() {
 			return
 		}
 		// Drop entries whose epoch was cancelled while they sat in the FIFO
-		// (or popped concurrently with the cancel's DropWhere).
+		// (or popped concurrently with the cancel's DropWhere): skip the
+		// read entirely.
 		live := 0
 		for _, e := range run {
 			if pf.plans.cancelledEpoch(e.epoch) {
@@ -643,9 +523,9 @@ func (pf *Prefetcher) producerLoopBatched() {
 		}
 		if !batched {
 			for _, e := range run {
-				d, det, rerr := pf.readOne(e)
-				datas = append(datas, d)
-				details = append(details, det)
+				resp, rerr := pf.backend.Read(storage.Request{Name: e.name, Ctx: e.ctx})
+				datas = append(datas, resp.Data)
+				details = append(details, resp.Detail)
 				errs = append(errs, rerr)
 			}
 		}
@@ -701,6 +581,7 @@ func (pf *Prefetcher) producerLoopBatched() {
 			case errors.Is(perr, ErrEpochCancelled):
 				// Cancelled mid-read or while parked: the view never entered
 				// the buffer, so its pooled lease is this thread's to drop.
+				// The producer itself lives on.
 				it.Release()
 				pf.plans.noteDropped(e.epoch, 1)
 				prevPark = 0
@@ -722,7 +603,7 @@ func (pf *Prefetcher) producerLoopBatched() {
 
 // BatchEnabled reports whether the plan-aware read coalescer is active
 // (configured on and supported by the backend).
-func (pf *Prefetcher) BatchEnabled() bool { return pf.batcher != nil }
+func (pf *Prefetcher) BatchEnabled() bool { return pf.coalescer != nil }
 
 // BatchReads reports the number of vectored backend reads issued.
 func (pf *Prefetcher) BatchReads() int64 { return pf.batchReads.Value() }

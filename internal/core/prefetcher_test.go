@@ -163,9 +163,9 @@ type recordingBackend struct {
 	order *[]string
 }
 
-func (r *recordingBackend) ReadFile(name string) (storage.Data, error) {
-	*r.order = append(*r.order, name)
-	return r.inner.ReadFile(name)
+func (r *recordingBackend) Read(req storage.Request) (storage.Response, error) {
+	*r.order = append(*r.order, req.Name)
+	return r.inner.Read(req)
 }
 func (r *recordingBackend) Size(name string) (int64, error) { return r.inner.Size(name) }
 

@@ -168,10 +168,10 @@ type StageStats struct {
 	Pool        mempool.Stats
 	PoolEnabled bool
 
-	// Resilience reflects the backend's retry/breaker state (zero-valued
-	// when the backend is not a storage.ResilienceReporter). Degraded is
-	// the signal the autotuner watches to back off producers while the
-	// circuit breaker sheds load.
+	// Resilience reflects the chain's retry/breaker state when a resilient
+	// layer is wired in (SetResilienceSource; zero-valued otherwise).
+	// Degraded is the signal the autotuner watches to back off producers
+	// while the circuit breaker sheds load.
 	Resilience storage.ResilienceStats
 
 	// Tiering reflects the fast-tier backend stage when one is wired in
@@ -229,15 +229,16 @@ type Stage struct {
 	env       conc.Env
 	backend   storage.Backend
 	objects   []OptimizationObject
-	pf        *Prefetcher                   // non-nil when a PrefetchObject is attached
-	tracer    *obs.Tracer                   // nil-safe; set once via SetTracer before traffic
-	pool      *mempool.Pool                 // nil when pooling is off; stats only
-	gate      TenantGate                    // nil when multi-tenant QoS is off
-	gateObs   latencyObserver               // gate's latency extension, nil if unsupported
-	tiering   func() TieringStats           // nil when no fast tier is wired in
-	cache     func() CacheStats             // nil when no shared cache is wired in
-	epochHook func(names []string)          // nil unless a plan observer (tier warmer) is attached
-	partition func(names []string) []string // nil unless a plan partitioner (cluster fabric) is attached
+	pf        *Prefetcher                    // non-nil when a PrefetchObject is attached
+	tracer    *obs.Tracer                    // nil-safe; set once via SetTracer before traffic
+	pool      *mempool.Pool                  // nil when pooling is off; stats only
+	gate      TenantGate                     // nil when multi-tenant QoS is off
+	gateObs   latencyObserver                // gate's latency extension, nil if unsupported
+	resilient func() storage.ResilienceStats // nil when no resilient layer is wired in
+	tiering   func() TieringStats            // nil when no fast tier is wired in
+	cache     func() CacheStats              // nil when no shared cache is wired in
+	epochHook func(names []string)           // nil unless a plan observer (tier warmer) is attached
+	partition func(names []string) []string  // nil unless a plan partitioner (cluster fabric) is attached
 
 	reads        *metrics.Counter
 	hits         *metrics.Counter
@@ -283,7 +284,7 @@ func (s *Stage) Tracer() *obs.Tracer { return s.tracer }
 
 // SetBufferPool registers the sample buffer pool so its occupancy and
 // hit-rate ride the stage's monitoring snapshot. The pool itself is
-// attached to the storage backend (storage.PoolAttacher); the stage only
+// attached to the storage layers that allocate payloads; the stage only
 // reports it.
 func (s *Stage) SetBufferPool(p *mempool.Pool) { s.pool = p }
 
@@ -339,12 +340,12 @@ func (s *Stage) readCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 		return data, nil
 	}
 	s.bypasses.Inc()
-	data, err := storage.ReadFileCtx(s.backend, name, ctx)
+	resp, err := s.backend.Read(storage.Request{Name: name, Ctx: ctx})
 	if err != nil {
 		s.errors.Inc()
 		return storage.Data{}, err
 	}
-	return data, nil
+	return resp.Data, nil
 }
 
 // SetTenantGate attaches the multi-tenant admission gate. Call before
@@ -358,6 +359,12 @@ func (s *Stage) SetTenantGate(g TenantGate) {
 		s.gateObs = lo
 	}
 }
+
+// SetResilienceSource registers the resilient layer's snapshot provider so
+// breaker state and retry pressure ride the stage's monitoring snapshot
+// wherever that layer sits in the chain. Call before traffic starts; nil
+// (the default) leaves StageStats.Resilience zero-valued.
+func (s *Stage) SetResilienceSource(f func() storage.ResilienceStats) { s.resilient = f }
 
 // SetCacheSource registers the shared-cache snapshot provider so cache
 // state rides the stage's monitoring snapshot (and hence the IPC Stats
@@ -523,8 +530,8 @@ func (s *Stage) Stats() StageStats {
 		st.Pool = s.pool.Stats()
 		st.PoolEnabled = true
 	}
-	if rr, ok := s.backend.(storage.ResilienceReporter); ok {
-		st.Resilience = rr.ResilienceStats()
+	if s.resilient != nil {
+		st.Resilience = s.resilient()
 	}
 	if s.tiering != nil {
 		st.Tiering = s.tiering()

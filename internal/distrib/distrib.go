@@ -182,13 +182,13 @@ type linkBackend struct {
 	inner storage.Backend
 }
 
-func (l *linkBackend) ReadFile(name string) (storage.Data, error) {
-	data, err := l.inner.ReadFile(name)
+func (l *linkBackend) Read(req storage.Request) (storage.Response, error) {
+	resp, err := l.inner.Read(req)
 	if err != nil {
-		return storage.Data{}, err
+		return resp, err
 	}
-	l.link.Read(data.Size)
-	return data, nil
+	l.link.Read(resp.PayloadSize(req))
+	return resp, nil
 }
 
 func (l *linkBackend) Size(name string) (int64, error) { return l.inner.Size(name) }

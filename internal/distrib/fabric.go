@@ -237,7 +237,8 @@ func (f *Fabric) ReadCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 	// store directly. The local plan never claimed this sample, so no plan
 	// state needs unwinding; the orphaned entry in the owner's plan is
 	// reaped by epoch-end cancellation.
-	data, err := storage.ReadFileCtx(f.slow, name, ctx)
+	resp, err := f.slow.Read(storage.Request{Name: name, Ctx: ctx})
+	data := resp.Data
 	elapsed := f.env.Now() - start
 	if err == nil {
 		f.failovers.Inc()

@@ -393,7 +393,7 @@ func RunAblationPackedFormat(cal Calibration, chunkSizes []int64, report func(st
 		}
 		backend := storage.NewModeledBackend(trainSet, dev, nil)
 		for _, name := range trainSet.EpochFileList(cal.Seed, 0) {
-			if _, err := backend.ReadFile(name); err != nil {
+			if _, err := backend.Read(storage.Request{Name: name}); err != nil {
 				return err
 			}
 		}

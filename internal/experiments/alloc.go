@@ -52,6 +52,10 @@ type AllocConfig struct {
 	// read path: ranged shard read, CRC check, in-place decode into a
 	// pooled buffer.
 	Compressed bool
+	// Resilient interposes the retry/breaker layer at its defaults, as
+	// prisma.Open does unless DisableResilience is set, so the cell's chain
+	// matches what Open builds by default.
+	Resilient bool
 	// Batch, when > 1, packs the dataset into one uncompressed recordio
 	// shard and enables the plan-aware read coalescer at that run budget,
 	// so the cell measures the vectored read path: FIFO runs fetched by
@@ -88,6 +92,12 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 	return func(b *testing.B) {
 		env := conc.NewReal()
 		mem := storage.NewMemBackend()
+		var pool *mempool.Pool
+		if cfg.Pool {
+			// One pool for every layer that allocates payloads.
+			pool = mempool.New(mempool.Config{})
+			mem.SetBufferPool(pool)
+		}
 		names := make([]string, cfg.Files)
 		for i := range names {
 			names[i] = fmt.Sprintf("alloc%04d.bin", i)
@@ -125,7 +135,9 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 				}
 			}
 			mem.Add(shardName, shard.Bytes())
-			backend = recordio.NewIndexedBackend(ix, mem)
+			indexed := recordio.NewIndexedBackend(ix, mem)
+			indexed.SetBufferPool(pool)
+			backend = indexed
 		} else {
 			for i, name := range names {
 				mem.AddSeeded(name, cfg.FileSize, int64(i)+1)
@@ -139,9 +151,12 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			defer cache.Close()
 			backend = cache
 		}
-		if cfg.Pool {
-			// Attach at the top of the chain; wrappers delegate downwards.
-			backend.(storage.PoolAttacher).SetBufferPool(mempool.New(mempool.Config{}))
+		if cfg.Resilient {
+			rb, err := storage.NewResilientBackend(env, backend, storage.DefaultResilienceConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			backend = rb
 		}
 		pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 			InitialProducers:      cfg.Producers,

@@ -106,13 +106,16 @@ func newPatternBackend(env conc.Env, cfg AttributionConfig) *patternBackend {
 
 func attributionName(i int) string { return fmt.Sprintf("s%05d", i) }
 
-func (b *patternBackend) ReadFile(name string) (storage.Data, error) {
-	d, ok := b.lat[name]
+func (b *patternBackend) Read(req storage.Request) (storage.Response, error) {
+	if len(req.Ranges) > 0 {
+		return storage.Response{}, fmt.Errorf("patternBackend: %w", storage.ErrUnsupported)
+	}
+	d, ok := b.lat[req.Name]
 	if !ok {
-		return storage.Data{}, fmt.Errorf("patternBackend: unknown file %q", name)
+		return storage.Response{}, fmt.Errorf("patternBackend: unknown file %q", req.Name)
 	}
 	b.env.Sleep(d)
-	return storage.Data{Name: name, Size: b.size}, nil
+	return storage.Response{Data: storage.Data{Name: req.Name, Size: b.size}}, nil
 }
 
 func (b *patternBackend) Size(name string) (int64, error) {

@@ -25,43 +25,21 @@ import (
 
 // countingStore wraps the in-memory shard store and counts every backend
 // request — whole-file, ranged, or vectored — as one operation, plus the
-// bytes it moved. It deliberately does not implement a parallelism hint,
-// so the cell's batch budget is exactly the configured K.
+// bytes it moved.
 type countingStore struct {
-	inner *storage.MemBackend
+	inner storage.Backend
 	ops   atomic.Int64
 	bytes atomic.Int64
 }
 
-func (s *countingStore) ReadFile(name string) (storage.Data, error) {
-	d, err := s.inner.ReadFile(name)
+func (s *countingStore) Read(req storage.Request) (storage.Response, error) {
+	resp, err := s.inner.Read(req)
 	s.ops.Add(1)
-	s.bytes.Add(d.Size)
-	return d, err
+	s.bytes.Add(resp.PayloadSize(req))
+	return resp, err
 }
 
 func (s *countingStore) Size(name string) (int64, error) { return s.inner.Size(name) }
-
-func (s *countingStore) ReadRange(name string, off, n int64) (storage.Data, error) {
-	d, err := s.inner.ReadRange(name, off, n)
-	s.ops.Add(1)
-	s.bytes.Add(d.Size)
-	return d, err
-}
-
-func (s *countingStore) ReadRangeBatch(name string, ranges []storage.Range, out []storage.Data) ([]storage.Data, error) {
-	base := len(out)
-	res, err := s.inner.ReadRangeBatch(name, ranges, out)
-	s.ops.Add(1)
-	if err == nil {
-		for _, d := range res[base:] {
-			s.bytes.Add(d.Size)
-		}
-	}
-	return res, err
-}
-
-func (s *countingStore) SetBufferPool(p *mempool.Pool) { s.inner.SetBufferPool(p) }
 
 // BatchRow is one cell of the coalescing comparison.
 type BatchRow struct {
@@ -136,6 +114,7 @@ func runBatchCell(setup string, cfg BatchCompareConfig, batch int) (BatchRow, er
 	store := &countingStore{inner: mem}
 	backend := recordio.NewIndexedBackend(ix, store)
 	pool := mempool.New(mempool.Config{})
+	mem.SetBufferPool(pool)
 	backend.SetBufferPool(pool)
 
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{

@@ -48,13 +48,13 @@ type timedBackend struct {
 	device *storage.Device
 }
 
-func (b *timedBackend) ReadFile(name string) (storage.Data, error) {
-	d, err := b.inner.ReadFile(name)
+func (b *timedBackend) Read(req storage.Request) (storage.Response, error) {
+	resp, err := b.inner.Read(req)
 	if err != nil {
-		return storage.Data{}, err
+		return resp, err
 	}
-	b.device.Read(d.Size)
-	return d, nil
+	b.device.Read(resp.PayloadSize(req))
+	return resp, nil
 }
 
 // Size is metadata only — no device charge (the warmer probes sizes
@@ -135,12 +135,12 @@ func runTieringCell(setup string, c tieringCell) (TieringRow, error) {
 			}
 			epochStart := env.Now()
 			for _, name := range names {
-				data, err := backend.ReadFile(name)
+				resp, err := backend.Read(storage.Request{Name: name})
 				if err != nil {
 					runErr = err
 					return
 				}
-				data.Release()
+				resp.Data.Release()
 			}
 			row.Epochs = append(row.Epochs, env.Now()-epochStart)
 		}

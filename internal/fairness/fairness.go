@@ -1,11 +1,10 @@
 // Package fairness implements the multi-tenant access-coordination
 // policies the paper motivates (§II "partial visibility", §VII "it would
 // be interesting to explore and introduce performance isolation and
-// resource fairness policies"): a token-bucket rate limiter, a
-// pass-through throttling optimization object that slots into a stage's
-// object chain, and a control-plane arbiter that divides shared-device
-// capacity across jobs by weighted max-min fairness — the system-wide
-// coordination a framework-intrinsic optimization cannot provide.
+// resource fairness policies"): a token-bucket rate limiter and a
+// control-plane arbiter that divides shared-device capacity across jobs by
+// weighted max-min fairness — the system-wide coordination a
+// framework-intrinsic optimization cannot provide.
 package fairness
 
 import (
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
 // TokenBucket is a rate limiter over a conc.Env clock: tokens refill at
@@ -178,54 +176,4 @@ func (b *TokenBucket) Rate() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.rate
-}
-
-// ThrottleObject is a pass-through optimization object: it charges each
-// intercepted read against a token bucket (one token per read) and then
-// declines the request so the next object — or backend storage — serves
-// it. Placing it first in a stage's chain rate-limits the whole job.
-type ThrottleObject struct {
-	Bucket *TokenBucket
-}
-
-// Name implements core.OptimizationObject.
-func (o ThrottleObject) Name() string { return "fair-throttle" }
-
-// Read implements core.OptimizationObject: pay, then pass through.
-func (o ThrottleObject) Read(name string) (storage.Data, bool, error) {
-	o.Bucket.Acquire(1)
-	return storage.Data{}, false, nil
-}
-
-// Close implements core.OptimizationObject.
-func (o ThrottleObject) Close() {}
-
-// ThrottledBackend wraps a storage.Backend with a bucket, for throttling
-// below the prefetcher (producers are then rate-limited too).
-type ThrottledBackend struct {
-	Bucket *TokenBucket
-	Inner  storage.Backend
-}
-
-// ReadFile implements storage.Backend.
-func (t ThrottledBackend) ReadFile(name string) (storage.Data, error) {
-	t.Bucket.Acquire(1)
-	return t.Inner.ReadFile(name)
-}
-
-// Size implements storage.Backend.
-func (t ThrottledBackend) Size(name string) (int64, error) { return t.Inner.Size(name) }
-
-// ReadRange implements storage.RangeReader when the wrapped backend does,
-// so throttling a range-capable backend (recordio packed shards) keeps the
-// extension instead of silently dropping it. A range read pays one token,
-// like a whole-file read. Wrapping a backend without range support yields
-// an error, not a panic (the repo-wide wrapper convention).
-func (t ThrottledBackend) ReadRange(name string, off, n int64) (storage.Data, error) {
-	rr, ok := t.Inner.(storage.RangeReader)
-	if !ok {
-		return storage.Data{}, fmt.Errorf("fairness: %T does not support range reads", t.Inner)
-	}
-	t.Bucket.Acquire(1)
-	return rr.ReadRange(name, off, n)
 }

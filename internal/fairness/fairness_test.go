@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
@@ -117,65 +116,6 @@ func TestTokenBucketConcurrentFairSharing(t *testing.T) {
 		total := counts[0] + counts[1]
 		if total < 900 || total > 1200 {
 			t.Fatalf("total = %d, want ≈1000 (rate-limited)", total)
-		}
-	})
-}
-
-// stageFixture builds a stage over a shared device with optional throttle.
-func stageFixture(env conc.Env, dev *storage.Device, n int, bucket *TokenBucket) (*core.Stage, []string) {
-	samples := make([]dataset.Sample, n)
-	names := make([]string, n)
-	for i := range samples {
-		samples[i] = dataset.Sample{Name: fmt.Sprintf("f%04d", i), Size: 1000}
-		names[i] = samples[i].Name
-	}
-	backend := storage.NewModeledBackend(dataset.MustNew(samples), dev, nil)
-	if bucket != nil {
-		return core.NewStage(env, backend, ThrottleObject{Bucket: bucket}), names
-	}
-	return core.NewStage(env, backend, nil...), names
-}
-
-func TestThrottleObjectLimitsStage(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		dev, _ := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: time.Microsecond, BytesPerSecond: 1e12, Channels: 8})
-		bucket, _ := NewTokenBucket(env, 100, 1)
-		st, names := stageFixture(env, dev, 50, bucket)
-		start := env.Now()
-		for _, n := range names {
-			if _, err := st.Read(n); err != nil {
-				t.Fatal(err)
-			}
-		}
-		elapsed := env.Now() - start
-		if elapsed < 400*time.Millisecond {
-			t.Fatalf("elapsed %v, want >= ~0.5s at 100 reads/s", elapsed)
-		}
-		// Reads still completed (pass-through, not rejection).
-		if st.Stats().Bypasses != 50 {
-			t.Fatalf("Bypasses = %d, want 50", st.Stats().Bypasses)
-		}
-	})
-}
-
-func TestThrottledBackend(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		dev, _ := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: time.Microsecond, BytesPerSecond: 1e12, Channels: 8})
-		samples := []dataset.Sample{{Name: "a", Size: 10}}
-		inner := storage.NewModeledBackend(dataset.MustNew(samples), dev, nil)
-		bucket, _ := NewTokenBucket(env, 10, 1)
-		tb := ThrottledBackend{Bucket: bucket, Inner: inner}
-		start := env.Now()
-		for i := 0; i < 11; i++ {
-			if _, err := tb.ReadFile("a"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if env.Now()-start < 900*time.Millisecond {
-			t.Fatalf("elapsed %v, want ≈1s at 10 reads/s", env.Now()-start)
-		}
-		if n, err := tb.Size("a"); err != nil || n != 10 {
-			t.Fatalf("Size = %d, %v", n, err)
 		}
 	})
 }
@@ -346,54 +286,6 @@ func TestTokenBucketChargeDebt(t *testing.T) {
 	})
 }
 
-func TestThrottledBackendForwardsReadRange(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		dev, _ := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: time.Microsecond, BytesPerSecond: 1e12, Channels: 8})
-		samples := []dataset.Sample{{Name: "shard", Size: 1000}}
-		inner := storage.NewModeledBackend(dataset.MustNew(samples), dev, nil)
-		bucket, _ := NewTokenBucket(env, 10, 1)
-		tb := ThrottledBackend{Bucket: bucket, Inner: inner}
-		// The wrapper must forward the RangeReader extension...
-		var backend storage.Backend = tb
-		rr, ok := backend.(storage.RangeReader)
-		if !ok {
-			t.Fatal("ThrottledBackend dropped the RangeReader extension")
-		}
-		d, err := rr.ReadRange("shard", 100, 50)
-		if err != nil || d.Size != 50 {
-			t.Fatalf("ReadRange = %d, %v; want 50, nil", d.Size, err)
-		}
-		// ...and charge the bucket for range reads too.
-		start := env.Now()
-		for i := 0; i < 10; i++ {
-			if _, err := rr.ReadRange("shard", 0, 10); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if env.Now()-start < 900*time.Millisecond {
-			t.Fatalf("10 range reads in %v, want ≈1s at 10 reads/s", env.Now()-start)
-		}
-	})
-}
-
-func TestThrottledBackendRangeUnsupported(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		bucket, _ := NewTokenBucket(env, 10, 1)
-		tb := ThrottledBackend{Bucket: bucket, Inner: rangelessBackend{}}
-		if _, err := tb.ReadRange("x", 0, 1); err == nil {
-			t.Fatal("range read over a rangeless backend must error")
-		}
-	})
-}
-
-// rangelessBackend is a storage.Backend without the RangeReader extension.
-type rangelessBackend struct{}
-
-func (rangelessBackend) ReadFile(name string) (storage.Data, error) {
-	return storage.Data{Name: name}, nil
-}
-func (rangelessBackend) Size(string) (int64, error) { return 0, nil }
-
 func TestArbiterSetCapacityRescalesGrants(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		a, _ := NewArbiter(env, 1000)
@@ -547,8 +439,8 @@ func TestArbiterZeroDemandAndZeroWeight(t *testing.T) {
 }
 
 func TestEndToEndFairSharing(t *testing.T) {
-	// Two greedy jobs share one device through throttled backends; the
-	// arbiter loop converges them to an even split — the coordinated
+	// Two greedy jobs share one device, each paying its bucket one token
+	// per read; the arbiter loop converges them to an even split — the coordinated
 	// control framework-intrinsic optimizations cannot deliver (§II).
 	runSim(t, func(env conc.Env) {
 		dev, _ := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: 500 * time.Microsecond, BytesPerSecond: 1e12, Channels: 4})
@@ -563,13 +455,13 @@ func TestEndToEndFairSharing(t *testing.T) {
 			}
 			backend := storage.NewModeledBackend(dataset.MustNew(samples), dev, nil)
 			bucket, _ := NewTokenBucket(env, 8000, 1)
-			tb := ThrottledBackend{Bucket: bucket, Inner: backend}
 			count := metrics.NewCounter(env)
 			for w := 0; w < threads; w++ {
 				env.Go(fmt.Sprintf("%s-w%d", id, w), func() {
 					deadline := 2 * time.Second
 					for env.Now() < deadline {
-						if _, err := tb.ReadFile(samples[int(count.Value())%1000].Name); err != nil {
+						bucket.Acquire(1)
+						if _, err := backend.Read(storage.Request{Name: samples[int(count.Value())%1000].Name}); err != nil {
 							return
 						}
 						count.Inc()

@@ -3,11 +3,11 @@ package recordio
 import (
 	"fmt"
 
-	"github.com/dsrhaslab/prisma-go/internal/mempool"
+	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
-// Locate implements storage.BatchLocator: it reports the shard holding
+// Locate implements storage.Coalescer: it reports the shard holding
 // name's record and the record's stored length (header + possibly
 // compressed payload), which is what the plan-aware coalescer needs to
 // group FIFO-adjacent samples and budget a batch's bytes. Index lookups
@@ -21,17 +21,7 @@ func (b *IndexedBackend) Locate(name string) (container string, storedBytes int6
 	return e.Shard, e.Length, true
 }
 
-// BatchParallelism implements storage.BatchParallelismHinter by forwarding
-// the shard store's hint (the modeled device's channel count); zero when
-// the store has no opinion.
-func (b *IndexedBackend) BatchParallelism() int {
-	if h, ok := b.backend.(storage.BatchParallelismHinter); ok {
-		return h.BatchParallelism()
-	}
-	return 0
-}
-
-// BatchReader implements storage.BatchProvider: it mints a per-goroutine
+// BatchReader implements storage.Coalescer: it mints a per-goroutine
 // batch context. Each producer thread owns one, so the scratch slices it
 // carries are reused across batches without synchronization and
 // steady-state batched reads allocate nothing.
@@ -39,28 +29,34 @@ func (b *IndexedBackend) BatchReader() storage.SampleBatcher {
 	return &batchReader{b: b}
 }
 
-// batchReader is the single-goroutine scratch context behind BatchReader.
+// batchReader is the single-goroutine scratch context behind BatchReader
+// and (recycled through IndexedBackend.readers, as a batch of one) behind
+// per-sample reads.
 type batchReader struct {
 	b      *IndexedBackend
 	ranges []storage.Range
-	datas  []storage.Data
+	views  []storage.Data
+	// name and sample are the per-sample path's batch-of-one scratch.
+	name   [1]string
+	sample [1]storage.Data
 }
 
-// ReadSampleBatch implements storage.SampleBatcher: every name's record —
-// all must live in one shard — is fetched by a single vectored
-// ReadRangeBatch against the shard store, then split in place:
-// uncompressed records alias their segment of the shared region buffer
-// (the segment's reference rides along, zero copies), compressed records
-// decode into a pooled sample buffer and drop their segment reference.
-// Any failure releases every reference taken so far and fails the whole
-// batch; the caller falls back to per-sample reads.
+// ReadSampleBatch implements storage.SampleBatcher.
 func (r *batchReader) ReadSampleBatch(names []string, out []storage.Data) ([]storage.Data, error) {
+	return r.read(names, out, obs.Ctx{})
+}
+
+// read fetches every name's record — all must live in one shard — by a
+// single ranged request against the shard store, then splits the region in
+// place: uncompressed records alias their segment of the shared region
+// buffer (the segment's reference rides along, zero copies), compressed
+// records decode into a pooled sample buffer and drop their segment
+// reference. The CRC covers the stored (possibly compressed) payload, so
+// corruption is caught before the decoder runs. Any failure releases every
+// reference taken so far and fails the whole batch.
+func (r *batchReader) read(names []string, out []storage.Data, ctx obs.Ctx) ([]storage.Data, error) {
 	if len(names) == 0 {
 		return out, nil
-	}
-	brr, ok := r.b.backend.(storage.BatchRangeReader)
-	if !ok {
-		return out, fmt.Errorf("recordio: shard store %T does not support batched range reads", r.b.backend)
 	}
 	r.ranges = r.ranges[:0]
 	var shard string
@@ -76,58 +72,64 @@ func (r *batchReader) ReadSampleBatch(names []string, out []storage.Data) ([]sto
 		}
 		r.ranges = append(r.ranges, storage.Range{Off: e.Offset, N: e.Length})
 	}
-	datas, err := brr.ReadRangeBatch(shard, r.ranges, r.datas[:0])
-	r.datas = datas[:0]
+	resp, err := r.b.backend.Read(storage.Request{Name: shard, Ranges: r.ranges, Out: r.views[:0], Ctx: ctx})
 	if err != nil {
 		return out, err
 	}
+	views := resp.Views
+	r.views = views[:0]
 	base := len(out)
-	fail := func(i int, err error) ([]storage.Data, error) {
-		for j := base; j < len(out); j++ {
-			out[j].Release()
-		}
-		for j := i; j < len(datas); j++ {
-			datas[j].Release()
-		}
-		return out[:base], err
-	}
 	for i, name := range names {
 		e, _ := r.b.ix.Lookup(name)
-		d := datas[i]
-		if d.Bytes == nil {
-			// Modeled shard store: the device was charged once for the
-			// whole vector; report decoded sample sizes.
-			out = append(out, storage.Data{Name: name, Size: e.PayloadSize()})
-			continue
-		}
-		payload, _, derr := Decode(d.Bytes)
+		d, derr := r.b.sample(name, e, views[i])
 		if derr != nil {
-			return fail(i, fmt.Errorf("recordio: %s in %s: %w", name, shard, derr))
-		}
-		if e.Codec == CodecNone {
-			// The payload aliases this segment of the region buffer; the
-			// segment's reference transfers to the sample view.
-			out = append(out, storage.Data{Name: name, Size: int64(len(payload)), Bytes: payload, Ref: d.Ref})
-			continue
-		}
-		var (
-			dst    []byte
-			dstRef *mempool.Ref
-		)
-		if r.b.pool != nil {
-			dstRef = r.b.pool.Get(int(e.Raw))
-			dst = dstRef.Bytes()
-		} else {
-			dst = make([]byte, e.Raw)
-		}
-		if derr := DecompressInto(dst, payload); derr != nil {
-			if dstRef != nil {
-				dstRef.Release()
+			// views[i] was released by sample; drop the samples already
+			// built and the segments not yet reached.
+			for j := base; j < len(out); j++ {
+				out[j].Release()
 			}
-			return fail(i, fmt.Errorf("recordio: %s in %s: %w", name, shard, derr))
+			for j := i + 1; j < len(views); j++ {
+				views[j].Release()
+			}
+			return out[:base], fmt.Errorf("recordio: %s in %s: %w", name, shard, derr)
 		}
-		d.Release()
-		out = append(out, storage.Data{Name: name, Size: e.Raw, Bytes: dst, Ref: dstRef})
+		out = append(out, d)
 	}
 	return out, nil
+}
+
+// sample turns one record's stored bytes (rec, a view of the shard) into
+// the sample it encodes, taking over rec's reference: verbatim payloads
+// keep it (the payload aliases rec's buffer, so its pool reference rides
+// along to the consumer), compressed ones decode into a buffer sized for
+// the raw sample — pooled when a pool is attached — and release it, as
+// does every error path.
+func (b *IndexedBackend) sample(name string, e Entry, rec storage.Data) (storage.Data, error) {
+	if rec.Bytes == nil {
+		// Modeled shard store: the device was charged for the stored
+		// (compressed) record; report the decoded sample size.
+		return storage.Data{Name: name, Size: e.PayloadSize()}, nil
+	}
+	payload, _, err := Decode(rec.Bytes)
+	if err != nil {
+		rec.Release()
+		return storage.Data{}, err
+	}
+	if e.Codec == CodecNone {
+		return storage.Data{Name: name, Size: int64(len(payload)), Bytes: payload, Ref: rec.Ref}, nil
+	}
+	d := storage.Data{Name: name, Size: e.Raw}
+	if b.pool != nil {
+		d.Ref = b.pool.Get(int(e.Raw))
+		d.Bytes = d.Ref.Bytes()
+	} else {
+		d.Bytes = make([]byte, e.Raw)
+	}
+	err = DecompressInto(d.Bytes, payload)
+	rec.Release()
+	if err != nil {
+		d.Release()
+		return storage.Data{}, err
+	}
+	return d, nil
 }

@@ -159,11 +159,13 @@ func TestPackDirCompressedRoundTrip(t *testing.T) {
 	}
 
 	// Read everything back through the indexed backend, pooled.
-	back := NewIndexedBackend(ix, storage.NewDirBackend(dstDir))
+	store := storage.NewDirBackend(dstDir)
+	back := NewIndexedBackend(ix, store)
 	pool := mempool.New(mempool.Config{})
+	store.SetBufferPool(pool)
 	back.SetBufferPool(pool)
 	for name, content := range want {
-		d, err := back.ReadFile(name)
+		d, err := readFile(back, name)
 		if err != nil {
 			t.Fatalf("read %s: %v", name, err)
 		}
@@ -223,7 +225,7 @@ func TestPackDirDedupAccounting(t *testing.T) {
 	// Aliased names must read back independently.
 	back := NewIndexedBackend(ix, storage.NewDirBackend(dstDir))
 	for name, content := range files {
-		d, err := back.ReadFile(name)
+		d, err := readFile(back, name)
 		if err != nil || !bytes.Equal(d.Bytes, content) {
 			t.Fatalf("read %s: %v", name, err)
 		}
@@ -258,7 +260,7 @@ func TestPackDirCompressAndDedupCompose(t *testing.T) {
 	}
 	back := NewIndexedBackend(ix, storage.NewDirBackend(dstDir))
 	for i := 0; i < 4; i++ {
-		d, err := back.ReadFile(fmt.Sprintf("s%d.bin", i))
+		d, err := readFile(back, fmt.Sprintf("s%d.bin", i))
 		if err != nil || !bytes.Equal(d.Bytes, shared) {
 			t.Fatalf("read s%d: %v", i, err)
 		}
@@ -306,7 +308,7 @@ func TestMemBackendReadRangePooled(t *testing.T) {
 	pool := mempool.New(mempool.Config{})
 	mem.SetBufferPool(pool)
 
-	d, err := mem.ReadRange("f", 10, 20)
+	d, err := readRange(mem, "f", 10, 20)
 	if err != nil || d.Size != 20 || !bytes.Equal(d.Bytes, content[10:30]) {
 		t.Fatalf("ReadRange = %+v, %v", d, err)
 	}
@@ -316,20 +318,20 @@ func TestMemBackendReadRangePooled(t *testing.T) {
 	d.Release()
 
 	// Past-EOF truncation, DirBackend-style.
-	d, err = mem.ReadRange("f", int64(len(content))-5, 100)
+	d, err = readRange(mem, "f", int64(len(content))-5, 100)
 	if err != nil || d.Size != 5 {
 		t.Fatalf("truncated ReadRange = %+v, %v", d, err)
 	}
 	d.Release()
-	d, err = mem.ReadRange("f", int64(len(content))+10, 4)
+	d, err = readRange(mem, "f", int64(len(content))+10, 4)
 	if err != nil || d.Size != 0 {
 		t.Fatalf("past-EOF ReadRange = %+v, %v", d, err)
 	}
 	d.Release()
-	if _, err := mem.ReadRange("f", -1, 4); err == nil {
+	if _, err := readRange(mem, "f", -1, 4); err == nil {
 		t.Error("negative offset accepted")
 	}
-	if _, err := mem.ReadRange("ghost", 0, 4); err == nil {
+	if _, err := readRange(mem, "ghost", 0, 4); err == nil {
 		t.Error("missing file accepted")
 	}
 	if n := pool.Outstanding(); n != 0 {

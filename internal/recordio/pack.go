@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
@@ -152,11 +153,12 @@ func PackDirOpts(srcDir string, man *dataset.Manifest, dstDir, prefix string, sh
 	var scratch []byte // compressed payload of the sample in hand, reused
 	for i := 0; i < man.Len(); i++ {
 		s := man.Sample(i)
-		data, err := src.ReadFile(s.Name)
+		resp, err := src.Read(storage.Request{Name: s.Name})
 		if err != nil {
 			closeShard()
 			return nil, err
 		}
+		data := resp.Data
 		var key [32]byte
 		if opts.Dedup {
 			key = ContentKey(data.Bytes)
@@ -211,74 +213,42 @@ func PackDirOpts(srcDir string, man *dataset.Manifest, dstDir, prefix string, sh
 // compose instead of competing.
 type IndexedBackend struct {
 	ix      *Index
-	backend storage.RangeReader
+	backend storage.Backend
 	pool    *mempool.Pool
+	// readers recycles the single-goroutine scratch contexts (*batchReader)
+	// behind per-sample reads, so they stay allocation-free like the
+	// per-producer contexts BatchReader mints.
+	readers sync.Pool
 }
 
 // NewIndexedBackend wires an index to the shard store.
-func NewIndexedBackend(ix *Index, backend storage.RangeReader) *IndexedBackend {
-	return &IndexedBackend{ix: ix, backend: backend}
+func NewIndexedBackend(ix *Index, backend storage.Backend) *IndexedBackend {
+	b := &IndexedBackend{ix: ix, backend: backend}
+	b.readers.New = func() any { return &batchReader{b: b} }
+	return b
 }
 
 // SetBufferPool attaches the sample buffer pool: compressed records then
-// decode in place into pooled buffers (and the shard store, if it pools
-// its range reads, is attached too).
-func (b *IndexedBackend) SetBufferPool(p *mempool.Pool) {
-	b.pool = p
-	if pa, ok := b.backend.(storage.PoolAttacher); ok {
-		pa.SetBufferPool(p)
-	}
-}
+// decode in place into pooled buffers. (The shard store pools its own
+// range reads when the chain builder attaches the same pool to it.)
+func (b *IndexedBackend) SetBufferPool(p *mempool.Pool) { b.pool = p }
 
-// ReadFile implements storage.Backend: one ranged read of the record, with
-// payload verification — and transparent decompression — when bytes are
-// available. The CRC covers the stored (possibly compressed) payload, so
-// corruption is caught before the decoder runs.
-func (b *IndexedBackend) ReadFile(name string) (storage.Data, error) {
-	e, ok := b.ix.Lookup(name)
-	if !ok {
-		return storage.Data{}, &storage.NotExistError{Name: name}
+// Read implements storage.Backend for whole samples: one ranged read of
+// the record, with payload verification — and transparent decompression —
+// when bytes are available (a batch of one, see batchReader). Samples are
+// not range-addressable: a ranged request is ErrUnsupported.
+func (b *IndexedBackend) Read(req storage.Request) (storage.Response, error) {
+	if len(req.Ranges) > 0 {
+		return storage.Response{}, fmt.Errorf("recordio: ranged read of sample %q: %w", req.Name, storage.ErrUnsupported)
 	}
-	data, err := b.backend.ReadRange(e.Shard, e.Offset, e.Length)
+	r := b.readers.Get().(*batchReader)
+	defer b.readers.Put(r)
+	r.name[0] = req.Name
+	out, err := r.read(r.name[:], r.sample[:0], req.Ctx)
 	if err != nil {
-		return storage.Data{}, err
+		return storage.Response{}, err
 	}
-	if data.Bytes == nil {
-		// Modeled backend: the device was charged for the stored
-		// (compressed) record; report the decoded sample size.
-		return storage.Data{Name: name, Size: e.PayloadSize()}, nil
-	}
-	payload, _, err := Decode(data.Bytes)
-	if err != nil {
-		data.Release()
-		return storage.Data{}, fmt.Errorf("recordio: %s in %s: %w", name, e.Shard, err)
-	}
-	if e.Codec == CodecNone {
-		// The payload aliases the range read's buffer, so its pool
-		// reference (if any) rides along to the consumer.
-		return storage.Data{Name: name, Size: int64(len(payload)), Bytes: payload, Ref: data.Ref}, nil
-	}
-	// Compressed record: decode in place into a pooled buffer sized for
-	// the raw sample, then drop the compressed range buffer.
-	var (
-		dst    []byte
-		dstRef *mempool.Ref
-	)
-	if b.pool != nil {
-		dstRef = b.pool.Get(int(e.Raw))
-		dst = dstRef.Bytes()
-	} else {
-		dst = make([]byte, e.Raw)
-	}
-	if err := DecompressInto(dst, payload); err != nil {
-		if dstRef != nil {
-			dstRef.Release()
-		}
-		data.Release()
-		return storage.Data{}, fmt.Errorf("recordio: %s in %s: %w", name, e.Shard, err)
-	}
-	data.Release()
-	return storage.Data{Name: name, Size: e.Raw, Bytes: dst, Ref: dstRef}, nil
+	return storage.Response{Data: out[0]}, nil
 }
 
 // Size implements storage.Backend from the index alone (no I/O).
@@ -290,12 +260,12 @@ func (b *IndexedBackend) Size(name string) (int64, error) {
 	return e.PayloadSize(), nil
 }
 
-// ShardIterator reads one shard sequentially through a RangeReader in
+// ShardIterator reads one shard sequentially through ranged reads in
 // large chunks, amortizing the device's per-request cost across many
 // records — the mechanism that makes packed formats fast on per-request-
 // latency-dominated storage.
 type ShardIterator struct {
-	backend   storage.RangeReader
+	backend   storage.Backend
 	shard     string
 	shardSize int64
 	chunk     int64
@@ -309,16 +279,25 @@ type ShardIterator struct {
 
 // NewShardIterator opens a sequential reader over one shard. chunkBytes
 // controls the read granularity (e.g. 1 MiB).
-func NewShardIterator(backend storage.RangeReader, shard string, shardSize, chunkBytes int64) (*ShardIterator, error) {
+func NewShardIterator(backend storage.Backend, shard string, shardSize, chunkBytes int64) (*ShardIterator, error) {
 	if chunkBytes < headerSize+1 {
 		return nil, fmt.Errorf("recordio: chunk size %d too small", chunkBytes)
 	}
 	return &ShardIterator{backend: backend, shard: shard, shardSize: shardSize, chunk: chunkBytes}, nil
 }
 
+// readAt reads n bytes of the shard at the iterator's position.
+func (it *ShardIterator) readAt(n int64) (storage.Data, error) {
+	resp, err := it.backend.Read(storage.Request{Name: it.shard, Ranges: []storage.Range{{Off: it.pos, N: n}}})
+	if err != nil {
+		return storage.Data{}, err
+	}
+	return resp.Views[0], nil
+}
+
 // refill loads the chunk containing pos.
 func (it *ShardIterator) refill() error {
-	data, err := it.backend.ReadRange(it.shard, it.pos, it.chunk)
+	data, err := it.readAt(it.chunk)
 	if err != nil {
 		return err
 	}
@@ -355,7 +334,7 @@ func (it *ShardIterator) Next() (payload []byte, payloadLen int64, ok bool, err 
 			if rel+headerSize+n > int64(len(it.buf)) {
 				if headerSize+n > it.chunk {
 					// Oversized record: read it exactly.
-					data, err := it.backend.ReadRange(it.shard, it.pos, headerSize+n)
+					data, err := it.readAt(headerSize + n)
 					if err != nil {
 						return nil, 0, false, err
 					}

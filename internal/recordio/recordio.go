@@ -143,7 +143,7 @@ func (e Entry) StoredSize() int64 {
 }
 
 // PayloadSize is the sample size the entry decodes to — what callers of
-// ReadFile/Size observe, regardless of codec.
+// Read/Size observe, regardless of codec.
 func (e Entry) PayloadSize() int64 {
 	if e.Raw > 0 {
 		return e.Raw

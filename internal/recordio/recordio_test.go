@@ -223,7 +223,7 @@ func TestPackDirAndStreamBack(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing index entry %s", s.Name)
 		}
-		data, err := backend.ReadRange(e.Shard, e.Offset, e.Length)
+		data, err := readRange(backend, e.Shard, e.Offset, e.Length)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestPackDirAndStreamBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig, err := srcBackend.ReadFile(s.Name)
+		orig, err := readFile(srcBackend, s.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,11 +330,11 @@ func TestIndexedBackendRealRoundTrip(t *testing.T) {
 	orig := storage.NewDirBackend(src)
 	for i := 0; i < man.Len(); i++ {
 		name := man.Sample(i).Name
-		got, err := packed.ReadFile(name)
+		got, err := readFile(packed, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := orig.ReadFile(name)
+		want, _ := readFile(orig, name)
 		if !bytes.Equal(got.Bytes, want.Bytes) {
 			t.Fatalf("%s: packed bytes differ", name)
 		}
@@ -343,7 +343,7 @@ func TestIndexedBackendRealRoundTrip(t *testing.T) {
 			t.Fatalf("%s: Size = %d, %v (want %d)", name, n, err, want.Size)
 		}
 	}
-	if _, err := packed.ReadFile("ghost"); err == nil {
+	if _, err := readFile(packed, "ghost"); err == nil {
 		t.Fatal("missing sample read succeeded")
 	}
 	if _, err := packed.Size("ghost"); err == nil {
@@ -423,7 +423,7 @@ func TestModeledShardIterationAmortizesDevice(t *testing.T) {
 		raw := storage.NewModeledBackend(man, rawDev, nil)
 		start := env.Now()
 		for i := 0; i < n; i++ {
-			if _, err := raw.ReadFile(samples[i].Name); err != nil {
+			if _, err := readFile(raw, samples[i].Name); err != nil {
 				t.Error(err)
 				return
 			}

@@ -46,7 +46,6 @@ type Stats struct {
 type Cache struct {
 	env      conc.Env
 	inner    storage.Backend
-	ranger   storage.RangeReader // inner's range extension, nil if unsupported
 	capacity int64
 
 	mu        conc.Mutex
@@ -84,11 +83,9 @@ func New(env conc.Env, inner storage.Backend, capacity int64) (*Cache, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("sharedcache: capacity %d < 1", capacity)
 	}
-	rr, _ := inner.(storage.RangeReader)
 	c := &Cache{
 		env:       env,
 		inner:     inner,
-		ranger:    rr,
 		capacity:  capacity,
 		mu:        env.NewMutex(),
 		resident:  make(map[string]*list.Element),
@@ -110,20 +107,48 @@ func New(env conc.Env, inner storage.Backend, capacity int64) (*Cache, error) {
 // the wait-time counter stays on either way.
 func (c *Cache) SetTracer(t *obs.Tracer) { c.tracer = t }
 
-// ReadFile implements storage.Backend with single-flight caching.
-func (c *Cache) ReadFile(name string) (storage.Data, error) {
-	return c.ReadFileCtx(name, obs.Ctx{})
-}
-
-// ReadFileCtx implements storage.CtxReader: ReadFile recording hit, miss,
-// and single-flight-coalesce spans against the read's trace when it is
-// sampled, so a follower's wait on another job's fetch is no longer
-// invisible to attribution.
-func (c *Cache) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
+// Read implements storage.Backend with single-flight caching, dispatching
+// on the request class. A whole-file read is cached under its name. A
+// one-range read is sliced in place from a whole-file resident (zero-copy,
+// retaining the cache's pool reference on the caller's behalf) or else
+// cached under a composite name\x00off+n key, so concurrent tenants
+// re-reading the same record of a packed shard pay the device once instead
+// of once each. A vectored read is sliced from a whole-file resident or
+// forwarded as one device read serving K ranges, without admitting
+// per-range entries (a coalesced batch is already the economical access
+// pattern; caching its K slices would churn the LRU). Hit, miss and
+// single-flight-coalesce spans land on the read's trace when it is
+// sampled, so a follower's wait on another job's fetch is visible to
+// attribution. Negative ranges pass through for the inner backend to
+// reject.
+func (c *Cache) Read(req storage.Request) (storage.Response, error) {
+	if req.Validate() != nil {
+		return c.inner.Read(req)
+	}
+	k := len(req.Ranges)
+	if k > 0 {
+		c.mu.Lock()
+		views, ok := c.sliceResidentLocked(req)
+		c.mu.Unlock()
+		if ok {
+			c.hits.Add(int64(k))
+			return storage.Response{Views: views}, nil
+		}
+	}
+	if k > 1 {
+		c.misses.Add(int64(k))
+		c.devReads.Inc()
+		return c.inner.Read(req)
+	}
+	key := req.Name
+	if k == 1 {
+		key = rangeKey(req.Name, req.Ranges[0])
+	}
+	name, ctx := req.Name, req.Ctx
 	var waitStart, waited time.Duration
 	c.mu.Lock()
 	for {
-		if el, ok := c.resident[name]; ok {
+		if el, ok := c.resident[key]; ok {
 			c.order.MoveToFront(el)
 			e := el.Value.(*entry)
 			if e.ref != nil {
@@ -131,21 +156,22 @@ func (c *Cache) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 				// the entry alive; the caller releases as usual (§11).
 				e.ref.Retain()
 			}
-			size := e.size
-			bytes := e.bytes
-			ref := e.ref
+			d := storage.Data{Name: name, Size: e.size, Bytes: e.bytes, Ref: e.ref}
 			c.mu.Unlock()
 			c.hits.Inc()
 			c.noteWait(ctx, name, waitStart, waited)
 			if ctx.Sampled {
-				c.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageCacheHit, Name: name, At: c.env.Now(), Size: size})
+				c.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageCacheHit, Name: name, At: c.env.Now(), Size: d.Size})
 			}
-			return storage.Data{Name: name, Size: size, Bytes: bytes, Ref: ref}, nil
+			if k == 1 {
+				return storage.Response{Views: append(req.Out, d)}, nil
+			}
+			return storage.Response{Data: d}, nil
 		}
-		if !c.inflight[name] {
+		if !c.inflight[key] {
 			break
 		}
-		// Another job is already fetching this file: wait for it instead
+		// Another job is already fetching this key: wait for it instead
 		// of issuing a duplicate device read.
 		c.waits.Inc()
 		begin := c.env.Now()
@@ -155,7 +181,7 @@ func (c *Cache) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 		c.fetchDone.Wait()
 		waited += c.env.Now() - begin
 	}
-	c.inflight[name] = true
+	c.inflight[key] = true
 	c.mu.Unlock()
 	c.noteWait(ctx, name, waitStart, waited)
 
@@ -165,7 +191,11 @@ func (c *Cache) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 	if ctx.Sampled {
 		fetchStart = c.env.Now()
 	}
-	data, err := storage.ReadFileCtx(c.inner, name, ctx)
+	resp, err := c.inner.Read(req)
+	data := resp.Data
+	if k == 1 && err == nil {
+		data = resp.Views[len(req.Out)]
+	}
 	if ctx.Sampled {
 		sp := obs.Span{Trace: ctx.Trace, Stage: obs.StageCacheMiss, Name: name, At: fetchStart, Latency: c.env.Now() - fetchStart, Size: data.Size}
 		if err != nil {
@@ -175,13 +205,13 @@ func (c *Cache) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 	}
 
 	c.mu.Lock()
-	delete(c.inflight, name)
+	delete(c.inflight, key)
 	if err == nil && data.Size <= c.capacity {
-		c.admit(name, data)
+		c.admit(key, data)
 	}
 	c.fetchDone.Broadcast()
 	c.mu.Unlock()
-	return data, err
+	return resp, err
 }
 
 // noteWait folds one completed coalesced wait into the always-on wait-time
@@ -238,152 +268,30 @@ func (c *Cache) Size(name string) (int64, error) { return c.inner.Size(name) }
 // rangeKey builds the composite cache key for one byte range of name. The
 // NUL separator cannot appear in file names, so range entries can never
 // collide with whole-file entries.
-func rangeKey(name string, off, n int64) string {
-	return fmt.Sprintf("%s\x00%d+%d", name, off, n)
+func rangeKey(name string, r storage.Range) string {
+	return fmt.Sprintf("%s\x00%d+%d", name, r.Off, r.N)
 }
 
-// ReadRange implements storage.RangeReader with the same caching and
-// single-flight discipline as whole-file reads. A whole-file resident is
-// sliced in place (zero-copy, retaining the cache's pool reference on the
-// caller's behalf); otherwise the range is cached under a composite
-// name\x00off+n key, so concurrent tenants re-reading the same record of a
-// packed shard pay the device once instead of once each — previously
-// ranges bypassed the cache entirely and every tenant paid. Negative
-// ranges pass through for the inner backend to reject, and wrapping a
-// rangeless backend still yields an error at call time, not a dropped
-// extension (the repo-wide wrapper convention).
-func (c *Cache) ReadRange(name string, off, n int64) (storage.Data, error) {
-	if c.ranger == nil {
-		return storage.Data{}, fmt.Errorf("sharedcache: %T does not support range reads", c.inner)
-	}
-	if off < 0 || n < 0 {
-		return c.ranger.ReadRange(name, off, n)
-	}
-	key := rangeKey(name, off, n)
-	c.mu.Lock()
-	if d, ok := c.sliceWholeFileLocked(name, off, n); ok {
-		c.mu.Unlock()
-		c.hits.Inc()
-		return d, nil
-	}
-	for {
-		if el, ok := c.resident[key]; ok {
-			c.order.MoveToFront(el)
-			e := el.Value.(*entry)
-			if e.ref != nil {
-				e.ref.Retain()
-			}
-			d := storage.Data{Name: name, Size: e.size, Bytes: e.bytes, Ref: e.ref}
-			c.mu.Unlock()
-			c.hits.Inc()
-			return d, nil
-		}
-		if !c.inflight[key] {
-			break
-		}
-		// Another tenant is already fetching this range: wait for it
-		// instead of issuing a duplicate device read.
-		c.waits.Inc()
-		begin := c.env.Now()
-		c.fetchDone.Wait()
-		c.waitTime.Add(int64(c.env.Now() - begin))
-	}
-	c.inflight[key] = true
-	c.mu.Unlock()
-
-	c.misses.Inc()
-	c.devReads.Inc()
-	data, err := c.ranger.ReadRange(name, off, n)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil && data.Size <= c.capacity {
-		c.admit(key, data)
-	}
-	c.fetchDone.Broadcast()
-	c.mu.Unlock()
-	return data, err
-}
-
-// sliceWholeFileLocked serves a range as a view of a whole-file resident,
-// clamped per the RangeReader contract. Caller holds c.mu.
-func (c *Cache) sliceWholeFileLocked(name string, off, n int64) (storage.Data, bool) {
-	el, ok := c.resident[name]
+// sliceResidentLocked serves a ranged request as views of a whole-file
+// resident appended to req.Out, each clamped per the read contract and
+// retaining the cache's reference on the caller's behalf. Caller holds
+// c.mu.
+func (c *Cache) sliceResidentLocked(req storage.Request) ([]storage.Data, bool) {
+	el, ok := c.resident[req.Name]
 	if !ok {
-		return storage.Data{}, false
+		return nil, false
 	}
 	c.order.MoveToFront(el)
 	e := el.Value.(*entry)
-	if off > e.size {
-		off = e.size
-	}
-	if off+n > e.size {
-		n = e.size - off
-	}
-	if e.bytes == nil {
-		// Modeled resident: sizes only.
-		return storage.Data{Name: name, Size: n}, true
-	}
-	if e.ref != nil {
-		e.ref.Retain()
-	}
-	return storage.Data{Name: name, Size: n, Bytes: e.bytes[off : off+n], Ref: e.ref}, true
-}
-
-// ReadRangeBatch implements storage.BatchRangeReader. A whole-file
-// resident serves every range as in-place slices (each view retaining the
-// cache's reference); otherwise the batch forwards to the inner backend as
-// one vectored request — counted as one device read serving K ranges —
-// without admitting per-range entries (a coalesced batch is already the
-// economical access pattern; caching its K slices would churn the LRU).
-func (c *Cache) ReadRangeBatch(name string, ranges []storage.Range, out []storage.Data) ([]storage.Data, error) {
-	brr, ok := c.inner.(storage.BatchRangeReader)
-	if !ok {
-		return out, fmt.Errorf("sharedcache: %T does not support batched range reads", c.inner)
-	}
-	allValid := true
-	for _, r := range ranges {
-		if r.Off < 0 || r.N < 0 {
-			allValid = false
+	whole := storage.Data{Name: req.Name, Size: e.size, Bytes: e.bytes, Ref: e.ref}
+	views := req.Out
+	for _, r := range req.Ranges {
+		if e.ref != nil {
+			e.ref.Retain()
 		}
+		views = append(views, whole.Slice(r))
 	}
-	if allValid {
-		c.mu.Lock()
-		if _, resident := c.resident[name]; resident {
-			base := len(out)
-			served := true
-			for _, r := range ranges {
-				d, ok := c.sliceWholeFileLocked(name, r.Off, r.N)
-				if !ok {
-					served = false
-					break
-				}
-				out = append(out, d)
-			}
-			if served {
-				c.mu.Unlock()
-				c.hits.Add(int64(len(ranges)))
-				return out, nil
-			}
-			for i := base; i < len(out); i++ {
-				out[i].Release()
-			}
-			out = out[:base]
-		}
-		c.mu.Unlock()
-	}
-	c.misses.Add(int64(len(ranges)))
-	c.devReads.Inc()
-	return brr.ReadRangeBatch(name, ranges, out)
-}
-
-// SetBufferPool implements storage.PoolAttacher by delegating to the inner
-// backend, so attaching a pool above the cache reaches the backend that
-// allocates payloads. Cached entries then carry pooled refs (see entry).
-func (c *Cache) SetBufferPool(p *mempool.Pool) {
-	if pa, ok := c.inner.(storage.PoolAttacher); ok {
-		pa.SetBufferPool(p)
-	}
+	return views, true
 }
 
 // Resident reports whether name is cached.

@@ -24,7 +24,7 @@ func runSim(t *testing.T, body func(env conc.Env)) {
 	}
 }
 
-func fixture(env conc.Env, n int, size int64, lat time.Duration, channels int) (storage.Backend, *storage.Device, []string) {
+func fixture(env conc.Env, n int, size int64, lat time.Duration, channels int) (*storage.ModeledBackend, *storage.Device, []string) {
 	samples := make([]dataset.Sample, n)
 	names := make([]string, n)
 	for i := range samples {
@@ -49,11 +49,11 @@ func TestHitAfterMiss(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, dev, names := fixture(env, 4, 1000, time.Millisecond, 2)
 		c, _ := New(env, backend, 1<<20)
-		if _, err := c.ReadFile(names[0]); err != nil {
+		if _, err := readFile(c, names[0]); err != nil {
 			t.Fatal(err)
 		}
 		start := env.Now()
-		if _, err := c.ReadFile(names[0]); err != nil {
+		if _, err := readFile(c, names[0]); err != nil {
 			t.Fatal(err)
 		}
 		if env.Now() != start {
@@ -81,7 +81,7 @@ func TestSingleFlightCollapsesConcurrentMisses(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			env.Go(fmt.Sprintf("job-%d", i), func() {
 				defer wg.Done()
-				if _, err := c.ReadFile(names[0]); err != nil {
+				if _, err := readFile(c, names[0]); err != nil {
 					t.Errorf("read: %v", err)
 				}
 			})
@@ -118,14 +118,14 @@ func TestSingleFlightSpans(t *testing.T) {
 		wg.Add(2)
 		env.Go("leader", func() {
 			defer wg.Done()
-			if _, err := c.ReadFileCtx(names[0], leader); err != nil {
+			if _, err := c.Read(storage.Request{Name: names[0], Ctx: leader}); err != nil {
 				t.Errorf("leader read: %v", err)
 			}
 		})
 		env.Go("follower", func() {
 			defer wg.Done()
 			env.Sleep(time.Millisecond) // arrive mid-fetch
-			if _, err := c.ReadFileCtx(names[0], follower); err != nil {
+			if _, err := c.Read(storage.Request{Name: names[0], Ctx: follower}); err != nil {
 				t.Errorf("follower read: %v", err)
 			}
 		})
@@ -172,10 +172,10 @@ func TestLRUEviction(t *testing.T) {
 		backend, _, names := fixture(env, 5, 1000, time.Millisecond, 2)
 		c, _ := New(env, backend, 3000)
 		for _, n := range names[:3] {
-			_, _ = c.ReadFile(n)
+			_, _ = readFile(c, n)
 		}
-		_, _ = c.ReadFile(names[0]) // refresh 0
-		_, _ = c.ReadFile(names[3]) // evicts 1
+		_, _ = readFile(c, names[0]) // refresh 0
+		_, _ = readFile(c, names[3]) // evicts 1
 		if c.Resident(names[1]) {
 			t.Fatal("LRU victim survived")
 		}
@@ -192,7 +192,7 @@ func TestOversizedNeverCached(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, _, names := fixture(env, 1, 10_000, time.Millisecond, 1)
 		c, _ := New(env, backend, 500)
-		if _, err := c.ReadFile(names[0]); err != nil {
+		if _, err := readFile(c, names[0]); err != nil {
 			t.Fatal(err)
 		}
 		if c.Resident(names[0]) {
@@ -207,7 +207,7 @@ func TestErrorNotCached(t *testing.T) {
 		faulty := storage.NewFaultyBackend(env, backend)
 		faulty.FailName(names[0])
 		c, _ := New(env, faulty, 1<<20)
-		if _, err := c.ReadFile(names[0]); err == nil {
+		if _, err := readFile(c, names[0]); err == nil {
 			t.Fatal("injected fault swallowed")
 		}
 		if c.Resident(names[0]) {
@@ -216,7 +216,7 @@ func TestErrorNotCached(t *testing.T) {
 		// Retry after un-arming succeeds (no negative caching).
 		faulty2 := storage.NewFaultyBackend(env, backend)
 		c2, _ := New(env, faulty2, 1<<20)
-		if _, err := c2.ReadFile(names[0]); err != nil {
+		if _, err := readFile(c2, names[0]); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -226,12 +226,12 @@ func TestInvalidate(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, dev, names := fixture(env, 1, 1000, time.Millisecond, 1)
 		c, _ := New(env, backend, 1<<20)
-		_, _ = c.ReadFile(names[0])
+		_, _ = readFile(c, names[0])
 		c.Invalidate(names[0])
 		if c.Resident(names[0]) {
 			t.Fatal("still resident after Invalidate")
 		}
-		_, _ = c.ReadFile(names[0])
+		_, _ = readFile(c, names[0])
 		if dev.Stats().Reads != 2 {
 			t.Fatalf("device reads = %d, want 2", dev.Stats().Reads)
 		}
@@ -250,45 +250,6 @@ func TestSizePassthrough(t *testing.T) {
 	})
 }
 
-func TestReadRangeForwarding(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		backend, dev, names := fixture(env, 1, 10_000, time.Millisecond, 1)
-		c, _ := New(env, backend, 1<<20)
-		var b storage.Backend = c
-		rr, ok := b.(storage.RangeReader)
-		if !ok {
-			t.Fatal("Cache dropped the RangeReader extension")
-		}
-		d, err := rr.ReadRange(names[0], 100, 200)
-		if err != nil || d.Size != 200 {
-			t.Fatalf("ReadRange = %d, %v; want 200, nil", d.Size, err)
-		}
-		if dev.Stats().Reads != 1 {
-			t.Fatalf("device reads = %d, want 1 (ranges pass through)", dev.Stats().Reads)
-		}
-		if c.Resident(names[0]) {
-			t.Fatal("range read admitted a whole-file entry")
-		}
-	})
-}
-
-func TestReadRangeUnsupportedInner(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		c, _ := New(env, rangelessBackend{}, 1<<20)
-		if _, err := c.ReadRange("x", 0, 1); err == nil {
-			t.Fatal("range read over a rangeless backend must error")
-		}
-	})
-}
-
-// rangelessBackend is a storage.Backend without the RangeReader extension.
-type rangelessBackend struct{}
-
-func (rangelessBackend) ReadFile(name string) (storage.Data, error) {
-	return storage.Data{Name: name}, nil
-}
-func (rangelessBackend) Size(string) (int64, error) { return 0, nil }
-
 // TestPooledLifecycle proves the cache's ownership discipline over pooled
 // payloads: admit retains a cache-held reference, every hit hands the
 // caller one of its own, eviction/invalidation/Close release the cache's,
@@ -297,10 +258,10 @@ func TestPooledLifecycle(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, _, names := fixture(env, 3, 1000, time.Millisecond, 2)
 		pool := mempool.New(mempool.Config{Debug: true})
+		backend.SetBufferPool(pool)
 		c, _ := New(env, backend, 2000) // room for two entries
-		c.SetBufferPool(pool)           // delegates through to the modeled backend
 
-		d0, err := c.ReadFile(names[0]) // miss: fetcher owns one ref, cache one
+		d0, err := readFile(c, names[0]) // miss: fetcher owns one ref, cache one
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,14 +273,14 @@ func TestPooledLifecycle(t *testing.T) {
 		}
 		d0.Release()
 
-		h0, _ := c.ReadFile(names[0]) // hit: caller gets its own ref
+		h0, _ := readFile(c, names[0]) // hit: caller gets its own ref
 		if h0.Ref == nil || h0.Ref.Refs() != 2 {
 			t.Fatalf("hit ref state = %+v, want cache + caller", h0.Ref)
 		}
 		// The hit's bytes must stay valid even while other traffic evicts
 		// the entry out from under the cache.
-		d1, _ := c.ReadFile(names[1])
-		d2, _ := c.ReadFile(names[2]) // evicts names[0] (LRU)
+		d1, _ := readFile(c, names[1])
+		d2, _ := readFile(c, names[2]) // evicts names[0] (LRU)
 		d1.Release()
 		d2.Release()
 		if c.Resident(names[0]) {
@@ -417,12 +378,12 @@ func TestRangeCachedAndSingleFlighted(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, dev, names := fixture(env, 1, 10_000, 10*time.Millisecond, 8)
 		c, _ := New(env, backend, 1<<20)
-		d, err := c.ReadRange(names[0], 100, 200)
+		d, err := readRange(c, names[0], 100, 200)
 		if err != nil || d.Size != 200 {
 			t.Fatalf("ReadRange = %+v, %v", d, err)
 		}
 		start := env.Now()
-		d, err = c.ReadRange(names[0], 100, 200)
+		d, err = readRange(c, names[0], 100, 200)
 		if err != nil || d.Size != 200 {
 			t.Fatalf("repeated ReadRange = %+v, %v", d, err)
 		}
@@ -437,7 +398,7 @@ func TestRangeCachedAndSingleFlighted(t *testing.T) {
 			t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 		}
 		// A different range of the same file is its own entry.
-		if _, err := c.ReadRange(names[0], 300, 50); err != nil {
+		if _, err := readRange(c, names[0], 300, 50); err != nil {
 			t.Fatal(err)
 		}
 		if dev.Stats().Reads != 2 {
@@ -452,7 +413,7 @@ func TestRangeCachedAndSingleFlighted(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			env.Go(fmt.Sprintf("ranger-%d", i), func() {
 				defer wg.Done()
-				if _, err := c.ReadRange(names[0], 5000, 1000); err != nil {
+				if _, err := readRange(c, names[0], 5000, 1000); err != nil {
 					t.Errorf("concurrent range: %v", err)
 				}
 			})
@@ -476,10 +437,10 @@ func TestRangeSlicedFromWholeFileResident(t *testing.T) {
 		mem := storage.NewMemBackend()
 		content := mem.AddSeeded("s", 1000, 42)
 		c, _ := New(env2, mem, 1<<20)
-		if _, err := c.ReadFile("s"); err != nil {
+		if _, err := readFile(c, "s"); err != nil {
 			t.Fatal(err)
 		}
-		d, err := c.ReadRange("s", 100, 300)
+		d, err := readRange(c, "s", 100, 300)
 		if err != nil || d.Size != 300 {
 			t.Fatalf("ReadRange = %+v, %v", d, err)
 		}
@@ -494,14 +455,14 @@ func TestRangeSlicedFromWholeFileResident(t *testing.T) {
 		if st.Hits != 1 {
 			t.Fatalf("hits = %d, want 1", st.Hits)
 		}
-		// Clamped and past-EOF windows follow the RangeReader contract
+		// Clamped and past-EOF windows follow the read contract
 		// without touching the backend.
-		d, err = c.ReadRange("s", 900, 500)
+		d, err = readRange(c, "s", 900, 500)
 		if err != nil || d.Size != 100 {
 			t.Fatalf("clamped slice = %+v, %v", d, err)
 		}
 		d.Release()
-		d, err = c.ReadRange("s", 5000, 10)
+		d, err = readRange(c, "s", 5000, 10)
 		if err != nil || d.Size != 0 {
 			t.Fatalf("past-EOF slice = %+v, %v", d, err)
 		}
@@ -514,7 +475,7 @@ func TestRangeSlicedFromWholeFileResident(t *testing.T) {
 
 // TestReadRangeBatchSharedCache covers the vectored path: a whole-file
 // resident serves every range of a batch by slicing (no backend touch),
-// and a cold batch forwards to the inner BatchRangeReader as one device
+// and a cold batch forwards to the inner backend as one device
 // read without polluting the cache with K partial entries.
 func TestReadRangeBatchSharedCache(t *testing.T) {
 	runSim(t, func(env conc.Env) {
@@ -524,7 +485,7 @@ func TestReadRangeBatchSharedCache(t *testing.T) {
 		ranges := []storage.Range{{Off: 0, N: 100}, {Off: 400, N: 100}, {Off: 950, N: 100}}
 
 		// Cold: forwarded as one vector.
-		out, err := c.ReadRangeBatch("s", ranges, nil)
+		out, err := readBatch(c, "s", ranges, nil)
 		if err != nil || len(out) != 3 {
 			t.Fatalf("cold batch = %d results, %v", len(out), err)
 		}
@@ -540,10 +501,10 @@ func TestReadRangeBatchSharedCache(t *testing.T) {
 		}
 
 		// Warm the whole file, then the same batch slices from it.
-		if _, err := c.ReadFile("s"); err != nil {
+		if _, err := readFile(c, "s"); err != nil {
 			t.Fatal(err)
 		}
-		out, err = c.ReadRangeBatch("s", ranges, nil)
+		out, err = readBatch(c, "s", ranges, nil)
 		if err != nil || len(out) != 3 {
 			t.Fatalf("resident batch = %d results, %v", len(out), err)
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -36,59 +37,205 @@ func (d *Data) Release() {
 	}
 }
 
-// PoolAttacher is implemented by backends (and backend wrappers) that can
-// serve reads from a mempool.Pool. Wrappers delegate to the innermost
-// backend, so attaching the pool at the top of the stack reaches the
-// backend that actually allocates payloads.
-type PoolAttacher interface {
-	SetBufferPool(p *mempool.Pool)
+// Slice returns the window of d that r addresses, clamped to d.Size — the
+// view a layer holding a whole-file resident serves a ranged request from.
+// The view shares d's Ref without retaining it (the caller retains one
+// reference per view it hands out); a payloadless d yields sizes only. r
+// must be non-negative (Request.Validate).
+func (d Data) Slice(r Range) Data {
+	r = r.Clamp(d.Size)
+	v := Data{Name: d.Name, Size: r.N, Ref: d.Ref}
+	if d.Bytes != nil {
+		v.Bytes = d.Bytes[r.Off : r.Off+r.N]
+	}
+	return v
 }
 
-// Backend serves whole-file reads, blocking the calling thread for the
-// modeled or actual I/O duration. Implementations must be safe for
-// concurrent use from threads of the same conc.Env.
+// Range is one byte window of a named file.
+type Range struct {
+	Off int64
+	N   int64
+}
+
+// Clamp applies the truncation contract against a file of size bytes: a
+// range reaching past EOF is cut at EOF and one starting beyond EOF becomes
+// empty. It is the one copy of this arithmetic (overflow-safe: Off+N is
+// never formed); r must be non-negative.
+func (r Range) Clamp(size int64) Range {
+	if r.Off > size {
+		r.Off = size
+	}
+	if r.N > size-r.Off {
+		r.N = size - r.Off
+	}
+	return r
+}
+
+// Request is one read. The request class rides in the value, not in the
+// method set: no Ranges asks for the whole file, one Range for a byte
+// window (packed record formats read slices of large shards), K Ranges for
+// a vectored read served as ONE backend operation — what lets the
+// plan-aware coalescer amortize per-request cost across K FIFO-adjacent
+// samples of one shard.
+type Request struct {
+	// Name is the file to read.
+	Name string
+	// Ranges selects byte windows of the file; empty reads it whole. Ranges
+	// past EOF truncate, a range starting beyond EOF yields an empty view,
+	// and a negative offset or length fails the whole request.
+	Ranges []Range
+	// Out is caller-owned scratch the views of a ranged request are
+	// appended to (may be nil), so steady-state vectored reads allocate
+	// nothing.
+	Out []Data
+	// Ctx is the read's trace context: layers doing attributable work
+	// record spans against it when it is sampled, and every wrapper passes
+	// it inward unchanged.
+	Ctx obs.Ctx
+}
+
+// Validate rejects a negative offset or length in any range.
+func (r Request) Validate() error {
+	for _, rg := range r.Ranges {
+		if rg.Off < 0 || rg.N < 0 {
+			return fmt.Errorf("storage: negative range (%d, %d) of %s", rg.Off, rg.N, r.Name)
+		}
+	}
+	return nil
+}
+
+// Response is the result of one Request.
+//
+// A whole-file request fills Data (by value: the hot path allocates
+// nothing for it). A ranged request fills Views = append(req.Out, one Data
+// per range, in range order). Pooled backends serve every range out of ONE
+// pooled region buffer: each view subslices that region and carries its
+// own reference to the shared mempool.Ref, so views release independently
+// under the usual single-ownership hand-off and the region returns to the
+// pool when the last view is dropped. On error no references are held and
+// req.Out is untouched up to its length.
+type Response struct {
+	Data  Data
+	Views []Data
+	// Detail is the per-read resilience annotation, filled by
+	// ResilientBackend (also on error) and passed up unchanged by every
+	// layer above it; zero elsewhere.
+	Detail ReadDetail
+}
+
+// Ranged returns the views r carries for req's ranges: Views past the
+// caller's Out prefix.
+func (r Response) Ranged(req Request) []Data {
+	if len(r.Views) < len(req.Out) {
+		return nil
+	}
+	return r.Views[len(req.Out):]
+}
+
+// PayloadSize reports the bytes r carries for req — what a layer charging
+// a device or counter per byte moved needs, whatever the request class.
+func (r Response) PayloadSize(req Request) int64 {
+	n := r.Data.Size
+	for _, v := range r.Ranged(req) {
+		n += v.Size
+	}
+	return n
+}
+
+// Release drops every pooled reference r carries for req.
+func (r *Response) Release(req Request) {
+	r.Data.Release()
+	views := r.Ranged(req)
+	for i := range views {
+		views[i].Release()
+	}
+}
+
+// Backend is the one read contract of the data plane (DESIGN.md §18):
+// every storage layer — leaf or wrapper — serves every request class
+// through Read, blocking the calling thread for the modeled or actual I/O
+// duration. A layer that cannot serve ranged requests returns an error
+// wrapping ErrUnsupported. Implementations must be safe for concurrent use
+// from threads of the same conc.Env.
 type Backend interface {
-	// ReadFile reads name in full.
-	ReadFile(name string) (Data, error)
+	// Read serves req.
+	Read(req Request) (Response, error)
 	// Size reports the file size from metadata, without data transfer.
 	Size(name string) (int64, error)
 }
 
-// CtxReader is the optional trace-context extension of Backend: wrappers
-// that do attributable work on the read path (the shared cache's
-// single-flight coalescing, the tier's promote/decompress) implement it so
-// a sampled read's spans land on the read's own trace instead of being
-// invisible. Wrappers forward the ctx inward; use the ReadFileCtx helper at
-// call sites so plain Backends keep working unchanged.
-type CtxReader interface {
-	// ReadFileCtx reads name in full, recording spans against ctx when it
-	// is sampled. Semantics are otherwise identical to ReadFile.
-	ReadFileCtx(name string, ctx obs.Ctx) (Data, error)
+// ErrUnsupported reports a request class a backend cannot serve (ranges of
+// a store that only knows whole samples). It is a chain-composition
+// mistake, not a device fault: ResilientBackend counts it without retry or
+// breaker penalty.
+var ErrUnsupported = errors.New("storage: request class not supported")
+
+// Coalescer is implemented by the sample view at the top of a chain when
+// it can serve FIFO-adjacent samples of one container with one vectored
+// request (recordio.IndexedBackend). The prefetcher discovers it once;
+// wrappers sit below the sample view, so nothing ever forwards it.
+type Coalescer interface {
+	// Locate maps a sample name to the physical container (recordio
+	// shard) a batched read must address and the stored length of its
+	// record, so FIFO-adjacent plan entries can be grouped without knowing
+	// the pack format.
+	Locate(name string) (container string, storedBytes int64, ok bool)
+	// BatchReader mints a per-goroutine SampleBatcher context.
+	BatchReader() SampleBatcher
 }
 
-// ReadFileCtx dispatches a read through the CtxReader extension when b
-// implements it, falling back to the plain ReadFile otherwise.
-func ReadFileCtx(b Backend, name string, ctx obs.Ctx) (Data, error) {
-	if cr, ok := b.(CtxReader); ok {
-		return cr.ReadFileCtx(name, ctx)
-	}
-	return b.ReadFile(name)
-}
-
-// RangeReader is the optional byte-range extension of Backend, needed by
-// packed record formats (internal/recordio) that read slices of large
-// shard files rather than whole small files.
-type RangeReader interface {
-	// ReadRange reads n bytes of name starting at off. Reads past the end
-	// of the file are truncated (Data.Size reports the bytes actually
-	// read); off beyond EOF yields an empty Data.
-	ReadRange(name string, off, n int64) (Data, error)
+// SampleBatcher reads several samples — which must share one locator
+// container — in a single vectored backend operation, appending one Data
+// per name to out (caller-owned scratch) in name order. Implementations
+// are single-goroutine scratch contexts: each producer thread owns one,
+// so steady-state batched reads allocate nothing. Any per-sample failure
+// (missing name, CRC mismatch, decode error) fails the whole batch with
+// every pooled reference released; callers fall back to per-sample reads.
+type SampleBatcher interface {
+	ReadSampleBatch(names []string, out []Data) ([]Data, error)
 }
 
 // NotExistError reports a read of an unknown file.
 type NotExistError struct{ Name string }
 
 func (e *NotExistError) Error() string { return fmt.Sprintf("storage: file %q does not exist", e.Name) }
+
+// region is the single payload allocation behind one request: a pooled
+// lease when a pool is attached (the Get's one reference is shared across
+// a ranged request's views via Retain), a plain allocation otherwise.
+func region(pool *mempool.Pool, n int64) ([]byte, *mempool.Ref) {
+	if pool != nil {
+		ref := pool.Get(int(n))
+		return ref.Bytes(), ref
+	}
+	return make([]byte, n), nil
+}
+
+// clampedTotal is the bytes req's ranges transfer from a file of size
+// bytes — what a ranged request's region is sized from (never from the
+// caller's N).
+func clampedTotal(ranges []Range, size int64) int64 {
+	var total int64
+	for _, r := range ranges {
+		total += r.Clamp(size).N
+	}
+	return total
+}
+
+// carve appends one view per range to out, windows of buf laid out back
+// to back in range order, each carrying its own reference to ref.
+func carve(out []Data, name string, ranges []Range, size int64, buf []byte, ref *mempool.Ref) []Data {
+	var pos int64
+	for i, r := range ranges {
+		n := r.Clamp(size).N
+		if ref != nil && i > 0 {
+			ref.Retain()
+		}
+		out = append(out, Data{Name: name, Size: n, Bytes: buf[pos : pos+n], Ref: ref})
+		pos += n
+	}
+	return out
+}
 
 // ModeledBackend serves reads for a manifest's files against an analytic
 // Device, optionally through a page cache. It is the sim-mode storage
@@ -97,15 +244,15 @@ type ModeledBackend struct {
 	manifest *dataset.Manifest
 	device   *Device
 	cache    *PageCache // nil = no caching (cold-cache experiments)
-	// pool, when attached, makes reads carry synthetic pooled payloads of
-	// the modeled size so sim and chaos epochs exercise the full buffer
-	// ownership machinery (leak audits would be vacuous on payloadless
-	// Data).
+	// pool, when attached, makes whole-file reads carry synthetic pooled
+	// payloads of the modeled size so sim and chaos epochs exercise the
+	// full buffer ownership machinery (leak audits would be vacuous on
+	// payloadless Data).
 	pool *mempool.Pool
 }
 
-// SetBufferPool attaches a pool; subsequent reads return pooled synthetic
-// payloads (deterministic bytes derived from the file name).
+// SetBufferPool attaches a pool; subsequent whole-file reads return pooled
+// synthetic payloads (deterministic bytes derived from the file name).
 func (b *ModeledBackend) SetBufferPool(p *mempool.Pool) { b.pool = p }
 
 // fillSynthetic writes a cheap deterministic pattern derived from name, so
@@ -128,56 +275,46 @@ func NewModeledBackend(manifest *dataset.Manifest, device *Device, cache *PageCa
 	return &ModeledBackend{manifest: manifest, device: device, cache: cache}
 }
 
-// ReadFile blocks for the device's modeled latency and returns a payloadless
-// Data record.
-func (b *ModeledBackend) ReadFile(name string) (Data, error) {
-	s, ok := b.manifest.Lookup(name)
+// Read blocks for the device's modeled latency. A whole-file read returns a
+// payloadless Data record (synthetic pooled bytes with a pool attached) and
+// fills the page cache. A ranged request is ONE device request charged for
+// the bytes actually transferred (offsets carry no cost in the analytic
+// model), so BaseLatency is paid once for K samples instead of K times —
+// the mechanism behind the coalescer's op reduction; its views are
+// payloadless.
+func (b *ModeledBackend) Read(req Request) (Response, error) {
+	s, ok := b.manifest.Lookup(req.Name)
 	if !ok {
-		return Data{}, &NotExistError{Name: name}
+		return Response{}, &NotExistError{Name: req.Name}
 	}
-	if b.cache != nil && b.cache.Touch(name) {
-		// Page-cache hit: memory-speed, modeled as free relative to the
-		// microsecond-scale device costs.
-		return b.payload(name, s.Size), nil
+	hit := b.cache != nil && b.cache.Touch(req.Name)
+	if len(req.Ranges) == 0 {
+		if !hit {
+			// A page-cache hit is memory-speed, modeled as free relative
+			// to the microsecond-scale device costs.
+			b.device.Read(s.Size)
+			if b.cache != nil {
+				b.cache.Insert(req.Name, s.Size)
+			}
+		}
+		d := Data{Name: req.Name, Size: s.Size}
+		if b.pool != nil {
+			d.Bytes, d.Ref = region(b.pool, s.Size)
+			fillSynthetic(d.Bytes, req.Name)
+		}
+		return Response{Data: d}, nil
 	}
-	b.device.Read(s.Size)
-	if b.cache != nil {
-		b.cache.Insert(name, s.Size)
+	if err := req.Validate(); err != nil {
+		return Response{}, err
 	}
-	return b.payload(name, s.Size), nil
-}
-
-// payload builds the Data record, pooled when a pool is attached.
-func (b *ModeledBackend) payload(name string, size int64) Data {
-	if b.pool == nil {
-		return Data{Name: name, Size: size}
+	if !hit {
+		b.device.Read(clampedTotal(req.Ranges, s.Size))
 	}
-	ref := b.pool.Get(int(size))
-	fillSynthetic(ref.Bytes(), name)
-	return Data{Name: name, Size: size, Bytes: ref.Bytes(), Ref: ref}
-}
-
-// ReadRange implements RangeReader: the device is charged for the bytes
-// actually transferred (offsets carry no cost in the analytic model).
-func (b *ModeledBackend) ReadRange(name string, off, n int64) (Data, error) {
-	s, ok := b.manifest.Lookup(name)
-	if !ok {
-		return Data{}, &NotExistError{Name: name}
+	views := req.Out
+	for _, r := range req.Ranges {
+		views = append(views, Data{Name: req.Name, Size: r.Clamp(s.Size).N})
 	}
-	if off < 0 || n < 0 {
-		return Data{}, fmt.Errorf("storage: negative range (%d, %d)", off, n)
-	}
-	if off >= s.Size {
-		return Data{Name: name, Size: 0}, nil
-	}
-	if off+n > s.Size {
-		n = s.Size - off
-	}
-	if b.cache != nil && b.cache.Touch(name) {
-		return Data{Name: name, Size: n}, nil
-	}
-	b.device.Read(n)
-	return Data{Name: name, Size: n}, nil
+	return Response{Views: views}, nil
 }
 
 // Size reports the manifest size for name.
@@ -202,8 +339,8 @@ type DirBackend struct {
 // NewDirBackend returns a backend rooted at dir.
 func NewDirBackend(dir string) *DirBackend { return &DirBackend{root: dir} }
 
-// SetBufferPool attaches a pool; subsequent whole-file reads land in pooled
-// buffers instead of fresh os.ReadFile allocations.
+// SetBufferPool attaches a pool; subsequent reads land in pooled buffers
+// instead of fresh allocations.
 func (b *DirBackend) SetBufferPool(p *mempool.Pool) { b.pool = p }
 
 // path maps a sample name to its file under the root. Names are untrusted
@@ -219,75 +356,68 @@ func (b *DirBackend) path(name string) (string, error) {
 	return filepath.Join(b.root, local), nil
 }
 
-// ReadFile reads the file from disk. With a pool attached the payload is
-// read directly into a pooled buffer sized from the file's metadata.
-func (b *DirBackend) ReadFile(name string) (Data, error) {
-	path, err := b.path(name)
-	if err != nil {
-		return Data{}, err
+// Read reads from disk. With a pool attached a whole file is read directly
+// into a pooled buffer sized from the file's metadata. A ranged request
+// opens the file once and preads every window into a single region buffer
+// sized from fstat (never from the caller's N), so the per-open and
+// per-request costs are paid once per request instead of once per sample.
+func (b *DirBackend) Read(req Request) (Response, error) {
+	if err := req.Validate(); err != nil {
+		return Response{}, err
 	}
-	if b.pool != nil {
-		return readFilePooled(b.pool, name, path)
-	}
-	bytes, err := os.ReadFile(path)
+	path, err := b.path(req.Name)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return Data{}, &NotExistError{Name: name}
+		return Response{}, err
+	}
+	if len(req.Ranges) == 0 && b.pool == nil {
+		bytes, err := os.ReadFile(path)
+		if err != nil {
+			return Response{}, notExist(req.Name, err)
 		}
-		return Data{}, err
+		return Response{Data: Data{Name: req.Name, Size: int64(len(bytes)), Bytes: bytes}}, nil
 	}
-	return Data{Name: name, Size: int64(len(bytes)), Bytes: bytes}, nil
-}
-
-// readFilePooled reads path into a pool buffer sized by fstat. A file that
-// grows between stat and read is truncated to the stat size (training
-// datasets are immutable during an epoch); one that shrinks yields an
-// error. Every error path releases the lease.
-func readFilePooled(pool *mempool.Pool, name, path string) (Data, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return Data{}, &NotExistError{Name: name}
-		}
-		return Data{}, err
+		return Response{}, notExist(req.Name, err)
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return Data{}, err
+		return Response{}, err
 	}
 	size := info.Size()
-	ref := pool.Get(int(size))
-	if _, err := io.ReadFull(f, ref.Bytes()); err != nil {
-		ref.Release()
-		return Data{}, fmt.Errorf("storage: short read of %q: %w", name, err)
+	if len(req.Ranges) == 0 {
+		// A file that grows between stat and read is truncated to the stat
+		// size (training datasets are immutable during an epoch); one that
+		// shrinks yields an error.
+		ref := b.pool.Get(int(size))
+		if _, err := io.ReadFull(f, ref.Bytes()); err != nil {
+			ref.Release()
+			return Response{}, fmt.Errorf("storage: short read of %q: %w", req.Name, err)
+		}
+		return Response{Data: Data{Name: req.Name, Size: size, Bytes: ref.Bytes(), Ref: ref}}, nil
 	}
-	return Data{Name: name, Size: size, Bytes: ref.Bytes(), Ref: ref}, nil
+	buf, ref := region(b.pool, clampedTotal(req.Ranges, size))
+	var pos int64
+	for _, r := range req.Ranges {
+		r = r.Clamp(size)
+		if _, err := f.ReadAt(buf[pos:pos+r.N], r.Off); err != nil {
+			if ref != nil {
+				ref.Release()
+			}
+			return Response{}, fmt.Errorf("storage: short range read of %q: %w", req.Name, err)
+		}
+		pos += r.N
+	}
+	return Response{Views: carve(req.Out, req.Name, req.Ranges, size, buf, ref)}, nil
 }
 
-// ReadRange implements RangeReader via pread on the underlying file.
-func (b *DirBackend) ReadRange(name string, off, n int64) (Data, error) {
-	if off < 0 || n < 0 {
-		return Data{}, fmt.Errorf("storage: negative range (%d, %d)", off, n)
+// notExist maps a missing-file error from the OS to the typed error.
+func notExist(name string, err error) error {
+	if os.IsNotExist(err) {
+		return &NotExistError{Name: name}
 	}
-	path, err := b.path(name)
-	if err != nil {
-		return Data{}, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return Data{}, &NotExistError{Name: name}
-		}
-		return Data{}, err
-	}
-	defer f.Close()
-	buf := make([]byte, n)
-	read, err := f.ReadAt(buf, off)
-	if err != nil && err != io.EOF {
-		return Data{}, err
-	}
-	return Data{Name: name, Size: int64(read), Bytes: buf[:read]}, nil
+	return err
 }
 
 // Size stats the file.
@@ -298,10 +428,7 @@ func (b *DirBackend) Size(name string) (int64, error) {
 	}
 	info, err := os.Stat(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, &NotExistError{Name: name}
-		}
-		return 0, err
+		return 0, notExist(name, err)
 	}
 	return info.Size(), nil
 }

@@ -22,17 +22,10 @@ func conformContent() []byte {
 	return buf
 }
 
-// rangeAndBatch is the combined extension surface the conformance suite
-// exercises.
-type rangeAndBatch interface {
-	RangeReader
-	BatchRangeReader
-}
-
-// conformRange runs the shared ReadRange/ReadRangeBatch conformance
-// assertions against one backend holding conformContent under name "f".
-// hasBytes is false for the modeled backend (sizes only).
-func conformRange(t *testing.T, label string, b rangeAndBatch, hasBytes bool) {
+// conformRange runs the shared one-range / vectored conformance assertions
+// against one backend holding conformContent under name "f". hasBytes is
+// false for the modeled backend (sizes only).
+func conformRange(t *testing.T, label string, b Backend, hasBytes bool) {
 	t.Helper()
 	content := conformContent()
 	check := func(what string, d Data, off, n int64) {
@@ -45,7 +38,7 @@ func conformRange(t *testing.T, label string, b rangeAndBatch, hasBytes bool) {
 		}
 	}
 
-	d, err := b.ReadRange("f", 0, 1000)
+	d, err := readRange(b, "f", 0, 1000)
 	if err != nil {
 		t.Fatalf("%s: full range: %v", label, err)
 	}
@@ -53,7 +46,7 @@ func conformRange(t *testing.T, label string, b rangeAndBatch, hasBytes bool) {
 	d.Release()
 
 	// Truncated at EOF.
-	d, err = b.ReadRange("f", 800, 1000)
+	d, err = readRange(b, "f", 800, 1000)
 	if err != nil {
 		t.Fatalf("%s: truncated range: %v", label, err)
 	}
@@ -61,28 +54,28 @@ func conformRange(t *testing.T, label string, b rangeAndBatch, hasBytes bool) {
 	d.Release()
 
 	// Past EOF: empty, not an error.
-	d, err = b.ReadRange("f", 2000, 5)
+	d, err = readRange(b, "f", 2000, 5)
 	if err != nil || d.Size != 0 {
 		t.Fatalf("%s: past-EOF range = %+v, %v; want empty, nil", label, d, err)
 	}
 	d.Release()
 
-	if _, err := b.ReadRange("f", -1, 10); err == nil {
+	if _, err := readRange(b, "f", -1, 10); err == nil {
 		t.Fatalf("%s: negative offset accepted", label)
 	}
-	if _, err := b.ReadRange("f", 0, -1); err == nil {
+	if _, err := readRange(b, "f", 0, -1); err == nil {
 		t.Fatalf("%s: negative length accepted", label)
 	}
-	if _, err := b.ReadRange("ghost", 0, 10); err == nil {
+	if _, err := readRange(b, "ghost", 0, 10); err == nil {
 		t.Fatalf("%s: missing name accepted", label)
 	}
 
-	// Vectored read: per-range semantics must match ReadRange exactly,
-	// including the clamps, and the results append after the caller's
+	// Vectored read: per-range semantics must match a one-range request
+	// exactly, including the clamps, and the results append after the caller's
 	// scratch prefix.
 	scratch := []Data{{Name: "sentinel"}}
 	ranges := []Range{{Off: 0, N: 100}, {Off: 500, N: 250}, {Off: 900, N: 500}, {Off: 1500, N: 10}}
-	res, err := b.ReadRangeBatch("f", ranges, scratch)
+	res, err := readBatch(b, "f", ranges, scratch)
 	if err != nil {
 		t.Fatalf("%s: batch: %v", label, err)
 	}
@@ -99,14 +92,14 @@ func conformRange(t *testing.T, label string, b rangeAndBatch, hasBytes bool) {
 
 	// A negative range fails the whole batch and returns out at its
 	// original length with no views appended.
-	res, err = b.ReadRangeBatch("f", []Range{{Off: 0, N: 10}, {Off: 5, N: -1}}, scratch[:1])
+	res, err = readBatch(b, "f", []Range{{Off: 0, N: 10}, {Off: 5, N: -1}}, scratch[:1])
 	if err == nil {
 		t.Fatalf("%s: negative batch range accepted", label)
 	}
 	if len(res) != 1 {
 		t.Fatalf("%s: failed batch returned %d results, want the original 1", label, len(res))
 	}
-	if _, err := b.ReadRangeBatch("ghost", []Range{{Off: 0, N: 10}}, nil); err == nil {
+	if _, err := readBatch(b, "ghost", []Range{{Off: 0, N: 10}}, nil); err == nil {
 		t.Fatalf("%s: batch on missing name accepted", label)
 	}
 }
@@ -165,7 +158,7 @@ func TestModeledBatchChargesOneRequest(t *testing.T) {
 		b := NewModeledBackend(man, dev, nil)
 
 		start := env.Now()
-		res, err := b.ReadRangeBatch("f", []Range{{0, 1000}, {1000, 1000}, {2000, 1000}, {3000, 1000}}, nil)
+		res, err := readBatch(b, "f", []Range{{0, 1000}, {1000, 1000}, {2000, 1000}, {3000, 1000}}, nil)
 		if err != nil || len(res) != 4 {
 			t.Fatalf("batch = %d results, %v", len(res), err)
 		}
@@ -179,29 +172,13 @@ func TestModeledBatchChargesOneRequest(t *testing.T) {
 
 		start = env.Now()
 		for off := int64(0); off < 4000; off += 1000 {
-			if _, err := b.ReadRange("f", off, 1000); err != nil {
+			if _, err := readRange(b, "f", off, 1000); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Per-sample pays the base latency per request: 4 x (1ms + 1ms).
 		if got := env.Now() - start; got != 8*time.Millisecond {
 			t.Fatalf("per-sample reads took %v, want 8ms (four requests)", got)
-		}
-	})
-}
-
-// TestBatchParallelismHint proves the modeled backend surfaces its device's
-// channel count as the coalescer's parallelism clamp.
-func TestBatchParallelismHint(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		dev, err := NewDevice(env, P4600())
-		if err != nil {
-			t.Fatal(err)
-		}
-		man := dataset.MustNew([]dataset.Sample{{Name: "f", Size: 10}})
-		b := NewModeledBackend(man, dev, nil)
-		if got, want := b.BatchParallelism(), P4600().Channels; got != want {
-			t.Fatalf("BatchParallelism = %d, want %d", got, want)
 		}
 	})
 }

@@ -1,0 +1,254 @@
+package storage_test
+
+import (
+	"bytes"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
+	"github.com/dsrhaslab/prisma-go/internal/mempool"
+	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
+	"github.com/dsrhaslab/prisma-go/internal/sim"
+	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
+	"github.com/dsrhaslab/prisma-go/internal/tiering"
+	"github.com/dsrhaslab/prisma-go/internal/trace"
+)
+
+// middlewareLayers is the conformance table: every exported storage layer,
+// alone over the probe leaf. A new layer adds one row here (unexported
+// wrappers — distrib's link, experiments' counting store — call
+// storagetest.Middleware from their own package's tests).
+func middlewareLayers() []storagetest.Layer {
+	resilient := func(deadline time.Duration) func(*testing.T, conc.Env, storage.Backend, *mempool.Pool) storagetest.Built {
+		return func(t *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
+			cfg := storage.DefaultResilienceConfig()
+			cfg.ReadDeadline = deadline
+			rb, err := storage.NewResilientBackend(env, leaf, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return storagetest.Built{Backend: rb, Resilience: rb.ResilienceStats}
+		}
+	}
+	tier := func(compress bool) func(*testing.T, conc.Env, storage.Backend, *mempool.Pool) storagetest.Built {
+		return func(t *testing.T, env conc.Env, leaf storage.Backend, pool *mempool.Pool) storagetest.Built {
+			tb, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: compress}, leaf, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.SetBufferPool(pool)
+			return storagetest.Built{Backend: tb, Close: tb.Close}
+		}
+	}
+	return []storagetest.Layer{
+		{Name: "recorder", Build: func(_ *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
+			return storagetest.Built{Backend: trace.NewRecorder(env, leaf)}
+		}},
+		{Name: "cache", Build: func(t *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
+			c, err := sharedcache.New(env, leaf, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return storagetest.Built{Backend: c, Close: c.Close}
+		}},
+		{Name: "tier", Build: tier(false)},
+		{Name: "tier-compress", Build: tier(true)},
+		{Name: "resilient", Build: resilient(0)},
+		{Name: "resilient-deadline", Build: resilient(50 * time.Millisecond)},
+		{Name: "faulty", Build: func(_ *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
+			return storagetest.Built{Backend: storage.NewFaultyBackend(env, leaf)}
+		}},
+	}
+}
+
+// TestMiddlewareConformance runs the request-class table over every layer:
+// bytes identical to the bare leaf, the ctx that entered is the ctx the
+// leaf saw, Detail survives on the way up, ErrUnsupported surfaces
+// unchanged, zero pooled refs outstanding.
+func TestMiddlewareConformance(t *testing.T) {
+	for _, layer := range middlewareLayers() {
+		storagetest.Middleware(t, layer)
+	}
+}
+
+// clampCases are the ranges that used to overflow the hand-copied clamp
+// arithmetic (or size an allocation from the caller's N), with the window
+// of a 4 KiB file each must truncate to.
+var clampCases = []struct {
+	r    storage.Range
+	want storage.Range
+}{
+	{storage.Range{Off: 1, N: math.MaxInt64}, storage.Range{Off: 1, N: 4095}},
+	{storage.Range{Off: 0, N: 1 << 50}, storage.Range{Off: 0, N: 4096}},
+	{storage.Range{Off: 4096, N: 1}, storage.Range{Off: 4096, N: 0}},
+	{storage.Range{Off: 5000, N: 10}, storage.Range{Off: 4096, N: 0}},
+	{storage.Range{Off: 0, N: 0}, storage.Range{Off: 0, N: 0}},
+}
+
+// checkClamp issues every clamp case alone and as one K=3 vector mixing
+// them, then the negative cases, against b.
+func checkClamp(t *testing.T, b storage.Backend, hasBytes bool) {
+	t.Helper()
+	content := storagetest.Content()
+	check := func(got storage.Data, r, want storage.Range) {
+		t.Helper()
+		if got.Size != want.N {
+			t.Fatalf("%+v: %d bytes, want %d", r, got.Size, want.N)
+		}
+		if hasBytes && !bytes.Equal(got.Bytes, content[want.Off:want.Off+want.N]) {
+			t.Fatalf("%+v: payload differs from file[%d:+%d]", r, want.Off, want.N)
+		}
+	}
+	for _, c := range clampCases {
+		req := storage.Request{Name: storagetest.FileName, Ranges: []storage.Range{c.r}}
+		resp, err := b.Read(req)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.r, err)
+		}
+		check(resp.Views[0], c.r, c.want)
+		resp.Release(req)
+	}
+	vec := storage.Request{Name: storagetest.FileName, Ranges: []storage.Range{clampCases[0].r, clampCases[3].r, clampCases[1].r}}
+	resp, err := b.Read(vec)
+	if err != nil || len(resp.Views) != 3 {
+		t.Fatalf("vector: %d views, %v", len(resp.Views), err)
+	}
+	for i, ci := range []int{0, 3, 1} {
+		check(resp.Views[i], clampCases[ci].r, clampCases[ci].want)
+	}
+	resp.Release(vec)
+	for _, bad := range []storage.Range{{Off: -1, N: 10}, {Off: 0, N: -1}, {Off: math.MinInt64, N: math.MaxInt64}} {
+		req := storage.Request{Name: storagetest.FileName, Ranges: []storage.Range{{Off: 0, N: 1}, bad}}
+		if resp, err := b.Read(req); err == nil || len(resp.Views) != 0 {
+			t.Fatalf("negative range %+v: %d views, err %v; want the whole request to fail", bad, len(resp.Views), err)
+		}
+	}
+}
+
+// TestRangeClampNoOverflow pins the one overflow-safe clamp on every path
+// that slices a file: the three leaves and a whole-file resident in the
+// shared cache and in the tier. Reads past EOF truncate per contract — no
+// panic, no allocation sized from the caller's N, no leaked reference.
+func TestRangeClampNoOverflow(t *testing.T) {
+	inSim := func(t *testing.T, body func(env conc.Env)) {
+		t.Helper()
+		s := sim.New()
+		env := conc.NewSimEnv(s)
+		s.Spawn("clamp", func(*sim.Process) { body(env) })
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	audit := func(t *testing.T, pool *mempool.Pool) {
+		t.Helper()
+		if n := pool.Outstanding(); n != 0 {
+			t.Fatalf("%d pooled refs outstanding: %v", n, pool.Leaks())
+		}
+	}
+	t.Run("mem", func(t *testing.T) {
+		pool := mempool.New(mempool.Config{Debug: true})
+		checkClamp(t, storagetest.NewProbe(pool), true)
+		audit(t, pool)
+	})
+	t.Run("dir", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, storagetest.FileName), storagetest.Content(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, pooled := range []bool{true, false} {
+			b := storage.NewDirBackend(dir)
+			pool := mempool.New(mempool.Config{Debug: true})
+			if pooled {
+				b.SetBufferPool(pool)
+			}
+			checkClamp(t, b, true)
+			audit(t, pool)
+		}
+	})
+	t.Run("modeled", func(t *testing.T) {
+		inSim(t, func(env conc.Env) {
+			dev, err := storage.NewDevice(env, storage.P4600())
+			if err != nil {
+				t.Fatal(err)
+			}
+			man := dataset.MustNew([]dataset.Sample{{Name: storagetest.FileName, Size: storagetest.FileSize}})
+			checkClamp(t, storage.NewModeledBackend(man, dev, nil), false)
+		})
+	})
+	// A whole-file read first, so the ranges are sliced from the resident.
+	warm := func(t *testing.T, b storage.Backend, probe *storagetest.Probe) {
+		t.Helper()
+		req := storage.Request{Name: storagetest.FileName}
+		resp, err := b.Read(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Release(req)
+		before := probe.Calls
+		checkClamp(t, b, true)
+		// Only the negative requests reach the leaf (passed down to reject).
+		if got := probe.Calls - before; got != 3 {
+			t.Fatalf("%d requests reached the leaf, want 3 (the negatives): ranges were not served from the resident", got)
+		}
+	}
+	t.Run("sharedcache-resident", func(t *testing.T) {
+		pool := mempool.New(mempool.Config{Debug: true})
+		inSim(t, func(env conc.Env) {
+			probe := storagetest.NewProbe(pool)
+			c, err := sharedcache.New(env, probe, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm(t, c, probe)
+			c.Close()
+		})
+		audit(t, pool)
+	})
+	t.Run("tiering-resident", func(t *testing.T) {
+		pool := mempool.New(mempool.Config{Debug: true})
+		inSim(t, func(env conc.Env) {
+			probe := storagetest.NewProbe(pool)
+			tb, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1}, probe, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm(t, tb, probe)
+			tb.Close()
+		})
+		audit(t, pool)
+	})
+}
+
+// TestResilientReadAllocs pins the per-read closure fix: with no read
+// deadline the resilient layer adds nothing to a pooled MemBackend read —
+// 0 allocs/op, breaker on, as Open builds it by default.
+func TestResilientReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	mem := storage.NewMemBackend()
+	mem.AddSeeded("f", 4096, 1)
+	mem.SetBufferPool(mempool.New(mempool.Config{}))
+	rb, err := storage.NewResilientBackend(conc.NewReal(), mem, storage.DefaultResilienceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := storage.Request{Name: "f"}
+	for name, b := range map[string]storage.Backend{"bare": mem, "resilient": rb} {
+		allocs := testing.AllocsPerRun(200, func() {
+			resp, err := b.Read(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Data.Release()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per whole-file read, want 0", name, allocs)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"github.com/dsrhaslab/prisma-go/internal/mempool"
 )
 
 // ErrInjected is the base error wrapped by FaultyBackend failures.
@@ -14,14 +13,13 @@ var ErrInjected = errors.New("storage: injected fault")
 
 // FaultyBackend wraps a Backend and fails or delays selected reads, for
 // failure-path testing of the data plane (producer I/O errors must surface
-// to the consumer that requested the file, not wedge the pipeline). It
-// implements RangeReader passthrough when the wrapped backend does, so
-// recordio shard paths stay testable, and supports transient faults (fail N
-// attempts, then heal) and injected latency for chaos schedules.
+// to the consumer that requested the file, not wedge the pipeline). Every
+// request class passes through it, so recordio shard paths stay testable,
+// and it supports transient faults (fail N attempts, then heal) and
+// injected latency for chaos schedules.
 type FaultyBackend struct {
 	env   conc.Env
 	inner Backend
-	rr    RangeReader // inner's range extension, nil when unsupported
 
 	mu conc.Mutex
 	// failEvery fails every Nth read (1-indexed); 0 disables.
@@ -42,11 +40,9 @@ type FaultyBackend struct {
 
 // NewFaultyBackend wraps inner with no faults armed.
 func NewFaultyBackend(env conc.Env, inner Backend) *FaultyBackend {
-	rr, _ := inner.(RangeReader)
 	return &FaultyBackend{
 		env:       env,
 		inner:     inner,
-		rr:        rr,
 		mu:        env.NewMutex(),
 		failNames: make(map[string]bool),
 		transient: make(map[string]int),
@@ -167,62 +163,21 @@ func (f *FaultyBackend) apply(name string) (fire bool, delay time.Duration) {
 	return fire, delay
 }
 
-// ReadFile applies armed faults and latency, otherwise delegates.
-func (f *FaultyBackend) ReadFile(name string) (Data, error) {
-	fire, delay := f.apply(name)
+// Read applies armed faults and latency, otherwise delegates. One armed
+// fault fails the whole request whatever its class — a coalesced vector is
+// one physical request, so a fault fails all of its samples together,
+// exactly what the coalescer's fallback path has to absorb. Faults fire
+// before the inner read, so a fired fault never strands a lease.
+func (f *FaultyBackend) Read(req Request) (Response, error) {
+	fire, delay := f.apply(req.Name)
 	if delay > 0 {
 		f.env.Sleep(delay)
 	}
 	if fire {
-		return Data{}, fmt.Errorf("%w: read of %q", ErrInjected, name)
+		return Response{}, fmt.Errorf("%w: read of %q", ErrInjected, req.Name)
 	}
-	return f.inner.ReadFile(name)
-}
-
-// ReadRange implements RangeReader with the same fault application as
-// ReadFile, so wrapping a range-capable backend (recordio shards) keeps the
-// interface. Wrapping a backend without range support yields an error, not
-// a panic.
-func (f *FaultyBackend) ReadRange(name string, off, n int64) (Data, error) {
-	if f.rr == nil {
-		return Data{}, fmt.Errorf("storage: faulty: %T does not support range reads", f.inner)
-	}
-	fire, delay := f.apply(name)
-	if delay > 0 {
-		f.env.Sleep(delay)
-	}
-	if fire {
-		return Data{}, fmt.Errorf("%w: range read of %q [%d, +%d)", ErrInjected, name, off, n)
-	}
-	return f.rr.ReadRange(name, off, n)
-}
-
-// ReadRangeBatch implements BatchRangeReader, applying one armed fault to
-// the whole vector — a coalesced batch is one physical request, so a fault
-// fails all of its samples together, exactly what the coalescer's fallback
-// path has to absorb.
-func (f *FaultyBackend) ReadRangeBatch(name string, ranges []Range, out []Data) ([]Data, error) {
-	brr, ok := f.inner.(BatchRangeReader)
-	if !ok {
-		return out, fmt.Errorf("storage: faulty: %T does not support batched range reads", f.inner)
-	}
-	fire, delay := f.apply(name)
-	if delay > 0 {
-		f.env.Sleep(delay)
-	}
-	if fire {
-		return out, fmt.Errorf("%w: batched range read of %q (%d ranges)", ErrInjected, name, len(ranges))
-	}
-	return brr.ReadRangeBatch(name, ranges, out)
+	return f.inner.Read(req)
 }
 
 // Size delegates to the wrapped backend (metadata is assumed healthy).
 func (f *FaultyBackend) Size(name string) (int64, error) { return f.inner.Size(name) }
-
-// SetBufferPool forwards the pool to the wrapped backend (injected faults
-// fire before the inner read, so a fired fault never strands a lease).
-func (f *FaultyBackend) SetBufferPool(p *mempool.Pool) {
-	if pa, ok := f.inner.(PoolAttacher); ok {
-		pa.SetBufferPool(p)
-	}
-}

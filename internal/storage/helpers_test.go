@@ -1,0 +1,24 @@
+package storage
+
+// readFile, readRange and readBatch issue one request of each class
+// through the read contract, for tests that exercise a single class.
+func readFile(b Backend, name string) (Data, error) {
+	resp, err := b.Read(Request{Name: name})
+	return resp.Data, err
+}
+
+func readRange(b Backend, name string, off, n int64) (Data, error) {
+	resp, err := b.Read(Request{Name: name, Ranges: []Range{{Off: off, N: n}}})
+	if err != nil {
+		return Data{}, err
+	}
+	return resp.Views[0], nil
+}
+
+func readBatch(b Backend, name string, ranges []Range, out []Data) ([]Data, error) {
+	resp, err := b.Read(Request{Name: name, Ranges: ranges, Out: out})
+	if err != nil {
+		return out, err
+	}
+	return resp.Views, nil
+}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -56,57 +55,36 @@ func (b *MemBackend) Content(name string) ([]byte, bool) {
 	return c, ok
 }
 
-// ReadFile copies the stored content out — into a pooled buffer when a
-// pool is attached, a fresh allocation otherwise. The copy is deliberate
-// even unpooled: a real backend never aliases its own storage, and the
-// aliasing tests rely on delivered samples being distinct arrays.
-func (b *MemBackend) ReadFile(name string) (Data, error) {
-	b.mu.Lock()
-	src, ok := b.files[name]
-	b.mu.Unlock()
-	if !ok {
-		return Data{}, &NotExistError{Name: name}
-	}
-	if b.pool != nil {
-		ref := b.pool.Get(len(src))
-		copy(ref.Bytes(), src)
-		return Data{Name: name, Size: int64(len(src)), Bytes: ref.Bytes(), Ref: ref}, nil
-	}
-	out := make([]byte, len(src))
-	copy(out, src)
-	return Data{Name: name, Size: int64(len(src)), Bytes: out}, nil
-}
-
-// ReadRange implements RangeReader with the same pooled-copy contract as
-// ReadFile: [off, off+n) clamped to the stored length (reads past EOF
-// truncate rather than error, matching DirBackend). This is what lets
-// recordio.IndexedBackend serve packed shards out of memory on the
+// Read copies the requested bytes out — into a pooled buffer when a pool
+// is attached, a fresh allocation otherwise. The copy is deliberate even
+// unpooled: a real backend never aliases its own storage, and the aliasing
+// tests rely on delivered samples being distinct arrays. A ranged request
+// lands every window in one region buffer the views share, which is what
+// lets recordio.IndexedBackend serve packed shards out of memory on the
 // zero-allocation hot path.
-func (b *MemBackend) ReadRange(name string, off, n int64) (Data, error) {
+func (b *MemBackend) Read(req Request) (Response, error) {
 	b.mu.Lock()
-	src, ok := b.files[name]
+	src, ok := b.files[req.Name]
 	b.mu.Unlock()
 	if !ok {
-		return Data{}, &NotExistError{Name: name}
+		return Response{}, &NotExistError{Name: req.Name}
 	}
-	if off < 0 || n < 0 {
-		return Data{}, fmt.Errorf("storage: invalid range [%d, +%d) for %s", off, n, name)
+	size := int64(len(src))
+	if len(req.Ranges) == 0 {
+		buf, ref := region(b.pool, size)
+		copy(buf, src)
+		return Response{Data: Data{Name: req.Name, Size: size, Bytes: buf, Ref: ref}}, nil
 	}
-	if off > int64(len(src)) {
-		off = int64(len(src))
+	if err := req.Validate(); err != nil {
+		return Response{}, err
 	}
-	if off+n > int64(len(src)) {
-		n = int64(len(src)) - off
+	buf, ref := region(b.pool, clampedTotal(req.Ranges, size))
+	var pos int64
+	for _, r := range req.Ranges {
+		r = r.Clamp(size)
+		pos += int64(copy(buf[pos:], src[r.Off:r.Off+r.N]))
 	}
-	window := src[off : off+n]
-	if b.pool != nil {
-		ref := b.pool.Get(len(window))
-		copy(ref.Bytes(), window)
-		return Data{Name: name, Size: n, Bytes: ref.Bytes(), Ref: ref}, nil
-	}
-	out := make([]byte, len(window))
-	copy(out, window)
-	return Data{Name: name, Size: n, Bytes: out}, nil
+	return Response{Views: carve(req.Out, req.Name, req.Ranges, size, buf, ref)}, nil
 }
 
 // Size reports the stored length.

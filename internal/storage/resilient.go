@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
-	"github.com/dsrhaslab/prisma-go/internal/obs"
 )
 
 // ErrCircuitOpen reports a read shed by the circuit breaker without touching
@@ -160,21 +158,13 @@ type ResilienceStats struct {
 	DeadlineExceeded int64  // attempts abandoned at the read deadline
 	FastFails        int64  // reads shed while the breaker was open
 	BreakerOpens     int64  // closed/half-open -> open transitions
-	UnsupportedOps   int64  // range/batch reads refused: inner lacks the extension
+	UnsupportedOps   int64  // requests the chain below refused with ErrUnsupported
 	State            string // current breaker state
 	Degraded         bool   // breaker not closed: autotuner backs off
 }
 
-// ResilienceReporter is implemented by backends exposing resilience
-// telemetry (ResilientBackend); the data-plane stage folds it into its
-// monitoring snapshot so the control plane can observe breaker state and
-// retry pressure.
-type ResilienceReporter interface {
-	ResilienceStats() ResilienceStats
-}
-
-// ReadDetail is the per-read resilience annotation a DetailedReader returns
-// alongside the data: how many attempts the read cost and the breaker state
+// ReadDetail is the per-read resilience annotation ResilientBackend puts on
+// every Response: how many attempts the read cost and the breaker state
 // observed at completion. The tracing subsystem attaches it to storage-read
 // spans.
 type ReadDetail struct {
@@ -184,39 +174,25 @@ type ReadDetail struct {
 	// Breaker is the breaker state at completion ("" when no breaker is
 	// configured).
 	Breaker string
-	// Unsupported reports a range/batch read refused because the wrapped
-	// backend lacks the extension — a chain-composition mistake, distinct
-	// from a device fault (no attempt was issued, the breaker is untouched).
+	// Unsupported reports a request the chain below answered with
+	// ErrUnsupported — a chain-composition mistake, distinct from a device
+	// fault (not retried, no breaker penalty).
 	Unsupported bool
 }
 
-// DetailedReader is implemented by backends that can report per-read
-// resilience detail (ResilientBackend).
-type DetailedReader interface {
-	ReadFileDetailed(name string) (Data, ReadDetail, error)
-}
-
-// DetailedCtxReader is DetailedReader with trace-context forwarding: the
-// sampled read path uses it so per-read resilience detail and inner-layer
-// (cache/tier) spans land on the same trace.
-type DetailedCtxReader interface {
-	ReadFileDetailedCtx(name string, ctx obs.Ctx) (Data, ReadDetail, error)
-}
-
-// ResilientBackend wraps a Backend (and its RangeReader extension, when
-// present) with per-read deadlines, bounded retries with exponential
-// backoff and deterministic jitter, and a circuit breaker that sheds load
-// after consecutive failures and probes before recovering. All waiting goes
-// through the conc.Env, so sim-mode runs stay virtual-time and reproducible.
+// ResilientBackend wraps a Backend with per-read deadlines, bounded retries
+// with exponential backoff and deterministic jitter, and a circuit breaker
+// that sheds load after consecutive failures and probes before recovering —
+// one policy for every request class. All waiting goes through the conc.Env,
+// so sim-mode runs stay virtual-time and reproducible.
 //
-// Reads of files that do not exist (NotExistError) are treated as permanent
-// conditions: they are returned immediately, are never retried, and count
-// as breaker successes (the backend answered correctly).
+// Reads of files that do not exist (NotExistError) and requests the chain
+// below cannot serve (ErrUnsupported) are treated as permanent conditions:
+// they are returned immediately, are never retried, and count as breaker
+// successes (the backend answered correctly).
 type ResilientBackend struct {
 	env   conc.Env
 	inner Backend
-	rr    RangeReader      // inner's range extension, nil when unsupported
-	brr   BatchRangeReader // inner's vectored extension, nil when unsupported
 	cfg   ResilienceConfig
 
 	mu          conc.Mutex
@@ -234,7 +210,7 @@ type ResilientBackend struct {
 	deadlineHits *metrics.Counter
 	fastFails    *metrics.Counter
 	opens        *metrics.Counter
-	unsupported  *metrics.Counter     // range reads refused for lack of an inner extension
+	unsupported  *metrics.Counter     // requests refused with ErrUnsupported
 	stateTime    *metrics.TimeInState // time spent in each BreakerState
 }
 
@@ -244,13 +220,9 @@ func NewResilientBackend(env conc.Env, inner Backend, cfg ResilienceConfig) (*Re
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rr, _ := inner.(RangeReader)
-	brr, _ := inner.(BatchRangeReader)
 	b := &ResilientBackend{
 		env:          env,
 		inner:        inner,
-		rr:           rr,
-		brr:          brr,
 		cfg:          cfg,
 		mu:           env.NewMutex(),
 		rng:          rand.New(rand.NewSource(cfg.JitterSeed)),
@@ -270,151 +242,48 @@ func NewResilientBackend(env conc.Env, inner Backend, cfg ResilienceConfig) (*Re
 // Inner exposes the wrapped backend.
 func (b *ResilientBackend) Inner() Backend { return b.inner }
 
-// SetBufferPool forwards the pool to the wrapped backend (the resilience
-// layer allocates no payloads of its own).
-func (b *ResilientBackend) SetBufferPool(p *mempool.Pool) {
-	if pa, ok := b.inner.(PoolAttacher); ok {
-		pa.SetBufferPool(p)
-	}
-}
-
 // Config returns the effective (default-filled) configuration.
 func (b *ResilientBackend) Config() ResilienceConfig { return b.cfg }
 
-// ReadFile reads name through the retry/breaker machinery.
-func (b *ResilientBackend) ReadFile(name string) (Data, error) {
-	d, _, err := b.do(func() (Data, error) { return b.inner.ReadFile(name) })
-	return d, err
-}
-
-// ReadFileDetailed implements DetailedReader: ReadFile plus the per-read
-// attempt count and breaker state, for span annotation.
-func (b *ResilientBackend) ReadFileDetailed(name string) (Data, ReadDetail, error) {
-	return b.do(func() (Data, error) { return b.inner.ReadFile(name) })
-}
-
-// ReadFileCtx implements CtxReader: ReadFile with the trace context
-// forwarded inward, so the shared cache's and tier's spans attach to the
-// sampled read's trace.
-func (b *ResilientBackend) ReadFileCtx(name string, ctx obs.Ctx) (Data, error) {
-	d, _, err := b.do(func() (Data, error) { return ReadFileCtx(b.inner, name, ctx) })
-	return d, err
-}
-
-// ReadFileDetailedCtx implements DetailedCtxReader: ReadFileDetailed with
-// trace-context forwarding.
-func (b *ResilientBackend) ReadFileDetailedCtx(name string, ctx obs.Ctx) (Data, ReadDetail, error) {
-	return b.do(func() (Data, error) { return ReadFileCtx(b.inner, name, ctx) })
-}
-
-// ReadRange implements RangeReader when the wrapped backend supports byte
-// ranges.
-func (b *ResilientBackend) ReadRange(name string, off, n int64) (Data, error) {
-	d, _, err := b.ReadRangeDetailed(name, off, n)
-	return d, err
-}
-
-// ReadRangeDetailed is ReadRange plus the per-read resilience annotation.
-// An unsupported inner backend is a chain-composition mistake, not a
-// device fault: it is counted (ResilienceStats.UnsupportedOps) and flagged
-// on the detail so it surfaces in stats instead of vanishing into a bare
-// error string.
-func (b *ResilientBackend) ReadRangeDetailed(name string, off, n int64) (Data, ReadDetail, error) {
-	if b.rr == nil {
-		detail, err := b.rangeUnsupported("range")
-		return Data{}, detail, err
-	}
-	return b.do(func() (Data, error) { return b.rr.ReadRange(name, off, n) })
-}
-
-// ReadRangeBatch implements BatchRangeReader through the full resilience
-// policy (breaker admission, per-attempt deadline, bounded retries). Batch
-// implementations release every reference on failure, so a retried batch
-// never duplicates references.
-func (b *ResilientBackend) ReadRangeBatch(name string, ranges []Range, out []Data) ([]Data, error) {
-	if b.brr == nil {
-		_, err := b.rangeUnsupported("batched range")
-		return out, err
-	}
-	if b.cfg.ReadDeadline <= 0 {
-		res, _, err := b.doBatch(func() ([]Data, error) { return b.brr.ReadRangeBatch(name, ranges, out) })
-		if err != nil {
-			return out, err
-		}
-		return res, nil
-	}
-	// With a per-attempt deadline armed, an expired attempt keeps running
-	// on its own thread and appends into whatever slice it was given; each
-	// attempt therefore gets a fresh slice so an orphan can never race the
-	// caller's scratch.
-	res, _, err := b.doBatch(func() ([]Data, error) { return b.brr.ReadRangeBatch(name, ranges, nil) })
-	if err != nil {
-		return out, err
-	}
-	return append(out, res...), nil
-}
-
-// rangeUnsupported records a range request the wrapped backend cannot
-// serve: counted, flagged on the detail, breaker untouched (no attempt was
-// issued — the chain is miswired, the device is not at fault).
-func (b *ResilientBackend) rangeUnsupported(kind string) (ReadDetail, error) {
-	b.unsupported.Inc()
-	d := b.detail(0)
-	d.Unsupported = true
-	return d, fmt.Errorf("storage: resilient: %T does not support %s reads", b.inner, kind)
-}
-
-// Size delegates to the wrapped backend. Metadata lookups are cheap and
-// carry no payload; they bypass retries and the breaker, matching
-// FaultyBackend's healthy-metadata assumption.
-func (b *ResilientBackend) Size(name string) (int64, error) { return b.inner.Size(name) }
-
-// do runs op under the full resilience policy: breaker admission, per-
-// attempt deadline, bounded retries with jittered exponential backoff. The
-// returned detail reports the attempts actually issued and the breaker
-// state at completion.
-func (b *ResilientBackend) do(op func() (Data, error)) (Data, ReadDetail, error) {
-	return doResilient(b, op, func(d *Data) { d.Release() })
-}
-
-// doBatch is do for vectored reads: the same policy applied to a batch op,
-// with every pooled view released when an expired attempt's result arrives
-// after the caller has moved on.
-func (b *ResilientBackend) doBatch(op func() ([]Data, error)) ([]Data, ReadDetail, error) {
-	return doResilient(b, op, func(ds *[]Data) {
-		for i := range *ds {
-			(*ds)[i].Release()
-		}
-	})
-}
-
-// doResilient is the shared retry/breaker loop behind do and doBatch;
-// release drops an orphaned result's pooled references.
-func doResilient[T any](b *ResilientBackend, op func() (T, error), release func(*T)) (T, ReadDetail, error) {
-	var zero T
+// Read serves req under the full resilience policy: breaker admission,
+// per-attempt deadline, bounded retries with jittered exponential backoff.
+// Leaves release every reference on failure, so a retried ranged request
+// never duplicates references. The response's Detail (filled on error too)
+// reports the attempts actually issued and the breaker state at completion.
+func (b *ResilientBackend) Read(req Request) (Response, error) {
 	var lastErr error
 	issued := 0
 	for attempt := 1; ; attempt++ {
 		if err := b.admit(); err != nil {
 			b.fastFails.Inc()
 			if lastErr != nil {
-				return zero, b.detail(issued), fmt.Errorf("%w (last failure: %v)", ErrCircuitOpen, lastErr)
+				err = fmt.Errorf("%w (last failure: %v)", ErrCircuitOpen, lastErr)
 			}
-			return zero, b.detail(issued), err
+			return Response{Detail: b.detail(issued)}, err
 		}
 		b.attempts.Inc()
 		issued++
-		d, err := attemptOnceResilient(b, op, release)
+		resp, err := b.attemptOnce(req)
 		if err == nil {
 			b.onSuccess()
-			return d, b.detail(issued), nil
+			resp.Detail = b.detail(issued)
+			return resp, nil
 		}
 		var ne *NotExistError
-		if errors.As(err, &ne) {
-			// A missing file is a correct answer from a healthy backend,
-			// not a device fault: no retry, no breaker penalty.
+		unsupported := errors.Is(err, ErrUnsupported)
+		if unsupported || errors.As(err, &ne) {
+			// A missing file, or a request class the chain below cannot
+			// serve, is a correct answer from a healthy backend, not a
+			// device fault: no retry, no breaker penalty. The miswired
+			// chain is counted so it surfaces in stats instead of
+			// vanishing into a bare error string.
 			b.onSuccess()
-			return zero, b.detail(issued), err
+			detail := b.detail(issued)
+			if unsupported {
+				b.unsupported.Inc()
+				detail.Unsupported = true
+			}
+			return Response{Detail: detail}, err
 		}
 		b.failures.Inc()
 		if errors.Is(err, ErrReadDeadline) {
@@ -424,12 +293,17 @@ func doResilient[T any](b *ResilientBackend, op func() (T, error), release func(
 		lastErr = err
 		if attempt >= b.cfg.MaxAttempts {
 			b.exhausted.Inc()
-			return zero, b.detail(issued), fmt.Errorf("storage: resilient: %d attempts failed: %w", attempt, err)
+			return Response{Detail: b.detail(issued)}, fmt.Errorf("storage: resilient: %d attempts failed: %w", attempt, err)
 		}
 		b.retries.Inc()
 		b.env.Sleep(b.backoff(attempt))
 	}
 }
+
+// Size delegates to the wrapped backend. Metadata lookups are cheap and
+// carry no payload; they bypass retries and the breaker, matching
+// FaultyBackend's healthy-metadata assumption.
+func (b *ResilientBackend) Size(name string) (int64, error) { return b.inner.Size(name) }
 
 // detail builds the per-read annotation.
 func (b *ResilientBackend) detail(issued int) ReadDetail {
@@ -440,35 +314,45 @@ func (b *ResilientBackend) detail(issued int) ReadDetail {
 	return d
 }
 
-// attemptOnceResilient runs op, bounded by the configured per-attempt
-// deadline. With a deadline armed, the read runs on its own thread and the
-// caller waits for completion or timer expiry, whichever comes first — the
-// only way to bound a blocking read under both the real and the
-// virtual-time environment.
-func attemptOnceResilient[T any](b *ResilientBackend, op func() (T, error), release func(*T)) (T, error) {
+// attemptOnce issues one inner read, bounded by the configured per-attempt
+// deadline. The deadline path lives in its own function so its closures do
+// not move req to the heap on the common (no deadline) path.
+func (b *ResilientBackend) attemptOnce(req Request) (Response, error) {
 	if b.cfg.ReadDeadline <= 0 {
-		return op()
+		return b.inner.Read(req)
 	}
+	return b.attemptDeadline(req)
+}
+
+// attemptDeadline runs the read on its own thread while the caller waits
+// for completion or timer expiry, whichever comes first — the only way to
+// bound a blocking read under both the real and the virtual-time
+// environment. An expired attempt keeps running and appends into whatever
+// slice it was given, so each attempt gets a fresh one: an orphan can
+// never race the caller's scratch.
+func (b *ResilientBackend) attemptDeadline(req Request) (Response, error) {
+	out := req.Out
+	req.Out = nil
 	mu := b.env.NewMutex()
 	done := b.env.NewCond(mu)
 	var (
-		d        T
+		resp     Response
 		err      error
 		finished bool
 		expired  bool
 	)
 	b.env.Go("resilient-read", func() {
-		rd, rerr := op()
+		r, rerr := b.inner.Read(req)
 		mu.Lock()
 		if expired {
 			// The caller already returned ErrReadDeadline; nobody will ever
-			// see this result, so a pooled payload must be released here or
-			// its buffer leaks for the life of the process.
+			// see this result, so pooled payloads must be released here or
+			// their buffers leak for the life of the process.
 			mu.Unlock()
-			release(&rd)
+			r.Release(req)
 			return
 		}
-		d, err, finished = rd, rerr, true
+		resp, err, finished = r, rerr, true
 		done.Broadcast()
 		mu.Unlock()
 	})
@@ -484,11 +368,13 @@ func attemptOnceResilient[T any](b *ResilientBackend, op func() (T, error), rele
 	for !finished && !expired {
 		done.Wait()
 	}
-	if finished {
-		return d, err
+	if !finished {
+		return Response{}, ErrReadDeadline
 	}
-	var zero T
-	return zero, ErrReadDeadline
+	if err == nil && len(req.Ranges) > 0 {
+		resp.Views = append(out, resp.Views...)
+	}
+	return resp, err
 }
 
 // backoff computes the sleep before retry number `attempt` (1-based), with
@@ -605,7 +491,7 @@ func (b *ResilientBackend) StateDurations() map[int]time.Duration {
 	return b.stateTime.Distribution()
 }
 
-// ResilienceStats implements ResilienceReporter.
+// ResilienceStats snapshots the telemetry (the stage's resilience source).
 func (b *ResilientBackend) ResilienceStats() ResilienceStats {
 	state := b.State()
 	return ResilienceStats{

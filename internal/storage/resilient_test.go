@@ -60,7 +60,7 @@ func TestResilientRetriesTransientFault(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		res, faulty := newResilientOverFaulty(t, env, testResilience())
 		faulty.FailNTimes("a", 2) // heals within the 3-attempt budget
-		d, err := res.ReadFile("a")
+		d, err := readFile(res, "a")
 		if err != nil || d.Size != 1000 {
 			t.Fatalf("ReadFile = %+v, %v, want healed success", d, err)
 		}
@@ -78,7 +78,7 @@ func TestResilientExhaustsAttempts(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		res, faulty := newResilientOverFaulty(t, env, testResilience())
 		faulty.FailName("b") // persistent: outlives the attempt budget
-		_, err := res.ReadFile("b")
+		_, err := readFile(res, "b")
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("err = %v, want wrapped ErrInjected", err)
 		}
@@ -92,7 +92,7 @@ func TestResilientExhaustsAttempts(t *testing.T) {
 func TestResilientDoesNotRetryMissingFiles(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		res, _ := newResilientOverFaulty(t, env, testResilience())
-		_, err := res.ReadFile("ghost")
+		_, err := readFile(res, "ghost")
 		var ne *NotExistError
 		if !errors.As(err, &ne) {
 			t.Fatalf("err = %v, want NotExistError", err)
@@ -110,8 +110,8 @@ func TestResilientBreakerOpensAndFastFails(t *testing.T) {
 		faulty.FailName("a")
 		// 4 consecutive failed attempts trip the breaker: the first read
 		// burns 3, the second read's first attempt is the 4th.
-		_, _ = res.ReadFile("a")
-		_, err := res.ReadFile("a")
+		_, _ = readFile(res, "a")
+		_, err := readFile(res, "a")
 		if !errors.Is(err, ErrCircuitOpen) {
 			t.Fatalf("second read err = %v, want breaker fast-fail", err)
 		}
@@ -120,7 +120,7 @@ func TestResilientBreakerOpensAndFastFails(t *testing.T) {
 		}
 		// While open, reads shed without touching the backend.
 		before := faulty.Injected()
-		if _, err := res.ReadFile("b"); !errors.Is(err, ErrCircuitOpen) {
+		if _, err := readFile(res, "b"); !errors.Is(err, ErrCircuitOpen) {
 			t.Fatalf("open-breaker read err = %v, want ErrCircuitOpen", err)
 		}
 		if faulty.Injected() != before {
@@ -138,8 +138,8 @@ func TestResilientBreakerHalfOpenRecovery(t *testing.T) {
 		cfg := testResilience()
 		res, faulty := newResilientOverFaulty(t, env, cfg)
 		faulty.FailName("a")
-		_, _ = res.ReadFile("a")
-		_, _ = res.ReadFile("a") // trips the breaker
+		_, _ = readFile(res, "a")
+		_, _ = readFile(res, "a") // trips the breaker
 		if res.State() != BreakerOpen {
 			t.Fatalf("state = %v, want open", res.State())
 		}
@@ -147,7 +147,7 @@ func TestResilientBreakerHalfOpenRecovery(t *testing.T) {
 		env.Sleep(cfg.BreakerCooldown)
 		// First read after the cooldown is the half-open probe; it succeeds
 		// and closes the breaker.
-		if d, err := res.ReadFile("b"); err != nil || d.Size != 2000 {
+		if d, err := readFile(res, "b"); err != nil || d.Size != 2000 {
 			t.Fatalf("probe read = %+v, %v, want success", d, err)
 		}
 		if res.State() != BreakerClosed {
@@ -167,13 +167,13 @@ func TestResilientBreakerReopensOnFailedProbe(t *testing.T) {
 		res, faulty := newResilientOverFaulty(t, env, cfg)
 		faulty.FailName("a")
 		for i := 0; i < cfg.BreakerThreshold; i++ {
-			_, _ = res.ReadFile("a")
+			_, _ = readFile(res, "a")
 		}
 		if res.State() != BreakerOpen {
 			t.Fatalf("state = %v, want open", res.State())
 		}
 		env.Sleep(cfg.BreakerCooldown)
-		if _, err := res.ReadFile("a"); !errors.Is(err, ErrInjected) {
+		if _, err := readFile(res, "a"); !errors.Is(err, ErrInjected) {
 			t.Fatalf("probe err = %v, want injected failure", err)
 		}
 		if res.State() != BreakerOpen {
@@ -192,7 +192,7 @@ func TestResilientReadDeadline(t *testing.T) {
 		cfg.ReadDeadline = 5 * time.Millisecond
 		res, faulty := newResilientOverFaulty(t, env, cfg)
 		faulty.SetLatency(50 * time.Millisecond) // every attempt blows the deadline
-		_, err := res.ReadFile("a")
+		_, err := readFile(res, "a")
 		if !errors.Is(err, ErrReadDeadline) {
 			t.Fatalf("err = %v, want ErrReadDeadline", err)
 		}
@@ -202,7 +202,7 @@ func TestResilientReadDeadline(t *testing.T) {
 		}
 		// Heal the latency: the same file now reads within the deadline.
 		faulty.SetLatency(0)
-		if d, err := res.ReadFile("a"); err != nil || d.Size != 1000 {
+		if d, err := readFile(res, "a"); err != nil || d.Size != 1000 {
 			t.Fatalf("healed read = %+v, %v", d, err)
 		}
 	})
@@ -217,11 +217,11 @@ func TestResilientBackoffDeterministic(t *testing.T) {
 			res, faulty := newResilientOverFaulty(t, env, testResilience())
 			faulty.FailName("a")
 			start := env.Now()
-			_, _ = res.ReadFile("a")
+			_, _ = readFile(res, "a")
 			out = append(out, env.Now()-start)
 			faulty.FailNTimes("b", 2)
 			start = env.Now()
-			_, _ = res.ReadFile("b")
+			_, _ = readFile(res, "b")
 			out = append(out, env.Now()-start)
 		})
 		return out
@@ -237,23 +237,6 @@ func TestResilientBackoffDeterministic(t *testing.T) {
 	}
 }
 
-func TestResilientRangeReaderPassthrough(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		res, faulty := newResilientOverFaulty(t, env, testResilience())
-		faulty.FailNTimes("c", 1)
-		d, err := res.ReadRange("c", 100, 200)
-		if err != nil || d.Size != 200 {
-			t.Fatalf("ReadRange = %+v, %v, want retried success", d, err)
-		}
-		if st := res.ResilienceStats(); st.Retries != 1 {
-			t.Errorf("Retries = %d, want 1", st.Retries)
-		}
-		if sz, err := res.Size("c"); err != nil || sz != 3000 {
-			t.Errorf("Size = %d, %v", sz, err)
-		}
-	})
-}
-
 // TestResilientBatchRetries proves the retry machinery covers vectored
 // reads: an injected transient failure on the batch is retried and the
 // whole vector delivered, with the attempt counted like any other read.
@@ -261,7 +244,7 @@ func TestResilientBatchRetries(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		res, faulty := newResilientOverFaulty(t, env, testResilience())
 		faulty.FailNTimes("c", 1)
-		out, err := res.ReadRangeBatch("c", []Range{{Off: 0, N: 100}, {Off: 100, N: 200}}, nil)
+		out, err := readBatch(res, "c", []Range{{Off: 0, N: 100}, {Off: 100, N: 200}}, nil)
 		if err != nil {
 			t.Fatalf("batched read after transient fault: %v", err)
 		}
@@ -278,66 +261,17 @@ func TestResilientBatchRetries(t *testing.T) {
 	})
 }
 
-// rangelessBackend hides the RangeReader extension of its inner backend.
-type rangelessBackend struct{ inner Backend }
-
-func (r rangelessBackend) ReadFile(name string) (Data, error) { return r.inner.ReadFile(name) }
-func (r rangelessBackend) Size(name string) (int64, error)    { return r.inner.Size(name) }
-
-func TestResilientRangeReaderUnsupported(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		dev, _ := NewDevice(env, P4600())
-		inner := rangelessBackend{inner: NewModeledBackend(manifest3(), dev, nil)}
-		res, err := NewResilientBackend(env, inner, testResilience())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := res.ReadRange("a", 0, 10); err == nil {
-			t.Fatal("ReadRange over rangeless backend succeeded")
-		}
-		// The refusal must be visible in stats, not a silent error path:
-		// operators watching a range-heavy workload against a rangeless
-		// chain need to see the unsupported ops counted.
-		if st := res.ResilienceStats(); st.UnsupportedOps != 1 {
-			t.Fatalf("UnsupportedOps = %d after refused range, want 1", st.UnsupportedOps)
-		}
-		_, detail, err := res.ReadRangeDetailed("a", 0, 10)
-		if err == nil {
-			t.Fatal("ReadRangeDetailed over rangeless backend succeeded")
-		}
-		if !detail.Unsupported {
-			t.Fatal("ReadDetail.Unsupported not set on the refused range read")
-		}
-		if detail.Attempts != 0 {
-			t.Fatalf("refused range recorded %d attempts, want 0 (the backend was never touched)", detail.Attempts)
-		}
-		if _, err := res.ReadRangeBatch("a", []Range{{Off: 0, N: 10}}, nil); err == nil {
-			t.Fatal("ReadRangeBatch over batchless backend succeeded")
-		}
-		if st := res.ResilienceStats(); st.UnsupportedOps != 3 {
-			t.Fatalf("UnsupportedOps = %d after three refusals, want 3", st.UnsupportedOps)
-		}
-		// Supported reads must not move the counter.
-		if _, err := res.ReadFile("a"); err != nil {
-			t.Fatal(err)
-		}
-		if st := res.ResilienceStats(); st.UnsupportedOps != 3 {
-			t.Fatalf("UnsupportedOps = %d after a whole-file read, want 3 still", st.UnsupportedOps)
-		}
-	})
-}
-
 func TestFaultyBackendTransientHeals(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, P4600())
 		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev, nil))
 		f.FailNTimes("a", 2)
 		for i := 0; i < 2; i++ {
-			if _, err := f.ReadFile("a"); !errors.Is(err, ErrInjected) {
+			if _, err := readFile(f, "a"); !errors.Is(err, ErrInjected) {
 				t.Fatalf("attempt %d err = %v, want injected", i, err)
 			}
 		}
-		if _, err := f.ReadFile("a"); err != nil {
+		if _, err := readFile(f, "a"); err != nil {
 			t.Fatalf("healed read failed: %v", err)
 		}
 		if f.Injected() != 2 {
@@ -354,7 +288,7 @@ func TestFaultyBackendFailNextBlackout(t *testing.T) {
 		names := []string{"a", "b", "c", "a"}
 		var fails int
 		for _, n := range names {
-			if _, err := f.ReadFile(n); err != nil {
+			if _, err := readFile(f, n); err != nil {
 				fails++
 			}
 		}
@@ -370,7 +304,7 @@ func TestFaultyBackendInjectedLatency(t *testing.T) {
 		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev, nil))
 		f.SetLatency(10 * time.Millisecond)
 		start := env.Now()
-		if _, err := f.ReadFile("a"); err != nil {
+		if _, err := readFile(f, "a"); err != nil {
 			t.Fatal(err)
 		}
 		if got := env.Now() - start; got < 11*time.Millisecond {
@@ -381,34 +315,11 @@ func TestFaultyBackendInjectedLatency(t *testing.T) {
 		}
 		f.Heal()
 		start = env.Now()
-		if _, err := f.ReadFile("a"); err != nil {
+		if _, err := readFile(f, "a"); err != nil {
 			t.Fatal(err)
 		}
 		if got := env.Now() - start; got > 2*time.Millisecond {
 			t.Errorf("healed read took %v, want device time only", got)
-		}
-	})
-}
-
-func TestFaultyBackendReadRange(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		dev, _ := NewDevice(env, P4600())
-		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev, nil))
-		// Passthrough keeps the RangeReader interface usable.
-		var rr RangeReader = f
-		d, err := rr.ReadRange("b", 500, 1000)
-		if err != nil || d.Size != 1000 {
-			t.Fatalf("ReadRange = %+v, %v", d, err)
-		}
-		// Faults apply to range reads too.
-		f.FailName("b")
-		if _, err := rr.ReadRange("b", 0, 10); !errors.Is(err, ErrInjected) {
-			t.Fatalf("armed range read err = %v, want ErrInjected", err)
-		}
-		// A rangeless inner backend yields an error, not a panic.
-		g := NewFaultyBackend(env, rangelessBackend{inner: NewModeledBackend(manifest3(), dev, nil)})
-		if _, err := g.ReadRange("a", 0, 1); err == nil {
-			t.Fatal("ReadRange over rangeless backend succeeded")
 		}
 	})
 }

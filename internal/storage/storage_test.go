@@ -179,7 +179,7 @@ func TestModeledBackendReadsTakeModeledTime(t *testing.T) {
 		dev, _ := NewDevice(env, DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e6, Channels: 1})
 		b := NewModeledBackend(manifest3(), dev, nil)
 		start := env.Now()
-		d, err := b.ReadFile("b")
+		d, err := readFile(b, "b")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestModeledBackendMissingFile(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, P4600())
 		b := NewModeledBackend(manifest3(), dev, nil)
-		_, err := b.ReadFile("nope")
+		_, err := readFile(b, "nope")
 		var ne *NotExistError
 		if !errors.As(err, &ne) || ne.Name != "nope" {
 			t.Errorf("err = %v, want NotExistError{nope}", err)
@@ -227,9 +227,9 @@ func TestModeledBackendWithCache(t *testing.T) {
 		dev, _ := NewDevice(env, DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e12, Channels: 1})
 		cache := NewPageCache(env, 10_000)
 		b := NewModeledBackend(manifest3(), dev, cache)
-		_, _ = b.ReadFile("a") // miss: device read
+		_, _ = readFile(b, "a") // miss: device read
 		t0 := env.Now()
-		_, _ = b.ReadFile("a") // hit: free
+		_, _ = readFile(b, "a") // hit: free
 		if env.Now() != t0 {
 			t.Error("cache hit consumed device time")
 		}
@@ -334,7 +334,7 @@ func TestDirBackendRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewDirBackend(dir)
-	d, err := b.ReadFile("train/x.jpg")
+	d, err := readFile(b, "train/x.jpg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestDirBackendRoundTrip(t *testing.T) {
 
 func TestDirBackendMissing(t *testing.T) {
 	b := NewDirBackend(t.TempDir())
-	_, err := b.ReadFile("ghost")
+	_, err := readFile(b, "ghost")
 	var ne *NotExistError
 	if !errors.As(err, &ne) {
 		t.Fatalf("err = %v, want NotExistError", err)
@@ -381,13 +381,13 @@ func TestDirBackendNamesStayUnderRoot(t *testing.T) {
 		}
 		for _, name := range []string{"../secret.txt", "train/../../secret.txt", "train/../..", secret, "/etc/hostname", ""} {
 			var ne *NotExistError
-			if d, err := b.ReadFile(name); !errors.As(err, &ne) {
+			if d, err := readFile(b, name); !errors.As(err, &ne) {
 				t.Errorf("pooled=%v ReadFile(%q) = %q, %v; want NotExistError", pooled, name, d.Bytes, err)
 			}
-			if d, err := b.ReadRange(name, 0, 4); !errors.As(err, &ne) {
+			if d, err := readRange(b, name, 0, 4); !errors.As(err, &ne) {
 				t.Errorf("pooled=%v ReadRange(%q) = %q, %v; want NotExistError", pooled, name, d.Bytes, err)
 			}
-			if out, err := b.ReadRangeBatch(name, []Range{{Off: 0, N: 4}}, nil); !errors.As(err, &ne) || len(out) != 0 {
+			if out, err := readBatch(b, name, []Range{{Off: 0, N: 4}}, nil); !errors.As(err, &ne) || len(out) != 0 {
 				t.Errorf("pooled=%v ReadRangeBatch(%q) = %d views, %v; want NotExistError", pooled, name, len(out), err)
 			}
 			if n, err := b.Size(name); !errors.As(err, &ne) {
@@ -395,7 +395,7 @@ func TestDirBackendNamesStayUnderRoot(t *testing.T) {
 			}
 		}
 		// Dot-dot that stays inside the root is an ordinary name.
-		d, err := b.ReadFile("train/../train/x.jpg")
+		d, err := readFile(b, "train/../train/x.jpg")
 		if err != nil || string(d.Bytes) != "inside" {
 			t.Errorf("pooled=%v in-root name: %q, %v", pooled, d.Bytes, err)
 		}
@@ -410,7 +410,7 @@ func TestFaultyBackendFailEvery(t *testing.T) {
 		f.FailEvery(2)
 		var fails int
 		for i := 0; i < 6; i++ {
-			if _, err := f.ReadFile("a"); err != nil {
+			if _, err := readFile(f, "a"); err != nil {
 				if !errors.Is(err, ErrInjected) {
 					t.Fatalf("unexpected error type: %v", err)
 				}
@@ -428,10 +428,10 @@ func TestFaultyBackendFailName(t *testing.T) {
 		dev, _ := NewDevice(env, P4600())
 		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev, nil))
 		f.FailName("b")
-		if _, err := f.ReadFile("a"); err != nil {
+		if _, err := readFile(f, "a"); err != nil {
 			t.Fatalf("healthy read failed: %v", err)
 		}
-		if _, err := f.ReadFile("b"); !errors.Is(err, ErrInjected) {
+		if _, err := readFile(f, "b"); !errors.Is(err, ErrInjected) {
 			t.Fatalf("armed read err = %v, want ErrInjected", err)
 		}
 	})
@@ -442,7 +442,7 @@ func TestModeledReadRange(t *testing.T) {
 		dev, _ := NewDevice(env, DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e6, Channels: 1})
 		b := NewModeledBackend(manifest3(), dev, nil)
 		start := env.Now()
-		d, err := b.ReadRange("c", 1000, 1000) // 1ms base + 1ms transfer
+		d, err := readRange(b, "c", 1000, 1000) // 1ms base + 1ms transfer
 		if err != nil || d.Size != 1000 {
 			t.Fatalf("ReadRange = %+v, %v", d, err)
 		}
@@ -450,19 +450,19 @@ func TestModeledReadRange(t *testing.T) {
 			t.Fatalf("elapsed %v, want 2ms", env.Now()-start)
 		}
 		// Truncated at EOF.
-		d, err = b.ReadRange("a", 800, 1000)
+		d, err = readRange(b, "a", 800, 1000)
 		if err != nil || d.Size != 200 {
 			t.Fatalf("truncated ReadRange = %+v, %v", d, err)
 		}
 		// Past EOF.
-		d, err = b.ReadRange("a", 5000, 10)
+		d, err = readRange(b, "a", 5000, 10)
 		if err != nil || d.Size != 0 {
 			t.Fatalf("past-EOF ReadRange = %+v, %v", d, err)
 		}
-		if _, err := b.ReadRange("a", -1, 10); err == nil {
+		if _, err := readRange(b, "a", -1, 10); err == nil {
 			t.Fatal("negative offset accepted")
 		}
-		if _, err := b.ReadRange("ghost", 0, 10); err == nil {
+		if _, err := readRange(b, "ghost", 0, 10); err == nil {
 			t.Fatal("missing file accepted")
 		}
 	})
@@ -474,19 +474,19 @@ func TestDirReadRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewDirBackend(dir)
-	d, err := b.ReadRange("x", 3, 4)
+	d, err := readRange(b, "x", 3, 4)
 	if err != nil || string(d.Bytes) != "3456" || d.Size != 4 {
 		t.Fatalf("ReadRange = %+v, %v", d, err)
 	}
 	// Truncated at EOF.
-	d, err = b.ReadRange("x", 8, 10)
+	d, err = readRange(b, "x", 8, 10)
 	if err != nil || string(d.Bytes) != "89" {
 		t.Fatalf("truncated = %+v, %v", d, err)
 	}
-	if _, err := b.ReadRange("x", -1, 1); err == nil {
+	if _, err := readRange(b, "x", -1, 1); err == nil {
 		t.Fatal("negative offset accepted")
 	}
-	if _, err := b.ReadRange("ghost", 0, 1); err == nil {
+	if _, err := readRange(b, "ghost", 0, 1); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

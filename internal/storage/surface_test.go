@@ -1,0 +1,115 @@
+package storage_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// storageInterfaces is the whole interface surface of the package: the read
+// contract, and the one capability that belongs to the sample view at the
+// top of a chain rather than to a request (DESIGN.md §18).
+var storageInterfaces = map[string]bool{"Backend": true, "Coalescer": true, "SampleBatcher": true}
+
+// parseNonTest parses every non-test Go file under root, skipping the
+// benchmark module and dot-directories, and calls visit with each file's
+// slash-separated path relative to root.
+func parseNonTest(t *testing.T, root string, visit func(rel string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel == "bench" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(rel, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStorageSurface keeps the extension lattice from growing back: the
+// package declares exactly its three interfaces, and outside of it nothing
+// discovers a storage capability by type assertion except the prefetcher's
+// one Coalescer lookup. A new per-request capability belongs in Request /
+// Response; a new layer implements Read + Size and joins the conformance
+// table.
+func TestStorageSurface(t *testing.T) {
+	declared := map[string]bool{}
+	var assertions []string
+	parseNonTest(t, "../..", func(rel string, f *ast.File) {
+		inStorage := filepath.ToSlash(filepath.Dir(rel)) == "internal/storage"
+		// storageType reports the storage type an assertion names: qualified
+		// anywhere, or one of the package's own interfaces inside it.
+		storageType := func(e ast.Expr) (string, bool) {
+			if star, ok := e.(*ast.StarExpr); ok {
+				e = star.X
+			}
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "storage" {
+					return sel.Sel.Name, true
+				}
+			}
+			if id, ok := e.(*ast.Ident); ok && inStorage && storageInterfaces[id.Name] {
+				return id.Name, true
+			}
+			return "", false
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if _, ok := n.Type.(*ast.InterfaceType); ok && inStorage {
+					declared[n.Name.Name] = true
+				}
+			case *ast.TypeAssertExpr:
+				if n.Type != nil { // nil is the x.(type) of a type switch
+					if name, ok := storageType(n.Type); ok {
+						assertions = append(assertions, rel+": "+name)
+					}
+				}
+			case *ast.TypeSwitchStmt:
+				for _, clause := range n.Body.List {
+					for _, e := range clause.(*ast.CaseClause).List {
+						if name, ok := storageType(e); ok {
+							assertions = append(assertions, rel+": case "+name)
+						}
+					}
+				}
+			}
+			return true
+		})
+	})
+	for name := range declared {
+		if !storageInterfaces[name] {
+			t.Errorf("internal/storage declares interface %s: the read surface is Backend (+ Coalescer/SampleBatcher); carry per-request capabilities in Request/Response instead", name)
+		}
+	}
+	for name := range storageInterfaces {
+		if !declared[name] {
+			t.Errorf("internal/storage no longer declares interface %s", name)
+		}
+	}
+	if len(assertions) != 1 || assertions[0] != "internal/core/prefetcher.go: Coalescer" {
+		t.Errorf("type assertions to storage types in non-test code = %q, want only the Coalescer discovery in core.NewPrefetcher", assertions)
+	}
+}

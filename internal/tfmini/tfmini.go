@@ -119,7 +119,7 @@ func (it *serialIter) Next() (bool, error) {
 	name := it.names[it.i]
 	it.i++
 	it.readers.Add(1)
-	_, err := it.backend.ReadFile(name)
+	_, err := it.backend.Read(storage.Request{Name: name})
 	it.readers.Add(-1)
 	if err != nil {
 		return false, err
@@ -228,7 +228,7 @@ func (p *OptimizedPipeline) newIter(names []string) *prefetchIter {
 					return
 				}
 				p.readers.Add(1)
-				_, err := p.backend.ReadFile(name)
+				_, err := p.backend.Read(storage.Request{Name: name})
 				p.readers.Add(-1)
 				if p.costs.Preprocess > 0 {
 					p.env.Sleep(p.costs.Preprocess) // map() runs in the pool
@@ -342,7 +342,7 @@ func (it *prefetchIter) close() {
 // through a PRISMA stage. The complete integration diff against Baseline —
 // mirroring the paper's 10 LoC TensorFlow change — is: (1) submit the
 // epoch's shuffled filename list to the stage, (2) call stage.Read instead
-// of backend.ReadFile for training samples. Validation reads also go
+// of backend.Read for training samples. Validation reads also go
 // through the stage but are unplanned, so they bypass to backend storage.
 type PrismaPipeline struct {
 	env   conc.Env

@@ -65,6 +65,7 @@ func TestTieringStressRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := mempool.New(mempool.Config{})
+	mem.SetBufferPool(pool)
 	b.SetBufferPool(pool)
 
 	wg := env.NewWaitGroup()
@@ -76,7 +77,7 @@ func TestTieringStressRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			for i := 0; i < reads; i++ {
 				idx := rng.Intn(files)
-				d, err := b.ReadFile(names[idx])
+				d, err := readFile(b, names[idx])
 				if err != nil {
 					t.Errorf("read %s: %v", names[idx], err)
 					return
@@ -132,9 +133,10 @@ func TestCompressedHitDecodesInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := mempool.New(mempool.Config{})
+	mem.SetBufferPool(pool)
 	b.SetBufferPool(pool)
 
-	first, err := b.ReadFile("sample") // miss + promote
+	first, err := readFile(b, "sample") // miss + promote
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestCompressedHitDecodesInPlace(t *testing.T) {
 		t.Fatalf("resident not stored compressed: %+v", st)
 	}
 
-	hit, err := b.ReadFile("sample")
+	hit, err := readFile(b, "sample")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +181,10 @@ func TestIncompressibleResidentKeepsPooledRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := mempool.New(mempool.Config{})
+	mem.SetBufferPool(pool)
 	b.SetBufferPool(pool)
 
-	first, err := b.ReadFile("sample")
+	first, err := readFile(b, "sample")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +194,7 @@ func TestIncompressibleResidentKeepsPooledRef(t *testing.T) {
 		t.Fatalf("incompressible payload stored compressed? %+v", st)
 	}
 
-	hit, err := b.ReadFile("sample")
+	hit, err := readFile(b, "sample")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +226,7 @@ func TestCompressedResidentsPinWhatTheyCharge(t *testing.T) {
 	}
 	defer b.Close()
 	for i := 0; i < n; i++ {
-		if _, err := b.ReadFile(fmt.Sprintf("s%02d", i)); err != nil {
+		if _, err := readFile(b, fmt.Sprintf("s%02d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}

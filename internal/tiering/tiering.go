@@ -8,10 +8,9 @@
 // when the fast tier fills. In live mode the fast tier retains real
 // payload bytes (pool-reference-retained, optionally LZ-compressed so the
 // same byte budget holds more samples); in sim mode an optional
-// storage.Device models the fast tier's transfer costs. An adapter
-// exposes it as a core.OptimizationObject so stages can chain it with
-// prefetching, and PrefetchPlan warms the next epoch's cold samples into
-// free fast-tier space while the current epoch trains.
+// storage.Device models the fast tier's transfer costs. PrefetchPlan warms
+// the next epoch's cold samples into free fast-tier space while the
+// current epoch trains.
 package tiering
 
 import (
@@ -203,15 +202,42 @@ func NewBackend(env conc.Env, cfg Config, slow storage.Backend, fastDevice *stor
 // spans; the promote/decode time counters stay on either way.
 func (b *Backend) SetTracer(t *obs.Tracer) { b.tracer = t }
 
-// ReadFile implements storage.Backend.
-func (b *Backend) ReadFile(name string) (storage.Data, error) {
-	return b.ReadFileCtx(name, obs.Ctx{})
-}
-
-// ReadFileCtx implements storage.CtxReader: ReadFile with the tier's
-// attributable work — hit-path decompression and read-path promotion —
+// Read implements storage.Backend, dispatching on the request class.
+//
+// A whole-file read is served from the fast tier when resident and
+// otherwise from the slow tier, promoting per the policy; the tier's
+// attributable work — hit-path decompression and read-path promotion — is
 // recorded as spans on the read's trace when it is sampled.
-func (b *Backend) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
+//
+// A ranged read of an uncompressed fast-tier resident is served as
+// zero-copy slices of the resident payload (each view retaining its pool
+// reference), charged to the fast device as one request for the total
+// bytes and counted as hits; anything else — miss, compressed resident
+// (slicing it would need a decode of the whole record, which the
+// whole-file hit path already covers), negative range left for the slow
+// tier to reject — goes to the slow tier as one request, with the access
+// recorded in the promotion counters so range-heavy workloads show up in
+// tier accounting instead of silently bypassing it. No promotion is
+// attempted: a range carries only part of the payload, so there is
+// nothing complete to admit.
+func (b *Backend) Read(req storage.Request) (storage.Response, error) {
+	if len(req.Ranges) > 0 {
+		if req.Validate() == nil {
+			if views, ok := b.rangesFromResident(req); ok {
+				return storage.Response{Views: views}, nil
+			}
+		}
+		resp, err := b.slow.Read(req)
+		if err != nil {
+			return resp, err
+		}
+		b.slowReads.Inc()
+		b.mu.Lock()
+		b.noteAccessLocked(req.Name)
+		b.mu.Unlock()
+		return resp, nil
+	}
+	name, ctx := req.Name, req.Ctx
 	b.mu.Lock()
 	if el, hit := b.resident[name]; hit {
 		b.order.MoveToFront(el)
@@ -230,14 +256,11 @@ func (b *Backend) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 		if b.fastDevice != nil {
 			b.fastDevice.Read(stored)
 		}
-		if bytes == nil {
-			// Modeled fast tier: sizes only.
-			return storage.Data{Name: name, Size: size}, nil
-		}
-		if !compressed {
-			// The retained reference transfers to the caller (§11
-			// single-ownership: the caller releases as usual).
-			return storage.Data{Name: name, Size: size, Bytes: bytes, Ref: ref}, nil
+		if bytes == nil || !compressed {
+			// Modeled fast tier: sizes only. Otherwise the retained
+			// reference transfers to the caller (§11 single-ownership: the
+			// caller releases as usual).
+			return storage.Response{Data: storage.Data{Name: name, Size: size, Bytes: bytes, Ref: ref}}, nil
 		}
 		dst, dstRef := b.sampleBuf(int(size))
 		decStart := b.env.Now()
@@ -258,16 +281,17 @@ func (b *Backend) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 			if dstRef != nil {
 				dstRef.Release()
 			}
-			return storage.Data{}, fmt.Errorf("tiering: fast-tier decode of %s: %w", name, err)
+			return storage.Response{}, fmt.Errorf("tiering: fast-tier decode of %s: %w", name, err)
 		}
-		return storage.Data{Name: name, Size: size, Bytes: dst, Ref: dstRef}, nil
+		return storage.Response{Data: storage.Data{Name: name, Size: size, Bytes: dst, Ref: dstRef}}, nil
 	}
 	b.mu.Unlock()
 
-	data, err := storage.ReadFileCtx(b.slow, name, ctx)
+	resp, err := b.slow.Read(req)
 	if err != nil {
-		return storage.Data{}, err
+		return resp, err
 	}
+	data := resp.Data
 	b.slowReads.Inc()
 
 	// Decide under one lock hold: a name that became resident while this
@@ -276,16 +300,13 @@ func (b *Backend) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 	b.mu.Lock()
 	promote := false
 	if _, res := b.resident[name]; !res {
-		b.accesses[name]++
-		if len(b.accesses) > b.cfg.MaxTracked {
-			b.decayAccessesLocked()
-		}
+		b.noteAccessLocked(name)
 		promote = b.accesses[name] >= b.cfg.PromoteAfter &&
 			data.Size <= b.cfg.FastCapacity
 	}
 	b.mu.Unlock()
 	if !promote {
-		return data, nil
+		return resp, nil
 	}
 
 	// Prepare the resident copy outside the lock (compression is CPU
@@ -310,7 +331,7 @@ func (b *Backend) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 	} else {
 		e.drop()
 	}
-	return data, nil
+	return resp, nil
 }
 
 // sampleBuf returns a decode destination of n bytes, pooled when a pool
@@ -482,11 +503,12 @@ func (b *Backend) prefetchLoop() {
 			// gets its own head-sampled trace instead of riding a read's.
 			ctx := b.tracer.StartTrace()
 			warmStart := b.env.Now()
-			data, err := storage.ReadFileCtx(b.slow, name, ctx)
+			resp, err := b.slow.Read(storage.Request{Name: name, Ctx: ctx})
 			if err != nil {
 				b.prefSkipped.Inc()
 				continue
 			}
+			data := resp.Data
 			e := b.prepareEntry(name, data)
 			b.mu.Lock()
 			admitted := b.admitLocked(e, false)
@@ -512,176 +534,52 @@ func (b *Backend) prefetchLoop() {
 // Size implements storage.Backend (metadata comes from the slow tier).
 func (b *Backend) Size(name string) (int64, error) { return b.slow.Size(name) }
 
-// ReadRange implements storage.RangeReader. A range of an uncompressed
-// fast-tier resident is served as a zero-copy slice of the resident
-// payload (retaining its pool reference), charged to the fast device and
-// counted as a hit; anything else — miss, compressed resident, negative
-// range left for the slow tier to reject — goes to the slow tier's
-// RangeReader with the access recorded in the promotion counters, so
-// range-heavy workloads show up in tier accounting instead of silently
-// bypassing it. Wrapping a rangeless backend yields an error at call time,
-// not a dropped extension (the repo-wide wrapper convention).
-func (b *Backend) ReadRange(name string, off, n int64) (storage.Data, error) {
-	if off >= 0 && n >= 0 {
-		if d, ok := b.rangeFromResident(name, off, n); ok {
-			return d, nil
-		}
-	}
-	rr, ok := b.slow.(storage.RangeReader)
-	if !ok {
-		return storage.Data{}, fmt.Errorf("tiering: %T does not support range reads", b.slow)
-	}
-	data, err := rr.ReadRange(name, off, n)
-	if err != nil {
-		return storage.Data{}, err
-	}
-	b.slowReads.Inc()
-	b.noteAccess(name)
-	return data, nil
-}
-
-// rangeFromResident serves [off, off+n) of an uncompressed (or modeled)
-// resident, clamped per the RangeReader contract. Compressed residents
-// report !ok: slicing them would need a decode of the whole record, which
-// the per-sample hit path already covers.
-func (b *Backend) rangeFromResident(name string, off, n int64) (storage.Data, bool) {
+// rangesFromResident slices every range of req from one uncompressed (or
+// modeled) resident, each view clamped per the read contract and retaining
+// the resident's pool reference; !ok when the name is not resident or is
+// stored compressed.
+func (b *Backend) rangesFromResident(req storage.Request) ([]storage.Data, bool) {
 	b.mu.Lock()
-	el, hit := b.resident[name]
-	if !hit {
+	el, hit := b.resident[req.Name]
+	if !hit || el.Value.(*entry).compressed {
 		b.mu.Unlock()
-		return storage.Data{}, false
-	}
-	e := el.Value.(*entry)
-	if e.compressed {
-		b.mu.Unlock()
-		return storage.Data{}, false
+		return nil, false
 	}
 	b.order.MoveToFront(el)
-	size := e.size
-	bytes, ref := e.bytes, e.ref
-	if off > size {
-		off = size
-	}
-	if off+n > size {
-		n = size - off
-	}
-	if ref != nil {
-		ref.Retain()
-	}
-	b.mu.Unlock()
-
-	b.fastHits.Inc()
-	if b.fastDevice != nil {
-		b.fastDevice.Read(n)
-	}
-	if bytes == nil {
-		// Modeled fast tier: sizes only.
-		return storage.Data{Name: name, Size: n}, true
-	}
-	return storage.Data{Name: name, Size: n, Bytes: bytes[off : off+n], Ref: ref}, true
-}
-
-// ReadRangeBatch implements storage.BatchRangeReader: one vectored request
-// against the slow tier, with the shard access recorded once (it is one
-// physical access). Batched ranges address packed shards that are rarely
-// tier residents, but when an uncompressed resident does cover the name the
-// whole batch is sliced from it — one fast-device request for the total
-// bytes, mirroring what a vectored read would cost.
-func (b *Backend) ReadRangeBatch(name string, ranges []storage.Range, out []storage.Data) ([]storage.Data, error) {
-	if err := validBatch(ranges); err == nil {
-		if res, ok := b.batchFromResident(name, ranges, out); ok {
-			return res, nil
-		}
-	}
-	brr, ok := b.slow.(storage.BatchRangeReader)
-	if !ok {
-		return out, fmt.Errorf("tiering: %T does not support batched range reads", b.slow)
-	}
-	res, err := brr.ReadRangeBatch(name, ranges, out)
-	if err != nil {
-		return out, err
-	}
-	b.slowReads.Inc()
-	b.noteAccess(name)
-	return res, nil
-}
-
-// validBatch reports whether every range is non-negative (negative ranges
-// are left for the slow tier to reject, matching ReadRange).
-func validBatch(ranges []storage.Range) error {
-	for _, r := range ranges {
-		if r.Off < 0 || r.N < 0 {
-			return fmt.Errorf("tiering: negative range (%d, %d)", r.Off, r.N)
-		}
-	}
-	return nil
-}
-
-// batchFromResident slices every range of a batch from one uncompressed
-// resident, each view retaining the resident's pool reference.
-func (b *Backend) batchFromResident(name string, ranges []storage.Range, out []storage.Data) ([]storage.Data, bool) {
-	b.mu.Lock()
-	el, hit := b.resident[name]
-	if !hit {
-		b.mu.Unlock()
-		return out, false
-	}
 	e := el.Value.(*entry)
-	if e.compressed {
-		b.mu.Unlock()
-		return out, false
-	}
-	b.order.MoveToFront(el)
-	size := e.size
-	bytes, ref := e.bytes, e.ref
+	whole := storage.Data{Name: req.Name, Size: e.size, Bytes: e.bytes, Ref: e.ref}
+	views := req.Out
 	var total int64
-	for _, r := range ranges {
-		if r.Off > size {
-			r.Off = size
+	for _, r := range req.Ranges {
+		if e.ref != nil {
+			e.ref.Retain()
 		}
-		if r.Off+r.N > size {
-			r.N = size - r.Off
-		}
-		total += r.N
-		if ref != nil {
-			ref.Retain()
-		}
-		if bytes == nil {
-			out = append(out, storage.Data{Name: name, Size: r.N})
-		} else {
-			out = append(out, storage.Data{Name: name, Size: r.N, Bytes: bytes[r.Off : r.Off+r.N], Ref: ref})
-		}
+		v := whole.Slice(r)
+		total += v.Size
+		views = append(views, v)
 	}
 	b.mu.Unlock()
 
-	b.fastHits.Add(int64(len(ranges)))
+	b.fastHits.Add(int64(len(req.Ranges)))
 	if b.fastDevice != nil {
 		b.fastDevice.Read(total)
 	}
-	return out, true
+	return views, true
 }
 
-// noteAccess records a slow-tier access in the bounded promotion counters
-// (no promotion is attempted: a range carries only part of the payload, so
-// there is nothing complete to admit).
-func (b *Backend) noteAccess(name string) {
-	b.mu.Lock()
+// noteAccessLocked records a slow-tier access in the bounded promotion
+// counters. Caller holds b.mu.
+func (b *Backend) noteAccessLocked(name string) {
 	b.accesses[name]++
 	if len(b.accesses) > b.cfg.MaxTracked {
 		b.decayAccessesLocked()
 	}
-	b.mu.Unlock()
 }
 
-// SetBufferPool implements storage.PoolAttacher: the pool serves hit-path
-// decode buffers here and is delegated to the slow tier so its payloads
-// arrive pooled too.
-func (b *Backend) SetBufferPool(p *mempool.Pool) {
-	b.pool = p
-	if pa, ok := b.slow.(storage.PoolAttacher); ok {
-		pa.SetBufferPool(p)
-	}
-}
+// SetBufferPool attaches the pool that serves hit-path decode buffers.
+// (The slow tier's payloads arrive pooled when the chain builder attaches
+// the same pool to the leaf.)
+func (b *Backend) SetBufferPool(p *mempool.Pool) { b.pool = p }
 
 // Resident reports whether name currently lives on the fast tier.
 func (b *Backend) Resident(name string) bool {
@@ -730,19 +628,3 @@ func (b *Backend) Stats() Stats {
 		DecodeTime:         time.Duration(b.decodeTime.Value()),
 	}
 }
-
-// Object adapts the tiered backend to the data plane's optimization-object
-// interface; it handles every read (it is a complete storage path).
-type Object struct{ B *Backend }
-
-// Name implements core.OptimizationObject.
-func (o Object) Name() string { return "storage-tiering" }
-
-// Read implements core.OptimizationObject.
-func (o Object) Read(name string) (storage.Data, bool, error) {
-	data, err := o.B.ReadFile(name)
-	return data, true, err
-}
-
-// Close implements core.OptimizationObject.
-func (o Object) Close() { o.B.Close() }

@@ -69,7 +69,7 @@ func TestConfigValidate(t *testing.T) {
 func TestPromoteOnFirstAccess(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 4, 1000)
-		if _, err := b.ReadFile(names[0]); err != nil {
+		if _, err := readFile(b, names[0]); err != nil {
 			t.Fatal(err)
 		}
 		if !b.Resident(names[0]) {
@@ -81,7 +81,7 @@ func TestPromoteOnFirstAccess(t *testing.T) {
 		}
 		// Second read hits the fast tier.
 		start := env.Now()
-		if _, err := b.ReadFile(names[0]); err != nil {
+		if _, err := readFile(b, names[0]); err != nil {
 			t.Fatal(err)
 		}
 		if env.Now()-start > time.Millisecond {
@@ -97,12 +97,12 @@ func TestPromoteAfterThreshold(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 3}, 2, 1000)
 		for i := 0; i < 2; i++ {
-			_, _ = b.ReadFile(names[0])
+			_, _ = readFile(b, names[0])
 			if b.Resident(names[0]) {
 				t.Fatalf("promoted after %d accesses, want 3", i+1)
 			}
 		}
-		_, _ = b.ReadFile(names[0])
+		_, _ = readFile(b, names[0])
 		if !b.Resident(names[0]) {
 			t.Fatal("not promoted after 3 accesses")
 		}
@@ -114,10 +114,10 @@ func TestLRUEvictionUnderPressure(t *testing.T) {
 		// Fast tier fits 3 files of 1000 bytes.
 		b, names := tieredFixture(env, Config{FastCapacity: 3000, PromoteAfter: 1}, 5, 1000)
 		for _, n := range names[:3] {
-			_, _ = b.ReadFile(n)
+			_, _ = readFile(b, n)
 		}
-		_, _ = b.ReadFile(names[0]) // refresh 0; 1 is now LRU
-		_, _ = b.ReadFile(names[3]) // promotes 3, evicts 1
+		_, _ = readFile(b, names[0]) // refresh 0; 1 is now LRU
+		_, _ = readFile(b, names[3]) // promotes 3, evicts 1
 		if b.Resident(names[1]) {
 			t.Fatal("LRU file survived eviction")
 		}
@@ -136,7 +136,7 @@ func TestLRUEvictionUnderPressure(t *testing.T) {
 func TestOversizeNeverPromoted(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names := tieredFixture(env, Config{FastCapacity: 500, PromoteAfter: 1}, 2, 1000)
-		_, _ = b.ReadFile(names[0])
+		_, _ = readFile(b, names[0])
 		if b.Resident(names[0]) {
 			t.Fatal("file larger than the fast tier promoted")
 		}
@@ -146,7 +146,7 @@ func TestOversizeNeverPromoted(t *testing.T) {
 func TestSlowErrorPropagates(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, _ := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 2, 1000)
-		if _, err := b.ReadFile("ghost"); err == nil {
+		if _, err := readFile(b, "ghost"); err == nil {
 			t.Fatal("missing file read succeeded")
 		}
 	})
@@ -170,7 +170,7 @@ func TestTieringSpeedsUpRepeatedEpochs(t *testing.T) {
 		epoch := func() time.Duration {
 			start := env.Now()
 			for _, n := range names {
-				if _, err := b.ReadFile(n); err != nil {
+				if _, err := readFile(b, n); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -181,28 +181,6 @@ func TestTieringSpeedsUpRepeatedEpochs(t *testing.T) {
 		if second*5 > first {
 			t.Fatalf("second epoch %v not ≪ first %v", second, first)
 		}
-	})
-}
-
-func TestObjectAdapterInStage(t *testing.T) {
-	// Tiering composes with the stage as an optimization object.
-	runSim(t, func(env conc.Env) {
-		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 4, 1000)
-		st := core.NewStage(env, b, Object{B: b})
-		d, err := st.Read(names[0])
-		if err != nil || d.Size != 1000 {
-			t.Fatalf("stage Read = %+v, %v", d, err)
-		}
-		if st.Stats().Hits != 1 {
-			t.Fatalf("Hits = %d, want 1 (object handled)", st.Stats().Hits)
-		}
-		if !b.Resident(names[0]) {
-			t.Fatal("promotion did not happen through the stage")
-		}
-		if (Object{B: b}).Name() == "" {
-			t.Fatal("object needs a name")
-		}
-		st.Close()
 	})
 }
 
@@ -277,7 +255,7 @@ func TestConcurrentMissesChargeOneWinner(t *testing.T) {
 		for w := 0; w < 8; w++ {
 			env.Go(fmt.Sprintf("reader-%d", w), func() {
 				defer wg.Done()
-				if _, err := b.ReadFile(names[0]); err != nil {
+				if _, err := readFile(b, names[0]); err != nil {
 					t.Errorf("read: %v", err)
 				}
 			})
@@ -308,13 +286,13 @@ func TestEvictionAtExactCapacity(t *testing.T) {
 		// the fourth promotion must evict exactly one.
 		b, names := tieredFixture(env, Config{FastCapacity: 3000, PromoteAfter: 1}, 4, 1000)
 		for _, n := range names[:3] {
-			_, _ = b.ReadFile(n)
+			_, _ = readFile(b, n)
 		}
 		st := b.Stats()
 		if st.Evictions != 0 || st.FastUsed != 3000 {
 			t.Fatalf("filling to exact capacity: %+v, want 0 evictions and full tier", st)
 		}
-		_, _ = b.ReadFile(names[3])
+		_, _ = readFile(b, names[3])
 		st = b.Stats()
 		if st.Evictions != 1 || st.FastUsed != 3000 || st.Residents != 3 {
 			t.Fatalf("one past capacity: %+v, want exactly one eviction at full occupancy", st)
@@ -344,9 +322,9 @@ func TestItemExactlyTierSizedEvictsAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _ = b.ReadFile("small-0")
-		_, _ = b.ReadFile("small-1")
-		_, _ = b.ReadFile("big")
+		_, _ = readFile(b, "small-0")
+		_, _ = readFile(b, "small-1")
+		_, _ = readFile(b, "big")
 		st := b.Stats()
 		if !b.Resident("big") || b.Resident("small-0") || b.Resident("small-1") {
 			t.Fatalf("tier-sized item should displace all residents: %+v", st)
@@ -364,7 +342,7 @@ func TestAccessMapBounded(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names := tieredFixture(env, Config{FastCapacity: 500, PromoteAfter: 1, MaxTracked: 8}, 100, 1000)
 		for _, n := range names {
-			if _, err := b.ReadFile(n); err != nil {
+			if _, err := readFile(b, n); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -391,8 +369,8 @@ func TestDecayKeepsPopularity(t *testing.T) {
 		// hot count — but repeated access still reaches the threshold.
 		hot := names[0]
 		for i := 1; i < 25; i++ {
-			_, _ = b.ReadFile(names[i])
-			_, _ = b.ReadFile(hot)
+			_, _ = readFile(b, names[i])
+			_, _ = readFile(b, hot)
 			if b.Resident(hot) {
 				break
 			}
@@ -424,7 +402,7 @@ func TestPrefetchPlanWarmsFreeSpace(t *testing.T) {
 			}
 		}
 		// Warmed samples serve as fast hits.
-		if _, err := b.ReadFile(names[0]); err != nil {
+		if _, err := readFile(b, names[0]); err != nil {
 			t.Fatal(err)
 		}
 		if b.Stats().FastHits != 1 {
@@ -439,8 +417,8 @@ func TestPrefetchNeverEvicts(t *testing.T) {
 		// Tier fits two files; two are promoted by demand. Warming the
 		// other two must skip (no free space), not evict the working set.
 		b, names := tieredFixture(env, Config{FastCapacity: 2000, PromoteAfter: 1}, 4, 1000)
-		_, _ = b.ReadFile(names[0])
-		_, _ = b.ReadFile(names[1])
+		_, _ = readFile(b, names[0])
+		_, _ = readFile(b, names[1])
 		b.PrefetchPlan(names)
 		env.Sleep(time.Second)
 		st := b.Stats()
@@ -478,7 +456,7 @@ func TestNewerPlanSupersedesOlder(t *testing.T) {
 func TestCloseStopsWarmerAndReleasesResidents(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 4, 1000)
-		_, _ = b.ReadFile(names[0])
+		_, _ = readFile(b, names[0])
 		b.PrefetchPlan(names)
 		b.Close()
 		b.Close() // idempotent (Prisma.Close and Object.Close may both run)
@@ -505,7 +483,7 @@ func TestTieringUnderConcurrentReaders(t *testing.T) {
 			env.Go(fmt.Sprintf("reader-%d", w), func() {
 				defer wg.Done()
 				for i := w; i < len(names); i += 4 {
-					if _, err := b.ReadFile(names[i]); err != nil {
+					if _, err := readFile(b, names[i]); err != nil {
 						t.Errorf("read %s: %v", names[i], err)
 					}
 				}
@@ -543,13 +521,13 @@ func memFixture(t *testing.T, env conc.Env, cfg Config, n, size int) (*Backend, 
 func TestReadRangeServedFromResident(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names, contents := memFixture(t, env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 2, 1000)
-		if _, err := b.ReadFile(names[0]); err != nil {
+		if _, err := readFile(b, names[0]); err != nil {
 			t.Fatal(err)
 		}
 		if !b.Resident(names[0]) {
 			t.Fatal("not promoted")
 		}
-		d, err := b.ReadRange(names[0], 100, 200)
+		d, err := readRange(b, names[0], 100, 200)
 		if err != nil || d.Size != 200 {
 			t.Fatalf("ReadRange = %+v, %v", d, err)
 		}
@@ -565,7 +543,7 @@ func TestReadRangeServedFromResident(t *testing.T) {
 			t.Fatalf("SlowReads = %d, want 1 (only the promoting read)", st.SlowReads)
 		}
 		// Clamped at EOF, still a resident hit.
-		d, err = b.ReadRange(names[0], 900, 500)
+		d, err = readRange(b, names[0], 900, 500)
 		if err != nil || d.Size != 100 || !bytes.Equal(d.Bytes, contents[0][900:]) {
 			t.Fatalf("clamped resident range = %+v, %v", d, err)
 		}
@@ -584,7 +562,7 @@ func TestReadRangeMissRecordsAccess(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names, contents := memFixture(t, env, Config{FastCapacity: 1 << 20, PromoteAfter: 2}, 2, 1000)
 		for i := 0; i < 3; i++ {
-			d, err := b.ReadRange(names[0], 10, 50)
+			d, err := readRange(b, names[0], 10, 50)
 			if err != nil || !bytes.Equal(d.Bytes, contents[0][10:60]) {
 				t.Fatalf("slow range %d = %+v, %v", i, d, err)
 			}
@@ -603,10 +581,10 @@ func TestReadRangeMissRecordsAccess(t *testing.T) {
 		// A compressed resident also declines the resident slice path (it
 		// would need a whole-record decode) and serves from the slow tier.
 		cb, cnames, ccontents := memFixture(t, env, Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: true}, 1, 4096)
-		if _, err := cb.ReadFile(cnames[0]); err != nil {
+		if _, err := readFile(cb, cnames[0]); err != nil {
 			t.Fatal(err)
 		}
-		d, err := cb.ReadRange(cnames[0], 0, 64)
+		d, err := readRange(cb, cnames[0], 0, 64)
 		if err != nil || !bytes.Equal(d.Bytes, ccontents[0][:64]) {
 			t.Fatalf("compressed-resident range = %+v, %v", d, err)
 		}
@@ -620,11 +598,11 @@ func TestReadRangeMissRecordsAccess(t *testing.T) {
 func TestReadRangeBatchTiering(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names, contents := memFixture(t, env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 2, 1000)
-		if _, err := b.ReadFile(names[0]); err != nil {
+		if _, err := readFile(b, names[0]); err != nil {
 			t.Fatal(err)
 		}
 		ranges := []storage.Range{{Off: 0, N: 100}, {Off: 500, N: 200}, {Off: 900, N: 500}}
-		out, err := b.ReadRangeBatch(names[0], ranges, nil)
+		out, err := readBatch(b, names[0], ranges, nil)
 		if err != nil || len(out) != 3 {
 			t.Fatalf("resident batch = %d results, %v", len(out), err)
 		}
@@ -641,7 +619,7 @@ func TestReadRangeBatchTiering(t *testing.T) {
 		}
 
 		// Cold name: slow path, one access recorded for the whole vector.
-		out, err = b.ReadRangeBatch(names[1], ranges[:2], nil)
+		out, err = readBatch(b, names[1], ranges[:2], nil)
 		if err != nil || len(out) != 2 {
 			t.Fatalf("cold batch = %d results, %v", len(out), err)
 		}

@@ -107,7 +107,7 @@ func NewDataLoader(env conc.Env, backend storage.Backend, trainSet, valSet *data
 func (d *DataLoader) TrainIter(epoch int) (train.Iterator, error) {
 	names := d.train.EpochFileList(d.seed, epoch)
 	it := newLoaderIter(d.env, d.cfg, names, func(name string) error {
-		_, err := d.backend.ReadFile(name)
+		_, err := d.backend.Read(storage.Request{Name: name})
 		return err
 	})
 	d.iters = append(d.iters, it)
@@ -118,7 +118,7 @@ func (d *DataLoader) TrainIter(epoch int) (train.Iterator, error) {
 func (d *DataLoader) ValIter(epoch int) (train.Iterator, error) {
 	names := d.val.EpochFileList(d.seed+1, epoch)
 	it := newLoaderIter(d.env, d.cfg, names, func(name string) error {
-		_, err := d.backend.ReadFile(name)
+		_, err := d.backend.Read(storage.Request{Name: name})
 		return err
 	})
 	d.iters = append(d.iters, it)

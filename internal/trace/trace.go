@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
@@ -60,7 +59,6 @@ type Trace struct {
 type Recorder struct {
 	env   conc.Env
 	inner storage.Backend
-	rr    storage.RangeReader // inner's range extension, nil when unsupported
 
 	mu     conc.Mutex
 	events []Event
@@ -68,16 +66,7 @@ type Recorder struct {
 
 // NewRecorder wraps inner.
 func NewRecorder(env conc.Env, inner storage.Backend) *Recorder {
-	rr, _ := inner.(storage.RangeReader)
-	return &Recorder{env: env, inner: inner, rr: rr, mu: env.NewMutex()}
-}
-
-// SetBufferPool forwards the pool to the wrapped backend (the recorder
-// observes reads; payload ownership flows through it untouched).
-func (r *Recorder) SetBufferPool(p *mempool.Pool) {
-	if pa, ok := r.inner.(storage.PoolAttacher); ok {
-		pa.SetBufferPool(p)
-	}
+	return &Recorder{env: env, inner: inner, mu: env.NewMutex()}
 }
 
 func (r *Recorder) record(ev Event) {
@@ -86,17 +75,36 @@ func (r *Recorder) record(ev Event) {
 	r.mu.Unlock()
 }
 
-// ReadFile implements storage.Backend.
-func (r *Recorder) ReadFile(name string) (storage.Data, error) {
+// Read implements storage.Backend. A whole-file read records one event; a
+// ranged request records one "range" event per constituent range (all
+// sharing the request's start and latency) so replay and byte accounting
+// see the same access stream a per-sample workload would produce. The
+// recorder observes reads; payload ownership and the trace context flow
+// through it untouched.
+func (r *Recorder) Read(req storage.Request) (storage.Response, error) {
 	start := r.env.Now()
-	data, err := r.inner.ReadFile(name)
-	ev := Event{At: start, Name: name, Size: data.Size, Latency: r.env.Now() - start}
+	resp, err := r.inner.Read(req)
+	ev := Event{At: start, Name: req.Name, Latency: r.env.Now() - start}
 	if err != nil {
 		ev.Error = err.Error()
-		ev.Size = 0
 	}
-	r.record(ev)
-	return data, err
+	if len(req.Ranges) == 0 {
+		if err == nil {
+			ev.Size = resp.Data.Size
+		}
+		r.record(ev)
+		return resp, err
+	}
+	ev.Op = OpRange
+	views := resp.Ranged(req)
+	for i, rg := range req.Ranges {
+		ev.Off, ev.N = rg.Off, rg.N
+		if err == nil {
+			ev.Size = views[i].Size
+		}
+		r.record(ev)
+	}
+	return resp, err
 }
 
 // Size implements storage.Backend, recording the lookup with op "size"
@@ -111,62 +119,6 @@ func (r *Recorder) Size(name string) (int64, error) {
 	}
 	r.record(ev)
 	return n, err
-}
-
-// ReadRange implements storage.RangeReader when the wrapped backend does,
-// recording the request with op "range" and its offset/length. Without the
-// extension it records the refusal and returns an error.
-func (r *Recorder) ReadRange(name string, off, n int64) (storage.Data, error) {
-	start := r.env.Now()
-	var (
-		data storage.Data
-		err  error
-	)
-	if r.rr == nil {
-		err = fmt.Errorf("trace: backend %T does not support range reads", r.inner)
-	} else {
-		data, err = r.rr.ReadRange(name, off, n)
-	}
-	ev := Event{At: start, Name: name, Size: data.Size, Latency: r.env.Now() - start, Op: OpRange, Off: off, N: n}
-	if err != nil {
-		ev.Error = err.Error()
-		ev.Size = 0
-	}
-	r.record(ev)
-	return data, err
-}
-
-// ReadRangeBatch implements storage.BatchRangeReader when the wrapped
-// backend does, recording one "range" event per constituent range (all
-// sharing the batch's start and latency) so replay and byte accounting see
-// the same access stream a per-sample workload would produce.
-func (r *Recorder) ReadRangeBatch(name string, ranges []storage.Range, out []storage.Data) ([]storage.Data, error) {
-	brr, ok := r.inner.(storage.BatchRangeReader)
-	if !ok {
-		err := fmt.Errorf("trace: backend %T does not support batched range reads", r.inner)
-		start := r.env.Now()
-		for _, rg := range ranges {
-			r.record(Event{At: start, Name: name, Op: OpRange, Off: rg.Off, N: rg.N, Error: err.Error()})
-		}
-		return out, err
-	}
-	start := r.env.Now()
-	base := len(out)
-	res, err := brr.ReadRangeBatch(name, ranges, out)
-	lat := r.env.Now() - start
-	for i, rg := range ranges {
-		ev := Event{At: start, Name: name, Latency: lat, Op: OpRange, Off: rg.Off, N: rg.N}
-		if err != nil {
-			ev.Error = err.Error()
-		} else {
-			ev.Size = res[base+i].Size
-		}
-		r.record(ev)
-	}
-	if err != nil {
-		return out, err
-	}
-	return res, nil
 }
 
 // Trace snapshots the recorded events.
@@ -320,18 +272,18 @@ func (t *Trace) Replay(env conc.Env, backend storage.Backend, speedup float64) (
 			if delay := due - env.Now(); delay > 0 {
 				env.Sleep(delay)
 			}
-			switch ev.Op {
-			case OpSize:
+			if ev.Op == OpSize {
 				_, _ = rec.Size(ev.Name)
-			case OpRange:
-				d, _ := rec.ReadRange(ev.Name, ev.Off, ev.N)
-				d.Release()
-			default:
-				// Replay discards payloads; release any pooled lease so a
-				// pooled backend can be replayed against without leaking.
-				d, _ := rec.ReadFile(ev.Name)
-				d.Release()
+				return
 			}
+			req := storage.Request{Name: ev.Name}
+			if ev.Op == OpRange {
+				req.Ranges = []storage.Range{{Off: ev.Off, N: ev.N}}
+			}
+			// Replay discards payloads; release any pooled lease so a
+			// pooled backend can be replayed against without leaking.
+			resp, _ := rec.Read(req)
+			resp.Release(req)
 		})
 	}
 	wg.Wait()

@@ -42,7 +42,7 @@ func TestRecorderCapturesEvents(t *testing.T) {
 		backend, names := backendFixture(env, 3, time.Millisecond, 2)
 		rec := NewRecorder(env, backend)
 		for _, n := range names {
-			if _, err := rec.ReadFile(n); err != nil {
+			if _, err := readFile(rec, n); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -64,7 +64,7 @@ func TestRecorderCapturesErrors(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, _ := backendFixture(env, 1, time.Millisecond, 1)
 		rec := NewRecorder(env, backend)
-		if _, err := rec.ReadFile("ghost"); err == nil {
+		if _, err := readFile(rec, "ghost"); err == nil {
 			t.Fatal("missing read succeeded")
 		}
 		ev := rec.Trace().Events[0]
@@ -104,7 +104,7 @@ func TestRecorderRangeTraced(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := backendFixture(env, 1, time.Millisecond, 1)
 		rec := NewRecorder(env, backend)
-		d, err := rec.ReadRange(names[0], 100, 200)
+		d, err := readRange(rec, names[0], 100, 200)
 		if err != nil || d.Size != 200 {
 			t.Fatalf("ReadRange = %+v, %v", d, err)
 		}
@@ -281,7 +281,7 @@ func TestRecorderUnderConcurrentReaders(t *testing.T) {
 			env.Go(fmt.Sprintf("r%d", w), func() {
 				defer wg.Done()
 				for i := w; i < len(names); i += 4 {
-					_, _ = rec.ReadFile(names[i])
+					_, _ = readFile(rec, names[i])
 				}
 			})
 		}

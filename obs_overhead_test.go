@@ -102,8 +102,11 @@ func TestTracingOverheadGate(t *testing.T) {
 // measures plumbing cost, not device time.
 type memBackend struct{ payload []byte }
 
-func (m memBackend) ReadFile(name string) (storage.Data, error) {
-	return storage.Data{Name: name, Size: int64(len(m.payload)), Bytes: m.payload}, nil
+func (m memBackend) Read(req storage.Request) (storage.Response, error) {
+	if len(req.Ranges) > 0 {
+		return storage.Response{}, storage.ErrUnsupported
+	}
+	return storage.Response{Data: storage.Data{Name: req.Name, Size: int64(len(m.payload)), Bytes: m.payload}}, nil
 }
 
 func (m memBackend) Size(name string) (int64, error) { return int64(len(m.payload)), nil }

@@ -182,8 +182,8 @@ type BatchOptions struct {
 	// Enable turns read coalescing on.
 	Enable bool
 	// MaxSamples caps how many FIFO-adjacent samples one vectored read may
-	// carry (default 4). The backend's parallelism hint (a modeled
-	// device's channel count) further clamps it at runtime.
+	// carry (default 4). A vector wider than the device's internal
+	// parallelism stops amortizing and starts queueing; size it to that.
 	MaxSamples int
 	// MaxBytes caps the stored bytes one vectored read may carry (default
 	// 4 MiB). A run stops growing before the sample that would cross the

@@ -292,7 +292,9 @@ func Open(opts Options) (*Prisma, error) {
 			PerClassCap: opts.BufferPool.PerClassCap,
 		})
 	}
-	var backend storage.Backend = storage.NewDirBackend(opts.Dir)
+	leaf := storage.NewDirBackend(opts.Dir)
+	leaf.SetBufferPool(pool)
+	var backend storage.Backend = leaf
 	var recorder *trace.Recorder
 	if opts.TraceFile != "" {
 		recorder = trace.NewRecorder(env, backend)
@@ -327,9 +329,11 @@ func Open(opts Options) (*Prisma, error) {
 		if err != nil {
 			return nil, fmt.Errorf("prisma: %w", err)
 		}
+		tb.SetBufferPool(pool) // hit-path decode buffers
 		backend = tb
 		tiered = tb
 	}
+	var resilient *storage.ResilientBackend
 	if !opts.DisableResilience {
 		rcfg := storage.DefaultResilienceConfig()
 		rcfg.MaxAttempts = opts.ReadRetries
@@ -341,20 +345,14 @@ func Open(opts Options) (*Prisma, error) {
 		} else {
 			rcfg.BreakerThreshold = opts.BreakerThreshold
 		}
-		// Resilient goes outermost so the stage sees it as a
-		// ResilienceReporter and retried reads re-enter the trace.
+		// Resilient goes outermost so retried reads re-enter the cache,
+		// the tier and the trace.
 		rb, err := storage.NewResilientBackend(env, backend, rcfg)
 		if err != nil {
 			return nil, fmt.Errorf("prisma: %w", err)
 		}
 		backend = rb
-	}
-	if pool != nil {
-		// Attach at the top of the wrapper chain; each wrapper delegates
-		// down to the DirBackend that allocates payloads.
-		if pa, ok := backend.(storage.PoolAttacher); ok {
-			pa.SetBufferPool(pool)
-		}
+		resilient = rb
 	}
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 		InitialProducers:      opts.InitialProducers,
@@ -377,6 +375,9 @@ func Open(opts Options) (*Prisma, error) {
 	tracer := obs.NewTracer(env, obs.TracerOptions{Sampling: opts.TraceSampling})
 	stage.SetTracer(tracer)
 	stage.SetBufferPool(pool)
+	if resilient != nil {
+		stage.SetResilienceSource(resilient.ResilienceStats)
+	}
 	if cache != nil {
 		sc := cache
 		sc.SetTracer(tracer)
