@@ -31,6 +31,7 @@ type allocBudget struct {
 	CompressedAllocsPerOp int64   // hard ceiling for pooled + compressed shards
 	BatchedAllocsPerOp    int64   // hard ceiling for pooled + read coalescing
 	ResilientAllocsPerOp  int64   // hard ceiling for pooled + resilient layer
+	IPCClientAllocsPerOp  int64   // hard ceiling for the socket hop alone, read-ahead engaged
 }
 
 func readAllocBudget(t *testing.T, path string) allocBudget {
@@ -89,6 +90,12 @@ func readAllocBudget(t *testing.T, path string) allocBudget {
 				t.Fatalf("alloc budget: %q: %v", line, err)
 			}
 			b.ResilientAllocsPerOp = v
+		case "ipc_client_allocs_per_op":
+			v, err := strconv.ParseInt(fields[1], 10, 64)
+			if err != nil {
+				t.Fatalf("alloc budget: %q: %v", line, err)
+			}
+			b.IPCClientAllocsPerOp = v
 		default:
 			t.Fatalf("alloc budget: unknown key %q", fields[0])
 		}
@@ -97,7 +104,7 @@ func readAllocBudget(t *testing.T, path string) allocBudget {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"pooled_allocs_per_op", "min_reduction_percent", "cached_allocs_per_op", "compressed_allocs_per_op", "batched_allocs_per_op", "resilient_allocs_per_op"} {
+	for _, key := range []string{"pooled_allocs_per_op", "min_reduction_percent", "cached_allocs_per_op", "compressed_allocs_per_op", "batched_allocs_per_op", "resilient_allocs_per_op", "ipc_client_allocs_per_op"} {
 		if !seen[key] {
 			t.Fatalf("alloc budget: missing %s", key)
 		}
@@ -171,6 +178,20 @@ func TestAllocRegressionGate(t *testing.T) {
 	if resilient.AllocsPerOp > budget.ResilientAllocsPerOp {
 		t.Errorf("pooled hot path through the resilient layer allocates %d/op, budget is %d/op (see CONTRIBUTING.md to re-baseline)",
 			resilient.AllocsPerOp, budget.ResilientAllocsPerOp)
+	}
+	// IPC client cell: one consumer striding small samples over the loopback
+	// socket, so the hop itself dominates and read-ahead runs at its full
+	// window — most reads are stash hits, the rest multi-sample exchanges.
+	// The whole process is counted, so a zero here is a zero for the client
+	// decode, the stash and the server's push path together.
+	ipcClient := experiments.RunAllocCell(experiments.AllocConfig{Pool: true, Consumers: 1, Files: 512, FileSize: 4 << 10, BufferCap: 64})
+	t.Logf("pooled ipc client: %d allocs/op (%d ops, %.2f stash hits/op)", ipcClient.AllocsPerOp, ipcClient.Ops, ipcClient.StashHitsPerOp)
+	if ipcClient.AllocsPerOp > budget.IPCClientAllocsPerOp {
+		t.Errorf("pooled ipc.Client.Read allocates %d/op, budget is %d/op (see CONTRIBUTING.md to re-baseline)",
+			ipcClient.AllocsPerOp, budget.IPCClientAllocsPerOp)
+	}
+	if ipcClient.StashHitsPerOp < 0.5 {
+		t.Errorf("only %.2f of the ipc client cell's reads were stash hits: the cell is not exercising read-ahead", ipcClient.StashHitsPerOp)
 	}
 	if unpooled.AllocsPerOp == 0 {
 		t.Error("unpooled variant reported zero allocs/op: the benchmark is not measuring the hot path")

@@ -103,6 +103,7 @@ func main() {
 			fmt.Printf("batched reads:    %d vectored ops, %d samples, %d fallbacks\n",
 				s.BatchReads, s.BatchedSamples, s.BatchFallbacks)
 		}
+		fmt.Printf("socket read-ahead: %d samples pushed, %d wasted\n", s.ReadAheadSamples, s.ReadAheadWasted)
 
 	case "ping":
 		if err := client.Ping(); err != nil {

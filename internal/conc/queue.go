@@ -14,7 +14,14 @@ type Queue[T any] struct {
 	mu       Mutex
 	notEmpty Cond
 	notFull  Cond
+	// The queued items are items[head:]. Popping advances head and zeroes
+	// the slot instead of re-slicing the front away: a re-sliced slice can
+	// only ever grow by reallocating, and its abandoned prefix keeps every
+	// popped item reachable until then. A queue that drains rewinds to the
+	// start of its backing array, so a fill/drain cycle (one epoch's plan)
+	// reuses the same array every time.
 	items    []T
+	head     int
 	capacity int
 	closed   bool
 }
@@ -37,15 +44,37 @@ func NewQueue[T any](env Env, capacity int) *Queue[T] {
 func (q *Queue[T]) Put(v T) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.capacity > 0 && len(q.items) >= q.capacity && !q.closed {
+	for q.capacity > 0 && q.size() >= q.capacity && !q.closed {
 		q.notFull.Wait()
 	}
 	if q.closed {
 		return ErrClosed
 	}
+	if len(q.items) == cap(q.items) && q.head >= len(q.items)/2 && q.head > 0 {
+		// Full array, at least half of it already popped: slide the live
+		// items down instead of doubling. Moving at most as many items as
+		// were popped since the last slide keeps Put amortized O(1).
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, v)
 	q.notEmpty.Signal()
 	return nil
+}
+
+// size is the number of queued items. Caller holds mu.
+func (q *Queue[T]) size() int { return len(q.items) - q.head }
+
+// pop removes the n oldest items, zeroing their slots so the backing array
+// does not pin what they referenced. Caller holds mu and has checked
+// n <= size().
+func (q *Queue[T]) pop(n int) {
+	clear(q.items[q.head : q.head+n])
+	q.head += n
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 }
 
 // Get removes and returns the oldest item, blocking while the queue is
@@ -53,14 +82,14 @@ func (q *Queue[T]) Put(v T) error {
 func (q *Queue[T]) Get() (v T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.size() == 0 && !q.closed {
 		q.notEmpty.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.size() == 0 {
 		return v, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
+	v = q.items[q.head]
+	q.pop(1)
 	q.notFull.Signal()
 	return v, true
 }
@@ -75,17 +104,17 @@ func (q *Queue[T]) Get() (v T, ok bool) {
 func (q *Queue[T]) GetOr(stop func() bool) (v T, ok, stopped bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.size() == 0 && !q.closed {
 		if stop != nil && stop() {
 			return v, false, true
 		}
 		q.notEmpty.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.size() == 0 {
 		return v, false, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
+	v = q.items[q.head]
+	q.pop(1)
 	q.notFull.Signal()
 	return v, true, false
 }
@@ -101,23 +130,24 @@ func (q *Queue[T]) GetOr(stop func() bool) (v T, ok, stopped bool) {
 func (q *Queue[T]) GetRunOr(stop func() bool, max int, same func(first, candidate T) bool, out []T) (run []T, ok, stopped bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.size() == 0 && !q.closed {
 		if stop != nil && stop() {
 			return out, false, true
 		}
 		q.notEmpty.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.size() == 0 {
 		return out, false, false
 	}
-	first := q.items[0]
+	live := q.items[q.head:]
+	first := live[0]
 	out = append(out, first)
 	taken := 1
-	for taken < max && taken < len(q.items) && same(first, q.items[taken]) {
-		out = append(out, q.items[taken])
+	for taken < max && taken < len(live) && same(first, live[taken]) {
+		out = append(out, live[taken])
 		taken++
 	}
-	q.items = q.items[taken:]
+	q.pop(taken)
 	if taken > 1 {
 		q.notFull.Broadcast()
 	} else {
@@ -141,20 +171,19 @@ func (q *Queue[T]) Wake() {
 func (q *Queue[T]) DropWhere(pred func(T) bool) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	// Survivors are compacted to the start of the array (the popped prefix
+	// is already zeroed), which also rewinds head.
 	kept := q.items[:0]
-	for _, it := range q.items {
+	for _, it := range q.items[q.head:] {
 		if !pred(it) {
 			kept = append(kept, it)
 		}
 	}
-	n := len(q.items) - len(kept)
+	n := q.size() - len(kept)
 	// Zero the tail so dropped items don't pin referenced memory through
 	// the backing array.
-	var zero T
-	for i := len(kept); i < len(q.items); i++ {
-		q.items[i] = zero
-	}
-	q.items = kept
+	clear(q.items[len(kept):])
+	q.items, q.head = kept, 0
 	if n > 0 {
 		q.notFull.Broadcast()
 	}
@@ -165,11 +194,11 @@ func (q *Queue[T]) DropWhere(pred func(T) bool) int {
 func (q *Queue[T]) TryGet() (v T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 {
+	if q.size() == 0 {
 		return v, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
+	v = q.items[q.head]
+	q.pop(1)
 	q.notFull.Signal()
 	return v, true
 }
@@ -178,7 +207,7 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return q.size()
 }
 
 // Capacity reports the current capacity (0 = unbounded).

@@ -140,3 +140,99 @@ func TestQueueDropWhereUnblocksProducer(t *testing.T) {
 		})
 	}
 }
+
+// TestQueueReusesBackingArray pins the fix for the queue that regrew and
+// pinned its backing array every epoch: popping by re-slicing the front
+// away left no capacity to reuse, so each epoch's Put-all doubled a fresh
+// array from scratch while the old one kept every popped item reachable.
+func TestQueueReusesBackingArray(t *testing.T) {
+	const epoch = 1000
+	q := NewQueue[*int](NewReal(), 0)
+	fillDrain := func() {
+		for i := 0; i < epoch; i++ {
+			v := i
+			if err := q.Put(&v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := make([]*int, 0, 7)
+		for i := 0; i < epoch; {
+			var ok bool
+			switch i % 3 { // every pop entry point
+			case 0:
+				_, ok = q.Get()
+				i++
+			case 1:
+				_, ok = q.TryGet()
+				i++
+			default:
+				out, ok, _ = q.GetRunOr(nil, 7, func(_, _ *int) bool { return true }, out[:0])
+				for j, p := range out {
+					if *p != i+j {
+						t.Fatalf("run item %d = %d, want %d (FIFO broken)", j, *p, i+j)
+					}
+				}
+				i += len(out)
+			}
+			if !ok {
+				t.Fatalf("queue ran dry at %d", i)
+			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("Len = %d after drain", q.Len())
+		}
+	}
+	fillDrain()
+	want := cap(q.items)
+	for e := 0; e < 10; e++ {
+		fillDrain()
+		if got := cap(q.items); got != want {
+			t.Fatalf("epoch %d: backing array cap %d, want %d (regrown)", e, got, want)
+		}
+	}
+	for i, p := range q.items[:cap(q.items)] {
+		if p != nil {
+			t.Fatalf("slot %d still references a popped item", i)
+		}
+	}
+
+	// Steady state with a standing backlog: the head slides, the array
+	// stops growing, and a Put+Get pair allocates nothing.
+	v := 0
+	for i := 0; i < 100; i++ {
+		_ = q.Put(&v)
+	}
+	allocs := testing.AllocsPerRun(5000, func() {
+		_ = q.Put(&v)
+		_, _ = q.Get()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Put+Get allocates %.2f/op, want 0", allocs)
+	}
+	if q.Len() != 100 {
+		t.Fatalf("Len = %d, want the standing 100", q.Len())
+	}
+}
+
+// TestQueueDropWhereAfterPops checks DropWhere over a queue whose head has
+// advanced: survivors keep FIFO order and the count covers live items only.
+func TestQueueDropWhereAfterPops(t *testing.T) {
+	q := NewQueue[int](NewReal(), 0)
+	for i := 0; i < 10; i++ {
+		_ = q.Put(i)
+	}
+	for i := 0; i < 3; i++ {
+		_, _ = q.Get()
+	}
+	if n := q.DropWhere(func(v int) bool { return v%2 == 0 }); n != 3 { // 4, 6, 8
+		t.Fatalf("DropWhere removed %d, want 3", n)
+	}
+	for _, want := range []int{3, 5, 7, 9} {
+		if got, ok := q.TryGet(); !ok || got != want {
+			t.Fatalf("TryGet = %d, %v; want %d", got, ok, want)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", q.Len())
+	}
+}

@@ -19,6 +19,10 @@ import (
 // ErrClosed is returned by buffer and stage operations after shutdown.
 var ErrClosed = errors.New("core: closed")
 
+// ErrNotParked is returned by a no-wait take (TakeOptions.NoWait) that
+// found nothing it may take right now.
+var ErrNotParked = errors.New("core: sample not parked")
+
 // MaxBufferShards bounds the shard count of a Buffer; beyond this, shard
 // bookkeeping costs more than the contention it removes.
 const MaxBufferShards = 512
@@ -101,6 +105,10 @@ type Buffer struct {
 	// Called under a shard lock, so the callee must be a leaf lock — the
 	// plan manager is.
 	epochCancelled func(EpochID) bool
+	// claimAt accounts a positional take's plan entry (TakeOptions.At) as
+	// claimed and delivered, or refuses it. Set once before traffic
+	// (SetClaimAt) and called under a shard lock, like epochCancelled.
+	claimAt func(PlanPos) bool
 
 	// cfgMu guards the shard set, the capacity budget, and the carryover
 	// counters of retired shards. Lock order is cfgMu before shard.mu;
@@ -259,6 +267,11 @@ func (b *Buffer) SetTracer(t *obs.Tracer) { b.tracer = t }
 // wires its plan manager here.
 func (b *Buffer) SetEpochCancelled(f func(EpochID) bool) { b.epochCancelled = f }
 
+// SetClaimAt installs the positional-claim hook a no-wait take with
+// TakeOptions.At consults once it has found the sample parked. Call before
+// the buffer sees traffic; the prefetcher wires its plan manager here.
+func (b *Buffer) SetClaimAt(f func(PlanPos) bool) { b.claimAt = f }
+
 // rejects reports whether the put filter refuses it — an item of a
 // cancelled plan epoch. Called under the item's shard lock.
 func (b *Buffer) rejects(it Item) bool {
@@ -360,6 +373,17 @@ type TakeOptions struct {
 	// arrived within this duration the take fails with ErrTakeDeadline
 	// (and the caller returns the claim to its epoch).
 	Deadline time.Duration
+
+	// NoWait makes the take non-blocking — the read-ahead form. It succeeds
+	// only on a sample that is parked right now, holds payload rather than a
+	// producer error (an error belongs to the read that asks for the name),
+	// is no larger than MaxBytes (when positive), and whose plan entry At
+	// (when non-zero) the claimAt hook accepts; presence check, claim and
+	// eviction happen under one shard lock, so there is no claimed-but-
+	// not-taken state to undo. Anything else is ErrNotParked, immediately.
+	NoWait   bool
+	At       PlanPos
+	MaxBytes int64
 }
 
 // TakeOpts is the full-featured take: it blocks until the named sample is
@@ -387,6 +411,10 @@ func (b *Buffer) TakeOpts(name string, opts TakeOptions) (Item, error) {
 		if s.retired {
 			s.mu.Unlock()
 			continue
+		}
+		if opts.NoWait && !(s.holds(name, opts.MaxBytes) && (opts.At == PlanPos{} || b.claimAt(opts.At))) {
+			s.mu.Unlock()
+			return Item{}, ErrNotParked
 		}
 		var cancelled, expired bool
 		if _, present := s.items[name]; !present {
@@ -468,6 +496,32 @@ func (b *Buffer) TakeOpts(name string, opts TakeOptions) (Item, error) {
 		}
 		return it, nil
 	}
+}
+
+// parked reports whether a no-wait take of name bounded by maxBytes would
+// find its sample right now. It exists for callers that must spend
+// something irreversible (an admission token) between looking and taking;
+// the take re-checks, so a stale answer costs only that token.
+func (b *Buffer) parked(name string, maxBytes int64) bool {
+	for {
+		s := b.route(name)
+		s.mu.Lock()
+		if s.retired {
+			s.mu.Unlock()
+			continue
+		}
+		ok := s.holds(name, maxBytes)
+		s.mu.Unlock()
+		return ok
+	}
+}
+
+// holds reports whether the shard has name parked as payload (not as a
+// producer error) of at most maxBytes (<= 0: any size) — what a no-wait
+// take may take. Caller holds s.mu.
+func (s *bufShard) holds(name string, maxBytes int64) bool {
+	it, present := s.items[name]
+	return present && it.Err == nil && (maxBytes <= 0 || it.Size <= maxBytes)
 }
 
 // spawnDeadlineWake arms a one-shot timer that wakes the waiters of name's

@@ -29,12 +29,27 @@ var (
 // "no epoch" (items that did not come through the plan queue).
 type EpochID uint64
 
+// PlanPos locates one plan entry: its epoch and its index in the order that
+// epoch was submitted in. The zero value means "no plan entry" (an
+// unplanned read). A reader's successive positions are what socket
+// read-ahead predicts from (DESIGN.md §19).
+type PlanPos struct {
+	Epoch EpochID
+	Index int
+}
+
+// before orders positions by epoch, then index: the FIFO order in which the
+// entries of one name are claimed.
+func (p PlanPos) before(q PlanPos) bool {
+	return p.Epoch < q.Epoch || (p.Epoch == q.Epoch && p.Index < q.Index)
+}
+
 // PlanClaim is a consumer's exclusive hold on one plan entry, taken in the
 // same critical section that checks the entry exists (claim-or-bypass: no
 // Planned→Take window for a second consumer to fall into).
 type PlanClaim struct {
-	Name  string
-	Epoch EpochID
+	Name string
+	PlanPos
 }
 
 // PlanResult reports one epoch submission: the issued id and how many
@@ -97,6 +112,9 @@ type epochState struct {
 	inflight    int   // claims not yet resolved (delivered/unclaimed/dropped)
 	delivered   int64
 	dropped     int64
+	// order is the submitted name list, kept while the epoch is active so a
+	// position resolves to its name (claimAt); released once terminal.
+	order []string
 }
 
 // planManager owns the plan lifecycle: epochs move registered → claimed →
@@ -117,7 +135,7 @@ type planManager struct {
 	nextID  EpochID
 	epochs  map[EpochID]*epochState
 	order   []EpochID            // issue order, for Epochs() listing and pruning
-	entries map[string][]EpochID // claimable entries per name, FIFO by epoch
+	entries map[string][]PlanPos // claimable entries per name, FIFO by epoch then index
 
 	pending  int // total claimable entries across names
 	inflight int // claims not yet resolved
@@ -130,7 +148,7 @@ func newPlanManager(env conc.Env) *planManager {
 	pm := &planManager{
 		env:     env,
 		epochs:  make(map[EpochID]*epochState),
-		entries: make(map[string][]EpochID),
+		entries: make(map[string][]PlanPos),
 	}
 	pm.mu = env.NewMutex()
 	return pm
@@ -168,8 +186,10 @@ func (pm *planManager) activate(id EpochID, names []string) bool {
 	}
 	ep.state = EpochActive
 	ep.enqueued = len(names)
-	for _, n := range names {
-		pm.entries[n] = append(pm.entries[n], id)
+	// A copy: the caller's slice is the caller's to reuse after submitting.
+	ep.order = append([]string(nil), names...)
+	for i, n := range names {
+		pm.entries[n] = append(pm.entries[n], PlanPos{Epoch: id, Index: i})
 	}
 	pm.pending += len(names)
 	return true
@@ -231,12 +251,13 @@ func (pm *planManager) cancel(id EpochID) (removed int, err error) {
 	}
 	wasSubmitting := ep.state == EpochSubmitting
 	ep.state = EpochCancelled
+	ep.order = nil
 	pm.cancelled++
 	if !wasSubmitting {
 		for name, ids := range pm.entries {
 			kept := ids[:0]
 			for _, e := range ids {
-				if e == id {
+				if e.Epoch == id {
 					removed++
 				} else {
 					kept = append(kept, e)
@@ -278,19 +299,69 @@ func (pm *planManager) claim(name string) (PlanClaim, bool) {
 	if len(ids) == 0 {
 		return PlanClaim{}, false
 	}
-	id := ids[0]
+	pos := ids[0]
+	pm.popFrontLocked(name, ids)
+	pm.inflight++
+	if ep := pm.epochs[pos.Epoch]; ep != nil {
+		ep.claimed++
+		ep.inflight++
+	}
+	return PlanClaim{Name: name, PlanPos: pos}, true
+}
+
+// popFrontLocked removes name's oldest claimable entry. Caller holds mu.
+func (pm *planManager) popFrontLocked(name string, ids []PlanPos) {
 	if len(ids) == 1 {
 		delete(pm.entries, name)
 	} else {
 		pm.entries[name] = ids[1:]
 	}
 	pm.pending--
-	pm.inflight++
-	if ep := pm.epochs[id]; ep != nil {
-		ep.claimed++
-		ep.inflight++
+}
+
+// nameAt resolves a position to its name when that entry is the next
+// claimable one for the name — the cheap precondition of a positional take,
+// checked before any buffer lock is touched. ok=false covers every reason
+// the position cannot be taken now: unknown or terminal epoch, index past
+// the plan, entry already claimed, or an earlier duplicate of the name
+// still unclaimed (FIFO order among duplicates is by-name claim's order).
+func (pm *planManager) nameAt(pos PlanPos) (name string, ok bool) {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	return pm.nameAtLocked(pos)
+}
+
+func (pm *planManager) nameAtLocked(pos PlanPos) (string, bool) {
+	ep := pm.epochs[pos.Epoch]
+	if ep == nil || ep.state != EpochActive || pos.Index < 0 || pos.Index >= len(ep.order) {
+		return "", false
 	}
-	return PlanClaim{Name: name, Epoch: id}, true
+	name := ep.order[pos.Index]
+	if ids := pm.entries[name]; len(ids) == 0 || ids[0] != pos {
+		return "", false
+	}
+	return name, true
+}
+
+// claimAt is the positional twin of claim+deliver, for a sample the caller
+// has already found parked (the buffer calls it under the sample's shard
+// lock, so claim and take are one step and nothing is ever un-claimed): it
+// re-checks nameAt's precondition and, when it still holds, accounts the
+// entry as claimed and delivered in one critical section.
+func (pm *planManager) claimAt(pos PlanPos) bool {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	name, ok := pm.nameAtLocked(pos)
+	if !ok {
+		return false
+	}
+	pm.popFrontLocked(name, pm.entries[name])
+	pm.delivered++
+	ep := pm.epochs[pos.Epoch]
+	ep.claimed++
+	ep.delivered++
+	pm.maybeDoneLocked(ep)
+	return true
 }
 
 // deliver resolves a claim as a successful buffer take.
@@ -306,8 +377,8 @@ func (pm *planManager) deliver(c PlanClaim) {
 	}
 }
 
-// unclaim returns a claim's entry to its epoch (at the front, preserving
-// FIFO fairness) after a take deadline or shutdown: the sample is still in
+// unclaim returns a claim's entry to its epoch (at its place in the name's
+// FIFO order) after a take deadline or shutdown: the sample is still in
 // flight or buffered, so a later read of the same name must be able to
 // claim it. If the epoch went terminal in the meantime, the entry is
 // accounted as dropped instead.
@@ -327,7 +398,17 @@ func (pm *planManager) unclaim(c PlanClaim) {
 	}
 	ep.inflight--
 	ep.claimed--
-	pm.entries[c.Name] = append([]EpochID{c.Epoch}, pm.entries[c.Name]...)
+	// Back into its place in line, not blindly to the front: with several
+	// claims of one name out at once they can return in any order.
+	ids := pm.entries[c.Name]
+	i := 0
+	for i < len(ids) && ids[i].before(c.PlanPos) {
+		i++
+	}
+	ids = append(ids, PlanPos{})
+	copy(ids[i+1:], ids[i:])
+	ids[i] = c.PlanPos
+	pm.entries[c.Name] = ids
 	pm.pending++
 }
 
@@ -375,6 +456,7 @@ func (pm *planManager) hasEntry(name string) bool {
 func (pm *planManager) maybeDoneLocked(ep *epochState) {
 	if ep.state == EpochActive && ep.delivered+ep.dropped >= int64(ep.enqueued) && ep.enqueued > 0 {
 		ep.state = EpochDone
+		ep.order = nil
 		pm.pruneLocked()
 	}
 }

@@ -191,6 +191,7 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 	// Epoch-cancellation awareness: rejected puts and woken consumers both
 	// resolve through the plan manager (a leaf lock, safe under shard locks).
 	pf.buffer.SetEpochCancelled(pf.plans.cancelledEpoch)
+	pf.buffer.SetClaimAt(pf.plans.claimAt)
 	return pf, nil
 }
 

@@ -25,11 +25,11 @@ type OptimizationObject interface {
 }
 
 // ctxReader is the optional extension an optimization object implements to
-// receive the sample's trace context (mirrors the shardTuner pattern:
-// extending behavior without breaking existing OptimizationObject
-// implementors).
+// receive the sample's trace context and report which plan entry served the
+// read (mirrors the shardTuner pattern: extending behavior without breaking
+// existing OptimizationObject implementors).
 type ctxReader interface {
-	ReadCtx(name string, ctx obs.Ctx) (data storage.Data, handled bool, err error)
+	ReadCtx(name string, ctx obs.Ctx) (data storage.Data, at PlanPos, handled bool, err error)
 }
 
 // PrefetchObject adapts a Prefetcher to the OptimizationObject interface:
@@ -51,7 +51,8 @@ func (o *PrefetchObject) Prefetcher() *Prefetcher { return o.pf }
 // Read serves a planned file from the buffer, blocking until the producers
 // deliver it.
 func (o *PrefetchObject) Read(name string) (storage.Data, bool, error) {
-	return o.ReadCtx(name, obs.Ctx{})
+	data, _, handled, err := o.ReadCtx(name, obs.Ctx{})
+	return data, handled, err
 }
 
 // ReadCtx implements ctxReader: the consumer's trace context flows into the
@@ -61,12 +62,13 @@ func (o *PrefetchObject) Read(name string) (storage.Data, bool, error) {
 // entry happen in one plan-manager critical section, so two consumers
 // racing one multiplicity-1 entry can never both commit to waiting — the
 // loser's claim fails and it bypasses to the backend like any unplanned
-// read (the Planned→Take TOCTOU hang is structurally impossible).
-func (o *PrefetchObject) ReadCtx(name string, ctx obs.Ctx) (storage.Data, bool, error) {
+// read (the Planned→Take TOCTOU hang is structurally impossible). A
+// delivered read also reports the position of the plan entry it consumed.
+func (o *PrefetchObject) ReadCtx(name string, ctx obs.Ctx) (storage.Data, PlanPos, bool, error) {
 	pf := o.pf
 	claim, ok := pf.plans.claim(name)
 	if !ok {
-		return storage.Data{}, false, nil
+		return storage.Data{}, PlanPos{}, false, nil
 	}
 	it, err := pf.buffer.TakeOpts(name, TakeOptions{
 		Ctx:      ctx,
@@ -82,15 +84,15 @@ func (o *PrefetchObject) ReadCtx(name string, ctx obs.Ctx) (storage.Data, bool, 
 			// entry goes back to its epoch for a later read to claim.
 			pf.plans.unclaim(claim)
 		}
-		return storage.Data{}, true, err
+		return storage.Data{}, PlanPos{}, true, err
 	}
 	pf.plans.deliver(claim)
 	if it.Err != nil {
-		return storage.Data{}, true, it.Err
+		return storage.Data{}, PlanPos{}, true, it.Err
 	}
 	// Evict-on-read: the Take transferred the buffer's reference to us, and
 	// returning the Data passes it on to the consumer.
-	return storage.Data{Name: it.Name, Size: it.Size, Bytes: it.Bytes, Ref: it.Ref}, true, nil
+	return storage.Data{Name: it.Name, Size: it.Size, Bytes: it.Bytes, Ref: it.Ref}, claim.PlanPos, true, nil
 }
 
 // Close shuts down the prefetcher.
@@ -101,9 +103,13 @@ func (o *PrefetchObject) Close() { o.pf.Close() }
 // interface lives here so core does not depend on the policy package).
 // Admit throttles (may block) or sheds (typed retryable error) before the
 // read executes; ObserveRead reports the outcome so byte budgets can be
-// charged once the payload size is known.
+// charged once the payload size is known. TryAdmit is Admit for a read
+// nobody is waiting on (read-ahead): it charges the same budget when the
+// tenant could be admitted right now and otherwise just says no — it never
+// blocks and a refusal is not a shed.
 type TenantGate interface {
 	Admit(tenant string) error
+	TryAdmit(tenant string) bool
 	ObserveRead(tenant string, bytes int64, err error)
 }
 
@@ -131,6 +137,13 @@ type StageStats struct {
 	// admission gate before executing — the gate's contribution to the
 	// attribution split (always on, zero without a gate).
 	ThrottleWait time.Duration
+
+	// Socket read-ahead (DESIGN.md §19). ReadAheadSamples counts samples
+	// served by TakeAhead — pushed to a connection behind the reply it asked
+	// for; each is also one of Reads and Hits. ReadAheadWasted counts pushed
+	// samples a client reported dropping unread (mispredictions).
+	ReadAheadSamples int64
+	ReadAheadWasted  int64
 
 	// Prefetcher state (zero-valued when no prefetch object is attached).
 	QueueLen         int
@@ -246,6 +259,8 @@ type Stage struct {
 	errors       *metrics.Counter
 	shed         *metrics.Counter
 	throttleWait *metrics.Counter // nanoseconds blocked in gate.Admit
+	aheadSamples *metrics.Counter
+	aheadWasted  *metrics.Counter
 }
 
 // NewStage assembles a stage over backend with the given optimization
@@ -261,6 +276,8 @@ func NewStage(env conc.Env, backend storage.Backend, objects ...OptimizationObje
 		errors:       metrics.NewCounter(env),
 		shed:         metrics.NewCounter(env),
 		throttleWait: metrics.NewCounter(env),
+		aheadSamples: metrics.NewCounter(env),
+		aheadWasted:  metrics.NewCounter(env),
 	}
 	for _, o := range objects {
 		if po, ok := o.(*PrefetchObject); ok {
@@ -310,22 +327,24 @@ func (s *Stage) ReadCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 	if !ctx.Sampled {
 		ctx = s.tracer.StartTrace()
 	}
-	return s.readCtx(name, ctx)
+	data, _, err := s.readCtx(name, ctx)
+	return data, err
 }
 
 // readCtx is the object-chain walk with the head-sampling decision already
 // made (ReadTenantCtx draws before admission so throttle spans share the
 // read's trace; drawing again here would skew the sampling rate).
-func (s *Stage) readCtx(name string, ctx obs.Ctx) (storage.Data, error) {
+func (s *Stage) readCtx(name string, ctx obs.Ctx) (storage.Data, PlanPos, error) {
 	s.reads.Inc()
 	for _, o := range s.objects {
 		var (
 			data    storage.Data
+			at      PlanPos
 			handled bool
 			err     error
 		)
 		if cr, ok := o.(ctxReader); ok {
-			data, handled, err = cr.ReadCtx(name, ctx)
+			data, at, handled, err = cr.ReadCtx(name, ctx)
 		} else {
 			data, handled, err = o.Read(name)
 		}
@@ -334,18 +353,18 @@ func (s *Stage) readCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 		}
 		if err != nil {
 			s.errors.Inc()
-			return storage.Data{}, err
+			return storage.Data{}, PlanPos{}, err
 		}
 		s.hits.Inc()
-		return data, nil
+		return data, at, nil
 	}
 	s.bypasses.Inc()
 	resp, err := s.backend.Read(storage.Request{Name: name, Ctx: ctx})
 	if err != nil {
 		s.errors.Inc()
-		return storage.Data{}, err
+		return storage.Data{}, PlanPos{}, err
 	}
-	return resp.Data, nil
+	return resp.Data, PlanPos{}, nil
 }
 
 // SetTenantGate attaches the multi-tenant admission gate. Call before
@@ -408,11 +427,20 @@ func (s *Stage) ReadTenant(tenant, name string) (storage.Data, error) {
 // the gate's blocking time feeds the always-on throttle-wait counter and
 // the per-tenant SLO feed (latencyObserver).
 func (s *Stage) ReadTenantCtx(tenant, name string, ctx obs.Ctx) (storage.Data, error) {
-	if s.gate == nil {
-		return s.ReadCtx(name, ctx)
-	}
+	data, _, err := s.ReadPlanned(tenant, name, ctx)
+	return data, err
+}
+
+// ReadPlanned is ReadTenantCtx additionally reporting which plan entry the
+// read consumed (the zero PlanPos for a bypass) — the IPC server's read
+// call: a connection's successive positions are what it predicts its
+// read-ahead from (TakeAhead).
+func (s *Stage) ReadPlanned(tenant, name string, ctx obs.Ctx) (storage.Data, PlanPos, error) {
 	if !ctx.Sampled {
 		ctx = s.tracer.StartTrace()
+	}
+	if s.gate == nil {
+		return s.readCtx(name, ctx)
 	}
 	start := s.env.Now()
 	if err := s.gate.Admit(tenant); err != nil {
@@ -427,7 +455,7 @@ func (s *Stage) ReadTenantCtx(tenant, name string, ctx obs.Ctx) (storage.Data, e
 		if s.gateObs != nil {
 			s.gateObs.ObserveLatency(tenant, now-start, true)
 		}
-		return storage.Data{}, err
+		return storage.Data{}, PlanPos{}, err
 	}
 	if wait := s.env.Now() - start; wait > 0 {
 		s.throttleWait.Add(int64(wait))
@@ -435,13 +463,61 @@ func (s *Stage) ReadTenantCtx(tenant, name string, ctx obs.Ctx) (storage.Data, e
 			s.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageTenantThrottle, Name: name, At: start, Latency: wait})
 		}
 	}
-	data, err := s.readCtx(name, ctx)
+	data, at, err := s.readCtx(name, ctx)
 	s.gate.ObserveRead(tenant, data.Size, err)
 	if s.gateObs != nil {
 		s.gateObs.ObserveLatency(tenant, s.env.Now()-start, false)
 	}
-	return data, err
+	return data, at, err
 }
+
+// TakeAhead serves the plan entry at position at on behalf of tenant if —
+// and only if — that costs no waiting: the entry is still the next
+// claimable one for its name, its sample is parked in the prefetch buffer
+// and no larger than maxBytes (<= 0: unbounded), and the tenant gate admits
+// it without blocking. Then it is charged and counted exactly like the
+// ReadPlanned it stands in for (a read and a hit, the plan entry
+// delivered, the tenant's request and byte budgets, its SLO feed); a
+// pushed sample keeps its plan-entry trace. ok=false means nothing was
+// consumed and, but for one case, nothing charged: the admission token is
+// spent before the irreversible take, so a sample that vanishes between
+// the look and the take (a racing read of a duplicate name) costs the
+// tenant that one token.
+func (s *Stage) TakeAhead(tenant string, at PlanPos, maxBytes int64) (storage.Data, bool) {
+	pf := s.pf
+	if pf == nil {
+		return storage.Data{}, false
+	}
+	name, ok := pf.plans.nameAt(at)
+	if !ok {
+		return storage.Data{}, false
+	}
+	var start time.Duration
+	if s.gate != nil {
+		start = s.env.Now()
+		if !pf.buffer.parked(name, maxBytes) || !s.gate.TryAdmit(tenant) {
+			return storage.Data{}, false
+		}
+	}
+	it, err := pf.buffer.TakeOpts(name, TakeOptions{NoWait: true, At: at, MaxBytes: maxBytes})
+	if err != nil {
+		return storage.Data{}, false
+	}
+	s.reads.Inc()
+	s.hits.Inc()
+	s.aheadSamples.Inc()
+	if s.gate != nil {
+		s.gate.ObserveRead(tenant, it.Size, nil)
+		if s.gateObs != nil {
+			s.gateObs.ObserveLatency(tenant, s.env.Now()-start, false)
+		}
+	}
+	return storage.Data{Name: it.Name, Size: it.Size, Bytes: it.Bytes, Ref: it.Ref}, true
+}
+
+// NoteReadAheadWasted records n pushed samples a client reported dropping
+// unread (the IPC server relays the count from the request that carries it).
+func (s *Stage) NoteReadAheadWasted(n int64) { s.aheadWasted.Add(n) }
 
 // Size reports a file's size from backend metadata (stat-style call: no
 // data moves and the buffer is not consulted).
@@ -542,6 +618,8 @@ func (s *Stage) Stats() StageStats {
 		st.CacheEnabled = true
 	}
 	st.ThrottleWait = time.Duration(s.throttleWait.Value())
+	st.ReadAheadSamples = s.aheadSamples.Value()
+	st.ReadAheadWasted = s.aheadWasted.Value()
 	return st
 }
 

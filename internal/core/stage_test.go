@@ -212,6 +212,14 @@ func (g *fakeGate) Admit(tenant string) error {
 	return nil
 }
 
+func (g *fakeGate) TryAdmit(tenant string) bool {
+	if g.shedNext {
+		return false
+	}
+	g.admits = append(g.admits, tenant)
+	return true
+}
+
 func (g *fakeGate) ObserveRead(tenant string, bytes int64, err error) {
 	g.observed = append(g.observed, tenant)
 	g.bytes += bytes

@@ -261,8 +261,18 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			runEpoch(true)
 		}
 		b.StopTimer()
+		var stashHits int64
+		for _, c := range clients {
+			stashHits += c.StashHits()
+		}
+		b.ReportMetric(float64(stashHits)/float64(b.N), stashHitsMetric)
 	}
 }
+
+// stashHitsMetric names the benchmark metric reporting which share of the
+// delivered samples the clients took from their read-ahead stash — reads
+// that never touched the socket.
+const stashHitsMetric = "stash-hits/op"
 
 // AllocResult is one measured cell of the allocation sweep.
 type AllocResult struct {
@@ -271,6 +281,10 @@ type AllocResult struct {
 	BytesPerOp  int64
 	NsPerOp     int64
 	Ops         int
+	// StashHitsPerOp is the share of delivered samples served from the
+	// clients' read-ahead stashes (warm-up epoch included in the count, so
+	// it can slightly exceed the timed region's true share).
+	StashHitsPerOp float64
 }
 
 // RunAllocCell measures one cell with the standard benchmark machinery.
@@ -282,6 +296,8 @@ func RunAllocCell(cfg AllocConfig) AllocResult {
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		NsPerOp:     r.NsPerOp(),
 		Ops:         r.N,
+
+		StashHitsPerOp: r.Extra[stashHitsMetric],
 	}
 }
 

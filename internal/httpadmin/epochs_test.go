@@ -109,6 +109,7 @@ func TestEpochsEndpointNotSupported(t *testing.T) {
 func TestMetricsIncludePlanLifecycle(t *testing.T) {
 	dp := &epochDP{}
 	dp.stats.Plan = core.PlanStats{EpochsSubmitted: 3, EpochsCancelled: 1, Delivered: 40, Dropped: 8}
+	dp.stats.ReadAheadSamples, dp.stats.ReadAheadWasted = 32, 5
 	srv := httptest.NewServer(New(dp))
 	t.Cleanup(srv.Close)
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -126,6 +127,8 @@ func TestMetricsIncludePlanLifecycle(t *testing.T) {
 		"prisma_plan_epochs_cancelled_total 1",
 		"prisma_plan_delivered_total 40",
 		"prisma_plan_dropped_total 8",
+		"prisma_readahead_samples_total 32",
+		"prisma_readahead_wasted_total 5",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

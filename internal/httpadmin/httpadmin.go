@@ -226,6 +226,8 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	write("prisma_plan_claims_in_flight", "Consumer claims awaiting a buffered sample.", "gauge", float64(s.Plan.ClaimsInFlight))
 	write("prisma_plan_delivered_total", "Plan entries delivered to consumers.", "counter", float64(s.Plan.Delivered))
 	write("prisma_plan_dropped_total", "Plan entries dropped by cancellation or abort.", "counter", float64(s.Plan.Dropped))
+	write("prisma_readahead_samples_total", "Samples sent to a socket client behind the reply it asked for.", "counter", float64(s.ReadAheadSamples))
+	write("prisma_readahead_wasted_total", "Pushed samples socket clients reported dropping unread.", "counter", float64(s.ReadAheadWasted))
 	write("prisma_backend_retries_total", "Backend read attempts beyond the first.", "counter", float64(s.Resilience.Retries))
 	write("prisma_backend_exhausted_total", "Backend reads that failed after all retry attempts.", "counter", float64(s.Resilience.Exhausted))
 	write("prisma_breaker_opens_total", "Circuit breaker trips to the open state.", "counter", float64(s.Resilience.BreakerOpens))

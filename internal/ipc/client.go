@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"sync"
@@ -71,10 +70,18 @@ type Client struct {
 	reconnects int64
 	tracer     *obs.Tracer   // nil-safe; client-side spans of intercepted reads
 	pool       *mempool.Pool // non-nil: Read returns pooled Data (caller releases)
-	req        []byte        // request-payload scratch for the pooled read path
-	wire       []byte        // outgoing-frame scratch (header + payload, one Write)
-	hdr        []byte        // response frame-header scratch (13 bytes)
-	pre        []byte        // response head scratch (status + two uvarints)
+	rd         *connReader   // every byte from the server is parsed through this buffer
+	wire       []byte        // outgoing read-request scratch (header + payload, one Write)
+
+	// Read-ahead stash (DESIGN.md §19): samples the server pushed behind a
+	// reply, stash[next:filled], served strictly in push order. Slots and
+	// their name storage are reused, and a served sample takes the caller's
+	// string as its Name, so the stash keeps no per-name state.
+	stash        [maxAheadWindow]stashed
+	next, filled int
+	wasted       uint64 // pushed samples dropped unread, not yet reported to the server
+	stashHits    int64
+	stashDrops   int64
 
 	// Hello credentials, replayed after every redial so the connection's
 	// tenant identity (and cluster role) survives reconnects.
@@ -83,6 +90,17 @@ type Client struct {
 	helloRole   string
 	helloSent   bool
 }
+
+// stashed is one pushed sample awaiting the read that asks for it.
+type stashed struct {
+	name []byte // as it came off the wire; storage reused by the slot's next occupant
+	data storage.Data
+}
+
+// clientReadBuf sizes the client's read buffer: a full window of small
+// samples (the case read-ahead exists for) is parsed out of one buffer
+// fill; larger payloads bypass it (connReader.readFull).
+const clientReadBuf = 64 << 10
 
 // Dial connects to the PRISMA server socket with the zero DialConfig.
 func Dial(socketPath string) (*Client, error) {
@@ -95,7 +113,7 @@ func DialWithConfig(socketPath string, cfg DialConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipc: dial %s: %w", socketPath, err)
 	}
-	return &Client{path: socketPath, cfg: cfg, conn: conn}, nil
+	return &Client{path: socketPath, cfg: cfg, conn: conn, rd: newConnReader(conn, clientReadBuf)}, nil
 }
 
 func dialConn(path string, timeout time.Duration) (net.Conn, error) {
@@ -129,6 +147,23 @@ func (c *Client) Reconnects() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.reconnects
+}
+
+// StashHits reports how many reads were served from the read-ahead stash
+// without touching the socket.
+func (c *Client) StashHits() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stashHits
+}
+
+// StashDrops reports how many pushed samples were dropped unread — skipped
+// by an out-of-order read, outlived by a planned reply, or discarded with
+// the connection.
+func (c *Client) StashDrops() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stashDrops
 }
 
 // Broken reports whether the connection is currently poisoned (it will be
@@ -201,8 +236,12 @@ func isCleanError(err error) bool {
 }
 
 // exchangeLocked performs one framed request/response on the live
-// connection, applying the configured deadlines. Caller holds c.mu.
+// connection, applying the configured deadlines. Caller holds c.mu. Every
+// exchange that is not a read may move the plan under the stash (a new
+// epoch, a cancel) or change who the connection is (hello), so it starts by
+// dropping whatever was pushed ahead.
 func (c *Client) exchangeLocked(opcode byte, trace uint64, payload []byte) ([]byte, error) {
+	c.dropStashLocked(c.filled)
 	if c.cfg.WriteTimeout > 0 {
 		_ = c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
 		defer c.conn.SetWriteDeadline(time.Time{})
@@ -214,23 +253,50 @@ func (c *Client) exchangeLocked(opcode byte, trace uint64, payload []byte) ([]by
 		_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
-	gotOp, gotTrace, resp, err := readFrame(c.conn)
+	left, err := c.replyHeader(opcode, trace)
 	if err != nil {
 		return nil, err
 	}
-	if gotOp != opcode {
-		return nil, fmt.Errorf("ipc: response opcode %d for request %d", gotOp, opcode)
+	return c.replyBody(left)
+}
+
+// replyHeader consumes the frame header of the reply to (opcode, trace) and
+// returns the payload length behind it; a header answering anything else
+// means the stream is out of step.
+func (c *Client) replyHeader(opcode byte, trace uint64) (int, error) {
+	hdr, err := c.rd.peek(frameHeaderLen)
+	if err != nil {
+		return 0, err
 	}
-	if gotTrace != trace {
-		return nil, fmt.Errorf("ipc: response trace %#x for request %#x", gotTrace, trace)
+	left, err := frameLen(hdr)
+	if err != nil {
+		return 0, err
 	}
-	return parseResponse(resp)
+	if op := hdr[4]; op != opcode {
+		return 0, fmt.Errorf("ipc: response opcode %d for request %d", op, opcode)
+	}
+	if got := binary.BigEndian.Uint64(hdr[5:frameHeaderLen]); got != trace {
+		return 0, fmt.Errorf("ipc: response trace %#x for request %#x", got, trace)
+	}
+	c.rd.discard(frameHeaderLen)
+	return left, nil
+}
+
+// replyBody takes the left bytes of a head-only reply (control replies,
+// errors) as a fresh allocation the caller may keep, and decodes its status.
+func (c *Client) replyBody(left int) ([]byte, error) {
+	full := make([]byte, left)
+	if err := c.rd.readFull(full); err != nil {
+		return nil, err
+	}
+	return parseResponse(full)
 }
 
 // poisonLocked marks the connection unusable and severs it. Caller holds
 // c.mu.
 func (c *Client) poisonLocked() {
 	c.broken = true
+	c.dropStashLocked(c.filled)
 	if c.conn != nil {
 		c.conn.Close()
 	}
@@ -251,6 +317,8 @@ func (c *Client) redialLocked(attempt int) error {
 		return fmt.Errorf("ipc: reconnect %s: %w", c.path, err)
 	}
 	c.conn = conn
+	c.rd.reset(conn)
+	c.wasted = 0 // the server's predictor for this connection starts clean, too
 	c.broken = false
 	c.reconnects++
 	// A fresh connection is anonymous: replay the hello so the tenant
@@ -310,7 +378,6 @@ func (c *Client) HelloRole(name, secret, role string) (string, error) {
 func (c *Client) Read(name string) (storage.Data, error) {
 	c.mu.Lock()
 	tracer := c.tracer
-	pooled := c.pool != nil
 	c.mu.Unlock()
 	ctx := tracer.StartTrace()
 	start := tracer.Now()
@@ -319,11 +386,7 @@ func (c *Client) Read(name string) (storage.Data, error) {
 		err  error
 	)
 	for attempt := 0; ; attempt++ {
-		if pooled {
-			data, err = c.readPooled(name, ctx.Trace)
-		} else {
-			data, err = c.readAlloc(name, ctx.Trace)
-		}
+		data, err = c.read(OpRead, name, ctx.Trace)
 		// A typed load shed happened before the read executed, so waiting
 		// out the server's retry-after hint and resending is safe — the one
 		// exception to the read path's never-resend rule. The shed check
@@ -354,36 +417,6 @@ func (c *Client) Read(name string) (storage.Data, error) {
 	return data, err
 }
 
-// readAlloc is the plain read path: the response frame is decoded from a
-// per-call buffer. The payload sub-slice is handed to the caller without a
-// defensive copy — the frame buffer was allocated for exactly this
-// response, so aliasing it is safe and saves one full payload copy.
-func (c *Client) readAlloc(name string, trace uint64) (storage.Data, error) {
-	resp, err := c.roundTripTrace(OpRead, trace, appendString(nil, name), false)
-	if err != nil {
-		return storage.Data{}, err
-	}
-	return decodeReadResponse(name, resp)
-}
-
-// decodeReadResponse parses an OpRead/OpPeerRead OK payload (size +
-// uvarint-prefixed bytes) into a Data handed to the caller without a
-// defensive copy.
-func decodeReadResponse(name string, resp []byte) (storage.Data, error) {
-	size, k := binary.Uvarint(resp)
-	if k <= 0 {
-		return storage.Data{}, fmt.Errorf("ipc: malformed read response")
-	}
-	bytes, _, err := readBytesNoCopy(resp[k:])
-	if err != nil {
-		return storage.Data{}, err
-	}
-	if len(bytes) == 0 {
-		bytes = nil
-	}
-	return storage.Data{Name: name, Size: int64(size), Bytes: bytes}, nil
-}
-
 // PeerRead requests a sample from this server's buffer on behalf of
 // another cluster node (OpPeerRead): the requester does not own the sample
 // and the owner serves it — ideally a buffer hit, thanks to clairvoyant
@@ -396,32 +429,30 @@ func (c *Client) PeerRead(name string) (storage.Data, error) {
 	c.mu.Lock()
 	tracer := c.tracer
 	c.mu.Unlock()
-	ctx := tracer.StartTrace()
-	resp, err := c.roundTripTrace(OpPeerRead, ctx.Trace, appendString(nil, name), false)
-	if err != nil {
-		return storage.Data{}, err
-	}
-	return decodeReadResponse(name, resp)
+	return c.read(OpPeerRead, name, tracer.StartTrace().Trace)
 }
 
-// readPooled performs one read round trip, landing the payload directly in
-// a pool buffer: frame header and response head are parsed from small
-// stack buffers, then the payload bytes are received straight into the
-// lease returned to the caller. Mirrors roundTripTrace's non-resendable
-// discipline: redial a poisoned connection before the send, never resend
-// after it, and poison on any transport or framing failure.
-func (c *Client) readPooled(name string, trace uint64) (storage.Data, error) {
+// read serves one OpRead or OpPeerRead: from the stash when the server
+// already pushed the sample, otherwise with one wire exchange under the
+// non-resendable discipline — redial a poisoned connection before the send,
+// never resend after it, and poison on any transport or framing failure.
+func (c *Client) read(opcode byte, name string, trace uint64) (storage.Data, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return storage.Data{}, net.ErrClosed
+	}
+	if opcode == OpRead {
+		if data, ok := c.takeStashedLocked(name); ok {
+			return data, nil
+		}
 	}
 	if c.broken {
 		if err := c.redialLocked(0); err != nil {
 			return storage.Data{}, fmt.Errorf("%w: %v", ErrConnBroken, err)
 		}
 	}
-	data, err := c.exchangePooledLocked(name, trace)
+	data, err := c.exchangeReadLocked(opcode, name, trace)
 	if err != nil {
 		if isCleanError(err) {
 			return storage.Data{}, err // well-framed server response: stream intact
@@ -430,6 +461,41 @@ func (c *Client) readPooled(name string, trace uint64) (storage.Data, error) {
 		return storage.Data{}, fmt.Errorf("%w: %v", ErrConnBroken, err)
 	}
 	return data, nil
+}
+
+// takeStashedLocked serves name from the stash. The stash is consumed in
+// push order: a hit behind unread entries means the reader skipped them,
+// and they are dropped. A miss leaves the stash alone — the read may be an
+// unplanned one interleaved with the stride (its reply says which).
+func (c *Client) takeStashedLocked(name string) (storage.Data, bool) {
+	for i := c.next; i < c.filled; i++ {
+		if string(c.stash[i].name) != name {
+			continue
+		}
+		c.dropStashLocked(i)
+		data := c.stash[i].data
+		data.Name = name
+		c.stash[i].data = storage.Data{}
+		c.next = i + 1
+		c.stashHits++
+		return data, true
+	}
+	return storage.Data{}, false
+}
+
+// dropStashLocked discards the unread pushed samples before slot end,
+// releasing their leases and counting them as waste to report with the
+// next read request.
+func (c *Client) dropStashLocked(end int) {
+	for ; c.next < end; c.next++ {
+		c.stash[c.next].data.Release()
+		c.stash[c.next].data = storage.Data{}
+		c.wasted++
+		c.stashDrops++
+	}
+	if c.next == c.filled {
+		c.next, c.filled = 0, 0
+	}
 }
 
 // clampRetryAfter bounds a server-issued retry hint to something sane even
@@ -444,117 +510,168 @@ func clampRetryAfter(d time.Duration) time.Duration {
 	return d
 }
 
-// exchangePooledLocked is the pooled wire exchange. Caller holds c.mu.
-func (c *Client) exchangePooledLocked(name string, trace uint64) (storage.Data, error) {
-	c.req = appendString(c.req[:0], name)
+// exchangeReadLocked is the read wire exchange. Caller holds c.mu.
+func (c *Client) exchangeReadLocked(opcode byte, name string, trace uint64) (storage.Data, error) {
+	// The request is tiny (one name), so header + payload are assembled in
+	// one reused scratch and sent with a single Write — no per-call frame
+	// buffer (writeFrame's stack header escapes through conn.Write).
+	var tail aheadTail
+	c.wire = appendString(append(c.wire[:0], make([]byte, frameHeaderLen)...), name)
+	if opcode == OpRead {
+		tail = aheadTail{window: maxAheadWindow, budget: maxAheadBytes, wasted: c.wasted}
+		c.wire = appendAheadTail(c.wire, tail)
+	}
+	if len(c.wire)-4 > MaxFrame {
+		return storage.Data{}, ErrFrameTooLarge
+	}
+	appendFrameHeader(c.wire[:0], opcode, trace, len(c.wire)-frameHeaderLen)
 	if c.cfg.WriteTimeout > 0 {
 		_ = c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
 		defer c.conn.SetWriteDeadline(time.Time{})
 	}
-	// The request is tiny (one name), so header + payload are assembled in
-	// one reused scratch and sent with a single Write — no per-call frame
-	// buffer (writeFrame's stack header escapes through conn.Write).
-	if len(c.req)+9 > MaxFrame {
-		return storage.Data{}, ErrFrameTooLarge
-	}
-	c.wire = appendFrameHeader(c.wire[:0], OpRead, trace, len(c.req))
-	c.wire = append(c.wire, c.req...)
 	if _, err := c.conn.Write(c.wire); err != nil {
 		return storage.Data{}, err
 	}
+	c.wasted = 0 // reported (a failed exchange poisons the connection, and the server's count with it)
 	if c.cfg.ReadTimeout > 0 {
 		_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
-	// Reused header/head scratch: a stack array would escape to the heap
-	// through the conn.Read interface call, costing an allocation per read.
-	if cap(c.hdr) < 13 {
-		c.hdr = make([]byte, 13)
-	}
-	hdr := c.hdr[:13]
-	if _, err := io.ReadFull(c.conn, hdr); err != nil {
+	left, err := c.replyHeader(opcode, trace)
+	if err != nil {
 		return storage.Data{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < 9 {
-		return storage.Data{}, fmt.Errorf("ipc: short frame (%d bytes)", n)
-	}
-	if n > MaxFrame {
-		return storage.Data{}, ErrFrameTooLarge
-	}
-	if op := hdr[4]; op != OpRead {
-		return storage.Data{}, fmt.Errorf("ipc: response opcode %d for request %d", op, OpRead)
-	}
-	if got := binary.BigEndian.Uint64(hdr[5:13]); got != trace {
-		return storage.Data{}, fmt.Errorf("ipc: response trace %#x for request %#x", got, trace)
-	}
-	// The response head (status + size + payload length) is at most
-	// 1 + 2*MaxVarintLen64 bytes; read just enough to parse it, then land
-	// the payload straight in the pool buffer.
-	payloadLen := int(n) - 9
-	const preMax = 1 + 2*binary.MaxVarintLen64
-	if cap(c.pre) < preMax {
-		c.pre = make([]byte, preMax)
-	}
-	pre := c.pre[:preMax]
-	pn := payloadLen
-	if pn > len(pre) {
-		pn = len(pre)
-	}
-	if _, err := io.ReadFull(c.conn, pre[:pn]); err != nil {
-		return storage.Data{}, err
-	}
-	if pn < 1 {
+	if left < 1 {
 		return storage.Data{}, fmt.Errorf("ipc: empty response")
 	}
-	switch pre[0] {
-	case statusOK:
-	case statusErr, statusOverloaded:
-		// Error paths (cold): drain the rest of the frame and decode;
-		// the stream stays synchronized either way.
-		rest := make([]byte, payloadLen-pn)
-		if _, err := io.ReadFull(c.conn, rest); err != nil {
+	if left <= clientReadBuf {
+		// The whole reply fits the buffer: bring in what the first read did
+		// not, and every field below parses from memory.
+		if _, err := c.rd.peek(left); err != nil {
 			return storage.Data{}, err
 		}
-		full := append(append([]byte(nil), pre[1:pn]...), rest...)
-		if pre[0] == statusOverloaded {
-			oe, err := parseOverload(full)
-			if err != nil {
-				return storage.Data{}, err
-			}
-			return storage.Data{}, oe
-		}
-		msg, _, err := readString(full)
-		if err != nil {
-			return storage.Data{}, fmt.Errorf("ipc: malformed error response: %v", err)
-		}
-		return storage.Data{}, &RemoteError{Msg: msg}
-	default:
-		return storage.Data{}, fmt.Errorf("ipc: unknown response status %d", pre[0])
 	}
-	size, k1 := binary.Uvarint(pre[1:pn])
-	if k1 <= 0 {
-		return storage.Data{}, fmt.Errorf("ipc: malformed read response")
-	}
-	blen, k2 := binary.Uvarint(pre[1+k1 : pn])
-	if k2 <= 0 {
-		return storage.Data{}, fmt.Errorf("ipc: malformed bytes length")
-	}
-	consumed := 1 + k1 + k2
-	if consumed+int(blen) != payloadLen {
-		return storage.Data{}, fmt.Errorf("ipc: read response length mismatch (head %d + payload %d != frame %d)", consumed, blen, payloadLen)
-	}
-	if blen == 0 {
-		return storage.Data{Name: name, Size: int64(size)}, nil
-	}
-	ref := c.pool.Get(int(blen))
-	buf := ref.Bytes()
-	copied := copy(buf, pre[consumed:pn])
-	if _, err := io.ReadFull(c.conn, buf[copied:]); err != nil {
-		ref.Release()
+	status, err := c.rd.peek(1)
+	if err != nil {
 		return storage.Data{}, err
 	}
-	return storage.Data{Name: name, Size: int64(size), Bytes: buf, Ref: ref}, nil
+	if status[0] != statusOK {
+		// Error paths (cold): take the rest of the frame and decode; the
+		// stream stays synchronized either way.
+		_, err := c.replyBody(left)
+		return storage.Data{}, err
+	}
+	c.rd.discard(1)
+	left--
+	data, err := c.readSample(&left)
+	if err != nil {
+		return storage.Data{}, err
+	}
+	data.Name = name
+	if left > 0 {
+		// Behind the sample: the server's note that this was a planned read,
+		// and the plan entries it pushed ahead.
+		if err := c.readPushed(&left, tail.window); err != nil {
+			data.Release()
+			return storage.Data{}, err
+		}
+	}
+	return data, nil
+}
+
+// readUvarint decodes one uvarint field of a frame with *left bytes to go.
+func (c *Client) readUvarint(left *int, what string) (uint64, error) {
+	b, err := c.rd.peek(min(*left, binary.MaxVarintLen64))
+	if err != nil {
+		return 0, err
+	}
+	v, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, fmt.Errorf("ipc: malformed %s", what)
+	}
+	c.rd.discard(k)
+	*left -= k
+	return v, nil
+}
+
+// readSample decodes one sample (size, payload length, payload) of a frame
+// with *left bytes to go, landing the payload in a pool buffer when the
+// client has a pool and in a fresh allocation otherwise — the only
+// difference between pooled and unpooled reads. The payload length is
+// checked against the frame's remainder before anything is allocated.
+func (c *Client) readSample(left *int) (storage.Data, error) {
+	size, err := c.readUvarint(left, "read response")
+	if err != nil {
+		return storage.Data{}, err
+	}
+	blen, err := c.readUvarint(left, "bytes length")
+	if err != nil {
+		return storage.Data{}, err
+	}
+	if blen > uint64(*left) {
+		return storage.Data{}, fmt.Errorf("ipc: truncated bytes (want %d, have %d)", blen, *left)
+	}
+	data := storage.Data{Size: int64(size)}
+	if blen == 0 {
+		return data, nil
+	}
+	if c.pool != nil {
+		data.Ref = c.pool.Get(int(blen))
+		data.Bytes = data.Ref.Bytes()
+	} else {
+		data.Bytes = make([]byte, blen)
+	}
+	if err := c.rd.readFull(data.Bytes); err != nil {
+		data.Release()
+		return storage.Data{}, err
+	}
+	*left -= int(blen)
+	return data, nil
+}
+
+// readPushed decodes the tail of a planned read's reply — a count and that
+// many named samples — into the stash. A planned reply means the reader is
+// past whatever the stash still holds, so that is dropped first; the new
+// samples then fill the stash from its start. On error the caller poisons
+// the connection, which drops what was stashed so far.
+func (c *Client) readPushed(left *int, window int) error {
+	if window == 0 {
+		return fmt.Errorf("ipc: read response length mismatch (%d bytes behind the payload)", *left)
+	}
+	c.dropStashLocked(c.filled)
+	count, err := c.readUvarint(left, "pushed-sample count")
+	if err != nil {
+		return err
+	}
+	if count > uint64(window) {
+		return fmt.Errorf("ipc: %d pushed samples exceed the window of %d asked for", count, window)
+	}
+	for ; count > 0; count-- {
+		nlen, err := c.readUvarint(left, "pushed-sample name length")
+		if err != nil {
+			return err
+		}
+		if nlen == 0 || nlen > uint64(*left) {
+			return fmt.Errorf("ipc: pushed-sample name of %d bytes in a frame with %d to go", nlen, *left)
+		}
+		slot := &c.stash[c.filled]
+		if slot.name = slot.name[:0]; cap(slot.name) < int(nlen) {
+			slot.name = make([]byte, 0, nlen)
+		}
+		slot.name = slot.name[:nlen]
+		if err := c.rd.readFull(slot.name); err != nil {
+			return err
+		}
+		*left -= int(nlen)
+		if slot.data, err = c.readSample(left); err != nil {
+			return err
+		}
+		c.filled++
+	}
+	if *left != 0 {
+		return fmt.Errorf("ipc: read response length mismatch (%d bytes behind the last sample)", *left)
+	}
+	return nil
 }
 
 // SubmitPlan forwards an epoch's shuffled filename list. A plan mutates
@@ -717,6 +834,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.dropStashLocked(c.filled)
 	if c.conn == nil {
 		return nil
 	}

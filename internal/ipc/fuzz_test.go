@@ -3,7 +3,9 @@ package ipc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"testing"
 
@@ -14,9 +16,85 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
-// FuzzFrame hardens the wire decoder against hostile peers: arbitrary
-// byte streams must never panic or over-allocate, and every accepted frame
-// must re-encode to the bytes consumed.
+// scriptedConn is a net.Conn whose peer already said everything it will
+// ever say: reads drain a fixed byte stream, writes vanish. It puts the
+// client's reply decoder in front of arbitrary bytes without a socket.
+type scriptedConn struct {
+	net.Conn // nil: the deadline and address methods are never called here
+	r        *bytes.Reader
+	closed   bool
+}
+
+func (c *scriptedConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c *scriptedConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *scriptedConn) Close() error                { c.closed = true; return nil }
+
+// scriptedClient is a pooled client (debug pool, for the leak audit) whose
+// server's replies are the given bytes.
+func scriptedClient(replies []byte) (*Client, *mempool.Pool) {
+	conn := &scriptedConn{r: bytes.NewReader(replies)}
+	pool := mempool.New(mempool.Config{Debug: true})
+	return &Client{path: "/nonexistent/scripted.sock", conn: conn, rd: newConnReader(conn, clientReadBuf), pool: pool}, pool
+}
+
+// pushedSample is one sample of a hand-built read reply.
+type pushedSample struct {
+	name    string
+	payload []byte
+}
+
+// readReply encodes the OK reply to an untraced OpRead: the requested
+// sample, then — when pushed is non-nil — the planned-read tail.
+func readReply(payload []byte, pushed []pushedSample) []byte {
+	var tail []byte
+	if pushed != nil {
+		tail = binary.AppendUvarint(tail, uint64(len(pushed)))
+		for _, p := range pushed {
+			tail = appendString(tail, p.name)
+			tail = appendSampleHead(tail, storage.Data{Size: int64(len(p.payload)), Bytes: p.payload})
+			tail = append(tail, p.payload...)
+		}
+	}
+	return readReplyRaw(payload, tail)
+}
+
+// readReplyRaw is readReply with the bytes behind the requested sample
+// given verbatim, so a test can make them lie.
+func readReplyRaw(payload, tail []byte) []byte {
+	body := appendSampleHead([]byte{statusOK}, storage.Data{Size: int64(len(payload)), Bytes: payload})
+	body = append(append(body, payload...), tail...)
+	return append(appendFrameHeader(nil, OpRead, 0, len(body)), body...)
+}
+
+// malformedPushedReplies are read replies whose pushed tail lies about
+// itself; each must fail the read cleanly (TestMalformedPushedReplies) and
+// seeds FuzzFrame.
+func malformedPushedReplies() map[string][]byte {
+	main := bytes.Repeat([]byte{0xAB}, 300)
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	tail := func(fields ...[]byte) []byte { return readReplyRaw(main, bytes.Join(fields, nil)) }
+	abc := []byte("abc")
+	tooMany := make([]pushedSample, maxAheadWindow+1)
+	for i := range tooMany {
+		tooMany[i] = pushedSample{name: fmt.Sprintf("x%d", i), payload: []byte{byte(i)}}
+	}
+	good := readReply(main, []pushedSample{{"a.bin", bytes.Repeat([]byte{1}, 200)}, {"b.bin", bytes.Repeat([]byte{2}, 100)}})
+	return map[string][]byte{
+		"name length past the frame":    tail(uv(1), uv(1000), []byte("a.bin"), uv(3), uv(3), abc),
+		"zero-length name":              tail(uv(1), uv(0), uv(3), uv(3), abc),
+		"payload length past the frame": tail(uv(1), uv(5), []byte("a.bin"), uv(3), uv(1000), abc),
+		"more samples than the window":  readReply(main, tooMany),
+		"count above what follows":      tail(uv(2), uv(5), []byte("a.bin"), uv(3), uv(3), abc),
+		"bytes behind the last sample":  tail(uv(1), uv(5), []byte("a.bin"), uv(3), uv(3), abc, []byte("junk")),
+		"truncated mid-sample":          good[:len(good)-150],
+	}
+}
+
+// FuzzFrame hardens the wire decoders against hostile peers: arbitrary byte
+// streams must never panic or over-allocate; every accepted frame must
+// re-encode to the bytes consumed; and the same bytes taken as a server's
+// reply to a pooled read must either decode or fail the read with the
+// connection poisoned — and in both cases leak no lease.
 func FuzzFrame(f *testing.F) {
 	var buf bytes.Buffer
 	_ = writeFrame(&buf, OpRead, 0x1234, appendString(nil, "train/0001.jpg"))
@@ -33,15 +111,19 @@ func FuzzFrame(f *testing.F) {
 		for i := range body {
 			body[i] = byte(i)
 		}
-		head := append([]byte{statusOK}, binary.AppendUvarint(nil, uint64(len(body)))...)
-		head = binary.AppendUvarint(head, uint64(len(body)))
-		var maxFrame bytes.Buffer
-		_ = writeFrame(&maxFrame, OpRead, 0x99, append(head, body...))
-		f.Add(maxFrame.Bytes())
+		f.Add(readReply(body, nil))
 		pooledMax.Release()
+	}
+	// Replies with pushed samples: a well-formed one, an error reply, and
+	// every way the tail can lie.
+	f.Add(readReply([]byte("abc"), []pushedSample{{"n1", []byte("one")}, {"n2", nil}}))
+	f.Add(append(appendFrameHeader(nil, OpRead, 0, 4), statusErr, 2, 'n', 'o'))
+	for _, reply := range malformedPushedReplies() {
+		f.Add(reply)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzClientRead(t, data)
 		opcode, trace, payload, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -56,16 +138,8 @@ func FuzzFrame(f *testing.F) {
 		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
 			t.Fatal("re-encode mismatch")
 		}
-		// The zero-copy decoders must agree byte-for-byte with the copying
-		// ones on every accepted payload.
-		cb, crest, cerr := readBytes(payload)
-		nb, nrest, nerr := readBytesNoCopy(payload)
-		if (cerr == nil) != (nerr == nil) {
-			t.Fatalf("readBytes err=%v, readBytesNoCopy err=%v", cerr, nerr)
-		}
-		if cerr == nil && (!bytes.Equal(cb, nb) || !bytes.Equal(crest, nrest)) {
-			t.Fatal("readBytesNoCopy disagrees with readBytes")
-		}
+		// The zero-copy string decoder must agree byte-for-byte with the
+		// copying one on every accepted payload.
 		cs, srest, serr := readString(payload)
 		sb, brest, berr := readStringBytes(payload)
 		if (serr == nil) != (berr == nil) {
@@ -74,7 +148,51 @@ func FuzzFrame(f *testing.F) {
 		if serr == nil && (cs != string(sb) || !bytes.Equal(srest, brest)) {
 			t.Fatal("readStringBytes disagrees with readString")
 		}
+		// The read-ahead tail is optional and untrusted: whatever it holds,
+		// the decoded bounds stay inside this build's.
+		if tail := parseAheadTail(payload); tail.window > maxAheadWindow || tail.budget > maxAheadBytes {
+			t.Fatalf("parseAheadTail escaped its bounds: %+v", tail)
+		}
 	})
+}
+
+// fuzzClientRead feeds data to a pooled client as the reply to one read.
+func fuzzClientRead(t *testing.T, data []byte) {
+	c, pool := scriptedClient(data)
+	d, err := c.Read("requested.bin")
+	switch {
+	case err == nil:
+		d.Release()
+	case isCleanError(err):
+		if c.Broken() {
+			t.Fatalf("clean error %v poisoned the connection", err)
+		}
+	case !c.Broken():
+		t.Fatalf("read failed with %v but the connection is not poisoned", err)
+	}
+	c.Close()
+	if got := pool.Stats().Outstanding; got != 0 {
+		t.Fatalf("%d leases leaked (read err: %v)\n%s", got, err, mempool.FormatLeaks(pool.Leaks()))
+	}
+}
+
+// TestMalformedPushedReplies: each way a reply's pushed tail can lie about
+// its lengths or count fails the read, poisons the connection and leaks no
+// lease — neither the requested sample's nor an already-stashed one's.
+func TestMalformedPushedReplies(t *testing.T) {
+	for name, reply := range malformedPushedReplies() {
+		c, pool := scriptedClient(reply)
+		if _, err := c.Read("requested.bin"); !errors.Is(err, ErrConnBroken) {
+			t.Errorf("%s: Read = %v, want ErrConnBroken", name, err)
+		}
+		if !c.Broken() {
+			t.Errorf("%s: connection not poisoned", name)
+		}
+		if got := pool.Stats().Outstanding; got != 0 {
+			t.Errorf("%s: %d leases leaked\n%s", name, got, mempool.FormatLeaks(pool.Leaks()))
+		}
+		c.Close()
+	}
 }
 
 // FuzzServerHandle drives the request dispatcher directly with arbitrary
@@ -93,15 +211,18 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add(uint8(OpSetProducers), []byte{0xFF})
 	f.Add(uint8(99), []byte{1, 2, 3})
 
-	cs := newConnState()
+	cs := newConnState(nil)
 	f.Fuzz(func(t *testing.T, opcode uint8, payload []byte) {
 		if opcode == OpPlan {
 			opcode = OpPing
 		}
 		r := srv.safeHandle(cs, opcode, 0, payload)
-		resp := append(append([]byte(nil), r.head...), r.body...)
-		if r.ref != nil {
-			r.ref.Release()
+		resp := r.head
+		if r.samples {
+			// A read reply: the head bytes behind the reserved frame header,
+			// with the one payload (nothing is planned here) spliced in.
+			resp = append(append([]byte(nil), cs.wbuf[frameHeaderLen:cs.cuts[0]]...), cs.held[0].Bytes...)
+			cs.releaseHeld()
 		}
 		if len(resp) < 1 {
 			t.Fatal("empty response")

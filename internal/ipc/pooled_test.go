@@ -165,12 +165,8 @@ func (ts *truncatingReadServer) serve(conn net.Conn, truncate bool) {
 			continue
 		}
 		// Correct frame header, then only half the payload: the client's
-		// pooled decode dies inside the payload ReadFull.
-		var hdr [13]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(full)+9))
-		hdr[4] = opcode
-		binary.BigEndian.PutUint64(hdr[5:13], trace)
-		_, _ = conn.Write(hdr[:])
+		// pooled decode dies inside the payload read.
+		_, _ = conn.Write(appendFrameHeader(nil, opcode, trace, len(full)))
 		_, _ = conn.Write(full[:len(full)/2])
 		return
 	}
@@ -182,7 +178,10 @@ func (ts *truncatingReadServer) serve(conn net.Conn, truncate bool) {
 // connection must deliver the complete, correct payload, never a recycled
 // or half-stale buffer.
 func TestPooledReadBrokenMidPayload(t *testing.T) {
-	payload := make([]byte, 32<<10)
+	// Larger than the client's read buffer, so the payload is received
+	// straight into its lease and the stream breaks with the lease held (a
+	// reply that fits the buffer is received whole before any lease exists).
+	payload := make([]byte, 4*clientReadBuf)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}

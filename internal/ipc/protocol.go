@@ -14,6 +14,20 @@
 // responses echo the request's trace id, doubling as a desync guard.
 // Strings and counts inside payloads are uvarint-prefixed. Responses carry
 // a status byte (0 = ok, 1 = error-with-message).
+//
+// Socket read-ahead (DESIGN.md §19) rides OpRead without a new opcode. The
+// request is the name followed by an optional tail
+//
+//	uvarint window | uvarint byte budget | uvarint wasted-since-last
+//
+// and the OK reply to a request that carried the tail is the requested
+// sample followed — only when it was a planned read — by
+//
+//	uvarint count | count x ( string name | uvarint size | bytes payload )
+//
+// the next plan entries the server predicts this connection will ask for.
+// Servers that predate the tail ignore trailing request bytes and clients
+// that predate it never send it, so both mixed pairings keep working.
 package ipc
 
 import (
@@ -74,58 +88,162 @@ const MaxFrame = 64 << 20
 // ErrFrameTooLarge reports an oversized frame.
 var ErrFrameTooLarge = errors.New("ipc: frame exceeds maximum size")
 
+// Read-ahead bounds. Constants, not knobs: both ends clamp to them.
+const (
+	// maxAheadWindow is the most samples one reply carries behind the
+	// requested one. The socket hop costs ~8 us per exchange against ~1 us
+	// to serve a parked sample, so 8 amortises the hop to ~1 us per sample;
+	// doubling it again would buy < 0.5 us and double what a misprediction
+	// wastes.
+	maxAheadWindow = 8
+	// maxAheadBytes bounds the pushed payload bytes per reply, and with it
+	// a client's stash: 128 KiB holds a full window of small samples and
+	// one or two large ones, which kept the large-file workload's peak RSS
+	// within +5 %.
+	maxAheadBytes = 128 << 10
+)
+
+// frameHeaderLen is the fixed prefix of every frame: length, opcode, trace.
+const frameHeaderLen = 13
+
+// connReader is the per-connection read buffer both ends parse frames
+// through: header, head and small payloads of a frame come out of one or
+// two reads, while a large payload's remainder is read straight into its
+// destination (readFull). It exists instead of bufio.Reader for that last
+// rule — bufio bypasses its buffer only for reads larger than the whole
+// buffer — and for the bounded first read (minFill).
+type connReader struct {
+	src  io.Reader
+	buf  []byte
+	r, w int // buf[r:w] is buffered, unread
+}
+
+const (
+	// minFill is how much a read asks the kernel for when less is needed: a
+	// frame's header is read without knowing what follows, and whatever
+	// arrives with it that turns out to be the front of a large payload is
+	// copied twice. 8 KiB holds a whole small-sample reply.
+	minFill = 8 << 10
+	// directReadMin is the payload remainder from which readFull bypasses
+	// the buffer: below it, one more buffered read also brings the bytes
+	// that follow (the next pushed sample's head).
+	directReadMin = 4 << 10
+)
+
+func newConnReader(src io.Reader, size int) *connReader {
+	return &connReader{src: src, buf: make([]byte, size)}
+}
+
+// reset points the reader at a fresh connection, dropping buffered bytes.
+func (cr *connReader) reset(src io.Reader) { cr.src, cr.r, cr.w = src, 0, 0 }
+
+// peek returns the next n bytes without consuming them, reading until they
+// are buffered. n must not exceed the buffer size. The slice is valid until
+// the next peek or readFull.
+func (cr *connReader) peek(n int) ([]byte, error) {
+	if n > len(cr.buf) {
+		return nil, fmt.Errorf("ipc: %d-byte field exceeds the %d-byte read buffer", n, len(cr.buf))
+	}
+	if cr.r+n > len(cr.buf) {
+		cr.w = copy(cr.buf, cr.buf[cr.r:cr.w])
+		cr.r = 0
+	}
+	for cr.w-cr.r < n {
+		end := cr.w + max(n-(cr.w-cr.r), minFill)
+		m, err := cr.src.Read(cr.buf[cr.w:min(end, len(cr.buf))])
+		cr.w += m
+		if err != nil && cr.w-cr.r < n {
+			if err == io.EOF && cr.w > cr.r {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return cr.buf[cr.r : cr.r+n], nil
+}
+
+// discard consumes n peeked bytes.
+func (cr *connReader) discard(n int) {
+	if cr.r += n; cr.r == cr.w {
+		cr.r, cr.w = 0, 0
+	}
+}
+
+// readFull fills dst: buffered bytes first, then the rest from the
+// connection — directly when it is large, through the buffer when small.
+func (cr *connReader) readFull(dst []byte) error {
+	n := copy(dst, cr.buf[cr.r:cr.w])
+	cr.discard(n)
+	rest := dst[n:]
+	if len(rest) >= directReadMin {
+		_, err := io.ReadFull(cr.src, rest)
+		return err
+	}
+	if len(rest) > 0 {
+		b, err := cr.peek(len(rest))
+		if err != nil {
+			return err
+		}
+		copy(rest, b)
+		cr.discard(len(rest))
+	}
+	return nil
+}
+
+// readFrame receives one whole frame — the server's request loop. A payload
+// that fits the read buffer aliases it (valid until the next read from cr),
+// so steady-state request decoding allocates nothing; a larger one (an
+// epoch plan) is a fresh allocation.
+func (cr *connReader) readFrame() (opcode byte, trace uint64, payload []byte, err error) {
+	hdr, err := cr.peek(frameHeaderLen)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	n, err := frameLen(hdr)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	opcode, trace = hdr[4], binary.BigEndian.Uint64(hdr[5:frameHeaderLen])
+	cr.discard(frameHeaderLen)
+	if n <= len(cr.buf) {
+		if payload, err = cr.peek(n); err != nil {
+			return 0, 0, nil, err
+		}
+		cr.discard(n)
+		return opcode, trace, payload, nil
+	}
+	payload = make([]byte, n)
+	if err := cr.readFull(payload); err != nil {
+		return 0, 0, nil, err
+	}
+	return opcode, trace, payload, nil
+}
+
+// frameLen validates a frame header's length prefix and returns the payload
+// length (the bytes after opcode and trace) — the bound every later length
+// in the frame is checked against before anything is allocated.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr[:4])
+	if n < 9 {
+		return 0, fmt.Errorf("ipc: short frame (%d bytes)", n)
+	}
+	if n > MaxFrame {
+		return 0, ErrFrameTooLarge
+	}
+	return int(n) - 9, nil
+}
+
 // writeFrame sends opcode+trace+payload as one frame.
 func writeFrame(w io.Writer, opcode byte, trace uint64, payload []byte) error {
 	if len(payload)+9 > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [13]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+9))
-	hdr[4] = opcode
-	binary.BigEndian.PutUint64(hdr[5:13], trace)
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr [frameHeaderLen]byte
+	if _, err := w.Write(appendFrameHeader(hdr[:0], opcode, trace, len(payload))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
-}
-
-// readFrame receives one frame.
-func readFrame(r io.Reader) (opcode byte, trace uint64, payload []byte, err error) {
-	return readFrameInto(r, nil)
-}
-
-// readFrameInto is readFrame reusing scratch for the frame body when its
-// capacity suffices (the returned payload aliases scratch in that case).
-// The server's per-connection request loop threads its scratch buffer
-// through here so steady-state request decoding allocates nothing.
-func readFrameInto(r io.Reader, scratch []byte) (opcode byte, trace uint64, payload []byte, err error) {
-	// The length prefix lands in scratch too: a stack array here would
-	// escape through the io.Reader interface call and cost one heap
-	// allocation per frame.
-	if cap(scratch) < 4 {
-		scratch = make([]byte, 0, 64)
-	}
-	lenBuf := scratch[:4]
-	if _, err := io.ReadFull(r, lenBuf); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf)
-	if n < 9 {
-		return 0, 0, nil, fmt.Errorf("ipc: short frame (%d bytes)", n)
-	}
-	if n > MaxFrame {
-		return 0, 0, nil, ErrFrameTooLarge
-	}
-	body := scratch
-	if cap(body) < int(n) {
-		body = make([]byte, n)
-	}
-	body = body[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, err
-	}
-	return body[0], binary.BigEndian.Uint64(body[1:9]), body[9:], nil
 }
 
 // appendString encodes a uvarint-prefixed string.
@@ -182,30 +300,48 @@ func readBytes(src []byte) ([]byte, []byte, error) {
 	return out, src[n:], nil
 }
 
-// readBytesNoCopy is readBytes without the defensive copy: the returned
-// slice aliases src. Safe only when src is a freshly read frame body that
-// no other decoder will touch — the client's read-response path, where the
-// frame buffer was allocated for exactly this response and handing the
-// sub-slice to the caller saves one full payload copy per read.
-func readBytesNoCopy(src []byte) ([]byte, []byte, error) {
-	n, k := binary.Uvarint(src)
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("ipc: malformed bytes length")
+// aheadTail is the optional read-ahead field behind an OpRead request's
+// name: how many samples and payload bytes the client will accept behind
+// the one it asks for, and how many pushed samples it dropped unread since
+// it last said so.
+type aheadTail struct {
+	window int
+	budget int64
+	wasted uint64
+}
+
+func appendAheadTail(dst []byte, t aheadTail) []byte {
+	dst = binary.AppendUvarint(dst, uint64(t.window))
+	dst = binary.AppendUvarint(dst, uint64(t.budget))
+	return binary.AppendUvarint(dst, t.wasted)
+}
+
+// parseAheadTail decodes the bytes behind the name, clamped to this build's
+// bounds. Absent or malformed reads as the zero tail — no read-ahead, which
+// is how every request was treated before the field existed.
+func parseAheadTail(src []byte) aheadTail {
+	var v [3]uint64
+	for i := range v {
+		n, k := binary.Uvarint(src)
+		if k <= 0 {
+			return aheadTail{}
+		}
+		v[i], src = n, src[k:]
 	}
-	src = src[k:]
-	if uint64(len(src)) < n {
-		return nil, nil, fmt.Errorf("ipc: truncated bytes (want %d, have %d)", n, len(src))
+	return aheadTail{
+		window: int(min(v[0], maxAheadWindow)),
+		budget: int64(min(v[1], maxAheadBytes)),
+		wasted: min(v[2], maxAheadWindow), // all a client can have dropped since its last request
 	}
-	return src[:n:n], src[n:], nil
 }
 
 // appendFrameHeader appends the 13-byte frame header for a frame whose body
 // (opcode+trace+payload) totals 9+payloadLen bytes.
 func appendFrameHeader(dst []byte, opcode byte, trace uint64, payloadLen int) []byte {
-	var hdr [13]byte
+	var hdr [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(payloadLen+9))
 	hdr[4] = opcode
-	binary.BigEndian.PutUint64(hdr[5:13], trace)
+	binary.BigEndian.PutUint64(hdr[5:], trace)
 	return append(dst, hdr[:]...)
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/core"
-	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tenancy"
@@ -168,18 +167,39 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connState is one connection's reusable scratch: the request-frame body
-// buffer, the response head builder, the vectored-write segment list, and
-// the interning table for repeated file names. A training epoch re-reads
-// the same name set, so after the first epoch the request loop's
-// steady-state allocation count is zero.
+// serverReadBuf sizes a connection's request buffer: read requests are a
+// name and a few varints; anything larger (an epoch plan) takes the
+// allocate-per-frame path.
+const serverReadBuf = minFill
+
+// maxInternedNames caps a connection's name table. A dataset larger than
+// the cap costs its reads one small string each after the table resets;
+// an unbounded table costs a hostile or buggy client's server its memory.
+const maxInternedNames = 1 << 16
+
+// connState is one connection's reusable scratch: the request read buffer,
+// the reply under construction, and the interning table for repeated file
+// names. A training epoch re-reads the same name set, so after the first
+// epoch the request loop's steady-state allocation count is zero.
 type connState struct {
-	req   []byte      // request frame scratch (oversized requests fall back to alloc)
-	head  []byte      // response head builder (status + fixed fields)
-	wbuf  []byte      // frame header + head, the vectored write's first segment
-	segs  [2][]byte   // backing array for the vectored-write segment list
-	bufs  net.Buffers // rebuilt from segs per write: WriteTo consumes the slice
+	rd *connReader
+
+	// The read reply under construction. wbuf holds every byte of the frame
+	// that is not sample payload — frame header, the requested sample's
+	// head, each pushed sample's head — and held the samples whose payloads
+	// are spliced in at cuts (offsets into wbuf) by one vectored write,
+	// straight from their pooled buffers. Samples are recorded in held the
+	// moment they are taken, so every exit — write error, handler panic —
+	// finds and releases exactly the leases the connection owns.
+	wbuf  []byte
+	held  [1 + maxAheadWindow]storage.Data
+	cuts  [1 + maxAheadWindow]int
+	nheld int
+	segs  [2*(1+maxAheadWindow) + 1][]byte // backing array for the vectored-write segment list
+	bufs  net.Buffers                      // rebuilt from segs per write: WriteTo consumes the slice
+
 	names map[string]string
+	ahead predictor
 
 	// tenant is the connection's identity, set by the hello frame; empty
 	// resolves to the default tenant at the gate. It lives on the
@@ -191,50 +211,123 @@ type connState struct {
 	role string
 }
 
-func newConnState() *connState {
+func newConnState(conn net.Conn) *connState {
 	return &connState{
-		req:   make([]byte, 0, 4096),
-		head:  make([]byte, 0, 64),
-		wbuf:  make([]byte, 0, 128),
+		rd:    newConnReader(conn, serverReadBuf),
+		wbuf:  make([]byte, 0, 512),
 		names: make(map[string]string),
+		ahead: predictor{need: minConfirm},
 	}
 }
 
-// internName converts the wire bytes of a file name to a string, reusing
-// the allocation made the first time this connection saw the name.
-func (cs *connState) internName(b []byte) string {
-	if s, ok := cs.names[string(b)]; ok { // no-alloc map probe
-		return s
+// intern remembers a name that resolved, so later requests for it reuse
+// this string instead of allocating one. Only resolved names enter — a
+// client cycling through names that do not exist must not grow the server —
+// and the table starts over at maxInternedNames.
+func (cs *connState) intern(name string) {
+	if len(cs.names) >= maxInternedNames {
+		clear(cs.names)
 	}
-	s := string(b)
-	cs.names[s] = s
-	return s
+	cs.names[name] = name
 }
 
-// response couples a response head with an optional zero-copy payload: body
-// is appended on the wire after head without being copied into it, and ref
-// (when non-nil) is the pooled lease backing body, released once the frame
-// is written.
+// hold records a sample riding the reply under construction; its payload
+// goes on the wire after the wbuf bytes appended so far.
+func (cs *connState) hold(d storage.Data) {
+	cs.held[cs.nheld], cs.cuts[cs.nheld] = d, len(cs.wbuf)
+	cs.nheld++
+}
+
+// releaseHeld ends the connection's reference on every held sample —
+// inherited from the evicting Take — once the frame crossed the socket, or
+// failed to, or will never be written.
+func (cs *connState) releaseHeld() {
+	for i := range cs.held[:cs.nheld] {
+		cs.held[i].Release()
+		cs.held[i] = storage.Data{}
+	}
+	cs.nheld = 0
+}
+
+// Predictor thresholds (DESIGN.md §19).
+const (
+	// minConfirm is how many consecutive equal forward steps between a
+	// connection's planned reads confirm its stride.
+	minConfirm = 2
+	// maxConfirm caps the doubling each reported waste applies: past it a
+	// reader that keeps breaking its pattern is effectively on plain
+	// request/reply, yet a long steady run still earns read-ahead back.
+	maxConfirm = 64
+)
+
+// predictor is one connection's position in the epoch order and the stride
+// it advances by — what decides which plan entries ride behind a reply.
+type predictor struct {
+	at     core.PlanPos // the last planned read, or the last entry pushed behind it
+	stride int          // forward step that led to at
+	run    int          // consecutive steps equal to stride
+	need   int          // run length that confirms the stride
+	window int          // size of the next push: 1, 2, 4 ... while pushes go out whole
+}
+
+// observe moves the predictor to a planned read's position and reports how
+// many entries to try pushing behind it (0 until the stride is confirmed).
+func (p *predictor) observe(at core.PlanPos) int {
+	step := at.Index - p.at.Index
+	switch {
+	case at.Epoch != p.at.Epoch || step <= 0:
+		p.stride, p.run, p.window = 0, 0, 1
+	case step == p.stride:
+		p.run++
+	default:
+		p.stride, p.run, p.window = step, 1, 1
+	}
+	p.at = at
+	if p.run < p.need {
+		return 0
+	}
+	return p.window
+}
+
+// next is the position one stride past the last read or push.
+func (p *predictor) next() core.PlanPos {
+	return core.PlanPos{Epoch: p.at.Epoch, Index: p.at.Index + p.stride}
+}
+
+// pushed advances past an entry sent ahead, so the request that follows
+// the pushed run still reads as one more stride.
+func (p *predictor) pushed(at core.PlanPos) { p.at = at }
+
+// penalize reacts to a client reporting dropped pushes: the pattern broke,
+// so the stride must be re-confirmed, over twice as long a run as before.
+func (p *predictor) penalize() {
+	p.need = min(2*p.need, maxConfirm)
+	p.run, p.window = 0, 1
+}
+
+// response is one reply: head is the whole payload of a head-only frame
+// (control replies, errors); a read reply (samples set) instead lives in
+// the connection's wbuf/held scratch, see connState.
 type response struct {
-	head []byte
-	body []byte
-	ref  *mempool.Ref
+	head    []byte
+	samples bool
 }
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	cs := newConnState(conn)
 	defer func() {
+		cs.releaseHeld()
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	cs := newConnState()
 	for {
 		if s.cfg.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		opcode, trace, payload, err := readFrameInto(conn, cs.req[:0])
+		opcode, trace, payload, err := cs.rd.readFrame()
 		if err != nil {
 			return // EOF, idle timeout, or broken peer: drop the connection
 		}
@@ -243,50 +336,65 @@ func (s *Server) serveConn(conn net.Conn) {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
 		err = s.writeResponse(conn, cs, opcode, trace, resp)
-		if resp.ref != nil {
-			// The payload crossed the socket (or failed to); either way the
-			// server's reference — inherited from the evicting Take — ends
-			// here.
-			resp.ref.Release()
-		}
+		cs.releaseHeld()
 		if err != nil {
 			return
 		}
 	}
 }
 
-// writeResponse frames head+body with a vectored write, so a pooled
-// payload goes from the buffer pool to the socket without an intermediate
-// copy. Caller releases resp.ref.
+// writeResponse sends one reply frame. A read reply goes out as a single
+// vectored write that interleaves the head bytes in wbuf with the held
+// samples' payloads, so pooled payloads go from the buffer pool to the
+// socket without an intermediate copy. Caller releases the held samples.
 func (s *Server) writeResponse(conn net.Conn, cs *connState, opcode byte, trace uint64, r response) error {
-	payloadLen := len(r.head) + len(r.body)
-	if payloadLen+9 > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	// One segment carries frame header + head; the payload rides as the
-	// second segment (writev on UNIX sockets), untouched.
-	cs.wbuf = appendFrameHeader(cs.wbuf[:0], opcode, trace, payloadLen)
-	cs.wbuf = append(cs.wbuf, r.head...)
-	if len(r.body) == 0 {
+	if !r.samples {
+		if len(r.head)+9 > MaxFrame {
+			return ErrFrameTooLarge
+		}
+		cs.wbuf = appendFrameHeader(cs.wbuf[:0], opcode, trace, len(r.head))
+		cs.wbuf = append(cs.wbuf, r.head...)
 		_, err := conn.Write(cs.wbuf)
 		return err
 	}
+	payloadLen := len(cs.wbuf) - frameHeaderLen
+	for i := range cs.held[:cs.nheld] {
+		payloadLen += len(cs.held[i].Bytes)
+	}
+	if payloadLen+9 > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	// The header's room was reserved when the reply was started; the length
+	// is only known now.
+	appendFrameHeader(cs.wbuf[:0], opcode, trace, payloadLen)
 	// net.Buffers.WriteTo consumes the slice it is called on (advancing it
 	// and dropping capacity), so the segment list is rebuilt from the fixed
 	// backing array each time rather than re-appended in place.
-	cs.segs[0], cs.segs[1] = cs.wbuf, r.body
-	cs.bufs = net.Buffers(cs.segs[:])
+	segs, prev := cs.segs[:0], 0
+	for i := range cs.held[:cs.nheld] {
+		segs = append(segs, cs.wbuf[prev:cs.cuts[i]])
+		if body := cs.held[i].Bytes; len(body) > 0 {
+			segs = append(segs, body)
+		}
+		prev = cs.cuts[i]
+	}
+	if prev < len(cs.wbuf) {
+		segs = append(segs, cs.wbuf[prev:])
+	}
+	cs.bufs = net.Buffers(segs)
 	_, err := cs.bufs.WriteTo(conn)
 	return err
 }
 
 // safeHandle isolates a panicking handler to an error response: one bad
 // request (or a bug in one opcode path) must not take down the stage every
-// other consumer is reading through.
+// other consumer is reading through. Samples the handler had already taken
+// for the reply are released — the reply they rode is gone.
 func (s *Server) safeHandle(cs *connState, opcode byte, trace uint64, payload []byte) (resp response) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
+			cs.releaseHeld()
 			resp = response{head: errResponse(fmt.Errorf("handler panic on opcode %d: %v", opcode, r))}
 		}
 	}()
@@ -296,80 +404,8 @@ func (s *Server) safeHandle(cs *connState, opcode byte, trace uint64, payload []
 // handle dispatches one request and builds the response.
 func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte) response {
 	switch opcode {
-	case OpRead:
-		nameBytes, _, err := readStringBytes(payload)
-		if err != nil {
-			return response{head: errResponse(err)}
-		}
-		name := cs.internName(nameBytes)
-		// A non-zero trace continues the client's sampled span; the
-		// server-side handling span shares its id so client and server
-		// views of one read join into a single trace.
-		ctx := obs.Ctx{Trace: trace, Sampled: trace != 0}
-		tracer := s.stage.Tracer()
-		start := tracer.Now()
-		var data storage.Data
-		if rr := s.readRouterFn(); rr != nil {
-			data, err = rr(cs.tenant, name, ctx)
-		} else {
-			data, err = s.stage.ReadTenantCtx(cs.tenant, name, ctx)
-		}
-		if ctx.Sampled {
-			sp := obs.Span{
-				Trace:   ctx.Trace,
-				Stage:   obs.StageIPCServe,
-				Name:    name,
-				At:      start,
-				Latency: tracer.Now() - start,
-				Size:    data.Size,
-			}
-			if err != nil {
-				sp.Error = err.Error()
-			}
-			tracer.Record(sp)
-		}
-		if err != nil {
-			// A load shed is typed end to end: the client's backoff reads
-			// the retry-after hint instead of treating it as a read failure.
-			var oe *tenancy.OverloadError
-			if errors.As(err, &oe) {
-				return response{head: overloadResponse(oe)}
-			}
-			return response{head: errResponse(err)}
-		}
-		// Head: status + size + payload length; the payload itself is
-		// written vectored, straight from the (pooled) read buffer.
-		head := append(cs.head[:0], statusOK)
-		head = binary.AppendUvarint(head, uint64(data.Size))
-		head = binary.AppendUvarint(head, uint64(len(data.Bytes)))
-		return response{head: head, body: data.Bytes, ref: data.Ref}
-
-	case OpPeerRead:
-		nameBytes, _, err := readStringBytes(payload)
-		if err != nil {
-			return response{head: errResponse(err)}
-		}
-		name := cs.internName(nameBytes)
-		ctx := obs.Ctx{Trace: trace, Sampled: trace != 0}
-		var data storage.Data
-		if pr := s.peerReadHandler(); pr != nil {
-			// The fabric's owner-side routine: peer-serve counters and
-			// spans live there.
-			data, err = pr(name, ctx)
-		} else {
-			data, err = s.stage.ReadCtx(name, ctx)
-		}
-		if err != nil {
-			var oe *tenancy.OverloadError
-			if errors.As(err, &oe) {
-				return response{head: overloadResponse(oe)}
-			}
-			return response{head: errResponse(err)}
-		}
-		head := append(cs.head[:0], statusOK)
-		head = binary.AppendUvarint(head, uint64(data.Size))
-		head = binary.AppendUvarint(head, uint64(len(data.Bytes)))
-		return response{head: head, body: data.Bytes, ref: data.Ref}
+	case OpRead, OpPeerRead:
+		return s.handleRead(cs, opcode, trace, payload)
 
 	case OpHello:
 		name, rest, err := readString(payload)
@@ -406,6 +442,129 @@ func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte
 
 	default:
 		return response{head: s.handleControl(opcode, payload)}
+	}
+}
+
+// handleRead serves OpRead and OpPeerRead: one sample by name, through the
+// stage or whichever router the opcode has, and — for a planned OpRead from
+// a client that asked for it — the plan entries the connection will read
+// next, as far as they can be had without waiting (DESIGN.md §19).
+func (s *Server) handleRead(cs *connState, opcode byte, trace uint64, payload []byte) response {
+	nameBytes, rest, err := readStringBytes(payload)
+	if err != nil {
+		return response{head: errResponse(err)}
+	}
+	name, known := cs.names[string(nameBytes)] // no-alloc map probe
+	if !known {
+		name = string(nameBytes)
+	}
+	var tail aheadTail
+	if opcode == OpRead {
+		if tail = parseAheadTail(rest); tail.wasted > 0 {
+			s.stage.NoteReadAheadWasted(int64(tail.wasted))
+			cs.ahead.penalize()
+		}
+	}
+	// A non-zero trace continues the client's sampled span; the
+	// server-side handling span shares its id so client and server
+	// views of one read join into a single trace.
+	ctx := obs.Ctx{Trace: trace, Sampled: trace != 0}
+	tracer := s.stage.Tracer()
+	start := tracer.Now()
+	var (
+		data storage.Data
+		at   core.PlanPos // stays zero on every routed path: no position, no read-ahead
+	)
+	if opcode == OpPeerRead {
+		if pr := s.peerReadHandler(); pr != nil {
+			// The fabric's owner-side routine: peer-serve counters and
+			// spans live there.
+			data, err = pr(name, ctx)
+		} else {
+			data, err = s.stage.ReadCtx(name, ctx)
+		}
+	} else {
+		if rr := s.readRouterFn(); rr != nil {
+			data, err = rr(cs.tenant, name, ctx)
+		} else {
+			data, at, err = s.stage.ReadPlanned(cs.tenant, name, ctx)
+		}
+		if ctx.Sampled {
+			sp := obs.Span{
+				Trace:   ctx.Trace,
+				Stage:   obs.StageIPCServe,
+				Name:    name,
+				At:      start,
+				Latency: tracer.Now() - start,
+				Size:    data.Size,
+			}
+			if err != nil {
+				sp.Error = err.Error()
+			}
+			tracer.Record(sp)
+		}
+	}
+	if err != nil {
+		// A load shed is typed end to end: the client's backoff reads
+		// the retry-after hint instead of treating it as a read failure.
+		var oe *tenancy.OverloadError
+		if errors.As(err, &oe) {
+			return response{head: overloadResponse(oe)}
+		}
+		return response{head: errResponse(err)}
+	}
+	if !known {
+		cs.intern(name)
+	}
+	// Head: status + size + payload length; the payload itself is written
+	// vectored, straight from the (pooled) read buffer. The frame header's
+	// bytes are reserved here and filled in by writeResponse.
+	cs.wbuf = append(cs.wbuf[:frameHeaderLen], statusOK)
+	cs.wbuf = appendSampleHead(cs.wbuf, data)
+	cs.hold(data)
+	if tail.window > 0 && at != (core.PlanPos{}) {
+		s.pushAhead(cs, at, tail)
+	}
+	return response{samples: true}
+}
+
+// appendSampleHead encodes a sample's size and payload length; the payload
+// follows on the wire.
+func appendSampleHead(dst []byte, d storage.Data) []byte {
+	dst = binary.AppendUvarint(dst, uint64(d.Size))
+	return binary.AppendUvarint(dst, uint64(len(d.Bytes)))
+}
+
+// pushAhead appends to the reply under construction the plan entries this
+// connection is predicted to read next. The count byte alone tells the
+// client the read was planned (whatever it still holds from an earlier push
+// was mispredicted). Nothing here waits: an entry that is not parked, not
+// admitted or over the byte budget ends the batch.
+func (s *Server) pushAhead(cs *connState, at core.PlanPos, tail aheadTail) {
+	countAt := len(cs.wbuf)
+	cs.wbuf = append(cs.wbuf, 0)
+	want := min(cs.ahead.observe(at), tail.window)
+	// A requested payload this large leaves MaxFrame no certain room for
+	// company; it goes alone.
+	if len(cs.held[0].Bytes) > MaxFrame/2 {
+		return
+	}
+	pushed := 0
+	for budget := tail.budget; pushed < want && budget > 0; pushed++ {
+		next := cs.ahead.next()
+		d, ok := s.stage.TakeAhead(cs.tenant, next, budget)
+		if !ok {
+			break
+		}
+		cs.wbuf = appendString(cs.wbuf, d.Name)
+		cs.wbuf = appendSampleHead(cs.wbuf, d)
+		cs.hold(d)
+		cs.ahead.pushed(next)
+		budget -= d.Size
+	}
+	cs.wbuf[countAt] = byte(pushed)
+	if pushed == want && pushed > 0 {
+		cs.ahead.window = min(2*cs.ahead.window, maxAheadWindow)
 	}
 }
 

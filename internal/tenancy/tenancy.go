@@ -463,6 +463,24 @@ func (m *Manager) Admit(tenant string) error {
 	return nil
 }
 
+// TryAdmit implements core.TenantGate's non-blocking admission, for reads
+// the server does ahead of a request (socket read-ahead): it charges one
+// request against the tenant's granted rate only if that takes no waiting —
+// tokens on hand, no byte debt, manager not overloaded — and otherwise
+// refuses without counting a shed: nothing was asked for, so nothing was
+// rejected, and the sample stays where it is for the read that will ask.
+func (m *Manager) TryAdmit(tenant string) bool {
+	st := m.lookup(tenant)
+	if m.Overloaded() || (st.bytes != nil && st.bytes.InDebt()) {
+		return false
+	}
+	if ok, _ := st.bucket.TryAcquire(1); !ok {
+		return false
+	}
+	st.admitted.Inc()
+	return true
+}
+
 // ObserveLatency implements the stage's latencyObserver extension: every
 // tenant read's end-to-end latency (including admission waits) lands in the
 // tenant's histogram and, when the tenant has a latency objective, in the

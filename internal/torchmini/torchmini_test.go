@@ -400,8 +400,17 @@ func TestPrismaLoaderIPCEndToEnd(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("IPC loader hung")
 	}
-	if stats := stage.Stats(); stats.Hits != 32 {
-		t.Fatalf("remote hits = %d, want 32", stats.Hits)
+	// Every plan entry is one buffer hit. A worker's batch of consecutive
+	// entries looks like a unit stride to socket read-ahead until the batch
+	// ends, so a few entries may have been pushed to the wrong worker and
+	// read again, as bypasses, by the right one (DESIGN.md §19) — on top of
+	// the 32 hits, never instead of them.
+	trained := stage.Stats()
+	if trained.Hits != 32 {
+		t.Fatalf("remote hits = %d, want 32", trained.Hits)
+	}
+	if trained.Bypasses > trained.ReadAheadSamples {
+		t.Fatalf("%d bypasses during training, but only %d samples were pushed ahead", trained.Bypasses, trained.ReadAheadSamples)
 	}
 	// Validation bypasses over the same sockets.
 	vit, err := loader.ValIter(0)
@@ -423,8 +432,8 @@ func TestPrismaLoaderIPCEndToEnd(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("val iteration hung")
 	}
-	if stats := stage.Stats(); stats.Bypasses != 1 {
-		t.Fatalf("bypasses = %d, want 1", stats.Bypasses)
+	if got := stage.Stats().Bypasses - trained.Bypasses; got != 1 {
+		t.Fatalf("validation added %d bypasses, want 1", got)
 	}
 }
 

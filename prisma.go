@@ -128,6 +128,11 @@ type Stats struct {
 	TenantsShed  int64         // reads refused at admission with ErrOverloaded
 	ThrottleWait time.Duration // cumulative time reads spent queued at the admission gate
 
+	// Socket read-ahead telemetry (zero-valued until a socket client reads
+	// a plan with a regular stride).
+	ReadAheadSamples int64 // samples sent to a client behind the reply it asked for (each also a read and a hit)
+	ReadAheadWasted  int64 // pushed samples clients reported dropping unread
+
 	// Plan-lifecycle telemetry (the epoch-aware plan manager).
 	EpochsSubmitted int64 // plan epochs submitted since Open
 	EpochsCancelled int64 // plan epochs cancelled (including aborted submissions)
@@ -248,6 +253,9 @@ func statsFrom(s core.StageStats) Stats {
 
 		TenantsShed:  s.Shed,
 		ThrottleWait: s.ThrottleWait,
+
+		ReadAheadSamples: s.ReadAheadSamples,
+		ReadAheadWasted:  s.ReadAheadWasted,
 
 		EpochsSubmitted: s.Plan.EpochsSubmitted,
 		EpochsCancelled: s.Plan.EpochsCancelled,

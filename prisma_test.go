@@ -299,6 +299,71 @@ func TestServeUnixRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServeUnixReadAhead drives socket read-ahead through the public
+// surface only: two pooled clients stride an epoch, most samples arrive
+// behind a reply that was asked for something else, the bytes are the
+// files', and both views of the stats (local and over the socket) say so.
+func TestServeUnixReadAhead(t *testing.T) {
+	dir := makeDataset(t, 400)
+	p := open(t, dir, func(o *Options) {
+		o.DisableAutoTune = true
+		o.InitialProducers, o.InitialBuffer = 2, 64
+	})
+	sock := filepath.Join(t.TempDir(), "prisma.sock")
+	if err := p.ServeUnix(sock); err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	clients := make([]*Client, workers)
+	for i := range clients {
+		c, err := Dial(sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.EnablePooledReads(BufferPoolOptions{})
+		clients[i] = c
+	}
+	plan := p.ShuffledFileList(5, 0)
+	if _, n, err := clients[0].SubmitEpoch(plan); err != nil || n != len(plan) {
+		t.Fatalf("SubmitEpoch enqueued %d of %d: %v", n, len(plan), err)
+	}
+	var wg sync.WaitGroup
+	for w, c := range clients {
+		wg.Add(1)
+		go func(w int, c *Client) {
+			defer wg.Done()
+			for i := w; i < len(plan); i += workers {
+				s, err := c.ReadSample(plan[i])
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				want, err := readDisk(dir, plan[i])
+				if err != nil || s.Name != plan[i] || !bytes.Equal(s.Bytes(), want) {
+					t.Errorf("worker %d: %s: delivered bytes differ from the file (%v)", w, plan[i], err)
+				}
+				s.Release()
+			}
+		}(w, c)
+	}
+	wg.Wait()
+	local := p.Stats()
+	remote, err := clients[1].Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.ReadAheadSamples < int64(len(plan))/2 || local.ReadAheadWasted != 0 {
+		t.Fatalf("ReadAheadSamples = %d of %d reads, wasted %d", local.ReadAheadSamples, len(plan), local.ReadAheadWasted)
+	}
+	if remote.ReadAheadSamples != local.ReadAheadSamples {
+		t.Fatalf("remote ReadAheadSamples = %d, local %d", remote.ReadAheadSamples, local.ReadAheadSamples)
+	}
+	if local.PlanDelivered != int64(len(plan)) || local.Hits != int64(len(plan)) || local.Bypasses != 0 || local.Errors != 0 {
+		t.Fatalf("stats = %+v", local)
+	}
+}
+
 func TestTraceFileWrittenOnClose(t *testing.T) {
 	dir := makeDataset(t, 8)
 	tracePath := filepath.Join(t.TempDir(), "io.trace")
