@@ -169,7 +169,7 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 	pf.Start()
 
 	for i, name := range names {
-		d, err := stage.Read(name)
+		d, _, err := stage.Read(core.ReadRequest{Name: name})
 		if err != nil {
 			stage.Close()
 			t.Fatalf("%s k=%d: read %s: %v", wrap, k, name, err)

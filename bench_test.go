@@ -167,10 +167,10 @@ func BenchmarkBufferPutTake(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("f%d", i&1023)
-		if err := buf.Put(core.Item{Name: name}); err != nil {
+		if _, err := buf.Put(core.Item{Name: name}); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := buf.Take(name); !ok {
+		if _, err := buf.Take(name, core.TakeOptions{}); err != nil {
 			b.Fatal("take failed")
 		}
 	}
@@ -199,7 +199,7 @@ func BenchmarkBufferShardedContended(b *testing.B) {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
 						name := fmt.Sprintf("c%d/s%d", c, i)
-						if err := buf.Put(core.Item{Name: name, Size: 1}); err != nil {
+						if _, err := buf.Put(core.Item{Name: name, Size: 1}); err != nil {
 							b.Error(err)
 							return
 						}
@@ -209,7 +209,7 @@ func BenchmarkBufferShardedContended(b *testing.B) {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
 						name := fmt.Sprintf("c%d/s%d", c, i)
-						if _, ok := buf.Take(name); !ok {
+						if _, err := buf.Take(name, core.TakeOptions{}); err != nil {
 							b.Error("take failed")
 							return
 						}
@@ -330,7 +330,7 @@ func BenchmarkStageReadReal(b *testing.B) {
 		if err := stage.SubmitPlan([]string{name}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := stage.Read(name); err != nil {
+		if _, _, err := stage.Read(core.ReadRequest{Name: name}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,7 +358,7 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 	defer stage.Close()
 
 	sock := filepath.Join(b.TempDir(), "bench.sock")
-	srv, err := ipc.Serve(sock, stage)
+	srv, err := ipc.Serve(sock, stage, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

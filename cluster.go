@@ -123,7 +123,7 @@ func buildFabric(p *Prisma, opts ClusterOptions, slow storage.Backend) error {
 	}
 	ring, err := distrib.NewRing(nodes, opts.VirtualNodes)
 	if err != nil {
-		return fmt.Errorf("prisma: cluster ring: %w", err)
+		return fmt.Errorf("cluster ring: %w", err)
 	}
 	fabric, err := distrib.NewFabric(p.env, distrib.FabricConfig{
 		Node:               opts.NodeID,
@@ -134,12 +134,12 @@ func buildFabric(p *Prisma, opts ClusterOptions, slow storage.Backend) error {
 		InstallPartitioner: !opts.DisablePartitioner,
 	})
 	if err != nil {
-		return fmt.Errorf("prisma: cluster: %w", err)
+		return fmt.Errorf("cluster: %w", err)
 	}
 	for name, sock := range opts.Peers {
 		sp := newSocketPeer(sock)
 		fabric.SetPeer(name, sp)
-		p.peers = append(p.peers, sp)
+		p.teardown.push(noErr(sp.close))
 	}
 	p.fabric = fabric
 	return nil

@@ -69,7 +69,7 @@ func main() {
 			}
 			start := env.Now()
 			for _, name := range plan {
-				if _, err := stage.Read(name); err != nil {
+				if _, _, err := stage.Read(core.ReadRequest{Name: name}); err != nil {
 					log.Fatal(err)
 				}
 			}

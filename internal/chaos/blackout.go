@@ -295,7 +295,7 @@ func driveBlackout(env conc.Env, cfg BlackoutConfig) (BlackoutResult, error) {
 						take = rem
 					}
 					for i := 0; i < take; i++ {
-						d, err := fabrics[n].Read(shard[idx])
+						d, _, err := fabrics[n].Read(core.ReadRequest{Name: shard[idx]})
 						d.Release()
 						idx++
 						countsMu.Lock()

@@ -258,7 +258,7 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 		}
 		start := env.Now()
 		for i, n := range names {
-			d, err := st.Read(n)
+			d, _, err := st.Read(core.ReadRequest{Name: n})
 			d.Release() // consumer is done with the sample immediately
 			if err != nil {
 				res.ConsumerErrors++
@@ -329,7 +329,7 @@ func awaitRecovery(env conc.Env, st *core.Stage, rb *storage.ResilientBackend, c
 		env.Sleep(cooldown)
 		// An unplanned read bypasses the buffer and lands on the backend:
 		// in half-open state it is the probe that closes the breaker.
-		d, _ := st.Read(probe)
+		d, _, _ := st.Read(core.ReadRequest{Name: probe})
 		d.Release()
 	}
 	return errors.New("chaos: breaker did not close after heal")

@@ -334,7 +334,7 @@ func driveTenants(env conc.Env, cfg TenantConfig) (TenantResult, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed ^ (int64(idx)+1)*0x9e3779b9))
 			for !board.isStopped() {
 				name := fmt.Sprintf("t%05d", rng.Intn(cfg.Files))
-				d, err := st.ReadTenant(tenant, name)
+				d, _, err := st.Read(core.ReadRequest{Name: name, Tenant: tenant})
 				d.Release()
 				if backoff := board.record(tenant, err); backoff > 0 {
 					env.Sleep(backoff)

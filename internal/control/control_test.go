@@ -369,7 +369,7 @@ func TestAutotunerConvergesUpward(t *testing.T) {
 		ctl.Start()
 		_ = st.SubmitPlan(names)
 		for _, n := range names {
-			if _, err := st.Read(n); err != nil {
+			if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
 				t.Errorf("Read(%s): %v", n, err)
 				break
 			}
@@ -400,7 +400,7 @@ func TestAutotunerConvergesDownward(t *testing.T) {
 		ctl.Start()
 		_ = st.SubmitPlan(names)
 		for _, n := range names {
-			if _, err := st.Read(n); err != nil {
+			if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
 				t.Errorf("Read(%s): %v", n, err)
 				break
 			}
@@ -474,7 +474,7 @@ func TestReplicaGroupFailoverDuringTraining(t *testing.T) {
 			if i == len(names)/3 {
 				g.Fail(0) // leader dies one third of the way in
 			}
-			if _, err := st.Read(n); err != nil {
+			if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
 				t.Errorf("Read(%s): %v", n, err)
 				break
 			}
@@ -544,7 +544,7 @@ func TestCapacityHalvingNeverWedgesProducers(t *testing.T) {
 		})
 		_ = st.SubmitPlan(names)
 		for _, n := range names {
-			if _, err := st.Read(n); err != nil {
+			if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
 				t.Errorf("Read(%s): %v", n, err)
 				break
 			}

@@ -158,7 +158,7 @@ func TestDecisionTrailCoherent(t *testing.T) {
 		ctl.Start()
 		_ = st.SubmitPlan(names)
 		for _, n := range names {
-			if _, err := st.Read(n); err != nil {
+			if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
 				t.Errorf("Read(%s): %v", n, err)
 				break
 			}

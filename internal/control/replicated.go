@@ -2,23 +2,28 @@ package control
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"time"
 )
 
-// ReplicaGroup addresses the paper's availability requirement (§III): the
-// control plane is logically centralized but physically replicated. All
-// replicas hold the same stage registrations; only the leader — the
-// lowest-indexed live replica — executes control rounds. When the leader
-// fails, the next live replica takes over on the following round, resuming
-// policy enforcement from its own (slightly stale) snapshots.
-type ReplicaGroup struct {
+// Ticker is what a LeaderGroup leads: anything that executes one control
+// round per Tick.
+type Ticker interface{ Tick() }
+
+// LeaderGroup addresses the paper's availability requirement (§III): the
+// control plane is logically centralized but physically replicated. Every
+// replica holds the full state; only the leader — the lowest-indexed live
+// replica — executes rounds. When the leader fails, the next live replica
+// takes over on the following round, resuming from its own (slightly stale)
+// state. One implementation leads both the per-stage controllers
+// (ReplicaGroup) and the cluster coordinator (internal/distrib).
+type LeaderGroup[T Ticker] struct {
 	env      conc.Env
 	interval time.Duration
 
 	mu        conc.Mutex
-	replicas  []*Controller
+	replicas  []T
 	alive     []bool
 	started   bool
 	stopped   bool
@@ -26,39 +31,27 @@ type ReplicaGroup struct {
 	lastLead  int
 }
 
-// NewReplicaGroup creates n controller replicas (n >= 1), none started.
-func NewReplicaGroup(env conc.Env, interval time.Duration, n int) *ReplicaGroup {
-	if n < 1 {
-		panic("control: replica group needs >= 1 replica")
+// NewLeaderGroup forms a group over the given replicas (at least one), all
+// live, none started. Start ticks the leader every interval.
+func NewLeaderGroup[T Ticker](env conc.Env, interval time.Duration, replicas []T) *LeaderGroup[T] {
+	if len(replicas) < 1 {
+		panic("control: leader group needs >= 1 replica")
 	}
-	g := &ReplicaGroup{env: env, interval: interval, mu: env.NewMutex(), lastLead: 0}
-	for i := 0; i < n; i++ {
-		g.replicas = append(g.replicas, NewController(env, interval))
-		g.alive = append(g.alive, true)
+	alive := make([]bool, len(replicas))
+	for i := range alive {
+		alive[i] = true
 	}
-	return g
-}
-
-// Attach registers the stage with every replica so any of them can take
-// over. Because algorithms may be stateful (e.g. *Autotuner), each replica
-// receives its own instance from the factory.
-func (g *ReplicaGroup) Attach(id string, dp DataPlane, newAlg func() Algorithm, pol Policy, initial Tuning) error {
-	for i, c := range g.replicas {
-		if err := c.Attach(id, dp, newAlg(), pol, initial); err != nil {
-			return fmt.Errorf("control: replica %d: %w", i, err)
-		}
-	}
-	return nil
+	return &LeaderGroup[T]{env: env, interval: interval, mu: env.NewMutex(), replicas: replicas, alive: alive}
 }
 
 // Leader reports the index of the current leader, or -1 when none is live.
-func (g *ReplicaGroup) Leader() int {
+func (g *LeaderGroup[T]) Leader() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.leaderLocked()
 }
 
-func (g *ReplicaGroup) leaderLocked() int {
+func (g *LeaderGroup[T]) leaderLocked() int {
 	for i, ok := range g.alive {
 		if ok {
 			return i
@@ -68,7 +61,7 @@ func (g *ReplicaGroup) leaderLocked() int {
 }
 
 // Fail marks replica i dead (simulated crash).
-func (g *ReplicaGroup) Fail(i int) {
+func (g *LeaderGroup[T]) Fail(i int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.alive[i] = false
@@ -76,7 +69,7 @@ func (g *ReplicaGroup) Fail(i int) {
 
 // Recover marks replica i live again; leadership returns to the lowest
 // index on the next round.
-func (g *ReplicaGroup) Recover(i int) {
+func (g *LeaderGroup[T]) Recover(i int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.alive[i] = true
@@ -84,18 +77,26 @@ func (g *ReplicaGroup) Recover(i int) {
 
 // Failovers reports how many rounds were executed by a different replica
 // than the previous round.
-func (g *ReplicaGroup) Failovers() int64 {
+func (g *LeaderGroup[T]) Failovers() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.failovers
 }
 
 // Replica exposes replica i (for tests and inspection).
-func (g *ReplicaGroup) Replica(i int) *Controller { return g.replicas[i] }
+func (g *LeaderGroup[T]) Replica(i int) T { return g.replicas[i] }
+
+// LastLeader exposes the replica that executed the most recent round (the
+// first replica before any round ran) — the one whose state is current.
+func (g *LeaderGroup[T]) LastLeader() T {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.replicas[g.lastLead]
+}
 
 // Tick runs one control round on the current leader. It reports the
 // replica index that executed the round, or -1 when all replicas are down.
-func (g *ReplicaGroup) Tick() int {
+func (g *LeaderGroup[T]) Tick() int {
 	g.mu.Lock()
 	lead := g.leaderLocked()
 	if lead >= 0 && lead != g.lastLead {
@@ -113,15 +114,15 @@ func (g *ReplicaGroup) Tick() int {
 }
 
 // Start launches the group's autonomous loop.
-func (g *ReplicaGroup) Start() {
+func (g *LeaderGroup[T]) Start() {
 	g.mu.Lock()
 	if g.started {
 		g.mu.Unlock()
-		panic("control: replica group started twice")
+		panic("control: leader group started twice")
 	}
 	g.started = true
 	g.mu.Unlock()
-	g.env.Go("prisma-controller-group", func() {
+	g.env.Go("prisma-leader-group", func() {
 		for {
 			g.env.Sleep(g.interval)
 			g.mu.Lock()
@@ -136,8 +137,35 @@ func (g *ReplicaGroup) Start() {
 }
 
 // Stop terminates the autonomous loop after its current sleep.
-func (g *ReplicaGroup) Stop() {
+func (g *LeaderGroup[T]) Stop() {
 	g.mu.Lock()
 	g.stopped = true
 	g.mu.Unlock()
+}
+
+// ReplicaGroup is the replicated arrangement of the per-stage controller:
+// a LeaderGroup of Controllers that all hold the same stage registrations.
+type ReplicaGroup struct {
+	*LeaderGroup[*Controller]
+}
+
+// NewReplicaGroup creates n controller replicas (n >= 1), none started.
+func NewReplicaGroup(env conc.Env, interval time.Duration, n int) *ReplicaGroup {
+	replicas := make([]*Controller, n)
+	for i := range replicas {
+		replicas[i] = NewController(env, interval)
+	}
+	return &ReplicaGroup{NewLeaderGroup(env, interval, replicas)}
+}
+
+// Attach registers the stage with every replica so any of them can take
+// over. Because algorithms may be stateful (e.g. *Autotuner), each replica
+// receives its own instance from the factory.
+func (g *ReplicaGroup) Attach(id string, dp DataPlane, newAlg func() Algorithm, pol Policy, initial Tuning) error {
+	for i, c := range g.replicas {
+		if err := c.Attach(id, dp, newAlg(), pol, initial); err != nil {
+			return fmt.Errorf("control: replica %d: %w", i, err)
+		}
+	}
+	return nil
 }

@@ -73,7 +73,7 @@ func TestPooledAliasingProperty(t *testing.T) {
 		firstByte := make(map[*byte]string, len(plan))
 		okRun := true
 		for _, n := range plan {
-			d, err := st.Read(n)
+			d, _, err := st.Read(ReadRequest{Name: n})
 			if err != nil || len(d.Bytes) == 0 {
 				okRun = false
 				break
@@ -136,7 +136,7 @@ func TestPoolDisabledABBitIdentical(t *testing.T) {
 		}
 		out := make([][]byte, 0, len(plan))
 		for _, n := range plan {
-			d, err := st.Read(n)
+			d, _, err := st.Read(ReadRequest{Name: n})
 			if err != nil {
 				t.Fatalf("Read(%s): %v", n, err)
 			}

@@ -262,7 +262,7 @@ func (b *Buffer) route(name string) *bufShard {
 func (b *Buffer) SetTracer(t *obs.Tracer) { b.tracer = t }
 
 // SetEpochCancelled installs the epoch-cancellation predicate consulted by
-// Put (reject items of cancelled epochs) and TakeOpts (wake consumers
+// Put (reject items of cancelled epochs) and Take (wake consumers
 // blocked on them). Call before the buffer sees traffic; the prefetcher
 // wires its plan manager here.
 func (b *Buffer) SetEpochCancelled(f func(EpochID) bool) { b.epochCancelled = f }
@@ -285,16 +285,11 @@ func (b *Buffer) takeCancelled(id EpochID) bool {
 }
 
 // Put stores a sample, blocking while its shard is full (unless a consumer
-// is already waiting for this sample). It returns ErrClosed after Close.
-func (b *Buffer) Put(it Item) error {
-	_, err := b.PutTimed(it)
-	return err
-}
-
-// PutTimed is Put, additionally reporting how long the producer was parked
-// on a full shard. The prefetcher threads it into the next Item's PopDelay
-// — the buffer-capacity blame signal of the attribution report.
-func (b *Buffer) PutTimed(it Item) (time.Duration, error) {
+// is already waiting for this sample), and reports how long the producer was
+// parked on the full shard — the prefetcher threads that into the next
+// Item's PopDelay, the buffer-capacity blame signal of the attribution
+// report. It returns ErrClosed after Close.
+func (b *Buffer) Put(it Item) (parked time.Duration, _ error) {
 	start := b.env.Now()
 	var credited time.Duration
 	for {
@@ -346,23 +341,11 @@ func (b *Buffer) PutTimed(it Item) (time.Duration, error) {
 	}
 }
 
-// Take blocks until the named sample is present, removes it (evict-on-read)
-// and returns it. ok is false if the buffer closes while waiting.
-func (b *Buffer) Take(name string) (Item, bool) {
-	return b.TakeCtx(name, obs.Ctx{})
-}
-
-// TakeCtx is Take carrying the consumer's trace context (propagated from
-// the IPC frame or assigned by the stage). ok is false if the buffer closes
-// while waiting.
-func (b *Buffer) TakeCtx(name string, ctx obs.Ctx) (Item, bool) {
-	it, err := b.TakeOpts(name, TakeOptions{Ctx: ctx})
-	return it, err == nil
-}
-
-// TakeOptions parameterizes one TakeOpts wait.
+// TakeOptions parameterizes one Take; the zero value waits until the sample
+// arrives or the buffer closes.
 type TakeOptions struct {
-	// Ctx is the consumer's trace context (see TakeCtx).
+	// Ctx is the consumer's trace context (propagated from the IPC frame or
+	// assigned by the stage).
 	Ctx obs.Ctx
 	// Epoch, when non-zero, aborts the wait with ErrEpochCancelled once the
 	// buffer's epoch-cancellation predicate reports the epoch cancelled —
@@ -386,17 +369,17 @@ type TakeOptions struct {
 	MaxBytes int64
 }
 
-// TakeOpts is the full-featured take: it blocks until the named sample is
-// present, removes it (evict-on-read) and returns it — unless the buffer
-// closes (ErrClosed), the claim's epoch is cancelled (ErrEpochCancelled),
-// or the optional deadline expires (ErrTakeDeadline). Every successful
+// Take blocks until the named sample is present, removes it (evict-on-read)
+// and returns it — unless the buffer closes (ErrClosed), the claim's epoch
+// is cancelled (ErrEpochCancelled), or the optional deadline expires
+// (ErrTakeDeadline). Every successful
 // take splits the consumer's blocked time into its storage-caused portion
 // (waiting while — or before — the sample's backend read ran) and its
 // buffer-capacity-caused portion (the read started late because the
 // sample's producer was parked), feeding the shard's cumulative
 // attribution counters; when sampled, a consumer-wait span carries the
 // same split.
-func (b *Buffer) TakeOpts(name string, opts TakeOptions) (Item, error) {
+func (b *Buffer) Take(name string, opts TakeOptions) (Item, error) {
 	start := b.env.Now()
 	ctx := opts.Ctx
 	deadlineAt := time.Duration(-1)
@@ -758,7 +741,7 @@ type BufferStats struct {
 	ProducerWait  time.Duration // cumulative time producers blocked in Put
 	MeanOccupancy float64       // time-weighted average total fill level
 
-	// Attribution splits of ConsumerWait (see Buffer.TakeCtx): the portion
+	// Attribution splits of ConsumerWait (see Buffer.Take): the portion
 	// storage reads are to blame for, and the portion buffer capacity is
 	// to blame for. Inputs of obs.Attribute.
 	ConsumerWaitStorage    time.Duration

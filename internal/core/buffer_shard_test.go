@@ -22,7 +22,7 @@ func TestBufferShardedSemantics(t *testing.T) {
 					t.Fatalf("Shards() = %d, want %d", got, k)
 				}
 				for i := 0; i < 8; i++ {
-					if err := b.Put(Item{Name: fmt.Sprintf("s%d", i), Size: 1}); err != nil {
+					if _, err := b.Put(Item{Name: fmt.Sprintf("s%d", i), Size: 1}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -31,9 +31,9 @@ func TestBufferShardedSemantics(t *testing.T) {
 				}
 				for i := 0; i < 8; i++ {
 					name := fmt.Sprintf("s%d", i)
-					it, ok := b.Take(name)
-					if !ok || it.Name != name {
-						t.Fatalf("Take(%s) = %+v, %v", name, it, ok)
+					it, err := b.Take(name, TakeOptions{})
+					if err != nil || it.Name != name {
+						t.Fatalf("Take(%s) = %+v, %v", name, it, err)
 					}
 				}
 				if got := b.Len(); got != 0 {
@@ -53,18 +53,18 @@ func TestBufferShardedEvictOnRead(t *testing.T) {
 		done.Add(1)
 		env.Go("re-taker", func() {
 			defer done.Done()
-			if _, ok := b.Take("x"); !ok {
+			if _, err := b.Take("x", TakeOptions{}); err != nil {
 				t.Error("first Take failed")
 			}
-			if _, ok := b.Take("x"); !ok {
+			if _, err := b.Take("x", TakeOptions{}); err != nil {
 				t.Error("second Take failed")
 			}
 		})
-		if err := b.Put(Item{Name: "x"}); err != nil {
+		if _, err := b.Put(Item{Name: "x"}); err != nil {
 			t.Fatal(err)
 		}
 		env.Sleep(time.Second) // let the consumer block on the evicted name
-		if err := b.Put(Item{Name: "x"}); err != nil {
+		if _, err := b.Put(Item{Name: "x"}); err != nil {
 			t.Fatal(err)
 		}
 		done.Wait()
@@ -120,7 +120,7 @@ func TestBufferShardedThroughput(t *testing.T) {
 				env.Go(fmt.Sprintf("p%d", c), func() {
 					defer wg.Done()
 					for i := 0; i < perConsumer; i++ {
-						if err := b.Put(Item{Name: fmt.Sprintf("c%d/s%d", c, i)}); err != nil {
+						if _, err := b.Put(Item{Name: fmt.Sprintf("c%d/s%d", c, i)}); err != nil {
 							t.Errorf("put: %v", err)
 							return
 						}
@@ -129,7 +129,7 @@ func TestBufferShardedThroughput(t *testing.T) {
 				env.Go(fmt.Sprintf("c%d", c), func() {
 					defer wg.Done()
 					for i := 0; i < perConsumer; i++ {
-						if _, ok := b.Take(fmt.Sprintf("c%d/s%d", c, i)); !ok {
+						if _, err := b.Take(fmt.Sprintf("c%d/s%d", c, i), TakeOptions{}); err != nil {
 							t.Errorf("take failed")
 							return
 						}
@@ -158,7 +158,7 @@ func TestBufferSetShardsMigratesItems(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewShardedBuffer(env, 4, 0, 1)
 		for i := 0; i < 4; i++ {
-			if err := b.Put(Item{Name: fmt.Sprintf("s%d", i)}); err != nil {
+			if _, err := b.Put(Item{Name: fmt.Sprintf("s%d", i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -166,13 +166,13 @@ func TestBufferSetShardsMigratesItems(t *testing.T) {
 		done.Add(2)
 		env.Go("blocked-producer", func() {
 			defer done.Done()
-			if err := b.Put(Item{Name: "extra"}); err != nil { // full: blocks
+			if _, err := b.Put(Item{Name: "extra"}); err != nil { // full: blocks
 				t.Errorf("put after reshard: %v", err)
 			}
 		})
 		env.Go("blocked-consumer", func() {
 			defer done.Done()
-			if _, ok := b.Take("late"); !ok { // absent: blocks
+			if _, err := b.Take("late", TakeOptions{}); err != nil { // absent: blocks
 				t.Error("take after reshard failed")
 			}
 		})
@@ -185,11 +185,11 @@ func TestBufferSetShardsMigratesItems(t *testing.T) {
 			t.Fatalf("Len = %d after reshard, want 4 (items must migrate)", got)
 		}
 		for i := 0; i < 4; i++ {
-			if _, ok := b.Take(fmt.Sprintf("s%d", i)); !ok {
+			if _, err := b.Take(fmt.Sprintf("s%d", i), TakeOptions{}); err != nil {
 				t.Fatalf("item s%d lost in reshard", i)
 			}
 		}
-		if err := b.Put(Item{Name: "late"}); err != nil {
+		if _, err := b.Put(Item{Name: "late"}); err != nil {
 			t.Fatal(err)
 		}
 		done.Wait()
@@ -205,14 +205,14 @@ func TestBufferSetShardsMigratesItems(t *testing.T) {
 func TestBufferSetShardsPreservesWaitAccounting(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewShardedBuffer(env, 1, 0, 1)
-		if err := b.Put(Item{Name: "fill"}); err != nil {
+		if _, err := b.Put(Item{Name: "fill"}); err != nil {
 			t.Fatal(err)
 		}
 		done := env.NewWaitGroup()
 		done.Add(1)
 		env.Go("blocked-producer", func() {
 			defer done.Done()
-			if err := b.Put(Item{Name: "second"}); err != nil {
+			if _, err := b.Put(Item{Name: "second"}); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		})
@@ -234,7 +234,7 @@ func TestBufferSetCapacityShrinkDrainsLazily(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 8, 0)
 		for i := 0; i < 8; i++ {
-			if err := b.Put(Item{Name: fmt.Sprintf("s%d", i)}); err != nil {
+			if _, err := b.Put(Item{Name: fmt.Sprintf("s%d", i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -248,7 +248,7 @@ func TestBufferSetCapacityShrinkDrainsLazily(t *testing.T) {
 		var putDone time.Duration
 		env.Go("over-budget-producer", func() {
 			defer produced.Done()
-			if err := b.Put(Item{Name: "new"}); err != nil {
+			if _, err := b.Put(Item{Name: "new"}); err != nil {
 				t.Errorf("put: %v", err)
 			}
 			putDone = env.Now()
@@ -256,7 +256,7 @@ func TestBufferSetCapacityShrinkDrainsLazily(t *testing.T) {
 		env.Sleep(time.Second)
 		// Drain to one under the new budget: 8 -> 1.
 		for i := 0; i < 7; i++ {
-			if _, ok := b.Take(fmt.Sprintf("s%d", i)); !ok {
+			if _, err := b.Take(fmt.Sprintf("s%d", i), TakeOptions{}); err != nil {
 				t.Fatalf("drain take s%d failed", i)
 			}
 		}
@@ -270,12 +270,12 @@ func TestBufferSetCapacityShrinkDrainsLazily(t *testing.T) {
 		got.Add(1)
 		env.Go("awaiting-consumer", func() {
 			defer got.Done()
-			if _, ok := b.Take("awaited"); !ok {
+			if _, err := b.Take("awaited", TakeOptions{}); err != nil {
 				t.Error("awaited take failed")
 			}
 		})
 		env.Sleep(time.Second)
-		if err := b.Put(Item{Name: "awaited"}); err != nil {
+		if _, err := b.Put(Item{Name: "awaited"}); err != nil {
 			t.Fatal(err)
 		}
 		got.Wait()
@@ -293,7 +293,7 @@ func TestBufferSetCapacityShrinkDrainsLazily(t *testing.T) {
 func TestBufferLostWakeupRegression(t *testing.T) {
 	env := conc.NewReal()
 	b := NewBuffer(env, 1, 0)
-	if err := b.Put(Item{Name: "filler"}); err != nil {
+	if _, err := b.Put(Item{Name: "filler"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -301,13 +301,13 @@ func TestBufferLostWakeupRegression(t *testing.T) {
 	wg.Add(3)
 	go func() { // producer A: sample nobody awaits; stays blocked longest
 		defer wg.Done()
-		if err := b.Put(Item{Name: "unawaited"}); err != nil {
+		if _, err := b.Put(Item{Name: "unawaited"}); err != nil {
 			t.Errorf("producer A: %v", err)
 		}
 	}()
 	go func() { // producer B: the sample the consumer will wait for
 		defer wg.Done()
-		if err := b.Put(Item{Name: "wanted"}); err != nil {
+		if _, err := b.Put(Item{Name: "wanted"}); err != nil {
 			t.Errorf("producer B: %v", err)
 		}
 	}()
@@ -319,10 +319,10 @@ func TestBufferLostWakeupRegression(t *testing.T) {
 		defer close(done)
 		// Evicting the filler wakes producers; then the consumer blocks on
 		// "wanted" until producer B is admitted.
-		if _, ok := b.Take("filler"); !ok {
+		if _, err := b.Take("filler", TakeOptions{}); err != nil {
 			t.Error("take filler failed")
 		}
-		if _, ok := b.Take("wanted"); !ok {
+		if _, err := b.Take("wanted", TakeOptions{}); err != nil {
 			t.Error("take wanted failed")
 		}
 	}()
@@ -333,7 +333,7 @@ func TestBufferLostWakeupRegression(t *testing.T) {
 		t.Fatal("lost wakeup: consumer stalled waiting for a blocked producer")
 	}
 	// Unblock producer A if still parked (its sample was never awaited).
-	if _, ok := b.Take("unawaited"); !ok {
+	if _, err := b.Take("unawaited", TakeOptions{}); err != nil {
 		t.Fatal("take unawaited failed")
 	}
 	wg.Wait()
@@ -358,7 +358,7 @@ func TestBufferStatsConsistentUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < items; i++ {
-				if err := b.Put(Item{Name: fmt.Sprintf("w%d/s%d", w, i)}); err != nil {
+				if _, err := b.Put(Item{Name: fmt.Sprintf("w%d/s%d", w, i)}); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
@@ -367,7 +367,7 @@ func TestBufferStatsConsistentUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < items; i++ {
-				if _, ok := b.Take(fmt.Sprintf("w%d/s%d", w, i)); !ok {
+				if _, err := b.Take(fmt.Sprintf("w%d/s%d", w, i), TakeOptions{}); err != nil {
 					t.Errorf("take failed")
 					return
 				}
@@ -421,7 +421,7 @@ func TestBufferShardedCloseUnblocks(t *testing.T) {
 			done.Add(1)
 			env.Go(fmt.Sprintf("waiter-%d", i), func() {
 				defer done.Done()
-				if _, ok := b.Take(fmt.Sprintf("never-%d", i)); ok {
+				if _, err := b.Take(fmt.Sprintf("never-%d", i), TakeOptions{}); err == nil {
 					t.Error("take succeeded on closed buffer")
 				}
 			})
@@ -429,7 +429,7 @@ func TestBufferShardedCloseUnblocks(t *testing.T) {
 		env.Sleep(time.Second)
 		b.Close()
 		done.Wait()
-		if err := b.Put(Item{Name: "x"}); err != ErrClosed {
+		if _, err := b.Put(Item{Name: "x"}); err != ErrClosed {
 			t.Fatalf("Put after Close = %v, want ErrClosed", err)
 		}
 	})

@@ -24,12 +24,12 @@ func runSim(t *testing.T, body func(env conc.Env)) {
 func TestBufferPutTake(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 4, 0)
-		if err := b.Put(Item{Name: "a", Size: 10}); err != nil {
+		if _, err := b.Put(Item{Name: "a", Size: 10}); err != nil {
 			t.Fatal(err)
 		}
-		it, ok := b.Take("a")
-		if !ok || it.Name != "a" || it.Size != 10 {
-			t.Fatalf("Take = %+v, %v", it, ok)
+		it, err := b.Take("a", TakeOptions{})
+		if err != nil || it.Name != "a" || it.Size != 10 {
+			t.Fatalf("Take = %+v, %v", it, err)
 		}
 		if b.Len() != 0 {
 			t.Fatalf("Len = %d after evict-on-read, want 0", b.Len())
@@ -43,21 +43,21 @@ func TestBufferEvictOnRead(t *testing.T) {
 	// requires re-prefetching).
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 4, 0)
-		_ = b.Put(Item{Name: "a"})
-		_, _ = b.Take("a")
+		_, _ = b.Put(Item{Name: "a"})
+		_, _ = b.Take("a", TakeOptions{})
 		done := false
 		wg := env.NewWaitGroup()
 		wg.Add(1)
 		env.Go("second-take", func() {
 			defer wg.Done()
-			_, ok := b.Take("a")
-			done = ok
+			_, err := b.Take("a", TakeOptions{})
+			done = err == nil
 		})
 		env.Sleep(time.Second)
 		if done {
 			t.Fatal("second Take returned without a new Put")
 		}
-		_ = b.Put(Item{Name: "a"})
+		_, _ = b.Put(Item{Name: "a"})
 		wg.Wait()
 		if !done {
 			t.Fatal("second Take failed after re-Put")
@@ -73,13 +73,13 @@ func TestBufferTakeBlocksUntilArrival(t *testing.T) {
 		wg.Add(1)
 		env.Go("consumer", func() {
 			defer wg.Done()
-			if _, ok := b.Take("later"); !ok {
+			if _, err := b.Take("later", TakeOptions{}); err != nil {
 				t.Error("Take reported closed")
 			}
 			arrivedAt = env.Now()
 		})
 		env.Sleep(3 * time.Second)
-		_ = b.Put(Item{Name: "later"})
+		_, _ = b.Put(Item{Name: "later"})
 		wg.Wait()
 		if arrivedAt != 3*time.Second {
 			t.Errorf("consumer released at %v, want 3s", arrivedAt)
@@ -94,18 +94,18 @@ func TestBufferTakeBlocksUntilArrival(t *testing.T) {
 func TestBufferPutBlocksWhenFull(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 2, 0)
-		_ = b.Put(Item{Name: "a"})
-		_ = b.Put(Item{Name: "b"})
+		_, _ = b.Put(Item{Name: "a"})
+		_, _ = b.Put(Item{Name: "b"})
 		var putDone time.Duration
 		wg := env.NewWaitGroup()
 		wg.Add(1)
 		env.Go("producer", func() {
 			defer wg.Done()
-			_ = b.Put(Item{Name: "c"})
+			_, _ = b.Put(Item{Name: "c"})
 			putDone = env.Now()
 		})
 		env.Sleep(2 * time.Second)
-		_, _ = b.Take("a") // frees a slot
+		_, _ = b.Take("a", TakeOptions{}) // frees a slot
 		wg.Wait()
 		if putDone != 2*time.Second {
 			t.Errorf("blocked Put completed at %v, want 2s", putDone)
@@ -122,20 +122,20 @@ func TestBufferFullAdmitsAwaitedSample(t *testing.T) {
 	// in a producer's hands. The Put must be admitted over capacity.
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 2, 0)
-		_ = b.Put(Item{Name: "x"})
-		_ = b.Put(Item{Name: "y"})
+		_, _ = b.Put(Item{Name: "x"})
+		_, _ = b.Put(Item{Name: "y"})
 		wg := env.NewWaitGroup()
 		wg.Add(2)
 		env.Go("consumer", func() {
 			defer wg.Done()
-			if _, ok := b.Take("wanted"); !ok {
+			if _, err := b.Take("wanted", TakeOptions{}); err != nil {
 				t.Error("Take(wanted) reported closed")
 			}
 		})
 		env.Go("producer", func() {
 			defer wg.Done()
 			env.Sleep(time.Second)
-			if err := b.Put(Item{Name: "wanted"}); err != nil {
+			if _, err := b.Put(Item{Name: "wanted"}); err != nil {
 				t.Errorf("over-capacity Put of awaited sample failed: %v", err)
 			}
 		})
@@ -146,13 +146,13 @@ func TestBufferFullAdmitsAwaitedSample(t *testing.T) {
 func TestBufferSetCapacityGrowReleasesProducers(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 1, 0)
-		_ = b.Put(Item{Name: "a"})
+		_, _ = b.Put(Item{Name: "a"})
 		released := false
 		wg := env.NewWaitGroup()
 		wg.Add(1)
 		env.Go("producer", func() {
 			defer wg.Done()
-			_ = b.Put(Item{Name: "b"})
+			_, _ = b.Put(Item{Name: "b"})
 			released = true
 		})
 		env.Sleep(time.Second)
@@ -183,29 +183,29 @@ func TestBufferSetCapacityClampsToOne(t *testing.T) {
 func TestBufferCloseUnblocksEverybody(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 1, 0)
-		_ = b.Put(Item{Name: "filler"})
+		_, _ = b.Put(Item{Name: "filler"})
 		wg := env.NewWaitGroup()
 		wg.Add(2)
-		var takeOK bool
+		var takeErr error
 		var putErr error
 		env.Go("consumer", func() {
 			defer wg.Done()
-			_, takeOK = b.Take("never")
+			_, takeErr = b.Take("never", TakeOptions{})
 		})
 		env.Go("producer", func() {
 			defer wg.Done()
-			putErr = b.Put(Item{Name: "stuck"})
+			_, putErr = b.Put(Item{Name: "stuck"})
 		})
 		env.Sleep(time.Second)
 		b.Close()
 		wg.Wait()
-		if takeOK {
-			t.Error("Take returned ok after Close")
+		if takeErr != ErrClosed {
+			t.Errorf("Take = %v, want ErrClosed", takeErr)
 		}
 		if putErr != ErrClosed {
 			t.Errorf("Put = %v, want ErrClosed", putErr)
 		}
-		if err := b.Put(Item{Name: "post"}); err != ErrClosed {
+		if _, err := b.Put(Item{Name: "post"}); err != ErrClosed {
 			t.Errorf("post-close Put = %v, want ErrClosed", err)
 		}
 	})
@@ -225,11 +225,11 @@ func TestBufferAccessCostSerializes(t *testing.T) {
 			name := fmt.Sprintf("f%d", i)
 			env.Go("producer", func() {
 				defer wg.Done()
-				_ = b.Put(Item{Name: name})
+				_, _ = b.Put(Item{Name: name})
 			})
 			env.Go("consumer", func() {
 				defer wg.Done()
-				_, _ = b.Take(name)
+				_, _ = b.Take(name, TakeOptions{})
 			})
 		}
 		wg.Wait()
@@ -246,12 +246,12 @@ func TestBufferAccessCostSerializes(t *testing.T) {
 func TestBufferStatsOccupancy(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 4, 0)
-		_ = b.Put(Item{Name: "a"})
+		_, _ = b.Put(Item{Name: "a"})
 		env.Sleep(time.Second) // 1s at occupancy 1
-		_ = b.Put(Item{Name: "b"})
+		_, _ = b.Put(Item{Name: "b"})
 		env.Sleep(time.Second) // 1s at occupancy 2
-		_, _ = b.Take("a")
-		_, _ = b.Take("b")
+		_, _ = b.Take("a", TakeOptions{})
+		_, _ = b.Take("b", TakeOptions{})
 		st := b.Stats()
 		if st.Puts != 2 || st.Takes != 2 {
 			t.Errorf("Puts/Takes = %d/%d, want 2/2", st.Puts, st.Takes)

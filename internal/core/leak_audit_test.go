@@ -66,7 +66,7 @@ func TestPooledSimEpochLeakAudit(t *testing.T) {
 				return
 			}
 			for _, name := range plan {
-				d, err := st.Read(name)
+				d, _, err := st.Read(ReadRequest{Name: name})
 				if err != nil {
 					t.Errorf("Read(%s): %v", name, err)
 					return
@@ -123,11 +123,11 @@ func TestLeakAuditDetectsDeliberateLeak(t *testing.T) {
 	if err := st.SubmitPlan([]string{"leak.bin", "ok.bin"}); err != nil {
 		t.Fatal(err)
 	}
-	leaked, err := st.Read("leak.bin")
+	leaked, _, err := st.Read(ReadRequest{Name: "leak.bin"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	released, err := st.Read("ok.bin")
+	released, _, err := st.Read(ReadRequest{Name: "ok.bin"})
 	if err != nil {
 		t.Fatal(err)
 	}

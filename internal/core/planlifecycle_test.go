@@ -62,7 +62,7 @@ func TestHangRegressionPartialSubmit(t *testing.T) {
 
 		// A reader arriving during the stuck submission must not hang on
 		// the half-submitted plan: nothing is claimable yet, so it bypasses.
-		d, err := st.Read(names[3])
+		d, _, err := st.Read(ReadRequest{Name: names[3]})
 		readErr = err
 		readOK = err == nil && d.Size == 1000
 
@@ -133,7 +133,7 @@ func TestHangRegressionTwoConsumersRace(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			i := i
 			env.Go(fmt.Sprintf("consumer-%d", i), func() {
-				_, err := st.Read(names[0])
+				_, _, err := st.Read(ReadRequest{Name: names[0]})
 				mu.Lock()
 				errs[i] = err
 				done++
@@ -223,7 +223,7 @@ func TestEpochCancelWakesBlockedConsumer(t *testing.T) {
 		env.Go("blocked-consumer", func() {
 			// names[5] is last in plan order; with a 10ms device and a full
 			// buffer it is nowhere near delivery when the cancel lands.
-			_, err := st.Read(names[5])
+			_, _, err := st.Read(ReadRequest{Name: names[5]})
 			mu.Lock()
 			readErr = err
 			done = true
@@ -313,7 +313,7 @@ func TestEpochCancelReleasesPooledBuffers(t *testing.T) {
 		// Consume the first two samples, then cancel mid-epoch with the
 		// buffer full and reads in flight.
 		for _, n := range names[:2] {
-			d, err := st.Read(n)
+			d, _, err := st.Read(ReadRequest{Name: n})
 			if err != nil {
 				t.Errorf("Read(%s): %v", n, err)
 				return
@@ -366,7 +366,7 @@ func TestConsumerTakeDeadline(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := env.Now()
-		_, err = st.Read(names[0]) // sample lands at 20ms, deadline at 5ms
+		_, _, err = st.Read(ReadRequest{Name: names[0]}) // sample lands at 20ms, deadline at 5ms
 		if !errors.Is(err, ErrTakeDeadline) {
 			t.Fatalf("Read before arrival = %v, want ErrTakeDeadline", err)
 		}
@@ -377,7 +377,7 @@ func TestConsumerTakeDeadline(t *testing.T) {
 			t.Fatal("plan entry lost after deadline — retry could never claim it")
 		}
 		env.Sleep(20 * time.Millisecond) // sample is buffered now
-		d, err := st.Read(names[0])
+		d, _, err := st.Read(ReadRequest{Name: names[0]})
 		if err != nil || d.Size != 1000 {
 			t.Fatalf("retried Read = %+v, %v", d, err)
 		}
@@ -408,7 +408,7 @@ func TestSubmitCancelResubmitLifecycle(t *testing.T) {
 			}
 			// Consume a round-dependent prefix, then cancel the rest.
 			for _, n := range names[:2+round] {
-				if _, err := st.Read(n); err != nil {
+				if _, _, err := st.Read(ReadRequest{Name: n}); err != nil {
 					t.Fatalf("round %d Read(%s): %v", round, n, err)
 				}
 			}
@@ -417,7 +417,7 @@ func TestSubmitCancelResubmitLifecycle(t *testing.T) {
 			}
 			// A cancelled plan must leave nothing claimable: the next read
 			// of a planned-but-cancelled name bypasses.
-			if _, err := st.Read(names[11]); err != nil {
+			if _, _, err := st.Read(ReadRequest{Name: names[11]}); err != nil {
 				t.Fatalf("round %d post-cancel read: %v", round, err)
 			}
 			ps := pf.PlanStats()
@@ -432,7 +432,7 @@ func TestSubmitCancelResubmitLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range names {
-			if _, err := st.Read(n); err != nil {
+			if _, _, err := st.Read(ReadRequest{Name: n}); err != nil {
 				t.Fatalf("final epoch Read(%s): %v", n, err)
 			}
 		}

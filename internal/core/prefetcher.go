@@ -575,7 +575,7 @@ func (pf *Prefetcher) producerLoop() {
 			} else {
 				pf.prefetched.Inc()
 			}
-			parked, perr := pf.buffer.PutTimed(it)
+			parked, perr := pf.buffer.Put(it)
 			switch {
 			case perr == nil:
 				prevPark = parked

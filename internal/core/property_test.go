@@ -85,7 +85,7 @@ func TestPrefetcherDeliveryProperty(t *testing.T) {
 					if i%23 == 7 {
 						st.SetBufferCapacity(rng.Intn(32) + 1)
 					}
-					data, err := st.Read(name)
+					data, _, err := st.Read(ReadRequest{Name: name})
 					if err != nil || data.Name != name {
 						ok = false
 						return
@@ -168,7 +168,7 @@ func TestBufferNeverExceedsCapacityProperty(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < items; i++ {
 					env.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
-					if b.Put(Item{Name: fmt.Sprintf("x%d", i)}) != nil {
+					if _, err := b.Put(Item{Name: fmt.Sprintf("x%d", i)}); err != nil {
 						return
 					}
 					if l := b.Len(); l > maxLen {
@@ -180,7 +180,7 @@ func TestBufferNeverExceedsCapacityProperty(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < items; i++ {
 					env.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
-					if _, okTake := b.Take(fmt.Sprintf("x%d", i)); !okTake {
+					if _, err := b.Take(fmt.Sprintf("x%d", i), TakeOptions{}); err != nil {
 						return
 					}
 				}

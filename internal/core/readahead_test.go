@@ -12,7 +12,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
-	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
@@ -37,12 +36,12 @@ func TestStageTakeAhead(t *testing.T) {
 
 		// A planned read reports where its plan entry sat; a bypass reports
 		// the zero position.
-		d, at, err := st.ReadPlanned("", names[0], obs.Ctx{})
+		d, at, err := st.Read(ReadRequest{Name: names[0]})
 		if err != nil || d.Name != names[0] || at != (PlanPos{Epoch: res.Epoch, Index: 0}) {
-			t.Fatalf("ReadPlanned = %+v at %+v, %v", d, at, err)
+			t.Fatalf("Read = %+v at %+v, %v", d, at, err)
 		}
-		if _, at, err := st.ReadPlanned("", "not-planned", obs.Ctx{}); err == nil || at != (PlanPos{}) {
-			t.Fatalf("unplanned ReadPlanned at %+v, err %v", at, err)
+		if _, at, err := st.Read(ReadRequest{Name: "not-planned"}); err == nil || at != (PlanPos{}) {
+			t.Fatalf("unplanned Read at %+v, err %v", at, err)
 		}
 
 		awaitParked(env, st, 8)
@@ -101,7 +100,7 @@ func TestStageTakeAhead(t *testing.T) {
 			if i == 0 || i == 1 || i == 2 || i == 5 {
 				continue
 			}
-			if _, err := st.Read(n); err != nil {
+			if _, _, err := st.Read(ReadRequest{Name: n}); err != nil {
 				t.Fatalf("Read(%s): %v", n, err)
 			}
 		}
@@ -145,29 +144,29 @@ func TestTakeAheadSkipsProducerErrors(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 4, 0)
 		boom := errors.New("boom")
-		_ = b.Put(Item{Name: "bad", Err: boom})
-		_ = b.Put(Item{Name: "good", Size: 10})
-		if _, err := b.TakeOpts("bad", TakeOptions{NoWait: true}); !errors.Is(err, ErrNotParked) {
+		_, _ = b.Put(Item{Name: "bad", Err: boom})
+		_, _ = b.Put(Item{Name: "good", Size: 10})
+		if _, err := b.Take("bad", TakeOptions{NoWait: true}); !errors.Is(err, ErrNotParked) {
 			t.Fatalf("no-wait take of an error item = %v, want ErrNotParked", err)
 		}
-		if _, err := b.TakeOpts("absent", TakeOptions{NoWait: true}); !errors.Is(err, ErrNotParked) {
+		if _, err := b.Take("absent", TakeOptions{NoWait: true}); !errors.Is(err, ErrNotParked) {
 			t.Fatalf("no-wait take of an absent item = %v, want ErrNotParked", err)
 		}
-		if _, err := b.TakeOpts("good", TakeOptions{NoWait: true, MaxBytes: 9}); !errors.Is(err, ErrNotParked) {
+		if _, err := b.Take("good", TakeOptions{NoWait: true, MaxBytes: 9}); !errors.Is(err, ErrNotParked) {
 			t.Fatalf("no-wait take over MaxBytes = %v, want ErrNotParked", err)
 		}
 		b.SetClaimAt(func(PlanPos) bool { return false })
-		if _, err := b.TakeOpts("good", TakeOptions{NoWait: true, At: PlanPos{Epoch: 1}}); !errors.Is(err, ErrNotParked) {
+		if _, err := b.Take("good", TakeOptions{NoWait: true, At: PlanPos{Epoch: 1}}); !errors.Is(err, ErrNotParked) {
 			t.Fatalf("no-wait take with a refused claim = %v, want ErrNotParked", err)
 		}
 		if b.Len() != 2 {
 			t.Fatalf("refused takes removed items: Len = %d", b.Len())
 		}
-		if it, err := b.TakeOpts("good", TakeOptions{NoWait: true, MaxBytes: 10}); err != nil || it.Size != 10 {
+		if it, err := b.Take("good", TakeOptions{NoWait: true, MaxBytes: 10}); err != nil || it.Size != 10 {
 			t.Fatalf("no-wait take = %+v, %v", it, err)
 		}
 		// The error still reaches the by-name reader.
-		if it, err := b.TakeOpts("bad", TakeOptions{}); err != nil || !errors.Is(it.Err, boom) {
+		if it, err := b.Take("bad", TakeOptions{}); err != nil || !errors.Is(it.Err, boom) {
 			t.Fatalf("by-name take of the error item = %+v, %v", it, err)
 		}
 	})
@@ -402,9 +401,9 @@ func TestTakeAheadPooledLeakAudit(t *testing.T) {
 		// Walk the plan the way a connection does: a read by name, then as
 		// many following entries as can be had without waiting.
 		for i := 0; i < len(plan)-4; {
-			d, at, err := st.ReadPlanned("", plan[i], obs.Ctx{})
+			d, at, err := st.Read(ReadRequest{Name: plan[i]})
 			if err != nil || at.Index != i {
-				t.Errorf("ReadPlanned(%s) at %+v: %v", plan[i], at, err)
+				t.Errorf("Read(%s) at %+v: %v", plan[i], at, err)
 				return
 			}
 			d.Release()

@@ -11,6 +11,36 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
+// ReadRequest is one intercepted read (DESIGN.md §20). Who is asking and
+// how the read is traced travel inside the request rather than selecting a
+// different method, so every layer between the interception point and the
+// buffer — fabric, stage, optimization objects — has exactly one read.
+type ReadRequest struct {
+	// Name is the sample's dataset-relative file name.
+	Name string
+	// Tenant is the identity the read is admitted, charged and SLO-observed
+	// as. Empty resolves to the default tenant at the gate, and is a free
+	// no-op on a stage without one.
+	Tenant string
+	// Ctx continues a trace the caller already sampled (the IPC server sets
+	// it from the frame's trace id). Left zero, the stage head-samples the
+	// read itself — once, wherever the request entered.
+	Ctx obs.Ctx
+	// Peer marks the owner-side serve of a read another node forwarded
+	// (OpPeerRead): it is counted and spanned as a peer serve and is not
+	// admitted or charged here — the requester's node is where its tenant
+	// lives.
+	Peer bool
+}
+
+// Reader is the read interception point. A Stage is one; so is the cluster
+// fabric in front of it, and the socket server serves whichever it is given.
+// The PlanPos is the plan entry the read consumed (zero for a bypass, and
+// for every read a fabric routed).
+type Reader interface {
+	Read(req ReadRequest) (storage.Data, PlanPos, error)
+}
+
 // OptimizationObject is the data plane's extension point (paper §III-A):
 // a self-contained, reusable I/O mechanism applied to intercepted requests.
 // Read reports handled=false when the object declines the request, letting
@@ -18,18 +48,11 @@ import (
 type OptimizationObject interface {
 	// Name identifies the object in stats and logs.
 	Name() string
-	// Read applies the object's I/O logic to the named file.
-	Read(name string) (data storage.Data, handled bool, err error)
+	// Read applies the object's I/O logic to the request, reporting the plan
+	// entry it consumed (zero when it keeps no plan).
+	Read(req ReadRequest) (data storage.Data, at PlanPos, handled bool, err error)
 	// Close releases the object's resources.
 	Close()
-}
-
-// ctxReader is the optional extension an optimization object implements to
-// receive the sample's trace context and report which plan entry served the
-// read (mirrors the shardTuner pattern: extending behavior without breaking
-// existing OptimizationObject implementors).
-type ctxReader interface {
-	ReadCtx(name string, ctx obs.Ctx) (data storage.Data, at PlanPos, handled bool, err error)
 }
 
 // PrefetchObject adapts a Prefetcher to the OptimizationObject interface:
@@ -49,14 +72,8 @@ func (o *PrefetchObject) Name() string { return "parallel-prefetch" }
 func (o *PrefetchObject) Prefetcher() *Prefetcher { return o.pf }
 
 // Read serves a planned file from the buffer, blocking until the producers
-// deliver it.
-func (o *PrefetchObject) Read(name string) (storage.Data, bool, error) {
-	data, _, handled, err := o.ReadCtx(name, obs.Ctx{})
-	return data, handled, err
-}
-
-// ReadCtx implements ctxReader: the consumer's trace context flows into the
-// buffer so the Take wait is recorded against the right trace.
+// deliver it; the request's trace context flows into the buffer so the Take
+// wait is recorded against the right trace.
 //
 // Claim-or-bypass: the existence check and the exclusive hold on a plan
 // entry happen in one plan-manager critical section, so two consumers
@@ -64,14 +81,14 @@ func (o *PrefetchObject) Read(name string) (storage.Data, bool, error) {
 // loser's claim fails and it bypasses to the backend like any unplanned
 // read (the Planned→Take TOCTOU hang is structurally impossible). A
 // delivered read also reports the position of the plan entry it consumed.
-func (o *PrefetchObject) ReadCtx(name string, ctx obs.Ctx) (storage.Data, PlanPos, bool, error) {
+func (o *PrefetchObject) Read(req ReadRequest) (storage.Data, PlanPos, bool, error) {
 	pf := o.pf
-	claim, ok := pf.plans.claim(name)
+	claim, ok := pf.plans.claim(req.Name)
 	if !ok {
 		return storage.Data{}, PlanPos{}, false, nil
 	}
-	it, err := pf.buffer.TakeOpts(name, TakeOptions{
-		Ctx:      ctx,
+	it, err := pf.buffer.Take(req.Name, TakeOptions{
+		Ctx:      req.Ctx,
 		Epoch:    claim.Epoch,
 		Deadline: pf.TakeDeadline(),
 	})
@@ -103,21 +120,16 @@ func (o *PrefetchObject) Close() { o.pf.Close() }
 // interface lives here so core does not depend on the policy package).
 // Admit throttles (may block) or sheds (typed retryable error) before the
 // read executes; ObserveRead reports the outcome so byte budgets can be
-// charged once the payload size is known. TryAdmit is Admit for a read
-// nobody is waiting on (read-ahead): it charges the same budget when the
-// tenant could be admitted right now and otherwise just says no — it never
-// blocks and a refusal is not a shed.
+// charged once the payload size is known; ObserveLatency reports the read's
+// end-to-end latency (admission wait included) or its shed — the per-tenant
+// SLO tracker's feed. TryAdmit is Admit for a read nobody is waiting on
+// (read-ahead): it charges the same budget when the tenant could be admitted
+// right now and otherwise just says no — it never blocks and a refusal is
+// not a shed.
 type TenantGate interface {
 	Admit(tenant string) error
 	TryAdmit(tenant string) bool
 	ObserveRead(tenant string, bytes int64, err error)
-}
-
-// latencyObserver is the optional TenantGate extension the stage reports
-// end-to-end read latency (including admission waits) and shed outcomes to
-// — the per-tenant SLO tracker's feed (internal/tenancy implements it;
-// same extension pattern as ctxReader).
-type latencyObserver interface {
 	ObserveLatency(tenant string, latency time.Duration, shed bool)
 }
 
@@ -246,7 +258,6 @@ type Stage struct {
 	tracer    *obs.Tracer                    // nil-safe; set once via SetTracer before traffic
 	pool      *mempool.Pool                  // nil when pooling is off; stats only
 	gate      TenantGate                     // nil when multi-tenant QoS is off
-	gateObs   latencyObserver                // gate's latency extension, nil if unsupported
 	resilient func() storage.ResilienceStats // nil when no resilient layer is wired in
 	tiering   func() TieringStats            // nil when no fast tier is wired in
 	cache     func() CacheStats              // nil when no shared cache is wired in
@@ -315,39 +326,52 @@ func (s *Stage) SetTraceSampling(p float64) { s.tracer.SetSampling(p) }
 // Read is the POSIX interception point: the DL framework's read/pread calls
 // land here (the TensorFlow integration swaps its file-system backend's
 // pread for this call; the PyTorch integration forwards over a UNIX
-// socket).
-func (s *Stage) Read(name string) (storage.Data, error) {
-	return s.ReadCtx(name, obs.Ctx{})
-}
-
-// ReadCtx is Read with an explicit trace context: the IPC server passes the
-// client-propagated context; a zero ctx makes the stage head-sample a fresh
-// trace for this read.
-func (s *Stage) ReadCtx(name string, ctx obs.Ctx) (storage.Data, error) {
-	if !ctx.Sampled {
-		ctx = s.tracer.StartTrace()
+// socket). It is the stage's only read: the head-sampling decision is drawn
+// once, here, unless the request already carries a sampled context (so
+// throttle spans share the read's trace); then admission (throttle or typed
+// shed — before any stage or plan state changes, so a shed read is safely
+// retryable), then the object-chain walk, then the outcome report that
+// charges the tenant's byte budget and feeds its SLO tracker. Without a gate
+// — or for a peer serve, which the requester's node accounts for — it is
+// the walk alone.
+func (s *Stage) Read(req ReadRequest) (storage.Data, PlanPos, error) {
+	if !req.Ctx.Sampled {
+		req.Ctx = s.tracer.StartTrace()
 	}
-	data, _, err := s.readCtx(name, ctx)
-	return data, err
+	if s.gate == nil || req.Peer {
+		return s.serve(req)
+	}
+	start := s.env.Now()
+	if err := s.gate.Admit(req.Tenant); err != nil {
+		s.shed.Inc()
+		now := s.env.Now()
+		if wait := now - start; wait > 0 {
+			s.throttleWait.Add(int64(wait))
+		}
+		if req.Ctx.Sampled {
+			s.tracer.Record(obs.Span{Trace: req.Ctx.Trace, Stage: obs.StageTenantShed, Name: req.Name, At: start, Latency: now - start, Error: err.Error()})
+		}
+		s.gate.ObserveLatency(req.Tenant, now-start, true)
+		return storage.Data{}, PlanPos{}, err
+	}
+	if wait := s.env.Now() - start; wait > 0 {
+		s.throttleWait.Add(int64(wait))
+		if req.Ctx.Sampled {
+			s.tracer.Record(obs.Span{Trace: req.Ctx.Trace, Stage: obs.StageTenantThrottle, Name: req.Name, At: start, Latency: wait})
+		}
+	}
+	data, at, err := s.serve(req)
+	s.gate.ObserveRead(req.Tenant, data.Size, err)
+	s.gate.ObserveLatency(req.Tenant, s.env.Now()-start, false)
+	return data, at, err
 }
 
-// readCtx is the object-chain walk with the head-sampling decision already
-// made (ReadTenantCtx draws before admission so throttle spans share the
-// read's trace; drawing again here would skew the sampling rate).
-func (s *Stage) readCtx(name string, ctx obs.Ctx) (storage.Data, PlanPos, error) {
+// serve walks the object chain for an admitted, sampling-decided request,
+// falling through to the backend when every object declines.
+func (s *Stage) serve(req ReadRequest) (storage.Data, PlanPos, error) {
 	s.reads.Inc()
 	for _, o := range s.objects {
-		var (
-			data    storage.Data
-			at      PlanPos
-			handled bool
-			err     error
-		)
-		if cr, ok := o.(ctxReader); ok {
-			data, at, handled, err = cr.ReadCtx(name, ctx)
-		} else {
-			data, handled, err = o.Read(name)
-		}
+		data, at, handled, err := o.Read(req)
 		if !handled {
 			continue
 		}
@@ -359,7 +383,7 @@ func (s *Stage) readCtx(name string, ctx obs.Ctx) (storage.Data, PlanPos, error)
 		return data, at, nil
 	}
 	s.bypasses.Inc()
-	resp, err := s.backend.Read(storage.Request{Name: name, Ctx: ctx})
+	resp, err := s.backend.Read(storage.Request{Name: req.Name, Ctx: req.Ctx})
 	if err != nil {
 		s.errors.Inc()
 		return storage.Data{}, PlanPos{}, err
@@ -368,16 +392,9 @@ func (s *Stage) readCtx(name string, ctx obs.Ctx) (storage.Data, PlanPos, error)
 }
 
 // SetTenantGate attaches the multi-tenant admission gate. Call before
-// traffic starts; a nil gate (the default) makes ReadTenantCtx behave
-// exactly like ReadCtx. A gate implementing latencyObserver additionally
-// receives every tenant read's end-to-end latency and shed outcome.
-func (s *Stage) SetTenantGate(g TenantGate) {
-	s.gate = g
-	s.gateObs = nil
-	if lo, ok := g.(latencyObserver); ok {
-		s.gateObs = lo
-	}
-}
+// traffic starts; with a nil gate (the default) Read admits everything and
+// observes nothing.
+func (s *Stage) SetTenantGate(g TenantGate) { s.gate = g }
 
 // SetResilienceSource registers the resilient layer's snapshot provider so
 // breaker state and retry pressure ride the stage's monitoring snapshot
@@ -413,70 +430,12 @@ func (s *Stage) SetEpochPlanHook(f func(names []string)) { s.epochHook = f }
 // before traffic starts; nil (the default) submits plans unfiltered.
 func (s *Stage) SetPlanPartitioner(f func(names []string) []string) { s.partition = f }
 
-// ReadTenant is ReadTenantCtx without a trace context.
-func (s *Stage) ReadTenant(tenant, name string) (storage.Data, error) {
-	return s.ReadTenantCtx(tenant, name, obs.Ctx{})
-}
-
-// ReadTenantCtx is the tenant-attributed interception point the IPC server
-// uses: admission first (throttle or typed shed — before any stage or plan
-// state changes, so a shed read is safely retryable), then the ordinary
-// read path, then the outcome report that charges the tenant's byte
-// budget. The head-sampling decision is drawn before admission so the
-// throttle/shed span and the read's lifecycle spans share one trace, and
-// the gate's blocking time feeds the always-on throttle-wait counter and
-// the per-tenant SLO feed (latencyObserver).
-func (s *Stage) ReadTenantCtx(tenant, name string, ctx obs.Ctx) (storage.Data, error) {
-	data, _, err := s.ReadPlanned(tenant, name, ctx)
-	return data, err
-}
-
-// ReadPlanned is ReadTenantCtx additionally reporting which plan entry the
-// read consumed (the zero PlanPos for a bypass) — the IPC server's read
-// call: a connection's successive positions are what it predicts its
-// read-ahead from (TakeAhead).
-func (s *Stage) ReadPlanned(tenant, name string, ctx obs.Ctx) (storage.Data, PlanPos, error) {
-	if !ctx.Sampled {
-		ctx = s.tracer.StartTrace()
-	}
-	if s.gate == nil {
-		return s.readCtx(name, ctx)
-	}
-	start := s.env.Now()
-	if err := s.gate.Admit(tenant); err != nil {
-		s.shed.Inc()
-		now := s.env.Now()
-		if wait := now - start; wait > 0 {
-			s.throttleWait.Add(int64(wait))
-		}
-		if ctx.Sampled {
-			s.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageTenantShed, Name: name, At: start, Latency: now - start, Error: err.Error()})
-		}
-		if s.gateObs != nil {
-			s.gateObs.ObserveLatency(tenant, now-start, true)
-		}
-		return storage.Data{}, PlanPos{}, err
-	}
-	if wait := s.env.Now() - start; wait > 0 {
-		s.throttleWait.Add(int64(wait))
-		if ctx.Sampled {
-			s.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageTenantThrottle, Name: name, At: start, Latency: wait})
-		}
-	}
-	data, at, err := s.readCtx(name, ctx)
-	s.gate.ObserveRead(tenant, data.Size, err)
-	if s.gateObs != nil {
-		s.gateObs.ObserveLatency(tenant, s.env.Now()-start, false)
-	}
-	return data, at, err
-}
-
 // TakeAhead serves the plan entry at position at on behalf of tenant if —
 // and only if — that costs no waiting: the entry is still the next
 // claimable one for its name, its sample is parked in the prefetch buffer
 // and no larger than maxBytes (<= 0: unbounded), and the tenant gate admits
 // it without blocking. Then it is charged and counted exactly like the
-// ReadPlanned it stands in for (a read and a hit, the plan entry
+// Read it stands in for (a read and a hit, the plan entry
 // delivered, the tenant's request and byte budgets, its SLO feed); a
 // pushed sample keeps its plan-entry trace. ok=false means nothing was
 // consumed and, but for one case, nothing charged: the admission token is
@@ -499,7 +458,7 @@ func (s *Stage) TakeAhead(tenant string, at PlanPos, maxBytes int64) (storage.Da
 			return storage.Data{}, false
 		}
 	}
-	it, err := pf.buffer.TakeOpts(name, TakeOptions{NoWait: true, At: at, MaxBytes: maxBytes})
+	it, err := pf.buffer.Take(name, TakeOptions{NoWait: true, At: at, MaxBytes: maxBytes})
 	if err != nil {
 		return storage.Data{}, false
 	}
@@ -508,9 +467,7 @@ func (s *Stage) TakeAhead(tenant string, at PlanPos, maxBytes int64) (storage.Da
 	s.aheadSamples.Inc()
 	if s.gate != nil {
 		s.gate.ObserveRead(tenant, it.Size, nil)
-		if s.gateObs != nil {
-			s.gateObs.ObserveLatency(tenant, s.env.Now()-start, false)
-		}
+		s.gate.ObserveLatency(tenant, s.env.Now()-start, false)
 	}
 	return storage.Data{Name: it.Name, Size: it.Size, Bytes: it.Bytes, Ref: it.Ref}, true
 }

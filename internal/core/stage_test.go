@@ -28,7 +28,7 @@ func TestStageServesPlannedFromBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range names {
-			d, err := st.Read(n)
+			d, _, err := st.Read(ReadRequest{Name: n})
 			if err != nil || d.Name != n || d.Size != 1000 {
 				t.Fatalf("Read(%s) = %+v, %v", n, d, err)
 			}
@@ -48,7 +48,7 @@ func TestStageBypassesUnplanned(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		st, names := newTestStage(env, 10, 2)
 		_ = st.SubmitPlan(names[:5])
-		d, err := st.Read(names[7]) // unplanned
+		d, _, err := st.Read(ReadRequest{Name: names[7]}) // unplanned
 		if err != nil || d.Size != 1000 {
 			t.Fatalf("bypass Read = %+v, %v", d, err)
 		}
@@ -69,11 +69,11 @@ func TestStageErrorCounting(t *testing.T) {
 		st := NewStage(env, faulty, NewPrefetchObject(pf))
 		pf.Start()
 		_ = st.SubmitPlan(names[:1])
-		if _, err := st.Read(names[0]); !errors.Is(err, storage.ErrInjected) {
+		if _, _, err := st.Read(ReadRequest{Name: names[0]}); !errors.Is(err, storage.ErrInjected) {
 			t.Fatalf("Read = %v, want injected error", err)
 		}
 		// Bypass error path, too.
-		if _, err := st.Read(names[0]); !errors.Is(err, storage.ErrInjected) {
+		if _, _, err := st.Read(ReadRequest{Name: names[0]}); !errors.Is(err, storage.ErrInjected) {
 			t.Fatalf("bypass Read = %v, want injected error", err)
 		}
 		if st.Stats().Errors != 2 {
@@ -102,7 +102,7 @@ func TestStageWithoutPrefetcher(t *testing.T) {
 		if st.Prefetcher() != nil {
 			t.Fatal("Prefetcher() != nil for plain stage")
 		}
-		d, err := st.Read(names[0])
+		d, _, err := st.Read(ReadRequest{Name: names[0]})
 		if err != nil || d.Size != 1000 {
 			t.Fatalf("Read = %+v, %v", d, err)
 		}
@@ -121,7 +121,7 @@ func TestStageControlInterface(t *testing.T) {
 		st.SetBufferCapacity(32)
 		_ = st.SubmitPlan(names)
 		for _, n := range names {
-			if _, err := st.Read(n); err != nil {
+			if _, _, err := st.Read(ReadRequest{Name: n}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -148,7 +148,7 @@ func TestStageReadBlocksUntilPrefetchedAndOverlaps(t *testing.T) {
 		_ = st.SubmitPlan(names)
 		start := env.Now()
 		for _, n := range names {
-			if _, err := st.Read(n); err != nil {
+			if _, _, err := st.Read(ReadRequest{Name: n}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -166,9 +166,9 @@ func TestStageReadBlocksUntilPrefetchedAndOverlaps(t *testing.T) {
 type failingObject struct{ calls int }
 
 func (f *failingObject) Name() string { return "failing" }
-func (f *failingObject) Read(name string) (storage.Data, bool, error) {
+func (f *failingObject) Read(ReadRequest) (storage.Data, PlanPos, bool, error) {
 	f.calls++
-	return storage.Data{}, false, nil // always declines
+	return storage.Data{}, PlanPos{}, false, nil // always declines
 }
 func (f *failingObject) Close() {}
 
@@ -180,7 +180,7 @@ func TestStageObjectChainOrder(t *testing.T) {
 		st := NewStage(env, backend, declining, NewPrefetchObject(pf))
 		pf.Start()
 		_ = st.SubmitPlan(names[:1])
-		if _, err := st.Read(names[0]); err != nil {
+		if _, _, err := st.Read(ReadRequest{Name: names[0]}); err != nil {
 			t.Fatal(err)
 		}
 		if declining.calls != 1 {
@@ -200,6 +200,8 @@ type fakeGate struct {
 	observed []string
 	bytes    int64
 	errs     int
+	served   int // ObserveLatency(shed=false) calls
+	shed     int // ObserveLatency(shed=true) calls
 }
 
 var errGateShed = errors.New("gate: shed")
@@ -228,17 +230,28 @@ func (g *fakeGate) ObserveRead(tenant string, bytes int64, err error) {
 	}
 }
 
+func (g *fakeGate) ObserveLatency(_ string, _ time.Duration, shed bool) {
+	if shed {
+		g.shed++
+	} else {
+		g.served++
+	}
+}
+
 func TestStageTenantGate(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		st, names := newTestStage(env, 4, 2)
 		defer st.Close()
 		gate := &fakeGate{}
 		st.SetTenantGate(gate)
+		if err := st.SubmitPlan(names); err != nil {
+			t.Fatal(err)
+		}
 
 		// Admitted read: gate sees the tenant on both sides of the read.
-		d, err := st.ReadTenant("job-a", names[0])
+		d, _, err := st.Read(ReadRequest{Name: names[0], Tenant: "job-a"})
 		if err != nil || d.Size != 1000 {
-			t.Fatalf("ReadTenant = %+v, %v", d, err)
+			t.Fatalf("tenant read = %+v, %v", d, err)
 		}
 		if len(gate.admits) != 1 || gate.admits[0] != "job-a" {
 			t.Fatalf("admits = %v", gate.admits)
@@ -246,36 +259,57 @@ func TestStageTenantGate(t *testing.T) {
 		if len(gate.observed) != 1 || gate.bytes != 1000 {
 			t.Fatalf("observed = %v, bytes = %d", gate.observed, gate.bytes)
 		}
+		if gate.served != 1 || gate.shed != 0 {
+			t.Fatalf("latency feed after an admitted read: served %d shed %d", gate.served, gate.shed)
+		}
 
 		// Shed read: typed error surfaces, nothing executes, Shed counts.
 		gate.shedNext = true
-		if _, err := st.ReadTenant("job-a", names[1]); !errors.Is(err, errGateShed) {
+		if _, _, err := st.Read(ReadRequest{Name: names[1], Tenant: "job-a"}); !errors.Is(err, errGateShed) {
 			t.Fatalf("shed read = %v, want gate error", err)
 		}
 		stats := st.Stats()
 		if stats.Shed != 1 {
 			t.Fatalf("Shed = %d, want 1", stats.Shed)
 		}
-		if stats.Reads != 1 {
-			t.Fatalf("Reads = %d, want 1 (shed read must not reach the stage)", stats.Reads)
+		if stats.Reads != 1 || stats.Plan.Delivered != 1 || stats.Plan.ClaimsInFlight != 0 {
+			t.Fatalf("Reads = %d, plan %+v: a shed read must not reach the stage or its plan", stats.Reads, stats.Plan)
 		}
 		if len(gate.observed) != 1 {
 			t.Fatal("shed read reached ObserveRead")
 		}
+		if gate.served != 1 || gate.shed != 1 {
+			t.Fatalf("latency feed after a shed: served %d shed %d", gate.served, gate.shed)
+		}
+		// A shed changed no plan state: the same read, retried, is a hit.
+		gate.shedNext = false
+		if _, _, err := st.Read(ReadRequest{Name: names[1], Tenant: "job-a"}); err != nil || st.Stats().Hits != 2 {
+			t.Fatalf("retry of a shed read: %v, hits %d", err, st.Stats().Hits)
+		}
 
 		// Failed read still reports to ObserveRead (error attribution).
-		gate.shedNext = false
-		if _, err := st.ReadTenant("job-a", "no-such-file"); err == nil {
+		if _, _, err := st.Read(ReadRequest{Name: "no-such-file", Tenant: "job-a"}); err == nil {
 			t.Fatal("read of missing file succeeded")
 		}
-		if gate.errs != 1 {
-			t.Fatalf("gate errs = %d, want 1", gate.errs)
+		if gate.errs != 1 || gate.served != 3 {
+			t.Fatalf("gate errs = %d, served = %d, want 1 and 3", gate.errs, gate.served)
 		}
 
-		// Without a gate, ReadTenant degrades to a plain read.
+		// A peer serve is the requester's node's to account for: it passes
+		// the gate unseen, even one that is shedding.
+		gate.shedNext = true
+		admits, observed := len(gate.admits), len(gate.observed)
+		if _, _, err := st.Read(ReadRequest{Name: names[2], Tenant: "job-a", Peer: true}); err != nil {
+			t.Fatalf("peer serve = %v", err)
+		}
+		if len(gate.admits) != admits || len(gate.observed) != observed || gate.shed != 1 {
+			t.Fatalf("peer serve reached the gate: admits %v observed %v shed %d", gate.admits, gate.observed, gate.shed)
+		}
+
+		// Without a gate, a tenant-tagged read is a plain read.
 		st2, names2 := newTestStage(env, 1, 1)
 		defer st2.Close()
-		if _, err := st2.ReadTenant("anyone", names2[0]); err != nil {
+		if _, _, err := st2.Read(ReadRequest{Name: names2[0], Tenant: "anyone"}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -64,9 +64,8 @@ type ClusterConfig struct {
 	// (Coordinated/Clairvoyant).
 	ProducerBudget int
 	// Replicas selects the control-plane arrangement for the coordinated
-	// modes: <=1 runs a single centralized coordinator, >1 runs a
-	// replicated coordinatorGroup with leader election by lowest live
-	// index.
+	// modes: <=1 runs a single centralized coordinator, >1 a replicated
+	// group of them with leader election by lowest live index.
 	Replicas int
 	// FailLeaderAt, when positive, crashes coordinator replica 0 at that
 	// virtual time — the failover exercise for the replicated arrangement
@@ -247,8 +246,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 
 		// Control plane.
 		var controllers []*control.Controller
-		var coord *coordinator
-		var group *coordinatorGroup
+		var group *control.LeaderGroup[*coordinator]
 		if cfg.Mode == ClusterIndependent {
 			for n, st := range stages {
 				ctl := control.NewController(env, cfg.ControlInterval)
@@ -265,18 +263,13 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			for i, st := range stages {
 				planes[i] = st
 			}
-			if cfg.Replicas > 1 {
-				group = newCoordinatorGroup(env, planes, cfg.Policy, cfg.ProducerBudget, cfg.Replicas)
-				group.start(cfg.ControlInterval)
-				if cfg.FailLeaderAt > 0 {
-					env.Go("leader-killer", func() {
-						env.Sleep(cfg.FailLeaderAt)
-						group.fail(0)
-					})
-				}
-			} else {
-				coord = newCoordinator(env, planes, cfg.Policy, cfg.ProducerBudget)
-				coord.start(cfg.ControlInterval)
+			group = newCoordinatorGroup(env, cfg.ControlInterval, planes, cfg.Policy, cfg.ProducerBudget, max(cfg.Replicas, 1))
+			group.Start()
+			if cfg.Replicas > 1 && cfg.FailLeaderAt > 0 {
+				env.Go("leader-killer", func() {
+					env.Sleep(cfg.FailLeaderAt)
+					group.Fail(0)
+				})
 			}
 		}
 
@@ -297,6 +290,10 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		start := env.Now()
 		for n := 0; n < cfg.Nodes; n++ {
 			n := n
+			var reader core.Reader = stages[n]
+			if cfg.Mode == ClusterClairvoyant {
+				reader = fabrics[n]
+			}
 			env.Go(nodeNames[n], func() {
 				defer wg.Done()
 				for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -337,11 +334,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 							idx++
 							var err error
 							for attempt := 0; ; attempt++ {
-								if cfg.Mode == ClusterClairvoyant {
-									_, err = fabrics[n].Read(name)
-								} else {
-									_, err = stages[n].Read(name)
-								}
+								_, _, err = reader.Read(core.ReadRequest{Name: name})
 								if err == nil || attempt >= takeRetries || !errors.Is(err, core.ErrTakeDeadline) {
 									break
 								}
@@ -391,14 +384,10 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		for _, ctl := range controllers {
 			ctl.Stop()
 		}
-		if coord != nil {
-			coord.stop()
-			out.TotalProducers = coord.totalProducers()
-		}
 		if group != nil {
-			group.stop()
-			out.TotalProducers = group.totalProducers()
-			out.ControlFailovers = group.failoverCount()
+			group.Stop()
+			out.TotalProducers = group.LastLeader().totalProducers()
+			out.ControlFailovers = group.Failovers()
 		}
 		for n, ctl := range controllers {
 			t, _ := ctl.Applied(nodeNames[n])

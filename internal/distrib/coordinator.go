@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"sync"
-	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/control"
@@ -14,11 +13,11 @@ import (
 // producer budget, giving threads to starved stages and reclaiming them
 // from idle ones. Unlike per-node tuners it can never oversubscribe the
 // shared backend: the cluster-wide producer count stays within the budget.
-// It drives stages through control.DataPlane, so the same loop tunes
+// It drives stages through control.DataPlane, so the same rounds tune
 // in-process stages (the sim) and remote nodes behind an IPC adapter
-// (control.NewRemoteAdapter over an ipc client).
+// (control.NewRemoteAdapter over an ipc client). It has no loop of its own:
+// a control.LeaderGroup ticks it, alone or replicated (newCoordinatorGroup).
 type coordinator struct {
-	env    conc.Env
 	stages []control.DataPlane
 	pol    control.Policy
 	budget int
@@ -26,8 +25,6 @@ type coordinator struct {
 	mu      conc.Mutex
 	prev    []core.StageStats
 	tunings []control.Tuning
-	stopped bool
-	started bool
 }
 
 // debugSignalsFn observes each stage's control signals every tick (test
@@ -58,7 +55,6 @@ func debugSignalsHook() func(stage int, starvation, idle float64, queue, produce
 
 func newCoordinator(env conc.Env, stages []control.DataPlane, pol control.Policy, budget int) *coordinator {
 	c := &coordinator{
-		env:     env,
 		stages:  stages,
 		pol:     pol,
 		budget:  budget,
@@ -84,8 +80,8 @@ func (c *coordinator) applied(n int) control.Tuning {
 	return c.tunings[n]
 }
 
-// tick performs one coordination round.
-func (c *coordinator) tick() {
+// Tick performs one coordination round.
+func (c *coordinator) Tick() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -189,36 +185,6 @@ func (c *coordinator) tick() {
 			c.stages[i].SetBufferCapacity(c.tunings[i].BufferCapacity)
 		}
 	}
-}
-
-// start launches the coordination loop.
-func (c *coordinator) start(interval time.Duration) {
-	c.mu.Lock()
-	if c.started {
-		c.mu.Unlock()
-		panic("distrib: coordinator started twice")
-	}
-	c.started = true
-	c.mu.Unlock()
-	c.env.Go("distrib-coordinator", func() {
-		for {
-			c.env.Sleep(interval)
-			c.mu.Lock()
-			stopped := c.stopped
-			c.mu.Unlock()
-			if stopped {
-				return
-			}
-			c.tick()
-		}
-	})
-}
-
-// stop terminates the loop after its current sleep.
-func (c *coordinator) stop() {
-	c.mu.Lock()
-	c.stopped = true
-	c.mu.Unlock()
 }
 
 // totalProducers reports the cluster-wide producer count.

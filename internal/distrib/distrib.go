@@ -242,7 +242,7 @@ func Run(cfg Config) (Result, error) {
 
 		// Control plane.
 		var controllers []*control.Controller
-		var coord *coordinator
+		var coord *control.LeaderGroup[*coordinator]
 		switch cfg.Mode {
 		case Independent:
 			for n, st := range stages {
@@ -260,8 +260,8 @@ func Run(cfg Config) (Result, error) {
 			for i, st := range stages {
 				planes[i] = st
 			}
-			coord = newCoordinator(env, planes, cfg.Policy, cfg.ProducerBudget)
-			coord.start(cfg.ControlInterval)
+			coord = newCoordinatorGroup(env, cfg.ControlInterval, planes, cfg.Policy, cfg.ProducerBudget, 1)
+			coord.Start()
 		}
 
 		// Training: one thread per node, synchronized per step by the
@@ -297,7 +297,7 @@ func Run(cfg Config) (Result, error) {
 							take = rem
 						}
 						for i := 0; i < take; i++ {
-							if _, err := stages[n].Read(shard[idx]); err != nil {
+							if _, _, err := stages[n].Read(core.ReadRequest{Name: shard[idx]}); err != nil {
 								runErr = err
 								barrier.Break()
 								return
@@ -331,14 +331,14 @@ func Run(cfg Config) (Result, error) {
 			ctl.Stop()
 		}
 		if coord != nil {
-			coord.stop()
+			coord.Stop()
 		}
 		for n, st := range stages {
 			switch cfg.Mode {
 			case Independent:
 				results[n].FinalTuning, _ = controllers[n].Applied(fmt.Sprintf("node-%d", n))
 			case Coordinated:
-				results[n].FinalTuning = coord.applied(n)
+				results[n].FinalTuning = coord.LastLeader().applied(n)
 			}
 			st.Close()
 		}

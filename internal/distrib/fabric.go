@@ -9,12 +9,13 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 )
 
 // PeerReader is the transport a Fabric uses to forward a read to the
 // sample's owner node. *ipc.Client satisfies it (OpPeerRead over the UNIX
 // socket); the cluster test harness uses an in-process transport that calls
-// the owner fabric's ServePeer directly.
+// the owner fabric's Read with Peer set.
 type PeerReader interface {
 	PeerRead(name string) (storage.Data, error)
 }
@@ -192,14 +193,26 @@ func (f *Fabric) OwnedSubset(names []string) []string {
 	return out
 }
 
-// Read routes a read by ownership: local stage, peer forward, or slow-store
-// failover. It draws its own trace context.
-func (f *Fabric) Read(name string) (storage.Data, error) {
-	return f.ReadCtx(name, f.tracer.StartTrace())
-}
-
-// ReadCtx is Read with a caller-provided span context.
-func (f *Fabric) ReadCtx(name string, ctx obs.Ctx) (storage.Data, error) {
+// Read is the fabric's one read and the one place the routing policy lives
+// (DESIGN.md §20). A read forwarded here by a peer (req.Peer) is the
+// owner-side serve. A named tenant's read, and any read of a name this node
+// owns, goes to the local stage with the request intact — tenant included,
+// so the gate admits and charges it exactly as it would without a fabric;
+// named tenants stay local because admission is per node, and forwarding
+// them would leave the owner to serve a tenant it never admitted. Only an
+// untagged (default-tenant) read of a name owned elsewhere leaves the node:
+// forwarded to the owner's buffer, or served from the slow store when that
+// fails — neither of which is charged to anyone, on either side.
+//
+// The request's trace context passes through untouched: the stage draws the
+// head sample for a read it serves, and the fabric draws only on the branch
+// that records a span of its own. The PlanPos is zero on every path — a
+// routed connection receives no socket read-ahead.
+func (f *Fabric) Read(req core.ReadRequest) (storage.Data, core.PlanPos, error) {
+	if req.Peer {
+		return f.servePeer(req)
+	}
+	name := req.Name
 	f.mu.Lock()
 	owner := f.ring.Owner(name)
 	var peer PeerReader
@@ -208,11 +221,19 @@ func (f *Fabric) ReadCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 	}
 	f.mu.Unlock()
 
-	if owner == "" || owner == f.node {
-		f.localReads.Inc()
-		return f.stage.ReadCtx(name, ctx)
+	named := req.Tenant != "" && req.Tenant != tenancy.DefaultTenant
+	if owner == "" || owner == f.node || named {
+		if !named {
+			f.localReads.Inc()
+		}
+		data, _, err := f.stage.Read(req)
+		return data, core.PlanPos{}, err
 	}
 
+	ctx := req.Ctx
+	if !ctx.Sampled {
+		ctx = f.tracer.StartTrace()
+	}
 	start := f.env.Now()
 	if peer != nil {
 		data, err := peer.PeerRead(name)
@@ -228,7 +249,7 @@ func (f *Fabric) ReadCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 					At: start, Latency: wait, Size: data.Size,
 				})
 			}
-			return data, nil
+			return data, core.PlanPos{}, nil
 		}
 		f.peerErrors.Inc()
 	}
@@ -259,25 +280,21 @@ func (f *Fabric) ReadCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 		}
 		f.tracer.Record(sp)
 	}
-	return data, err
+	return data, core.PlanPos{}, err
 }
 
-// ServePeer handles a forwarded read on the owner side: the sample should
-// be warm in (or in flight to) this node's buffer.
-func (f *Fabric) ServePeer(name string) (storage.Data, error) {
-	return f.ServePeerCtx(name, f.tracer.StartTrace())
-}
-
-// ServePeerCtx is ServePeer joining a caller-provided span context — the
-// IPC server hands over the requester's rider trace id so owner-side
-// peer-serve spans land in the same trace as the forwarded read.
-func (f *Fabric) ServePeerCtx(name string, ctx obs.Ctx) (storage.Data, error) {
+// servePeer handles a forwarded read on the owner side: the sample should
+// be warm in (or in flight to) this node's buffer. The span joins the
+// requester's trace when the request carries one (the IPC server hands over
+// the frame's trace id), so owner-side peer-serve spans land in the same
+// trace as the forwarded read.
+func (f *Fabric) servePeer(req core.ReadRequest) (storage.Data, core.PlanPos, error) {
 	f.peerServes.Inc()
 	start := f.env.Now()
-	data, err := f.stage.ReadCtx(name, ctx)
-	if ctx.Sampled {
+	data, _, err := f.stage.Read(req)
+	if req.Ctx.Sampled {
 		sp := obs.Span{
-			Trace: ctx.Trace, Stage: obs.StagePeerServe, Name: name,
+			Trace: req.Ctx.Trace, Stage: obs.StagePeerServe, Name: req.Name,
 			At: start, Latency: f.env.Now() - start, Size: data.Size,
 		}
 		if err != nil {
@@ -285,7 +302,7 @@ func (f *Fabric) ServePeerCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 		}
 		f.tracer.Record(sp)
 	}
-	return data, err
+	return data, core.PlanPos{}, err
 }
 
 // Stats snapshots the fabric's traffic counters.
@@ -311,12 +328,13 @@ func (f *Fabric) Stats() ClusterStats {
 }
 
 // localPeer is the in-process peer transport used by the sim cluster
-// harness: a forwarded read calls the owner fabric's ServePeer directly.
+// harness: a forwarded read calls the owner fabric's Read with Peer set.
 type localPeer struct{ f *Fabric }
 
 // LocalPeer returns an in-process PeerReader serving from f's buffer.
 func LocalPeer(f *Fabric) PeerReader { return localPeer{f: f} }
 
 func (p localPeer) PeerRead(name string) (storage.Data, error) {
-	return p.f.ServePeer(name)
+	data, _, err := p.f.Read(core.ReadRequest{Name: name, Peer: true})
+	return data, err
 }

@@ -102,7 +102,7 @@ func TestFabricRoutesByOwnership(t *testing.T) {
 			}
 		}
 		for _, name := range full {
-			if _, err := fx.fabrics[0].Read(name); err != nil {
+			if _, _, err := fx.fabrics[0].Read(core.ReadRequest{Name: name}); err != nil {
 				t.Errorf("read %q: %v", name, err)
 				return
 			}
@@ -157,7 +157,7 @@ func TestFabricFailoverToSlowStore(t *testing.T) {
 			return
 		}
 		for _, name := range full {
-			if _, err := fx.fabrics[0].Read(name); err != nil {
+			if _, _, err := fx.fabrics[0].Read(core.ReadRequest{Name: name}); err != nil {
 				t.Errorf("read %q: %v", name, err)
 				return
 			}

@@ -7,144 +7,20 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/control"
 )
 
-// coordinatorGroup is the replicated arrangement of the cluster
-// coordinator: R replicas each hold the full coordinator state (previous
-// snapshots, applied tunings) over the same stages, but only the leader —
-// the lowest-indexed live replica — executes rounds. On leader failure the
-// next live replica takes over on the following round. Its snapshots and
-// tuning book are slightly stale (frozen at the last round it led, or at
-// construction); the first post-failover tick normalizes deltas over the
-// long interval since its own last observation and re-applies its own
-// tunings, after which it converges like a fresh coordinator. Mirrors
-// control.ReplicaGroup one level up.
-type coordinatorGroup struct {
-	env conc.Env
-
-	mu        conc.Mutex
-	replicas  []*coordinator
-	alive     []bool
-	started   bool
-	stopped   bool
-	failovers int64
-	lastLead  int
-}
-
-// newCoordinatorGroup creates n coordinator replicas (n >= 1) over the same
-// stages, none started. Every replica applies the same initial tuning (one
+// newCoordinatorGroup is the replicated arrangement of the cluster
+// coordinator: n replicas (n >= 1) each hold the full coordinator state
+// (previous snapshots, applied tunings) over the same stages, led by a
+// control.LeaderGroup — only the lowest-indexed live replica executes
+// rounds. A replica that takes over holds slightly stale snapshots and
+// tunings (frozen at the last round it led, or at construction); its first
+// tick normalizes deltas over the long interval since its own last
+// observation and re-applies its own tunings, after which it converges like
+// a fresh coordinator. Every replica applies the same initial tuning (one
 // producer each), so repeated construction-time writes are idempotent.
-func newCoordinatorGroup(env conc.Env, stages []control.DataPlane, pol control.Policy, budget, n int) *coordinatorGroup {
-	if n < 1 {
-		panic("distrib: coordinator group needs >= 1 replica")
+func newCoordinatorGroup(env conc.Env, interval time.Duration, stages []control.DataPlane, pol control.Policy, budget, n int) *control.LeaderGroup[*coordinator] {
+	replicas := make([]*coordinator, n)
+	for i := range replicas {
+		replicas[i] = newCoordinator(env, stages, pol, budget)
 	}
-	g := &coordinatorGroup{env: env, mu: env.NewMutex()}
-	for i := 0; i < n; i++ {
-		g.replicas = append(g.replicas, newCoordinator(env, stages, pol, budget))
-		g.alive = append(g.alive, true)
-	}
-	return g
-}
-
-// leader reports the index of the current leader, or -1 when none is live.
-func (g *coordinatorGroup) leader() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.leaderLocked()
-}
-
-func (g *coordinatorGroup) leaderLocked() int {
-	for i, ok := range g.alive {
-		if ok {
-			return i
-		}
-	}
-	return -1
-}
-
-// fail marks replica i dead (simulated crash).
-func (g *coordinatorGroup) fail(i int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.alive[i] = false
-}
-
-// recover marks replica i live again; leadership returns to the lowest
-// index on the next round.
-func (g *coordinatorGroup) recover(i int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.alive[i] = true
-}
-
-// failoverCount reports how many rounds ran on a different replica than the
-// previous round.
-func (g *coordinatorGroup) failoverCount() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.failovers
-}
-
-// tick runs one coordination round on the current leader, reporting which
-// replica executed it (-1 when all are down).
-func (g *coordinatorGroup) tick() int {
-	g.mu.Lock()
-	lead := g.leaderLocked()
-	if lead >= 0 && lead != g.lastLead {
-		g.failovers++
-	}
-	if lead >= 0 {
-		g.lastLead = lead
-	}
-	g.mu.Unlock()
-	if lead < 0 {
-		return -1
-	}
-	g.replicas[lead].tick()
-	return lead
-}
-
-// start launches the group's autonomous loop.
-func (g *coordinatorGroup) start(interval time.Duration) {
-	g.mu.Lock()
-	if g.started {
-		g.mu.Unlock()
-		panic("distrib: coordinator group started twice")
-	}
-	g.started = true
-	g.mu.Unlock()
-	g.env.Go("distrib-coordinator-group", func() {
-		for {
-			g.env.Sleep(interval)
-			g.mu.Lock()
-			stopped := g.stopped
-			g.mu.Unlock()
-			if stopped {
-				return
-			}
-			g.tick()
-		}
-	})
-}
-
-// stop terminates the loop after its current sleep.
-func (g *coordinatorGroup) stop() {
-	g.mu.Lock()
-	g.stopped = true
-	g.mu.Unlock()
-}
-
-// applied reports the tuning the most recent leader holds for node n.
-func (g *coordinatorGroup) applied(n int) control.Tuning {
-	g.mu.Lock()
-	lead := g.lastLead
-	g.mu.Unlock()
-	return g.replicas[lead].applied(n)
-}
-
-// totalProducers reports the cluster-wide producer count as the most
-// recent leader sees it.
-func (g *coordinatorGroup) totalProducers() int {
-	g.mu.Lock()
-	lead := g.lastLead
-	g.mu.Unlock()
-	return g.replicas[lead].totalProducers()
+	return control.NewLeaderGroup(env, interval, replicas)
 }

@@ -181,7 +181,7 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 		}
 		defer os.RemoveAll(tmp)
 		sock := filepath.Join(tmp, "alloc.sock")
-		srv, err := ipc.Serve(sock, stage)
+		srv, err := ipc.Serve(sock, stage, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

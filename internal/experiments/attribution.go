@@ -164,7 +164,7 @@ func RunAttributionCell(label string, cfg AttributionConfig) (AttributionCell, e
 		}
 		start := env.Now()
 		for _, n := range names {
-			if _, err := st.Read(n); err != nil {
+			if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
 				runErr = fmt.Errorf("read %s: %w", n, err)
 				return
 			}

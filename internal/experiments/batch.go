@@ -139,7 +139,7 @@ func runBatchCell(setup string, cfg BatchCompareConfig, batch int) (BatchRow, er
 	defer stage.Close()
 
 	for i, name := range names {
-		d, err := stage.Read(name)
+		d, _, err := stage.Read(core.ReadRequest{Name: name})
 		if err != nil {
 			return row, fmt.Errorf("read %s: %w", name, err)
 		}

@@ -88,7 +88,7 @@ func runShardCell(shards, consumers, perConsumer int, accessCost time.Duration) 
 				defer wg.Done()
 				for i := 0; i < perConsumer; i++ {
 					name := fmt.Sprintf("c%03d/s%05d", c, i)
-					if err := buf.Put(core.Item{Name: name, Size: 1}); err != nil {
+					if _, err := buf.Put(core.Item{Name: name, Size: 1}); err != nil {
 						cellErr = err
 						return
 					}
@@ -98,8 +98,8 @@ func runShardCell(shards, consumers, perConsumer int, accessCost time.Duration) 
 				defer wg.Done()
 				for i := 0; i < perConsumer; i++ {
 					name := fmt.Sprintf("c%03d/s%05d", c, i)
-					if _, ok := buf.Take(name); !ok {
-						cellErr = fmt.Errorf("buffer closed before %s", name)
+					if _, err := buf.Take(name, core.TakeOptions{}); err != nil {
+						cellErr = fmt.Errorf("take %s: %w", name, err)
 						return
 					}
 				}

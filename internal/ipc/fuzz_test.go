@@ -265,7 +265,7 @@ func fuzzServer(f *testing.F) (*Server, *core.Stage, []string, string) {
 	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
 	pf.Start()
 	sock := filepath.Join(f.TempDir(), "fuzz.sock")
-	srv, err := Serve(sock, stage)
+	srv, err := Serve(sock, stage, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

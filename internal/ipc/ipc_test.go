@@ -49,7 +49,7 @@ func startServerWithConfig(t *testing.T, nFiles int, cfg ServeConfig) (*Server, 
 	pf.Start()
 
 	sock := filepath.Join(t.TempDir(), "prisma.sock")
-	srv, err := ServeWithConfig(sock, stage, cfg)
+	srv, err := ServeWithConfig(sock, stage, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,17 @@ package ipc
 
 import (
 	"errors"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
-	"github.com/dsrhaslab/prisma-go/internal/obs"
+	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 )
 
-// Without a fabric handler installed, OpPeerRead serves from the local
+// Without a fabric in front, OpPeerRead serves from the local
 // stage — a planned sample comes back intact and is consumed from the
 // evict-on-read buffer exactly like a local Read.
 func TestPeerReadFallsBackToLocalStage(t *testing.T) {
@@ -38,28 +40,43 @@ func TestPeerReadFallsBackToLocalStage(t *testing.T) {
 	}
 }
 
-// SetPeerReadHandler reroutes OpPeerRead to the cluster fabric: the
-// handler sees the requested name (and the rider trace context) and its
-// payload travels back to the requester byte-for-byte.
-func TestPeerReadHandlerRouting(t *testing.T) {
-	srv, _, _, sock := startServer(t, 1)
+// readerFunc adapts a function to core.Reader — the test stand-in for the
+// cluster fabric.
+type readerFunc func(core.ReadRequest) (storage.Data, core.PlanPos, error)
+
+func (f readerFunc) Read(req core.ReadRequest) (storage.Data, core.PlanPos, error) { return f(req) }
+
+// A server built over a reader serves both read opcodes through it: the
+// reader sees the requested name, the connection's identity, the frame's
+// trace context and — for OpPeerRead — the Peer mark, and its payload
+// travels back to the requester byte-for-byte.
+func TestReaderServesBothReadOpcodes(t *testing.T) {
+	_, stage, _, _ := startServer(t, 1)
 	var mu sync.Mutex
-	var served []string
-	srv.SetPeerReadHandler(func(name string, ctx obs.Ctx) (storage.Data, error) {
+	var served []core.ReadRequest
+	sock := filepath.Join(t.TempDir(), "routed.sock")
+	srv, err := Serve(sock, stage, readerFunc(func(req core.ReadRequest) (storage.Data, core.PlanPos, error) {
 		mu.Lock()
-		served = append(served, name)
+		served = append(served, req)
 		mu.Unlock()
-		if name == "missing.bin" {
-			return storage.Data{}, errors.New("not owned here")
+		if req.Name == "missing.bin" {
+			return storage.Data{}, core.PlanPos{}, errors.New("not owned here")
 		}
-		payload := []byte("fabric:" + name)
-		return storage.Data{Name: name, Size: int64(len(payload)), Bytes: payload}, nil
-	})
+		payload := []byte("fabric:" + req.Name)
+		return storage.Data{Name: req.Name, Size: int64(len(payload)), Bytes: payload}, core.PlanPos{}, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	c, err := Dial(sock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if _, err := c.Hello("job-a", ""); err != nil {
+		t.Fatal(err)
+	}
 
 	d, err := c.PeerRead("sample-7.jpg")
 	if err != nil {
@@ -69,21 +86,26 @@ func TestPeerReadHandlerRouting(t *testing.T) {
 		t.Fatalf("payload = %q", d.Bytes)
 	}
 
-	// Handler errors surface as typed remote errors and do NOT poison the
+	// Reader errors surface as typed remote errors and do NOT poison the
 	// connection: the next call reuses it.
 	_, err = c.PeerRead("missing.bin")
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want RemoteError", err)
 	}
-	if _, err := c.PeerRead("sample-8.jpg"); err != nil {
-		t.Fatalf("connection unusable after remote error: %v", err)
+	if d, err := c.Read("sample-8.jpg"); err != nil || string(d.Bytes) != "fabric:sample-8.jpg" {
+		t.Fatalf("connection unusable after remote error: %q, %v", d.Bytes, err)
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(served) != 3 {
-		t.Fatalf("handler saw %d requests, want 3: %v", len(served), served)
+	want := []core.ReadRequest{
+		{Name: "sample-7.jpg", Tenant: "job-a", Peer: true},
+		{Name: "missing.bin", Tenant: "job-a", Peer: true},
+		{Name: "sample-8.jpg", Tenant: "job-a"},
+	}
+	if !reflect.DeepEqual(served, want) {
+		t.Fatalf("reader saw %+v, want %+v", served, want)
 	}
 }
 

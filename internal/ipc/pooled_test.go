@@ -46,7 +46,7 @@ func startPooledServer(t *testing.T, nFiles int) (*mempool.Pool, []string, strin
 	stage.SetBufferPool(pool)
 	pf.Start()
 	sock := filepath.Join(t.TempDir(), "pooled.sock")
-	srv, err := Serve(sock, stage)
+	srv, err := Serve(sock, stage, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

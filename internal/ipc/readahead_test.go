@@ -16,7 +16,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
-	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
@@ -78,7 +77,7 @@ func startAheadServerPool(t *testing.T, nFiles, size int, pool *mempool.Pool) *a
 	fx.stage.SetBufferPool(fx.pool)
 	pf.Start()
 	fx.sock = filepath.Join(t.TempDir(), "ahead.sock")
-	if fx.srv, err = Serve(fx.sock, fx.stage); err != nil {
+	if fx.srv, err = Serve(fx.sock, fx.stage, nil); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
@@ -443,8 +442,9 @@ type panickyGate struct {
 	tries atomic.Int32
 }
 
-func (g *panickyGate) Admit(string) error               { return nil }
-func (g *panickyGate) ObserveRead(string, int64, error) {}
+func (g *panickyGate) Admit(string) error                         { return nil }
+func (g *panickyGate) ObserveRead(string, int64, error)           {}
+func (g *panickyGate) ObserveLatency(string, time.Duration, bool) {}
 func (g *panickyGate) TryAdmit(string) bool {
 	if g.armed.Load() && g.tries.Add(1) == 3 {
 		panic("gate: boom")
@@ -473,10 +473,20 @@ func TestReadAheadHandlerPanicReleasesHeld(t *testing.T) {
 	}
 	fx.awaitParked(16)
 	gate.armed.Store(true)
+	// The third admission tried while armed panics. That is normally this
+	// very exchange; on a loaded machine a producer descheduled mid-read can
+	// leave a gap in the parked run and cut the batch short, and then a
+	// following exchange gets there.
 	var remote *RemoteError
-	if err := fx.read(c, plan[i]); !errors.As(err, &remote) {
-		t.Fatalf("read through a panicking handler = %v, want RemoteError", err)
+	for tries := 0; remote == nil; i++ {
+		if err := fx.read(c, plan[i]); err != nil && !errors.As(err, &remote) {
+			t.Fatal(err)
+		}
+		if tries++; tries > 16 {
+			t.Fatal("16 reads behind an armed gate and the handler never panicked")
+		}
 	}
+	i-- // the read that panicked
 	if fx.srv.Panics() != 1 || gate.tries.Load() != 3 {
 		t.Fatalf("panics %d, admissions tried %d; want 1, 3", fx.srv.Panics(), gate.tries.Load())
 	}
@@ -674,14 +684,22 @@ func TestReadAheadNewClientOldServer(t *testing.T) {
 	}
 }
 
-// TestReadAheadRoutedReadsGetNoExtras: behind a read router (cluster
-// ownership routing) and on OpPeerRead the server has no plan position to
-// predict from, so replies stay single-sample however regular the reader.
+// TestReadAheadRoutedReadsGetNoExtras: behind a reader that routes (the
+// cluster fabric reports no plan position for the reads it routes) and on
+// OpPeerRead the server has nothing to predict from, so replies stay
+// single-sample however regular the reader.
 func TestReadAheadRoutedReadsGetNoExtras(t *testing.T) {
 	fx := startAheadServer(t, 256, 2000)
-	fx.srv.SetReadRouter(func(tenant, name string, ctx obs.Ctx) (storage.Data, error) {
-		return fx.stage.ReadTenantCtx(tenant, name, ctx)
+	routed := readerFunc(func(req core.ReadRequest) (storage.Data, core.PlanPos, error) {
+		d, _, err := fx.stage.Read(req)
+		return d, core.PlanPos{}, err
 	})
+	fx.sock = filepath.Join(t.TempDir(), "routed.sock")
+	srv, err := Serve(fx.sock, fx.stage, routed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	c := fx.dial()
 	plan := shuffled(fx.names, 10)
 	if _, err := c.SubmitEpoch(plan); err != nil {

@@ -193,7 +193,7 @@ func TestServerPanicKeepsConnectionAlive(t *testing.T) {
 	// and the same connection keeps serving later requests. A nil stage
 	// makes every stage-touching dispatch panic.
 	sock := filepath.Join(t.TempDir(), "panicky.sock")
-	srv, err := ServeWithConfig(sock, nil, ServeConfig{})
+	srv, err := ServeWithConfig(sock, nil, nil, ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

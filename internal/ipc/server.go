@@ -35,6 +35,7 @@ type ServeConfig struct {
 // server crash.
 type Server struct {
 	stage    *core.Stage
+	reader   core.Reader // what OpRead/OpPeerRead are served by; immutable
 	listener net.Listener
 	cfg      ServeConfig
 	panics   atomic.Int64
@@ -42,29 +43,31 @@ type Server struct {
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
 	closed    bool
-	decisions func() ([]byte, error)                               // OpDecisions source (pre-marshaled JSON)
-	bundle    func() ([]byte, error)                               // OpBundle source (pre-marshaled JSON)
-	tenancy   *tenancy.Manager                                     // nil = single-tenant (hello still accepted)
-	peerRead  func(name string, ctx obs.Ctx) (storage.Data, error) // OpPeerRead router (nil = local stage)
-	// readRouter interposes on OpRead (nil = local stage) — the cluster
-	// fabric's ownership routing for socket clients.
-	readRouter func(tenant, name string, ctx obs.Ctx) (storage.Data, error)
-	wg         sync.WaitGroup
+	decisions func() ([]byte, error) // OpDecisions source (pre-marshaled JSON)
+	bundle    func() ([]byte, error) // OpBundle source (pre-marshaled JSON)
+	tenancy   *tenancy.Manager       // nil = single-tenant (hello still accepted)
+	wg        sync.WaitGroup
 }
 
 // Serve starts a server for stage on the given socket path with the zero
-// ServeConfig. It returns once the listener is active.
-func Serve(socketPath string, stage *core.Stage) (*Server, error) {
-	return ServeWithConfig(socketPath, stage, ServeConfig{})
+// ServeConfig. Reads are served by reader — the cluster fabric in front of
+// the stage, when there is one — and nil means the stage itself; every
+// other opcode (plans, tuning, stats, read-ahead) addresses the stage. It
+// returns once the listener is active.
+func Serve(socketPath string, stage *core.Stage, reader core.Reader) (*Server, error) {
+	return ServeWithConfig(socketPath, stage, reader, ServeConfig{})
 }
 
 // ServeWithConfig starts a server with explicit resilience settings.
-func ServeWithConfig(socketPath string, stage *core.Stage, cfg ServeConfig) (*Server, error) {
+func ServeWithConfig(socketPath string, stage *core.Stage, reader core.Reader, cfg ServeConfig) (*Server, error) {
 	l, err := net.Listen("unix", socketPath)
 	if err != nil {
 		return nil, fmt.Errorf("ipc: listen %s: %w", socketPath, err)
 	}
-	s := &Server{stage: stage, listener: l, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	if reader == nil {
+		reader = stage
+	}
+	s := &Server{stage: stage, reader: reader, listener: l, cfg: cfg, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -97,42 +100,6 @@ func (s *Server) SetTenantManager(m *tenancy.Manager) {
 	s.mu.Lock()
 	s.tenancy = m
 	s.mu.Unlock()
-}
-
-// SetPeerReadHandler wires the OpPeerRead opcode to the cluster fabric's
-// owner-side service routine (peer-serve accounting and spans happen
-// there). Without a handler, OpPeerRead falls back to the local stage —
-// a single-node server still answers peers correctly, just without
-// cluster counters. Call before peers connect; the indirection keeps ipc
-// decoupled from the placement package.
-func (s *Server) SetPeerReadHandler(f func(name string, ctx obs.Ctx) (storage.Data, error)) {
-	s.mu.Lock()
-	s.peerRead = f
-	s.mu.Unlock()
-}
-
-func (s *Server) peerReadHandler() func(name string, ctx obs.Ctx) (storage.Data, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peerRead
-}
-
-// SetReadRouter interposes on client OpRead requests — the cluster fabric
-// uses it so socket clients get the same ownership routing (local buffer,
-// peer forward, slow-store failover) as in-process readers. Without a
-// router, reads go straight to the local stage. The router receives the
-// connection's hello-resolved tenant so it can keep tenant-attributed
-// reads on the local admission path. Call before clients connect.
-func (s *Server) SetReadRouter(f func(tenant, name string, ctx obs.Ctx) (storage.Data, error)) {
-	s.mu.Lock()
-	s.readRouter = f
-	s.mu.Unlock()
-}
-
-func (s *Server) readRouterFn() func(tenant, name string, ctx obs.Ctx) (storage.Data, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readRouter
 }
 
 func (s *Server) tenantManager() *tenancy.Manager {
@@ -446,9 +413,10 @@ func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte
 }
 
 // handleRead serves OpRead and OpPeerRead: one sample by name, through the
-// stage or whichever router the opcode has, and — for a planned OpRead from
-// a client that asked for it — the plan entries the connection will read
-// next, as far as they can be had without waiting (DESIGN.md §19).
+// server's reader — the request says who is asking, how the read is traced
+// and whether a peer forwarded it — and, for a planned OpRead from a client
+// that asked for it, the plan entries the connection will read next, as far
+// as they can be had without waiting (DESIGN.md §19).
 func (s *Server) handleRead(cs *connState, opcode byte, trace uint64, payload []byte) response {
 	nameBytes, rest, err := readStringBytes(payload)
 	if err != nil {
@@ -471,38 +439,22 @@ func (s *Server) handleRead(cs *connState, opcode byte, trace uint64, payload []
 	ctx := obs.Ctx{Trace: trace, Sampled: trace != 0}
 	tracer := s.stage.Tracer()
 	start := tracer.Now()
-	var (
-		data storage.Data
-		at   core.PlanPos // stays zero on every routed path: no position, no read-ahead
-	)
-	if opcode == OpPeerRead {
-		if pr := s.peerReadHandler(); pr != nil {
-			// The fabric's owner-side routine: peer-serve counters and
-			// spans live there.
-			data, err = pr(name, ctx)
-		} else {
-			data, err = s.stage.ReadCtx(name, ctx)
+	// at stays zero for every read a fabric routed: no position, no
+	// read-ahead.
+	data, at, err := s.reader.Read(core.ReadRequest{Name: name, Tenant: cs.tenant, Ctx: ctx, Peer: opcode == OpPeerRead})
+	if opcode == OpRead && ctx.Sampled {
+		sp := obs.Span{
+			Trace:   ctx.Trace,
+			Stage:   obs.StageIPCServe,
+			Name:    name,
+			At:      start,
+			Latency: tracer.Now() - start,
+			Size:    data.Size,
 		}
-	} else {
-		if rr := s.readRouterFn(); rr != nil {
-			data, err = rr(cs.tenant, name, ctx)
-		} else {
-			data, at, err = s.stage.ReadPlanned(cs.tenant, name, ctx)
+		if err != nil {
+			sp.Error = err.Error()
 		}
-		if ctx.Sampled {
-			sp := obs.Span{
-				Trace:   ctx.Trace,
-				Stage:   obs.StageIPCServe,
-				Name:    name,
-				At:      start,
-				Latency: tracer.Now() - start,
-				Size:    data.Size,
-			}
-			if err != nil {
-				sp.Error = err.Error()
-			}
-			tracer.Record(sp)
-		}
+		tracer.Record(sp)
 	}
 	if err != nil {
 		// A load shed is typed end to end: the client's backoff reads

@@ -387,7 +387,7 @@ func TestPrismaPrefetchesFromPackedShards(t *testing.T) {
 			return
 		}
 		for _, n := range names {
-			d, err := st.Read(n)
+			d, _, err := st.Read(core.ReadRequest{Name: n})
 			if err != nil || d.Size != 100_000 {
 				t.Errorf("Read(%s) = %+v, %v", n, d, err)
 				return

@@ -54,6 +54,7 @@ type Cache struct {
 	order     *list.List // front = MRU
 	inflight  map[string]bool
 	used      int64
+	closed    bool // Close ran: reads still pass through, nothing is admitted
 
 	hits      *metrics.Counter
 	misses    *metrics.Counter
@@ -230,7 +231,7 @@ func (c *Cache) noteWait(ctx obs.Ctx, name string, start, waited time.Duration) 
 // retains its own pooled reference (the fetcher's stays with the fetcher).
 // Caller holds c.mu.
 func (c *Cache) admit(name string, data storage.Data) {
-	if _, dup := c.resident[name]; dup {
+	if _, dup := c.resident[name]; dup || c.closed {
 		return
 	}
 	for c.used+data.Size > c.capacity {
@@ -313,10 +314,13 @@ func (c *Cache) Invalidate(name string) {
 }
 
 // Close drops every resident entry, releasing the cache's pooled
-// references so end-of-run leak audits see a clean pool.
+// references so end-of-run leak audits see a clean pool, and admits nothing
+// from then on: a producer read still in flight when the instance closes
+// must not park a lease in a cache nobody will close again.
 func (c *Cache) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.closed = true
 	for el := c.order.Back(); el != nil; el = c.order.Back() {
 		c.evictLocked(el)
 	}

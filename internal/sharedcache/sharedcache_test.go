@@ -299,6 +299,21 @@ func TestPooledLifecycle(t *testing.T) {
 		if n := pool.Outstanding(); n != 0 {
 			t.Fatalf("outstanding refs = %d, want 0", n)
 		}
+
+		// A read that lands after Close (a producer still in flight when the
+		// instance shut down) is served but not admitted: the only lease is
+		// the reader's.
+		late, err := readFile(c, names[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Residents != 0 || pool.Outstanding() != 1 {
+			t.Fatalf("read after Close left %d residents, %d leases", st.Residents, pool.Outstanding())
+		}
+		late.Release()
+		if n := pool.Outstanding(); n != 0 {
+			t.Fatalf("outstanding refs after a late read = %d, want 0", n)
+		}
 	})
 }
 
@@ -339,7 +354,7 @@ func TestTwoJobsSharedDataset(t *testing.T) {
 				return
 			}
 			for _, n := range plan {
-				if _, err := st.Read(n); err != nil {
+				if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
 					t.Error(err)
 					return
 				}

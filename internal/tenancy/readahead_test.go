@@ -8,7 +8,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
-	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
@@ -118,9 +117,9 @@ func readAheadRun(t *testing.T, ahead bool) (delivered []time.Duration, stats Te
 		env.Sleep(10 * time.Millisecond) // let the producers fill the buffer
 		delivered = make([]time.Duration, n)
 		for i := 0; i < n; {
-			_, at, err := st.ReadPlanned("job", names[i], obs.Ctx{})
+			_, at, err := st.Read(core.ReadRequest{Name: names[i], Tenant: "job"})
 			if err != nil || at.Index != i {
-				t.Fatalf("ReadPlanned(%s) at %+v: %v", names[i], at, err)
+				t.Fatalf("Read(%s) at %+v: %v", names[i], at, err)
 			}
 			delivered[i] = env.Now()
 			i++

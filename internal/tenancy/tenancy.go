@@ -481,9 +481,9 @@ func (m *Manager) TryAdmit(tenant string) bool {
 	return true
 }
 
-// ObserveLatency implements the stage's latencyObserver extension: every
-// tenant read's end-to-end latency (including admission waits) lands in the
-// tenant's histogram and, when the tenant has a latency objective, in the
+// ObserveLatency implements core.TenantGate: every tenant read's
+// end-to-end latency (including admission waits) lands in the tenant's
+// histogram and, when the tenant has a latency objective, in the
 // SLO burn-rate tracker. Shed reads count against the shed budget instead
 // of the latency threshold.
 func (m *Manager) ObserveLatency(tenant string, latency time.Duration, shed bool) {

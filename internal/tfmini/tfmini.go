@@ -435,7 +435,7 @@ func (it *stageIter) Next() (bool, error) {
 	}
 	name := it.names[it.i]
 	it.i++
-	if _, err := it.stage.Read(name); err != nil {
+	if _, _, err := it.stage.Read(core.ReadRequest{Name: name}); err != nil {
 		return false, err
 	}
 	// Preprocessing still happens framework-side (PRISMA only moves I/O).

@@ -207,7 +207,7 @@ func TestPrefetcherOverTieredBackend(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range names {
-				if _, err := st.Read(n); err != nil {
+				if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
 					t.Fatal(err)
 				}
 			}

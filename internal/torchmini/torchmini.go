@@ -166,7 +166,7 @@ func (p *PrismaLoader) TrainIter(epoch int) (train.Iterator, error) {
 		return nil, err
 	}
 	it := newLoaderIter(p.env, p.cfg, names, func(name string) error {
-		_, err := p.stage.Read(name)
+		_, _, err := p.stage.Read(core.ReadRequest{Name: name})
 		return err
 	})
 	p.iters = append(p.iters, it)
@@ -178,7 +178,7 @@ func (p *PrismaLoader) TrainIter(epoch int) (train.Iterator, error) {
 func (p *PrismaLoader) ValIter(epoch int) (train.Iterator, error) {
 	names := p.val.EpochFileList(p.seed+1, epoch)
 	it := newLoaderIter(p.env, p.cfg, names, func(name string) error {
-		_, err := p.stage.Read(name)
+		_, _, err := p.stage.Read(core.ReadRequest{Name: name})
 		return err
 	})
 	p.iters = append(p.iters, it)
@@ -351,7 +351,7 @@ func (it *loaderIter) workerLoop(w int) {
 		if failure == nil && it.cfg.Costs.Collate > 0 {
 			it.env.Sleep(it.cfg.Costs.Collate)
 		}
-		if it.buf.Put(core.Item{Name: batchKey(idx), Err: failure}) != nil {
+		if _, err := it.buf.Put(core.Item{Name: batchKey(idx), Err: failure}); err != nil {
 			return // iterator torn down
 		}
 	}
@@ -369,9 +369,9 @@ func (it *loaderIter) Next() (bool, error) {
 	if it.nextBatch >= len(it.batches) {
 		return false, nil
 	}
-	item, ok := it.buf.Take(batchKey(it.nextBatch))
-	if !ok {
-		return false, core.ErrClosed
+	item, err := it.buf.Take(batchKey(it.nextBatch), core.TakeOptions{})
+	if err != nil {
+		return false, err
 	}
 	if item.Err != nil {
 		it.teardown() // release workers blocked on the reorder buffer

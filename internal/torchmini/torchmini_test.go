@@ -354,7 +354,7 @@ func TestPrismaLoaderIPCEndToEnd(t *testing.T) {
 	defer stage.Close()
 
 	sock := t.TempDir() + "/loader.sock"
-	srv, err := ipc.Serve(sock, stage)
+	srv, err := ipc.Serve(sock, stage, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

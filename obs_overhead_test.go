@@ -42,7 +42,7 @@ func runContendedBuffer(tracer *obs.Tracer, perCouple int) time.Duration {
 			defer wg.Done()
 			for i := 0; i < perCouple; i++ {
 				name := fmt.Sprintf("c%d/s%d", c, i)
-				if err := buf.Put(core.Item{Name: name, Size: 1, Ctx: tracer.StartTrace()}); err != nil {
+				if _, err := buf.Put(core.Item{Name: name, Size: 1, Ctx: tracer.StartTrace()}); err != nil {
 					return
 				}
 			}
@@ -51,7 +51,7 @@ func runContendedBuffer(tracer *obs.Tracer, perCouple int) time.Duration {
 			defer wg.Done()
 			for i := 0; i < perCouple; i++ {
 				name := fmt.Sprintf("c%d/s%d", c, i)
-				if _, ok := buf.TakeCtx(name, tracer.StartTrace()); !ok {
+				if _, err := buf.Take(name, core.TakeOptions{Ctx: tracer.StartTrace()}); err != nil {
 					return
 				}
 			}
@@ -164,7 +164,7 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				name := fmt.Sprintf("w%d/s%d", w, i%64)
-				data, err := stage.ReadTenant("job", name)
+				data, _, err := stage.Read(core.ReadRequest{Name: name, Tenant: "job"})
 				if err != nil {
 					t.Error(err)
 					return
@@ -243,7 +243,7 @@ func runContendedBufferN(b *testing.B, tracer *obs.Tracer, perCouple int) {
 			defer wg.Done()
 			for i := 0; i < perCouple; i++ {
 				name := fmt.Sprintf("c%d/s%d", c, i)
-				if err := buf.Put(core.Item{Name: name, Size: 1, Ctx: tracer.StartTrace()}); err != nil {
+				if _, err := buf.Put(core.Item{Name: name, Size: 1, Ctx: tracer.StartTrace()}); err != nil {
 					b.Error(err)
 					return
 				}
@@ -253,7 +253,7 @@ func runContendedBufferN(b *testing.B, tracer *obs.Tracer, perCouple int) {
 			defer wg.Done()
 			for i := 0; i < perCouple; i++ {
 				name := fmt.Sprintf("c%d/s%d", c, i)
-				if _, ok := buf.TakeCtx(name, tracer.StartTrace()); !ok {
+				if _, err := buf.Take(name, core.TakeOptions{Ctx: tracer.StartTrace()}); err != nil {
 					b.Error("take failed")
 					return
 				}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"sync"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -31,19 +32,56 @@ type Prisma struct {
 	env         *conc.Real
 	manifest    *dataset.Manifest
 	stage       *core.Stage
+	reader      core.Reader // what every read goes through: the fabric when clustered, else the stage
 	ctl         *control.Controller
 	server      *ipc.Server
 	recorder    *trace.Recorder
 	tracer      *obs.Tracer
-	tenants     *tenancy.Manager   // nil unless Options.Tenancy.Enable
-	cache       *sharedcache.Cache // nil unless SharedCacheBytes > 0
-	tiered      *tiering.Backend   // nil unless Options.Tiering.Enable
-	fabric      *distrib.Fabric    // nil unless Options.Cluster.Enable
-	peers       []*socketPeer      // fabric peer transports, closed on Close
+	tenants     *tenancy.Manager // nil unless Options.Tenancy.Enable
+	fabric      *distrib.Fabric  // nil unless Options.Cluster.Enable
 	traceTo     string
 	spanTo      string
 	enablePprof bool
-	closed      bool
+
+	teardown  closers
+	closeOnce sync.Once
+}
+
+// closers is the ordered teardown of everything an instance brought up: each
+// layer pushes its closer as it comes up, and run undoes them newest first,
+// exactly once — whether from Close or from an Open that failed part-way, so
+// a late failure cannot leak a layer an early one would have closed.
+type closers struct {
+	mu  sync.Mutex // ServeUnix may push while Close runs
+	fns []func() error
+}
+
+// push registers f to run before everything pushed so far.
+func (c *closers) push(f func() error) {
+	c.mu.Lock()
+	c.fns = append(c.fns, f)
+	c.mu.Unlock()
+}
+
+// run calls every pushed closer in reverse order and reports the first
+// error; the stack is empty afterwards, so a second run does nothing.
+func (c *closers) run() error {
+	c.mu.Lock()
+	fns := c.fns
+	c.fns = nil
+	c.mu.Unlock()
+	var first error
+	for i := len(fns) - 1; i >= 0; i-- {
+		if err := fns[i](); first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// noErr adapts a closer that reports nothing.
+func noErr(f func()) func() error {
+	return func() error { f(); return nil }
 }
 
 // Stats is the public monitoring snapshot (the stage's control-interface
@@ -292,6 +330,19 @@ func Open(opts Options) (*Prisma, error) {
 		return nil, fmt.Errorf("prisma: no files under %s", opts.Dir)
 	}
 	env := conc.NewReal()
+	p := &Prisma{
+		env:         env,
+		manifest:    manifest,
+		traceTo:     opts.TraceFile,
+		spanTo:      opts.SpanFile,
+		enablePprof: opts.EnablePprof,
+	}
+	// fail abandons a partly built instance: whatever came up is torn down
+	// in reverse, as Close would.
+	fail := func(err error) (*Prisma, error) {
+		_ = p.teardown.run()
+		return nil, fmt.Errorf("prisma: %w", err)
+	}
 	var pool *mempool.Pool
 	if !opts.BufferPool.Disable {
 		pool = mempool.New(mempool.Config{
@@ -303,10 +354,9 @@ func Open(opts Options) (*Prisma, error) {
 	leaf := storage.NewDirBackend(opts.Dir)
 	leaf.SetBufferPool(pool)
 	var backend storage.Backend = leaf
-	var recorder *trace.Recorder
 	if opts.TraceFile != "" {
-		recorder = trace.NewRecorder(env, backend)
-		backend = recorder
+		p.recorder = trace.NewRecorder(env, backend)
+		backend = p.recorder
 	}
 	var cache *sharedcache.Cache
 	if opts.Tenancy.Enable && opts.Tenancy.SharedCacheBytes > 0 {
@@ -316,8 +366,9 @@ func Open(opts Options) (*Prisma, error) {
 		// sheds misses).
 		sc, err := sharedcache.New(env, backend, opts.Tenancy.SharedCacheBytes)
 		if err != nil {
-			return nil, fmt.Errorf("prisma: %w", err)
+			return fail(err)
 		}
+		p.teardown.push(noErr(sc.Close))
 		backend = sc
 		cache = sc
 	}
@@ -335,8 +386,9 @@ func Open(opts Options) (*Prisma, error) {
 			Compress:     opts.Tiering.Compress,
 		}, backend, nil)
 		if err != nil {
-			return nil, fmt.Errorf("prisma: %w", err)
+			return fail(err)
 		}
+		p.teardown.push(noErr(tb.Close))
 		tb.SetBufferPool(pool) // hit-path decode buffers
 		backend = tb
 		tiered = tb
@@ -357,7 +409,7 @@ func Open(opts Options) (*Prisma, error) {
 		// the tier and the trace.
 		rb, err := storage.NewResilientBackend(env, backend, rcfg)
 		if err != nil {
-			return nil, fmt.Errorf("prisma: %w", err)
+			return fail(err)
 		}
 		backend = rb
 		resilient = rb
@@ -373,14 +425,17 @@ func Open(opts Options) (*Prisma, error) {
 		BatchBytes:            opts.Batch.MaxBytes,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("prisma: %w", err)
+		return fail(err)
 	}
 	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	p.teardown.push(noErr(stage.Close))
+	p.stage, p.reader = stage, stage
 	// The tracer exists even at sampling 0 so the runtime knob
 	// (SetTraceSampling, prisma-ctl set-sampling, /tuning?sampling=) can
 	// turn tracing on without a restart. It must attach before Start so
 	// producers never race a nil-to-set transition.
 	tracer := obs.NewTracer(env, obs.TracerOptions{Sampling: opts.TraceSampling})
+	p.tracer = tracer
 	stage.SetTracer(tracer)
 	stage.SetBufferPool(pool)
 	if resilient != nil {
@@ -435,18 +490,6 @@ func Open(opts Options) (*Prisma, error) {
 	}
 	pf.Start()
 
-	p := &Prisma{
-		env:         env,
-		manifest:    manifest,
-		stage:       stage,
-		recorder:    recorder,
-		tracer:      tracer,
-		cache:       cache,
-		tiered:      tiered,
-		traceTo:     opts.TraceFile,
-		spanTo:      opts.SpanFile,
-		enablePprof: opts.EnablePprof,
-	}
 	if opts.Cluster.Enable {
 		// The fabric sits in front of the stage: reads of ring-owned
 		// samples stay local, the rest forward to the owner's buffer (or
@@ -454,9 +497,9 @@ func Open(opts Options) (*Prisma, error) {
 		// installed, submitted epoch plans are narrowed to this node's
 		// owned subsequence before prefetching — clairvoyant placement.
 		if err := buildFabric(p, opts.Cluster, backend); err != nil {
-			stage.Close()
-			return nil, err
+			return fail(err)
 		}
+		p.reader = p.fabric
 	}
 	// The controller is built before the tenancy manager so SLO actions can
 	// land in its decision audit log from the manager's first tick onward.
@@ -469,10 +512,10 @@ func Open(opts Options) (*Prisma, error) {
 		ctl := control.NewController(env, opts.ControlInterval)
 		initial := control.Tuning{Producers: opts.InitialProducers, BufferCapacity: opts.InitialBuffer}
 		if err := ctl.Attach("stage", stage, control.NewAutotuner(), pol, initial); err != nil {
-			stage.Close()
-			return nil, fmt.Errorf("prisma: %w", err)
+			return fail(err)
 		}
 		ctl.Start()
+		p.teardown.push(noErr(ctl.Stop))
 		p.ctl = ctl
 	}
 	if opts.Tenancy.Enable {
@@ -522,23 +565,16 @@ func Open(opts Options) (*Prisma, error) {
 		}
 		mgr, err := tenancy.New(env, cfg)
 		if err != nil {
-			if p.ctl != nil {
-				p.ctl.Stop()
-			}
-			stage.Close()
-			return nil, fmt.Errorf("prisma: %w", err)
+			return fail(err)
 		}
 		for _, ts := range opts.Tenancy.Tenants {
 			if err := mgr.Register(specFrom(ts)); err != nil {
-				if p.ctl != nil {
-					p.ctl.Stop()
-				}
-				stage.Close()
-				return nil, fmt.Errorf("prisma: %w", err)
+				return fail(err)
 			}
 		}
 		stage.SetTenantGate(mgr)
 		mgr.Start()
+		p.teardown.push(noErr(mgr.Stop))
 		p.tenants = mgr
 	}
 	return p, nil
@@ -572,17 +608,7 @@ func specFrom(ts TenantSpec) tenancy.Spec {
 // returned to the pool here. Allocation-sensitive consumers use ReadSample
 // instead, which hands over the pooled buffer itself.
 func (p *Prisma) Read(name string) ([]byte, error) {
-	data, err := p.readData(name)
-	if err != nil {
-		return nil, err
-	}
-	if data.Ref == nil {
-		return data.Bytes, nil
-	}
-	out := make([]byte, len(data.Bytes))
-	copy(out, data.Bytes)
-	data.Release()
-	return out, nil
+	return p.ReadAs("", name)
 }
 
 // Sample is one zero-copy read result: Bytes aliases a pooled buffer the
@@ -605,26 +631,7 @@ func (s *Sample) Release() { s.data.Release() }
 // handed to the caller, who must Release it after consuming the bytes —
 // the zero-allocation fast path for in-process consumers.
 func (p *Prisma) ReadSample(name string) (*Sample, error) {
-	data, err := p.readData(name)
-	if err != nil {
-		return nil, err
-	}
-	return &Sample{Name: data.Name, Size: data.Size, data: data}, nil
-}
-
-// readData is the untagged read path shared by Read and ReadSample: with
-// the cluster fabric enabled it routes by ring ownership (local buffer,
-// peer forward, or slow-store failover); otherwise it goes straight to the
-// stage. The empty tenant resolves to the default tenant under tenancy
-// (the in-process analogue of an untagged connection) and is a free no-op
-// without it. Tenant-attributed reads (ReadAs) stay local: admission
-// control is per node, and forwarding them would double-count the tenant
-// on the owner.
-func (p *Prisma) readData(name string) (storage.Data, error) {
-	if p.fabric != nil {
-		return p.fabric.Read(name)
-	}
-	return p.stage.ReadTenant("", name)
+	return p.ReadSampleAs("", name)
 }
 
 // SubmitPlan shares one epoch's shuffled filename list with the data plane;
@@ -907,7 +914,7 @@ func (p *Prisma) Tenants() (TenantsSnapshot, error) {
 // Under overload an over-budget tenant gets ErrOverloaded instead of
 // queueing.
 func (p *Prisma) ReadAs(tenant, name string) ([]byte, error) {
-	data, err := p.stage.ReadTenant(tenant, name)
+	data, _, err := p.reader.Read(core.ReadRequest{Name: name, Tenant: tenant})
 	if err != nil {
 		return nil, err
 	}
@@ -922,7 +929,7 @@ func (p *Prisma) ReadAs(tenant, name string) ([]byte, error) {
 
 // ReadSampleAs is ReadSample attributed to the named tenant.
 func (p *Prisma) ReadSampleAs(tenant, name string) (*Sample, error) {
-	data, err := p.stage.ReadTenant(tenant, name)
+	data, _, err := p.reader.Read(core.ReadRequest{Name: name, Tenant: tenant})
 	if err != nil {
 		return nil, err
 	}
@@ -976,32 +983,15 @@ func (p *Prisma) ServeUnix(socketPath string) error {
 	if p.server != nil {
 		return errors.New("prisma: already serving")
 	}
-	srv, err := ipc.Serve(socketPath, p.stage)
+	// Socket reads take the same route as in-process ones: p.reader, which
+	// under Cluster.Enable is the fabric (ownership routing for OpRead, the
+	// owner-side serve for OpPeerRead).
+	srv, err := ipc.Serve(socketPath, p.stage, p.reader)
 	if err != nil {
 		return err
 	}
 	if p.tenants != nil {
 		srv.SetTenantManager(p.tenants)
-	}
-	if p.fabric != nil {
-		// Forwarded reads (OpPeerRead) are served by the fabric's owner-side
-		// routine, joining the requester's trace and feeding the peer-serve
-		// counters.
-		fab := p.fabric
-		srv.SetPeerReadHandler(func(name string, ctx obs.Ctx) (storage.Data, error) {
-			return fab.ServePeerCtx(name, ctx)
-		})
-		// Client reads (OpRead) get the same ownership routing as in-process
-		// Prisma.Read: owned samples from the local buffer, non-owned from
-		// the owner's buffer over the peer fabric, slow-store failover when
-		// a peer is down. Named tenants stay on the local admission path —
-		// QoS control is per node, mirroring ReadAs (see readData).
-		srv.SetReadRouter(func(tenant, name string, ctx obs.Ctx) (storage.Data, error) {
-			if tenant == "" || tenant == tenancy.DefaultTenant {
-				return fab.ReadCtx(name, ctx)
-			}
-			return p.stage.ReadTenantCtx(tenant, name, ctx)
-		})
 	}
 	if p.ctl != nil {
 		ctl := p.ctl
@@ -1015,46 +1005,31 @@ func (p *Prisma) ServeUnix(socketPath string) error {
 	}
 	srv.SetBundleSource(p.Bundle)
 	p.server = srv
+	p.teardown.push(srv.Close)
 	return nil
 }
 
 // Close stops the control loop, the socket server (if any), and the data
 // plane. Blocked readers are released with an error.
 func (p *Prisma) Close() error {
-	if p.closed {
-		return nil
-	}
-	p.closed = true
-	if p.ctl != nil {
-		p.ctl.Stop()
-	}
-	if p.tenants != nil {
-		p.tenants.Stop()
-	}
+	// Repeated and concurrent calls are safe: the first does the work and
+	// reports its error, the others wait for it. Everything Open and
+	// ServeUnix brought up goes down newest first; the trace and span files
+	// are written once the data plane is quiet.
 	var err error
-	if p.server != nil {
-		err = p.server.Close()
-	}
-	for _, sp := range p.peers {
-		sp.close()
-	}
-	p.stage.Close()
-	if p.tiered != nil {
-		p.tiered.Close()
-	}
-	if p.cache != nil {
-		p.cache.Close()
-	}
-	if p.recorder != nil {
-		if werr := p.dumpTrace(); err == nil {
-			err = werr
+	p.closeOnce.Do(func() {
+		err = p.teardown.run()
+		if p.recorder != nil {
+			if werr := p.dumpTrace(); err == nil {
+				err = werr
+			}
 		}
-	}
-	if p.spanTo != "" {
-		if werr := p.dumpSpans(); err == nil {
-			err = werr
+		if p.spanTo != "" {
+			if werr := p.dumpSpans(); err == nil {
+				err = werr
+			}
 		}
-	}
+	})
 	return err
 }
 
