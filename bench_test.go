@@ -29,6 +29,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
 	"github.com/dsrhaslab/prisma-go/internal/train"
 )
 
@@ -312,7 +313,7 @@ func BenchmarkStageReadReal(b *testing.B) {
 		b.Fatal(err)
 	}
 	env := conc.NewReal()
-	backend := storage.NewDirBackend(dir)
+	backend := storagetest.OpenDir(b, dir)
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 		InitialProducers: 4, MaxProducers: 8, InitialBufferCapacity: 64, MaxBufferCapacity: 256,
 	})
@@ -346,7 +347,7 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	env := conc.NewReal()
-	backend := storage.NewDirBackend(dir)
+	backend := storagetest.OpenDir(b, dir)
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 		InitialProducers: 1, MaxProducers: 2, InitialBufferCapacity: 4, MaxBufferCapacity: 8,
 	})

@@ -147,7 +147,7 @@ func main() {
 		noPool       = flag.Bool("no-pool", false, "disable the pooled sample buffers (every hop allocates)")
 		poolMin      = flag.Int("pool-min", 0, "smallest pool size class in bytes (0 = default 4KiB)")
 		poolMax      = flag.Int("pool-max", 0, "largest pool size class in bytes (0 = default 4MiB)")
-		poolCap      = flag.Int("pool-cap", 0, "free buffers retained per size class (0 = default 64)")
+		poolCap      = flag.Int("pool-cap", 0, "free buffers retained per size class (0 = 8MiB worth per class, at least 64)")
 
 		tenancy        = flag.Bool("tenancy", false, "enable multi-tenant admission control (per-tenant QoS and overload shedding)")
 		tenantCapacity = flag.Float64("tenant-capacity", 0, "total read rate (reads/s) shared by tenants (0 = default 10000)")

@@ -134,8 +134,9 @@ type planManager struct {
 	mu      conc.Mutex
 	nextID  EpochID
 	epochs  map[EpochID]*epochState
-	order   []EpochID            // issue order, for Epochs() listing and pruning
-	entries map[string][]PlanPos // claimable entries per name, FIFO by epoch then index
+	order   []EpochID              // issue order, for Epochs() listing and pruning
+	entries map[string]nameEntries // claimable entries per name; present = at least one
+	sized   int                    // the plan length entries was last pre-sized for
 
 	pending  int // total claimable entries across names
 	inflight int // claims not yet resolved
@@ -144,11 +145,58 @@ type planManager struct {
 	delivered, dropped   int64
 }
 
+// nameEntries is one name's claimable entries, FIFO by epoch then index.
+// Nearly every plan names a sample once per epoch, so the oldest entry is
+// held inline — registering it allocates nothing — and only duplicates
+// spill into a slice.
+type nameEntries struct {
+	head PlanPos
+	more []PlanPos
+}
+
+// insert returns e with pos added at its place in line.
+func (e nameEntries) insert(pos PlanPos) nameEntries {
+	if pos.before(e.head) {
+		e.head, pos = pos, e.head
+	}
+	i := 0
+	for i < len(e.more) && e.more[i].before(pos) {
+		i++
+	}
+	e.more = append(e.more, PlanPos{})
+	copy(e.more[i+1:], e.more[i:])
+	e.more[i] = pos
+	return e
+}
+
+// without returns e minus the entries of epoch id, how many those were, and
+// whether any entry is left.
+func (e nameEntries) without(id EpochID) (_ nameEntries, removed int, left bool) {
+	kept := e.more[:0]
+	for _, p := range e.more {
+		if p.Epoch == id {
+			removed++
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	e.more = kept
+	if e.head.Epoch != id {
+		return e, removed, true
+	}
+	removed++
+	if len(kept) == 0 {
+		return nameEntries{}, removed, false
+	}
+	e.head, e.more = kept[0], kept[1:]
+	return e, removed, true
+}
+
 func newPlanManager(env conc.Env) *planManager {
 	pm := &planManager{
 		env:     env,
 		epochs:  make(map[EpochID]*epochState),
-		entries: make(map[string][]PlanPos),
+		entries: make(map[string]nameEntries),
 	}
 	pm.mu = env.NewMutex()
 	return pm
@@ -188,8 +236,13 @@ func (pm *planManager) activate(id EpochID, names []string) bool {
 	ep.enqueued = len(names)
 	// A copy: the caller's slice is the caller's to reuse after submitting.
 	ep.order = append([]string(nil), names...)
+	if len(pm.entries) == 0 && len(names) > pm.sized {
+		// Sized once for the plan instead of doubling its way up under mu.
+		pm.sized = len(names)
+		pm.entries = make(map[string]nameEntries, len(names))
+	}
 	for i, n := range names {
-		pm.entries[n] = append(pm.entries[n], PlanPos{Epoch: id, Index: i})
+		pm.addLocked(n, PlanPos{Epoch: id, Index: i})
 	}
 	pm.pending += len(names)
 	return true
@@ -254,19 +307,13 @@ func (pm *planManager) cancel(id EpochID) (removed int, err error) {
 	ep.order = nil
 	pm.cancelled++
 	if !wasSubmitting {
-		for name, ids := range pm.entries {
-			kept := ids[:0]
-			for _, e := range ids {
-				if e.Epoch == id {
-					removed++
-				} else {
-					kept = append(kept, e)
-				}
-			}
-			if len(kept) == 0 {
-				delete(pm.entries, name)
-			} else {
+		for name, e := range pm.entries {
+			kept, n, left := e.without(id)
+			removed += n
+			if left {
 				pm.entries[name] = kept
+			} else {
+				delete(pm.entries, name)
 			}
 		}
 		pm.pending -= removed
@@ -295,12 +342,12 @@ func (pm *planManager) cancelledEpoch(id EpochID) bool {
 func (pm *planManager) claim(name string) (PlanClaim, bool) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	ids := pm.entries[name]
-	if len(ids) == 0 {
+	e, ok := pm.entries[name]
+	if !ok {
 		return PlanClaim{}, false
 	}
-	pos := ids[0]
-	pm.popFrontLocked(name, ids)
+	pos := e.head
+	pm.popFrontLocked(name, e)
 	pm.inflight++
 	if ep := pm.epochs[pos.Epoch]; ep != nil {
 		ep.claimed++
@@ -309,12 +356,22 @@ func (pm *planManager) claim(name string) (PlanClaim, bool) {
 	return PlanClaim{Name: name, PlanPos: pos}, true
 }
 
+// addLocked makes pos claimable for name, at its place in the name's FIFO
+// order. Caller holds mu.
+func (pm *planManager) addLocked(name string, pos PlanPos) {
+	if e, dup := pm.entries[name]; dup {
+		pm.entries[name] = e.insert(pos)
+	} else {
+		pm.entries[name] = nameEntries{head: pos}
+	}
+}
+
 // popFrontLocked removes name's oldest claimable entry. Caller holds mu.
-func (pm *planManager) popFrontLocked(name string, ids []PlanPos) {
-	if len(ids) == 1 {
+func (pm *planManager) popFrontLocked(name string, e nameEntries) {
+	if len(e.more) == 0 {
 		delete(pm.entries, name)
 	} else {
-		pm.entries[name] = ids[1:]
+		pm.entries[name] = nameEntries{head: e.more[0], more: e.more[1:]}
 	}
 	pm.pending--
 }
@@ -337,7 +394,7 @@ func (pm *planManager) nameAtLocked(pos PlanPos) (string, bool) {
 		return "", false
 	}
 	name := ep.order[pos.Index]
-	if ids := pm.entries[name]; len(ids) == 0 || ids[0] != pos {
+	if e, ok := pm.entries[name]; !ok || e.head != pos {
 		return "", false
 	}
 	return name, true
@@ -400,15 +457,7 @@ func (pm *planManager) unclaim(c PlanClaim) {
 	ep.claimed--
 	// Back into its place in line, not blindly to the front: with several
 	// claims of one name out at once they can return in any order.
-	ids := pm.entries[c.Name]
-	i := 0
-	for i < len(ids) && ids[i].before(c.PlanPos) {
-		i++
-	}
-	ids = append(ids, PlanPos{})
-	copy(ids[i+1:], ids[i:])
-	ids[i] = c.PlanPos
-	pm.entries[c.Name] = ids
+	pm.addLocked(c.Name, c.PlanPos)
 	pm.pending++
 }
 
@@ -448,7 +497,8 @@ func (pm *planManager) noteDropped(id EpochID, n int) {
 func (pm *planManager) hasEntry(name string) bool {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	return len(pm.entries[name]) > 0
+	_, ok := pm.entries[name]
+	return ok
 }
 
 // maybeDoneLocked retires an active epoch once every enqueued entry has

@@ -141,7 +141,6 @@ func TestArbiterValidation(t *testing.T) {
 func TestArbiterEqualSplitUnderSaturation(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		a, _ := NewArbiter(env, 1000)
-		var c1, c2 metrics.Counter
 		b1, _ := NewTokenBucket(env, 1000, 1)
 		b2, _ := NewTokenBucket(env, 1000, 1)
 		cnt1 := metrics.NewCounter(env)
@@ -158,8 +157,6 @@ func TestArbiterEqualSplitUnderSaturation(t *testing.T) {
 		if math.Abs(r1-500) > 50 || math.Abs(r2-500) > 50 {
 			t.Fatalf("allocations %v/%v, want ≈500/500", r1, r2)
 		}
-		_ = c1
-		_ = c2
 	})
 }
 

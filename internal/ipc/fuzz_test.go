@@ -14,6 +14,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
 )
 
 // scriptedConn is a net.Conn whose peer already said everything it will
@@ -255,7 +256,7 @@ func fuzzServer(f *testing.F) (*Server, *core.Stage, []string, string) {
 		f.Fatal(err)
 	}
 	env := conc.NewReal()
-	backend := storage.NewDirBackend(dir)
+	backend := storagetest.OpenDir(f, dir)
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 		InitialProducers: 1, MaxProducers: 4, InitialBufferCapacity: 8, MaxBufferCapacity: 32,
 	})

@@ -12,7 +12,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
-	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
 )
 
 // startServer builds a real-mode PRISMA stage over generated files and
@@ -38,7 +38,7 @@ func startServerWithConfig(t *testing.T, nFiles int, cfg ServeConfig) (*Server, 
 		t.Fatal(err)
 	}
 	env := conc.NewReal()
-	backend := storage.NewDirBackend(dir)
+	backend := storagetest.OpenDir(t, dir)
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 		InitialProducers: 2, MaxProducers: 8, InitialBufferCapacity: 8, MaxBufferCapacity: 64,
 	})

@@ -14,7 +14,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
-	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
 )
 
 // startPooledServer is startServer with a debug-mode buffer pool threaded
@@ -33,7 +33,7 @@ func startPooledServer(t *testing.T, nFiles int) (*mempool.Pool, []string, strin
 		t.Fatal(err)
 	}
 	env := conc.NewReal()
-	backend := storage.NewDirBackend(dir)
+	backend := storagetest.OpenDir(t, dir)
 	pool := mempool.New(mempool.Config{Debug: true})
 	backend.SetBufferPool(pool)
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{

@@ -127,7 +127,9 @@ func (fx *aheadFixture) mustRead(c *Client, name string) {
 func (fx *aheadFixture) awaitParked(n int) {
 	fx.t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		if st := fx.stage.Stats(); st.Buffer.Len >= n || (st.QueueLen == 0 && st.Buffer.Len > 0) {
+		// Nothing pending means every entry is claimed or already pushed to a
+		// client's stash: nothing more will ever park.
+		if st := fx.stage.Stats(); st.Buffer.Len >= n || (st.QueueLen == 0 && (st.Buffer.Len > 0 || st.Plan.EntriesPending == 0)) {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -40,8 +40,17 @@ type Config struct {
 	// MaxSize is the largest size class in bytes (default 4 MiB). Gets
 	// larger than MaxSize fall back to plain allocation (still tracked).
 	MaxSize int
-	// PerClassCap bounds how many free buffers each size class retains
-	// (default 64). Releases beyond the cap discard the buffer to the GC.
+	// PerClassCap bounds how many free buffers each size class retains;
+	// releases beyond the cap discard the buffer to the GC. Zero (the
+	// default) sizes the cap per class by bytes: freeBytesPerClass worth
+	// of buffers, and never fewer than minFreePerClass (2048 x 4 KiB down
+	// to 64 x 128 KiB, then 64 of every larger class). Below that cap a
+	// class keeps every buffer it has handed out — a new one is allocated
+	// only when the free list is empty, so free + outstanding never
+	// exceeds the class's own high-water mark (ClassStats.Peak) — and a
+	// workload that breathes within the cap stops missing after its first
+	// cycle. Memory a burst pushed onto a free list stays there until the
+	// pool is dropped; the cap is what bounds it.
 	PerClassCap int
 	// Debug enables leak tracking by Get call-site, poison-on-release, and
 	// panics on double-release / retain-after-free. Test builds turn this
@@ -59,13 +68,27 @@ func (c Config) withDefaults() Config {
 	if c.MaxSize < c.MinSize {
 		c.MaxSize = c.MinSize
 	}
-	if c.PerClassCap <= 0 {
-		c.PerClassCap = 64
-	}
 	// Round both bounds up to powers of two so class index math is shifts.
 	c.MinSize = ceilPow2(c.MinSize)
 	c.MaxSize = ceilPow2(c.MaxSize)
 	return c
+}
+
+// With PerClassCap unset a class's free list holds up to freeBytesPerClass
+// of buffers and at least minFreePerClass of them: small classes, which the
+// prefetch buffer cycles through by the hundred, stop missing, and a burst
+// of large buffers pins no more than the fixed 64 per class always did.
+const (
+	freeBytesPerClass = 8 << 20
+	minFreePerClass   = 64
+)
+
+// freeCap is the free-list bound of the class of the given size.
+func (c Config) freeCap(size int) int {
+	if c.PerClassCap > 0 {
+		return c.PerClassCap
+	}
+	return max(minFreePerClass, freeBytesPerClass/size)
 }
 
 func ceilPow2(n int) int {
@@ -79,8 +102,11 @@ func ceilPow2(n int) int {
 // are recycled along with their buffers so a pool hit allocates nothing.
 type class struct {
 	size int
+	keep int // most free buffers retained (Config.freeCap)
 	mu   sync.Mutex
 	free []*Ref
+	out  int // buffers of this class currently leased
+	peak int // high-water mark of out
 }
 
 // Pool hands out reference-counted buffers bucketed into power-of-two size
@@ -108,7 +134,7 @@ func New(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
 	p := &Pool{cfg: cfg, minBits: bits.TrailingZeros(uint(cfg.MinSize))}
 	for sz := cfg.MinSize; sz <= cfg.MaxSize; sz <<= 1 {
-		p.classes = append(p.classes, &class{size: sz})
+		p.classes = append(p.classes, &class{size: sz, keep: cfg.freeCap(sz)})
 	}
 	if cfg.Debug {
 		p.sites = make(map[string]int)
@@ -148,6 +174,9 @@ func (p *Pool) Get(n int) *Ref {
 		r = &Ref{pool: p, buf: make([]byte, n)}
 	} else {
 		cls.mu.Lock()
+		if cls.out++; cls.out > cls.peak {
+			cls.peak = cls.out
+		}
 		if l := len(cls.free); l > 0 {
 			r = cls.free[l-1]
 			cls.free[l-1] = nil
@@ -210,7 +239,8 @@ func (p *Pool) release(r *Ref) {
 		return
 	}
 	cls.mu.Lock()
-	if len(cls.free) < p.cfg.PerClassCap {
+	cls.out--
+	if len(cls.free) < cls.keep {
 		cls.free = append(cls.free, r)
 		cls.mu.Unlock()
 		p.recycled.Add(1)
@@ -240,10 +270,14 @@ func (p *Pool) Leaks() map[string]int {
 	return out
 }
 
-// ClassStats describes one size class's free list.
+// ClassStats describes one size class: its free list, the buffers out on
+// lease, and the most it ever had out at once (Free + Outstanding never
+// exceeds Peak).
 type ClassStats struct {
-	Size int `json:"size"`
-	Free int `json:"free"`
+	Size        int `json:"size"`
+	Free        int `json:"free"`
+	Outstanding int `json:"outstanding"`
+	Peak        int `json:"peak"`
 }
 
 // Stats is a point-in-time snapshot of pool behaviour.
@@ -274,11 +308,11 @@ func (p *Pool) Stats() Stats {
 	}
 	for _, cls := range p.classes {
 		cls.mu.Lock()
-		n := len(cls.free)
+		cs := ClassStats{Size: cls.size, Free: len(cls.free), Outstanding: cls.out, Peak: cls.peak}
 		cls.mu.Unlock()
-		s.FreeBuffers += n
-		s.FreeBytes += int64(n) * int64(cls.size)
-		s.Classes = append(s.Classes, ClassStats{Size: cls.size, Free: n})
+		s.FreeBuffers += cs.Free
+		s.FreeBytes += int64(cs.Free) * int64(cls.size)
+		s.Classes = append(s.Classes, cs)
 	}
 	if pooled := s.Gets - s.Oversize; pooled > 0 {
 		s.HitRate = float64(s.Hits) / float64(pooled)

@@ -10,70 +10,50 @@ package metrics
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 )
 
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	mu conc.Mutex
-	n  int64
-}
+// Counter is a monotonically increasing event count. It is a bare atomic:
+// producers and readers bump several per sample, and under the simulator —
+// one process runs at a time — an atomic is as deterministic as the
+// uncontended mutex it replaces (internal/mempool relies on the same).
+type Counter struct{ n atomic.Int64 }
 
-// NewCounter returns a zeroed counter bound to env.
-func NewCounter(env conc.Env) *Counter { return &Counter{mu: env.NewMutex()} }
+// NewCounter returns a zeroed counter. env is unused: it keeps the
+// constructor's shape uniform with the package's other instruments.
+func NewCounter(conc.Env) *Counter { return &Counter{} }
 
 // Add increments the counter by delta, which must be non-negative.
 func (c *Counter) Add(delta int64) {
 	if delta < 0 {
 		panic("metrics: negative Counter delta")
 	}
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
+	c.n.Add(delta)
 }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value reports the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
+func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Gauge is an instantaneous signed value.
-type Gauge struct {
-	mu conc.Mutex
-	v  int64
-}
+type Gauge struct{ v atomic.Int64 }
 
-// NewGauge returns a zeroed gauge bound to env.
-func NewGauge(env conc.Env) *Gauge { return &Gauge{mu: env.NewMutex()} }
+// NewGauge returns a zeroed gauge (env unused, as for NewCounter).
+func NewGauge(conc.Env) *Gauge { return &Gauge{} }
 
 // Set stores v.
-func (g *Gauge) Set(v int64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adjusts the gauge by delta and returns the new value.
-func (g *Gauge) Add(delta int64) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.v += delta
-	return g.v
-}
+func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
 
 // Value reports the current value.
-func (g *Gauge) Value() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // TimeInState tracks how long an integer-valued signal spends at each
 // value. Transitions are timestamped with env.Now(); call Finish (or
@@ -84,7 +64,23 @@ type TimeInState struct {
 	mu      conc.Mutex
 	current int
 	since   time.Duration
-	total   map[int]time.Duration
+	// Accumulated time per value. The signals tracked here are small
+	// counts (readers in flight, buffer occupancy, a breaker state) updated
+	// on every sample, so values in [0, denseStates) index a slice grown on
+	// demand and only the rest pay for a map assignment.
+	dense  []stateTime
+	sparse map[int]time.Duration
+}
+
+// denseStates covers the default maximum buffer capacity.
+const denseStates = 4096
+
+// stateTime is one dense slot: seen marks a value the signal has held, so
+// Distribution reports it even when it held it for no time at all — as a
+// map keyed by every value ever assigned would.
+type stateTime struct {
+	d    time.Duration
+	seen bool
 }
 
 // NewTimeInState starts tracking with the signal at initial.
@@ -94,15 +90,31 @@ func NewTimeInState(env conc.Env, initial int) *TimeInState {
 		mu:      env.NewMutex(),
 		current: initial,
 		since:   env.Now(),
-		total:   make(map[int]time.Duration),
 	}
+}
+
+// accrue credits d to the current value. Caller holds mu.
+func (t *TimeInState) accrue(d time.Duration) {
+	v := t.current
+	if v < 0 || v >= denseStates {
+		if t.sparse == nil {
+			t.sparse = make(map[int]time.Duration)
+		}
+		t.sparse[v] += d
+		return
+	}
+	if v >= len(t.dense) {
+		t.dense = append(t.dense, make([]stateTime, v+1-len(t.dense))...)
+	}
+	t.dense[v].d += d
+	t.dense[v].seen = true
 }
 
 // Set records a transition of the signal to v at the current time.
 func (t *TimeInState) Set(v int) {
 	now := t.env.Now()
 	t.mu.Lock()
-	t.total[t.current] += now - t.since
+	t.accrue(now - t.since)
 	t.current = v
 	t.since = now
 	t.mu.Unlock()
@@ -114,7 +126,7 @@ func (t *TimeInState) Add(delta int) int {
 	now := t.env.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.total[t.current] += now - t.since
+	t.accrue(now - t.since)
 	t.current += delta
 	t.since = now
 	return t.current
@@ -133,9 +145,14 @@ func (t *TimeInState) Distribution() map[int]time.Duration {
 	now := t.env.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[int]time.Duration, len(t.total)+1)
-	for k, v := range t.total {
+	out := make(map[int]time.Duration, len(t.sparse)+len(t.dense)+1)
+	for k, v := range t.sparse {
 		out[k] = v
+	}
+	for k, s := range t.dense {
+		if s.seen {
+			out[k] = s.d
+		}
 	}
 	out[t.current] += now - t.since
 	return out
@@ -151,8 +168,11 @@ func (t *TimeInState) TimeWeightedSum() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var sum int64
-	for v, d := range t.total {
+	for v, d := range t.sparse {
 		sum += int64(v) * int64(d)
+	}
+	for v, s := range t.dense {
+		sum += int64(v) * int64(s.d)
 	}
 	sum += int64(t.current) * int64(now-t.since)
 	return sum

@@ -11,6 +11,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
 )
 
 // lzRoundTrip compresses src and decodes it back, failing on mismatch.
@@ -159,7 +160,7 @@ func TestPackDirCompressedRoundTrip(t *testing.T) {
 	}
 
 	// Read everything back through the indexed backend, pooled.
-	store := storage.NewDirBackend(dstDir)
+	store := storagetest.OpenDir(t, dstDir)
 	back := NewIndexedBackend(ix, store)
 	pool := mempool.New(mempool.Config{})
 	store.SetBufferPool(pool)
@@ -223,7 +224,7 @@ func TestPackDirDedupAccounting(t *testing.T) {
 	}
 
 	// Aliased names must read back independently.
-	back := NewIndexedBackend(ix, storage.NewDirBackend(dstDir))
+	back := NewIndexedBackend(ix, storagetest.OpenDir(t, dstDir))
 	for name, content := range files {
 		d, err := readFile(back, name)
 		if err != nil || !bytes.Equal(d.Bytes, content) {
@@ -258,7 +259,7 @@ func TestPackDirCompressAndDedupCompose(t *testing.T) {
 	if ix.StoredBytes >= int64(len(shared)) {
 		t.Fatalf("one deduped compressed record should be < one raw payload: stored %d", ix.StoredBytes)
 	}
-	back := NewIndexedBackend(ix, storage.NewDirBackend(dstDir))
+	back := NewIndexedBackend(ix, storagetest.OpenDir(t, dstDir))
 	for i := 0; i < 4; i++ {
 		d, err := readFile(back, fmt.Sprintf("s%d.bin", i))
 		if err != nil || !bytes.Equal(d.Bytes, shared) {

@@ -111,7 +111,11 @@ func PackDirOpts(srcDir string, man *dataset.Manifest, dstDir, prefix string, sh
 	if shardBytes < headerSize+1 {
 		return nil, fmt.Errorf("recordio: shard size %d too small", shardBytes)
 	}
-	src := storage.NewDirBackend(srcDir)
+	src, err := storage.NewDirBackend(srcDir)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
 	ix := NewIndex()
 	shardIdx := -1
 	var w *Writer

@@ -13,6 +13,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
 )
 
 func TestWriterReaderRoundTrip(t *testing.T) {
@@ -186,8 +187,8 @@ func TestPackDirAndStreamBack(t *testing.T) {
 	}
 
 	// Stream every shard back and verify bytes equal the originals.
-	backend := storage.NewDirBackend(dst)
-	srcBackend := storage.NewDirBackend(src)
+	backend := storagetest.OpenDir(t, dst)
+	srcBackend := storagetest.OpenDir(t, src)
 	got := 0
 	for _, shard := range ix.Shards() {
 		size, err := backend.Size(shard)
@@ -257,7 +258,7 @@ func TestShardIteratorChunkStraddling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := storage.NewDirBackend(dst)
+	backend := storagetest.OpenDir(t, dst)
 	shard := ix.Shards()[0]
 	size, _ := backend.Size(shard)
 	it, err := NewShardIterator(backend, shard, size, 64)
@@ -291,7 +292,7 @@ func TestShardIteratorOversizedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := storage.NewDirBackend(dst)
+	backend := storagetest.OpenDir(t, dst)
 	shard := ix.Shards()[0]
 	size, _ := backend.Size(shard)
 	it, _ := NewShardIterator(backend, shard, size, 256) // chunk ≪ record
@@ -326,8 +327,8 @@ func TestIndexedBackendRealRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := NewIndexedBackend(ix, storage.NewDirBackend(dst))
-	orig := storage.NewDirBackend(src)
+	packed := NewIndexedBackend(ix, storagetest.OpenDir(t, dst))
+	orig := storagetest.OpenDir(t, src)
 	for i := 0; i < man.Len(); i++ {
 		name := man.Sample(i).Name
 		got, err := readFile(packed, name)

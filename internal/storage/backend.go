@@ -3,9 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
@@ -328,107 +325,3 @@ func (b *ModeledBackend) Size(name string) (int64, error) {
 
 // Device exposes the underlying device (for stats).
 func (b *ModeledBackend) Device() *Device { return b.device }
-
-// DirBackend serves reads from a real directory tree. File names use
-// forward slashes relative to the root, matching dataset.FromDir.
-type DirBackend struct {
-	root string
-	pool *mempool.Pool
-}
-
-// NewDirBackend returns a backend rooted at dir.
-func NewDirBackend(dir string) *DirBackend { return &DirBackend{root: dir} }
-
-// SetBufferPool attaches a pool; subsequent reads land in pooled buffers
-// instead of fresh allocations.
-func (b *DirBackend) SetBufferPool(p *mempool.Pool) { b.pool = p }
-
-// path maps a sample name to its file under the root. Names are untrusted
-// — un-planned reads arrive verbatim from the socket — so one that is
-// absolute, empty, or climbs out of the root through ".." does not exist
-// as far as this backend is concerned. The check is lexical (symlinks
-// inside the dataset are the operator's business) and allocation-free.
-func (b *DirBackend) path(name string) (string, error) {
-	local := filepath.FromSlash(name)
-	if !filepath.IsLocal(local) {
-		return "", &NotExistError{Name: name}
-	}
-	return filepath.Join(b.root, local), nil
-}
-
-// Read reads from disk. With a pool attached a whole file is read directly
-// into a pooled buffer sized from the file's metadata. A ranged request
-// opens the file once and preads every window into a single region buffer
-// sized from fstat (never from the caller's N), so the per-open and
-// per-request costs are paid once per request instead of once per sample.
-func (b *DirBackend) Read(req Request) (Response, error) {
-	if err := req.Validate(); err != nil {
-		return Response{}, err
-	}
-	path, err := b.path(req.Name)
-	if err != nil {
-		return Response{}, err
-	}
-	if len(req.Ranges) == 0 && b.pool == nil {
-		bytes, err := os.ReadFile(path)
-		if err != nil {
-			return Response{}, notExist(req.Name, err)
-		}
-		return Response{Data: Data{Name: req.Name, Size: int64(len(bytes)), Bytes: bytes}}, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return Response{}, notExist(req.Name, err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return Response{}, err
-	}
-	size := info.Size()
-	if len(req.Ranges) == 0 {
-		// A file that grows between stat and read is truncated to the stat
-		// size (training datasets are immutable during an epoch); one that
-		// shrinks yields an error.
-		ref := b.pool.Get(int(size))
-		if _, err := io.ReadFull(f, ref.Bytes()); err != nil {
-			ref.Release()
-			return Response{}, fmt.Errorf("storage: short read of %q: %w", req.Name, err)
-		}
-		return Response{Data: Data{Name: req.Name, Size: size, Bytes: ref.Bytes(), Ref: ref}}, nil
-	}
-	buf, ref := region(b.pool, clampedTotal(req.Ranges, size))
-	var pos int64
-	for _, r := range req.Ranges {
-		r = r.Clamp(size)
-		if _, err := f.ReadAt(buf[pos:pos+r.N], r.Off); err != nil {
-			if ref != nil {
-				ref.Release()
-			}
-			return Response{}, fmt.Errorf("storage: short range read of %q: %w", req.Name, err)
-		}
-		pos += r.N
-	}
-	return Response{Views: carve(req.Out, req.Name, req.Ranges, size, buf, ref)}, nil
-}
-
-// notExist maps a missing-file error from the OS to the typed error.
-func notExist(name string, err error) error {
-	if os.IsNotExist(err) {
-		return &NotExistError{Name: name}
-	}
-	return err
-}
-
-// Size stats the file.
-func (b *DirBackend) Size(name string) (int64, error) {
-	path, err := b.path(name)
-	if err != nil {
-		return 0, err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return 0, notExist(name, err)
-	}
-	return info.Size(), nil
-}

@@ -124,7 +124,7 @@ func TestRangeConformance(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "f"), conformContent(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		b := NewDirBackend(dir)
+		b := openDir(t, dir)
 		pool := mempool.New(mempool.Config{Debug: true})
 		b.SetBufferPool(pool)
 		conformRange(t, "dir", b, true)

@@ -76,6 +76,46 @@ func TestMiddlewareConformance(t *testing.T) {
 	}
 }
 
+// TestLeafConformance holds the leaves that carry real bytes to the same
+// request-class table: the in-memory store and both bodies of the directory
+// backend (the raw-descriptor one this platform builds, and the package-os
+// one every other platform gets, forced through its test hook), pooled and
+// not, so the bodies answer every class identically.
+func TestLeafConformance(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storagetest.FileName), storagetest.Content(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dirLeaf := func(portable bool) func(*testing.T, *mempool.Pool) storage.Backend {
+		return func(t *testing.T, pool *mempool.Pool) storage.Backend {
+			b := storagetest.OpenDir(t, dir)
+			if portable {
+				b.ForcePortable()
+			}
+			b.SetBufferPool(pool)
+			return b
+		}
+	}
+	leaves := []struct {
+		name  string
+		build func(*testing.T, *mempool.Pool) storage.Backend
+	}{
+		{"mem", func(_ *testing.T, pool *mempool.Pool) storage.Backend {
+			mem := storage.NewMemBackend()
+			mem.Add(storagetest.FileName, storagetest.Content())
+			mem.SetBufferPool(pool)
+			return mem
+		}},
+		{"dir", dirLeaf(false)},
+		{"dir-portable", dirLeaf(true)},
+	}
+	for _, leaf := range leaves {
+		for _, pooled := range []bool{true, false} {
+			storagetest.Leaf(t, leaf.name, pooled, leaf.build)
+		}
+	}
+}
+
 // clampCases are the ranges that used to overflow the hand-copied clamp
 // arithmetic (or size an allocation from the caller's N), with the window
 // of a 4 KiB file each must truncate to.
@@ -161,7 +201,7 @@ func TestRangeClampNoOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pooled := range []bool{true, false} {
-			b := storage.NewDirBackend(dir)
+			b := storagetest.OpenDir(t, dir)
 			pool := mempool.New(mempool.Config{Debug: true})
 			if pooled {
 				b.SetBufferPool(pool)

@@ -1,0 +1,34 @@
+//go:build !(linux && (amd64 || arm64))
+
+package storage
+
+import (
+	"os"
+	"syscall"
+
+	"github.com/dsrhaslab/prisma-go/internal/mempool"
+)
+
+// RawDirLeaf is false here: reads go through package os (see dir_linux.go).
+const RawDirLeaf = false
+
+// rootDir holds nothing where reads go through package os by path.
+type rootDir struct{}
+
+// openRoot only checks that dir is a directory, so a bad root fails at
+// construction here as it does where the root is really opened.
+func openRoot(dir string) (rootDir, error) {
+	info, err := os.Stat(dir)
+	if err == nil && !info.IsDir() {
+		err = &os.PathError{Op: "open", Path: dir, Err: syscall.ENOTDIR}
+	}
+	return rootDir{}, err
+}
+
+func (rootDir) close() error { return nil }
+
+func (b *DirBackend) fetch(name string, ranges []Range) (int64, []byte, *mempool.Ref, error) {
+	return b.fetchPortable(name, ranges)
+}
+
+func (b *DirBackend) size(name string) (int64, error) { return b.sizePortable(name) }

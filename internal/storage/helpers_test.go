@@ -1,5 +1,18 @@
 package storage
 
+import "testing"
+
+// openDir opens a DirBackend over dir, closed when the test ends.
+func openDir(t testing.TB, dir string) *DirBackend {
+	t.Helper()
+	b, err := NewDirBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return b
+}
+
 // readFile, readRange and readBatch issue one request of each class
 // through the read contract, for tests that exercise a single class.
 func readFile(b Backend, name string) (Data, error) {

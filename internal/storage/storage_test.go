@@ -333,7 +333,7 @@ func TestDirBackendRoundTrip(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(sub, "x.jpg"), content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b := NewDirBackend(dir)
+	b := openDir(t, dir)
 	d, err := readFile(b, "train/x.jpg")
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +348,7 @@ func TestDirBackendRoundTrip(t *testing.T) {
 }
 
 func TestDirBackendMissing(t *testing.T) {
-	b := NewDirBackend(t.TempDir())
+	b := openDir(t, t.TempDir())
 	_, err := readFile(b, "ghost")
 	var ne *NotExistError
 	if !errors.As(err, &ne) {
@@ -375,7 +375,7 @@ func TestDirBackendNamesStayUnderRoot(t *testing.T) {
 		}
 	}
 	for _, pooled := range []bool{false, true} {
-		b := NewDirBackend(root)
+		b := openDir(t, root)
 		if pooled {
 			b.SetBufferPool(mempool.New(mempool.Config{}))
 		}
@@ -473,7 +473,7 @@ func TestDirReadRange(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "x"), []byte("0123456789"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b := NewDirBackend(dir)
+	b := openDir(t, dir)
 	d, err := readRange(b, "x", 3, 4)
 	if err != nil || string(d.Bytes) != "3456" || d.Size != 4 {
 		t.Fatalf("ReadRange = %+v, %v", d, err)

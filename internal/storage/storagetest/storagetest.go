@@ -77,6 +77,17 @@ func (p *Probe) Read(req storage.Request) (storage.Response, error) {
 // Size implements storage.Backend.
 func (p *Probe) Size(name string) (int64, error) { return p.mem.Size(name) }
 
+// OpenDir opens a storage.DirBackend over dir, closed when the test ends.
+func OpenDir(t testing.TB, dir string) *storage.DirBackend {
+	t.Helper()
+	b, err := storage.NewDirBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return b
+}
+
 // Built is one constructed layer under test.
 type Built struct {
 	Backend storage.Backend
@@ -190,6 +201,50 @@ func Middleware(t *testing.T, layer Layer) {
 			resp.Release(whole)
 		})
 	})
+}
+
+// Leaf runs the request-class table against a leaf backend — no probe
+// below it, so what is checked is the answer itself: the payload of every
+// class, the typed failures, views appended behind the caller's prefix, and
+// zero pooled refs outstanding afterwards. build returns a leaf holding
+// Content under FileName; pool is nil for the unpooled rows.
+func Leaf(t *testing.T, name string, pooled bool, build func(t *testing.T, pool *mempool.Pool) storage.Backend) {
+	t.Helper()
+	for _, c := range classes() {
+		c := c
+		t.Run(fmt.Sprintf("%s/pooled=%v/%s", name, pooled, c.name), func(t *testing.T) {
+			audit := mempool.New(mempool.Config{Debug: true})
+			var pool *mempool.Pool
+			if pooled {
+				pool = audit
+			}
+			b := build(t, pool)
+			for pass := 0; pass < 2; pass++ {
+				req := storage.Request{Name: c.file, Ranges: c.ranges, Out: []storage.Data{{Name: "sentinel"}}}
+				resp, err := b.Read(req)
+				if c.wantErr != nil {
+					if !c.wantErr(err) {
+						t.Fatalf("pass %d: err = %v, want the typed failure", pass, err)
+					}
+					if n := len(resp.Ranged(req)); n != 0 || resp.Data.Ref != nil {
+						t.Fatalf("pass %d: failed request carried %d views, ref %v", pass, n, resp.Data.Ref)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("pass %d: %v", pass, err)
+				}
+				checkPayload(t, c, req, resp)
+				if got := resp.Data.Ref != nil || (len(c.ranges) > 0 && resp.Views[1].Ref != nil); got != pooled {
+					t.Fatalf("pass %d: payload pooled = %v, want %v", pass, got, pooled)
+				}
+				resp.Release(req)
+			}
+			if n := audit.Outstanding(); n != 0 {
+				t.Fatalf("%d pooled refs outstanding: %v", n, audit.Leaks())
+			}
+		})
+	}
 }
 
 // run builds a fresh probe and layer inside a simulation, runs body, and

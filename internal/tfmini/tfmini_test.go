@@ -11,6 +11,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
 	"github.com/dsrhaslab/prisma-go/internal/train"
 )
 
@@ -375,7 +376,7 @@ func TestRealModeEndToEnd(t *testing.T) {
 	}
 	trainMan, valMan := dataset.MustNew(ts), dataset.MustNew(vs)
 	env := conc.NewReal()
-	backend := storage.NewDirBackend(dir)
+	backend := storagetest.OpenDir(t, dir)
 
 	model := train.Model{Name: "tiny", ComputePerImage: time.Microsecond, StepOverhead: 10 * time.Microsecond, ValComputeFactor: 0.5}
 	cfg := train.Config{Model: model, BatchPerGPU: 2, GPUs: 4, Epochs: 2, Validation: true}

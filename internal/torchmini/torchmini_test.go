@@ -11,6 +11,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/ipc"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
 	"github.com/dsrhaslab/prisma-go/internal/train"
 )
 
@@ -342,7 +343,7 @@ func TestPrismaLoaderIPCEndToEnd(t *testing.T) {
 	valMan := dataset.MustNew(vs)
 
 	env := conc.NewReal()
-	backend := storage.NewDirBackend(dir)
+	backend := storagetest.OpenDir(t, dir)
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 		InitialProducers: 2, MaxProducers: 8, InitialBufferCapacity: 16, MaxBufferCapacity: 64,
 	})

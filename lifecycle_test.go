@@ -2,6 +2,7 @@ package prisma
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -33,6 +34,36 @@ func awaitGoroutines(t *testing.T, base int) {
 	}
 }
 
+// openFDs counts this process's open descriptors (-1 where there is no
+// /proc to ask). Callers compare two counts, so the descriptor the listing
+// itself holds cancels out.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
+
+// warmDescriptors runs one full Open / ServeUnix / Close cycle, so what the
+// process opens once and keeps (the network poller) is open before a test
+// takes its baseline count.
+func warmDescriptors(t *testing.T, dir string) {
+	t.Helper()
+	opts := Options{Dir: dir}
+	everyLayer(&opts)
+	p, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ServeUnix(filepath.Join(shortTempDir(t), "warm.sock")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClosersStack: closers run newest first, exactly once, and report the
 // first error.
 func TestClosersStack(t *testing.T) {
@@ -58,12 +89,16 @@ func TestClosersStack(t *testing.T) {
 // used to be an unsynchronised bool).
 func TestCloseConcurrentAndRepeated(t *testing.T) {
 	dir := makeDataset(t, 16)
-	base := runtime.NumGoroutine()
+	warmDescriptors(t, dir)
+	base, fds := runtime.NumGoroutine(), openFDs()
 	opts := Options{Dir: dir}
 	everyLayer(&opts)
 	p, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fds >= 0 && openFDs() <= fds {
+		t.Fatalf("an open instance holds no descriptor (%d before, %d now): the dataset root should be one", fds, openFDs())
 	}
 	if err := p.ServeUnix(filepath.Join(shortTempDir(t), "prisma.sock")); err != nil {
 		t.Fatal(err)
@@ -96,20 +131,26 @@ func TestCloseConcurrentAndRepeated(t *testing.T) {
 	if out := p.Stats().PoolOutstanding; out != 0 {
 		t.Fatalf("%d pooled leases outstanding after Close", out)
 	}
+	// The dataset root, the listener and every connection are closed.
+	if got := openFDs(); got != fds {
+		t.Fatalf("%d descriptors open after Close, %d before Open", got, fds)
+	}
 }
 
 // TestOpenFailureTearsDown: an Open that fails after every layer is up —
 // the tenant registrations are the last thing it does, and the only late
-// step options validation lets a caller break — leaves no goroutine behind.
+// step options validation lets a caller break — leaves no goroutine and no
+// descriptor (the dataset root is the first thing Open opens) behind.
 func TestOpenFailureTearsDown(t *testing.T) {
 	dir := makeDataset(t, 8)
+	warmDescriptors(t, dir)
 	for name, tenants := range map[string][]TenantSpec{
 		"duplicate tenant": {{Name: "job-a"}, {Name: "job-a"}},
 		"negative weight":  {{Name: "job-a"}, {Name: "job-b", Weight: -1}},
 		"reserved name":    {{Name: "default"}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			base, fds := runtime.NumGoroutine(), openFDs()
 			opts := Options{Dir: dir}
 			everyLayer(&opts)
 			opts.Tenancy.Tenants = tenants
@@ -118,6 +159,9 @@ func TestOpenFailureTearsDown(t *testing.T) {
 				t.Fatal("Open succeeded")
 			}
 			awaitGoroutines(t, base)
+			if got := openFDs(); got != fds {
+				t.Fatalf("%d descriptors open after the failed Open, %d before", got, fds)
+			}
 		})
 	}
 }

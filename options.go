@@ -295,9 +295,12 @@ type BufferPoolOptions struct {
 	// MaxSize is the largest size class in bytes (default 4 MiB); larger
 	// samples fall back to plain allocation.
 	MaxSize int
-	// PerClassCap bounds the free buffers retained per size class
-	// (default 64). The pool's worst-case idle footprint is roughly the
-	// sum over classes of PerClassCap x class size.
+	// PerClassCap bounds the free buffers retained per size class; the
+	// pool's worst-case idle footprint is then roughly the sum over
+	// classes of PerClassCap x class size. Zero (the default) bounds each
+	// class by bytes instead: 8 MiB of free buffers, and never fewer than
+	// 64 of them — enough for the small classes to stop missing, no more
+	// than 64 of any class from 128 KiB up.
 	PerClassCap int
 }
 

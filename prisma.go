@@ -351,7 +351,11 @@ func Open(opts Options) (*Prisma, error) {
 			PerClassCap: opts.BufferPool.PerClassCap,
 		})
 	}
-	leaf := storage.NewDirBackend(opts.Dir)
+	leaf, err := storage.NewDirBackend(opts.Dir)
+	if err != nil {
+		return fail(err)
+	}
+	p.teardown.push(leaf.Close)
 	leaf.SetBufferPool(pool)
 	var backend storage.Backend = leaf
 	if opts.TraceFile != "" {
