@@ -9,10 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/experiments"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
+	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
 
 // BenchmarkHotPathAllocs measures allocations per delivered sample on the
@@ -34,14 +36,15 @@ type allocBudget map[string]float64
 // allocBudgetRows are the rows the gate enforces; the file must have
 // exactly these.
 var allocBudgetRows = []string{
-	"pooled_allocs_per_op",     // hard ceiling for the pooled variant
-	"min_reduction_percent",    // required pooled-vs-unpooled drop
-	"cached_allocs_per_op",     // pooled + shared cache
-	"compressed_allocs_per_op", // pooled + compressed shards
-	"batched_allocs_per_op",    // pooled + read coalescing
-	"resilient_allocs_per_op",  // pooled + resilient layer
-	"ipc_client_allocs_per_op", // the socket hop alone, read-ahead engaged
-	"dir_allocs_per_op",        // the directory leaf alone, over real files
+	"pooled_allocs_per_op",        // hard ceiling for the pooled variant
+	"min_reduction_percent",       // required pooled-vs-unpooled drop
+	"cached_allocs_per_op",        // pooled + shared cache
+	"compressed_allocs_per_op",    // pooled + compressed shards
+	"batched_allocs_per_op",       // pooled + read coalescing
+	"resilient_allocs_per_op",     // pooled + resilient layer
+	"ipc_client_allocs_per_op",    // the socket hop alone, read-ahead engaged
+	"dir_allocs_per_op",           // the directory leaf alone, over real files
+	"tier_declined_allocs_per_op", // a miss a full fast tier declines
 }
 
 func readAllocBudget(t *testing.T, path string) allocBudget {
@@ -111,6 +114,62 @@ func dirReadAllocs(t *testing.T) float64 {
 		resp.Data.Release()
 		i++
 	})
+}
+
+// tierDeclinedAllocs measures allocations per whole-file miss that a full,
+// compressing fast tier declines (pooled MemBackend below it): 32 files
+// read once over a tier a quarter their size, so the first few fill it and
+// every later read ties with the residents. A declined miss must cost what
+// the slow read costs and nothing else — the decision precedes the encode,
+// the resident copy and the entry.
+func tierDeclinedAllocs(t *testing.T) float64 {
+	t.Helper()
+	const files, fileSize = 32, 16 << 10
+	mem := storage.NewMemBackend()
+	names := make([]string, files)
+	for i := range names {
+		names[i] = fmt.Sprintf("t%02d.bin", i)
+		mem.Add(names[i], experiments.CompressibleSample(i, fileSize, 0.5))
+	}
+	tb, err := tiering.NewBackend(conc.NewReal(), tiering.Config{
+		FastCapacity: files * fileSize / 4, PromoteAfter: 1, Compress: true,
+	}, mem, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	pool := mempool.New(mempool.Config{})
+	mem.SetBufferPool(pool)
+	tb.SetBufferPool(pool)
+	read := func(name string) {
+		resp, err := tb.Read(storage.Request{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Data.Release()
+	}
+	for _, n := range names {
+		read(n)
+	}
+	var cold []string
+	for _, n := range names {
+		if !tb.Resident(n) {
+			cold = append(cold, n)
+		}
+	}
+	// Every name has now been read once: a second pass over the
+	// non-residents offers one earlier read against the residents' one.
+	before := tb.Stats()
+	i := 0
+	allocs := testing.AllocsPerRun(len(cold)-1, func() {
+		read(cold[i])
+		i++
+	})
+	st := tb.Stats()
+	if got := st.Declined - before.Declined; got != int64(len(cold)) || st.Promotions != before.Promotions {
+		t.Fatalf("tier cell did not measure declined misses: %d of %d declined, stats %+v", got, len(cold), st)
+	}
+	return allocs
 }
 
 // TestAllocRegressionGate is the CI allocation gate: it benchmarks the
@@ -191,6 +250,10 @@ func TestAllocRegressionGate(t *testing.T) {
 	if storage.RawDirLeaf {
 		over("pooled DirBackend.Read", "dir_allocs_per_op", dirAllocs)
 	}
+	// Declined-miss cell: a read the full fast tier turns away.
+	declined := tierDeclinedAllocs(t)
+	t.Logf("declined tier miss: %v allocs/op", declined)
+	over("a miss the full fast tier declines", "tier_declined_allocs_per_op", declined)
 	if unpooled.AllocsPerOp == 0 {
 		t.Error("unpooled variant reported zero allocs/op: the benchmark is not measuring the hot path")
 	}

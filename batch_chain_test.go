@@ -3,11 +3,13 @@ package prisma
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/experiments"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
@@ -105,18 +107,13 @@ func packChainDataset(t *testing.T, files, size int, compressed bool) (*storage.
 	return mem, ix, names, contents
 }
 
-// runChainCell streams the packed dataset through the full prefetch
-// pipeline over the given wrapper chain with coalescing budget k (0 =
-// per-sample), asserting every delivered payload is bit-identical to the
-// packed ground truth, nothing leaks from the pool, and — when coalescing
-// is on — the batched counters actually moved (the chain did not silently
-// fall back sample-by-sample).
-func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
+// wrapChain nests the wrappers wrap turns on around leaf in Open's order. It
+// returns the outermost backend, the tier (nil when off) and what to close
+// once the stage is closed.
+func wrapChain(t *testing.T, env conc.Env, leaf storage.Backend, wrap chainWrap, tier tiering.Config) (storage.Backend, *tiering.Backend, []func()) {
 	t.Helper()
-	env := conc.NewReal()
-	mem, ix, names, contents := packChainDataset(t, 16, 4<<10, compressed)
-
-	var b storage.Backend = mem
+	b := leaf
+	var tb *tiering.Backend
 	closers := []func(){}
 	if wrap.recorder {
 		b = trace.NewRecorder(env, b)
@@ -130,8 +127,8 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 		closers = append(closers, sc.Close)
 	}
 	if wrap.tiering {
-		tb, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 64 << 20, PromoteAfter: 1}, b, nil)
-		if err != nil {
+		var err error
+		if tb, err = tiering.NewBackend(env, tier, b, nil); err != nil {
 			t.Fatal(err)
 		}
 		b = tb
@@ -146,6 +143,21 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 		}
 		b = rb
 	}
+	return b, tb, closers
+}
+
+// runChainCell streams the packed dataset through the full prefetch
+// pipeline over the given wrapper chain with coalescing budget k (0 =
+// per-sample), asserting every delivered payload is bit-identical to the
+// packed ground truth, nothing leaks from the pool, and — when coalescing
+// is on — the batched counters actually moved (the chain did not silently
+// fall back sample-by-sample).
+func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
+	t.Helper()
+	env := conc.NewReal()
+	mem, ix, names, contents := packChainDataset(t, 16, 4<<10, compressed)
+
+	b, _, closers := wrapChain(t, env, mem, wrap, tiering.Config{FastCapacity: 64 << 20, PromoteAfter: 1})
 	backend := recordio.NewIndexedBackend(ix, b)
 	pool := mempool.New(mempool.Config{Debug: true})
 	mem.SetBufferPool(pool)
@@ -226,6 +238,114 @@ func TestBatchChainCompositionCompressed(t *testing.T) {
 		t.Run(wrap.String(), func(t *testing.T) {
 			for _, k := range []int{0, 1, 4, 8} {
 				runChainCell(t, wrap, true, k)
+			}
+		})
+	}
+}
+
+// TestChainCompositionDecliningTier runs the same property with the tier in
+// the state the packed cells never reach (they only send it shard ranges,
+// which are never admitted): whole files, a compressing tier a quarter the
+// size of the set, shuffled epochs. From the second epoch on every miss is
+// offered to a full tier and declined, concurrently from two producers,
+// next to hits that decode residents — for every subset of the other
+// wrappers around it, each delivery is bit-identical to ground truth, the
+// tier stays within its budget without swapping a resident, and the pool
+// audit finds nothing held once the chain is closed.
+func TestChainCompositionDecliningTier(t *testing.T) {
+	const (
+		files    = 32
+		fileSize = 4 << 10
+		epochs   = 4
+	)
+	for _, wrap := range chainPermutations() {
+		if !wrap.tiering {
+			continue
+		}
+		wrap := wrap
+		t.Run(wrap.String(), func(t *testing.T) {
+			env := conc.NewReal()
+			mem := storage.NewMemBackend()
+			names := make([]string, files)
+			contents := map[string][]byte{}
+			for i := range names {
+				names[i] = fmt.Sprintf("whole%04d.bin", i)
+				buf := experiments.CompressibleSample(i, fileSize, 0.5) // the tier stores it at about half size
+				contents[names[i]] = buf
+				mem.Add(names[i], buf)
+			}
+			backend, tier, closers := wrapChain(t, env, mem, wrap,
+				tiering.Config{FastCapacity: files * fileSize / 4, PromoteAfter: 1, Compress: true})
+			pool := mempool.New(mempool.Config{Debug: true})
+			mem.SetBufferPool(pool)
+			tier.SetBufferPool(pool)
+
+			pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+				InitialProducers:      2,
+				MaxProducers:          2,
+				InitialBufferCapacity: 8,
+				MaxBufferCapacity:     8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+			pf.Start()
+			rng := rand.New(rand.NewSource(22))
+			var filled tiering.Stats
+			for e := 0; e < epochs; e++ {
+				plan := make([]string, files)
+				for i, j := range rng.Perm(files) {
+					plan[i] = names[j]
+				}
+				if err := stage.SubmitPlan(plan); err != nil {
+					stage.Close()
+					t.Fatal(err)
+				}
+				for _, name := range plan {
+					d, _, err := stage.Read(core.ReadRequest{Name: name})
+					if err != nil {
+						stage.Close()
+						t.Fatalf("epoch %d: read %s: %v", e, name, err)
+					}
+					same := bytes.Equal(d.Bytes, contents[name])
+					d.Release()
+					if !same {
+						stage.Close()
+						t.Fatalf("epoch %d: %s: payload differs from ground truth", e, name)
+					}
+				}
+				st := tier.Stats()
+				if st.FastUsed > st.Capacity {
+					stage.Close()
+					t.Fatalf("epoch %d: tier over-committed: %+v", e, st)
+				}
+				if e == 0 {
+					filled = st
+				}
+			}
+			st := tier.Stats()
+			stage.Close()
+			for _, c := range closers {
+				c()
+			}
+			if filled.Residents == 0 || filled.Residents == files {
+				t.Fatalf("fixture: the tier should hold part of the set after epoch 1: %+v", filled)
+			}
+			if st.Evictions != 0 || st.Promotions != filled.Promotions {
+				t.Fatalf("a uniform shuffle swapped residents: after epoch 1 %+v, at the end %+v", filled, st)
+			}
+			if want := int64((epochs - 1) * (files - filled.Residents)); st.Declined-filled.Declined != want {
+				t.Fatalf("declined %d misses after epoch 1, want %d (every miss)", st.Declined-filled.Declined, want)
+			}
+			if want := int64((epochs - 1) * filled.Residents); st.FastHits-filled.FastHits != want {
+				t.Fatalf("%d tier hits after epoch 1, want %d (every resident, every epoch)", st.FastHits-filled.FastHits, want)
+			}
+			if leaks := pool.Leaks(); len(leaks) != 0 {
+				t.Fatalf("pool leaks:\n%s", mempool.FormatLeaks(leaks))
+			}
+			if n := pool.Outstanding(); n != 0 {
+				t.Fatalf("%d pooled refs still outstanding", n)
 			}
 		})
 	}

@@ -245,6 +245,7 @@ func main() {
 		}
 		fmt.Printf("promotions:          %d\n", s.TierPromotions)
 		fmt.Printf("evictions:           %d\n", s.TierEvictions)
+		fmt.Printf("declined:            %d (no resident was colder)\n", s.TierDeclined)
 		fmt.Printf("prefetch promotions: %d\n", s.TierPrefetchPromotions)
 		fmt.Printf("prefetch skips:      %d\n", s.TierPrefetchSkips)
 		fmt.Printf("tracked names:       %d (%d decay sweeps)\n", s.TierTrackedNames, s.TierAccessDecays)

@@ -162,10 +162,10 @@ func main() {
 
 		tieringOn      = flag.Bool("tiering", false, "enable the fast-tier backend stage (promote hot samples into a byte-budgeted tier)")
 		tieringCap     = flag.Int64("tiering-capacity", 0, "fast-tier byte budget (0 = default 256MiB; requires -tiering)")
-		tieringAfter   = flag.Int("tiering-promote-after", 0, "slow-tier reads of a sample before promotion (0 = default 1)")
+		tieringAfter   = flag.Int("tiering-promote-after", 0, "slow-tier reads of a sample before it is a candidate for the tier; a full tier admits it only over strictly colder residents (0 = default 1)")
 		tieringComp    = flag.Bool("tiering-compress", false, "store fast-tier residents compressed, decoded in place on hits")
 		tieringPref    = flag.Bool("tiering-prefetch-next", false, "warm next-epoch cold samples into free fast-tier space when a plan is submitted")
-		tieringTracked = flag.Int("tiering-max-tracked", 0, "promotion-counter map bound before decay sweeps (0 = default 65536)")
+		tieringTracked = flag.Int("tiering-max-tracked", 0, "access-count map bound before decay sweeps, which age residents too (0 = default 65536)")
 
 		batchOn      = flag.Bool("batch", false, "enable plan-aware read coalescing (vectored range reads over packed datasets)")
 		batchSamples = flag.Int("batch-samples", 0, "max FIFO-adjacent samples per vectored read (0 = default 4; requires -batch)")

@@ -214,13 +214,14 @@ type StageStats struct {
 }
 
 // TieringStats is the fast-tier snapshot carried by StageStats (the
-// internal/tiering stats, restated here so core does not depend on the
-// policy package).
+// internal/tiering stats, restated here field for field so core does not
+// depend on the policy package and Open converts one to the other).
 type TieringStats struct {
 	FastHits           int64
 	SlowReads          int64
 	Promotions         int64
 	Evictions          int64
+	Declined           int64 // admissions refused: no LRU victim was strictly colder
 	PrefetchPromotions int64
 	PrefetchSkips      int64
 	FastUsed           int64 // physical bytes resident

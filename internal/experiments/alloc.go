@@ -113,7 +113,7 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			ix := recordio.NewIndex()
 			const shardName = "alloc/shard-00000.rec"
 			for i, name := range names {
-				content := compressibleSample(i, cfg.FileSize, 0.25)
+				content := CompressibleSample(i, cfg.FileSize, 0.25)
 				payload, codec := content, recordio.CodecNone
 				if cfg.Compressed {
 					comp, ok := recordio.AppendCompress(nil, content)

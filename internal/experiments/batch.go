@@ -97,7 +97,7 @@ func runBatchCell(setup string, cfg BatchCompareConfig, batch int) (BatchRow, er
 	const shardName = "batch/shard-00000.rec"
 	for i := range names {
 		names[i] = fmt.Sprintf("batch%04d.bin", i)
-		contents[i] = compressibleSample(i, cfg.FileSize, 1)
+		contents[i] = CompressibleSample(i, cfg.FileSize, 1)
 		off, length, err := w.WriteRecord(contents[i])
 		if err != nil {
 			return row, err

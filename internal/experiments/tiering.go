@@ -64,12 +64,12 @@ func (b *timedBackend) Size(name string) (int64, error) { return b.inner.Size(na
 // tieringName is the canonical sample name for index i.
 func tieringName(i int) string { return fmt.Sprintf("sample-%04d", i) }
 
-// compressibleSample builds file i's payload: per 512-byte block, roughly
+// CompressibleSample builds file i's payload: per 512-byte block, roughly
 // ratio of the bytes are seeded pseudo-random (incompressible to the LZ
 // codec) and the rest a constant run it collapses, so the stored size of
 // a compressed resident tracks ratio closely. Deterministic per (i, size,
 // ratio).
-func compressibleSample(i, size int, ratio float64) []byte {
+func CompressibleSample(i, size int, ratio float64) []byte {
 	buf := make([]byte, size)
 	rng := rand.New(rand.NewSource(int64(i)*7919 + 1))
 	const block = 512
@@ -99,7 +99,7 @@ func runTieringCell(setup string, c tieringCell) (TieringRow, error) {
 	s.Spawn("tiering-cell", func(*sim.Process) {
 		mem := storage.NewMemBackend()
 		for i := 0; i < c.files; i++ {
-			mem.Add(tieringName(i), compressibleSample(i, c.fileSize, c.ratio))
+			mem.Add(tieringName(i), CompressibleSample(i, c.fileSize, c.ratio))
 		}
 		slowDev, err := storage.NewDevice(env, storage.NFSShare())
 		if err != nil {
@@ -160,8 +160,8 @@ func runTieringCell(setup string, c tieringCell) (TieringRow, error) {
 }
 
 // sequentialEpochs builds n identical full-dataset passes (the worst case
-// for an LRU tier smaller than the dataset: every pass rediscovers every
-// sample after it was evicted).
+// for a tier smaller than the dataset that promotes on every miss: every
+// pass rediscovers every sample just after it was evicted).
 func sequentialEpochs(files, n int) [][]string {
 	one := make([]string, files)
 	for i := range one {
@@ -176,11 +176,13 @@ func sequentialEpochs(files, n int) [][]string {
 
 // RunTieringCrossover measures where tiering starts paying off when the
 // dataset is far larger than the fast tier: a 6 MiB dataset cycled
-// sequentially for 3 epochs over a 2 MiB tier. Plain LRU tiering thrashes
-// (zero hits, and it still pays promotion copies), transparent
-// compression (~25% incompressible payloads) shrinks the working set
-// under the byte budget and flips the cell to a win, and a tier sized to
-// fit the dataset bounds the achievable speedup.
+// sequentially for 3 epochs over a 2 MiB tier. Every sample is equally hot,
+// so the undersized tier fills once, declines the rest and hits its
+// capacity fraction from epoch 2 on (promote-on-every-miss LRU hit nothing
+// here and paid a promotion copy per read, ending slower than no tier);
+// transparent compression (~25% incompressible payloads) shrinks the
+// working set under the byte budget, and a tier sized to fit the dataset
+// bounds the achievable speedup.
 func RunTieringCrossover(report func(string)) ([]TieringRow, error) {
 	const (
 		files    = 96

@@ -265,6 +265,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		write("prisma_tiering_slow_reads_total", "Demand misses served by the slow tier.", "counter", float64(t.SlowReads))
 		write("prisma_tiering_promotions_total", "Samples copied into the fast tier on the demand path.", "counter", float64(t.Promotions))
 		write("prisma_tiering_evictions_total", "Fast-tier residents evicted to make room.", "counter", float64(t.Evictions))
+		write("prisma_tiering_declined_total", "Admissions refused because no LRU victim was strictly colder than the candidate.", "counter", float64(t.Declined))
 		write("prisma_tiering_prefetch_promotions_total", "Samples warmed in by next-epoch plan prefetch.", "counter", float64(t.PrefetchPromotions))
 		write("prisma_tiering_prefetch_skips_total", "Warm-plan entries declined (resident, full tier, or error).", "counter", float64(t.PrefetchSkips))
 		write("prisma_tiering_used_bytes", "Physical fast-tier occupancy (compressed where applicable).", "gauge", float64(t.FastUsed))

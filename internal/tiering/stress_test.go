@@ -35,9 +35,13 @@ func patternedContent(i, size int) []byte {
 // TestTieringStressRace hammers the live tiered backend (real goroutines,
 // pooled payloads, compression on, eviction pressure, concurrent warming
 // plans) and then audits the pool: every reference handed out across
-// hit/miss/promote/evict/warm paths must come back. Run under -race this
-// doubles as the data-race regression suite for the snapshot-under-lock
-// and single-winner-admit fixes.
+// hit/miss/decline/promote/evict/warm paths must come back. Traffic is
+// skewed — three reads in four go to an eight-file hot window that moves
+// every 50 reads — because uniform traffic over a full tier only ties and
+// declines: it takes names that get hotter than the residents to keep the
+// eviction path busy. Run under -race this doubles as the data-race
+// regression suite for the snapshot-under-lock and single-winner-admit
+// fixes.
 func TestTieringStressRace(t *testing.T) {
 	const (
 		files    = 64
@@ -77,6 +81,9 @@ func TestTieringStressRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			for i := 0; i < reads; i++ {
 				idx := rng.Intn(files)
+				if rng.Intn(4) != 0 {
+					idx = (i/50*8 + rng.Intn(8)) % files
+				}
 				d, err := readFile(b, names[idx])
 				if err != nil {
 					t.Errorf("read %s: %v", names[idx], err)
@@ -97,8 +104,8 @@ func TestTieringStressRace(t *testing.T) {
 	wg.Wait()
 
 	st := b.Stats()
-	if st.FastHits == 0 || st.Promotions == 0 || st.Evictions == 0 {
-		t.Fatalf("stress did not exercise the tier: %+v", st)
+	if st.FastHits == 0 || st.Promotions == 0 || st.Evictions < readers || st.Declined == 0 || st.AccessDecays == 0 {
+		t.Fatalf("stress did not exercise the tier (hits, promotions, evictions, declines and decay sweeps all required): %+v", st)
 	}
 	if st.FastUsed > st.Capacity {
 		t.Fatalf("tier overcommitted: %+v", st)

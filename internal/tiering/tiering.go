@@ -3,14 +3,21 @@
 // impact of storage tiering policies under different datasets and
 // models"). It is a self-contained data-plane building block in the
 // paper's sense: a Backend that fronts a slow tier (parallel file system,
-// NFS share) with a capacity-bounded fast tier (local NVMe), promoting
-// files after a configurable number of accesses and evicting LRU files
-// when the fast tier fills. In live mode the fast tier retains real
-// payload bytes (pool-reference-retained, optionally LZ-compressed so the
-// same byte budget holds more samples); in sim mode an optional
-// storage.Device models the fast tier's transfer costs. PrefetchPlan warms
-// the next epoch's cold samples into free fast-tier space while the
-// current epoch trains.
+// NFS share) with a capacity-bounded fast tier (local NVMe). A file is a
+// promotion candidate after a configurable number of accesses and enters
+// free space unconditionally; once room has to be made it is admitted only
+// over LRU-tail victims that are all strictly colder than it (roomLocked),
+// decided before any compression work. DL training reads every file once
+// per epoch (paper §IV), so over a working set larger than the tier every
+// name is equally hot: ties decline, the resident set goes stable and the
+// hit ratio is the tier's capacity fraction, where promote-on-every-miss
+// LRU swapped one resident per read and hit almost never; a name that does
+// become hotter than the residents still displaces them. In live mode the
+// fast tier retains real payload bytes (pool-reference-retained, optionally
+// LZ-compressed so the same byte budget holds more samples); in sim mode an
+// optional storage.Device models the fast tier's transfer costs.
+// PrefetchPlan warms the next epoch's cold samples into free fast-tier
+// space while the current epoch trains.
 package tiering
 
 import (
@@ -27,10 +34,10 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
-// DefaultMaxTracked bounds the promotion-counter map when Config leaves
-// MaxTracked zero. Large enough that decay is rare on realistic datasets,
-// small enough that never-promoted names cannot grow memory epoch over
-// epoch.
+// DefaultMaxTracked bounds the non-residents' access-count map when Config
+// leaves MaxTracked zero. Large enough that decay is rare on realistic
+// datasets, small enough that never-promoted names cannot grow memory epoch
+// over epoch.
 const DefaultMaxTracked = 64 << 10
 
 // Config parameterizes the tiering policy.
@@ -38,13 +45,16 @@ type Config struct {
 	// FastCapacity is the fast tier's byte budget (physical bytes: a
 	// compressed resident charges its compressed size).
 	FastCapacity int64
-	// PromoteAfter is the access count at which a file is copied to the
-	// fast tier (1 = promote on first access).
+	// PromoteAfter is the access count at which a file becomes a
+	// candidate for the fast tier (1 = on first access). A candidate
+	// always enters free space; a full tier admits it only over strictly
+	// colder residents.
 	PromoteAfter int
-	// MaxTracked caps the promotion-counter map. When the map would
-	// exceed it, every count is halved and zeroes dropped (cheap decay),
-	// so cold never-promoted names cannot grow it without bound across
-	// epochs. Zero selects DefaultMaxTracked.
+	// MaxTracked caps the map of non-residents' access counts. When the
+	// map would exceed it, every count — residents' included — is halved
+	// and zeroes dropped (cheap decay), so cold never-promoted names
+	// cannot grow it without bound across epochs and a resident that
+	// stops being read loses its standing. Zero selects DefaultMaxTracked.
 	MaxTracked int
 	// Compress stores promoted payloads LZ-compressed (incompressible
 	// samples stay verbatim), stretching FastCapacity; hits decode in
@@ -73,6 +83,11 @@ type Stats struct {
 	SlowReads  int64 // demand misses served by the slow tier
 	Promotions int64
 	Evictions  int64
+	// Declined counts admissions refused because room had to be made and
+	// some LRU-tail victim was not strictly colder than the candidate. A
+	// full tier under a uniform scan shows Declined rising with Promotions
+	// and Evictions flat: the resident set is stable, not broken.
+	Declined int64
 	// PrefetchPromotions counts next-epoch warming admissions;
 	// PrefetchSkips counts plan entries the warmer declined (already
 	// resident, no free space — warming never evicts — or slow-tier
@@ -85,8 +100,8 @@ type Stats struct {
 	FastLogical int64
 	Capacity    int64
 	Residents   int
-	// TrackedNames is the promotion-counter map size; AccessDecays counts
-	// the halving sweeps that bounded it.
+	// TrackedNames is the size of the non-residents' access-count map;
+	// AccessDecays counts the halving sweeps that bounded it.
 	TrackedNames int
 	AccessDecays int64
 	// PromoteTime is cumulative read-path promotion work (compression +
@@ -118,8 +133,15 @@ type Backend struct {
 	order    *list.List               // front = most recently used
 	used     int64                    // physical bytes resident
 	logical  int64                    // decoded bytes resident
+	// accesses counts the reads of every name that is not resident; a
+	// resident's count lives in its entry (so a hit costs no map access),
+	// moving there on admission and back here on eviction.
 	accesses map[string]int
 	decays   int64
+	// minStored is the smallest non-empty resident the tier has ever
+	// admitted: with less free space than that the warmer has nothing to
+	// offer and stops walking its plan.
+	minStored int64
 
 	// Next-epoch warming: the latest submitted plan and the lazily
 	// started worker that drains it.
@@ -132,6 +154,7 @@ type Backend struct {
 	slowReads    *metrics.Counter
 	promotions   *metrics.Counter
 	evictions    *metrics.Counter
+	declined     *metrics.Counter
 	prefPromoted *metrics.Counter
 	prefSkipped  *metrics.Counter
 	promoteTime  *metrics.Counter // nanoseconds of read-path promote work
@@ -151,6 +174,9 @@ type entry struct {
 	bytes      []byte
 	ref        *mempool.Ref
 	compressed bool
+	// count is the name's access count while resident: what it had when
+	// admitted plus one per hit since, halved by every decay sweep.
+	count int
 }
 
 // drop releases the entry's hold on its payload.
@@ -186,6 +212,7 @@ func NewBackend(env conc.Env, cfg Config, slow storage.Backend, fastDevice *stor
 		slowReads:    metrics.NewCounter(env),
 		promotions:   metrics.NewCounter(env),
 		evictions:    metrics.NewCounter(env),
+		declined:     metrics.NewCounter(env),
 		prefPromoted: metrics.NewCounter(env),
 		prefSkipped:  metrics.NewCounter(env),
 		promoteTime:  metrics.NewCounter(env),
@@ -216,7 +243,7 @@ func (b *Backend) SetTracer(t *obs.Tracer) { b.tracer = t }
 // (slicing it would need a decode of the whole record, which the
 // whole-file hit path already covers), negative range left for the slow
 // tier to reject — goes to the slow tier as one request, with the access
-// recorded in the promotion counters so range-heavy workloads show up in
+// recorded in the name's access count so range-heavy workloads show up in
 // tier accounting instead of silently bypassing it. No promotion is
 // attempted: a range carries only part of the payload, so there is
 // nothing complete to admit.
@@ -233,7 +260,11 @@ func (b *Backend) Read(req storage.Request) (storage.Response, error) {
 		}
 		b.slowReads.Inc()
 		b.mu.Lock()
-		b.noteAccessLocked(req.Name)
+		if el, res := b.resident[req.Name]; res {
+			el.Value.(*entry).count++ // a compressed resident: still a read of it
+		} else {
+			b.noteAccessLocked(req.Name)
+		}
 		b.mu.Unlock()
 		return resp, nil
 	}
@@ -245,6 +276,7 @@ func (b *Backend) Read(req storage.Request) (storage.Response, error) {
 		// this element the moment we release it. The retained reference
 		// keeps the payload alive past the unlock even if it does.
 		e := el.Value.(*entry)
+		e.count++
 		size, stored, compressed := e.size, e.stored, e.compressed
 		bytes, ref := e.bytes, e.ref
 		if ref != nil {
@@ -296,13 +328,17 @@ func (b *Backend) Read(req storage.Request) (storage.Response, error) {
 
 	// Decide under one lock hold: a name that became resident while this
 	// read was in flight (a racing misser or the warmer won) needs neither
-	// an access count nor a second resident copy prepared.
+	// an access count nor a second resident copy prepared, and a candidate
+	// the tier would refuse anyway is refused here, on its estimated stored
+	// size — before the compression, the copy and the second lock round.
 	b.mu.Lock()
-	promote := false
+	promote, earlier := false, 0
 	if _, res := b.resident[name]; !res {
 		b.noteAccessLocked(name)
-		promote = b.accesses[name] >= b.cfg.PromoteAfter &&
-			data.Size <= b.cfg.FastCapacity
+		if n := b.accesses[name]; n >= b.cfg.PromoteAfter && data.Size <= b.cfg.FastCapacity {
+			earlier = n - 1
+			promote = b.roomLocked(b.estimateStoredLocked(data), earlier)
+		}
 	}
 	b.mu.Unlock()
 	if !promote {
@@ -316,7 +352,7 @@ func (b *Backend) Read(req storage.Request) (storage.Response, error) {
 	promStart := b.env.Now()
 	e := b.prepareEntry(name, data)
 	b.mu.Lock()
-	admitted := b.admitLocked(e, true)
+	admitted := b.admitLocked(e, earlier)
 	b.mu.Unlock()
 	if admitted {
 		promDur := b.env.Now() - promStart
@@ -386,40 +422,76 @@ func (b *Backend) compress(src []byte) ([]byte, bool) {
 	return exact, true
 }
 
-// admitLocked inserts the prepared entry, evicting LRU residents when
-// allowed. It reports whether the entry actually entered the tier — a
-// duplicate (another reader won the race), an entry larger than the whole
-// tier, or a full tier under evict=false all decline. Caller holds b.mu.
-func (b *Backend) admitLocked(e *entry, evict bool) bool {
+// roomLocked is the admission rule: it reports whether a candidate of the
+// given stored size, read earlier times before the read that offers it,
+// may enter the tier. Free space admits anything. When room has to be made
+// the candidate must be strictly hotter than every LRU-tail resident it
+// would displace; a tie declines (and is counted), because swapping one
+// equally hot sample for another buys no hit and costs a compression, a
+// copy and an eviction. The read in flight is not counted on the
+// candidate's side: the LRU tail is by construction the residents this
+// epoch's scan has not reached yet, and a one-read head start over exactly
+// those would evict each of them just before its next use. Nothing is
+// evicted here. Caller holds b.mu.
+func (b *Backend) roomLocked(stored int64, earlier int) bool {
+	need := b.used + stored - b.cfg.FastCapacity
+	for el := b.order.Back(); need > 0; el = el.Prev() {
+		if el == nil || el.Value.(*entry).count >= earlier {
+			b.declined.Inc()
+			return false
+		}
+		need -= el.Value.(*entry).stored
+	}
+	return true
+}
+
+// estimateStoredLocked predicts what a slow-tier read would charge against
+// FastCapacity once prepared — its size scaled by the running stored/logical
+// ratio of the residents when payloads are compressed — so the admission
+// rule can run before the compression does. admitLocked re-checks with the
+// exact size. Caller holds b.mu.
+func (b *Backend) estimateStoredLocked(data storage.Data) int64 {
+	if !b.cfg.Compress || data.Bytes == nil || b.logical == 0 {
+		return data.Size
+	}
+	return int64(float64(data.Size) * float64(b.used) / float64(b.logical))
+}
+
+// admitLocked inserts the prepared entry, evicting the LRU residents
+// roomLocked allows it to displace (none when earlier is 0, which is how
+// the warmer never evicts). It reports whether the entry actually entered
+// the tier — a duplicate (another reader won the race), an entry larger
+// than the whole tier, or one with no strictly colder victims to make its
+// exact stored size fit all decline, so an under-estimate at decision time
+// cannot over-commit FastCapacity. Caller holds b.mu.
+func (b *Backend) admitLocked(e *entry, earlier int) bool {
 	if b.closed {
 		return false
 	}
 	if _, dup := b.resident[e.name]; dup {
 		return false
 	}
-	if e.stored > b.cfg.FastCapacity {
+	if e.stored > b.cfg.FastCapacity || !b.roomLocked(e.stored, earlier) {
 		return false
 	}
 	for b.used+e.stored > b.cfg.FastCapacity {
-		if !evict {
-			return false
-		}
-		back := b.order.Back()
-		if back == nil {
-			return false
-		}
-		b.evictLocked(back)
+		b.evictLocked(b.order.Back())
 		b.evictions.Inc()
 	}
+	e.count = b.accesses[e.name]
+	delete(b.accesses, e.name)
 	b.resident[e.name] = b.order.PushFront(e)
 	b.used += e.stored
 	b.logical += e.size
-	delete(b.accesses, e.name) // reset the promotion counter
+	if e.stored > 0 && (b.minStored == 0 || e.stored < b.minStored) {
+		b.minStored = e.stored
+	}
 	return true
 }
 
-// evictLocked removes one resident and releases its payload hold. Caller
-// holds b.mu.
+// evictLocked removes one resident, releases its payload hold and hands its
+// access count back to the non-residents' map, so a sample keeps its
+// standing across eviction. Caller holds b.mu.
 func (b *Backend) evictLocked(el *list.Element) {
 	victim := el.Value.(*entry)
 	b.order.Remove(el)
@@ -427,12 +499,26 @@ func (b *Backend) evictLocked(el *list.Element) {
 	b.used -= victim.stored
 	b.logical -= victim.size
 	victim.drop()
+	if victim.count > 0 {
+		b.trackLocked(victim.name, victim.count)
+	}
 }
 
-// decayAccessesLocked halves every promotion counter and drops zeroes —
-// a TinyLFU-style aging sweep that bounds the map while keeping relative
-// popularity. All count-1 names (the unbounded-growth population) vanish
-// in one sweep. Caller holds b.mu.
+// trackLocked sets a non-resident's access count and keeps the map within
+// MaxTracked. Caller holds b.mu.
+func (b *Backend) trackLocked(name string, n int) {
+	b.accesses[name] = n
+	if len(b.accesses) > b.cfg.MaxTracked {
+		b.decayAccessesLocked()
+	}
+}
+
+// decayAccessesLocked halves every access count, residents' and
+// non-residents' alike, and drops the non-residents that reach zero — a
+// TinyLFU-style aging sweep that bounds the map while keeping relative
+// popularity, and lets a resident that is no longer read lose to a name
+// that is. All count-1 names (the unbounded-growth population) vanish in
+// one sweep. Caller holds b.mu.
 func (b *Backend) decayAccessesLocked() {
 	for name, n := range b.accesses {
 		n /= 2
@@ -441,6 +527,9 @@ func (b *Backend) decayAccessesLocked() {
 		} else {
 			b.accesses[name] = n
 		}
+	}
+	for el := b.order.Front(); el != nil; el = el.Next() {
+		el.Value.(*entry).count /= 2
 	}
 	b.decays++
 }
@@ -481,54 +570,68 @@ func (b *Backend) prefetchLoop() {
 		gen := b.planGen
 		b.mu.Unlock()
 
-		for _, name := range plan {
+		for i, name := range plan {
 			b.mu.Lock()
 			stale := b.closed || b.planGen != gen
 			_, res := b.resident[name]
 			free := b.cfg.FastCapacity - b.used
+			full := free < b.minStored
 			b.mu.Unlock()
 			if stale {
 				break
 			}
-			if res {
-				b.prefSkipped.Inc()
-				continue
+			if full {
+				// Warming never evicts, so with less free space than the
+				// smallest sample ever admitted the rest of the plan would
+				// cost a slow-tier size probe per name and warm nothing.
+				b.prefSkipped.Add(int64(len(plan) - i))
+				break
 			}
-			size, err := b.slow.Size(name)
-			if err != nil || size > free {
-				b.prefSkipped.Inc()
-				continue
-			}
-			// Warming runs off the consumer read path, so each warmed file
-			// gets its own head-sampled trace instead of riding a read's.
-			ctx := b.tracer.StartTrace()
-			warmStart := b.env.Now()
-			resp, err := b.slow.Read(storage.Request{Name: name, Ctx: ctx})
-			if err != nil {
-				b.prefSkipped.Inc()
-				continue
-			}
-			data := resp.Data
-			e := b.prepareEntry(name, data)
-			b.mu.Lock()
-			admitted := b.admitLocked(e, false)
-			b.mu.Unlock()
-			if admitted {
-				b.prefPromoted.Inc()
-				if b.fastDevice != nil {
-					b.fastDevice.Write(e.stored)
-				}
-				if ctx.Sampled {
-					b.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageTierWarm, Name: name, At: warmStart, Latency: b.env.Now() - warmStart, Size: e.stored})
-				}
-			} else {
-				e.drop()
+			if res || !b.warm(name, free) {
 				b.prefSkipped.Inc()
 			}
-			data.Release()
 		}
 		b.mu.Lock()
 	}
+}
+
+// warm reads one non-resident plan entry from the slow tier into free
+// fast-tier space and reports whether it was admitted.
+func (b *Backend) warm(name string, free int64) bool {
+	size, err := b.slow.Size(name)
+	if err != nil || size > free {
+		return false
+	}
+	// Warming runs off the consumer read path, so each warmed file gets
+	// its own head-sampled trace instead of riding a read's.
+	ctx := b.tracer.StartTrace()
+	warmStart := b.env.Now()
+	resp, err := b.slow.Read(storage.Request{Name: name, Ctx: ctx})
+	if err != nil {
+		return false
+	}
+	defer resp.Data.Release()
+	// A demand miss may have admitted the name while the read was in
+	// flight; do not compress a copy admitLocked would only throw away.
+	if b.Resident(name) {
+		return false
+	}
+	e := b.prepareEntry(name, resp.Data)
+	b.mu.Lock()
+	admitted := b.admitLocked(e, 0)
+	b.mu.Unlock()
+	if !admitted {
+		e.drop()
+		return false
+	}
+	b.prefPromoted.Inc()
+	if b.fastDevice != nil {
+		b.fastDevice.Write(e.stored)
+	}
+	if ctx.Sampled {
+		b.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageTierWarm, Name: name, At: warmStart, Latency: b.env.Now() - warmStart, Size: e.stored})
+	}
+	return true
 }
 
 // Size implements storage.Backend (metadata comes from the slow tier).
@@ -547,6 +650,7 @@ func (b *Backend) rangesFromResident(req storage.Request) ([]storage.Data, bool)
 	}
 	b.order.MoveToFront(el)
 	e := el.Value.(*entry)
+	e.count++
 	whole := storage.Data{Name: req.Name, Size: e.size, Bytes: e.bytes, Ref: e.ref}
 	views := req.Out
 	var total int64
@@ -567,13 +671,10 @@ func (b *Backend) rangesFromResident(req storage.Request) ([]storage.Data, bool)
 	return views, true
 }
 
-// noteAccessLocked records a slow-tier access in the bounded promotion
-// counters. Caller holds b.mu.
+// noteAccessLocked records a slow-tier access of a non-resident in the
+// bounded access counts. Caller holds b.mu.
 func (b *Backend) noteAccessLocked(name string) {
-	b.accesses[name]++
-	if len(b.accesses) > b.cfg.MaxTracked {
-		b.decayAccessesLocked()
-	}
+	b.trackLocked(name, b.accesses[name]+1)
 }
 
 // SetBufferPool attaches the pool that serves hit-path decode buffers.
@@ -616,6 +717,7 @@ func (b *Backend) Stats() Stats {
 		SlowReads:          b.slowReads.Value(),
 		Promotions:         b.promotions.Value(),
 		Evictions:          b.evictions.Value(),
+		Declined:           b.declined.Value(),
 		PrefetchPromotions: b.prefPromoted.Value(),
 		PrefetchSkips:      b.prefSkipped.Value(),
 		FastUsed:           used,

@@ -109,26 +109,70 @@ func TestPromoteAfterThreshold(t *testing.T) {
 	})
 }
 
+// readTimes reads name n times through b.
+func readTimes(t *testing.T, b *Backend, name string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := readFile(b, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestLRUEvictionUnderPressure(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		// Fast tier fits 3 files of 1000 bytes.
 		b, names := tieredFixture(env, Config{FastCapacity: 3000, PromoteAfter: 1}, 5, 1000)
 		for _, n := range names[:3] {
-			_, _ = readFile(b, n)
+			readTimes(t, b, n, 1)
 		}
-		_, _ = readFile(b, names[0]) // refresh 0; 1 is now LRU
-		_, _ = readFile(b, names[3]) // promotes 3, evicts 1
+		readTimes(t, b, names[0], 1) // refresh 0 (two reads); 1 is now LRU with one
+
+		// The tie case: offered with zero and then one earlier read, 3 is not
+		// strictly hotter than the LRU victim's one read. Declined, nothing
+		// evicted, nothing prepared.
+		readTimes(t, b, names[3], 2)
+		st := b.Stats()
+		if b.Resident(names[3]) || st.Evictions != 0 || st.Promotions != 3 || st.Declined != 2 {
+			t.Fatalf("tie must decline without evicting: %+v", st)
+		}
+		for _, n := range names[:3] {
+			if !b.Resident(n) {
+				t.Fatalf("%s lost to an equally hot candidate", n)
+			}
+		}
+
+		// Strictly hotter (two earlier reads against one): 3 is admitted
+		// over the LRU resident, and only that one.
+		readTimes(t, b, names[3], 1)
 		if b.Resident(names[1]) {
-			t.Fatal("LRU file survived eviction")
+			t.Fatal("LRU file survived a strictly hotter candidate")
 		}
 		if !b.Resident(names[0]) || !b.Resident(names[2]) || !b.Resident(names[3]) {
 			t.Fatal("wrong eviction victim")
 		}
-		if b.Stats().Evictions != 1 {
-			t.Fatalf("evictions = %d, want 1", b.Stats().Evictions)
+		st = b.Stats()
+		if st.Evictions != 1 || st.Promotions != 4 || st.Declined != 2 {
+			t.Fatalf("stats = %+v, want 1 eviction, 4 promotions, 2 declined", st)
 		}
-		if b.Stats().FastUsed != 3000 {
-			t.Fatalf("FastUsed = %d, want 3000", b.Stats().FastUsed)
+		if st.FastUsed != 3000 {
+			t.Fatalf("FastUsed = %d, want 3000", st.FastUsed)
+		}
+
+		// LRU order among equals, and a count that survives eviction: 2 is
+		// now the tail (one read). The evicted 1 kept its one read, so its
+		// next read ties with 2 and the one after beats it — had eviction
+		// forgotten the count it would need a third.
+		readTimes(t, b, names[1], 1)
+		if b.Resident(names[1]) || !b.Resident(names[2]) {
+			t.Fatalf("re-read of the evicted name should tie with the tail: %+v", b.Stats())
+		}
+		readTimes(t, b, names[1], 1)
+		if !b.Resident(names[1]) || b.Resident(names[2]) {
+			t.Fatalf("evicted name lost its count, or the victim was not the LRU tail: %+v", b.Stats())
+		}
+		if !b.Resident(names[0]) || !b.Resident(names[3]) {
+			t.Fatal("a resident ahead of the LRU tail was evicted")
 		}
 	})
 }
@@ -292,9 +336,17 @@ func TestEvictionAtExactCapacity(t *testing.T) {
 		if st.Evictions != 0 || st.FastUsed != 3000 {
 			t.Fatalf("filling to exact capacity: %+v, want 0 evictions and full tier", st)
 		}
+		// One past capacity, as hot as the residents: declined.
+		_, _ = readFile(b, names[3])
 		_, _ = readFile(b, names[3])
 		st = b.Stats()
-		if st.Evictions != 1 || st.FastUsed != 3000 || st.Residents != 3 {
+		if st.Evictions != 0 || st.Declined != 2 || b.Resident(names[3]) {
+			t.Fatalf("equally hot candidate past capacity: %+v, want two declines and no eviction", st)
+		}
+		// Strictly hotter: exactly one eviction, occupancy stays exact.
+		_, _ = readFile(b, names[3])
+		st = b.Stats()
+		if st.Evictions != 1 || st.FastUsed != 3000 || st.Residents != 3 || !b.Resident(names[3]) {
 			t.Fatalf("one past capacity: %+v, want exactly one eviction at full occupancy", st)
 		}
 	})
@@ -303,8 +355,9 @@ func TestEvictionAtExactCapacity(t *testing.T) {
 func TestItemExactlyTierSizedEvictsAll(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		// A sample exactly the tier's size is admissible but displaces
-		// every resident; one byte larger (TestOversizeNeverPromoted) is
-		// not. 3 small files then the big one.
+		// every resident, so it must be strictly hotter than every one of
+		// them; one byte larger (TestOversizeNeverPromoted) is not
+		// admissible at all. 2 small files then the big one.
 		samples := []dataset.Sample{
 			{Name: "small-0", Size: 1000},
 			{Name: "small-1", Size: 1000},
@@ -322,12 +375,25 @@ func TestItemExactlyTierSizedEvictsAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _ = readFile(b, "small-0")
-		_, _ = readFile(b, "small-1")
-		_, _ = readFile(b, "big")
+		readTimes(t, b, "small-0", 1)
+		readTimes(t, b, "small-1", 1)
+		readTimes(t, b, "small-0", 1) // two reads; small-1 (one read) is the tail
+		// Two earlier reads beat the tail but only tie with small-0 behind
+		// it: declined as a whole — the colder victim is not evicted for an
+		// admission that cannot complete.
+		readTimes(t, b, "big", 3)
 		st := b.Stats()
+		if b.Resident("big") || !b.Resident("small-0") || !b.Resident("small-1") || st.Evictions != 0 {
+			t.Fatalf("candidate not hotter than every victim must evict none: %+v", st)
+		}
+		if st.Declined != 3 || st.FastUsed != 2000 {
+			t.Fatalf("stats = %+v, want 3 declines and both small files in place", st)
+		}
+		// Three earlier reads beat both.
+		readTimes(t, b, "big", 1)
+		st = b.Stats()
 		if !b.Resident("big") || b.Resident("small-0") || b.Resident("small-1") {
-			t.Fatalf("tier-sized item should displace all residents: %+v", st)
+			t.Fatalf("tier-sized item hotter than every resident should displace them all: %+v", st)
 		}
 		if st.Evictions != 2 || st.FastUsed != 3000 {
 			t.Fatalf("stats = %+v, want 2 evictions and a full tier", st)
@@ -433,6 +499,78 @@ func TestPrefetchNeverEvicts(t *testing.T) {
 		}
 		if !b.Resident(names[0]) || !b.Resident(names[1]) {
 			t.Fatal("working set lost during warming")
+		}
+		b.Close()
+	})
+}
+
+// sizeProbes counts the slow-tier metadata calls the warmer makes (an
+// open + stat + close chain on a directory leaf).
+type sizeProbes struct {
+	storage.Backend
+	n atomic.Int64
+}
+
+func (p *sizeProbes) Size(name string) (int64, error) {
+	p.n.Add(1)
+	return p.Backend.Size(name)
+}
+
+func TestWarmerStopsWalkingAFullTier(t *testing.T) {
+	runSim(t, func(env conc.Env) {
+		// Tier fits three files, two are there by demand. The plan's first
+		// two entries are resident (no probe), the third is warmed into the
+		// last free slot (one probe), and with no free byte left the walk
+		// ends: the other three are skipped unprobed.
+		fix, names := tieredFixture(env, Config{FastCapacity: 3000, PromoteAfter: 1}, 6, 1000)
+		probes := &sizeProbes{Backend: fix.slow}
+		b, err := NewBackend(env, fix.cfg, probes, fix.fastDevice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readTimes(t, b, names[0], 1)
+		readTimes(t, b, names[1], 1)
+		b.PrefetchPlan(names)
+		env.Sleep(time.Second)
+		st := b.Stats()
+		if st.PrefetchPromotions != 1 || !b.Resident(names[2]) {
+			t.Fatalf("warmer should fill the one free slot: %+v", st)
+		}
+		if st.PrefetchSkips != 5 {
+			t.Fatalf("skips = %d, want 5 (2 resident + 3 past the end of free space)", st.PrefetchSkips)
+		}
+		if n := probes.n.Load(); n != 1 {
+			t.Fatalf("%d size probes, want 1: a full tier must end the walk, not probe the rest of the plan", n)
+		}
+		// Next epoch's plan against the now-full tier: no probe at all.
+		b.PrefetchPlan(names)
+		env.Sleep(time.Second)
+		if n := probes.n.Load(); n != 1 {
+			t.Fatalf("%d size probes after a plan against a full tier, want still 1", n)
+		}
+		if st := b.Stats(); st.PrefetchSkips != 11 || st.Evictions != 0 {
+			t.Fatalf("stats = %+v, want 11 skips and no eviction", st)
+		}
+		b.Close()
+	})
+}
+
+func TestWarmerYieldsToRacingDemandMiss(t *testing.T) {
+	runSim(t, func(env conc.Env) {
+		// The warmer's slow read of the plan's only entry and a demand miss
+		// on the same name are in flight together; whichever returns second
+		// finds the name resident and must not enter a second copy. Either
+		// way there is one resident, charged once.
+		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 1, 1000)
+		b.PrefetchPlan(names)
+		readTimes(t, b, names[0], 1)
+		env.Sleep(time.Second)
+		st := b.Stats()
+		if st.Residents != 1 || st.FastUsed != 1000 {
+			t.Fatalf("stats = %+v, want one 1000-byte resident", st)
+		}
+		if st.Promotions+st.PrefetchPromotions != 1 || st.PrefetchSkips != st.Promotions {
+			t.Fatalf("stats = %+v, want exactly one admission, and a warmer that lost counted as a skip", st)
 		}
 		b.Close()
 	})
@@ -580,15 +718,28 @@ func TestReadRangeMissRecordsAccess(t *testing.T) {
 		}
 		// A compressed resident also declines the resident slice path (it
 		// would need a whole-record decode) and serves from the slow tier.
-		cb, cnames, ccontents := memFixture(t, env, Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: true}, 1, 4096)
-		if _, err := readFile(cb, cnames[0]); err != nil {
+		mem := storage.NewMemBackend()
+		content := patternedContent(0, 4096) // even index: compressible
+		mem.Add("packed", content)
+		cb, err := NewBackend(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: true}, mem, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := readRange(cb, cnames[0], 0, 64)
-		if err != nil || !bytes.Equal(d.Bytes, ccontents[0][:64]) {
+		if _, err := readFile(cb, "packed"); err != nil {
+			t.Fatal(err)
+		}
+		if st := cb.Stats(); st.Residents != 1 || st.FastUsed >= st.FastLogical {
+			t.Fatalf("fixture: resident not stored compressed: %+v", st)
+		}
+		d, err := readRange(cb, "packed", 0, 64)
+		if err != nil || !bytes.Equal(d.Bytes, content[:64]) {
 			t.Fatalf("compressed-resident range = %+v, %v", d, err)
 		}
 		d.Release()
+		// The read counts on the resident, not as a non-resident's access.
+		if st := cb.Stats(); st.TrackedNames != 0 || st.SlowReads != 2 || st.FastHits != 0 {
+			t.Fatalf("ranged read of a compressed resident: %+v, want it served slow and counted on the resident", st)
+		}
 	})
 }
 

@@ -147,8 +147,13 @@ type ClusterOptions struct {
 
 // TieringOptions tunes the tiered fast-store stage (internal/tiering).
 // When enabled, the backend chain becomes
-// recorder < sharedcache < tiering < resilient: hot samples are promoted
-// into a capacity-bounded fast tier and served from it on re-access.
+// recorder < sharedcache < tiering < resilient: samples are promoted into
+// a capacity-bounded fast tier and served from it on re-access. A full
+// tier admits a sample only over residents it is strictly hotter than, so
+// the once-per-epoch scan of a dataset larger than the tier — every sample
+// equally hot — keeps a stable resident set and hits the tier's capacity
+// fraction, while a skewed workload's hot samples still displace cold
+// ones. Stats.TierDeclined counts the refusals.
 type TieringOptions struct {
 	// Enable turns the tiering stage on.
 	Enable bool
@@ -156,12 +161,16 @@ type TieringOptions struct {
 	// A compressed resident charges only its compressed size, so
 	// compression stretches the same budget over more samples.
 	CapacityBytes int64
-	// PromoteAfter is the access count at which a sample is copied into
-	// the fast tier (default 1 = promote on first access).
+	// PromoteAfter is the access count at which a sample becomes a
+	// candidate for the fast tier (default 1 = on first access): it
+	// enters free space at once, a full tier only over strictly colder
+	// residents.
 	PromoteAfter int
-	// MaxTrackedNames caps the promotion-counter map; past it the
-	// counters decay (halve, drop zeroes) so cold names cannot grow
-	// memory without bound. Default 0 selects the package default (64Ki).
+	// MaxTrackedNames caps the map of non-resident samples' access
+	// counts; past it every count, residents' included, decays (halve,
+	// drop zeroes) so cold names cannot grow memory without bound and
+	// residents that stop being read lose their standing. Default 0
+	// selects the package default (64Ki).
 	MaxTrackedNames int
 	// Compress stores promoted payloads LZ-compressed when that is
 	// smaller, decoding in place into pooled buffers on hits.

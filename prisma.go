@@ -143,6 +143,7 @@ type Stats struct {
 	TierSlowReads          int64
 	TierPromotions         int64
 	TierEvictions          int64
+	TierDeclined           int64 // admissions refused because no resident was strictly colder: a full, stable tier, not a broken one
 	TierPrefetchPromotions int64
 	TierPrefetchSkips      int64
 	TierUsedBytes          int64 // physical (compressed) occupancy
@@ -263,6 +264,7 @@ func statsFrom(s core.StageStats) Stats {
 		TierSlowReads:          s.Tiering.SlowReads,
 		TierPromotions:         s.Tiering.Promotions,
 		TierEvictions:          s.Tiering.Evictions,
+		TierDeclined:           s.Tiering.Declined,
 		TierPrefetchPromotions: s.Tiering.PrefetchPromotions,
 		TierPrefetchSkips:      s.Tiering.PrefetchSkips,
 		TierUsedBytes:          s.Tiering.FastUsed,
@@ -465,25 +467,7 @@ func Open(opts Options) (*Prisma, error) {
 	if tiered != nil {
 		tb := tiered
 		tb.SetTracer(tracer)
-		stage.SetTieringSource(func() core.TieringStats {
-			ts := tb.Stats()
-			return core.TieringStats{
-				FastHits:           ts.FastHits,
-				SlowReads:          ts.SlowReads,
-				Promotions:         ts.Promotions,
-				Evictions:          ts.Evictions,
-				PrefetchPromotions: ts.PrefetchPromotions,
-				PrefetchSkips:      ts.PrefetchSkips,
-				FastUsed:           ts.FastUsed,
-				FastLogical:        ts.FastLogical,
-				Capacity:           ts.Capacity,
-				Residents:          ts.Residents,
-				TrackedNames:       ts.TrackedNames,
-				AccessDecays:       ts.AccessDecays,
-				PromoteTime:        ts.PromoteTime,
-				DecodeTime:         ts.DecodeTime,
-			}
-		})
+		stage.SetTieringSource(func() core.TieringStats { return core.TieringStats(tb.Stats()) })
 		if opts.Tiering.PrefetchNextEpoch {
 			// Hook the stage, not Prisma.SubmitEpoch: the IPC server
 			// submits epochs straight to the stage, and remote data

@@ -1,6 +1,7 @@
 package prisma
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -139,6 +140,88 @@ func TestTieringAdminSurface(t *testing.T) {
 	} {
 		if !strings.Contains(string(metrics), family) {
 			t.Fatalf("metrics missing %q:\n%s", family, metrics)
+		}
+	}
+}
+
+// TestTieringFullTierDeclines runs shuffled epochs over a tier that holds
+// about a quarter of the dataset, through Open: the tier fills, stops
+// swapping, keeps hitting, and says so on every surface — a full tier whose
+// promotions have stopped shows Declined rising, which is what tells it
+// from a broken one.
+func TestTieringFullTierDeclines(t *testing.T) {
+	const files = 32
+	dir := makeDataset(t, files)
+	p := open(t, dir, func(o *Options) {
+		o.Tiering = TieringOptions{Enable: true, CapacityBytes: 8 * (2048 + files)}
+	})
+	sock := filepath.Join(t.TempDir(), "prisma.sock")
+	if err := p.ServeUnix(sock); err != nil {
+		t.Fatal(err)
+	}
+	planner, err := Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer planner.Close()
+
+	var filled Stats
+	for epoch := 0; epoch < 4; epoch++ {
+		plan := p.ShuffledFileList(11, epoch)
+		if err := p.SubmitPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		before := p.Stats()
+		for _, name := range plan {
+			if _, err := p.Read(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := p.Stats()
+		if epoch == 0 {
+			filled = st
+			if st.TierResidents < 7 || st.TierResidents >= files || st.TierDeclined == 0 {
+				t.Fatalf("epoch 1 should fill the undersized tier and start declining: %+v", st)
+			}
+			continue
+		}
+		if st.TierPromotions != filled.TierPromotions || st.TierEvictions != 0 {
+			t.Fatalf("epoch %d swapped residents under a uniform shuffle: promotions %d -> %d, evictions %d",
+				epoch+1, filled.TierPromotions, st.TierPromotions, st.TierEvictions)
+		}
+		if got, want := st.TierFastHits-before.TierFastHits, int64(filled.TierResidents); got != want {
+			t.Fatalf("epoch %d: %d tier hits, want one per resident (%d)", epoch+1, got, want)
+		}
+		if got, want := st.TierDeclined-before.TierDeclined, int64(files-filled.TierResidents); got != want {
+			t.Fatalf("epoch %d: %d declined, want one per miss (%d)", epoch+1, got, want)
+		}
+	}
+
+	want := p.Stats().TierDeclined
+	remote, err := planner.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote.TierDeclined != want {
+		t.Fatalf("remote TierDeclined = %d, want %d", remote.TierDeclined, want)
+	}
+	srv := httptest.NewServer(p.AdminHandler())
+	defer srv.Close()
+	for path, line := range map[string]string{
+		"/metrics": fmt.Sprintf("prisma_tiering_declined_total %d\n", want),
+		"/tiering": fmt.Sprintf("\"Declined\":%d,", want),
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(body), line) {
+			t.Fatalf("%s missing %q:\n%s", path, line, body)
 		}
 	}
 }
