@@ -12,6 +12,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/experiments"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
+	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
@@ -45,6 +46,7 @@ var allocBudgetRows = []string{
 	"ipc_client_allocs_per_op",    // the socket hop alone, read-ahead engaged
 	"dir_allocs_per_op",           // the directory leaf alone, over real files
 	"tier_declined_allocs_per_op", // a miss a full fast tier declines
+	"kept_miss_allocs_per_op",     // a miss the tier above keeps, through the shared cache
 }
 
 func readAllocBudget(t *testing.T, path string) allocBudget {
@@ -172,6 +174,41 @@ func tierDeclinedAllocs(t *testing.T) float64 {
 	return allocs
 }
 
+// keptMissAllocs measures allocations per whole-file miss through the
+// shared cache that carries storage.Request.Kept (pooled MemBackend below
+// it) — every first read of a sample under a tier that is about to promote
+// it. The cache single-flights the read and retains nothing, so it must cost
+// what the leaf's read costs: no entry, no list element, no key string.
+func keptMissAllocs(t *testing.T) float64 {
+	t.Helper()
+	const files = 64
+	mem := storage.NewMemBackend()
+	names := make([]string, files)
+	for i := range names {
+		names[i] = fmt.Sprintf("k%02d.bin", i)
+		mem.Add(names[i], make([]byte, 4<<10))
+	}
+	mem.SetBufferPool(mempool.New(mempool.Config{}))
+	c, err := sharedcache.New(conc.NewReal(), mem, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		resp, err := c.Read(storage.Request{Name: names[i%files], Kept: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Data.Release()
+		i++
+	})
+	if st := c.Stats(); st.Residents != 0 || st.Hits != 0 || st.DeviceReads != int64(i) {
+		t.Fatalf("kept cell did not measure unretained misses: %+v after %d reads", st, i)
+	}
+	return allocs
+}
+
 // TestAllocRegressionGate is the CI allocation gate: it benchmarks the
 // pooled and unpooled hot paths and fails if the pooled variant exceeds
 // the committed budget (alloc_budget.txt) or the reduction falls below
@@ -254,6 +291,10 @@ func TestAllocRegressionGate(t *testing.T) {
 	declined := tierDeclinedAllocs(t)
 	t.Logf("declined tier miss: %v allocs/op", declined)
 	over("a miss the full fast tier declines", "tier_declined_allocs_per_op", declined)
+	// Kept-miss cell: a read the tier above will keep, through the cache.
+	kept := keptMissAllocs(t)
+	t.Logf("kept miss through the shared cache: %v allocs/op", kept)
+	over("a Kept miss through the shared cache", "kept_miss_allocs_per_op", kept)
 	if unpooled.AllocsPerOp == 0 {
 		t.Error("unpooled variant reported zero allocs/op: the benchmark is not measuring the hot path")
 	}

@@ -108,19 +108,20 @@ func packChainDataset(t *testing.T, files, size int, compressed bool) (*storage.
 }
 
 // wrapChain nests the wrappers wrap turns on around leaf in Open's order. It
-// returns the outermost backend, the tier (nil when off) and what to close
-// once the stage is closed.
-func wrapChain(t *testing.T, env conc.Env, leaf storage.Backend, wrap chainWrap, tier tiering.Config) (storage.Backend, *tiering.Backend, []func()) {
+// returns the outermost backend, the tier and the cache (nil when off) and
+// what to close once the stage is closed.
+func wrapChain(t *testing.T, env conc.Env, leaf storage.Backend, wrap chainWrap, tier tiering.Config) (storage.Backend, *tiering.Backend, *sharedcache.Cache, []func()) {
 	t.Helper()
 	b := leaf
 	var tb *tiering.Backend
+	var sc *sharedcache.Cache
 	closers := []func(){}
 	if wrap.recorder {
 		b = trace.NewRecorder(env, b)
 	}
 	if wrap.cache {
-		sc, err := sharedcache.New(env, b, 64<<20)
-		if err != nil {
+		var err error
+		if sc, err = sharedcache.New(env, b, 64<<20); err != nil {
 			t.Fatal(err)
 		}
 		b = sc
@@ -143,7 +144,7 @@ func wrapChain(t *testing.T, env conc.Env, leaf storage.Backend, wrap chainWrap,
 		}
 		b = rb
 	}
-	return b, tb, closers
+	return b, tb, sc, closers
 }
 
 // runChainCell streams the packed dataset through the full prefetch
@@ -157,7 +158,7 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 	env := conc.NewReal()
 	mem, ix, names, contents := packChainDataset(t, 16, 4<<10, compressed)
 
-	b, _, closers := wrapChain(t, env, mem, wrap, tiering.Config{FastCapacity: 64 << 20, PromoteAfter: 1})
+	b, _, _, closers := wrapChain(t, env, mem, wrap, tiering.Config{FastCapacity: 64 << 20, PromoteAfter: 1})
 	backend := recordio.NewIndexedBackend(ix, b)
 	pool := mempool.New(mempool.Config{Debug: true})
 	mem.SetBufferPool(pool)
@@ -243,6 +244,99 @@ func TestBatchChainCompositionCompressed(t *testing.T) {
 	}
 }
 
+// wholeFileChain is the fixture of the whole-file composition cells: 32
+// compressible 4 KiB files in a pooled MemBackend under the wrappers wrap
+// turns on, streamed through the prefetch pipeline by two producers.
+type wholeFileChain struct {
+	names    []string
+	contents map[string][]byte
+	tier     *tiering.Backend
+	cache    *sharedcache.Cache
+	pool     *mempool.Pool
+	stage    *core.Stage
+	closers  []func()
+	rng      *rand.Rand
+}
+
+const (
+	wholeFiles    = 32
+	wholeFileSize = 4 << 10
+)
+
+func newWholeFileChain(t *testing.T, wrap chainWrap, tier tiering.Config, seed int64) *wholeFileChain {
+	t.Helper()
+	env := conc.NewReal()
+	mem := storage.NewMemBackend()
+	c := &wholeFileChain{
+		names:    make([]string, wholeFiles),
+		contents: map[string][]byte{},
+		pool:     mempool.New(mempool.Config{Debug: true}),
+		rng:      rand.New(rand.NewSource(seed)),
+	}
+	for i := range c.names {
+		c.names[i] = fmt.Sprintf("whole%04d.bin", i)
+		c.contents[c.names[i]] = experiments.CompressibleSample(i, wholeFileSize, 0.5) // the tier stores it at about half size
+		mem.Add(c.names[i], c.contents[c.names[i]])
+	}
+	var backend storage.Backend
+	backend, c.tier, c.cache, c.closers = wrapChain(t, env, mem, wrap, tier)
+	mem.SetBufferPool(c.pool)
+	c.tier.SetBufferPool(c.pool)
+	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+		InitialProducers:      2,
+		MaxProducers:          2,
+		InitialBufferCapacity: 8,
+		MaxBufferCapacity:     8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.stage = core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	t.Cleanup(func() { c.stage.Close() })
+	pf.Start()
+	return c
+}
+
+// epoch submits one shuffled pass over the set and reads it back, failing
+// on any payload that differs from ground truth.
+func (c *wholeFileChain) epoch(t *testing.T, e int) {
+	t.Helper()
+	plan := make([]string, len(c.names))
+	for i, j := range c.rng.Perm(len(c.names)) {
+		plan[i] = c.names[j]
+	}
+	if err := c.stage.SubmitPlan(plan); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range plan {
+		d, _, err := c.stage.Read(core.ReadRequest{Name: name})
+		if err != nil {
+			t.Fatalf("epoch %d: read %s: %v", e, name, err)
+		}
+		same := bytes.Equal(d.Bytes, c.contents[name])
+		d.Release()
+		if !same {
+			t.Fatalf("epoch %d: %s: payload differs from ground truth", e, name)
+		}
+	}
+}
+
+// closeAndAudit closes the stage and the chain and fails if the pool still
+// has a lease out.
+func (c *wholeFileChain) closeAndAudit(t *testing.T) {
+	t.Helper()
+	c.stage.Close()
+	for _, cl := range c.closers {
+		cl()
+	}
+	if leaks := c.pool.Leaks(); len(leaks) != 0 {
+		t.Fatalf("pool leaks:\n%s", mempool.FormatLeaks(leaks))
+	}
+	if n := c.pool.Outstanding(); n != 0 {
+		t.Fatalf("%d pooled refs still outstanding", n)
+	}
+}
+
 // TestChainCompositionDecliningTier runs the same property with the tier in
 // the state the packed cells never reach (they only send it shard ranges,
 // which are never admitted): whole files, a compressing tier a quarter the
@@ -254,9 +348,8 @@ func TestBatchChainCompositionCompressed(t *testing.T) {
 // audit finds nothing held once the chain is closed.
 func TestChainCompositionDecliningTier(t *testing.T) {
 	const (
-		files    = 32
-		fileSize = 4 << 10
-		epochs   = 4
+		files  = wholeFiles
+		epochs = 4
 	)
 	for _, wrap := range chainPermutations() {
 		if !wrap.tiering {
@@ -264,71 +357,21 @@ func TestChainCompositionDecliningTier(t *testing.T) {
 		}
 		wrap := wrap
 		t.Run(wrap.String(), func(t *testing.T) {
-			env := conc.NewReal()
-			mem := storage.NewMemBackend()
-			names := make([]string, files)
-			contents := map[string][]byte{}
-			for i := range names {
-				names[i] = fmt.Sprintf("whole%04d.bin", i)
-				buf := experiments.CompressibleSample(i, fileSize, 0.5) // the tier stores it at about half size
-				contents[names[i]] = buf
-				mem.Add(names[i], buf)
-			}
-			backend, tier, closers := wrapChain(t, env, mem, wrap,
-				tiering.Config{FastCapacity: files * fileSize / 4, PromoteAfter: 1, Compress: true})
-			pool := mempool.New(mempool.Config{Debug: true})
-			mem.SetBufferPool(pool)
-			tier.SetBufferPool(pool)
-
-			pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
-				InitialProducers:      2,
-				MaxProducers:          2,
-				InitialBufferCapacity: 8,
-				MaxBufferCapacity:     8,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
-			pf.Start()
-			rng := rand.New(rand.NewSource(22))
+			c := newWholeFileChain(t, wrap,
+				tiering.Config{FastCapacity: files * wholeFileSize / 4, PromoteAfter: 1, Compress: true}, 22)
 			var filled tiering.Stats
 			for e := 0; e < epochs; e++ {
-				plan := make([]string, files)
-				for i, j := range rng.Perm(files) {
-					plan[i] = names[j]
-				}
-				if err := stage.SubmitPlan(plan); err != nil {
-					stage.Close()
-					t.Fatal(err)
-				}
-				for _, name := range plan {
-					d, _, err := stage.Read(core.ReadRequest{Name: name})
-					if err != nil {
-						stage.Close()
-						t.Fatalf("epoch %d: read %s: %v", e, name, err)
-					}
-					same := bytes.Equal(d.Bytes, contents[name])
-					d.Release()
-					if !same {
-						stage.Close()
-						t.Fatalf("epoch %d: %s: payload differs from ground truth", e, name)
-					}
-				}
-				st := tier.Stats()
+				c.epoch(t, e)
+				st := c.tier.Stats()
 				if st.FastUsed > st.Capacity {
-					stage.Close()
 					t.Fatalf("epoch %d: tier over-committed: %+v", e, st)
 				}
 				if e == 0 {
 					filled = st
 				}
 			}
-			st := tier.Stats()
-			stage.Close()
-			for _, c := range closers {
-				c()
-			}
+			st := c.tier.Stats()
+			c.closeAndAudit(t)
 			if filled.Residents == 0 || filled.Residents == files {
 				t.Fatalf("fixture: the tier should hold part of the set after epoch 1: %+v", filled)
 			}
@@ -341,12 +384,64 @@ func TestChainCompositionDecliningTier(t *testing.T) {
 			if want := int64((epochs - 1) * filled.Residents); st.FastHits-filled.FastHits != want {
 				t.Fatalf("%d tier hits after epoch 1, want %d (every resident, every epoch)", st.FastHits-filled.FastHits, want)
 			}
-			if leaks := pool.Leaks(); len(leaks) != 0 {
-				t.Fatalf("pool leaks:\n%s", mempool.FormatLeaks(leaks))
-			}
-			if n := pool.Outstanding(); n != 0 {
-				t.Fatalf("%d pooled refs still outstanding", n)
-			}
 		})
+	}
+}
+
+// TestChainCompositionHeldOnce pins the exclusive hierarchy the tier and the
+// shared cache form when both are in the chain: the tier tells the cache
+// what it is about to keep (storage.Request.Kept), so a sample is resident
+// in one of them, never both. Over a set that fits the tier every name ends
+// tier-resident and the cache holds nothing; over a tier a quarter of the
+// set the cache keeps only names the tier declined. Same fixture as above,
+// with Compress on and off, around the bare pair and the full chain —
+// byte-identity to ground truth and the pool audit as in the cells above.
+func TestChainCompositionHeldOnce(t *testing.T) {
+	const files = wholeFiles
+	for _, cell := range []struct {
+		name     string
+		capacity int64
+		compress bool
+	}{
+		{"fits", 2 * files * wholeFileSize, false},
+		{"fits-compress", 2 * files * wholeFileSize, true},
+		{"quarter", files * wholeFileSize / 4, false},
+		{"quarter-compress", files * wholeFileSize / 4, true},
+	} {
+		for _, wrap := range []chainWrap{
+			{cache: true, tiering: true},
+			{recorder: true, cache: true, tiering: true, resilient: true},
+		} {
+			cell, wrap := cell, wrap
+			t.Run(cell.name+"/"+wrap.String(), func(t *testing.T) {
+				c := newWholeFileChain(t, wrap,
+					tiering.Config{FastCapacity: cell.capacity, PromoteAfter: 1, Compress: cell.compress}, 23)
+				for e := 0; e < 2; e++ {
+					c.epoch(t, e)
+				}
+				both, neither := 0, 0
+				for _, name := range c.names {
+					inTier, inCache := c.tier.Resident(name), c.cache.Resident(name)
+					if inTier && inCache {
+						both++
+					}
+					if !inTier && !inCache {
+						neither++
+					}
+				}
+				ts, cs := c.tier.Stats(), c.cache.Stats()
+				if both != 0 {
+					t.Fatalf("%d names resident in the tier and the cache: tier %+v, cache %+v", both, ts, cs)
+				}
+				if cell.capacity >= files*wholeFileSize {
+					if ts.Residents != files || cs.Residents != 0 || cs.UsedBytes != 0 {
+						t.Fatalf("set fits the tier: %d tier residents, %d cache residents (%d bytes); want %d and none", ts.Residents, cs.Residents, cs.UsedBytes, files)
+					}
+				} else if ts.Residents == 0 || ts.Residents == files || neither != 0 || cs.Residents != files-ts.Residents {
+					t.Fatalf("quarter tier: %d tier residents, %d cache residents, %d names held nowhere; want the set split between them", ts.Residents, cs.Residents, neither)
+				}
+				c.closeAndAudit(t)
+			})
+		}
 	}
 }

@@ -340,6 +340,11 @@ func (r *Ref) Bytes() []byte { return r.buf[:r.n] }
 // Len reports the payload length without materialising the slice header.
 func (r *Ref) Len() int { return r.n }
 
+// Cap reports the size of the backing buffer the lease pins — its size
+// class, not the requested length — which is what a layer that retains refs
+// against a byte budget must charge.
+func (r *Ref) Cap() int { return len(r.buf) }
+
 // Retain adds a reference. It panics if the buffer has already been fully
 // released — retaining a recycled buffer is always a lifecycle bug.
 func (r *Ref) Retain() {

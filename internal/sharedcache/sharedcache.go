@@ -11,6 +11,11 @@
 // single-flight admission collapses concurrent misses on the same file
 // into one device read, which is where most of the multi-job saving comes
 // from when jobs run in loose lockstep.
+//
+// Under a layer that keeps what it reads (the fast tier, storage.Request.Kept)
+// the cache is the exclusive lower level of the hierarchy: it still
+// single-flights such a read but retains it only to hand it to followers
+// already waiting, so a sample is resident in the tier or here, not both.
 package sharedcache
 
 import (
@@ -27,10 +32,14 @@ import (
 
 // Stats snapshots cache effectiveness.
 type Stats struct {
-	Hits        int64
-	Misses      int64
-	Waits       int64 // misses collapsed onto another job's in-flight read
-	Evictions   int64
+	Hits      int64
+	Misses    int64
+	Waits     int64 // misses collapsed onto another job's in-flight read
+	Evictions int64
+	// UsedBytes is what the residents pin, which is what the capacity
+	// bounds: a pooled resident counts its buffer's size class (the cache
+	// holds the whole buffer, not just the payload's length), an unpooled or
+	// modeled one its payload size.
 	UsedBytes   int64
 	Residents   int
 	DeviceReads int64 // misses that actually hit the backend
@@ -50,11 +59,13 @@ type Cache struct {
 
 	mu        conc.Mutex
 	fetchDone conc.Cond
-	resident  map[string]*list.Element
+	resident  map[key]*list.Element
 	order     *list.List // front = MRU
-	inflight  map[string]bool
-	used      int64
-	closed    bool // Close ran: reads still pass through, nothing is admitted
+	// inflight holds the keys being fetched. The slot stays nil until a
+	// follower arrives, so a miss nobody joins allocates nothing.
+	inflight map[key]*flight
+	used     int64
+	closed   bool // Close ran: reads still pass through, nothing is admitted
 
 	hits      *metrics.Counter
 	misses    *metrics.Counter
@@ -66,6 +77,23 @@ type Cache struct {
 	tracer *obs.Tracer // nil-safe: spans only for sampled reads
 }
 
+// key identifies a cached object: one byte range of a file (the records of
+// a packed shard), or the whole file as n = wholeFile — no valid range has
+// a negative length, so the two cannot collide. Comparable, so looking one
+// up allocates nothing.
+type key struct {
+	name   string
+	off, n int64
+}
+
+const wholeFile = -1
+
+func fileKey(name string) key { return key{name: name, n: wholeFile} }
+
+// flight is one in-flight fetch that followers joined: how many of them
+// have yet to collect its result.
+type flight struct{ waiters int }
+
 // entry is one resident sample. When the backend serves pooled payloads,
 // the cache retains its own reference for as long as the entry is resident
 // (ref non-nil): recycling the buffer while it sits in the cache would
@@ -73,10 +101,14 @@ type Cache struct {
 // more reference on the caller's behalf; eviction and invalidation release
 // the cache's.
 type entry struct {
-	name  string
-	size  int64
-	bytes []byte // nil under modeled backends
-	ref   *mempool.Ref
+	key    key
+	size   int64
+	charge int64  // bytes counted against capacity: what the entry pins
+	bytes  []byte // nil under modeled backends
+	ref    *mempool.Ref
+	// handoff is non-nil for the result of a Kept read admitted only for
+	// the followers of that flight: the entry leaves with the last of them.
+	handoff *flight
 }
 
 // New builds a cache of capacity bytes over inner.
@@ -89,9 +121,9 @@ func New(env conc.Env, inner storage.Backend, capacity int64) (*Cache, error) {
 		inner:     inner,
 		capacity:  capacity,
 		mu:        env.NewMutex(),
-		resident:  make(map[string]*list.Element),
+		resident:  make(map[key]*list.Element),
 		order:     list.New(),
-		inflight:  make(map[string]bool),
+		inflight:  make(map[key]*flight),
 		hits:      metrics.NewCounter(env),
 		misses:    metrics.NewCounter(env),
 		waits:     metrics.NewCounter(env),
@@ -112,9 +144,9 @@ func (c *Cache) SetTracer(t *obs.Tracer) { c.tracer = t }
 // on the request class. A whole-file read is cached under its name. A
 // one-range read is sliced in place from a whole-file resident (zero-copy,
 // retaining the cache's pool reference on the caller's behalf) or else
-// cached under a composite name\x00off+n key, so concurrent tenants
-// re-reading the same record of a packed shard pay the device once instead
-// of once each. A vectored read is sliced from a whole-file resident or
+// cached under its own (name, off, n) key, so concurrent tenants re-reading
+// the same record of a packed shard pay the device once instead of once
+// each. A vectored read is sliced from a whole-file resident or
 // forwarded as one device read serving K ranges, without admitting
 // per-range entries (a coalesced batch is already the economical access
 // pattern; caching its K slices would churn the LRU). Hit, miss and
@@ -122,6 +154,11 @@ func (c *Cache) SetTracer(t *obs.Tracer) { c.tracer = t }
 // sampled, so a follower's wait on another job's fetch is visible to
 // attribution. Negative ranges pass through for the inner backend to
 // reject.
+//
+// A Kept read (the caller retains the payload itself) is single-flighted
+// like any other but leaves nothing behind: its result is admitted only if
+// followers are waiting on the key, as a hand-off entry the last of them
+// removes, and a resident it hits is served and dropped.
 func (c *Cache) Read(req storage.Request) (storage.Response, error) {
 	if req.Validate() != nil {
 		return c.inner.Read(req)
@@ -141,16 +178,16 @@ func (c *Cache) Read(req storage.Request) (storage.Response, error) {
 		c.devReads.Inc()
 		return c.inner.Read(req)
 	}
-	key := req.Name
+	ck := fileKey(req.Name)
 	if k == 1 {
-		key = rangeKey(req.Name, req.Ranges[0])
+		ck.off, ck.n = req.Ranges[0].Off, req.Ranges[0].N
 	}
 	name, ctx := req.Name, req.Ctx
 	var waitStart, waited time.Duration
+	var joined *flight // the fetch this read is counted on as a follower
 	c.mu.Lock()
 	for {
-		if el, ok := c.resident[key]; ok {
-			c.order.MoveToFront(el)
+		if el, ok := c.resident[ck]; ok {
 			e := el.Value.(*entry)
 			if e.ref != nil {
 				// Hand the caller its own reference while the cache's keeps
@@ -158,6 +195,20 @@ func (c *Cache) Read(req storage.Request) (storage.Response, error) {
 				e.ref.Retain()
 			}
 			d := storage.Data{Name: name, Size: e.size, Bytes: e.bytes, Ref: e.ref}
+			switch {
+			case e.handoff != nil:
+				if e.handoff == joined {
+					if joined.waiters--; joined.waiters == 0 {
+						c.evictLocked(el)
+					}
+				}
+			case req.Kept && joined == nil:
+				// The caller keeps it from here on. (Not after a wait: other
+				// followers of the same fetch may still be on their way.)
+				c.evictLocked(el)
+			default:
+				c.order.MoveToFront(el)
+			}
 			c.mu.Unlock()
 			c.hits.Inc()
 			c.noteWait(ctx, name, waitStart, waited)
@@ -169,11 +220,20 @@ func (c *Cache) Read(req storage.Request) (storage.Response, error) {
 			}
 			return storage.Response{Data: d}, nil
 		}
-		if !c.inflight[key] {
+		f, busy := c.inflight[ck]
+		if !busy {
 			break
 		}
 		// Another job is already fetching this key: wait for it instead
 		// of issuing a duplicate device read.
+		if f == nil {
+			f = new(flight)
+			c.inflight[ck] = f
+		}
+		if f != joined {
+			f.waiters++
+			joined = f
+		}
 		c.waits.Inc()
 		begin := c.env.Now()
 		if waited == 0 {
@@ -182,7 +242,7 @@ func (c *Cache) Read(req storage.Request) (storage.Response, error) {
 		c.fetchDone.Wait()
 		waited += c.env.Now() - begin
 	}
-	c.inflight[key] = true
+	c.inflight[ck] = nil
 	c.mu.Unlock()
 	c.noteWait(ctx, name, waitStart, waited)
 
@@ -206,9 +266,15 @@ func (c *Cache) Read(req storage.Request) (storage.Response, error) {
 	}
 
 	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil && data.Size <= c.capacity {
-		c.admit(key, data)
+	followers := c.inflight[ck]
+	delete(c.inflight, ck)
+	if err == nil {
+		switch {
+		case !req.Kept:
+			c.admit(ck, data, nil)
+		case followers != nil:
+			c.admit(ck, data, followers)
+		}
 	}
 	c.fetchDone.Broadcast()
 	c.mu.Unlock()
@@ -227,26 +293,29 @@ func (c *Cache) noteWait(ctx obs.Ctx, name string, start, waited time.Duration) 
 	}
 }
 
-// admit inserts the fetched sample, evicting LRU residents. The cache
-// retains its own pooled reference (the fetcher's stays with the fetcher).
-// Caller holds c.mu.
-func (c *Cache) admit(name string, data storage.Data) {
-	if _, dup := c.resident[name]; dup || c.closed {
+// admit inserts the fetched sample, evicting LRU residents until what it
+// pins fits. The cache retains its own pooled reference (the fetcher's
+// stays with the fetcher) and therefore the reference's whole buffer, so
+// that is what a pooled entry is charged. handoff marks the result of a
+// Kept read, resident only until the followers counted on it have each
+// taken it. Caller holds c.mu.
+func (c *Cache) admit(k key, data storage.Data, handoff *flight) {
+	charge := data.Size
+	if data.Ref != nil {
+		charge = int64(data.Ref.Cap())
+	}
+	if _, dup := c.resident[k]; dup || c.closed || charge > c.capacity {
 		return
 	}
-	for c.used+data.Size > c.capacity {
-		back := c.order.Back()
-		if back == nil {
-			return
-		}
-		c.evictLocked(back)
+	for c.used+charge > c.capacity {
+		c.evictLocked(c.order.Back())
 		c.evictions.Inc()
 	}
 	if data.Ref != nil {
 		data.Ref.Retain()
 	}
-	c.resident[name] = c.order.PushFront(&entry{name: name, size: data.Size, bytes: data.Bytes, ref: data.Ref})
-	c.used += data.Size
+	c.resident[k] = c.order.PushFront(&entry{key: k, size: data.Size, charge: charge, bytes: data.Bytes, ref: data.Ref, handoff: handoff})
+	c.used += charge
 }
 
 // evictLocked removes one resident entry and drops the cache's pooled
@@ -254,8 +323,8 @@ func (c *Cache) admit(name string, data storage.Data) {
 func (c *Cache) evictLocked(el *list.Element) {
 	victim := el.Value.(*entry)
 	c.order.Remove(el)
-	delete(c.resident, victim.name)
-	c.used -= victim.size
+	delete(c.resident, victim.key)
+	c.used -= victim.charge
 	if victim.ref != nil {
 		victim.ref.Release()
 		victim.ref = nil
@@ -266,19 +335,12 @@ func (c *Cache) evictLocked(el *list.Element) {
 // Size implements storage.Backend.
 func (c *Cache) Size(name string) (int64, error) { return c.inner.Size(name) }
 
-// rangeKey builds the composite cache key for one byte range of name. The
-// NUL separator cannot appear in file names, so range entries can never
-// collide with whole-file entries.
-func rangeKey(name string, r storage.Range) string {
-	return fmt.Sprintf("%s\x00%d+%d", name, r.Off, r.N)
-}
-
 // sliceResidentLocked serves a ranged request as views of a whole-file
 // resident appended to req.Out, each clamped per the read contract and
 // retaining the cache's reference on the caller's behalf. Caller holds
 // c.mu.
 func (c *Cache) sliceResidentLocked(req storage.Request) ([]storage.Data, bool) {
-	el, ok := c.resident[req.Name]
+	el, ok := c.resident[fileKey(req.Name)]
 	if !ok {
 		return nil, false
 	}
@@ -299,7 +361,7 @@ func (c *Cache) sliceResidentLocked(req storage.Request) ([]storage.Data, bool) 
 func (c *Cache) Resident(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.resident[name]
+	_, ok := c.resident[fileKey(name)]
 	return ok
 }
 
@@ -308,7 +370,7 @@ func (c *Cache) Resident(name string) bool {
 func (c *Cache) Invalidate(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.resident[name]; ok {
+	if el, ok := c.resident[fileKey(name)]; ok {
 		c.evictLocked(el)
 	}
 }

@@ -259,7 +259,9 @@ func TestPooledLifecycle(t *testing.T) {
 		backend, _, names := fixture(env, 3, 1000, time.Millisecond, 2)
 		pool := mempool.New(mempool.Config{Debug: true})
 		backend.SetBufferPool(pool)
-		c, _ := New(env, backend, 2000) // room for two entries
+		// Room for two entries: each 1000-byte sample pins (and is charged)
+		// the pool's smallest class, 4 KiB.
+		c, _ := New(env, backend, 2*4096)
 
 		d0, err := readFile(c, names[0]) // miss: fetcher owns one ref, cache one
 		if err != nil {

@@ -42,7 +42,7 @@ func middlewareLayers() []storagetest.Layer {
 				t.Fatal(err)
 			}
 			tb.SetBufferPool(pool)
-			return storagetest.Built{Backend: tb, Close: tb.Close}
+			return storagetest.Built{Backend: tb, Close: tb.Close, Keeps: true}
 		}
 	}
 	return []storagetest.Layer{

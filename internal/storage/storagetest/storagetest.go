@@ -44,10 +44,11 @@ type Probe struct {
 	// Rangeless makes the probe answer ranged requests with
 	// storage.ErrUnsupported, like a store that only knows whole samples.
 	Rangeless bool
-	// Calls counts requests that reached the leaf; Ctx is the trace
-	// context of the last one.
+	// Calls counts requests that reached the leaf; Ctx and Kept are the
+	// trace context and the residency hint of the last one.
 	Calls int
 	Ctx   obs.Ctx
+	Kept  bool
 }
 
 // ProbeDetail is stamped on every response the probe serves, so a layer
@@ -65,7 +66,7 @@ func NewProbe(pool *mempool.Pool) *Probe {
 // Read implements storage.Backend.
 func (p *Probe) Read(req storage.Request) (storage.Response, error) {
 	p.Calls++
-	p.Ctx = req.Ctx
+	p.Ctx, p.Kept = req.Ctx, req.Kept
 	if p.Rangeless && len(req.Ranges) > 0 {
 		return storage.Response{}, fmt.Errorf("probe: %w", storage.ErrUnsupported)
 	}
@@ -97,6 +98,10 @@ type Built struct {
 	// Resilience is non-nil for a resilient layer: it stamps its own Detail
 	// instead of passing the leaf's up, and counts UnsupportedOps.
 	Resilience func() storage.ResilienceStats
+	// Keeps marks the one layer that may raise Request.Kept itself (the
+	// tier, on a miss it is about to promote); every other layer hands the
+	// leaf exactly the hint that entered.
+	Keeps bool
 }
 
 // Layer names a wrapper and builds a fresh instance over leaf. pool is the
@@ -112,6 +117,7 @@ type class struct {
 	name    string
 	file    string
 	ranges  []storage.Range
+	kept    bool
 	wantErr func(error) bool // nil = must succeed
 }
 
@@ -119,6 +125,7 @@ func classes() []class {
 	var ne *storage.NotExistError
 	return []class{
 		{name: "whole", file: FileName},
+		{name: "whole-kept", file: FileName, kept: true},
 		{name: "one-range", file: FileName, ranges: []storage.Range{{Off: 100, N: 200}}},
 		{name: "k-ranges", file: FileName, ranges: []storage.Range{{Off: 0, N: 100}, {Off: 500, N: 250}, {Off: 4000, N: 500}}},
 		{name: "past-eof", file: FileName, ranges: []storage.Range{{Off: 5000, N: 10}}},
@@ -131,10 +138,10 @@ func classes() []class {
 }
 
 // Middleware runs the conformance table over layer: request classes
-// {whole, 1 range, K ranges, past-EOF, negative, missing name} × {unsampled,
-// sampled ctx}, each against a fresh instance (so the first request always
-// reaches the leaf) and issued twice (so hit paths are compared too), plus
-// one ranged request over a rangeless leaf.
+// {whole, whole with Kept, 1 range, K ranges, past-EOF, negative, missing
+// name} × {unsampled, sampled ctx}, each against a fresh instance (so the
+// first request always reaches the leaf) and issued twice (so hit paths are
+// compared too), plus one ranged request over a rangeless leaf.
 func Middleware(t *testing.T, layer Layer) {
 	t.Helper()
 	for _, c := range classes() {
@@ -145,7 +152,7 @@ func Middleware(t *testing.T, layer Layer) {
 					for pass := 0; pass < 2; pass++ {
 						before := probe.Calls
 						scratch := []storage.Data{{Name: "sentinel"}}
-						req := storage.Request{Name: c.file, Ranges: c.ranges, Out: scratch, Ctx: ctx}
+						req := storage.Request{Name: c.file, Ranges: c.ranges, Out: scratch, Ctx: ctx, Kept: c.kept}
 						resp, err := b.Backend.Read(req)
 						reached := probe.Calls > before
 						if pass == 0 && !reached {
@@ -153,6 +160,9 @@ func Middleware(t *testing.T, layer Layer) {
 						}
 						if reached && probe.Ctx != ctx {
 							t.Fatalf("pass %d: leaf saw ctx %+v, want the ctx that entered %+v", pass, probe.Ctx, ctx)
+						}
+						if reached && probe.Kept != c.kept && !(b.Keeps && probe.Kept) {
+							t.Fatalf("pass %d: leaf saw Kept %v, want the hint that entered (%v)", pass, probe.Kept, c.kept)
 						}
 						if c.wantErr != nil {
 							if !c.wantErr(err) {
@@ -220,7 +230,7 @@ func Leaf(t *testing.T, name string, pooled bool, build func(t *testing.T, pool 
 			}
 			b := build(t, pool)
 			for pass := 0; pass < 2; pass++ {
-				req := storage.Request{Name: c.file, Ranges: c.ranges, Out: []storage.Data{{Name: "sentinel"}}}
+				req := storage.Request{Name: c.file, Ranges: c.ranges, Out: []storage.Data{{Name: "sentinel"}}, Kept: c.kept}
 				resp, err := b.Read(req)
 				if c.wantErr != nil {
 					if !c.wantErr(err) {

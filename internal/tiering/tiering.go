@@ -317,6 +317,9 @@ func (b *Backend) Read(req storage.Request) (storage.Response, error) {
 		}
 		return storage.Response{Data: storage.Data{Name: name, Size: size, Bytes: dst, Ref: dstRef}}, nil
 	}
+	// Tell the layers below whether this miss is about to become a resident
+	// here, so the shared cache does not retain a second copy of it.
+	req.Kept = req.Kept || b.willPromoteLocked(name)
 	b.mu.Unlock()
 
 	resp, err := b.slow.Read(req)
@@ -422,27 +425,56 @@ func (b *Backend) compress(src []byte) ([]byte, bool) {
 	return exact, true
 }
 
-// roomLocked is the admission rule: it reports whether a candidate of the
+// roomLocked applies the admission rule (fitsLocked) to a candidate the
+// tier has been offered and counts a refusal in Stats.Declined. Caller
+// holds b.mu.
+func (b *Backend) roomLocked(stored int64, earlier int) bool {
+	if b.fitsLocked(stored, earlier) {
+		return true
+	}
+	b.declined.Inc()
+	return false
+}
+
+// fitsLocked is the admission rule: it reports whether a candidate of the
 // given stored size, read earlier times before the read that offers it,
 // may enter the tier. Free space admits anything. When room has to be made
 // the candidate must be strictly hotter than every LRU-tail resident it
-// would displace; a tie declines (and is counted), because swapping one
-// equally hot sample for another buys no hit and costs a compression, a
-// copy and an eviction. The read in flight is not counted on the
-// candidate's side: the LRU tail is by construction the residents this
-// epoch's scan has not reached yet, and a one-read head start over exactly
-// those would evict each of them just before its next use. Nothing is
-// evicted here. Caller holds b.mu.
-func (b *Backend) roomLocked(stored int64, earlier int) bool {
+// would displace; a tie declines, because swapping one equally hot sample
+// for another buys no hit and costs a compression, a copy and an eviction.
+// The read in flight is not counted on the candidate's side: the LRU tail
+// is by construction the residents this epoch's scan has not reached yet,
+// and a one-read head start over exactly those would evict each of them
+// just before its next use. Nothing is evicted and nothing counted here, so
+// the rule can also be asked ahead of a read. Caller holds b.mu.
+func (b *Backend) fitsLocked(stored int64, earlier int) bool {
 	need := b.used + stored - b.cfg.FastCapacity
 	for el := b.order.Back(); need > 0; el = el.Prev() {
 		if el == nil || el.Value.(*entry).count >= earlier {
-			b.declined.Inc()
 			return false
 		}
 		need -= el.Value.(*entry).stored
 	}
 	return true
+}
+
+// willPromoteLocked predicts, before the slow read of a whole-file miss,
+// whether the read will end in a promotion: the admission rule asked with
+// the count the name has now and, its size being unknown until it is read,
+// the residents' mean stored size. It changes no count and no counter; the
+// decision after the read stands on its own, so a wrong prediction costs
+// one sample held by two layers (predicted declined, promoted) or by none
+// (predicted promoted, declined) until its next read. Caller holds b.mu.
+func (b *Backend) willPromoteLocked(name string) bool {
+	earlier := b.accesses[name]
+	if earlier+1 < b.cfg.PromoteAfter {
+		return false
+	}
+	var mean int64
+	if n := len(b.resident); n > 0 {
+		mean = b.used / int64(n)
+	}
+	return b.fitsLocked(mean, earlier)
 }
 
 // estimateStoredLocked predicts what a slow-tier read would charge against
@@ -606,7 +638,9 @@ func (b *Backend) warm(name string, free int64) bool {
 	// its own head-sampled trace instead of riding a read's.
 	ctx := b.tracer.StartTrace()
 	warmStart := b.env.Now()
-	resp, err := b.slow.Read(storage.Request{Name: name, Ctx: ctx})
+	// The warmer only reads what it is about to keep (there is free space
+	// for it), so the layers below need not.
+	resp, err := b.slow.Read(storage.Request{Name: name, Ctx: ctx, Kept: true})
 	if err != nil {
 		return false
 	}

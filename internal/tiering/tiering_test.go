@@ -27,6 +27,29 @@ func runSim(t *testing.T, body func(env conc.Env)) {
 // tieredFixture builds a slow NFS-like backend plus a fast NVMe-like
 // device with n files of the given size.
 func tieredFixture(env conc.Env, cfg Config, n int, size int64) (*Backend, []string) {
+	b, _, names := spiedFixture(env, cfg, n, size)
+	return b, names
+}
+
+// keptSpy sits where the shared cache does in the serving chain and counts
+// the slow reads by the residency hint they carried.
+type keptSpy struct {
+	storage.Backend
+	kept, plain int
+}
+
+func (s *keptSpy) Read(req storage.Request) (storage.Response, error) {
+	if req.Kept {
+		s.kept++
+	} else {
+		s.plain++
+	}
+	return s.Backend.Read(req)
+}
+
+// spiedFixture is tieredFixture with a keptSpy between the tier and its
+// slow backend.
+func spiedFixture(env conc.Env, cfg Config, n int, size int64) (*Backend, *keptSpy, []string) {
 	samples := make([]dataset.Sample, n)
 	names := make([]string, n)
 	for i := range samples {
@@ -46,12 +69,12 @@ func tieredFixture(env conc.Env, cfg Config, n int, size int64) (*Backend, []str
 	if err != nil {
 		panic(err)
 	}
-	slow := storage.NewModeledBackend(man, slowDev, nil)
-	b, err := NewBackend(env, cfg, slow, fastDev)
+	spy := &keptSpy{Backend: storage.NewModeledBackend(man, slowDev, nil)}
+	b, err := NewBackend(env, cfg, spy, fastDev)
 	if err != nil {
 		panic(err)
 	}
-	return b, names
+	return b, spy, names
 }
 
 func TestConfigValidate(t *testing.T) {

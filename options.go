@@ -153,7 +153,11 @@ type ClusterOptions struct {
 // the once-per-epoch scan of a dataset larger than the tier — every sample
 // equally hot — keeps a stable resident set and hits the tier's capacity
 // fraction, while a skewed workload's hot samples still displace cold
-// ones. Stats.TierDeclined counts the refusals.
+// ones. Stats.TierDeclined counts the refusals. With the shared cache
+// (TenancyOptions.SharedCacheBytes) also on, the two form an exclusive
+// hierarchy: the tier wraps the cache and tells it which reads it is about
+// to keep, so a sample is resident in the tier or in the cache, never both
+// — the cache retains only what the tier declined.
 type TieringOptions struct {
 	// Enable turns the tiering stage on.
 	Enable bool
@@ -282,7 +286,12 @@ type TenancyOptions struct {
 	MaxRetryAfter time.Duration
 	// SharedCacheBytes, when positive, inserts a byte-bounded single-
 	// flight LRU cache above the storage backend so co-located tenants
-	// reading the same files don't multiply backend load.
+	// reading the same files don't multiply backend load. The budget
+	// bounds what the residents pin: a pooled resident counts the size
+	// class of its buffer, not just its length. With Options.Tiering also
+	// on, the tier sits above the cache and the cache retains only the
+	// samples the tier declined (reads the tier keeps are single-flighted
+	// here but not held a second time).
 	SharedCacheBytes int64
 	// SLOBoostFactor scales a tenant's arbitration weight while its SLO
 	// is breached, shifting share from its noisy neighbors to the victim

@@ -380,11 +380,13 @@ func Open(opts Options) (*Prisma, error) {
 	}
 	var tiered *tiering.Backend
 	if opts.Tiering.Enable {
-		// The fast tier sits above the shared cache (a cache hit is
-		// already memory-resident, so tiering only sees what the cache
-		// missed) and below the resilient wrapper (so retried reads pass
-		// back through the tier and hits keep flowing while the breaker
-		// sheds slow-tier misses).
+		// The fast tier sits above the shared cache — the cache sees only
+		// what the tier missed, and of that retains only what the tier
+		// declined: a miss the tier is about to promote goes down marked
+		// storage.Request.Kept, so no sample is held by both — and below
+		// the resilient wrapper (so retried reads pass back through the
+		// tier and hits keep flowing while the breaker sheds slow-tier
+		// misses).
 		tb, err := tiering.NewBackend(env, tiering.Config{
 			FastCapacity: opts.Tiering.CapacityBytes,
 			PromoteAfter: opts.Tiering.PromoteAfter,

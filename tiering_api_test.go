@@ -1,14 +1,19 @@
 package prisma
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"github.com/dsrhaslab/prisma-go/internal/experiments"
 )
 
 // TestTieringServingPath runs the full serving chain with the fast tier
@@ -168,10 +173,10 @@ func TestTieringFullTierDeclines(t *testing.T) {
 	var filled Stats
 	for epoch := 0; epoch < 4; epoch++ {
 		plan := p.ShuffledFileList(11, epoch)
+		before := p.Stats() // before the plan: producers start reading the moment it lands
 		if err := p.SubmitPlan(plan); err != nil {
 			t.Fatal(err)
 		}
-		before := p.Stats()
 		for _, name := range plan {
 			if _, err := p.Read(name); err != nil {
 				t.Fatal(err)
@@ -367,5 +372,101 @@ func TestTieringEpochPrefetch(t *testing.T) {
 	if got := st.TierPromotions + st.TierPrefetchPromotions; got != int64(len(plan)) {
 		t.Fatalf("promotions %d + prefetch promotions %d = %d, want %d",
 			st.TierPromotions, st.TierPrefetchPromotions, got, len(plan))
+	}
+}
+
+// TestTierAndCacheHoldEachSampleOnce drives the whole chain through the
+// public surface only — Open over a real directory with the shared cache and
+// the compressing tier both on, ServeUnix, two tenant clients striding two
+// epochs, plus one unplanned sample both tenants read — and checks the
+// exclusive hierarchy from Stats: every sample ends resident in the tier,
+// none in the cache below it, and the pool holds no more leases than the
+// prefetch buffer can park (before, one per cached sample stayed out).
+func TestTierAndCacheHoldEachSampleOnce(t *testing.T) {
+	const files, buffer = 96, 16
+	dir := t.TempDir()
+	contents := map[string][]byte{}
+	for i := 0; i < files; i++ {
+		name := fmt.Sprintf("s%03d.bin", i)
+		contents[name] = experiments.CompressibleSample(i, 6000+i, 0.5)
+		if err := os.WriteFile(filepath.Join(dir, name), contents[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := open(t, dir, func(o *Options) {
+		o.DisableAutoTune = true
+		o.InitialProducers, o.InitialBuffer = 2, buffer
+		o.Tenancy = TenancyOptions{
+			Enable:           true,
+			Capacity:         1e9,
+			MaxQueueDepth:    -1,
+			SharedCacheBytes: 4 << 20,
+			Tenants:          []TenantSpec{{Name: "job-a"}, {Name: "job-b"}},
+		}
+		o.Tiering = TieringOptions{Enable: true, CapacityBytes: 4 << 20, Compress: true, PrefetchNextEpoch: true}
+	})
+	sock := filepath.Join(shortTempDir(t), "prisma.sock")
+	if err := p.ServeUnix(sock); err != nil {
+		t.Fatal(err)
+	}
+	tenants := []string{"job-a", "job-b"}
+	clients := make([]*Client, len(tenants))
+	for i, tenant := range tenants {
+		c, err := DialWithOptions(sock, DialOptions{Tenant: tenant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.EnablePooledReads(BufferPoolOptions{})
+		clients[i] = c
+	}
+	all := p.ShuffledFileList(9, 0)
+	plan, unplanned := all[1:], all[0]
+	var first Stats
+	for epoch := 0; epoch < 2; epoch++ {
+		if _, n, err := clients[0].SubmitEpoch(plan); err != nil || n != len(plan) {
+			t.Fatalf("epoch %d: SubmitEpoch enqueued %d of %d: %v", epoch, n, len(plan), err)
+		}
+		var wg sync.WaitGroup
+		for w, c := range clients {
+			wg.Add(1)
+			go func(w int, c *Client) {
+				defer wg.Done()
+				read := func(name string) {
+					s, err := c.ReadSample(name)
+					if err != nil {
+						t.Errorf("%s: %s: %v", tenants[w], name, err)
+						return
+					}
+					if !bytes.Equal(s.Bytes(), contents[name]) {
+						t.Errorf("%s: %s: delivered bytes differ from the file", tenants[w], name)
+					}
+					s.Release()
+				}
+				read(unplanned) // both tenants, at the same moment: the shared read
+				for i := w; i < len(plan); i += len(clients) {
+					read(plan[i])
+				}
+			}(w, c)
+		}
+		wg.Wait()
+		if epoch == 0 {
+			first = p.Stats()
+		}
+	}
+	st := p.Stats()
+	if st.Errors != 0 || st.PlanDelivered != int64(2*len(plan)) {
+		t.Fatalf("stats = %+v", st)
+	}
+	if st.TierResidents != files || st.CacheResidents != 0 || st.CacheUsedBytes != 0 {
+		t.Fatalf("TierResidents = %d, CacheResidents = %d (%d bytes); want every one of the %d samples in the tier and none in the cache",
+			st.TierResidents, st.CacheResidents, st.CacheUsedBytes, files)
+	}
+	if st.CacheDeviceReads != first.CacheDeviceReads || st.TierFastHits-first.TierFastHits != files+1 {
+		t.Fatalf("epoch 2 cost %d device reads and %d tier hits, want 0 and %d (the tier serves what it kept)",
+			st.CacheDeviceReads-first.CacheDeviceReads, st.TierFastHits-first.TierFastHits, files+1)
+	}
+	if st.PoolOutstanding > buffer {
+		t.Fatalf("PoolOutstanding = %d, want <= the buffer's %d: some layer still pins a lease per sample", st.PoolOutstanding, buffer)
 	}
 }
