@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/experiments"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
@@ -45,6 +46,7 @@ var allocBudgetRows = []string{
 	"resilient_allocs_per_op",     // pooled + resilient layer
 	"ipc_client_allocs_per_op",    // the socket hop alone, read-ahead engaged
 	"dir_allocs_per_op",           // the directory leaf alone, over real files
+	"dir_pinned_allocs_per_op",    // the same leaf given its manifest, reading pinned files
 	"tier_declined_allocs_per_op", // a miss a full fast tier declines
 	"kept_miss_allocs_per_op",     // a miss the tier above keeps, through the shared cache
 }
@@ -94,8 +96,10 @@ func readAllocBudget(t *testing.T, path string) allocBudget {
 // dirReadAllocs measures allocations per pooled whole-file DirBackend read
 // and release over a real temporary directory of 4 KiB files. Every other
 // gate cell sits on MemBackend, which is how the directory leaf once spent
-// five heap objects per file without the gate noticing.
-func dirReadAllocs(t *testing.T) float64 {
+// five heap objects per file without the gate noticing. pinned gives the
+// leaf its manifest, as Open does, and measures from the second pass on:
+// the reads of descriptors the first pass pinned.
+func dirReadAllocs(t *testing.T, pinned bool) float64 {
 	t.Helper()
 	dir := t.TempDir()
 	names := make([]string, 64)
@@ -107,13 +111,26 @@ func dirReadAllocs(t *testing.T) float64 {
 	}
 	b := storagetest.OpenDir(t, dir)
 	b.SetBufferPool(mempool.New(mempool.Config{}))
-	i := 0
-	return testing.AllocsPerRun(2000, func() {
-		resp, err := b.Read(storage.Request{Name: names[i%len(names)]})
+	read := func(name string) {
+		resp, err := b.Read(storage.Request{Name: name})
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Data.Release()
+	}
+	if pinned {
+		m, err := dataset.FromDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.SetManifest(m)
+		for _, name := range names {
+			read(name)
+		}
+	}
+	i := 0
+	return testing.AllocsPerRun(2000, func() {
+		read(names[i%len(names)])
 		i++
 	})
 }
@@ -282,10 +299,11 @@ func TestAllocRegressionGate(t *testing.T) {
 	// Directory leaf cell: the one cell over real files. The row is the
 	// raw body's; package os, which every other platform reads through,
 	// allocates per open and is only measured.
-	dirAllocs := dirReadAllocs(t)
-	t.Logf("pooled directory read: %v allocs/op (raw body: %v)", dirAllocs, storage.RawDirLeaf)
+	dirAllocs, pinnedAllocs := dirReadAllocs(t, false), dirReadAllocs(t, true)
+	t.Logf("pooled directory read: %v allocs/op, of a pinned file %v (raw body: %v)", dirAllocs, pinnedAllocs, storage.RawDirLeaf)
 	if storage.RawDirLeaf {
 		over("pooled DirBackend.Read", "dir_allocs_per_op", dirAllocs)
+		over("pooled DirBackend.Read of a pinned file", "dir_pinned_allocs_per_op", pinnedAllocs)
 	}
 	// Declined-miss cell: a read the full fast tier turns away.
 	declined := tierDeclinedAllocs(t)

@@ -131,12 +131,18 @@ type epochState struct {
 type planManager struct {
 	env conc.Env
 
-	mu      conc.Mutex
-	nextID  EpochID
-	epochs  map[EpochID]*epochState
-	order   []EpochID              // issue order, for Epochs() listing and pruning
-	entries map[string]nameEntries // claimable entries per name; present = at least one
-	sized   int                    // the plan length entries was last pre-sized for
+	mu     conc.Mutex
+	nextID EpochID
+	epochs map[EpochID]*epochState
+	order  []EpochID // issue order, for Epochs() listing and pruning
+	// entries holds each name's oldest claimable entry (present = at least
+	// one) and more a duplicated name's later ones, FIFO by epoch then
+	// index. Nearly every plan names a sample once per epoch, so entries is
+	// the one map a claim touches and more is consulted only when it is
+	// non-empty.
+	entries map[string]PlanPos
+	more    map[string][]PlanPos
+	sized   int // the plan length entries was last pre-sized for
 
 	pending  int // total claimable entries across names
 	inflight int // claims not yet resolved
@@ -145,58 +151,12 @@ type planManager struct {
 	delivered, dropped   int64
 }
 
-// nameEntries is one name's claimable entries, FIFO by epoch then index.
-// Nearly every plan names a sample once per epoch, so the oldest entry is
-// held inline — registering it allocates nothing — and only duplicates
-// spill into a slice.
-type nameEntries struct {
-	head PlanPos
-	more []PlanPos
-}
-
-// insert returns e with pos added at its place in line.
-func (e nameEntries) insert(pos PlanPos) nameEntries {
-	if pos.before(e.head) {
-		e.head, pos = pos, e.head
-	}
-	i := 0
-	for i < len(e.more) && e.more[i].before(pos) {
-		i++
-	}
-	e.more = append(e.more, PlanPos{})
-	copy(e.more[i+1:], e.more[i:])
-	e.more[i] = pos
-	return e
-}
-
-// without returns e minus the entries of epoch id, how many those were, and
-// whether any entry is left.
-func (e nameEntries) without(id EpochID) (_ nameEntries, removed int, left bool) {
-	kept := e.more[:0]
-	for _, p := range e.more {
-		if p.Epoch == id {
-			removed++
-		} else {
-			kept = append(kept, p)
-		}
-	}
-	e.more = kept
-	if e.head.Epoch != id {
-		return e, removed, true
-	}
-	removed++
-	if len(kept) == 0 {
-		return nameEntries{}, removed, false
-	}
-	e.head, e.more = kept[0], kept[1:]
-	return e, removed, true
-}
-
 func newPlanManager(env conc.Env) *planManager {
 	pm := &planManager{
 		env:     env,
 		epochs:  make(map[EpochID]*epochState),
-		entries: make(map[string]nameEntries),
+		entries: make(map[string]PlanPos),
+		more:    make(map[string][]PlanPos),
 	}
 	pm.mu = env.NewMutex()
 	return pm
@@ -239,7 +199,7 @@ func (pm *planManager) activate(id EpochID, names []string) bool {
 	if len(pm.entries) == 0 && len(names) > pm.sized {
 		// Sized once for the plan instead of doubling its way up under mu.
 		pm.sized = len(names)
-		pm.entries = make(map[string]nameEntries, len(names))
+		pm.entries = make(map[string]PlanPos, len(names))
 	}
 	for i, n := range names {
 		pm.addLocked(n, PlanPos{Epoch: id, Index: i})
@@ -307,13 +267,29 @@ func (pm *planManager) cancel(id EpochID) (removed int, err error) {
 	ep.order = nil
 	pm.cancelled++
 	if !wasSubmitting {
-		for name, e := range pm.entries {
-			kept, n, left := e.without(id)
-			removed += n
-			if left {
-				pm.entries[name] = kept
+		for name, head := range pm.entries {
+			rest := pm.more[name]
+			kept := rest[:0]
+			for _, p := range rest {
+				if p.Epoch == id {
+					removed++
+				} else {
+					kept = append(kept, p)
+				}
+			}
+			if head.Epoch == id {
+				removed++
+				if len(kept) == 0 {
+					delete(pm.entries, name)
+					delete(pm.more, name)
+					continue
+				}
+				pm.entries[name], kept = kept[0], kept[1:]
+			}
+			if len(kept) == 0 {
+				delete(pm.more, name)
 			} else {
-				delete(pm.entries, name)
+				pm.more[name] = kept
 			}
 		}
 		pm.pending -= removed
@@ -342,12 +318,11 @@ func (pm *planManager) cancelledEpoch(id EpochID) bool {
 func (pm *planManager) claim(name string) (PlanClaim, bool) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	e, ok := pm.entries[name]
+	pos, ok := pm.entries[name]
 	if !ok {
 		return PlanClaim{}, false
 	}
-	pos := e.head
-	pm.popFrontLocked(name, e)
+	pm.popFrontLocked(name)
 	pm.inflight++
 	if ep := pm.epochs[pos.Epoch]; ep != nil {
 		ep.claimed++
@@ -359,21 +334,40 @@ func (pm *planManager) claim(name string) (PlanClaim, bool) {
 // addLocked makes pos claimable for name, at its place in the name's FIFO
 // order. Caller holds mu.
 func (pm *planManager) addLocked(name string, pos PlanPos) {
-	if e, dup := pm.entries[name]; dup {
-		pm.entries[name] = e.insert(pos)
-	} else {
-		pm.entries[name] = nameEntries{head: pos}
+	head, dup := pm.entries[name]
+	if !dup {
+		pm.entries[name] = pos
+		return
 	}
+	if pos.before(head) {
+		pm.entries[name], pos = pos, head
+	}
+	rest := pm.more[name]
+	i := 0
+	for i < len(rest) && rest[i].before(pos) {
+		i++
+	}
+	rest = append(rest, PlanPos{})
+	copy(rest[i+1:], rest[i:])
+	rest[i] = pos
+	pm.more[name] = rest
 }
 
 // popFrontLocked removes name's oldest claimable entry. Caller holds mu.
-func (pm *planManager) popFrontLocked(name string, e nameEntries) {
-	if len(e.more) == 0 {
-		delete(pm.entries, name)
-	} else {
-		pm.entries[name] = nameEntries{head: e.more[0], more: e.more[1:]}
-	}
+func (pm *planManager) popFrontLocked(name string) {
 	pm.pending--
+	if len(pm.more) > 0 {
+		if rest, dup := pm.more[name]; dup {
+			pm.entries[name] = rest[0]
+			if len(rest) == 1 {
+				delete(pm.more, name)
+			} else {
+				pm.more[name] = rest[1:]
+			}
+			return
+		}
+	}
+	delete(pm.entries, name)
 }
 
 // nameAt resolves a position to its name when that entry is the next
@@ -394,7 +388,7 @@ func (pm *planManager) nameAtLocked(pos PlanPos) (string, bool) {
 		return "", false
 	}
 	name := ep.order[pos.Index]
-	if e, ok := pm.entries[name]; !ok || e.head != pos {
+	if head, ok := pm.entries[name]; !ok || head != pos {
 		return "", false
 	}
 	return name, true
@@ -412,7 +406,7 @@ func (pm *planManager) claimAt(pos PlanPos) bool {
 	if !ok {
 		return false
 	}
-	pm.popFrontLocked(name, pm.entries[name])
+	pm.popFrontLocked(name)
 	pm.delivered++
 	ep := pm.epochs[pos.Epoch]
 	ep.claimed++

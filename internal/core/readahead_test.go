@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -173,11 +174,11 @@ func TestTakeAheadSkipsProducerErrors(t *testing.T) {
 }
 
 // TestPlanManagerPositionalClaimProperty drives random interleavings of
-// by-name claims, positional claims and un-claims over plans full of
-// duplicate names and checks, against a model, the two rules positional
-// claims must not bend: every entry resolves exactly once, and whichever
-// kind of claim takes an entry, it is the oldest unclaimed one of its name
-// (FIFO by epoch, then index) at that moment.
+// by-name claims, positional claims, un-claims and epoch cancellations over
+// plans full of duplicate names and checks, against a model, the two rules
+// positional claims must not bend: every entry resolves exactly once, and
+// whichever kind of claim takes an entry, it is the oldest unclaimed one of
+// its name (FIFO by epoch, then index) at that moment.
 func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -258,12 +259,37 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 					continue
 				}
 				pm.unclaim(c)
+				if !slices.Contains(live, c.Epoch) {
+					continue // its epoch was cancelled: the entry is dropped
+				}
 				u := append(unclaimed[c.Name], c.PlanPos)
 				sort.Slice(u, func(i, j int) bool { return u[i].before(u[j]) })
 				unclaimed[c.Name] = u
 			case 8:
 				if len(live) < 4 {
 					submit()
+				}
+			case 9: // cancel an epoch: its unclaimed entries go, every name's others stay in line
+				if len(live) < 2 {
+					continue
+				}
+				i := rng.Intn(len(live))
+				id := live[i]
+				live = append(live[:i], live[i+1:]...)
+				want := 0
+				for name, u := range unclaimed {
+					kept := u[:0]
+					for _, at := range u {
+						if at.Epoch == id {
+							want++
+						} else {
+							kept = append(kept, at)
+						}
+					}
+					unclaimed[name] = kept
+				}
+				if removed, err := pm.cancel(id); err != nil || removed != want {
+					t.Fatalf("seed %d: cancel(%d) removed %d, %v; model says %d", seed, id, removed, err, want)
 				}
 			}
 		}
@@ -275,9 +301,9 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 			pending += len(u)
 		}
 		st := pm.stats()
-		if st.EntriesPending != pending || int(st.Delivered)+pending != total || st.ClaimsInFlight != 0 {
-			t.Fatalf("seed %d: delivered %d, pending %d (model %d), %d entries, %d in flight",
-				seed, st.Delivered, st.EntriesPending, pending, total, st.ClaimsInFlight)
+		if st.EntriesPending != pending || int(st.Delivered+st.Dropped)+pending != total || st.ClaimsInFlight != 0 {
+			t.Fatalf("seed %d: delivered %d, dropped %d, pending %d (model %d), %d entries, %d in flight",
+				seed, st.Delivered, st.Dropped, st.EntriesPending, pending, total, st.ClaimsInFlight)
 		}
 	}
 }

@@ -262,6 +262,7 @@ type Stage struct {
 	resilient func() storage.ResilienceStats // nil when no resilient layer is wired in
 	tiering   func() TieringStats            // nil when no fast tier is wired in
 	cache     func() CacheStats              // nil when no shared cache is wired in
+	planCheck func(names []string) error     // nil unless a plan validator (the manifest) is attached
 	epochHook func(names []string)           // nil unless a plan observer (tier warmer) is attached
 	partition func(names []string) []string  // nil unless a plan partitioner (cluster fabric) is attached
 
@@ -422,6 +423,13 @@ func (s *Stage) SetTieringSource(f func() TieringStats) { s.tiering = f }
 // from remote data loaders too. Call before traffic starts.
 func (s *Stage) SetEpochPlanHook(f func(names []string)) { s.epochHook = f }
 
+// SetPlanCheck registers a validator every submitted epoch plan must pass
+// before anything of it is registered — at the same chokepoint as the
+// epoch-plan hook, so plans from IPC clients are checked like in-process
+// ones. A plan it rejects fails SubmitEpoch with its error and issues no
+// epoch. Call before traffic starts; nil (the default) accepts every plan.
+func (s *Stage) SetPlanCheck(f func(names []string) error) { s.planCheck = f }
+
 // SetPlanPartitioner registers a function that narrows every submitted
 // epoch plan to the subset this stage should actually prefetch, preserving
 // plan order. The cluster fabric installs the consistent-hash ownership
@@ -493,6 +501,11 @@ func (s *Stage) SubmitPlan(names []string) error {
 func (s *Stage) SubmitEpoch(names []string) (PlanResult, error) {
 	if s.pf == nil {
 		return PlanResult{}, ErrNoPrefetcher
+	}
+	if s.planCheck != nil {
+		if err := s.planCheck(names); err != nil {
+			return PlanResult{}, err
+		}
 	}
 	submit := names
 	if s.partition != nil {

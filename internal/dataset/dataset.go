@@ -78,6 +78,12 @@ func (m *Manifest) Lookup(name string) (Sample, bool) {
 	return m.samples[i], true
 }
 
+// Index reports name's position in manifest order.
+func (m *Manifest) Index(name string) (int, bool) {
+	i, ok := m.index[name]
+	return i, ok
+}
+
 // TotalBytes reports the sum of all sample sizes.
 func (m *Manifest) TotalBytes() int64 { return m.total }
 

@@ -80,17 +80,26 @@ func TestMiddlewareConformance(t *testing.T) {
 // request-class table: the in-memory store and both bodies of the directory
 // backend (the raw-descriptor one this platform builds, and the package-os
 // one every other platform gets, forced through its test hook), pooled and
-// not, so the bodies answer every class identically.
+// not, so the bodies answer every class identically. The dir-pinned row is
+// the directory backend given its manifest: every class is issued twice, so
+// the second pass reads the file the first one pinned (where pinning exists).
 func TestLeafConformance(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, storagetest.FileName), storagetest.Content(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dirLeaf := func(portable bool) func(*testing.T, *mempool.Pool) storage.Backend {
+	manifest, err := dataset.FromDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirLeaf := func(portable, pinned bool) func(*testing.T, *mempool.Pool) storage.Backend {
 		return func(t *testing.T, pool *mempool.Pool) storage.Backend {
 			b := storagetest.OpenDir(t, dir)
 			if portable {
 				b.ForcePortable()
+			}
+			if pinned {
+				b.SetManifest(manifest)
 			}
 			b.SetBufferPool(pool)
 			return b
@@ -106,8 +115,9 @@ func TestLeafConformance(t *testing.T) {
 			mem.SetBufferPool(pool)
 			return mem
 		}},
-		{"dir", dirLeaf(false)},
-		{"dir-portable", dirLeaf(true)},
+		{"dir", dirLeaf(false, false)},
+		{"dir-pinned", dirLeaf(false, true)},
+		{"dir-portable", dirLeaf(true, false)},
 	}
 	for _, leaf := range leaves {
 		for _, pooled := range []bool{true, false} {
@@ -268,7 +278,7 @@ func TestRangeClampNoOverflow(t *testing.T) {
 // deadline the resilient layer adds nothing to a pooled MemBackend read —
 // 0 allocs/op, breaker on, as Open builds it by default.
 func TestResilientReadAllocs(t *testing.T) {
-	if raceEnabled {
+	if storage.RaceEnabled {
 		t.Skip("race instrumentation adds allocations")
 	}
 	mem := storage.NewMemBackend()

@@ -9,8 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 )
 
@@ -19,19 +21,28 @@ import (
 //
 // Every request class goes through one open/size/read/close sequence
 // (fetch). On Linux that sequence is four raw syscalls against a root
-// descriptor opened once (dir_linux.go, DESIGN.md §21); every other
-// platform runs the same sequence through package os (fetchPortable). The
+// descriptor opened once (dir_linux.go, DESIGN.md §21), and a leaf given
+// its manifest keeps each listed file open after its first read, so later
+// reads of it skip the open and the close (DESIGN.md §24); every other
+// platform runs the whole sequence through package os (fetchPortable). The
 // split is by platform only: nothing a user can set selects the body.
 type DirBackend struct {
 	dir  string
 	pool *mempool.Pool
 
 	// gate orders reads against Close: a read holds it shared for the
-	// whole sequence, so Close never releases the root descriptor under a
-	// read that would then address a recycled descriptor number.
+	// whole sequence, so Close never releases the root or a pinned
+	// descriptor under a read that would then address a recycled
+	// descriptor number.
 	gate   sync.RWMutex
 	closed bool
 	root   rootDir
+
+	// names gives each manifest name its slot in pins; nil (no manifest)
+	// pins nothing. A slot holds one pinned descriptor and the size it had
+	// when pinned (dir_linux.go); zero is empty.
+	names *dataset.Manifest
+	pins  []atomic.Uint64
 
 	// portable makes this instance serve through the package-os body on
 	// every platform. Tests only (export_test.go): it is how the
@@ -56,8 +67,22 @@ func NewDirBackend(dir string) (*DirBackend, error) {
 // instead of fresh allocations.
 func (b *DirBackend) SetBufferPool(p *mempool.Pool) { b.pool = p }
 
-// Close releases the root. It waits for reads in flight; later reads fail
-// with ErrDirClosed. Idempotent.
+// SetManifest names the files this leaf may keep open: after its first
+// read, a file listed in m stays open until Close and is read through that
+// descriptor, so a file renamed over or deleted after its first read keeps
+// being served as it was. Every leaf in the process together keeps at most
+// half the soft RLIMIT_NOFILE pinned; past that, and for names not in m,
+// files are opened and closed per read — as every name is on a leaf never
+// given a manifest, or where reads go through package os. Call before
+// traffic starts.
+func (b *DirBackend) SetManifest(m *dataset.Manifest) {
+	b.names = m
+	b.pins = make([]atomic.Uint64, m.Len())
+	refreshPinBudget()
+}
+
+// Close releases the root and every pinned descriptor. It waits for reads
+// in flight; later reads fail with ErrDirClosed. Idempotent.
 func (b *DirBackend) Close() error {
 	b.gate.Lock()
 	defer b.gate.Unlock()
@@ -65,6 +90,7 @@ func (b *DirBackend) Close() error {
 		return nil
 	}
 	b.closed = true
+	b.unpinAll()
 	return b.root.close()
 }
 
@@ -82,13 +108,13 @@ func checkName(name string) error {
 	return nil
 }
 
-// Read reads from disk: the file is opened once, sized from the open
-// descriptor (never from the caller's N), and the whole file or every
-// requested window is read into a single region — pooled when a pool is
-// attached — so the per-open cost is paid once per request whatever its
-// class. A file that grows between the size and the read is truncated to
-// the size (training datasets are immutable during an epoch); one that
-// shrinks yields an error.
+// Read reads from disk: the file is opened once — or not at all, when it
+// is pinned — sized from the open descriptor (never from the caller's N),
+// and the whole file or every requested window is read into a single
+// region — pooled when a pool is attached — so the per-open cost is paid
+// at most once per request whatever its class. A file that grows between
+// the size and the read is truncated to the size (training datasets are
+// immutable during an epoch); one that shrinks yields an error.
 func (b *DirBackend) Read(req Request) (Response, error) {
 	if err := req.Validate(); err != nil {
 		return Response{}, err
@@ -112,7 +138,8 @@ func (b *DirBackend) Read(req Request) (Response, error) {
 	return Response{Views: carve(req.Out, req.Name, req.Ranges, size, buf, ref)}, nil
 }
 
-// Size stats the file.
+// Size stats the file — the pinned one, for a pinned name, so Size and
+// Read agree.
 func (b *DirBackend) Size(name string) (int64, error) {
 	if err := checkName(name); err != nil {
 		return 0, err

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"unsafe"
 
@@ -15,7 +16,9 @@ import (
 // The raw leaf (DESIGN.md §21): openat on the root descriptor, fstat, read
 // or pread, close — four syscalls and no heap object for a pooled
 // whole-file read. Package os spends nine syscalls and five objects on the
-// same file because every *os.File is prepared for the network poller.
+// same file because every *os.File is prepared for the network poller. A
+// manifest file's later whole-file reads are one preadv on the descriptor
+// its first read pinned (DESIGN.md §24).
 
 // RawDirLeaf reports which body this build's DirBackend runs: the raw one
 // in this file, or package os (dir_other.go). It is fixed by the platform;
@@ -181,11 +184,17 @@ func (f rawFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // fetch is the one open/size/read/close sequence behind every request
-// class. The descriptor is closed on every path; fill releases the lease
-// on every failed read.
+// class. A manifest file's descriptor is pinned instead of closed after a
+// good read, and its later reads start from there (readPinned); every other
+// descriptor is closed on every path. fill releases the lease on every
+// failed read.
 func (b *DirBackend) fetch(name string, ranges []Range) (int64, []byte, *mempool.Ref, error) {
 	if b.portable {
 		return b.fetchPortable(name, ranges)
+	}
+	slot, p := b.pinned(name)
+	if p != 0 {
+		return b.readPinned(name, ranges, p)
 	}
 	fd, errno := b.root.open(name, syscall.O_RDONLY)
 	if errno != 0 {
@@ -203,24 +212,141 @@ func (b *DirBackend) fetch(name string, ranges []Range) (int64, []byte, *mempool
 	default:
 		buf, ref, err = fill(rawFile(fd), b.pool, name, ranges, st.Size)
 	}
-	// Nothing was written through fd, so a failed close loses nothing.
-	syscall.Close(fd)
+	if err != nil || slot < 0 || !b.pin(slot, fd, st.Size) {
+		// Nothing was written through fd, so a failed close loses nothing.
+		syscall.Close(fd)
+	}
 	return st.Size, buf, ref, err
 }
 
+// Pinned descriptors (DESIGN.md §24). A slot packs a descriptor and the
+// size fstat gave its file when it was pinned: fd+1 in the low 32 bits, so
+// an empty slot is zero, and the size in the high 32. A file of 4 GiB or
+// more records unsized and is sized by fstat on every read.
+const (
+	pinFDMask = 1<<32 - 1
+	unsized   = 1<<32 - 1
+)
+
+func packPin(fd int, size int64) uint64 {
+	if size >= unsized {
+		size = unsized
+	}
+	return uint64(size)<<32 | uint64(fd+1)
+}
+
+func pinnedFD(p uint64) int { return int(p&pinFDMask) - 1 }
+
+// pinsHeld counts the descriptors every DirBackend in the process holds
+// pinned; pinBudget caps it at half the soft RLIMIT_NOFILE, read whenever
+// a leaf is given a manifest (after Go's start-up raise of the limit, and
+// after any later change to it). The budget is per process because the
+// descriptor table is: per-leaf budgets let a few leaves over one large
+// dataset exhaust it, and then reads failed with EMFILE. Past the budget a
+// read takes the open/close path, so pinning never makes a read fail, and
+// nothing is ever evicted.
+var pinsHeld, pinBudget atomic.Int64
+
+func refreshPinBudget() {
+	var lim syscall.Rlimit
+	if syscall.Getrlimit(syscall.RLIMIT_NOFILE, &lim) == nil {
+		pinBudget.Store(int64(min(lim.Cur/2, 1<<62)))
+	}
+}
+
+// pinned returns name's slot and what it holds. The slot is -1 when name
+// cannot be pinned: the leaf has no manifest, or name is not spelled as
+// the manifest spells it — so a hostile, aliased or unplanned name is
+// never pinned.
+func (b *DirBackend) pinned(name string) (slot int, p uint64) {
+	if b.names == nil {
+		return -1, 0
+	}
+	i, ok := b.names.Index(name)
+	if !ok {
+		return -1, 0
+	}
+	return i, b.pins[i].Load()
+}
+
+// pin publishes fd, whose file had size bytes, into slot, and reports
+// whether it did: not when the budget is spent, nor when a racing read
+// pinned the slot first. The caller closes fd when pin reports false.
+func (b *DirBackend) pin(slot, fd int, size int64) bool {
+	if pinsHeld.Add(1) > pinBudget.Load() || !b.pins[slot].CompareAndSwap(0, packPin(fd, size)) {
+		pinsHeld.Add(-1)
+		return false
+	}
+	return true
+}
+
+// unpinAll closes every pinned descriptor. Close calls it holding the gate
+// exclusively, so no read is using one.
+func (b *DirBackend) unpinAll() {
+	for i := range b.pins {
+		if p := b.pins[i].Swap(0); p != 0 {
+			syscall.Close(pinnedFD(p))
+			pinsHeld.Add(-1)
+		}
+	}
+}
+
+// readPinned serves a read of a pinned file. A whole-file read is one
+// preadv (readSized). Anything else — a ranged request, a file of unknown
+// size, or one that has grown or shrunk since it was pinned — sizes the
+// file with fstat and fills the region as an unpinned read does, so the
+// size is still the kernel's at read time.
+func (b *DirBackend) readPinned(name string, ranges []Range, p uint64) (int64, []byte, *mempool.Ref, error) {
+	fd := pinnedFD(p)
+	if size := int64(p >> 32); len(ranges) == 0 && size != unsized {
+		buf, ref := region(b.pool, size)
+		if readSized(fd, buf) {
+			return size, buf, ref, nil
+		}
+		if ref != nil {
+			ref.Release()
+		}
+	}
+	var st syscall.Stat_t
+	if errno := fstat(fd, &st); errno != 0 {
+		return 0, nil, nil, pathErr("fstat", name, errno)
+	}
+	buf, ref, err := fill(rawFile(fd), b.pool, name, ranges, st.Size)
+	return st.Size, buf, ref, err
+}
+
+// readSized reads the file behind fd into buf from offset 0, with a
+// one-byte probe behind buf in the same preadv, and reports whether the
+// file is exactly len(buf) bytes: it is when buf filled and the probe did
+// not. A failed or short read reports false too.
+func readSized(fd int, buf []byte) bool {
+	var probe byte
+	iov := [2]syscall.Iovec{{}, {Base: &probe}}
+	if len(buf) > 0 {
+		iov[0].Base = &buf[0]
+	}
+	iov[0].SetLen(len(buf))
+	iov[1].SetLen(1)
+	n, _, errno := syscall.Syscall6(syscall.SYS_PREADV, uintptr(fd), uintptr(unsafe.Pointer(&iov[0])), uintptr(len(iov)), 0, 0, 0)
+	return errno == 0 && int(n) == len(buf)
+}
+
 // size answers what a read of name would find, so Size and Read agree on
-// what exists. One fstatat does that only where it cannot leave the root:
-// for a name of one component, not followed if it is itself a link. A link,
-// or a name with directories in it (any of which may be a link), goes
-// through statBeneath. Without openat2 there is no beneath rule to agree
-// with, and one fstatat follows links as the read's openat does.
+// what exists: a pinned name is the pinned file. Otherwise one fstatat
+// does that only where it cannot leave the root: for a name of one
+// component, not followed if it is itself a link. A link, or a name with
+// directories in it (any of which may be a link), goes through
+// statBeneath. Without openat2 there is no beneath rule to agree with, and
+// one fstatat follows links as the read's openat does.
 func (b *DirBackend) size(name string) (int64, error) {
 	if b.portable {
 		return b.sizePortable(name)
 	}
 	var st syscall.Stat_t
 	var errno syscall.Errno
-	switch {
+	switch _, p := b.pinned(name); {
+	case p != 0:
+		errno = fstat(pinnedFD(p), &st)
 	case !b.root.beneath:
 		errno = b.root.stat(name, 0, &st)
 	case strings.IndexByte(name, '/') >= 0:

@@ -210,21 +210,26 @@ func TestDirHostileNames(t *testing.T) {
 }
 
 // TestDirCloseThenRead: after Close every entry point fails with
-// ErrDirClosed — it does not address whatever file reused the descriptor
-// number — and Close under concurrent readers lets each read finish whole
-// or refuses it; none sees foreign bytes.
+// ErrDirClosed — it does not address whatever file reused the root's or a
+// pinned file's descriptor number — and Close under concurrent readers lets
+// each read finish whole or refuses it; none sees foreign bytes. The pinned
+// mode is the leaf given its manifest, whose readers are all on the pinned
+// descriptor when Close closes it.
 func TestDirCloseThenRead(t *testing.T) {
 	dir := t.TempDir()
 	content := seeded(4096, 9)
 	if err := os.WriteFile(filepath.Join(dir, "f"), content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, portable := range []bool{false, true} {
+	for _, mode := range []string{"raw", "pinned", "portable"} {
 		b, err := NewDirBackend(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.portable = portable
+		b.portable = mode == "portable"
+		if mode == "pinned" {
+			pinManifest(t, b)
+		}
 		pool := mempool.New(mempool.Config{Debug: true})
 		b.SetBufferPool(pool)
 		var wg sync.WaitGroup
@@ -254,25 +259,35 @@ func TestDirCloseThenRead(t *testing.T) {
 		for g := 0; g < 8; g++ {
 			<-started
 		}
+		if want := mode == "pinned" && RawDirLeaf; (pinnedCount(b) == 1) != want {
+			t.Errorf("%s: %d descriptors pinned under the readers", mode, pinnedCount(b))
+		}
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait()
-		// The descriptor number is free again: occupy it with another file.
-		other, err := os.Open(os.DevNull)
-		if err != nil {
-			t.Fatal(err)
+		// The descriptor numbers are free again: occupy them with other files.
+		var others [2]*os.File
+		for i := range others {
+			if others[i], err = os.Open(os.DevNull); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, err := readFile(b, "f"); !errors.Is(err, ErrDirClosed) {
-			t.Errorf("portable=%v: Read after Close = %v, want ErrDirClosed", portable, err)
+			t.Errorf("%s: Read after Close = %v, want ErrDirClosed", mode, err)
 		}
 		if _, err := readRange(b, "f", 0, 4); !errors.Is(err, ErrDirClosed) {
-			t.Errorf("portable=%v: ranged Read after Close = %v, want ErrDirClosed", portable, err)
+			t.Errorf("%s: ranged Read after Close = %v, want ErrDirClosed", mode, err)
 		}
 		if _, err := b.Size("f"); !errors.Is(err, ErrDirClosed) {
-			t.Errorf("portable=%v: Size after Close = %v, want ErrDirClosed", portable, err)
+			t.Errorf("%s: Size after Close = %v, want ErrDirClosed", mode, err)
 		}
-		other.Close()
+		if n := pinnedCount(b); n != 0 {
+			t.Errorf("%s: %d descriptors still pinned after Close", mode, n)
+		}
+		for _, f := range others {
+			f.Close()
+		}
 		if err := b.Close(); err != nil {
 			t.Errorf("second Close = %v", err)
 		}

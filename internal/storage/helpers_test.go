@@ -1,6 +1,10 @@
 package storage
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
+)
 
 // openDir opens a DirBackend over dir, closed when the test ends.
 func openDir(t testing.TB, dir string) *DirBackend {
@@ -11,6 +15,27 @@ func openDir(t testing.TB, dir string) *DirBackend {
 	}
 	t.Cleanup(func() { b.Close() })
 	return b
+}
+
+// pinManifest gives b the manifest of its own directory, as Open does.
+func pinManifest(t testing.TB, b *DirBackend) {
+	t.Helper()
+	m, err := dataset.FromDir(b.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetManifest(m)
+}
+
+// pinnedCount counts the descriptors b holds pinned.
+func pinnedCount(b *DirBackend) int {
+	n := 0
+	for i := range b.pins {
+		if b.pins[i].Load() != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // readFile, readRange and readBatch issue one request of each class

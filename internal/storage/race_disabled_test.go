@@ -1,5 +1,5 @@
 //go:build !race
 
-package storage_test
+package storage
 
 const raceEnabled = false

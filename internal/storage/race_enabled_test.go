@@ -1,6 +1,6 @@
 //go:build race
 
-package storage_test
+package storage
 
 // raceEnabled reports that this test binary was built with -race, whose
 // instrumentation allocates and so voids the allocs/op pins.

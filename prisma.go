@@ -318,7 +318,9 @@ func batchSamples(opts Options) int {
 
 // Open builds a PRISMA instance over opts.Dir. The directory is scanned
 // once to build the dataset manifest (file names are slash-separated paths
-// relative to Dir).
+// relative to Dir). On Linux a scanned file stays open from its first read
+// until Close — up to half the process's descriptor limit — so a file
+// renamed over or deleted after its first read is still served as it was.
 func Open(opts Options) (*Prisma, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -359,6 +361,7 @@ func Open(opts Options) (*Prisma, error) {
 	}
 	p.teardown.push(leaf.Close)
 	leaf.SetBufferPool(pool)
+	leaf.SetManifest(manifest)
 	var backend storage.Backend = leaf
 	if opts.TraceFile != "" {
 		p.recorder = trace.NewRecorder(env, backend)
@@ -438,6 +441,16 @@ func Open(opts Options) (*Prisma, error) {
 	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
 	p.teardown.push(noErr(stage.Close))
 	p.stage, p.reader = stage, stage
+	// Checked at the stage, not in Prisma.SubmitEpoch: plans submitted over
+	// IPC reach the stage directly.
+	stage.SetPlanCheck(func(names []string) error {
+		for _, n := range names {
+			if _, ok := manifest.Index(n); !ok {
+				return fmt.Errorf("prisma: plan references unknown file %q", n)
+			}
+		}
+		return nil
+	})
 	// The tracer exists even at sampling 0 so the runtime knob
 	// (SetTraceSampling, prisma-ctl set-sampling, /tuning?sampling=) can
 	// turn tracing on without a restart. It must attach before Start so
@@ -677,15 +690,12 @@ func epochsFrom(eps []core.EpochStatus) []EpochStatus {
 }
 
 // SubmitEpoch is SubmitPlan returning the issued epoch id and how many
-// entries were enqueued. Registration is all-or-nothing: on error no entry
-// of this plan is claimable and its residue has been dropped, so a reader
-// can never block on a sample from a failed submission.
+// entries were enqueued. A plan naming a file not in the scanned dataset is
+// rejected whole, over IPC as in-process. Registration is all-or-nothing:
+// on error no entry of this plan is claimable and its residue has been
+// dropped, so a reader can never block on a sample from a failed
+// submission.
 func (p *Prisma) SubmitEpoch(names []string) (EpochID, int, error) {
-	for _, n := range names {
-		if _, ok := p.manifest.Lookup(n); !ok {
-			return 0, 0, fmt.Errorf("prisma: plan references unknown file %q", n)
-		}
-	}
 	// The stage's epoch-plan hook (SetEpochPlanHook, wired in Open when
 	// Tiering.PrefetchNextEpoch is set) hands the plan to the tier
 	// warmer — for this call and for epochs submitted over IPC alike.

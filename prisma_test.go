@@ -129,11 +129,35 @@ func TestUnplannedReadBypasses(t *testing.T) {
 	}
 }
 
+// TestSubmitPlanRejectsUnknownFiles: a plan naming a file that is not in
+// the dataset is refused whole — in-process and over the socket alike, where
+// plans reach the stage without passing Prisma.SubmitEpoch — and no epoch
+// is registered for it.
 func TestSubmitPlanRejectsUnknownFiles(t *testing.T) {
 	dir := makeDataset(t, 2)
 	p := open(t, dir, nil)
-	if err := p.SubmitPlan([]string{"ghost.jpg"}); err == nil {
-		t.Fatal("unknown plan file accepted")
+	sock := filepath.Join(t.TempDir(), "prisma.sock")
+	if err := p.ServeUnix(sock); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, plan := range [][]string{{"ghost.jpg"}, {"train/0000.jpg", "../x"}, {"train/0001.jpg", "train/0000.jpg/"}} {
+		if _, _, err := p.SubmitEpoch(plan); err == nil || !strings.Contains(err.Error(), "unknown file") {
+			t.Errorf("in-process plan %q: err = %v, want an unknown-file error", plan, err)
+		}
+		if _, _, err := c.SubmitEpoch(plan); err == nil || !strings.Contains(err.Error(), "unknown file") {
+			t.Errorf("socket plan %q: err = %v, want an unknown-file error", plan, err)
+		}
+	}
+	if eps := p.Epochs(); len(eps) != 0 {
+		t.Fatalf("rejected plans registered epochs: %+v", eps)
+	}
+	if _, n, err := c.SubmitEpoch(p.ShuffledFileList(1, 0)); err != nil || n != 2 {
+		t.Fatalf("valid socket plan: %d enqueued, %v", n, err)
 	}
 }
 
