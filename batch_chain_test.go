@@ -12,7 +12,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/experiments"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/recordio"
-	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
 	"github.com/dsrhaslab/prisma-go/internal/trace"
@@ -20,7 +19,9 @@ import (
 
 // chainWrap names one optional layer of the serving chain, in the canonical
 // nesting order Open composes them: recorder innermost (sees device reads),
-// then shared cache, then tiering, resilient outermost.
+// then the memory hierarchy, resilient outermost. cache and tiering are the
+// two options that size the one hierarchy (the shared cache's budget and the
+// tier's), composed as Open composes them.
 type chainWrap struct {
 	recorder, cache, tiering, resilient bool
 }
@@ -56,6 +57,26 @@ func chainPermutations() []chainWrap {
 		})
 	}
 	return perms
+}
+
+// hierarchy is the memory hierarchy Open builds for wrap: tier stands for
+// the tiering options, cacheBytes for the shared cache's budget, and Open's
+// own hierarchyConfig composes them. ok is false when wrap asks for neither.
+func (w chainWrap) hierarchy(tier tiering.Config, cacheBytes int64) (tiering.Config, bool) {
+	var opts Options
+	if w.cache {
+		opts.Tenancy = TenancyOptions{Enable: true, SharedCacheBytes: cacheBytes}
+	}
+	if w.tiering {
+		opts.Tiering = TieringOptions{
+			Enable:          true,
+			CapacityBytes:   tier.FastCapacity,
+			PromoteAfter:    tier.PromoteAfter,
+			MaxTrackedNames: tier.MaxTracked,
+			Compress:        tier.Compress,
+		}
+	}
+	return hierarchyConfig(opts)
 }
 
 // packChainDataset writes files records into one recordio shard inside a
@@ -108,28 +129,19 @@ func packChainDataset(t *testing.T, files, size int, compressed bool) (*storage.
 }
 
 // wrapChain nests the wrappers wrap turns on around leaf in Open's order. It
-// returns the outermost backend, the tier and the cache (nil when off) and
-// what to close once the stage is closed.
-func wrapChain(t *testing.T, env conc.Env, leaf storage.Backend, wrap chainWrap, tier tiering.Config) (storage.Backend, *tiering.Backend, *sharedcache.Cache, []func()) {
+// returns the outermost backend, the hierarchy (nil when off) and what to
+// close once the stage is closed.
+func wrapChain(t *testing.T, env conc.Env, leaf storage.Backend, wrap chainWrap, tier tiering.Config, cacheBytes int64) (storage.Backend, *tiering.Backend, []func()) {
 	t.Helper()
 	b := leaf
 	var tb *tiering.Backend
-	var sc *sharedcache.Cache
 	closers := []func(){}
 	if wrap.recorder {
 		b = trace.NewRecorder(env, b)
 	}
-	if wrap.cache {
+	if cfg, ok := wrap.hierarchy(tier, cacheBytes); ok {
 		var err error
-		if sc, err = sharedcache.New(env, b, 64<<20); err != nil {
-			t.Fatal(err)
-		}
-		b = sc
-		closers = append(closers, sc.Close)
-	}
-	if wrap.tiering {
-		var err error
-		if tb, err = tiering.NewBackend(env, tier, b, nil); err != nil {
+		if tb, err = tiering.NewBackend(env, cfg, b, nil); err != nil {
 			t.Fatal(err)
 		}
 		b = tb
@@ -144,7 +156,7 @@ func wrapChain(t *testing.T, env conc.Env, leaf storage.Backend, wrap chainWrap,
 		}
 		b = rb
 	}
-	return b, tb, sc, closers
+	return b, tb, closers
 }
 
 // runChainCell streams the packed dataset through the full prefetch
@@ -158,7 +170,7 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 	env := conc.NewReal()
 	mem, ix, names, contents := packChainDataset(t, 16, 4<<10, compressed)
 
-	b, _, _, closers := wrapChain(t, env, mem, wrap, tiering.Config{FastCapacity: 64 << 20, PromoteAfter: 1})
+	b, _, closers := wrapChain(t, env, mem, wrap, tiering.Config{FastCapacity: 64 << 20, PromoteAfter: 1}, 64<<20)
 	backend := recordio.NewIndexedBackend(ix, b)
 	pool := mempool.New(mempool.Config{Debug: true})
 	mem.SetBufferPool(pool)
@@ -246,12 +258,13 @@ func TestBatchChainCompositionCompressed(t *testing.T) {
 
 // wholeFileChain is the fixture of the whole-file composition cells: 32
 // compressible 4 KiB files in a pooled MemBackend under the wrappers wrap
-// turns on, streamed through the prefetch pipeline by two producers.
+// turns on, streamed through the prefetch pipeline by two producers. When
+// wrap.cache is on the shared cache adds wholeCacheBytes to the hierarchy's
+// budget.
 type wholeFileChain struct {
 	names    []string
 	contents map[string][]byte
 	tier     *tiering.Backend
-	cache    *sharedcache.Cache
 	pool     *mempool.Pool
 	stage    *core.Stage
 	closers  []func()
@@ -259,8 +272,9 @@ type wholeFileChain struct {
 }
 
 const (
-	wholeFiles    = 32
-	wholeFileSize = 4 << 10
+	wholeFiles      = 32
+	wholeFileSize   = 4 << 10
+	wholeCacheBytes = wholeFiles * wholeFileSize / 16
 )
 
 func newWholeFileChain(t *testing.T, wrap chainWrap, tier tiering.Config, seed int64) *wholeFileChain {
@@ -279,7 +293,7 @@ func newWholeFileChain(t *testing.T, wrap chainWrap, tier tiering.Config, seed i
 		mem.Add(c.names[i], c.contents[c.names[i]])
 	}
 	var backend storage.Backend
-	backend, c.tier, c.cache, c.closers = wrapChain(t, env, mem, wrap, tier)
+	backend, c.tier, c.closers = wrapChain(t, env, mem, wrap, tier, wholeCacheBytes)
 	mem.SetBufferPool(c.pool)
 	c.tier.SetBufferPool(c.pool)
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
@@ -340,12 +354,13 @@ func (c *wholeFileChain) closeAndAudit(t *testing.T) {
 // TestChainCompositionDecliningTier runs the same property with the tier in
 // the state the packed cells never reach (they only send it shard ranges,
 // which are never admitted): whole files, a compressing tier a quarter the
-// size of the set, shuffled epochs. From the second epoch on every miss is
-// offered to a full tier and declined, concurrently from two producers,
-// next to hits that decode residents — for every subset of the other
-// wrappers around it, each delivery is bit-identical to ground truth, the
-// tier stays within its budget without swapping a resident, and the pool
-// audit finds nothing held once the chain is closed.
+// size of the set (plus the shared cache's recency window, when on),
+// shuffled epochs. From the second epoch on every miss is offered to a full
+// tier and declined, concurrently from two producers, next to hits that
+// decode residents — for every subset of the other wrappers around it, each
+// delivery is bit-identical to ground truth, the hierarchy stays within its
+// budget without swapping a resident of the tier's part, and the pool audit
+// finds nothing held once the chain is closed.
 func TestChainCompositionDecliningTier(t *testing.T) {
 	const (
 		files  = wholeFiles
@@ -372,29 +387,38 @@ func TestChainCompositionDecliningTier(t *testing.T) {
 			}
 			st := c.tier.Stats()
 			c.closeAndAudit(t)
-			if filled.Residents == 0 || filled.Residents == files {
+			// The tier's part of the budget evicts only to admit, and every
+			// admission is a promotion: with none after epoch 1, each one is
+			// still resident. The shared cache's recency window, when on,
+			// swaps its two raw residents on every miss by design.
+			kept := filled.Promotions
+			if kept == 0 || kept == files {
 				t.Fatalf("fixture: the tier should hold part of the set after epoch 1: %+v", filled)
 			}
-			if st.Evictions != 0 || st.Promotions != filled.Promotions {
+			if st.Promotions != filled.Promotions || (!wrap.cache && st.Evictions != 0) {
 				t.Fatalf("a uniform shuffle swapped residents: after epoch 1 %+v, at the end %+v", filled, st)
 			}
-			if want := int64((epochs - 1) * (files - filled.Residents)); st.Declined-filled.Declined != want {
-				t.Fatalf("declined %d misses after epoch 1, want %d (every miss)", st.Declined-filled.Declined, want)
+			hits, declined := st.FastHits-filled.FastHits, st.Declined-filled.Declined
+			if want := int64((epochs - 1) * files); hits+declined != want {
+				t.Fatalf("%d hits + %d declined misses after epoch 1, want %d (every read one or the other)", hits, declined, want)
 			}
-			if want := int64((epochs - 1) * filled.Residents); st.FastHits-filled.FastHits != want {
-				t.Fatalf("%d tier hits after epoch 1, want %d (every resident, every epoch)", st.FastHits-filled.FastHits, want)
+			if want := (epochs - 1) * kept; hits < want || (!wrap.cache && hits != want) {
+				t.Fatalf("%d tier hits after epoch 1, want %d (every resident, every epoch) plus the window's", hits, want)
 			}
 		})
 	}
 }
 
-// TestChainCompositionHeldOnce pins the exclusive hierarchy the tier and the
-// shared cache form when both are in the chain: the tier tells the cache
-// what it is about to keep (storage.Request.Kept), so a sample is resident
-// in one of them, never both. Over a set that fits the tier every name ends
-// tier-resident and the cache holds nothing; over a tier a quarter of the
-// set the cache keeps only names the tier declined. Same fixture as above,
-// with Compress on and off, around the bare pair and the full chain —
+// TestChainCompositionHeldOnce pins what the one hierarchy holds: every
+// sample at most once, and exactly what it is charged. Over a budget that
+// fits the set every name ends resident; over a quarter of it the set splits
+// into residents and names held nowhere. Either way a raw resident (every
+// resident of the shared cache's recency window is one) pins one pooled
+// lease and a compressed one none, so once the epochs have drained
+// the pool's outstanding leases are exactly the raw residents — no layer
+// retains a sample a second time. Same fixture as above, with
+// Compress on and off, around the bare hierarchy and the full chain, each
+// with and without the shared cache's share of the one budget —
 // byte-identity to ground truth and the pool audit as in the cells above.
 func TestChainCompositionHeldOnce(t *testing.T) {
 	const files = wholeFiles
@@ -409,7 +433,9 @@ func TestChainCompositionHeldOnce(t *testing.T) {
 		{"quarter-compress", files * wholeFileSize / 4, true},
 	} {
 		for _, wrap := range []chainWrap{
+			{tiering: true},
 			{cache: true, tiering: true},
+			{recorder: true, tiering: true, resilient: true},
 			{recorder: true, cache: true, tiering: true, resilient: true},
 		} {
 			cell, wrap := cell, wrap
@@ -419,26 +445,29 @@ func TestChainCompositionHeldOnce(t *testing.T) {
 				for e := 0; e < 2; e++ {
 					c.epoch(t, e)
 				}
-				both, neither := 0, 0
-				for _, name := range c.names {
-					inTier, inCache := c.tier.Resident(name), c.cache.Resident(name)
-					if inTier && inCache {
-						both++
-					}
-					if !inTier && !inCache {
-						neither++
+				st := c.tier.Stats()
+				if st.FastUsed > st.Capacity {
+					t.Fatalf("over-committed: %+v", st)
+				}
+				if st.Capacity != cell.capacity && !(wrap.cache && st.Capacity == cell.capacity+wholeCacheBytes) {
+					t.Fatalf("budget %d, want the tier's %d plus the shared cache's share when on", st.Capacity, cell.capacity)
+				}
+				if fits := st.Capacity >= files*wholeFileSize; fits && st.Residents != files {
+					t.Fatalf("set fits the budget: %d residents, want %d", st.Residents, files)
+				} else if !fits && (st.Residents == 0 || st.Residents == files || (!wrap.cache && st.Evictions != 0)) {
+					t.Fatalf("quarter budget: %+v; want part of the set resident and nothing swapped", st)
+				}
+				raw := int64(st.Residents)
+				if cell.compress {
+					raw = 0
+					if wrap.cache && st.Capacity < files*wholeFileSize {
+						// The shared cache's recency window keeps its
+						// residents raw, and by now it is full.
+						raw = wholeCacheBytes / wholeFileSize
 					}
 				}
-				ts, cs := c.tier.Stats(), c.cache.Stats()
-				if both != 0 {
-					t.Fatalf("%d names resident in the tier and the cache: tier %+v, cache %+v", both, ts, cs)
-				}
-				if cell.capacity >= files*wholeFileSize {
-					if ts.Residents != files || cs.Residents != 0 || cs.UsedBytes != 0 {
-						t.Fatalf("set fits the tier: %d tier residents, %d cache residents (%d bytes); want %d and none", ts.Residents, cs.Residents, cs.UsedBytes, files)
-					}
-				} else if ts.Residents == 0 || ts.Residents == files || neither != 0 || cs.Residents != files-ts.Residents {
-					t.Fatalf("quarter tier: %d tier residents, %d cache residents, %d names held nowhere; want the set split between them", ts.Residents, cs.Residents, neither)
+				if n := c.pool.Outstanding(); n != raw {
+					t.Fatalf("%d pooled leases out for %d residents (compress %v): want one per raw resident", n, st.Residents, cell.compress)
 				}
 				c.closeAndAudit(t)
 			})

@@ -26,10 +26,10 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/ipc"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/recordio"
-	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
+	"github.com/dsrhaslab/prisma-go/internal/tiering"
 	"github.com/dsrhaslab/prisma-go/internal/train"
 )
 
@@ -402,7 +402,8 @@ func BenchmarkRecordCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkSharedCacheHit measures the multi-job cache's hit path.
+// BenchmarkSharedCacheHit measures the memory hierarchy's hit path as the
+// shared cache alone builds it (raw residents).
 func BenchmarkSharedCacheHit(b *testing.B) {
 	env := conc.NewReal()
 	man := dataset.MustNew([]dataset.Sample{{Name: "hot", Size: 4096}})
@@ -412,7 +413,7 @@ func BenchmarkSharedCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache, err := sharedcache.New(env, storage.NewModeledBackend(man, dev, nil), 1<<20)
+	cache, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 1 << 20, Window: 1 << 20, PromoteAfter: 1}, storage.NewModeledBackend(man, dev, nil), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

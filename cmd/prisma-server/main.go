@@ -155,7 +155,7 @@ func main() {
 		maxQueueDepth  = flag.Int("max-queue-depth", 0, "queue-depth saturation threshold for load shedding (0 = default 4096, -1 = off)")
 		maxPooledBytes = flag.Int64("max-pooled-bytes", 0, "outstanding pooled-byte saturation threshold (0 = off)")
 		degradedFactor = flag.Float64("degraded-factor", 0, "capacity scale while the backend breaker is open (0 = default 0.5)")
-		sharedCache    = flag.Int64("shared-cache", 0, "shared read cache capacity in bytes so co-located tenants don't multiply backend load (0 = off)")
+		sharedCache    = flag.Int64("shared-cache", 0, "shared read cache capacity in bytes so co-located tenants don't multiply backend load (0 = off; with -tiering it adds to -tiering-capacity: one budget)")
 		tenantSpecs    = flag.String("tenants", "", "pre-registered tenants as NAME[:WEIGHT[:BYTES_PER_SEC[:SECRET]]],... (requires -tenancy)")
 		sloSpecs       = flag.String("slo", "", "per-tenant latency SLOs as TENANT:QUANTILE:THRESHOLD[:SHED_BUDGET[:WINDOW]],... e.g. trainer:0.99:20ms (tenants must appear in -tenants)")
 		sloBoost       = flag.Float64("slo-boost", 0, "arbitration-weight boost factor while a tenant's SLO is breached (0 = default 2; must be > 1)")

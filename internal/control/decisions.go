@@ -82,7 +82,7 @@ func intervalAttribution(prev, cur core.StageStats, consumers int) obs.Attributi
 		ConsumerWait: cur.Buffer.ConsumerWait - prev.Buffer.ConsumerWait,
 		StorageWait:  cur.Buffer.ConsumerWaitStorage - prev.Buffer.ConsumerWaitStorage,
 		BufferWait:   cur.Buffer.ConsumerWaitBufferFull - prev.Buffer.ConsumerWaitBufferFull,
-		CacheWait:    cur.Cache.WaitTime - prev.Cache.WaitTime,
+		CacheWait:    cur.Tiering.WaitTime - prev.Tiering.WaitTime,
 		TierWait:     (cur.Tiering.PromoteTime + cur.Tiering.DecodeTime) - (prev.Tiering.PromoteTime + prev.Tiering.DecodeTime),
 		ThrottleWait: cur.ThrottleWait - prev.ThrottleWait,
 		StorageBusy:  cur.StorageBusy - prev.StorageBusy,

@@ -199,26 +199,34 @@ type StageStats struct {
 	// while the circuit breaker sheds load.
 	Resilience storage.ResilienceStats
 
-	// Tiering reflects the fast-tier backend stage when one is wired in
-	// (SetTieringSource); TieringEnabled disambiguates "off" from "idle".
-	// Riding StageStats means the snapshot crosses the IPC Stats call
-	// unchanged, so remote clients see tier state too.
+	// Tiering reflects the memory hierarchy (the tier and shared cache in
+	// one layer) when one is wired in (SetTieringSource); TieringEnabled
+	// disambiguates "off" from "idle". Riding StageStats means the snapshot
+	// crosses the IPC Stats call unchanged, so remote clients see it too.
 	Tiering        TieringStats
 	TieringEnabled bool
-
-	// Cache reflects the shared multi-job cache when one is wired in
-	// (SetCacheSource); CacheEnabled disambiguates "off" from "idle". Like
-	// Tiering, riding StageStats carries it across the IPC Stats call.
-	Cache        CacheStats
-	CacheEnabled bool
 }
 
-// TieringStats is the fast-tier snapshot carried by StageStats (the
+// TierEnabled reports whether the memory hierarchy has a fast tier: budget
+// beyond the shared cache's recency window.
+func (s StageStats) TierEnabled() bool {
+	return s.TieringEnabled && s.Tiering.Capacity > s.Tiering.Window
+}
+
+// CacheEnabled reports whether the memory hierarchy has a shared cache: a
+// recency window.
+func (s StageStats) CacheEnabled() bool {
+	return s.TieringEnabled && s.Tiering.Window > 0
+}
+
+// TieringStats is the memory-hierarchy snapshot carried by StageStats (the
 // internal/tiering stats, restated here field for field so core does not
 // depend on the policy package and Open converts one to the other).
 type TieringStats struct {
 	FastHits           int64
 	SlowReads          int64
+	Waits              int64         // reads that joined the same name's slow read in flight
+	WaitTime           time.Duration // cumulative time those reads spent blocked
 	Promotions         int64
 	Evictions          int64
 	Declined           int64 // admissions refused: no LRU victim was strictly colder
@@ -227,25 +235,12 @@ type TieringStats struct {
 	FastUsed           int64 // physical bytes resident
 	FastLogical        int64 // decoded bytes those residents represent
 	Capacity           int64
+	Window             int64 // the recency window's part of Capacity (the shared cache's budget)
 	Residents          int
 	TrackedNames       int
 	AccessDecays       int64
 	PromoteTime        time.Duration // cumulative read-path promote work
 	DecodeTime         time.Duration // cumulative hit-path decompression
-}
-
-// CacheStats is the shared-cache snapshot carried by StageStats (the
-// internal/sharedcache stats, restated here so core does not depend on
-// the policy package).
-type CacheStats struct {
-	Hits        int64
-	Misses      int64
-	Waits       int64
-	Evictions   int64
-	UsedBytes   int64
-	Residents   int
-	DeviceReads int64
-	WaitTime    time.Duration // cumulative single-flight follower waits
 }
 
 // Stage is one PRISMA data-plane stage: a chain of optimization objects in
@@ -260,8 +255,7 @@ type Stage struct {
 	pool      *mempool.Pool                  // nil when pooling is off; stats only
 	gate      TenantGate                     // nil when multi-tenant QoS is off
 	resilient func() storage.ResilienceStats // nil when no resilient layer is wired in
-	tiering   func() TieringStats            // nil when no fast tier is wired in
-	cache     func() CacheStats              // nil when no shared cache is wired in
+	tiering   func() TieringStats            // nil when no memory hierarchy is wired in
 	planCheck func(names []string) error     // nil unless a plan validator (the manifest) is attached
 	epochHook func(names []string)           // nil unless a plan observer (tier warmer) is attached
 	partition func(names []string) []string  // nil unless a plan partitioner (cluster fabric) is attached
@@ -404,13 +398,7 @@ func (s *Stage) SetTenantGate(g TenantGate) { s.gate = g }
 // (the default) leaves StageStats.Resilience zero-valued.
 func (s *Stage) SetResilienceSource(f func() storage.ResilienceStats) { s.resilient = f }
 
-// SetCacheSource registers the shared-cache snapshot provider so cache
-// state rides the stage's monitoring snapshot (and hence the IPC Stats
-// round trip). Call before traffic starts; nil (the default) leaves
-// StageStats.CacheEnabled false.
-func (s *Stage) SetCacheSource(f func() CacheStats) { s.cache = f }
-
-// SetTieringSource registers the fast-tier snapshot provider so tier
+// SetTieringSource registers the memory hierarchy's snapshot provider so its
 // state rides the stage's monitoring snapshot (and hence the IPC Stats
 // round trip). Call before traffic starts; nil (the default) leaves
 // StageStats.TieringEnabled false.
@@ -583,10 +571,6 @@ func (s *Stage) Stats() StageStats {
 	if s.tiering != nil {
 		st.Tiering = s.tiering()
 		st.TieringEnabled = true
-	}
-	if s.cache != nil {
-		st.Cache = s.cache()
-		st.CacheEnabled = true
 	}
 	st.ThrottleWait = time.Duration(s.throttleWait.Value())
 	st.ReadAheadSamples = s.aheadSamples.Value()

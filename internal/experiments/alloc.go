@@ -21,8 +21,8 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/ipc"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/recordio"
-	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
 
 // AllocConfig parameterizes one allocation-benchmark cell.
@@ -41,10 +41,12 @@ type AllocConfig struct {
 	BufferCap int
 	// Pool selects the pooled (true) or allocate-per-hop (false) variant.
 	Pool bool
-	// SharedCache, when positive, interposes a shared cache of that many
-	// bytes between the pipeline and the backend — the multi-tenant
-	// co-location tier. Sized above the dataset it converges to all-hits,
-	// so the cell measures the cache's own contribution to the hot path.
+	// SharedCache, when positive, interposes the memory hierarchy as
+	// prisma.Open builds it for Tenancy.SharedCacheBytes alone (raw, kept
+	// from the first read) with that many bytes between the pipeline and
+	// the backend — the multi-tenant co-location tier. Sized above the
+	// dataset it converges to all-hits, so the cell measures the cache's
+	// own contribution to the hot path.
 	SharedCache int64
 	// Compressed packs the dataset (compressible patterned payloads) into
 	// LZ-compressed recordio shards held in memory and serves them through
@@ -144,7 +146,7 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			}
 		}
 		if cfg.SharedCache > 0 {
-			cache, err := sharedcache.New(env, backend, cfg.SharedCache)
+			cache, err := tiering.NewBackend(env, tiering.Config{FastCapacity: cfg.SharedCache, Window: cfg.SharedCache, PromoteAfter: 1}, backend, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

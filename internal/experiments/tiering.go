@@ -20,9 +20,6 @@ type TieringRow struct {
 	Total   time.Duration
 	HitRate float64 // fast hits / (fast hits + slow reads); 0 for slow-only
 	Stats   tiering.Stats
-	// KeptReads counts the slow-tier reads the tier hinted it would keep
-	// (storage.Request.Kept): what a shared cache below it would not retain.
-	KeptReads int64
 }
 
 // tieringCell parameterizes one run. capacity == 0 disables tiering (the
@@ -49,16 +46,12 @@ type tieringCell struct {
 type timedBackend struct {
 	inner  *storage.MemBackend
 	device *storage.Device
-	kept   int64 // reads that carried Request.Kept
 }
 
 func (b *timedBackend) Read(req storage.Request) (storage.Response, error) {
 	resp, err := b.inner.Read(req)
 	if err != nil {
 		return resp, err
-	}
-	if req.Kept {
-		b.kept++
 	}
 	b.device.Read(resp.PayloadSize(req))
 	return resp, nil
@@ -160,7 +153,6 @@ func runTieringCell(setup string, c tieringCell) (TieringRow, error) {
 			}
 			tier.Close()
 		}
-		row.KeptReads = slow.kept
 	})
 	if err := s.Run(); err != nil {
 		return row, fmt.Errorf("experiments: tiering cell %s: %w", setup, err)

@@ -35,16 +35,11 @@ func TestTieringCrossover(t *testing.T) {
 	if got, want := tiered.Stats.Declined, int64(64+2*64); got != want {
 		t.Errorf("undersized tier declined %d misses, want %d (every miss once full)", got, want)
 	}
-	// The tier's pre-read hint to the layers below (Request.Kept) is asked,
-	// not acted on: it names exactly the misses that were promoted and moves
-	// no count — the declines above and the tracked names are the rule's own.
-	if tiered.KeptReads != tiered.Stats.Promotions || tiered.Stats.TrackedNames != 64 {
-		t.Errorf("undersized tier hinted %d reads Kept for %d promotions and tracks %d names, want 32, 32 and 64",
-			tiered.KeptReads, tiered.Stats.Promotions, tiered.Stats.TrackedNames)
+	if tiered.Stats.TrackedNames != 64 {
+		t.Errorf("undersized tier tracks %d names, want the 64 it declined", tiered.Stats.TrackedNames)
 	}
-	if fits.KeptReads != 96 || fits.Stats.Promotions != 96 || fits.Stats.Declined != 0 {
-		t.Errorf("dataset-sized tier hinted %d reads Kept, promoted %d, declined %d; want 96, 96, 0",
-			fits.KeptReads, fits.Stats.Promotions, fits.Stats.Declined)
+	if fits.Stats.Promotions != 96 || fits.Stats.Declined != 0 {
+		t.Errorf("dataset-sized tier promoted %d, declined %d; want 96, 0", fits.Stats.Promotions, fits.Stats.Declined)
 	}
 	if compress.Total >= slow.Total {
 		t.Errorf("compressed tier should beat slow-only: %v >= %v", compress.Total, slow.Total)

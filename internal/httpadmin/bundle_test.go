@@ -27,7 +27,7 @@ func bundleFixture(t *testing.T) (*httptest.Server, *obs.Tracer) {
 	dp.stats.Now = 10 * time.Second
 	dp.stats.Buffer.ConsumerWait = 6 * time.Second
 	dp.stats.Buffer.ConsumerWaitStorage = 3 * time.Second
-	dp.stats.Cache.WaitTime = time.Second
+	dp.stats.Tiering.WaitTime = time.Second
 	dp.stats.Tiering.PromoteTime = 500 * time.Millisecond
 	dp.stats.Tiering.DecodeTime = 500 * time.Millisecond
 	dp.stats.ThrottleWait = 2 * time.Second

@@ -92,7 +92,7 @@ func BuildBundle(dp control.DataPlane, cfg Config, spanLimit int) Bundle {
 			ConsumerWait: s.Buffer.ConsumerWait,
 			StorageWait:  s.Buffer.ConsumerWaitStorage,
 			BufferWait:   s.Buffer.ConsumerWaitBufferFull,
-			CacheWait:    s.Cache.WaitTime,
+			CacheWait:    s.Tiering.WaitTime,
 			TierWait:     s.Tiering.PromoteTime + s.Tiering.DecodeTime,
 			ThrottleWait: s.ThrottleWait,
 			StorageBusy:  s.StorageBusy,
@@ -255,11 +255,11 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		write("prisma_pool_free_bytes", "Bytes held idle by the pool's free lists.", "gauge", float64(s.Pool.FreeBytes))
 	}
 	tierEnabled := 0.0
-	if s.TieringEnabled {
+	if s.TierEnabled() {
 		tierEnabled = 1
 	}
-	write("prisma_tiering_enabled", "1 when the fast-tier backend stage is wired in.", "gauge", tierEnabled)
-	if s.TieringEnabled {
+	write("prisma_tiering_enabled", "1 when the memory hierarchy has a fast tier (Tiering.Enable).", "gauge", tierEnabled)
+	if s.TierEnabled() {
 		t := s.Tiering
 		write("prisma_tiering_fast_hits_total", "Reads served from the fast tier.", "counter", float64(t.FastHits))
 		write("prisma_tiering_slow_reads_total", "Demand misses served by the slow tier.", "counter", float64(t.SlowReads))
@@ -354,15 +354,15 @@ func (h *Handler) bundle(w http.ResponseWriter, r *http.Request) {
 }
 
 // tiering serves the fast-tier snapshot: GET /tiering returns the
-// TieringStats carried by the stage snapshot as JSON, 501 when no fast
-// tier is wired in.
+// TieringStats carried by the stage snapshot as JSON, 501 when the memory
+// hierarchy has no fast tier (none at all, or the shared cache alone).
 func (h *Handler) tiering(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
 	s := h.dp.Stats()
-	if !s.TieringEnabled {
+	if !s.TierEnabled() {
 		http.Error(w, "tiering not enabled on this instance", http.StatusNotImplemented)
 		return
 	}
@@ -559,7 +559,7 @@ func (h *Handler) attribution(w http.ResponseWriter, r *http.Request) {
 		ConsumerWait: s.Buffer.ConsumerWait,
 		StorageWait:  s.Buffer.ConsumerWaitStorage,
 		BufferWait:   s.Buffer.ConsumerWaitBufferFull,
-		CacheWait:    s.Cache.WaitTime,
+		CacheWait:    s.Tiering.WaitTime,
 		TierWait:     s.Tiering.PromoteTime + s.Tiering.DecodeTime,
 		ThrottleWait: s.ThrottleWait,
 		StorageBusy:  s.StorageBusy,

@@ -40,11 +40,12 @@ const (
 	StagePlanSubmit  = "plan-submit"  // one epoch submission (Size = plan length)
 	StageEpochCancel = "epoch-cancel" // one epoch cancellation (Size = entries dropped)
 
-	// Serving-chain spans (PR 6/7 surfaces): the shared cache, the tier,
-	// the transparent codec, and the tenant gate.
-	StageCacheHit       = "sharedcache-hit"      // shared-cache resident hit
+	// Serving-chain spans: the memory hierarchy (the tier and the shared
+	// cache are one layer; the hit/miss/coalesce spans keep the cache's
+	// names), the transparent codec, and the tenant gate.
+	StageCacheHit       = "sharedcache-hit"      // resident hit, or a joined read handed its payload
 	StageCacheMiss      = "sharedcache-miss"     // single-flight leader's backend fetch
-	StageCacheCoalesce  = "sharedcache-coalesce" // follower waiting on the leader's fetch
+	StageCacheCoalesce  = "sharedcache-coalesce" // joined reader waiting on the leader's fetch
 	StageTierPromote    = "tier-promote"         // read-triggered fast-tier admission
 	StageTierWarm       = "tier-warm"            // plan-driven prefetch into the tier
 	StageDecompress     = "recordio-decompress"  // transparent payload decode

@@ -89,13 +89,6 @@ type Request struct {
 	// record spans against it when it is sampled, and every wrapper passes
 	// it inward unchanged.
 	Ctx obs.Ctx
-	// Kept says the caller will keep this payload resident itself (the fast
-	// tier, about to promote what it reads): layers below serve and
-	// single-flight the read but do not retain it, so a sample is held by one
-	// layer of the hierarchy, not two. It is a hint — a caller that ends up
-	// not keeping the payload costs a later re-read, never correctness.
-	// Every wrapper passes it inward unchanged, like Ctx; leaves ignore it.
-	Kept bool
 }
 
 // Validate rejects a negative offset or length in any range.

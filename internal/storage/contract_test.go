@@ -11,7 +11,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
-	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
@@ -35,29 +34,28 @@ func middlewareLayers() []storagetest.Layer {
 			return storagetest.Built{Backend: rb, Resilience: rb.ResilienceStats}
 		}
 	}
-	tier := func(compress bool) func(*testing.T, conc.Env, storage.Backend, *mempool.Pool) storagetest.Built {
+	tier := func(cfg tiering.Config) func(*testing.T, conc.Env, storage.Backend, *mempool.Pool) storagetest.Built {
 		return func(t *testing.T, env conc.Env, leaf storage.Backend, pool *mempool.Pool) storagetest.Built {
-			tb, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: compress}, leaf, nil)
+			tb, err := tiering.NewBackend(env, cfg, leaf, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tb.SetBufferPool(pool)
-			return storagetest.Built{Backend: tb, Close: tb.Close, Keeps: true}
+			return storagetest.Built{Backend: tb, Close: tb.Close}
 		}
 	}
 	return []storagetest.Layer{
 		{Name: "recorder", Build: func(_ *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
 			return storagetest.Built{Backend: trace.NewRecorder(env, leaf)}
 		}},
-		{Name: "cache", Build: func(t *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
-			c, err := sharedcache.New(env, leaf, 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return storagetest.Built{Backend: c, Close: c.Close}
-		}},
-		{Name: "tier", Build: tier(false)},
-		{Name: "tier-compress", Build: tier(true)},
+		{Name: "tier", Build: tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1})},
+		{Name: "tier-compress", Build: tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: true})},
+		// The second access admits: the first pass is a tracked miss, the
+		// second a miss that promotes.
+		{Name: "tier-after-2", Build: tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 2})},
+		// A budget smaller than the file: every whole-file miss is declined,
+		// so every pass goes through the single-flight slot to the leaf.
+		{Name: "tier-oversize", Build: tier(tiering.Config{FastCapacity: storagetest.FileSize / 2, PromoteAfter: 1})},
 		{Name: "resilient", Build: resilient(0)},
 		{Name: "resilient-deadline", Build: resilient(50 * time.Millisecond)},
 		{Name: "faulty", Build: func(_ *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
@@ -181,8 +179,8 @@ func checkClamp(t *testing.T, b storage.Backend, hasBytes bool) {
 }
 
 // TestRangeClampNoOverflow pins the one overflow-safe clamp on every path
-// that slices a file: the three leaves and a whole-file resident in the
-// shared cache and in the tier. Reads past EOF truncate per contract — no
+// that slices a file: the three leaves and a whole-file resident of the
+// memory hierarchy. Reads past EOF truncate per contract — no
 // panic, no allocation sized from the caller's N, no leaked reference.
 func TestRangeClampNoOverflow(t *testing.T) {
 	inSim := func(t *testing.T, body func(env conc.Env)) {
@@ -246,19 +244,6 @@ func TestRangeClampNoOverflow(t *testing.T) {
 			t.Fatalf("%d requests reached the leaf, want 3 (the negatives): ranges were not served from the resident", got)
 		}
 	}
-	t.Run("sharedcache-resident", func(t *testing.T) {
-		pool := mempool.New(mempool.Config{Debug: true})
-		inSim(t, func(env conc.Env) {
-			probe := storagetest.NewProbe(pool)
-			c, err := sharedcache.New(env, probe, 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm(t, c, probe)
-			c.Close()
-		})
-		audit(t, pool)
-	})
 	t.Run("tiering-resident", func(t *testing.T) {
 		pool := mempool.New(mempool.Config{Debug: true})
 		inSim(t, func(env conc.Env) {
@@ -268,6 +253,35 @@ func TestRangeClampNoOverflow(t *testing.T) {
 				t.Fatal(err)
 			}
 			warm(t, tb, probe)
+			tb.Close()
+		})
+		audit(t, pool)
+	})
+	// A compressed resident is never sliced (that would decode the whole
+	// record): every range, clamped or not, passes through to the leaf.
+	t.Run("tiering-compressed-resident", func(t *testing.T) {
+		pool := mempool.New(mempool.Config{Debug: true})
+		inSim(t, func(env conc.Env) {
+			probe := storagetest.NewProbe(pool)
+			tb, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: true}, probe, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.SetBufferPool(pool)
+			req := storage.Request{Name: storagetest.FileName}
+			resp, err := tb.Read(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Release(req)
+			if st := tb.Stats(); st.Residents != 1 || st.FastLogical <= st.FastUsed {
+				t.Fatalf("stats = %+v, want one compressed resident", st)
+			}
+			before := probe.Calls
+			checkClamp(t, tb, true)
+			if got, want := probe.Calls-before, len(clampCases)+1+3; got != want {
+				t.Fatalf("%d requests reached the leaf, want all %d", got, want)
+			}
 			tb.Close()
 		})
 		audit(t, pool)

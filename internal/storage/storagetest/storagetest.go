@@ -44,11 +44,10 @@ type Probe struct {
 	// Rangeless makes the probe answer ranged requests with
 	// storage.ErrUnsupported, like a store that only knows whole samples.
 	Rangeless bool
-	// Calls counts requests that reached the leaf; Ctx and Kept are the
-	// trace context and the residency hint of the last one.
+	// Calls counts requests that reached the leaf; Ctx is the trace
+	// context of the last one.
 	Calls int
 	Ctx   obs.Ctx
-	Kept  bool
 }
 
 // ProbeDetail is stamped on every response the probe serves, so a layer
@@ -66,7 +65,7 @@ func NewProbe(pool *mempool.Pool) *Probe {
 // Read implements storage.Backend.
 func (p *Probe) Read(req storage.Request) (storage.Response, error) {
 	p.Calls++
-	p.Ctx, p.Kept = req.Ctx, req.Kept
+	p.Ctx = req.Ctx
 	if p.Rangeless && len(req.Ranges) > 0 {
 		return storage.Response{}, fmt.Errorf("probe: %w", storage.ErrUnsupported)
 	}
@@ -98,10 +97,6 @@ type Built struct {
 	// Resilience is non-nil for a resilient layer: it stamps its own Detail
 	// instead of passing the leaf's up, and counts UnsupportedOps.
 	Resilience func() storage.ResilienceStats
-	// Keeps marks the one layer that may raise Request.Kept itself (the
-	// tier, on a miss it is about to promote); every other layer hands the
-	// leaf exactly the hint that entered.
-	Keeps bool
 }
 
 // Layer names a wrapper and builds a fresh instance over leaf. pool is the
@@ -117,7 +112,6 @@ type class struct {
 	name    string
 	file    string
 	ranges  []storage.Range
-	kept    bool
 	wantErr func(error) bool // nil = must succeed
 }
 
@@ -125,10 +119,13 @@ func classes() []class {
 	var ne *storage.NotExistError
 	return []class{
 		{name: "whole", file: FileName},
-		{name: "whole-kept", file: FileName, kept: true},
 		{name: "one-range", file: FileName, ranges: []storage.Range{{Off: 100, N: 200}}},
 		{name: "k-ranges", file: FileName, ranges: []storage.Range{{Off: 0, N: 100}, {Off: 500, N: 250}, {Off: 4000, N: 500}}},
 		{name: "past-eof", file: FileName, ranges: []storage.Range{{Off: 5000, N: 10}}},
+		// Views come back in range order, whatever the order and overlap of
+		// the ranges: one region serves them all.
+		{name: "unordered", file: FileName, ranges: []storage.Range{{Off: 3000, N: 100}, {Off: 0, N: 200}, {Off: 150, N: 100}}},
+		{name: "zero-length", file: FileName, ranges: []storage.Range{{Off: 100, N: 0}, {Off: 200, N: 10}}},
 		{name: "negative", file: FileName, ranges: []storage.Range{{Off: 0, N: 10}, {Off: 5, N: -1}},
 			wantErr: func(err error) bool {
 				return err != nil && !errors.Is(err, storage.ErrUnsupported) && !errors.As(err, &ne)
@@ -138,10 +135,11 @@ func classes() []class {
 }
 
 // Middleware runs the conformance table over layer: request classes
-// {whole, whole with Kept, 1 range, K ranges, past-EOF, negative, missing
-// name} × {unsampled, sampled ctx}, each against a fresh instance (so the
-// first request always reaches the leaf) and issued twice (so hit paths are
-// compared too), plus one ranged request over a rangeless leaf.
+// {whole, 1 range, K ranges, past-EOF, unordered and overlapping ranges, a
+// zero-length range, negative, missing name} × {unsampled, sampled ctx},
+// each against a fresh instance (so the first request always reaches the
+// leaf) and issued twice (so hit paths are compared too), plus one ranged
+// request over a rangeless leaf.
 func Middleware(t *testing.T, layer Layer) {
 	t.Helper()
 	for _, c := range classes() {
@@ -152,7 +150,7 @@ func Middleware(t *testing.T, layer Layer) {
 					for pass := 0; pass < 2; pass++ {
 						before := probe.Calls
 						scratch := []storage.Data{{Name: "sentinel"}}
-						req := storage.Request{Name: c.file, Ranges: c.ranges, Out: scratch, Ctx: ctx, Kept: c.kept}
+						req := storage.Request{Name: c.file, Ranges: c.ranges, Out: scratch, Ctx: ctx}
 						resp, err := b.Backend.Read(req)
 						reached := probe.Calls > before
 						if pass == 0 && !reached {
@@ -160,9 +158,6 @@ func Middleware(t *testing.T, layer Layer) {
 						}
 						if reached && probe.Ctx != ctx {
 							t.Fatalf("pass %d: leaf saw ctx %+v, want the ctx that entered %+v", pass, probe.Ctx, ctx)
-						}
-						if reached && probe.Kept != c.kept && !(b.Keeps && probe.Kept) {
-							t.Fatalf("pass %d: leaf saw Kept %v, want the hint that entered (%v)", pass, probe.Kept, c.kept)
 						}
 						if c.wantErr != nil {
 							if !c.wantErr(err) {
@@ -230,7 +225,7 @@ func Leaf(t *testing.T, name string, pooled bool, build func(t *testing.T, pool 
 			}
 			b := build(t, pool)
 			for pass := 0; pass < 2; pass++ {
-				req := storage.Request{Name: c.file, Ranges: c.ranges, Out: []storage.Data{{Name: "sentinel"}}, Kept: c.kept}
+				req := storage.Request{Name: c.file, Ranges: c.ranges, Out: []storage.Data{{Name: "sentinel"}}}
 				resp, err := b.Read(req)
 				if c.wantErr != nil {
 					if !c.wantErr(err) {

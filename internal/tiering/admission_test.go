@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
@@ -25,7 +24,7 @@ func TestScanResistance(t *testing.T) {
 		fraction = float64(fit) / files
 	)
 	runSim(t, func(env conc.Env) {
-		b, spy, names := spiedFixture(env, Config{FastCapacity: fit * 1000, PromoteAfter: 1}, files, 1000)
+		b, names := tieredFixture(env, Config{FastCapacity: fit * 1000, PromoteAfter: 1}, files, 1000)
 		rng := rand.New(rand.NewSource(22))
 		var filled Stats
 		for e := 0; e < epochs; e++ {
@@ -34,13 +33,6 @@ func TestScanResistance(t *testing.T) {
 				readTimes(t, b, names[i], 1)
 			}
 			st := b.Stats()
-			// The pre-read hint is a question, not a decision: it says Kept
-			// for exactly the misses that fill the tier, and leaves every
-			// counter and count below where the rule alone puts them.
-			if spy.kept != fit || spy.plain != int(st.SlowReads)-fit {
-				t.Fatalf("epoch %d: %d slow reads hinted Kept, %d plain; want the %d that filled the tier and the other %d",
-					e+1, spy.kept, spy.plain, fit, st.SlowReads-fit)
-			}
 			if st.TrackedNames != files-fit {
 				t.Fatalf("epoch %d tracks %d non-residents, want %d", e+1, st.TrackedNames, files-fit)
 			}
@@ -212,10 +204,10 @@ func TestUnderEstimateNeverOverCommits(t *testing.T) {
 	// free space while the real size still does not.
 	b.mu.Lock()
 	est := b.estimateStoredLocked(storage.Data{Size: fileSize, Bytes: make([]byte, 1)})
-	for b.cfg.FastCapacity-b.used < est {
-		b.evictLocked(b.order.Back())
+	for b.main.capacity-b.main.used < est {
+		b.evictLocked(b.main.order.Back())
 	}
-	free := b.cfg.FastCapacity - b.used
+	free := b.main.capacity - b.main.used
 	b.mu.Unlock()
 	if est >= fileSize/2 || free >= fileSize || free < est {
 		t.Fatalf("fixture: estimate %d, free %d, real %d — the estimate must fit and the real size must not", est, free, fileSize)
@@ -254,55 +246,4 @@ func TestUnderEstimateNeverOverCommits(t *testing.T) {
 	if n := pool.Outstanding(); n != 0 {
 		t.Fatalf("%d pooled buffers leaked (a declined prepared copy was not dropped)", n)
 	}
-}
-
-// TestPreReadHint pins what the tier tells the layers below it about a
-// whole-file miss: Kept exactly when its own admission rule, asked before
-// the read, says the sample will be promoted — below PromoteAfter it is
-// not, at the threshold into free space it is, a full tier's tie is not, a
-// hotter candidate is — while a hint that entered with the request passes
-// through, ranged reads carry none, and the warmer always hints.
-func TestPreReadHint(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		b, spy, names := spiedFixture(env, Config{FastCapacity: 2000, PromoteAfter: 2}, 4, 1000)
-		step := func(what string, kept, plain int, read func()) {
-			t.Helper()
-			k0, p0 := spy.kept, spy.plain
-			read()
-			if spy.kept-k0 != kept || spy.plain-p0 != plain {
-				t.Fatalf("%s: %d Kept + %d plain slow reads, want %d + %d", what, spy.kept-k0, spy.plain-p0, kept, plain)
-			}
-		}
-		step("first access, below PromoteAfter", 0, 1, func() { readTimes(t, b, names[0], 1) })
-		step("second access reaches the threshold, free space", 1, 0, func() { readTimes(t, b, names[0], 1) })
-		step("a resident is served by the tier", 0, 0, func() { readTimes(t, b, names[0], 1) })
-		step("fill the tier", 1, 1, func() { readTimes(t, b, names[1], 2) })
-		// The LRU tail is names[0], read three times.
-		step("full tier, candidate colder than the tail", 0, 3, func() { readTimes(t, b, names[2], 3) })
-		before := b.Stats()
-		step("three earlier reads tie with the tail", 0, 1, func() { readTimes(t, b, names[2], 1) })
-		step("four are strictly hotter", 1, 0, func() { readTimes(t, b, names[2], 1) })
-		if st := b.Stats(); st.Declined != before.Declined+1 || st.Evictions != before.Evictions+1 || !b.Resident(names[2]) {
-			t.Fatalf("the hint must not count: %+v after %+v", st, before)
-		}
-		step("a hint that entered passes through", 1, 0, func() {
-			if _, err := b.Read(storage.Request{Name: names[3], Kept: true}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		step("ranged reads carry no hint", 0, 1, func() {
-			if _, err := readRange(b, names[3], 0, 10); err != nil {
-				t.Fatal(err)
-			}
-		})
-	})
-	runSim(t, func(env conc.Env) {
-		b, spy, names := spiedFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 5}, 4, 1000)
-		b.PrefetchPlan(names)
-		env.Sleep(time.Second)
-		if st := b.Stats(); st.PrefetchPromotions != 4 || spy.kept != 4 || spy.plain != 0 {
-			t.Fatalf("warmer: %d Kept + %d plain reads for %d promotions; every warming read is Kept", spy.kept, spy.plain, st.PrefetchPromotions)
-		}
-		b.Close()
-	})
 }

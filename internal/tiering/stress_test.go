@@ -242,7 +242,7 @@ func TestCompressedResidentsPinWhatTheyCharge(t *testing.T) {
 		t.Fatalf("fixture should hold %d compressed residents: %+v", n, st)
 	}
 	var pinned int64
-	for el := b.order.Front(); el != nil; el = el.Next() {
+	for el := b.main.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
 		if !e.compressed {
 			t.Fatalf("%s: stored verbatim", e.name)

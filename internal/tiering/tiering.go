@@ -1,23 +1,34 @@
-// Package tiering implements the storage-tiering optimization the paper
-// lists as future work (§VII: "it would be interesting to explore the
-// impact of storage tiering policies under different datasets and
-// models"). It is a self-contained data-plane building block in the
-// paper's sense: a Backend that fronts a slow tier (parallel file system,
-// NFS share) with a capacity-bounded fast tier (local NVMe). A file is a
-// promotion candidate after a configurable number of accesses and enters
-// free space unconditionally; once room has to be made it is admitted only
-// over LRU-tail victims that are all strictly colder than it (roomLocked),
-// decided before any compression work. DL training reads every file once
-// per epoch (paper §IV), so over a working set larger than the tier every
-// name is equally hot: ties decline, the resident set goes stable and the
-// hit ratio is the tier's capacity fraction, where promote-on-every-miss
-// LRU swapped one resident per read and hit almost never; a name that does
-// become hotter than the residents still displaces them. In live mode the
-// fast tier retains real payload bytes (pool-reference-retained, optionally
-// LZ-compressed so the same byte budget holds more samples); in sim mode an
-// optional storage.Device models the fast tier's transfer costs.
-// PrefetchPlan warms the next epoch's cold samples into free fast-tier
-// space while the current epoch trains.
+// Package tiering is the serving chain's memory hierarchy: one
+// storage.Backend that keeps samples in process memory under one byte budget
+// so a read it can serve never reaches the slow tier below. It covers two of
+// the paper's §VII directions because they are one decision — which samples
+// live in memory: storage tiering ("the impact of storage tiering policies
+// under different datasets and models") and access coordination for jobs
+// sharing a dataset ("multiple DL jobs (that are oblivious of each other)
+// operating concurrently over the same dataset").
+//
+// A resident is raw (the slow tier's pooled buffer, retained) or, with
+// Compress, a private LZ-encoded copy that stretches the budget; compressed
+// hits decode in place into pooled buffers. A file is a promotion candidate
+// after a configurable number of accesses and enters free space
+// unconditionally; once room has to be made it is admitted only over LRU-tail
+// victims that are all strictly colder than it (roomLocked), decided before
+// any compression work. DL training reads every file once per epoch (paper
+// §IV), so over a working set larger than the budget every name is equally
+// hot: ties decline, the resident set goes stable and the hit ratio is the
+// budget's fraction of the set, where admit-every-miss LRU swapped one
+// resident per read and hit almost never; a name that does become hotter than
+// the residents still displaces them.
+//
+// Co-located jobs reading one dataset need the opposite rule: a sample one
+// job has just read is about to be read by the other. Concurrent misses of
+// one sample cost one slow read — the first reader fetches and the others
+// join its flight and are handed its payload — and an optional recency
+// window (Config.Window, the shared cache's budget) keeps, raw and LRU, every
+// miss the rule above turns away, so a job trailing another by less than the
+// window finds the sample resident. In sim mode an optional storage.Device
+// models the fast tier's transfer costs. PrefetchPlan warms the next epoch's
+// cold samples into free space while the current epoch trains.
 package tiering
 
 import (
@@ -42,9 +53,17 @@ const DefaultMaxTracked = 64 << 10
 
 // Config parameterizes the tiering policy.
 type Config struct {
-	// FastCapacity is the fast tier's byte budget (physical bytes: a
-	// compressed resident charges its compressed size).
+	// FastCapacity is the hierarchy's byte budget: what the residents pin (a
+	// compressed resident charges its compressed size, a pooled raw one its
+	// buffer's size class).
 	FastCapacity int64
+	// Window is the part of FastCapacity given to the recency window: a
+	// slow read the rest of the budget does not admit (below PromoteAfter,
+	// or no strictly colder victim) is kept there raw, evicting the
+	// window's own least recently used residents. Zero means no window;
+	// FastCapacity means the whole budget admits every miss, LRU. The warmer
+	// fills only the rest.
+	Window int64
 	// PromoteAfter is the access count at which a file becomes a
 	// candidate for the fast tier (1 = on first access). A candidate
 	// always enters free space; a full tier admits it only over strictly
@@ -74,13 +93,23 @@ func (c Config) Validate() error {
 	if c.MaxTracked < 0 {
 		return fmt.Errorf("tiering: max tracked %d < 0", c.MaxTracked)
 	}
+	if c.Window < 0 || c.Window > c.FastCapacity {
+		return fmt.Errorf("tiering: window %d outside [0, fast capacity %d]", c.Window, c.FastCapacity)
+	}
 	return nil
 }
 
-// Stats is a snapshot of tiering activity.
+// Stats is a snapshot of the hierarchy's activity.
 type Stats struct {
-	FastHits   int64
-	SlowReads  int64 // demand misses served by the slow tier
+	FastHits  int64 // reads served from a resident
+	SlowReads int64 // reads that went to the slow tier themselves
+	// Waits counts whole-file reads that joined another reader's (or the
+	// warmer's) in-flight slow read of the same name instead of issuing
+	// their own, and WaitTime the time they spent blocked on it — the
+	// hierarchy's share of the attribution split (always on, independent of
+	// trace sampling).
+	Waits      int64
+	WaitTime   time.Duration
 	Promotions int64
 	Evictions  int64
 	// Declined counts admissions refused because room had to be made and
@@ -95,25 +124,26 @@ type Stats struct {
 	PrefetchPromotions int64
 	PrefetchSkips      int64
 	// FastUsed is the physical byte occupancy; FastLogical the decoded
-	// sample volume those bytes represent (equal unless Compress).
+	// sample volume those bytes represent. Capacity is the whole budget and
+	// Window the recency window's part of it.
 	FastUsed    int64
 	FastLogical int64
 	Capacity    int64
+	Window      int64
 	Residents   int
 	// TrackedNames is the size of the non-residents' access-count map;
 	// AccessDecays counts the halving sweeps that bounded it.
 	TrackedNames int
 	AccessDecays int64
 	// PromoteTime is cumulative read-path promotion work (compression +
-	// admission) of admitted promotions and DecodeTime cumulative hit-path decompression — the
-	// tier's CPU contribution to the attribution split (always on,
-	// independent of trace sampling).
+	// admission) of admitted promotions and DecodeTime cumulative hit-path
+	// decompression — the tier's CPU contribution to the attribution split.
 	PromoteTime time.Duration
 	DecodeTime  time.Duration
 }
 
-// Backend is the tiered storage backend. It is safe for concurrent use
-// from threads of its environment.
+// Backend is the memory hierarchy over a slow backend. It is safe for
+// concurrent use from threads of its environment.
 type Backend struct {
 	env  conc.Env
 	cfg  Config
@@ -129,10 +159,12 @@ type Backend struct {
 
 	mu       conc.Mutex
 	planCond conc.Cond
-	resident map[string]*list.Element // name -> LRU element
-	order    *list.List               // front = most recently used
-	used     int64                    // physical bytes resident
-	logical  int64                    // decoded bytes resident
+	// fetched is broadcast when a slow read that other readers joined ends.
+	fetched  conc.Cond
+	resident map[string]*list.Element // name -> element in its segment's LRU
+	// main holds what the admission rule admitted and the warmer warmed;
+	// window the misses main turned away (Config.Window).
+	main, window segment
 	// accesses counts the reads of every name that is not resident; a
 	// resident's count lives in its entry (so a hit costs no map access),
 	// moving there on admission and back here on eviction.
@@ -142,6 +174,12 @@ type Backend struct {
 	// admitted: with less free space than that the warmer has nothing to
 	// offer and stops walking its plan.
 	minStored int64
+	// inflight holds the names whose whole file is being read from the slow
+	// tier, from the read's issue until the hierarchy has kept or dropped
+	// its payload, so a name has at most one slow read and one admission at
+	// a time. The slot stays nil until a second reader joins, so a miss
+	// nobody joins allocates nothing.
+	inflight map[string]*flight
 
 	// Next-epoch warming: the latest submitted plan and the lazily
 	// started worker that drains it.
@@ -152,6 +190,8 @@ type Backend struct {
 
 	fastHits     *metrics.Counter
 	slowReads    *metrics.Counter
+	waits        *metrics.Counter
+	waitTime     *metrics.Counter // nanoseconds joined readers spent blocked
 	promotions   *metrics.Counter
 	evictions    *metrics.Counter
 	declined     *metrics.Counter
@@ -163,12 +203,33 @@ type Backend struct {
 	tracer *obs.Tracer // nil-safe: spans only for sampled reads
 }
 
-// entry is one fast-tier resident. In live mode it owns the payload: an
-// uncompressed entry retains the backend's pooled reference (released on
-// eviction); a compressed entry owns a private compressed copy. In sim
-// mode bytes is nil and only the sizes matter.
+// segment is one part of the budget with its own LRU order.
+type segment struct {
+	order    *list.List // front = most recently used
+	capacity int64
+	used     int64 // physical bytes resident
+	logical  int64 // decoded bytes resident
+}
+
+// flight is one slow read that other readers joined. When the read ends the
+// reader that issued it publishes its payload here, retaining one pooled
+// reference for each reader already waiting; while the payload is being
+// kept the flight stays registered and done, and a reader arriving then
+// retains its own reference (the issuer's is live until it returns).
+type flight struct {
+	waiters int
+	done    bool
+	ok      bool
+	data    storage.Data
+}
+
+// entry is one resident. In live mode it owns the payload: a raw entry
+// retains the slow tier's pooled reference (released on eviction); a
+// compressed entry owns a private compressed copy. In sim mode bytes is nil
+// and only the sizes matter.
 type entry struct {
 	name       string
+	seg        *segment
 	size       int64 // decoded sample size
 	stored     int64 // physical bytes charged against FastCapacity
 	bytes      []byte
@@ -191,7 +252,7 @@ func (e *entry) drop() {
 // NewBackend builds a tiered backend: reads missing the fast tier go to
 // slow; promoted copies pay fastDevice write costs; hits pay fastDevice
 // read costs. fastDevice may be nil (live mode: the fast tier is process
-// memory standing in for local NVMe, and hits cost only the copy/decode).
+// memory, and hits cost only the copy/decode).
 func NewBackend(env conc.Env, cfg Config, slow storage.Backend, fastDevice *storage.Device) (*Backend, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -206,10 +267,14 @@ func NewBackend(env conc.Env, cfg Config, slow storage.Backend, fastDevice *stor
 		fastDevice:   fastDevice,
 		mu:           env.NewMutex(),
 		resident:     make(map[string]*list.Element),
-		order:        list.New(),
+		main:         segment{order: list.New(), capacity: cfg.FastCapacity - cfg.Window},
+		window:       segment{order: list.New(), capacity: cfg.Window},
 		accesses:     make(map[string]int),
+		inflight:     make(map[string]*flight),
 		fastHits:     metrics.NewCounter(env),
 		slowReads:    metrics.NewCounter(env),
+		waits:        metrics.NewCounter(env),
+		waitTime:     metrics.NewCounter(env),
 		promotions:   metrics.NewCounter(env),
 		evictions:    metrics.NewCounter(env),
 		declined:     metrics.NewCounter(env),
@@ -219,158 +284,278 @@ func NewBackend(env conc.Env, cfg Config, slow storage.Backend, fastDevice *stor
 		decodeTime:   metrics.NewCounter(env),
 	}
 	b.planCond = env.NewCond(b.mu)
+	b.fetched = env.NewCond(b.mu)
 	b.scratch.New = func() any { return new([]byte) }
 	return b, nil
 }
 
-// SetTracer attaches the lifecycle tracer: sampled reads then record
-// tier-promote and recordio-decompress spans, and the warming worker
-// records tier-warm spans on its own (head-sampled) traces. Nil disables
-// spans; the promote/decode time counters stay on either way.
+// SetTracer attaches the lifecycle tracer: sampled reads then record hit,
+// miss, coalesce, tier-promote and recordio-decompress spans, and the warming
+// worker records tier-warm spans on its own (head-sampled) traces. Nil
+// disables spans; the wait, promote and decode time counters stay on either
+// way.
 func (b *Backend) SetTracer(t *obs.Tracer) { b.tracer = t }
 
 // Read implements storage.Backend, dispatching on the request class.
 //
-// A whole-file read is served from the fast tier when resident and
-// otherwise from the slow tier, promoting per the policy; the tier's
-// attributable work — hit-path decompression and read-path promotion — is
-// recorded as spans on the read's trace when it is sampled.
+// A whole-file read is served from a resident when there is one and
+// otherwise by a slow read — its own, kept per the policy, or one already in
+// flight for the same name (a reader's or the warmer's), whose payload it is
+// handed.
 //
-// A ranged read of an uncompressed fast-tier resident is served as
-// zero-copy slices of the resident payload (each view retaining its pool
-// reference), charged to the fast device as one request for the total
-// bytes and counted as hits; anything else — miss, compressed resident
-// (slicing it would need a decode of the whole record, which the
-// whole-file hit path already covers), negative range left for the slow
-// tier to reject — goes to the slow tier as one request, with the access
-// recorded in the name's access count so range-heavy workloads show up in
-// tier accounting instead of silently bypassing it. No promotion is
-// attempted: a range carries only part of the payload, so there is
-// nothing complete to admit.
+// A ranged read of a raw resident is served as zero-copy slices of the
+// resident payload (each view retaining its pool reference), charged to the
+// fast device as one request for the total bytes and counted as hits.
+// Anything else — miss, compressed resident (slicing it would need a decode
+// of the whole record, which the whole-file hit path already covers) — goes
+// to the slow tier as one request, with the access recorded in the name's
+// count so range-heavy workloads show up in tier accounting. A range is
+// neither joined nor kept: the whole-file reads Open's stage issues are the
+// traffic the hierarchy is for. Negative ranges pass through for the slow
+// tier to reject.
 func (b *Backend) Read(req storage.Request) (storage.Response, error) {
-	if len(req.Ranges) > 0 {
-		if req.Validate() == nil {
-			if views, ok := b.rangesFromResident(req); ok {
-				return storage.Response{Views: views}, nil
-			}
-		}
-		resp, err := b.slow.Read(req)
-		if err != nil {
-			return resp, err
-		}
-		b.slowReads.Inc()
-		b.mu.Lock()
-		if el, res := b.resident[req.Name]; res {
-			el.Value.(*entry).count++ // a compressed resident: still a read of it
-		} else {
-			b.noteAccessLocked(req.Name)
-		}
-		b.mu.Unlock()
-		return resp, nil
+	switch {
+	case len(req.Ranges) == 0:
+		return b.fetch(req)
+	case req.Validate() != nil:
+		return b.slow.Read(req)
 	}
-	name, ctx := req.Name, req.Ctx
-	b.mu.Lock()
-	if el, hit := b.resident[name]; hit {
-		b.order.MoveToFront(el)
-		// Snapshot the entry under the lock: a concurrent admit may evict
-		// this element the moment we release it. The retained reference
-		// keeps the payload alive past the unlock even if it does.
-		e := el.Value.(*entry)
-		e.count++
-		size, stored, compressed := e.size, e.stored, e.compressed
-		bytes, ref := e.bytes, e.ref
-		if ref != nil {
-			ref.Retain()
-		}
-		b.mu.Unlock()
-
-		b.fastHits.Inc()
-		if b.fastDevice != nil {
-			b.fastDevice.Read(stored)
-		}
-		if bytes == nil || !compressed {
-			// Modeled fast tier: sizes only. Otherwise the retained
-			// reference transfers to the caller (§11 single-ownership: the
-			// caller releases as usual).
-			return storage.Response{Data: storage.Data{Name: name, Size: size, Bytes: bytes, Ref: ref}}, nil
-		}
-		dst, dstRef := b.sampleBuf(int(size))
-		decStart := b.env.Now()
-		err := recordio.DecompressInto(dst, bytes)
-		decDur := b.env.Now() - decStart
-		b.decodeTime.Add(int64(decDur))
-		if ctx.Sampled {
-			sp := obs.Span{Trace: ctx.Trace, Stage: obs.StageDecompress, Name: name, At: decStart, Latency: decDur, Size: size}
-			if err != nil {
-				sp.Error = err.Error()
-			}
-			b.tracer.Record(sp)
-		}
-		if ref != nil {
-			ref.Release()
-		}
-		if err != nil {
-			if dstRef != nil {
-				dstRef.Release()
-			}
-			return storage.Response{}, fmt.Errorf("tiering: fast-tier decode of %s: %w", name, err)
-		}
-		return storage.Response{Data: storage.Data{Name: name, Size: size, Bytes: dst, Ref: dstRef}}, nil
+	if views, ok := b.rangesFromResident(req); ok {
+		return storage.Response{Views: views}, nil
 	}
-	// Tell the layers below whether this miss is about to become a resident
-	// here, so the shared cache does not retain a second copy of it.
-	req.Kept = req.Kept || b.willPromoteLocked(name)
-	b.mu.Unlock()
-
 	resp, err := b.slow.Read(req)
 	if err != nil {
 		return resp, err
 	}
-	data := resp.Data
 	b.slowReads.Inc()
-
-	// Decide under one lock hold: a name that became resident while this
-	// read was in flight (a racing misser or the warmer won) needs neither
-	// an access count nor a second resident copy prepared, and a candidate
-	// the tier would refuse anyway is refused here, on its estimated stored
-	// size — before the compression, the copy and the second lock round.
 	b.mu.Lock()
-	promote, earlier := false, 0
-	if _, res := b.resident[name]; !res {
-		b.noteAccessLocked(name)
-		if n := b.accesses[name]; n >= b.cfg.PromoteAfter && data.Size <= b.cfg.FastCapacity {
-			earlier = n - 1
-			promote = b.roomLocked(b.estimateStoredLocked(data), earlier)
-		}
+	if el, res := b.resident[req.Name]; res {
+		el.Value.(*entry).count++ // compressed, or it would have been sliced
+	} else {
+		b.noteAccessLocked(req.Name)
 	}
 	b.mu.Unlock()
-	if !promote {
-		return resp, nil
+	return resp, nil
+}
+
+// fetch serves a whole-file read: from a resident, from the payload of the
+// name's slow read already in flight, or from a slow read of its own. Every
+// read that is not a hit counts one access on the name — a joined read when
+// it joins, so the issuing reader's admission decision sees it, as it would
+// see the same read a moment earlier.
+func (b *Backend) fetch(req storage.Request) (storage.Response, error) {
+	name := req.Name
+	var waitStart, waited time.Duration
+	counted := false
+	b.mu.Lock()
+	for {
+		if el, hit := b.resident[name]; hit {
+			resp, err := b.hitLocked(el, req) // unlocks b.mu
+			b.noteWait(req, waitStart, waited)
+			return resp, err
+		}
+		f, busy := b.inflight[name]
+		if !busy {
+			break
+		}
+		// Another read of this name is in flight: join it instead of
+		// issuing a duplicate slow read.
+		b.waits.Inc()
+		if !counted {
+			b.noteAccessLocked(name)
+			counted = true
+		}
+		if f == nil {
+			f = new(flight)
+			b.inflight[name] = f
+		}
+		if f.done {
+			// The payload is being kept: the issuer still holds its reference.
+			if f.data.Ref != nil {
+				f.data.Ref.Retain()
+			}
+		} else {
+			f.waiters++
+			begin := b.env.Now()
+			if waited == 0 {
+				waitStart = begin
+			}
+			for !f.done {
+				b.fetched.Wait()
+			}
+			waited += b.env.Now() - begin
+		}
+		if f.ok {
+			b.mu.Unlock()
+			b.noteWait(req, waitStart, waited)
+			if req.Ctx.Sampled {
+				b.tracer.Record(obs.Span{Trace: req.Ctx.Trace, Stage: obs.StageCacheHit, Name: name, At: b.env.Now(), Size: f.data.Size})
+			}
+			return storage.Response{Data: f.data}, nil
+		}
+		// The read it joined failed: go round and read it itself.
+	}
+	b.inflight[name] = nil
+	b.mu.Unlock()
+	b.noteWait(req, waitStart, waited)
+
+	var fetchStart time.Duration
+	if req.Ctx.Sampled {
+		fetchStart = b.env.Now()
+	}
+	resp, err := b.slow.Read(req)
+	data := resp.Data
+	if req.Ctx.Sampled {
+		sp := obs.Span{Trace: req.Ctx.Trace, Stage: obs.StageCacheMiss, Name: name, At: fetchStart, Latency: b.env.Now() - fetchStart, Size: data.Size}
+		if err != nil {
+			sp.Error = err.Error()
+		}
+		b.tracer.Record(sp)
 	}
 
-	// Prepare the resident copy outside the lock (compression is CPU
-	// work), then race to admit: misses on the same name that all passed
-	// the check above reach here together, but only the winner charges
-	// the fast device, the promotion counter and the promote time.
-	promStart := b.env.Now()
+	b.mu.Lock()
+	if err != nil {
+		b.settleLocked(name, data, false, false)
+		b.mu.Unlock()
+		return resp, err
+	}
+	b.slowReads.Inc()
+	if !counted {
+		b.noteAccessLocked(name)
+	}
+	// Decide under the same lock hold, so a candidate main would refuse
+	// anyway is refused here, on its estimated stored size — before the
+	// compression, the copy and the second lock round — and goes to the
+	// window instead, which takes it raw right here.
+	n := b.accesses[name]
+	promote := n >= b.cfg.PromoteAfter && data.Size <= b.main.capacity &&
+		b.roomLocked(b.estimateStoredLocked(data), n-1)
+	if !promote && b.window.capacity > 0 {
+		b.admitWindowLocked(name, data)
+	}
+	b.settleLocked(name, data, true, promote)
+	b.mu.Unlock()
+	if promote {
+		promStart := b.env.Now()
+		if stored, ok := b.promote(name, data, n-1); ok {
+			promDur := b.env.Now() - promStart
+			b.promoteTime.Add(int64(promDur))
+			b.promotions.Inc()
+			if b.fastDevice != nil {
+				b.fastDevice.Write(stored) // copy-in cost
+			}
+			if req.Ctx.Sampled {
+				b.tracer.Record(obs.Span{Trace: req.Ctx.Trace, Stage: obs.StageTierPromote, Name: name, At: promStart, Latency: promDur, Size: stored})
+			}
+		}
+	}
+	return resp, nil
+}
+
+// settleLocked ends the slow read of name the caller issued: the readers
+// already waiting on it are handed its payload, one pooled reference each,
+// or told it failed. With keep the flight stays registered, done, while the
+// caller prepares the resident copy outside the lock — promote retires it —
+// so a reader arriving meanwhile is handed the payload too rather than
+// issuing a second slow read and a second admission. Caller holds b.mu.
+func (b *Backend) settleLocked(name string, data storage.Data, ok, keep bool) {
+	f := b.inflight[name]
+	if f == nil && keep {
+		f = new(flight)
+		b.inflight[name] = f
+	}
+	if f != nil {
+		f.done, f.ok, f.data = true, ok, data
+		if ok && data.Ref != nil {
+			for i := 0; i < f.waiters; i++ {
+				data.Ref.Retain()
+			}
+		}
+		b.fetched.Broadcast()
+	}
+	if !keep {
+		delete(b.inflight, name)
+	}
+}
+
+// hitLocked serves a whole-file read from the resident el and unlocks b.mu.
+func (b *Backend) hitLocked(el *list.Element, req storage.Request) (storage.Response, error) {
+	// Snapshot the entry under the lock: a concurrent admit may evict this
+	// element the moment we release it. The retained reference keeps the
+	// payload alive past the unlock even if it does.
+	e := el.Value.(*entry)
+	e.seg.order.MoveToFront(el)
+	e.count++
+	size, stored, compressed := e.size, e.stored, e.compressed
+	bytes, ref := e.bytes, e.ref
+	if ref != nil {
+		ref.Retain()
+	}
+	b.mu.Unlock()
+
+	name, ctx := req.Name, req.Ctx
+	b.fastHits.Inc()
+	if b.fastDevice != nil {
+		b.fastDevice.Read(stored)
+	}
+	if ctx.Sampled {
+		b.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageCacheHit, Name: name, At: b.env.Now(), Size: size})
+	}
+	if bytes == nil || !compressed {
+		// Modeled fast tier: sizes only. Otherwise the retained reference
+		// transfers to the caller (§11 single-ownership: the caller
+		// releases as usual).
+		return storage.Response{Data: storage.Data{Name: name, Size: size, Bytes: bytes, Ref: ref}}, nil
+	}
+	dst, dstRef := b.sampleBuf(int(size))
+	decStart := b.env.Now()
+	err := recordio.DecompressInto(dst, bytes)
+	decDur := b.env.Now() - decStart
+	b.decodeTime.Add(int64(decDur))
+	if ctx.Sampled {
+		sp := obs.Span{Trace: ctx.Trace, Stage: obs.StageDecompress, Name: name, At: decStart, Latency: decDur, Size: size}
+		if err != nil {
+			sp.Error = err.Error()
+		}
+		b.tracer.Record(sp)
+	}
+	if err != nil {
+		if dstRef != nil {
+			dstRef.Release()
+		}
+		return storage.Response{}, fmt.Errorf("tiering: fast-tier decode of %s: %w", name, err)
+	}
+	return storage.Response{Data: storage.Data{Name: name, Size: size, Bytes: dst, Ref: dstRef}}, nil
+}
+
+// promote prepares main's copy of a slow read the caller issued and kept its
+// flight for (settleLocked), outside the lock (compression is CPU work), then
+// admits it and retires the flight in one critical section, so no reader of
+// the name is ever between the two. It reports the stored size and whether
+// the copy entered main.
+func (b *Backend) promote(name string, data storage.Data, earlier int) (int64, bool) {
 	e := b.prepareEntry(name, data)
 	b.mu.Lock()
 	admitted := b.admitLocked(e, earlier)
+	delete(b.inflight, name)
 	b.mu.Unlock()
-	if admitted {
-		promDur := b.env.Now() - promStart
-		b.promoteTime.Add(int64(promDur))
-		b.promotions.Inc()
-		if b.fastDevice != nil {
-			b.fastDevice.Write(e.stored) // copy-in cost
-		}
-		if ctx.Sampled {
-			b.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageTierPromote, Name: name, At: promStart, Latency: promDur, Size: e.stored})
-		}
-	} else {
+	if !admitted {
 		e.drop()
 	}
-	return resp, nil
+	return e.stored, admitted
+}
+
+// noteWait folds one completed wait on another reader's slow read into the
+// always-on wait-time counter and, for sampled reads, records the joined
+// reader's coalesce span.
+func (b *Backend) noteWait(req storage.Request, start, waited time.Duration) {
+	if waited <= 0 {
+		return
+	}
+	b.waitTime.Add(int64(waited))
+	if req.Ctx.Sampled {
+		b.tracer.Record(obs.Span{Trace: req.Ctx.Trace, Stage: obs.StageCacheCoalesce, Name: req.Name, At: start, Latency: waited})
+	}
 }
 
 // sampleBuf returns a decode destination of n bytes, pooled when a pool
@@ -383,30 +568,33 @@ func (b *Backend) sampleBuf(n int) ([]byte, *mempool.Ref) {
 	return make([]byte, n), nil
 }
 
-// prepareEntry builds the fast-tier resident for a slow-tier read. Live
-// uncompressed entries alias the payload and retain its pooled reference;
-// compressed entries own a private compressed copy (pool buffers are not
-// held hostage at compressed lifetimes) of exactly the stored size, so
-// the bytes the tier pins are the bytes FastCapacity is charged; modeled
-// reads carry sizes only.
+// prepareEntry builds the resident for a slow-tier read. Compressed entries
+// own a private compressed copy (pool buffers are not held hostage at
+// compressed lifetimes) of exactly the stored size; raw entries alias the
+// payload and retain its pooled reference, and are charged the whole buffer
+// they pin, not just the payload's length — so the bytes the tier pins are
+// the bytes FastCapacity is charged. Modeled reads carry sizes only.
 func (b *Backend) prepareEntry(name string, data storage.Data) *entry {
-	e := &entry{name: name, size: data.Size, stored: data.Size}
-	if data.Bytes == nil {
-		return e
-	}
-	if b.cfg.Compress {
+	if b.cfg.Compress && data.Bytes != nil {
 		if comp, ok := b.compress(data.Bytes); ok {
-			e.bytes = comp
-			e.stored = int64(len(comp))
-			e.compressed = true
-			return e
+			return &entry{name: name, seg: &b.main, size: data.Size, stored: int64(len(comp)), bytes: comp, compressed: true}
 		}
 	}
-	if data.Ref != nil {
-		data.Ref.Retain()
-		e.ref = data.Ref
+	e := rawEntry(name, data)
+	e.seg = &b.main
+	if e.ref != nil {
+		e.ref.Retain()
 	}
-	e.bytes = data.Bytes
+	return e
+}
+
+// rawEntry describes a resident that aliases data's payload, charged the
+// buffer it would pin; the caller retains e.ref when it keeps the entry.
+func rawEntry(name string, data storage.Data) *entry {
+	e := &entry{name: name, size: data.Size, stored: data.Size, bytes: data.Bytes, ref: data.Ref}
+	if data.Ref != nil {
+		e.stored = int64(data.Ref.Cap())
+	}
 	return e
 }
 
@@ -445,11 +633,11 @@ func (b *Backend) roomLocked(stored int64, earlier int) bool {
 // The read in flight is not counted on the candidate's side: the LRU tail
 // is by construction the residents this epoch's scan has not reached yet,
 // and a one-read head start over exactly those would evict each of them
-// just before its next use. Nothing is evicted and nothing counted here, so
-// the rule can also be asked ahead of a read. Caller holds b.mu.
+// just before its next use. Nothing is evicted and nothing counted here.
+// Caller holds b.mu.
 func (b *Backend) fitsLocked(stored int64, earlier int) bool {
-	need := b.used + stored - b.cfg.FastCapacity
-	for el := b.order.Back(); need > 0; el = el.Prev() {
+	need := b.main.used + stored - b.main.capacity
+	for el := b.main.order.Back(); need > 0; el = el.Prev() {
 		if el == nil || el.Value.(*entry).count >= earlier {
 			return false
 		}
@@ -458,67 +646,65 @@ func (b *Backend) fitsLocked(stored int64, earlier int) bool {
 	return true
 }
 
-// willPromoteLocked predicts, before the slow read of a whole-file miss,
-// whether the read will end in a promotion: the admission rule asked with
-// the count the name has now and, its size being unknown until it is read,
-// the residents' mean stored size. It changes no count and no counter; the
-// decision after the read stands on its own, so a wrong prediction costs
-// one sample held by two layers (predicted declined, promoted) or by none
-// (predicted promoted, declined) until its next read. Caller holds b.mu.
-func (b *Backend) willPromoteLocked(name string) bool {
-	earlier := b.accesses[name]
-	if earlier+1 < b.cfg.PromoteAfter {
-		return false
-	}
-	var mean int64
-	if n := len(b.resident); n > 0 {
-		mean = b.used / int64(n)
-	}
-	return b.fitsLocked(mean, earlier)
-}
-
 // estimateStoredLocked predicts what a slow-tier read would charge against
-// FastCapacity once prepared — its size scaled by the running stored/logical
-// ratio of the residents when payloads are compressed — so the admission
-// rule can run before the compression does. admitLocked re-checks with the
-// exact size. Caller holds b.mu.
+// main once prepared — its size scaled by the running stored/logical ratio of
+// main's residents — so the admission rule can run before the compression
+// does. admitLocked re-checks with the exact size. Caller holds b.mu.
 func (b *Backend) estimateStoredLocked(data storage.Data) int64 {
-	if !b.cfg.Compress || data.Bytes == nil || b.logical == 0 {
+	if data.Bytes == nil || b.main.logical == 0 {
 		return data.Size
 	}
-	return int64(float64(data.Size) * float64(b.used) / float64(b.logical))
+	return int64(float64(data.Size) * float64(b.main.used) / float64(b.main.logical))
 }
 
-// admitLocked inserts the prepared entry, evicting the LRU residents
-// roomLocked allows it to displace (none when earlier is 0, which is how
-// the warmer never evicts). It reports whether the entry actually entered
-// the tier — a duplicate (another reader won the race), an entry larger
-// than the whole tier, or one with no strictly colder victims to make its
-// exact stored size fit all decline, so an under-estimate at decision time
-// cannot over-commit FastCapacity. Caller holds b.mu.
+// admitLocked inserts the prepared entry into main, evicting the LRU
+// residents roomLocked allows it to displace (none when earlier is 0, which
+// is how the warmer never evicts). It reports whether the entry actually
+// entered — one larger than main, or one with no strictly colder victims to
+// make its exact stored size fit, declines, so an under-estimate at decision
+// time cannot over-commit the budget. The name's flight guarantees nobody
+// else is admitting it. Caller holds b.mu.
 func (b *Backend) admitLocked(e *entry, earlier int) bool {
-	if b.closed {
+	if b.closed || e.stored > b.main.capacity || !b.roomLocked(e.stored, earlier) {
 		return false
 	}
-	if _, dup := b.resident[e.name]; dup {
-		return false
-	}
-	if e.stored > b.cfg.FastCapacity || !b.roomLocked(e.stored, earlier) {
-		return false
-	}
-	for b.used+e.stored > b.cfg.FastCapacity {
-		b.evictLocked(b.order.Back())
-		b.evictions.Inc()
-	}
-	e.count = b.accesses[e.name]
-	delete(b.accesses, e.name)
-	b.resident[e.name] = b.order.PushFront(e)
-	b.used += e.stored
-	b.logical += e.size
+	b.insertLocked(e)
 	if e.stored > 0 && (b.minStored == 0 || e.stored < b.minStored) {
 		b.minStored = e.stored
 	}
 	return true
+}
+
+// admitWindowLocked keeps a slow read main turned away in the recency
+// window, raw, evicting the window's least recently used residents to make
+// room: the shared cache's rule, for the job about to read the same sample.
+// Caller holds b.mu.
+func (b *Backend) admitWindowLocked(name string, data storage.Data) {
+	e := rawEntry(name, data)
+	if b.closed || e.stored > b.window.capacity {
+		return
+	}
+	if e.ref != nil {
+		e.ref.Retain()
+	}
+	e.seg = &b.window
+	b.insertLocked(e)
+}
+
+// insertLocked makes e resident at the front of its segment, first evicting
+// the segment's least recently used residents until it fits (the caller has
+// checked that it may), and moves the name's access count onto it. Caller
+// holds b.mu.
+func (b *Backend) insertLocked(e *entry) {
+	for e.seg.used+e.stored > e.seg.capacity {
+		b.evictLocked(e.seg.order.Back())
+		b.evictions.Inc()
+	}
+	e.count = b.accesses[e.name]
+	delete(b.accesses, e.name)
+	b.resident[e.name] = e.seg.order.PushFront(e)
+	e.seg.used += e.stored
+	e.seg.logical += e.size
 }
 
 // evictLocked removes one resident, releases its payload hold and hands its
@@ -526,10 +712,10 @@ func (b *Backend) admitLocked(e *entry, earlier int) bool {
 // standing across eviction. Caller holds b.mu.
 func (b *Backend) evictLocked(el *list.Element) {
 	victim := el.Value.(*entry)
-	b.order.Remove(el)
+	victim.seg.order.Remove(el)
 	delete(b.resident, victim.name)
-	b.used -= victim.stored
-	b.logical -= victim.size
+	victim.seg.used -= victim.stored
+	victim.seg.logical -= victim.size
 	victim.drop()
 	if victim.count > 0 {
 		b.trackLocked(victim.name, victim.count)
@@ -560,8 +746,10 @@ func (b *Backend) decayAccessesLocked() {
 			b.accesses[name] = n
 		}
 	}
-	for el := b.order.Front(); el != nil; el = el.Next() {
-		el.Value.(*entry).count /= 2
+	for _, seg := range []*segment{&b.main, &b.window} {
+		for el := seg.order.Front(); el != nil; el = el.Next() {
+			el.Value.(*entry).count /= 2
+		}
 	}
 	b.decays++
 }
@@ -606,7 +794,7 @@ func (b *Backend) prefetchLoop() {
 			b.mu.Lock()
 			stale := b.closed || b.planGen != gen
 			_, res := b.resident[name]
-			free := b.cfg.FastCapacity - b.used
+			free := b.main.capacity - b.main.used
 			full := free < b.minStored
 			b.mu.Unlock()
 			if stale {
@@ -627,43 +815,47 @@ func (b *Backend) prefetchLoop() {
 	}
 }
 
-// warm reads one non-resident plan entry from the slow tier into free
-// fast-tier space and reports whether it was admitted.
+// warm reads one non-resident plan entry from the slow tier into free space
+// in main and reports whether it was admitted. The read is the name's flight
+// like a demand miss's, so a demand read of the same name joins it instead
+// of issuing a second slow read, and is skipped when a demand read is
+// already fetching the name.
 func (b *Backend) warm(name string, free int64) bool {
 	size, err := b.slow.Size(name)
 	if err != nil || size > free {
 		return false
 	}
+	b.mu.Lock()
+	_, res := b.resident[name]
+	_, busy := b.inflight[name]
+	if res || busy || b.closed {
+		b.mu.Unlock()
+		return false
+	}
+	b.inflight[name] = nil
+	b.mu.Unlock()
 	// Warming runs off the consumer read path, so each warmed file gets
 	// its own head-sampled trace instead of riding a read's.
 	ctx := b.tracer.StartTrace()
 	warmStart := b.env.Now()
-	// The warmer only reads what it is about to keep (there is free space
-	// for it), so the layers below need not.
-	resp, err := b.slow.Read(storage.Request{Name: name, Ctx: ctx, Kept: true})
+	resp, err := b.slow.Read(storage.Request{Name: name, Ctx: ctx})
+	b.mu.Lock()
+	b.settleLocked(name, resp.Data, err == nil, err == nil)
+	b.mu.Unlock()
 	if err != nil {
 		return false
 	}
 	defer resp.Data.Release()
-	// A demand miss may have admitted the name while the read was in
-	// flight; do not compress a copy admitLocked would only throw away.
-	if b.Resident(name) {
-		return false
-	}
-	e := b.prepareEntry(name, resp.Data)
-	b.mu.Lock()
-	admitted := b.admitLocked(e, 0)
-	b.mu.Unlock()
+	stored, admitted := b.promote(name, resp.Data, 0)
 	if !admitted {
-		e.drop()
 		return false
 	}
 	b.prefPromoted.Inc()
 	if b.fastDevice != nil {
-		b.fastDevice.Write(e.stored)
+		b.fastDevice.Write(stored)
 	}
 	if ctx.Sampled {
-		b.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageTierWarm, Name: name, At: warmStart, Latency: b.env.Now() - warmStart, Size: e.stored})
+		b.tracer.Record(obs.Span{Trace: ctx.Trace, Stage: obs.StageTierWarm, Name: name, At: warmStart, Latency: b.env.Now() - warmStart, Size: stored})
 	}
 	return true
 }
@@ -671,10 +863,10 @@ func (b *Backend) warm(name string, free int64) bool {
 // Size implements storage.Backend (metadata comes from the slow tier).
 func (b *Backend) Size(name string) (int64, error) { return b.slow.Size(name) }
 
-// rangesFromResident slices every range of req from one uncompressed (or
-// modeled) resident, each view clamped per the read contract and retaining
-// the resident's pool reference; !ok when the name is not resident or is
-// stored compressed.
+// rangesFromResident slices every range of req from one raw (or modeled)
+// resident, each view clamped per the read contract and retaining the
+// resident's pool reference; !ok when the name is not resident or is stored
+// compressed.
 func (b *Backend) rangesFromResident(req storage.Request) ([]storage.Data, bool) {
 	b.mu.Lock()
 	el, hit := b.resident[req.Name]
@@ -682,8 +874,8 @@ func (b *Backend) rangesFromResident(req storage.Request) ([]storage.Data, bool)
 		b.mu.Unlock()
 		return nil, false
 	}
-	b.order.MoveToFront(el)
 	e := el.Value.(*entry)
+	e.seg.order.MoveToFront(el)
 	e.count++
 	whole := storage.Data{Name: req.Name, Size: e.size, Bytes: e.bytes, Ref: e.ref}
 	views := req.Out
@@ -725,7 +917,8 @@ func (b *Backend) Resident(name string) bool {
 }
 
 // Close stops the warming worker and releases every resident payload so
-// end-of-run leak audits see a clean pool.
+// end-of-run leak audits see a clean pool. Reads still pass through
+// afterwards; nothing is admitted.
 func (b *Backend) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -735,20 +928,24 @@ func (b *Backend) Close() {
 	b.closed = true
 	b.plan = nil
 	b.planCond.Broadcast()
-	for el := b.order.Back(); el != nil; el = b.order.Back() {
-		b.evictLocked(el)
+	for _, seg := range []*segment{&b.main, &b.window} {
+		for el := seg.order.Back(); el != nil; el = seg.order.Back() {
+			b.evictLocked(el)
+		}
 	}
 }
 
-// Stats snapshots tiering counters.
+// Stats snapshots the hierarchy's counters.
 func (b *Backend) Stats() Stats {
 	b.mu.Lock()
-	used, logical, residents := b.used, b.logical, len(b.resident)
+	used, logical, residents := b.main.used+b.window.used, b.main.logical+b.window.logical, len(b.resident)
 	tracked, decays := len(b.accesses), b.decays
 	b.mu.Unlock()
 	return Stats{
 		FastHits:           b.fastHits.Value(),
 		SlowReads:          b.slowReads.Value(),
+		Waits:              b.waits.Value(),
+		WaitTime:           time.Duration(b.waitTime.Value()),
 		Promotions:         b.promotions.Value(),
 		Evictions:          b.evictions.Value(),
 		Declined:           b.declined.Value(),
@@ -757,6 +954,7 @@ func (b *Backend) Stats() Stats {
 		FastUsed:           used,
 		FastLogical:        logical,
 		Capacity:           b.cfg.FastCapacity,
+		Window:             b.cfg.Window,
 		Residents:          residents,
 		TrackedNames:       tracked,
 		AccessDecays:       decays,

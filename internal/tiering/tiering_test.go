@@ -27,29 +27,13 @@ func runSim(t *testing.T, body func(env conc.Env)) {
 // tieredFixture builds a slow NFS-like backend plus a fast NVMe-like
 // device with n files of the given size.
 func tieredFixture(env conc.Env, cfg Config, n int, size int64) (*Backend, []string) {
-	b, _, names := spiedFixture(env, cfg, n, size)
+	b, _, names := deviceFixture(env, cfg, n, size)
 	return b, names
 }
 
-// keptSpy sits where the shared cache does in the serving chain and counts
-// the slow reads by the residency hint they carried.
-type keptSpy struct {
-	storage.Backend
-	kept, plain int
-}
-
-func (s *keptSpy) Read(req storage.Request) (storage.Response, error) {
-	if req.Kept {
-		s.kept++
-	} else {
-		s.plain++
-	}
-	return s.Backend.Read(req)
-}
-
-// spiedFixture is tieredFixture with a keptSpy between the tier and its
-// slow backend.
-func spiedFixture(env conc.Env, cfg Config, n int, size int64) (*Backend, *keptSpy, []string) {
+// deviceFixture is tieredFixture that also returns the slow tier's device,
+// whose read count is the number of reads that reached it.
+func deviceFixture(env conc.Env, cfg Config, n int, size int64) (*Backend, *storage.Device, []string) {
 	samples := make([]dataset.Sample, n)
 	names := make([]string, n)
 	for i := range samples {
@@ -69,12 +53,11 @@ func spiedFixture(env conc.Env, cfg Config, n int, size int64) (*Backend, *keptS
 	if err != nil {
 		panic(err)
 	}
-	spy := &keptSpy{Backend: storage.NewModeledBackend(man, slowDev, nil)}
-	b, err := NewBackend(env, cfg, spy, fastDev)
+	b, err := NewBackend(env, cfg, storage.NewModeledBackend(man, slowDev, nil), fastDev)
 	if err != nil {
 		panic(err)
 	}
-	return b, spy, names
+	return b, slowDev, names
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -306,11 +289,10 @@ type tickEnv struct {
 func (e *tickEnv) Now() time.Duration { return time.Duration(e.ticks.Add(1)) * time.Millisecond }
 
 func TestConcurrentMissesChargeOneWinner(t *testing.T) {
-	// Eight readers miss on the same name at once; all eight slow-tier
-	// reads are in flight together. Only one may enter the tier — the
-	// others find the name resident when their read returns and must
-	// neither prepare a second copy, nor inflate the promotion counter,
-	// nor charge the fast device or the promote time.
+	// Eight readers miss on the same name at once: one slow-tier read, which
+	// the other seven join and are handed. Only that read may enter the tier
+	// — the joined readers must neither prepare a second copy, nor inflate
+	// the promotion counter, nor charge the fast device or the promote time.
 	runSim(t, func(env conc.Env) {
 		fix, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 1, 1000)
 		b, err := NewBackend(&tickEnv{Env: env}, fix.cfg, fix.slow, fix.fastDevice)
@@ -335,8 +317,8 @@ func TestConcurrentMissesChargeOneWinner(t *testing.T) {
 		if st.Residents != 1 || st.FastUsed != 1000 {
 			t.Fatalf("stats = %+v, want one 1000-byte resident", st)
 		}
-		if st.SlowReads != 8 || st.FastHits != 0 {
-			t.Fatalf("8 concurrent misses accounted as %d slow + %d fast", st.SlowReads, st.FastHits)
+		if st.SlowReads != 1 || st.Waits != 7 || st.FastHits != 0 {
+			t.Fatalf("8 concurrent misses accounted as %d slow + %d joined + %d fast, want 1 + 7 + 0", st.SlowReads, st.Waits, st.FastHits)
 		}
 		if st.PromoteTime != time.Millisecond {
 			t.Fatalf("promote time = %v, want one tick (1ms): only the winner charges it", st.PromoteTime)

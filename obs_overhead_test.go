@@ -17,7 +17,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
-	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
@@ -113,16 +112,12 @@ func (m memBackend) Size(name string) (int64, error) { return int64(len(m.payloa
 
 // runServingChain drives perWorker unplanned tenant reads per worker through
 // the full PR 6/7 serving chain — tenant admission gate with an SLO
-// objective attached, shared cache, fast tier — and returns the makespan.
+// objective attached, the memory hierarchy — and returns the makespan.
 func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Duration {
 	t.Helper()
 	const workers = 8
 	env := conc.NewReal()
-	cache, err := sharedcache.New(env, memBackend{payload: make([]byte, 4096)}, 1<<24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 1 << 24, PromoteAfter: 1}, cache, nil)
+	tb, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 1 << 24, PromoteAfter: 1}, memBackend{payload: make([]byte, 4096)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +133,7 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 	stage := core.NewStage(env, tb, core.NewPrefetchObject(pf))
 	defer stage.Close()
 	defer tb.Close()
-	defer cache.Close()
 	stage.SetTracer(tracer)
-	cache.SetTracer(tracer)
 	tb.SetTracer(tracer)
 	mgr, err := tenancy.New(env, tenancy.Config{Capacity: 1e9})
 	if err != nil {
@@ -178,8 +171,8 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 }
 
 // TestServingChainOverheadGate is TestTracingOverheadGate for the serving
-// path: with tenancy (SLO tracking included), the shared cache, and the
-// fast tier all enabled, a sampling-0 tracer must stay within 5% of the
+// path: with tenancy (SLO tracking included) and the memory hierarchy
+// enabled, a sampling-0 tracer must stay within 5% of the
 // tracer-free makespan. This guards the always-on counters added for
 // SLO/attribution (throttle wait, cache wait, promote/decode time) and the
 // dead-context plumbing through the whole chain.

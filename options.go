@@ -145,24 +145,24 @@ type ClusterOptions struct {
 	DisablePartitioner bool
 }
 
-// TieringOptions tunes the tiered fast-store stage (internal/tiering).
-// When enabled, the backend chain becomes
-// recorder < sharedcache < tiering < resilient: samples are promoted into
-// a capacity-bounded fast tier and served from it on re-access. A full
-// tier admits a sample only over residents it is strictly hotter than, so
-// the once-per-epoch scan of a dataset larger than the tier — every sample
+// TieringOptions tunes the memory hierarchy on the serving path
+// (internal/tiering; the shared cache of TenancyOptions.SharedCacheBytes is
+// the same layer). When enabled, the backend chain becomes
+// recorder < tiering < resilient: samples are promoted into a
+// capacity-bounded fast tier and served from it on re-access, and
+// concurrent misses of one sample cost one backend read. A full tier admits
+// a sample only over residents it is strictly hotter than, so the
+// once-per-epoch scan of a dataset larger than the tier — every sample
 // equally hot — keeps a stable resident set and hits the tier's capacity
 // fraction, while a skewed workload's hot samples still displace cold
-// ones. Stats.TierDeclined counts the refusals. With the shared cache
-// (TenancyOptions.SharedCacheBytes) also on, the two form an exclusive
-// hierarchy: the tier wraps the cache and tells it which reads it is about
-// to keep, so a sample is resident in the tier or in the cache, never both
-// — the cache retains only what the tier declined.
+// ones. Stats.TierDeclined counts the refusals.
 type TieringOptions struct {
 	// Enable turns the tiering stage on.
 	Enable bool
-	// CapacityBytes is the fast tier's byte budget (default 256 MiB).
-	// A compressed resident charges only its compressed size, so
+	// CapacityBytes is the fast tier's byte budget (default 256 MiB); with
+	// TenancyOptions.SharedCacheBytes also set the hierarchy's one budget
+	// is their sum, the shared cache's part keeping raw what the tier's
+	// declines. A compressed resident charges only its compressed size, so
 	// compression stretches the same budget over more samples.
 	CapacityBytes int64
 	// PromoteAfter is the access count at which a sample becomes a
@@ -284,14 +284,17 @@ type TenancyOptions struct {
 	// MaxRetryAfter clamps the retry-after hint handed to shed clients
 	// (default 5s).
 	MaxRetryAfter time.Duration
-	// SharedCacheBytes, when positive, inserts a byte-bounded single-
-	// flight LRU cache above the storage backend so co-located tenants
-	// reading the same files don't multiply backend load. The budget
-	// bounds what the residents pin: a pooled resident counts the size
-	// class of its buffer, not just its length. With Options.Tiering also
-	// on, the tier sits above the cache and the cache retains only the
-	// samples the tier declined (reads the tier keeps are single-flighted
-	// here but not held a second time).
+	// SharedCacheBytes, when positive, inserts a byte-bounded
+	// single-flight LRU cache above the storage backend so co-located
+	// tenants reading the same files don't multiply backend load:
+	// concurrent reads of one file cost one backend read, and every file
+	// read stays resident until it is the least recently used, so a tenant
+	// trailing another finds what the other just read. The budget bounds
+	// what the residents pin: a pooled resident counts the size class of
+	// its buffer, not just its length. The cache is the memory hierarchy of
+	// Options.Tiering (its recency window, raw); with the tier also on, the
+	// one hierarchy's budget is both, and the cache's part keeps what the
+	// tier's admission rule declines.
 	SharedCacheBytes int64
 	// SLOBoostFactor scales a tenant's arbitration weight while its SLO
 	// is breached, shifting share from its noisy neighbors to the victim

@@ -19,7 +19,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/ipc"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
-	"github.com/dsrhaslab/prisma-go/internal/sharedcache"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
@@ -122,25 +121,27 @@ type Stats struct {
 	PoolFreeBuffers int     // recycled buffers parked in the pool
 	PoolFreeBytes   int64   // bytes parked in the pool
 
-	// Shared-cache telemetry (zero-valued unless Tenancy.SharedCacheBytes
-	// is set). Rides the stage snapshot, so remote Client.Stats sees it
-	// too.
+	// Memory-hierarchy telemetry. The fast tier and the shared cache are one
+	// layer with one budget, so with both configured the Cache* and Tier*
+	// fields are two views of the same counters: Cache* keeps the names the
+	// shared cache reported under (a hit is any read served without its own
+	// device read, joined reads included), Tier* the tier's. Cache* is
+	// zero-valued unless Tenancy.SharedCacheBytes is set, Tier* unless
+	// Tiering.Enable. Rides the stage snapshot, so remote Client.Stats sees
+	// it too.
 	CacheEnabled     bool
 	CacheHits        int64
 	CacheMisses      int64
-	CacheWaits       int64 // misses collapsed onto another tenant's in-flight read
+	CacheWaits       int64 // reads that joined another tenant's in-flight device read
 	CacheEvictions   int64
-	CacheDeviceReads int64 // misses that actually hit the backend
+	CacheDeviceReads int64 // reads that actually hit the backend
 	CacheUsedBytes   int64
 	CacheResidents   int
-	CacheWaitTime    time.Duration // cumulative follower time spent coalesced on a leader's fetch
+	CacheWaitTime    time.Duration // cumulative time joined reads spent waiting on the device read
 
-	// Tiering telemetry (zero-valued unless Tiering.Enable). Unlike the
-	// cache fields this rides the stage snapshot, so remote Client.Stats
-	// sees it too.
 	TierEnabled            bool
-	TierFastHits           int64
-	TierSlowReads          int64
+	TierFastHits           int64 // reads served from a resident
+	TierSlowReads          int64 // reads that went to the backend themselves
 	TierPromotions         int64
 	TierEvictions          int64
 	TierDeclined           int64 // admissions refused because no resident was strictly colder: a full, stable tier, not a broken one
@@ -148,7 +149,7 @@ type Stats struct {
 	TierPrefetchSkips      int64
 	TierUsedBytes          int64 // physical (compressed) occupancy
 	TierLogicalBytes       int64 // decoded volume those bytes represent
-	TierCapacityBytes      int64
+	TierCapacityBytes      int64 // the one budget: Tiering.CapacityBytes + Tenancy.SharedCacheBytes
 	TierResidents          int
 	TierTrackedNames       int
 	TierAccessDecays       int64
@@ -227,6 +228,15 @@ func attributionFrom(a obs.Attribution) Attribution {
 
 // statsFrom maps the internal stage snapshot to the public view.
 func statsFrom(s core.StageStats) Stats {
+	// The tier and the shared cache are one struct; each view stays
+	// zero-valued unless its own option is on.
+	var tier, cache core.TieringStats
+	if s.TierEnabled() {
+		tier = s.Tiering
+	}
+	if s.CacheEnabled() {
+		cache = s.Tiering
+	}
 	return Stats{
 		Reads:           s.Reads,
 		Hits:            s.Hits,
@@ -259,32 +269,32 @@ func statsFrom(s core.StageStats) Stats {
 		PoolFreeBuffers: s.Pool.FreeBuffers,
 		PoolFreeBytes:   s.Pool.FreeBytes,
 
-		TierEnabled:            s.TieringEnabled,
-		TierFastHits:           s.Tiering.FastHits,
-		TierSlowReads:          s.Tiering.SlowReads,
-		TierPromotions:         s.Tiering.Promotions,
-		TierEvictions:          s.Tiering.Evictions,
-		TierDeclined:           s.Tiering.Declined,
-		TierPrefetchPromotions: s.Tiering.PrefetchPromotions,
-		TierPrefetchSkips:      s.Tiering.PrefetchSkips,
-		TierUsedBytes:          s.Tiering.FastUsed,
-		TierLogicalBytes:       s.Tiering.FastLogical,
-		TierCapacityBytes:      s.Tiering.Capacity,
-		TierResidents:          s.Tiering.Residents,
-		TierTrackedNames:       s.Tiering.TrackedNames,
-		TierAccessDecays:       s.Tiering.AccessDecays,
-		TierPromoteTime:        s.Tiering.PromoteTime,
-		TierDecodeTime:         s.Tiering.DecodeTime,
+		TierEnabled:            s.TierEnabled(),
+		TierFastHits:           tier.FastHits,
+		TierSlowReads:          tier.SlowReads,
+		TierPromotions:         tier.Promotions,
+		TierEvictions:          tier.Evictions,
+		TierDeclined:           tier.Declined,
+		TierPrefetchPromotions: tier.PrefetchPromotions,
+		TierPrefetchSkips:      tier.PrefetchSkips,
+		TierUsedBytes:          tier.FastUsed,
+		TierLogicalBytes:       tier.FastLogical,
+		TierCapacityBytes:      tier.Capacity,
+		TierResidents:          tier.Residents,
+		TierTrackedNames:       tier.TrackedNames,
+		TierAccessDecays:       tier.AccessDecays,
+		TierPromoteTime:        tier.PromoteTime,
+		TierDecodeTime:         tier.DecodeTime,
 
-		CacheEnabled:     s.CacheEnabled,
-		CacheHits:        s.Cache.Hits,
-		CacheMisses:      s.Cache.Misses,
-		CacheWaits:       s.Cache.Waits,
-		CacheEvictions:   s.Cache.Evictions,
-		CacheDeviceReads: s.Cache.DeviceReads,
-		CacheUsedBytes:   s.Cache.UsedBytes,
-		CacheResidents:   s.Cache.Residents,
-		CacheWaitTime:    s.Cache.WaitTime,
+		CacheEnabled:     s.CacheEnabled(),
+		CacheHits:        cache.FastHits + cache.Waits,
+		CacheMisses:      cache.SlowReads,
+		CacheWaits:       cache.Waits,
+		CacheEvictions:   cache.Evictions,
+		CacheDeviceReads: cache.SlowReads,
+		CacheUsedBytes:   cache.FastUsed,
+		CacheResidents:   cache.Residents,
+		CacheWaitTime:    cache.WaitTime,
 
 		BatchEnabled:   s.BatchEnabled,
 		BatchReads:     s.BatchReads,
@@ -314,6 +324,27 @@ func batchSamples(opts Options) int {
 		return 0
 	}
 	return opts.Batch.MaxSamples
+}
+
+// hierarchyConfig resolves the memory hierarchy from opts: one budget, the
+// sum of the tier's and the shared cache's. The shared cache's part is the
+// recency window, which keeps every miss raw and LRU, so a job trailing
+// another over the same dataset finds what it just read; the tier's part
+// follows the tier's promotion threshold, admission rule and compression.
+// !ok when neither is configured.
+func hierarchyConfig(opts Options) (tiering.Config, bool) {
+	cfg := tiering.Config{PromoteAfter: 1}
+	if opts.Tenancy.Enable && opts.Tenancy.SharedCacheBytes > 0 {
+		cfg.FastCapacity = opts.Tenancy.SharedCacheBytes
+		cfg.Window = opts.Tenancy.SharedCacheBytes
+	}
+	if opts.Tiering.Enable {
+		cfg.FastCapacity += opts.Tiering.CapacityBytes
+		cfg.PromoteAfter = opts.Tiering.PromoteAfter
+		cfg.MaxTracked = opts.Tiering.MaxTrackedNames
+		cfg.Compress = opts.Tiering.Compress
+	}
+	return cfg, cfg.FastCapacity > 0
 }
 
 // Open builds a PRISMA instance over opts.Dir. The directory is scanned
@@ -367,35 +398,14 @@ func Open(opts Options) (*Prisma, error) {
 		p.recorder = trace.NewRecorder(env, backend)
 		backend = p.recorder
 	}
-	var cache *sharedcache.Cache
-	if opts.Tenancy.Enable && opts.Tenancy.SharedCacheBytes > 0 {
-		// The cache sits above the recorder (so the I/O trace keeps seeing
-		// only actual device reads) and below the resilient wrapper (so a
-		// degraded backend still serves cached samples while the breaker
-		// sheds misses).
-		sc, err := sharedcache.New(env, backend, opts.Tenancy.SharedCacheBytes)
-		if err != nil {
-			return fail(err)
-		}
-		p.teardown.push(noErr(sc.Close))
-		backend = sc
-		cache = sc
-	}
 	var tiered *tiering.Backend
-	if opts.Tiering.Enable {
-		// The fast tier sits above the shared cache — the cache sees only
-		// what the tier missed, and of that retains only what the tier
-		// declined: a miss the tier is about to promote goes down marked
-		// storage.Request.Kept, so no sample is held by both — and below
-		// the resilient wrapper (so retried reads pass back through the
-		// tier and hits keep flowing while the breaker sheds slow-tier
-		// misses).
-		tb, err := tiering.NewBackend(env, tiering.Config{
-			FastCapacity: opts.Tiering.CapacityBytes,
-			PromoteAfter: opts.Tiering.PromoteAfter,
-			MaxTracked:   opts.Tiering.MaxTrackedNames,
-			Compress:     opts.Tiering.Compress,
-		}, backend, nil)
+	if cfg, ok := hierarchyConfig(opts); ok {
+		// The memory hierarchy (fast tier and shared cache in one layer)
+		// sits above the recorder, so the I/O trace keeps seeing only actual
+		// device reads, promotions and warms included, and below the
+		// resilient wrapper, so hits keep flowing while the breaker sheds
+		// misses and retried reads pass back through it.
+		tb, err := tiering.NewBackend(env, cfg, backend, nil)
 		if err != nil {
 			return fail(err)
 		}
@@ -462,28 +472,11 @@ func Open(opts Options) (*Prisma, error) {
 	if resilient != nil {
 		stage.SetResilienceSource(resilient.ResilienceStats)
 	}
-	if cache != nil {
-		sc := cache
-		sc.SetTracer(tracer)
-		stage.SetCacheSource(func() core.CacheStats {
-			cs := sc.Stats()
-			return core.CacheStats{
-				Hits:        cs.Hits,
-				Misses:      cs.Misses,
-				Waits:       cs.Waits,
-				Evictions:   cs.Evictions,
-				UsedBytes:   cs.UsedBytes,
-				Residents:   cs.Residents,
-				DeviceReads: cs.DeviceReads,
-				WaitTime:    cs.WaitTime,
-			}
-		})
-	}
 	if tiered != nil {
 		tb := tiered
 		tb.SetTracer(tracer)
 		stage.SetTieringSource(func() core.TieringStats { return core.TieringStats(tb.Stats()) })
-		if opts.Tiering.PrefetchNextEpoch {
+		if opts.Tiering.Enable && opts.Tiering.PrefetchNextEpoch {
 			// Hook the stage, not Prisma.SubmitEpoch: the IPC server
 			// submits epochs straight to the stage, and remote data
 			// loaders (the multi-process serving path) must warm the
@@ -733,8 +726,8 @@ func (p *Prisma) Files() int { return p.manifest.Len() }
 // TotalBytes reports the scanned dataset volume.
 func (p *Prisma) TotalBytes() int64 { return p.manifest.TotalBytes() }
 
-// Stats snapshots the data plane. Shared-cache counters ride the stage
-// snapshot (SetCacheSource), so local and remote views agree.
+// Stats snapshots the data plane. Memory-hierarchy counters ride the stage
+// snapshot (SetTieringSource), so local and remote views agree.
 func (p *Prisma) Stats() Stats {
 	return statsFrom(p.stage.Stats())
 }
@@ -764,7 +757,7 @@ func (p *Prisma) Attribution(consumers int) Attribution {
 		ConsumerWait: s.Buffer.ConsumerWait,
 		StorageWait:  s.Buffer.ConsumerWaitStorage,
 		BufferWait:   s.Buffer.ConsumerWaitBufferFull,
-		CacheWait:    s.Cache.WaitTime,
+		CacheWait:    s.Tiering.WaitTime,
 		TierWait:     s.Tiering.PromoteTime + s.Tiering.DecodeTime,
 		ThrottleWait: s.ThrottleWait,
 		StorageBusy:  s.StorageBusy,

@@ -63,8 +63,10 @@ func TestTieringServingPath(t *testing.T) {
 	if st.TierUsedBytes <= 0 || st.TierUsedBytes > st.TierCapacityBytes {
 		t.Fatalf("TierUsedBytes = %d out of range (capacity %d)", st.TierUsedBytes, st.TierCapacityBytes)
 	}
-	if st.TierUsedBytes > st.TierLogicalBytes {
-		t.Fatalf("physical %d exceeds logical %d", st.TierUsedBytes, st.TierLogicalBytes)
+	// The files are random, so every resident stays raw and is charged the
+	// pooled buffer it pins (the 4 KiB class), not its length.
+	if st.TierUsedBytes != int64(4096*len(plan)) || st.TierLogicalBytes >= st.TierUsedBytes {
+		t.Fatalf("physical %d, logical %d; want each raw resident charged its 4 KiB buffer", st.TierUsedBytes, st.TierLogicalBytes)
 	}
 }
 
@@ -85,6 +87,61 @@ func TestTieringDisabledStats(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("/tiering on a tiering-free instance: %d, want 501", resp.StatusCode)
+	}
+}
+
+// TestHierarchyOptionsAlone: the tier and the shared cache are one layer,
+// yet each option alone reports only itself. The shared cache alone is not a
+// fast tier — TierEnabled false, Tier* zero-valued, /tiering 501,
+// prisma_tiering_enabled 0 — and the tier alone is not a shared cache.
+func TestHierarchyOptionsAlone(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		mutate      func(*Options)
+		tier, cache bool
+	}{
+		{"shared-cache", func(o *Options) { o.Tenancy = TenancyOptions{Enable: true, SharedCacheBytes: 1 << 20} }, false, true},
+		{"tiering", func(o *Options) { o.Tiering = TieringOptions{Enable: true, CapacityBytes: 1 << 20} }, true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := open(t, makeDataset(t, 2), c.mutate)
+			name := p.ShuffledFileList(1, 0)[0]
+			for i := 0; i < 2; i++ {
+				if _, err := p.Read(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := p.Stats()
+			if st.TierEnabled != c.tier || st.CacheEnabled != c.cache {
+				t.Fatalf("TierEnabled %v, CacheEnabled %v; want %v, %v", st.TierEnabled, st.CacheEnabled, c.tier, c.cache)
+			}
+			if tierSet := st.TierCapacityBytes != 0 || st.TierSlowReads != 0; tierSet != c.tier {
+				t.Fatalf("tier fields populated %v, want %v: %+v", tierSet, c.tier, st)
+			}
+			if cacheSet := st.CacheDeviceReads != 0 || st.CacheResidents != 0; cacheSet != c.cache {
+				t.Fatalf("cache fields populated %v, want %v: %+v", cacheSet, c.cache, st)
+			}
+			srv := httptest.NewServer(p.AdminHandler())
+			defer srv.Close()
+			resp, err := http.Get(srv.URL + "/tiering")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if want := map[bool]int{true: http.StatusOK, false: http.StatusNotImplemented}[c.tier]; resp.StatusCode != want {
+				t.Fatalf("/tiering: %d, want %d", resp.StatusCode, want)
+			}
+			resp, err = http.Get(srv.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := map[bool]string{true: "prisma_tiering_enabled 1\n", false: "prisma_tiering_enabled 0\n"}[c.tier]
+			if !strings.Contains(string(body), want) {
+				t.Fatalf("/metrics lacks %q", want)
+			}
+		})
 	}
 }
 
@@ -158,7 +215,7 @@ func TestTieringFullTierDeclines(t *testing.T) {
 	const files = 32
 	dir := makeDataset(t, files)
 	p := open(t, dir, func(o *Options) {
-		o.Tiering = TieringOptions{Enable: true, CapacityBytes: 8 * (2048 + files)}
+		o.Tiering = TieringOptions{Enable: true, CapacityBytes: 8 * 4096} // eight raw residents, each pinning a 4 KiB buffer
 	})
 	sock := filepath.Join(t.TempDir(), "prisma.sock")
 	if err := p.ServeUnix(sock); err != nil {
@@ -378,10 +435,11 @@ func TestTieringEpochPrefetch(t *testing.T) {
 // TestTierAndCacheHoldEachSampleOnce drives the whole chain through the
 // public surface only — Open over a real directory with the shared cache and
 // the compressing tier both on, ServeUnix, two tenant clients striding two
-// epochs, plus one unplanned sample both tenants read — and checks the
-// exclusive hierarchy from Stats: every sample ends resident in the tier,
-// none in the cache below it, and the pool holds no more leases than the
-// prefetch buffer can park (before, one per cached sample stayed out).
+// epochs, plus one unplanned sample both tenants read — and checks the one
+// hierarchy from Stats: its budget is the two options' sum, every sample
+// ends resident once (the Cache* and Tier* views agree), epoch 2 costs no
+// device read, and the pool holds no more leases than the prefetch buffer
+// can park.
 func TestTierAndCacheHoldEachSampleOnce(t *testing.T) {
 	const files, buffer = 96, 16
 	dir := t.TempDir()
@@ -458,9 +516,12 @@ func TestTierAndCacheHoldEachSampleOnce(t *testing.T) {
 	if st.Errors != 0 || st.PlanDelivered != int64(2*len(plan)) {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.TierResidents != files || st.CacheResidents != 0 || st.CacheUsedBytes != 0 {
-		t.Fatalf("TierResidents = %d, CacheResidents = %d (%d bytes); want every one of the %d samples in the tier and none in the cache",
-			st.TierResidents, st.CacheResidents, st.CacheUsedBytes, files)
+	if st.TierCapacityBytes != 8<<20 || !st.CacheEnabled || !st.TierEnabled {
+		t.Fatalf("TierCapacityBytes = %d, enabled %v/%v; want one 8 MiB hierarchy", st.TierCapacityBytes, st.CacheEnabled, st.TierEnabled)
+	}
+	if st.TierResidents != files || st.CacheResidents != files || st.CacheUsedBytes != st.TierUsedBytes {
+		t.Fatalf("TierResidents = %d, CacheResidents = %d (%d vs %d bytes); want every one of the %d samples resident once, both views agreeing",
+			st.TierResidents, st.CacheResidents, st.CacheUsedBytes, st.TierUsedBytes, files)
 	}
 	if st.CacheDeviceReads != first.CacheDeviceReads || st.TierFastHits-first.TierFastHits != files+1 {
 		t.Fatalf("epoch 2 cost %d device reads and %d tier hits, want 0 and %d (the tier serves what it kept)",
