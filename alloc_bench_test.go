@@ -15,7 +15,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
-	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
 
 // BenchmarkHotPathAllocs measures allocations per delivered sample on the
@@ -149,41 +148,39 @@ func tierDeclinedAllocs(t *testing.T) float64 {
 		names[i] = fmt.Sprintf("t%02d.bin", i)
 		mem.Add(names[i], experiments.CompressibleSample(i, fileSize, 0.5))
 	}
-	tb, err := tiering.NewBackend(conc.NewReal(), tiering.Config{
-		FastCapacity: files * fileSize / 4, PromoteAfter: 1, Compress: true,
-	}, mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
 	pool := mempool.New(mempool.Config{})
 	mem.SetBufferPool(pool)
-	tb.SetBufferPool(pool)
+	ch := foldOptions(t, &chain{env: conc.NewReal(), pool: pool, backend: mem}, Options{
+		Tiering:           TieringOptions{Enable: true, CapacityBytes: files * fileSize / 4, PromoteAfter: 1, Compress: true},
+		DisableResilience: true,
+	})
+	defer ch.teardown.run()
 	read := func(name string) {
-		resp, err := tb.Read(storage.Request{Name: name})
+		resp, err := ch.backend.Read(storage.Request{Name: name})
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Data.Release()
 	}
-	for _, n := range names {
-		read(n)
-	}
+	// The first pass admits into free space until the tier is full and
+	// declines the rest: a read that promoted nothing left its name cold.
 	var cold []string
 	for _, n := range names {
-		if !tb.Resident(n) {
+		promoted := tierStats(ch).Promotions
+		read(n)
+		if tierStats(ch).Promotions == promoted {
 			cold = append(cold, n)
 		}
 	}
 	// Every name has now been read once: a second pass over the
 	// non-residents offers one earlier read against the residents' one.
-	before := tb.Stats()
+	before := tierStats(ch)
 	i := 0
 	allocs := testing.AllocsPerRun(len(cold)-1, func() {
 		read(cold[i])
 		i++
 	})
-	st := tb.Stats()
+	st := tierStats(ch)
 	if got := st.Declined - before.Declined; got != int64(len(cold)) || st.Promotions != before.Promotions {
 		t.Fatalf("tier cell did not measure declined misses: %d of %d declined, stats %+v", got, len(cold), st)
 	}

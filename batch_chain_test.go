@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,69 +17,140 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
-	"github.com/dsrhaslab/prisma-go/internal/trace"
 )
 
-// chainWrap names one optional layer of the serving chain, in the canonical
-// nesting order Open composes them: recorder innermost (sees device reads),
-// then the memory hierarchy, resilient outermost. cache and tiering are the
-// two options that size the one hierarchy (the shared cache's budget and the
-// tier's), composed as Open composes them.
-type chainWrap struct {
-	recorder, cache, tiering, resilient bool
+// chainSwitch turns on, in Options, one way of building a row of
+// chainLayers; tier and cacheBytes size the memory hierarchy's two budgets.
+type chainSwitch struct {
+	row, name string
+	on        func(o *Options, tier TieringOptions, cacheBytes int64)
 }
 
-func (w chainWrap) String() string {
-	s := ""
-	for _, part := range []struct {
-		on   bool
-		name string
-	}{{w.recorder, "recorder"}, {w.cache, "cache"}, {w.tiering, "tiering"}, {w.resilient, "resilient"}} {
-		if part.on {
-			if s != "" {
-				s += "<"
-			}
-			s += part.name
+// chainSwitches lists the switches of every row of chainLayers, in table
+// order: the hierarchy has two, its two budgets. A row without an entry here
+// fails every composition test, so no layer goes untested.
+func chainSwitches(t *testing.T) []chainSwitch {
+	t.Helper()
+	byRow := map[string][]chainSwitch{
+		"recorder": {{name: "recorder", on: func(o *Options, _ TieringOptions, _ int64) { o.TraceFile = os.DevNull }}},
+		"hierarchy": {
+			{name: "cache", on: func(o *Options, _ TieringOptions, cacheBytes int64) {
+				o.Tenancy = TenancyOptions{Enable: true, SharedCacheBytes: cacheBytes}
+			}},
+			{name: "tiering", on: func(o *Options, tier TieringOptions, _ int64) { o.Tiering = tier }},
+		},
+		"resilient": {{name: "resilient", on: func(o *Options, _ TieringOptions, _ int64) { o.DisableResilience = false }}},
+	}
+	var out []chainSwitch
+	for _, l := range chainLayers {
+		sw, ok := byRow[l.name]
+		if !ok {
+			t.Fatalf("chain row %q has no switch in chainSwitches", l.name)
+		}
+		for _, s := range sw {
+			s.row = l.name
+			out = append(out, s)
 		}
 	}
-	if s == "" {
+	return out
+}
+
+// chainCell is one subset of the switches: bit i turns switches[i] on.
+type chainCell struct {
+	switches []chainSwitch
+	mask     int
+}
+
+// chainCells is every subset of the table's switches.
+func chainCells(t *testing.T) []chainCell {
+	sw := chainSwitches(t)
+	cells := make([]chainCell, 1<<len(sw))
+	for m := range cells {
+		cells[m] = chainCell{switches: sw, mask: m}
+	}
+	return cells
+}
+
+// chainCellOf is the cell of the named switches.
+func chainCellOf(t *testing.T, names ...string) chainCell {
+	t.Helper()
+	c := chainCell{switches: chainSwitches(t)}
+	for _, n := range names {
+		i := slices.IndexFunc(c.switches, func(sw chainSwitch) bool { return sw.name == n })
+		if i < 0 {
+			t.Fatalf("no chain switch %q", n)
+		}
+		c.mask |= 1 << i
+	}
+	return c
+}
+
+func (c chainCell) has(name string) bool {
+	for i, sw := range c.switches {
+		if sw.name == name {
+			return c.mask&(1<<i) != 0
+		}
+	}
+	return false
+}
+
+func (c chainCell) String() string {
+	var on []string
+	for i, sw := range c.switches {
+		if c.mask&(1<<i) != 0 {
+			on = append(on, sw.name)
+		}
+	}
+	if len(on) == 0 {
 		return "bare"
 	}
-	return s
+	return strings.Join(on, "<")
 }
 
-// chainPermutations is every subset of the four optional wrappers.
-func chainPermutations() []chainWrap {
-	perms := make([]chainWrap, 0, 16)
-	for m := 0; m < 16; m++ {
-		perms = append(perms, chainWrap{
-			recorder:  m&1 != 0,
-			cache:     m&2 != 0,
-			tiering:   m&4 != 0,
-			resilient: m&8 != 0,
-		})
-	}
-	return perms
-}
-
-// hierarchy is the memory hierarchy Open builds for wrap: tier stands for
-// the tiering options, cacheBytes for the shared cache's budget, and Open's
-// own hierarchyConfig composes them. ok is false when wrap asks for neither.
-func (w chainWrap) hierarchy(tier tiering.Config, cacheBytes int64) (tiering.Config, bool) {
-	var opts Options
-	if w.cache {
-		opts.Tenancy = TenancyOptions{Enable: true, SharedCacheBytes: cacheBytes}
-	}
-	if w.tiering {
-		opts.Tiering = TieringOptions{
-			Enable:          true,
-			CapacityBytes:   tier.FastCapacity,
-			PromoteAfter:    tier.PromoteAfter,
-			MaxTrackedNames: tier.MaxTracked,
-			Compress:        tier.Compress,
+// fold folds the table into ch (its clock, pool and leaf set) for the cell,
+// as Open does, and checks it built exactly the rows the cell switched on.
+// ch.teardown undoes it.
+func (c chainCell) fold(t *testing.T, ch *chain, tier TieringOptions, cacheBytes int64) *chain {
+	t.Helper()
+	opts := Options{DisableResilience: true, ReadDeadline: 10 * time.Second}
+	var want []string
+	for i, sw := range c.switches {
+		if c.mask&(1<<i) != 0 {
+			sw.on(&opts, tier, cacheBytes)
 		}
 	}
-	return hierarchyConfig(opts)
+	for _, l := range chainLayers {
+		for i, sw := range c.switches {
+			if sw.row == l.name && c.mask&(1<<i) != 0 {
+				want = append(want, l.name)
+				break
+			}
+		}
+	}
+	foldOptions(t, ch, opts)
+	if fmt.Sprint(ch.built) != fmt.Sprint(want) {
+		t.Fatalf("%s: the fold built %v, want %v", c, ch.built, want)
+	}
+	return ch
+}
+
+// foldOptions folds the chain table into ch — its clock, pool, tracer and
+// leaf set — for opts, defaults applied as Open applies them. The chain's
+// teardown undoes it.
+func foldOptions(t testing.TB, ch *chain, opts Options) *chain {
+	t.Helper()
+	ch.teardown = &closers{}
+	if err := ch.fold(chainLayers, opts.withDefaults()); err != nil {
+		t.Fatal(err)
+	}
+	return ch
+}
+
+// tierStats is the memory hierarchy's part of the chain's snapshot.
+func tierStats(ch *chain) tiering.Stats {
+	var s core.StageStats
+	ch.snapshot(&s)
+	return s.Tiering
 }
 
 // packChainDataset writes files records into one recordio shard inside a
@@ -128,52 +202,22 @@ func packChainDataset(t *testing.T, files, size int, compressed bool) (*storage.
 	return mem, ix, names, contents
 }
 
-// wrapChain nests the wrappers wrap turns on around leaf in Open's order. It
-// returns the outermost backend, the hierarchy (nil when off) and what to
-// close once the stage is closed.
-func wrapChain(t *testing.T, env conc.Env, leaf storage.Backend, wrap chainWrap, tier tiering.Config, cacheBytes int64) (storage.Backend, *tiering.Backend, []func()) {
-	t.Helper()
-	b := leaf
-	var tb *tiering.Backend
-	closers := []func(){}
-	if wrap.recorder {
-		b = trace.NewRecorder(env, b)
-	}
-	if cfg, ok := wrap.hierarchy(tier, cacheBytes); ok {
-		var err error
-		if tb, err = tiering.NewBackend(env, cfg, b, nil); err != nil {
-			t.Fatal(err)
-		}
-		b = tb
-		closers = append(closers, tb.Close)
-	}
-	if wrap.resilient {
-		cfg := storage.DefaultResilienceConfig()
-		cfg.ReadDeadline = 10 * time.Second
-		rb, err := storage.NewResilientBackend(env, b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b = rb
-	}
-	return b, tb, closers
-}
-
 // runChainCell streams the packed dataset through the full prefetch
-// pipeline over the given wrapper chain with coalescing budget k (0 =
+// pipeline over the chain the cell folds, with coalescing budget k (0 =
 // per-sample), asserting every delivered payload is bit-identical to the
 // packed ground truth, nothing leaks from the pool, and — when coalescing
 // is on — the batched counters actually moved (the chain did not silently
 // fall back sample-by-sample).
-func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
+func runChainCell(t *testing.T, wrap chainCell, compressed bool, k int) {
 	t.Helper()
 	env := conc.NewReal()
 	mem, ix, names, contents := packChainDataset(t, 16, 4<<10, compressed)
-
-	b, _, closers := wrapChain(t, env, mem, wrap, tiering.Config{FastCapacity: 64 << 20, PromoteAfter: 1}, 64<<20)
-	backend := recordio.NewIndexedBackend(ix, b)
 	pool := mempool.New(mempool.Config{Debug: true})
 	mem.SetBufferPool(pool)
+
+	ch := wrap.fold(t, &chain{env: env, pool: pool, backend: mem},
+		TieringOptions{Enable: true, CapacityBytes: 64 << 20, PromoteAfter: 1}, 64<<20)
+	backend := recordio.NewIndexedBackend(ix, ch.backend)
 	backend.SetBufferPool(pool)
 
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
@@ -209,9 +253,7 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 	}
 	batched, fallbacks := pf.BatchedSamples(), pf.BatchFallbacks()
 	stage.Close()
-	for _, c := range closers {
-		c()
-	}
+	ch.teardown.run()
 	if k > 1 && batched == 0 && fallbacks == 0 {
 		t.Fatalf("%s k=%d: coalescer never engaged (0 batched samples, 0 fallbacks)", wrap, k)
 	}
@@ -231,8 +273,7 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 // leaks. This is the regression net for range-read bypasses: a wrapper
 // that mangles, truncates, or double-releases a vectored read fails here.
 func TestBatchChainComposition(t *testing.T) {
-	for _, wrap := range chainPermutations() {
-		wrap := wrap
+	for _, wrap := range chainCells(t) {
 		t.Run(wrap.String(), func(t *testing.T) {
 			for _, k := range []int{0, 1, 2, 3, 4, 8} {
 				runChainCell(t, wrap, false, k)
@@ -245,9 +286,8 @@ func TestBatchChainComposition(t *testing.T) {
 // shards (decompression copies out of the region instead of aliasing it)
 // for the bare store and the full chain at representative budgets.
 func TestBatchChainCompositionCompressed(t *testing.T) {
-	full := chainWrap{recorder: true, cache: true, tiering: true, resilient: true}
-	for _, wrap := range []chainWrap{{}, full} {
-		wrap := wrap
+	cells := chainCells(t)
+	for _, wrap := range []chainCell{cells[0], cells[len(cells)-1]} {
 		t.Run(wrap.String(), func(t *testing.T) {
 			for _, k := range []int{0, 1, 4, 8} {
 				runChainCell(t, wrap, true, k)
@@ -257,17 +297,16 @@ func TestBatchChainCompositionCompressed(t *testing.T) {
 }
 
 // wholeFileChain is the fixture of the whole-file composition cells: 32
-// compressible 4 KiB files in a pooled MemBackend under the wrappers wrap
-// turns on, streamed through the prefetch pipeline by two producers. When
-// wrap.cache is on the shared cache adds wholeCacheBytes to the hierarchy's
-// budget.
+// compressible 4 KiB files in a pooled MemBackend under the chain a cell
+// folds, streamed through the prefetch pipeline by two producers. When the
+// cell switches the cache on, the shared cache adds wholeCacheBytes to the
+// hierarchy's budget.
 type wholeFileChain struct {
 	names    []string
 	contents map[string][]byte
-	tier     *tiering.Backend
+	chain    *chain
 	pool     *mempool.Pool
 	stage    *core.Stage
-	closers  []func()
 	rng      *rand.Rand
 }
 
@@ -277,7 +316,7 @@ const (
 	wholeCacheBytes = wholeFiles * wholeFileSize / 16
 )
 
-func newWholeFileChain(t *testing.T, wrap chainWrap, tier tiering.Config, seed int64) *wholeFileChain {
+func newWholeFileChain(t *testing.T, wrap chainCell, tier TieringOptions, seed int64) *wholeFileChain {
 	t.Helper()
 	env := conc.NewReal()
 	mem := storage.NewMemBackend()
@@ -292,11 +331,9 @@ func newWholeFileChain(t *testing.T, wrap chainWrap, tier tiering.Config, seed i
 		c.contents[c.names[i]] = experiments.CompressibleSample(i, wholeFileSize, 0.5) // the tier stores it at about half size
 		mem.Add(c.names[i], c.contents[c.names[i]])
 	}
-	var backend storage.Backend
-	backend, c.tier, c.closers = wrapChain(t, env, mem, wrap, tier, wholeCacheBytes)
 	mem.SetBufferPool(c.pool)
-	c.tier.SetBufferPool(c.pool)
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	c.chain = wrap.fold(t, &chain{env: env, pool: c.pool, backend: mem}, tier, wholeCacheBytes)
+	pf, err := core.NewPrefetcher(env, c.chain.backend, core.PrefetcherConfig{
 		InitialProducers:      2,
 		MaxProducers:          2,
 		InitialBufferCapacity: 8,
@@ -305,7 +342,7 @@ func newWholeFileChain(t *testing.T, wrap chainWrap, tier tiering.Config, seed i
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.stage = core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	c.stage = core.NewStage(env, c.chain.backend, core.NewPrefetchObject(pf))
 	t.Cleanup(func() { c.stage.Close() })
 	pf.Start()
 	return c
@@ -340,9 +377,7 @@ func (c *wholeFileChain) epoch(t *testing.T, e int) {
 func (c *wholeFileChain) closeAndAudit(t *testing.T) {
 	t.Helper()
 	c.stage.Close()
-	for _, cl := range c.closers {
-		cl()
-	}
+	c.chain.teardown.run()
 	if leaks := c.pool.Leaks(); len(leaks) != 0 {
 		t.Fatalf("pool leaks:\n%s", mempool.FormatLeaks(leaks))
 	}
@@ -366,18 +401,17 @@ func TestChainCompositionDecliningTier(t *testing.T) {
 		files  = wholeFiles
 		epochs = 4
 	)
-	for _, wrap := range chainPermutations() {
-		if !wrap.tiering {
+	for _, wrap := range chainCells(t) {
+		if !wrap.has("tiering") {
 			continue
 		}
-		wrap := wrap
 		t.Run(wrap.String(), func(t *testing.T) {
 			c := newWholeFileChain(t, wrap,
-				tiering.Config{FastCapacity: files * wholeFileSize / 4, PromoteAfter: 1, Compress: true}, 22)
+				TieringOptions{Enable: true, CapacityBytes: files * wholeFileSize / 4, PromoteAfter: 1, Compress: true}, 22)
 			var filled tiering.Stats
 			for e := 0; e < epochs; e++ {
 				c.epoch(t, e)
-				st := c.tier.Stats()
+				st := tierStats(c.chain)
 				if st.FastUsed > st.Capacity {
 					t.Fatalf("epoch %d: tier over-committed: %+v", e, st)
 				}
@@ -385,7 +419,7 @@ func TestChainCompositionDecliningTier(t *testing.T) {
 					filled = st
 				}
 			}
-			st := c.tier.Stats()
+			st := tierStats(c.chain)
 			c.closeAndAudit(t)
 			// The tier's part of the budget evicts only to admit, and every
 			// admission is a promotion: with none after epoch 1, each one is
@@ -395,14 +429,14 @@ func TestChainCompositionDecliningTier(t *testing.T) {
 			if kept == 0 || kept == files {
 				t.Fatalf("fixture: the tier should hold part of the set after epoch 1: %+v", filled)
 			}
-			if st.Promotions != filled.Promotions || (!wrap.cache && st.Evictions != 0) {
+			if st.Promotions != filled.Promotions || (!wrap.has("cache") && st.Evictions != 0) {
 				t.Fatalf("a uniform shuffle swapped residents: after epoch 1 %+v, at the end %+v", filled, st)
 			}
 			hits, declined := st.FastHits-filled.FastHits, st.Declined-filled.Declined
 			if want := int64((epochs - 1) * files); hits+declined != want {
 				t.Fatalf("%d hits + %d declined misses after epoch 1, want %d (every read one or the other)", hits, declined, want)
 			}
-			if want := (epochs - 1) * kept; hits < want || (!wrap.cache && hits != want) {
+			if want := (epochs - 1) * kept; hits < want || (!wrap.has("cache") && hits != want) {
 				t.Fatalf("%d tier hits after epoch 1, want %d (every resident, every epoch) plus the window's", hits, want)
 			}
 		})
@@ -432,35 +466,34 @@ func TestChainCompositionHeldOnce(t *testing.T) {
 		{"quarter", files * wholeFileSize / 4, false},
 		{"quarter-compress", files * wholeFileSize / 4, true},
 	} {
-		for _, wrap := range []chainWrap{
-			{tiering: true},
-			{cache: true, tiering: true},
-			{recorder: true, tiering: true, resilient: true},
-			{recorder: true, cache: true, tiering: true, resilient: true},
+		for _, wrap := range []chainCell{
+			chainCellOf(t, "tiering"),
+			chainCellOf(t, "cache", "tiering"),
+			chainCellOf(t, "recorder", "tiering", "resilient"),
+			chainCellOf(t, "recorder", "cache", "tiering", "resilient"),
 		} {
-			cell, wrap := cell, wrap
 			t.Run(cell.name+"/"+wrap.String(), func(t *testing.T) {
 				c := newWholeFileChain(t, wrap,
-					tiering.Config{FastCapacity: cell.capacity, PromoteAfter: 1, Compress: cell.compress}, 23)
+					TieringOptions{Enable: true, CapacityBytes: cell.capacity, PromoteAfter: 1, Compress: cell.compress}, 23)
 				for e := 0; e < 2; e++ {
 					c.epoch(t, e)
 				}
-				st := c.tier.Stats()
+				st := tierStats(c.chain)
 				if st.FastUsed > st.Capacity {
 					t.Fatalf("over-committed: %+v", st)
 				}
-				if st.Capacity != cell.capacity && !(wrap.cache && st.Capacity == cell.capacity+wholeCacheBytes) {
+				if st.Capacity != cell.capacity && !(wrap.has("cache") && st.Capacity == cell.capacity+wholeCacheBytes) {
 					t.Fatalf("budget %d, want the tier's %d plus the shared cache's share when on", st.Capacity, cell.capacity)
 				}
 				if fits := st.Capacity >= files*wholeFileSize; fits && st.Residents != files {
 					t.Fatalf("set fits the budget: %d residents, want %d", st.Residents, files)
-				} else if !fits && (st.Residents == 0 || st.Residents == files || (!wrap.cache && st.Evictions != 0)) {
+				} else if !fits && (st.Residents == 0 || st.Residents == files || (!wrap.has("cache") && st.Evictions != 0)) {
 					t.Fatalf("quarter budget: %+v; want part of the set resident and nothing swapped", st)
 				}
 				raw := int64(st.Residents)
 				if cell.compress {
 					raw = 0
-					if wrap.cache && st.Capacity < files*wholeFileSize {
+					if wrap.has("cache") && st.Capacity < files*wholeFileSize {
 						// The shared cache's recency window keeps its
 						// residents raw, and by now it is full.
 						raw = wholeCacheBytes / wholeFileSize

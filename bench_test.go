@@ -29,7 +29,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
-	"github.com/dsrhaslab/prisma-go/internal/tiering"
 	"github.com/dsrhaslab/prisma-go/internal/train"
 )
 
@@ -413,10 +412,12 @@ func BenchmarkSharedCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 1 << 20, Window: 1 << 20, PromoteAfter: 1}, storage.NewModeledBackend(man, dev, nil), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ch := foldOptions(b, &chain{env: env, backend: storage.NewModeledBackend(man, dev, nil)}, Options{
+		Tenancy:           TenancyOptions{Enable: true, SharedCacheBytes: 1 << 20},
+		DisableResilience: true,
+	})
+	defer ch.teardown.run()
+	cache := ch.backend
 	if _, err := cache.Read(storage.Request{Name: "hot"}); err != nil {
 		b.Fatal(err)
 	}

@@ -94,10 +94,16 @@ func main() {
 				s.PoolGets, s.PoolHitRate*100, s.PoolOutstanding,
 				s.PoolFreeBuffers, float64(s.PoolFreeBytes)/(1<<20))
 		}
+		if s.CacheEnabled {
+			fmt.Printf("shared cache:     %d hits (%d joined, %v waiting) / %d device reads, %d residents (%.1f MiB), %d evictions\n",
+				s.CacheHits, s.CacheWaits, s.CacheWaitTime, s.CacheDeviceReads, s.CacheResidents,
+				float64(s.CacheUsedBytes)/(1<<20), s.CacheEvictions)
+		}
 		if s.TierEnabled {
-			fmt.Printf("fast tier:        %d hits / %d slow reads, %d residents (%.1f/%.1f MiB)\n",
+			fmt.Printf("fast tier:        %d hits / %d slow reads, %d residents (%.1f/%.1f MiB), %v promoting, %v decoding\n",
 				s.TierFastHits, s.TierSlowReads, s.TierResidents,
-				float64(s.TierUsedBytes)/(1<<20), float64(s.TierCapacityBytes)/(1<<20))
+				float64(s.TierUsedBytes)/(1<<20), float64(s.TierCapacityBytes)/(1<<20),
+				s.TierPromoteTime, s.TierDecodeTime)
 		}
 		if s.BatchEnabled {
 			fmt.Printf("batched reads:    %d vectored ops, %d samples, %d fallbacks\n",
@@ -249,6 +255,8 @@ func main() {
 		fmt.Printf("prefetch promotions: %d\n", s.TierPrefetchPromotions)
 		fmt.Printf("prefetch skips:      %d\n", s.TierPrefetchSkips)
 		fmt.Printf("tracked names:       %d (%d decay sweeps)\n", s.TierTrackedNames, s.TierAccessDecays)
+		fmt.Printf("promote time:        %v\n", s.TierPromoteTime)
+		fmt.Printf("decode time:         %v\n", s.TierDecodeTime)
 
 	case "set-tenant":
 		if len(args) < 4 {

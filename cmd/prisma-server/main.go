@@ -22,6 +22,44 @@ import (
 	prisma "github.com/dsrhaslab/prisma-go"
 )
 
+// subFlags pairs each flag that only tunes an optional layer with the flag
+// that turns the layer on. Set without it the flag would be silently
+// ignored, so the server refuses to start instead.
+var subFlags = []struct{ flag, requires string }{
+	{"tenant-capacity", "tenancy"},
+	{"tenant-burst", "tenancy"},
+	{"max-queue-depth", "tenancy"},
+	{"max-pooled-bytes", "tenancy"},
+	{"degraded-factor", "tenancy"},
+	{"shared-cache", "tenancy"},
+	{"tenants", "tenancy"},
+	{"slo", "tenancy"},
+	{"slo-boost", "tenancy"},
+	{"tiering-capacity", "tiering"},
+	{"tiering-promote-after", "tiering"},
+	{"tiering-compress", "tiering"},
+	{"tiering-prefetch-next", "tiering"},
+	{"tiering-max-tracked", "tiering"},
+	{"batch-samples", "batch"},
+	{"batch-bytes", "batch"},
+	{"peers", "node-id"},
+	{"vnodes", "node-id"},
+	{"no-partition", "node-id"},
+	{"pprof", "http"},
+}
+
+// checkSubFlags reports the first sub-flag set while its layer is off.
+func checkSubFlags() error {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, r := range subFlags {
+		if on := flag.Lookup(r.requires).Value.String(); set[r.flag] && (on == "" || on == "false") {
+			return fmt.Errorf("-%s requires -%s", r.flag, r.requires)
+		}
+	}
+	return nil
+}
+
 // parsePeers decodes the -peers flag: NAME=SOCKET entries separated by
 // commas, e.g. "node-1=/tmp/prisma-1.sock,node-2=/tmp/prisma-2.sock".
 func parsePeers(s string) (map[string]string, error) {
@@ -143,7 +181,7 @@ func main() {
 		httpAddr     = flag.String("http", "", "serve the HTTP admin API (/stats, /metrics, /tuning, /attribution, /decisions) on this address, e.g. :9090")
 		sampling     = flag.Float64("sampling", 0, "sample-lifecycle trace probability in [0, 1] (0 = off)")
 		spanFile     = flag.String("span-file", "", "write lifecycle spans to this JSON-lines file on shutdown (prisma-trace attribute; implies -sampling 1 when unset)")
-		enablePprof  = flag.Bool("pprof", false, "mount /debug/pprof/ on the admin API (requires -http)")
+		enablePprof  = flag.Bool("pprof", false, "mount /debug/pprof/ on the admin API")
 		noPool       = flag.Bool("no-pool", false, "disable the pooled sample buffers (every hop allocates)")
 		poolMin      = flag.Int("pool-min", 0, "smallest pool size class in bytes (0 = default 4KiB)")
 		poolMax      = flag.Int("pool-max", 0, "largest pool size class in bytes (0 = default 4MiB)")
@@ -156,38 +194,42 @@ func main() {
 		maxPooledBytes = flag.Int64("max-pooled-bytes", 0, "outstanding pooled-byte saturation threshold (0 = off)")
 		degradedFactor = flag.Float64("degraded-factor", 0, "capacity scale while the backend breaker is open (0 = default 0.5)")
 		sharedCache    = flag.Int64("shared-cache", 0, "shared read cache capacity in bytes so co-located tenants don't multiply backend load (0 = off; with -tiering it adds to -tiering-capacity: one budget)")
-		tenantSpecs    = flag.String("tenants", "", "pre-registered tenants as NAME[:WEIGHT[:BYTES_PER_SEC[:SECRET]]],... (requires -tenancy)")
+		tenantSpecs    = flag.String("tenants", "", "pre-registered tenants as NAME[:WEIGHT[:BYTES_PER_SEC[:SECRET]]],...")
 		sloSpecs       = flag.String("slo", "", "per-tenant latency SLOs as TENANT:QUANTILE:THRESHOLD[:SHED_BUDGET[:WINDOW]],... e.g. trainer:0.99:20ms (tenants must appear in -tenants)")
 		sloBoost       = flag.Float64("slo-boost", 0, "arbitration-weight boost factor while a tenant's SLO is breached (0 = default 2; must be > 1)")
 
 		tieringOn      = flag.Bool("tiering", false, "enable the fast-tier backend stage (promote hot samples into a byte-budgeted tier)")
-		tieringCap     = flag.Int64("tiering-capacity", 0, "fast-tier byte budget (0 = default 256MiB; requires -tiering)")
+		tieringCap     = flag.Int64("tiering-capacity", 0, "fast-tier byte budget (0 = default 256MiB)")
 		tieringAfter   = flag.Int("tiering-promote-after", 0, "slow-tier reads of a sample before it is a candidate for the tier; a full tier admits it only over strictly colder residents (0 = default 1)")
 		tieringComp    = flag.Bool("tiering-compress", false, "store fast-tier residents compressed, decoded in place on hits")
 		tieringPref    = flag.Bool("tiering-prefetch-next", false, "warm next-epoch cold samples into free fast-tier space when a plan is submitted")
 		tieringTracked = flag.Int("tiering-max-tracked", 0, "access-count map bound before decay sweeps, which age residents too (0 = default 65536)")
 
 		batchOn      = flag.Bool("batch", false, "enable plan-aware read coalescing (vectored range reads over packed datasets)")
-		batchSamples = flag.Int("batch-samples", 0, "max FIFO-adjacent samples per vectored read (0 = default 4; requires -batch)")
-		batchBytes   = flag.Int64("batch-bytes", 0, "max stored bytes per vectored read (0 = default 4MiB; requires -batch)")
+		batchSamples = flag.Int("batch-samples", 0, "max FIFO-adjacent samples per vectored read (0 = default 4)")
+		batchBytes   = flag.Int64("batch-bytes", 0, "max stored bytes per vectored read (0 = default 4MiB)")
 
 		nodeID      = flag.String("node-id", "", "this node's name in the cluster placement ring (enables the multi-node prefetch fabric with -peers)")
-		peerList    = flag.String("peers", "", "peer nodes as NAME=SOCKET,... e.g. node-1=/tmp/prisma-1.sock (requires -node-id)")
+		peerList    = flag.String("peers", "", "peer nodes as NAME=SOCKET,... e.g. node-1=/tmp/prisma-1.sock")
 		vnodes      = flag.Int("vnodes", 0, "consistent-hash virtual nodes per ring member (0 = default 64; all nodes must agree)")
 		noPartition = flag.Bool("no-partition", false, "prefetch full epoch plans instead of only ring-owned samples (the independent arrangement; reads still route by ownership)")
 	)
+	for _, r := range subFlags {
+		f := flag.Lookup(r.flag)
+		f.Usage += " (requires -" + r.requires + ")"
+	}
 	flag.Parse()
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "prisma-server: -dir is required")
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := checkSubFlags(); err != nil {
+		log.Fatalf("prisma-server: %v", err)
+	}
 	tenants, err := parseTenantSpecs(*tenantSpecs)
 	if err != nil {
 		log.Fatalf("prisma-server: %v", err)
-	}
-	if len(tenants) > 0 && !*tenancy {
-		log.Fatalf("prisma-server: -tenants requires -tenancy")
 	}
 	if err := parseSLOSpecs(*sloSpecs, tenants); err != nil {
 		log.Fatalf("prisma-server: %v", err)
@@ -195,9 +237,6 @@ func main() {
 	peers, err := parsePeers(*peerList)
 	if err != nil {
 		log.Fatalf("prisma-server: %v", err)
-	}
-	if len(peers) > 0 && *nodeID == "" {
-		log.Fatalf("prisma-server: -peers requires -node-id")
 	}
 
 	p, err := prisma.Open(prisma.Options{

@@ -215,3 +215,51 @@ func TestDatagenRejectsMissingDir(t *testing.T) {
 		t.Fatalf("datagen without -dir succeeded: %s", out)
 	}
 }
+
+// TestServerRejectsOrphanSubFlags: every prisma-server flag that only tunes an
+// optional layer says in its help which flag turns the layer on, and set
+// without that flag it stops the server with that message instead of being
+// silently ignored. The cases are read from the binary's own help, one per
+// row of its requirement table.
+func TestServerRejectsOrphanSubFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	server := filepath.Join(buildCommands(t), "prisma-server")
+	help, _ := exec.Command(server, "-h").CombinedOutput()
+	lines := strings.Split(string(help), "\n")
+	rows := 0
+	for i, line := range lines {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || !strings.HasPrefix(fields[0], "-") || i+1 == len(lines) {
+			continue
+		}
+		// The usage text follows the flag line; it may wrap.
+		usage := ""
+		for j := i + 1; j < len(lines) && strings.HasPrefix(lines[j], "    "); j++ {
+			usage += lines[j]
+		}
+		_, req, ok := strings.Cut(usage, "(requires -")
+		if !ok {
+			continue
+		}
+		flagName, requires := fields[0], "-"+strings.TrimSuffix(strings.Fields(req)[0], ")")
+		arg := flagName // a bool flag
+		if len(fields) > 1 {
+			arg += "=1"
+		}
+		rows++
+		t.Run(flagName[1:], func(t *testing.T) {
+			out, err := exec.Command(server, "-dir", t.TempDir(), "-socket", filepath.Join(t.TempDir(), "s.sock"), arg).CombinedOutput()
+			if err == nil {
+				t.Fatalf("%s without %s started:\n%s", arg, requires, out)
+			}
+			if want := flagName + " requires " + requires; !strings.Contains(string(out), want) {
+				t.Fatalf("%s without %s: want %q, got:\n%s", arg, requires, want, out)
+			}
+		})
+	}
+	if rows < 20 {
+		t.Fatalf("only %d flags declare a requirement in prisma-server -h:\n%s", rows, help)
+	}
+}

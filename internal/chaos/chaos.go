@@ -206,7 +206,7 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 		return res, err
 	}
 	st := core.NewStage(env, resilient, core.NewPrefetchObject(pf))
-	st.SetResilienceSource(resilient.ResilienceStats)
+	st.SetChainStats(func(s *core.StageStats) { s.Resilience = resilient.ResilienceStats() })
 	var pool *mempool.Pool
 	if cfg.UsePool {
 		// Debug mode: the ledger names any Get call-site whose lease the

@@ -150,7 +150,7 @@ func (c *Controller) Tick() {
 			Before: ms.applied,
 			After:  next,
 			Inputs: decisionInputs(ms.prev, cur, ms.applied),
-			Attrib: intervalAttribution(ms.prev, cur, consumers),
+			Attrib: cur.Attribution(ms.prev, consumers),
 		}
 		c.mu.Lock()
 		rec.Tick = c.ticks

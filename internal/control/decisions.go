@@ -72,24 +72,6 @@ func decisionInputs(prev, cur core.StageStats, applied Tuning) DecisionInputs {
 	return in
 }
 
-// intervalAttribution computes the latency attribution for the interval
-// between two snapshots. Consumers < 1 defaults to one consumer (the
-// control plane cannot see how many processes sit behind the IPC server).
-func intervalAttribution(prev, cur core.StageStats, consumers int) obs.Attribution {
-	return obs.Attribute(obs.AttributionInput{
-		Window:       cur.Now - prev.Now,
-		Consumers:    consumers,
-		ConsumerWait: cur.Buffer.ConsumerWait - prev.Buffer.ConsumerWait,
-		StorageWait:  cur.Buffer.ConsumerWaitStorage - prev.Buffer.ConsumerWaitStorage,
-		BufferWait:   cur.Buffer.ConsumerWaitBufferFull - prev.Buffer.ConsumerWaitBufferFull,
-		CacheWait:    cur.Tiering.WaitTime - prev.Tiering.WaitTime,
-		TierWait:     (cur.Tiering.PromoteTime + cur.Tiering.DecodeTime) - (prev.Tiering.PromoteTime + prev.Tiering.DecodeTime),
-		ThrottleWait: cur.ThrottleWait - prev.ThrottleWait,
-		StorageBusy:  cur.StorageBusy - prev.StorageBusy,
-		ProducerPark: cur.Buffer.ProducerWait - prev.Buffer.ProducerWait,
-	})
-}
-
 // recordDecision appends one audit entry to the stage's bounded ring.
 // Caller holds c.mu.
 func (ms *managedStage) recordDecision(rec DecisionRecord) {

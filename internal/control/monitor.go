@@ -196,7 +196,7 @@ func (m *Monitor) Attribution(id string, window time.Duration, consumers int) (o
 	if !ok {
 		return obs.Attribution{}, false
 	}
-	return intervalAttribution(oldest.Stats, newest.Stats, consumers), true
+	return newest.Stats.Attribution(oldest.Stats, consumers), true
 }
 
 // EnableMonitoring attaches a monitor to the controller: every Tick also

@@ -9,6 +9,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
 
 // ReadRequest is one intercepted read (DESIGN.md §20). Who is asking and
@@ -193,17 +194,14 @@ type StageStats struct {
 	Pool        mempool.Stats
 	PoolEnabled bool
 
-	// Resilience reflects the chain's retry/breaker state when a resilient
-	// layer is wired in (SetResilienceSource; zero-valued otherwise).
-	// Degraded is the signal the autotuner watches to back off producers
-	// while the circuit breaker sheds load.
-	Resilience storage.ResilienceStats
-
-	// Tiering reflects the memory hierarchy (the tier and shared cache in
-	// one layer) when one is wired in (SetTieringSource); TieringEnabled
-	// disambiguates "off" from "idle". Riding StageStats means the snapshot
-	// crosses the IPC Stats call unchanged, so remote clients see it too.
-	Tiering        TieringStats
+	// Resilience and Tiering are the storage chain's parts of the snapshot,
+	// filled in by what SetChainStats installs (zero-valued without those
+	// layers); TieringEnabled disambiguates "no memory hierarchy" from
+	// "idle". Degraded is the signal the autotuner watches to back off
+	// producers while the circuit breaker sheds load. Riding StageStats means
+	// the chain's numbers cross the IPC Stats call unchanged.
+	Resilience     storage.ResilienceStats
+	Tiering        tiering.Stats
 	TieringEnabled bool
 }
 
@@ -219,28 +217,23 @@ func (s StageStats) CacheEnabled() bool {
 	return s.TieringEnabled && s.Tiering.Window > 0
 }
 
-// TieringStats is the memory-hierarchy snapshot carried by StageStats (the
-// internal/tiering stats, restated here field for field so core does not
-// depend on the policy package and Open converts one to the other).
-type TieringStats struct {
-	FastHits           int64
-	SlowReads          int64
-	Waits              int64         // reads that joined the same name's slow read in flight
-	WaitTime           time.Duration // cumulative time those reads spent blocked
-	Promotions         int64
-	Evictions          int64
-	Declined           int64 // admissions refused: no LRU victim was strictly colder
-	PrefetchPromotions int64
-	PrefetchSkips      int64
-	FastUsed           int64 // physical bytes resident
-	FastLogical        int64 // decoded bytes those residents represent
-	Capacity           int64
-	Window             int64 // the recency window's part of Capacity (the shared cache's budget)
-	Residents          int
-	TrackedNames       int
-	AccessDecays       int64
-	PromoteTime        time.Duration // cumulative read-path promote work
-	DecodeTime         time.Duration // cumulative hit-path decompression
+// Attribution splits the consumer time of the interval since prev — the
+// zero StageStats for everything since the stage started — by cause, over
+// consumers consumer threads or processes. It is the one place a snapshot
+// becomes attribution input.
+func (s StageStats) Attribution(prev StageStats, consumers int) obs.Attribution {
+	return obs.Attribute(obs.AttributionInput{
+		Window:       s.Now - prev.Now,
+		Consumers:    consumers,
+		ConsumerWait: s.Buffer.ConsumerWait - prev.Buffer.ConsumerWait,
+		StorageWait:  s.Buffer.ConsumerWaitStorage - prev.Buffer.ConsumerWaitStorage,
+		BufferWait:   s.Buffer.ConsumerWaitBufferFull - prev.Buffer.ConsumerWaitBufferFull,
+		CacheWait:    s.Tiering.WaitTime - prev.Tiering.WaitTime,
+		TierWait:     (s.Tiering.PromoteTime + s.Tiering.DecodeTime) - (prev.Tiering.PromoteTime + prev.Tiering.DecodeTime),
+		ThrottleWait: s.ThrottleWait - prev.ThrottleWait,
+		StorageBusy:  s.StorageBusy - prev.StorageBusy,
+		ProducerPark: s.Buffer.ProducerWait - prev.Buffer.ProducerWait,
+	})
 }
 
 // Stage is one PRISMA data-plane stage: a chain of optimization objects in
@@ -250,15 +243,14 @@ type Stage struct {
 	env       conc.Env
 	backend   storage.Backend
 	objects   []OptimizationObject
-	pf        *Prefetcher                    // non-nil when a PrefetchObject is attached
-	tracer    *obs.Tracer                    // nil-safe; set once via SetTracer before traffic
-	pool      *mempool.Pool                  // nil when pooling is off; stats only
-	gate      TenantGate                     // nil when multi-tenant QoS is off
-	resilient func() storage.ResilienceStats // nil when no resilient layer is wired in
-	tiering   func() TieringStats            // nil when no memory hierarchy is wired in
-	planCheck func(names []string) error     // nil unless a plan validator (the manifest) is attached
-	epochHook func(names []string)           // nil unless a plan observer (tier warmer) is attached
-	partition func(names []string) []string  // nil unless a plan partitioner (cluster fabric) is attached
+	pf        *Prefetcher                   // non-nil when a PrefetchObject is attached
+	tracer    *obs.Tracer                   // nil-safe; set once via SetTracer before traffic
+	pool      *mempool.Pool                 // nil when pooling is off; stats only
+	gate      TenantGate                    // nil when multi-tenant QoS is off
+	chain     func(*StageStats)             // nil unless the storage chain reports into the snapshot
+	planCheck func(names []string) error    // nil unless a plan validator (the manifest) is attached
+	epochHook func(names []string)          // nil unless a plan observer (tier warmer) is attached
+	partition func(names []string) []string // nil unless a plan partitioner (cluster fabric) is attached
 
 	reads        *metrics.Counter
 	hits         *metrics.Counter
@@ -392,17 +384,13 @@ func (s *Stage) serve(req ReadRequest) (storage.Data, PlanPos, error) {
 // observes nothing.
 func (s *Stage) SetTenantGate(g TenantGate) { s.gate = g }
 
-// SetResilienceSource registers the resilient layer's snapshot provider so
-// breaker state and retry pressure ride the stage's monitoring snapshot
-// wherever that layer sits in the chain. Call before traffic starts; nil
-// (the default) leaves StageStats.Resilience zero-valued.
-func (s *Stage) SetResilienceSource(f func() storage.ResilienceStats) { s.resilient = f }
-
-// SetTieringSource registers the memory hierarchy's snapshot provider so its
-// state rides the stage's monitoring snapshot (and hence the IPC Stats
-// round trip). Call before traffic starts; nil (the default) leaves
-// StageStats.TieringEnabled false.
-func (s *Stage) SetTieringSource(f func() TieringStats) { s.tiering = f }
+// SetChainStats registers what the storage chain below the stage adds to
+// every snapshot — each of its layers fills in its own part — so breaker
+// state, retry pressure and the memory hierarchy ride the stage's monitoring
+// snapshot (and hence the IPC Stats round trip) wherever their layers sit.
+// Call before traffic starts; nil (the default) leaves those parts
+// zero-valued.
+func (s *Stage) SetChainStats(f func(*StageStats)) { s.chain = f }
 
 // SetEpochPlanHook registers a callback invoked with every successfully
 // submitted epoch plan. The stage is the one chokepoint both the
@@ -565,12 +553,8 @@ func (s *Stage) Stats() StageStats {
 		st.Pool = s.pool.Stats()
 		st.PoolEnabled = true
 	}
-	if s.resilient != nil {
-		st.Resilience = s.resilient()
-	}
-	if s.tiering != nil {
-		st.Tiering = s.tiering()
-		st.TieringEnabled = true
+	if s.chain != nil {
+		s.chain(&st)
 	}
 	st.ThrottleWait = time.Duration(s.throttleWait.Value())
 	st.ReadAheadSamples = s.aheadSamples.Value()

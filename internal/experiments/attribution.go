@@ -162,7 +162,7 @@ func RunAttributionCell(label string, cfg AttributionConfig) (AttributionCell, e
 			runErr = err
 			return
 		}
-		start := env.Now()
+		start := st.Stats()
 		for _, n := range names {
 			if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
 				runErr = fmt.Errorf("read %s: %w", n, err)
@@ -172,18 +172,9 @@ func RunAttributionCell(label string, cfg AttributionConfig) (AttributionCell, e
 				env.Sleep(cfg.Consume)
 			}
 		}
-		cell.Makespan = env.Now() - start
-
 		stats := st.Stats()
-		cell.Attrib = obs.Attribute(obs.AttributionInput{
-			Window:       cell.Makespan,
-			Consumers:    1,
-			ConsumerWait: stats.Buffer.ConsumerWait,
-			StorageWait:  stats.Buffer.ConsumerWaitStorage,
-			BufferWait:   stats.Buffer.ConsumerWaitBufferFull,
-			StorageBusy:  stats.StorageBusy,
-			ProducerPark: stats.Buffer.ProducerWait,
-		})
+		cell.Makespan = stats.Now - start.Now
+		cell.Attrib = stats.Attribution(start, 1)
 		cell.Spans = tracer.Spans()
 	})
 	if err := s.Run(); err != nil {

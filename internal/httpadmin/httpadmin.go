@@ -84,20 +84,9 @@ func BuildBundle(dp control.DataPlane, cfg Config, spanLimit int) Bundle {
 		consumers = 1
 	}
 	b := Bundle{
-		CapturedAt: s.Now,
-		Stats:      s,
-		Attribution: obs.Attribute(obs.AttributionInput{
-			Window:       s.Now,
-			Consumers:    consumers,
-			ConsumerWait: s.Buffer.ConsumerWait,
-			StorageWait:  s.Buffer.ConsumerWaitStorage,
-			BufferWait:   s.Buffer.ConsumerWaitBufferFull,
-			CacheWait:    s.Tiering.WaitTime,
-			TierWait:     s.Tiering.PromoteTime + s.Tiering.DecodeTime,
-			ThrottleWait: s.ThrottleWait,
-			StorageBusy:  s.StorageBusy,
-			ProducerPark: s.Buffer.ProducerWait,
-		}),
+		CapturedAt:  s.Now,
+		Stats:       s,
+		Attribution: s.Attribution(core.StageStats{}, consumers),
 	}
 	if cfg.Tenants != nil {
 		snap := cfg.Tenants()
@@ -259,7 +248,9 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		tierEnabled = 1
 	}
 	write("prisma_tiering_enabled", "1 when the memory hierarchy has a fast tier (Tiering.Enable).", "gauge", tierEnabled)
-	if s.TierEnabled() {
+	if s.TieringEnabled {
+		// The whole hierarchy snapshot, whichever of its two budgets (the
+		// tier's, the shared cache's window) it was given.
 		t := s.Tiering
 		write("prisma_tiering_fast_hits_total", "Reads served from the fast tier.", "counter", float64(t.FastHits))
 		write("prisma_tiering_slow_reads_total", "Demand misses served by the slow tier.", "counter", float64(t.SlowReads))
@@ -270,10 +261,15 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		write("prisma_tiering_prefetch_skips_total", "Warm-plan entries declined (resident, full tier, or error).", "counter", float64(t.PrefetchSkips))
 		write("prisma_tiering_used_bytes", "Physical fast-tier occupancy (compressed where applicable).", "gauge", float64(t.FastUsed))
 		write("prisma_tiering_logical_bytes", "Decoded sample volume the fast tier holds.", "gauge", float64(t.FastLogical))
-		write("prisma_tiering_capacity_bytes", "Fast-tier byte budget.", "gauge", float64(t.Capacity))
+		write("prisma_tiering_capacity_bytes", "The hierarchy's whole byte budget (the tier's plus the shared cache's).", "gauge", float64(t.Capacity))
 		write("prisma_tiering_residents", "Samples resident on the fast tier.", "gauge", float64(t.Residents))
 		write("prisma_tiering_tracked_names", "Names in the promotion-counter map.", "gauge", float64(t.TrackedNames))
 		write("prisma_tiering_access_decays_total", "Promotion-counter decay sweeps.", "counter", float64(t.AccessDecays))
+		write("prisma_tiering_window_bytes", "The recency window's part of the byte budget (the shared cache's).", "gauge", float64(t.Window))
+		write("prisma_tiering_joined_reads_total", "Reads that joined another reader's in-flight slow read of the same sample.", "counter", float64(t.Waits))
+		write("prisma_tiering_joined_wait_seconds_total", "Cumulative time joined reads spent waiting on that slow read.", "counter", t.WaitTime.Seconds())
+		write("prisma_tiering_promote_seconds_total", "Cumulative read-path admission work (compression included).", "counter", t.PromoteTime.Seconds())
+		write("prisma_tiering_decode_seconds_total", "Cumulative hit-path decompression.", "counter", t.DecodeTime.Seconds())
 	}
 	batchEnabled := 0.0
 	if s.BatchEnabled {
@@ -354,7 +350,7 @@ func (h *Handler) bundle(w http.ResponseWriter, r *http.Request) {
 }
 
 // tiering serves the fast-tier snapshot: GET /tiering returns the
-// TieringStats carried by the stage snapshot as JSON, 501 when the memory
+// memory hierarchy's stats carried by the stage snapshot as JSON, 501 when the memory
 // hierarchy has no fast tier (none at all, or the shared cache alone).
 func (h *Handler) tiering(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -552,19 +548,7 @@ func (h *Handler) attribution(w http.ResponseWriter, r *http.Request) {
 		}
 		consumers = n
 	}
-	s := h.dp.Stats()
-	a := obs.Attribute(obs.AttributionInput{
-		Window:       s.Now,
-		Consumers:    consumers,
-		ConsumerWait: s.Buffer.ConsumerWait,
-		StorageWait:  s.Buffer.ConsumerWaitStorage,
-		BufferWait:   s.Buffer.ConsumerWaitBufferFull,
-		CacheWait:    s.Tiering.WaitTime,
-		TierWait:     s.Tiering.PromoteTime + s.Tiering.DecodeTime,
-		ThrottleWait: s.ThrottleWait,
-		StorageBusy:  s.StorageBusy,
-		ProducerPark: s.Buffer.ProducerWait,
-	})
+	a := h.dp.Stats().Attribution(core.StageStats{}, consumers)
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(a); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

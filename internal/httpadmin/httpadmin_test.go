@@ -2,12 +2,15 @@ package httpadmin
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
 
 // fakeDP is a scriptable data plane.
@@ -161,5 +164,75 @@ func TestTuningValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /tuning status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestMetricsRenderTheWholeHierarchy: the memory hierarchy's families are
+// rendered whichever budgets it has — the shared cache's recency window
+// alone, the tier's alone, or both — and none without a hierarchy, while
+// prisma_tiering_enabled stays 1 only with a tier.
+func TestMetricsRenderTheWholeHierarchy(t *testing.T) {
+	families := []string{
+		"prisma_tiering_fast_hits_total", "prisma_tiering_slow_reads_total", "prisma_tiering_promotions_total",
+		"prisma_tiering_evictions_total", "prisma_tiering_declined_total", "prisma_tiering_prefetch_promotions_total",
+		"prisma_tiering_prefetch_skips_total", "prisma_tiering_used_bytes", "prisma_tiering_logical_bytes",
+		"prisma_tiering_capacity_bytes", "prisma_tiering_residents", "prisma_tiering_tracked_names",
+		"prisma_tiering_access_decays_total", "prisma_tiering_window_bytes", "prisma_tiering_joined_reads_total",
+		"prisma_tiering_joined_wait_seconds_total", "prisma_tiering_promote_seconds_total", "prisma_tiering_decode_seconds_total",
+	}
+	for _, c := range []struct {
+		name             string
+		window, capacity int64
+		hierarchy        bool
+		tier             string
+	}{
+		{"none", 0, 0, false, "0"},
+		{"cache", 1 << 20, 1 << 20, true, "0"},
+		{"tier", 0, 4 << 20, true, "1"},
+		{"both", 1 << 20, 5 << 20, true, "1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dp := &fakeDP{}
+			dp.stats.TieringEnabled = c.hierarchy
+			dp.stats.Tiering = tiering.Stats{
+				Capacity: c.capacity, Window: c.window, Waits: 3, WaitTime: 2 * time.Second,
+				PromoteTime: time.Second, DecodeTime: 500 * time.Millisecond,
+			}
+			srv := httptest.NewServer(New(dp))
+			defer srv.Close()
+			resp, err := http.Get(srv.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body := new(strings.Builder)
+			if _, err := readAll(body, resp); err != nil {
+				t.Fatal(err)
+			}
+			text := body.String()
+			if !strings.Contains(text, "\nprisma_tiering_enabled "+c.tier+"\n") {
+				t.Errorf("prisma_tiering_enabled is not %s:\n%s", c.tier, text)
+			}
+			for _, f := range families {
+				if got := strings.Contains(text, "# TYPE "+f+" "); got != c.hierarchy {
+					t.Errorf("family %s rendered = %v, want %v", f, got, c.hierarchy)
+				}
+			}
+			if !c.hierarchy {
+				return
+			}
+			for _, want := range []string{
+				fmt.Sprintf("\nprisma_tiering_window_bytes %g\n", float64(c.window)),
+				fmt.Sprintf("\nprisma_tiering_capacity_bytes %g\n", float64(c.capacity)),
+				"\nprisma_tiering_joined_reads_total 3\n",
+				"\nprisma_tiering_joined_wait_seconds_total 2\n",
+				"\nprisma_tiering_promote_seconds_total 1\n",
+				"\nprisma_tiering_decode_seconds_total 0.5\n",
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("metrics missing %q", strings.TrimSpace(want))
+				}
+			}
+		})
 	}
 }

@@ -10,11 +10,9 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
-	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
@@ -425,64 +423,6 @@ func TestRangeMissAllocatesNothing(t *testing.T) {
 	read()
 	if allocs := testing.AllocsPerRun(1000, read); allocs != 0 {
 		t.Fatalf("ranged miss allocates %v/op, want 0", allocs)
-	}
-}
-
-// TestTwoJobsSharedDataset is the §VII scenario the shared cache exists for:
-// two PRISMA-backed jobs train over the same dataset through one raw
-// hierarchy that holds it; 400 logical reads cost each file one device read.
-func TestTwoJobsSharedDataset(t *testing.T) {
-	const files = 200
-	s := sim.New()
-	env := conc.NewSimEnv(s)
-	var devReads int64
-	s.Spawn("jobs", func(*sim.Process) {
-		b, dev, names := deviceFixture(env, Config{FastCapacity: 1 << 30, PromoteAfter: 1}, files, 100_000)
-		mkStage := func() *core.Stage {
-			pf, err := core.NewPrefetcher(env, b, core.PrefetcherConfig{
-				InitialProducers: 2, MaxProducers: 8,
-				InitialBufferCapacity: 16, MaxBufferCapacity: 64,
-			})
-			if err != nil {
-				panic(err)
-			}
-			st := core.NewStage(env, b, core.NewPrefetchObject(pf))
-			pf.Start()
-			return st
-		}
-		stA, stB := mkStage(), mkStage()
-		samples := make([]dataset.Sample, len(names))
-		for i, n := range names {
-			samples[i] = dataset.Sample{Name: n, Size: 100_000}
-		}
-		wg := env.NewWaitGroup()
-		wg.Add(2)
-		runJob := func(st *core.Stage, seed int64) {
-			defer wg.Done()
-			plan := dataset.MustNew(samples).EpochFileList(seed, 0)
-			if err := st.SubmitPlan(plan); err != nil {
-				t.Error(err)
-				return
-			}
-			for _, n := range plan {
-				if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}
-		env.Go("jobA", func() { runJob(stA, 1) })
-		env.Go("jobB", func() { runJob(stB, 2) })
-		wg.Wait()
-		stA.Close()
-		stB.Close()
-		devReads = dev.Stats().Reads
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if devReads != files {
-		t.Fatalf("device reads = %d, want %d (each file fetched once)", devReads, files)
 	}
 }
 

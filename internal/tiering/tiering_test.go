@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
@@ -230,50 +229,6 @@ func TestTieringSpeedsUpRepeatedEpochs(t *testing.T) {
 		second := epoch()
 		if second*5 > first {
 			t.Fatalf("second epoch %v not ≪ first %v", second, first)
-		}
-	})
-}
-
-func TestPrefetcherOverTieredBackend(t *testing.T) {
-	// Composition: PRISMA's producers read through the tiered backend.
-	// Epoch 1 pulls from the slow tier and promotes; epoch 2's prefetch
-	// runs at fast-tier speed — the two optimization objects stack.
-	runSim(t, func(env conc.Env) {
-		b, names := tieredFixture(env, Config{FastCapacity: 1 << 30, PromoteAfter: 1}, 60, 100_000)
-		pf, err := core.NewPrefetcher(env, b, core.PrefetcherConfig{
-			InitialProducers: 2, MaxProducers: 8,
-			InitialBufferCapacity: 16, MaxBufferCapacity: 64,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := core.NewStage(env, b, core.NewPrefetchObject(pf))
-		pf.Start()
-		defer st.Close()
-
-		epoch := func() time.Duration {
-			start := env.Now()
-			if err := st.SubmitPlan(names); err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range names {
-				if _, _, err := st.Read(core.ReadRequest{Name: n}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return env.Now() - start
-		}
-		first := epoch()
-		second := epoch()
-		if second*3 > first {
-			t.Fatalf("epoch 2 (%v) not ≪ epoch 1 (%v) despite promotion", second, first)
-		}
-		stats := b.Stats()
-		if stats.Promotions != 60 {
-			t.Fatalf("promotions = %d, want 60", stats.Promotions)
-		}
-		if stats.FastHits != 60 {
-			t.Fatalf("fast hits = %d, want 60 (all of epoch 2)", stats.FastHits)
 		}
 	})
 }

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/dsrhaslab/prisma-go/internal/mempool"
+	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
 // everyLayer turns on every layer Open can bring up, with loops fast enough
@@ -137,31 +140,108 @@ func TestCloseConcurrentAndRepeated(t *testing.T) {
 	}
 }
 
-// TestOpenFailureTearsDown: an Open that fails after every layer is up —
-// the tenant registrations are the last thing it does, and the only late
-// step options validation lets a caller break — leaves no goroutine and no
-// descriptor (the dataset root is the first thing Open opens) behind.
+// TestCloseWakesBlockedSocketReader: a socket client blocked in a planned
+// take — its sample cannot arrive: the one-slot buffer holds the plan's
+// first entry and the one producer is parked on the second — is woken by
+// Close, which then returns. The server waits for its handlers, and only the
+// stage's close wakes a planned take, so the stage must go down first.
+func TestCloseWakesBlockedSocketReader(t *testing.T) {
+	dir := makeDataset(t, 4)
+	opts := Options{Dir: dir, DisableAutoTune: true, InitialProducers: 1, MaxProducers: 1,
+		InitialBuffer: 1, MaxBuffer: 1, BufferShards: 1}
+	p, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock := filepath.Join(shortTempDir(t), "blocked.sock")
+	if err := p.ServeUnix(sock); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	names := p.ShuffledFileList(1, 0)
+	if err := c.SubmitPlan(names); err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan error, 1)
+	go func() {
+		_, err := c.Read(names[len(names)-1])
+		read <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); p.Stats().PlanClaims == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the socket read never claimed its plan entry: %+v", p.Stats())
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close still blocked after 3 s behind a socket reader waiting on its planned sample")
+	}
+	if err := <-read; err == nil {
+		t.Fatal("the blocked read succeeded after Close")
+	}
+}
+
+// TestOpenFailureTearsDown: an Open that fails part-way leaves no goroutine,
+// no descriptor (the dataset root is the first thing Open opens) and no
+// pooled lease behind — whether a row of the storage chain table fails (its
+// build is swapped for one that first reads a sample through every layer
+// below it, so the leaf has pinned a descriptor and the hierarchy holds a
+// lease, then fails) or the tenant registrations do, the last thing Open does
+// and the only late step options validation lets a caller break.
 func TestOpenFailureTearsDown(t *testing.T) {
 	dir := makeDataset(t, 8)
 	warmDescriptors(t, dir)
+	failOpen := func(t *testing.T, tenants []TenantSpec) {
+		t.Helper()
+		base, fds := runtime.NumGoroutine(), openFDs()
+		opts := Options{Dir: dir, TraceFile: filepath.Join(t.TempDir(), "io.jsonl")}
+		everyLayer(&opts)
+		opts.Tenancy.Tenants = tenants
+		if p, err := Open(opts); err == nil {
+			p.Close()
+			t.Fatal("Open succeeded")
+		}
+		awaitGoroutines(t, base)
+		if got := openFDs(); got != fds {
+			t.Fatalf("%d descriptors open after the failed Open, %d before", got, fds)
+		}
+	}
+	for i, row := range chainLayers {
+		t.Run("row "+row.name, func(t *testing.T) {
+			defer func() { chainLayers[i] = row }()
+			var pool *mempool.Pool
+			chainLayers[i].build = func(c *chain, _ Options) (storage.Backend, error) {
+				pool = c.pool
+				resp, err := c.backend.Read(storage.Request{Name: "train/0000.jpg"})
+				if err != nil {
+					return nil, err
+				}
+				resp.Data.Release()
+				return nil, errors.New("injected")
+			}
+			failOpen(t, nil)
+			if pool == nil {
+				t.Fatal("the failing row was never built")
+			}
+			if n := pool.Outstanding(); n != 0 {
+				t.Fatalf("%d pooled leases outstanding after the failed Open", n)
+			}
+		})
+	}
 	for name, tenants := range map[string][]TenantSpec{
 		"duplicate tenant": {{Name: "job-a"}, {Name: "job-a"}},
 		"negative weight":  {{Name: "job-a"}, {Name: "job-b", Weight: -1}},
 		"reserved name":    {{Name: "default"}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			base, fds := runtime.NumGoroutine(), openFDs()
-			opts := Options{Dir: dir}
-			everyLayer(&opts)
-			opts.Tenancy.Tenants = tenants
-			if p, err := Open(opts); err == nil {
-				p.Close()
-				t.Fatal("Open succeeded")
-			}
-			awaitGoroutines(t, base)
-			if got := openFDs(); got != fds {
-				t.Fatalf("%d descriptors open after the failed Open, %d before", got, fds)
-			}
+			failOpen(t, tenants)
 		})
 	}
 }

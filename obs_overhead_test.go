@@ -19,7 +19,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tenancy"
-	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
 
 // runContendedBuffer drives the §V-B contention shape (8 producer/consumer
@@ -117,11 +116,11 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 	t.Helper()
 	const workers = 8
 	env := conc.NewReal()
-	tb, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 1 << 24, PromoteAfter: 1}, memBackend{payload: make([]byte, 4096)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := core.NewPrefetcher(env, tb, core.PrefetcherConfig{
+	ch := foldOptions(t, &chain{env: env, tracer: tracer, backend: memBackend{payload: make([]byte, 4096)}}, Options{
+		Tiering:           TieringOptions{Enable: true, CapacityBytes: 1 << 24, PromoteAfter: 1},
+		DisableResilience: true,
+	})
+	pf, err := core.NewPrefetcher(env, ch.backend, core.PrefetcherConfig{
 		InitialProducers:      1,
 		MaxProducers:          2,
 		InitialBufferCapacity: 4,
@@ -130,11 +129,10 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, tb, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, ch.backend, core.NewPrefetchObject(pf))
 	defer stage.Close()
-	defer tb.Close()
+	defer ch.teardown.run()
 	stage.SetTracer(tracer)
-	tb.SetTracer(tracer)
 	mgr, err := tenancy.New(env, tenancy.Config{Capacity: 1e9})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -22,7 +21,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
-	"github.com/dsrhaslab/prisma-go/internal/trace"
 )
 
 // Prisma is one data-plane stage plus its control plane, serving a local
@@ -34,13 +32,13 @@ type Prisma struct {
 	reader      core.Reader // what every read goes through: the fabric when clustered, else the stage
 	ctl         *control.Controller
 	server      *ipc.Server
-	recorder    *trace.Recorder
 	tracer      *obs.Tracer
 	tenants     *tenancy.Manager // nil unless Options.Tenancy.Enable
 	fabric      *distrib.Fabric  // nil unless Options.Cluster.Enable
-	traceTo     string
-	spanTo      string
 	enablePprof bool
+	// flush is what Close writes once the data plane is quiet: the I/O
+	// trace, the spans.
+	flush []func() error
 
 	teardown  closers
 	closeOnce sync.Once
@@ -230,7 +228,7 @@ func attributionFrom(a obs.Attribution) Attribution {
 func statsFrom(s core.StageStats) Stats {
 	// The tier and the shared cache are one struct; each view stays
 	// zero-valued unless its own option is on.
-	var tier, cache core.TieringStats
+	var tier, cache tiering.Stats
 	if s.TierEnabled() {
 		tier = s.Tiering
 	}
@@ -326,27 +324,6 @@ func batchSamples(opts Options) int {
 	return opts.Batch.MaxSamples
 }
 
-// hierarchyConfig resolves the memory hierarchy from opts: one budget, the
-// sum of the tier's and the shared cache's. The shared cache's part is the
-// recency window, which keeps every miss raw and LRU, so a job trailing
-// another over the same dataset finds what it just read; the tier's part
-// follows the tier's promotion threshold, admission rule and compression.
-// !ok when neither is configured.
-func hierarchyConfig(opts Options) (tiering.Config, bool) {
-	cfg := tiering.Config{PromoteAfter: 1}
-	if opts.Tenancy.Enable && opts.Tenancy.SharedCacheBytes > 0 {
-		cfg.FastCapacity = opts.Tenancy.SharedCacheBytes
-		cfg.Window = opts.Tenancy.SharedCacheBytes
-	}
-	if opts.Tiering.Enable {
-		cfg.FastCapacity += opts.Tiering.CapacityBytes
-		cfg.PromoteAfter = opts.Tiering.PromoteAfter
-		cfg.MaxTracked = opts.Tiering.MaxTrackedNames
-		cfg.Compress = opts.Tiering.Compress
-	}
-	return cfg, cfg.FastCapacity > 0
-}
-
 // Open builds a PRISMA instance over opts.Dir. The directory is scanned
 // once to build the dataset manifest (file names are slash-separated paths
 // relative to Dir). On Linux a scanned file stays open from its first read
@@ -368,8 +345,6 @@ func Open(opts Options) (*Prisma, error) {
 	p := &Prisma{
 		env:         env,
 		manifest:    manifest,
-		traceTo:     opts.TraceFile,
-		spanTo:      opts.SpanFile,
 		enablePprof: opts.EnablePprof,
 	}
 	// fail abandons a partly built instance: whatever came up is torn down
@@ -386,6 +361,11 @@ func Open(opts Options) (*Prisma, error) {
 			PerClassCap: opts.BufferPool.PerClassCap,
 		})
 	}
+	// The tracer exists even at sampling 0 so the runtime knob
+	// (SetTraceSampling, prisma-ctl set-sampling, /tuning?sampling=) can
+	// turn tracing on without a restart. It is attached before the
+	// producers start, so they never race a nil-to-set transition.
+	p.tracer = obs.NewTracer(env, obs.TracerOptions{Sampling: opts.TraceSampling})
 	leaf, err := storage.NewDirBackend(opts.Dir)
 	if err != nil {
 		return fail(err)
@@ -393,47 +373,14 @@ func Open(opts Options) (*Prisma, error) {
 	p.teardown.push(leaf.Close)
 	leaf.SetBufferPool(pool)
 	leaf.SetManifest(manifest)
-	var backend storage.Backend = leaf
-	if opts.TraceFile != "" {
-		p.recorder = trace.NewRecorder(env, backend)
-		backend = p.recorder
+	ch := &chain{env: env, pool: pool, tracer: p.tracer, teardown: &p.teardown, backend: leaf}
+	if err := ch.fold(chainLayers, opts); err != nil {
+		return fail(err)
 	}
-	var tiered *tiering.Backend
-	if cfg, ok := hierarchyConfig(opts); ok {
-		// The memory hierarchy (fast tier and shared cache in one layer)
-		// sits above the recorder, so the I/O trace keeps seeing only actual
-		// device reads, promotions and warms included, and below the
-		// resilient wrapper, so hits keep flowing while the breaker sheds
-		// misses and retried reads pass back through it.
-		tb, err := tiering.NewBackend(env, cfg, backend, nil)
-		if err != nil {
-			return fail(err)
-		}
-		p.teardown.push(noErr(tb.Close))
-		tb.SetBufferPool(pool) // hit-path decode buffers
-		backend = tb
-		tiered = tb
-	}
-	var resilient *storage.ResilientBackend
-	if !opts.DisableResilience {
-		rcfg := storage.DefaultResilienceConfig()
-		rcfg.MaxAttempts = opts.ReadRetries
-		rcfg.BaseBackoff = opts.RetryBackoff
-		rcfg.ReadDeadline = opts.ReadDeadline
-		rcfg.BreakerCooldown = opts.BreakerCooldown
-		if opts.BreakerThreshold < 0 {
-			rcfg.BreakerThreshold = 0 // retries without a breaker
-		} else {
-			rcfg.BreakerThreshold = opts.BreakerThreshold
-		}
-		// Resilient goes outermost so retried reads re-enter the cache,
-		// the tier and the trace.
-		rb, err := storage.NewResilientBackend(env, backend, rcfg)
-		if err != nil {
-			return fail(err)
-		}
-		backend = rb
-		resilient = rb
+	backend := ch.backend
+	p.flush = ch.flush
+	if opts.SpanFile != "" {
+		p.flush = append(p.flush, func() error { return writeFile(opts.SpanFile, "spans", p.tracer.Export) })
 	}
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 		InitialProducers:      opts.InitialProducers,
@@ -461,29 +408,10 @@ func Open(opts Options) (*Prisma, error) {
 		}
 		return nil
 	})
-	// The tracer exists even at sampling 0 so the runtime knob
-	// (SetTraceSampling, prisma-ctl set-sampling, /tuning?sampling=) can
-	// turn tracing on without a restart. It must attach before Start so
-	// producers never race a nil-to-set transition.
-	tracer := obs.NewTracer(env, obs.TracerOptions{Sampling: opts.TraceSampling})
-	p.tracer = tracer
-	stage.SetTracer(tracer)
+	stage.SetTracer(p.tracer)
 	stage.SetBufferPool(pool)
-	if resilient != nil {
-		stage.SetResilienceSource(resilient.ResilienceStats)
-	}
-	if tiered != nil {
-		tb := tiered
-		tb.SetTracer(tracer)
-		stage.SetTieringSource(func() core.TieringStats { return core.TieringStats(tb.Stats()) })
-		if opts.Tiering.Enable && opts.Tiering.PrefetchNextEpoch {
-			// Hook the stage, not Prisma.SubmitEpoch: the IPC server
-			// submits epochs straight to the stage, and remote data
-			// loaders (the multi-process serving path) must warm the
-			// tier too.
-			stage.SetEpochPlanHook(tb.PrefetchPlan)
-		}
-	}
+	stage.SetChainStats(ch.snapshot)
+	stage.SetEpochPlanHook(ch.plan)
 	pf.Start()
 
 	if opts.Cluster.Enable {
@@ -750,19 +678,7 @@ func (p *Prisma) SetTraceSampling(prob float64) { p.stage.SetTraceSampling(prob)
 // capacity, and IPC, with the remainder meaning the data plane kept up.
 // consumers is the number of consumer threads/processes (minimum 1).
 func (p *Prisma) Attribution(consumers int) Attribution {
-	s := p.stage.Stats()
-	return attributionFrom(obs.Attribute(obs.AttributionInput{
-		Window:       s.Now,
-		Consumers:    consumers,
-		ConsumerWait: s.Buffer.ConsumerWait,
-		StorageWait:  s.Buffer.ConsumerWaitStorage,
-		BufferWait:   s.Buffer.ConsumerWaitBufferFull,
-		CacheWait:    s.Tiering.WaitTime,
-		TierWait:     s.Tiering.PromoteTime + s.Tiering.DecodeTime,
-		ThrottleWait: s.ThrottleWait,
-		StorageBusy:  s.StorageBusy,
-		ProducerPark: s.Buffer.ProducerWait,
-	}))
+	return attributionFrom(p.stage.Stats().Attribution(core.StageStats{}, consumers))
 }
 
 // DumpSpans writes the lifecycle spans collected so far as JSON lines
@@ -998,7 +914,12 @@ func (p *Prisma) ServeUnix(socketPath string) error {
 	}
 	srv.SetBundleSource(p.Bundle)
 	p.server = srv
-	p.teardown.push(srv.Close)
+	// The server waits for its handlers, and a handler blocked in a planned
+	// take wakes only when the stage closes: the stage goes down first.
+	p.teardown.push(func() error {
+		p.stage.Close()
+		return srv.Close()
+	})
 	return nil
 }
 
@@ -1012,44 +933,13 @@ func (p *Prisma) Close() error {
 	var err error
 	p.closeOnce.Do(func() {
 		err = p.teardown.run()
-		if p.recorder != nil {
-			if werr := p.dumpTrace(); err == nil {
-				err = werr
-			}
-		}
-		if p.spanTo != "" {
-			if werr := p.dumpSpans(); err == nil {
-				err = werr
+		for _, flush := range p.flush {
+			if ferr := flush(); err == nil {
+				err = ferr
 			}
 		}
 	})
 	return err
-}
-
-// dumpSpans writes the collected lifecycle spans to Options.SpanFile.
-func (p *Prisma) dumpSpans() error {
-	f, err := os.Create(p.spanTo)
-	if err != nil {
-		return fmt.Errorf("prisma: spans: %w", err)
-	}
-	if err := p.tracer.Export(f); err != nil {
-		f.Close()
-		return fmt.Errorf("prisma: spans: %w", err)
-	}
-	return f.Close()
-}
-
-// dumpTrace writes the recorded backend I/O trace to Options.TraceFile.
-func (p *Prisma) dumpTrace() error {
-	f, err := os.Create(p.traceTo)
-	if err != nil {
-		return fmt.Errorf("prisma: trace: %w", err)
-	}
-	if err := p.recorder.Trace().Write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("prisma: trace: %w", err)
-	}
-	return f.Close()
 }
 
 // Client is a per-worker-process connection to a PRISMA socket server.
