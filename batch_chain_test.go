@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/experiments"
@@ -20,15 +21,17 @@ import (
 )
 
 // chainSwitch turns on, in Options, one way of building a row of
-// chainLayers; tier and cacheBytes size the memory hierarchy's two budgets.
+// chain.Layers; tier and cacheBytes size the memory hierarchy's two budgets.
 type chainSwitch struct {
 	row, name string
 	on        func(o *Options, tier TieringOptions, cacheBytes int64)
 }
 
-// chainSwitches lists the switches of every row of chainLayers, in table
-// order: the hierarchy has two, its two budgets. A row without an entry here
-// fails every composition test, so no layer goes untested.
+// chainSwitches lists the switches of every row of chain.Layers, in table
+// order: the hierarchy has two, its two budgets, and the pack view none —
+// Options cannot turn it on until Open detects a pack index, so the packed
+// cells turn it on themselves. A row without an entry here fails every
+// composition test, so no layer goes untested.
 func chainSwitches(t *testing.T) []chainSwitch {
 	t.Helper()
 	byRow := map[string][]chainSwitch{
@@ -40,15 +43,16 @@ func chainSwitches(t *testing.T) []chainSwitch {
 			{name: "tiering", on: func(o *Options, tier TieringOptions, _ int64) { o.Tiering = tier }},
 		},
 		"resilient": {{name: "resilient", on: func(o *Options, _ TieringOptions, _ int64) { o.DisableResilience = false }}},
+		"pack":      nil,
 	}
 	var out []chainSwitch
-	for _, l := range chainLayers {
-		sw, ok := byRow[l.name]
+	for _, l := range chain.Layers {
+		sw, ok := byRow[l.Name]
 		if !ok {
-			t.Fatalf("chain row %q has no switch in chainSwitches", l.name)
+			t.Fatalf("chain row %q has no switch in chainSwitches", l.Name)
 		}
 		for _, s := range sw {
-			s.row = l.name
+			s.row = l.Name
 			out = append(out, s)
 		}
 	}
@@ -108,48 +112,49 @@ func (c chainCell) String() string {
 }
 
 // fold folds the table into ch (its clock, pool and leaf set) for the cell,
-// as Open does, and checks it built exactly the rows the cell switched on.
-// ch.teardown undoes it.
-func (c chainCell) fold(t *testing.T, ch *chain, tier TieringOptions, cacheBytes int64) *chain {
+// as Open does — with the pack view on top over ix, when set — and checks it
+// built exactly the rows the cell switched on. ch.Close undoes it.
+func (c chainCell) fold(t *testing.T, ch *chain.Chain, tier TieringOptions, cacheBytes int64, ix *recordio.Index) *chain.Chain {
 	t.Helper()
 	opts := Options{DisableResilience: true, ReadDeadline: 10 * time.Second}
-	var want []string
+	on := map[string]bool{"pack": ix != nil}
 	for i, sw := range c.switches {
 		if c.mask&(1<<i) != 0 {
 			sw.on(&opts, tier, cacheBytes)
+			on[sw.row] = true
 		}
 	}
-	for _, l := range chainLayers {
-		for i, sw := range c.switches {
-			if sw.row == l.name && c.mask&(1<<i) != 0 {
-				want = append(want, l.name)
-				break
-			}
+	var want []string
+	for _, l := range chain.Layers {
+		if on[l.Name] {
+			want = append(want, l.Name)
 		}
 	}
-	foldOptions(t, ch, opts)
-	if fmt.Sprint(ch.built) != fmt.Sprint(want) {
-		t.Fatalf("%s: the fold built %v, want %v", c, ch.built, want)
+	cfg := chainConfig(opts.withDefaults())
+	cfg.Index = ix
+	if err := ch.Fold(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ch.Built) != fmt.Sprint(want) {
+		t.Fatalf("%s: the fold built %v, want %v", c, ch.Built, want)
 	}
 	return ch
 }
 
 // foldOptions folds the chain table into ch — its clock, pool, tracer and
-// leaf set — for opts, defaults applied as Open applies them. The chain's
-// teardown undoes it.
-func foldOptions(t testing.TB, ch *chain, opts Options) *chain {
+// leaf set — for opts, mapped as Open maps them. ch.Close undoes it.
+func foldOptions(t testing.TB, ch *chain.Chain, opts Options) *chain.Chain {
 	t.Helper()
-	ch.teardown = &closers{}
-	if err := ch.fold(chainLayers, opts.withDefaults()); err != nil {
+	if err := ch.Fold(chainConfig(opts.withDefaults())); err != nil {
 		t.Fatal(err)
 	}
 	return ch
 }
 
 // tierStats is the memory hierarchy's part of the chain's snapshot.
-func tierStats(ch *chain) tiering.Stats {
+func tierStats(ch *chain.Chain) tiering.Stats {
 	var s core.StageStats
-	ch.snapshot(&s)
+	ch.Snapshot(&s)
 	return s.Tiering
 }
 
@@ -163,10 +168,6 @@ func packChainDataset(t *testing.T, files, size int, compressed bool) (*storage.
 	mem := storage.NewMemBackend()
 	names := make([]string, files)
 	contents := make([][]byte, files)
-	var shard bytes.Buffer
-	w := recordio.NewWriter(&shard)
-	ix := recordio.NewIndex()
-	const shardName = "chain/shard-00000.rec"
 	for i := range names {
 		names[i] = fmt.Sprintf("chain%04d.bin", i)
 		buf := make([]byte, size)
@@ -178,27 +179,14 @@ func packChainDataset(t *testing.T, files, size int, compressed bool) (*storage.
 			}
 		}
 		contents[i] = buf
-		payload, codec := buf, recordio.CodecNone
-		if compressed {
-			comp, ok := recordio.AppendCompress(nil, buf)
-			if !ok {
-				t.Fatalf("fixture payload %d unexpectedly incompressible", i)
-			}
-			payload, codec = comp, recordio.CodecLZ
-		}
-		off, length, err := w.WriteRecord(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = ix.Add(names[i], recordio.Entry{
-			Shard: shardName, Offset: off, Length: length,
-			Codec: codec, Raw: int64(len(buf)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
-	mem.Add(shardName, shard.Bytes())
+	ix, err := recordio.PackMem(mem, "chain/shard-00000.rec", names, contents, compressed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compressed && ix.StoredBytes*2 > ix.PayloadBytes {
+		t.Fatalf("fixture compressed only to %d of %d bytes", ix.StoredBytes, ix.PayloadBytes)
+	}
 	return mem, ix, names, contents
 }
 
@@ -215,22 +203,21 @@ func runChainCell(t *testing.T, wrap chainCell, compressed bool, k int) {
 	pool := mempool.New(mempool.Config{Debug: true})
 	mem.SetBufferPool(pool)
 
-	ch := wrap.fold(t, &chain{env: env, pool: pool, backend: mem},
-		TieringOptions{Enable: true, CapacityBytes: 64 << 20, PromoteAfter: 1}, 64<<20)
-	backend := recordio.NewIndexedBackend(ix, ch.backend)
-	backend.SetBufferPool(pool)
+	ch := wrap.fold(t, &chain.Chain{Env: env, Pool: pool, Backend: mem},
+		TieringOptions{Enable: true, CapacityBytes: 64 << 20, PromoteAfter: 1}, 64<<20, ix)
 
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
 		InitialProducers:      2,
 		MaxProducers:          2,
 		InitialBufferCapacity: len(names),
 		MaxBufferCapacity:     len(names),
 		BatchSamples:          k,
+		Coalescer:             ch.Coalescer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
 	if err := stage.SubmitPlan(names); err != nil {
 		stage.Close()
 		t.Fatal(err)
@@ -253,7 +240,7 @@ func runChainCell(t *testing.T, wrap chainCell, compressed bool, k int) {
 	}
 	batched, fallbacks := pf.BatchedSamples(), pf.BatchFallbacks()
 	stage.Close()
-	ch.teardown.run()
+	ch.Close()
 	if k > 1 && batched == 0 && fallbacks == 0 {
 		t.Fatalf("%s k=%d: coalescer never engaged (0 batched samples, 0 fallbacks)", wrap, k)
 	}
@@ -304,7 +291,7 @@ func TestBatchChainCompositionCompressed(t *testing.T) {
 type wholeFileChain struct {
 	names    []string
 	contents map[string][]byte
-	chain    *chain
+	chain    *chain.Chain
 	pool     *mempool.Pool
 	stage    *core.Stage
 	rng      *rand.Rand
@@ -332,8 +319,8 @@ func newWholeFileChain(t *testing.T, wrap chainCell, tier TieringOptions, seed i
 		mem.Add(c.names[i], c.contents[c.names[i]])
 	}
 	mem.SetBufferPool(c.pool)
-	c.chain = wrap.fold(t, &chain{env: env, pool: c.pool, backend: mem}, tier, wholeCacheBytes)
-	pf, err := core.NewPrefetcher(env, c.chain.backend, core.PrefetcherConfig{
+	c.chain = wrap.fold(t, &chain.Chain{Env: env, Pool: c.pool, Backend: mem}, tier, wholeCacheBytes, nil)
+	pf, err := core.NewPrefetcher(env, c.chain.Backend, core.PrefetcherConfig{
 		InitialProducers:      2,
 		MaxProducers:          2,
 		InitialBufferCapacity: 8,
@@ -342,7 +329,7 @@ func newWholeFileChain(t *testing.T, wrap chainCell, tier TieringOptions, seed i
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.stage = core.NewStage(env, c.chain.backend, core.NewPrefetchObject(pf))
+	c.stage = core.NewStage(env, c.chain.Backend, core.NewPrefetchObject(pf))
 	t.Cleanup(func() { c.stage.Close() })
 	pf.Start()
 	return c
@@ -377,7 +364,7 @@ func (c *wholeFileChain) epoch(t *testing.T, e int) {
 func (c *wholeFileChain) closeAndAudit(t *testing.T) {
 	t.Helper()
 	c.stage.Close()
-	c.chain.teardown.run()
+	c.chain.Close()
 	if leaks := c.pool.Leaks(); len(leaks) != 0 {
 		t.Fatalf("pool leaks:\n%s", mempool.FormatLeaks(leaks))
 	}

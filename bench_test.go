@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/control"
 	"github.com/dsrhaslab/prisma-go/internal/core"
@@ -412,12 +413,12 @@ func BenchmarkSharedCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch := foldOptions(b, &chain{env: env, backend: storage.NewModeledBackend(man, dev, nil)}, Options{
+	ch := foldOptions(b, &chain.Chain{Env: env, Backend: storage.NewModeledBackend(man, dev, nil)}, Options{
 		Tenancy:           TenancyOptions{Enable: true, SharedCacheBytes: 1 << 20},
 		DisableResilience: true,
 	})
-	defer ch.teardown.run()
-	cache := ch.backend
+	defer ch.Close()
+	cache := ch.Backend
 	if _, err := cache.Read(storage.Request{Name: "hot"}); err != nil {
 		b.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"log"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
@@ -42,22 +43,23 @@ func main() {
 			log.Fatal(err)
 		}
 		share := storage.NewModeledBackend(man, nfsDev, nil)
-		tiered, err := tiering.NewBackend(env, tiering.Config{
-			FastCapacity: 1 << 30, PromoteAfter: 1,
-		}, share, nvmeDev)
+		tiered := &chain.Chain{Env: env, Backend: share}
+		err = tiered.Fold(chain.Config{Hierarchy: tiering.Config{FastCapacity: 1 << 30, PromoteAfter: 1}, Fast: nvmeDev})
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer tiered.Close()
 
-		// PRISMA prefetches through the tiered backend.
-		pf, err := core.NewPrefetcher(env, tiered, core.PrefetcherConfig{
+		// PRISMA prefetches through the tiered chain.
+		pf, err := core.NewPrefetcher(env, tiered.Backend, core.PrefetcherConfig{
 			InitialProducers: 4, MaxProducers: 16,
 			InitialBufferCapacity: 64, MaxBufferCapacity: 512,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		stage := core.NewStage(env, tiered, core.NewPrefetchObject(pf))
+		stage := core.NewStage(env, tiered.Backend, core.NewPrefetchObject(pf))
+		stage.SetChainStats(tiered.Snapshot)
 		pf.Start()
 		defer stage.Close()
 
@@ -73,7 +75,7 @@ func main() {
 					log.Fatal(err)
 				}
 			}
-			st := tiered.Stats()
+			st := stage.Stats().Tiering
 			fmt.Printf("epoch %d: %8v   fast-tier hits %4d / %d reads (%.0f%% resident)\n",
 				epoch, (env.Now() - start).Round(time.Millisecond),
 				st.FastHits, st.FastHits+st.SlowReads,

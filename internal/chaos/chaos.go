@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/control"
 	"github.com/dsrhaslab/prisma-go/internal/core"
@@ -192,11 +193,11 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 	}
 	leaf := storage.NewModeledBackend(man, dev, nil)
 	faulty := storage.NewFaultyBackend(env, leaf)
-	resilient, err := storage.NewResilientBackend(env, faulty, cfg.Resilience)
-	if err != nil {
+	ch := &chain.Chain{Env: env, Backend: faulty}
+	if err := ch.Fold(chain.Config{Resilience: &cfg.Resilience}); err != nil {
 		return res, err
 	}
-	pf, err := core.NewPrefetcher(env, resilient, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
 		InitialProducers:      cfg.Producers,
 		MaxProducers:          cfg.Producers * 4,
 		InitialBufferCapacity: cfg.BufferCap,
@@ -205,8 +206,8 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	st := core.NewStage(env, resilient, core.NewPrefetchObject(pf))
-	st.SetChainStats(func(s *core.StageStats) { s.Resilience = resilient.ResilienceStats() })
+	st := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
+	st.SetChainStats(ch.Snapshot)
 	var pool *mempool.Pool
 	if cfg.UsePool {
 		// Debug mode: the ledger names any Get call-site whose lease the
@@ -248,7 +249,7 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 		if epoch == cfg.Epochs-1 {
 			inj.stop()
 			faulty.Heal()
-			if err := awaitRecovery(env, st, resilient, cfg, samples[0].Name); err != nil {
+			if err := awaitRecovery(env, st, ch, cfg, samples[0].Name); err != nil {
 				return res, err
 			}
 		}
@@ -317,13 +318,14 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 // awaitRecovery drives warm-up reads until the circuit breaker closes
 // again after a heal, so the final epoch measures steady-state throughput
 // rather than the tail of a cooldown.
-func awaitRecovery(env conc.Env, st *core.Stage, rb *storage.ResilientBackend, cfg Config, probe string) error {
+func awaitRecovery(env conc.Env, st *core.Stage, ch *chain.Chain, cfg Config, probe string) error {
 	cooldown := cfg.Resilience.BreakerCooldown
 	if cooldown <= 0 {
 		cooldown = time.Millisecond
 	}
 	for i := 0; i < 100; i++ {
-		if rb.State() == storage.BreakerClosed {
+		var s core.StageStats
+		if ch.Snapshot(&s); !s.Resilience.Degraded {
 			return nil
 		}
 		env.Sleep(cooldown)

@@ -41,13 +41,15 @@ type PrefetcherConfig struct {
 	TakeDeadline time.Duration
 	// BatchSamples, when > 1, coalesces up to that many FIFO-adjacent plan
 	// entries living in the same storage container (recordio shard) into
-	// one vectored backend read — the plan-aware read coalescer. It only
-	// takes effect when the backend is a storage.Coalescer
-	// (recordio.IndexedBackend); other backends keep per-sample reads. A
-	// vectored request wider than the device's channel count stops
-	// amortizing and starts queueing, so callers that know the device pass
-	// its channel count here. 0 or 1 disables coalescing.
+	// one vectored read through Coalescer — the plan-aware read coalescer.
+	// Without a Coalescer every read stays per-sample. A vectored request
+	// wider than the device's channel count stops amortizing and starts
+	// queueing, so callers that know the device pass its channel count
+	// here. 0 or 1 disables coalescing.
 	BatchSamples int
+	// Coalescer is the pack view at the top of the chain, handed over by
+	// the chain's fold (chain.Chain.Coalescer; nil over loose files).
+	Coalescer storage.Coalescer
 	// BatchBytes bounds the stored bytes one coalesced read may carry
 	// (0 = DefaultBatchBytes when coalescing is enabled).
 	BatchBytes int64
@@ -134,8 +136,7 @@ type Prefetcher struct {
 	takeDL  time.Duration // consumer take deadline (0 = none)
 	closed  bool
 
-	// Plan-aware read coalescer (nil = per-sample reads, batchMax 1).
-	coalescer  storage.Coalescer
+	// Plan-aware read coalescer budget (batchMax 1: per-sample reads).
 	batchMax   int
 	batchBytes int64
 
@@ -174,17 +175,11 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 		batchedSamples: metrics.NewCounter(env),
 		batchFallbacks: metrics.NewCounter(env),
 	}
-	if cfg.BatchSamples > 1 {
-		// The one capability discovered by type assertion: it belongs to
-		// the sample view at the top of the chain, not to a request, and
-		// wrappers sit below that view (DESIGN.md §18).
-		if co, ok := backend.(storage.Coalescer); ok {
-			pf.coalescer = co
-			pf.batchMax = cfg.BatchSamples
-			pf.batchBytes = cfg.BatchBytes
-			if pf.batchBytes == 0 {
-				pf.batchBytes = DefaultBatchBytes
-			}
+	if cfg.BatchSamples > 1 && cfg.Coalescer != nil {
+		pf.batchMax = cfg.BatchSamples
+		pf.batchBytes = cfg.BatchBytes
+		if pf.batchBytes == 0 {
+			pf.batchBytes = DefaultBatchBytes
 		}
 	}
 	pf.mu = env.NewMutex()
@@ -417,7 +412,8 @@ func (pf *Prefetcher) producerLoop() {
 	var reader storage.SampleBatcher
 	var same func(first, cand planEntry) bool
 	var haveFirst bool
-	if co := pf.coalescer; co != nil {
+	if pf.batchMax > 1 {
+		co := pf.cfg.Coalescer
 		reader = co.BatchReader()
 		var runShard string
 		var runBytes int64
@@ -603,8 +599,8 @@ func (pf *Prefetcher) producerLoop() {
 }
 
 // BatchEnabled reports whether the plan-aware read coalescer is active
-// (configured on and supported by the backend).
-func (pf *Prefetcher) BatchEnabled() bool { return pf.coalescer != nil }
+// (configured on and handed a Coalescer).
+func (pf *Prefetcher) BatchEnabled() bool { return pf.batchMax > 1 }
 
 // BatchReads reports the number of vectored backend reads issued.
 func (pf *Prefetcher) BatchReads() int64 { return pf.batchReads.Value() }

@@ -165,8 +165,8 @@ type StageStats struct {
 	PrefetchedFiles  int64
 	ReadErrors       int64
 
-	// Plan-aware read coalescer state (zero-valued unless the backend
-	// supports batching and BatchSamples enables it). BatchEnabled
+	// Plan-aware read coalescer state (zero-valued unless the chain has a
+	// pack view and BatchSamples enables it). BatchEnabled
 	// disambiguates "off" from "enabled but idle".
 	BatchReads     int64 // vectored backend ops issued
 	BatchedSamples int64 // samples served by those ops

@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -16,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/ipc"
@@ -62,7 +62,7 @@ type AllocConfig struct {
 	// shard and enables the plan-aware read coalescer at that run budget,
 	// so the cell measures the vectored read path: FIFO runs fetched by
 	// one ranged read each, split into per-sample views aliasing the
-	// shared region buffer.
+	// shared region buffer. A cell whose coalescer never engages fails.
 	Batch int
 }
 
@@ -104,73 +104,53 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 		for i := range names {
 			names[i] = fmt.Sprintf("alloc%04d.bin", i)
 		}
-		var backend storage.Backend = mem
+		var layers chain.Config
 		if cfg.Compressed || cfg.Batch > 1 {
 			// Pack compressible payloads (AddSeeded's pseudo-random content
 			// would defeat the codec) into one in-memory shard. The batched
 			// cell packs the same records uncompressed, so its per-sample
 			// views alias the vectored read's region buffer directly.
-			var shard bytes.Buffer
-			w := recordio.NewWriter(&shard)
-			ix := recordio.NewIndex()
-			const shardName = "alloc/shard-00000.rec"
-			for i, name := range names {
-				content := CompressibleSample(i, cfg.FileSize, 0.25)
-				payload, codec := content, recordio.CodecNone
-				if cfg.Compressed {
-					comp, ok := recordio.AppendCompress(nil, content)
-					if !ok {
-						b.Fatal("alloc: patterned payload did not compress")
-					}
-					payload, codec = comp, recordio.CodecLZ
-				}
-				off, length, err := w.WriteRecord(payload)
-				if err != nil {
-					b.Fatal(err)
-				}
-				err = ix.Add(name, recordio.Entry{
-					Shard: shardName, Offset: off, Length: length,
-					Codec: codec, Raw: int64(len(content)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+			payloads := make([][]byte, len(names))
+			for i := range payloads {
+				payloads[i] = CompressibleSample(i, cfg.FileSize, 0.25)
 			}
-			mem.Add(shardName, shard.Bytes())
-			indexed := recordio.NewIndexedBackend(ix, mem)
-			indexed.SetBufferPool(pool)
-			backend = indexed
+			ix, err := recordio.PackMem(mem, "alloc/shard-00000.rec", names, payloads, cfg.Compressed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if cfg.Compressed && ix.StoredBytes >= ix.PayloadBytes {
+				b.Fatal("alloc: patterned payloads did not compress")
+			}
+			layers.Index = ix
 		} else {
 			for i, name := range names {
 				mem.AddSeeded(name, cfg.FileSize, int64(i)+1)
 			}
 		}
 		if cfg.SharedCache > 0 {
-			cache, err := tiering.NewBackend(env, tiering.Config{FastCapacity: cfg.SharedCache, Window: cfg.SharedCache, PromoteAfter: 1}, backend, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cache.Close()
-			backend = cache
+			layers.Hierarchy = tiering.Config{FastCapacity: cfg.SharedCache, Window: cfg.SharedCache, PromoteAfter: 1}
 		}
 		if cfg.Resilient {
-			rb, err := storage.NewResilientBackend(env, backend, storage.DefaultResilienceConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			backend = rb
+			r := storage.DefaultResilienceConfig()
+			layers.Resilience = &r
 		}
-		pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+		ch := &chain.Chain{Env: env, Pool: pool, Backend: mem}
+		if err := ch.Fold(layers); err != nil {
+			b.Fatal(err)
+		}
+		defer ch.Close()
+		pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
 			InitialProducers:      cfg.Producers,
 			MaxProducers:          cfg.Producers,
 			InitialBufferCapacity: cfg.BufferCap,
 			MaxBufferCapacity:     cfg.BufferCap,
 			BatchSamples:          cfg.Batch,
+			Coalescer:             ch.Coalescer,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+		stage := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
 		pf.Start()
 		defer stage.Close()
 
@@ -263,6 +243,9 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			runEpoch(true)
 		}
 		b.StopTimer()
+		if cfg.Batch > 1 && pf.BatchedSamples() == 0 {
+			b.Fatal("alloc: the coalescer never engaged: every sample was read on its own")
+		}
 		var stashHits int64
 		for _, c := range clients {
 			stashHits += c.StashHits()

@@ -16,6 +16,7 @@ import (
 	"io"
 	"sync/atomic"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
@@ -88,46 +89,37 @@ func (c BatchCompareConfig) WithDefaults() BatchCompareConfig {
 func runBatchCell(setup string, cfg BatchCompareConfig, batch int) (BatchRow, error) {
 	row := BatchRow{Setup: setup}
 	env := conc.NewReal()
-	mem := storage.NewMemBackend()
 	names := make([]string, cfg.Files)
 	contents := make([][]byte, cfg.Files)
-	var shard bytes.Buffer
-	w := recordio.NewWriter(&shard)
-	ix := recordio.NewIndex()
-	const shardName = "batch/shard-00000.rec"
 	for i := range names {
 		names[i] = fmt.Sprintf("batch%04d.bin", i)
 		contents[i] = CompressibleSample(i, cfg.FileSize, 1)
-		off, length, err := w.WriteRecord(contents[i])
-		if err != nil {
-			return row, err
-		}
-		err = ix.Add(names[i], recordio.Entry{
-			Shard: shardName, Offset: off, Length: length,
-			Codec: recordio.CodecNone, Raw: int64(len(contents[i])),
-		})
-		if err != nil {
-			return row, err
-		}
 	}
-	mem.Add(shardName, shard.Bytes())
+	mem := storage.NewMemBackend()
+	ix, err := recordio.PackMem(mem, "batch/shard-00000.rec", names, contents, false)
+	if err != nil {
+		return row, err
+	}
 	store := &countingStore{inner: mem}
-	backend := recordio.NewIndexedBackend(ix, store)
 	pool := mempool.New(mempool.Config{})
 	mem.SetBufferPool(pool)
-	backend.SetBufferPool(pool)
+	ch := &chain.Chain{Env: env, Pool: pool, Backend: store}
+	if err := ch.Fold(chain.Config{Index: ix}); err != nil {
+		return row, err
+	}
 
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
 		InitialProducers:      cfg.Producers,
 		MaxProducers:          cfg.Producers,
 		InitialBufferCapacity: cfg.Files,
 		MaxBufferCapacity:     cfg.Files,
 		BatchSamples:          batch,
+		Coalescer:             ch.Coalescer,
 	})
 	if err != nil {
 		return row, err
 	}
-	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
 	// Queue the whole epoch before the first producer starts: every run
 	// the coalescer pops is then a full, aligned K-sample window, which
 	// makes the backend op count exact rather than racy.

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
@@ -107,36 +109,33 @@ func runTieringCell(setup string, c tieringCell) (TieringRow, error) {
 			return
 		}
 		slow := &timedBackend{inner: mem, device: slowDev}
-		var backend storage.Backend = slow
-
-		var tier *tiering.Backend
+		layers := chain.Config{WarmNextEpoch: true}
 		if c.capacity > 0 {
-			fastDev, err := storage.NewDevice(env, storage.P4600())
-			if err != nil {
+			if layers.Fast, err = storage.NewDevice(env, storage.P4600()); err != nil {
 				runErr = err
 				return
 			}
-			tier, err = tiering.NewBackend(env, tiering.Config{
+			layers.Hierarchy = tiering.Config{
 				FastCapacity: c.capacity,
 				PromoteAfter: c.promoteAfter,
 				MaxTracked:   c.maxTracked,
 				Compress:     c.compress,
-			}, backend, fastDev)
-			if err != nil {
-				runErr = err
-				return
 			}
-			backend = tier
 		}
+		ch := &chain.Chain{Env: env, Backend: slow}
+		if runErr = ch.Fold(layers); runErr != nil {
+			return
+		}
+		defer ch.Close()
 
 		start := env.Now()
 		for ei, names := range c.epochs {
-			if plan, ok := c.prefetchAt[ei]; ok && tier != nil {
-				tier.PrefetchPlan(plan)
+			if plan, ok := c.prefetchAt[ei]; ok {
+				ch.Plan(plan)
 			}
 			epochStart := env.Now()
 			for _, name := range names {
-				resp, err := backend.Read(storage.Request{Name: name})
+				resp, err := ch.Backend.Read(storage.Request{Name: name})
 				if err != nil {
 					runErr = err
 					return
@@ -146,12 +145,11 @@ func runTieringCell(setup string, c tieringCell) (TieringRow, error) {
 			row.Epochs = append(row.Epochs, env.Now()-epochStart)
 		}
 		row.Total = env.Now() - start
-		if tier != nil {
-			row.Stats = tier.Stats()
-			if total := row.Stats.FastHits + row.Stats.SlowReads; total > 0 {
-				row.HitRate = float64(row.Stats.FastHits) / float64(total)
-			}
-			tier.Close()
+		var st core.StageStats
+		ch.Snapshot(&st)
+		row.Stats = st.Tiering
+		if total := row.Stats.FastHits + row.Stats.SlowReads; total > 0 {
+			row.HitRate = float64(row.Stats.FastHits) / float64(total)
 		}
 	})
 	if err := s.Run(); err != nil {

@@ -1,6 +1,7 @@
 package recordio
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -207,6 +208,33 @@ func PackDirOpts(srcDir string, man *dataset.Manifest, dstDir, prefix string, sh
 		}
 	}
 	return ix, closeShard()
+}
+
+// PackMem packs payloads, in order, as the records of one shard that it adds
+// to mem under the name shard, and indexes record i as names[i]: the packed
+// dataset of the in-memory experiments and tests. compress stores a payload
+// LZ-encoded when that is smaller, as PackDirOpts does.
+func PackMem(mem *storage.MemBackend, shard string, names []string, payloads [][]byte, compress bool) (*Index, error) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	ix := NewIndex()
+	for i, name := range names {
+		e, payload := Entry{Shard: shard}, payloads[i]
+		if compress {
+			if comp, ok := AppendCompress(nil, payload); ok {
+				payload, e.Codec, e.Raw = comp, CodecLZ, int64(len(payloads[i]))
+			}
+		}
+		var err error
+		if e.Offset, e.Length, err = w.WriteRecord(payload); err != nil {
+			return nil, err
+		}
+		if err := ix.Add(name, e); err != nil {
+			return nil, err
+		}
+	}
+	mem.Add(shard, buf.Bytes())
+	return ix, nil
 }
 
 // IndexedBackend adapts a packed layout back to the per-sample

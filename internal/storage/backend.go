@@ -169,8 +169,8 @@ var ErrUnsupported = errors.New("storage: request class not supported")
 
 // Coalescer is implemented by the sample view at the top of a chain when
 // it can serve FIFO-adjacent samples of one container with one vectored
-// request (recordio.IndexedBackend). The prefetcher discovers it once;
-// wrappers sit below the sample view, so nothing ever forwards it.
+// request (recordio.IndexedBackend). The chain's fold hands it to the
+// prefetcher; wrappers sit below the sample view, so nothing forwards it.
 type Coalescer interface {
 	// Locate maps a sample name to the physical container (recordio
 	// shard) a batched read must address and the stored length of its

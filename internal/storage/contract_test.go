@@ -8,60 +8,97 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
-	"github.com/dsrhaslab/prisma-go/internal/trace"
 )
 
-// middlewareLayers is the conformance table: every exported storage layer,
-// alone over the probe leaf. A new layer adds one row here (unexported
+// rowCase is one conformance case of a row of chain.Layers: a Config that
+// turns that row on alone.
+type rowCase struct {
+	name string
+	cfg  chain.Config
+}
+
+// rowCases are the cases of every row of chain.Layers. The pack view has
+// none here: it serves sample names, not the probe's byte ranges, and
+// refuses ranged requests by contract, so recordio's
+// TestIndexedBackendRequestClasses holds it to the request classes.
+func rowCases() map[string][]rowCase {
+	resilient := func(deadline time.Duration) *storage.ResilienceConfig {
+		cfg := storage.DefaultResilienceConfig()
+		cfg.ReadDeadline = deadline
+		return &cfg
+	}
+	tier := func(cfg tiering.Config) chain.Config { return chain.Config{Hierarchy: cfg} }
+	return map[string][]rowCase{
+		// The trace file is never written: the chain is not flushed.
+		"recorder": {{"recorder", chain.Config{TraceFile: os.DevNull}}},
+		"hierarchy": {
+			{"tier", tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1})},
+			{"tier-compress", tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: true})},
+			// The second access admits: the first pass is a tracked miss, the
+			// second a miss that promotes.
+			{"tier-after-2", tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 2})},
+			// A budget smaller than the file: every whole-file miss is
+			// declined, so every pass goes through the single-flight slot to
+			// the leaf.
+			{"tier-oversize", tier(tiering.Config{FastCapacity: storagetest.FileSize / 2, PromoteAfter: 1})},
+			// The shared cache's recency window: every miss kept raw.
+			{"cache-window", tier(tiering.Config{FastCapacity: 1 << 20, Window: 1 << 20, PromoteAfter: 1})},
+		},
+		"resilient": {
+			{"resilient", chain.Config{Resilience: resilient(0)}},
+			{"resilient-deadline", chain.Config{Resilience: resilient(50 * time.Millisecond)}},
+		},
+		"pack": nil,
+	}
+}
+
+// middlewareLayers is the conformance table: every row of chain.Layers,
+// folded alone over the probe leaf, plus the fault injector (a leaf wrapper,
+// not a row). A row without an entry in rowCases fails the table. Unexported
 // wrappers — distrib's link, experiments' counting store — call
-// storagetest.Middleware from their own package's tests).
-func middlewareLayers() []storagetest.Layer {
-	resilient := func(deadline time.Duration) func(*testing.T, conc.Env, storage.Backend, *mempool.Pool) storagetest.Built {
-		return func(t *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
-			cfg := storage.DefaultResilienceConfig()
-			cfg.ReadDeadline = deadline
-			rb, err := storage.NewResilientBackend(env, leaf, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return storagetest.Built{Backend: rb, Resilience: rb.ResilienceStats}
+// storagetest.Middleware from their own package's tests.
+func middlewareLayers(t *testing.T) []storagetest.Layer {
+	cases := rowCases()
+	var out []storagetest.Layer
+	for _, row := range chain.Layers {
+		rc, ok := cases[row.Name]
+		if !ok {
+			t.Fatalf("chain row %q has no conformance case in rowCases", row.Name)
+		}
+		for _, c := range rc {
+			row, c := row.Name, c
+			out = append(out, storagetest.Layer{Name: c.name, Build: func(t *testing.T, env conc.Env, leaf storage.Backend, pool *mempool.Pool) storagetest.Built {
+				ch := &chain.Chain{Env: env, Pool: pool, Backend: leaf}
+				if err := ch.Fold(c.cfg); err != nil {
+					t.Fatal(err)
+				}
+				if len(ch.Built) != 1 || ch.Built[0] != row {
+					t.Fatalf("%s: folded %v, want [%s]", c.name, ch.Built, row)
+				}
+				b := storagetest.Built{Backend: ch.Backend, Close: ch.Close}
+				if c.cfg.Resilience != nil {
+					b.Resilience = func() storage.ResilienceStats {
+						var s core.StageStats
+						ch.Snapshot(&s)
+						return s.Resilience
+					}
+				}
+				return b
+			}})
 		}
 	}
-	tier := func(cfg tiering.Config) func(*testing.T, conc.Env, storage.Backend, *mempool.Pool) storagetest.Built {
-		return func(t *testing.T, env conc.Env, leaf storage.Backend, pool *mempool.Pool) storagetest.Built {
-			tb, err := tiering.NewBackend(env, cfg, leaf, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb.SetBufferPool(pool)
-			return storagetest.Built{Backend: tb, Close: tb.Close}
-		}
-	}
-	return []storagetest.Layer{
-		{Name: "recorder", Build: func(_ *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
-			return storagetest.Built{Backend: trace.NewRecorder(env, leaf)}
-		}},
-		{Name: "tier", Build: tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1})},
-		{Name: "tier-compress", Build: tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: true})},
-		// The second access admits: the first pass is a tracked miss, the
-		// second a miss that promotes.
-		{Name: "tier-after-2", Build: tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 2})},
-		// A budget smaller than the file: every whole-file miss is declined,
-		// so every pass goes through the single-flight slot to the leaf.
-		{Name: "tier-oversize", Build: tier(tiering.Config{FastCapacity: storagetest.FileSize / 2, PromoteAfter: 1})},
-		{Name: "resilient", Build: resilient(0)},
-		{Name: "resilient-deadline", Build: resilient(50 * time.Millisecond)},
-		{Name: "faulty", Build: func(_ *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
-			return storagetest.Built{Backend: storage.NewFaultyBackend(env, leaf)}
-		}},
-	}
+	return append(out, storagetest.Layer{Name: "faulty", Build: func(_ *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
+		return storagetest.Built{Backend: storage.NewFaultyBackend(env, leaf)}
+	}})
 }
 
 // TestMiddlewareConformance runs the request-class table over every layer:
@@ -69,7 +106,7 @@ func middlewareLayers() []storagetest.Layer {
 // leaf saw, Detail survives on the way up, ErrUnsupported surfaces
 // unchanged, zero pooled refs outstanding.
 func TestMiddlewareConformance(t *testing.T) {
-	for _, layer := range middlewareLayers() {
+	for _, layer := range middlewareLayers(t) {
 		storagetest.Middleware(t, layer)
 	}
 }

@@ -2,9 +2,9 @@
 // read contract (DESIGN.md §18): every layer that wraps a storage.Backend
 // runs Middleware from a test, alone over a probe leaf, and must hand every
 // request class through unchanged — same bytes, same trace context, same
-// Detail, same errors, no leaked references. Adding a layer means adding
-// one row to the table in internal/storage/contract_test.go (or, for an
-// unexported wrapper, one Middleware call in its own package's tests).
+// Detail, same errors, no leaked references. Each row of chain.Layers has
+// its cases in rowCases (internal/storage/contract_test.go); an unexported
+// wrapper calls Middleware from its own package's tests.
 package storagetest
 
 import (

@@ -48,17 +48,27 @@ func parseNonTest(t *testing.T, root string, visit func(rel string, f *ast.File)
 	}
 }
 
+// layerConstructors are the constructors of the layers above a leaf: outside
+// each layer's own package, only the chain table (internal/chain) calls them.
+var layerConstructors = map[string]bool{
+	"tiering.NewBackend":          true,
+	"storage.NewResilientBackend": true,
+	"trace.NewRecorder":           true,
+	"recordio.NewIndexedBackend":  true,
+}
+
 // TestStorageSurface keeps the extension lattice from growing back: the
-// package declares exactly its three interfaces, and outside of it nothing
-// discovers a storage capability by type assertion except the prefetcher's
-// one Coalescer lookup. A new per-request capability belongs in Request /
-// Response; a new layer implements Read + Size and joins the conformance
-// table.
+// package declares exactly its three interfaces, nothing discovers a storage
+// capability by type assertion (the pack view's Coalescer is handed over by
+// the chain's fold), and no builder wires a layer by hand. A new per-request
+// capability belongs in Request / Response; a new layer implements Read +
+// Size, becomes a row of chain.Layers and joins the conformance table.
 func TestStorageSurface(t *testing.T) {
 	declared := map[string]bool{}
-	var assertions []string
+	var assertions, handWired []string
 	parseNonTest(t, "../..", func(rel string, f *ast.File) {
-		inStorage := filepath.ToSlash(filepath.Dir(rel)) == "internal/storage"
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		inStorage := dir == "internal/storage"
 		// storageType reports the storage type an assertion names: qualified
 		// anywhere, or one of the package's own interfaces inside it.
 		storageType := func(e ast.Expr) (string, bool) {
@@ -77,6 +87,12 @@ func TestStorageSurface(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && dir != "internal/chain" {
+					if pkg, ok := sel.X.(*ast.Ident); ok && layerConstructors[pkg.Name+"."+sel.Sel.Name] {
+						handWired = append(handWired, rel+": "+pkg.Name+"."+sel.Sel.Name)
+					}
+				}
 			case *ast.TypeSpec:
 				if _, ok := n.Type.(*ast.InterfaceType); ok && inStorage {
 					declared[n.Name.Name] = true
@@ -109,7 +125,10 @@ func TestStorageSurface(t *testing.T) {
 			t.Errorf("internal/storage no longer declares interface %s", name)
 		}
 	}
-	if len(assertions) != 1 || assertions[0] != "internal/core/prefetcher.go: Coalescer" {
-		t.Errorf("type assertions to storage types in non-test code = %q, want only the Coalescer discovery in core.NewPrefetcher", assertions)
+	if len(assertions) != 0 {
+		t.Errorf("type assertions to storage types in non-test code = %q, want none: a capability is handed over by the chain's fold", assertions)
+	}
+	if len(handWired) != 0 {
+		t.Errorf("layer constructors called outside internal/chain = %q: fold chain.Layers instead", handWired)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
@@ -213,13 +214,24 @@ func TestOpenFailureTearsDown(t *testing.T) {
 			t.Fatalf("%d descriptors open after the failed Open, %d before", got, fds)
 		}
 	}
-	for i, row := range chainLayers {
-		t.Run("row "+row.name, func(t *testing.T) {
-			defer func() { chainLayers[i] = row }()
+	opts := Options{TraceFile: os.DevNull}
+	everyLayer(&opts)
+	cfg := chainConfig(opts.withDefaults())
+	for i, row := range chain.Layers {
+		if !row.On(cfg) {
+			// Open turns the pack view on only over a pack index it has
+			// detected, and it detects none yet.
+			if row.Name != "pack" {
+				t.Fatalf("row %s: everyLayer leaves it off", row.Name)
+			}
+			continue
+		}
+		t.Run("row "+row.Name, func(t *testing.T) {
+			defer func() { chain.Layers[i] = row }()
 			var pool *mempool.Pool
-			chainLayers[i].build = func(c *chain, _ Options) (storage.Backend, error) {
-				pool = c.pool
-				resp, err := c.backend.Read(storage.Request{Name: "train/0000.jpg"})
+			chain.Layers[i].Build = func(c *chain.Chain, _ chain.Config) (storage.Backend, error) {
+				pool = c.Pool
+				resp, err := c.Backend.Read(storage.Request{Name: "train/0000.jpg"})
 				if err != nil {
 					return nil, err
 				}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
@@ -116,11 +117,11 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 	t.Helper()
 	const workers = 8
 	env := conc.NewReal()
-	ch := foldOptions(t, &chain{env: env, tracer: tracer, backend: memBackend{payload: make([]byte, 4096)}}, Options{
+	ch := foldOptions(t, &chain.Chain{Env: env, Tracer: tracer, Backend: memBackend{payload: make([]byte, 4096)}}, Options{
 		Tiering:           TieringOptions{Enable: true, CapacityBytes: 1 << 24, PromoteAfter: 1},
 		DisableResilience: true,
 	})
-	pf, err := core.NewPrefetcher(env, ch.backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
 		InitialProducers:      1,
 		MaxProducers:          2,
 		InitialBufferCapacity: 4,
@@ -129,9 +130,9 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, ch.backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
 	defer stage.Close()
-	defer ch.teardown.run()
+	defer ch.Close()
 	stage.SetTracer(tracer)
 	mgr, err := tenancy.New(env, tenancy.Config{Capacity: 1e9})
 	if err != nil {

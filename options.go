@@ -147,10 +147,11 @@ type ClusterOptions struct {
 
 // TieringOptions tunes the memory hierarchy on the serving path
 // (internal/tiering; the shared cache of TenancyOptions.SharedCacheBytes is
-// the same layer). When enabled, the backend chain becomes
-// recorder < tiering < resilient: samples are promoted into a
-// capacity-bounded fast tier and served from it on re-access, and
-// concurrent misses of one sample cost one backend read. A full tier admits
+// the same layer). When enabled, the hierarchy takes its row of the storage
+// chain's table (internal/chain, where the order and its reasons are
+// written once): samples are promoted into a capacity-bounded fast tier and
+// served from it on re-access, and concurrent misses of one sample cost one
+// backend read. A full tier admits
 // a sample only over residents it is strictly hotter than, so the
 // once-per-epoch scan of a dataset larger than the tier — every sample
 // equally hot — keeps a stable resident set and hits the tier's capacity

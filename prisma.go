@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/control"
 	"github.com/dsrhaslab/prisma-go/internal/core"
@@ -324,6 +325,38 @@ func batchSamples(opts Options) int {
 	return opts.Batch.MaxSamples
 }
 
+// chainConfig maps opts onto the rows of the storage chain (chain.Layers).
+// The pack view stays off until Open detects a pack index.
+func chainConfig(o Options) chain.Config {
+	cfg := chain.Config{TraceFile: o.TraceFile, WarmNextEpoch: o.Tiering.Enable && o.Tiering.PrefetchNextEpoch}
+	// One budget, the sum of the tier's and the shared cache's. The shared
+	// cache's part is the recency window, which keeps every miss raw and
+	// LRU, so a job trailing another over the same dataset finds what it
+	// just read; the tier's part follows the tier's promotion threshold,
+	// admission rule and compression.
+	h := &cfg.Hierarchy
+	h.PromoteAfter = 1
+	if o.Tenancy.Enable {
+		h.FastCapacity, h.Window = o.Tenancy.SharedCacheBytes, o.Tenancy.SharedCacheBytes
+	}
+	if o.Tiering.Enable {
+		h.FastCapacity += o.Tiering.CapacityBytes
+		h.PromoteAfter = o.Tiering.PromoteAfter
+		h.MaxTracked = o.Tiering.MaxTrackedNames
+		h.Compress = o.Tiering.Compress
+	}
+	if !o.DisableResilience {
+		r := storage.DefaultResilienceConfig()
+		r.MaxAttempts = o.ReadRetries
+		r.BaseBackoff = o.RetryBackoff
+		r.ReadDeadline = o.ReadDeadline
+		r.BreakerCooldown = o.BreakerCooldown
+		r.BreakerThreshold = max(o.BreakerThreshold, 0) // -1: retries without a breaker
+		cfg.Resilience = &r
+	}
+	return cfg
+}
+
 // Open builds a PRISMA instance over opts.Dir. The directory is scanned
 // once to build the dataset manifest (file names are slash-separated paths
 // relative to Dir). On Linux a scanned file stays open from its first read
@@ -373,14 +406,15 @@ func Open(opts Options) (*Prisma, error) {
 	p.teardown.push(leaf.Close)
 	leaf.SetBufferPool(pool)
 	leaf.SetManifest(manifest)
-	ch := &chain{env: env, pool: pool, tracer: p.tracer, teardown: &p.teardown, backend: leaf}
-	if err := ch.fold(chainLayers, opts); err != nil {
+	ch := &chain.Chain{Env: env, Pool: pool, Tracer: p.tracer, Backend: leaf}
+	if err := ch.Fold(chainConfig(opts)); err != nil {
 		return fail(err)
 	}
-	backend := ch.backend
-	p.flush = ch.flush
+	p.teardown.push(noErr(ch.Close))
+	backend := ch.Backend
+	p.flush = []func() error{ch.Flush}
 	if opts.SpanFile != "" {
-		p.flush = append(p.flush, func() error { return writeFile(opts.SpanFile, "spans", p.tracer.Export) })
+		p.flush = append(p.flush, func() error { return chain.WriteFile(opts.SpanFile, "spans", p.tracer.Export) })
 	}
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 		InitialProducers:      opts.InitialProducers,
@@ -391,6 +425,7 @@ func Open(opts Options) (*Prisma, error) {
 		TakeDeadline:          opts.ConsumerDeadline,
 		BatchSamples:          batchSamples(opts),
 		BatchBytes:            opts.Batch.MaxBytes,
+		Coalescer:             ch.Coalescer,
 	})
 	if err != nil {
 		return fail(err)
@@ -410,8 +445,8 @@ func Open(opts Options) (*Prisma, error) {
 	})
 	stage.SetTracer(p.tracer)
 	stage.SetBufferPool(pool)
-	stage.SetChainStats(ch.snapshot)
-	stage.SetEpochPlanHook(ch.plan)
+	stage.SetChainStats(ch.Snapshot)
+	stage.SetEpochPlanHook(ch.Plan)
 	pf.Start()
 
 	if opts.Cluster.Enable {
@@ -654,8 +689,9 @@ func (p *Prisma) Files() int { return p.manifest.Len() }
 // TotalBytes reports the scanned dataset volume.
 func (p *Prisma) TotalBytes() int64 { return p.manifest.TotalBytes() }
 
-// Stats snapshots the data plane. Memory-hierarchy counters ride the stage
-// snapshot (SetTieringSource), so local and remote views agree.
+// Stats snapshots the data plane. Each layer of the storage chain
+// (internal/chain's table) adds its counters to the stage snapshot, so
+// local and remote views agree.
 func (p *Prisma) Stats() Stats {
 	return statsFrom(p.stage.Stats())
 }

@@ -365,6 +365,10 @@ func TestTieringRemoteEpochPrefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The warmer must have seen the remote plan: every entry ends up
+	// either warmed in or skipped (already promoted by the racing demand
+	// reads). Before the stage-level hook, both counters stayed zero.
+	awaitWarmed(t, p, len(plan))
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -376,20 +380,25 @@ func TestTieringRemoteEpochPrefetch(t *testing.T) {
 		t.Fatalf("promotions %d + prefetch promotions %d = %d, want %d (each sample charged exactly once)",
 			st.TierPromotions, st.TierPrefetchPromotions, got, len(plan))
 	}
-	// The warmer must have seen the remote plan: every entry ends up
-	// either warmed in or skipped (already promoted by the racing demand
-	// reads). Before the stage-level hook, both counters stayed zero.
+}
+
+// awaitWarmed waits until the background warmer has warmed in or skipped
+// each of n plan entries. Until then a warm whose flight a demand read
+// joined may still be preparing its resident, so residents and promotions
+// are not final.
+func awaitWarmed(t *testing.T, p *Prisma, n int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		st = p.Stats()
-		if st.TierPrefetchPromotions+st.TierPrefetchSkips >= int64(len(plan)) {
-			break
+		st := p.Stats()
+		if st.TierPrefetchPromotions+st.TierPrefetchSkips >= int64(n) {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("warmer never drained the remote plan: %d warmed + %d skipped, want %d",
-				st.TierPrefetchPromotions, st.TierPrefetchSkips, len(plan))
+			t.Fatalf("warmer never drained the plan: %d warmed + %d skipped, want %d",
+				st.TierPrefetchPromotions, st.TierPrefetchSkips, n)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -422,6 +431,7 @@ func TestTieringEpochPrefetch(t *testing.T) {
 	// The warmer races the epoch's own reads; every sample must end up
 	// resident and each was charged exactly once (prefetch-promoted or
 	// read-promoted, never both).
+	awaitWarmed(t, p, len(plan))
 	st := p.Stats()
 	if st.TierResidents != len(plan) {
 		t.Fatalf("TierResidents = %d, want %d after a prefetched epoch", st.TierResidents, len(plan))
@@ -480,6 +490,21 @@ func TestTierAndCacheHoldEachSampleOnce(t *testing.T) {
 	}
 	all := p.ShuffledFileList(9, 0)
 	plan, unplanned := all[1:], all[0]
+	// settled waits until the hierarchy holds every sample. The warmer
+	// promotes in the background: a warm whose flight a planned read joined
+	// can still be preparing its resident after the epoch's last read has
+	// returned, and until it lands a read of that name joins the kept flight
+	// instead of hitting.
+	settled := func() Stats {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			st := p.Stats()
+			if st.TierResidents == files || time.Now().After(deadline) {
+				return st
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	var first Stats
 	for epoch := 0; epoch < 2; epoch++ {
 		if _, n, err := clients[0].SubmitEpoch(plan); err != nil || n != len(plan) {
@@ -509,10 +534,10 @@ func TestTierAndCacheHoldEachSampleOnce(t *testing.T) {
 		}
 		wg.Wait()
 		if epoch == 0 {
-			first = p.Stats()
+			first = settled()
 		}
 	}
-	st := p.Stats()
+	st := settled()
 	if st.Errors != 0 || st.PlanDelivered != int64(2*len(plan)) {
 		t.Fatalf("stats = %+v", st)
 	}
