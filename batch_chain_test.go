@@ -217,7 +217,7 @@ func runChainCell(t *testing.T, wrap chainCell, compressed bool, k int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, ch.Backend, pf)
 	if err := stage.SubmitPlan(names); err != nil {
 		stage.Close()
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func newWholeFileChain(t *testing.T, wrap chainCell, tier TieringOptions, seed i
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.stage = core.NewStage(env, c.chain.Backend, core.NewPrefetchObject(pf))
+	c.stage = core.NewStage(env, c.chain.Backend, pf)
 	t.Cleanup(func() { c.stage.Close() })
 	pf.Start()
 	return c

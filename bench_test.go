@@ -320,7 +320,7 @@ func BenchmarkStageReadReal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, backend, pf)
 	pf.Start()
 	defer stage.Close()
 
@@ -354,7 +354,7 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, backend, pf)
 	pf.Start()
 	defer stage.Close()
 

@@ -8,7 +8,6 @@
 //	prisma-ctl -socket /tmp/prisma.sock ping
 //	prisma-ctl -socket /tmp/prisma.sock set-producers 4
 //	prisma-ctl -socket /tmp/prisma.sock set-buffer 256
-//	prisma-ctl -socket /tmp/prisma.sock set-shards 8
 //	prisma-ctl -socket /tmp/prisma.sock plan epoch0.txt
 package main
 
@@ -34,7 +33,6 @@ commands:
   ping                  probe server liveness
   set-producers N       set the producer thread count t
   set-buffer N          set the buffer capacity N
-  set-shards K          set the buffer shard count K
   set-sampling P        set the lifecycle-trace sampling probability [0, 1]
   decisions             print the autotuner's decision audit log
   plan FILE             submit an epoch plan (newline-separated filenames)
@@ -130,13 +128,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("buffer capacity set to %d\n", n)
-
-	case "set-shards":
-		n := argInt(args, 1)
-		if err := client.SetBufferShards(n); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("buffer shards set to %d\n", n)
 
 	case "set-sampling":
 		if len(args) < 2 {

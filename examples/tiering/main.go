@@ -58,7 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		stage := core.NewStage(env, tiered.Backend, core.NewPrefetchObject(pf))
+		stage := core.NewStage(env, tiered.Backend, pf)
 		stage.SetChainStats(tiered.Snapshot)
 		pf.Start()
 		defer stage.Close()

@@ -226,7 +226,7 @@ func TestChainRetriesVectoredReads(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		st := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
+		st := core.NewStage(env, ch.Backend, pf)
 		defer st.Close()
 		st.SetChainStats(ch.Snapshot)
 		// The whole plan is queued before the producers start, so every run

@@ -203,7 +203,7 @@ func driveBlackout(env conc.Env, cfg BlackoutConfig) (BlackoutResult, error) {
 		if err != nil {
 			return res, err
 		}
-		stages[n] = core.NewStage(env, shared, core.NewPrefetchObject(pf))
+		stages[n] = core.NewStage(env, shared, pf)
 		ring, err := distrib.NewRing(nodeNames, 0)
 		if err != nil {
 			return res, err

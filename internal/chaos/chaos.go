@@ -206,7 +206,7 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	st := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
+	st := core.NewStage(env, ch.Backend, pf)
 	st.SetChainStats(ch.Snapshot)
 	var pool *mempool.Pool
 	if cfg.UsePool {

@@ -302,7 +302,7 @@ func driveTenants(env conc.Env, cfg TenantConfig) (TenantResult, error) {
 	if err != nil {
 		return res, err
 	}
-	st := core.NewStage(env, storage.NewModeledBackend(man, dev, nil))
+	st := core.NewStage(env, storage.NewModeledBackend(man, dev, nil), nil)
 	defer st.Close()
 
 	board := &tenantBoard{mu: env.NewMutex()}

@@ -350,7 +350,7 @@ func buildStage(env conc.Env, nFiles int, deviceLat time.Duration, channels int)
 	if err != nil {
 		panic(err)
 	}
-	st := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	st := core.NewStage(env, backend, pf)
 	pf.Start()
 	return st, names
 }

@@ -37,7 +37,7 @@ func aliasingStage(t testing.TB, nFiles, shards int, pool *mempool.Pool) (*Stage
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStage(env, mem, NewPrefetchObject(pf))
+	st := NewStage(env, mem, pf)
 	if pool != nil {
 		st.SetBufferPool(pool)
 	}

@@ -110,21 +110,15 @@ type Buffer struct {
 	// (SetClaimAt) and called under a shard lock, like epochCancelled.
 	claimAt func(PlanPos) bool
 
-	// cfgMu guards the shard set, the capacity budget, and the carryover
-	// counters of retired shards. Lock order is cfgMu before shard.mu;
-	// no code path acquires cfgMu while holding a shard lock.
+	// shards is fixed at construction, so routing a name takes no lock.
+	shards []*bufShard
+
+	// cfgMu guards the capacity budget and the closed flag. Lock order is
+	// cfgMu before shard.mu; no code path acquires cfgMu while holding a
+	// shard lock.
 	cfgMu    conc.Mutex
-	shards   []*bufShard
 	capacity int
 	closed   bool
-
-	// Cumulative counters carried over from shards retired by SetShards,
-	// so BufferStats stays monotonic across resharding.
-	basePuts, baseTakes            int64
-	baseConsumerNS, baseProducerNS int64
-	baseWaitStorageNS              int64
-	baseWaitBufferNS               int64
-	baseOccWeighted                int64 // Σ occupancy×duration(ns) of retired shards
 }
 
 // bufShard is one independently synchronized slice of the buffer. All
@@ -141,7 +135,6 @@ type bufShard struct {
 	items    map[string]Item
 	waiting  map[string]int // names consumers are currently blocked on
 	closed   bool
-	retired  bool // replaced by SetShards: wake everybody, re-route
 
 	puts, takes                    int64
 	consumerWaitNS, producerWaitNS int64
@@ -156,9 +149,9 @@ func NewBuffer(env conc.Env, capacity int, accessCost time.Duration) *Buffer {
 }
 
 // NewShardedBuffer returns an empty buffer with capacity N >= 1 split over
-// the given number of shards. The shard count is clamped to [1, N] (every
-// shard must own at least one capacity slot) and to MaxBufferShards;
-// values < 1 select a single shard.
+// the given number of shards, fixed for the buffer's life. The shard count
+// is clamped to [1, N] (every shard starts with at least one capacity slot)
+// and to MaxBufferShards; values < 1 select a single shard.
 func NewShardedBuffer(env conc.Env, capacity int, accessCost time.Duration, shards int) *Buffer {
 	if capacity < 1 {
 		panic("core: buffer capacity must be >= 1")
@@ -215,7 +208,8 @@ func newShardSet(env conc.Env, k, capacity int) []*bufShard {
 }
 
 // partitionCapacity splits capacity into k per-shard budgets summing
-// exactly to capacity, each >= 1 (requires k <= capacity).
+// exactly to capacity. With capacity < k the last k − capacity budgets are
+// zero: those shards admit only a sample a consumer is already waiting for.
 func partitionCapacity(capacity, k int) []int {
 	base, rem := capacity/k, capacity%k
 	caps := make([]int, k)
@@ -246,14 +240,9 @@ func shardIndex(name string, k int) int {
 	return int(h % uint32(k))
 }
 
-// route resolves the current shard for name. The returned shard may be
-// concurrently retired by SetShards; callers must re-route when they find
-// the retired flag set.
+// route resolves the shard for name.
 func (b *Buffer) route(name string) *bufShard {
-	b.cfgMu.Lock()
-	s := b.shards[shardIndex(name, len(b.shards))]
-	b.cfgMu.Unlock()
-	return s
+	return b.shards[shardIndex(name, len(b.shards))]
 }
 
 // SetTracer attaches the tracer used for buffer-park and consumer-wait
@@ -291,54 +280,44 @@ func (b *Buffer) takeCancelled(id EpochID) bool {
 // report. It returns ErrClosed after Close.
 func (b *Buffer) Put(it Item) (parked time.Duration, _ error) {
 	start := b.env.Now()
-	var credited time.Duration
-	for {
-		s := b.route(it.Name)
-		s.mu.Lock()
-		for len(s.items) >= s.capacity && s.waiting[it.Name] == 0 && !s.closed && !s.retired && !b.rejects(it) {
-			s.notFull.Wait()
-		}
-		if waited := b.env.Now() - start - credited; waited > 0 {
-			s.producerWaitNS += int64(waited)
-			credited += waited
-		}
-		if s.retired {
-			s.mu.Unlock()
-			continue // resharded while blocked: re-route
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return credited, ErrClosed
-		}
-		if b.rejects(it) {
-			// The item's epoch was cancelled (possibly while this producer
-			// was parked): refuse it. The caller keeps ownership of the
-			// pooled lease and must Release it.
-			s.mu.Unlock()
-			return credited, ErrEpochCancelled
-		}
-		if b.accessCost > 0 {
-			b.env.Sleep(b.accessCost) // serialized within the shard: cost paid under its lock
-		}
-		if old, present := s.items[it.Name]; present {
-			// Duplicate plan entry: the overwritten sample's lease would
-			// otherwise be unreachable.
-			old.Release()
-		}
-		s.items[it.Name] = it
-		s.occupancy.Set(len(s.items))
-		s.puts++
-		s.arrived.Broadcast()
-		shard := s.idx
-		s.mu.Unlock()
-		if it.Ctx.Sampled && credited > 0 {
-			b.tracer.Record(obs.Span{
-				Trace: it.Ctx.Trace, Stage: obs.StageBufferPark, Name: it.Name,
-				At: start, Latency: credited, Shard: shard,
-			})
-		}
-		return credited, nil
+	s := b.route(it.Name)
+	s.mu.Lock()
+	for len(s.items) >= s.capacity && s.waiting[it.Name] == 0 && !s.closed && !b.rejects(it) {
+		s.notFull.Wait()
 	}
+	parked = b.env.Now() - start
+	s.producerWaitNS += int64(parked)
+	if s.closed {
+		s.mu.Unlock()
+		return parked, ErrClosed
+	}
+	if b.rejects(it) {
+		// The item's epoch was cancelled (possibly while this producer was
+		// parked): refuse it. The caller keeps ownership of the pooled
+		// lease and must Release it.
+		s.mu.Unlock()
+		return parked, ErrEpochCancelled
+	}
+	if b.accessCost > 0 {
+		b.env.Sleep(b.accessCost) // serialized within the shard: cost paid under its lock
+	}
+	if old, present := s.items[it.Name]; present {
+		// Duplicate plan entry: the overwritten sample's lease would
+		// otherwise be unreachable.
+		old.Release()
+	}
+	s.items[it.Name] = it
+	s.occupancy.Set(len(s.items))
+	s.puts++
+	s.arrived.Broadcast()
+	s.mu.Unlock()
+	if it.Ctx.Sampled && parked > 0 {
+		b.tracer.Record(obs.Span{
+			Trace: it.Ctx.Trace, Stage: obs.StageBufferPark, Name: it.Name,
+			At: start, Latency: parked, Shard: s.idx,
+		})
+	}
+	return parked, nil
 }
 
 // TakeOptions parameterizes one Take; the zero value waits until the sample
@@ -387,98 +366,84 @@ func (b *Buffer) Take(name string, opts TakeOptions) (Item, error) {
 		deadlineAt = start + opts.Deadline
 		b.spawnDeadlineWake(name, opts.Deadline)
 	}
-	var credited time.Duration
-	for {
-		s := b.route(name)
-		s.mu.Lock()
-		if s.retired {
-			s.mu.Unlock()
-			continue
-		}
-		if opts.NoWait && !(s.holds(name, opts.MaxBytes) && (opts.At == PlanPos{} || b.claimAt(opts.At))) {
-			s.mu.Unlock()
-			return Item{}, ErrNotParked
-		}
-		var cancelled, expired bool
-		if _, present := s.items[name]; !present {
-			s.waiting[name]++
-			// A producer may be blocked on a full shard while holding exactly
-			// this sample; let it re-check the waiting set.
-			s.notFull.Broadcast()
-			for {
-				if _, present := s.items[name]; present || s.closed || s.retired {
-					break
-				}
-				if cancelled = b.takeCancelled(opts.Epoch); cancelled {
-					break
-				}
-				if expired = deadlineAt >= 0 && b.env.Now() >= deadlineAt; expired {
-					break
-				}
-				s.arrived.Wait()
-			}
-			if s.waiting[name]--; s.waiting[name] == 0 {
-				delete(s.waiting, name)
-			}
-		}
-		waitEnd := b.env.Now()
-		if waited := waitEnd - start - credited; waited > 0 {
-			s.consumerWaitNS += int64(waited)
-			credited += waited
-		}
-		if s.retired {
-			s.mu.Unlock()
-			continue // resharded while blocked: the sample moved shards
-		}
-		it, present := s.items[name]
-		if !present {
-			// An arrived sample wins over a simultaneous cancel/deadline;
-			// with none present, report why the wait ended.
-			s.mu.Unlock()
-			switch {
-			case cancelled:
-				return Item{}, ErrEpochCancelled
-			case expired:
-				return Item{}, ErrTakeDeadline
-			default: // closed while waiting
-				return Item{}, ErrClosed
-			}
-		}
-		storageW, bufferW := attributeWait(credited, waitEnd, it)
-		s.waitStorageNS += int64(storageW)
-		s.waitBufferNS += int64(bufferW)
-		if b.accessCost > 0 {
-			b.env.Sleep(b.accessCost)
-		}
-		delete(s.items, name)
-		s.occupancy.Set(len(s.items))
-		s.takes++
-		// Broadcast, not Signal: with the waiting-consumer admission
-		// exception the shard can sit over capacity, so a single wakeup can
-		// land on a producer that still cannot proceed and be consumed
-		// without effect while a different blocked producer — one whose
-		// sample a consumer is waiting on — stays asleep. Waking every
-		// blocked producer lets each re-check its own admission condition.
-		s.notFull.Broadcast()
-		shard := s.idx
+	s := b.route(name)
+	s.mu.Lock()
+	if opts.NoWait && !(s.holds(name, opts.MaxBytes) && (opts.At == PlanPos{} || b.claimAt(opts.At))) {
 		s.mu.Unlock()
-		b.waitHist.Observe(credited)
-		if ctx.Sampled || it.Ctx.Sampled {
-			span := obs.Span{
-				Trace: ctx.Trace, Stage: obs.StageConsumerWait, Name: name,
-				At: waitEnd - credited, Latency: credited, Shard: shard,
-				Size: it.Size, StorageWait: storageW, BufferWait: bufferW,
-			}
-			if span.Trace == 0 {
-				span.Trace = it.Ctx.Trace
-			}
-			if it.Ctx.Trace != 0 && it.Ctx.Trace != span.Trace {
-				span.Link = it.Ctx.Trace
-			}
-			b.tracer.Record(span)
-		}
-		return it, nil
+		return Item{}, ErrNotParked
 	}
+	var cancelled, expired bool
+	if _, present := s.items[name]; !present {
+		s.waiting[name]++
+		// A producer may be blocked on a full shard while holding exactly
+		// this sample; let it re-check the waiting set.
+		s.notFull.Broadcast()
+		for {
+			if _, present := s.items[name]; present || s.closed {
+				break
+			}
+			if cancelled = b.takeCancelled(opts.Epoch); cancelled {
+				break
+			}
+			if expired = deadlineAt >= 0 && b.env.Now() >= deadlineAt; expired {
+				break
+			}
+			s.arrived.Wait()
+		}
+		if s.waiting[name]--; s.waiting[name] == 0 {
+			delete(s.waiting, name)
+		}
+	}
+	waitEnd := b.env.Now()
+	waited := waitEnd - start
+	s.consumerWaitNS += int64(waited)
+	it, present := s.items[name]
+	if !present {
+		// An arrived sample wins over a simultaneous cancel/deadline; with
+		// none present, report why the wait ended.
+		s.mu.Unlock()
+		switch {
+		case cancelled:
+			return Item{}, ErrEpochCancelled
+		case expired:
+			return Item{}, ErrTakeDeadline
+		default: // closed while waiting
+			return Item{}, ErrClosed
+		}
+	}
+	storageW, bufferW := attributeWait(waited, waitEnd, it)
+	s.waitStorageNS += int64(storageW)
+	s.waitBufferNS += int64(bufferW)
+	if b.accessCost > 0 {
+		b.env.Sleep(b.accessCost)
+	}
+	delete(s.items, name)
+	s.occupancy.Set(len(s.items))
+	s.takes++
+	// Broadcast, not Signal: with the waiting-consumer admission exception
+	// the shard can sit over capacity, so a single wakeup can land on a
+	// producer that still cannot proceed and be consumed without effect
+	// while a different blocked producer — one whose sample a consumer is
+	// waiting on — stays asleep. Waking every blocked producer lets each
+	// re-check its own admission condition.
+	s.notFull.Broadcast()
+	s.mu.Unlock()
+	b.waitHist.Observe(waited)
+	if ctx.Sampled || it.Ctx.Sampled {
+		span := obs.Span{
+			Trace: ctx.Trace, Stage: obs.StageConsumerWait, Name: name,
+			At: start, Latency: waited, Shard: s.idx,
+			Size: it.Size, StorageWait: storageW, BufferWait: bufferW,
+		}
+		if span.Trace == 0 {
+			span.Trace = it.Ctx.Trace
+		}
+		if it.Ctx.Trace != 0 && it.Ctx.Trace != span.Trace {
+			span.Link = it.Ctx.Trace
+		}
+		b.tracer.Record(span)
+	}
+	return it, nil
 }
 
 // parked reports whether a no-wait take of name bounded by maxBytes would
@@ -486,17 +451,10 @@ func (b *Buffer) Take(name string, opts TakeOptions) (Item, error) {
 // something irreversible (an admission token) between looking and taking;
 // the take re-checks, so a stale answer costs only that token.
 func (b *Buffer) parked(name string, maxBytes int64) bool {
-	for {
-		s := b.route(name)
-		s.mu.Lock()
-		if s.retired {
-			s.mu.Unlock()
-			continue
-		}
-		ok := s.holds(name, maxBytes)
-		s.mu.Unlock()
-		return ok
-	}
+	s := b.route(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.holds(name, maxBytes)
 }
 
 // holds reports whether the shard has name parked as payload (not as a
@@ -509,12 +467,11 @@ func (s *bufShard) holds(name string, maxBytes int64) bool {
 
 // spawnDeadlineWake arms a one-shot timer that wakes the waiters of name's
 // shard when a take deadline elapses, so the blocked consumer re-checks its
-// deadline. Harmless if the take already finished; routes at fire time so
-// resharding cannot strand the wake-up.
+// deadline. Harmless if the take already finished.
 func (b *Buffer) spawnDeadlineWake(name string, d time.Duration) {
+	s := b.route(name)
 	b.env.Go("take-deadline", func() {
 		b.env.Sleep(d)
-		s := b.route(name)
 		s.mu.Lock()
 		s.arrived.Broadcast()
 		s.mu.Unlock()
@@ -527,8 +484,6 @@ func (b *Buffer) spawnDeadlineWake(name string, d time.Duration) {
 // admission conditions re-evaluate. Returns how many items were dropped.
 // Names are processed in sorted order so the simulator stays deterministic.
 func (b *Buffer) DropWhere(pred func(Item) bool) int {
-	b.cfgMu.Lock()
-	defer b.cfgMu.Unlock()
 	dropped := 0
 	for _, s := range b.shards {
 		s.mu.Lock()
@@ -599,8 +554,6 @@ func attributeWait(wait, waitEnd time.Duration, it Item) (storageW, bufferW time
 
 // Len reports the number of buffered samples across all shards.
 func (b *Buffer) Len() int {
-	b.cfgMu.Lock()
-	defer b.cfgMu.Unlock()
 	n := 0
 	for _, s := range b.shards {
 		s.mu.Lock()
@@ -617,20 +570,16 @@ func (b *Buffer) Capacity() int {
 	return b.capacity
 }
 
-// Shards reports the current shard count K.
-func (b *Buffer) Shards() int {
-	b.cfgMu.Lock()
-	defer b.cfgMu.Unlock()
-	return len(b.shards)
-}
+// Shards reports the shard count K.
+func (b *Buffer) Shards() int { return len(b.shards) }
 
 // SetCapacity adjusts N (control-plane knob), repartitioning the budget
-// across shards. Growing releases blocked producers; shrinking takes
-// effect lazily as consumers drain (a shard over its new budget admits no
-// regular Put until Takes bring it back under, but the waiting-consumer
-// exception still applies, so producers can never wedge against waiting
-// consumers). If N drops below the shard count, the buffer reshards down
-// so every shard keeps at least one capacity slot.
+// across the fixed shards. Growing releases blocked producers; shrinking
+// takes effect lazily as consumers drain (a shard over its new budget
+// admits no regular Put until Takes bring it back under, but the
+// waiting-consumer exception still applies, so producers can never wedge
+// against waiting consumers). With N below the shard count, the surplus
+// shards get a zero budget and live on that exception alone.
 func (b *Buffer) SetCapacity(n int) {
 	if n < 1 {
 		n = 1
@@ -638,12 +587,6 @@ func (b *Buffer) SetCapacity(n int) {
 	b.cfgMu.Lock()
 	defer b.cfgMu.Unlock()
 	b.capacity = n
-	if n < len(b.shards) {
-		if !b.closed {
-			b.reshardLocked(n)
-		}
-		return
-	}
 	caps := partitionCapacity(n, len(b.shards))
 	for i, s := range b.shards {
 		s.mu.Lock()
@@ -652,58 +595,6 @@ func (b *Buffer) SetCapacity(n int) {
 		}
 		s.capacity = caps[i]
 		s.mu.Unlock()
-	}
-}
-
-// SetShards re-partitions the buffer over k shards (control-plane knob).
-// Buffered samples are redistributed to their new shards; blocked
-// producers and consumers transparently re-route. The count is clamped as
-// in NewShardedBuffer. No-op after Close.
-func (b *Buffer) SetShards(k int) {
-	b.cfgMu.Lock()
-	defer b.cfgMu.Unlock()
-	if b.closed {
-		return
-	}
-	k = clampShards(k, b.capacity)
-	if k == len(b.shards) {
-		return
-	}
-	b.reshardLocked(k)
-}
-
-// reshardLocked retires the current shard set and rebuilds k shards,
-// migrating buffered items by the new hash. Caller holds cfgMu. Retired
-// shards wake all their waiters, who observe the retired flag and re-route
-// through the new shard set. Moved items may leave a new shard over its
-// budget; like a capacity shrink, that drains lazily. Items are migrated
-// in sorted-name order so the simulator stays deterministic.
-func (b *Buffer) reshardLocked(k int) {
-	var moved []Item
-	for _, s := range b.shards {
-		s.mu.Lock()
-		s.retired = true
-		for _, it := range s.items {
-			moved = append(moved, it)
-		}
-		b.basePuts += s.puts
-		b.baseTakes += s.takes
-		b.baseConsumerNS += s.consumerWaitNS
-		b.baseProducerNS += s.producerWaitNS
-		b.baseWaitStorageNS += s.waitStorageNS
-		b.baseWaitBufferNS += s.waitBufferNS
-		b.baseOccWeighted += s.occupancy.TimeWeightedSum()
-		s.items = make(map[string]Item)
-		s.notFull.Broadcast()
-		s.arrived.Broadcast()
-		s.mu.Unlock()
-	}
-	sort.Slice(moved, func(i, j int) bool { return moved[i].Name < moved[j].Name })
-	b.shards = newShardSet(b.env, k, b.capacity)
-	for _, it := range moved {
-		s := b.shards[shardIndex(it.Name, k)]
-		s.items[it.Name] = it
-		s.occupancy.Set(len(s.items))
 	}
 }
 
@@ -752,21 +643,11 @@ type BufferStats struct {
 }
 
 // Stats snapshots the buffer counters. Each shard is snapshotted under its
-// own lock (and the shard set under cfgMu), so the counters are mutually
-// consistent: Takes can never exceed Puts, and Len always matches the
-// occupancy accounting.
+// own lock, so the counters are mutually consistent: Takes can never exceed
+// Puts, and Len always matches the occupancy accounting.
 func (b *Buffer) Stats() BufferStats {
-	b.cfgMu.Lock()
-	defer b.cfgMu.Unlock()
-	st := BufferStats{
-		Capacity: b.capacity,
-		Shards:   len(b.shards),
-		Puts:     b.basePuts,
-		Takes:    b.baseTakes,
-	}
-	cwNS, pwNS := b.baseConsumerNS, b.baseProducerNS
-	wsNS, wbNS := b.baseWaitStorageNS, b.baseWaitBufferNS
-	weighted := b.baseOccWeighted
+	st := BufferStats{Capacity: b.Capacity(), Shards: len(b.shards)}
+	var cwNS, pwNS, wsNS, wbNS, weighted int64
 	for _, s := range b.shards {
 		s.mu.Lock()
 		st.Len += len(s.items)

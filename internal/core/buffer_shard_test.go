@@ -151,58 +151,10 @@ func TestBufferShardedThroughput(t *testing.T) {
 	}
 }
 
-// TestBufferSetShardsMigratesItems reshards a buffer with live contents
-// and blocked waiters: items must survive the migration and blocked
-// producers/consumers must transparently re-route to the new shards.
-func TestBufferSetShardsMigratesItems(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		b := NewShardedBuffer(env, 4, 0, 1)
-		for i := 0; i < 4; i++ {
-			if _, err := b.Put(Item{Name: fmt.Sprintf("s%d", i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		done := env.NewWaitGroup()
-		done.Add(2)
-		env.Go("blocked-producer", func() {
-			defer done.Done()
-			if _, err := b.Put(Item{Name: "extra"}); err != nil { // full: blocks
-				t.Errorf("put after reshard: %v", err)
-			}
-		})
-		env.Go("blocked-consumer", func() {
-			defer done.Done()
-			if _, err := b.Take("late", TakeOptions{}); err != nil { // absent: blocks
-				t.Error("take after reshard failed")
-			}
-		})
-		env.Sleep(time.Second) // both goroutines are parked on shard conds
-		b.SetShards(4)
-		if got := b.Shards(); got != 4 {
-			t.Fatalf("Shards() = %d after SetShards(4)", got)
-		}
-		if got := b.Len(); got != 4 {
-			t.Fatalf("Len = %d after reshard, want 4 (items must migrate)", got)
-		}
-		for i := 0; i < 4; i++ {
-			if _, err := b.Take(fmt.Sprintf("s%d", i), TakeOptions{}); err != nil {
-				t.Fatalf("item s%d lost in reshard", i)
-			}
-		}
-		if _, err := b.Put(Item{Name: "late"}); err != nil {
-			t.Fatal(err)
-		}
-		done.Wait()
-		st := b.Stats()
-		if st.Puts != 6 || st.Takes != 5 {
-			t.Fatalf("counters lost across reshard: puts=%d takes=%d", st.Puts, st.Takes)
-		}
-	})
-}
-
-// TestBufferSetShardsPreservesWaitAccounting verifies wait time is not
-// double-counted when a blocked operation restarts across a reshard.
-func TestBufferSetShardsPreservesWaitAccounting(t *testing.T) {
+// TestBufferProducerWaitAccounting verifies a producer parked on a full
+// buffer is charged exactly the time it was blocked, once, when a capacity
+// grow releases it.
+func TestBufferProducerWaitAccounting(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewShardedBuffer(env, 1, 0, 1)
 		if _, err := b.Put(Item{Name: "fill"}); err != nil {
@@ -217,7 +169,7 @@ func TestBufferSetShardsPreservesWaitAccounting(t *testing.T) {
 			}
 		})
 		env.Sleep(2 * time.Second)
-		b.SetCapacity(4) // reshard-free grow releases the producer
+		b.SetCapacity(4) // the grow releases the producer
 		done.Wait()
 		st := b.Stats()
 		if st.ProducerWait != 2*time.Second {

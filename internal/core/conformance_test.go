@@ -50,7 +50,7 @@ func newReaderFixture(t *testing.T) *readerFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.stage = core.NewStage(env, fx.mem, core.NewPrefetchObject(pf))
+	fx.stage = core.NewStage(env, fx.mem, pf)
 	fx.stage.SetBufferPool(fx.pool)
 	// Never Started: the test cranks Tick itself, so overload is entered and
 	// left exactly where the request sequence says.

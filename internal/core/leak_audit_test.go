@@ -54,7 +54,7 @@ func TestPooledSimEpochLeakAudit(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		st := NewStage(env, backend, NewPrefetchObject(pf))
+		st := NewStage(env, backend, pf)
 		st.SetBufferPool(pool)
 		pf.Start()
 		defer st.Close()
@@ -115,7 +115,7 @@ func TestLeakAuditDetectsDeliberateLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStage(env, mem, NewPrefetchObject(pf))
+	st := NewStage(env, mem, pf)
 	st.SetBufferPool(pool)
 	pf.Start()
 	defer st.Close()

@@ -47,7 +47,7 @@ func TestHangRegressionPartialSubmit(t *testing.T) {
 		}
 		// Producers deliberately not started: the bounded queue fills at 2
 		// entries and the submission parks on the third Put.
-		st := NewStage(env, backend, NewPrefetchObject(pf))
+		st := NewStage(env, backend, pf)
 		mu := env.NewMutex()
 		cond := env.NewCond(mu)
 		submitted := false
@@ -120,7 +120,7 @@ func TestHangRegressionTwoConsumersRace(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		st := NewStage(env, backend, NewPrefetchObject(pf))
+		st := NewStage(env, backend, pf)
 		pf.Start()
 		defer st.Close()
 		if err := st.SubmitPlan(names[:1]); err != nil {
@@ -209,7 +209,7 @@ func TestEpochCancelWakesBlockedConsumer(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		st := NewStage(env, backend, NewPrefetchObject(pf))
+		st := NewStage(env, backend, pf)
 		pf.Start()
 		defer st.Close()
 		res, err := pf.SubmitEpoch(names)
@@ -302,7 +302,7 @@ func TestEpochCancelReleasesPooledBuffers(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		st := NewStage(env, backend, NewPrefetchObject(pf))
+		st := NewStage(env, backend, pf)
 		st.SetBufferPool(pool)
 		pf.Start()
 		res, err := pf.SubmitEpoch(names)
@@ -359,7 +359,7 @@ func TestConsumerTakeDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewStage(env, backend, NewPrefetchObject(pf))
+		st := NewStage(env, backend, pf)
 		pf.Start()
 		defer st.Close()
 		if err := st.SubmitPlan(names); err != nil {
@@ -398,7 +398,7 @@ func TestSubmitCancelResubmitLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewStage(env, backend, NewPrefetchObject(pf))
+		st := NewStage(env, backend, pf)
 		pf.Start()
 		defer st.Close()
 		for round := 0; round < 5; round++ {
@@ -487,4 +487,76 @@ func TestEpochHistoryPruned(t *testing.T) {
 				first, rounds-maxEpochHistory+1)
 		}
 	})
+}
+
+// TestCapacityBelowShards: the shard set is fixed when the buffer is built,
+// so a capacity N below the shard count K leaves K − N shards with a zero
+// budget. Those admit only a sample a consumer is already waiting for — the
+// over-capacity exception — so every planned read is still a hit, K stays,
+// and no shard ever parks more than its budget plus the samples being
+// waited for.
+func TestCapacityBelowShards(t *testing.T) {
+	const shards, samples = 8, 200
+	for _, capacity := range []int{1, 2, 3} {
+		for _, consumers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("N%d/consumers%d", capacity, consumers), func(t *testing.T) {
+				runSim(t, func(env conc.Env) {
+					backend, names := testBackend(env, samples, 1000, time.Millisecond, 4)
+					cfg := pfConfig(4, 16)
+					cfg.BufferShards = shards
+					pf, err := NewPrefetcher(env, backend, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st := NewStage(env, backend, pf)
+					st.SetBufferCapacity(capacity)
+					pf.Start()
+					if err := st.SubmitPlan(names); err != nil {
+						t.Fatal(err)
+					}
+					done := false
+					env.Go("shard-auditor", func() {
+						for !done {
+							for i, s := range pf.Buffer().shards {
+								s.mu.Lock()
+								awaited := 0
+								for name := range s.items {
+									if s.waiting[name] > 0 {
+										awaited++
+									}
+								}
+								if len(s.items) > s.capacity+awaited {
+									t.Errorf("shard %d parks %d samples: budget %d, %d awaited", i, len(s.items), s.capacity, awaited)
+								}
+								s.mu.Unlock()
+							}
+							env.Sleep(20 * time.Microsecond)
+						}
+					})
+					wg := env.NewWaitGroup()
+					for c := 0; c < consumers; c++ {
+						c := c
+						wg.Add(1)
+						env.Go(fmt.Sprintf("consumer-%d", c), func() {
+							defer wg.Done()
+							for i := c; i < samples; i += consumers {
+								if _, _, err := st.Read(ReadRequest{Name: names[i]}); err != nil {
+									t.Errorf("read %s: %v", names[i], err)
+									return
+								}
+							}
+						})
+					}
+					wg.Wait()
+					done = true
+					s := st.Stats()
+					if s.Hits != samples || s.Bypasses != 0 || s.Buffer.Shards != shards || s.Buffer.Capacity != capacity {
+						t.Errorf("hits %d, bypasses %d, shards %d, capacity %d; want %d, 0, %d, %d",
+							s.Hits, s.Bypasses, s.Buffer.Shards, s.Buffer.Capacity, samples, shards, capacity)
+					}
+					st.Close()
+				})
+			})
+		}
+	}
 }

@@ -26,9 +26,9 @@ type PrefetcherConfig struct {
 	// BufferAccessCost is the serialized per-operation cost of the shared
 	// in-memory buffer (see Buffer).
 	BufferAccessCost time.Duration
-	// BufferShards is the buffer shard count K. Zero selects a single shard
-	// (the paper's shared-buffer behavior); values are clamped as in
-	// NewShardedBuffer.
+	// BufferShards is the buffer shard count K, fixed for the buffer's
+	// life. Zero selects a single shard (the paper's shared-buffer
+	// behavior); values are clamped as in NewShardedBuffer.
 	BufferShards int
 	// PlanQueueCapacity bounds the plan FIFO (0 = unbounded, the default).
 	// With a bound, SubmitEpoch blocks once producers fall behind by that
@@ -154,15 +154,11 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shards := cfg.BufferShards
-	if shards < 1 {
-		shards = 1
-	}
 	pf := &Prefetcher{
 		env:            env,
 		backend:        backend,
 		cfg:            cfg,
-		buffer:         NewShardedBuffer(env, cfg.InitialBufferCapacity, cfg.BufferAccessCost, shards),
+		buffer:         NewShardedBuffer(env, cfg.InitialBufferCapacity, cfg.BufferAccessCost, cfg.BufferShards),
 		queue:          conc.NewQueue[planEntry](env, cfg.PlanQueueCapacity),
 		plans:          newPlanManager(env),
 		takeDL:         cfg.TakeDeadline,
@@ -329,14 +325,55 @@ func (pf *Prefetcher) TakeDeadline() time.Duration {
 	return pf.takeDL
 }
 
+// read serves a planned file from the buffer, blocking until the producers
+// deliver it; the request's trace context flows into the buffer so the Take
+// wait is recorded against the right trace. planned=false means the name
+// has no claimable plan entry and the stage bypasses to backend storage.
+//
+// Claim-or-bypass: the existence check and the exclusive hold on a plan
+// entry happen in one plan-manager critical section, so two consumers
+// racing one multiplicity-1 entry can never both commit to waiting — the
+// loser's claim fails and it bypasses to the backend like any unplanned
+// read (the Planned→Take TOCTOU hang is structurally impossible). A
+// delivered read also reports the position of the plan entry it consumed.
+func (pf *Prefetcher) read(req ReadRequest) (_ storage.Data, _ PlanPos, planned bool, _ error) {
+	claim, ok := pf.plans.claim(req.Name)
+	if !ok {
+		return storage.Data{}, PlanPos{}, false, nil
+	}
+	it, err := pf.buffer.Take(req.Name, TakeOptions{
+		Ctx:      req.Ctx,
+		Epoch:    claim.Epoch,
+		Deadline: pf.TakeDeadline(),
+	})
+	if err != nil {
+		switch {
+		case errors.Is(err, ErrEpochCancelled):
+			pf.plans.claimDropped(claim)
+		default:
+			// Deadline or shutdown: the sample may still arrive, so the
+			// entry goes back to its epoch for a later read to claim.
+			pf.plans.unclaim(claim)
+		}
+		return storage.Data{}, PlanPos{}, true, err
+	}
+	pf.plans.deliver(claim)
+	if it.Err != nil {
+		return storage.Data{}, PlanPos{}, true, it.Err
+	}
+	// Evict-on-read: the Take transferred the buffer's reference to us, and
+	// returning the Data passes it on to the consumer.
+	return storage.Data{Name: it.Name, Size: it.Size, Bytes: it.Bytes, Ref: it.Ref}, claim.PlanPos, true, nil
+}
+
 // SetProducers adjusts the target number of producer threads t, spawning
 // new producers immediately and retiring surplus ones even while they are
 // parked waiting for plan entries (the queue wake below interrupts their
-// wait). The value is clamped to [0, MaxProducers]; 0 stops all producers
-// (used at shutdown).
+// wait). The value is clamped to [1, MaxProducers]: with no producer every
+// planned read would wait for a sample nobody reads. Close stops them all.
 func (pf *Prefetcher) SetProducers(n int) {
-	if n < 0 {
-		n = 0
+	if n < 1 {
+		n = 1
 	}
 	if n > pf.cfg.MaxProducers {
 		n = pf.cfg.MaxProducers

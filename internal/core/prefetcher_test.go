@@ -416,3 +416,38 @@ func TestPrefetcherTransientFaultRetriedToSuccess(t *testing.T) {
 		pf.Close()
 	})
 }
+
+// TestSetProducersFloor: t is clamped to [1, MaxProducers]. With zero
+// producers every planned read would wait for a sample nobody reads — until
+// its take deadline, or until Close without one.
+func TestSetProducersFloor(t *testing.T) {
+	runSim(t, func(env conc.Env) {
+		backend, names := testBackend(env, 4, 1000, time.Millisecond, 1)
+		cfg := pfConfig(2, 8)
+		cfg.TakeDeadline = time.Second
+		pf, err := NewPrefetcher(env, backend, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewStage(env, backend, pf)
+		pf.Start()
+		for _, n := range []int{0, -1} {
+			st.SetProducers(n)
+			if target, _ := pf.Producers(); target != 1 {
+				t.Fatalf("SetProducers(%d): t = %d, want 1", n, target)
+			}
+		}
+		if err := st.SubmitPlan(names); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range names {
+			if _, _, err := st.Read(ReadRequest{Name: n}); err != nil {
+				t.Fatalf("planned read of %s: %v", n, err)
+			}
+		}
+		if s := st.Stats(); s.Hits != int64(len(names)) || s.Bypasses != 0 {
+			t.Fatalf("hits %d, bypasses %d; want every read served from the buffer", s.Hits, s.Bypasses)
+		}
+		st.Close()
+	})
+}

@@ -63,7 +63,7 @@ func TestPrefetcherDeliveryProperty(t *testing.T) {
 				ok = false
 				return
 			}
-			st := NewStage(env, backend, NewPrefetchObject(pf))
+			st := NewStage(env, backend, pf)
 			pf.Start()
 			defer st.Close()
 

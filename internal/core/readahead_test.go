@@ -412,7 +412,7 @@ func TestTakeAheadPooledLeakAudit(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		st := NewStage(env, backend, NewPrefetchObject(pf))
+		st := NewStage(env, backend, pf)
 		st.SetBufferPool(pool)
 		pf.Start()
 		defer st.Close()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -15,7 +14,7 @@ import (
 // ReadRequest is one intercepted read (DESIGN.md §20). Who is asking and
 // how the read is traced travel inside the request rather than selecting a
 // different method, so every layer between the interception point and the
-// buffer — fabric, stage, optimization objects — has exactly one read.
+// buffer — fabric, stage, prefetcher — has exactly one read.
 type ReadRequest struct {
 	// Name is the sample's dataset-relative file name.
 	Name string
@@ -42,80 +41,6 @@ type Reader interface {
 	Read(req ReadRequest) (storage.Data, PlanPos, error)
 }
 
-// OptimizationObject is the data plane's extension point (paper §III-A):
-// a self-contained, reusable I/O mechanism applied to intercepted requests.
-// Read reports handled=false when the object declines the request, letting
-// the stage fall through to the next object or the raw backend.
-type OptimizationObject interface {
-	// Name identifies the object in stats and logs.
-	Name() string
-	// Read applies the object's I/O logic to the request, reporting the plan
-	// entry it consumed (zero when it keeps no plan).
-	Read(req ReadRequest) (data storage.Data, at PlanPos, handled bool, err error)
-	// Close releases the object's resources.
-	Close()
-}
-
-// PrefetchObject adapts a Prefetcher to the OptimizationObject interface:
-// planned files are served from the in-memory buffer (evicting them);
-// unplanned files are declined so the stage bypasses to backend storage.
-type PrefetchObject struct {
-	pf *Prefetcher
-}
-
-// NewPrefetchObject wraps pf.
-func NewPrefetchObject(pf *Prefetcher) *PrefetchObject { return &PrefetchObject{pf: pf} }
-
-// Name implements OptimizationObject.
-func (o *PrefetchObject) Name() string { return "parallel-prefetch" }
-
-// Prefetcher exposes the wrapped prefetcher (for the control plane).
-func (o *PrefetchObject) Prefetcher() *Prefetcher { return o.pf }
-
-// Read serves a planned file from the buffer, blocking until the producers
-// deliver it; the request's trace context flows into the buffer so the Take
-// wait is recorded against the right trace.
-//
-// Claim-or-bypass: the existence check and the exclusive hold on a plan
-// entry happen in one plan-manager critical section, so two consumers
-// racing one multiplicity-1 entry can never both commit to waiting — the
-// loser's claim fails and it bypasses to the backend like any unplanned
-// read (the Planned→Take TOCTOU hang is structurally impossible). A
-// delivered read also reports the position of the plan entry it consumed.
-func (o *PrefetchObject) Read(req ReadRequest) (storage.Data, PlanPos, bool, error) {
-	pf := o.pf
-	claim, ok := pf.plans.claim(req.Name)
-	if !ok {
-		return storage.Data{}, PlanPos{}, false, nil
-	}
-	it, err := pf.buffer.Take(req.Name, TakeOptions{
-		Ctx:      req.Ctx,
-		Epoch:    claim.Epoch,
-		Deadline: pf.TakeDeadline(),
-	})
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrEpochCancelled):
-			pf.plans.claimDropped(claim)
-		default:
-			// Deadline or shutdown: the sample may still arrive, so the
-			// entry goes back to its epoch for a later read to claim.
-			pf.plans.unclaim(claim)
-		}
-		return storage.Data{}, PlanPos{}, true, err
-	}
-	pf.plans.deliver(claim)
-	if it.Err != nil {
-		return storage.Data{}, PlanPos{}, true, it.Err
-	}
-	// Evict-on-read: the Take transferred the buffer's reference to us, and
-	// returning the Data passes it on to the consumer.
-	return storage.Data{Name: it.Name, Size: it.Size, Bytes: it.Bytes, Ref: it.Ref}, claim.PlanPos, true, nil
-}
-
-// Close shuts down the prefetcher.
-func (o *PrefetchObject) Close() { o.pf.Close() }
-
 // TenantGate is the per-request admission hook the serving path consults
 // when multi-tenant QoS is enabled (internal/tenancy implements it; the
 // interface lives here so core does not depend on the policy package).
@@ -141,7 +66,7 @@ type StageStats struct {
 
 	// Request-path counters.
 	Reads    int64 // total intercepted reads
-	Hits     int64 // served by an optimization object
+	Hits     int64 // served by the prefetcher
 	Bypasses int64 // fell through to backend storage
 	Errors   int64 // reads that returned an error
 	Shed     int64 // reads rejected at admission by the tenant gate
@@ -158,7 +83,7 @@ type StageStats struct {
 	ReadAheadSamples int64
 	ReadAheadWasted  int64
 
-	// Prefetcher state (zero-valued when no prefetch object is attached).
+	// Prefetcher state (zero-valued when no prefetcher is attached).
 	QueueLen         int
 	TargetProducers  int
 	RunningProducers int
@@ -186,7 +111,7 @@ type StageStats struct {
 	Buffer BufferStats
 
 	// Plan reflects the plan manager: epoch lifecycle and claim activity
-	// (zero-valued when no prefetch object is attached).
+	// (zero-valued when no prefetcher is attached).
 	Plan PlanStats
 
 	// Pool reflects the sample buffer pool (zero-valued when pooling is
@@ -236,14 +161,14 @@ func (s StageStats) Attribution(prev StageStats, consumers int) obs.Attribution 
 	})
 }
 
-// Stage is one PRISMA data-plane stage: a chain of optimization objects in
-// front of backend storage, a POSIX-style Read interception point, and the
-// control interface (Stats / SetProducers / SetBufferCapacity).
+// Stage is one PRISMA data-plane stage: the parallel-prefetch optimization
+// object in front of backend storage, a POSIX-style Read interception point,
+// and the control interface (Stats / SetProducers / SetBufferCapacity). The
+// storage optimizations below it are the chain.Layers table's rows.
 type Stage struct {
 	env       conc.Env
 	backend   storage.Backend
-	objects   []OptimizationObject
-	pf        *Prefetcher                   // non-nil when a PrefetchObject is attached
+	pf        *Prefetcher                   // nil for a bare interception point
 	tracer    *obs.Tracer                   // nil-safe; set once via SetTracer before traffic
 	pool      *mempool.Pool                 // nil when pooling is off; stats only
 	gate      TenantGate                    // nil when multi-tenant QoS is off
@@ -262,13 +187,14 @@ type Stage struct {
 	aheadWasted  *metrics.Counter
 }
 
-// NewStage assembles a stage over backend with the given optimization
-// objects, consulted in order.
-func NewStage(env conc.Env, backend storage.Backend, objects ...OptimizationObject) *Stage {
-	st := &Stage{
+// NewStage assembles a stage over backend serving planned reads from pf. A
+// nil pf makes a bare interception point: every read bypasses to backend and
+// the plan operations fail with ErrNoPrefetcher.
+func NewStage(env conc.Env, backend storage.Backend, pf *Prefetcher) *Stage {
+	return &Stage{
 		env:          env,
 		backend:      backend,
-		objects:      objects,
+		pf:           pf,
 		reads:        metrics.NewCounter(env),
 		hits:         metrics.NewCounter(env),
 		bypasses:     metrics.NewCounter(env),
@@ -278,12 +204,6 @@ func NewStage(env conc.Env, backend storage.Backend, objects ...OptimizationObje
 		aheadSamples: metrics.NewCounter(env),
 		aheadWasted:  metrics.NewCounter(env),
 	}
-	for _, o := range objects {
-		if po, ok := o.(*PrefetchObject); ok {
-			st.pf = po.Prefetcher()
-		}
-	}
-	return st
 }
 
 // SetTracer attaches the observability tracer, propagating it to the
@@ -318,10 +238,10 @@ func (s *Stage) SetTraceSampling(p float64) { s.tracer.SetSampling(p) }
 // once, here, unless the request already carries a sampled context (so
 // throttle spans share the read's trace); then admission (throttle or typed
 // shed — before any stage or plan state changes, so a shed read is safely
-// retryable), then the object-chain walk, then the outcome report that
+// retryable), then the serve, then the outcome report that
 // charges the tenant's byte budget and feeds its SLO tracker. Without a gate
 // — or for a peer serve, which the requester's node accounts for — it is
-// the walk alone.
+// the serve alone.
 func (s *Stage) Read(req ReadRequest) (storage.Data, PlanPos, error) {
 	if !req.Ctx.Sampled {
 		req.Ctx = s.tracer.StartTrace()
@@ -354,21 +274,19 @@ func (s *Stage) Read(req ReadRequest) (storage.Data, PlanPos, error) {
 	return data, at, err
 }
 
-// serve walks the object chain for an admitted, sampling-decided request,
-// falling through to the backend when every object declines.
+// serve answers an admitted, sampling-decided request from the prefetcher
+// when it is planned, and from the backend otherwise.
 func (s *Stage) serve(req ReadRequest) (storage.Data, PlanPos, error) {
 	s.reads.Inc()
-	for _, o := range s.objects {
-		data, at, handled, err := o.Read(req)
-		if !handled {
-			continue
+	if s.pf != nil {
+		if data, at, planned, err := s.pf.read(req); planned {
+			if err != nil {
+				s.errors.Inc()
+				return storage.Data{}, PlanPos{}, err
+			}
+			s.hits.Inc()
+			return data, at, nil
 		}
-		if err != nil {
-			s.errors.Inc()
-			return storage.Data{}, PlanPos{}, err
-		}
-		s.hits.Inc()
-		return data, at, nil
 	}
 	s.bypasses.Inc()
 	resp, err := s.backend.Read(storage.Request{Name: req.Name, Ctx: req.Ctx})
@@ -466,7 +384,7 @@ func (s *Stage) NoteReadAheadWasted(n int64) { s.aheadWasted.Add(n) }
 func (s *Stage) Size(name string) (int64, error) { return s.backend.Size(name) }
 
 // SubmitPlan forwards an epoch's shuffled filename list to the prefetcher.
-// It returns ErrNoPrefetcher when the stage has no prefetch object.
+// It returns ErrNoPrefetcher when the stage has no prefetcher.
 func (s *Stage) SubmitPlan(names []string) error {
 	_, err := s.SubmitEpoch(names)
 	return err
@@ -505,7 +423,7 @@ func (s *Stage) CancelEpoch(id EpochID) (int, error) {
 }
 
 // Epochs lists the retained plan epochs' statuses (control interface).
-// Empty without a prefetch object.
+// Empty without a prefetcher.
 func (s *Stage) Epochs() []EpochStatus {
 	if s.pf == nil {
 		return nil
@@ -514,7 +432,7 @@ func (s *Stage) Epochs() []EpochStatus {
 }
 
 // SetTakeDeadline adjusts the consumer take deadline (control interface).
-// No-op without a prefetch object.
+// No-op without a prefetcher.
 func (s *Stage) SetTakeDeadline(d time.Duration) {
 	if s.pf != nil {
 		s.pf.SetTakeDeadline(d)
@@ -563,7 +481,7 @@ func (s *Stage) Stats() StageStats {
 }
 
 // SetProducers adjusts the prefetcher's t (control interface). No-op
-// without a prefetch object.
+// without a prefetcher.
 func (s *Stage) SetProducers(n int) {
 	if s.pf != nil {
 		s.pf.SetProducers(n)
@@ -571,24 +489,16 @@ func (s *Stage) SetProducers(n int) {
 }
 
 // SetBufferCapacity adjusts the prefetcher's N (control interface). No-op
-// without a prefetch object.
+// without a prefetcher.
 func (s *Stage) SetBufferCapacity(n int) {
 	if s.pf != nil {
 		s.pf.Buffer().SetCapacity(n)
 	}
 }
 
-// SetBufferShards adjusts the buffer's shard count K (control interface).
-// No-op without a prefetch object.
-func (s *Stage) SetBufferShards(k int) {
-	if s.pf != nil {
-		s.pf.Buffer().SetShards(k)
-	}
-}
-
-// Close shuts down every optimization object.
+// Close shuts down the prefetcher.
 func (s *Stage) Close() {
-	for _, o := range s.objects {
-		o.Close()
+	if s.pf != nil {
+		s.pf.Close()
 	}
 }

@@ -16,7 +16,7 @@ func newTestStage(env conc.Env, nFiles int, producers int) (*Stage, []string) {
 	if err != nil {
 		panic(err)
 	}
-	st := NewStage(env, backend, NewPrefetchObject(pf))
+	st := NewStage(env, backend, pf)
 	pf.Start()
 	return st, names
 }
@@ -66,7 +66,7 @@ func TestStageErrorCounting(t *testing.T) {
 		faulty := storage.NewFaultyBackend(env, backend)
 		faulty.FailName(names[0])
 		pf, _ := NewPrefetcher(env, faulty, pfConfig(1, 8))
-		st := NewStage(env, faulty, NewPrefetchObject(pf))
+		st := NewStage(env, faulty, pf)
 		pf.Start()
 		_ = st.SubmitPlan(names[:1])
 		if _, _, err := st.Read(ReadRequest{Name: names[0]}); !errors.Is(err, storage.ErrInjected) {
@@ -86,7 +86,7 @@ func TestStageErrorCounting(t *testing.T) {
 func TestStageWithoutPrefetcher(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 2, 1000, time.Millisecond, 1)
-		st := NewStage(env, backend)
+		st := NewStage(env, backend, nil)
 		if err := st.SubmitPlan(names); !errors.Is(err, ErrNoPrefetcher) {
 			t.Fatalf("SubmitPlan = %v, want ErrNoPrefetcher", err)
 		}
@@ -157,37 +157,6 @@ func TestStageReadBlocksUntilPrefetchedAndOverlaps(t *testing.T) {
 		// under the 40ms a serial reader would need.
 		if elapsed > 20*time.Millisecond {
 			t.Fatalf("elapsed %v, want ≈10ms with 4-way prefetch", elapsed)
-		}
-		st.Close()
-	})
-}
-
-// failingObject declines nothing and always errors, for chain testing.
-type failingObject struct{ calls int }
-
-func (f *failingObject) Name() string { return "failing" }
-func (f *failingObject) Read(ReadRequest) (storage.Data, PlanPos, bool, error) {
-	f.calls++
-	return storage.Data{}, PlanPos{}, false, nil // always declines
-}
-func (f *failingObject) Close() {}
-
-func TestStageObjectChainOrder(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		backend, names := testBackend(env, 2, 1000, time.Millisecond, 1)
-		declining := &failingObject{}
-		pf, _ := NewPrefetcher(env, backend, pfConfig(1, 4))
-		st := NewStage(env, backend, declining, NewPrefetchObject(pf))
-		pf.Start()
-		_ = st.SubmitPlan(names[:1])
-		if _, _, err := st.Read(ReadRequest{Name: names[0]}); err != nil {
-			t.Fatal(err)
-		}
-		if declining.calls != 1 {
-			t.Fatalf("first object consulted %d times, want 1", declining.calls)
-		}
-		if st.Stats().Hits != 1 {
-			t.Fatal("prefetch object behind a declining object did not serve the read")
 		}
 		st.Close()
 	})

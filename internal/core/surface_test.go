@@ -62,13 +62,16 @@ func methodsMatching(v any, pattern string) []string {
 	return out
 }
 
-// TestReadSurface keeps the read pairs from growing back (DESIGN.md §20):
-// the stage and the fabric each have one read, both are core.Readers, the
-// socket server has no read hook to install, core discovers nothing about
-// its own collaborators by type assertion, and the deleted variants' names
-// are gone from non-test Go. Who is asking and how the read is traced
-// belong in core.ReadRequest; a new layer in front of the stage implements
-// core.Reader and joins the conformance table.
+// TestReadSurface keeps the read pairs and the second composition from
+// growing back (DESIGN.md §20, §26): the stage and the fabric each have one
+// read, both are core.Readers, the socket server has no read hook to
+// install, non-test core contains no type assertion at all (it discovers
+// nothing about its collaborators that way), and the deleted variants'
+// names — the read pairs, the stage's optimization-object chain, runtime
+// buffer resharding — are gone from non-test Go. Who is asking and how the
+// read is traced belong in core.ReadRequest; a new layer in front of the
+// stage implements core.Reader and joins the conformance table, and a new
+// storage optimization is a chain.Layers row.
 func TestReadSurface(t *testing.T) {
 	var _ core.Reader = (*core.Stage)(nil)
 	var _ core.Reader = (*distrib.Fabric)(nil)
@@ -81,10 +84,8 @@ func TestReadSurface(t *testing.T) {
 		t.Errorf("ipc.Server has read hooks %v: what serves reads is the core.Reader it is built over", got)
 	}
 
-	deleted := regexp.MustCompile(`ReadCtx|ReadTenant|ReadPlanned|ServePeerCtx|TakeCtx|TakeOpts|PutTimed|readData`)
+	deleted := regexp.MustCompile(`ReadCtx|ReadTenant|ReadPlanned|ServePeerCtx|TakeCtx|TakeOpts|PutTimed|readData|OptimizationObject|PrefetchObject|SetShards|SetBufferShards|reshard`)
 	fset := token.NewFileSet()
-	declared := map[string]bool{} // interfaces internal/core declares
-	asserted := map[string]string{}
 	nonTestGo(t, "../..", func(rel string, src []byte) {
 		if m := deleted.Find(src); m != nil {
 			t.Errorf("%s still mentions %s", rel, m)
@@ -96,34 +97,11 @@ func TestReadSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		note := func(e ast.Expr) {
-			if id, ok := e.(*ast.Ident); ok {
-				asserted[id.Name] = rel
-			}
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				if _, ok := n.Type.(*ast.InterfaceType); ok {
-					declared[n.Name.Name] = true
-				}
-			case *ast.TypeAssertExpr:
-				if n.Type != nil { // nil is the x.(type) of a type switch
-					note(n.Type)
-				}
-			case *ast.TypeSwitchStmt:
-				for _, clause := range n.Body.List {
-					for _, e := range clause.(*ast.CaseClause).List {
-						note(e)
-					}
-				}
+			if a, ok := n.(*ast.TypeAssertExpr); ok {
+				t.Errorf("%s: type assertion: make what it discovers part of the contract (or the request) instead of an optional extension", fset.Position(a.Pos()))
 			}
 			return true
 		})
 	})
-	for name, rel := range asserted {
-		if declared[name] {
-			t.Errorf("%s type-asserts to core's own interface %s: make it part of the contract (or the request) instead of an optional extension", rel, name)
-		}
-	}
 }

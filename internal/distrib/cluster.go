@@ -216,7 +216,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 				runErr = err
 				return
 			}
-			stages[n] = core.NewStage(env, shared, core.NewPrefetchObject(pf))
+			stages[n] = core.NewStage(env, shared, pf)
 			pf.Start()
 		}
 		if cfg.Mode == ClusterClairvoyant {

@@ -236,7 +236,7 @@ func Run(cfg Config) (Result, error) {
 				return
 			}
 			prefetchers[n] = pf
-			stages[n] = core.NewStage(env, backend, core.NewPrefetchObject(pf))
+			stages[n] = core.NewStage(env, backend, pf)
 			pf.Start()
 		}
 

@@ -49,7 +49,7 @@ func newFabricFixture(t *testing.T, env conc.Env, files int) *fabricFixture {
 			t.Errorf("prefetcher: %v", err)
 			return nil
 		}
-		fx.stages[n] = core.NewStage(env, shared, core.NewPrefetchObject(pf))
+		fx.stages[n] = core.NewStage(env, shared, pf)
 		pf.Start()
 		ring, err := NewRing(names, 0)
 		if err != nil {

@@ -51,7 +51,7 @@ func runPrismaTF(cal Calibration, model train.Model, batch int, stageCfg core.Pr
 			runErr = err
 			return
 		}
-		stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+		stage := core.NewStage(env, backend, pf)
 		pf.Start()
 		ctl := control.NewController(env, cal.ControlInterval)
 		initial := control.Tuning{Producers: stageCfg.InitialProducers, BufferCapacity: stageCfg.InitialBufferCapacity}
@@ -276,7 +276,7 @@ func runProfileTF(cal Calibration, prof dataset.Profile, scale float64, model tr
 				runErr = err
 				return
 			}
-			stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+			stage := core.NewStage(env, backend, pf)
 			pf.Start()
 			ctl := control.NewController(env, cal.ControlInterval)
 			initial := control.Tuning{Producers: cal.TFPrismaStage.InitialProducers, BufferCapacity: cal.TFPrismaStage.InitialBufferCapacity}

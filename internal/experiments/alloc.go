@@ -150,7 +150,7 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		stage := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
+		stage := core.NewStage(env, ch.Backend, pf)
 		pf.Start()
 		defer stage.Close()
 

@@ -148,7 +148,7 @@ func RunAttributionCell(label string, cfg AttributionConfig) (AttributionCell, e
 			runErr = err
 			return
 		}
-		st := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+		st := core.NewStage(env, backend, pf)
 		tracer := obs.NewTracer(env, obs.TracerOptions{Sampling: cfg.Sampling, Seed: cfg.Seed})
 		st.SetTracer(tracer)
 		pf.Start()

@@ -119,7 +119,7 @@ func runBatchCell(setup string, cfg BatchCompareConfig, batch int) (BatchRow, er
 	if err != nil {
 		return row, err
 	}
-	stage := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, ch.Backend, pf)
 	// Queue the whole epoch before the first producer starts: every run
 	// the coalescer pops is then a full, aligned K-sample window, which
 	// makes the backend op count exact rather than racy.

@@ -89,7 +89,7 @@ func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int
 				runErr = err
 				return
 			}
-			stage = core.NewStage(env, backend, core.NewPrefetchObject(pf))
+			stage = core.NewStage(env, backend, pf)
 			pf.Start()
 			ctl = control.NewController(env, cal.ControlInterval)
 			initial := control.Tuning{
@@ -199,7 +199,7 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 				runErr = err
 				return
 			}
-			stage = core.NewStage(env, backend, core.NewPrefetchObject(pf))
+			stage = core.NewStage(env, backend, pf)
 			pf.Start()
 			ctl = control.NewController(env, cal.ControlInterval)
 			initial := control.Tuning{

@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/control"
@@ -629,13 +631,6 @@ func (h *Handler) epochs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// shardTuner is the optional control-interface extension for data planes
-// whose buffer supports resharding (core.Stage does). Kept as an interface
-// assertion so control.DataPlane stays minimal.
-type shardTuner interface {
-	SetBufferShards(k int)
-}
-
 // samplingTuner is the optional extension for data planes with a runtime
 // trace-sampling knob (core.Stage has one).
 type samplingTuner interface {
@@ -643,21 +638,34 @@ type samplingTuner interface {
 }
 
 // tuning applies knob updates: POST /tuning?producers=N and/or ?buffer=M
-// and/or ?shards=K and/or ?sampling=P.
+// and/or ?sampling=P. Every parameter is checked before any is applied, so a
+// request with an unknown or bad parameter changes nothing.
 func (h *Handler) tuning(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	q := r.URL.Query()
+	var unknown []string
+	for key := range q {
+		if key != "producers" && key != "buffer" && key != "sampling" {
+			unknown = append(unknown, key)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		http.Error(w, fmt.Sprintf("unknown parameter %s (use ?producers=N, ?buffer=M and/or ?sampling=P)", strings.Join(unknown, ", ")), http.StatusBadRequest)
+		return
+	}
+	var apply []func()
 	applied := map[string]float64{}
 	if v := q.Get("producers"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad producers value", http.StatusBadRequest)
+		if err != nil || n < 1 {
+			http.Error(w, "bad producers value (want >= 1)", http.StatusBadRequest)
 			return
 		}
-		h.dp.SetProducers(n)
+		apply = append(apply, func() { h.dp.SetProducers(n) })
 		applied["producers"] = float64(n)
 	}
 	if v := q.Get("buffer"); v != "" {
@@ -666,22 +674,8 @@ func (h *Handler) tuning(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad buffer value", http.StatusBadRequest)
 			return
 		}
-		h.dp.SetBufferCapacity(n)
+		apply = append(apply, func() { h.dp.SetBufferCapacity(n) })
 		applied["buffer"] = float64(n)
-	}
-	if v := q.Get("shards"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			http.Error(w, "bad shards value", http.StatusBadRequest)
-			return
-		}
-		st, ok := h.dp.(shardTuner)
-		if !ok {
-			http.Error(w, "data plane does not support shard tuning", http.StatusNotImplemented)
-			return
-		}
-		st.SetBufferShards(n)
-		applied["shards"] = float64(n)
 	}
 	if v := q.Get("sampling"); v != "" {
 		p, err := strconv.ParseFloat(v, 64)
@@ -694,12 +688,15 @@ func (h *Handler) tuning(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "data plane does not support trace sampling", http.StatusNotImplemented)
 			return
 		}
-		st.SetTraceSampling(p)
+		apply = append(apply, func() { st.SetTraceSampling(p) })
 		applied["sampling"] = p
 	}
-	if len(applied) == 0 {
-		http.Error(w, "nothing to apply (use ?producers=N, ?buffer=M, ?shards=K and/or ?sampling=P)", http.StatusBadRequest)
+	if len(apply) == 0 {
+		http.Error(w, "nothing to apply (use ?producers=N, ?buffer=M and/or ?sampling=P)", http.StatusBadRequest)
 		return
+	}
+	for _, f := range apply {
+		f()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(applied)

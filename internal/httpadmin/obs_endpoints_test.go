@@ -2,6 +2,7 @@ package httpadmin
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,14 +15,12 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 )
 
-// tunableDP extends fakeDP with the optional shard/sampling knobs.
+// tunableDP extends fakeDP with the optional sampling knob.
 type tunableDP struct {
 	fakeDP
-	shards   int
 	sampling float64
 }
 
-func (f *tunableDP) SetBufferShards(k int)      { f.shards = k }
 func (f *tunableDP) SetTraceSampling(p float64) { f.sampling = p }
 
 func TestAttributionEndpoint(t *testing.T) {
@@ -190,7 +189,7 @@ func TestTuningSampling(t *testing.T) {
 	srv := httptest.NewServer(New(dp))
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/tuning?sampling=0.25&shards=4", "", nil)
+	resp, err := http.Post(srv.URL+"/tuning?sampling=0.25", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,22 +197,33 @@ func TestTuningSampling(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if dp.sampling != 0.25 || dp.shards != 4 {
-		t.Fatalf("applied sampling=%v shards=%d", dp.sampling, dp.shards)
+	if dp.sampling != 0.25 {
+		t.Fatalf("applied sampling=%v", dp.sampling)
 	}
 
-	for _, q := range []string{"sampling=1.5", "sampling=-1", "sampling=abc"} {
-		resp, err := http.Post(srv.URL+"/tuning?"+q, "", nil)
+	// Each request is refused whole: a bad or unknown parameter (named in
+	// the answer) keeps its valid neighbours from being applied too.
+	for _, tc := range []struct{ query, names string }{
+		{"sampling=1.5", "sampling"},
+		{"sampling=-1", "sampling"},
+		{"sampling=abc", "sampling"},
+		{"producers=4&buffer=0", "buffer"},
+		{"sampling=0.5&bogus=1", "bogus"},
+		{"shards=4", "shards"},
+		{"producers=0", "producers"},
+	} {
+		resp, err := http.Post(srv.URL+"/tuning?"+tc.query, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", q, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.names) {
+			t.Errorf("%s: status = %d %q, want 400 naming %s", tc.query, resp.StatusCode, body, tc.names)
 		}
-	}
-	if dp.sampling != 0.25 {
-		t.Fatalf("rejected request mutated sampling to %v", dp.sampling)
+		if dp.sampling != 0.25 || dp.producers != 0 || dp.buffer != 0 {
+			t.Errorf("%s: refused request applied sampling=%v producers=%d buffer=%d", tc.query, dp.sampling, dp.producers, dp.buffer)
+		}
 	}
 
 	// A data plane without the knob gets 501.

@@ -745,7 +745,8 @@ func (c *Client) Stats() (core.StageStats, error) {
 	return stats, nil
 }
 
-// SetProducers adjusts the stage's t remotely (control path).
+// SetProducers adjusts the stage's t remotely (control path). The server
+// refuses n < 1.
 func (c *Client) SetProducers(n int) error {
 	if n < 0 {
 		n = 0
@@ -760,16 +761,6 @@ func (c *Client) SetBufferCapacity(n int) error {
 		n = 1
 	}
 	_, err := c.roundTrip(OpSetBuffer, binary.AppendUvarint(nil, uint64(n)), true)
-	return err
-}
-
-// SetBufferShards adjusts the buffer's shard count K remotely (control
-// path). Resendable: the knob is an absolute value.
-func (c *Client) SetBufferShards(k int) error {
-	if k < 1 {
-		k = 1
-	}
-	_, err := c.roundTrip(OpSetShards, binary.AppendUvarint(nil, uint64(k)), true)
 	return err
 }
 

@@ -263,7 +263,7 @@ func fuzzServer(f *testing.F) (*Server, *core.Stage, []string, string) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, backend, pf)
 	pf.Start()
 	sock := filepath.Join(f.TempDir(), "fuzz.sock")
 	srv, err := Serve(sock, stage, nil)

@@ -2,9 +2,11 @@ package ipc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -45,7 +47,7 @@ func startServerWithConfig(t *testing.T, nFiles int, cfg ServeConfig) (*Server, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, backend, pf)
 	pf.Start()
 
 	sock := filepath.Join(t.TempDir(), "prisma.sock")
@@ -139,15 +141,49 @@ func TestClientStatsAndControl(t *testing.T) {
 	if stats.Buffer.Capacity != 32 {
 		t.Fatalf("Buffer.Capacity = %d, want 32", stats.Buffer.Capacity)
 	}
-	if err := c.SetBufferShards(4); err != nil {
-		t.Fatal(err)
-	}
-	stats, err = c.Stats()
+}
+
+// TestSetProducersFloorOverSocket: the server refuses a producer count
+// below 1 (the client sends a negative one as 0) and leaves t as it was — a
+// stage without producers would serve no planned read.
+func TestSetProducersFloorOverSocket(t *testing.T) {
+	_, stage, _, sock := startServer(t, 4)
+	c, err := Dial(sock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Buffer.Shards != 4 {
-		t.Fatalf("Buffer.Shards = %d, want 4", stats.Buffer.Shards)
+	defer c.Close()
+	for _, n := range []int{0, -1} {
+		var re *RemoteError
+		if err := c.SetProducers(n); !errors.As(err, &re) {
+			t.Fatalf("SetProducers(%d) = %v, want a remote error", n, err)
+		}
+	}
+	if target, _ := stage.Prefetcher().Producers(); target != 2 {
+		t.Fatalf("refused requests moved t to %d", target)
+	}
+}
+
+// TestUnassignedOpcode7: opcode 7 once set a runtime knob that is gone. A
+// frame carrying it gets an error reply naming the unknown opcode, and the
+// connection stays usable for the next read.
+func TestUnassignedOpcode7(t *testing.T) {
+	_, _, names, sock := startServer(t, 4)
+	c, err := Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var re *RemoteError
+	if _, err := c.roundTrip(7, binary.AppendUvarint(nil, 4), false); !errors.As(err, &re) || !strings.Contains(re.Msg, "unknown opcode 7") {
+		t.Fatalf("opcode 7 answered %v, want a remote unknown-opcode error", err)
+	}
+	d, err := c.Read(names[0])
+	if err != nil || d.Size != 1024 {
+		t.Fatalf("read after opcode 7: size %d, %v", d.Size, err)
+	}
+	if c.reconnects != 0 {
+		t.Fatalf("opcode 7 cost the connection: %d reconnects", c.reconnects)
 	}
 }
 

@@ -42,7 +42,7 @@ func startPooledServer(t *testing.T, nFiles int) (*mempool.Pool, []string, strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, backend, pf)
 	stage.SetBufferPool(pool)
 	pf.Start()
 	sock := filepath.Join(t.TempDir(), "pooled.sock")

@@ -48,7 +48,8 @@ const (
 	OpSetProducers = 4 // control: set t
 	OpSetBuffer    = 5 // control: set N
 	OpPing         = 6 // liveness probe
-	OpSetShards    = 7 // control: set buffer shard count K
+	// 7 is unassigned: the buffer's shard count is fixed when the stage is
+	// built, and a server answers opcode 7 as an unknown opcode.
 
 	OpSetTraceSampling = 8 // control: set trace head-sampling probability
 	OpDecisions        = 9 // fetch the autotuner decision audit log (JSON)

@@ -73,7 +73,7 @@ func startAheadServerPool(t *testing.T, nFiles, size int, pool *mempool.Pool) *a
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.stage = core.NewStage(env, fx.backend, core.NewPrefetchObject(pf))
+	fx.stage = core.NewStage(env, fx.backend, pf)
 	fx.stage.SetBufferPool(fx.pool)
 	pf.Start()
 	fx.sock = filepath.Join(t.TempDir(), "ahead.sock")

@@ -586,6 +586,9 @@ func (s *Server) handleControl(opcode byte, payload []byte) []byte {
 		if k <= 0 {
 			return errResponse(errors.New("malformed producer count"))
 		}
+		if n < 1 {
+			return errResponse(errors.New("producer count < 1: a stage needs a producer to serve planned reads"))
+		}
 		s.stage.SetProducers(int(n))
 		return okResponse(nil)
 
@@ -595,14 +598,6 @@ func (s *Server) handleControl(opcode byte, payload []byte) []byte {
 			return errResponse(errors.New("malformed buffer capacity"))
 		}
 		s.stage.SetBufferCapacity(int(n))
-		return okResponse(nil)
-
-	case OpSetShards:
-		n, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return errResponse(errors.New("malformed shard count"))
-		}
-		s.stage.SetBufferShards(int(n))
 		return okResponse(nil)
 
 	case OpSetTraceSampling:

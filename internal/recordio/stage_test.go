@@ -44,7 +44,7 @@ func TestPrismaPrefetchesFromPackedShards(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		st := core.NewStage(env, packed, core.NewPrefetchObject(pf))
+		st := core.NewStage(env, packed, pf)
 		pf.Start()
 		defer st.Close()
 		if err := st.SubmitPlan(names); err != nil {

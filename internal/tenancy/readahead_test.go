@@ -100,7 +100,7 @@ func readAheadRun(t *testing.T, ahead bool) (delivered []time.Duration, stats Te
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+		st := core.NewStage(env, backend, pf)
 		m, err := New(env, Config{Capacity: rate, Burst: burst})
 		if err != nil {
 			t.Fatal(err)

@@ -211,7 +211,7 @@ func prismaFixture(env conc.Env, backend storage.Backend, producers int) *core.S
 	if err != nil {
 		panic(err)
 	}
-	st := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	st := core.NewStage(env, backend, pf)
 	pf.Start()
 	return st
 }

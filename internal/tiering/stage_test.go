@@ -27,7 +27,7 @@ func TestPrefetcherOverTieredBackend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := core.NewStage(env, b, core.NewPrefetchObject(pf))
+		st := core.NewStage(env, b, pf)
 		pf.Start()
 		defer st.Close()
 
@@ -76,7 +76,7 @@ func TestTwoJobsSharedDataset(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			st := core.NewStage(env, b, core.NewPrefetchObject(pf))
+			st := core.NewStage(env, b, pf)
 			pf.Start()
 			return st
 		}

@@ -216,7 +216,7 @@ func prismaStage(env conc.Env, backend storage.Backend, accessCost time.Duration
 	if err != nil {
 		panic(err)
 	}
-	st := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	st := core.NewStage(env, backend, pf)
 	pf.Start()
 	return st
 }
@@ -350,7 +350,7 @@ func TestPrismaLoaderIPCEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, backend, pf)
 	pf.Start()
 	defer stage.Close()
 

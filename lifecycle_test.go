@@ -149,7 +149,7 @@ func TestCloseConcurrentAndRepeated(t *testing.T) {
 func TestCloseWakesBlockedSocketReader(t *testing.T) {
 	dir := makeDataset(t, 4)
 	opts := Options{Dir: dir, DisableAutoTune: true, InitialProducers: 1, MaxProducers: 1,
-		InitialBuffer: 1, MaxBuffer: 1, BufferShards: 1}
+		InitialBuffer: 1, MaxBuffer: 1}
 	p, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

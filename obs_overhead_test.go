@@ -130,7 +130,7 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, ch.Backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, ch.Backend, pf)
 	defer stage.Close()
 	defer ch.Close()
 	stage.SetTracer(tracer)

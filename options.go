@@ -2,7 +2,6 @@ package prisma
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -23,14 +22,6 @@ type Options struct {
 	InitialBuffer int
 	// MaxBuffer bounds N (default 4096).
 	MaxBuffer int
-	// BufferShards is the buffer shard count K. Sharding removes the
-	// shared-buffer synchronization bottleneck the paper observes at 8+
-	// PyTorch workers (§V-B) while preserving bounded-N and evict-on-read
-	// semantics. Default 0 derives K from GOMAXPROCS (capped at 16);
-	// set 1 to force the paper's single shared buffer. Clamped to the
-	// buffer capacity at runtime.
-	BufferShards int
-
 	// AutoTune enables the control plane's feedback loop over t and N
 	// (default true — set DisableAutoTune to turn it off).
 	DisableAutoTune bool
@@ -340,12 +331,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBuffer == 0 {
 		o.MaxBuffer = 4096
 	}
-	if o.BufferShards == 0 {
-		o.BufferShards = runtime.GOMAXPROCS(0)
-		if o.BufferShards > 16 {
-			o.BufferShards = 16
-		}
-	}
 	if o.ControlInterval == 0 {
 		o.ControlInterval = 500 * time.Millisecond
 	}
@@ -446,9 +431,6 @@ func (o Options) validate() error {
 	}
 	if o.InitialBuffer < 1 || o.MaxBuffer < o.InitialBuffer {
 		return fmt.Errorf("prisma: bad buffer bounds [%d, %d]", o.InitialBuffer, o.MaxBuffer)
-	}
-	if o.BufferShards < 1 {
-		return fmt.Errorf("prisma: BufferShards %d < 1", o.BufferShards)
 	}
 	if o.ControlInterval <= 0 {
 		return fmt.Errorf("prisma: non-positive control interval")

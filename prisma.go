@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -416,12 +417,14 @@ func Open(opts Options) (*Prisma, error) {
 	if opts.SpanFile != "" {
 		p.flush = append(p.flush, func() error { return chain.WriteFile(opts.SpanFile, "spans", p.tracer.Export) })
 	}
+	// The buffer keeps a shard per CPU, up to 16, clamped to N (§V-B: the
+	// contention sharding removes grows with concurrent workers).
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 		InitialProducers:      opts.InitialProducers,
 		MaxProducers:          opts.MaxProducers,
 		InitialBufferCapacity: opts.InitialBuffer,
 		MaxBufferCapacity:     opts.MaxBuffer,
-		BufferShards:          opts.BufferShards,
+		BufferShards:          min(runtime.GOMAXPROCS(0), 16),
 		TakeDeadline:          opts.ConsumerDeadline,
 		BatchSamples:          batchSamples(opts),
 		BatchBytes:            opts.Batch.MaxBytes,
@@ -430,7 +433,7 @@ func Open(opts Options) (*Prisma, error) {
 	if err != nil {
 		return fail(err)
 	}
-	stage := core.NewStage(env, backend, core.NewPrefetchObject(pf))
+	stage := core.NewStage(env, backend, pf)
 	p.teardown.push(noErr(stage.Close))
 	p.stage, p.reader = stage, stage
 	// Checked at the stage, not in Prisma.SubmitEpoch: plans submitted over
@@ -696,14 +699,12 @@ func (p *Prisma) Stats() Stats {
 	return statsFrom(p.stage.Stats())
 }
 
-// SetProducers pins the producer count t (disable AutoTune to keep it).
+// SetProducers pins the producer count t (disable AutoTune to keep it),
+// clamped to [1, MaxProducers].
 func (p *Prisma) SetProducers(n int) { p.stage.SetProducers(n) }
 
 // SetBufferCapacity pins the buffer capacity N.
 func (p *Prisma) SetBufferCapacity(n int) { p.stage.SetBufferCapacity(n) }
-
-// SetBufferShards adjusts the buffer shard count K.
-func (p *Prisma) SetBufferShards(k int) { p.stage.SetBufferShards(k) }
 
 // SetTraceSampling adjusts the lifecycle-trace head-sampling probability
 // at runtime (clamped to [0, 1]).
@@ -915,7 +916,7 @@ func (p *Prisma) Bundle() ([]byte, error) {
 // GET /metrics (Prometheus text format), GET /attribution, GET /decisions,
 // GET /tenants (and POST /tenants?name=X&weight=W&bytes=B on tenancy-
 // enabled instances), GET /debug/bundle (one-shot diagnostic capture),
-// POST /tuning?producers=N&buffer=M&shards=K&sampling=P,
+// POST /tuning?producers=N&buffer=M&sampling=P,
 // and (when Options.EnablePprof is set) /debug/pprof/.
 func (p *Prisma) AdminHandler() http.Handler {
 	return httpadmin.NewWithConfig(p.stage, p.adminConfig())
@@ -1097,14 +1098,11 @@ func (c *Client) Stats() (Stats, error) {
 	return statsFrom(s), nil
 }
 
-// SetProducers adjusts the remote stage's t.
+// SetProducers adjusts the remote stage's t; the server refuses n < 1.
 func (c *Client) SetProducers(n int) error { return c.c.SetProducers(n) }
 
 // SetBufferCapacity adjusts the remote stage's N.
 func (c *Client) SetBufferCapacity(n int) error { return c.c.SetBufferCapacity(n) }
-
-// SetBufferShards adjusts the remote stage's buffer shard count K.
-func (c *Client) SetBufferShards(k int) error { return c.c.SetBufferShards(k) }
 
 // SetTraceSampling adjusts the remote stage's trace head-sampling
 // probability.
