@@ -18,8 +18,8 @@ type Queue[T any] struct {
 	// the slot instead of re-slicing the front away: a re-sliced slice can
 	// only ever grow by reallocating, and its abandoned prefix keeps every
 	// popped item reachable until then. A queue that drains rewinds to the
-	// start of its backing array, so a fill/drain cycle (one epoch's plan)
-	// reuses the same array every time.
+	// start of its backing array, so a fill/drain cycle reuses the same
+	// array every time.
 	items    []T
 	head     int
 	capacity int
@@ -66,15 +66,19 @@ func (q *Queue[T]) Put(v T) error {
 // size is the number of queued items. Caller holds mu.
 func (q *Queue[T]) size() int { return len(q.items) - q.head }
 
-// pop removes the n oldest items, zeroing their slots so the backing array
-// does not pin what they referenced. Caller holds mu and has checked
-// n <= size().
-func (q *Queue[T]) pop(n int) {
-	clear(q.items[q.head : q.head+n])
-	q.head += n
+// pop removes and returns the oldest item, zeroing its slot so the backing
+// array does not pin what it referenced. Caller holds mu and has checked
+// size() > 0.
+func (q *Queue[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
 	if q.head == len(q.items) {
 		q.items, q.head = q.items[:0], 0
 	}
+	q.notFull.Signal()
+	return v
 }
 
 // Get removes and returns the oldest item, blocking while the queue is
@@ -88,106 +92,7 @@ func (q *Queue[T]) Get() (v T, ok bool) {
 	if q.size() == 0 {
 		return v, false
 	}
-	v = q.items[q.head]
-	q.pop(1)
-	q.notFull.Signal()
-	return v, true
-}
-
-// GetOr is Get with an interruptible wait: while the queue is empty, stop
-// is consulted (on entry and after every wakeup) and a true return
-// abandons the wait with stopped=true instead of parking until the next
-// item. Wake forces every blocked getter to re-evaluate its stop
-// condition. stop runs under the queue lock and must not call back into
-// this queue; it may acquire other locks, which fixes the lock order
-// "queue before callee" for those locks.
-func (q *Queue[T]) GetOr(stop func() bool) (v T, ok, stopped bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.size() == 0 && !q.closed {
-		if stop != nil && stop() {
-			return v, false, true
-		}
-		q.notEmpty.Wait()
-	}
-	if q.size() == 0 {
-		return v, false, false
-	}
-	v = q.items[q.head]
-	q.pop(1)
-	q.notFull.Signal()
-	return v, true, false
-}
-
-// GetRunOr is GetOr extended to drain a FIFO run: it blocks for the first
-// item exactly like GetOr, then greedily appends up to max-1 further items
-// while same(first, candidate) holds, preserving FIFO order (the run is
-// always a contiguous prefix of the queue — the first non-matching item
-// stays queued, so ordering across runs is untouched). Items are appended
-// to out (caller-owned scratch, may be non-empty). same runs under the
-// queue lock with the same constraints as stop: it must not call back into
-// this queue, and any locks it takes order "queue before callee".
-func (q *Queue[T]) GetRunOr(stop func() bool, max int, same func(first, candidate T) bool, out []T) (run []T, ok, stopped bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.size() == 0 && !q.closed {
-		if stop != nil && stop() {
-			return out, false, true
-		}
-		q.notEmpty.Wait()
-	}
-	if q.size() == 0 {
-		return out, false, false
-	}
-	live := q.items[q.head:]
-	first := live[0]
-	out = append(out, first)
-	taken := 1
-	for taken < max && taken < len(live) && same(first, live[taken]) {
-		out = append(out, live[taken])
-		taken++
-	}
-	q.pop(taken)
-	if taken > 1 {
-		q.notFull.Broadcast()
-	} else {
-		q.notFull.Signal()
-	}
-	return out, true, false
-}
-
-// Wake wakes every blocked getter so GetOr callers re-evaluate their stop
-// condition. Plain Get callers just re-check emptiness and park again.
-func (q *Queue[T]) Wake() {
-	q.mu.Lock()
-	q.notEmpty.Broadcast()
-	q.mu.Unlock()
-}
-
-// DropWhere removes every queued item matching pred, preserving the order
-// of the rest, and reports how many were removed. Freed capacity wakes
-// blocked putters. pred runs under the queue lock and must not call back
-// into the queue.
-func (q *Queue[T]) DropWhere(pred func(T) bool) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	// Survivors are compacted to the start of the array (the popped prefix
-	// is already zeroed), which also rewinds head.
-	kept := q.items[:0]
-	for _, it := range q.items[q.head:] {
-		if !pred(it) {
-			kept = append(kept, it)
-		}
-	}
-	n := q.size() - len(kept)
-	// Zero the tail so dropped items don't pin referenced memory through
-	// the backing array.
-	clear(q.items[len(kept):])
-	q.items, q.head = kept, 0
-	if n > 0 {
-		q.notFull.Broadcast()
-	}
-	return n
+	return q.pop(), true
 }
 
 // TryGet removes the oldest item without blocking.
@@ -197,10 +102,7 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	if q.size() == 0 {
 		return v, false
 	}
-	v = q.items[q.head]
-	q.pop(1)
-	q.notFull.Signal()
-	return v, true
+	return q.pop(), true
 }
 
 // Len reports the number of queued items.

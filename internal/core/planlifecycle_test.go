@@ -20,89 +20,6 @@ import (
 // pre-epoch plan bookkeeping forever; with the plan manager the same
 // schedule must run to completion.
 
-// TestHangRegressionPartialSubmit is the partial-submission hang: the old
-// SubmitPlan registered every name in the planned map before enqueuing, so
-// a mid-loop queue failure left names planned that no producer would ever
-// fetch, and a consumer read of such a name blocked in Take forever. With
-// atomic registration the failed epoch is rolled back: nothing is
-// claimable, the reader bypasses to the backend, and SubmitEpoch reports
-// how far it got.
-func TestHangRegressionPartialSubmit(t *testing.T) {
-	s := sim.New()
-	env := conc.NewSimEnv(s)
-	var (
-		res     PlanResult
-		subErr  error
-		readErr error
-		readOK  bool
-	)
-	s.Spawn("driver", func(*sim.Process) {
-		backend, names := testBackend(env, 4, 1000, time.Millisecond, 2)
-		cfg := pfConfig(1, 8)
-		cfg.PlanQueueCapacity = 2
-		pf, err := NewPrefetcher(env, backend, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// Producers deliberately not started: the bounded queue fills at 2
-		// entries and the submission parks on the third Put.
-		st := NewStage(env, backend, pf)
-		mu := env.NewMutex()
-		cond := env.NewCond(mu)
-		submitted := false
-		env.Go("submitter", func() {
-			r, e := pf.SubmitEpoch(names)
-			mu.Lock()
-			res, subErr, submitted = r, e, true
-			cond.Broadcast()
-			mu.Unlock()
-		})
-		env.Sleep(time.Millisecond) // submitter is now parked mid-submit
-
-		// A reader arriving during the stuck submission must not hang on
-		// the half-submitted plan: nothing is claimable yet, so it bypasses.
-		d, _, err := st.Read(ReadRequest{Name: names[3]})
-		readErr = err
-		readOK = err == nil && d.Size == 1000
-
-		// Closing the stage fails the parked Put; the submission must roll
-		// the epoch back instead of stranding its two enqueued entries.
-		st.Close()
-		mu.Lock()
-		for !submitted {
-			cond.Wait()
-		}
-		mu.Unlock()
-		if pf.Planned(names[0]) || pf.Planned(names[3]) {
-			t.Error("names still planned after aborted submission")
-		}
-		ps := pf.PlanStats()
-		if ps.EpochsCancelled != 1 || ps.EntriesPending != 0 {
-			t.Errorf("PlanStats after abort = %+v, want 1 cancelled epoch and no pending entries", ps)
-		}
-		// Exactly-once accounting: both enqueued entries of the aborted
-		// epoch are charged as dropped, once each.
-		for _, e := range st.Epochs() {
-			if e.State == EpochCancelled && (e.Enqueued != 2 || e.Dropped != 2) {
-				t.Errorf("aborted epoch = %+v, want enqueued 2 / dropped 2", e)
-			}
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("simulation wedged (the partial-submit hang is back): %v", err)
-	}
-	if subErr == nil {
-		t.Fatal("SubmitEpoch on a closed queue returned nil error")
-	}
-	if res.Enqueued != 2 {
-		t.Fatalf("Enqueued = %d, want 2 (parked on the third Put)", res.Enqueued)
-	}
-	if !readOK {
-		t.Fatalf("bypass read during stuck submission failed: %v", readErr)
-	}
-}
-
 // TestHangRegressionTwoConsumersRace is the Planned→Take TOCTOU hang: with
 // one plan entry of multiplicity one, two concurrent consumers both used to
 // observe Planned(name) == true and both committed to Take — the buffer
@@ -164,9 +81,10 @@ func TestHangRegressionTwoConsumersRace(t *testing.T) {
 
 // TestHangRegressionIdleDownScale is the surplus-producer hang: producers
 // used to notice a lowered target only after dequeuing their next plan
-// entry, so SetProducers(1) on an idle queue left the old thread count
+// entry, so SetProducers(1) on an idle plan left the old thread count
 // running (and Close then waited on threads that would never re-check).
-// GetOr's stop predicate retires parked producers immediately.
+// The stop predicate of the plan manager's pop retires parked producers
+// immediately.
 func TestHangRegressionIdleDownScale(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, _ := testBackend(env, 2, 1000, time.Millisecond, 2)
@@ -175,7 +93,7 @@ func TestHangRegressionIdleDownScale(t *testing.T) {
 			t.Fatal(err)
 		}
 		pf.Start()
-		env.Sleep(time.Millisecond) // all four producers park in the queue wait
+		env.Sleep(time.Millisecond) // all four producers park in the plan wait
 		pf.SetProducers(1)
 		env.Sleep(time.Millisecond) // no plan entries flow: retirement must not need them
 		if target, running := pf.Producers(); target != 1 || running != 1 {
@@ -373,8 +291,8 @@ func TestConsumerTakeDeadline(t *testing.T) {
 		if waited := env.Now() - start; waited < 5*time.Millisecond || waited >= 20*time.Millisecond {
 			t.Fatalf("deadline fired after %v, want within [5ms, 20ms)", waited)
 		}
-		if !pf.Planned(names[0]) {
-			t.Fatal("plan entry lost after deadline — retry could never claim it")
+		if ps := pf.PlanStats(); ps.EntriesPending != 1 || ps.ClaimsInFlight != 0 {
+			t.Fatalf("PlanStats after deadline = %+v: plan entry lost — retry could never claim it", ps)
 		}
 		env.Sleep(20 * time.Millisecond) // sample is buffered now
 		d, _, err := st.Read(ReadRequest{Name: names[0]})

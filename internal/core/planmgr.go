@@ -26,7 +26,7 @@ var (
 )
 
 // EpochID identifies one submitted plan epoch. IDs start at 1; zero marks
-// "no epoch" (items that did not come through the plan queue).
+// "no epoch" (items that did not come through the plan).
 type EpochID uint64
 
 // PlanPos locates one plan entry: its epoch and its index in the order that
@@ -53,8 +53,7 @@ type PlanClaim struct {
 }
 
 // PlanResult reports one epoch submission: the issued id and how many
-// entries were actually enqueued (equal to the plan length on success;
-// smaller when the submission aborted mid-loop).
+// entries were registered (the plan length on success).
 type PlanResult struct {
 	Epoch    EpochID
 	Enqueued int
@@ -62,8 +61,6 @@ type PlanResult struct {
 
 // Epoch lifecycle states.
 const (
-	// EpochSubmitting: entries are being enqueued; none are claimable yet.
-	EpochSubmitting = "submitting"
 	// EpochActive: all entries registered and claimable.
 	EpochActive = "active"
 	// EpochCancelled: terminal; unclaimed entries dropped, buffered samples
@@ -79,17 +76,17 @@ type EpochStatus struct {
 	State     string        `json:"state"`
 	Submitted time.Duration `json:"submitted"`
 	Total     int           `json:"total"`    // plan length
-	Enqueued  int           `json:"enqueued"` // entries that reached the queue
+	Enqueued  int           `json:"enqueued"` // entries registered (the plan length)
 	Claimed   int64         `json:"claimed"`  // claims taken (cumulative)
 	Delivered int64         `json:"delivered"`
-	Dropped   int64         `json:"dropped"` // cancelled/aborted/skipped entries
+	Dropped   int64         `json:"dropped"` // entries dropped by cancellation
 }
 
 // PlanStats aggregates plan-manager activity for StageStats.
 type PlanStats struct {
 	EpochsSubmitted int64 `json:"epochs_submitted"`
 	EpochsCancelled int64 `json:"epochs_cancelled"`
-	EpochsLive      int   `json:"epochs_live"`     // submitting or active
+	EpochsLive      int   `json:"epochs_live"`     // active
 	EntriesPending  int   `json:"entries_pending"` // registered, unclaimed
 	ClaimsInFlight  int   `json:"claims_in_flight"`
 	Delivered       int64 `json:"delivered"`
@@ -107,14 +104,16 @@ type epochState struct {
 	state       string
 	submittedAt time.Duration
 	total       int
-	enqueued    int
 	claimed     int64 // cumulative claims
 	inflight    int   // claims not yet resolved (delivered/unclaimed/dropped)
 	delivered   int64
 	dropped     int64
-	// order is the submitted name list, kept while the epoch is active so a
-	// position resolves to its name (claimAt); released once terminal.
+	// order is the submitted name list, kept while the epoch is active:
+	// producers pop it front to back (next is the first unpopped index),
+	// and a position resolves to its name (claimAt). Released once
+	// terminal.
 	order []string
+	next  int
 }
 
 // planManager owns the plan lifecycle: epochs move registered → claimed →
@@ -124,17 +123,27 @@ type epochState struct {
 // no-rollback-on-partial-submit were the hang class this manager exists to
 // kill.
 //
-// Lock discipline: mu is a leaf lock — no planManager method touches the
-// queue, the buffer, or the prefetcher mutex. Buffer shards and the plan
-// queue may call into the manager (put filter, cancel predicates) while
-// holding their own locks.
+// It is also the producers' plan store: each epoch's name list is kept once
+// and producers pop runs of it in order (pop), so plan order within and
+// across epochs is the order of registration.
+//
+// Lock order: buffer shard → plan → prefetcher. Buffer shards call into
+// the manager (put filter, cancel predicates, positional claims) under
+// their own locks; the only lock taken under mu is the prefetcher mutex,
+// by pop's stop predicate. No planManager method touches the buffer.
 type planManager struct {
 	env conc.Env
 
 	mu     conc.Mutex
+	ready  conc.Cond // producers parked in pop, waiting for positions
+	parked int       // producers waiting on ready
+	closed bool
 	nextID EpochID
 	epochs map[EpochID]*epochState
 	order  []EpochID // issue order, for Epochs() listing and pruning
+	// fifo holds the epochs producers may still pop from, oldest first;
+	// terminal and fully popped ones leave it from the front (headLocked).
+	fifo []*epochState
 	// entries holds each name's oldest claimable entry (present = at least
 	// one) and more a duplicated name's later ones, FIFO by epoch then
 	// index. Nearly every plan names a sample once per epoch, so entries is
@@ -159,98 +168,140 @@ func newPlanManager(env conc.Env) *planManager {
 		more:    make(map[string][]PlanPos),
 	}
 	pm.mu = env.NewMutex()
+	pm.ready = env.NewCond(pm.mu)
 	return pm
 }
 
-// begin issues a new epoch id in the submitting state. No entries are
-// claimable yet: a consumer racing the submission bypasses to the backend
-// instead of blocking on a sample that may never be enqueued.
-func (pm *planManager) begin(total int) EpochID {
+// register issues a new epoch id and makes every entry of names claimable
+// and poppable in one critical section — the all-or-nothing commit point
+// of a submission: a consumer racing it finds either no entry or the whole
+// plan. An empty plan is done at once. Parked producers are woken one per
+// position, up to as many as are parked.
+func (pm *planManager) register(names []string) (EpochID, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
+	if pm.closed {
+		return 0, ErrClosed
+	}
 	pm.nextID++
-	id := pm.nextID
-	pm.epochs[id] = &epochState{
-		id:          id,
-		state:       EpochSubmitting,
+	ep := &epochState{
+		id:          pm.nextID,
+		state:       EpochActive,
 		submittedAt: pm.env.Now(),
-		total:       total,
+		total:       len(names),
+		// A copy: the caller's slice is the caller's to reuse after submitting.
+		order: append([]string(nil), names...),
 	}
-	pm.order = append(pm.order, id)
+	pm.epochs[ep.id] = ep
+	pm.order = append(pm.order, ep.id)
+	pm.fifo = append(pm.fifo, ep)
 	pm.submitted++
-	return id
-}
-
-// activate registers all of the epoch's entries as claimable in one
-// critical section and moves it to the active state — the all-or-nothing
-// commit point of a submission. It reports false when the epoch was
-// cancelled while submitting; no entries are registered in that case.
-func (pm *planManager) activate(id EpochID, names []string) bool {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	ep := pm.epochs[id]
-	if ep == nil || ep.state != EpochSubmitting {
-		return false
-	}
-	ep.state = EpochActive
-	ep.enqueued = len(names)
-	// A copy: the caller's slice is the caller's to reuse after submitting.
-	ep.order = append([]string(nil), names...)
 	if len(pm.entries) == 0 && len(names) > pm.sized {
 		// Sized once for the plan instead of doubling its way up under mu.
 		pm.sized = len(names)
 		pm.entries = make(map[string]PlanPos, len(names))
 	}
 	for i, n := range names {
-		pm.addLocked(n, PlanPos{Epoch: id, Index: i})
+		pm.addLocked(n, PlanPos{Epoch: ep.id, Index: i})
 	}
 	pm.pending += len(names)
-	return true
+	for i := 0; i < len(names) && i < pm.parked; i++ {
+		pm.ready.Signal()
+	}
+	pm.maybeDoneLocked(ep)
+	return ep.id, nil
 }
 
-// abort marks a partially submitted epoch cancelled (queue.Put failed after
-// enqueued entries). Nothing was registered, so there are no entries to
-// remove and no claim can ever resolve them: all enqueued entries are
-// charged as dropped here, and the caller's residue drop is pure physical
-// cleanup. The put filter keeps rejecting the epoch's items from then on.
-func (pm *planManager) abort(id EpochID, enqueued int) {
+// pop hands a producer its next run: up to max unpopped positions of the
+// oldest live epoch, in plan order, extended past the first only while
+// same(first, next) holds (never consulted when max is 1). A run never
+// crosses an epoch, and one producer pops all of it; cancelled epochs are
+// skipped. The run is appended to out — the producer's reused scratch — as
+// name + position pairs (a popped position is not a consumer's claim; it
+// only shares the shape), and at is the epoch's submission time. With
+// nothing to pop it parks until a registration, wake or close, consulting
+// stop on entry and after every wakeup: a true stop abandons the wait
+// (stopped=true). ok is false once the manager is closed with nothing left
+// to pop. stop runs under mu and may take the prefetcher mutex.
+func (pm *planManager) pop(out []PlanClaim, max int, same func(first, next string) bool, stop func() bool) (run []PlanClaim, at time.Duration, ok, stopped bool) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	ep := pm.epochs[id]
-	if ep == nil || ep.state != EpochSubmitting {
-		return
+	ep := pm.headLocked()
+	for ep == nil {
+		if pm.closed {
+			return out, 0, false, false
+		}
+		if stop() {
+			return out, 0, false, true
+		}
+		pm.parked++
+		pm.ready.Wait()
+		pm.parked--
+		ep = pm.headLocked()
 	}
-	ep.state = EpochCancelled
-	ep.enqueued = enqueued
-	ep.dropped += int64(enqueued)
-	pm.dropped += int64(enqueued)
-	pm.cancelled++
-	pm.pruneLocked()
+	first := ep.order[ep.next]
+	i := ep.next
+	for {
+		out = append(out, PlanClaim{Name: ep.order[i], PlanPos: PlanPos{Epoch: ep.id, Index: i}})
+		i++
+		if i-ep.next == max || i == len(ep.order) || !same(first, ep.order[i]) {
+			break
+		}
+	}
+	ep.next = i
+	return out, ep.submittedAt, true, false
 }
 
-// abandon resolves the submitter's side of a cancel-while-submitting race:
-// activate found the epoch already cancelled, so none of its entries were
-// registered and none can be claimed. Like abort, it charges all enqueued
-// entries as dropped — but the cancel already moved the state, so it only
-// fills in the accounting the sweep could not (the sweep saw an empty
-// registry and an unknown enqueued count).
-func (pm *planManager) abandon(id EpochID, enqueued int) {
+// headLocked returns the oldest epoch with a position left to pop, first
+// dropping terminal and fully popped epochs off the front of fifo. Caller
+// holds mu.
+func (pm *planManager) headLocked() *epochState {
+	for len(pm.fifo) > 0 {
+		ep := pm.fifo[0]
+		if ep.state == EpochActive && ep.next < len(ep.order) {
+			return ep
+		}
+		pm.fifo[0] = nil
+		pm.fifo = pm.fifo[1:]
+	}
+	return nil
+}
+
+// unpopped counts the positions of live epochs no producer has popped yet.
+func (pm *planManager) unpopped() int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	ep := pm.epochs[id]
-	if ep == nil || ep.state != EpochCancelled || ep.enqueued != 0 {
-		return
+	n := 0
+	for _, ep := range pm.fifo {
+		if ep.state == EpochActive {
+			n += len(ep.order) - ep.next
+		}
 	}
-	ep.enqueued = enqueued
-	ep.dropped += int64(enqueued)
-	pm.dropped += int64(enqueued)
+	return n
+}
+
+// wake makes every parked producer re-evaluate its stop predicate.
+func (pm *planManager) wake() {
+	pm.mu.Lock()
+	pm.ready.Broadcast()
+	pm.mu.Unlock()
+}
+
+// close refuses further registrations and wakes every parked producer;
+// positions already registered can still be popped.
+func (pm *planManager) close() {
+	pm.mu.Lock()
+	pm.closed = true
+	pm.ready.Broadcast()
+	pm.mu.Unlock()
 }
 
 // cancel moves an epoch to the cancelled state and unregisters its
-// unclaimed entries, reporting how many were removed. Cancelling an
-// already-terminal epoch is a no-op (idempotent, so the control path can
-// safely retry). The caller is responsible for dropping the epoch's
-// queued/buffered items and waking blocked consumers.
+// unclaimed entries, reporting how many were removed; its unpopped
+// positions are never popped. Cancelling an already-terminal epoch is a
+// no-op (idempotent, so the control path can safely retry). The caller is
+// responsible for dropping the epoch's buffered items and waking blocked
+// consumers.
 func (pm *planManager) cancel(id EpochID) (removed int, err error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -262,40 +313,37 @@ func (pm *planManager) cancel(id EpochID) (removed int, err error) {
 	case EpochCancelled, EpochDone:
 		return 0, nil
 	}
-	wasSubmitting := ep.state == EpochSubmitting
 	ep.state = EpochCancelled
 	ep.order = nil
 	pm.cancelled++
-	if !wasSubmitting {
-		for name, head := range pm.entries {
-			rest := pm.more[name]
-			kept := rest[:0]
-			for _, p := range rest {
-				if p.Epoch == id {
-					removed++
-				} else {
-					kept = append(kept, p)
-				}
-			}
-			if head.Epoch == id {
+	for name, head := range pm.entries {
+		rest := pm.more[name]
+		kept := rest[:0]
+		for _, p := range rest {
+			if p.Epoch == id {
 				removed++
-				if len(kept) == 0 {
-					delete(pm.entries, name)
-					delete(pm.more, name)
-					continue
-				}
-				pm.entries[name], kept = kept[0], kept[1:]
-			}
-			if len(kept) == 0 {
-				delete(pm.more, name)
 			} else {
-				pm.more[name] = kept
+				kept = append(kept, p)
 			}
 		}
-		pm.pending -= removed
-		ep.dropped += int64(removed)
-		pm.dropped += int64(removed)
+		if head.Epoch == id {
+			removed++
+			if len(kept) == 0 {
+				delete(pm.entries, name)
+				delete(pm.more, name)
+				continue
+			}
+			pm.entries[name], kept = kept[0], kept[1:]
+		}
+		if len(kept) == 0 {
+			delete(pm.more, name)
+		} else {
+			pm.more[name] = kept
+		}
 	}
+	pm.pending -= removed
+	ep.dropped += int64(removed)
+	pm.dropped += int64(removed)
 	pm.pruneLocked()
 	return removed, nil
 }
@@ -469,12 +517,12 @@ func (pm *planManager) claimDropped(c PlanClaim) {
 	}
 }
 
-// noteDropped accounts n physical items (queued entries, buffered samples,
-// in-flight producer reads) discarded for an epoch the manager no longer
-// knows — residue of a pruned epoch. For known epochs it is a no-op: their
-// entries are charged exactly once by the cancel sweep, abort/abandon, or
-// the claim-resolution paths, and the physical carriers those charges refer
-// to must not be counted again when they are cleaned up.
+// noteDropped accounts n physical items (buffered samples, in-flight
+// producer reads) discarded for an epoch the manager no longer knows —
+// residue of a pruned epoch. For known epochs it is a no-op: their entries
+// are charged exactly once by the cancel sweep or the claim-resolution
+// paths, and the physical carriers those charges refer to must not be
+// counted again when they are cleaned up.
 func (pm *planManager) noteDropped(id EpochID, n int) {
 	if n <= 0 {
 		return
@@ -487,18 +535,11 @@ func (pm *planManager) noteDropped(id EpochID, n int) {
 	pm.dropped += int64(n)
 }
 
-// hasEntry reports whether name has a claimable plan entry.
-func (pm *planManager) hasEntry(name string) bool {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	_, ok := pm.entries[name]
-	return ok
-}
-
-// maybeDoneLocked retires an active epoch once every enqueued entry has
-// been delivered or dropped. Caller holds mu.
+// maybeDoneLocked retires an active epoch once every entry has been
+// delivered or dropped — at registration already, for an empty plan.
+// Caller holds mu.
 func (pm *planManager) maybeDoneLocked(ep *epochState) {
-	if ep.state == EpochActive && ep.delivered+ep.dropped >= int64(ep.enqueued) && ep.enqueued > 0 {
+	if ep.state == EpochActive && ep.delivered+ep.dropped >= int64(ep.total) {
 		ep.state = EpochDone
 		ep.order = nil
 		pm.pruneLocked()
@@ -546,7 +587,7 @@ func (pm *planManager) stats() PlanStats {
 		Dropped:         pm.dropped,
 	}
 	for _, ep := range pm.epochs {
-		if ep.state == EpochSubmitting || ep.state == EpochActive {
+		if ep.state == EpochActive {
 			st.EpochsLive++
 		}
 	}
@@ -568,7 +609,7 @@ func (pm *planManager) statuses() []EpochStatus {
 			State:     ep.state,
 			Submitted: ep.submittedAt,
 			Total:     ep.total,
-			Enqueued:  ep.enqueued,
+			Enqueued:  ep.total,
 			Claimed:   ep.claimed,
 			Delivered: ep.delivered,
 			Dropped:   ep.dropped,

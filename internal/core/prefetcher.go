@@ -30,16 +30,12 @@ type PrefetcherConfig struct {
 	// life. Zero selects a single shard (the paper's shared-buffer
 	// behavior); values are clamped as in NewShardedBuffer.
 	BufferShards int
-	// PlanQueueCapacity bounds the plan FIFO (0 = unbounded, the default).
-	// With a bound, SubmitEpoch blocks once producers fall behind by that
-	// many entries — backpressure for jobs that submit far ahead.
-	PlanQueueCapacity int
 	// TakeDeadline bounds each consumer's wait for a claimed sample
 	// (0 = wait until arrival, cancellation, or Close). On expiry the read
 	// fails with ErrTakeDeadline and the plan entry is returned to its
 	// epoch. Adjustable at runtime via SetTakeDeadline.
 	TakeDeadline time.Duration
-	// BatchSamples, when > 1, coalesces up to that many FIFO-adjacent plan
+	// BatchSamples, when > 1, coalesces up to that many adjacent plan
 	// entries living in the same storage container (recordio shard) into
 	// one vectored read through Coalescer — the plan-aware read coalescer.
 	// Without a Coalescer every read stays per-sample. A vectored request
@@ -91,9 +87,6 @@ func (c PrefetcherConfig) Validate() error {
 	if c.BufferShards < 0 {
 		return fmt.Errorf("core: negative BufferShards")
 	}
-	if c.PlanQueueCapacity < 0 {
-		return fmt.Errorf("core: negative PlanQueueCapacity")
-	}
 	if c.TakeDeadline < 0 {
 		return fmt.Errorf("core: negative TakeDeadline")
 	}
@@ -106,25 +99,16 @@ func (c PrefetcherConfig) Validate() error {
 	return nil
 }
 
-// planEntry is one queued plan position: the file to read, its epoch, the
-// submission time (FIFO dwell measurement), and the sample's trace context.
-type planEntry struct {
-	name  string
-	epoch EpochID
-	at    time.Duration
-	ctx   obs.Ctx
-}
-
 // Prefetcher reads planned files from backend storage ahead of consumption
 // using up to t concurrent producer threads, parking samples in the bounded
 // buffer. The plan — the per-epoch shuffled filename list shared by the DL
-// framework — feeds an internal FIFO queue that fixes the read order.
+// framework — is the producers' FIFO: they pop it from the plan manager in
+// submission order.
 type Prefetcher struct {
 	env     conc.Env
 	backend storage.Backend
 	cfg     PrefetcherConfig
 	buffer  *Buffer
-	queue   *conc.Queue[planEntry]
 	tracer  *obs.Tracer // set before Start via setTracer; nil-safe
 
 	plans *planManager // epoch/claim lifecycle (DESIGN.md §12)
@@ -159,7 +143,6 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 		backend:        backend,
 		cfg:            cfg,
 		buffer:         NewShardedBuffer(env, cfg.InitialBufferCapacity, cfg.BufferAccessCost, cfg.BufferShards),
-		queue:          conc.NewQueue[planEntry](env, cfg.PlanQueueCapacity),
 		plans:          newPlanManager(env),
 		takeDL:         cfg.TakeDeadline,
 		batchMax:       1,
@@ -180,7 +163,7 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 	}
 	pf.mu = env.NewMutex()
 	// Epoch-cancellation awareness: rejected puts and woken consumers both
-	// resolve through the plan manager (a leaf lock, safe under shard locks).
+	// resolve through the plan manager (shard → plan lock order, §12).
 	pf.buffer.SetEpochCancelled(pf.plans.cancelledEpoch)
 	pf.buffer.SetClaimAt(pf.plans.claimAt)
 	return pf, nil
@@ -197,62 +180,33 @@ func (pf *Prefetcher) Buffer() *Buffer { return pf.buffer }
 func (pf *Prefetcher) Config() PrefetcherConfig { return pf.cfg }
 
 // setTracer attaches the tracer (and propagates it to the buffer). Call
-// before Start; sample-lifecycle trace ids are assigned here at plan
-// submission.
+// before Start; sample-lifecycle trace ids are assigned as producers pop
+// plan positions.
 func (pf *Prefetcher) setTracer(t *obs.Tracer) {
 	pf.tracer = t
 	pf.buffer.SetTracer(t)
 }
 
-// SubmitPlan appends the shuffled filename list of one epoch to the
-// prefetch queue. Names are read in exactly this order. Kept for callers
-// that don't track epoch ids; SubmitEpoch is the full interface.
-func (pf *Prefetcher) SubmitPlan(names []string) error {
-	_, err := pf.SubmitEpoch(names)
-	return err
-}
-
-// SubmitEpoch registers one epoch's shuffled filename list and enqueues it
-// for the producers, returning the epoch id. Registration is all-or-
-// nothing: entries become claimable only after every name was enqueued; a
-// mid-loop queue failure aborts the whole epoch (its partial queue/buffer
-// residue is dropped and its pooled leases released), so a partial
-// submission can never strand a consumer waiting on a sample that was
-// never enqueued. The result reports how many entries were actually
-// enqueued either way. Each plan entry is the head of one sample-lifecycle
-// trace (head sampling decides here).
+// SubmitEpoch registers one epoch's shuffled filename list for the
+// producers, who read the names in exactly this order, and returns the
+// epoch id. Registration is one plan-manager critical section: every entry
+// becomes claimable at once, so a consumer can never wait on a sample of a
+// half-registered plan. On success the result reports every name as
+// enqueued.
 func (pf *Prefetcher) SubmitEpoch(names []string) (PlanResult, error) {
-	pf.mu.Lock()
-	if pf.closed {
-		pf.mu.Unlock()
-		return PlanResult{}, ErrClosed
-	}
-	pf.mu.Unlock()
-	id := pf.plans.begin(len(names))
 	at := pf.env.Now()
-	enqueued := 0
-	for _, n := range names {
-		if err := pf.queue.Put(planEntry{name: n, epoch: id, at: at, ctx: pf.tracer.StartTrace()}); err != nil {
-			pf.plans.abort(id, enqueued)
-			pf.dropEpochResidue(id)
-			return PlanResult{Epoch: id, Enqueued: enqueued}, err
-		}
-		enqueued++
-	}
-	if !pf.plans.activate(id, names) {
-		// Cancelled while submitting: nothing was registered.
-		pf.plans.abandon(id, enqueued)
-		pf.dropEpochResidue(id)
-		return PlanResult{Epoch: id, Enqueued: enqueued}, ErrEpochCancelled
+	id, err := pf.plans.register(names)
+	if err != nil {
+		return PlanResult{}, err
 	}
 	pf.recordPlanSpan(obs.StagePlanSubmit, id, at, int64(len(names)))
-	return PlanResult{Epoch: id, Enqueued: enqueued}, nil
+	return PlanResult{Epoch: id, Enqueued: len(names)}, nil
 }
 
 // CancelEpoch cancels a submitted epoch: unclaimed entries stop being
-// claimable, its queued entries are dropped, its buffered samples are
-// released back to the pool, in-flight producer reads are refused at Put,
-// and consumers blocked on its samples wake with ErrEpochCancelled.
+// claimable, its unpopped positions are never read, its buffered samples
+// are released back to the pool, in-flight producer reads are refused at
+// Put, and consumers blocked on its samples wake with ErrEpochCancelled.
 // Cancelling a terminal epoch is a no-op; an unknown id is ErrUnknownEpoch.
 // It reports how many registered plan entries the cancellation removed.
 func (pf *Prefetcher) CancelEpoch(id EpochID) (int, error) {
@@ -261,23 +215,13 @@ func (pf *Prefetcher) CancelEpoch(id EpochID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	pf.dropEpochResidue(id)
+	// Physical cleanup: the buffered samples' entries were already charged
+	// by the cancel sweep or their claims, so only residue of a pruned
+	// epoch still needs accounting. The drop also wakes blocked consumers
+	// so their cancel predicates re-evaluate.
+	pf.plans.noteDropped(id, pf.buffer.DropWhere(func(it Item) bool { return it.Epoch == id }))
 	pf.recordPlanSpan(obs.StageEpochCancel, id, at, int64(removed))
 	return removed, nil
-}
-
-// dropEpochResidue removes a cancelled epoch's entries from the plan queue
-// and its samples from the buffer (releasing their pooled leases). This is
-// physical cleanup: the entries these items carry were already charged as
-// dropped by the cancel sweep or abort/abandon, so only residue of pruned
-// (unknown) epochs still needs accounting, which noteDropped handles. The
-// buffer drop also wakes blocked consumers so their cancel predicates
-// re-evaluate.
-func (pf *Prefetcher) dropEpochResidue(id EpochID) int {
-	n := pf.queue.DropWhere(func(e planEntry) bool { return e.epoch == id })
-	n += pf.buffer.DropWhere(func(it Item) bool { return it.Epoch == id })
-	pf.plans.noteDropped(id, n)
-	return n
 }
 
 // recordPlanSpan emits a control-plane lifecycle span for an epoch submit
@@ -296,11 +240,6 @@ func (pf *Prefetcher) recordPlanSpan(stage string, id EpochID, at time.Duration,
 		Size:    size,
 	})
 }
-
-// Planned reports whether name has a claimable plan entry; unplanned reads
-// bypass the buffer (the prototype does not prefetch validation files,
-// paper §V-A).
-func (pf *Prefetcher) Planned(name string) bool { return pf.plans.hasEntry(name) }
 
 // Epochs lists the retained epochs' statuses in submission order.
 func (pf *Prefetcher) Epochs() []EpochStatus { return pf.plans.statuses() }
@@ -368,7 +307,7 @@ func (pf *Prefetcher) read(req ReadRequest) (_ storage.Data, _ PlanPos, planned 
 
 // SetProducers adjusts the target number of producer threads t, spawning
 // new producers immediately and retiring surplus ones even while they are
-// parked waiting for plan entries (the queue wake below interrupts their
+// parked waiting for plan positions (the plan wake below interrupts their
 // wait). The value is clamped to [1, MaxProducers]: with no producer every
 // planned read would wait for a sample nobody reads. Close stops them all.
 func (pf *Prefetcher) SetProducers(n int) {
@@ -397,9 +336,9 @@ func (pf *Prefetcher) SetProducers(n int) {
 		pf.env.Go(fmt.Sprintf("prisma-producer-%d", id), func() { pf.producerLoop() })
 	}
 	if shrunk {
-		// Outside pf.mu: the queue lock is always taken before pf.mu
-		// (GetOr's stop predicate), never after.
-		pf.queue.Wake()
+		// Outside pf.mu: the plan lock is always taken before pf.mu
+		// (pop's stop predicate), never after.
+		pf.plans.wake()
 	}
 }
 
@@ -411,9 +350,9 @@ func (pf *Prefetcher) Producers() (target, running int) {
 }
 
 // surplus reports whether this producer should retire instead of parking
-// for the next plan entry. It is the GetOr stop predicate, called under
-// the queue lock; pf.mu nests inside the queue lock (and never the other
-// way around — SetProducers wakes the queue only after releasing pf.mu).
+// for the next plan position. It is pop's stop predicate, called under the
+// plan lock; pf.mu nests inside the plan lock (and never the other way
+// around — SetProducers wakes the plan only after releasing pf.mu).
 func (pf *Prefetcher) surplus() bool {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
@@ -421,13 +360,14 @@ func (pf *Prefetcher) surplus() bool {
 }
 
 // producerLoop is the body of one producer thread. It pops contiguous
-// same-shard runs off the plan FIFO — bounded by BatchSamples and
-// BatchBytes; always of length 1 without a coalescer — and serves each run
-// of several samples with one vectored backend read, delivering per-sample
-// views into the buffer with per-entry cancel checks, spans, counters,
-// PopDelay attribution, and pooled single-ownership hand-off. A failed
-// batch falls back to per-sample reads for that run, so batching can
-// degrade but never lose or duplicate a sample.
+// same-shard runs of plan positions from the plan manager — bounded by
+// BatchSamples and BatchBytes; always of length 1 without a coalescer —
+// and serves each run of several samples with one vectored backend read,
+// delivering per-sample views into the buffer with per-entry cancel
+// checks, spans, counters, PopDelay attribution, and pooled
+// single-ownership hand-off. A failed batch falls back to per-sample reads
+// for that run, so batching can degrade but never lose or duplicate a
+// sample.
 func (pf *Prefetcher) producerLoop() {
 	// prevPark is how long this thread's previous Put parked on a full
 	// shard. It rides on the next Item as PopDelay: that sample's read
@@ -436,18 +376,19 @@ func (pf *Prefetcher) producerLoop() {
 	var prevPark time.Duration
 	// Per-producer scratch, reused every iteration: the hot path must stay
 	// 0 allocs/op, batched or not.
-	run := make([]planEntry, 0, pf.batchMax)
+	run := make([]PlanClaim, 0, pf.batchMax)
+	ctxs := make([]obs.Ctx, 0, pf.batchMax)
 	names := make([]string, 0, pf.batchMax)
 	datas := make([]storage.Data, 0, pf.batchMax)
 	errs := make([]error, 0, pf.batchMax)
 	details := make([]storage.ReadDetail, 0, pf.batchMax)
 
-	// Run-grouping state for the queue predicate, reset before each pop.
-	// The closure is allocated once per producer; it runs under the queue
+	// Run-grouping state for the pop predicate, reset before each pop.
+	// The closure is allocated once per producer; it runs under the plan
 	// lock and touches only the coalescer's read-only index. Without a
-	// coalescer batchMax is 1 and the queue never calls it.
+	// coalescer batchMax is 1 and pop never calls it.
 	var reader storage.SampleBatcher
-	var same func(first, cand planEntry) bool
+	var same func(first, cand string) bool
 	var haveFirst bool
 	if pf.batchMax > 1 {
 		co := pf.cfg.Coalescer
@@ -455,20 +396,20 @@ func (pf *Prefetcher) producerLoop() {
 		var runShard string
 		var runBytes int64
 		var firstBatchable bool
-		same = func(first, cand planEntry) bool {
+		same = func(first, cand string) bool {
 			if !haveFirst {
 				haveFirst = true
-				sh, n, ok := co.Locate(first.name)
+				sh, n, ok := co.Locate(first)
 				firstBatchable = ok
 				if !ok {
 					return false
 				}
 				runShard, runBytes = sh, n
 			}
-			if !firstBatchable || cand.epoch != first.epoch {
+			if !firstBatchable {
 				return false
 			}
-			sh, n, ok := co.Locate(cand.name)
+			sh, n, ok := co.Locate(cand)
 			if !ok || sh != runShard {
 				return false
 			}
@@ -490,51 +431,41 @@ func (pf *Prefetcher) producerLoop() {
 		pf.mu.Unlock()
 
 		haveFirst = false
+		var at time.Duration
 		var ok, stopped bool
-		run, ok, stopped = pf.queue.GetRunOr(pf.surplus, pf.batchMax, same, run[:0])
+		run, at, ok, stopped = pf.plans.pop(run[:0], pf.batchMax, same, pf.surplus)
 		if stopped {
-			// Woken while surplus (SetProducers shrank t on an idle queue):
+			// Woken while surplus (SetProducers shrank t on an idle plan):
 			// loop to the top, where the retire check decrements running
 			// under pf.mu — serializing concurrent retirees so the count
 			// never undershoots the new target.
 			continue
 		}
-		if !ok { // queue closed and drained
+		if !ok { // closed with nothing left to pop
 			pf.mu.Lock()
 			pf.running--
 			pf.mu.Unlock()
 			return
 		}
-		// Drop entries whose epoch was cancelled while they sat in the FIFO
-		// (or popped concurrently with the cancel's DropWhere): skip the
-		// read entirely.
-		live := 0
-		for _, e := range run {
-			if pf.plans.cancelledEpoch(e.epoch) {
-				pf.plans.noteDropped(e.epoch, 1)
-				continue
-			}
-			run[live] = e
-			live++
-		}
-		run = run[:live]
-		if live == 0 {
-			continue
-		}
 
+		// Each popped position heads one sample-lifecycle trace (head
+		// sampling decides here).
 		readStart := pf.env.Now()
 		names = names[:0]
+		ctxs = ctxs[:0]
 		for _, e := range run {
-			if e.ctx.Sampled {
+			ctx := pf.tracer.StartTrace()
+			if ctx.Sampled {
 				pf.tracer.Record(obs.Span{
-					Trace:   e.ctx.Trace,
+					Trace:   ctx.Trace,
 					Stage:   obs.StageFIFOPop,
-					Name:    e.name,
-					At:      e.at,
-					Latency: readStart - e.at,
+					Name:    e.Name,
+					At:      at,
+					Latency: readStart - at,
 				})
 			}
-			names = append(names, e.name)
+			ctxs = append(ctxs, ctx)
+			names = append(names, e.Name)
 		}
 
 		datas = datas[:0]
@@ -542,7 +473,7 @@ func (pf *Prefetcher) producerLoop() {
 		details = details[:0]
 		batched := false
 		pf.activeReaders.Add(1)
-		if live > 1 {
+		if len(run) > 1 {
 			res, berr := reader.ReadSampleBatch(names, datas)
 			if berr == nil {
 				datas = res
@@ -556,8 +487,8 @@ func (pf *Prefetcher) producerLoop() {
 			}
 		}
 		if !batched {
-			for _, e := range run {
-				resp, rerr := pf.backend.Read(storage.Request{Name: e.name, Ctx: e.ctx})
+			for i, e := range run {
+				resp, rerr := pf.backend.Read(storage.Request{Name: e.Name, Ctx: ctxs[i]})
 				datas = append(datas, resp.Data)
 				details = append(details, resp.Detail)
 				errs = append(errs, rerr)
@@ -568,16 +499,16 @@ func (pf *Prefetcher) producerLoop() {
 		pf.readLat.Observe(readEnd - readStart)
 		if batched {
 			pf.batchReads.Inc()
-			pf.batchedSamples.Add(int64(live))
+			pf.batchedSamples.Add(int64(len(run)))
 		}
 
 		for i, e := range run {
-			d, rerr := datas[i], errs[i]
-			if e.ctx.Sampled {
+			d, rerr, ctx := datas[i], errs[i], ctxs[i]
+			if ctx.Sampled {
 				sp := obs.Span{
-					Trace:   e.ctx.Trace,
+					Trace:   ctx.Trace,
 					Stage:   obs.StageStorageRead,
-					Name:    e.name,
+					Name:    e.Name,
 					At:      readStart,
 					Latency: readEnd - readStart,
 					Size:    d.Size,
@@ -592,13 +523,13 @@ func (pf *Prefetcher) producerLoop() {
 				pf.tracer.Record(sp)
 			}
 			it := Item{
-				Name:      e.name,
+				Name:      e.Name,
 				Size:      d.Size,
 				Bytes:     d.Bytes,
 				Ref:       d.Ref,
 				Err:       rerr,
-				Ctx:       e.ctx,
-				Epoch:     e.epoch,
+				Ctx:       ctx,
+				Epoch:     e.Epoch,
 				ReadStart: readStart,
 				ReadEnd:   readEnd,
 				PopDelay:  prevPark,
@@ -617,7 +548,7 @@ func (pf *Prefetcher) producerLoop() {
 				// the buffer, so its pooled lease is this thread's to drop.
 				// The producer itself lives on.
 				it.Release()
-				pf.plans.noteDropped(e.epoch, 1)
+				pf.plans.noteDropped(e.Epoch, 1)
 				prevPark = 0
 			default:
 				// Buffer closed: shutting down. Release this view and every
@@ -676,12 +607,13 @@ func (pf *Prefetcher) Close() {
 	pf.closed = true
 	pf.target = 0
 	pf.mu.Unlock()
-	pf.queue.Close()
+	pf.plans.close()
 	pf.buffer.Close()
 }
 
-// QueueLen reports the number of filenames awaiting prefetch.
-func (pf *Prefetcher) QueueLen() int { return pf.queue.Len() }
+// QueueLen reports the number of plan positions awaiting prefetch: the
+// unpopped positions of live epochs.
+func (pf *Prefetcher) QueueLen() int { return pf.plans.unpopped() }
 
 // PrefetchedFiles reports the number of successful producer reads.
 func (pf *Prefetcher) PrefetchedFiles() int64 { return pf.prefetched.Value() }

@@ -85,7 +85,7 @@ func TestPrefetcherDeliversPlannedFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		pf.Start()
-		if err := pf.SubmitPlan(names); err != nil {
+		if _, err := pf.SubmitEpoch(names); err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range names {
@@ -111,7 +111,7 @@ func TestPrefetcherRespectsProducerLimit(t *testing.T) {
 		backend, names := testBackend(env, 30, 1000, time.Millisecond, 8)
 		pf, _ := NewPrefetcher(env, backend, pfConfig(3, 64))
 		pf.Start()
-		_ = pf.SubmitPlan(names)
+		_, _ = pf.SubmitEpoch(names)
 		for _, n := range names {
 			it, ok := take(pf, n)
 			if !ok || it.Err != nil {
@@ -139,7 +139,7 @@ func TestPrefetcherReadsInPlanOrder(t *testing.T) {
 		rec := &recordingBackend{inner: storage.NewModeledBackend(m, dev, nil), order: &order}
 		pf, _ := NewPrefetcher(env, rec, pfConfig(1, 8))
 		pf.Start()
-		_ = pf.SubmitPlan([]string{"b", "c", "a"})
+		_, _ = pf.SubmitEpoch([]string{"b", "c", "a"})
 		for _, n := range []string{"b", "c", "a"} {
 			_, _ = take(pf, n)
 		}
@@ -178,7 +178,7 @@ func TestPrefetcherSetProducersScalesUp(t *testing.T) {
 		if target, running := pf.Producers(); target != 6 || running != 6 {
 			t.Fatalf("Producers = %d/%d, want 6/6", target, running)
 		}
-		_ = pf.SubmitPlan(names)
+		_, _ = pf.SubmitEpoch(names)
 		for _, n := range names {
 			_, _ = take(pf, n)
 		}
@@ -194,14 +194,14 @@ func TestPrefetcherSetProducersScalesDown(t *testing.T) {
 		backend, names := testBackend(env, 10, 1000, time.Millisecond, 8)
 		pf, _ := NewPrefetcher(env, backend, pfConfig(4, 64))
 		pf.Start()
-		_ = pf.SubmitPlan(names[:5])
+		_, _ = pf.SubmitEpoch(names[:5])
 		for _, n := range names[:5] {
 			_, _ = take(pf, n)
 		}
 		pf.SetProducers(1)
 		// Surplus producers retire after their next dequeue attempt; feed
 		// the queue so blocked producers cycle.
-		_ = pf.SubmitPlan(names[5:])
+		_, _ = pf.SubmitEpoch(names[5:])
 		for _, n := range names[5:] {
 			_, _ = take(pf, n)
 		}
@@ -235,7 +235,7 @@ func TestPrefetcherErrorReachesConsumer(t *testing.T) {
 		faulty.FailName("f0001")
 		pf, _ := NewPrefetcher(env, faulty, pfConfig(2, 8))
 		pf.Start()
-		_ = pf.SubmitPlan(names)
+		_, _ = pf.SubmitEpoch(names)
 		for _, n := range names {
 			it, ok := take(pf, n)
 			if !ok {
@@ -261,16 +261,19 @@ func TestPrefetcherPlannedBookkeeping(t *testing.T) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 2)
 		pf, _ := NewPrefetcher(env, backend, pfConfig(1, 8))
 		pf.Start()
-		if pf.Planned("f0000") {
-			t.Error("file planned before SubmitPlan")
+		if ps := pf.PlanStats(); ps.EntriesPending != 0 {
+			t.Errorf("%d entries pending before SubmitEpoch", ps.EntriesPending)
 		}
-		_ = pf.SubmitPlan(names[:2])
-		if !pf.Planned("f0000") || pf.Planned("f0003") {
-			t.Error("planned set wrong after SubmitPlan")
+		_, _ = pf.SubmitEpoch(names[:2])
+		if ps := pf.PlanStats(); ps.EntriesPending != 2 {
+			t.Errorf("%d entries pending after SubmitEpoch, want 2", ps.EntriesPending)
+		}
+		if _, ok := take(pf, "f0003"); ok {
+			t.Error("unplanned file claimed")
 		}
 		_, _ = take(pf, "f0000")
-		if pf.Planned("f0000") {
-			t.Error("file still planned after consumption")
+		if ps := pf.PlanStats(); ps.EntriesPending != 1 || ps.Delivered != 1 {
+			t.Errorf("PlanStats after consumption = %+v, want 1 pending / 1 delivered", ps)
 		}
 		pf.Close()
 	})
@@ -283,8 +286,8 @@ func TestPrefetcherMultiEpochPlan(t *testing.T) {
 		backend, _ := testBackend(env, 2, 1000, time.Millisecond, 2)
 		pf, _ := NewPrefetcher(env, backend, pfConfig(1, 8))
 		pf.Start()
-		_ = pf.SubmitPlan([]string{"f0000", "f0001"})
-		_ = pf.SubmitPlan([]string{"f0001", "f0000"})
+		_, _ = pf.SubmitEpoch([]string{"f0000", "f0001"})
+		_, _ = pf.SubmitEpoch([]string{"f0001", "f0000"})
 		for _, n := range []string{"f0000", "f0001", "f0001", "f0000"} {
 			it, ok := take(pf, n)
 			if !ok || it.Err != nil {
@@ -305,21 +308,21 @@ func TestPrefetcherCloseIdempotentAndRejectsPlans(t *testing.T) {
 		pf.Start()
 		pf.Close()
 		pf.Close()
-		if err := pf.SubmitPlan(names); err != ErrClosed {
-			t.Fatalf("SubmitPlan after Close = %v, want ErrClosed", err)
+		if _, err := pf.SubmitEpoch(names); err != ErrClosed {
+			t.Fatalf("SubmitEpoch after Close = %v, want ErrClosed", err)
 		}
 	})
 }
 
 func TestPrefetcherStartsBeforeEpoch(t *testing.T) {
 	// The paper credits PRISMA's PyTorch wins to prefetching starting
-	// before the epoch begins: after SubmitPlan and a head start, the
+	// before the epoch begins: after SubmitEpoch and a head start, the
 	// buffer should already hold samples before any consumer arrives.
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 20, 1000, time.Millisecond, 4)
 		pf, _ := NewPrefetcher(env, backend, pfConfig(4, 8))
 		pf.Start()
-		_ = pf.SubmitPlan(names)
+		_, _ = pf.SubmitEpoch(names)
 		env.Sleep(50 * time.Millisecond) // head start
 		if got := pf.Buffer().Len(); got != 8 {
 			t.Fatalf("buffer holds %d samples after head start, want full at 8", got)
@@ -348,7 +351,7 @@ func TestPrefetcherFaultDoesNotStallOthers(t *testing.T) {
 		}
 		pf, _ := NewPrefetcher(env, resilient, pfConfig(4, 16))
 		pf.Start()
-		_ = pf.SubmitPlan(names)
+		_, _ = pf.SubmitEpoch(names)
 		for _, n := range names {
 			if n == "f0001" {
 				continue
@@ -396,7 +399,7 @@ func TestPrefetcherTransientFaultRetriedToSuccess(t *testing.T) {
 		}
 		pf, _ := NewPrefetcher(env, resilient, pfConfig(2, 8))
 		pf.Start()
-		_ = pf.SubmitPlan(names)
+		_, _ = pf.SubmitEpoch(names)
 		for _, n := range names {
 			it, ok := take(pf, n)
 			if !ok || it.Err != nil {

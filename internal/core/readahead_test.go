@@ -196,9 +196,9 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 			for i := range plan {
 				plan[i] = names[rng.Intn(len(names))]
 			}
-			id := pm.begin(len(plan))
-			if !pm.activate(id, plan) {
-				t.Fatal("activate refused")
+			id, err := pm.register(plan)
+			if err != nil {
+				t.Fatal(err)
 			}
 			plans[id] = plan
 			live = append(live, id)
@@ -319,9 +319,9 @@ func TestPositionalClaimRacesByNameClaim(t *testing.T) {
 	for i := range plan {
 		plan[i] = fmt.Sprintf("dup%d", i%7)
 	}
-	id := pm.begin(n)
-	if !pm.activate(id, plan) {
-		t.Fatal("activate refused")
+	id, err := pm.register(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var (
 		wg   sync.WaitGroup

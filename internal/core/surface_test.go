@@ -68,7 +68,8 @@ func methodsMatching(v any, pattern string) []string {
 // install, non-test core contains no type assertion at all (it discovers
 // nothing about its collaborators that way), and the deleted variants'
 // names — the read pairs, the stage's optimization-object chain, runtime
-// buffer resharding — are gone from non-test Go. Who is asking and how the
+// buffer resharding, the second plan store (the plan FIFO, its submitting
+// state, the test-only plan API) — are gone from non-test Go. Who is asking and how the
 // read is traced belong in core.ReadRequest; a new layer in front of the
 // stage implements core.Reader and joins the conformance table, and a new
 // storage optimization is a chain.Layers row.
@@ -84,7 +85,9 @@ func TestReadSurface(t *testing.T) {
 		t.Errorf("ipc.Server has read hooks %v: what serves reads is the core.Reader it is built over", got)
 	}
 
-	deleted := regexp.MustCompile(`ReadCtx|ReadTenant|ReadPlanned|ServePeerCtx|TakeCtx|TakeOpts|PutTimed|readData|OptimizationObject|PrefetchObject|SetShards|SetBufferShards|reshard`)
+	deleted := regexp.MustCompile(`ReadCtx|ReadTenant|ReadPlanned|ServePeerCtx|TakeCtx|TakeOpts|PutTimed|readData|OptimizationObject|PrefetchObject|SetShards|SetBufferShards|reshard` +
+		`|PlanQueueCapacity|planEntry|EpochSubmitting|GetRunOr|GetOr\(|hasEntry|Queue\[T\]\) (Wake|DropWhere)\b` +
+		`|planManager\) (begin|activate|abort|abandon)\b|Prefetcher\) (SubmitPlan|Planned)\b`)
 	fset := token.NewFileSet()
 	nonTestGo(t, "../..", func(rel string, src []byte) {
 		if m := deleted.Find(src); m != nil {

@@ -212,7 +212,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	write("prisma_trace_sampling", "Trace head-sampling probability.", "gauge", s.TraceSampling)
 	write("prisma_plan_epochs_submitted_total", "Plan epochs submitted.", "counter", float64(s.Plan.EpochsSubmitted))
 	write("prisma_plan_epochs_cancelled_total", "Plan epochs cancelled (including aborted submissions).", "counter", float64(s.Plan.EpochsCancelled))
-	write("prisma_plan_epochs_live", "Epochs currently submitting or active.", "gauge", float64(s.Plan.EpochsLive))
+	write("prisma_plan_epochs_live", "Epochs currently active.", "gauge", float64(s.Plan.EpochsLive))
 	write("prisma_plan_entries_pending", "Registered plan entries not yet claimed by a consumer.", "gauge", float64(s.Plan.EntriesPending))
 	write("prisma_plan_claims_in_flight", "Consumer claims awaiting a buffered sample.", "gauge", float64(s.Plan.ClaimsInFlight))
 	write("prisma_plan_delivered_total", "Plan entries delivered to consumers.", "counter", float64(s.Plan.Delivered))

@@ -176,7 +176,7 @@ type Stats struct {
 	// Plan-lifecycle telemetry (the epoch-aware plan manager).
 	EpochsSubmitted int64 // plan epochs submitted since Open
 	EpochsCancelled int64 // plan epochs cancelled (including aborted submissions)
-	EpochsLive      int   // epochs currently submitting or active
+	EpochsLive      int   // epochs currently active
 	PlanPending     int   // registered plan entries not yet claimed
 	PlanClaims      int   // consumer claims awaiting a buffered sample
 	PlanDelivered   int64 // plan entries delivered to consumers
@@ -622,7 +622,7 @@ var (
 // EpochStatus is the monitoring view of one plan epoch.
 type EpochStatus struct {
 	ID        EpochID
-	State     string // "submitting", "active", "cancelled", or "done"
+	State     string // "active", "cancelled", or "done"
 	Submitted time.Duration
 	Total     int   // plan length
 	Enqueued  int   // entries that reached the prefetch queue
