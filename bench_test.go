@@ -167,11 +167,11 @@ func BenchmarkBufferPutTake(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		name := fmt.Sprintf("f%d", i&1023)
-		if _, err := buf.Put(core.Item{Name: name}); err != nil {
+		pos := core.PlanPos{Index: i & 1023}
+		if _, err := buf.Put(core.Item{PlanPos: pos}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := buf.Take(name, core.TakeOptions{}); err != nil {
+		if _, err := buf.Take(pos, core.TakeOptions{}); err != nil {
 			b.Fatal("take failed")
 		}
 	}
@@ -199,8 +199,8 @@ func BenchmarkBufferShardedContended(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
-						name := fmt.Sprintf("c%d/s%d", c, i)
-						if _, err := buf.Put(core.Item{Name: name, Size: 1}); err != nil {
+						pos := core.PlanPos{Index: i*couples + c}
+						if _, err := buf.Put(core.Item{PlanPos: pos, Size: 1}); err != nil {
 							b.Error(err)
 							return
 						}
@@ -209,8 +209,7 @@ func BenchmarkBufferShardedContended(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
-						name := fmt.Sprintf("c%d/s%d", c, i)
-						if _, err := buf.Take(name, core.TakeOptions{}); err != nil {
+						if _, err := buf.Take(core.PlanPos{Index: i*couples + c}, core.TakeOptions{}); err != nil {
 							b.Error("take failed")
 							return
 						}

@@ -41,10 +41,13 @@ type Item struct {
 	// discards the item instead must call Release (DESIGN.md §11).
 	Ref *mempool.Ref
 
-	// Epoch is the plan epoch this sample belongs to (zero when the item
-	// did not come through the plan queue). A cancelled epoch's items are
-	// rejected at Put and dropped from the buffer (DESIGN.md §12).
-	Epoch EpochID
+	// PlanPos is the plan entry this sample was produced for, and the
+	// buffer's key for it: two entries of one name are two items. Its
+	// Epoch is zero when the item did not come through the plan (then
+	// Index is the caller's own sequence number); a cancelled epoch's
+	// items are rejected at Put and dropped from the buffer (DESIGN.md
+	// §12).
+	PlanPos
 
 	// Ctx is the sample-lifecycle trace context assigned at plan
 	// submission (zero when unsampled or when the item did not come
@@ -74,14 +77,16 @@ func (it *Item) Release() {
 // Buffer is the bounded in-memory sample buffer. Semantics follow the
 // paper: it stores at most N samples; "a training file is stored in the
 // buffer whenever it is read by a producer and is evicted when a consumer
-// requests it". Take blocks until the named sample arrives; Put blocks
-// while the buffer is full — except when a consumer is already waiting for
-// that exact sample, which must be admitted to avoid a full-buffer/ordering
-// deadlock between out-of-order producer completions and in-order
-// consumers.
+// requests it". Samples are parked by plan position, not by name, so a
+// plan that names a file twice parks two copies. Take blocks until the
+// sample of its position arrives; Put blocks while the buffer is full —
+// except when a consumer is already waiting for that exact position, which
+// must be admitted to avoid a full-buffer/ordering deadlock between
+// out-of-order producer completions and in-order consumers.
 //
-// The buffer is split into K independently locked shards keyed by a hash
-// of the sample name. The paper's single shared buffer (§V-B) serializes
+// The buffer is split into K independently locked shards; position i of
+// epoch e lives in shard (i + e) mod K, so any window of the plan spreads
+// evenly over them. The paper's single shared buffer (§V-B) serializes
 // every producer and consumer behind one lock — the PyTorch 8+ worker
 // synchronization bottleneck; sharding keeps the AccessCost serialization
 // *within* a shard (still modeling the per-operation cost) while letting
@@ -98,19 +103,19 @@ type Buffer struct {
 	accessCost time.Duration
 	created    time.Duration
 	tracer     *obs.Tracer                // set before traffic via SetTracer; nil-safe
-	waitHist   *metrics.BucketedHistogram // distribution of consumer Take waits
+	waitHist   *metrics.BucketedHistogram // distribution of consumer Take waits (atomic)
 
 	// epochCancelled reports whether a plan epoch was cancelled. Set once
 	// before traffic (SetEpochCancelled); nil means no epoch awareness.
 	// Called under a shard lock, so the callee must be a leaf lock — the
 	// plan manager is.
 	epochCancelled func(EpochID) bool
-	// claimAt accounts a positional take's plan entry (TakeOptions.At) as
-	// claimed and delivered, or refuses it. Set once before traffic
-	// (SetClaimAt) and called under a shard lock, like epochCancelled.
+	// claimAt accounts a no-wait take's plan entry as claimed and
+	// delivered, or refuses it. Set once before traffic (SetClaimAt) and
+	// called under a shard lock, like epochCancelled.
 	claimAt func(PlanPos) bool
 
-	// shards is fixed at construction, so routing a name takes no lock.
+	// shards is fixed at construction, so routing a position takes no lock.
 	shards []*bufShard
 
 	// cfgMu guards the capacity budget and the closed flag. Lock order is
@@ -132,14 +137,18 @@ type bufShard struct {
 
 	idx      int // position in the shard set (span annotation)
 	capacity int
-	items    map[string]Item
-	waiting  map[string]int // names consumers are currently blocked on
+	items    map[PlanPos]Item
+	waiting  map[PlanPos]int // positions consumers are currently blocked on
 	closed   bool
 
 	puts, takes                    int64
 	consumerWaitNS, producerWaitNS int64
 	waitStorageNS, waitBufferNS    int64 // consumer-wait attribution splits
-	occupancy                      *metrics.TimeInState
+
+	// Occupancy, accrued under mu with the clock read there: occNS is
+	// Σ len(items)×duration up to occSince.
+	occNS    int64
+	occSince time.Duration
 }
 
 // NewBuffer returns an empty single-shard buffer with the given initial
@@ -167,7 +176,7 @@ func NewShardedBuffer(env conc.Env, capacity int, accessCost time.Duration, shar
 		waitHist:   metrics.NewBucketedHistogram(env, nil),
 	}
 	b.cfgMu = env.NewMutex()
-	b.shards = newShardSet(env, clampShards(shards, capacity), capacity)
+	b.shards = newShardSet(env, clampShards(shards, capacity), capacity, b.created)
 	return b
 }
 
@@ -188,16 +197,16 @@ func clampShards(k, capacity int) int {
 
 // newShardSet builds k empty shards with the capacity budget partitioned
 // across them (the first capacity%k shards take the remainder).
-func newShardSet(env conc.Env, k, capacity int) []*bufShard {
+func newShardSet(env conc.Env, k, capacity int, now time.Duration) []*bufShard {
 	caps := partitionCapacity(capacity, k)
 	out := make([]*bufShard, k)
 	for i := range out {
 		s := &bufShard{
-			idx:       i,
-			capacity:  caps[i],
-			items:     make(map[string]Item),
-			waiting:   make(map[string]int),
-			occupancy: metrics.NewTimeInState(env, 0),
+			idx:      i,
+			capacity: caps[i],
+			items:    make(map[PlanPos]Item),
+			waiting:  make(map[PlanPos]int),
+			occSince: now,
 		}
 		s.mu = env.NewMutex()
 		s.notFull = env.NewCond(s.mu)
@@ -222,27 +231,18 @@ func partitionCapacity(capacity, k int) []int {
 	return caps
 }
 
-// shardIndex maps a sample name onto one of k shards (FNV-1a). The mapping
-// is deterministic across runs, keeping the simulator reproducible.
-func shardIndex(name string, k int) int {
-	if k == 1 {
-		return 0
-	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= prime32
-	}
-	return int(h % uint32(k))
+// route resolves the shard of a position: round robin over the plan,
+// shifted by one shard per epoch.
+func (b *Buffer) route(pos PlanPos) *bufShard {
+	return b.shards[(uint64(pos.Index)+uint64(pos.Epoch))%uint64(len(b.shards))]
 }
 
-// route resolves the shard for name.
-func (b *Buffer) route(name string) *bufShard {
-	return b.shards[shardIndex(name, len(b.shards))]
+// accrue credits the occupancy held since the last change up to now; call
+// it before every change to the item count. The caller holds s.mu and read
+// now under it, so the shard's transitions apply in timestamp order.
+func (s *bufShard) accrue(now time.Duration) {
+	s.occNS += int64(len(s.items)) * int64(now-s.occSince)
+	s.occSince = now
 }
 
 // SetTracer attaches the tracer used for buffer-park and consumer-wait
@@ -256,9 +256,9 @@ func (b *Buffer) SetTracer(t *obs.Tracer) { b.tracer = t }
 // wires its plan manager here.
 func (b *Buffer) SetEpochCancelled(f func(EpochID) bool) { b.epochCancelled = f }
 
-// SetClaimAt installs the positional-claim hook a no-wait take with
-// TakeOptions.At consults once it has found the sample parked. Call before
-// the buffer sees traffic; the prefetcher wires its plan manager here.
+// SetClaimAt installs the positional-claim hook a no-wait take of a plan
+// position consults once it has found the sample parked. Call before the
+// buffer sees traffic; the prefetcher wires its plan manager here.
 func (b *Buffer) SetClaimAt(f func(PlanPos) bool) { b.claimAt = f }
 
 // rejects reports whether the put filter refuses it — an item of a
@@ -273,19 +273,21 @@ func (b *Buffer) takeCancelled(id EpochID) bool {
 	return id != 0 && b.epochCancelled != nil && b.epochCancelled(id)
 }
 
-// Put stores a sample, blocking while its shard is full (unless a consumer
-// is already waiting for this sample), and reports how long the producer was
-// parked on the full shard — the prefetcher threads that into the next
-// Item's PopDelay, the buffer-capacity blame signal of the attribution
-// report. It returns ErrClosed after Close.
+// Put parks a sample at its position, blocking while its shard is full
+// (unless a consumer is already waiting for this position), and reports how
+// long the producer was parked on the full shard — the prefetcher threads
+// that into the next Item's PopDelay, the buffer-capacity blame signal of
+// the attribution report. It returns ErrClosed after Close. A position
+// holds one item at a time: the prefetcher puts each plan position once.
 func (b *Buffer) Put(it Item) (parked time.Duration, _ error) {
 	start := b.env.Now()
-	s := b.route(it.Name)
+	s := b.route(it.PlanPos)
 	s.mu.Lock()
-	for len(s.items) >= s.capacity && s.waiting[it.Name] == 0 && !s.closed && !b.rejects(it) {
+	for len(s.items) >= s.capacity && s.waiting[it.PlanPos] == 0 && !s.closed && !b.rejects(it) {
 		s.notFull.Wait()
 	}
-	parked = b.env.Now() - start
+	now := b.env.Now()
+	parked = now - start
 	s.producerWaitNS += int64(parked)
 	if s.closed {
 		s.mu.Unlock()
@@ -300,14 +302,10 @@ func (b *Buffer) Put(it Item) (parked time.Duration, _ error) {
 	}
 	if b.accessCost > 0 {
 		b.env.Sleep(b.accessCost) // serialized within the shard: cost paid under its lock
+		now = b.env.Now()
 	}
-	if old, present := s.items[it.Name]; present {
-		// Duplicate plan entry: the overwritten sample's lease would
-		// otherwise be unreachable.
-		old.Release()
-	}
-	s.items[it.Name] = it
-	s.occupancy.Set(len(s.items))
+	s.accrue(now)
+	s.items[it.PlanPos] = it
 	s.puts++
 	s.arrived.Broadcast()
 	s.mu.Unlock()
@@ -326,11 +324,6 @@ type TakeOptions struct {
 	// Ctx is the consumer's trace context (propagated from the IPC frame or
 	// assigned by the stage).
 	Ctx obs.Ctx
-	// Epoch, when non-zero, aborts the wait with ErrEpochCancelled once the
-	// buffer's epoch-cancellation predicate reports the epoch cancelled —
-	// the typed wake-up that keeps consumers from blocking until Close on a
-	// sample that will never arrive.
-	Epoch EpochID
 	// Deadline, when positive, bounds the wait: if the sample has not
 	// arrived within this duration the take fails with ErrTakeDeadline
 	// (and the caller returns the claim to its epoch).
@@ -339,50 +332,50 @@ type TakeOptions struct {
 	// NoWait makes the take non-blocking — the read-ahead form. It succeeds
 	// only on a sample that is parked right now, holds payload rather than a
 	// producer error (an error belongs to the read that asks for the name),
-	// is no larger than MaxBytes (when positive), and whose plan entry At
-	// (when non-zero) the claimAt hook accepts; presence check, claim and
-	// eviction happen under one shard lock, so there is no claimed-but-
+	// is no larger than MaxBytes (when positive), and — for a plan position
+	// — whose plan entry the claimAt hook accepts; presence check, claim
+	// and eviction happen under one shard lock, so there is no claimed-but-
 	// not-taken state to undo. Anything else is ErrNotParked, immediately.
 	NoWait   bool
-	At       PlanPos
 	MaxBytes int64
 }
 
-// Take blocks until the named sample is present, removes it (evict-on-read)
-// and returns it — unless the buffer closes (ErrClosed), the claim's epoch
-// is cancelled (ErrEpochCancelled), or the optional deadline expires
-// (ErrTakeDeadline). Every successful
+// Take blocks until the sample of position pos is present, removes it
+// (evict-on-read) and returns it — unless the buffer closes (ErrClosed),
+// pos's epoch is cancelled (ErrEpochCancelled: the typed wake-up that keeps
+// consumers from blocking until Close on a sample that will never arrive),
+// or the optional deadline expires (ErrTakeDeadline). Every successful
 // take splits the consumer's blocked time into its storage-caused portion
 // (waiting while — or before — the sample's backend read ran) and its
 // buffer-capacity-caused portion (the read started late because the
 // sample's producer was parked), feeding the shard's cumulative
 // attribution counters; when sampled, a consumer-wait span carries the
 // same split.
-func (b *Buffer) Take(name string, opts TakeOptions) (Item, error) {
+func (b *Buffer) Take(pos PlanPos, opts TakeOptions) (Item, error) {
 	start := b.env.Now()
 	ctx := opts.Ctx
 	deadlineAt := time.Duration(-1)
 	if opts.Deadline > 0 {
 		deadlineAt = start + opts.Deadline
-		b.spawnDeadlineWake(name, opts.Deadline)
+		b.spawnDeadlineWake(pos, opts.Deadline)
 	}
-	s := b.route(name)
+	s := b.route(pos)
 	s.mu.Lock()
-	if opts.NoWait && !(s.holds(name, opts.MaxBytes) && (opts.At == PlanPos{} || b.claimAt(opts.At))) {
+	if opts.NoWait && !(s.holds(pos, opts.MaxBytes) && (b.claimAt == nil || b.claimAt(pos))) {
 		s.mu.Unlock()
 		return Item{}, ErrNotParked
 	}
 	var cancelled, expired bool
-	if _, present := s.items[name]; !present {
-		s.waiting[name]++
+	if _, present := s.items[pos]; !present {
+		s.waiting[pos]++
 		// A producer may be blocked on a full shard while holding exactly
 		// this sample; let it re-check the waiting set.
 		s.notFull.Broadcast()
 		for {
-			if _, present := s.items[name]; present || s.closed {
+			if _, present := s.items[pos]; present || s.closed {
 				break
 			}
-			if cancelled = b.takeCancelled(opts.Epoch); cancelled {
+			if cancelled = b.takeCancelled(pos.Epoch); cancelled {
 				break
 			}
 			if expired = deadlineAt >= 0 && b.env.Now() >= deadlineAt; expired {
@@ -390,14 +383,14 @@ func (b *Buffer) Take(name string, opts TakeOptions) (Item, error) {
 			}
 			s.arrived.Wait()
 		}
-		if s.waiting[name]--; s.waiting[name] == 0 {
-			delete(s.waiting, name)
+		if s.waiting[pos]--; s.waiting[pos] == 0 {
+			delete(s.waiting, pos)
 		}
 	}
-	waitEnd := b.env.Now()
-	waited := waitEnd - start
+	now := b.env.Now()
+	waited := now - start
 	s.consumerWaitNS += int64(waited)
-	it, present := s.items[name]
+	it, present := s.items[pos]
 	if !present {
 		// An arrived sample wins over a simultaneous cancel/deadline; with
 		// none present, report why the wait ended.
@@ -411,14 +404,15 @@ func (b *Buffer) Take(name string, opts TakeOptions) (Item, error) {
 			return Item{}, ErrClosed
 		}
 	}
-	storageW, bufferW := attributeWait(waited, waitEnd, it)
+	storageW, bufferW := attributeWait(waited, now, it)
 	s.waitStorageNS += int64(storageW)
 	s.waitBufferNS += int64(bufferW)
 	if b.accessCost > 0 {
 		b.env.Sleep(b.accessCost)
+		now = b.env.Now()
 	}
-	delete(s.items, name)
-	s.occupancy.Set(len(s.items))
+	s.accrue(now)
+	delete(s.items, pos)
 	s.takes++
 	// Broadcast, not Signal: with the waiting-consumer admission exception
 	// the shard can sit over capacity, so a single wakeup can land on a
@@ -431,7 +425,7 @@ func (b *Buffer) Take(name string, opts TakeOptions) (Item, error) {
 	b.waitHist.Observe(waited)
 	if ctx.Sampled || it.Ctx.Sampled {
 		span := obs.Span{
-			Trace: ctx.Trace, Stage: obs.StageConsumerWait, Name: name,
+			Trace: ctx.Trace, Stage: obs.StageConsumerWait, Name: it.Name,
 			At: start, Latency: waited, Shard: s.idx,
 			Size: it.Size, StorageWait: storageW, BufferWait: bufferW,
 		}
@@ -446,30 +440,30 @@ func (b *Buffer) Take(name string, opts TakeOptions) (Item, error) {
 	return it, nil
 }
 
-// parked reports whether a no-wait take of name bounded by maxBytes would
+// parked reports whether a no-wait take of pos bounded by maxBytes would
 // find its sample right now. It exists for callers that must spend
 // something irreversible (an admission token) between looking and taking;
 // the take re-checks, so a stale answer costs only that token.
-func (b *Buffer) parked(name string, maxBytes int64) bool {
-	s := b.route(name)
+func (b *Buffer) parked(pos PlanPos, maxBytes int64) bool {
+	s := b.route(pos)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.holds(name, maxBytes)
+	return s.holds(pos, maxBytes)
 }
 
-// holds reports whether the shard has name parked as payload (not as a
+// holds reports whether the shard has pos parked as payload (not as a
 // producer error) of at most maxBytes (<= 0: any size) — what a no-wait
 // take may take. Caller holds s.mu.
-func (s *bufShard) holds(name string, maxBytes int64) bool {
-	it, present := s.items[name]
+func (s *bufShard) holds(pos PlanPos, maxBytes int64) bool {
+	it, present := s.items[pos]
 	return present && it.Err == nil && (maxBytes <= 0 || it.Size <= maxBytes)
 }
 
-// spawnDeadlineWake arms a one-shot timer that wakes the waiters of name's
+// spawnDeadlineWake arms a one-shot timer that wakes the waiters of pos's
 // shard when a take deadline elapses, so the blocked consumer re-checks its
 // deadline. Harmless if the take already finished.
-func (b *Buffer) spawnDeadlineWake(name string, d time.Duration) {
-	s := b.route(name)
+func (b *Buffer) spawnDeadlineWake(pos PlanPos, d time.Duration) {
+	s := b.route(pos)
 	b.env.Go("take-deadline", func() {
 		b.env.Sleep(d)
 		s.mu.Lock()
@@ -482,25 +476,26 @@ func (b *Buffer) spawnDeadlineWake(name string, d time.Duration) {
 // pooled lease (the drop path owns the buffer's reference, DESIGN.md §11),
 // and wakes all producers and consumers so epoch-cancel predicates and
 // admission conditions re-evaluate. Returns how many items were dropped.
-// Names are processed in sorted order so the simulator stays deterministic.
+// Positions are processed in plan order so the simulator stays
+// deterministic.
 func (b *Buffer) DropWhere(pred func(Item) bool) int {
 	dropped := 0
 	for _, s := range b.shards {
 		s.mu.Lock()
-		var doomed []string
-		for name, it := range s.items {
+		var doomed []PlanPos
+		for pos, it := range s.items {
 			if pred(it) {
-				doomed = append(doomed, name)
+				doomed = append(doomed, pos)
 			}
 		}
-		sort.Strings(doomed)
-		for _, name := range doomed {
-			it := s.items[name]
+		sort.Slice(doomed, func(i, j int) bool { return doomed[i].before(doomed[j]) })
+		s.accrue(b.env.Now())
+		for _, pos := range doomed {
+			it := s.items[pos]
 			it.Release()
-			delete(s.items, name)
+			delete(s.items, pos)
 			dropped++
 		}
-		s.occupancy.Set(len(s.items))
 		s.notFull.Broadcast()
 		s.arrived.Broadcast()
 		s.mu.Unlock()
@@ -610,11 +605,11 @@ func (b *Buffer) Close() {
 	for _, s := range b.shards {
 		s.mu.Lock()
 		s.closed = true
+		s.accrue(b.env.Now())
 		for _, it := range s.items {
 			it.Release() // discarded, never evicted by a Take
 		}
-		s.items = make(map[string]Item)
-		s.occupancy.Set(0)
+		s.items = make(map[PlanPos]Item)
 		s.notFull.Broadcast()
 		s.arrived.Broadcast()
 		s.mu.Unlock()
@@ -650,6 +645,7 @@ func (b *Buffer) Stats() BufferStats {
 	var cwNS, pwNS, wsNS, wbNS, weighted int64
 	for _, s := range b.shards {
 		s.mu.Lock()
+		s.accrue(b.env.Now())
 		st.Len += len(s.items)
 		st.Puts += s.puts
 		st.Takes += s.takes
@@ -657,7 +653,7 @@ func (b *Buffer) Stats() BufferStats {
 		pwNS += s.producerWaitNS
 		wsNS += s.waitStorageNS
 		wbNS += s.waitBufferNS
-		weighted += s.occupancy.TimeWeightedSum()
+		weighted += s.occNS
 		s.mu.Unlock()
 	}
 	st.ConsumerWait = time.Duration(cwNS)

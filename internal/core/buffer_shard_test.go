@@ -22,7 +22,7 @@ func TestBufferShardedSemantics(t *testing.T) {
 					t.Fatalf("Shards() = %d, want %d", got, k)
 				}
 				for i := 0; i < 8; i++ {
-					if _, err := b.Put(Item{Name: fmt.Sprintf("s%d", i), Size: 1}); err != nil {
+					if _, err := b.Put(Item{Name: fmt.Sprintf("s%d", i), PlanPos: at(i), Size: 1}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -31,7 +31,7 @@ func TestBufferShardedSemantics(t *testing.T) {
 				}
 				for i := 0; i < 8; i++ {
 					name := fmt.Sprintf("s%d", i)
-					it, err := b.Take(name, TakeOptions{})
+					it, err := b.Take(at(i), TakeOptions{})
 					if err != nil || it.Name != name {
 						t.Fatalf("Take(%s) = %+v, %v", name, it, err)
 					}
@@ -53,18 +53,18 @@ func TestBufferShardedEvictOnRead(t *testing.T) {
 		done.Add(1)
 		env.Go("re-taker", func() {
 			defer done.Done()
-			if _, err := b.Take("x", TakeOptions{}); err != nil {
+			if _, err := b.Take(at(4), TakeOptions{}); err != nil {
 				t.Error("first Take failed")
 			}
-			if _, err := b.Take("x", TakeOptions{}); err != nil {
+			if _, err := b.Take(at(4), TakeOptions{}); err != nil {
 				t.Error("second Take failed")
 			}
 		})
-		if _, err := b.Put(Item{Name: "x"}); err != nil {
+		if _, err := b.Put(Item{Name: "x", PlanPos: at(4)}); err != nil {
 			t.Fatal(err)
 		}
 		env.Sleep(time.Second) // let the consumer block on the evicted name
-		if _, err := b.Put(Item{Name: "x"}); err != nil {
+		if _, err := b.Put(Item{Name: "x", PlanPos: at(4)}); err != nil {
 			t.Fatal(err)
 		}
 		done.Wait()
@@ -120,7 +120,7 @@ func TestBufferShardedThroughput(t *testing.T) {
 				env.Go(fmt.Sprintf("p%d", c), func() {
 					defer wg.Done()
 					for i := 0; i < perConsumer; i++ {
-						if _, err := b.Put(Item{Name: fmt.Sprintf("c%d/s%d", c, i)}); err != nil {
+						if _, err := b.Put(Item{PlanPos: at(i*consumers + c)}); err != nil {
 							t.Errorf("put: %v", err)
 							return
 						}
@@ -129,7 +129,7 @@ func TestBufferShardedThroughput(t *testing.T) {
 				env.Go(fmt.Sprintf("c%d", c), func() {
 					defer wg.Done()
 					for i := 0; i < perConsumer; i++ {
-						if _, err := b.Take(fmt.Sprintf("c%d/s%d", c, i), TakeOptions{}); err != nil {
+						if _, err := b.Take(at(i*consumers+c), TakeOptions{}); err != nil {
 							t.Errorf("take failed")
 							return
 						}
@@ -157,14 +157,14 @@ func TestBufferShardedThroughput(t *testing.T) {
 func TestBufferProducerWaitAccounting(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewShardedBuffer(env, 1, 0, 1)
-		if _, err := b.Put(Item{Name: "fill"}); err != nil {
+		if _, err := b.Put(Item{Name: "fill", PlanPos: at(14)}); err != nil {
 			t.Fatal(err)
 		}
 		done := env.NewWaitGroup()
 		done.Add(1)
 		env.Go("blocked-producer", func() {
 			defer done.Done()
-			if _, err := b.Put(Item{Name: "second"}); err != nil {
+			if _, err := b.Put(Item{Name: "second", PlanPos: at(15)}); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		})
@@ -186,7 +186,7 @@ func TestBufferSetCapacityShrinkDrainsLazily(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 8, 0)
 		for i := 0; i < 8; i++ {
-			if _, err := b.Put(Item{Name: fmt.Sprintf("s%d", i)}); err != nil {
+			if _, err := b.Put(Item{PlanPos: at(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -200,7 +200,7 @@ func TestBufferSetCapacityShrinkDrainsLazily(t *testing.T) {
 		var putDone time.Duration
 		env.Go("over-budget-producer", func() {
 			defer produced.Done()
-			if _, err := b.Put(Item{Name: "new"}); err != nil {
+			if _, err := b.Put(Item{Name: "new", PlanPos: at(11)}); err != nil {
 				t.Errorf("put: %v", err)
 			}
 			putDone = env.Now()
@@ -208,7 +208,7 @@ func TestBufferSetCapacityShrinkDrainsLazily(t *testing.T) {
 		env.Sleep(time.Second)
 		// Drain to one under the new budget: 8 -> 1.
 		for i := 0; i < 7; i++ {
-			if _, err := b.Take(fmt.Sprintf("s%d", i), TakeOptions{}); err != nil {
+			if _, err := b.Take(at(i), TakeOptions{}); err != nil {
 				t.Fatalf("drain take s%d failed", i)
 			}
 		}
@@ -222,12 +222,12 @@ func TestBufferSetCapacityShrinkDrainsLazily(t *testing.T) {
 		got.Add(1)
 		env.Go("awaiting-consumer", func() {
 			defer got.Done()
-			if _, err := b.Take("awaited", TakeOptions{}); err != nil {
+			if _, err := b.Take(at(12), TakeOptions{}); err != nil {
 				t.Error("awaited take failed")
 			}
 		})
 		env.Sleep(time.Second)
-		if _, err := b.Put(Item{Name: "awaited"}); err != nil {
+		if _, err := b.Put(Item{Name: "awaited", PlanPos: at(12)}); err != nil {
 			t.Fatal(err)
 		}
 		got.Wait()
@@ -245,7 +245,7 @@ func TestBufferSetCapacityShrinkDrainsLazily(t *testing.T) {
 func TestBufferLostWakeupRegression(t *testing.T) {
 	env := conc.NewReal()
 	b := NewBuffer(env, 1, 0)
-	if _, err := b.Put(Item{Name: "filler"}); err != nil {
+	if _, err := b.Put(Item{Name: "filler", PlanPos: at(7)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -253,13 +253,13 @@ func TestBufferLostWakeupRegression(t *testing.T) {
 	wg.Add(3)
 	go func() { // producer A: sample nobody awaits; stays blocked longest
 		defer wg.Done()
-		if _, err := b.Put(Item{Name: "unawaited"}); err != nil {
+		if _, err := b.Put(Item{Name: "unawaited", PlanPos: at(13)}); err != nil {
 			t.Errorf("producer A: %v", err)
 		}
 	}()
 	go func() { // producer B: the sample the consumer will wait for
 		defer wg.Done()
-		if _, err := b.Put(Item{Name: "wanted"}); err != nil {
+		if _, err := b.Put(Item{Name: "wanted", PlanPos: at(6)}); err != nil {
 			t.Errorf("producer B: %v", err)
 		}
 	}()
@@ -271,10 +271,10 @@ func TestBufferLostWakeupRegression(t *testing.T) {
 		defer close(done)
 		// Evicting the filler wakes producers; then the consumer blocks on
 		// "wanted" until producer B is admitted.
-		if _, err := b.Take("filler", TakeOptions{}); err != nil {
+		if _, err := b.Take(at(7), TakeOptions{}); err != nil {
 			t.Error("take filler failed")
 		}
-		if _, err := b.Take("wanted", TakeOptions{}); err != nil {
+		if _, err := b.Take(at(6), TakeOptions{}); err != nil {
 			t.Error("take wanted failed")
 		}
 	}()
@@ -285,7 +285,7 @@ func TestBufferLostWakeupRegression(t *testing.T) {
 		t.Fatal("lost wakeup: consumer stalled waiting for a blocked producer")
 	}
 	// Unblock producer A if still parked (its sample was never awaited).
-	if _, err := b.Take("unawaited", TakeOptions{}); err != nil {
+	if _, err := b.Take(at(13), TakeOptions{}); err != nil {
 		t.Fatal("take unawaited failed")
 	}
 	wg.Wait()
@@ -310,7 +310,7 @@ func TestBufferStatsConsistentUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < items; i++ {
-				if _, err := b.Put(Item{Name: fmt.Sprintf("w%d/s%d", w, i)}); err != nil {
+				if _, err := b.Put(Item{PlanPos: at(i*workers + w)}); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
@@ -319,7 +319,7 @@ func TestBufferStatsConsistentUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < items; i++ {
-				if _, err := b.Take(fmt.Sprintf("w%d/s%d", w, i), TakeOptions{}); err != nil {
+				if _, err := b.Take(at(i*workers+w), TakeOptions{}); err != nil {
 					t.Errorf("take failed")
 					return
 				}
@@ -373,7 +373,7 @@ func TestBufferShardedCloseUnblocks(t *testing.T) {
 			done.Add(1)
 			env.Go(fmt.Sprintf("waiter-%d", i), func() {
 				defer done.Done()
-				if _, err := b.Take(fmt.Sprintf("never-%d", i), TakeOptions{}); err == nil {
+				if _, err := b.Take(at(100+i), TakeOptions{}); err == nil {
 					t.Error("take succeeded on closed buffer")
 				}
 			})
@@ -381,21 +381,33 @@ func TestBufferShardedCloseUnblocks(t *testing.T) {
 		env.Sleep(time.Second)
 		b.Close()
 		done.Wait()
-		if _, err := b.Put(Item{Name: "x"}); err != ErrClosed {
+		if _, err := b.Put(Item{Name: "x", PlanPos: at(4)}); err != ErrClosed {
 			t.Fatalf("Put after Close = %v, want ErrClosed", err)
 		}
 	})
 }
 
-// TestBufferShardIndexDeterministic pins the name->shard mapping: the
-// simulator's reproducibility depends on it never changing.
-func TestBufferShardIndexDeterministic(t *testing.T) {
+// TestBufferRoutesRoundRobin pins the position->shard mapping: round robin
+// over the plan, shifted by one shard per epoch, so any window of K
+// consecutive positions covers every shard once — and the simulator's
+// reproducibility depends on the mapping never changing.
+func TestBufferRoutesRoundRobin(t *testing.T) {
+	env := conc.NewReal()
 	for _, k := range []int{1, 2, 7, 16} {
-		for _, name := range []string{"", "a", "train/img_000001.jpg"} {
-			i1 := shardIndex(name, k)
-			i2 := shardIndex(name, k)
-			if i1 != i2 || i1 < 0 || i1 >= k {
-				t.Fatalf("shardIndex(%q, %d) = %d then %d", name, k, i1, i2)
+		b := NewShardedBuffer(env, 64, 0, k)
+		for _, epoch := range []EpochID{0, 1, 5} {
+			for start := 0; start < 3; start++ {
+				seen := make(map[int]bool)
+				for i := start; i < start+k; i++ {
+					got := b.route(PlanPos{Epoch: epoch, Index: i}).idx
+					if want := (i + int(epoch)) % k; got != want {
+						t.Fatalf("K=%d: position (%d, %d) in shard %d, want %d", k, epoch, i, got, want)
+					}
+					seen[got] = true
+				}
+				if len(seen) != k {
+					t.Fatalf("K=%d: %d consecutive positions cover %d shards", k, k, len(seen))
+				}
 			}
 		}
 	}

@@ -9,6 +9,10 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 )
 
+// at is a bare buffer's position i: the tests key samples by their own
+// sequence numbers, as the buffer's non-plan users do.
+func at(i int) PlanPos { return PlanPos{Index: i} }
+
 // runSim executes body as a simulated process, failing the test on any
 // simulation error (including deadlock).
 func runSim(t *testing.T, body func(env conc.Env)) {
@@ -24,10 +28,10 @@ func runSim(t *testing.T, body func(env conc.Env)) {
 func TestBufferPutTake(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 4, 0)
-		if _, err := b.Put(Item{Name: "a", Size: 10}); err != nil {
+		if _, err := b.Put(Item{Name: "a", PlanPos: at(0), Size: 10}); err != nil {
 			t.Fatal(err)
 		}
-		it, err := b.Take("a", TakeOptions{})
+		it, err := b.Take(at(0), TakeOptions{})
 		if err != nil || it.Name != "a" || it.Size != 10 {
 			t.Fatalf("Take = %+v, %v", it, err)
 		}
@@ -43,21 +47,21 @@ func TestBufferEvictOnRead(t *testing.T) {
 	// requires re-prefetching).
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 4, 0)
-		_, _ = b.Put(Item{Name: "a"})
-		_, _ = b.Take("a", TakeOptions{})
+		_, _ = b.Put(Item{Name: "a", PlanPos: at(0)})
+		_, _ = b.Take(at(0), TakeOptions{})
 		done := false
 		wg := env.NewWaitGroup()
 		wg.Add(1)
 		env.Go("second-take", func() {
 			defer wg.Done()
-			_, err := b.Take("a", TakeOptions{})
+			_, err := b.Take(at(0), TakeOptions{})
 			done = err == nil
 		})
 		env.Sleep(time.Second)
 		if done {
 			t.Fatal("second Take returned without a new Put")
 		}
-		_, _ = b.Put(Item{Name: "a"})
+		_, _ = b.Put(Item{Name: "a", PlanPos: at(0)})
 		wg.Wait()
 		if !done {
 			t.Fatal("second Take failed after re-Put")
@@ -73,13 +77,13 @@ func TestBufferTakeBlocksUntilArrival(t *testing.T) {
 		wg.Add(1)
 		env.Go("consumer", func() {
 			defer wg.Done()
-			if _, err := b.Take("later", TakeOptions{}); err != nil {
+			if _, err := b.Take(at(3), TakeOptions{}); err != nil {
 				t.Error("Take reported closed")
 			}
 			arrivedAt = env.Now()
 		})
 		env.Sleep(3 * time.Second)
-		_, _ = b.Put(Item{Name: "later"})
+		_, _ = b.Put(Item{Name: "later", PlanPos: at(3)})
 		wg.Wait()
 		if arrivedAt != 3*time.Second {
 			t.Errorf("consumer released at %v, want 3s", arrivedAt)
@@ -94,18 +98,18 @@ func TestBufferTakeBlocksUntilArrival(t *testing.T) {
 func TestBufferPutBlocksWhenFull(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 2, 0)
-		_, _ = b.Put(Item{Name: "a"})
-		_, _ = b.Put(Item{Name: "b"})
+		_, _ = b.Put(Item{Name: "a", PlanPos: at(0)})
+		_, _ = b.Put(Item{Name: "b", PlanPos: at(1)})
 		var putDone time.Duration
 		wg := env.NewWaitGroup()
 		wg.Add(1)
 		env.Go("producer", func() {
 			defer wg.Done()
-			_, _ = b.Put(Item{Name: "c"})
+			_, _ = b.Put(Item{Name: "c", PlanPos: at(2)})
 			putDone = env.Now()
 		})
 		env.Sleep(2 * time.Second)
-		_, _ = b.Take("a", TakeOptions{}) // frees a slot
+		_, _ = b.Take(at(0), TakeOptions{}) // frees a slot
 		wg.Wait()
 		if putDone != 2*time.Second {
 			t.Errorf("blocked Put completed at %v, want 2s", putDone)
@@ -122,20 +126,20 @@ func TestBufferFullAdmitsAwaitedSample(t *testing.T) {
 	// in a producer's hands. The Put must be admitted over capacity.
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 2, 0)
-		_, _ = b.Put(Item{Name: "x"})
-		_, _ = b.Put(Item{Name: "y"})
+		_, _ = b.Put(Item{Name: "x", PlanPos: at(4)})
+		_, _ = b.Put(Item{Name: "y", PlanPos: at(5)})
 		wg := env.NewWaitGroup()
 		wg.Add(2)
 		env.Go("consumer", func() {
 			defer wg.Done()
-			if _, err := b.Take("wanted", TakeOptions{}); err != nil {
+			if _, err := b.Take(at(6), TakeOptions{}); err != nil {
 				t.Error("Take(wanted) reported closed")
 			}
 		})
 		env.Go("producer", func() {
 			defer wg.Done()
 			env.Sleep(time.Second)
-			if _, err := b.Put(Item{Name: "wanted"}); err != nil {
+			if _, err := b.Put(Item{Name: "wanted", PlanPos: at(6)}); err != nil {
 				t.Errorf("over-capacity Put of awaited sample failed: %v", err)
 			}
 		})
@@ -146,13 +150,13 @@ func TestBufferFullAdmitsAwaitedSample(t *testing.T) {
 func TestBufferSetCapacityGrowReleasesProducers(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 1, 0)
-		_, _ = b.Put(Item{Name: "a"})
+		_, _ = b.Put(Item{Name: "a", PlanPos: at(0)})
 		released := false
 		wg := env.NewWaitGroup()
 		wg.Add(1)
 		env.Go("producer", func() {
 			defer wg.Done()
-			_, _ = b.Put(Item{Name: "b"})
+			_, _ = b.Put(Item{Name: "b", PlanPos: at(1)})
 			released = true
 		})
 		env.Sleep(time.Second)
@@ -183,18 +187,18 @@ func TestBufferSetCapacityClampsToOne(t *testing.T) {
 func TestBufferCloseUnblocksEverybody(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 1, 0)
-		_, _ = b.Put(Item{Name: "filler"})
+		_, _ = b.Put(Item{Name: "filler", PlanPos: at(7)})
 		wg := env.NewWaitGroup()
 		wg.Add(2)
 		var takeErr error
 		var putErr error
 		env.Go("consumer", func() {
 			defer wg.Done()
-			_, takeErr = b.Take("never", TakeOptions{})
+			_, takeErr = b.Take(at(8), TakeOptions{})
 		})
 		env.Go("producer", func() {
 			defer wg.Done()
-			_, putErr = b.Put(Item{Name: "stuck"})
+			_, putErr = b.Put(Item{Name: "stuck", PlanPos: at(9)})
 		})
 		env.Sleep(time.Second)
 		b.Close()
@@ -205,7 +209,7 @@ func TestBufferCloseUnblocksEverybody(t *testing.T) {
 		if putErr != ErrClosed {
 			t.Errorf("Put = %v, want ErrClosed", putErr)
 		}
-		if _, err := b.Put(Item{Name: "post"}); err != ErrClosed {
+		if _, err := b.Put(Item{Name: "post", PlanPos: at(10)}); err != ErrClosed {
 			t.Errorf("post-close Put = %v, want ErrClosed", err)
 		}
 	})
@@ -225,11 +229,11 @@ func TestBufferAccessCostSerializes(t *testing.T) {
 			name := fmt.Sprintf("f%d", i)
 			env.Go("producer", func() {
 				defer wg.Done()
-				_, _ = b.Put(Item{Name: name})
+				_, _ = b.Put(Item{Name: name, PlanPos: at(i)})
 			})
 			env.Go("consumer", func() {
 				defer wg.Done()
-				_, _ = b.Take(name, TakeOptions{})
+				_, _ = b.Take(at(i), TakeOptions{})
 			})
 		}
 		wg.Wait()
@@ -246,12 +250,12 @@ func TestBufferAccessCostSerializes(t *testing.T) {
 func TestBufferStatsOccupancy(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 4, 0)
-		_, _ = b.Put(Item{Name: "a"})
+		_, _ = b.Put(Item{Name: "a", PlanPos: at(0)})
 		env.Sleep(time.Second) // 1s at occupancy 1
-		_, _ = b.Put(Item{Name: "b"})
+		_, _ = b.Put(Item{Name: "b", PlanPos: at(1)})
 		env.Sleep(time.Second) // 1s at occupancy 2
-		_, _ = b.Take("a", TakeOptions{})
-		_, _ = b.Take("b", TakeOptions{})
+		_, _ = b.Take(at(0), TakeOptions{})
+		_, _ = b.Take(at(1), TakeOptions{})
 		st := b.Stats()
 		if st.Puts != 2 || st.Takes != 2 {
 			t.Errorf("Puts/Takes = %d/%d, want 2/2", st.Puts, st.Takes)

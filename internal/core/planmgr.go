@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -50,6 +51,10 @@ func (p PlanPos) before(q PlanPos) bool {
 type PlanClaim struct {
 	Name string
 	PlanPos
+	// Slot is the name's manifest position + 1 as resolved at submission
+	// (0 when unresolved). Only popped entries carry it: it rides the
+	// producer's storage.Request down to the leaf.
+	Slot int32
 }
 
 // PlanResult reports one epoch submission: the issued id and how many
@@ -110,9 +115,11 @@ type epochState struct {
 	dropped     int64
 	// order is the submitted name list, kept while the epoch is active:
 	// producers pop it front to back (next is the first unpopped index),
-	// and a position resolves to its name (claimAt). Released once
-	// terminal.
+	// and a position resolves to its name (claimAt). slots holds each
+	// entry's manifest slot beside it (nil when the plan was submitted
+	// unresolved). Both are released once terminal.
 	order []string
+	slots []int32
 	next  int
 }
 
@@ -129,10 +136,15 @@ type epochState struct {
 //
 // Lock order: buffer shard → plan → prefetcher. Buffer shards call into
 // the manager (put filter, cancel predicates, positional claims) under
-// their own locks; the only lock taken under mu is the prefetcher mutex,
-// by pop's stop predicate. No planManager method touches the buffer.
+// their own locks; no lock is taken under mu, and no planManager method
+// touches the buffer.
 type planManager struct {
 	env conc.Env
+
+	// cancelledAny is set by the first cancel, before it releases mu. Until
+	// then no epoch can be cancelled (nor pruned with items in flight: only
+	// a cancel leaves any), so the put filter answers without mu.
+	cancelledAny atomic.Bool
 
 	mu     conc.Mutex
 	ready  conc.Cond // producers parked in pop, waiting for positions
@@ -175,9 +187,10 @@ func newPlanManager(env conc.Env) *planManager {
 // register issues a new epoch id and makes every entry of names claimable
 // and poppable in one critical section — the all-or-nothing commit point
 // of a submission: a consumer racing it finds either no entry or the whole
-// plan. An empty plan is done at once. Parked producers are woken one per
-// position, up to as many as are parked.
-func (pm *planManager) register(names []string) (EpochID, error) {
+// plan. slots, when non-nil, holds each entry's manifest slot and becomes
+// the manager's. An empty plan is done at once. Parked producers are woken
+// one per position, up to as many as are parked.
+func (pm *planManager) register(names []string, slots []int32) (EpochID, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	if pm.closed {
@@ -191,6 +204,7 @@ func (pm *planManager) register(names []string) (EpochID, error) {
 		total:       len(names),
 		// A copy: the caller's slice is the caller's to reuse after submitting.
 		order: append([]string(nil), names...),
+		slots: slots,
 	}
 	pm.epochs[ep.id] = ep
 	pm.order = append(pm.order, ep.id)
@@ -222,7 +236,7 @@ func (pm *planManager) register(names []string) (EpochID, error) {
 // nothing to pop it parks until a registration, wake or close, consulting
 // stop on entry and after every wakeup: a true stop abandons the wait
 // (stopped=true). ok is false once the manager is closed with nothing left
-// to pop. stop runs under mu and may take the prefetcher mutex.
+// to pop. stop runs under mu.
 func (pm *planManager) pop(out []PlanClaim, max int, same func(first, next string) bool, stop func() bool) (run []PlanClaim, at time.Duration, ok, stopped bool) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -242,7 +256,11 @@ func (pm *planManager) pop(out []PlanClaim, max int, same func(first, next strin
 	first := ep.order[ep.next]
 	i := ep.next
 	for {
-		out = append(out, PlanClaim{Name: ep.order[i], PlanPos: PlanPos{Epoch: ep.id, Index: i}})
+		e := PlanClaim{Name: ep.order[i], PlanPos: PlanPos{Epoch: ep.id, Index: i}}
+		if ep.slots != nil {
+			e.Slot = ep.slots[i]
+		}
+		out = append(out, e)
 		i++
 		if i-ep.next == max || i == len(ep.order) || !same(first, ep.order[i]) {
 			break
@@ -314,7 +332,8 @@ func (pm *planManager) cancel(id EpochID) (removed int, err error) {
 		return 0, nil
 	}
 	ep.state = EpochCancelled
-	ep.order = nil
+	ep.order, ep.slots = nil, nil
+	pm.cancelledAny.Store(true)
 	pm.cancelled++
 	for name, head := range pm.entries {
 		rest := pm.more[name]
@@ -353,6 +372,9 @@ func (pm *planManager) cancel(id EpochID) (removed int, err error) {
 // was pruned; treating that as cancelled keeps late producer items of
 // long-gone epochs out of the buffer, where no claim could ever evict them.
 func (pm *planManager) cancelledEpoch(id EpochID) bool {
+	if !pm.cancelledAny.Load() {
+		return false
+	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	ep := pm.epochs[id]
@@ -419,8 +441,9 @@ func (pm *planManager) popFrontLocked(name string) {
 }
 
 // nameAt resolves a position to its name when that entry is the next
-// claimable one for the name — the cheap precondition of a positional take,
-// checked before any buffer lock is touched. ok=false covers every reason
+// claimable one for the name — the precondition of a positional take, which
+// the stage checks before it spends a tenant's admission token on one (the
+// take itself re-checks it through claimAt). ok=false covers every reason
 // the position cannot be taken now: unknown or terminal epoch, index past
 // the plan, entry already claimed, or an earlier duplicate of the name
 // still unclaimed (FIFO order among duplicates is by-name claim's order).
@@ -541,7 +564,7 @@ func (pm *planManager) noteDropped(id EpochID, n int) {
 func (pm *planManager) maybeDoneLocked(ep *epochState) {
 	if ep.state == EpochActive && ep.delivered+ep.dropped >= int64(ep.total) {
 		ep.state = EpochDone
-		ep.order = nil
+		ep.order, ep.slots = nil, nil
 		pm.pruneLocked()
 	}
 }

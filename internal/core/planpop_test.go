@@ -130,7 +130,7 @@ func TestPlanPopStopPredicate(t *testing.T) {
 func TestPlanPopDeliversBeforeStop(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
 		pm := newPlanManager(env)
-		id, err := pm.register([]string{"a", "b"})
+		id, err := pm.register([]string{"a", "b"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestPlanPopDeliversBeforeStop(t *testing.T) {
 			t.Fatalf("pop = (%v, ok=%v, stopped=%v), want a at index 0", run, ok, stopped)
 		}
 		pm.close()
-		if _, err := pm.register([]string{"c"}); err != ErrClosed {
+		if _, err := pm.register([]string{"c"}, nil); err != ErrClosed {
 			t.Fatalf("register after close = %v, want ErrClosed", err)
 		}
 		run, _, ok, stopped = pm.pop(run[:0], 1, nil, always)
@@ -160,8 +160,8 @@ func TestPlanPopDeliversBeforeStop(t *testing.T) {
 func TestPlanPopSkipsCancelledEpoch(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
 		pm := newPlanManager(env)
-		first, _ := pm.register([]string{"a", "b", "c"})
-		second, _ := pm.register([]string{"x", "y"})
+		first, _ := pm.register([]string{"a", "b", "c"}, nil)
+		second, _ := pm.register([]string{"x", "y"}, nil)
 		if n := pm.unpopped(); n != 5 {
 			t.Fatalf("unpopped = %d, want 5", n)
 		}
@@ -201,7 +201,7 @@ func TestPlanPopWakesParkedProducers(t *testing.T) {
 		popAsync(env, pm, never, results)
 		awaitPopParked(t, env, pm, 2)
 		for _, name := range []string{"p", "q"} {
-			id, err := pm.register([]string{name})
+			id, err := pm.register([]string{name}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestPlanPopRunRules(t *testing.T) {
 				env.Sleep(3 * time.Millisecond)
 				var first EpochID
 				for i, p := range tc.plans {
-					id, err := pm.register(p)
+					id, err := pm.register(p, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

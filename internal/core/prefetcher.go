@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -117,8 +118,12 @@ type Prefetcher struct {
 	target  int // desired t
 	running int // producers currently alive
 	nextID  int
-	takeDL  time.Duration // consumer take deadline (0 = none)
 	closed  bool
+	// retire mirrors closed || running > target, stored under mu whenever
+	// one of them changes, so producers check it per run without mu.
+	retire atomic.Bool
+
+	takeDL atomic.Int64 // consumer take deadline in ns (0 = none)
 
 	// Plan-aware read coalescer budget (batchMax 1: per-sample reads).
 	batchMax   int
@@ -144,7 +149,6 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 		cfg:            cfg,
 		buffer:         NewShardedBuffer(env, cfg.InitialBufferCapacity, cfg.BufferAccessCost, cfg.BufferShards),
 		plans:          newPlanManager(env),
-		takeDL:         cfg.TakeDeadline,
 		batchMax:       1,
 		activeReaders:  metrics.NewTimeInState(env, 0),
 		readLat:        metrics.NewBucketedHistogram(env, nil),
@@ -162,6 +166,7 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 		}
 	}
 	pf.mu = env.NewMutex()
+	pf.takeDL.Store(int64(cfg.TakeDeadline))
 	// Epoch-cancellation awareness: rejected puts and woken consumers both
 	// resolve through the plan manager (shard → plan lock order, §12).
 	pf.buffer.SetEpochCancelled(pf.plans.cancelledEpoch)
@@ -194,8 +199,14 @@ func (pf *Prefetcher) setTracer(t *obs.Tracer) {
 // half-registered plan. On success the result reports every name as
 // enqueued.
 func (pf *Prefetcher) SubmitEpoch(names []string) (PlanResult, error) {
+	return pf.submit(names, nil)
+}
+
+// submit is SubmitEpoch with each entry's manifest slot (nil: unresolved),
+// which the producers hand to the backend with the entry's read.
+func (pf *Prefetcher) submit(names []string, slots []int32) (PlanResult, error) {
 	at := pf.env.Now()
-	id, err := pf.plans.register(names)
+	id, err := pf.plans.register(names, slots)
 	if err != nil {
 		return PlanResult{}, err
 	}
@@ -252,17 +263,11 @@ func (pf *Prefetcher) SetTakeDeadline(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	pf.mu.Lock()
-	pf.takeDL = d
-	pf.mu.Unlock()
+	pf.takeDL.Store(int64(d))
 }
 
 // TakeDeadline reports the current consumer take deadline.
-func (pf *Prefetcher) TakeDeadline() time.Duration {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.takeDL
-}
+func (pf *Prefetcher) TakeDeadline() time.Duration { return time.Duration(pf.takeDL.Load()) }
 
 // read serves a planned file from the buffer, blocking until the producers
 // deliver it; the request's trace context flows into the buffer so the Take
@@ -280,11 +285,7 @@ func (pf *Prefetcher) read(req ReadRequest) (_ storage.Data, _ PlanPos, planned 
 	if !ok {
 		return storage.Data{}, PlanPos{}, false, nil
 	}
-	it, err := pf.buffer.Take(req.Name, TakeOptions{
-		Ctx:      req.Ctx,
-		Epoch:    claim.Epoch,
-		Deadline: pf.TakeDeadline(),
-	})
+	it, err := pf.buffer.Take(claim.PlanPos, TakeOptions{Ctx: req.Ctx, Deadline: pf.TakeDeadline()})
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrEpochCancelled):
@@ -330,16 +331,34 @@ func (pf *Prefetcher) SetProducers(n int) {
 		pf.nextID++
 		spawn = append(spawn, pf.nextID)
 	}
+	pf.syncRetireLocked()
 	pf.mu.Unlock()
 	for _, id := range spawn {
 		id := id
 		pf.env.Go(fmt.Sprintf("prisma-producer-%d", id), func() { pf.producerLoop() })
 	}
 	if shrunk {
-		// Outside pf.mu: the plan lock is always taken before pf.mu
-		// (pop's stop predicate), never after.
+		// Outside pf.mu: the plan lock is never taken under pf.mu.
 		pf.plans.wake()
 	}
+}
+
+// syncRetireLocked refreshes the retire mirror. Caller holds pf.mu.
+func (pf *Prefetcher) syncRetireLocked() { pf.retire.Store(pf.closed || pf.running > pf.target) }
+
+// retireOne decrements running for a producer that leaves, and reports
+// true, when its exit is due: unconditionally with force (the plan or the
+// buffer closed under it), otherwise when the prefetcher is closed or over
+// target.
+func (pf *Prefetcher) retireOne(force bool) bool {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	if !force && !pf.closed && pf.running <= pf.target {
+		return false
+	}
+	pf.running--
+	pf.syncRetireLocked()
+	return true
 }
 
 // Producers reports (target, running) producer counts.
@@ -351,13 +370,9 @@ func (pf *Prefetcher) Producers() (target, running int) {
 
 // surplus reports whether this producer should retire instead of parking
 // for the next plan position. It is pop's stop predicate, called under the
-// plan lock; pf.mu nests inside the plan lock (and never the other way
-// around — SetProducers wakes the plan only after releasing pf.mu).
-func (pf *Prefetcher) surplus() bool {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.closed || pf.running > pf.target
-}
+// plan lock; SetProducers stores the mirror before it wakes the plan, so a
+// parked producer re-checks after every change.
+func (pf *Prefetcher) surplus() bool { return pf.retire.Load() }
 
 // producerLoop is the body of one producer thread. It pops contiguous
 // same-shard runs of plan positions from the plan manager — bounded by
@@ -422,13 +437,9 @@ func (pf *Prefetcher) producerLoop() {
 	}
 
 	for {
-		pf.mu.Lock()
-		if pf.closed || pf.running > pf.target {
-			pf.running--
-			pf.mu.Unlock()
+		if pf.retire.Load() && pf.retireOne(false) {
 			return
 		}
-		pf.mu.Unlock()
 
 		haveFirst = false
 		var at time.Duration
@@ -442,9 +453,7 @@ func (pf *Prefetcher) producerLoop() {
 			continue
 		}
 		if !ok { // closed with nothing left to pop
-			pf.mu.Lock()
-			pf.running--
-			pf.mu.Unlock()
+			pf.retireOne(true)
 			return
 		}
 
@@ -488,7 +497,7 @@ func (pf *Prefetcher) producerLoop() {
 		}
 		if !batched {
 			for i, e := range run {
-				resp, rerr := pf.backend.Read(storage.Request{Name: e.Name, Ctx: ctxs[i]})
+				resp, rerr := pf.backend.Read(storage.Request{Name: e.Name, Ctx: ctxs[i], Slot: int(e.Slot)})
 				datas = append(datas, resp.Data)
 				details = append(details, resp.Detail)
 				errs = append(errs, rerr)
@@ -529,7 +538,7 @@ func (pf *Prefetcher) producerLoop() {
 				Ref:       d.Ref,
 				Err:       rerr,
 				Ctx:       ctx,
-				Epoch:     e.Epoch,
+				PlanPos:   e.PlanPos,
 				ReadStart: readStart,
 				ReadEnd:   readEnd,
 				PopDelay:  prevPark,
@@ -557,9 +566,7 @@ func (pf *Prefetcher) producerLoop() {
 				for j := i + 1; j < len(datas); j++ {
 					datas[j].Release()
 				}
-				pf.mu.Lock()
-				pf.running--
-				pf.mu.Unlock()
+				pf.retireOne(true)
 				return
 			}
 		}
@@ -606,6 +613,7 @@ func (pf *Prefetcher) Close() {
 	}
 	pf.closed = true
 	pf.target = 0
+	pf.syncRetireLocked()
 	pf.mu.Unlock()
 	pf.plans.close()
 	pf.buffer.Close()

@@ -41,7 +41,7 @@ func take(pf *Prefetcher, name string) (Item, bool) {
 	if !ok {
 		return Item{}, false
 	}
-	it, err := pf.buffer.Take(name, TakeOptions{Epoch: claim.Epoch, Deadline: pf.TakeDeadline()})
+	it, err := pf.buffer.Take(claim.PlanPos, TakeOptions{Deadline: pf.TakeDeadline()})
 	if err != nil {
 		pf.plans.unclaim(claim)
 		return Item{}, false

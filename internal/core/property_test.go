@@ -16,16 +16,19 @@ import (
 
 // TestPrefetcherDeliveryProperty drives the full stage with randomized
 // shapes — file counts, producer counts, buffer capacities, consumer
-// pacing, epoch counts, mid-run retuning, and pooling on/off — and checks
-// the core invariant: every planned sample is delivered exactly once per
-// plan entry, in consumption order, with no losses, duplicates, or leaks
-// (buffer items and, when pooling is on, buffer-pool leases alike).
+// pacing, epoch counts, mid-run retuning, pooling on/off, plans that name
+// a file more than once, and epochs submitted up to two ahead of the one
+// being read — and checks the core invariant: every planned sample is
+// delivered exactly once per plan entry, in consumption order, with no
+// losses, duplicates, or leaks (buffer items and, when pooling is on,
+// buffer-pool leases alike).
 func TestPrefetcherDeliveryProperty(t *testing.T) {
-	prop := func(seed int64, filesRaw, producersRaw, bufRaw, epochsRaw uint8, usePool bool) bool {
+	prop := func(seed int64, filesRaw, producersRaw, bufRaw, epochsRaw, aheadRaw uint8, usePool, repeat bool) bool {
 		nFiles := int(filesRaw)%50 + 1
 		producers := int(producersRaw)%6 + 1
 		bufCap := int(bufRaw)%8 + 1
 		epochs := int(epochsRaw)%3 + 1
+		ahead := int(aheadRaw) % 3
 		rng := rand.New(rand.NewSource(seed))
 
 		s := sim.New()
@@ -67,10 +70,30 @@ func TestPrefetcherDeliveryProperty(t *testing.T) {
 			pf.Start()
 			defer st.Close()
 
+			plans := make([][]string, epochs)
+			want := make(map[string]int)
+			for e := range plans {
+				plans[e] = man.EpochFileList(seed, e)
+				for i := range plans[e] {
+					if repeat && rng.Intn(4) == 0 {
+						plans[e][i] = plans[e][rng.Intn(i+1)]
+					}
+					want[plans[e][i]]++
+				}
+			}
+			submitted := 0
+			submitThrough := func(last int) bool {
+				for ; submitted <= last && submitted < epochs; submitted++ {
+					if err := st.SubmitPlan(plans[submitted]); err != nil {
+						return false
+					}
+				}
+				return true
+			}
 			delivered := make(map[string]int)
-			for epoch := 0; epoch < epochs; epoch++ {
-				plan := man.EpochFileList(seed, epoch)
-				if err := st.SubmitPlan(plan); err != nil {
+			for epoch, plan := range plans {
+				// Epoch epoch+ahead is submitted as soon as epoch starts.
+				if !submitThrough(epoch + ahead) {
 					ok = false
 					return
 				}
@@ -99,9 +122,9 @@ func TestPrefetcherDeliveryProperty(t *testing.T) {
 				}
 			}
 
-			// Exactly epochs deliveries per file.
+			// Exactly one delivery per plan entry.
 			for _, sm := range samples {
-				if delivered[sm.Name] != epochs {
+				if delivered[sm.Name] != want[sm.Name] {
 					ok = false
 					return
 				}
@@ -168,7 +191,7 @@ func TestBufferNeverExceedsCapacityProperty(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < items; i++ {
 					env.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
-					if _, err := b.Put(Item{Name: fmt.Sprintf("x%d", i)}); err != nil {
+					if _, err := b.Put(Item{PlanPos: at(i)}); err != nil {
 						return
 					}
 					if l := b.Len(); l > maxLen {
@@ -180,7 +203,7 @@ func TestBufferNeverExceedsCapacityProperty(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < items; i++ {
 					env.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
-					if _, err := b.Take(fmt.Sprintf("x%d", i), TakeOptions{}); err != nil {
+					if _, err := b.Take(at(i), TakeOptions{}); err != nil {
 						return
 					}
 				}

@@ -145,30 +145,32 @@ func TestTakeAheadSkipsProducerErrors(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b := NewBuffer(env, 4, 0)
 		boom := errors.New("boom")
-		_, _ = b.Put(Item{Name: "bad", Err: boom})
-		_, _ = b.Put(Item{Name: "good", Size: 10})
-		if _, err := b.Take("bad", TakeOptions{NoWait: true}); !errors.Is(err, ErrNotParked) {
+		bad, good, absent := PlanPos{Epoch: 1, Index: 0}, PlanPos{Epoch: 1, Index: 1}, PlanPos{Epoch: 1, Index: 2}
+		_, _ = b.Put(Item{Name: "bad", PlanPos: bad, Err: boom})
+		_, _ = b.Put(Item{Name: "good", PlanPos: good, Size: 10})
+		if _, err := b.Take(bad, TakeOptions{NoWait: true}); !errors.Is(err, ErrNotParked) {
 			t.Fatalf("no-wait take of an error item = %v, want ErrNotParked", err)
 		}
-		if _, err := b.Take("absent", TakeOptions{NoWait: true}); !errors.Is(err, ErrNotParked) {
+		if _, err := b.Take(absent, TakeOptions{NoWait: true}); !errors.Is(err, ErrNotParked) {
 			t.Fatalf("no-wait take of an absent item = %v, want ErrNotParked", err)
 		}
-		if _, err := b.Take("good", TakeOptions{NoWait: true, MaxBytes: 9}); !errors.Is(err, ErrNotParked) {
+		if _, err := b.Take(good, TakeOptions{NoWait: true, MaxBytes: 9}); !errors.Is(err, ErrNotParked) {
 			t.Fatalf("no-wait take over MaxBytes = %v, want ErrNotParked", err)
 		}
 		b.SetClaimAt(func(PlanPos) bool { return false })
-		if _, err := b.Take("good", TakeOptions{NoWait: true, At: PlanPos{Epoch: 1}}); !errors.Is(err, ErrNotParked) {
+		if _, err := b.Take(good, TakeOptions{NoWait: true}); !errors.Is(err, ErrNotParked) {
 			t.Fatalf("no-wait take with a refused claim = %v, want ErrNotParked", err)
 		}
 		if b.Len() != 2 {
 			t.Fatalf("refused takes removed items: Len = %d", b.Len())
 		}
-		if it, err := b.Take("good", TakeOptions{NoWait: true, MaxBytes: 10}); err != nil || it.Size != 10 {
+		b.SetClaimAt(func(PlanPos) bool { return true })
+		if it, err := b.Take(good, TakeOptions{NoWait: true, MaxBytes: 10}); err != nil || it.Size != 10 {
 			t.Fatalf("no-wait take = %+v, %v", it, err)
 		}
-		// The error still reaches the by-name reader.
-		if it, err := b.Take("bad", TakeOptions{}); err != nil || !errors.Is(it.Err, boom) {
-			t.Fatalf("by-name take of the error item = %+v, %v", it, err)
+		// The error still reaches the reader that claims its entry.
+		if it, err := b.Take(bad, TakeOptions{}); err != nil || !errors.Is(it.Err, boom) {
+			t.Fatalf("blocking take of the error item = %+v, %v", it, err)
 		}
 	})
 }
@@ -196,7 +198,7 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 			for i := range plan {
 				plan[i] = names[rng.Intn(len(names))]
 			}
-			id, err := pm.register(plan)
+			id, err := pm.register(plan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +321,7 @@ func TestPositionalClaimRacesByNameClaim(t *testing.T) {
 	for i := range plan {
 		plan[i] = fmt.Sprintf("dup%d", i%7)
 	}
-	id, err := pm.register(plan)
+	id, err := pm.register(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

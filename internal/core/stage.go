@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -173,7 +174,7 @@ type Stage struct {
 	pool      *mempool.Pool                 // nil when pooling is off; stats only
 	gate      TenantGate                    // nil when multi-tenant QoS is off
 	chain     func(*StageStats)             // nil unless the storage chain reports into the snapshot
-	planCheck func(names []string) error    // nil unless a plan validator (the manifest) is attached
+	index     func(name string) (int, bool) // nil unless the dataset manifest is attached
 	epochHook func(names []string)          // nil unless a plan observer (tier warmer) is attached
 	partition func(names []string) []string // nil unless a plan partitioner (cluster fabric) is attached
 
@@ -289,7 +290,16 @@ func (s *Stage) serve(req ReadRequest) (storage.Data, PlanPos, error) {
 		}
 	}
 	s.bypasses.Inc()
-	resp, err := s.backend.Read(storage.Request{Name: req.Name, Ctx: req.Ctx})
+	slot := 0
+	if s.index != nil {
+		i, ok := s.index(req.Name)
+		if !ok {
+			s.errors.Inc()
+			return storage.Data{}, PlanPos{}, &storage.NotExistError{Name: req.Name}
+		}
+		slot = i + 1
+	}
+	resp, err := s.backend.Read(storage.Request{Name: req.Name, Ctx: req.Ctx, Slot: slot})
 	if err != nil {
 		s.errors.Inc()
 		return storage.Data{}, PlanPos{}, err
@@ -317,12 +327,16 @@ func (s *Stage) SetChainStats(f func(*StageStats)) { s.chain = f }
 // from remote data loaders too. Call before traffic starts.
 func (s *Stage) SetEpochPlanHook(f func(names []string)) { s.epochHook = f }
 
-// SetPlanCheck registers a validator every submitted epoch plan must pass
-// before anything of it is registered — at the same chokepoint as the
+// SetManifestIndex attaches the dataset manifest's name → position lookup
+// (dataset.Manifest.Index). Every name is then resolved once, where it
+// enters the stage: a submitted plan naming a file outside the manifest
+// fails SubmitEpoch and issues no epoch — at the same chokepoint as the
 // epoch-plan hook, so plans from IPC clients are checked like in-process
-// ones. A plan it rejects fails SubmitEpoch with its error and issues no
-// epoch. Call before traffic starts; nil (the default) accepts every plan.
-func (s *Stage) SetPlanCheck(f func(names []string) error) { s.planCheck = f }
+// ones — and an unplanned read of one fails with storage.NotExistError
+// before any storage layer sees it. A listed name's position rides its
+// storage.Request (Slot), so the leaf need not look it up again. Call
+// before traffic starts; nil (the default) resolves nothing.
+func (s *Stage) SetManifestIndex(index func(name string) (int, bool)) { s.index = index }
 
 // SetPlanPartitioner registers a function that narrows every submitted
 // epoch plan to the subset this stage should actually prefetch, preserving
@@ -344,24 +358,21 @@ func (s *Stage) SetPlanPartitioner(f func(names []string) []string) { s.partitio
 // consumed and, but for one case, nothing charged: the admission token is
 // spent before the irreversible take, so a sample that vanishes between
 // the look and the take (a racing read of a duplicate name) costs the
-// tenant that one token.
+// tenant that one token. Without a gate there is no token, and the take
+// itself checks the entry under the sample's shard lock.
 func (s *Stage) TakeAhead(tenant string, at PlanPos, maxBytes int64) (storage.Data, bool) {
 	pf := s.pf
 	if pf == nil {
 		return storage.Data{}, false
 	}
-	name, ok := pf.plans.nameAt(at)
-	if !ok {
-		return storage.Data{}, false
-	}
 	var start time.Duration
 	if s.gate != nil {
 		start = s.env.Now()
-		if !pf.buffer.parked(name, maxBytes) || !s.gate.TryAdmit(tenant) {
+		if _, ok := pf.plans.nameAt(at); !ok || !pf.buffer.parked(at, maxBytes) || !s.gate.TryAdmit(tenant) {
 			return storage.Data{}, false
 		}
 	}
-	it, err := pf.buffer.Take(name, TakeOptions{NoWait: true, At: at, MaxBytes: maxBytes})
+	it, err := pf.buffer.Take(at, TakeOptions{NoWait: true, MaxBytes: maxBytes})
 	if err != nil {
 		return storage.Data{}, false
 	}
@@ -396,20 +407,39 @@ func (s *Stage) SubmitEpoch(names []string) (PlanResult, error) {
 	if s.pf == nil {
 		return PlanResult{}, ErrNoPrefetcher
 	}
-	if s.planCheck != nil {
-		if err := s.planCheck(names); err != nil {
-			return PlanResult{}, err
-		}
+	slots, err := s.resolve(names)
+	if err != nil {
+		return PlanResult{}, err
 	}
 	submit := names
 	if s.partition != nil {
 		submit = s.partition(names)
+		// Every name passed above; this pass only resolves the subset.
+		slots, _ = s.resolve(submit)
 	}
-	res, err := s.pf.SubmitEpoch(submit)
+	res, err := s.pf.submit(submit, slots)
 	if err == nil && s.epochHook != nil {
 		s.epochHook(names)
 	}
 	return res, err
+}
+
+// resolve looks up every name of a plan in the manifest, returning each
+// one's slot + 1, or the error that refuses the plan at the first name
+// outside it. Without a manifest it resolves nothing and refuses nothing.
+func (s *Stage) resolve(names []string) ([]int32, error) {
+	if s.index == nil {
+		return nil, nil
+	}
+	slots := make([]int32, len(names))
+	for i, n := range names {
+		j, ok := s.index(n)
+		if !ok {
+			return nil, fmt.Errorf("prisma: plan references unknown file %q", n)
+		}
+		slots[i] = int32(j + 1)
+	}
+	return slots, nil
 }
 
 // CancelEpoch cancels a submitted plan epoch (control interface): queued

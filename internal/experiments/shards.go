@@ -87,8 +87,8 @@ func runShardCell(shards, consumers, perConsumer int, accessCost time.Duration) 
 			env.Go(fmt.Sprintf("shard-producer-%d", c), func() {
 				defer wg.Done()
 				for i := 0; i < perConsumer; i++ {
-					name := fmt.Sprintf("c%03d/s%05d", c, i)
-					if _, err := buf.Put(core.Item{Name: name, Size: 1}); err != nil {
+					pos := core.PlanPos{Index: i*consumers + c}
+					if _, err := buf.Put(core.Item{PlanPos: pos, Size: 1}); err != nil {
 						cellErr = err
 						return
 					}
@@ -97,9 +97,9 @@ func runShardCell(shards, consumers, perConsumer int, accessCost time.Duration) 
 			env.Go(fmt.Sprintf("shard-consumer-%d", c), func() {
 				defer wg.Done()
 				for i := 0; i < perConsumer; i++ {
-					name := fmt.Sprintf("c%03d/s%05d", c, i)
-					if _, err := buf.Take(name, core.TakeOptions{}); err != nil {
-						cellErr = fmt.Errorf("take %s: %w", name, err)
+					pos := core.PlanPos{Index: i*consumers + c}
+					if _, err := buf.Take(pos, core.TakeOptions{}); err != nil {
+						cellErr = fmt.Errorf("take %d: %w", pos.Index, err)
 						return
 					}
 				}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -47,18 +48,18 @@ type HistogramSnapshot struct {
 // BucketedHistogram is a bounded-memory duration histogram for hot paths:
 // unlike Histogram it retains only per-bucket counters, never the samples,
 // so it can sit on the producer read path and the consumer Take path of a
-// long-running server without growing.
+// long-running server without growing. It counts with atomics, as Counter
+// does, so an observation takes no lock.
 type BucketedHistogram struct {
-	mu     conc.Mutex
 	bounds []time.Duration // ascending upper bounds; +Inf implicit
-	counts []int64         // len(bounds)+1, last = overflow
-	count  int64
-	sum    time.Duration
+	counts []atomic.Int64  // len(bounds)+1, last = overflow
+	sum    atomic.Int64    // nanoseconds
 }
 
 // NewBucketedHistogram returns an empty histogram with the given ascending
-// upper bounds (nil selects DefaultLatencyBuckets).
-func NewBucketedHistogram(env conc.Env, bounds []time.Duration) *BucketedHistogram {
+// upper bounds (nil selects DefaultLatencyBuckets). env is unused, as for
+// NewCounter.
+func NewBucketedHistogram(_ conc.Env, bounds []time.Duration) *BucketedHistogram {
 	if len(bounds) == 0 {
 		bounds = DefaultLatencyBuckets
 	}
@@ -70,9 +71,8 @@ func NewBucketedHistogram(env conc.Env, bounds []time.Duration) *BucketedHistogr
 		}
 	}
 	return &BucketedHistogram{
-		mu:     env.NewMutex(),
 		bounds: own,
-		counts: make([]int64, len(own)+1),
+		counts: make([]atomic.Int64, len(own)+1),
 	}
 }
 
@@ -82,26 +82,23 @@ func (h *BucketedHistogram) Observe(d time.Duration) {
 		d = 0
 	}
 	idx := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= d })
-	h.mu.Lock()
-	h.counts[idx]++
-	h.count++
-	h.sum += d
-	h.mu.Unlock()
+	h.counts[idx].Add(1)
+	h.sum.Add(int64(d))
 }
 
-// Snapshot returns the cumulative-bucket view.
+// Snapshot returns the cumulative-bucket view. Count is derived from the
+// buckets, so the implicit +Inf bucket always equals it; Sum may run ahead
+// of or behind an observation racing the snapshot.
 func (h *BucketedHistogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	snap := HistogramSnapshot{Count: h.count, Sum: h.sum}
-	if h.count == 0 {
-		return snap
-	}
-	snap.Buckets = make([]HistogramBucket, len(h.bounds))
+	buckets := make([]HistogramBucket, len(h.bounds))
 	var cum int64
 	for i, le := range h.bounds {
-		cum += h.counts[i]
-		snap.Buckets[i] = HistogramBucket{Le: le, Count: cum}
+		cum += h.counts[i].Load()
+		buckets[i] = HistogramBucket{Le: le, Count: cum}
+	}
+	snap := HistogramSnapshot{Count: cum + h.counts[len(h.bounds)].Load(), Sum: time.Duration(h.sum.Load())}
+	if snap.Count > 0 {
+		snap.Buckets = buckets
 	}
 	return snap
 }

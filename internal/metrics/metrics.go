@@ -56,9 +56,9 @@ func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // TimeInState tracks how long an integer-valued signal spends at each
-// value. Transitions are timestamped with env.Now(); call Finish (or
-// Distribution, which finishes implicitly via snapshotting) once the
-// observation window ends.
+// value. Transitions are timestamped with env.Now(), read under the lock
+// so racing transitions apply in timestamp order; call Distribution (which
+// includes the interval in progress) once the observation window ends.
 type TimeInState struct {
 	env     conc.Env
 	mu      conc.Mutex
@@ -112,8 +112,8 @@ func (t *TimeInState) accrue(d time.Duration) {
 
 // Set records a transition of the signal to v at the current time.
 func (t *TimeInState) Set(v int) {
-	now := t.env.Now()
 	t.mu.Lock()
+	now := t.env.Now()
 	t.accrue(now - t.since)
 	t.current = v
 	t.since = now
@@ -123,9 +123,9 @@ func (t *TimeInState) Set(v int) {
 // Add shifts the signal by delta (convenience for +1/-1 concurrency
 // tracking) and returns the new value.
 func (t *TimeInState) Add(delta int) int {
-	now := t.env.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	now := t.env.Now()
 	t.accrue(now - t.since)
 	t.current += delta
 	t.since = now
@@ -142,9 +142,9 @@ func (t *TimeInState) Current() int {
 // Distribution returns a copy of the accumulated time per value, including
 // the in-progress interval up to now.
 func (t *TimeInState) Distribution() map[int]time.Duration {
-	now := t.env.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	now := t.env.Now()
 	out := make(map[int]time.Duration, len(t.sparse)+len(t.dense)+1)
 	for k, v := range t.sparse {
 		out[k] = v
@@ -164,9 +164,9 @@ func (t *TimeInState) Distribution() map[int]time.Duration {
 // keeping the sum in integers makes aggregation across trackers exact and
 // deterministic.
 func (t *TimeInState) TimeWeightedSum() int64 {
-	now := t.env.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	now := t.env.Now()
 	var sum int64
 	for v, d := range t.sparse {
 		sum += int64(v) * int64(d)

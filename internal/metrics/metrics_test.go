@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -303,5 +304,117 @@ func TestTimeInStateWeightedSumMatchesDistribution(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stallingClock is a real environment whose clock ticks 10 ns per reading
+// and, once armed, stalls the first reader after it has drawn its reading
+// until release is sent.
+type stallingClock struct {
+	*conc.Real
+	mu      sync.Mutex
+	now     time.Duration
+	armed   bool
+	drawn   chan struct{}
+	release chan struct{}
+}
+
+func (c *stallingClock) Now() time.Duration {
+	c.mu.Lock()
+	now, stall := c.now, c.armed
+	c.now += 10
+	c.armed = false
+	c.mu.Unlock()
+	if stall {
+		c.drawn <- struct{}{}
+		<-c.release
+	}
+	return now
+}
+
+// TestTimeInStateRacingTransitionsApplyInOrder stalls one Add between
+// drawing its timestamp and applying it while a second Add runs. With the
+// clock read outside the lock the second transition lands first and the
+// stalled one then accrues a negative duration and moves since backwards;
+// read under the lock, the second Add waits, and every value's time is
+// non-negative and the total is the elapsed time.
+func TestTimeInStateRacingTransitionsApplyInOrder(t *testing.T) {
+	clock := &stallingClock{Real: conc.NewReal(), drawn: make(chan struct{}, 1), release: make(chan struct{})}
+	tis := NewTimeInState(clock, 0)
+	clock.mu.Lock()
+	clock.armed = true
+	clock.mu.Unlock()
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); tis.Add(1) }()
+	<-clock.drawn
+	second := make(chan struct{}, 1)
+	go func() { defer wg.Done(); tis.Add(1); second <- struct{}{} }()
+	select {
+	case <-second: // the clock was read outside the lock
+	case <-time.After(50 * time.Millisecond): // the second Add waits on the lock
+	}
+	clock.release <- struct{}{}
+	wg.Wait()
+
+	dist := tis.Distribution()
+	elapsed := clock.Now() - 10 // the reading Distribution took
+	var sum time.Duration
+	for v, d := range dist {
+		if d < 0 {
+			t.Fatalf("value %d accrued %v: %v", v, d, dist)
+		}
+		sum += d
+	}
+	if sum != elapsed {
+		t.Fatalf("distribution sums to %v, elapsed %v: %v", sum, elapsed, dist)
+	}
+	if tis.Current() != 2 {
+		t.Fatalf("Current = %d, want 2", tis.Current())
+	}
+}
+
+// TestBucketedHistogramConcurrentObserve observes from several goroutines
+// at once: no observation is lost, Count is the sum of the buckets and the
+// overflow, cumulative counts never fall, and Sum is every sample's.
+func TestBucketedHistogramConcurrentObserve(t *testing.T) {
+	h := NewBucketedHistogram(conc.NewReal(), nil)
+	samples := []time.Duration{-time.Second, 0, 70 * time.Microsecond, 3 * time.Millisecond, time.Second, time.Minute}
+	const workers, rounds = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, d := range samples {
+					h.Observe(d)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	snap := h.Snapshot()
+	n := int64(workers * rounds)
+	if snap.Count != n*int64(len(samples)) {
+		t.Fatalf("Count = %d, want %d", snap.Count, n*int64(len(samples)))
+	}
+	if want := n * int64(time.Minute+time.Second+3*time.Millisecond+70*time.Microsecond); int64(snap.Sum) != want {
+		t.Fatalf("Sum = %v, want %v", snap.Sum, time.Duration(want))
+	}
+	var prev int64
+	for _, b := range snap.Buckets {
+		if b.Count < prev {
+			t.Fatalf("cumulative buckets fall: %+v", snap.Buckets)
+		}
+		prev = b.Count
+	}
+	// The minute is past the last bound: the +Inf bucket (Count) holds it.
+	if last := snap.Buckets[len(snap.Buckets)-1].Count; last != snap.Count-n {
+		t.Fatalf("last bucket %d, want Count %d minus the %d overflow samples", last, snap.Count, n)
+	}
+	if empty := NewBucketedHistogram(conc.NewReal(), nil).Snapshot(); empty.Count != 0 || empty.Buckets != nil {
+		t.Fatalf("empty snapshot = %+v", empty)
 	}
 }

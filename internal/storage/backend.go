@@ -89,6 +89,12 @@ type Request struct {
 	// record spans against it when it is sampled, and every wrapper passes
 	// it inward unchanged.
 	Ctx obs.Ctx
+	// Slot is Name's position in the dataset manifest + 1, as resolved
+	// where the read entered the data plane, or 0 when unresolved. Every
+	// wrapper passes it inward unchanged, as it does Ctx; a request a layer
+	// builds itself carries 0. The leaf only trusts it once the manifest's
+	// name at that slot is Name.
+	Slot int
 }
 
 // Validate rejects a negative offset or length in any range.

@@ -119,15 +119,12 @@ func (b *DirBackend) Read(req Request) (Response, error) {
 	if err := req.Validate(); err != nil {
 		return Response{}, err
 	}
-	if err := checkName(req.Name); err != nil {
-		return Response{}, err
-	}
 	b.gate.RLock()
 	if b.closed {
 		b.gate.RUnlock()
 		return Response{}, ErrDirClosed
 	}
-	size, buf, ref, err := b.fetch(req.Name, req.Ranges)
+	size, buf, ref, err := b.fetch(req.Name, req.Slot, req.Ranges)
 	b.gate.RUnlock()
 	if err != nil {
 		return Response{}, err
@@ -186,6 +183,9 @@ func fill[S io.ReaderAt](src S, pool *mempool.Pool, name string, ranges []Range,
 // objects per file on Linux (os.Open alone is openat, four fcntl and a
 // failing epoll_ctl), which is why Linux does not use it.
 func (b *DirBackend) fetchPortable(name string, ranges []Range) (int64, []byte, *mempool.Ref, error) {
+	if err := checkName(name); err != nil {
+		return 0, nil, nil, err
+	}
 	f, err := os.Open(filepath.Join(b.dir, filepath.FromSlash(name)))
 	if err != nil {
 		return 0, nil, nil, notExist(name, err)

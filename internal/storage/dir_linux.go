@@ -186,15 +186,20 @@ func (f rawFile) ReadAt(p []byte, off int64) (int, error) {
 // fetch is the one open/size/read/close sequence behind every request
 // class. A manifest file's descriptor is pinned instead of closed after a
 // good read, and its later reads start from there (readPinned); every other
-// descriptor is closed on every path. fill releases the lease on every
-// failed read.
-func (b *DirBackend) fetch(name string, ranges []Range) (int64, []byte, *mempool.Ref, error) {
+// descriptor is closed on every path. The pin is looked up first — hint is
+// the request's manifest slot — because a pinned name is spelled as the
+// manifest spells it; any other name passes checkName before it is opened.
+// fill releases the lease on every failed read.
+func (b *DirBackend) fetch(name string, hint int, ranges []Range) (int64, []byte, *mempool.Ref, error) {
 	if b.portable {
 		return b.fetchPortable(name, ranges)
 	}
-	slot, p := b.pinned(name)
+	slot, p := b.pinned(name, hint)
 	if p != 0 {
 		return b.readPinned(name, ranges, p)
+	}
+	if err := checkName(name); err != nil {
+		return 0, nil, nil, err
 	}
 	fd, errno := b.root.open(name, syscall.O_RDONLY)
 	if errno != 0 {
@@ -257,14 +262,19 @@ func refreshPinBudget() {
 // pinned returns name's slot and what it holds. The slot is -1 when name
 // cannot be pinned: the leaf has no manifest, or name is not spelled as
 // the manifest spells it — so a hostile, aliased or unplanned name is
-// never pinned.
-func (b *DirBackend) pinned(name string) (slot int, p uint64) {
+// never pinned. hint is the caller's slot + 1 for name (0: none); it saves
+// the manifest lookup only when the manifest's name there is name, so a
+// wrong hint costs the lookup, never a wrong file.
+func (b *DirBackend) pinned(name string, hint int) (slot int, p uint64) {
 	if b.names == nil {
 		return -1, 0
 	}
-	i, ok := b.names.Index(name)
-	if !ok {
-		return -1, 0
+	i := hint - 1
+	if i < 0 || i >= b.names.Len() || b.names.Sample(i).Name != name {
+		var ok bool
+		if i, ok = b.names.Index(name); !ok {
+			return -1, 0
+		}
 	}
 	return i, b.pins[i].Load()
 }
@@ -344,7 +354,7 @@ func (b *DirBackend) size(name string) (int64, error) {
 	}
 	var st syscall.Stat_t
 	var errno syscall.Errno
-	switch _, p := b.pinned(name); {
+	switch _, p := b.pinned(name, 0); {
 	case p != 0:
 		errno = fstat(pinnedFD(p), &st)
 	case !b.root.beneath:

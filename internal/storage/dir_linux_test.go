@@ -418,6 +418,40 @@ func TestDirPinnedReadIsOnePreadv(t *testing.T) {
 	}
 }
 
+// TestDirSlotHintNeverReadsAnotherFile: a request's manifest slot saves the
+// leaf its lookup only when the manifest's name there is the request's
+// name. Right, wrong, missing and out-of-range slots all read the named
+// file — before and after it is pinned — and a hostile name carrying a
+// listed file's slot is still refused as not existing.
+func TestDirSlotHintNeverReadsAnotherFile(t *testing.T) {
+	dir := t.TempDir()
+	names := writeFiles(t, dir, 8, 1024)
+	b := openDir(t, dir)
+	pinManifest(t, b)
+	slot := func(i int) int {
+		j, ok := b.names.Index(names[i])
+		if !ok {
+			t.Fatalf("%s not in the manifest", names[i])
+		}
+		return j + 1
+	}
+	for pass := 0; pass < 2; pass++ { // the first pass opens and pins, the second reads pinned
+		for i := range names {
+			other := (i + 1) % len(names)
+			for _, hint := range []int{slot(i), slot(other), 0, -3, len(names) + 5} {
+				resp, err := b.Read(Request{Name: names[i], Slot: hint})
+				if err != nil || !bytes.Equal(resp.Data.Bytes, seeded(1024+i, byte(i))) {
+					t.Fatalf("pass %d: %s with slot %d: %d bytes, %v", pass, names[i], hint, resp.Data.Size, err)
+				}
+			}
+		}
+	}
+	var ne *NotExistError
+	if _, err := b.Read(Request{Name: "../" + names[0], Slot: slot(0)}); !errors.As(err, &ne) {
+		t.Fatalf("hostile name with a listed file's slot: %v, want NotExistError", err)
+	}
+}
+
 // TestDirPinnedFileChangedInPlace: a pinned file that grows or shrinks in
 // place between reads is served at the kernel's size at read time — whole,
 // ranged and by Size — pooled or not, with no lease left behind; so is one

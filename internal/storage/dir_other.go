@@ -31,7 +31,7 @@ func (rootDir) close() error { return nil }
 func refreshPinBudget()       {}
 func (*DirBackend) unpinAll() {}
 
-func (b *DirBackend) fetch(name string, ranges []Range) (int64, []byte, *mempool.Ref, error) {
+func (b *DirBackend) fetch(name string, _ int, ranges []Range) (int64, []byte, *mempool.Ref, error) {
 	return b.fetchPortable(name, ranges)
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -202,6 +203,10 @@ type ResilientBackend struct {
 	openedAt    time.Duration
 	probing     bool // a half-open probe is in flight
 	probeOK     int  // consecutive successful probes
+	// healthy mirrors state == BreakerClosed && consecFails == 0, stored
+	// under mu on every change to either, so admission, a success and the
+	// state read of a healthy breaker take no lock.
+	healthy atomic.Bool
 
 	attempts     *metrics.Counter
 	retries      *metrics.Counter
@@ -236,6 +241,7 @@ func NewResilientBackend(env conc.Env, inner Backend, cfg ResilienceConfig) (*Re
 		unsupported:  metrics.NewCounter(env),
 		stateTime:    metrics.NewTimeInState(env, int(BreakerClosed)),
 	}
+	b.healthy.Store(true)
 	return b, nil
 }
 
@@ -396,7 +402,7 @@ func (b *ResilientBackend) backoff(attempt int) time.Duration {
 
 // admit applies the breaker's admission decision for one attempt.
 func (b *ResilientBackend) admit() error {
-	if b.cfg.BreakerThreshold <= 0 {
+	if b.cfg.BreakerThreshold <= 0 || b.healthy.Load() {
 		return nil
 	}
 	b.mu.Lock()
@@ -423,7 +429,7 @@ func (b *ResilientBackend) admit() error {
 
 // onSuccess records a healthy attempt.
 func (b *ResilientBackend) onSuccess() {
-	if b.cfg.BreakerThreshold <= 0 {
+	if b.cfg.BreakerThreshold <= 0 || b.healthy.Load() {
 		return
 	}
 	b.mu.Lock()
@@ -431,12 +437,13 @@ func (b *ResilientBackend) onSuccess() {
 	switch b.state {
 	case BreakerClosed:
 		b.consecFails = 0
+		b.mirrorLocked()
 	case BreakerHalfOpen:
 		b.probing = false
 		b.probeOK++
 		if b.probeOK >= b.cfg.HalfOpenProbes {
-			b.setStateLocked(BreakerClosed)
 			b.consecFails = 0
+			b.setStateLocked(BreakerClosed)
 		}
 	}
 }
@@ -452,6 +459,7 @@ func (b *ResilientBackend) onFailure() {
 	switch b.state {
 	case BreakerClosed:
 		b.consecFails++
+		b.mirrorLocked()
 		if b.consecFails >= b.cfg.BreakerThreshold {
 			b.setStateLocked(BreakerOpen)
 			b.openedAt = now
@@ -474,11 +482,20 @@ func (b *ResilientBackend) setStateLocked(s BreakerState) {
 		return
 	}
 	b.state = s
+	b.mirrorLocked()
 	b.stateTime.Set(int(s))
+}
+
+// mirrorLocked refreshes the healthy mirror. Caller holds b.mu.
+func (b *ResilientBackend) mirrorLocked() {
+	b.healthy.Store(b.state == BreakerClosed && b.consecFails == 0)
 }
 
 // State reports the breaker's current position.
 func (b *ResilientBackend) State() BreakerState {
+	if b.healthy.Load() {
+		return BreakerClosed
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state

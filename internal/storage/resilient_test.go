@@ -133,6 +133,26 @@ func TestResilientBreakerOpensAndFastFails(t *testing.T) {
 	})
 }
 
+// TestResilientSuccessResetsConsecutiveFailures: the breaker counts
+// consecutive failed attempts, so a success after a run of failures shorter
+// than the threshold starts the count again — three reads that each fail
+// twice before succeeding (six failures in all, threshold four) leave the
+// breaker closed.
+func TestResilientSuccessResetsConsecutiveFailures(t *testing.T) {
+	runSim(t, func(env conc.Env) {
+		res, faulty := newResilientOverFaulty(t, env, testResilience())
+		for i := 0; i < 3; i++ {
+			faulty.FailNTimes("a", 2)
+			if _, err := readFile(res, "a"); err != nil {
+				t.Fatalf("read %d: %v, want success on its third attempt", i, err)
+			}
+		}
+		if st := res.ResilienceStats(); res.State() != BreakerClosed || st.BreakerOpens != 0 || st.Failures != 6 {
+			t.Fatalf("state %v, stats %+v; want closed, no opens, 6 failures", res.State(), st)
+		}
+	})
+}
+
 func TestResilientBreakerHalfOpenRecovery(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		cfg := testResilience()

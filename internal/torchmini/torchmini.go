@@ -333,8 +333,6 @@ func newLoaderIter(env conc.Env, cfg Config, names []string, read readFunc) *loa
 	return it
 }
 
-func batchKey(idx int) string { return fmt.Sprintf("b%07d", idx) }
-
 // workerLoop assembles this worker's round-robin share of batches.
 func (it *loaderIter) workerLoop(w int) {
 	for idx := w; idx < len(it.batches); idx += it.cfg.Workers {
@@ -351,7 +349,8 @@ func (it *loaderIter) workerLoop(w int) {
 		if failure == nil && it.cfg.Costs.Collate > 0 {
 			it.env.Sleep(it.cfg.Costs.Collate)
 		}
-		if _, err := it.buf.Put(core.Item{Name: batchKey(idx), Err: failure}); err != nil {
+		// The reorder buffer parks each batch at its batch index.
+		if _, err := it.buf.Put(core.Item{PlanPos: core.PlanPos{Index: idx}, Err: failure}); err != nil {
 			return // iterator torn down
 		}
 	}
@@ -369,7 +368,7 @@ func (it *loaderIter) Next() (bool, error) {
 	if it.nextBatch >= len(it.batches) {
 		return false, nil
 	}
-	item, err := it.buf.Take(batchKey(it.nextBatch), core.TakeOptions{})
+	item, err := it.buf.Take(core.PlanPos{Index: it.nextBatch}, core.TakeOptions{})
 	if err != nil {
 		return false, err
 	}

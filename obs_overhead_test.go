@@ -41,7 +41,8 @@ func runContendedBuffer(tracer *obs.Tracer, perCouple int) time.Duration {
 			defer wg.Done()
 			for i := 0; i < perCouple; i++ {
 				name := fmt.Sprintf("c%d/s%d", c, i)
-				if _, err := buf.Put(core.Item{Name: name, Size: 1, Ctx: tracer.StartTrace()}); err != nil {
+				pos := core.PlanPos{Index: i*couples + c}
+				if _, err := buf.Put(core.Item{Name: name, PlanPos: pos, Size: 1, Ctx: tracer.StartTrace()}); err != nil {
 					return
 				}
 			}
@@ -49,8 +50,7 @@ func runContendedBuffer(tracer *obs.Tracer, perCouple int) time.Duration {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perCouple; i++ {
-				name := fmt.Sprintf("c%d/s%d", c, i)
-				if _, err := buf.Take(name, core.TakeOptions{Ctx: tracer.StartTrace()}); err != nil {
+				if _, err := buf.Take(core.PlanPos{Index: i*couples + c}, core.TakeOptions{Ctx: tracer.StartTrace()}); err != nil {
 					return
 				}
 			}
@@ -235,7 +235,8 @@ func runContendedBufferN(b *testing.B, tracer *obs.Tracer, perCouple int) {
 			defer wg.Done()
 			for i := 0; i < perCouple; i++ {
 				name := fmt.Sprintf("c%d/s%d", c, i)
-				if _, err := buf.Put(core.Item{Name: name, Size: 1, Ctx: tracer.StartTrace()}); err != nil {
+				pos := core.PlanPos{Index: i*couples + c}
+				if _, err := buf.Put(core.Item{Name: name, PlanPos: pos, Size: 1, Ctx: tracer.StartTrace()}); err != nil {
 					b.Error(err)
 					return
 				}
@@ -244,8 +245,7 @@ func runContendedBufferN(b *testing.B, tracer *obs.Tracer, perCouple int) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perCouple; i++ {
-				name := fmt.Sprintf("c%d/s%d", c, i)
-				if _, err := buf.Take(name, core.TakeOptions{Ctx: tracer.StartTrace()}); err != nil {
+				if _, err := buf.Take(core.PlanPos{Index: i*couples + c}, core.TakeOptions{Ctx: tracer.StartTrace()}); err != nil {
 					b.Error("take failed")
 					return
 				}

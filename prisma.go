@@ -436,16 +436,9 @@ func Open(opts Options) (*Prisma, error) {
 	stage := core.NewStage(env, backend, pf)
 	p.teardown.push(noErr(stage.Close))
 	p.stage, p.reader = stage, stage
-	// Checked at the stage, not in Prisma.SubmitEpoch: plans submitted over
-	// IPC reach the stage directly.
-	stage.SetPlanCheck(func(names []string) error {
-		for _, n := range names {
-			if _, ok := manifest.Index(n); !ok {
-				return fmt.Errorf("prisma: plan references unknown file %q", n)
-			}
-		}
-		return nil
-	})
+	// Resolved at the stage, not in Prisma.SubmitEpoch: plans submitted
+	// over IPC reach the stage directly.
+	stage.SetManifestIndex(manifest.Index)
 	stage.SetTracer(p.tracer)
 	stage.SetBufferPool(pool)
 	stage.SetChainStats(ch.Snapshot)
