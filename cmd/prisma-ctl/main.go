@@ -1,13 +1,15 @@
 // Command prisma-ctl is the control-plane CLI for a running prisma-server:
 // it inspects stage statistics and adjusts the tuning knobs over the same
-// UNIX socket the data path uses.
+// UNIX socket the data path uses. Every knob goes through one subcommand,
+// set, which forwards its KEY=VALUE arguments unparsed to the server's
+// control table.
 //
 // Usage:
 //
 //	prisma-ctl -socket /tmp/prisma.sock stats
 //	prisma-ctl -socket /tmp/prisma.sock ping
-//	prisma-ctl -socket /tmp/prisma.sock set-producers 4
-//	prisma-ctl -socket /tmp/prisma.sock set-buffer 256
+//	prisma-ctl -socket /tmp/prisma.sock set producers=4 buffer=256
+//	prisma-ctl -socket /tmp/prisma.sock set tenant.jobA.weight=2
 //	prisma-ctl -socket /tmp/prisma.sock plan epoch0.txt
 package main
 
@@ -31,17 +33,17 @@ func usage() {
 commands:
   stats                 print the stage's monitoring snapshot
   ping                  probe server liveness
-  set-producers N       set the producer thread count t
-  set-buffer N          set the buffer capacity N
-  set-sampling P        set the lifecycle-trace sampling probability [0, 1]
+  set KEY=VALUE...      set knobs through the server's control table, all or
+                        none: producers=N (thread count t), buffer=N
+                        (capacity N), sampling=P (trace probability in
+                        [0, 1]), tenant.NAME.weight=W, tenant.NAME.bytes=B
+                        (byte budget in bytes/s)
   decisions             print the autotuner's decision audit log
   plan FILE             submit an epoch plan (newline-separated filenames)
   epochs                list retained plan epochs and their lifecycle state
   cancel-epoch ID       cancel a plan epoch (drops its queued/buffered samples)
   tenants               print per-tenant QoS statistics (tenancy-enabled servers)
   tiering               print fast-tier statistics (tiering-enabled servers)
-  set-tenant NAME W B   set a tenant's arbitration weight W and/or byte budget
-                        B in bytes/s (0 leaves the respective knob unchanged)
   bundle [FILE]         capture the one-shot diagnostic bundle (stats,
                         attribution, tenants with SLO states, epochs, the
                         decision log, recent spans) as JSON to FILE or stdout
@@ -115,32 +117,14 @@ func main() {
 		}
 		fmt.Println("ok")
 
-	case "set-producers":
-		n := argInt(args, 1)
-		if err := client.SetProducers(n); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("producers set to %d\n", n)
-
-	case "set-buffer":
-		n := argInt(args, 1)
-		if err := client.SetBufferCapacity(n); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("buffer capacity set to %d\n", n)
-
-	case "set-sampling":
+	case "set":
 		if len(args) < 2 {
 			usage()
 		}
-		p, err := strconv.ParseFloat(args[1], 64)
-		if err != nil || p < 0 || p > 1 {
-			fatal(fmt.Errorf("bad sampling probability %q (want [0, 1])", args[1]))
-		}
-		if err := client.SetTraceSampling(p); err != nil {
+		if err := client.Control(args[1:]...); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace sampling set to %g\n", p)
+		fmt.Printf("applied %s\n", strings.Join(args[1:], " "))
 
 	case "decisions":
 		blob, err := client.Decisions()
@@ -249,24 +233,6 @@ func main() {
 		fmt.Printf("promote time:        %v\n", s.TierPromoteTime)
 		fmt.Printf("decode time:         %v\n", s.TierDecodeTime)
 
-	case "set-tenant":
-		if len(args) < 4 {
-			usage()
-		}
-		weight, err := strconv.ParseFloat(args[2], 64)
-		if err != nil || weight < 0 {
-			fatal(fmt.Errorf("bad weight %q", args[2]))
-		}
-		bytesPerSec, err := strconv.ParseFloat(args[3], 64)
-		if err != nil || bytesPerSec < 0 {
-			fatal(fmt.Errorf("bad byte budget %q", args[3]))
-		}
-		if err := client.SetTenant(args[1], weight, bytesPerSec); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("tenant %s updated (weight %g, byte budget %g B/s; 0 = unchanged)\n",
-			args[1], weight, bytesPerSec)
-
 	case "bundle":
 		blob, err := client.Bundle()
 		if err != nil {
@@ -287,9 +253,12 @@ func main() {
 		}
 
 	case "cancel-epoch":
-		n := argInt(args, 1)
-		if n < 1 {
-			fatal(fmt.Errorf("bad epoch id %d", n))
+		if len(args) < 2 {
+			usage()
+		}
+		n, err := strconv.ParseUint(args[1], 10, 64)
+		if err != nil || n < 1 {
+			fatal(fmt.Errorf("bad epoch id %q", args[1]))
 		}
 		removed, err := client.CancelEpoch(prisma.EpochID(n))
 		if err != nil {
@@ -376,17 +345,6 @@ func watch(client *prisma.Client, interval time.Duration) {
 			cur.Producers, cur.BufferCapacity, cur.BufferLen)
 		prev = cur
 	}
-}
-
-func argInt(args []string, i int) int {
-	if len(args) <= i {
-		usage()
-	}
-	n, err := strconv.Atoi(args[i])
-	if err != nil {
-		fatal(fmt.Errorf("not a number: %q", args[i]))
-	}
-	return n
 }
 
 func readPlan(path string) ([]string, error) {

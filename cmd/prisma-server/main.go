@@ -81,7 +81,8 @@ func parsePeers(s string) (map[string]string, error) {
 }
 
 // parseTenantSpecs decodes the -tenants flag:
-// NAME[:WEIGHT[:BYTES_PER_SEC[:SECRET]]] entries separated by commas.
+// NAME[:WEIGHT[:BYTES_PER_SEC[:SECRET]]] entries separated by commas. A
+// NaN or infinite number passes here and is refused when Open registers it.
 func parseTenantSpecs(s string) ([]prisma.TenantSpec, error) {
 	if s == "" {
 		return nil, nil
@@ -178,7 +179,7 @@ func main() {
 		interval     = flag.Duration("interval", 500*time.Millisecond, "control loop interval")
 		statsEvery   = flag.Duration("stats", 0, "print stats every interval (0 = off)")
 		traceFile    = flag.String("trace", "", "record backend I/O to this JSON-lines file (analyzed with prisma-trace)")
-		httpAddr     = flag.String("http", "", "serve the HTTP admin API (/stats, /metrics, /tuning, /attribution, /decisions) on this address, e.g. :9090")
+		httpAddr     = flag.String("http", "", "serve the HTTP admin API (/stats, /metrics, /tenants, /debug/bundle, POST /tuning?KEY=VALUE, ...) on this address, e.g. :9090")
 		sampling     = flag.Float64("sampling", 0, "sample-lifecycle trace probability in [0, 1] (0 = off)")
 		spanFile     = flag.String("span-file", "", "write lifecycle spans to this JSON-lines file on shutdown (prisma-trace attribute; implies -sampling 1 when unset)")
 		enablePprof  = flag.Bool("pprof", false, "mount /debug/pprof/ on the admin API")

@@ -91,14 +91,23 @@ func TestBinariesEndToEnd(t *testing.T) {
 	if got := ctl("ping"); !strings.Contains(got, "ok") {
 		t.Fatalf("ping = %q", got)
 	}
-	ctl("set-producers", "4")
-	ctl("set-buffer", "32")
+	ctl("set", "producers=4", "buffer=32")
 	stats := ctl("stats")
 	if !strings.Contains(stats, "producers (t):    4") {
-		t.Fatalf("stats after set-producers:\n%s", stats)
+		t.Fatalf("stats after set producers=4:\n%s", stats)
 	}
 	if !strings.Contains(stats, "/32") {
-		t.Fatalf("stats after set-buffer:\n%s", stats)
+		t.Fatalf("stats after set buffer=32:\n%s", stats)
+	}
+	// A refused setting exits non-zero and changes nothing.
+	for _, bad := range [][]string{{"producers=NaN"}, {"nosuch=1"}, {"buffer=8", "producers=0"}} {
+		full := append([]string{"-socket", sock, "set"}, bad...)
+		if out, err := exec.Command(filepath.Join(bin, "prisma-ctl"), full...).CombinedOutput(); err == nil {
+			t.Fatalf("ctl set %v accepted: %s", bad, out)
+		}
+		if got := ctl("stats"); !strings.Contains(got, "producers (t):    4") || !strings.Contains(got, "/32") {
+			t.Fatalf("stats after refused set %v:\n%s", bad, got)
+		}
 	}
 
 	// 4. Submit a plan from a file (names come from the manifest).
@@ -139,8 +148,8 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 
 	// 6. Bad invocations fail cleanly.
-	if out, err := exec.Command(filepath.Join(bin, "prisma-ctl"), "-socket", sock, "set-producers", "NaN").CombinedOutput(); err == nil {
-		t.Fatalf("ctl accepted garbage: %s", out)
+	if out, err := exec.Command(filepath.Join(bin, "prisma-ctl"), "-socket", sock, "set-producers", "4").CombinedOutput(); err == nil {
+		t.Fatalf("ctl accepted a retired subcommand: %s", out)
 	}
 	if out, err := exec.Command(filepath.Join(bin, "prisma-server"), "-socket", sock).CombinedOutput(); err == nil {
 		t.Fatalf("server without -dir succeeded: %s", out)

@@ -2,14 +2,13 @@ package control
 
 import "github.com/dsrhaslab/prisma-go/internal/core"
 
-// RemoteStage is the fallible control interface a remote node exposes —
-// the subset of the IPC client (Stats/SetProducers/SetBufferCapacity over
-// the socket) the control plane needs. Declared here as an interface so
-// control stays decoupled from the transport package.
+// RemoteStage is the fallible control interface a remote node exposes: its
+// stats and its control table (Table.Apply's key=value settings, as
+// OpControl carries them). Declared here as an interface so control stays
+// decoupled from the transport package.
 type RemoteStage interface {
 	Stats() (core.StageStats, error)
-	SetProducers(n int) error
-	SetBufferCapacity(n int) error
+	Control(settings ...string) error
 }
 
 // RemoteAdapter adapts a RemoteStage to the infallible DataPlane interface
@@ -52,7 +51,7 @@ func (a *RemoteAdapter) Stats() core.StageStats {
 // SetProducers implements DataPlane; a transport failure is counted and
 // dropped (the knob is absolute — the next round re-applies it).
 func (a *RemoteAdapter) SetProducers(n int) {
-	if err := a.rs.SetProducers(n); err != nil {
+	if err := a.rs.Control(Setting("producers", n)); err != nil {
 		a.errs++
 	}
 }
@@ -60,7 +59,7 @@ func (a *RemoteAdapter) SetProducers(n int) {
 // SetBufferCapacity implements DataPlane; failures are counted and
 // dropped like SetProducers.
 func (a *RemoteAdapter) SetBufferCapacity(n int) {
-	if err := a.rs.SetBufferCapacity(n); err != nil {
+	if err := a.rs.Control(Setting("buffer", n)); err != nil {
 		a.errs++
 	}
 }

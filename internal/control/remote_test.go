@@ -30,23 +30,21 @@ func (f *fakeRemoteStage) Stats() (core.StageStats, error) {
 	return f.stats, nil
 }
 
-func (f *fakeRemoteStage) SetProducers(n int) error {
+// Control applies the settings through a control table over the fake's
+// knobs, as a server would.
+func (f *fakeRemoteStage) Control(settings ...string) error {
 	f.setCalls++
 	if f.failSets {
 		return errTransport
 	}
-	f.producers = n
-	return nil
+	return (&Table{Stage: (*fakeKnobs)(f)}).Apply(settings...)
 }
 
-func (f *fakeRemoteStage) SetBufferCapacity(n int) error {
-	f.setCalls++
-	if f.failSets {
-		return errTransport
-	}
-	f.buffer = n
-	return nil
-}
+type fakeKnobs fakeRemoteStage
+
+func (k *fakeKnobs) SetProducers(n int)       { k.producers = n }
+func (k *fakeKnobs) SetBufferCapacity(n int)  { k.buffer = n }
+func (k *fakeKnobs) SetTraceSampling(float64) {}
 
 // A healthy remote passes stats and knob writes straight through.
 func TestRemoteAdapterPassthrough(t *testing.T) {
@@ -100,8 +98,7 @@ func TestRemoteAdapterZeroBeforeSeed(t *testing.T) {
 type failingRemote struct{}
 
 func (failingRemote) Stats() (core.StageStats, error) { return core.StageStats{}, errTransport }
-func (failingRemote) SetProducers(int) error          { return errTransport }
-func (failingRemote) SetBufferCapacity(int) error     { return errTransport }
+func (failingRemote) Control(...string) error         { return errTransport }
 
 // Knob writes during an outage are counted and dropped; the node keeps its
 // last applied values and the next round re-applies the absolute knob.

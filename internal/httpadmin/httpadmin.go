@@ -13,7 +13,6 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/control"
@@ -39,9 +38,9 @@ type Config struct {
 	// Tenants, when set, backs GET /tenants and the prisma_tenant_*
 	// Prometheus metrics with the tenancy manager's QoS snapshot.
 	Tenants func() tenancy.Snapshot
-	// SetTenant, when set, backs POST /tenants?name=X&weight=W&bytes=B
-	// (zero leaves the respective knob unchanged).
-	SetTenant func(name string, weight, bytesPerSecond float64) error
+	// Control, when set, backs POST /tuning?KEY=VALUE&… with the stage's
+	// control table (control.Table.Apply in practice).
+	Control func(settings ...string) error
 	// Tracer, when set, lets GET /debug/bundle include the retained spans
 	// so one capture carries both counters and recent per-read timelines.
 	Tracer *obs.Tracer
@@ -55,7 +54,7 @@ type Config struct {
 const DefaultBundleSpans = 1024
 
 // Bundle is the one-shot diagnostic capture served by GET /debug/bundle
-// and OpBundle over IPC: every observability surface of one stage —
+// and OpGet over IPC: every observability surface of one stage —
 // stats (including cache, tiering, pool, and plan counters), latency
 // attribution, per-tenant QoS and SLO states, plan epochs, the decision
 // audit log, and the most recent spans — in a single JSON document.
@@ -73,22 +72,18 @@ type Bundle struct {
 }
 
 // BuildBundle assembles the diagnostic bundle for dp using cfg's optional
-// sources. spanLimit bounds the embedded spans (most recent kept; <= 0
-// means DefaultBundleSpans). Shared by the HTTP handler and the IPC
-// OpBundle source so both transports serve the identical document.
+// sources. spanLimit bounds the embedded spans (most recent kept; 0 omits
+// them, < 0 means DefaultBundleSpans). Shared by the HTTP handler and the
+// IPC OpGet source so both transports serve the identical document.
 func BuildBundle(dp control.DataPlane, cfg Config, spanLimit int) Bundle {
-	if spanLimit <= 0 {
+	if spanLimit < 0 {
 		spanLimit = DefaultBundleSpans
 	}
 	s := dp.Stats()
-	consumers := cfg.Consumers
-	if consumers < 1 {
-		consumers = 1
-	}
 	b := Bundle{
 		CapturedAt:  s.Now,
 		Stats:       s,
-		Attribution: s.Attribution(core.StageStats{}, consumers),
+		Attribution: s.Attribution(core.StageStats{}, cfg.Consumers), // clamped to >= 1
 	}
 	if cfg.Tenants != nil {
 		snap := cfg.Tenants()
@@ -104,7 +99,7 @@ func BuildBundle(dp control.DataPlane, cfg Config, spanLimit int) Bundle {
 		cs := cfg.Cluster()
 		b.Cluster = &cs
 	}
-	if cfg.Tracer != nil {
+	if cfg.Tracer != nil && spanLimit > 0 {
 		spans := cfg.Tracer.Spans()
 		if over := len(spans) - spanLimit; over > 0 {
 			b.SpansDropped = over
@@ -130,16 +125,16 @@ func New(dp control.DataPlane) *Handler { return NewWithConfig(dp, Config{}) }
 func NewWithConfig(dp control.DataPlane, cfg Config) *Handler {
 	h := &Handler{dp: dp, cfg: cfg, mux: http.NewServeMux()}
 	h.mux.HandleFunc("/healthz", h.healthz)
-	h.mux.HandleFunc("/stats", h.stats)
-	h.mux.HandleFunc("/metrics", h.metrics)
-	h.mux.HandleFunc("/tuning", h.tuning)
-	h.mux.HandleFunc("/attribution", h.attribution)
-	h.mux.HandleFunc("/decisions", h.decisions)
+	h.mux.HandleFunc("/stats", only(http.MethodGet, h.stats))
+	h.mux.HandleFunc("/metrics", only(http.MethodGet, h.metrics))
+	h.mux.HandleFunc("/tuning", only(http.MethodPost, h.tuning))
+	h.mux.HandleFunc("/attribution", only(http.MethodGet, h.attribution))
+	h.mux.HandleFunc("/decisions", only(http.MethodGet, h.decisions))
 	h.mux.HandleFunc("/epochs", h.epochs)
-	h.mux.HandleFunc("/tenants", h.tenants)
-	h.mux.HandleFunc("/tiering", h.tiering)
-	h.mux.HandleFunc("/cluster", h.cluster)
-	h.mux.HandleFunc("/debug/bundle", h.bundle)
+	h.mux.HandleFunc("/tenants", only(http.MethodGet, h.tenants))
+	h.mux.HandleFunc("/tiering", only(http.MethodGet, h.tiering))
+	h.mux.HandleFunc("/cluster", only(http.MethodGet, h.cluster))
+	h.mux.HandleFunc("/debug/bundle", only(http.MethodGet, h.bundle))
 	if cfg.EnablePprof {
 		h.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		h.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -153,6 +148,25 @@ func NewWithConfig(dp control.DataPlane, cfg Config) *Handler {
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
+// only admits requests with the given method to f, answering the rest 405.
+func only(method string, f http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			http.Error(w, method+" only", http.StatusMethodNotAllowed)
+			return
+		}
+		f(w, r)
+	}
+}
+
+// writeJSON answers with v as JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
@@ -160,14 +174,7 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 
 // stats returns the full StageStats snapshot as JSON.
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(h.dp.Stats()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, h.dp.Stats())
 }
 
 // writeHistogram renders one duration histogram in Prometheus histogram
@@ -184,10 +191,6 @@ func writeHistogram(w http.ResponseWriter, name, help string, snap metrics.Histo
 
 // metrics renders Prometheus text exposition format.
 func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	s := h.dp.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	write := func(name, help, typ string, value float64) {
@@ -211,12 +214,12 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	write("prisma_storage_busy_seconds_total", "Cumulative producer time inside backend reads.", "counter", s.StorageBusy.Seconds())
 	write("prisma_trace_sampling", "Trace head-sampling probability.", "gauge", s.TraceSampling)
 	write("prisma_plan_epochs_submitted_total", "Plan epochs submitted.", "counter", float64(s.Plan.EpochsSubmitted))
-	write("prisma_plan_epochs_cancelled_total", "Plan epochs cancelled (including aborted submissions).", "counter", float64(s.Plan.EpochsCancelled))
+	write("prisma_plan_epochs_cancelled_total", "Plan epochs cancelled.", "counter", float64(s.Plan.EpochsCancelled))
 	write("prisma_plan_epochs_live", "Epochs currently active.", "gauge", float64(s.Plan.EpochsLive))
 	write("prisma_plan_entries_pending", "Registered plan entries not yet claimed by a consumer.", "gauge", float64(s.Plan.EntriesPending))
 	write("prisma_plan_claims_in_flight", "Consumer claims awaiting a buffered sample.", "gauge", float64(s.Plan.ClaimsInFlight))
 	write("prisma_plan_delivered_total", "Plan entries delivered to consumers.", "counter", float64(s.Plan.Delivered))
-	write("prisma_plan_dropped_total", "Plan entries dropped by cancellation or abort.", "counter", float64(s.Plan.Dropped))
+	write("prisma_plan_dropped_total", "Plan entries dropped by cancellation.", "counter", float64(s.Plan.Dropped))
 	write("prisma_readahead_samples_total", "Samples sent to a socket client behind the reply it asked for.", "counter", float64(s.ReadAheadSamples))
 	write("prisma_readahead_wasted_total", "Pushed samples socket clients reported dropping unread.", "counter", float64(s.ReadAheadWasted))
 	write("prisma_backend_retries_total", "Backend read attempts beyond the first.", "counter", float64(s.Resilience.Retries))
@@ -309,65 +312,39 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 // cluster serves the multi-node fabric snapshot: GET /cluster returns the
 // ClusterStats as JSON, 501 when this instance is not part of a cluster.
 func (h *Handler) cluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	if h.cfg.Cluster == nil {
 		http.Error(w, "cluster fabric not enabled", http.StatusNotImplemented)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(h.cfg.Cluster()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, h.cfg.Cluster())
 }
 
 // bundle serves the one-shot diagnostic capture: GET /debug/bundle
 // returns a Bundle as JSON. ?spans=N bounds the embedded spans (0 omits
 // them entirely).
 func (h *Handler) bundle(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	cfg := h.cfg
-	limit := 0
+	limit := -1
 	if v := r.URL.Query().Get("spans"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			http.Error(w, "bad spans value", http.StatusBadRequest)
 			return
 		}
-		if n == 0 {
-			cfg.Tracer = nil // explicit ?spans=0 drops the span section
-		}
 		limit = n
 	}
-	b := BuildBundle(h.dp, cfg, limit)
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(b); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, BuildBundle(h.dp, h.cfg, limit))
 }
 
 // tiering serves the fast-tier snapshot: GET /tiering returns the
 // memory hierarchy's stats carried by the stage snapshot as JSON, 501 when the memory
 // hierarchy has no fast tier (none at all, or the shared cache alone).
 func (h *Handler) tiering(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	s := h.dp.Stats()
 	if !s.TierEnabled() {
 		http.Error(w, "tiering not enabled on this instance", http.StatusNotImplemented)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.Tiering); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, s.Tiering)
 }
 
 // writeTenantMetrics renders the per-tenant QoS series, one labeled
@@ -478,69 +455,19 @@ func writeSLOMetrics(w http.ResponseWriter, snap tenancy.Snapshot) {
 }
 
 // tenants serves per-tenant QoS: GET /tenants returns the snapshot as
-// JSON; POST /tenants?name=X&weight=W&bytes=B adjusts one tenant's knobs.
+// JSON. A tenant's knobs are set through /tuning.
 func (h *Handler) tenants(w http.ResponseWriter, r *http.Request) {
 	if h.cfg.Tenants == nil {
 		http.Error(w, "tenancy not enabled on this instance", http.StatusNotImplemented)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(h.cfg.Tenants()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	case http.MethodPost:
-		if h.cfg.SetTenant == nil {
-			http.Error(w, "tenant adjustment unavailable", http.StatusNotImplemented)
-			return
-		}
-		q := r.URL.Query()
-		name := q.Get("name")
-		if name == "" {
-			http.Error(w, "missing ?name=", http.StatusBadRequest)
-			return
-		}
-		var weight, bytesPerSec float64
-		if v := q.Get("weight"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 {
-				http.Error(w, "bad weight value", http.StatusBadRequest)
-				return
-			}
-			weight = f
-		}
-		if v := q.Get("bytes"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 {
-				http.Error(w, "bad bytes value", http.StatusBadRequest)
-				return
-			}
-			bytesPerSec = f
-		}
-		if weight == 0 && bytesPerSec == 0 {
-			http.Error(w, "nothing to apply (use ?weight=W and/or ?bytes=B)", http.StatusBadRequest)
-			return
-		}
-		if err := h.cfg.SetTenant(name, weight, bytesPerSec); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"tenant": name, "weight": weight, "bytes_per_second": bytesPerSec})
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
-	}
+	writeJSON(w, h.cfg.Tenants())
 }
 
 // attribution renders the cumulative critical-path breakdown since stage
 // start: how consumer time divides between storage waits, buffer-capacity
 // waits, and keeping up. ?consumers=N overrides the configured denominator.
 func (h *Handler) attribution(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	consumers := h.cfg.Consumers
 	if v := r.URL.Query().Get("consumers"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -550,31 +477,16 @@ func (h *Handler) attribution(w http.ResponseWriter, r *http.Request) {
 		}
 		consumers = n
 	}
-	a := h.dp.Stats().Attribution(core.StageStats{}, consumers)
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(a); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, h.dp.Stats().Attribution(core.StageStats{}, consumers))
 }
 
 // decisions returns the autotuner's decision audit log as JSON.
 func (h *Handler) decisions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	if h.cfg.Decisions == nil {
 		http.Error(w, "decision log unavailable: no controller attached", http.StatusNotImplemented)
 		return
 	}
-	recs := h.cfg.Decisions()
-	if recs == nil {
-		recs = []control.DecisionRecord{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(recs); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, append([]control.DecisionRecord{}, h.cfg.Decisions()...)) // [] rather than null
 }
 
 // epochManager is the optional extension for data planes with an
@@ -596,14 +508,7 @@ func (h *Handler) epochs(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		eps := em.Epochs()
-		if eps == nil {
-			eps = []core.EpochStatus{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(eps); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		writeJSON(w, append([]core.EpochStatus{}, em.Epochs()...)) // [] rather than null
 	case http.MethodPost:
 		v := r.URL.Query().Get("cancel")
 		if v == "" {
@@ -624,80 +529,31 @@ func (h *Handler) epochs(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]uint64{"cancelled": id, "removed": uint64(removed)})
+		writeJSON(w, map[string]uint64{"cancelled": id, "removed": uint64(removed)})
 	default:
 		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
 	}
 }
 
-// samplingTuner is the optional extension for data planes with a runtime
-// trace-sampling knob (core.Stage has one).
-type samplingTuner interface {
-	SetTraceSampling(p float64)
-}
-
-// tuning applies knob updates: POST /tuning?producers=N and/or ?buffer=M
-// and/or ?sampling=P. Every parameter is checked before any is applied, so a
-// request with an unknown or bad parameter changes nothing.
+// tuning applies knob updates through the control table:
+// POST /tuning?KEY=VALUE&… with the table's keys. The table checks every
+// pair before it applies any, so a request with an unknown or bad pair
+// changes nothing; its answer names the pair.
 func (h *Handler) tuning(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	if h.cfg.Control == nil {
+		http.Error(w, "no control table attached", http.StatusNotImplemented)
 		return
 	}
-	q := r.URL.Query()
-	var unknown []string
-	for key := range q {
-		if key != "producers" && key != "buffer" && key != "sampling" {
-			unknown = append(unknown, key)
+	var settings []string
+	for key, values := range r.URL.Query() {
+		for _, v := range values {
+			settings = append(settings, key+"="+v)
 		}
 	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		http.Error(w, fmt.Sprintf("unknown parameter %s (use ?producers=N, ?buffer=M and/or ?sampling=P)", strings.Join(unknown, ", ")), http.StatusBadRequest)
+	sort.Strings(settings) // the table's answer names the first bad pair
+	if err := h.cfg.Control(settings...); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var apply []func()
-	applied := map[string]float64{}
-	if v := q.Get("producers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			http.Error(w, "bad producers value (want >= 1)", http.StatusBadRequest)
-			return
-		}
-		apply = append(apply, func() { h.dp.SetProducers(n) })
-		applied["producers"] = float64(n)
-	}
-	if v := q.Get("buffer"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			http.Error(w, "bad buffer value", http.StatusBadRequest)
-			return
-		}
-		apply = append(apply, func() { h.dp.SetBufferCapacity(n) })
-		applied["buffer"] = float64(n)
-	}
-	if v := q.Get("sampling"); v != "" {
-		p, err := strconv.ParseFloat(v, 64)
-		if err != nil || p < 0 || p > 1 {
-			http.Error(w, "bad sampling value (want [0, 1])", http.StatusBadRequest)
-			return
-		}
-		st, ok := h.dp.(samplingTuner)
-		if !ok {
-			http.Error(w, "data plane does not support trace sampling", http.StatusNotImplemented)
-			return
-		}
-		apply = append(apply, func() { st.SetTraceSampling(p) })
-		applied["sampling"] = p
-	}
-	if len(apply) == 0 {
-		http.Error(w, "nothing to apply (use ?producers=N, ?buffer=M and/or ?sampling=P)", http.StatusBadRequest)
-		return
-	}
-	for _, f := range apply {
-		f()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(applied)
+	writeJSON(w, map[string][]string{"applied": settings})
 }

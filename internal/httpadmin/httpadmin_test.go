@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/control"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
@@ -18,11 +19,13 @@ type fakeDP struct {
 	stats     core.StageStats
 	producers int
 	buffer    int
+	sampling  float64
 }
 
-func (f *fakeDP) Stats() core.StageStats  { return f.stats }
-func (f *fakeDP) SetProducers(n int)      { f.producers = n }
-func (f *fakeDP) SetBufferCapacity(n int) { f.buffer = n }
+func (f *fakeDP) Stats() core.StageStats     { return f.stats }
+func (f *fakeDP) SetProducers(n int)         { f.producers = n }
+func (f *fakeDP) SetBufferCapacity(n int)    { f.buffer = n }
+func (f *fakeDP) SetTraceSampling(p float64) { f.sampling = p }
 
 func newServer(t *testing.T) (*httptest.Server, *fakeDP) {
 	t.Helper()
@@ -31,7 +34,7 @@ func newServer(t *testing.T) (*httptest.Server, *fakeDP) {
 	dp.stats.Hits = 90
 	dp.stats.TargetProducers = 4
 	dp.stats.Buffer.Capacity = 64
-	srv := httptest.NewServer(New(dp))
+	srv := httptest.NewServer(NewWithConfig(dp, Config{Control: (&control.Table{Stage: dp}).Apply}))
 	t.Cleanup(srv.Close)
 	return srv, dp
 }
@@ -121,9 +124,12 @@ func readAll(sb *strings.Builder, resp *http.Response) (int64, error) {
 	}
 }
 
+// TestTuningApplies: /tuning hands its pairs to the control table. Every
+// key and value the table accepts or refuses, over every transport, is
+// TestControlTransportsAgree's (root package).
 func TestTuningApplies(t *testing.T) {
 	srv, dp := newServer(t)
-	resp, err := http.Post(srv.URL+"/tuning?producers=7&buffer=128", "", nil)
+	resp, err := http.Post(srv.URL+"/tuning?producers=7&buffer=128&sampling=0.25", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,19 +137,17 @@ func TestTuningApplies(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if dp.producers != 7 || dp.buffer != 128 {
-		t.Fatalf("applied = %d/%d, want 7/128", dp.producers, dp.buffer)
+	if dp.producers != 7 || dp.buffer != 128 || dp.sampling != 0.25 {
+		t.Fatalf("applied = %d/%d/%v, want 7/128/0.25", dp.producers, dp.buffer, dp.sampling)
 	}
 }
 
+// TestTuningValidation: what /tuning itself answers — 400 for a request the
+// table refuses (an empty one included), 405 for anything but POST, 501
+// without a control table.
 func TestTuningValidation(t *testing.T) {
 	srv, dp := newServer(t)
-	cases := []string{
-		"/tuning?producers=abc",
-		"/tuning?buffer=0",
-		"/tuning", // nothing to apply
-	}
-	for _, path := range cases {
+	for _, path := range []string{"/tuning", "/tuning?producers=4&buffer=0"} {
 		resp, err := http.Post(srv.URL+path, "", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +160,6 @@ func TestTuningValidation(t *testing.T) {
 	if dp.producers != 0 || dp.buffer != 0 {
 		t.Fatalf("bad requests mutated the stage: %+v", dp)
 	}
-	// GET on /tuning is rejected.
 	resp, err := http.Get(srv.URL + "/tuning")
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +167,16 @@ func TestTuningValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /tuning status = %d, want 405", resp.StatusCode)
+	}
+	plain := httptest.NewServer(New(&fakeDP{}))
+	defer plain.Close()
+	resp, err = http.Post(plain.URL+"/tuning?sampling=0.5", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("no control table: status = %d, want 501", resp.StatusCode)
 	}
 }
 

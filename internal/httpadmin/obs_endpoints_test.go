@@ -2,7 +2,6 @@ package httpadmin
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,14 +13,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 )
-
-// tunableDP extends fakeDP with the optional sampling knob.
-type tunableDP struct {
-	fakeDP
-	sampling float64
-}
-
-func (f *tunableDP) SetTraceSampling(p float64) { f.sampling = p }
 
 func TestAttributionEndpoint(t *testing.T) {
 	dp := &fakeDP{}
@@ -182,61 +173,6 @@ func parseTail(line string, n *int64) (int, error) {
 	v, err := json.Number(line[i+1:]).Int64()
 	*n = v
 	return 1, err
-}
-
-func TestTuningSampling(t *testing.T) {
-	dp := &tunableDP{}
-	srv := httptest.NewServer(New(dp))
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/tuning?sampling=0.25", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if dp.sampling != 0.25 {
-		t.Fatalf("applied sampling=%v", dp.sampling)
-	}
-
-	// Each request is refused whole: a bad or unknown parameter (named in
-	// the answer) keeps its valid neighbours from being applied too.
-	for _, tc := range []struct{ query, names string }{
-		{"sampling=1.5", "sampling"},
-		{"sampling=-1", "sampling"},
-		{"sampling=abc", "sampling"},
-		{"producers=4&buffer=0", "buffer"},
-		{"sampling=0.5&bogus=1", "bogus"},
-		{"shards=4", "shards"},
-		{"producers=0", "producers"},
-	} {
-		resp, err := http.Post(srv.URL+"/tuning?"+tc.query, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.names) {
-			t.Errorf("%s: status = %d %q, want 400 naming %s", tc.query, resp.StatusCode, body, tc.names)
-		}
-		if dp.sampling != 0.25 || dp.producers != 0 || dp.buffer != 0 {
-			t.Errorf("%s: refused request applied sampling=%v producers=%d buffer=%d", tc.query, dp.sampling, dp.producers, dp.buffer)
-		}
-	}
-
-	// A data plane without the knob gets 501.
-	plain := httptest.NewServer(New(&fakeDP{}))
-	defer plain.Close()
-	resp2, err := http.Post(plain.URL+"/tuning?sampling=0.5", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("plain dp sampling status = %d, want 501", resp2.StatusCode)
-	}
 }
 
 func TestPprofGating(t *testing.T) {

@@ -2,7 +2,6 @@ package httpadmin
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,14 +11,10 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 )
 
-// tenantServer wires a scriptable tenancy snapshot (and optional SetTenant
-// recorder) into the handler.
-func tenantServer(t *testing.T, snap *tenancy.Snapshot, set func(string, float64, float64) error) *httptest.Server {
+// tenantServer wires a scriptable tenancy snapshot into the handler.
+func tenantServer(t *testing.T, snap *tenancy.Snapshot) *httptest.Server {
 	t.Helper()
-	cfg := Config{
-		Tenants:   func() tenancy.Snapshot { return *snap },
-		SetTenant: set,
-	}
+	cfg := Config{Tenants: func() tenancy.Snapshot { return *snap }}
 	srv := httptest.NewServer(NewWithConfig(&fakeDP{}, cfg))
 	t.Cleanup(srv.Close)
 	return srv
@@ -38,7 +33,7 @@ func sampleSnapshot() tenancy.Snapshot {
 
 func TestTenantsJSON(t *testing.T) {
 	snap := sampleSnapshot()
-	srv := tenantServer(t, &snap, nil)
+	srv := tenantServer(t, &snap)
 	resp, err := http.Get(srv.URL + "/tenants")
 	if err != nil {
 		t.Fatal(err)
@@ -72,50 +67,24 @@ func TestTenantsNotEnabled(t *testing.T) {
 	}
 }
 
-func TestTenantsPostSetsKnobs(t *testing.T) {
+// TestTenantsIsReadOnly: a tenant's knobs are set through /tuning; POST
+// /tenants is gone.
+func TestTenantsIsReadOnly(t *testing.T) {
 	snap := sampleSnapshot()
-	var gotName string
-	var gotWeight, gotBytes float64
-	srv := tenantServer(t, &snap, func(name string, w, b float64) error {
-		gotName, gotWeight, gotBytes = name, w, b
-		if name == "ghost" {
-			return fmt.Errorf("tenant %q not registered", name)
-		}
-		return nil
-	})
-	resp, err := http.Post(srv.URL+"/tenants?name=job-a&weight=2&bytes=4096", "", nil)
+	srv := tenantServer(t, &snap)
+	resp, err := http.Post(srv.URL+"/tenants?name=job-a&weight=2", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if gotName != "job-a" || gotWeight != 2 || gotBytes != 4096 {
-		t.Fatalf("SetTenant called with (%q, %g, %g)", gotName, gotWeight, gotBytes)
-	}
-
-	for query, want := range map[string]int{
-		"?name=ghost&weight=2": http.StatusNotFound,
-		"?weight=2":            http.StatusBadRequest, // missing name
-		"?name=job-a":          http.StatusBadRequest, // nothing to apply
-		"?name=job-a&weight=x": http.StatusBadRequest,
-		"?name=job-a&bytes=-1": http.StatusBadRequest,
-	} {
-		resp, err := http.Post(srv.URL+"/tenants"+query, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Fatalf("POST %s status = %d, want %d", query, resp.StatusCode, want)
-		}
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /tenants status = %d, want 405", resp.StatusCode)
 	}
 }
 
 func TestTenantMetricsExposition(t *testing.T) {
 	snap := sampleSnapshot()
-	srv := tenantServer(t, &snap, nil)
+	srv := tenantServer(t, &snap)
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

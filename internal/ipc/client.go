@@ -2,10 +2,8 @@ package ipc
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -719,95 +717,22 @@ func (c *Client) CancelEpoch(id core.EpochID) (int, error) {
 	return int(removed), nil
 }
 
-// Epochs fetches the server's retained plan-epoch statuses.
-func (c *Client) Epochs() ([]core.EpochStatus, error) {
-	resp, err := c.roundTrip(OpEpochs, nil, true)
-	if err != nil {
-		return nil, err
+// Get fetches the server's snapshot document as raw JSON (an
+// httpadmin.Bundle) carrying at most spans recent spans; spans < 0 asks
+// for the server's default bound.
+func (c *Client) Get(spans int) ([]byte, error) {
+	var payload []byte
+	if spans >= 0 {
+		payload = binary.AppendUvarint(nil, uint64(spans))
 	}
-	var out []core.EpochStatus
-	if err := json.Unmarshal(resp, &out); err != nil {
-		return nil, fmt.Errorf("ipc: decode epochs: %w", err)
-	}
-	return out, nil
+	return c.roundTrip(OpGet, payload, true)
 }
 
-// Stats fetches the stage's monitoring snapshot.
-func (c *Client) Stats() (core.StageStats, error) {
-	resp, err := c.roundTrip(OpStats, nil, true)
-	if err != nil {
-		return core.StageStats{}, err
-	}
-	var stats core.StageStats
-	if err := json.Unmarshal(resp, &stats); err != nil {
-		return core.StageStats{}, fmt.Errorf("ipc: decode stats: %w", err)
-	}
-	return stats, nil
-}
-
-// SetProducers adjusts the stage's t remotely (control path). The server
-// refuses n < 1.
-func (c *Client) SetProducers(n int) error {
-	if n < 0 {
-		n = 0
-	}
-	_, err := c.roundTrip(OpSetProducers, binary.AppendUvarint(nil, uint64(n)), true)
-	return err
-}
-
-// SetBufferCapacity adjusts the stage's N remotely (control path).
-func (c *Client) SetBufferCapacity(n int) error {
-	if n < 1 {
-		n = 1
-	}
-	_, err := c.roundTrip(OpSetBuffer, binary.AppendUvarint(nil, uint64(n)), true)
-	return err
-}
-
-// SetTraceSampling adjusts the server tracer's head-sampling probability
-// remotely (control path). Resendable: the knob is an absolute value.
-func (c *Client) SetTraceSampling(p float64) error {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], math.Float64bits(p))
-	_, err := c.roundTrip(OpSetTraceSampling, buf[:], true)
-	return err
-}
-
-// Decisions fetches the server's autotuner decision audit log as raw JSON
-// (an array of control.DecisionRecord).
-func (c *Client) Decisions() ([]byte, error) {
-	return c.roundTrip(OpDecisions, nil, true)
-}
-
-// Bundle fetches the server's one-shot diagnostic bundle as raw JSON
-// (an httpadmin.Bundle document).
-func (c *Client) Bundle() ([]byte, error) {
-	return c.roundTrip(OpBundle, nil, true)
-}
-
-// Tenants fetches the server's per-tenant QoS snapshot.
-func (c *Client) Tenants() (tenancy.Snapshot, error) {
-	resp, err := c.roundTrip(OpTenants, nil, true)
-	if err != nil {
-		return tenancy.Snapshot{}, err
-	}
-	var snap tenancy.Snapshot
-	if err := json.Unmarshal(resp, &snap); err != nil {
-		return tenancy.Snapshot{}, fmt.Errorf("ipc: decode tenants: %w", err)
-	}
-	return snap, nil
-}
-
-// SetTenant adjusts a tenant's weight and/or byte budget remotely (zero
-// leaves the respective knob unchanged). Resendable: the knobs are
-// absolute values.
-func (c *Client) SetTenant(name string, weight, bytesPerSecond float64) error {
-	payload := appendString(nil, name)
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], math.Float64bits(weight))
-	binary.BigEndian.PutUint64(buf[8:], math.Float64bits(bytesPerSecond))
-	payload = append(payload, buf[:]...)
-	_, err := c.roundTrip(OpSetTenant, payload, true)
+// Control hands key=value settings, unparsed, to the server's control
+// table, which applies all of them or none. Resendable: every value is
+// absolute.
+func (c *Client) Control(settings ...string) error {
+	_, err := c.roundTrip(OpControl, appendSettings(nil, settings), true)
 	return err
 }
 

@@ -28,10 +28,7 @@ func TestClientSubmitEpochRoundTrip(t *testing.T) {
 	if res2.Epoch != 2 {
 		t.Fatalf("second SubmitEpoch issued id %d, want 2", res2.Epoch)
 	}
-	eps, err := c.Epochs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	eps := snapshot(t, c).Epochs
 	if len(eps) != 2 || eps[0].ID != 1 || eps[0].State != core.EpochActive {
 		t.Fatalf("Epochs = %+v, want two active epochs led by id 1", eps)
 	}
@@ -58,10 +55,7 @@ func TestClientCancelEpochRoundTrip(t *testing.T) {
 	if removed != len(names) {
 		t.Fatalf("CancelEpoch removed %d entries, want %d", removed, len(names))
 	}
-	eps, err := c.Epochs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	eps := snapshot(t, c).Epochs
 	if len(eps) != 1 || eps[0].State != core.EpochCancelled {
 		t.Fatalf("Epochs after cancel = %+v, want one cancelled epoch", eps)
 	}

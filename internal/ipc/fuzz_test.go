@@ -119,6 +119,19 @@ func FuzzFrame(f *testing.F) {
 	// every way the tail can lie.
 	f.Add(readReply([]byte("abc"), []pushedSample{{"n1", []byte("one")}, {"n2", nil}}))
 	f.Add(append(appendFrameHeader(nil, OpRead, 0, 4), statusErr, 2, 'n', 'o'))
+	// The control plane's two requests; the second claims more pairs than
+	// its payload holds.
+	for _, req := range []struct {
+		op      byte
+		payload []byte
+	}{
+		{OpGet, binary.AppendUvarint(nil, 0)},
+		{OpControl, append(binary.AppendUvarint(nil, 1<<40), 1, 'k', 1, 'v')},
+	} {
+		var frame bytes.Buffer
+		_ = writeFrame(&frame, req.op, 0, req.payload)
+		f.Add(frame.Bytes())
+	}
 	for _, reply := range malformedPushedReplies() {
 		f.Add(reply)
 	}
@@ -208,8 +221,12 @@ func TestMalformedPushedReplies(t *testing.T) {
 func FuzzServerHandle(f *testing.F) {
 	srv, _, names, _ := fuzzServer(f)
 	f.Add(uint8(OpRead), appendString(nil, names[0]))
-	f.Add(uint8(OpStats), []byte{})
-	f.Add(uint8(OpSetProducers), []byte{0xFF})
+	f.Add(uint8(OpGet), []byte{})
+	f.Add(uint8(OpGet), binary.AppendUvarint(nil, 2))
+	f.Add(uint8(OpControl), appendSettings(nil, []string{"producers=2", "buffer=16"}))
+	f.Add(uint8(OpControl), appendSettings(nil, []string{"producers=NaN"}))
+	// More pairs than the payload holds.
+	f.Add(uint8(OpControl), append(binary.AppendUvarint(nil, 1<<40), 1, 'k', 1, 'v'))
 	f.Add(uint8(99), []byte{1, 2, 3})
 
 	cs := newConnState(nil)
@@ -270,6 +287,7 @@ func fuzzServer(f *testing.F) (*Server, *core.Stage, []string, string) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	attachSurface(srv, stage, nil)
 	f.Cleanup(func() {
 		srv.Close()
 		stage.Close()

@@ -3,6 +3,7 @@ package ipc
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -12,9 +13,13 @@ import (
 	"testing/quick"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/control"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
+	"github.com/dsrhaslab/prisma-go/internal/httpadmin"
+	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
+	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 )
 
 // startServer builds a real-mode PRISMA stage over generated files and
@@ -55,11 +60,41 @@ func startServerWithConfig(t *testing.T, nFiles int, cfg ServeConfig) (*Server, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	attachSurface(srv, stage, nil)
 	t.Cleanup(func() {
 		srv.Close()
 		stage.Close()
 	})
 	return srv, stage, names, sock
+}
+
+// attachSurface wires OpGet and OpControl as Prisma.ServeUnix does: the
+// bundle document, and a control table over the stage and, when not nil,
+// its tenants.
+func attachSurface(srv *Server, stage *core.Stage, tenants *tenancy.Manager) {
+	var cfg httpadmin.Config
+	if tenants != nil {
+		cfg.Tenants = tenants.Stats
+	}
+	srv.SetControlSurface(func(spans int) ([]byte, error) {
+		cfg := cfg
+		cfg.Tracer = stage.Tracer()
+		return json.Marshal(httpadmin.BuildBundle(stage, cfg, spans))
+	}, (&control.Table{Stage: stage, Tenants: tenants}).Apply)
+}
+
+// snapshot fetches and decodes the server's OpGet document.
+func snapshot(t *testing.T, c *Client) httpadmin.Bundle {
+	t.Helper()
+	blob, err := c.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b httpadmin.Bundle
+	if err := json.Unmarshal(blob, &b); err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestClientReadPlannedFile(t *testing.T) {
@@ -122,16 +157,10 @@ func TestClientStatsAndControl(t *testing.T) {
 	if _, err := c.Read(names[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetProducers(5); err != nil {
+	if err := c.Control("producers=5", "buffer=32"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetBufferCapacity(32); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := snapshot(t, c).Stats
 	if stats.Reads < 1 {
 		t.Fatalf("stats.Reads = %d, want >= 1", stats.Reads)
 	}
@@ -143,47 +172,74 @@ func TestClientStatsAndControl(t *testing.T) {
 	}
 }
 
-// TestSetProducersFloorOverSocket: the server refuses a producer count
-// below 1 (the client sends a negative one as 0) and leaves t as it was — a
-// stage without producers would serve no planned read.
-func TestSetProducersFloorOverSocket(t *testing.T) {
-	_, stage, _, sock := startServer(t, 4)
+// TestRetiredOpcodes: opcodes 3, 4, 5, 7, 8, 9, 11, 13 and 14 each once
+// carried one view or one knob; OpGet and OpControl carry them all now. A
+// frame with a retired opcode gets an error reply naming the unknown
+// opcode, and the connection stays usable for the next read.
+func TestRetiredOpcodes(t *testing.T) {
+	_, _, names, sock := startServer(t, len(retiredOpcodes))
 	c, err := Dial(sock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, n := range []int{0, -1} {
+	for i, op := range retiredOpcodes {
 		var re *RemoteError
-		if err := c.SetProducers(n); !errors.As(err, &re) {
-			t.Fatalf("SetProducers(%d) = %v, want a remote error", n, err)
+		want := fmt.Sprintf("unknown opcode %d", op)
+		if _, err := c.roundTrip(op, binary.AppendUvarint(nil, 4), false); !errors.As(err, &re) || !strings.Contains(re.Msg, want) {
+			t.Fatalf("opcode %d answered %v, want a remote %q error", op, err, want)
+		}
+		d, err := c.Read(names[i])
+		if err != nil || d.Size != int64(1024+i) {
+			t.Fatalf("read after opcode %d: size %d, %v", op, d.Size, err)
 		}
 	}
-	if target, _ := stage.Prefetcher().Producers(); target != 2 {
-		t.Fatalf("refused requests moved t to %d", target)
+	if c.reconnects != 0 {
+		t.Fatalf("retired opcodes cost the connection: %d reconnects", c.reconnects)
 	}
 }
 
-// TestUnassignedOpcode7: opcode 7 once set a runtime knob that is gone. A
-// frame carrying it gets an error reply naming the unknown opcode, and the
-// connection stays usable for the next read.
-func TestUnassignedOpcode7(t *testing.T) {
-	_, _, names, sock := startServer(t, 4)
+var retiredOpcodes = []byte{3, 4, 5, 7, 8, 9, 11, 13, 14}
+
+// TestControlPairsOverSocket: OpControl's pairs reach the table whole — a
+// request with one bad pair changes nothing — and OpGet's span bound is
+// honored, an empty payload asking for the default.
+func TestControlPairsOverSocket(t *testing.T) {
+	_, stage, _, sock := startServer(t, 1)
+	stage.SetTracer(obs.NewTracer(conc.NewReal(), obs.TracerOptions{Sampling: 1}))
 	c, err := Dial(sock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var re *RemoteError
-	if _, err := c.roundTrip(7, binary.AppendUvarint(nil, 4), false); !errors.As(err, &re) || !strings.Contains(re.Msg, "unknown opcode 7") {
-		t.Fatalf("opcode 7 answered %v, want a remote unknown-opcode error", err)
+	if err := c.Control("producers=3", "buffer=0"); err == nil {
+		t.Fatal("buffer=0 accepted")
 	}
-	d, err := c.Read(names[0])
-	if err != nil || d.Size != 1024 {
-		t.Fatalf("read after opcode 7: size %d, %v", d.Size, err)
+	if err := c.Control("producers=3", "sampling=0.5"); err != nil {
+		t.Fatal(err)
 	}
-	if c.reconnects != 0 {
-		t.Fatalf("opcode 7 cost the connection: %d reconnects", c.reconnects)
+	if s := stage.Stats(); s.TargetProducers != 3 || s.TraceSampling != 0.5 || s.Buffer.Capacity != 8 {
+		t.Fatalf("stage after control = t %d, sampling %v, N %d; want 3, 0.5, 8", s.TargetProducers, s.TraceSampling, s.Buffer.Capacity)
+	}
+	c.SetTracer(obs.NewTracer(conc.NewReal(), obs.TracerOptions{Sampling: 1}))
+	if _, err := c.Read("f000.bin"); err != nil {
+		t.Fatal(err)
+	}
+	if b := snapshot(t, c); len(b.Spans) != 0 {
+		t.Fatalf("Get(0) carried %d spans", len(b.Spans))
+	}
+	for _, spans := range []int{1, -1} {
+		blob, err := c.Get(spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b httpadmin.Bundle
+		if err := json.Unmarshal(blob, &b); err != nil {
+			t.Fatal(err)
+		}
+		if len(b.Spans) == 0 || (spans > 0 && len(b.Spans) > spans) {
+			t.Fatalf("Get(%d) carried %d spans", spans, len(b.Spans))
+		}
 	}
 }
 
@@ -279,12 +335,22 @@ func TestStringCodecTruncated(t *testing.T) {
 	}
 }
 
-func TestBytesCodecRoundTrip(t *testing.T) {
-	payload := []byte{1, 2, 3, 4, 5}
-	buf := appendBytes(nil, payload)
-	got, rest, err := readBytes(buf)
-	if err != nil || len(rest) != 0 || string(got) != string(payload) {
-		t.Fatalf("round trip failed: %v %v %v", got, rest, err)
+// TestSettingsCodecRoundTrip: OpControl's pairs decode back into the
+// settings that were sent, and a count the payload cannot hold is refused
+// before anything is allocated for it.
+func TestSettingsCodecRoundTrip(t *testing.T) {
+	settings := []string{"producers=4", "tenant.a.weight=2.5", "empty="}
+	pairs, err := readStrings(appendSettings(nil, settings), 2)
+	if err != nil || len(pairs) != 2*len(settings) {
+		t.Fatalf("decoded %q, %v", pairs, err)
+	}
+	for i, s := range settings {
+		if got := pairs[2*i] + "=" + pairs[2*i+1]; got != s {
+			t.Fatalf("pair %d = %q, want %q", i, got, s)
+		}
+	}
+	if _, err := readStrings(append(binary.AppendUvarint(nil, 1<<40), 1, 'k', 1, 'v'), 2); err == nil {
+		t.Fatal("a count larger than the payload was accepted")
 	}
 }
 

@@ -15,6 +15,11 @@
 // Strings and counts inside payloads are uvarint-prefixed. Responses carry
 // a status byte (0 = ok, 1 = error-with-message).
 //
+// The control plane has two opcodes (DESIGN.md §27): OpGet returns the
+// snapshot document GET /debug/bundle serves, and OpControl hands key=value
+// settings to the stage's control table. The server decodes neither a view
+// nor a knob itself.
+//
 // Socket read-ahead (DESIGN.md §19) rides OpRead without a new opcode. The
 // request is the name followed by an optional tail
 //
@@ -35,33 +40,26 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 )
 
-// Opcodes.
+// Opcodes. Numbers 3, 4, 5, 7, 8, 9, 11, 13 and 14 once carried one view
+// or one knob each; they are retired, and a server answers them as unknown
+// opcodes. OpGet and OpControl carry every view and every knob.
 const (
-	OpRead         = 1 // request a file read through the stage
-	OpPlan         = 2 // submit an epoch filename list
-	OpStats        = 3 // fetch stage statistics (control interface)
-	OpSetProducers = 4 // control: set t
-	OpSetBuffer    = 5 // control: set N
-	OpPing         = 6 // liveness probe
-	// 7 is unassigned: the buffer's shard count is fixed when the stage is
-	// built, and a server answers opcode 7 as an unknown opcode.
-
-	OpSetTraceSampling = 8 // control: set trace head-sampling probability
-	OpDecisions        = 9 // fetch the autotuner decision audit log (JSON)
-
+	OpRead        = 1  // request a file read through the stage
+	OpPlan        = 2  // submit an epoch filename list
+	OpPing        = 6  // liveness probe
 	OpCancelEpoch = 10 // control: cancel a plan epoch by id
-	OpEpochs      = 11 // fetch plan-epoch statuses (JSON)
+	OpHello       = 12 // establish the connection's tenant identity
 
-	OpHello     = 12 // establish the connection's tenant identity
-	OpTenants   = 13 // fetch per-tenant QoS statistics (JSON)
-	OpSetTenant = 14 // control: adjust a tenant's weight / byte budget
-
-	OpBundle = 15 // fetch the one-shot diagnostic bundle (JSON)
+	// OpGet fetches the stage's snapshot document (JSON). The optional
+	// payload is a uvarint bound on the spans it carries; empty means the
+	// default bound.
+	OpGet = 15
 
 	// OpPeerRead is a node-to-node forwarded read in the cluster fabric:
 	// the requester does not own the sample and asks the owner to serve it
@@ -70,6 +68,13 @@ const (
 	// dispatched through the server's peer router so owner-side accounting
 	// (peer-serve spans, cluster counters) stays separate from local reads.
 	OpPeerRead = 16
+
+	// OpControl sets knobs through the stage's control table:
+	//
+	//	uvarint count | count x ( string key | string value )
+	//
+	// applied all or none. Resendable: every value is absolute.
+	OpControl = 17
 )
 
 // Response status bytes.
@@ -280,25 +285,38 @@ func readStringBytes(src []byte) ([]byte, []byte, error) {
 	return src[:n], src[n:], nil
 }
 
-// appendBytes encodes a uvarint-prefixed byte slice.
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
+// appendSettings encodes key=value settings as OpControl's pairs.
+func appendSettings(dst []byte, settings []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(settings)))
+	for _, s := range settings {
+		key, value, _ := strings.Cut(s, "=")
+		dst = appendString(dst, key)
+		dst = appendString(dst, value)
+	}
+	return dst
 }
 
-// readBytes decodes a uvarint-prefixed byte slice, returning the remainder.
-func readBytes(src []byte) ([]byte, []byte, error) {
-	n, k := binary.Uvarint(src)
+// readStrings decodes a uvarint count followed by count groups of per
+// strings: an epoch plan's names (per 1), OpControl's pairs (per 2).
+func readStrings(src []byte, per int) ([]string, error) {
+	count, k := binary.Uvarint(src)
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("ipc: malformed bytes length")
+		return nil, errors.New("ipc: malformed count")
 	}
 	src = src[k:]
-	if uint64(len(src)) < n {
-		return nil, nil, fmt.Errorf("ipc: truncated bytes (want %d, have %d)", n, len(src))
+	// Every string takes at least its length byte: a larger count is a lie
+	// told to make the server allocate.
+	if count > uint64(len(src)/per) {
+		return nil, fmt.Errorf("ipc: count %d exceeds the %d-byte payload", count, len(src))
 	}
-	out := make([]byte, n)
-	copy(out, src[:n])
-	return out, src[n:], nil
+	out := make([]string, int(count)*per)
+	for i := range out {
+		var err error
+		if out[i], src, err = readString(src); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // aheadTail is the optional read-ahead field behind an OpRead request's

@@ -68,7 +68,7 @@ func (cs *countingServer) serve(conn net.Conn, misbehave bool) {
 		}
 		body := okResponse(nil)
 		if opcode == OpRead {
-			body = okResponse(appendBytes(binary.AppendUvarint(nil, 3), []byte("abc")))
+			body = okResponse(append(binary.AppendUvarint(nil, 3), 3, 'a', 'b', 'c'))
 		}
 		if err := writeFrame(conn, opcode, trace, body); err != nil {
 			return

@@ -177,7 +177,7 @@ func TestServerPanicIsolated(t *testing.T) {
 	// A nil stage makes every dispatch panic; safeHandle must convert that
 	// into an error response instead of crashing the server.
 	srv := &Server{}
-	r := srv.safeHandle(newConnState(nil), OpStats, 0, nil)
+	r := srv.safeHandle(newConnState(nil), OpCancelEpoch, 0, []byte{1})
 	if _, err := parseResponse(r.head); err == nil {
 		t.Fatal("panicking handler produced a success response")
 	} else if _, ok := err.(*RemoteError); !ok {
@@ -203,10 +203,10 @@ func TestServerPanicKeepsConnectionAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Stats()
+	_, err = c.CancelEpoch(1)
 	var re *RemoteError
 	if !errors.As(err, &re) {
-		t.Fatalf("Stats over panicking stage = %v, want RemoteError", err)
+		t.Fatalf("CancelEpoch over panicking stage = %v, want RemoteError", err)
 	}
 	// OpPing does not touch the stage, so the connection must still work.
 	if err := c.Ping(); err != nil {

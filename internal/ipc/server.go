@@ -2,7 +2,6 @@ package ipc
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -40,13 +39,13 @@ type Server struct {
 	cfg      ServeConfig
 	panics   atomic.Int64
 
-	mu        sync.Mutex
-	conns     map[net.Conn]struct{}
-	closed    bool
-	decisions func() ([]byte, error) // OpDecisions source (pre-marshaled JSON)
-	bundle    func() ([]byte, error) // OpBundle source (pre-marshaled JSON)
-	tenancy   *tenancy.Manager       // nil = single-tenant (hello still accepted)
-	wg        sync.WaitGroup
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	closed  bool
+	get     func(spans int) ([]byte, error) // OpGet source (pre-marshaled JSON)
+	control func(settings ...string) error  // OpControl: the stage's control table
+	tenancy *tenancy.Manager                // nil = single-tenant (hello still accepted)
+	wg      sync.WaitGroup
 }
 
 // Serve starts a server for stage on the given socket path with the zero
@@ -73,29 +72,20 @@ func ServeWithConfig(socketPath string, stage *core.Stage, reader core.Reader, c
 	return s, nil
 }
 
-// SetDecisionSource wires the OpDecisions opcode to a provider of the
-// autotuner's decision audit log, pre-marshaled as JSON. The indirection
-// keeps ipc decoupled from the control package.
-func (s *Server) SetDecisionSource(f func() ([]byte, error)) {
+// SetControlSurface wires the control plane's two opcodes: OpGet answers
+// with get's snapshot document (spans bounds the spans it carries, < 0
+// meaning the default), and OpControl hands its settings to control, the
+// stage's control table. The indirection keeps ipc decoupled from both.
+func (s *Server) SetControlSurface(get func(spans int) ([]byte, error), control func(settings ...string) error) {
 	s.mu.Lock()
-	s.decisions = f
-	s.mu.Unlock()
-}
-
-// SetBundleSource wires the OpBundle opcode to a provider of the one-shot
-// diagnostic bundle, pre-marshaled as JSON (httpadmin.Bundle in practice).
-// The indirection keeps ipc decoupled from the bundle assembly.
-func (s *Server) SetBundleSource(f func() ([]byte, error)) {
-	s.mu.Lock()
-	s.bundle = f
+	s.get, s.control = get, control
 	s.mu.Unlock()
 }
 
 // SetTenantManager wires multi-tenant QoS: hello frames authenticate
-// against the manager, OpTenants/OpSetTenant expose its registry, and
-// admission decisions (made by the stage's tenant gate, which shares this
-// manager) surface as typed overload responses. Call before clients
-// connect.
+// against the manager, and admission decisions (made by the stage's tenant
+// gate, which shares this manager) surface as typed overload responses.
+// Call before clients connect.
 func (s *Server) SetTenantManager(m *tenancy.Manager) {
 	s.mu.Lock()
 	s.tenancy = m
@@ -525,26 +515,9 @@ func (s *Server) pushAhead(cs *connState, at core.PlanPos, tail aheadTail) {
 func (s *Server) handleControl(opcode byte, payload []byte) []byte {
 	switch opcode {
 	case OpPlan:
-		count, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return errResponse(errors.New("malformed plan count"))
-		}
-		payload = payload[k:]
-		// Cap the preallocation: the count is attacker-controlled; the
-		// slice still grows to the actual number of parsed names.
-		prealloc := count
-		if prealloc > 4096 {
-			prealloc = 4096
-		}
-		names := make([]string, 0, prealloc)
-		for i := uint64(0); i < count; i++ {
-			var name string
-			var err error
-			name, payload, err = readString(payload)
-			if err != nil {
-				return errResponse(err)
-			}
-			names = append(names, name)
+		names, err := readStrings(payload, 1)
+		if err != nil {
+			return errResponse(err)
 		}
 		res, err := s.stage.SubmitEpoch(names)
 		if err != nil {
@@ -566,106 +539,43 @@ func (s *Server) handleControl(opcode byte, payload []byte) []byte {
 		}
 		return okResponse(binary.AppendUvarint(nil, uint64(dropped)))
 
-	case OpEpochs:
-		blob, err := json.Marshal(s.stage.Epochs())
-		if err != nil {
-			return errResponse(err)
+	case OpGet:
+		spans := -1
+		if len(payload) > 0 {
+			n, k := binary.Uvarint(payload)
+			if k <= 0 {
+				return errResponse(errors.New("malformed span limit"))
+			}
+			spans = int(min(n, math.MaxInt32))
 		}
-		return okResponse(blob)
-
-	case OpStats:
-		stats := s.stage.Stats()
-		blob, err := json.Marshal(stats)
-		if err != nil {
-			return errResponse(err)
-		}
-		return okResponse(blob)
-
-	case OpSetProducers:
-		n, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return errResponse(errors.New("malformed producer count"))
-		}
-		if n < 1 {
-			return errResponse(errors.New("producer count < 1: a stage needs a producer to serve planned reads"))
-		}
-		s.stage.SetProducers(int(n))
-		return okResponse(nil)
-
-	case OpSetBuffer:
-		n, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return errResponse(errors.New("malformed buffer capacity"))
-		}
-		s.stage.SetBufferCapacity(int(n))
-		return okResponse(nil)
-
-	case OpSetTraceSampling:
-		if len(payload) != 8 {
-			return errResponse(errors.New("malformed sampling probability"))
-		}
-		p := math.Float64frombits(binary.BigEndian.Uint64(payload))
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return errResponse(fmt.Errorf("sampling probability %v outside [0, 1]", p))
-		}
-		s.stage.SetTraceSampling(p)
-		return okResponse(nil)
-
-	case OpDecisions:
 		s.mu.Lock()
-		src := s.decisions
+		get := s.get
 		s.mu.Unlock()
-		if src == nil {
-			return errResponse(errors.New("decision log unavailable: no controller attached"))
+		if get == nil {
+			return errResponse(errors.New("snapshot unavailable: no control surface attached"))
 		}
-		blob, err := src()
+		blob, err := get(spans)
 		if err != nil {
 			return errResponse(err)
 		}
 		return okResponse(blob)
 
-	case OpBundle:
+	case OpControl:
+		pairs, err := readStrings(payload, 2)
+		if err != nil {
+			return errResponse(err)
+		}
+		settings := make([]string, len(pairs)/2)
+		for i := range settings {
+			settings[i] = pairs[2*i] + "=" + pairs[2*i+1]
+		}
 		s.mu.Lock()
-		src := s.bundle
+		control := s.control
 		s.mu.Unlock()
-		if src == nil {
-			return errResponse(errors.New("diagnostic bundle unavailable: no bundle source attached"))
+		if control == nil {
+			return errResponse(errors.New("control unavailable: no control surface attached"))
 		}
-		blob, err := src()
-		if err != nil {
-			return errResponse(err)
-		}
-		return okResponse(blob)
-
-	case OpTenants:
-		m := s.tenantManager()
-		if m == nil {
-			return errResponse(errors.New("tenant stats unavailable: no tenancy manager attached"))
-		}
-		blob, err := json.Marshal(m.Stats())
-		if err != nil {
-			return errResponse(err)
-		}
-		return okResponse(blob)
-
-	case OpSetTenant:
-		m := s.tenantManager()
-		if m == nil {
-			return errResponse(errors.New("tenant control unavailable: no tenancy manager attached"))
-		}
-		name, rest, err := readString(payload)
-		if err != nil {
-			return errResponse(err)
-		}
-		if len(rest) != 16 {
-			return errResponse(errors.New("malformed set-tenant payload"))
-		}
-		weight := math.Float64frombits(binary.BigEndian.Uint64(rest[:8]))
-		bytesPerSec := math.Float64frombits(binary.BigEndian.Uint64(rest[8:16]))
-		if math.IsNaN(weight) || math.IsNaN(bytesPerSec) || weight < 0 || bytesPerSec < 0 {
-			return errResponse(fmt.Errorf("invalid tenant knobs (weight %v, bytes/s %v)", weight, bytesPerSec))
-		}
-		if err := m.SetTenant(name, weight, bytesPerSec); err != nil {
+		if err := control(settings...); err != nil {
 			return errResponse(err)
 		}
 		return okResponse(nil)

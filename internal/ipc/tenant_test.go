@@ -34,6 +34,7 @@ func tenantFixture(t *testing.T, nFiles int, cfg tenancy.Config) (*Server, *tena
 	}
 	stage.SetTenantGate(mgr)
 	srv.SetTenantManager(mgr)
+	attachSurface(srv, stage, mgr)
 	return srv, mgr, names, sock
 }
 
@@ -231,31 +232,27 @@ func TestTenantsAndSetTenantOverWire(t *testing.T) {
 	if _, err := c.Hello("job-b", ""); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.Tenants()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Capacity != 500 || len(snap.Tenants) != 2 {
+	snap := snapshot(t, c).Tenants
+	if snap == nil || snap.Capacity != 500 || len(snap.Tenants) != 2 {
 		t.Fatalf("snapshot = %+v, want capacity 500 and 2 tenants", snap)
 	}
-	if err := c.SetTenant("job-b", 4, 1<<20); err != nil {
+	if err := c.Control("tenant.job-b.weight=4", "tenant.job-b.bytes=1048576"); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ = c.Tenants()
 	found := false
-	for _, ts := range snap.Tenants {
+	for _, ts := range snapshot(t, c).Tenants.Tenants {
 		if ts.Name == "job-b" {
 			found = true
 			if ts.Weight != 4 || ts.ByteBudget != 1<<20 {
-				t.Fatalf("job-b after SetTenant = %+v", ts)
+				t.Fatalf("job-b after control = %+v", ts)
 			}
 		}
 	}
 	if !found {
 		t.Fatal("job-b missing from snapshot")
 	}
-	if err := c.SetTenant("ghost", 2, 0); err == nil {
-		t.Fatal("SetTenant on unknown tenant accepted")
+	if err := c.Control("tenant.ghost.weight=2"); err == nil {
+		t.Fatal("control of an unknown tenant accepted")
 	}
 }
 

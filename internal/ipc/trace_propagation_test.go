@@ -94,29 +94,3 @@ func TestUnsampledReadCrossesIPCSilently(t *testing.T) {
 		t.Errorf("server recorded %d consumer-wait spans for an unsampled read", n)
 	}
 }
-
-// TestSetTraceSamplingOpcode: the OpSetTraceSampling control frame adjusts
-// the server stage's sampling probability and rejects bad payloads.
-func TestSetTraceSamplingOpcode(t *testing.T) {
-	_, stage, _, sock := startServer(t, 1)
-	stage.SetTracer(obs.NewTracer(conc.NewReal(), obs.TracerOptions{Sampling: 0, Seed: 2}))
-
-	c, err := Dial(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.SetTraceSampling(0.25); err != nil {
-		t.Fatal(err)
-	}
-	if got := stage.Stats().TraceSampling; got != 0.25 {
-		t.Errorf("TraceSampling = %v, want 0.25", got)
-	}
-	if err := c.SetTraceSampling(1.5); err == nil {
-		t.Error("SetTraceSampling(1.5) accepted, want error")
-	}
-	if got := stage.Stats().TraceSampling; got != 0.25 {
-		t.Errorf("TraceSampling after rejected set = %v, want 0.25", got)
-	}
-}

@@ -187,8 +187,9 @@ func NewTracer(env conc.Env, opts TracerOptions) *Tracer {
 	return t
 }
 
+// clampProb bounds a sampling probability to [0, 1]; NaN samples nothing.
 func clampProb(p float64) float64 {
-	if p < 0 {
+	if !(p >= 0) {
 		return 0
 	}
 	if p > 1 {
@@ -214,7 +215,8 @@ func (t *Tracer) Sampling() float64 {
 }
 
 // SetSampling adjusts the head-sampling probability at runtime (control
-// knob: Options, OpSetTraceSampling, /tuning?sampling=). Clamped to [0, 1].
+// knob: Options, and the control table's sampling key). Clamped to [0, 1],
+// NaN to 0.
 func (t *Tracer) SetSampling(p float64) {
 	if t == nil {
 		return

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -73,6 +74,24 @@ func TestSetSamplingClamped(t *testing.T) {
 	}
 	if ctx := tr.StartTrace(); ctx.Sampled {
 		t.Error("StartTrace sampled after SetSampling(-1)")
+	}
+}
+
+// TestNaNSamplingIsZero: a NaN probability, from Options or at runtime,
+// samples nothing and reads back as 0, never as NaN (which /metrics would
+// render and JSON cannot carry).
+func TestNaNSamplingIsZero(t *testing.T) {
+	tr := newTestTracer(TracerOptions{Sampling: math.NaN()})
+	if got := tr.Sampling(); got != 0 {
+		t.Errorf("TracerOptions{Sampling: NaN}: got %v, want 0", got)
+	}
+	tr.SetSampling(1)
+	tr.SetSampling(math.NaN())
+	if got := tr.Sampling(); got != 0 {
+		t.Errorf("SetSampling(NaN): got %v, want 0", got)
+	}
+	if ctx := tr.StartTrace(); ctx.Sampled {
+		t.Error("StartTrace sampled after SetSampling(NaN)")
 	}
 }
 

@@ -28,6 +28,7 @@ package tenancy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -236,11 +237,8 @@ func (m *Manager) Register(spec Spec) error {
 	if spec.Weight == 0 {
 		spec.Weight = 1
 	}
-	if spec.Weight < 0 {
-		return fmt.Errorf("tenancy: negative weight %v for %q", spec.Weight, spec.Name)
-	}
-	if spec.BytesPerSecond < 0 {
-		return fmt.Errorf("tenancy: negative byte budget %v for %q", spec.BytesPerSecond, spec.Name)
+	if err := checkKnobs(spec.Name, spec.Weight, spec.BytesPerSecond); err != nil {
+		return err
 	}
 	bucket, err := fairness.NewTokenBucket(m.env, m.cfg.Capacity, m.cfg.Burst)
 	if err != nil {
@@ -288,10 +286,7 @@ func (m *Manager) Register(spec Spec) error {
 
 // SetSLO installs (or replaces) a tenant's latency objective at runtime.
 func (m *Manager) SetSLO(name string, cfg obs.SLOConfig) error {
-	m.mu.Lock()
-	_, ok := m.tenants[name]
-	m.mu.Unlock()
-	if !ok {
+	if !m.Registered(name) {
 		return fmt.Errorf("tenancy: tenant %q not registered", name)
 	}
 	m.slo.Set(name, cfg)
@@ -333,9 +328,30 @@ func (m *Manager) Unregister(name string) error {
 	return nil
 }
 
+// checkKnobs refuses a negative, NaN or infinite weight or byte budget: one
+// non-finite weight would turn every tenant's grant into NaN at the next
+// arbitration tick and wedge the gate.
+func checkKnobs(name string, weight, bytesPerSecond float64) error {
+	if !(weight >= 0 && bytesPerSecond >= 0) || math.IsInf(weight, 1) || math.IsInf(bytesPerSecond, 1) {
+		return fmt.Errorf("tenancy: %q: weight %v and byte budget %v must be finite and >= 0", name, weight, bytesPerSecond)
+	}
+	return nil
+}
+
+// Registered reports whether name is a registered tenant.
+func (m *Manager) Registered(name string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.tenants[name]
+	return ok
+}
+
 // SetTenant adjusts a tenant's weight and/or byte budget at runtime
 // (control interface; zero leaves the respective knob unchanged).
 func (m *Manager) SetTenant(name string, weight, bytesPerSecond float64) error {
+	if err := checkKnobs(name, weight, bytesPerSecond); err != nil {
+		return err
+	}
 	m.mu.Lock()
 	st, ok := m.tenants[name]
 	m.mu.Unlock()

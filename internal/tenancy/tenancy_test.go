@@ -2,6 +2,7 @@ package tenancy
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -49,6 +50,54 @@ func TestValidation(t *testing.T) {
 			t.Fatal("SetTenant on unknown tenant accepted")
 		}
 	})
+}
+
+// TestNonFiniteTenantKnobsRefused: a NaN or infinite weight or byte budget
+// is refused where it would land. Let through, an infinite weight turns
+// every tenant's grant into NaN at the next arbitration tick, and another
+// tenant's Admit then blocks for good. Real clock, bounded waits: the
+// test fails rather than hangs if the gate wedges.
+func TestNonFiniteTenantKnobsRefused(t *testing.T) {
+	m, err := New(conc.NewReal(), Config{Capacity: 1000, TickInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := m.Register(Spec{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Start()
+	defer m.Stop()
+	inf, nan := math.Inf(1), math.NaN()
+	setErrs := []error{m.SetTenant("a", inf, 0), m.SetTenant("a", nan, 0), m.SetTenant("a", 0, inf), m.SetTenant("a", 0, nan)}
+	time.Sleep(50 * time.Millisecond) // several arbitration ticks
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ { // well past the burst: paced by b's grant
+			if err := m.Admit("b"); err != nil {
+				t.Errorf("Admit(b): %v", err)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("tenant b's Admit still blocked 3s after a non-finite knob was set on tenant a")
+	}
+	for i, err := range setErrs {
+		if err == nil {
+			t.Errorf("SetTenant case %d: non-finite knob accepted", i)
+		}
+	}
+	for _, spec := range []Spec{{Name: "w-inf", Weight: inf}, {Name: "w-nan", Weight: nan}, {Name: "b-inf", BytesPerSecond: inf}, {Name: "b-nan", BytesPerSecond: nan}} {
+		if err := m.Register(spec); err == nil {
+			t.Errorf("Register(%+v) accepted a non-finite knob", spec)
+		}
+	}
 }
 
 func TestAuthenticate(t *testing.T) {

@@ -36,6 +36,7 @@ type Prisma struct {
 	server      *ipc.Server
 	tracer      *obs.Tracer
 	tenants     *tenancy.Manager // nil unless Options.Tenancy.Enable
+	control     *control.Table   // every runtime knob, for every transport
 	fabric      *distrib.Fabric  // nil unless Options.Cluster.Enable
 	enablePprof bool
 	// flush is what Close writes once the data plane is quiet: the I/O
@@ -175,12 +176,12 @@ type Stats struct {
 
 	// Plan-lifecycle telemetry (the epoch-aware plan manager).
 	EpochsSubmitted int64 // plan epochs submitted since Open
-	EpochsCancelled int64 // plan epochs cancelled (including aborted submissions)
+	EpochsCancelled int64 // plan epochs cancelled
 	EpochsLive      int   // epochs currently active
 	PlanPending     int   // registered plan entries not yet claimed
 	PlanClaims      int   // consumer claims awaiting a buffered sample
 	PlanDelivered   int64 // plan entries delivered to consumers
-	PlanDropped     int64 // plan entries dropped by cancellation or abort
+	PlanDropped     int64 // plan entries dropped by cancellation
 }
 
 // Attribution is the critical-path latency breakdown: how consumer time
@@ -395,10 +396,10 @@ func Open(opts Options) (*Prisma, error) {
 			PerClassCap: opts.BufferPool.PerClassCap,
 		})
 	}
-	// The tracer exists even at sampling 0 so the runtime knob
-	// (SetTraceSampling, prisma-ctl set-sampling, /tuning?sampling=) can
-	// turn tracing on without a restart. It is attached before the
-	// producers start, so they never race a nil-to-set transition.
+	// The tracer exists even at sampling 0 so the runtime knob (the control
+	// table's sampling key) can turn tracing on without a restart. It is
+	// attached before the producers start, so they never race a nil-to-set
+	// transition.
 	p.tracer = obs.NewTracer(env, obs.TracerOptions{Sampling: opts.TraceSampling})
 	leaf, err := storage.NewDirBackend(opts.Dir)
 	if err != nil {
@@ -532,6 +533,7 @@ func Open(opts Options) (*Prisma, error) {
 		p.teardown.push(noErr(mgr.Stop))
 		p.tenants = mgr
 	}
+	p.control = &control.Table{Stage: stage, Tenants: p.tenants}
 	return p, nil
 }
 
@@ -621,7 +623,7 @@ type EpochStatus struct {
 	Enqueued  int   // entries that reached the prefetch queue
 	Claimed   int64 // claims taken by consumers (cumulative)
 	Delivered int64
-	Dropped   int64 // entries dropped by cancellation or abort
+	Dropped   int64 // entries dropped by cancellation
 }
 
 func epochsFrom(eps []core.EpochStatus) []EpochStatus {
@@ -692,16 +694,25 @@ func (p *Prisma) Stats() Stats {
 	return statsFrom(p.stage.Stats())
 }
 
-// SetProducers pins the producer count t (disable AutoTune to keep it),
-// clamped to [1, MaxProducers].
-func (p *Prisma) SetProducers(n int) { p.stage.SetProducers(n) }
+// Control applies key=value settings through the stage's control table,
+// the one every transport walks: producers (t, an integer >= 1, held to
+// MaxProducers), buffer (N, an integer >= 1), sampling (the trace
+// probability in [0, 1]) and tenant.NAME.weight / tenant.NAME.bytes (a
+// registered tenant's weight and byte budget in bytes/s, finite and > 0).
+// Every pair is checked before any is applied: a bad one changes nothing.
+func (p *Prisma) Control(settings ...string) error { return p.control.Apply(settings...) }
+
+// SetProducers pins the producer count t (disable AutoTune to keep it).
+func (p *Prisma) SetProducers(n int) error { return p.Control(control.Setting("producers", n)) }
 
 // SetBufferCapacity pins the buffer capacity N.
-func (p *Prisma) SetBufferCapacity(n int) { p.stage.SetBufferCapacity(n) }
+func (p *Prisma) SetBufferCapacity(n int) error { return p.Control(control.Setting("buffer", n)) }
 
 // SetTraceSampling adjusts the lifecycle-trace head-sampling probability
-// at runtime (clamped to [0, 1]).
-func (p *Prisma) SetTraceSampling(prob float64) { p.stage.SetTraceSampling(prob) }
+// at runtime.
+func (p *Prisma) SetTraceSampling(prob float64) error {
+	return p.Control(control.Setting("sampling", prob))
+}
 
 // Attribution reports the critical-path latency breakdown accumulated
 // since Open: the share of consumer time lost to storage waits, buffer
@@ -834,10 +845,7 @@ func (p *Prisma) UnregisterTenant(name string) error {
 // SetTenant adjusts a tenant's arbitration weight and/or byte budget at
 // runtime (zero leaves the respective knob unchanged).
 func (p *Prisma) SetTenant(name string, weight, bytesPerSecond float64) error {
-	if p.tenants == nil {
-		return errTenancyDisabled
-	}
-	return p.tenants.SetTenant(name, weight, bytesPerSecond)
+	return p.Control(control.TenantSettings(name, weight, bytesPerSecond)...)
 }
 
 // Tenants snapshots per-tenant QoS statistics.
@@ -879,14 +887,13 @@ func (p *Prisma) ReadSampleAs(tenant, name string) (*Sample, error) {
 // shared by AdminHandler and the diagnostic-bundle builder so both
 // surfaces expose the same view.
 func (p *Prisma) adminConfig() httpadmin.Config {
-	cfg := httpadmin.Config{EnablePprof: p.enablePprof, Tracer: p.tracer}
+	cfg := httpadmin.Config{EnablePprof: p.enablePprof, Tracer: p.tracer, Control: p.Control}
 	if p.ctl != nil {
 		cfg.Decisions = func() []control.DecisionRecord { return p.ctl.Decisions("stage") }
 	}
 	if p.tenants != nil {
 		mgr := p.tenants
 		cfg.Tenants = func() tenancy.Snapshot { return mgr.Stats() }
-		cfg.SetTenant = mgr.SetTenant
 	}
 	if p.fabric != nil {
 		fab := p.fabric
@@ -900,16 +907,20 @@ func (p *Prisma) adminConfig() httpadmin.Config {
 // and SLO states, plan epochs, the decision audit log, and recent spans —
 // as one JSON document. The same document backs GET /debug/bundle and
 // prisma-ctl bundle.
-func (p *Prisma) Bundle() ([]byte, error) {
-	return json.Marshal(httpadmin.BuildBundle(p.stage, p.adminConfig(), 0))
+func (p *Prisma) Bundle() ([]byte, error) { return p.snapshot(-1) }
+
+// snapshot is the bundle with at most spans recent spans (< 0: the
+// default bound) — what OpGet serves.
+func (p *Prisma) snapshot(spans int) ([]byte, error) {
+	return json.Marshal(httpadmin.BuildBundle(p.stage, p.adminConfig(), spans))
 }
 
 // AdminHandler returns an http.Handler exposing the stage's control
 // interface for dashboards and scrapers: GET /healthz, GET /stats (JSON),
 // GET /metrics (Prometheus text format), GET /attribution, GET /decisions,
-// GET /tenants (and POST /tenants?name=X&weight=W&bytes=B on tenancy-
-// enabled instances), GET /debug/bundle (one-shot diagnostic capture),
-// POST /tuning?producers=N&buffer=M&sampling=P,
+// GET /tenants on tenancy-enabled instances, GET /debug/bundle (one-shot
+// diagnostic capture), POST /tuning?KEY=VALUE&… (the control table's keys,
+// see Control),
 // and (when Options.EnablePprof is set) /debug/pprof/.
 func (p *Prisma) AdminHandler() http.Handler {
 	return httpadmin.NewWithConfig(p.stage, p.adminConfig())
@@ -932,17 +943,7 @@ func (p *Prisma) ServeUnix(socketPath string) error {
 	if p.tenants != nil {
 		srv.SetTenantManager(p.tenants)
 	}
-	if p.ctl != nil {
-		ctl := p.ctl
-		srv.SetDecisionSource(func() ([]byte, error) {
-			recs := ctl.Decisions("stage")
-			if recs == nil {
-				recs = []control.DecisionRecord{}
-			}
-			return json.Marshal(recs)
-		})
-	}
-	srv.SetBundleSource(p.Bundle)
+	srv.SetControlSurface(p.snapshot, p.Control)
 	p.server = srv
 	// The server waits for its handlers, and a handler blocked in a planned
 	// take wakes only when the stage closes: the stage goes down first.
@@ -1073,33 +1074,44 @@ func (c *Client) CancelEpoch(id EpochID) (int, error) {
 	return c.c.CancelEpoch(core.EpochID(id))
 }
 
+// get fetches the server's snapshot document, without spans. Stats,
+// Epochs, Tenants and Decisions are its projections.
+func (c *Client) get() (b httpadmin.Bundle, err error) {
+	blob, err := c.c.Get(0)
+	if err != nil {
+		return b, err
+	}
+	if err := json.Unmarshal(blob, &b); err != nil {
+		return b, fmt.Errorf("prisma: decode snapshot: %w", err)
+	}
+	return b, nil
+}
+
 // Epochs fetches the server's retained plan-epoch statuses.
 func (c *Client) Epochs() ([]EpochStatus, error) {
-	eps, err := c.c.Epochs()
-	if err != nil {
-		return nil, err
-	}
-	return epochsFrom(eps), nil
+	b, err := c.get()
+	return epochsFrom(b.Epochs), err
 }
 
 // Stats fetches the remote stage's snapshot.
 func (c *Client) Stats() (Stats, error) {
-	s, err := c.c.Stats()
-	if err != nil {
-		return Stats{}, err
-	}
-	return statsFrom(s), nil
+	b, err := c.get()
+	return statsFrom(b.Stats), err
 }
 
-// SetProducers adjusts the remote stage's t; the server refuses n < 1.
-func (c *Client) SetProducers(n int) error { return c.c.SetProducers(n) }
+// Control hands key=value settings, unparsed, to the server's control
+// table (see Prisma.Control), which applies all of them or none.
+func (c *Client) Control(settings ...string) error { return c.c.Control(settings...) }
+
+// SetProducers adjusts the remote stage's t.
+func (c *Client) SetProducers(n int) error { return c.Control(control.Setting("producers", n)) }
 
 // SetBufferCapacity adjusts the remote stage's N.
-func (c *Client) SetBufferCapacity(n int) error { return c.c.SetBufferCapacity(n) }
+func (c *Client) SetBufferCapacity(n int) error { return c.Control(control.Setting("buffer", n)) }
 
 // SetTraceSampling adjusts the remote stage's trace head-sampling
 // probability.
-func (c *Client) SetTraceSampling(p float64) error { return c.c.SetTraceSampling(p) }
+func (c *Client) SetTraceSampling(p float64) error { return c.Control(control.Setting("sampling", p)) }
 
 // Hello establishes this connection's tenant identity: every later read
 // is attributed to (and admission-controlled for) the named tenant, and
@@ -1109,25 +1121,35 @@ func (c *Client) Hello(tenant, secret string) (string, error) { return c.c.Hello
 
 // Tenants fetches the server's per-tenant QoS snapshot.
 func (c *Client) Tenants() (TenantsSnapshot, error) {
-	snap, err := c.c.Tenants()
+	b, err := c.get()
 	if err != nil {
 		return TenantsSnapshot{}, err
 	}
-	return tenantsFrom(snap), nil
+	if b.Tenants == nil {
+		return TenantsSnapshot{}, errTenancyDisabled
+	}
+	return tenantsFrom(*b.Tenants), nil
 }
 
 // SetTenant adjusts a tenant's arbitration weight and/or byte budget on
 // the server (zero leaves the respective knob unchanged).
 func (c *Client) SetTenant(name string, weight, bytesPerSecond float64) error {
-	return c.c.SetTenant(name, weight, bytesPerSecond)
+	return c.Control(control.TenantSettings(name, weight, bytesPerSecond)...)
 }
 
-// Decisions fetches the remote autotuner's decision audit log as raw JSON.
-func (c *Client) Decisions() ([]byte, error) { return c.c.Decisions() }
+// Decisions fetches the remote autotuner's decision audit log as a raw
+// JSON array, empty when the server runs no controller.
+func (c *Client) Decisions() ([]byte, error) {
+	b, err := c.get()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(append([]control.DecisionRecord{}, b.Decisions...))
+}
 
 // Bundle fetches the server's one-shot diagnostic bundle as raw JSON (the
 // same document GET /debug/bundle serves).
-func (c *Client) Bundle() ([]byte, error) { return c.c.Bundle() }
+func (c *Client) Bundle() ([]byte, error) { return c.c.Get(-1) }
 
 // Ping probes server liveness.
 func (c *Client) Ping() error { return c.c.Ping() }

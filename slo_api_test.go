@@ -157,7 +157,7 @@ func TestSLOBreachEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBundleOverSocket checks prisma-ctl's transport: OpBundle returns the
+// TestBundleOverSocket checks prisma-ctl's transport: OpGet returns the
 // same document shape GET /debug/bundle serves, through the IPC client.
 func TestBundleOverSocket(t *testing.T) {
 	p, _ := openTenancy(t, 4, func(o *Options) {
