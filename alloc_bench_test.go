@@ -13,6 +13,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/experiments"
+	"github.com/dsrhaslab/prisma-go/internal/ipc"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
@@ -43,7 +44,8 @@ var allocBudgetRows = []string{
 	"compressed_allocs_per_op",    // pooled + compressed shards
 	"batched_allocs_per_op",       // pooled + read coalescing
 	"resilient_allocs_per_op",     // pooled + resilient layer
-	"ipc_client_allocs_per_op",    // the socket hop alone, read-ahead engaged
+	"ipc_client_allocs_per_op",    // the socket hop alone, read-ahead and the payload region engaged
+	"ipc_inline_allocs_per_op",    // the same hop on a connection without a payload region
 	"dir_allocs_per_op",           // the directory leaf alone, over real files
 	"dir_pinned_allocs_per_op",    // the same leaf given its manifest, reading pinned files
 	"tier_declined_allocs_per_op", // a miss a full fast tier declines
@@ -262,10 +264,25 @@ func TestAllocRegressionGate(t *testing.T) {
 	// window — most reads are stash hits, the rest multi-sample exchanges.
 	// The whole process is counted, so a zero here is a zero for the client
 	// decode, the stash and the server's push path together.
-	ipcClient := cell("pooled ipc client", experiments.AllocConfig{Pool: true, Consumers: 1, Files: 512, FileSize: 4 << 10, BufferCap: 64})
+	// Where this build has payload regions the payloads cross in one, and
+	// the cell fails if the region never engaged; the inline cell is the
+	// same hop on connections that never asked for one.
+	ipcCell := experiments.AllocConfig{Pool: true, Consumers: 1, Files: 512, FileSize: 4 << 10, BufferCap: 64}
+	ipcClient := cell("pooled ipc client", ipcCell)
 	over("pooled ipc.Client.Read", "ipc_client_allocs_per_op", float64(ipcClient.AllocsPerOp))
-	if ipcClient.StashHitsPerOp < 0.5 {
-		t.Errorf("only %.2f of the ipc client cell's reads were stash hits: the cell is not exercising read-ahead", ipcClient.StashHitsPerOp)
+	ipcCell.Inline = true
+	ipcInline := cell("pooled ipc client, inline", ipcCell)
+	over("pooled ipc.Client.Read without a payload region", "ipc_inline_allocs_per_op", float64(ipcInline.AllocsPerOp))
+	for _, r := range []experiments.AllocResult{ipcClient, ipcInline} {
+		if r.StashHitsPerOp < 0.5 {
+			t.Errorf("only %.2f of the ipc client cell's reads were stash hits: the cell is not exercising read-ahead", r.StashHitsPerOp)
+		}
+	}
+	if ipc.RegionSupported && ipcClient.RegionShare < 0.99 {
+		t.Errorf("only %.2f of the ipc client cell's payloads crossed in a payload region: the region did not engage", ipcClient.RegionShare)
+	}
+	if ipcInline.RegionShare != 0 {
+		t.Errorf("%.2f of the inline cell's payloads crossed in a payload region", ipcInline.RegionShare)
 	}
 	// Directory leaf cell: the one cell over real files. The row is the
 	// raw body's; package os, which every other platform reads through,

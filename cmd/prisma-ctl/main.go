@@ -110,6 +110,7 @@ func main() {
 				s.BatchReads, s.BatchedSamples, s.BatchFallbacks)
 		}
 		fmt.Printf("socket read-ahead: %d samples pushed, %d wasted\n", s.ReadAheadSamples, s.ReadAheadWasted)
+		fmt.Printf("socket payloads:  %d through the payload region, %d inline\n", s.RegionPayloads, s.InlinePayloads)
 
 	case "ping":
 		if err := client.Ping(); err != nil {

@@ -188,9 +188,10 @@ func newPlanManager(env conc.Env) *planManager {
 // and poppable in one critical section — the all-or-nothing commit point
 // of a submission: a consumer racing it finds either no entry or the whole
 // plan. slots, when non-nil, holds each entry's manifest slot and becomes
-// the manager's. An empty plan is done at once. Parked producers are woken
-// one per position, up to as many as are parked.
-func (pm *planManager) register(names []string, slots []int32) (EpochID, error) {
+// the manager's. An empty plan is done at once. Unless held, parked
+// producers are woken one per position, up to as many as are parked; a
+// held registration leaves them to the caller's wake.
+func (pm *planManager) register(names []string, slots []int32, held bool) (EpochID, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	if pm.closed {
@@ -219,7 +220,7 @@ func (pm *planManager) register(names []string, slots []int32) (EpochID, error) 
 		pm.addLocked(n, PlanPos{Epoch: ep.id, Index: i})
 	}
 	pm.pending += len(names)
-	for i := 0; i < len(names) && i < pm.parked; i++ {
+	for i := 0; i < len(names) && i < pm.parked && !held; i++ {
 		pm.ready.Signal()
 	}
 	pm.maybeDoneLocked(ep)
@@ -298,7 +299,8 @@ func (pm *planManager) unpopped() int {
 	return n
 }
 
-// wake makes every parked producer re-evaluate its stop predicate.
+// wake makes every parked producer re-evaluate its stop predicate and look
+// for positions again.
 func (pm *planManager) wake() {
 	pm.mu.Lock()
 	pm.ready.Broadcast()

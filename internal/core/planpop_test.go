@@ -124,13 +124,35 @@ func TestPlanPopStopPredicate(t *testing.T) {
 	})
 }
 
+// TestPlanPopHeldRegistration: a held registration — a plan the socket
+// server answers before its producers start — leaves a producer parked on
+// an empty store parked, and the wake that follows the reply hands it the
+// plan's first position.
+func TestPlanPopHeldRegistration(t *testing.T) {
+	forEachEnv(t, func(t *testing.T, env conc.Env) {
+		pm := newPlanManager(env)
+		defer pm.close()
+		results := make(chan popResult, 1)
+		popAsync(env, pm, never, results)
+		awaitPopParked(t, env, pm, 1)
+		if _, err := pm.register([]string{"a", "b"}, nil, true); err != nil {
+			t.Fatal(err)
+		}
+		settled(t, env, results, "before the held registration's wake")
+		pm.wake()
+		if r := await(t, env, results); !r.ok || len(r.run) != 1 || r.run[0].Name != "a" {
+			t.Fatalf("pop = %+v, want the plan's first position", r)
+		}
+	})
+}
+
 // TestPlanPopDeliversBeforeStop: a true stop predicate never abandons a
 // position that is there to pop, and positions registered before close
 // are still popped after it; only then does pop report the store drained.
 func TestPlanPopDeliversBeforeStop(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
 		pm := newPlanManager(env)
-		id, err := pm.register([]string{"a", "b"}, nil)
+		id, err := pm.register([]string{"a", "b"}, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +162,7 @@ func TestPlanPopDeliversBeforeStop(t *testing.T) {
 			t.Fatalf("pop = (%v, ok=%v, stopped=%v), want a at index 0", run, ok, stopped)
 		}
 		pm.close()
-		if _, err := pm.register([]string{"c"}, nil); err != ErrClosed {
+		if _, err := pm.register([]string{"c"}, nil, false); err != ErrClosed {
 			t.Fatalf("register after close = %v, want ErrClosed", err)
 		}
 		run, _, ok, stopped = pm.pop(run[:0], 1, nil, always)
@@ -160,8 +182,8 @@ func TestPlanPopDeliversBeforeStop(t *testing.T) {
 func TestPlanPopSkipsCancelledEpoch(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
 		pm := newPlanManager(env)
-		first, _ := pm.register([]string{"a", "b", "c"}, nil)
-		second, _ := pm.register([]string{"x", "y"}, nil)
+		first, _ := pm.register([]string{"a", "b", "c"}, nil, false)
+		second, _ := pm.register([]string{"x", "y"}, nil, false)
 		if n := pm.unpopped(); n != 5 {
 			t.Fatalf("unpopped = %d, want 5", n)
 		}
@@ -201,7 +223,7 @@ func TestPlanPopWakesParkedProducers(t *testing.T) {
 		popAsync(env, pm, never, results)
 		awaitPopParked(t, env, pm, 2)
 		for _, name := range []string{"p", "q"} {
-			id, err := pm.register([]string{name}, nil)
+			id, err := pm.register([]string{name}, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +260,7 @@ func TestPlanPopRunRules(t *testing.T) {
 				env.Sleep(3 * time.Millisecond)
 				var first EpochID
 				for i, p := range tc.plans {
-					id, err := pm.register(p, nil)
+					id, err := pm.register(p, nil, false)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -199,14 +199,15 @@ func (pf *Prefetcher) setTracer(t *obs.Tracer) {
 // half-registered plan. On success the result reports every name as
 // enqueued.
 func (pf *Prefetcher) SubmitEpoch(names []string) (PlanResult, error) {
-	return pf.submit(names, nil)
+	return pf.submit(names, nil, false)
 }
 
 // submit is SubmitEpoch with each entry's manifest slot (nil: unresolved),
-// which the producers hand to the backend with the entry's read.
-func (pf *Prefetcher) submit(names []string, slots []int32) (PlanResult, error) {
+// which the producers hand to the backend with the entry's read; held
+// leaves parked producers parked (see Stage.SubmitEpochHeld).
+func (pf *Prefetcher) submit(names []string, slots []int32, held bool) (PlanResult, error) {
 	at := pf.env.Now()
-	id, err := pf.plans.register(names, slots)
+	id, err := pf.plans.register(names, slots, held)
 	if err != nil {
 		return PlanResult{}, err
 	}

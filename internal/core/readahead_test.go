@@ -198,7 +198,7 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 			for i := range plan {
 				plan[i] = names[rng.Intn(len(names))]
 			}
-			id, err := pm.register(plan, nil)
+			id, err := pm.register(plan, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +321,7 @@ func TestPositionalClaimRacesByNameClaim(t *testing.T) {
 	for i := range plan {
 		plan[i] = fmt.Sprintf("dup%d", i%7)
 	}
-	id, err := pm.register(plan, nil)
+	id, err := pm.register(plan, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

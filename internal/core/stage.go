@@ -84,6 +84,13 @@ type StageStats struct {
 	ReadAheadSamples int64
 	ReadAheadWasted  int64
 
+	// Socket read payloads (DESIGN.md §28): RegionPayloads crossed in a
+	// connection's shared-memory payload region, InlinePayloads rode the
+	// socket — on connections without a region, or not fitting what a
+	// reply left of it.
+	RegionPayloads int64
+	InlinePayloads int64
+
 	// Prefetcher state (zero-valued when no prefetcher is attached).
 	QueueLen         int
 	TargetProducers  int
@@ -186,6 +193,8 @@ type Stage struct {
 	throttleWait *metrics.Counter // nanoseconds blocked in gate.Admit
 	aheadSamples *metrics.Counter
 	aheadWasted  *metrics.Counter
+	inRegion     *metrics.Counter
+	inlined      *metrics.Counter
 }
 
 // NewStage assembles a stage over backend serving planned reads from pf. A
@@ -204,6 +213,8 @@ func NewStage(env conc.Env, backend storage.Backend, pf *Prefetcher) *Stage {
 		throttleWait: metrics.NewCounter(env),
 		aheadSamples: metrics.NewCounter(env),
 		aheadWasted:  metrics.NewCounter(env),
+		inRegion:     metrics.NewCounter(env),
+		inlined:      metrics.NewCounter(env),
 	}
 }
 
@@ -390,6 +401,18 @@ func (s *Stage) TakeAhead(tenant string, at PlanPos, maxBytes int64) (storage.Da
 // unread (the IPC server relays the count from the request that carries it).
 func (s *Stage) NoteReadAheadWasted(n int64) { s.aheadWasted.Add(n) }
 
+// NoteReadPayloads records how the payloads of one socket read reply
+// crossed: region through the connection's payload region, inline on the
+// socket.
+func (s *Stage) NoteReadPayloads(region, inline int64) {
+	if region > 0 {
+		s.inRegion.Add(region)
+	}
+	if inline > 0 {
+		s.inlined.Add(inline)
+	}
+}
+
 // Size reports a file's size from backend metadata (stat-style call: no
 // data moves and the buffer is not consulted).
 func (s *Stage) Size(name string) (int64, error) { return s.backend.Size(name) }
@@ -404,6 +427,28 @@ func (s *Stage) SubmitPlan(names []string) error {
 // SubmitEpoch is SubmitPlan returning the issued epoch id and the number
 // of entries actually enqueued (see Prefetcher.SubmitEpoch).
 func (s *Stage) SubmitEpoch(names []string) (PlanResult, error) {
+	return s.submitEpoch(names, false)
+}
+
+// SubmitEpochHeld is SubmitEpoch that leaves parked producers parked until
+// StartProducers; producers already at work pop the new entries as usual.
+// The socket server answers a plan before its producers start: woken
+// first, a fresh epoch's producers can hold every P and CPU filling the
+// buffer for milliseconds before anything polls the network for the
+// submitter's reply, and then for its first reads (DESIGN.md §28).
+func (s *Stage) SubmitEpochHeld(names []string) (PlanResult, error) {
+	return s.submitEpoch(names, true)
+}
+
+// StartProducers wakes the producers a held submission left parked. Waking
+// them with nothing to pop is harmless: they park again.
+func (s *Stage) StartProducers() {
+	if s.pf != nil {
+		s.pf.plans.wake()
+	}
+}
+
+func (s *Stage) submitEpoch(names []string, held bool) (PlanResult, error) {
 	if s.pf == nil {
 		return PlanResult{}, ErrNoPrefetcher
 	}
@@ -417,7 +462,7 @@ func (s *Stage) SubmitEpoch(names []string) (PlanResult, error) {
 		// Every name passed above; this pass only resolves the subset.
 		slots, _ = s.resolve(submit)
 	}
-	res, err := s.pf.submit(submit, slots)
+	res, err := s.pf.submit(submit, slots, held)
 	if err == nil && s.epochHook != nil {
 		s.epochHook(names)
 	}
@@ -507,6 +552,8 @@ func (s *Stage) Stats() StageStats {
 	st.ThrottleWait = time.Duration(s.throttleWait.Value())
 	st.ReadAheadSamples = s.aheadSamples.Value()
 	st.ReadAheadWasted = s.aheadWasted.Value()
+	st.RegionPayloads = s.inRegion.Value()
+	st.InlinePayloads = s.inlined.Value()
 	return st
 }
 

@@ -64,6 +64,10 @@ type AllocConfig struct {
 	// one ranged read each, split into per-sample views aliasing the
 	// shared region buffer. A cell whose coalescer never engages fails.
 	Batch int
+	// Inline dials clients that never ask for a payload region (DESIGN.md
+	// §28), so every payload rides the socket, as against a server that
+	// predates the region.
+	Inline bool
 }
 
 func (c AllocConfig) withDefaults() AllocConfig {
@@ -171,7 +175,7 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 
 		clients := make([]*ipc.Client, cfg.Consumers)
 		for i := range clients {
-			c, err := ipc.Dial(sock)
+			c, err := ipc.DialWithConfig(sock, ipc.DialConfig{InlineOnly: cfg.Inline})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -251,6 +255,8 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			stashHits += c.StashHits()
 		}
 		b.ReportMetric(float64(stashHits)/float64(b.N), stashHitsMetric)
+		st := stage.Stats()
+		b.ReportMetric(float64(st.RegionPayloads)/float64(max(st.RegionPayloads+st.InlinePayloads, 1)), regionShareMetric)
 	}
 }
 
@@ -258,6 +264,11 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 // delivered samples the clients took from their read-ahead stash — reads
 // that never touched the socket.
 const stashHitsMetric = "stash-hits/op"
+
+// regionShareMetric names the benchmark metric reporting which share of
+// the payloads the server sent crossed in a payload region rather than
+// inline on the socket.
+const regionShareMetric = "region-share"
 
 // AllocResult is one measured cell of the allocation sweep.
 type AllocResult struct {
@@ -270,6 +281,9 @@ type AllocResult struct {
 	// clients' read-ahead stashes (warm-up epoch included in the count, so
 	// it can slightly exceed the timed region's true share).
 	StashHitsPerOp float64
+	// RegionShare is the share of payloads that crossed in a payload
+	// region (warm-up epoch included).
+	RegionShare float64
 }
 
 // RunAllocCell measures one cell with the standard benchmark machinery.
@@ -283,6 +297,7 @@ func RunAllocCell(cfg AllocConfig) AllocResult {
 		Ops:         r.N,
 
 		StashHitsPerOp: r.Extra[stashHitsMetric],
+		RegionShare:    r.Extra[regionShareMetric],
 	}
 }
 

@@ -50,6 +50,11 @@ type DialConfig struct {
 	// happen at admission, before the read executes, so the resend is safe
 	// even though reads are otherwise non-resendable.
 	OverloadRetries int
+	// InlineOnly never asks for a payload region, so every payload rides
+	// the socket, as it does with a server that predates the region. The
+	// public API never sets it; the inline path's tests and allocation
+	// gate do, and a client sets it on itself when it refuses a region.
+	InlineOnly bool
 }
 
 // Client is one consumer process's connection to the PRISMA server. A
@@ -87,6 +92,12 @@ type Client struct {
 	helloSecret string
 	helloRole   string
 	helloSent   bool
+
+	// Payload region (DESIGN.md §28): the server-written mapping read
+	// payloads may arrive in, nil while the connection reads inline.
+	// regionAsked records that this connection already asked for one.
+	region      []byte
+	regionAsked bool
 }
 
 // stashed is one pushed sample awaiting the read that asks for it.
@@ -290,14 +301,77 @@ func (c *Client) replyBody(left int) ([]byte, error) {
 	return parseResponse(full)
 }
 
-// poisonLocked marks the connection unusable and severs it. Caller holds
-// c.mu.
+// poisonLocked marks the connection unusable and severs it, with its
+// payload region. Caller holds c.mu.
 func (c *Client) poisonLocked() {
 	c.broken = true
 	c.dropStashLocked(c.filled)
+	c.dropRegionLocked()
 	if c.conn != nil {
 		c.conn.Close()
 	}
+}
+
+// dropRegionLocked unmaps the connection's payload region; the next
+// connection asks for its own. Caller holds c.mu.
+func (c *Client) dropRegionLocked() {
+	unmapRegion(c.region)
+	c.region, c.regionAsked = nil, false
+}
+
+// askRegionLocked asks the server for the connection's payload region
+// (OpRegion) and maps it; the reply carries the region's descriptor. A
+// server that cannot or does not know how to grant one answers with an
+// error and the connection reads inline. A region that fails the checks
+// below is refused, which costs the connection — its server believes the
+// region engaged — and keeps every later connection inline. Caller holds
+// c.mu.
+func (c *Client) askRegionLocked() error {
+	c.regionAsked = true
+	uc, ok := c.conn.(*net.UnixConn)
+	if !ok || !RegionSupported || c.cfg.InlineOnly {
+		return nil
+	}
+	catch := &fdCatcher{conn: uc}
+	c.rd.src = catch
+	resp, err := c.exchangeLocked(OpRegion, 0, nil)
+	c.rd.src = c.conn
+	defer closeFDs(catch.fds) // the mapping outlives the descriptor
+	if isCleanError(err) {
+		return nil // no region here: read inline
+	}
+	if err != nil {
+		return err
+	}
+	size, k := binary.Uvarint(resp)
+	switch {
+	case k <= 0 || size == 0 || size > MaxFrame:
+		err = fmt.Errorf("malformed region size in %d-byte reply", len(resp))
+	case catch.truncated || len(catch.fds) != 1:
+		err = fmt.Errorf("region reply carried %d descriptors (truncated: %v), want 1", len(catch.fds), catch.truncated)
+	default:
+		c.region, err = mapRegion(catch.fds[0], int(size))
+	}
+	if err != nil {
+		c.cfg.InlineOnly = true
+		return fmt.Errorf("ipc: payload region refused: %w", err)
+	}
+	return nil
+}
+
+// fdCatcher reads a UNIX socket as conn.Read does, keeping every descriptor
+// that rides the bytes read.
+type fdCatcher struct {
+	conn      *net.UnixConn
+	fds       []int
+	truncated bool
+}
+
+func (f *fdCatcher) Read(p []byte) (int, error) {
+	n, fds, truncated, err := recvFDs(f.conn, p)
+	f.fds = append(f.fds, fds...)
+	f.truncated = f.truncated || truncated
+	return n, err
 }
 
 // redialLocked re-establishes the connection, backing off before every
@@ -450,6 +524,12 @@ func (c *Client) read(opcode byte, name string, trace uint64) (storage.Data, err
 			return storage.Data{}, fmt.Errorf("%w: %v", ErrConnBroken, err)
 		}
 	}
+	if !c.regionAsked {
+		if err := c.askRegionLocked(); err != nil {
+			c.poisonLocked()
+			return storage.Data{}, fmt.Errorf("%w: %v", ErrConnBroken, err)
+		}
+	}
 	data, err := c.exchangeReadLocked(opcode, name, trace)
 	if err != nil {
 		if isCleanError(err) {
@@ -592,11 +672,14 @@ func (c *Client) readUvarint(left *int, what string) (uint64, error) {
 	return v, nil
 }
 
-// readSample decodes one sample (size, payload length, payload) of a frame
-// with *left bytes to go, landing the payload in a pool buffer when the
-// client has a pool and in a fresh allocation otherwise — the only
-// difference between pooled and unpooled reads. The payload length is
-// checked against the frame's remainder before anything is allocated.
+// readSample decodes one sample (size, payload length, location on a
+// connection with a region, payload) of a frame with *left bytes to go,
+// landing the payload in a pool buffer when the client has a pool and in a
+// fresh allocation otherwise — the only difference between pooled and
+// unpooled reads. A payload in the region is copied out here, before the
+// client can send the request whose reply rewrites the region. The payload
+// length is checked against the frame's remainder, or the region, before
+// anything is allocated.
 func (c *Client) readSample(left *int) (storage.Data, error) {
 	size, err := c.readUvarint(left, "read response")
 	if err != nil {
@@ -606,7 +689,21 @@ func (c *Client) readSample(left *int) (storage.Data, error) {
 	if err != nil {
 		return storage.Data{}, err
 	}
-	if blen > uint64(*left) {
+	var src []byte // the payload in the region; nil when it is inline
+	if c.region != nil {
+		loc, err := c.readUvarint(left, "payload location")
+		if err != nil {
+			return storage.Data{}, err
+		}
+		if loc > 0 {
+			off, room := loc-1, uint64(len(c.region))
+			if off > room || blen > room-off {
+				return storage.Data{}, fmt.Errorf("ipc: %d-byte payload at offset %d outside the %d-byte region", blen, off, room)
+			}
+			src = c.region[off : off+blen]
+		}
+	}
+	if src == nil && blen > uint64(*left) {
 		return storage.Data{}, fmt.Errorf("ipc: truncated bytes (want %d, have %d)", blen, *left)
 	}
 	data := storage.Data{Size: int64(size)}
@@ -618,6 +715,10 @@ func (c *Client) readSample(left *int) (storage.Data, error) {
 		data.Bytes = data.Ref.Bytes()
 	} else {
 		data.Bytes = make([]byte, blen)
+	}
+	if src != nil {
+		copy(data.Bytes, src)
+		return data, nil
 	}
 	if err := c.rd.readFull(data.Bytes); err != nil {
 		data.Release()
@@ -751,6 +852,7 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.dropStashLocked(c.filled)
+	c.dropRegionLocked()
 	if c.conn == nil {
 		return nil
 	}

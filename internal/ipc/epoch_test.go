@@ -1,7 +1,9 @@
 package ipc
 
 import (
+	"encoding/binary"
 	"errors"
+	"net"
 	"testing"
 
 	"github.com/dsrhaslab/prisma-go/internal/core"
@@ -70,5 +72,33 @@ func TestClientCancelEpochRoundTrip(t *testing.T) {
 	var remote *RemoteError
 	if _, err := c.CancelEpoch(999); !errors.As(err, &remote) {
 		t.Fatalf("CancelEpoch(unknown) = %v, want RemoteError", err)
+	}
+}
+
+// TestSocketPlanStartsProducers: a plan submitted over the socket holds the
+// stage's parked producers only until its reply is written — or fails to
+// be, when the client hangs up without reading it — and then they fill the
+// buffer.
+func TestSocketPlanStartsProducers(t *testing.T) {
+	for _, hangUp := range []bool{false, true} {
+		fx := startAheadServer(t, 128, 512)
+		conn, err := net.Dial("unix", fx.sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := binary.AppendUvarint(nil, uint64(len(fx.names)))
+		for _, n := range fx.names {
+			plan = appendString(plan, n)
+		}
+		if err := writeFrame(conn, OpPlan, 0, plan); err != nil {
+			t.Fatal(err)
+		}
+		if !hangUp {
+			if _, _, _, err := readFrame(conn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		conn.Close()
+		fx.awaitParked(64)
 	}
 }

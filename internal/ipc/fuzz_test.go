@@ -135,9 +135,18 @@ func FuzzFrame(f *testing.F) {
 	for _, reply := range malformedPushedReplies() {
 		f.Add(reply)
 	}
+	// Replies with locations: good ones, and every way a location can lie
+	// about the region, or reach a client that has none.
+	for _, reply := range goodRegionReplies() {
+		f.Add(reply)
+	}
+	for _, reply := range malformedRegionReplies() {
+		f.Add(reply)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzClientRead(t, data)
+		fuzzClientRead(t, data, false)
+		fuzzClientRead(t, data, true)
 		opcode, trace, payload, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -170,9 +179,16 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// fuzzClientRead feeds data to a pooled client as the reply to one read.
-func fuzzClientRead(t *testing.T, data []byte) {
+// fuzzClientRead feeds data to a pooled client as the reply to one read,
+// on a connection with a payload region when region is set (and this build
+// has regions).
+func fuzzClientRead(t *testing.T, data []byte, region bool) {
 	c, pool := scriptedClient(data)
+	if region {
+		if c, pool = scriptedRegionClient(data); c == nil {
+			return
+		}
+	}
 	d, err := c.Read("requested.bin")
 	switch {
 	case err == nil:
@@ -228,30 +244,51 @@ func FuzzServerHandle(f *testing.F) {
 	// More pairs than the payload holds.
 	f.Add(uint8(OpControl), append(binary.AppendUvarint(nil, 1<<40), 1, 'k', 1, 'v'))
 	f.Add(uint8(99), []byte{1, 2, 3})
+	// A region request: on the plain connection (not a UNIX socket) and on
+	// the one that already holds its region, both an error and no memfd.
+	f.Add(uint8(OpRegion), []byte{})
+	f.Add(uint8(OpRead), appendString(nil, names[1]))
 
-	cs := newConnState(nil)
+	// Every input runs on two connections: one without a region, and one
+	// that holds a region as if granted, whose reads place payloads in it.
+	conns := []*connState{newConnState(nil), newConnState(nil)}
+	if fd, mem, err := newRegion(regionSize); err == nil {
+		closeFDs([]int{fd})
+		conns[1].region = mem
+		f.Cleanup(func() { unmapRegion(mem) })
+	}
 	f.Fuzz(func(t *testing.T, opcode uint8, payload []byte) {
 		if opcode == OpPlan {
 			opcode = OpPing
 		}
-		r := srv.safeHandle(cs, opcode, 0, payload)
-		resp := r.head
-		if r.samples {
-			// A read reply: the head bytes behind the reserved frame header,
-			// with the one payload (nothing is planned here) spliced in.
-			resp = append(append([]byte(nil), cs.wbuf[frameHeaderLen:cs.cuts[0]]...), cs.held[0].Bytes...)
-			cs.releaseHeld()
-		}
-		if len(resp) < 1 {
-			t.Fatal("empty response")
-		}
-		if resp[0] != statusOK && resp[0] != statusErr {
-			t.Fatalf("unknown status byte %d", resp[0])
-		}
-		if _, err := parseResponse(resp); err != nil {
-			// RemoteError is fine; malformed responses are not.
-			if _, ok := err.(*RemoteError); !ok {
-				t.Fatalf("server emitted malformed response: %v", err)
+		for _, cs := range conns {
+			r := srv.safeHandle(cs, opcode, 0, payload)
+			if cs.fd != -1 {
+				t.Fatalf("opcode %d left descriptor %d to pass on a connection that may not have one", opcode, cs.fd)
+			}
+			resp := r.head
+			if r.samples {
+				// A read reply: the head bytes behind the reserved frame
+				// header, with any inline payload spliced in.
+				var frame bytes.Buffer
+				cs.layout()
+				if _, err := cs.bufs.WriteTo(&frame); err != nil {
+					t.Fatal(err)
+				}
+				resp = frame.Bytes()[frameHeaderLen:]
+				cs.releaseHeld()
+			}
+			if len(resp) < 1 {
+				t.Fatal("empty response")
+			}
+			if resp[0] != statusOK && resp[0] != statusErr {
+				t.Fatalf("unknown status byte %d", resp[0])
+			}
+			if _, err := parseResponse(resp); err != nil {
+				// RemoteError is fine; malformed responses are not.
+				if _, ok := err.(*RemoteError); !ok {
+					t.Fatalf("server emitted malformed response: %v", err)
+				}
 			}
 		}
 	})

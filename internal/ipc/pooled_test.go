@@ -152,6 +152,10 @@ func (ts *truncatingReadServer) serve(conn net.Conn, truncate bool) {
 		if err != nil {
 			return
 		}
+		if opcode == OpRegion {
+			_ = writeFrame(conn, opcode, trace, preRegionReply())
+			continue
+		}
 		if opcode != OpRead {
 			_ = writeFrame(conn, opcode, trace, okResponse(nil))
 			continue

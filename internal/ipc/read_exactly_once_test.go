@@ -3,6 +3,7 @@ package ipc
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"sync/atomic"
@@ -11,6 +12,12 @@ import (
 
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 )
+
+// preRegionReply is how a server that predates the payload region answers
+// OpRegion: as an unknown opcode. Fake servers send it so that a client's
+// region request meets them as it meets a real old server, and the client
+// reads inline.
+func preRegionReply() []byte { return errResponse(fmt.Errorf("unknown opcode %d", OpRegion)) }
 
 // countingServer records how many frames of each opcode it receives. Its
 // first badConns connections answer any request with a truncated frame and
@@ -55,6 +62,12 @@ func (cs *countingServer) serve(conn net.Conn, misbehave bool) {
 		opcode, trace, _, err := readFrame(conn)
 		if err != nil {
 			return
+		}
+		if opcode == OpRegion {
+			if err := writeFrame(conn, opcode, trace, preRegionReply()); err != nil {
+				return
+			}
+			continue
 		}
 		switch opcode {
 		case OpRead:

@@ -601,7 +601,8 @@ func (fx *aheadFixture) oldRead(conn net.Conn, name string) {
 
 // TestReadAheadOldClientNewServer speaks the pre-read-ahead client's wire
 // format at a new server, strided and planned — the pattern that would earn
-// pushes — and requires the pre-read-ahead reply every time.
+// pushes — and requires the pre-read-ahead reply every time: no pushes, and
+// no location field, as the client never asked for a payload region.
 func TestReadAheadOldClientNewServer(t *testing.T) {
 	fx := startAheadServer(t, 256, 2000)
 	plan := shuffled(fx.names, 6)
@@ -619,12 +620,18 @@ func TestReadAheadOldClientNewServer(t *testing.T) {
 	if st := fx.stage.Stats(); st.ReadAheadSamples != 0 || st.Plan.Delivered != int64(len(plan)) {
 		t.Fatalf("pushed %d samples at a client that never asked; delivered %d", st.ReadAheadSamples, st.Plan.Delivered)
 	}
+	// Nor a payload region: every payload rode the socket inline.
+	if st := fx.stage.Stats(); st.RegionPayloads != 0 || st.InlinePayloads != int64(len(plan)) {
+		t.Fatalf("%d payloads in a region and %d inline, want 0 and %d", st.RegionPayloads, st.InlinePayloads, len(plan))
+	}
 	fx.audit()
 }
 
 // TestReadAheadNewClientOldServer: a server that predates the tail ignores
 // it and answers with the one sample, which the new client takes as an
-// unplanned read: nothing stashed, nothing wasted.
+// unplanned read: nothing stashed, nothing wasted. The same server predates
+// the payload region and answers the client's OpRegion as an unknown
+// opcode, so the connection stays inline and healthy.
 func TestReadAheadNewClientOldServer(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "old.sock")
 	l, err := net.Listen("unix", sock)
@@ -639,6 +646,10 @@ func TestReadAheadNewClientOldServer(t *testing.T) {
 			opcode, trace, payload, err := readFrame(conn)
 			if err != nil {
 				return
+			}
+			if opcode == OpRegion {
+				_ = writeFrame(conn, opcode, trace, preRegionReply())
+				continue
 			}
 			name, rest, _ := readString(payload) // all an old server reads; the rest it ignores
 			tails <- parseAheadTail(rest)
@@ -678,6 +689,9 @@ func TestReadAheadNewClientOldServer(t *testing.T) {
 		}
 		if c.StashHits() != 0 || c.StashDrops() != 0 || stashLen(c) != 0 {
 			t.Fatal("a plain reply touched the stash")
+		}
+		if regionOf(c) != nil || c.Broken() {
+			t.Fatal("an old server's unknown-opcode answer left a region or a poisoned connection")
 		}
 		c.Close()
 		if got := pool.Stats().Outstanding; got != 0 {

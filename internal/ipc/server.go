@@ -139,13 +139,30 @@ const maxInternedNames = 1 << 16
 // names. A training epoch re-reads the same name set, so after the first
 // epoch the request loop's steady-state allocation count is zero.
 type connState struct {
-	rd *connReader
+	rd   *connReader
+	unix bool // a UNIX-domain socket: the only kind a payload region is passed over
+
+	// The payload region (DESIGN.md §28), nil until the client asks for
+	// it. Each read reply fills it from offset 0, so it is rewritten only
+	// by the reply to the connection's next request; regionUsed is how far
+	// the reply under construction got. fd is the region's descriptor
+	// until its reply carries it away (-1 otherwise).
+	region     []byte
+	regionUsed int
+	fd         int
+	// Payloads the reply under construction placed in the region and
+	// inline, for the stage's counters.
+	inRegion, inline int64
+
+	// startProducers is set by a plan submission, which holds the stage's
+	// parked producers until its reply is written (Stage.SubmitEpochHeld).
+	startProducers bool
 
 	// The read reply under construction. wbuf holds every byte of the frame
 	// that is not sample payload — frame header, the requested sample's
-	// head, each pushed sample's head — and held the samples whose payloads
-	// are spliced in at cuts (offsets into wbuf) by one vectored write,
-	// straight from their pooled buffers. Samples are recorded in held the
+	// head, each pushed sample's head — and held the inline samples, whose
+	// payloads are spliced in at cuts (offsets into wbuf) by one vectored
+	// write, straight from their pooled buffers. Samples are placed the
 	// moment they are taken, so every exit — write error, handler panic —
 	// finds and releases exactly the leases the connection owns.
 	wbuf  []byte
@@ -169,8 +186,11 @@ type connState struct {
 }
 
 func newConnState(conn net.Conn) *connState {
+	_, unix := conn.(*net.UnixConn)
 	return &connState{
 		rd:    newConnReader(conn, serverReadBuf),
+		unix:  unix,
+		fd:    -1,
 		wbuf:  make([]byte, 0, 512),
 		names: make(map[string]string),
 		ahead: predictor{need: minConfirm},
@@ -188,9 +208,28 @@ func (cs *connState) intern(name string) {
 	cs.names[name] = name
 }
 
-// hold records a sample riding the reply under construction; its payload
-// goes on the wire after the wbuf bytes appended so far.
-func (cs *connState) hold(d storage.Data) {
+// place appends a sample's head to the reply under construction and routes
+// its payload: into the region when the connection has one and the payload
+// fits what the reply left of it — the lease ends at once, and the next
+// payload starts at the following regionAlign boundary — or inline, held
+// for the vectored write behind the head.
+func (cs *connState) place(d storage.Data) {
+	cs.wbuf = appendSampleHead(cs.wbuf, d)
+	n := len(d.Bytes)
+	if cs.region != nil {
+		if n > 0 && n <= len(cs.region)-cs.regionUsed {
+			copy(cs.region[cs.regionUsed:], d.Bytes)
+			cs.wbuf = binary.AppendUvarint(cs.wbuf, uint64(cs.regionUsed)+1)
+			cs.regionUsed += (n + regionAlign - 1) &^ (regionAlign - 1)
+			cs.inRegion++
+			d.Release()
+			return
+		}
+		cs.wbuf = append(cs.wbuf, 0) // location 0: inline
+	}
+	if n > 0 {
+		cs.inline++
+	}
 	cs.held[cs.nheld], cs.cuts[cs.nheld] = d, len(cs.wbuf)
 	cs.nheld++
 }
@@ -275,6 +314,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	cs := newConnState(conn)
 	defer func() {
 		cs.releaseHeld()
+		s.startProducers(cs)
+		unmapRegion(cs.region)
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -294,23 +335,41 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		err = s.writeResponse(conn, cs, opcode, trace, resp)
 		cs.releaseHeld()
+		s.startProducers(cs)
 		if err != nil {
 			return
 		}
 	}
 }
 
+// startProducers wakes the producers a plan submission held, once its reply
+// has been written or has failed to be.
+func (s *Server) startProducers(cs *connState) {
+	if cs.startProducers {
+		cs.startProducers = false
+		s.stage.StartProducers()
+	}
+}
+
 // writeResponse sends one reply frame. A read reply goes out as a single
 // vectored write that interleaves the head bytes in wbuf with the held
 // samples' payloads, so pooled payloads go from the buffer pool to the
-// socket without an intermediate copy. Caller releases the held samples.
+// socket without an intermediate copy; the reply that grants a region
+// carries its descriptor. Caller releases the held samples.
 func (s *Server) writeResponse(conn net.Conn, cs *connState, opcode byte, trace uint64, r response) error {
 	if !r.samples {
+		fd := cs.fd
+		cs.fd = -1
 		if len(r.head)+9 > MaxFrame {
 			return ErrFrameTooLarge
 		}
 		cs.wbuf = appendFrameHeader(cs.wbuf[:0], opcode, trace, len(r.head))
 		cs.wbuf = append(cs.wbuf, r.head...)
+		if fd >= 0 {
+			// The region's descriptor rides its reply; the connection keeps
+			// only the mapping.
+			return sendFD(conn, cs.wbuf, fd)
+		}
 		_, err := conn.Write(cs.wbuf)
 		return err
 	}
@@ -324,9 +383,17 @@ func (s *Server) writeResponse(conn net.Conn, cs *connState, opcode byte, trace 
 	// The header's room was reserved when the reply was started; the length
 	// is only known now.
 	appendFrameHeader(cs.wbuf[:0], opcode, trace, payloadLen)
-	// net.Buffers.WriteTo consumes the slice it is called on (advancing it
-	// and dropping capacity), so the segment list is rebuilt from the fixed
-	// backing array each time rather than re-appended in place.
+	cs.layout()
+	_, err := cs.bufs.WriteTo(conn)
+	return err
+}
+
+// layout sets bufs to the read reply under construction as the vectored
+// write's segment list: the head bytes in wbuf interleaved with the inline
+// payloads. net.Buffers.WriteTo consumes the slice it is called on
+// (advancing it and dropping capacity), so the list is rebuilt from the
+// fixed backing array each time rather than re-appended in place.
+func (cs *connState) layout() {
 	segs, prev := cs.segs[:0], 0
 	for i := range cs.held[:cs.nheld] {
 		segs = append(segs, cs.wbuf[prev:cs.cuts[i]])
@@ -339,8 +406,6 @@ func (s *Server) writeResponse(conn net.Conn, cs *connState, opcode byte, trace 
 		segs = append(segs, cs.wbuf[prev:])
 	}
 	cs.bufs = net.Buffers(segs)
-	_, err := cs.bufs.WriteTo(conn)
-	return err
 }
 
 // safeHandle isolates a panicking handler to an error response: one bad
@@ -363,6 +428,26 @@ func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte
 	switch opcode {
 	case OpRead, OpPeerRead:
 		return s.handleRead(cs, opcode, trace, payload)
+
+	case OpRegion:
+		return response{head: handleRegion(cs)}
+
+	case OpPlan:
+		names, err := readStrings(payload, 1)
+		if err != nil {
+			return response{head: errResponse(err)}
+		}
+		// The producers start once the reply is on the wire; a refused
+		// plan registered nothing.
+		res, err := s.stage.SubmitEpochHeld(names)
+		if err != nil {
+			return response{head: errResponse(err)}
+		}
+		cs.startProducers = true
+		// Epoch id + enqueued count; pre-epoch clients ignore the payload.
+		blob := binary.AppendUvarint(nil, uint64(res.Epoch))
+		blob = binary.AppendUvarint(blob, uint64(res.Enqueued))
+		return response{head: okResponse(blob)}
 
 	case OpHello:
 		name, rest, err := readString(payload)
@@ -458,16 +543,36 @@ func (s *Server) handleRead(cs *connState, opcode byte, trace uint64, payload []
 	if !known {
 		cs.intern(name)
 	}
-	// Head: status + size + payload length; the payload itself is written
-	// vectored, straight from the (pooled) read buffer. The frame header's
-	// bytes are reserved here and filled in by writeResponse.
+	// Head: status + size + payload length (+ location); an inline payload
+	// is written vectored, straight from the (pooled) read buffer. The frame
+	// header's bytes are reserved here and filled in by writeResponse.
 	cs.wbuf = append(cs.wbuf[:frameHeaderLen], statusOK)
-	cs.wbuf = appendSampleHead(cs.wbuf, data)
-	cs.hold(data)
+	cs.regionUsed, cs.inRegion, cs.inline = 0, 0, 0
+	requested := len(data.Bytes)
+	cs.place(data)
 	if tail.window > 0 && at != (core.PlanPos{}) {
-		s.pushAhead(cs, at, tail)
+		s.pushAhead(cs, at, tail, requested)
 	}
+	s.stage.NoteReadPayloads(cs.inRegion, cs.inline)
 	return response{samples: true}
+}
+
+// handleRegion grants the connection its payload region (DESIGN.md §28):
+// one per connection, over a UNIX-domain socket only. The descriptor rides
+// the reply (writeResponse) and is closed once sent.
+func handleRegion(cs *connState) []byte {
+	switch {
+	case cs.region != nil:
+		return errResponse(errors.New("payload region already granted"))
+	case !cs.unix:
+		return errResponse(errors.New("payload region needs a UNIX-domain socket"))
+	}
+	fd, mem, err := newRegion(regionSize)
+	if err != nil {
+		return errResponse(fmt.Errorf("payload region: %w", err))
+	}
+	cs.region, cs.fd = mem, fd
+	return okResponse(binary.AppendUvarint(nil, uint64(len(mem))))
 }
 
 // appendSampleHead encodes a sample's size and payload length; the payload
@@ -481,14 +586,15 @@ func appendSampleHead(dst []byte, d storage.Data) []byte {
 // connection is predicted to read next. The count byte alone tells the
 // client the read was planned (whatever it still holds from an earlier push
 // was mispredicted). Nothing here waits: an entry that is not parked, not
-// admitted or over the byte budget ends the batch.
-func (s *Server) pushAhead(cs *connState, at core.PlanPos, tail aheadTail) {
+// admitted or over the byte budget ends the batch. requested is the length
+// of the payload the reply answers.
+func (s *Server) pushAhead(cs *connState, at core.PlanPos, tail aheadTail, requested int) {
 	countAt := len(cs.wbuf)
 	cs.wbuf = append(cs.wbuf, 0)
 	want := min(cs.ahead.observe(at), tail.window)
 	// A requested payload this large leaves MaxFrame no certain room for
 	// company; it goes alone.
-	if len(cs.held[0].Bytes) > MaxFrame/2 {
+	if requested > MaxFrame/2 {
 		return
 	}
 	pushed := 0
@@ -499,10 +605,9 @@ func (s *Server) pushAhead(cs *connState, at core.PlanPos, tail aheadTail) {
 			break
 		}
 		cs.wbuf = appendString(cs.wbuf, d.Name)
-		cs.wbuf = appendSampleHead(cs.wbuf, d)
-		cs.hold(d)
-		cs.ahead.pushed(next)
 		budget -= d.Size
+		cs.place(d)
+		cs.ahead.pushed(next)
 	}
 	cs.wbuf[countAt] = byte(pushed)
 	if pushed == want && pushed > 0 {
@@ -514,20 +619,6 @@ func (s *Server) pushAhead(cs *connState, at core.PlanPos, tail aheadTail) {
 // head-only frames.
 func (s *Server) handleControl(opcode byte, payload []byte) []byte {
 	switch opcode {
-	case OpPlan:
-		names, err := readStrings(payload, 1)
-		if err != nil {
-			return errResponse(err)
-		}
-		res, err := s.stage.SubmitEpoch(names)
-		if err != nil {
-			return errResponse(err)
-		}
-		// Epoch id + enqueued count; pre-epoch clients ignore the payload.
-		blob := binary.AppendUvarint(nil, uint64(res.Epoch))
-		blob = binary.AppendUvarint(blob, uint64(res.Enqueued))
-		return okResponse(blob)
-
 	case OpCancelEpoch:
 		id, k := binary.Uvarint(payload)
 		if k <= 0 {

@@ -201,6 +201,10 @@ type Manager struct {
 	overloaded bool
 	started    bool
 	stopped    bool
+
+	// sloMu makes an SLO evaluation and the boosts it applies one step
+	// for Stats, which never shows a tenant in breach without its boost.
+	sloMu conc.Mutex
 }
 
 // New builds a manager and registers the default tenant (weight 1, no
@@ -221,6 +225,7 @@ func New(env conc.Env, cfg Config) (*Manager, error) {
 		slo:     obs.NewSLOTracker(env),
 		mu:      env.NewMutex(),
 		tenants: make(map[string]*state),
+		sloMu:   env.NewMutex(),
 	}
 	if err := m.Register(Spec{Name: DefaultTenant}); err != nil {
 		return nil, err
@@ -552,8 +557,18 @@ func (m *Manager) tick(interval time.Duration) {
 		m.arb.SetCapacity(m.cfg.Capacity)
 	}
 	m.arb.Tick(interval)
+	var acts []SLOAction
+	m.sloMu.Lock()
 	for _, tr := range m.slo.Evaluate() {
-		m.applySLOTransition(tr)
+		if act, ok := m.applySLOTransition(tr); ok {
+			acts = append(acts, act)
+		}
+	}
+	m.sloMu.Unlock()
+	if m.cfg.OnSLOAction != nil {
+		for _, act := range acts {
+			m.cfg.OnSLOAction(act)
+		}
 	}
 }
 
@@ -561,15 +576,16 @@ func (m *Manager) tick(interval time.Duration) {
 // tenant entering BREACH gets its arbitration weight boosted by
 // SLOBoostFactor (the noisy neighbor is squeezed by max-min in its favor);
 // recovering to OK restores the base weight; WARN is observed without
-// actuation. Every transition is reported through OnSLOAction for audit.
-func (m *Manager) applySLOTransition(tr obs.SLOTransition) {
+// actuation. The action is returned for audit through OnSLOAction; ok is
+// false for a tenant no longer registered.
+func (m *Manager) applySLOTransition(tr obs.SLOTransition) (act SLOAction, ok bool) {
 	m.mu.Lock()
 	st, ok := m.tenants[tr.Tenant]
 	if !ok {
 		m.mu.Unlock()
-		return
+		return SLOAction{}, false
 	}
-	act := SLOAction{Tenant: tr.Tenant, From: tr.From, To: tr.To, Status: tr.Status}
+	act = SLOAction{Tenant: tr.Tenant, From: tr.From, To: tr.To, Status: tr.Status}
 	base := st.weight
 	act.WeightBefore = base
 	if st.boosted {
@@ -596,9 +612,7 @@ func (m *Manager) applySLOTransition(tr obs.SLOTransition) {
 	if act.WeightAfter != act.WeightBefore {
 		m.arb.SetWeight(tr.Tenant, act.WeightAfter)
 	}
-	if m.cfg.OnSLOAction != nil {
-		m.cfg.OnSLOAction(act)
-	}
+	return act, true
 }
 
 // Tick runs one arbitration/overload evaluation round (tests drive this
@@ -666,6 +680,8 @@ type Snapshot struct {
 
 // Stats snapshots every tenant, sorted by name for stable rendering.
 func (m *Manager) Stats() Snapshot {
+	m.sloMu.Lock()
+	defer m.sloMu.Unlock()
 	grants := m.arb.Grants()
 	byID := make(map[string]fairness.Grant, len(grants))
 	for _, g := range grants {

@@ -174,6 +174,11 @@ type Stats struct {
 	ReadAheadSamples int64 // samples sent to a client behind the reply it asked for (each also a read and a hit)
 	ReadAheadWasted  int64 // pushed samples clients reported dropping unread
 
+	// Socket payload telemetry: how read payloads crossed to socket
+	// clients (DESIGN.md §28).
+	RegionPayloads int64 // copied through the connection's shared-memory payload region
+	InlinePayloads int64 // written to the socket: no region, or too large for what a reply left of it
+
 	// Plan-lifecycle telemetry (the epoch-aware plan manager).
 	EpochsSubmitted int64 // plan epochs submitted since Open
 	EpochsCancelled int64 // plan epochs cancelled
@@ -307,6 +312,8 @@ func statsFrom(s core.StageStats) Stats {
 
 		ReadAheadSamples: s.ReadAheadSamples,
 		ReadAheadWasted:  s.ReadAheadWasted,
+		RegionPayloads:   s.RegionPayloads,
+		InlinePayloads:   s.InlinePayloads,
 
 		EpochsSubmitted: s.Plan.EpochsSubmitted,
 		EpochsCancelled: s.Plan.EpochsCancelled,

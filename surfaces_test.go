@@ -235,6 +235,8 @@ var surfaceMetricFamilies = []string{
 	"prisma_producers",
 	"prisma_queue_length",
 	"prisma_read_errors_total",
+	"prisma_read_payloads_inline_total",
+	"prisma_read_payloads_region_total",
 	"prisma_readahead_samples_total",
 	"prisma_readahead_wasted_total",
 	"prisma_reads_total",
@@ -318,24 +320,24 @@ func surfaceStatsKeys() []string {
 		"Buffer.Puts", "Buffer.Shards", "Buffer.Takes",
 		"Buffer.WaitHist", "Buffer.WaitHist.buckets", "Buffer.WaitHist.count",
 		"Buffer.WaitHist.sum", "Bypasses", "Errors",
-		"Hits", "Now", "Plan",
-		"Plan.claims_in_flight", "Plan.delivered", "Plan.dropped",
-		"Plan.entries_pending", "Plan.epochs_cancelled", "Plan.epochs_live",
-		"Plan.epochs_submitted", "Pool", "Pool.classes",
-		"Pool.discarded", "Pool.free_buffers", "Pool.free_bytes",
-		"Pool.gets", "Pool.hit_rate", "Pool.hits",
-		"Pool.misses", "Pool.outstanding", "Pool.oversize",
-		"Pool.recycled", "PoolEnabled", "PrefetchedFiles",
-		"QueueLen", "ReadAheadSamples", "ReadAheadWasted",
-		"ReadErrors", "Reads", "Resilience",
-		"Resilience.Attempts", "Resilience.BreakerOpens", "Resilience.DeadlineExceeded",
-		"Resilience.Degraded", "Resilience.Exhausted", "Resilience.Failures",
-		"Resilience.FastFails", "Resilience.Retries", "Resilience.State",
-		"Resilience.UnsupportedOps", "RunningProducers", "Shed",
-		"StorageBusy", "StorageReadLatency", "StorageReadLatency.buckets",
-		"StorageReadLatency.count", "StorageReadLatency.sum", "TargetProducers",
-		"ThrottleWait", "Tiering", "TieringEnabled",
-		"TraceSampling",
+		"Hits", "InlinePayloads", "Now",
+		"Plan", "Plan.claims_in_flight", "Plan.delivered",
+		"Plan.dropped", "Plan.entries_pending", "Plan.epochs_cancelled",
+		"Plan.epochs_live", "Plan.epochs_submitted", "Pool",
+		"Pool.classes", "Pool.discarded", "Pool.free_buffers",
+		"Pool.free_bytes", "Pool.gets", "Pool.hit_rate",
+		"Pool.hits", "Pool.misses", "Pool.outstanding",
+		"Pool.oversize", "Pool.recycled", "PoolEnabled",
+		"PrefetchedFiles", "QueueLen", "ReadAheadSamples",
+		"ReadAheadWasted", "ReadErrors", "Reads",
+		"RegionPayloads", "Resilience", "Resilience.Attempts",
+		"Resilience.BreakerOpens", "Resilience.DeadlineExceeded", "Resilience.Degraded",
+		"Resilience.Exhausted", "Resilience.Failures", "Resilience.FastFails",
+		"Resilience.Retries", "Resilience.State", "Resilience.UnsupportedOps",
+		"RunningProducers", "Shed", "StorageBusy",
+		"StorageReadLatency", "StorageReadLatency.buckets", "StorageReadLatency.count",
+		"StorageReadLatency.sum", "TargetProducers", "ThrottleWait",
+		"Tiering", "TieringEnabled", "TraceSampling",
 	}
 	for _, k := range surfaceTieringKeys {
 		keys = append(keys, "Tiering."+k)
