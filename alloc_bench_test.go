@@ -11,6 +11,7 @@ import (
 
 	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/experiments"
 	"github.com/dsrhaslab/prisma-go/internal/ipc"
@@ -49,6 +50,7 @@ var allocBudgetRows = []string{
 	"dir_allocs_per_op",           // the directory leaf alone, over real files
 	"dir_pinned_allocs_per_op",    // the same leaf given its manifest, reading pinned files
 	"tier_declined_allocs_per_op", // a miss a full fast tier declines
+	"plan_allocs_per_entry",       // an epoch plan submitted over the socket, per entry
 }
 
 func readAllocBudget(t *testing.T, path string) allocBudget {
@@ -297,7 +299,60 @@ func TestAllocRegressionGate(t *testing.T) {
 	declined := tierDeclinedAllocs(t)
 	t.Logf("declined tier miss: %v allocs/op", declined)
 	over("a miss the full fast tier declines", "tier_declined_allocs_per_op", declined)
+	// Plan cell: what an epoch plan costs per entry over the socket.
+	perEntry := planAllocsPerEntry(t)
+	t.Logf("socket plan submission: %.4f allocs/entry", perEntry)
+	over("an epoch plan submitted over the socket", "plan_allocs_per_entry", perEntry)
 	if unpooled.AllocsPerOp == 0 {
 		t.Error("unpooled variant reported zero allocs/op: the benchmark is not measuring the hot path")
 	}
+}
+
+// planAllocsPerEntry measures the allocations an OpPlan costs per entry, as
+// the difference between submitting (and cancelling) an 8 192- and a
+// 4 096-entry plan from a client over a loopback socket to a stage that
+// resolves names through its manifest, as Open builds it. What a plan costs
+// whatever its length — frame, reply, epoch record — cancels out; what is
+// left is per name. The prefetcher is never started, so no producer read
+// joins the process-wide count.
+func planAllocsPerEntry(t *testing.T) float64 {
+	t.Helper()
+	const big = 8192
+	samples := make([]dataset.Sample, big)
+	for i := range samples {
+		samples[i] = dataset.Sample{Name: fmt.Sprintf("train/%07d.jpg", i), Size: 4 << 10}
+	}
+	manifest := dataset.MustNew(samples)
+	env := conc.NewReal()
+	pf, err := core.NewPrefetcher(env, storage.NewMemBackend(), core.DefaultPrefetcherConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage := core.NewStage(env, storage.NewMemBackend(), pf)
+	defer stage.Close()
+	stage.SetManifest(manifest)
+	sock := filepath.Join(t.TempDir(), "plan.sock")
+	srv, err := ipc.Serve(sock, stage, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := ipc.Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	plan := manifest.EpochFileList(1, 0)
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			res, err := c.SubmitEpoch(plan[:n])
+			if err == nil {
+				_, err = c.CancelEpoch(res.Epoch)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	return (allocs(big) - allocs(big/2)) / (big / 2)
 }

@@ -154,6 +154,10 @@ func (c *Chain) Snapshot(s *core.StageStats) {
 	}
 }
 
+// WatchesPlans reports whether any layer watches submitted plans: without
+// one, Plan does nothing and the stage need not hook it.
+func (c *Chain) WatchesPlans() bool { return len(c.onPlan) > 0 }
+
 // Plan shows a submitted epoch plan to every layer that watches plans
 // (core.Stage.SetEpochPlanHook).
 func (c *Chain) Plan(names []string) {

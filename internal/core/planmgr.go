@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -47,13 +48,14 @@ func (p PlanPos) before(q PlanPos) bool {
 
 // PlanClaim is a consumer's exclusive hold on one plan entry, taken in the
 // same critical section that checks the entry exists (claim-or-bypass: no
-// Planned→Take window for a second consumer to fall into).
+// Planned→Take window for a second consumer to fall into). A popped entry
+// has the same shape.
 type PlanClaim struct {
+	// Name is the name table's own string for Slot; only popped entries
+	// carry it, for the producer's read.
 	Name string
 	PlanPos
-	// Slot is the name's manifest position + 1 as resolved at submission
-	// (0 when unresolved). Only popped entries carry it: it rides the
-	// producer's storage.Request down to the leaf.
+	// Slot is the entry's name slot in the stage's name table.
 	Slot int32
 }
 
@@ -113,12 +115,10 @@ type epochState struct {
 	inflight    int   // claims not yet resolved (delivered/unclaimed/dropped)
 	delivered   int64
 	dropped     int64
-	// order is the submitted name list, kept while the epoch is active:
-	// producers pop it front to back (next is the first unpopped index),
-	// and a position resolves to its name (claimAt). slots holds each
-	// entry's manifest slot beside it (nil when the plan was submitted
-	// unresolved). Both are released once terminal.
-	order []string
+	// slots is the submitted plan as name slots, kept while the epoch is
+	// active: producers pop it front to back (next is the first unpopped
+	// index), and a position resolves to its slot (claimAt). Released once
+	// terminal.
 	slots []int32
 	next  int
 }
@@ -130,9 +130,10 @@ type epochState struct {
 // no-rollback-on-partial-submit were the hang class this manager exists to
 // kill.
 //
-// It is also the producers' plan store: each epoch's name list is kept once
-// and producers pop runs of it in order (pop), so plan order within and
-// across epochs is the order of registration.
+// It is also the producers' plan store: each epoch's plan is kept once, as
+// name slots, and producers pop runs of it in order (pop), so plan order
+// within and across epochs is the order of registration. Nothing below the
+// stage hashes a name: claims are found by slot, positions by epoch.
 //
 // Lock order: buffer shard → plan → prefetcher. Buffer shards call into
 // the manager (put filter, cancel predicates, positional claims) under
@@ -151,19 +152,19 @@ type planManager struct {
 	parked int       // producers waiting on ready
 	closed bool
 	nextID EpochID
-	epochs map[EpochID]*epochState
-	order  []EpochID // issue order, for Epochs() listing and pruning
+	names  *nameTable // what a popped slot's producer reads
+	// epochs holds the retained epochs in issue order — ascending id — for
+	// lookup by binary search, listing and pruning.
+	epochs []*epochState
 	// fifo holds the epochs producers may still pop from, oldest first;
 	// terminal and fully popped ones leave it from the front (headLocked).
 	fifo []*epochState
-	// entries holds each name's oldest claimable entry (present = at least
-	// one) and more a duplicated name's later ones, FIFO by epoch then
-	// index. Nearly every plan names a sample once per epoch, so entries is
-	// the one map a claim touches and more is consulted only when it is
-	// non-empty.
-	entries map[string]PlanPos
-	more    map[string][]PlanPos
-	sized   int // the plan length entries was last pre-sized for
+	// heads holds each slot's oldest claimable entry (zero: none), dups a
+	// repeated name's later ones, FIFO by epoch then index. Nearly every
+	// plan names a sample once per epoch, so heads is all a claim touches
+	// and dups is consulted only when it is non-empty.
+	heads []PlanPos
+	dups  map[int32][]PlanPos
 
 	pending  int // total claimable entries across names
 	inflight int // claims not yet resolved
@@ -172,26 +173,25 @@ type planManager struct {
 	delivered, dropped   int64
 }
 
-func newPlanManager(env conc.Env) *planManager {
+func newPlanManager(env conc.Env, names *nameTable) *planManager {
 	pm := &planManager{
-		env:     env,
-		epochs:  make(map[EpochID]*epochState),
-		entries: make(map[string]PlanPos),
-		more:    make(map[string][]PlanPos),
+		env:   env,
+		names: names,
+		dups:  make(map[int32][]PlanPos),
 	}
 	pm.mu = env.NewMutex()
 	pm.ready = env.NewCond(pm.mu)
 	return pm
 }
 
-// register issues a new epoch id and makes every entry of names claimable
-// and poppable in one critical section — the all-or-nothing commit point
-// of a submission: a consumer racing it finds either no entry or the whole
-// plan. slots, when non-nil, holds each entry's manifest slot and becomes
-// the manager's. An empty plan is done at once. Unless held, parked
-// producers are woken one per position, up to as many as are parked; a
-// held registration leaves them to the caller's wake.
-func (pm *planManager) register(names []string, slots []int32, held bool) (EpochID, error) {
+// register issues a new epoch id and makes every entry of a plan, given as
+// name slots resolved in the manager's name table, claimable and poppable
+// in one critical section — the all-or-nothing commit point of a
+// submission: a consumer racing it finds either no entry or the whole plan.
+// slots becomes the manager's. An empty plan is done at once. Unless held,
+// parked producers are woken one per position, up to as many as are
+// parked; a held registration leaves them to the caller's wake.
+func (pm *planManager) register(slots []int32, held bool) (EpochID, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	if pm.closed {
@@ -202,25 +202,21 @@ func (pm *planManager) register(names []string, slots []int32, held bool) (Epoch
 		id:          pm.nextID,
 		state:       EpochActive,
 		submittedAt: pm.env.Now(),
-		total:       len(names),
-		// A copy: the caller's slice is the caller's to reuse after submitting.
-		order: append([]string(nil), names...),
-		slots: slots,
+		total:       len(slots),
+		slots:       slots,
 	}
-	pm.epochs[ep.id] = ep
-	pm.order = append(pm.order, ep.id)
+	pm.epochs = append(pm.epochs, ep)
 	pm.fifo = append(pm.fifo, ep)
 	pm.submitted++
-	if len(pm.entries) == 0 && len(names) > pm.sized {
-		// Sized once for the plan instead of doubling its way up under mu.
-		pm.sized = len(names)
-		pm.entries = make(map[string]PlanPos, len(names))
+	if n := pm.names.len(); n > len(pm.heads) {
+		// The table only grows, and every slot of the plan is in it.
+		pm.heads = append(pm.heads, make([]PlanPos, n-len(pm.heads))...)
 	}
-	for i, n := range names {
-		pm.addLocked(n, PlanPos{Epoch: ep.id, Index: i})
+	for i, s := range slots {
+		pm.addLocked(s, PlanPos{Epoch: ep.id, Index: i})
 	}
-	pm.pending += len(names)
-	for i := 0; i < len(names) && i < pm.parked && !held; i++ {
+	pm.pending += len(slots)
+	for i := 0; i < len(slots) && i < pm.parked && !held; i++ {
 		pm.ready.Signal()
 	}
 	pm.maybeDoneLocked(ep)
@@ -232,13 +228,24 @@ func (pm *planManager) register(names []string, slots []int32, held bool) (Epoch
 // same(first, next) holds (never consulted when max is 1). A run never
 // crosses an epoch, and one producer pops all of it; cancelled epochs are
 // skipped. The run is appended to out — the producer's reused scratch — as
-// name + position pairs (a popped position is not a consumer's claim; it
-// only shares the shape), and at is the epoch's submission time. With
-// nothing to pop it parks until a registration, wake or close, consulting
-// stop on entry and after every wakeup: a true stop abandons the wait
-// (stopped=true). ok is false once the manager is closed with nothing left
-// to pop. stop runs under mu.
+// name + slot + position triples (a popped position is not a consumer's
+// claim; it only shares the shape), and at is the epoch's submission time.
+// With nothing to pop it parks until a registration, wake or close,
+// consulting stop on entry and after every wakeup: a true stop abandons the
+// wait (stopped=true). ok is false once the manager is closed with nothing
+// left to pop. stop and same run under mu; the run's names are looked up
+// after it is released, since each is a load from the name table that can
+// miss the cache.
 func (pm *planManager) pop(out []PlanClaim, max int, same func(first, next string) bool, stop func() bool) (run []PlanClaim, at time.Duration, ok, stopped bool) {
+	start := len(out)
+	run, at, ok, stopped = pm.popLocked(out, max, same, stop)
+	for i := start; i < len(run); i++ {
+		run[i].Name = pm.names.name(run[i].Slot)
+	}
+	return run, at, ok, stopped
+}
+
+func (pm *planManager) popLocked(out []PlanClaim, max int, same func(first, next string) bool, stop func() bool) (run []PlanClaim, at time.Duration, ok, stopped bool) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	ep := pm.headLocked()
@@ -254,16 +261,12 @@ func (pm *planManager) pop(out []PlanClaim, max int, same func(first, next strin
 		pm.parked--
 		ep = pm.headLocked()
 	}
-	first := ep.order[ep.next]
+	first := len(out)
 	i := ep.next
 	for {
-		e := PlanClaim{Name: ep.order[i], PlanPos: PlanPos{Epoch: ep.id, Index: i}}
-		if ep.slots != nil {
-			e.Slot = ep.slots[i]
-		}
-		out = append(out, e)
+		out = append(out, PlanClaim{PlanPos: PlanPos{Epoch: ep.id, Index: i}, Slot: ep.slots[i]})
 		i++
-		if i-ep.next == max || i == len(ep.order) || !same(first, ep.order[i]) {
+		if i-ep.next == max || i == len(ep.slots) || !same(pm.names.name(out[first].Slot), pm.names.name(ep.slots[i])) {
 			break
 		}
 	}
@@ -277,7 +280,7 @@ func (pm *planManager) pop(out []PlanClaim, max int, same func(first, next strin
 func (pm *planManager) headLocked() *epochState {
 	for len(pm.fifo) > 0 {
 		ep := pm.fifo[0]
-		if ep.state == EpochActive && ep.next < len(ep.order) {
+		if ep.state == EpochActive && ep.next < len(ep.slots) {
 			return ep
 		}
 		pm.fifo[0] = nil
@@ -293,7 +296,7 @@ func (pm *planManager) unpopped() int {
 	n := 0
 	for _, ep := range pm.fifo {
 		if ep.state == EpochActive {
-			n += len(ep.order) - ep.next
+			n += len(ep.slots) - ep.next
 		}
 	}
 	return n
@@ -317,15 +320,15 @@ func (pm *planManager) close() {
 }
 
 // cancel moves an epoch to the cancelled state and unregisters its
-// unclaimed entries, reporting how many were removed; its unpopped
-// positions are never popped. Cancelling an already-terminal epoch is a
-// no-op (idempotent, so the control path can safely retry). The caller is
-// responsible for dropping the epoch's buffered items and waking blocked
-// consumers.
+// unclaimed entries — a sweep of the epoch's own positions — reporting how
+// many were removed; its unpopped positions are never popped. Cancelling
+// an already-terminal epoch is a no-op (idempotent, so the control path
+// can safely retry). The caller is responsible for dropping the epoch's
+// buffered items and waking blocked consumers.
 func (pm *planManager) cancel(id EpochID) (removed int, err error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	ep := pm.epochs[id]
+	ep := pm.epochLocked(id)
 	if ep == nil {
 		return 0, ErrUnknownEpoch
 	}
@@ -333,35 +336,15 @@ func (pm *planManager) cancel(id EpochID) (removed int, err error) {
 	case EpochCancelled, EpochDone:
 		return 0, nil
 	}
-	ep.state = EpochCancelled
-	ep.order, ep.slots = nil, nil
-	pm.cancelledAny.Store(true)
-	pm.cancelled++
-	for name, head := range pm.entries {
-		rest := pm.more[name]
-		kept := rest[:0]
-		for _, p := range rest {
-			if p.Epoch == id {
-				removed++
-			} else {
-				kept = append(kept, p)
-			}
-		}
-		if head.Epoch == id {
+	for i, s := range ep.slots {
+		if pm.takeLocked(s, PlanPos{Epoch: id, Index: i}) {
 			removed++
-			if len(kept) == 0 {
-				delete(pm.entries, name)
-				delete(pm.more, name)
-				continue
-			}
-			pm.entries[name], kept = kept[0], kept[1:]
-		}
-		if len(kept) == 0 {
-			delete(pm.more, name)
-		} else {
-			pm.more[name] = kept
 		}
 	}
+	ep.state = EpochCancelled
+	ep.slots = nil
+	pm.cancelledAny.Store(true)
+	pm.cancelled++
 	pm.pending -= removed
 	ep.dropped += int64(removed)
 	pm.dropped += int64(removed)
@@ -379,42 +362,63 @@ func (pm *planManager) cancelledEpoch(id EpochID) bool {
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	ep := pm.epochs[id]
+	ep := pm.epochLocked(id)
 	return ep == nil || ep.state == EpochCancelled
 }
 
-// claim atomically takes one plan entry for name — the claim-or-bypass
-// critical section. ok=false means no claimable entry exists (unplanned
-// name, entry already claimed by a concurrent consumer, or epoch
-// cancelled): the caller bypasses to the backend instead of blocking.
-func (pm *planManager) claim(name string) (PlanClaim, bool) {
+// epochLocked finds a retained epoch by binary search of the issue order,
+// or nil. Caller holds mu.
+func (pm *planManager) epochLocked(id EpochID) *epochState {
+	lo, hi := 0, len(pm.epochs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pm.epochs[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(pm.epochs) && pm.epochs[lo].id == id {
+		return pm.epochs[lo]
+	}
+	return nil
+}
+
+// claim atomically takes one plan entry for the name at slot — the
+// claim-or-bypass critical section. ok=false means no claimable entry
+// exists (unplanned name, entry already claimed by a concurrent consumer,
+// or epoch cancelled): the caller bypasses to the backend instead of
+// blocking.
+func (pm *planManager) claim(slot int32) (PlanClaim, bool) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	pos, ok := pm.entries[name]
-	if !ok {
+	if int(slot) >= len(pm.heads) || pm.heads[slot].Epoch == 0 {
+		// Past heads: a name a submission is adding, not yet registered.
 		return PlanClaim{}, false
 	}
-	pm.popFrontLocked(name)
+	pos := pm.heads[slot]
+	pm.takeLocked(slot, pos)
+	pm.pending--
 	pm.inflight++
-	if ep := pm.epochs[pos.Epoch]; ep != nil {
+	if ep := pm.epochLocked(pos.Epoch); ep != nil {
 		ep.claimed++
 		ep.inflight++
 	}
-	return PlanClaim{Name: name, PlanPos: pos}, true
+	return PlanClaim{PlanPos: pos, Slot: slot}, true
 }
 
-// addLocked makes pos claimable for name, at its place in the name's FIFO
-// order. Caller holds mu.
-func (pm *planManager) addLocked(name string, pos PlanPos) {
-	head, dup := pm.entries[name]
-	if !dup {
-		pm.entries[name] = pos
+// addLocked makes pos claimable for slot's name, at its place in the
+// name's FIFO order. Caller holds mu.
+func (pm *planManager) addLocked(slot int32, pos PlanPos) {
+	head := pm.heads[slot]
+	if head.Epoch == 0 {
+		pm.heads[slot] = pos
 		return
 	}
 	if pos.before(head) {
-		pm.entries[name], pos = pos, head
+		pm.heads[slot], pos = pos, head
 	}
-	rest := pm.more[name]
+	rest := pm.dups[slot]
 	i := 0
 	for i < len(rest) && rest[i].before(pos) {
 		i++
@@ -422,24 +426,35 @@ func (pm *planManager) addLocked(name string, pos PlanPos) {
 	rest = append(rest, PlanPos{})
 	copy(rest[i+1:], rest[i:])
 	rest[i] = pos
-	pm.more[name] = rest
+	pm.dups[slot] = rest
 }
 
-// popFrontLocked removes name's oldest claimable entry. Caller holds mu.
-func (pm *planManager) popFrontLocked(name string) {
-	pm.pending--
-	if len(pm.more) > 0 {
-		if rest, dup := pm.more[name]; dup {
-			pm.entries[name] = rest[0]
-			if len(rest) == 1 {
-				delete(pm.more, name)
-			} else {
-				pm.more[name] = rest[1:]
-			}
-			return
-		}
+// takeLocked removes pos from slot's claimable entries and reports whether
+// it was one. Caller holds mu and accounts pending.
+func (pm *planManager) takeLocked(slot int32, pos PlanPos) bool {
+	var rest []PlanPos
+	if len(pm.dups) > 0 {
+		rest = pm.dups[slot]
 	}
-	delete(pm.entries, name)
+	if pm.heads[slot] == pos {
+		if len(rest) == 0 {
+			pm.heads[slot] = PlanPos{}
+			return true
+		}
+		pm.heads[slot], rest = rest[0], rest[1:]
+	} else {
+		i := slices.Index(rest, pos)
+		if i < 0 {
+			return false
+		}
+		rest = append(rest[:i], rest[i+1:]...)
+	}
+	if len(rest) == 0 {
+		delete(pm.dups, slot)
+	} else {
+		pm.dups[slot] = rest
+	}
+	return true
 }
 
 // nameAt resolves a position to its name when that entry is the next
@@ -452,19 +467,22 @@ func (pm *planManager) popFrontLocked(name string) {
 func (pm *planManager) nameAt(pos PlanPos) (name string, ok bool) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	return pm.nameAtLocked(pos)
+	slot, ok := pm.slotAtLocked(pos)
+	if !ok {
+		return "", false
+	}
+	return pm.names.name(slot), true
 }
 
-func (pm *planManager) nameAtLocked(pos PlanPos) (string, bool) {
-	ep := pm.epochs[pos.Epoch]
-	if ep == nil || ep.state != EpochActive || pos.Index < 0 || pos.Index >= len(ep.order) {
-		return "", false
+// slotAtLocked is nameAt's check, reporting the entry's slot: a binary
+// search for the epoch and an index into heads, no hashing.
+func (pm *planManager) slotAtLocked(pos PlanPos) (int32, bool) {
+	ep := pm.epochLocked(pos.Epoch)
+	if ep == nil || ep.state != EpochActive || pos.Index < 0 || pos.Index >= len(ep.slots) {
+		return 0, false
 	}
-	name := ep.order[pos.Index]
-	if head, ok := pm.entries[name]; !ok || head != pos {
-		return "", false
-	}
-	return name, true
+	slot := ep.slots[pos.Index]
+	return slot, pm.heads[slot] == pos
 }
 
 // claimAt is the positional twin of claim+deliver, for a sample the caller
@@ -475,13 +493,14 @@ func (pm *planManager) nameAtLocked(pos PlanPos) (string, bool) {
 func (pm *planManager) claimAt(pos PlanPos) bool {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	name, ok := pm.nameAtLocked(pos)
+	slot, ok := pm.slotAtLocked(pos)
 	if !ok {
 		return false
 	}
-	pm.popFrontLocked(name)
+	pm.takeLocked(slot, pos)
+	pm.pending--
 	pm.delivered++
-	ep := pm.epochs[pos.Epoch]
+	ep := pm.epochLocked(pos.Epoch)
 	ep.claimed++
 	ep.delivered++
 	pm.maybeDoneLocked(ep)
@@ -494,7 +513,7 @@ func (pm *planManager) deliver(c PlanClaim) {
 	defer pm.mu.Unlock()
 	pm.inflight--
 	pm.delivered++
-	if ep := pm.epochs[c.Epoch]; ep != nil {
+	if ep := pm.epochLocked(c.Epoch); ep != nil {
 		ep.inflight--
 		ep.delivered++
 		pm.maybeDoneLocked(ep)
@@ -510,7 +529,7 @@ func (pm *planManager) unclaim(c PlanClaim) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	pm.inflight--
-	ep := pm.epochs[c.Epoch]
+	ep := pm.epochLocked(c.Epoch)
 	if ep == nil || ep.state != EpochActive {
 		pm.dropped++
 		if ep != nil {
@@ -524,7 +543,7 @@ func (pm *planManager) unclaim(c PlanClaim) {
 	ep.claimed--
 	// Back into its place in line, not blindly to the front: with several
 	// claims of one name out at once they can return in any order.
-	pm.addLocked(c.Name, c.PlanPos)
+	pm.addLocked(c.Slot, c.PlanPos)
 	pm.pending++
 }
 
@@ -535,7 +554,7 @@ func (pm *planManager) claimDropped(c PlanClaim) {
 	defer pm.mu.Unlock()
 	pm.inflight--
 	pm.dropped++
-	if ep := pm.epochs[c.Epoch]; ep != nil {
+	if ep := pm.epochLocked(c.Epoch); ep != nil {
 		ep.inflight--
 		ep.dropped++
 		pm.maybeDoneLocked(ep)
@@ -554,7 +573,7 @@ func (pm *planManager) noteDropped(id EpochID, n int) {
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if pm.epochs[id] != nil {
+	if pm.epochLocked(id) != nil {
 		return
 	}
 	pm.dropped += int64(n)
@@ -566,7 +585,7 @@ func (pm *planManager) noteDropped(id EpochID, n int) {
 func (pm *planManager) maybeDoneLocked(ep *epochState) {
 	if ep.state == EpochActive && ep.delivered+ep.dropped >= int64(ep.total) {
 		ep.state = EpochDone
-		ep.order, ep.slots = nil, nil
+		ep.slots = nil
 		pm.pruneLocked()
 	}
 }
@@ -576,27 +595,24 @@ func (pm *planManager) maybeDoneLocked(ep *epochState) {
 // predicates always find their epoch. Caller holds mu.
 func (pm *planManager) pruneLocked() {
 	terminal := 0
-	for _, id := range pm.order {
-		ep := pm.epochs[id]
-		if ep != nil && (ep.state == EpochCancelled || ep.state == EpochDone) && ep.inflight == 0 {
+	for _, ep := range pm.epochs {
+		if ep.state != EpochActive && ep.inflight == 0 {
 			terminal++
 		}
 	}
 	if terminal <= maxEpochHistory {
 		return
 	}
-	kept := pm.order[:0]
-	for _, id := range pm.order {
-		ep := pm.epochs[id]
-		if terminal > maxEpochHistory && ep != nil &&
-			(ep.state == EpochCancelled || ep.state == EpochDone) && ep.inflight == 0 {
-			delete(pm.epochs, id)
+	kept := pm.epochs[:0]
+	for _, ep := range pm.epochs {
+		if terminal > maxEpochHistory && ep.state != EpochActive && ep.inflight == 0 {
 			terminal--
 			continue
 		}
-		kept = append(kept, id)
+		kept = append(kept, ep)
 	}
-	pm.order = kept
+	clear(pm.epochs[len(kept):])
+	pm.epochs = kept
 }
 
 // stats snapshots aggregate plan activity.
@@ -623,12 +639,8 @@ func (pm *planManager) stats() PlanStats {
 func (pm *planManager) statuses() []EpochStatus {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	out := make([]EpochStatus, 0, len(pm.order))
-	for _, id := range pm.order {
-		ep := pm.epochs[id]
-		if ep == nil {
-			continue
-		}
+	out := make([]EpochStatus, 0, len(pm.epochs))
+	for _, ep := range pm.epochs {
 		out = append(out, EpochStatus{
 			ID:        ep.id,
 			State:     ep.state,

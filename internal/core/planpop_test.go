@@ -108,7 +108,7 @@ func never() bool { return false }
 // turns true ends the wait as stopped, with nothing popped.
 func TestPlanPopStopPredicate(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
-		pm := newPlanManager(env)
+		pm := newPlanManager(env, newNameTable())
 		defer pm.close() // releases the producer should the test fail
 		var stop atomic.Bool
 		results := make(chan popResult, 1)
@@ -130,12 +130,12 @@ func TestPlanPopStopPredicate(t *testing.T) {
 // plan's first position.
 func TestPlanPopHeldRegistration(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
-		pm := newPlanManager(env)
+		pm := newPlanManager(env, newNameTable())
 		defer pm.close()
 		results := make(chan popResult, 1)
 		popAsync(env, pm, never, results)
 		awaitPopParked(t, env, pm, 1)
-		if _, err := pm.register([]string{"a", "b"}, nil, true); err != nil {
+		if _, err := pm.registerNames([]string{"a", "b"}, true); err != nil {
 			t.Fatal(err)
 		}
 		settled(t, env, results, "before the held registration's wake")
@@ -151,8 +151,8 @@ func TestPlanPopHeldRegistration(t *testing.T) {
 // are still popped after it; only then does pop report the store drained.
 func TestPlanPopDeliversBeforeStop(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
-		pm := newPlanManager(env)
-		id, err := pm.register([]string{"a", "b"}, nil, false)
+		pm := newPlanManager(env, newNameTable())
+		id, err := pm.registerNames([]string{"a", "b"}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestPlanPopDeliversBeforeStop(t *testing.T) {
 			t.Fatalf("pop = (%v, ok=%v, stopped=%v), want a at index 0", run, ok, stopped)
 		}
 		pm.close()
-		if _, err := pm.register([]string{"c"}, nil, false); err != ErrClosed {
+		if _, err := pm.registerNames([]string{"c"}, false); err != ErrClosed {
 			t.Fatalf("register after close = %v, want ErrClosed", err)
 		}
 		run, _, ok, stopped = pm.pop(run[:0], 1, nil, always)
@@ -181,9 +181,9 @@ func TestPlanPopDeliversBeforeStop(t *testing.T) {
 // positions follow at once.
 func TestPlanPopSkipsCancelledEpoch(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
-		pm := newPlanManager(env)
-		first, _ := pm.register([]string{"a", "b", "c"}, nil, false)
-		second, _ := pm.register([]string{"x", "y"}, nil, false)
+		pm := newPlanManager(env, newNameTable())
+		first, _ := pm.registerNames([]string{"a", "b", "c"}, false)
+		second, _ := pm.registerNames([]string{"x", "y"}, false)
 		if n := pm.unpopped(); n != 5 {
 			t.Fatalf("unpopped = %d, want 5", n)
 		}
@@ -201,7 +201,8 @@ func TestPlanPopSkipsCancelledEpoch(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			got, _, _, _ = pm.pop(got, 1, nil, never)
 		}
-		want := []PlanClaim{{Name: "x", PlanPos: PlanPos{Epoch: second}}, {Name: "y", PlanPos: PlanPos{Epoch: second, Index: 1}}}
+		// The table gave a, b and c slots 0-2.
+		want := []PlanClaim{{Name: "x", PlanPos: PlanPos{Epoch: second}, Slot: 3}, {Name: "y", PlanPos: PlanPos{Epoch: second, Index: 1}, Slot: 4}}
 		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 			t.Fatalf("pops after cancel = %v, want %v", got, want)
 		}
@@ -216,14 +217,14 @@ func TestPlanPopSkipsCancelledEpoch(t *testing.T) {
 // and a second registration the other; each gets its epoch's position.
 func TestPlanPopWakesParkedProducers(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
-		pm := newPlanManager(env)
+		pm := newPlanManager(env, newNameTable())
 		defer pm.close() // releases the producers should the test fail
 		results := make(chan popResult, 2)
 		popAsync(env, pm, never, results)
 		popAsync(env, pm, never, results)
 		awaitPopParked(t, env, pm, 2)
 		for _, name := range []string{"p", "q"} {
-			id, err := pm.register([]string{name}, nil, false)
+			id, err := pm.registerNames([]string{name}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,11 +257,11 @@ func TestPlanPopRunRules(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			runSim(t, func(env conc.Env) {
-				pm := newPlanManager(env)
+				pm := newPlanManager(env, newNameTable())
 				env.Sleep(3 * time.Millisecond)
 				var first EpochID
 				for i, p := range tc.plans {
-					id, err := pm.register(p, nil, false)
+					id, err := pm.registerNames(p, false)
 					if err != nil {
 						t.Fatal(err)
 					}

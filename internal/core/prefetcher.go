@@ -113,6 +113,7 @@ type Prefetcher struct {
 	tracer  *obs.Tracer // set before Start via setTracer; nil-safe
 
 	plans *planManager // epoch/claim lifecycle (DESIGN.md §12)
+	names *nameTable   // name → slot, shared with the stage
 
 	mu      conc.Mutex
 	target  int // desired t
@@ -143,12 +144,14 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	names := newNameTable()
 	pf := &Prefetcher{
 		env:            env,
 		backend:        backend,
 		cfg:            cfg,
 		buffer:         NewShardedBuffer(env, cfg.InitialBufferCapacity, cfg.BufferAccessCost, cfg.BufferShards),
-		plans:          newPlanManager(env),
+		plans:          newPlanManager(env, names),
+		names:          names,
 		batchMax:       1,
 		activeReaders:  metrics.NewTimeInState(env, 0),
 		readLat:        metrics.NewBucketedHistogram(env, nil),
@@ -199,20 +202,23 @@ func (pf *Prefetcher) setTracer(t *obs.Tracer) {
 // half-registered plan. On success the result reports every name as
 // enqueued.
 func (pf *Prefetcher) SubmitEpoch(names []string) (PlanResult, error) {
-	return pf.submit(names, nil, false)
-}
-
-// submit is SubmitEpoch with each entry's manifest slot (nil: unresolved),
-// which the producers hand to the backend with the entry's read; held
-// leaves parked producers parked (see Stage.SubmitEpochHeld).
-func (pf *Prefetcher) submit(names []string, slots []int32, held bool) (PlanResult, error) {
-	at := pf.env.Now()
-	id, err := pf.plans.register(names, slots, held)
+	slots, err := pf.names.plan(names)
 	if err != nil {
 		return PlanResult{}, err
 	}
-	pf.recordPlanSpan(obs.StagePlanSubmit, id, at, int64(len(names)))
-	return PlanResult{Epoch: id, Enqueued: len(names)}, nil
+	return pf.submit(slots, false)
+}
+
+// submit is SubmitEpoch for a plan already resolved to name slots; held
+// leaves parked producers parked (see Stage.SubmitEpochHeld).
+func (pf *Prefetcher) submit(slots []int32, held bool) (PlanResult, error) {
+	at := pf.env.Now()
+	id, err := pf.plans.register(slots, held)
+	if err != nil {
+		return PlanResult{}, err
+	}
+	pf.recordPlanSpan(obs.StagePlanSubmit, id, at, int64(len(slots)))
+	return PlanResult{Epoch: id, Enqueued: len(slots)}, nil
 }
 
 // CancelEpoch cancels a submitted epoch: unclaimed entries stop being
@@ -270,10 +276,11 @@ func (pf *Prefetcher) SetTakeDeadline(d time.Duration) {
 // TakeDeadline reports the current consumer take deadline.
 func (pf *Prefetcher) TakeDeadline() time.Duration { return time.Duration(pf.takeDL.Load()) }
 
-// read serves a planned file from the buffer, blocking until the producers
-// deliver it; the request's trace context flows into the buffer so the Take
-// wait is recorded against the right trace. planned=false means the name
-// has no claimable plan entry and the stage bypasses to backend storage.
+// read serves a planned file, whose name resolved to slot, from the buffer,
+// blocking until the producers deliver it; the request's trace context
+// flows into the buffer so the Take wait is recorded against the right
+// trace. planned=false means the name has no claimable plan entry and the
+// stage bypasses to backend storage.
 //
 // Claim-or-bypass: the existence check and the exclusive hold on a plan
 // entry happen in one plan-manager critical section, so two consumers
@@ -281,8 +288,8 @@ func (pf *Prefetcher) TakeDeadline() time.Duration { return time.Duration(pf.tak
 // loser's claim fails and it bypasses to the backend like any unplanned
 // read (the Planned→Take TOCTOU hang is structurally impossible). A
 // delivered read also reports the position of the plan entry it consumed.
-func (pf *Prefetcher) read(req ReadRequest) (_ storage.Data, _ PlanPos, planned bool, _ error) {
-	claim, ok := pf.plans.claim(req.Name)
+func (pf *Prefetcher) read(req ReadRequest, slot int32) (_ storage.Data, _ PlanPos, planned bool, _ error) {
+	claim, ok := pf.plans.claim(slot)
 	if !ok {
 		return storage.Data{}, PlanPos{}, false, nil
 	}
@@ -498,7 +505,7 @@ func (pf *Prefetcher) producerLoop() {
 		}
 		if !batched {
 			for i, e := range run {
-				resp, rerr := pf.backend.Read(storage.Request{Name: e.Name, Ctx: ctxs[i], Slot: int(e.Slot)})
+				resp, rerr := pf.backend.Read(storage.Request{Name: e.Name, Ctx: ctxs[i], Slot: pf.names.leafSlot(e.Slot)})
 				datas = append(datas, resp.Data)
 				details = append(details, resp.Detail)
 				errs = append(errs, rerr)

@@ -37,7 +37,7 @@ func testBackend(env conc.Env, n int, size int64, lat time.Duration, channels in
 // take is the test-side mirror of the Stage read path: claim the plan
 // entry, wait for the sample, resolve the claim.
 func take(pf *Prefetcher, name string) (Item, bool) {
-	claim, ok := pf.plans.claim(name)
+	claim, ok := pf.plans.claimName(name)
 	if !ok {
 		return Item{}, false
 	}

@@ -184,7 +184,7 @@ func TestTakeAheadSkipsProducerErrors(t *testing.T) {
 func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		pm := newPlanManager(conc.NewReal())
+		pm := newPlanManager(conc.NewReal(), newNameTable())
 		names := []string{"a", "b", "c"}
 		var (
 			plans     = map[EpochID][]string{}
@@ -198,7 +198,7 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 			for i := range plan {
 				plan[i] = names[rng.Intn(len(names))]
 			}
-			id, err := pm.register(plan, nil, false)
+			id, err := pm.registerNames(plan, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0, 1, 2: // by-name claim, held for a while
 				name := names[rng.Intn(len(names))]
-				c, ok := pm.claim(name)
+				c, ok := pm.claimName(name)
 				if ok != (len(unclaimed[name]) > 0) {
 					t.Fatalf("seed %d: claim(%q) = %v with %d unclaimed", seed, name, ok, len(unclaimed[name]))
 				}
@@ -264,9 +264,10 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 				if !slices.Contains(live, c.Epoch) {
 					continue // its epoch was cancelled: the entry is dropped
 				}
-				u := append(unclaimed[c.Name], c.PlanPos)
+				name := pm.names.name(c.Slot)
+				u := append(unclaimed[name], c.PlanPos)
 				sort.Slice(u, func(i, j int) bool { return u[i].before(u[j]) })
-				unclaimed[c.Name] = u
+				unclaimed[name] = u
 			case 8:
 				if len(live) < 4 {
 					submit()
@@ -315,13 +316,13 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 // position, over a plan where every name is planned many times. Whoever
 // wins an entry, each is claimed exactly once and none is lost.
 func TestPositionalClaimRacesByNameClaim(t *testing.T) {
-	pm := newPlanManager(conc.NewReal())
+	pm := newPlanManager(conc.NewReal(), newNameTable())
 	const n = 2000
 	plan := make([]string, n)
 	for i := range plan {
 		plan[i] = fmt.Sprintf("dup%d", i%7)
 	}
-	id, err := pm.register(plan, nil, false)
+	id, err := pm.registerNames(plan, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestPositionalClaimRacesByNameClaim(t *testing.T) {
 		for left := true; left; {
 			left = false
 			for k := 0; k < 7; k++ {
-				if c, ok := pm.claim(fmt.Sprintf("dup%d", k)); ok {
+				if c, ok := pm.claimName(fmt.Sprintf("dup%d", k)); ok {
 					left = true
 					note(c.PlanPos)
 					pm.deliver(c)
@@ -366,7 +367,7 @@ func TestPositionalClaimRacesByNameClaim(t *testing.T) {
 	// front of every line; whatever is left must still be claimable.
 	for k := 0; k < 7; k++ {
 		for {
-			c, ok := pm.claim(fmt.Sprintf("dup%d", k))
+			c, ok := pm.claimName(fmt.Sprintf("dup%d", k))
 			if !ok {
 				break
 			}

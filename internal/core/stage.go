@@ -1,10 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
@@ -181,7 +181,7 @@ type Stage struct {
 	pool      *mempool.Pool                 // nil when pooling is off; stats only
 	gate      TenantGate                    // nil when multi-tenant QoS is off
 	chain     func(*StageStats)             // nil unless the storage chain reports into the snapshot
-	index     func(name string) (int, bool) // nil unless the dataset manifest is attached
+	names     *nameTable                    // the prefetcher's, or the stage's own without one
 	epochHook func(names []string)          // nil unless a plan observer (tier warmer) is attached
 	partition func(names []string) []string // nil unless a plan partitioner (cluster fabric) is attached
 
@@ -201,10 +201,15 @@ type Stage struct {
 // nil pf makes a bare interception point: every read bypasses to backend and
 // the plan operations fail with ErrNoPrefetcher.
 func NewStage(env conc.Env, backend storage.Backend, pf *Prefetcher) *Stage {
+	names := newNameTable()
+	if pf != nil {
+		names = pf.names
+	}
 	return &Stage{
 		env:          env,
 		backend:      backend,
 		pf:           pf,
+		names:        names,
 		reads:        metrics.NewCounter(env),
 		hits:         metrics.NewCounter(env),
 		bypasses:     metrics.NewCounter(env),
@@ -287,11 +292,13 @@ func (s *Stage) Read(req ReadRequest) (storage.Data, PlanPos, error) {
 }
 
 // serve answers an admitted, sampling-decided request from the prefetcher
-// when it is planned, and from the backend otherwise.
+// when it is planned, and from the backend otherwise. The name resolves
+// once, here; a listed name reaches the backend as the table's own string.
 func (s *Stage) serve(req ReadRequest) (storage.Data, PlanPos, error) {
 	s.reads.Inc()
-	if s.pf != nil {
-		if data, at, planned, err := s.pf.read(req); planned {
+	slot, listed := s.names.slot(req.Name)
+	if listed && s.pf != nil {
+		if data, at, planned, err := s.pf.read(req, slot); planned {
 			if err != nil {
 				s.errors.Inc()
 				return storage.Data{}, PlanPos{}, err
@@ -301,16 +308,14 @@ func (s *Stage) serve(req ReadRequest) (storage.Data, PlanPos, error) {
 		}
 	}
 	s.bypasses.Inc()
-	slot := 0
-	if s.index != nil {
-		i, ok := s.index(req.Name)
-		if !ok {
-			s.errors.Inc()
-			return storage.Data{}, PlanPos{}, &storage.NotExistError{Name: req.Name}
-		}
-		slot = i + 1
+	name, leaf := req.Name, 0
+	if listed {
+		name, leaf = s.names.name(slot), s.names.leafSlot(slot)
+	} else if s.names.manifest {
+		s.errors.Inc()
+		return storage.Data{}, PlanPos{}, &storage.NotExistError{Name: req.Name}
 	}
-	resp, err := s.backend.Read(storage.Request{Name: req.Name, Ctx: req.Ctx, Slot: slot})
+	resp, err := s.backend.Read(storage.Request{Name: name, Ctx: req.Ctx, Slot: leaf})
 	if err != nil {
 		s.errors.Inc()
 		return storage.Data{}, PlanPos{}, err
@@ -338,16 +343,28 @@ func (s *Stage) SetChainStats(f func(*StageStats)) { s.chain = f }
 // from remote data loaders too. Call before traffic starts.
 func (s *Stage) SetEpochPlanHook(f func(names []string)) { s.epochHook = f }
 
-// SetManifestIndex attaches the dataset manifest's name → position lookup
-// (dataset.Manifest.Index). Every name is then resolved once, where it
-// enters the stage: a submitted plan naming a file outside the manifest
-// fails SubmitEpoch and issues no epoch — at the same chokepoint as the
-// epoch-plan hook, so plans from IPC clients are checked like in-process
-// ones — and an unplanned read of one fails with storage.NotExistError
-// before any storage layer sees it. A listed name's position rides its
-// storage.Request (Slot), so the leaf need not look it up again. Call
-// before traffic starts; nil (the default) resolves nothing.
-func (s *Stage) SetManifestIndex(index func(name string) (int, bool)) { s.index = index }
+// SetManifest makes the dataset manifest's flat index the stage's name
+// table. Every name is resolved once, where it enters the stage: a
+// submitted plan naming a file outside the manifest fails SubmitEpoch and
+// issues no epoch — at the same chokepoint as the epoch-plan hook, so plans
+// from IPC clients are checked like in-process ones — and an unplanned read
+// of one fails with storage.NotExistError before any storage layer sees
+// it. A listed name reaches the backend as the manifest's own string with
+// its position (storage.Request.Slot), so the leaf need not look it up
+// again. Call before traffic starts; without a manifest (the default) the
+// stage's table holds the names its plans named and refuses nothing.
+func (s *Stage) SetManifest(m *dataset.Manifest) { s.names.setManifest(m) }
+
+// Name resolves a name still in its wire bytes to the stage's own string
+// for it, without allocating: ok is false for a name no manifest lists and
+// no plan has named.
+func (s *Stage) Name(b []byte) (string, bool) {
+	slot, ok := s.names.slotBytes(b)
+	if !ok {
+		return "", false
+	}
+	return s.names.name(slot), true
+}
 
 // SetPlanPartitioner registers a function that narrows every submitted
 // epoch plan to the subset this stage should actually prefetch, preserving
@@ -427,17 +444,34 @@ func (s *Stage) SubmitPlan(names []string) error {
 // SubmitEpoch is SubmitPlan returning the issued epoch id and the number
 // of entries actually enqueued (see Prefetcher.SubmitEpoch).
 func (s *Stage) SubmitEpoch(names []string) (PlanResult, error) {
-	return s.submitEpoch(names, false)
+	if s.pf == nil {
+		return PlanResult{}, ErrNoPrefetcher
+	}
+	slots, err := s.names.plan(names)
+	if err != nil {
+		return PlanResult{}, err
+	}
+	return s.submitSlots(slots, false)
 }
 
-// SubmitEpochHeld is SubmitEpoch that leaves parked producers parked until
-// StartProducers; producers already at work pop the new entries as usual.
-// The socket server answers a plan before its producers start: woken
-// first, a fresh epoch's producers can hold every P and CPU filling the
-// buffer for milliseconds before anything polls the network for the
-// submitter's reply, and then for its first reads (DESIGN.md §28).
-func (s *Stage) SubmitEpochHeld(names []string) (PlanResult, error) {
-	return s.submitEpoch(names, true)
+// SubmitEpochHeld is SubmitEpoch for a plan whose names are still in their
+// wire bytes — they resolve straight to slots, with no string per name, and
+// the plan is the caller's again once it returns — that leaves parked
+// producers parked until StartProducers; producers already at work pop the
+// new entries as usual. The socket server answers a plan before its
+// producers start: woken first, a fresh epoch's producers can hold every P
+// and CPU filling the buffer for milliseconds before anything polls the
+// network for the submitter's reply, and then for its first reads
+// (DESIGN.md §28).
+func (s *Stage) SubmitEpochHeld(names [][]byte) (PlanResult, error) {
+	if s.pf == nil {
+		return PlanResult{}, ErrNoPrefetcher
+	}
+	slots, err := s.names.planBytes(names)
+	if err != nil {
+		return PlanResult{}, err
+	}
+	return s.submitSlots(slots, true)
 }
 
 // StartProducers wakes the producers a held submission left parked. Waking
@@ -448,43 +482,23 @@ func (s *Stage) StartProducers() {
 	}
 }
 
-func (s *Stage) submitEpoch(names []string, held bool) (PlanResult, error) {
-	if s.pf == nil {
-		return PlanResult{}, ErrNoPrefetcher
+// submitSlots registers a resolved plan. The partitioner and the plan hook
+// see the plan as the table's own strings.
+func (s *Stage) submitSlots(slots []int32, held bool) (PlanResult, error) {
+	var names []string
+	if s.partition != nil || s.epochHook != nil {
+		names = s.names.names(slots)
 	}
-	slots, err := s.resolve(names)
-	if err != nil {
-		return PlanResult{}, err
-	}
-	submit := names
+	submit := slots
 	if s.partition != nil {
-		submit = s.partition(names)
-		// Every name passed above; this pass only resolves the subset.
-		slots, _ = s.resolve(submit)
+		// Every name resolved above; this pass only finds the subset's slots.
+		submit, _ = s.names.plan(s.partition(names))
 	}
-	res, err := s.pf.submit(submit, slots, held)
+	res, err := s.pf.submit(submit, held)
 	if err == nil && s.epochHook != nil {
 		s.epochHook(names)
 	}
 	return res, err
-}
-
-// resolve looks up every name of a plan in the manifest, returning each
-// one's slot + 1, or the error that refuses the plan at the first name
-// outside it. Without a manifest it resolves nothing and refuses nothing.
-func (s *Stage) resolve(names []string) ([]int32, error) {
-	if s.index == nil {
-		return nil, nil
-	}
-	slots := make([]int32, len(names))
-	for i, n := range names {
-		j, ok := s.index(n)
-		if !ok {
-			return nil, fmt.Errorf("prisma: plan references unknown file %q", n)
-		}
-		slots[i] = int32(j + 1)
-	}
-	return slots, nil
 }
 
 // CancelEpoch cancels a submitted plan epoch (control interface): queued

@@ -4,6 +4,15 @@
 // (paper §IV), a synthetic ImageNet generator matching the paper's
 // evaluation dataset (1.28 M training images ≈ 138 GiB, 50 k validation
 // images ≈ 6 GiB), and an on-disk generator for real-mode runs.
+//
+// A manifest's names live in one arena — one string that every name is a
+// slice of — behind a flat index (Names): an open-addressed []uint64 of
+// (hash tag, slot) pairs kept at most half full, under a hash/maphash seed
+// drawn per process so names from a socket cannot be made to collide, and
+// compared byte by byte only on a tag match. A name's slot is its position
+// in the manifest. The index resolves wire bytes without allocating, and
+// the data plane resolves each name once, where it enters, and then works
+// on its slot and on the manifest's own string for it.
 package dataset
 
 import (
@@ -24,32 +33,29 @@ type Sample struct {
 }
 
 // Manifest is an immutable ordered collection of samples with name lookup.
+// Its names live in one arena behind a flat index (Names); a sample's
+// position in the manifest is its slot there.
 type Manifest struct {
-	samples []Sample
-	index   map[string]int
-	total   int64
+	names *Names
+	sizes []int64
+	total int64
 }
 
 // New builds a manifest from samples. Sample names must be unique and
 // non-empty, sizes non-negative.
 func New(samples []Sample) (*Manifest, error) {
-	m := &Manifest{
-		samples: make([]Sample, len(samples)),
-		index:   make(map[string]int, len(samples)),
-	}
-	copy(m.samples, samples)
-	for i, s := range m.samples {
-		if s.Name == "" {
-			return nil, fmt.Errorf("dataset: sample %d has empty name", i)
-		}
+	names := make([]string, len(samples))
+	m := &Manifest{sizes: make([]int64, len(samples))}
+	for i, s := range samples {
 		if s.Size < 0 {
 			return nil, fmt.Errorf("dataset: sample %q has negative size %d", s.Name, s.Size)
 		}
-		if _, dup := m.index[s.Name]; dup {
-			return nil, fmt.Errorf("dataset: duplicate sample name %q", s.Name)
-		}
-		m.index[s.Name] = i
+		names[i], m.sizes[i] = s.Name, s.Size
 		m.total += s.Size
+	}
+	var err error
+	if m.names, err = NewNames(names); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -64,35 +70,36 @@ func MustNew(samples []Sample) *Manifest {
 }
 
 // Len reports the number of samples.
-func (m *Manifest) Len() int { return len(m.samples) }
+func (m *Manifest) Len() int { return len(m.sizes) }
 
-// Sample returns the i-th sample in manifest order.
-func (m *Manifest) Sample(i int) Sample { return m.samples[i] }
+// Sample returns the i-th sample in manifest order. Its Name is the
+// manifest's own string.
+func (m *Manifest) Sample(i int) Sample { return Sample{Name: m.names.Name(i), Size: m.sizes[i]} }
+
+// Names exposes the manifest's name index: slot i is the i-th sample.
+func (m *Manifest) Names() *Names { return m.names }
 
 // Lookup finds a sample by name.
 func (m *Manifest) Lookup(name string) (Sample, bool) {
-	i, ok := m.index[name]
+	i, ok := m.names.Slot(name)
 	if !ok {
 		return Sample{}, false
 	}
-	return m.samples[i], true
+	return m.Sample(i), true
 }
 
 // Index reports name's position in manifest order.
-func (m *Manifest) Index(name string) (int, bool) {
-	i, ok := m.index[name]
-	return i, ok
-}
+func (m *Manifest) Index(name string) (int, bool) { return m.names.Slot(name) }
 
 // TotalBytes reports the sum of all sample sizes.
 func (m *Manifest) TotalBytes() int64 { return m.total }
 
 // MeanSize reports the average sample size, or zero for an empty manifest.
 func (m *Manifest) MeanSize() int64 {
-	if len(m.samples) == 0 {
+	if m.Len() == 0 {
 		return 0
 	}
-	return m.total / int64(len(m.samples))
+	return m.total / int64(m.Len())
 }
 
 // EpochOrder returns the deterministic shuffled visit order for the given
@@ -103,7 +110,7 @@ func (m *Manifest) MeanSize() int64 {
 // shuffling process is performed identically to the original shuffle
 // mechanism of the DL framework").
 func (m *Manifest) EpochOrder(seed int64, epoch int) []int {
-	order := make([]int, len(m.samples))
+	order := make([]int, m.Len())
 	for i := range order {
 		order[i] = i
 	}
@@ -118,7 +125,7 @@ func (m *Manifest) EpochFileList(seed int64, epoch int) []string {
 	order := m.EpochOrder(seed, epoch)
 	names := make([]string, len(order))
 	for i, idx := range order {
-		names[i] = m.samples[idx].Name
+		names[i] = m.names.Name(idx)
 	}
 	return names
 }
@@ -264,8 +271,8 @@ func WriteManifest(path string, m *Manifest) error {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	for _, s := range m.samples {
-		if _, err := fmt.Fprintf(w, "%s %d\n", s.Name, s.Size); err != nil {
+	for i := 0; i < m.Len(); i++ {
+		if _, err := fmt.Fprintf(w, "%s %d\n", m.names.Name(i), m.sizes[i]); err != nil {
 			f.Close()
 			return err
 		}

@@ -738,11 +738,11 @@ func TestReadAheadRoutedReadsGetNoExtras(t *testing.T) {
 	fx.audit()
 }
 
-// TestInternTableBounded: names a connection asks for enter its intern table
-// only once they resolve, and the table starts over at its cap — a client
-// looping over names that do not exist, or over more names than the cap,
-// cannot grow the server. Reads of interned names allocate nothing.
-func TestInternTableBounded(t *testing.T) {
+// TestReadNamesResolveAtTheStage: a read's name resolves to the stage's
+// own string for it, so reads of a name the stage knows allocate nothing,
+// and a client looping over names that do not exist grows nothing — the
+// connection keeps no names, and reads add none to the stage's table.
+func TestReadNamesResolveAtTheStage(t *testing.T) {
 	// A plain pool: the debug pool's lease ledger allocates per Get.
 	fx := startAheadServerPool(t, 64, 512, mempool.New(mempool.Config{}))
 	cs := newConnState(nil)
@@ -751,31 +751,29 @@ func TestInternTableBounded(t *testing.T) {
 		cs.releaseHeld()
 		return r
 	}
-	for i := 0; i < 200_000; i++ {
-		if r := request(fmt.Sprintf("no/such/%d.bin", i)); r.samples {
+	for i := 0; i < 20_000; i++ {
+		missing := fmt.Sprintf("no/such/%d.bin", i)
+		if r := request(missing); r.samples {
 			t.Fatal("a missing name was served")
 		}
-	}
-	if len(cs.names) != 0 {
-		t.Fatalf("%d missing names interned", len(cs.names))
-	}
-	for i := 0; i < maxInternedNames+100; i++ {
-		name := fmt.Sprintf("extra/%06d", i)
-		fx.mem.Add(name, []byte{1})
-		if r := request(name); !r.samples {
-			t.Fatalf("read of %s failed", name)
+		if _, known := fx.stage.Name([]byte(missing)); known {
+			t.Fatalf("reading %s made the stage know it", missing)
 		}
-		if len(cs.names) > maxInternedNames {
-			t.Fatalf("intern table holds %d names, cap is %d", len(cs.names), maxInternedNames)
+	}
+	if _, err := fx.stage.SubmitEpoch(fx.names); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range fx.names {
+		if r := request(n); !r.samples {
+			t.Fatalf("planned read of %s failed", n)
 		}
 	}
 	req := appendString(nil, fx.names[0])
-	request(fx.names[0])
 	if allocs := testing.AllocsPerRun(200, func() {
 		fx.srv.safeHandle(cs, OpRead, 0, req)
 		cs.releaseHeld()
 	}); allocs != 0 {
-		t.Fatalf("read of an interned name allocates %.1f/op, want 0", allocs)
+		t.Fatalf("read of a planned name allocates %.1f/op, want 0", allocs)
 	}
 	fx.audit()
 }

@@ -129,15 +129,10 @@ func (s *Server) acceptLoop() {
 // allocate-per-frame path.
 const serverReadBuf = minFill
 
-// maxInternedNames caps a connection's name table. A dataset larger than
-// the cap costs its reads one small string each after the table resets;
-// an unbounded table costs a hostile or buggy client's server its memory.
-const maxInternedNames = 1 << 16
-
-// connState is one connection's reusable scratch: the request read buffer,
-// the reply under construction, and the interning table for repeated file
-// names. A training epoch re-reads the same name set, so after the first
-// epoch the request loop's steady-state allocation count is zero.
+// connState is one connection's reusable scratch: the request read buffer
+// and the reply under construction. A read's name resolves to the stage's
+// own string for it (Stage.Name), so the request loop's steady-state
+// allocation count is zero.
 type connState struct {
 	rd   *connReader
 	unix bool // a UNIX-domain socket: the only kind a payload region is passed over
@@ -172,7 +167,6 @@ type connState struct {
 	segs  [2*(1+maxAheadWindow) + 1][]byte // backing array for the vectored-write segment list
 	bufs  net.Buffers                      // rebuilt from segs per write: WriteTo consumes the slice
 
-	names map[string]string
 	ahead predictor
 
 	// tenant is the connection's identity, set by the hello frame; empty
@@ -192,20 +186,8 @@ func newConnState(conn net.Conn) *connState {
 		unix:  unix,
 		fd:    -1,
 		wbuf:  make([]byte, 0, 512),
-		names: make(map[string]string),
 		ahead: predictor{need: minConfirm},
 	}
-}
-
-// intern remembers a name that resolved, so later requests for it reuse
-// this string instead of allocating one. Only resolved names enter — a
-// client cycling through names that do not exist must not grow the server —
-// and the table starts over at maxInternedNames.
-func (cs *connState) intern(name string) {
-	if len(cs.names) >= maxInternedNames {
-		clear(cs.names)
-	}
-	cs.names[name] = name
 }
 
 // place appends a sample's head to the reply under construction and routes
@@ -433,7 +415,9 @@ func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte
 		return response{head: handleRegion(cs)}
 
 	case OpPlan:
-		names, err := readStrings(payload, 1)
+		// The names stay in the payload: the stage resolves them straight
+		// to slots.
+		names, err := readByteStrings(payload, 1)
 		if err != nil {
 			return response{head: errResponse(err)}
 		}
@@ -497,7 +481,7 @@ func (s *Server) handleRead(cs *connState, opcode byte, trace uint64, payload []
 	if err != nil {
 		return response{head: errResponse(err)}
 	}
-	name, known := cs.names[string(nameBytes)] // no-alloc map probe
+	name, known := s.stage.Name(nameBytes)
 	if !known {
 		name = string(nameBytes)
 	}
@@ -539,9 +523,6 @@ func (s *Server) handleRead(cs *connState, opcode byte, trace uint64, payload []
 			return response{head: overloadResponse(oe)}
 		}
 		return response{head: errResponse(err)}
-	}
-	if !known {
-		cs.intern(name)
 	}
 	// Head: status + size + payload length (+ location); an inline payload
 	// is written vectored, straight from the (pooled) read buffer. The frame

@@ -263,20 +263,28 @@ func refreshPinBudget() {
 // cannot be pinned: the leaf has no manifest, or name is not spelled as
 // the manifest spells it — so a hostile, aliased or unplanned name is
 // never pinned. hint is the caller's slot + 1 for name (0: none); it saves
-// the manifest lookup only when the manifest's name there is name, so a
-// wrong hint costs the lookup, never a wrong file.
+// the manifest lookup only when name is the manifest's own string at that
+// slot — the same bytes in memory, which the stage hands down for every
+// name it resolved — so the check is a pointer compare, and a wrong hint
+// or a copy of the name costs the lookup, never a wrong file.
 func (b *DirBackend) pinned(name string, hint int) (slot int, p uint64) {
 	if b.names == nil {
 		return -1, 0
 	}
 	i := hint - 1
-	if i < 0 || i >= b.names.Len() || b.names.Sample(i).Name != name {
+	if i < 0 || i >= b.names.Len() || !sameString(b.names.Names().Name(i), name) {
 		var ok bool
 		if i, ok = b.names.Index(name); !ok {
 			return -1, 0
 		}
 	}
 	return i, b.pins[i].Load()
+}
+
+// sameString reports whether a and b are one string: the same bytes in
+// memory, not merely equal ones.
+func sameString(a, b string) bool {
+	return len(a) == len(b) && unsafe.StringData(a) == unsafe.StringData(b)
 }
 
 // pin publishes fd, whose file had size bytes, into slot, and reports

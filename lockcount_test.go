@@ -82,7 +82,7 @@ func TestPlannedReadLockBudget(t *testing.T) {
 	}
 	stage := core.NewStage(env, ch.Backend, pf)
 	defer stage.Close()
-	stage.SetManifestIndex(manifest.Index)
+	stage.SetManifest(manifest)
 	stage.SetTracer(tracer)
 	stage.SetBufferPool(pool)
 	pf.Start()

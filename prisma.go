@@ -446,11 +446,15 @@ func Open(opts Options) (*Prisma, error) {
 	p.stage, p.reader = stage, stage
 	// Resolved at the stage, not in Prisma.SubmitEpoch: plans submitted
 	// over IPC reach the stage directly.
-	stage.SetManifestIndex(manifest.Index)
+	stage.SetManifest(manifest)
 	stage.SetTracer(p.tracer)
 	stage.SetBufferPool(pool)
 	stage.SetChainStats(ch.Snapshot)
-	stage.SetEpochPlanHook(ch.Plan)
+	if ch.WatchesPlans() {
+		// The hook sees each plan as the manifest's strings, built per
+		// submission; without a watcher nothing is built.
+		stage.SetEpochPlanHook(ch.Plan)
+	}
 	pf.Start()
 
 	if opts.Cluster.Enable {
