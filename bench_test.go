@@ -412,7 +412,7 @@ func BenchmarkSharedCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch := foldOptions(b, &chain.Chain{Env: env, Backend: storage.NewModeledBackend(man, dev, nil)}, Options{
+	ch := foldOptions(b, &chain.Chain{Env: env, Backend: storage.NewModeledBackend(man, dev)}, Options{
 		Tenancy:           TenancyOptions{Enable: true, SharedCacheBytes: 1 << 20},
 		DisableResilience: true,
 	})

@@ -72,7 +72,7 @@ func run(arbitrate bool) [2]int64 {
 			for i := range samples {
 				samples[i] = dataset.Sample{Name: fmt.Sprintf("%s/%04d", id, i), Size: 50_000}
 			}
-			backend := storage.NewModeledBackend(dataset.MustNew(samples), dev, nil)
+			backend := storage.NewModeledBackend(dataset.MustNew(samples), dev)
 			count := metrics.NewCounter(env)
 			read := func(name string) error { _, err := backend.Read(storage.Request{Name: name}); return err }
 			if arbitrate {

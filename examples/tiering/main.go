@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		share := storage.NewModeledBackend(man, nfsDev, nil)
+		share := storage.NewModeledBackend(man, nfsDev)
 		tiered := &chain.Chain{Env: env, Backend: share}
 		err = tiered.Fold(chain.Config{Hierarchy: tiering.Config{FastCapacity: 1 << 30, PromoteAfter: 1}, Fast: nvmeDev})
 		if err != nil {

@@ -184,7 +184,7 @@ func driveBlackout(env conc.Env, cfg BlackoutConfig) (BlackoutResult, error) {
 	if err != nil {
 		return res, err
 	}
-	shared := storage.NewModeledBackend(man, dev, nil)
+	shared := storage.NewModeledBackend(man, dev)
 
 	nodeNames := make([]string, cfg.Nodes)
 	for n := range nodeNames {

@@ -191,7 +191,7 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	leaf := storage.NewModeledBackend(man, dev, nil)
+	leaf := storage.NewModeledBackend(man, dev)
 	faulty := storage.NewFaultyBackend(env, leaf)
 	ch := &chain.Chain{Env: env, Backend: faulty}
 	if err := ch.Fold(chain.Config{Resilience: &cfg.Resilience}); err != nil {

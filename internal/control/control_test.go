@@ -340,7 +340,7 @@ func buildStage(env conc.Env, nFiles int, deviceLat time.Duration, channels int)
 	if err != nil {
 		panic(err)
 	}
-	backend := storage.NewModeledBackend(m, dev, nil)
+	backend := storage.NewModeledBackend(m, dev)
 	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 		InitialProducers:      1,
 		MaxProducers:          32,
@@ -418,11 +418,24 @@ func TestAutotunerConvergesDownward(t *testing.T) {
 	}
 }
 
+// replicaGroup is the replicated per-stage controller: a LeaderGroup of n
+// controllers that all hold stage id, each with its own autotuner, so any
+// of them can take over.
+func replicaGroup(env conc.Env, interval time.Duration, n int, id string, dp DataPlane, initial Tuning) (*LeaderGroup[*Controller], error) {
+	replicas := make([]*Controller, n)
+	for i := range replicas {
+		replicas[i] = NewController(env, interval)
+		if err := replicas[i].Attach(id, dp, NewAutotuner(), DefaultPolicy(), initial); err != nil {
+			return nil, err
+		}
+	}
+	return NewLeaderGroup(env, interval, replicas), nil
+}
+
 func TestReplicaGroupLeaderAndFailover(t *testing.T) {
-	env := conc.NewReal()
-	g := NewReplicaGroup(env, time.Second, 3)
 	dp := &fakeDP{}
-	if err := g.Attach("s1", dp, func() Algorithm { return NewAutotuner() }, DefaultPolicy(), Tuning{Producers: 1, BufferCapacity: 8}); err != nil {
+	g, err := replicaGroup(conc.NewReal(), time.Second, 3, "s1", dp, Tuning{Producers: 1, BufferCapacity: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Leader() != 0 {
@@ -463,8 +476,8 @@ func TestReplicaGroupFailoverDuringTraining(t *testing.T) {
 	var backupDecisions int
 	s.Spawn("driver", func(p *sim.Process) {
 		st, names := buildStage(env, 4000, time.Millisecond, 8)
-		g := NewReplicaGroup(env, 50*time.Millisecond, 2)
-		if err := g.Attach("stage", st, func() Algorithm { return NewAutotuner() }, DefaultPolicy(), Tuning{Producers: 1, BufferCapacity: 16}); err != nil {
+		g, err := replicaGroup(env, 50*time.Millisecond, 2, "stage", st, Tuning{Producers: 1, BufferCapacity: 16})
+		if err != nil {
 			t.Error(err)
 			return
 		}
@@ -497,7 +510,8 @@ func TestReplicaGroupFailoverDuringTraining(t *testing.T) {
 }
 
 func TestReplicaGroupAllDead(t *testing.T) {
-	g := NewReplicaGroup(conc.NewReal(), time.Second, 2)
+	env := conc.NewReal()
+	g := NewLeaderGroup(env, time.Second, []*Controller{NewController(env, time.Second), NewController(env, time.Second)})
 	g.Fail(0)
 	g.Fail(1)
 	if g.Leader() != -1 {
@@ -514,7 +528,7 @@ func TestReplicaGroupValidation(t *testing.T) {
 			t.Fatal("no panic for empty group")
 		}
 	}()
-	NewReplicaGroup(conc.NewReal(), time.Second, 0)
+	NewLeaderGroup[*Controller](conc.NewReal(), time.Second, nil)
 }
 
 // TestCapacityHalvingNeverWedgesProducers hammers the shrink path the

@@ -18,7 +18,6 @@ type managedStage struct {
 	applied   Tuning
 	history   []TuningDecision
 	decisions []DecisionRecord // bounded audit ring, see decisions.go
-	consumers int              // attribution denominator (0 -> 1)
 }
 
 // TuningDecision records one control action for observability.
@@ -139,10 +138,6 @@ func (c *Controller) Tick() {
 		if rr, ok := ms.alg.(RuleReporter); ok {
 			rule = rr.LastRule()
 		}
-		consumers := ms.consumers
-		if consumers < 1 {
-			consumers = 1
-		}
 		rec := DecisionRecord{
 			At:     c.env.Now(),
 			Stage:  id,
@@ -150,7 +145,7 @@ func (c *Controller) Tick() {
 			Before: ms.applied,
 			After:  next,
 			Inputs: decisionInputs(ms.prev, cur, ms.applied),
-			Attrib: cur.Attribution(ms.prev, consumers),
+			Attrib: cur.Attribution(ms.prev, 1),
 		}
 		c.mu.Lock()
 		rec.Tick = c.ticks

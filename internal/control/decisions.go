@@ -116,17 +116,3 @@ func (c *Controller) Decisions(id string) []DecisionRecord {
 	copy(out, ms.decisions)
 	return out
 }
-
-// SetConsumers declares how many consumer threads/processes stage id
-// serves, so interval attributions use the right denominator. Defaults to
-// one.
-func (c *Controller) SetConsumers(id string, n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ms, ok := c.stages[id]; ok {
-		ms.consumers = n
-	}
-}

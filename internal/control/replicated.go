@@ -1,7 +1,6 @@
 package control
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -16,8 +15,9 @@ type Ticker interface{ Tick() }
 // replica holds the full state; only the leader — the lowest-indexed live
 // replica — executes rounds. When the leader fails, the next live replica
 // takes over on the following round, resuming from its own (slightly stale)
-// state. One implementation leads both the per-stage controllers
-// (ReplicaGroup) and the cluster coordinator (internal/distrib).
+// state. It leads the cluster coordinator (internal/distrib); a group of
+// Controllers that all hold the same stages is the replicated per-stage
+// controller.
 type LeaderGroup[T Ticker] struct {
 	env      conc.Env
 	interval time.Duration
@@ -141,31 +141,4 @@ func (g *LeaderGroup[T]) Stop() {
 	g.mu.Lock()
 	g.stopped = true
 	g.mu.Unlock()
-}
-
-// ReplicaGroup is the replicated arrangement of the per-stage controller:
-// a LeaderGroup of Controllers that all hold the same stage registrations.
-type ReplicaGroup struct {
-	*LeaderGroup[*Controller]
-}
-
-// NewReplicaGroup creates n controller replicas (n >= 1), none started.
-func NewReplicaGroup(env conc.Env, interval time.Duration, n int) *ReplicaGroup {
-	replicas := make([]*Controller, n)
-	for i := range replicas {
-		replicas[i] = NewController(env, interval)
-	}
-	return &ReplicaGroup{NewLeaderGroup(env, interval, replicas)}
-}
-
-// Attach registers the stage with every replica so any of them can take
-// over. Because algorithms may be stateful (e.g. *Autotuner), each replica
-// receives its own instance from the factory.
-func (g *ReplicaGroup) Attach(id string, dp DataPlane, newAlg func() Algorithm, pol Policy, initial Tuning) error {
-	for i, c := range g.replicas {
-		if err := c.Attach(id, dp, newAlg(), pol, initial); err != nil {
-			return fmt.Errorf("control: replica %d: %w", i, err)
-		}
-	}
-	return nil
 }

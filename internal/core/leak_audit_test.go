@@ -42,7 +42,7 @@ func TestPooledSimEpochLeakAudit(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		backend := storage.NewModeledBackend(man, dev, nil)
+		backend := storage.NewModeledBackend(man, dev)
 		backend.SetBufferPool(pool)
 		pf, err := NewPrefetcher(env, backend, PrefetcherConfig{
 			InitialProducers:      3,

@@ -208,7 +208,7 @@ func TestEpochCancelReleasesPooledBuffers(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		backend := storage.NewModeledBackend(man, dev, nil)
+		backend := storage.NewModeledBackend(man, dev)
 		backend.SetBufferPool(pool)
 		pf, err := NewPrefetcher(env, backend, PrefetcherConfig{
 			InitialProducers:      2,

@@ -130,7 +130,6 @@ type Prefetcher struct {
 	batchMax   int
 	batchBytes int64
 
-	activeReaders  *metrics.TimeInState       // threads inside backend.Read (Fig. 3 signal)
 	readLat        *metrics.BucketedHistogram // producer-observed storage read latency
 	prefetched     *metrics.Counter
 	readErrors     *metrics.Counter
@@ -153,7 +152,6 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) 
 		plans:          newPlanManager(env, names),
 		names:          names,
 		batchMax:       1,
-		activeReaders:  metrics.NewTimeInState(env, 0),
 		readLat:        metrics.NewBucketedHistogram(env, nil),
 		prefetched:     metrics.NewCounter(env),
 		readErrors:     metrics.NewCounter(env),
@@ -489,7 +487,6 @@ func (pf *Prefetcher) producerLoop() {
 		errs = errs[:0]
 		details = details[:0]
 		batched := false
-		pf.activeReaders.Add(1)
 		if len(run) > 1 {
 			res, berr := reader.ReadSampleBatch(names, datas)
 			if berr == nil {
@@ -511,7 +508,6 @@ func (pf *Prefetcher) producerLoop() {
 				errs = append(errs, rerr)
 			}
 		}
-		pf.activeReaders.Add(-1)
 		readEnd := pf.env.Now()
 		pf.readLat.Observe(readEnd - readStart)
 		if batched {
@@ -595,21 +591,9 @@ func (pf *Prefetcher) BatchedSamples() int64 { return pf.batchedSamples.Value() 
 // a failed batch.
 func (pf *Prefetcher) BatchFallbacks() int64 { return pf.batchFallbacks.Value() }
 
-// StorageBusy reports the cumulative producer time spent inside backend
-// reads — the attribution report's storage-busy context signal.
-func (pf *Prefetcher) StorageBusy() time.Duration {
-	return time.Duration(pf.activeReaders.TimeWeightedSum())
-}
-
 // ReadLatency returns the producer-observed storage read latency histogram.
 func (pf *Prefetcher) ReadLatency() metrics.HistogramSnapshot {
 	return pf.readLat.Snapshot()
-}
-
-// ActiveReaderDistribution reports time spent at each concurrent-reader
-// count — the paper's Figure 3 measurement for PRISMA.
-func (pf *Prefetcher) ActiveReaderDistribution() map[int]time.Duration {
-	return pf.activeReaders.Distribution()
 }
 
 // Close stops producers and unblocks all buffer users. Idempotent.

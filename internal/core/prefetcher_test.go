@@ -31,7 +31,7 @@ func testBackend(env conc.Env, n int, size int64, lat time.Duration, channels in
 	if err != nil {
 		panic(err)
 	}
-	return storage.NewModeledBackend(m, dev, nil), names
+	return storage.NewModeledBackend(m, dev), names
 }
 
 // take is the test-side mirror of the Stage read path: claim the plan
@@ -109,7 +109,8 @@ func TestPrefetcherRespectsProducerLimit(t *testing.T) {
 	var dist map[int]time.Duration
 	s.Spawn("driver", func(*sim.Process) {
 		backend, names := testBackend(env, 30, 1000, time.Millisecond, 8)
-		pf, _ := NewPrefetcher(env, backend, pfConfig(3, 64))
+		readers := storage.NewReaderCount(env, backend)
+		pf, _ := NewPrefetcher(env, readers, pfConfig(3, 64))
 		pf.Start()
 		_, _ = pf.SubmitEpoch(names)
 		for _, n := range names {
@@ -118,7 +119,7 @@ func TestPrefetcherRespectsProducerLimit(t *testing.T) {
 				t.Errorf("Take(%s) failed", n)
 			}
 		}
-		dist = pf.ActiveReaderDistribution()
+		dist = readers.Distribution()
 		pf.Close()
 	})
 	if err := s.Run(); err != nil {
@@ -136,7 +137,7 @@ func TestPrefetcherReadsInPlanOrder(t *testing.T) {
 		m := dataset.MustNew(samples)
 		dev, _ := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e12, Channels: 1})
 		var order []string
-		rec := &recordingBackend{inner: storage.NewModeledBackend(m, dev, nil), order: &order}
+		rec := &recordingBackend{inner: storage.NewModeledBackend(m, dev), order: &order}
 		pf, _ := NewPrefetcher(env, rec, pfConfig(1, 8))
 		pf.Start()
 		_, _ = pf.SubmitEpoch([]string{"b", "c", "a"})
@@ -172,7 +173,8 @@ func (r *recordingBackend) Size(name string) (int64, error) { return r.inner.Siz
 func TestPrefetcherSetProducersScalesUp(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 40, 1000, time.Millisecond, 8)
-		pf, _ := NewPrefetcher(env, backend, pfConfig(1, 64))
+		readers := storage.NewReaderCount(env, backend)
+		pf, _ := NewPrefetcher(env, readers, pfConfig(1, 64))
 		pf.Start()
 		pf.SetProducers(6)
 		if target, running := pf.Producers(); target != 6 || running != 6 {
@@ -182,7 +184,7 @@ func TestPrefetcherSetProducersScalesUp(t *testing.T) {
 		for _, n := range names {
 			_, _ = take(pf, n)
 		}
-		if max := metrics.MaxValue(pf.ActiveReaderDistribution()); max != 6 {
+		if max := metrics.MaxValue(readers.Distribution()); max != 6 {
 			t.Errorf("max concurrent readers = %d, want 6", max)
 		}
 		pf.Close()

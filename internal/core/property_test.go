@@ -49,7 +49,7 @@ func TestPrefetcherDeliveryProperty(t *testing.T) {
 				ok = false
 				return
 			}
-			backend := storage.NewModeledBackend(man, dev, nil)
+			backend := storage.NewModeledBackend(man, dev)
 			var pool *mempool.Pool
 			if usePool {
 				pool = mempool.New(mempool.Config{Debug: true})

@@ -408,7 +408,7 @@ func TestTakeAheadPooledLeakAudit(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		backend := storage.NewModeledBackend(man, dev, nil)
+		backend := storage.NewModeledBackend(man, dev)
 		backend.SetBufferPool(pool)
 		pf, err := NewPrefetcher(env, backend, pfConfig(2, 8))
 		if err != nil {

@@ -107,7 +107,9 @@ type StageStats struct {
 	BatchEnabled   bool
 
 	// StorageBusy is cumulative producer time inside backend reads — the
-	// attribution denominator context.
+	// attribution denominator context. It is StorageReadLatency.Sum: a read
+	// counts once it completes, so one still in flight is not in it yet.
+	// A vectored read counts once, for its whole run.
 	StorageBusy time.Duration
 	// TraceSampling is the tracer's current head-sampling probability
 	// (zero when no tracer is attached).
@@ -528,9 +530,6 @@ func (s *Stage) SetTakeDeadline(d time.Duration) {
 	}
 }
 
-// Prefetcher exposes the attached prefetcher, or nil.
-func (s *Stage) Prefetcher() *Prefetcher { return s.pf }
-
 // Stats snapshots the stage (control interface).
 func (s *Stage) Stats() StageStats {
 	st := StageStats{
@@ -548,8 +547,8 @@ func (s *Stage) Stats() StageStats {
 		st.ReadErrors = s.pf.ReadErrors()
 		st.Buffer = s.pf.Buffer().Stats()
 		st.Plan = s.pf.PlanStats()
-		st.StorageBusy = s.pf.StorageBusy()
 		st.StorageReadLatency = s.pf.ReadLatency()
+		st.StorageBusy = st.StorageReadLatency.Sum
 		st.BatchReads = s.pf.BatchReads()
 		st.BatchedSamples = s.pf.BatchedSamples()
 		st.BatchFallbacks = s.pf.BatchFallbacks()

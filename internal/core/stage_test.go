@@ -99,9 +99,6 @@ func TestStageWithoutPrefetcher(t *testing.T) {
 		if eps := st.Epochs(); eps != nil {
 			t.Fatalf("Epochs = %v, want nil for plain stage", eps)
 		}
-		if st.Prefetcher() != nil {
-			t.Fatal("Prefetcher() != nil for plain stage")
-		}
 		d, _, err := st.Read(ReadRequest{Name: names[0]})
 		if err != nil || d.Size != 1000 {
 			t.Fatalf("Read = %+v, %v", d, err)

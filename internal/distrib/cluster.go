@@ -201,7 +201,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			runErr = err
 			return
 		}
-		shared := storage.NewModeledBackend(man, pfsDev, nil)
+		shared := storage.NewModeledBackend(man, pfsDev)
 
 		nodeNames := make([]string, cfg.Nodes)
 		for n := range nodeNames {

@@ -214,11 +214,11 @@ func Run(cfg Config) (Result, error) {
 			runErr = err
 			return
 		}
-		shared := storage.NewModeledBackend(man, pfsDev, nil)
+		shared := storage.NewModeledBackend(man, pfsDev)
 
 		// Per-node stages.
 		stages := make([]*core.Stage, cfg.Nodes)
-		prefetchers := make([]*core.Prefetcher, cfg.Nodes)
+		readers := make([]*storage.ReaderCount, cfg.Nodes)
 		for n := 0; n < cfg.Nodes; n++ {
 			linkSpec := cfg.Link
 			if cfg.Links != nil {
@@ -230,12 +230,12 @@ func Run(cfg Config) (Result, error) {
 				return
 			}
 			backend := &linkBackend{link: linkDev, inner: shared}
-			pf, err := core.NewPrefetcher(env, backend, cfg.Stage)
+			readers[n] = storage.NewReaderCount(env, backend)
+			pf, err := core.NewPrefetcher(env, readers[n], cfg.Stage)
 			if err != nil {
 				runErr = err
 				return
 			}
-			prefetchers[n] = pf
 			stages[n] = core.NewStage(env, backend, pf)
 			pf.Start()
 		}
@@ -322,7 +322,7 @@ func Run(cfg Config) (Result, error) {
 					gpus.Drain()
 				}
 				results[n].Elapsed = env.Now() - start
-				results[n].MaxReaders = metrics.MaxValue(prefetchers[n].ActiveReaderDistribution())
+				results[n].MaxReaders = metrics.MaxValue(readers[n].Distribution())
 			})
 		}
 		wg.Wait()

@@ -24,9 +24,9 @@ type PeerReader interface {
 type FabricConfig struct {
 	// Node is this node's id; it must be a member of Ring.
 	Node string
-	// Ring is the cluster's consistent-hash placement. The Fabric takes
-	// ownership of routing decisions against it; mutate membership only
-	// through Fabric.AddNode/RemoveNode so routing and partitioning agree.
+	// Ring is the cluster's consistent-hash placement. Its membership is
+	// fixed when NewRing builds it, so routing and plan partitioning read
+	// it without a lock and always agree.
 	Ring *Ring
 	// Stage is the node's local data plane.
 	Stage *core.Stage
@@ -82,8 +82,9 @@ type Fabric struct {
 	slow   storage.Backend
 	tracer *obs.Tracer
 
+	ring *Ring // immutable
+
 	mu    conc.Mutex
-	ring  *Ring
 	peers map[string]PeerReader
 
 	localReads *metrics.Counter
@@ -154,36 +155,14 @@ func (f *Fabric) RemovePeer(node string) {
 	f.mu.Unlock()
 }
 
-// AddNode adds a member to the placement ring (join).
-func (f *Fabric) AddNode(node string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ring.Add(node)
-}
-
-// RemoveNode removes a member from the placement ring (leave); its keys
-// redistribute to the survivors.
-func (f *Fabric) RemoveNode(node string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.peers, node)
-	return f.ring.Remove(node)
-}
-
-// Owner reports which node owns name under the current ring.
-func (f *Fabric) Owner(name string) string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ring.Owner(name)
-}
+// Owner reports which node owns name.
+func (f *Fabric) Owner(name string) string { return f.ring.Owner(name) }
 
 // OwnedSubset filters names down to the subsequence this node owns,
 // preserving order. It is the plan partitioner installed on the stage:
 // SubmitEpoch with the full cluster plan prefetches exactly this node's
 // serving share.
 func (f *Fabric) OwnedSubset(names []string) []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]string, 0, len(names)/max(1, f.ring.Size())+1)
 	for _, n := range names {
 		if f.ring.Owner(n) == f.node {
@@ -213,13 +192,13 @@ func (f *Fabric) Read(req core.ReadRequest) (storage.Data, core.PlanPos, error) 
 		return f.servePeer(req)
 	}
 	name := req.Name
-	f.mu.Lock()
 	owner := f.ring.Owner(name)
 	var peer PeerReader
 	if owner != "" && owner != f.node {
+		f.mu.Lock()
 		peer = f.peers[owner]
+		f.mu.Unlock()
 	}
-	f.mu.Unlock()
 
 	named := req.Tenant != "" && req.Tenant != tenancy.DefaultTenant
 	if owner == "" || owner == f.node || named {
@@ -307,9 +286,7 @@ func (f *Fabric) servePeer(req core.ReadRequest) (storage.Data, core.PlanPos, er
 
 // Stats snapshots the fabric's traffic counters.
 func (f *Fabric) Stats() ClusterStats {
-	f.mu.Lock()
 	nodes := f.ring.Nodes()
-	f.mu.Unlock()
 	f.waitMu.Lock()
 	wait := f.peerWait
 	maxFail := f.maxFailoverWait

@@ -37,7 +37,7 @@ func newFabricFixture(t *testing.T, env conc.Env, files int) *fabricFixture {
 		return nil
 	}
 	fx.dev = dev
-	shared := storage.NewModeledBackend(man, dev, nil)
+	shared := storage.NewModeledBackend(man, dev)
 	names := []string{"node-0", "node-1"}
 	for n := 0; n < 2; n++ {
 		pf, err := core.NewPrefetcher(env, shared, core.PrefetcherConfig{

@@ -7,11 +7,13 @@ import (
 )
 
 // Ring is the cluster's consistent-hash placement map: every sample name
-// is owned by exactly one node, membership changes move only ~1/N of the
-// keyspace, and the mapping is a pure function of the node set — every
-// node computes the same ring locally, so ownership needs no coordination
-// traffic (Dryden et al.'s clairvoyant-prefetching observation: placement
-// can be decided from shared knowledge alone).
+// is owned by exactly one node, a ring over one node more or fewer owns
+// only ~1/N of the keyspace differently, and the mapping is a pure
+// function of the node set — every node computes the same ring locally, so
+// ownership needs no coordination traffic (Dryden et al.'s
+// clairvoyant-prefetching observation: placement can be decided from
+// shared knowledge alone). Membership is fixed when NewRing builds it, so
+// a Ring is safe for concurrent reads.
 //
 // Each node is projected onto the ring at VirtualNodes seeded positions;
 // a key is owned by the first virtual node clockwise from its hash. More
@@ -40,7 +42,7 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	}
 	r := &Ring{vnodes: vnodes, nodes: make(map[string]struct{}, len(nodes))}
 	for _, n := range nodes {
-		if err := r.Add(n); err != nil {
+		if err := r.add(n); err != nil {
 			return nil, err
 		}
 	}
@@ -61,8 +63,9 @@ func vnodeHash(node string, replica int) uint64 {
 	return hashKey(fmt.Sprintf("%s#%d", node, replica))
 }
 
-// Add joins a node to the ring, moving ~1/(N+1) of the keyspace to it.
-func (r *Ring) Add(node string) error {
+// add places a node's virtual points on the ring while NewRing builds it;
+// membership is fixed from then on.
+func (r *Ring) add(node string) error {
 	if node == "" {
 		return fmt.Errorf("distrib: empty node id")
 	}
@@ -74,23 +77,6 @@ func (r *Ring) Add(node string) error {
 		r.points = append(r.points, ringPoint{hash: vnodeHash(node, i), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	return nil
-}
-
-// Remove leaves a node, redistributing only its keyspace share to the
-// surviving nodes.
-func (r *Ring) Remove(node string) error {
-	if _, ok := r.nodes[node]; !ok {
-		return fmt.Errorf("distrib: unknown node id %q", node)
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 	return nil
 }
 

@@ -45,8 +45,9 @@ func runPrismaTF(cal Calibration, model train.Model, batch int, stageCfg core.Pr
 			runErr = err
 			return
 		}
-		backend := storage.NewModeledBackend(mergeManifests(trainSet, valSet), dev, nil)
-		pf, err := core.NewPrefetcher(env, backend, stageCfg)
+		backend := storage.NewModeledBackend(mergeManifests(trainSet, valSet), dev)
+		counted := storage.NewReaderCount(env, backend)
+		pf, err := core.NewPrefetcher(env, counted, stageCfg)
 		if err != nil {
 			runErr = err
 			return
@@ -76,7 +77,7 @@ func runPrismaTF(cal Calibration, model train.Model, batch int, stageCfg core.Pr
 		}
 		out.Elapsed = res.Elapsed
 		out.Result = res
-		out.Readers = pf.ActiveReaderDistribution()
+		out.Readers = counted.Distribution()
 		out.FinalTuning, _ = ctl.Applied("stage")
 		out.StageStats = stage.Stats()
 		ctl.Stop()
@@ -251,7 +252,7 @@ func runProfileTF(cal Calibration, prof dataset.Profile, scale float64, model tr
 			runErr = err
 			return
 		}
-		backend := storage.NewModeledBackend(mergeManifests(trainSet, valSet), dev, nil)
+		backend := storage.NewModeledBackend(mergeManifests(trainSet, valSet), dev)
 		cfg := train.Config{
 			Model: model, BatchPerGPU: batch, GPUs: cal.GPUs, Epochs: cal.Epochs,
 			PerStepSync: cal.PerStepSync, Validation: true,
@@ -391,7 +392,7 @@ func RunAblationPackedFormat(cal Calibration, chunkSizes []int64, report func(st
 		if err != nil {
 			return err
 		}
-		backend := storage.NewModeledBackend(trainSet, dev, nil)
+		backend := storage.NewModeledBackend(trainSet, dev)
 		for _, name := range trainSet.EpochFileList(cal.Seed, 0) {
 			if _, err := backend.Read(storage.Request{Name: name}); err != nil {
 				return err
@@ -417,7 +418,7 @@ func RunAblationPackedFormat(cal Calibration, chunkSizes []int64, report func(st
 			if err != nil {
 				return err
 			}
-			backend := storage.NewModeledBackend(shardMan, dev, nil)
+			backend := storage.NewModeledBackend(shardMan, dev)
 			for _, shard := range ix.Shards() {
 				size, err := backend.Size(shard)
 				if err != nil {

@@ -49,7 +49,7 @@ func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int
 			runErr = err
 			return
 		}
-		backend := storage.NewModeledBackend(all, device, nil)
+		backend := storage.NewModeledBackend(all, device)
 
 		cfg := train.Config{
 			Model:       model,
@@ -84,7 +84,8 @@ func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int
 			pipeline, readers = p, p.ActiveReaderDistribution
 
 		case "prisma", "prisma-valprefetch":
-			pf, err := core.NewPrefetcher(env, backend, cal.TFPrismaStage)
+			counted := storage.NewReaderCount(env, backend)
+			pf, err := core.NewPrefetcher(env, counted, cal.TFPrismaStage)
 			if err != nil {
 				runErr = err
 				return
@@ -109,7 +110,7 @@ func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int
 			if setup == "prisma-valprefetch" {
 				p.SetPrefetchValidation(true)
 			}
-			pipeline, readers = p, p.ActiveReaderDistribution
+			pipeline, readers = p, counted.Distribution
 
 		default:
 			runErr = fmt.Errorf("experiments: unknown TF setup %q", setup)
@@ -162,7 +163,7 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 			runErr = err
 			return
 		}
-		backend := storage.NewModeledBackend(all, device, nil)
+		backend := storage.NewModeledBackend(all, device)
 
 		cfg := train.Config{
 			Model:       model,
@@ -182,6 +183,7 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 
 		var pipeline train.Pipeline
 		var stage *core.Stage
+		var counted *storage.ReaderCount
 		var ctl *control.Controller
 
 		switch setup {
@@ -194,7 +196,8 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 			pipeline = p
 
 		case "prisma":
-			pf, err := core.NewPrefetcher(env, backend, cal.TorchPrismaStage)
+			counted = storage.NewReaderCount(env, backend)
+			pf, err := core.NewPrefetcher(env, counted, cal.TorchPrismaStage)
 			if err != nil {
 				runErr = err
 				return
@@ -230,9 +233,7 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 		out.Elapsed = res.Elapsed
 		out.Result = res
 		if stage != nil {
-			if pf := stage.Prefetcher(); pf != nil {
-				out.Readers = pf.ActiveReaderDistribution()
-			}
+			out.Readers = counted.Distribution()
 			out.FinalTuning, _ = ctl.Applied("torch-stage")
 			out.StageStats = stage.Stats()
 		}

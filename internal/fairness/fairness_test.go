@@ -450,7 +450,7 @@ func TestEndToEndFairSharing(t *testing.T) {
 			for i := range samples {
 				samples[i] = dataset.Sample{Name: fmt.Sprintf("%s-%04d", id, i), Size: 100}
 			}
-			backend := storage.NewModeledBackend(dataset.MustNew(samples), dev, nil)
+			backend := storage.NewModeledBackend(dataset.MustNew(samples), dev)
 			bucket, _ := NewTokenBucket(env, 8000, 1)
 			count := metrics.NewCounter(env)
 			for w := 0; w < threads; w++ {

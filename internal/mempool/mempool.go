@@ -373,9 +373,6 @@ func (r *Ref) Release() {
 	r.pool.release(r)
 }
 
-// Refs reports the current reference count (for tests and diagnostics).
-func (r *Ref) Refs() int32 { return r.refs.Load() }
-
 // callSite formats the caller's file:line for the leak ledger.
 func callSite(skip int) string {
 	var pcs [1]uintptr

@@ -46,9 +46,9 @@ type HistogramSnapshot struct {
 }
 
 // BucketedHistogram is a bounded-memory duration histogram for hot paths:
-// unlike Histogram it retains only per-bucket counters, never the samples,
-// so it can sit on the producer read path and the consumer Take path of a
-// long-running server without growing. It counts with atomics, as Counter
+// it retains only per-bucket counters, never the samples, so it can sit on
+// the producer read path and the consumer Take path of a long-running
+// server without growing. It counts with atomics, as Counter
 // does, so an observation takes no lock.
 type BucketedHistogram struct {
 	bounds []time.Duration // ascending upper bounds; +Inf implicit
@@ -99,35 +99,6 @@ func (h *BucketedHistogram) Snapshot() HistogramSnapshot {
 	snap := HistogramSnapshot{Count: cum + h.counts[len(h.bounds)].Load(), Sum: time.Duration(h.sum.Load())}
 	if snap.Count > 0 {
 		snap.Buckets = buckets
-	}
-	return snap
-}
-
-// Bucketize folds the exact sample set into a cumulative fixed-bucket
-// snapshot (nil bounds selects DefaultLatencyBuckets) — the bridge from the
-// experiment harness's exact histograms to Prometheus exposition.
-func (h *Histogram) Bucketize(bounds []time.Duration) HistogramSnapshot {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
-	}
-	samples := h.Snapshot()
-	snap := HistogramSnapshot{Count: int64(len(samples))}
-	if len(samples) == 0 {
-		return snap
-	}
-	counts := make([]int64, len(bounds))
-	for _, d := range samples {
-		snap.Sum += d
-		idx := sort.Search(len(bounds), func(i int) bool { return bounds[i] >= d })
-		if idx < len(bounds) {
-			counts[idx]++
-		}
-	}
-	snap.Buckets = make([]HistogramBucket, len(bounds))
-	var cum int64
-	for i, le := range bounds {
-		cum += counts[i]
-		snap.Buckets[i] = HistogramBucket{Le: le, Count: cum}
 	}
 	return snap
 }

@@ -1,8 +1,9 @@
 // Package metrics provides the measurement primitives used by the PRISMA
-// data plane and the experiment harness: counters, gauges, duration
-// histograms, and a time-in-state tracker that records how long a discrete
-// quantity (e.g. the number of concurrently reading threads) spends at each
-// value — the measurement behind the paper's Figure 3 CDF.
+// data plane and the experiment harness: counters, bucketed duration
+// histograms, run summaries, and a time-in-state tracker that records how
+// long a discrete quantity (e.g. the number of concurrently reading
+// threads) spends at each value — the measurement behind the paper's
+// Figure 3 CDF.
 //
 // All types are safe for use from multiple threads of the owning conc.Env.
 package metrics
@@ -39,21 +40,6 @@ func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
-
-// Gauge is an instantaneous signed value.
-type Gauge struct{ v atomic.Int64 }
-
-// NewGauge returns a zeroed gauge (env unused, as for NewCounter).
-func NewGauge(conc.Env) *Gauge { return &Gauge{} }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta and returns the new value.
-func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
-
-// Value reports the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // TimeInState tracks how long an integer-valued signal spends at each
 // value. Transitions are timestamped with env.Now(), read under the lock
@@ -132,13 +118,6 @@ func (t *TimeInState) Add(delta int) int {
 	return t.current
 }
 
-// Current reports the present value of the signal.
-func (t *TimeInState) Current() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.current
-}
-
 // Distribution returns a copy of the accumulated time per value, including
 // the in-progress interval up to now.
 func (t *TimeInState) Distribution() map[int]time.Duration {
@@ -158,39 +137,12 @@ func (t *TimeInState) Distribution() map[int]time.Duration {
 	return out
 }
 
-// TimeWeightedSum returns Σ value×duration in integer nanoseconds,
-// including the in-progress interval up to now. Dividing by the
-// observation window length yields the time-weighted mean of the signal;
-// keeping the sum in integers makes aggregation across trackers exact and
-// deterministic.
-func (t *TimeInState) TimeWeightedSum() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.env.Now()
-	var sum int64
-	for v, d := range t.sparse {
-		sum += int64(v) * int64(d)
-	}
-	for v, s := range t.dense {
-		sum += int64(v) * int64(s.d)
-	}
-	sum += int64(t.current) * int64(now-t.since)
-	return sum
-}
-
 // CDFPoint is one step of a cumulative distribution: the fraction of
 // observed time spent at values <= Value.
 type CDFPoint struct {
 	Value       int
 	Fraction    float64 // time share of exactly this value
 	CumFraction float64 // time share of all values <= this one
-}
-
-// CDF returns the cumulative time distribution over values, sorted
-// ascending. It returns nil when no time has been observed.
-func (t *TimeInState) CDF() []CDFPoint {
-	dist := t.Distribution()
-	return CDFOf(dist)
 }
 
 // CDFOf converts a value→duration map into sorted CDF points.

@@ -29,17 +29,6 @@ func TestCounterRejectsNegative(t *testing.T) {
 	NewCounter(conc.NewReal()).Add(-1)
 }
 
-func TestGaugeSetAdd(t *testing.T) {
-	g := NewGauge(conc.NewReal())
-	g.Set(10)
-	if got := g.Add(-3); got != 7 {
-		t.Fatalf("Add returned %d, want 7", got)
-	}
-	if g.Value() != 7 {
-		t.Fatalf("Value = %d, want 7", g.Value())
-	}
-}
-
 // simTimeInState runs fn inside a simulation and returns the tracker.
 func simTimeInState(t *testing.T, fn func(env conc.Env, ts *TimeInState)) *TimeInState {
 	t.Helper()
@@ -88,8 +77,8 @@ func TestTimeInStateAdd(t *testing.T) {
 	if dist[2] != time.Second || dist[1] != 3*time.Second {
 		t.Fatalf("dist = %v, want 1s@2, 3s@1", dist)
 	}
-	if ts.Current() != 1 {
-		t.Fatalf("Current = %d, want 1", ts.Current())
+	if got := ts.Add(0); got != 1 {
+		t.Fatalf("current value = %d, want 1", got)
 	}
 }
 
@@ -176,70 +165,6 @@ func TestMaxValue(t *testing.T) {
 	}
 }
 
-func TestHistogramStats(t *testing.T) {
-	h := NewHistogram(conc.NewReal())
-	for _, d := range []time.Duration{10, 20, 30, 40} {
-		h.Observe(d * time.Second)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", h.Count())
-	}
-	if h.Mean() != 25*time.Second {
-		t.Fatalf("Mean = %v, want 25s", h.Mean())
-	}
-	if h.Max() != 40*time.Second {
-		t.Fatalf("Max = %v, want 40s", h.Max())
-	}
-	// Population stddev of {10,20,30,40} = sqrt(125) ≈ 11.18
-	sd := h.Stddev().Seconds()
-	if sd < 11.1 || sd > 11.3 {
-		t.Fatalf("Stddev = %vs, want ≈11.18s", sd)
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(conc.NewReal())
-	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if got := h.Quantile(0.5); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v, want 50ms", got)
-	}
-	if got := h.Quantile(0.99); got != 99*time.Millisecond {
-		t.Fatalf("p99 = %v, want 99ms", got)
-	}
-	if got := h.Quantile(1); got != 100*time.Millisecond {
-		t.Fatalf("p100 = %v, want 100ms", got)
-	}
-	if got := h.Quantile(0); got != 1*time.Millisecond {
-		t.Fatalf("p0 = %v, want 1ms", got)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(conc.NewReal())
-	if h.Mean() != 0 || h.Stddev() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram stats not all zero")
-	}
-}
-
-func TestHistogramClampsNegative(t *testing.T) {
-	h := NewHistogram(conc.NewReal())
-	h.Observe(-time.Second)
-	if h.Mean() != 0 {
-		t.Fatalf("Mean = %v, want 0 (negative clamped)", h.Mean())
-	}
-}
-
-func TestHistogramQuantileRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for q > 1")
-		}
-	}()
-	NewHistogram(conc.NewReal()).Quantile(1.5)
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]time.Duration{2 * time.Second, 4 * time.Second})
 	if s.Count != 2 || s.Mean != 3*time.Second || s.Min != 2*time.Second || s.Max != 4*time.Second {
@@ -253,58 +178,109 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+func TestSummarizeStats(t *testing.T) {
+	s := Summarize([]time.Duration{30 * time.Second, 10 * time.Second, 40 * time.Second, 20 * time.Second})
+	if s.Count != 4 || s.Mean != 25*time.Second || s.Min != 10*time.Second || s.Max != 40*time.Second {
+		t.Fatalf("Summary = %+v, want 4 samples, mean 25s, min 10s, max 40s", s)
+	}
+	// Population stddev of {10,20,30,40} = sqrt(125) ≈ 11.18
+	if sd := s.Stddev.Seconds(); sd < 11.1 || sd > 11.3 {
+		t.Fatalf("Stddev = %vs, want ≈11.18s", sd)
+	}
+}
+
+func TestSummarizeSingleSample(t *testing.T) {
+	s := Summarize([]time.Duration{7 * time.Millisecond})
+	want := Summary{Count: 1, Mean: 7 * time.Millisecond, Min: 7 * time.Millisecond, Max: 7 * time.Millisecond}
+	if s != want {
+		t.Fatalf("Summary = %+v, want %+v (no spread from one sample)", s, want)
+	}
+}
+
+// TestBucketedHistogramBucketEdges: a bucket's bound is inclusive, one
+// nanosecond past it is the next bucket, and the histogram keeps its own
+// copy of the bounds.
+func TestBucketedHistogramBucketEdges(t *testing.T) {
+	bounds := []time.Duration{time.Millisecond, 2 * time.Millisecond}
+	h := NewBucketedHistogram(conc.NewReal(), bounds)
+	bounds[0] = time.Hour
+	for _, d := range []time.Duration{time.Millisecond, time.Millisecond + 1, 2 * time.Millisecond, 3 * time.Millisecond} {
+		h.Observe(d)
+	}
+	snap := h.Snapshot()
+	want := []HistogramBucket{{Le: time.Millisecond, Count: 1}, {Le: 2 * time.Millisecond, Count: 3}}
+	if snap.Count != 4 || len(snap.Buckets) != 2 || snap.Buckets[0] != want[0] || snap.Buckets[1] != want[1] {
+		t.Fatalf("snapshot = %+v, want Count 4 and buckets %+v", snap, want)
+	}
+	if wantSum := 7*time.Millisecond + 1; snap.Sum != wantSum {
+		t.Fatalf("Sum = %v, want %v", snap.Sum, wantSum)
+	}
+}
+
+func TestBucketedHistogramClampsNegative(t *testing.T) {
+	h := NewBucketedHistogram(conc.NewReal(), nil)
+	h.Observe(-time.Second)
+	snap := h.Snapshot()
+	if snap.Count != 1 || snap.Sum != 0 || snap.Buckets[0].Count != 1 {
+		t.Fatalf("snapshot = %+v, want one sample of 0 in the first bucket", snap)
+	}
+}
+
+func TestBucketedHistogramBoundsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for bounds that are not strictly ascending")
+		}
+	}()
+	NewBucketedHistogram(conc.NewReal(), []time.Duration{time.Millisecond, time.Millisecond})
+}
+
+// TestIntervalSumMatchesTimeWeightedSum: for threads that each hold a
+// 0/1 signal up over an interval, the sum of the intervals observed into a
+// BucketedHistogram is the signal's time-weighted sum Σ v·d over its
+// Distribution. It is why StorageBusy can be read off the storage read
+// latency's Sum, overlapping reads included.
+func TestIntervalSumMatchesTimeWeightedSum(t *testing.T) {
+	s := sim.New()
+	env := conc.NewSimEnv(s)
+	var ts *TimeInState
+	h := NewBucketedHistogram(env, nil)
+	s.Spawn("driver", func(p *sim.Process) {
+		ts = NewTimeInState(env, 0)
+		wg := env.NewWaitGroup()
+		for i := 1; i <= 4; i++ {
+			i := i
+			wg.Add(1)
+			env.Go("reader", func() {
+				defer wg.Done()
+				env.Sleep(time.Duration(i) * 30 * time.Millisecond)
+				start := env.Now()
+				ts.Add(1)
+				env.Sleep(time.Duration(i) * 100 * time.Millisecond)
+				ts.Add(-1)
+				h.Observe(env.Now() - start)
+			})
+		}
+		wg.Wait()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var weighted time.Duration
+	for v, d := range ts.Distribution() {
+		weighted += time.Duration(v) * d
+	}
+	if want := 1000 * time.Millisecond; weighted != want {
+		t.Fatalf("time-weighted sum = %v, want %v", weighted, want)
+	}
+	if snap := h.Snapshot(); snap.Sum != weighted {
+		t.Fatalf("interval sum = %v, time-weighted sum = %v", snap.Sum, weighted)
+	}
+}
+
 func close(a, b float64) bool {
 	d := a - b
 	return d < 1e-9 && d > -1e-9
-}
-
-func TestTimeInStateTimeWeightedSum(t *testing.T) {
-	s := sim.New()
-	env := conc.NewSimEnv(s)
-	var sum, sum2 int64
-	s.Spawn("driver", func(p *sim.Process) {
-		ts := NewTimeInState(env, 1)
-		env.Sleep(2 * time.Second) // 1 for 2s
-		ts.Set(3)
-		env.Sleep(time.Second) // 3 for 1s
-		ts.Set(0)
-		env.Sleep(time.Second) // 0 for 1s
-		sum = ts.TimeWeightedSum()
-		ts.Set(5)
-		env.Sleep(time.Second) // in-progress interval: 5 for 1s
-		sum2 = ts.TimeWeightedSum()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(1*2+3*1) * int64(time.Second); sum != want {
-		t.Fatalf("TimeWeightedSum = %d, want %d", sum, want)
-	}
-	if want := int64(1*2+3*1+5*1) * int64(time.Second); sum2 != want {
-		t.Fatalf("TimeWeightedSum incl. in-progress = %d, want %d", sum2, want)
-	}
-}
-
-func TestTimeInStateWeightedSumMatchesDistribution(t *testing.T) {
-	s := sim.New()
-	env := conc.NewSimEnv(s)
-	s.Spawn("driver", func(p *sim.Process) {
-		ts := NewTimeInState(env, 0)
-		for i := 1; i <= 5; i++ {
-			ts.Set(i)
-			env.Sleep(time.Duration(i) * 100 * time.Millisecond)
-		}
-		var fromDist int64
-		for v, d := range ts.Distribution() {
-			fromDist += int64(v) * int64(d)
-		}
-		if got := ts.TimeWeightedSum(); got != fromDist {
-			t.Errorf("TimeWeightedSum = %d, Distribution-derived sum = %d", got, fromDist)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // stallingClock is a real environment whose clock ticks 10 ns per reading
@@ -370,8 +346,8 @@ func TestTimeInStateRacingTransitionsApplyInOrder(t *testing.T) {
 	if sum != elapsed {
 		t.Fatalf("distribution sums to %v, elapsed %v: %v", sum, elapsed, dist)
 	}
-	if tis.Current() != 2 {
-		t.Fatalf("Current = %d, want 2", tis.Current())
+	if got := tis.Add(0); got != 2 {
+		t.Fatalf("current value = %d, want 2", got)
 	}
 }
 

@@ -369,7 +369,7 @@ func TestModeledShardIterationAmortizesDevice(t *testing.T) {
 
 		// Raw per-file reads.
 		rawDev, _ := storage.NewDevice(env, spec)
-		raw := storage.NewModeledBackend(man, rawDev, nil)
+		raw := storage.NewModeledBackend(man, rawDev)
 		start := env.Now()
 		for i := 0; i < n; i++ {
 			if _, err := readFile(raw, samples[i].Name); err != nil {
@@ -387,7 +387,7 @@ func TestModeledShardIterationAmortizesDevice(t *testing.T) {
 			return
 		}
 		packedDev, _ := storage.NewDevice(env, spec)
-		packed := storage.NewModeledBackend(shardMan, packedDev, nil)
+		packed := storage.NewModeledBackend(shardMan, packedDev)
 		start = env.Now()
 		for _, shard := range ix.Shards() {
 			size, _ := packed.Size(shard)

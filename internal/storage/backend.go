@@ -3,9 +3,12 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
+	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 )
 
@@ -241,12 +244,11 @@ func carve(out []Data, name string, ranges []Range, size int64, buf []byte, ref 
 }
 
 // ModeledBackend serves reads for a manifest's files against an analytic
-// Device, optionally through a page cache. It is the sim-mode storage
-// stack: no bytes move, only (virtual) time passes.
+// Device. It is the sim-mode storage stack: no bytes move, only (virtual)
+// time passes.
 type ModeledBackend struct {
 	manifest *dataset.Manifest
 	device   *Device
-	cache    *PageCache // nil = no caching (cold-cache experiments)
 	// pool, when attached, makes whole-file reads carry synthetic pooled
 	// payloads of the modeled size so sim and chaos epochs exercise the
 	// full buffer ownership machinery (leak audits would be vacuous on
@@ -270,36 +272,26 @@ func fillSynthetic(buf []byte, name string) {
 	}
 }
 
-// NewModeledBackend builds a backend over manifest and device. cache may be
-// nil to model cold-cache behaviour (the paper's training reads are
-// effectively uncached: each file is read once per epoch from a 138 GiB
-// dataset with random order).
-func NewModeledBackend(manifest *dataset.Manifest, device *Device, cache *PageCache) *ModeledBackend {
-	return &ModeledBackend{manifest: manifest, device: device, cache: cache}
+// NewModeledBackend builds a backend over manifest and device. Every read
+// pays the device: the paper's training reads are effectively uncached,
+// each file read once per epoch from a 138 GiB dataset in random order.
+func NewModeledBackend(manifest *dataset.Manifest, device *Device) *ModeledBackend {
+	return &ModeledBackend{manifest: manifest, device: device}
 }
 
 // Read blocks for the device's modeled latency. A whole-file read returns a
-// payloadless Data record (synthetic pooled bytes with a pool attached) and
-// fills the page cache. A ranged request is ONE device request charged for
-// the bytes actually transferred (offsets carry no cost in the analytic
-// model), so BaseLatency is paid once for K samples instead of K times —
-// the mechanism behind the coalescer's op reduction; its views are
-// payloadless.
+// payloadless Data record (synthetic pooled bytes with a pool attached). A
+// ranged request is ONE device request charged for the bytes actually
+// transferred (offsets carry no cost in the analytic model), so BaseLatency
+// is paid once for K samples instead of K times — the mechanism behind the
+// coalescer's op reduction; its views are payloadless.
 func (b *ModeledBackend) Read(req Request) (Response, error) {
 	s, ok := b.manifest.Lookup(req.Name)
 	if !ok {
 		return Response{}, &NotExistError{Name: req.Name}
 	}
-	hit := b.cache != nil && b.cache.Touch(req.Name)
 	if len(req.Ranges) == 0 {
-		if !hit {
-			// A page-cache hit is memory-speed, modeled as free relative
-			// to the microsecond-scale device costs.
-			b.device.Read(s.Size)
-			if b.cache != nil {
-				b.cache.Insert(req.Name, s.Size)
-			}
-		}
+		b.device.Read(s.Size)
 		d := Data{Name: req.Name, Size: s.Size}
 		if b.pool != nil {
 			d.Bytes, d.Ref = region(b.pool, s.Size)
@@ -310,9 +302,7 @@ func (b *ModeledBackend) Read(req Request) (Response, error) {
 	if err := req.Validate(); err != nil {
 		return Response{}, err
 	}
-	if !hit {
-		b.device.Read(clampedTotal(req.Ranges, s.Size))
-	}
+	b.device.Read(clampedTotal(req.Ranges, s.Size))
 	views := req.Out
 	for _, r := range req.Ranges {
 		views = append(views, Data{Name: req.Name, Size: r.Clamp(s.Size).N})
@@ -329,5 +319,32 @@ func (b *ModeledBackend) Size(name string) (int64, error) {
 	return s.Size, nil
 }
 
-// Device exposes the underlying device (for stats).
-func (b *ModeledBackend) Device() *Device { return b.device }
+// ReaderCount is the paper's Fig. 3 instrument: it wraps the backend a sim
+// setup's reading threads use (the TF pipelines' readers, PRISMA's
+// producers) and records how long each number of threads spent inside Read
+// at once. For PRISMA wrap only the backend handed to the prefetcher, not
+// the stage's, so bypassed (validation) reads do not count. Under the sim
+// clock nothing between a producer's read clock and its backend read
+// takes virtual time, so the count is the producers' own.
+type ReaderCount struct {
+	Backend
+	readers *metrics.TimeInState
+}
+
+// NewReaderCount wraps inner with a reader count starting at zero.
+func NewReaderCount(env conc.Env, inner Backend) *ReaderCount {
+	return &ReaderCount{Backend: inner, readers: metrics.NewTimeInState(env, 0)}
+}
+
+// Read counts the calling thread as a reader for the length of inner's Read.
+func (r *ReaderCount) Read(req Request) (Response, error) {
+	r.readers.Add(1)
+	resp, err := r.Backend.Read(req)
+	r.readers.Add(-1)
+	return resp, err
+}
+
+// Distribution reports the time spent at each concurrent-reader count.
+func (r *ReaderCount) Distribution() map[int]time.Duration {
+	return r.readers.Distribution()
+}

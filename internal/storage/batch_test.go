@@ -139,7 +139,7 @@ func TestRangeConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			man := dataset.MustNew([]dataset.Sample{{Name: "f", Size: 1000}})
-			conformRange(t, "modeled", NewModeledBackend(man, dev, nil), false)
+			conformRange(t, "modeled", NewModeledBackend(man, dev), false)
 		})
 	})
 }
@@ -155,7 +155,7 @@ func TestModeledBatchChargesOneRequest(t *testing.T) {
 			t.Fatal(err)
 		}
 		man := dataset.MustNew([]dataset.Sample{{Name: "f", Size: 4000}})
-		b := NewModeledBackend(man, dev, nil)
+		b := NewModeledBackend(man, dev)
 
 		start := env.Now()
 		res, err := readBatch(b, "f", []Range{{0, 1000}, {1000, 1000}, {2000, 1000}, {3000, 1000}}, nil)

@@ -62,8 +62,8 @@ func rowCases() map[string][]rowCase {
 }
 
 // middlewareLayers is the conformance table: every row of chain.Layers,
-// folded alone over the probe leaf, plus the fault injector (a leaf wrapper,
-// not a row). A row without an entry in rowCases fails the table. Unexported
+// folded alone over the probe leaf, plus the fault injector and the sims'
+// reader count (leaf wrappers, not rows). A row without an entry in rowCases fails the table. Unexported
 // wrappers — distrib's link, experiments' counting store — call
 // storagetest.Middleware from their own package's tests.
 func middlewareLayers(t *testing.T) []storagetest.Layer {
@@ -98,6 +98,8 @@ func middlewareLayers(t *testing.T) []storagetest.Layer {
 	}
 	return append(out, storagetest.Layer{Name: "faulty", Build: func(_ *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
 		return storagetest.Built{Backend: storage.NewFaultyBackend(env, leaf)}
+	}}, storagetest.Layer{Name: "reader-count", Build: func(_ *testing.T, env conc.Env, leaf storage.Backend, _ *mempool.Pool) storagetest.Built {
+		return storagetest.Built{Backend: storage.NewReaderCount(env, leaf)}
 	}})
 }
 
@@ -262,7 +264,7 @@ func TestRangeClampNoOverflow(t *testing.T) {
 				t.Fatal(err)
 			}
 			man := dataset.MustNew([]dataset.Sample{{Name: storagetest.FileName, Size: storagetest.FileSize}})
-			checkClamp(t, storage.NewModeledBackend(man, dev, nil), false)
+			checkClamp(t, storage.NewModeledBackend(man, dev), false)
 		})
 	})
 	// A whole-file read first, so the ranges are sliced from the resident.

@@ -104,11 +104,10 @@ type Device struct {
 	mu          conc.Mutex
 	channelFree []time.Duration // absolute virtual time each channel frees up
 
-	reads    *metrics.Counter
-	bytes    *metrics.Counter
-	busyNS   *metrics.Counter
-	queueNS  *metrics.Counter
-	inFlight *metrics.TimeInState
+	reads   *metrics.Counter
+	bytes   *metrics.Counter
+	busyNS  *metrics.Counter
+	queueNS *metrics.Counter
 }
 
 // NewDevice builds a device from spec under env.
@@ -125,7 +124,6 @@ func NewDevice(env conc.Env, spec DeviceSpec) (*Device, error) {
 		bytes:       metrics.NewCounter(env),
 		busyNS:      metrics.NewCounter(env),
 		queueNS:     metrics.NewCounter(env),
-		inFlight:    metrics.NewTimeInState(env, 0),
 	}, nil
 }
 
@@ -171,9 +169,7 @@ func (d *Device) request(size int64) time.Duration {
 	d.bytes.Add(size)
 	d.busyNS.Add(int64(svc))
 	d.queueNS.Add(int64(queue))
-	d.inFlight.Add(1)
 	d.env.Sleep(finish - now)
-	d.inFlight.Add(-1)
 	return finish - now
 }
 
@@ -185,9 +181,4 @@ func (d *Device) Stats() DeviceStats {
 		BusyTime:  time.Duration(d.busyNS.Value()),
 		QueueTime: time.Duration(d.queueNS.Value()),
 	}
-}
-
-// InFlightDistribution reports time spent at each concurrent-request depth.
-func (d *Device) InFlightDistribution() map[int]time.Duration {
-	return d.inFlight.Distribution()
 }

@@ -245,9 +245,6 @@ func NewResilientBackend(env conc.Env, inner Backend, cfg ResilienceConfig) (*Re
 	return b, nil
 }
 
-// Inner exposes the wrapped backend.
-func (b *ResilientBackend) Inner() Backend { return b.inner }
-
 // Config returns the effective (default-filled) configuration.
 func (b *ResilientBackend) Config() ResilienceConfig { return b.cfg }
 

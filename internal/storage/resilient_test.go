@@ -30,7 +30,7 @@ func newResilientOverFaulty(t *testing.T, env conc.Env, cfg ResilienceConfig) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev, nil))
+	faulty := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev))
 	res, err := NewResilientBackend(env, faulty, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestResilientBatchRetries(t *testing.T) {
 func TestFaultyBackendTransientHeals(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, P4600())
-		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev, nil))
+		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev))
 		f.FailNTimes("a", 2)
 		for i := 0; i < 2; i++ {
 			if _, err := readFile(f, "a"); !errors.Is(err, ErrInjected) {
@@ -303,7 +303,7 @@ func TestFaultyBackendTransientHeals(t *testing.T) {
 func TestFaultyBackendFailNextBlackout(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, P4600())
-		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev, nil))
+		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev))
 		f.FailNext(3)
 		names := []string{"a", "b", "c", "a"}
 		var fails int
@@ -321,7 +321,7 @@ func TestFaultyBackendFailNextBlackout(t *testing.T) {
 func TestFaultyBackendInjectedLatency(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e9, Channels: 1})
-		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev, nil))
+		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev))
 		f.SetLatency(10 * time.Millisecond)
 		start := env.Now()
 		if _, err := readFile(f, "a"); err != nil {

@@ -177,7 +177,7 @@ func manifest3() *dataset.Manifest {
 func TestModeledBackendReadsTakeModeledTime(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e6, Channels: 1})
-		b := NewModeledBackend(manifest3(), dev, nil)
+		b := NewModeledBackend(manifest3(), dev)
 		start := env.Now()
 		d, err := readFile(b, "b")
 		if err != nil {
@@ -195,7 +195,7 @@ func TestModeledBackendReadsTakeModeledTime(t *testing.T) {
 func TestModeledBackendMissingFile(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, P4600())
-		b := NewModeledBackend(manifest3(), dev, nil)
+		b := NewModeledBackend(manifest3(), dev)
 		_, err := readFile(b, "nope")
 		var ne *NotExistError
 		if !errors.As(err, &ne) || ne.Name != "nope" {
@@ -210,7 +210,7 @@ func TestModeledBackendMissingFile(t *testing.T) {
 func TestModeledBackendSizeIsFree(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, P4600())
-		b := NewModeledBackend(manifest3(), dev, nil)
+		b := NewModeledBackend(manifest3(), dev)
 		start := env.Now()
 		n, err := b.Size("c")
 		if err != nil || n != 3000 {
@@ -222,105 +222,86 @@ func TestModeledBackendSizeIsFree(t *testing.T) {
 	})
 }
 
-func TestModeledBackendWithCache(t *testing.T) {
+// TestModeledBackendRereadPaysDevice: nothing is cached, so a second read
+// of the same file pays the device again.
+func TestModeledBackendRereadPaysDevice(t *testing.T) {
 	runSim(t, func(env conc.Env) {
-		dev, _ := NewDevice(env, DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e12, Channels: 1})
-		cache := NewPageCache(env, 10_000)
-		b := NewModeledBackend(manifest3(), dev, cache)
-		_, _ = readFile(b, "a") // miss: device read
-		t0 := env.Now()
-		_, _ = readFile(b, "a") // hit: free
-		if env.Now() != t0 {
-			t.Error("cache hit consumed device time")
-		}
-		if dev.Stats().Reads != 1 {
-			t.Errorf("device reads = %d, want 1", dev.Stats().Reads)
-		}
-		if cache.HitRate() != 0.5 {
-			t.Errorf("hit rate = %v, want 0.5", cache.HitRate())
-		}
-	})
-}
-
-func TestPageCacheLRUEviction(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		c := NewPageCache(env, 300)
-		c.Insert("a", 100)
-		c.Insert("b", 100)
-		c.Insert("c", 100)
-		c.Touch("a") // refresh a; b is now LRU
-		c.Insert("d", 100)
-		if c.Touch("b") {
-			t.Error("b survived eviction, want LRU eviction")
-		}
-		if !c.Touch("a") || !c.Touch("c") || !c.Touch("d") {
-			t.Error("unexpected eviction of a, c, or d")
-		}
-		if c.Used() != 300 || c.Len() != 3 {
-			t.Errorf("Used=%d Len=%d, want 300/3", c.Used(), c.Len())
-		}
-	})
-}
-
-func TestPageCacheOversizeRejected(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		c := NewPageCache(env, 100)
-		c.Insert("huge", 1000)
-		if c.Len() != 0 {
-			t.Error("oversize file was cached")
-		}
-		c.Insert("neg", -5)
-		if c.Len() != 0 {
-			t.Error("negative-size file was cached")
-		}
-	})
-}
-
-func TestPageCacheReinsertRefreshes(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		c := NewPageCache(env, 200)
-		c.Insert("a", 100)
-		c.Insert("b", 100)
-		c.Insert("a", 100) // refresh, not duplicate
-		if c.Used() != 200 {
-			t.Errorf("Used = %d, want 200", c.Used())
-		}
-		c.Insert("c", 100) // evicts b (LRU), not a
-		if c.Touch("b") {
-			t.Error("b should have been evicted")
-		}
-		if !c.Touch("a") {
-			t.Error("a should have been refreshed by reinsert")
-		}
-	})
-}
-
-func TestPageCacheCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for zero capacity")
-		}
-	}()
-	NewPageCache(conc.NewReal(), 0)
-}
-
-// Property: cache usage never exceeds capacity.
-func TestPageCacheCapacityProperty(t *testing.T) {
-	prop := func(sizes []uint16, capRaw uint16) bool {
-		capacity := int64(capRaw)%5000 + 1
-		env := conc.NewReal()
-		c := NewPageCache(env, capacity)
-		for i, sz := range sizes {
-			c.Insert(fmt.Sprintf("f%d", i), int64(sz)%2000)
-			if c.Used() > capacity {
-				return false
+		dev, _ := NewDevice(env, DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e6, Channels: 1})
+		b := NewModeledBackend(manifest3(), dev)
+		for i := 0; i < 2; i++ {
+			start := env.Now()
+			if _, err := readFile(b, "a"); err != nil {
+				t.Fatal(err)
+			}
+			if got := env.Now() - start; got != 2*time.Millisecond { // 1ms + 1000B/1MBps
+				t.Errorf("read %d took %v, want 2ms", i, got)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+		if s := dev.Stats(); s.Reads != 2 || s.Bytes != 2000 {
+			t.Errorf("device stats = %+v, want 2 reads of 2000 bytes", s)
+		}
+	})
+}
+
+// TestReaderCountConcurrentReads: two readers over a two-channel device,
+// the second starting 1ms into the first's 2ms read. The count is one for
+// 2ms, two for the 1ms of overlap, and zero once both return; the second
+// reader's sleep before its read is not counted.
+func TestReaderCountConcurrentReads(t *testing.T) {
+	runSim(t, func(env conc.Env) {
+		dev, _ := NewDevice(env, DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e6, Channels: 2})
+		rc := NewReaderCount(env, NewModeledBackend(manifest3(), dev))
+		wg := env.NewWaitGroup()
+		wg.Add(2)
+		read := func(delay time.Duration) func() {
+			return func() {
+				defer wg.Done()
+				env.Sleep(delay)
+				if _, err := readFile(rc, "a"); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		env.Go("first", read(0))
+		env.Go("second", read(time.Millisecond))
+		wg.Wait()
+		env.Sleep(time.Millisecond)
+		want := map[int]time.Duration{0: time.Millisecond, 1: 2 * time.Millisecond, 2: time.Millisecond}
+		got := rc.Distribution()
+		for v, d := range want {
+			if got[v] != d {
+				t.Errorf("%d readers for %v, want %v", v, got[v], d)
+			}
+		}
+		for v, d := range got {
+			if d != want[v] {
+				t.Errorf("%d readers for %v, want %v", v, d, want[v])
+			}
+		}
+	})
+}
+
+// TestReaderCountFailedRead: an error passes through unchanged and the
+// reader is released; Size reaches the inner backend.
+func TestReaderCountFailedRead(t *testing.T) {
+	runSim(t, func(env conc.Env) {
+		dev, _ := NewDevice(env, P4600())
+		rc := NewReaderCount(env, NewModeledBackend(manifest3(), dev))
+		_, err := readFile(rc, "nope")
+		var ne *NotExistError
+		if !errors.As(err, &ne) || ne.Name != "nope" {
+			t.Fatalf("err = %v, want NotExistError(nope)", err)
+		}
+		if n, err := rc.Size("c"); err != nil || n != 3000 {
+			t.Fatalf("Size = %d, %v; want 3000", n, err)
+		}
+		env.Sleep(time.Millisecond)
+		for v, d := range rc.Distribution() {
+			if v != 0 && d != 0 {
+				t.Errorf("%d readers for %v after a failed read, want only 0", v, d)
+			}
+		}
+	})
 }
 
 func TestDirBackendRoundTrip(t *testing.T) {
@@ -406,7 +387,7 @@ func TestDirBackendNamesStayUnderRoot(t *testing.T) {
 func TestFaultyBackendFailEvery(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, P4600())
-		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev, nil))
+		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev))
 		f.FailEvery(2)
 		var fails int
 		for i := 0; i < 6; i++ {
@@ -426,7 +407,7 @@ func TestFaultyBackendFailEvery(t *testing.T) {
 func TestFaultyBackendFailName(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, P4600())
-		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev, nil))
+		f := NewFaultyBackend(env, NewModeledBackend(manifest3(), dev))
 		f.FailName("b")
 		if _, err := readFile(f, "a"); err != nil {
 			t.Fatalf("healthy read failed: %v", err)
@@ -440,7 +421,7 @@ func TestFaultyBackendFailName(t *testing.T) {
 func TestModeledReadRange(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e6, Channels: 1})
-		b := NewModeledBackend(manifest3(), dev, nil)
+		b := NewModeledBackend(manifest3(), dev)
 		start := env.Now()
 		d, err := readRange(b, "c", 1000, 1000) // 1ms base + 1ms transfer
 		if err != nil || d.Size != 1000 {

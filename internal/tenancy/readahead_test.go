@@ -93,7 +93,7 @@ func readAheadRun(t *testing.T, ahead bool) (delivered []time.Duration, stats Te
 		if err != nil {
 			t.Fatal(err)
 		}
-		backend := storage.NewModeledBackend(dataset.MustNew(samples), dev, nil)
+		backend := storage.NewModeledBackend(dataset.MustNew(samples), dev)
 		pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
 			InitialProducers: 4, MaxProducers: 4, InitialBufferCapacity: 64, MaxBufferCapacity: 64,
 		})

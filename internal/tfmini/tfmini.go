@@ -57,12 +57,11 @@ func (c Costs) Validate() error {
 // consumer thread.
 type BaselinePipeline struct {
 	env     conc.Env
-	backend storage.Backend
+	backend *storage.ReaderCount // counted for Fig. 3 (always 0/1)
 	train   *dataset.Manifest
 	val     *dataset.Manifest
 	seed    int64
 	costs   Costs
-	readers *metrics.TimeInState // for Fig. 3 parity (always 0/1)
 }
 
 // NewBaseline builds the non-optimized setup.
@@ -71,15 +70,14 @@ func NewBaseline(env conc.Env, backend storage.Backend, trainSet, valSet *datase
 		return nil, err
 	}
 	return &BaselinePipeline{
-		env: env, backend: backend, train: trainSet, val: valSet, seed: seed, costs: costs,
-		readers: metrics.NewTimeInState(env, 0),
+		env: env, backend: storage.NewReaderCount(env, backend), train: trainSet, val: valSet, seed: seed, costs: costs,
 	}, nil
 }
 
 // TrainIter implements train.Pipeline.
 func (p *BaselinePipeline) TrainIter(epoch int) (train.Iterator, error) {
 	return &serialIter{
-		env: p.env, backend: p.backend, costs: p.costs, readers: p.readers,
+		env: p.env, backend: p.backend, costs: p.costs,
 		names: p.train.EpochFileList(p.seed, epoch),
 	}, nil
 }
@@ -87,7 +85,7 @@ func (p *BaselinePipeline) TrainIter(epoch int) (train.Iterator, error) {
 // ValIter implements train.Pipeline.
 func (p *BaselinePipeline) ValIter(epoch int) (train.Iterator, error) {
 	return &serialIter{
-		env: p.env, backend: p.backend, costs: p.costs, readers: p.readers,
+		env: p.env, backend: p.backend, costs: p.costs,
 		names: p.val.EpochFileList(p.seed+1, epoch),
 	}, nil
 }
@@ -95,7 +93,7 @@ func (p *BaselinePipeline) ValIter(epoch int) (train.Iterator, error) {
 // ActiveReaderDistribution reports the single consumer thread's read
 // concurrency (0 or 1).
 func (p *BaselinePipeline) ActiveReaderDistribution() map[int]time.Duration {
-	return p.readers.Distribution()
+	return p.backend.Distribution()
 }
 
 // Close implements train.Pipeline.
@@ -106,7 +104,6 @@ type serialIter struct {
 	env     conc.Env
 	backend storage.Backend
 	costs   Costs
-	readers *metrics.TimeInState
 	names   []string
 	i       int
 }
@@ -118,9 +115,7 @@ func (it *serialIter) Next() (bool, error) {
 	}
 	name := it.names[it.i]
 	it.i++
-	it.readers.Add(1)
 	_, err := it.backend.Read(storage.Request{Name: name})
-	it.readers.Add(-1)
 	if err != nil {
 		return false, err
 	}
@@ -165,16 +160,15 @@ func (c OptimizedConfig) Validate() error {
 // OptimizedPipeline is the TF-optimized setup.
 type OptimizedPipeline struct {
 	env     conc.Env
-	backend storage.Backend
+	backend *storage.ReaderCount // counted for Fig. 3
 	train   *dataset.Manifest
 	val     *dataset.Manifest
 	seed    int64
 	costs   Costs
 	cfg     OptimizedConfig
 
-	readers *metrics.TimeInState // concurrent reader threads (Fig. 3)
-	grows   *metrics.Counter     // autotune buffer doublings
-	iters   []*prefetchIter      // live iterators, closed with the pipeline
+	grows *metrics.Counter // autotune buffer doublings
+	iters []*prefetchIter  // live iterators, closed with the pipeline
 }
 
 // NewOptimized builds the TF-optimized setup.
@@ -186,10 +180,9 @@ func NewOptimized(env conc.Env, backend storage.Backend, trainSet, valSet *datas
 		return nil, err
 	}
 	return &OptimizedPipeline{
-		env: env, backend: backend, train: trainSet, val: valSet, seed: seed,
+		env: env, backend: storage.NewReaderCount(env, backend), train: trainSet, val: valSet, seed: seed,
 		costs: costs, cfg: cfg,
-		readers: metrics.NewTimeInState(env, 0),
-		grows:   metrics.NewCounter(env),
+		grows: metrics.NewCounter(env),
 	}, nil
 }
 
@@ -227,9 +220,7 @@ func (p *OptimizedPipeline) newIter(names []string) *prefetchIter {
 				if !ok {
 					return
 				}
-				p.readers.Add(1)
 				_, err := p.backend.Read(storage.Request{Name: name})
-				p.readers.Add(-1)
 				if p.costs.Preprocess > 0 {
 					p.env.Sleep(p.costs.Preprocess) // map() runs in the pool
 				}
@@ -250,7 +241,7 @@ func (p *OptimizedPipeline) newIter(names []string) *prefetchIter {
 // ActiveReaderDistribution reports time at each concurrent reader count —
 // the TF-optimized line of Figure 3.
 func (p *OptimizedPipeline) ActiveReaderDistribution() map[int]time.Duration {
-	return p.readers.Distribution()
+	return p.backend.Distribution()
 }
 
 // BufferGrowths reports how many times the intrinsic autotuner doubled the
@@ -400,15 +391,6 @@ func (p *PrismaPipeline) ValIter(epoch int) (train.Iterator, error) {
 		}
 	}
 	return &stageIter{env: p.env, stage: p.stage, costs: p.costs, intercept: p.intercept, names: names}, nil
-}
-
-// ActiveReaderDistribution reports the stage's producer-thread concurrency
-// — the PRISMA line of Figure 3.
-func (p *PrismaPipeline) ActiveReaderDistribution() map[int]time.Duration {
-	if pf := p.stage.Prefetcher(); pf != nil {
-		return pf.ActiveReaderDistribution()
-	}
-	return nil
 }
 
 // Stage exposes the underlying stage (for the control plane and stats).

@@ -43,7 +43,7 @@ func fixtures(env conc.Env, nTrain, nVal int, lat time.Duration, channels int) (
 	if err != nil {
 		panic(err)
 	}
-	return trainMan, valMan, storage.NewModeledBackend(man, dev, nil)
+	return trainMan, valMan, storage.NewModeledBackend(man, dev)
 }
 
 func drain(t *testing.T, it train.Iterator) int {
@@ -305,12 +305,21 @@ func TestPrismaFasterThanBaselineIOBound(t *testing.T) {
 func TestPrismaReaderConcurrencyBounded(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		trainMan, valMan, backend := fixtures(env, 100, 5, time.Millisecond, 8)
-		st := prismaFixture(env, backend, 4)
+		readers := storage.NewReaderCount(env, backend)
+		pf, err := core.NewPrefetcher(env, readers, core.PrefetcherConfig{
+			InitialProducers: 4, MaxProducers: 32,
+			InitialBufferCapacity: 16, MaxBufferCapacity: 512,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := core.NewStage(env, backend, pf)
+		pf.Start()
 		p, _ := NewPrisma(env, st, trainMan, valMan, 7, Costs{}, 0)
 		it, _ := p.TrainIter(0)
 		drain(t, it)
-		if max := metrics.MaxValue(p.ActiveReaderDistribution()); max > 4 {
-			t.Fatalf("max concurrent readers = %d, want <= 4 (t=4)", max)
+		if max := metrics.MaxValue(readers.Distribution()); max < 1 || max > 4 {
+			t.Fatalf("max concurrent readers = %d, want 1..4 (t=4)", max)
 		}
 		st.Close()
 	})

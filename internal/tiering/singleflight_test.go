@@ -345,7 +345,7 @@ func TestJoinedReadsCount(t *testing.T) {
 func TestFailedReadIsNotHandedOn(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		_, dev, names := deviceFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 1, 1000)
-		slow := storage.NewFaultyBackend(env, storage.NewModeledBackend(dataset.MustNew([]dataset.Sample{{Name: names[0], Size: 1000}}), dev, nil))
+		slow := storage.NewFaultyBackend(env, storage.NewModeledBackend(dataset.MustNew([]dataset.Sample{{Name: names[0], Size: 1000}}), dev))
 		slow.SetLatency(10 * time.Millisecond)
 		slow.FailNTimes(names[0], 1)
 		b, err := NewBackend(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, slow, nil)

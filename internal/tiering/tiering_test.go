@@ -52,7 +52,7 @@ func deviceFixture(env conc.Env, cfg Config, n int, size int64) (*Backend, *stor
 	if err != nil {
 		panic(err)
 	}
-	b, err := NewBackend(env, cfg, storage.NewModeledBackend(man, slowDev, nil), fastDev)
+	b, err := NewBackend(env, cfg, storage.NewModeledBackend(man, slowDev), fastDev)
 	if err != nil {
 		panic(err)
 	}
@@ -331,7 +331,7 @@ func TestItemExactlyTierSizedEvictsAll(t *testing.T) {
 			t.Fatal(err)
 		}
 		b, err := NewBackend(env, Config{FastCapacity: 3000, PromoteAfter: 1},
-			storage.NewModeledBackend(man, slowDev, nil), nil)
+			storage.NewModeledBackend(man, slowDev), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func fixtures(env conc.Env, nTrain, nVal int, lat time.Duration, channels int) (
 	if err != nil {
 		panic(err)
 	}
-	return dataset.MustNew(ts), dataset.MustNew(vs), storage.NewModeledBackend(man, dev, nil)
+	return dataset.MustNew(ts), dataset.MustNew(vs), storage.NewModeledBackend(man, dev)
 }
 
 func drain(t *testing.T, it train.Iterator) int {
@@ -129,7 +129,7 @@ func TestBatchesDeliveredInOrderDespiteWorkerSkew(t *testing.T) {
 		}
 		man := dataset.MustNew(samples)
 		dev, _ := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e9, Channels: 8})
-		backend := storage.NewModeledBackend(man, dev, nil)
+		backend := storage.NewModeledBackend(man, dev)
 		// Identity "shuffle": single epoch list == manifest order is not
 		// guaranteed, so read the iterator's own batch layout instead.
 		dl, _ := NewDataLoader(env, backend, man, man, 7, cfg(2, 2))

@@ -34,7 +34,7 @@ func backendFixture(env conc.Env, n int, lat time.Duration, channels int) (stora
 	if err != nil {
 		panic(err)
 	}
-	return storage.NewModeledBackend(dataset.MustNew(samples), dev, nil), names
+	return storage.NewModeledBackend(dataset.MustNew(samples), dev), names
 }
 
 func TestRecorderCapturesEvents(t *testing.T) {

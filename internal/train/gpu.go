@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"github.com/dsrhaslab/prisma-go/internal/metrics"
 )
 
 // GPUCluster models synchronous data-parallel execution across n GPUs with
@@ -16,13 +15,10 @@ type GPUCluster struct {
 	env conc.Env
 	n   int
 
-	mu       conc.Mutex
-	freeAt   time.Duration // when the in-flight step retires
-	busyNS   int64
-	steps    int64
-	idleFrom time.Duration
-
-	util *metrics.TimeInState // 0 = idle, 1 = computing
+	mu     conc.Mutex
+	freeAt time.Duration // when the in-flight step retires
+	busyNS int64
+	steps  int64
 }
 
 // NewGPUCluster returns an idle cluster of n GPUs.
@@ -30,12 +26,7 @@ func NewGPUCluster(env conc.Env, n int) *GPUCluster {
 	if n < 1 {
 		panic("train: GPU cluster needs >= 1 GPU")
 	}
-	return &GPUCluster{
-		env:  env,
-		n:    n,
-		mu:   env.NewMutex(),
-		util: metrics.NewTimeInState(env, 0),
-	}
+	return &GPUCluster{env: env, n: n, mu: env.NewMutex()}
 }
 
 // GPUs reports the cluster size.
@@ -63,7 +54,6 @@ func (g *GPUCluster) IssueStep(d time.Duration) time.Duration {
 	g.freeAt = now + d
 	g.busyNS += int64(d)
 	g.steps++
-	g.util.Set(1)
 	g.mu.Unlock()
 	return stall
 }
@@ -77,9 +67,6 @@ func (g *GPUCluster) Drain() {
 	if wait > 0 {
 		g.env.Sleep(wait)
 	}
-	g.mu.Lock()
-	g.util.Set(0)
-	g.mu.Unlock()
 }
 
 // BusyTime reports cumulative issued compute time.
@@ -94,17 +81,4 @@ func (g *GPUCluster) Steps() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.steps
-}
-
-// Utilization reports busy time divided by elapsed time since creation.
-func (g *GPUCluster) Utilization() float64 {
-	elapsed := g.env.Now()
-	if elapsed <= 0 {
-		return 0
-	}
-	busy := g.BusyTime()
-	if busy > elapsed {
-		busy = elapsed // an in-flight step extends past now
-	}
-	return float64(busy) / float64(elapsed)
 }

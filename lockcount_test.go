@@ -17,10 +17,16 @@ import (
 )
 
 // countingEnv is the real environment with every acquisition of a mutex it
-// made counted, the re-acquisition at the end of a condition wait included.
+// made counted, the re-acquisition at the end of a condition wait included,
+// and every reading of its clock.
 type countingEnv struct {
 	*conc.Real
-	locks atomic.Int64
+	locks, clocks atomic.Int64
+}
+
+func (e *countingEnv) Now() time.Duration {
+	e.clocks.Add(1)
+	return e.Real.Now()
 }
 
 type countedMutex struct {
@@ -38,17 +44,20 @@ func (e *countingEnv) NewMutex() conc.Mutex { return &countedMutex{n: &e.locks} 
 func (e *countingEnv) NewCond(m conc.Mutex) conc.Cond { return sync.NewCond(&m.(*countedMutex).Mutex) }
 
 // maxLocksPerPlannedRead is the hand-off's lock budget (DESIGN.md §12): the
-// plan pop, the buffer put, the claim, the buffer take, the delivery, and
-// the two updates of the Fig. 3 reader count around the producer's read.
-const maxLocksPerPlannedRead = 7
+// plan pop, the buffer put, the claim, the buffer take and the delivery.
+const maxLocksPerPlannedRead = 5
 
-// TestPlannedReadLockBudget counts the mutex acquisitions one planned read
-// costs at steady state over the stage Open builds with default options —
+// maxClocksPerPlannedRead is its clock budget: the producer's two readings
+// around the backend read, and two each in the buffer put and the take.
+const maxClocksPerPlannedRead = 6
+
+// TestPlannedReadLockBudget counts the mutex acquisitions and clock readings
+// one planned read costs at steady state over the stage Open builds with default options —
 // the directory leaf with its manifest, the resilient row, a pool and a
 // tracer at sampling 0 — with one consumer reading a submitted epoch in
 // plan order. Counters, histograms, the cancel filter, the producers'
 // retire check and a healthy breaker take no lock; what is left is the
-// budget above. The count runs from a full buffer with the producer parked
+// budgets above. The count runs from a full buffer with the producer parked
 // on it to the same state, so the window holds whole reads only.
 func TestPlannedReadLockBudget(t *testing.T) {
 	const files, warm, counted = 4096, 1024, 2048
@@ -104,7 +113,7 @@ func TestPlannedReadLockBudget(t *testing.T) {
 		read(n)
 	}
 	settle()
-	before, produced := env.locks.Load(), pf.PrefetchedFiles()
+	before, clocks, produced := env.locks.Load(), env.clocks.Load(), pf.PrefetchedFiles()
 	for _, n := range names[warm : warm+counted] {
 		read(n)
 	}
@@ -115,8 +124,12 @@ func TestPlannedReadLockBudget(t *testing.T) {
 	// the window to the larger count.
 	reads := max(counted, pf.PrefetchedFiles()-produced)
 	per := float64(env.locks.Load()-before) / float64(reads)
-	t.Logf("%.3f mutex acquisitions per planned read", per)
+	perClock := float64(env.clocks.Load()-clocks) / float64(reads)
+	t.Logf("%.3f mutex acquisitions and %.3f clock readings per planned read", per, perClock)
 	if per > maxLocksPerPlannedRead {
-		t.Fatalf("%.2f mutex acquisitions per planned read, budget %d", per, maxLocksPerPlannedRead)
+		t.Errorf("%.2f mutex acquisitions per planned read, budget %d", per, maxLocksPerPlannedRead)
+	}
+	if perClock > maxClocksPerPlannedRead {
+		t.Errorf("%.2f clock readings per planned read, budget %d", perClock, maxClocksPerPlannedRead)
 	}
 }

@@ -103,6 +103,9 @@ type Stats struct {
 
 	// Attribution inputs: how the consumer wait splits by cause, plus the
 	// producers' cumulative storage time and the trace-sampling knob.
+	// StorageBusy is the sum of the producers' backend read intervals (a
+	// vectored read counts once); a read still in flight counts once it
+	// completes.
 	ConsumerWaitStorage    time.Duration
 	ConsumerWaitBufferFull time.Duration
 	StorageBusy            time.Duration
