@@ -447,14 +447,14 @@ func BenchmarkTokenBucket(b *testing.B) {
 // BenchmarkDistribCluster measures one full 8-node coordinated training
 // run in the simulator (the prisma-bench distrib row).
 func BenchmarkDistribCluster(b *testing.B) {
-	cfg := distrib.DefaultConfig()
-	cfg.Mode = distrib.Coordinated
+	cfg := distrib.DataParallelConfig()
+	cfg.Mode = distrib.ClusterCoordinated
 	cfg.TrainFiles = 4000
 	cfg.Epochs = 1
-	var res distrib.Result
+	var res distrib.ClusterResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = distrib.Run(cfg)
+		res, err = distrib.RunCluster(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

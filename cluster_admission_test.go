@@ -83,7 +83,7 @@ func TestClusterLoopbackAdmission(t *testing.T) {
 				if err != nil || int64(len(got)) != info.Size() {
 					t.Fatalf("read %d of %s: %d bytes, %v", i, name, len(got), err)
 				}
-				if i%3 != 2 && p0.fabric.Owner(name) == nodes[0].name {
+				if i%3 != 2 && len(p0.fabric.OwnedSubset([]string{name})) == 1 {
 					ownedReads++
 					ownedBytes += info.Size()
 				}

@@ -462,7 +462,7 @@ func runCluster(nodes int) {
 		rows = append(rows, []string{
 			mode.String(),
 			res.Makespan.Round(time.Millisecond).String(),
-			fmt.Sprint(res.BackendReads),
+			fmt.Sprint(res.PFS.Reads),
 			fmt.Sprintf("%.2fx", res.DuplicateReadFactor),
 			fmt.Sprint(res.PeerReads),
 			fmt.Sprint(res.Failovers),
@@ -478,19 +478,22 @@ func runCluster(nodes int) {
 
 func runDistrib() {
 	fmt.Println("Distributed stages — coordinated vs independent control (8 nodes, shared PFS)")
-	base := distrib.DefaultConfig()
 	rows := make([][]string, 0, 2)
-	for _, mode := range []distrib.Mode{distrib.Independent, distrib.Coordinated} {
-		cfg := base
+	for _, mode := range []distrib.ClusterMode{distrib.ClusterIndependent, distrib.ClusterCoordinated} {
+		cfg := distrib.DataParallelConfig()
 		cfg.Mode = mode
-		res, err := distrib.Run(cfg)
+		res, err := distrib.RunCluster(cfg)
 		if err != nil {
 			log.Fatalf("prisma-bench: distrib %s: %v", mode, err)
+		}
+		if res.Errors != 0 || res.OverDeliveries != 0 || res.MissedDeliveries != 0 {
+			log.Fatalf("prisma-bench: distrib %s: delivery broke (errors=%d over=%d missed=%d)",
+				mode, res.Errors, res.OverDeliveries, res.MissedDeliveries)
 		}
 		rows = append(rows, []string{
 			mode.String(),
 			res.Makespan.Round(time.Millisecond).String(),
-			fmt.Sprint(res.TotalMaxReaders),
+			fmt.Sprint(res.PeakReaders),
 			fmt.Sprint(res.PFS.Reads),
 		})
 	}

@@ -15,22 +15,23 @@ import (
 )
 
 func main() {
-	base := distrib.DefaultConfig()
+	base := distrib.DataParallelConfig()
 
-	fmt.Printf("8 nodes × 4 GPUs, %d files/epoch sharded round-robin, shared 8-channel PFS\n\n", base.TrainFiles)
+	fmt.Printf("%d nodes × 4 GPUs, %d files/epoch sharded round-robin, shared %d-channel PFS\n\n",
+		base.Nodes, base.TrainFiles, base.PFS.Channels)
 
-	for _, mode := range []distrib.Mode{distrib.Independent, distrib.Coordinated} {
+	for _, mode := range []distrib.ClusterMode{distrib.ClusterIndependent, distrib.ClusterCoordinated} {
 		cfg := base
 		cfg.Mode = mode
-		res, err := distrib.Run(cfg)
-		if err != nil {
-			log.Fatalf("%s: %v", mode, err)
+		res, err := distrib.RunCluster(cfg)
+		if err != nil || res.Errors != 0 {
+			log.Fatalf("%s: %v (%d failed reads)", mode, err, res.Errors)
 		}
 		fmt.Printf("%-12s makespan %v, cluster-wide peak reader threads: %d\n",
-			mode.String()+":", res.Makespan.Round(time.Millisecond), res.TotalMaxReaders)
+			mode.String()+":", res.Makespan.Round(time.Millisecond), res.PeakReaders)
 		fmt.Printf("             per-node tuning:")
-		for _, n := range res.Nodes {
-			fmt.Printf(" t=%d", n.FinalTuning.Producers)
+		for _, t := range res.NodeProducers {
+			fmt.Printf(" t=%d", t)
 		}
 		fmt.Printf("\n             PFS served %d reads, %.1f GiB\n\n",
 			res.PFS.Reads, float64(res.PFS.Bytes)/(1<<30))

@@ -1,3 +1,26 @@
+// Package distrib explores the paper's §VII "distributed training
+// settings" direction: multiple compute nodes, each with its own PRISMA
+// data-plane stage, training one model against a shared parallel file
+// system. RunCluster is its one simulated-cluster harness; its rows differ
+// only as data:
+//
+//   - the control plane: every node runs its own feedback auto-tuner, blind
+//     to the other nodes (the framework-intrinsic situation the paper
+//     argues against, lifted one level up), or one logically centralized
+//     coordinator with system-wide visibility allocates a global producer
+//     budget across the stages — "tight coordination and holistic tuning of
+//     data plane stages";
+//   - the plan arrangement: every node sweeps the full epoch, reads its
+//     round-robin shard (synchronous data parallelism), or prefetches its
+//     consistent-hash share and forwards the rest over the peer fabric
+//     (clairvoyant placement);
+//   - the pacing: samples per all-reduce window, host time and GPU compute
+//     per window, and each node's network link to the PFS.
+//
+// With the shared backend the bottleneck, coordination delivers the same
+// training throughput with far fewer total reader threads — the
+// cluster-level version of Figure 3's argument — and clairvoyant placement
+// reads each sample from the slow store once cluster-wide.
 package distrib
 
 import (
@@ -9,27 +32,30 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/control"
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
+	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/train"
 )
 
-// ClusterMode selects how the multi-node fabric places and fetches samples.
+// ClusterMode selects the control plane and how the nodes place samples.
 type ClusterMode int
 
 const (
-	// ClusterIndependent is the no-placement baseline: every node sweeps
+	// ClusterIndependent gives each node its own uncoordinated auto-tuner.
+	// Without Sharded it is the no-placement baseline: every node sweeps
 	// the full shuffled epoch itself (without coordination, no node can
 	// know which subset it is responsible for), so the shared slow store
 	// serves each sample once per node.
 	ClusterIndependent ClusterMode = iota
-	// ClusterCoordinated keeps independent full sweeps but runs the
-	// global-budget coordinator over the nodes, bounding the cluster-wide
-	// producer count.
+	// ClusterCoordinated runs the global-budget coordinator over the
+	// nodes, bounding the cluster-wide producer count.
 	ClusterCoordinated
-	// ClusterClairvoyant partitions the epoch plan by consistent-hash
-	// ownership: each node prefetches exactly the samples it will serve,
-	// workers read non-owned samples over the peer fabric, and the slow
-	// store serves each sample exactly once cluster-wide.
+	// ClusterClairvoyant runs the coordinator and partitions the epoch plan
+	// by consistent-hash ownership: each node prefetches exactly the
+	// samples it will serve, workers read non-owned samples over the peer
+	// fabric, and the slow store serves each sample exactly once
+	// cluster-wide.
 	ClusterClairvoyant
 )
 
@@ -45,20 +71,26 @@ func (m ClusterMode) String() string {
 	}
 }
 
-// ClusterConfig parameterizes one cluster-fabric run.
+// ClusterConfig parameterizes one cluster run.
 type ClusterConfig struct {
 	Nodes      int
 	TrainFiles int
-	FileSize   int64
-	Epochs     int
+	// FileSize is the mean file size (log-normal, sigma 0.5).
+	FileSize int64
+	Epochs   int
 
 	// PFS is the shared slow store every node reads.
 	PFS storage.DeviceSpec
+	// Links is each node's network path to the PFS: none when empty, one
+	// spec for every node, or one per node (heterogeneous clusters —
+	// coordinated control shifts producers toward the slower paths). A
+	// read pays the PFS service and then the link transfer.
+	Links []storage.DeviceSpec
 	// Stage configures each node's prefetcher.
 	Stage core.PrefetcherConfig
 	// Policy bounds the control plane.
 	Policy control.Policy
-	// ControlInterval is the tuning period (Coordinated/Clairvoyant).
+	// ControlInterval is the tuning period.
 	ControlInterval time.Duration
 	// ProducerBudget caps the cluster-wide producer count
 	// (Coordinated/Clairvoyant).
@@ -73,11 +105,23 @@ type ClusterConfig struct {
 	FailLeaderAt time.Duration
 	// VirtualNodes is the placement ring's vnode count (0 = default).
 	VirtualNodes int
+
+	// Sharded makes every node plan and read only its round-robin Shard of
+	// the epoch — synchronous data parallelism — instead of the full sweep
+	// (not with ClusterClairvoyant, which partitions the plan itself).
+	Sharded bool
 	// SyncEvery is the per-worker sample count between all-reduce
-	// barriers (0 = default 8). The barrier bounds worker position skew,
-	// which in turn bounds the clairvoyant reorder window each node's
-	// buffer must absorb.
+	// barriers (0 = default 8): the global batch of a training step. The
+	// barrier bounds worker position skew, which in turn bounds the
+	// clairvoyant reorder window each node's buffer must absorb.
 	SyncEvery int
+	// PerStepSync is the host-side time each node spends per window before
+	// the all-reduce (batch collation, gradient exchange).
+	PerStepSync time.Duration
+	// StepCompute is the GPU time of one full window's training step,
+	// issued after the all-reduce and pipelined one step deep; a short
+	// last window pays its share (0 = reads only).
+	StepCompute time.Duration
 
 	Mode ClusterMode
 	Seed int64
@@ -106,6 +150,28 @@ func DefaultClusterConfig() ClusterConfig {
 	}
 }
 
+// DataParallelConfig returns the reference synchronous data-parallel
+// cluster of the example and the prisma-bench distrib target: 8 nodes of
+// 4 GPUs train LeNet at batch 64 per GPU, each node reading its
+// round-robin shard over its own 100 GbE link to the shared 8-channel
+// Lustre-like PFS, with a two-producers-per-node coordinated budget.
+func DataParallelConfig() ClusterConfig {
+	const gpus, batchPerGPU = 4, 64
+	cfg := DefaultClusterConfig()
+	cfg.Nodes = 8
+	cfg.TrainFiles = 16000
+	cfg.Links = []storage.DeviceSpec{{
+		Name: "100gbe", BaseLatency: 20 * time.Microsecond, BytesPerSecond: 12.5e9, Channels: 8,
+	}}
+	cfg.Stage.InitialBufferCapacity = 16
+	cfg.Stage.TakeDeadline = 0
+	cfg.Sharded = true
+	cfg.SyncEvery = gpus * batchPerGPU
+	cfg.PerStepSync = time.Millisecond
+	cfg.StepCompute = train.LeNet().StepTime(batchPerGPU)
+	return cfg
+}
+
 // Validate reports whether the configuration is usable.
 func (c ClusterConfig) Validate() error {
 	if c.Nodes < 1 {
@@ -119,6 +185,16 @@ func (c ClusterConfig) Validate() error {
 	}
 	if c.Mode != ClusterIndependent && c.ProducerBudget < c.Nodes {
 		return fmt.Errorf("distrib: producer budget %d below one per node", c.ProducerBudget)
+	}
+	if len(c.Links) > 1 && len(c.Links) != c.Nodes {
+		return fmt.Errorf("distrib: %d per-node links for %d nodes", len(c.Links), c.Nodes)
+	}
+	if c.Sharded && c.Mode == ClusterClairvoyant {
+		return fmt.Errorf("distrib: clairvoyant placement partitions the plan; it cannot also be sharded")
+	}
+	if c.SyncEvery < 0 || c.PerStepSync < 0 || c.StepCompute < 0 {
+		return fmt.Errorf("distrib: negative pacing (sync every %d, host %v, compute %v)",
+			c.SyncEvery, c.PerStepSync, c.StepCompute)
 	}
 	if err := c.Stage.Validate(); err != nil {
 		return err
@@ -138,18 +214,18 @@ type ClusterResult struct {
 	// Errors counts failed sample reads.
 	Errors int64
 
-	// BackendReads is the shared slow store's total served read count;
-	// EpochBackendReads breaks it down per epoch. In clairvoyant mode each
-	// epoch's count equals UniqueSamples; independent sweeps show
-	// Nodes x UniqueSamples.
-	BackendReads      int64
+	// PFS reports the shared slow store's activity; EpochBackendReads
+	// breaks its read count down per epoch. Clairvoyant and sharded runs
+	// read UniqueSamples per epoch; full sweeps Nodes x UniqueSamples.
+	PFS               storage.DeviceStats
 	EpochBackendReads []int64
-	// DuplicateReadFactor is BackendReads / (UniqueSamples x Epochs).
+	// DuplicateReadFactor is PFS reads / (UniqueSamples x Epochs).
 	DuplicateReadFactor float64
 
 	// OverDeliveries / MissedDeliveries count per-epoch samples served more
 	// or fewer times than the mode's expectation (once cluster-wide in
-	// clairvoyant, once per node otherwise). Both zero on a correct run.
+	// clairvoyant and sharded runs, once per node otherwise). Both zero on
+	// a correct run.
 	OverDeliveries   int64
 	MissedDeliveries int64
 
@@ -159,8 +235,13 @@ type ClusterResult struct {
 	PeerServes int64
 	Failovers  int64
 
-	// TotalProducers is the cluster-wide producer count at run end.
+	// NodeProducers is each node's producer count at run end, and
+	// TotalProducers their cluster-wide sum.
+	NodeProducers  []int
 	TotalProducers int
+	// PeakReaders sums each node's peak concurrent reader count — the
+	// cluster-wide thread footprint.
+	PeakReaders int
 	// ControlFailovers reports coordinator leadership changes (replicated
 	// arrangement only).
 	ControlFailovers int64
@@ -169,14 +250,45 @@ type ClusterResult struct {
 	NodeStats []ClusterStats
 }
 
+// Shard returns node `node`'s round-robin share of an epoch file list.
+func Shard(names []string, nodes, node int) []string {
+	if nodes < 1 || node < 0 || node >= nodes {
+		panic(fmt.Sprintf("distrib: bad shard (%d of %d)", node, nodes))
+	}
+	out := make([]string, 0, len(names)/nodes+1)
+	for i := node; i < len(names); i += nodes {
+		out = append(out, names[i])
+	}
+	return out
+}
+
+// linkBackend composes a per-node network link in front of the shared
+// backend: a read pays the PFS service and then the link transfer.
+type linkBackend struct {
+	link  *storage.Device
+	inner storage.Backend
+}
+
+func (l *linkBackend) Read(req storage.Request) (storage.Response, error) {
+	resp, err := l.inner.Read(req)
+	if err != nil {
+		return resp, err
+	}
+	l.link.Read(resp.PayloadSize(req))
+	return resp, nil
+}
+
+func (l *linkBackend) Size(name string) (int64, error) { return l.inner.Size(name) }
+
 // takeRetries bounds how often a worker re-claims a sample after a take
 // deadline (the deadline returns the plan entry, so a retry is safe).
 const takeRetries = 3
 
-// RunCluster executes one cluster-fabric run in a fresh simulation. The
-// whole fabric — placement ring, plan partitioning, peer forwarding,
-// coordinated control — runs in-process over sim time, so runs are
-// deterministic for a given config and assertable in CI.
+// RunCluster executes one cluster run in a fresh simulation. The whole
+// fabric — per-node links, placement ring, plan partitioning, peer
+// forwarding, independent or coordinated control, GPU-paced all-reduce
+// steps — runs in-process over sim time, so runs are deterministic for a
+// given config and assertable in CI.
 func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return ClusterResult{}, err
@@ -185,6 +297,9 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	if syncEvery <= 0 {
 		syncEvery = 8
 	}
+	clairvoyant := cfg.Mode == ClusterClairvoyant
+	// Partitioned runs read each sample on one node per epoch.
+	partitioned := clairvoyant || cfg.Sharded
 	out := ClusterResult{Mode: cfg.Mode, UniqueSamples: cfg.TrainFiles}
 	var runErr error
 
@@ -208,19 +323,30 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			nodeNames[n] = fmt.Sprintf("node-%d", n)
 		}
 
+		// Per-node stages: each prefetches through its reader count and
+		// its link; the stage's own reads bypass the count.
 		stages := make([]*core.Stage, cfg.Nodes)
+		readers := make([]*storage.ReaderCount, cfg.Nodes)
 		fabrics := make([]*Fabric, cfg.Nodes)
 		for n := 0; n < cfg.Nodes; n++ {
-			pf, err := core.NewPrefetcher(env, shared, cfg.Stage)
+			var backend storage.Backend = shared
+			if len(cfg.Links) > 0 {
+				linkDev, err := storage.NewDevice(env, cfg.Links[min(n, len(cfg.Links)-1)])
+				if err != nil {
+					runErr = err
+					return
+				}
+				backend = &linkBackend{link: linkDev, inner: shared}
+			}
+			readers[n] = storage.NewReaderCount(env, backend)
+			pf, err := core.NewPrefetcher(env, readers[n], cfg.Stage)
 			if err != nil {
 				runErr = err
 				return
 			}
-			stages[n] = core.NewStage(env, shared, pf)
+			stages[n] = core.NewStage(env, backend, pf)
 			pf.Start()
-		}
-		if cfg.Mode == ClusterClairvoyant {
-			for n := 0; n < cfg.Nodes; n++ {
+			if clairvoyant {
 				ring, err := NewRing(nodeNames, cfg.VirtualNodes)
 				if err != nil {
 					runErr = err
@@ -228,13 +354,15 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 				}
 				fabrics[n], err = NewFabric(env, FabricConfig{
 					Node: nodeNames[n], Ring: ring, Stage: stages[n],
-					Slow: shared, InstallPartitioner: true,
+					Slow: backend, InstallPartitioner: true,
 				})
 				if err != nil {
 					runErr = err
 					return
 				}
 			}
+		}
+		if clairvoyant {
 			for n, f := range fabrics {
 				for m, owner := range fabrics {
 					if n != m {
@@ -278,9 +406,9 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		counts := make(map[string]int, cfg.TrainFiles)
 		delivered := 0
 		errored := 0
-		expectPerName := 1
-		if cfg.Mode != ClusterClairvoyant {
-			expectPerName = cfg.Nodes
+		expectPerName := cfg.Nodes
+		if partitioned {
+			expectPerName = 1
 		}
 		var lastBackendReads int64
 
@@ -291,18 +419,26 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		for n := 0; n < cfg.Nodes; n++ {
 			n := n
 			var reader core.Reader = stages[n]
-			if cfg.Mode == ClusterClairvoyant {
+			if clairvoyant {
 				reader = fabrics[n]
 			}
 			env.Go(nodeNames[n], func() {
 				defer wg.Done()
+				gpus := train.NewGPUCluster(env, 1)
 				for epoch := 0; epoch < cfg.Epochs; epoch++ {
 					full := man.EpochFileList(cfg.Seed+7, epoch)
 					// In clairvoyant mode the full shuffled order is the
 					// clairvoyant signal: every node receives it and the
 					// installed partitioner narrows the prefetch plan to the
 					// node's ring-owned share.
-					if err := stages[n].SubmitPlan(full); err != nil {
+					plan, shard := full, full
+					if partitioned {
+						shard = Shard(full, cfg.Nodes, n)
+					}
+					if cfg.Sharded {
+						plan = shard
+					}
+					if err := stages[n].SubmitPlan(plan); err != nil {
 						runErr = err
 						barrier.Break()
 						return
@@ -314,21 +450,17 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 						return
 					}
 
-					shard := full
-					if cfg.Mode == ClusterClairvoyant {
-						shard = Shard(full, cfg.Nodes, n)
+					// Every node runs the same window count; the largest
+					// shard (node 0's) defines it, and smaller shards pad
+					// with an empty last window (drop_last=False).
+					perNode := len(full)
+					if partitioned {
+						perNode = (len(full) + cfg.Nodes - 1) / cfg.Nodes
 					}
-					maxShard := len(full)
-					if cfg.Mode == ClusterClairvoyant {
-						maxShard = (len(full) + cfg.Nodes - 1) / cfg.Nodes
-					}
-					windows := (maxShard + syncEvery - 1) / syncEvery
+					windows := (perNode + syncEvery - 1) / syncEvery
 					idx := 0
 					for w := 0; w < windows; w++ {
-						take := syncEvery
-						if rem := len(shard) - idx; rem < take {
-							take = rem
-						}
+						take := min(syncEvery, len(shard)-idx)
 						for i := 0; i < take; i++ {
 							name := shard[idx]
 							idx++
@@ -348,10 +480,17 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 							}
 							countsMu.Unlock()
 						}
-						if !barrier.Await() { // all-reduce pacing
+						if cfg.PerStepSync > 0 {
+							env.Sleep(cfg.PerStepSync)
+						}
+						if !barrier.Await() { // all-reduce
 							return
 						}
+						if cfg.StepCompute > 0 && take > 0 {
+							gpus.IssueStep(time.Duration(float64(cfg.StepCompute) * float64(take) / float64(syncEvery)))
+						}
 					}
+					gpus.Drain()
 
 					if !barrier.Await() { // epoch drain
 						return
@@ -386,14 +525,18 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		}
 		if group != nil {
 			group.Stop()
-			out.TotalProducers = group.LastLeader().totalProducers()
 			out.ControlFailovers = group.Failovers()
 		}
-		for n, ctl := range controllers {
-			t, _ := ctl.Applied(nodeNames[n])
-			out.TotalProducers += t.Producers
-		}
 		for n, st := range stages {
+			var t control.Tuning
+			if group != nil {
+				t = group.LastLeader().applied(n)
+			} else {
+				t, _ = controllers[n].Applied(nodeNames[n])
+			}
+			out.NodeProducers = append(out.NodeProducers, t.Producers)
+			out.TotalProducers += t.Producers
+			out.PeakReaders += metrics.MaxValue(readers[n].Distribution())
 			if fabrics[n] != nil {
 				fs := fabrics[n].Stats()
 				out.NodeStats = append(out.NodeStats, fs)
@@ -405,9 +548,9 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		}
 		out.Delivered = int64(delivered)
 		out.Errors = int64(errored)
-		out.BackendReads = pfsDev.Stats().Reads
+		out.PFS = pfsDev.Stats()
 		if total := int64(cfg.TrainFiles) * int64(cfg.Epochs); total > 0 {
-			out.DuplicateReadFactor = float64(out.BackendReads) / float64(total)
+			out.DuplicateReadFactor = float64(out.PFS.Reads) / float64(total)
 		}
 	})
 	if err := s.Run(); err != nil {

@@ -13,9 +13,7 @@ import (
 // producer budget, giving threads to starved stages and reclaiming them
 // from idle ones. Unlike per-node tuners it can never oversubscribe the
 // shared backend: the cluster-wide producer count stays within the budget.
-// It drives stages through control.DataPlane, so the same rounds tune
-// in-process stages (the sim) and remote nodes behind an IPC adapter
-// (control.NewRemoteAdapter over an ipc client). It has no loop of its own:
+// It drives stages through control.DataPlane. It has no loop of its own:
 // a control.LeaderGroup ticks it, alone or replicated (newCoordinatorGroup).
 type coordinator struct {
 	stages []control.DataPlane

@@ -147,17 +147,6 @@ func (f *Fabric) SetPeer(node string, p PeerReader) {
 	f.mu.Unlock()
 }
 
-// RemovePeer drops the transport to a peer node; subsequent reads owned by
-// that node fail over to the slow store.
-func (f *Fabric) RemovePeer(node string) {
-	f.mu.Lock()
-	delete(f.peers, node)
-	f.mu.Unlock()
-}
-
-// Owner reports which node owns name.
-func (f *Fabric) Owner(name string) string { return f.ring.Owner(name) }
-
 // OwnedSubset filters names down to the subsequence this node owns,
 // preserving order. It is the plan partitioner installed on the stage:
 // SubmitEpoch with the full cluster plan prefetches exactly this node's

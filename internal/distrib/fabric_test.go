@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -136,7 +137,14 @@ func TestFabricRoutesByOwnership(t *testing.T) {
 	}
 }
 
-// With the peer transport severed, reads of peer-owned samples fail over to
+// downPeer is a peer transport whose node is unreachable.
+type downPeer struct{}
+
+func (downPeer) PeerRead(string) (storage.Data, error) {
+	return storage.Data{}, errors.New("peer unreachable")
+}
+
+// With the peer transport failing, reads of peer-owned samples fail over to
 // the slow store and still succeed.
 func TestFabricFailoverToSlowStore(t *testing.T) {
 	const files = 120
@@ -150,8 +158,9 @@ func TestFabricFailoverToSlowStore(t *testing.T) {
 		}
 		defer fx.close()
 		full := fx.man.EpochFileList(5, 0)
-		// Only node-0 gets a plan; node-1 is "down" from the start.
-		fx.fabrics[0].RemovePeer("node-1")
+		// Only node-0 gets a plan; node-1 is down from the start: its
+		// transport fails every forwarded read.
+		fx.fabrics[0].SetPeer("node-1", downPeer{})
 		if err := fx.stages[0].SubmitPlan(full); err != nil {
 			t.Errorf("submit: %v", err)
 			return
@@ -167,8 +176,8 @@ func TestFabricFailoverToSlowStore(t *testing.T) {
 		if st0.Failovers != notOwned {
 			t.Errorf("failovers = %d, want %d", st0.Failovers, notOwned)
 		}
-		if st0.PeerReads != 0 {
-			t.Errorf("peer reads = %d, want 0 (peer removed)", st0.PeerReads)
+		if st0.PeerReads != 0 || st0.PeerErrors != notOwned {
+			t.Errorf("peer reads = %d, errors = %d; want 0, %d (peer down)", st0.PeerReads, st0.PeerErrors, notOwned)
 		}
 		if st0.MaxFailoverLatency <= 0 {
 			t.Errorf("max failover latency = %v, want > 0", st0.MaxFailoverLatency)

@@ -106,19 +106,3 @@ func (r *Ring) Owner(key string) string {
 	}
 	return r.points[i].node
 }
-
-// PartitionPlan splits an epoch plan into per-node sub-plans by ring
-// ownership, preserving the plan's order within each partition. The
-// partitions are disjoint and complete: every name lands in exactly the
-// owner's slice. Because SubmitEpoch reveals the full shuffled access
-// order, each node's partition is exactly the set of samples it will serve
-// this epoch, in the order they will be consumed — the clairvoyant
-// placement the fabric prefetches against.
-func (r *Ring) PartitionPlan(names []string) map[string][]string {
-	out := make(map[string][]string, len(r.nodes))
-	for _, name := range names {
-		owner := r.Owner(name)
-		out[owner] = append(out[owner], name)
-	}
-	return out
-}

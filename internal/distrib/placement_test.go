@@ -4,6 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/sim"
+	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
 func ringKeys(n int, seed int64) []string {
@@ -101,26 +106,33 @@ func TestRingStabilityUnderJoinLeave(t *testing.T) {
 	}
 }
 
-// PartitionPlan is disjoint and complete: every plan entry lands in exactly
-// one node's partition, order is preserved, and the partitions agree with
-// Owner.
+// The installed plan partitioners are disjoint and complete: every node's
+// Fabric.OwnedSubset of the plan holds exactly the entries the ring gives
+// it, in plan order, and together they cover every entry once.
 func TestPartitionPlanDisjointComplete(t *testing.T) {
-	r, err := NewRing(ringNodes(5), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := conc.NewSimEnv(sim.New())
+	nodes := ringNodes(5)
 	plan := ringKeys(3000, 11)
-	parts := r.PartitionPlan(plan)
-
+	index := make(map[string]int, len(plan))
+	for i, k := range plan {
+		index[k] = i
+	}
 	seen := make(map[string]string)
 	total := 0
-	for node, part := range parts {
-		prevIdx := -1
-		index := make(map[string]int, len(plan))
-		for i, k := range plan {
-			index[k] = i
+	for _, node := range nodes {
+		r, err := NewRing(nodes, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, k := range part {
+		f, err := NewFabric(env, FabricConfig{
+			Node: node, Ring: r, Stage: core.NewStage(env, storage.NewMemBackend(), nil),
+			Slow: storage.NewMemBackend(), InstallPartitioner: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prevIdx := -1
+		for _, k := range f.OwnedSubset(plan) {
 			if owner, dup := seen[k]; dup {
 				t.Fatalf("key %q in partitions of both %q and %q", k, owner, node)
 			}

@@ -6,13 +6,11 @@ import (
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/control"
-	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
-	"github.com/dsrhaslab/prisma-go/internal/tfmini"
 	"github.com/dsrhaslab/prisma-go/internal/train"
 )
 
@@ -26,75 +24,27 @@ type AblationRow struct {
 	Tuning     string
 }
 
-// runPrismaTF runs the PRISMA TF setup (LeNet, batch 256 unless stated)
-// with an arbitrary algorithm and stage config — shared scaffolding for
-// the ablations.
-func runPrismaTF(cal Calibration, model train.Model, batch int, stageCfg core.PrefetcherConfig, newAlg func() control.Algorithm, pol control.Policy, device storage.DeviceSpec, seed int64) (RunMeasurement, error) {
-	var out RunMeasurement
-	var runErr error
-	s := sim.New()
-	env := conc.NewSimEnv(s)
-	s.Spawn("ablation-driver", func(*sim.Process) {
-		trainSet, valSet, err := dataset.SyntheticImageNet(cal.Scale, seed)
-		if err != nil {
-			runErr = err
-			return
-		}
-		dev, err := storage.NewDevice(env, device)
-		if err != nil {
-			runErr = err
-			return
-		}
-		backend := storage.NewModeledBackend(mergeManifests(trainSet, valSet), dev)
-		counted := storage.NewReaderCount(env, backend)
-		pf, err := core.NewPrefetcher(env, counted, stageCfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		stage := core.NewStage(env, backend, pf)
-		pf.Start()
-		ctl := control.NewController(env, cal.ControlInterval)
-		initial := control.Tuning{Producers: stageCfg.InitialProducers, BufferCapacity: stageCfg.InitialBufferCapacity}
-		if err := ctl.Attach("stage", stage, newAlg(), pol, initial); err != nil {
-			runErr = err
-			return
-		}
-		ctl.Start()
-		p, err := tfmini.NewPrisma(env, stage, trainSet, valSet, seed, cal.TFPrismaCosts, cal.TFPrismaIntercept)
-		if err != nil {
-			runErr = err
-			return
-		}
-		cfg := train.Config{
-			Model: model, BatchPerGPU: batch, GPUs: cal.GPUs, Epochs: cal.Epochs,
-			PerStepSync: cal.PerStepSync, Validation: true,
-		}
-		gpus := train.NewGPUCluster(env, cal.GPUs)
-		res, err := train.Run(env, cfg, p, gpus)
-		if err != nil {
-			runErr = err
-		}
-		out.Elapsed = res.Elapsed
-		out.Result = res
-		out.Readers = counted.Distribution()
-		out.FinalTuning, _ = ctl.Applied("stage")
-		out.StageStats = stage.Stats()
-		ctl.Stop()
-		stage.Close()
-		p.Close()
-	})
-	if err := s.Run(); err != nil {
-		return out, fmt.Errorf("experiments: ablation simulation: %w", err)
-	}
-	return out, runErr
+// prismaRow runs the PRISMA TF setup (LeNet, batch 256) under c — the one
+// cell every (t, N) ablation sweeps — and reports it as a row with the
+// peak reader count.
+func prismaRow(c Calibration, sweep, value string) (AblationRow, RunMeasurement, error) {
+	m, err := RunTF(c, train.LeNet(), 256, "prisma", c.Seed)
+	return AblationRow{
+		Sweep: sweep, Value: value,
+		Elapsed: m.Elapsed, PaperScale: c.PaperScale(m.Elapsed),
+		MaxThreads: metrics.MaxValue(m.Readers),
+	}, m, err
+}
+
+// converged formats the tuning the control plane converged to.
+func converged(t control.Tuning) string {
+	return fmt.Sprintf("t=%d N=%d", t.Producers, t.BufferCapacity)
 }
 
 // RunAblationStaticT contrasts the auto-tuner against statically pinned
 // producer counts — the design claim that the feedback loop matches the
 // best manual configuration without the manual search (paper §V-B).
 func RunAblationStaticT(cal Calibration, staticTs []int, report func(string)) ([]AblationRow, error) {
-	model := train.LeNet()
 	var rows []AblationRow
 	emit := func(r AblationRow) {
 		rows = append(rows, r)
@@ -104,35 +54,24 @@ func RunAblationStaticT(cal Calibration, staticTs []int, report func(string)) ([
 		}
 	}
 	for _, t := range staticTs {
-		cfgCopy := cal.TFPrismaStage
-		cfgCopy.InitialProducers = t
-		if cfgCopy.MaxProducers < t {
-			cfgCopy.MaxProducers = t
-		}
-		pol := cal.Policy
-		m, err := runPrismaTF(cal, model, 256, cfgCopy, func() control.Algorithm {
-			return control.StaticAlgorithm{Fixed: control.Tuning{Producers: t, BufferCapacity: cfgCopy.InitialBufferCapacity}}
-		}, pol, cal.Device, cal.Seed)
+		c := cal
+		c.TFPrismaStage.InitialProducers = t
+		c.TFPrismaStage.MaxProducers = max(c.TFPrismaStage.MaxProducers, t)
+		fixed := control.Tuning{Producers: t, BufferCapacity: c.TFPrismaStage.InitialBufferCapacity}
+		c.Algorithm = func() control.Algorithm { return control.StaticAlgorithm{Fixed: fixed} }
+		row, m, err := prismaRow(c, "static-t", fmt.Sprintf("t=%d", t))
 		if err != nil {
 			return nil, fmt.Errorf("ablation static t=%d: %w", t, err)
 		}
-		emit(AblationRow{
-			Sweep: "static-t", Value: fmt.Sprintf("t=%d", t),
-			Elapsed: m.Elapsed, PaperScale: cal.PaperScale(m.Elapsed),
-			MaxThreads: metrics.MaxValue(m.Readers),
-			Tuning:     fmt.Sprintf("t=%d N=%d", m.FinalTuning.Producers, m.FinalTuning.BufferCapacity),
-		})
+		row.Tuning = converged(m.FinalTuning)
+		emit(row)
 	}
-	m, err := runPrismaTF(cal, model, 256, cal.TFPrismaStage, func() control.Algorithm { return control.NewAutotuner() }, cal.Policy, cal.Device, cal.Seed)
+	row, m, err := prismaRow(cal, "static-t", "autotune")
 	if err != nil {
 		return nil, fmt.Errorf("ablation autotune: %w", err)
 	}
-	emit(AblationRow{
-		Sweep: "static-t", Value: "autotune",
-		Elapsed: m.Elapsed, PaperScale: cal.PaperScale(m.Elapsed),
-		MaxThreads: metrics.MaxValue(m.Readers),
-		Tuning:     fmt.Sprintf("t=%d N=%d", m.FinalTuning.Producers, m.FinalTuning.BufferCapacity),
-	})
+	row.Tuning = converged(m.FinalTuning)
+	emit(row)
 	return rows, nil
 }
 
@@ -140,25 +79,17 @@ func RunAblationStaticT(cal Calibration, staticTs []int, report func(string)) ([
 // the tuner's typical convergence point) to expose the capacity/benefit
 // curve.
 func RunAblationBuffer(cal Calibration, capacities []int, report func(string)) ([]AblationRow, error) {
-	model := train.LeNet()
 	var rows []AblationRow
 	for _, n := range capacities {
-		cfgCopy := cal.TFPrismaStage
-		cfgCopy.InitialBufferCapacity = n
-		if cfgCopy.MaxBufferCapacity < n {
-			cfgCopy.MaxBufferCapacity = n
-		}
-		cfgCopy.InitialProducers = 4
-		m, err := runPrismaTF(cal, model, 256, cfgCopy, func() control.Algorithm {
-			return control.StaticAlgorithm{Fixed: control.Tuning{Producers: 4, BufferCapacity: n}}
-		}, cal.Policy, cal.Device, cal.Seed)
+		c := cal
+		c.TFPrismaStage.InitialBufferCapacity = n
+		c.TFPrismaStage.MaxBufferCapacity = max(c.TFPrismaStage.MaxBufferCapacity, n)
+		c.TFPrismaStage.InitialProducers = 4
+		fixed := control.Tuning{Producers: 4, BufferCapacity: n}
+		c.Algorithm = func() control.Algorithm { return control.StaticAlgorithm{Fixed: fixed} }
+		row, _, err := prismaRow(c, "buffer-n", fmt.Sprintf("N=%d", n))
 		if err != nil {
 			return nil, fmt.Errorf("ablation buffer N=%d: %w", n, err)
-		}
-		row := AblationRow{
-			Sweep: "buffer-n", Value: fmt.Sprintf("N=%d", n),
-			Elapsed: m.Elapsed, PaperScale: cal.PaperScale(m.Elapsed),
-			MaxThreads: metrics.MaxValue(m.Readers),
 		}
 		rows = append(rows, row)
 		if report != nil {
@@ -171,20 +102,16 @@ func RunAblationBuffer(cal Calibration, capacities []int, report func(string)) (
 // RunAblationDevices contrasts storage media (the portability argument:
 // the same decoupled optimization adapts to each device's parallelism).
 func RunAblationDevices(cal Calibration, report func(string)) ([]AblationRow, error) {
-	model := train.LeNet()
 	devices := []storage.DeviceSpec{cal.Device, storage.SATAHDD(), storage.NFSShare()}
 	var rows []AblationRow
 	for _, dev := range devices {
-		m, err := runPrismaTF(cal, model, 256, cal.TFPrismaStage, func() control.Algorithm { return control.NewAutotuner() }, cal.Policy, dev, cal.Seed)
+		c := cal
+		c.Device = dev
+		row, m, err := prismaRow(c, "device", dev.Name)
 		if err != nil {
 			return nil, fmt.Errorf("ablation device %s: %w", dev.Name, err)
 		}
-		row := AblationRow{
-			Sweep: "device", Value: dev.Name,
-			Elapsed: m.Elapsed, PaperScale: cal.PaperScale(m.Elapsed),
-			MaxThreads: metrics.MaxValue(m.Readers),
-			Tuning:     fmt.Sprintf("t=%d N=%d", m.FinalTuning.Producers, m.FinalTuning.BufferCapacity),
-		}
+		row.Tuning = converged(m.FinalTuning)
 		rows = append(rows, row)
 		if report != nil {
 			report(fmt.Sprintf("ablation %-10s %-14s elapsed=%-12v converged %s", row.Sweep, row.Value, row.Elapsed.Round(time.Millisecond), row.Tuning))
@@ -200,30 +127,28 @@ func RunAblationDevices(cal Calibration, report func(string)) ([]AblationRow, er
 // TF-baseline and PRISMA on LeNet at a per-family scale that keeps event
 // counts comparable.
 func RunAblationDatasets(cal Calibration, report func(string)) ([]AblationRow, error) {
-	model := train.LeNet()
 	var rows []AblationRow
 	for _, prof := range dataset.Profiles() {
 		if prof.Name == "youtube8m" || prof.Name == "openimages" {
 			continue // multi-TiB families need tiny scales; covered by unit tests
 		}
 		// Normalize each family to roughly the ImageNet cell's file count.
-		scale := cal.Scale * float64(dataset.ImageNetTrainFiles) / float64(prof.TrainFiles)
-		if scale > 1 {
-			scale = 1
-		}
+		c := cal
+		c.Profile = prof
+		c.Scale = min(cal.Scale*float64(dataset.ImageNetTrainFiles)/float64(prof.TrainFiles), 1)
 		var times [2]time.Duration
 		for i, setup := range []string{"tf-baseline", "prisma"} {
-			m, err := runProfileTF(cal, prof, scale, model, 256, setup)
+			m, err := RunTF(c, train.LeNet(), 256, setup, c.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("ablation dataset %s/%s: %w", prof.Name, setup, err)
 			}
-			times[i] = m
+			times[i] = m.Elapsed
 		}
 		reduction := 1 - float64(times[1])/float64(times[0])
 		row := AblationRow{
 			Sweep: "dataset", Value: prof.Name,
 			Elapsed:    times[1],
-			PaperScale: time.Duration(float64(times[1]) / scale),
+			PaperScale: c.PaperScale(times[1]),
 			Tuning:     fmt.Sprintf("reduction %.0f%%", reduction*100),
 		}
 		rows = append(rows, row)
@@ -235,108 +160,29 @@ func RunAblationDatasets(cal Calibration, report func(string)) ([]AblationRow, e
 	return rows, nil
 }
 
-// runProfileTF runs one TF-side setup over an arbitrary dataset profile.
-func runProfileTF(cal Calibration, prof dataset.Profile, scale float64, model train.Model, batch int, setup string) (time.Duration, error) {
-	var elapsed time.Duration
-	var runErr error
-	s := sim.New()
-	env := conc.NewSimEnv(s)
-	s.Spawn("dataset-ablation", func(*sim.Process) {
-		trainSet, valSet, err := prof.Synthesize(scale, cal.Seed)
-		if err != nil {
-			runErr = err
-			return
-		}
-		dev, err := storage.NewDevice(env, cal.Device)
-		if err != nil {
-			runErr = err
-			return
-		}
-		backend := storage.NewModeledBackend(mergeManifests(trainSet, valSet), dev)
-		cfg := train.Config{
-			Model: model, BatchPerGPU: batch, GPUs: cal.GPUs, Epochs: cal.Epochs,
-			PerStepSync: cal.PerStepSync, Validation: true,
-		}
-		gpus := train.NewGPUCluster(env, cal.GPUs)
-		switch setup {
-		case "tf-baseline":
-			p, err := tfmini.NewBaseline(env, backend, trainSet, valSet, cal.Seed, cal.TFBaselineCosts)
-			if err != nil {
-				runErr = err
-				return
-			}
-			res, err := train.Run(env, cfg, p, gpus)
-			if err != nil {
-				runErr = err
-				return
-			}
-			elapsed = res.Elapsed
-		case "prisma":
-			pf, err := core.NewPrefetcher(env, backend, cal.TFPrismaStage)
-			if err != nil {
-				runErr = err
-				return
-			}
-			stage := core.NewStage(env, backend, pf)
-			pf.Start()
-			ctl := control.NewController(env, cal.ControlInterval)
-			initial := control.Tuning{Producers: cal.TFPrismaStage.InitialProducers, BufferCapacity: cal.TFPrismaStage.InitialBufferCapacity}
-			if err := ctl.Attach("stage", stage, control.NewAutotuner(), cal.Policy, initial); err != nil {
-				runErr = err
-				return
-			}
-			ctl.Start()
-			p, err := tfmini.NewPrisma(env, stage, trainSet, valSet, cal.Seed, cal.TFPrismaCosts, cal.TFPrismaIntercept)
-			if err != nil {
-				runErr = err
-				return
-			}
-			res, err := train.Run(env, cfg, p, gpus)
-			if err != nil {
-				runErr = err
-			}
-			elapsed = res.Elapsed
-			ctl.Stop()
-			stage.Close()
-		default:
-			runErr = fmt.Errorf("unknown setup %q", setup)
-		}
-	})
-	if err := s.Run(); err != nil {
-		return 0, err
-	}
-	return elapsed, runErr
-}
-
 // RunAblationAlgorithms contrasts control algorithms for the same knobs —
 // the comparison §V-A leaves open ("the same may not hold true when
 // considering other control algorithms"): the plateau-guarded feedback
 // loop, TCP-style AIMD, a throughput-only hill climber, and the
 // TensorFlow-style grow-only policy.
 func RunAblationAlgorithms(cal Calibration, report func(string)) ([]AblationRow, error) {
-	model := train.LeNet()
 	algs := []string{"prisma-autotune", "aimd", "hill-climb", "tf-growth"}
 	var rows []AblationRow
 	for _, name := range algs {
 		name := name
-		factory := func() control.Algorithm {
+		c := cal
+		c.Algorithm = func() control.Algorithm {
 			if name == "tf-growth" {
 				return control.GrowthAlgorithm{}
 			}
 			alg, _ := control.AlgorithmByName(name)
 			return alg
 		}
-		pol := cal.Policy
-		m, err := runPrismaTF(cal, model, 256, cal.TFPrismaStage, factory, pol, cal.Device, cal.Seed)
+		row, m, err := prismaRow(c, "algorithm", name)
 		if err != nil {
 			return nil, fmt.Errorf("ablation algorithm %s: %w", name, err)
 		}
-		row := AblationRow{
-			Sweep: "algorithm", Value: name,
-			Elapsed: m.Elapsed, PaperScale: cal.PaperScale(m.Elapsed),
-			MaxThreads: metrics.MaxValue(m.Readers),
-			Tuning:     fmt.Sprintf("t=%d N=%d", m.FinalTuning.Producers, m.FinalTuning.BufferCapacity),
-		}
+		row.Tuning = converged(m.FinalTuning)
 		rows = append(rows, row)
 		if report != nil {
 			report(fmt.Sprintf("ablation %-10s %-16s elapsed=%-12v max-threads=%d converged %s",
@@ -475,19 +321,13 @@ func RunAblationValPrefetch(cal Calibration, report func(string)) ([]AblationRow
 // §V-B synchronization bottleneck — quantifying when IPC serialization
 // erases the prefetching win.
 func RunAblationAccessCost(cal Calibration, costs []time.Duration, report func(string)) ([]AblationRow, error) {
-	model := train.LeNet()
 	var rows []AblationRow
-	for _, c := range costs {
-		cfgCopy := cal.TFPrismaStage
-		cfgCopy.BufferAccessCost = c
-		m, err := runPrismaTF(cal, model, 256, cfgCopy, func() control.Algorithm { return control.NewAutotuner() }, cal.Policy, cal.Device, cal.Seed)
+	for _, cost := range costs {
+		c := cal
+		c.TFPrismaStage.BufferAccessCost = cost
+		row, _, err := prismaRow(c, "access-cost", cost.String())
 		if err != nil {
-			return nil, fmt.Errorf("ablation access cost %v: %w", c, err)
-		}
-		row := AblationRow{
-			Sweep: "access-cost", Value: c.String(),
-			Elapsed: m.Elapsed, PaperScale: cal.PaperScale(m.Elapsed),
-			MaxThreads: metrics.MaxValue(m.Readers),
+			return nil, fmt.Errorf("ablation access cost %v: %w", cost, err)
 		}
 		rows = append(rows, row)
 		if report != nil {

@@ -14,6 +14,7 @@ import (
 
 	"github.com/dsrhaslab/prisma-go/internal/control"
 	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tfmini"
 	"github.com/dsrhaslab/prisma-go/internal/torchmini"
@@ -25,8 +26,11 @@ import (
 // measured times shrink ≈ linearly, so PaperScale extrapolation divides by
 // s.
 type Calibration struct {
-	// Scale shrinks the ImageNet manifests ((0, 1]).
+	// Scale shrinks the dataset's manifests ((0, 1]).
 	Scale float64
+	// Profile is the dataset family the runs train on; the zero value is
+	// ImageNet (dataset.SyntheticImageNet).
+	Profile dataset.Profile
 	// Epochs per run; the paper trains for 10.
 	Epochs int
 	// Runs per configuration; the paper averages 5.
@@ -75,9 +79,11 @@ type Calibration struct {
 	// serialized UDS round-trip cost, the §V-B bottleneck at 8+ workers.
 	TorchPrismaStage core.PrefetcherConfig
 
-	// Control plane.
+	// Control plane. Algorithm builds each PRISMA stage's control
+	// algorithm (nil = the feedback auto-tuner, control.NewAutotuner).
 	Policy          control.Policy
 	ControlInterval time.Duration
+	Algorithm       func() control.Algorithm
 }
 
 // Default returns the calibration used throughout the repository.
@@ -145,6 +151,23 @@ func Default() Calibration {
 		ControlInterval: 250 * time.Millisecond,
 	}
 	return cal
+}
+
+// datasets synthesizes the train and validation manifests of the run with
+// the given seed.
+func (cal Calibration) datasets(seed int64) (train, val *dataset.Manifest, err error) {
+	if cal.Profile.Name == "" {
+		return dataset.SyntheticImageNet(cal.Scale, seed)
+	}
+	return cal.Profile.Synthesize(cal.Scale, seed)
+}
+
+// algorithm builds a PRISMA stage's control algorithm.
+func (cal Calibration) algorithm() control.Algorithm {
+	if cal.Algorithm == nil {
+		return control.NewAutotuner()
+	}
+	return cal.Algorithm()
 }
 
 // BatchSizes are the per-GPU batch sizes of Fig. 2.

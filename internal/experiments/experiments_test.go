@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/control"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/train"
@@ -359,6 +360,54 @@ func TestAblationValPrefetchClosesGap(t *testing.T) {
 	}
 }
 
+// RunTF and RunTorch train on cal's dataset profile at cal.Scale and tune
+// their PRISMA stage with cal's control algorithm — the two inputs the
+// ablations vary beyond the stage config, policy and device.
+func TestRunTFProfileAndAlgorithm(t *testing.T) {
+	cal := fastCal()
+	cal.Epochs = 1
+	prof, err := dataset.ProfileByName("cifar10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal.Profile = prof
+	cal.Scale = 0.01
+	cal.ControlInterval = 5 * time.Millisecond // tick within the short run
+	fixed := control.Tuning{Producers: 3, BufferCapacity: 64}
+	cal.Algorithm = func() control.Algorithm { return control.StaticAlgorithm{Fixed: fixed} }
+	for _, setup := range []string{"tf-baseline", "prisma"} {
+		m, err := RunTF(cal, train.LeNet(), 64, setup, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Result.TrainSamples != 500 {
+			t.Fatalf("%s trained on %d samples, want cifar10's 500 at scale 0.01", setup, m.Result.TrainSamples)
+		}
+		if setup == "prisma" && (m.FinalTuning != fixed || metrics.MaxValue(m.Readers) > 3) {
+			t.Fatalf("static algorithm not applied: tuning %+v, %d peak readers", m.FinalTuning, metrics.MaxValue(m.Readers))
+		}
+	}
+	m, err := RunTorch(cal, train.LeNet(), 64, 2, "prisma", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Result.TrainSamples != 500 || m.FinalTuning != fixed {
+		t.Fatalf("torch: %d samples, tuning %+v; want 500, %+v", m.Result.TrainSamples, m.FinalTuning, fixed)
+	}
+	// The zero profile is ImageNet.
+	imagenet, _, err := dataset.SyntheticImageNet(fastCal().Scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err = RunTF(fastCal(), train.LeNet(), 64, "tf-baseline", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(imagenet.Len() * fastCal().Epochs); m.Result.TrainSamples != want {
+		t.Fatalf("default profile trained on %d samples, want %d (ImageNet at 1/512)", m.Result.TrainSamples, want)
+	}
+}
+
 func TestRunTFUnknownSetup(t *testing.T) {
 	cal := fastCal()
 	if _, err := RunTF(cal, train.LeNet(), 64, "nonsense", 1); err == nil {
@@ -394,6 +443,13 @@ func TestRunTFPropagatesConfigErrors(t *testing.T) {
 	bad.Policy.StarvationHigh = 0
 	if _, err := RunTF(bad, train.LeNet(), 64, "prisma", 1); err == nil {
 		t.Error("bad policy accepted")
+	}
+	// A profile the scale empties.
+	bad = cal
+	bad.Profile, _ = dataset.ProfileByName("mnist")
+	bad.Scale = 1e-6
+	if _, err := RunTF(bad, train.LeNet(), 64, "prisma", 1); err == nil {
+		t.Error("empty dataset split accepted")
 	}
 	// Broken model.
 	if _, err := RunTF(cal, train.Model{Name: "x"}, 64, "tf-baseline", 1); err == nil {

@@ -29,8 +29,10 @@ type RunMeasurement struct {
 	StageStats core.StageStats
 }
 
-// RunTF executes one TensorFlow-side training run (Fig. 2 / Fig. 3 cell)
-// in a fresh simulation. setup is one of TFSetups().
+// RunTF executes one TensorFlow-side training run (Fig. 2 / Fig. 3 cell,
+// and every TF ablation) in a fresh simulation over cal's dataset profile,
+// device, stage config and control algorithm. setup is one of TFSetups()
+// or "prisma-valprefetch".
 func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int64) (RunMeasurement, error) {
 	var out RunMeasurement
 	var runErr error
@@ -38,7 +40,7 @@ func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int
 	s := sim.New()
 	env := conc.NewSimEnv(s)
 	s.Spawn("experiment-driver", func(*sim.Process) {
-		trainSet, valSet, err := dataset.SyntheticImageNet(cal.Scale, seed)
+		trainSet, valSet, err := cal.datasets(seed)
 		if err != nil {
 			runErr = err
 			return
@@ -97,7 +99,7 @@ func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int
 				Producers:      cal.TFPrismaStage.InitialProducers,
 				BufferCapacity: cal.TFPrismaStage.InitialBufferCapacity,
 			}
-			if err := ctl.Attach("tf-stage", stage, control.NewAutotuner(), cal.Policy, initial); err != nil {
+			if err := ctl.Attach("tf-stage", stage, cal.algorithm(), cal.Policy, initial); err != nil {
 				runErr = err
 				return
 			}
@@ -152,7 +154,7 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 	s := sim.New()
 	env := conc.NewSimEnv(s)
 	s.Spawn("experiment-driver", func(*sim.Process) {
-		trainSet, valSet, err := dataset.SyntheticImageNet(cal.Scale, seed)
+		trainSet, valSet, err := cal.datasets(seed)
 		if err != nil {
 			runErr = err
 			return
@@ -209,7 +211,7 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 				Producers:      cal.TorchPrismaStage.InitialProducers,
 				BufferCapacity: cal.TorchPrismaStage.InitialBufferCapacity,
 			}
-			if err := ctl.Attach("torch-stage", stage, control.NewAutotuner(), cal.Policy, initial); err != nil {
+			if err := ctl.Attach("torch-stage", stage, cal.algorithm(), cal.Policy, initial); err != nil {
 				runErr = err
 				return
 			}
