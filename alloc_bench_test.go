@@ -324,13 +324,12 @@ func planAllocsPerEntry(t *testing.T) float64 {
 	}
 	manifest := dataset.MustNew(samples)
 	env := conc.NewReal()
-	pf, err := core.NewPrefetcher(env, storage.NewMemBackend(), core.DefaultPrefetcherConfig())
+	pf, err := core.NewPrefetcher(env, storage.NewMemBackend(), manifest, core.DefaultPrefetcherConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	stage := core.NewStage(env, storage.NewMemBackend(), pf)
 	defer stage.Close()
-	stage.SetManifest(manifest)
 	sock := filepath.Join(t.TempDir(), "plan.sock")
 	srv, err := ipc.Serve(sock, stage, nil)
 	if err != nil {

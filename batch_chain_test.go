@@ -206,7 +206,7 @@ func runChainCell(t *testing.T, wrap chainCell, compressed bool, k int) {
 	ch := wrap.fold(t, &chain.Chain{Env: env, Pool: pool, Backend: mem},
 		TieringOptions{Enable: true, CapacityBytes: 64 << 20, PromoteAfter: 1}, 64<<20, ix)
 
-	pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, ch.Backend, testManifest(names, 4<<10), core.PrefetcherConfig{
 		InitialProducers:      2,
 		MaxProducers:          2,
 		InitialBufferCapacity: len(names),
@@ -320,7 +320,7 @@ func newWholeFileChain(t *testing.T, wrap chainCell, tier TieringOptions, seed i
 	}
 	mem.SetBufferPool(c.pool)
 	c.chain = wrap.fold(t, &chain.Chain{Env: env, Pool: c.pool, Backend: mem}, tier, wholeCacheBytes, nil)
-	pf, err := core.NewPrefetcher(env, c.chain.Backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, c.chain.Backend, testManifest(c.names, wholeFileSize), core.PrefetcherConfig{
 		InitialProducers:      2,
 		MaxProducers:          2,
 		InitialBufferCapacity: 8,

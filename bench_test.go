@@ -313,7 +313,7 @@ func BenchmarkStageReadReal(b *testing.B) {
 	}
 	env := conc.NewReal()
 	backend := storagetest.OpenDir(b, dir)
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
 		InitialProducers: 4, MaxProducers: 8, InitialBufferCapacity: 64, MaxBufferCapacity: 256,
 	})
 	if err != nil {
@@ -347,7 +347,7 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 	}
 	env := conc.NewReal()
 	backend := storagetest.OpenDir(b, dir)
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
 		InitialProducers: 1, MaxProducers: 2, InitialBufferCapacity: 4, MaxBufferCapacity: 8,
 	})
 	if err != nil {

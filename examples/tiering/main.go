@@ -51,7 +51,7 @@ func main() {
 		defer tiered.Close()
 
 		// PRISMA prefetches through the tiered chain.
-		pf, err := core.NewPrefetcher(env, tiered.Backend, core.PrefetcherConfig{
+		pf, err := core.NewPrefetcher(env, tiered.Backend, man, core.PrefetcherConfig{
 			InitialProducers: 4, MaxProducers: 16,
 			InitialBufferCapacity: 64, MaxBufferCapacity: 512,
 		})

@@ -13,6 +13,7 @@ import (
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
@@ -48,6 +49,15 @@ func newFixture(t *testing.T, files int) *fixture {
 	}
 	f.mem.SetBufferPool(f.pool)
 	return f
+}
+
+// manifest lists the fixture's samples.
+func (f *fixture) manifest() *dataset.Manifest {
+	samples := make([]dataset.Sample, len(f.names))
+	for i, n := range f.names {
+		samples[i] = dataset.Sample{Name: n, Size: int64(len(f.payloads[i]))}
+	}
+	return dataset.MustNew(samples)
 }
 
 // everyRow is a Config that turns every row on.
@@ -214,7 +224,7 @@ func TestChainRetriesVectoredReads(t *testing.T) {
 			return
 		}
 		defer ch.Close()
-		pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
+		pf, err := core.NewPrefetcher(env, ch.Backend, f.manifest(), core.PrefetcherConfig{
 			InitialProducers:      2,
 			MaxProducers:          2,
 			InitialBufferCapacity: len(f.names),

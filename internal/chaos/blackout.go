@@ -193,7 +193,7 @@ func driveBlackout(env conc.Env, cfg BlackoutConfig) (BlackoutResult, error) {
 	stages := make([]*core.Stage, cfg.Nodes)
 	fabrics := make([]*distrib.Fabric, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
-		pf, err := core.NewPrefetcher(env, shared, core.PrefetcherConfig{
+		pf, err := core.NewPrefetcher(env, shared, man, core.PrefetcherConfig{
 			InitialProducers:      cfg.Producers,
 			MaxProducers:          cfg.Producers * 4,
 			InitialBufferCapacity: cfg.BufferCap,

@@ -197,7 +197,7 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 	if err := ch.Fold(chain.Config{Resilience: &cfg.Resilience}); err != nil {
 		return res, err
 	}
-	pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, ch.Backend, man, core.PrefetcherConfig{
 		InitialProducers:      cfg.Producers,
 		MaxProducers:          cfg.Producers * 4,
 		InitialBufferCapacity: cfg.BufferCap,

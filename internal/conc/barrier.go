@@ -26,7 +26,9 @@ func NewBarrier(env Env, parties int) *Barrier {
 
 // Await blocks until all parties arrive (the last arrival releases
 // everyone and starts the next generation). It reports false if the
-// barrier was broken while waiting.
+// barrier was broken before its generation was released; a waiter whose
+// generation was released reports true even when Break follows before it
+// wakes.
 func (b *Barrier) Await() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -44,7 +46,7 @@ func (b *Barrier) Await() bool {
 	for gen == b.gen && !b.broken {
 		b.cond.Wait()
 	}
-	return !b.broken
+	return gen != b.gen
 }
 
 // Break permanently releases all current and future waiters with a false

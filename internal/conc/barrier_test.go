@@ -102,6 +102,33 @@ func TestBarrierBreakReleasesWaiters(t *testing.T) {
 	}
 }
 
+// TestBarrierBreakAfterRelease: a Break that lands after a generation was
+// released, but before its waiter wakes, does not take the release back.
+func TestBarrierBreakAfterRelease(t *testing.T) {
+	s := sim.New()
+	env := NewSimEnv(s)
+	var waiter, last bool
+	s.Spawn("driver", func(*sim.Process) {
+		b := NewBarrier(env, 2)
+		wg := env.NewWaitGroup()
+		wg.Add(1)
+		env.Go("waiter", func() {
+			defer wg.Done()
+			waiter = b.Await()
+		})
+		env.Sleep(time.Second)
+		last = b.Await() // releases the waiter's generation
+		b.Break()        // before the waiter runs again
+		wg.Wait()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !last || !waiter {
+		t.Fatalf("Await = %v for the releasing party and %v for the released one, want both true", last, waiter)
+	}
+}
+
 func TestBarrierSingleParty(t *testing.T) {
 	env := NewReal()
 	b := NewBarrier(env, 1)

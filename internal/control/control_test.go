@@ -341,7 +341,7 @@ func buildStage(env conc.Env, nFiles int, deviceLat time.Duration, channels int)
 		panic(err)
 	}
 	backend := storage.NewModeledBackend(m, dev)
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, backend, m, core.PrefetcherConfig{
 		InitialProducers:      1,
 		MaxProducers:          32,
 		InitialBufferCapacity: 16,
@@ -600,5 +600,48 @@ func TestMonitorBufferTakesRate(t *testing.T) {
 	}
 	if rates.BufferTakesPerSec < 499 || rates.BufferTakesPerSec > 501 {
 		t.Fatalf("BufferTakesPerSec = %v, want ≈500", rates.BufferTakesPerSec)
+	}
+}
+
+// TestLoopsStartOnceAndStopAfterTheirSleep: the controller's and the leader
+// group's loops panic on a second Start, tick once per interval, and end
+// after the sleep a Stop lands in, leaving nothing running.
+func TestLoopsStartOnceAndStopAfterTheirSleep(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		loop func(env conc.Env, c *Controller) (start, stop func())
+	}{
+		{"controller", func(env conc.Env, c *Controller) (func(), func()) { return c.Start, c.Stop }},
+		{"leader-group", func(env conc.Env, c *Controller) (func(), func()) {
+			g := NewLeaderGroup(env, interval, []*Controller{c})
+			return g.Start, g.Stop
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			env := conc.NewSimEnv(s)
+			c := NewController(env, interval)
+			var again any
+			s.Spawn("driver", func(*sim.Process) {
+				start, stop := tc.loop(env, c)
+				start()
+				func() {
+					defer func() { again = recover() }()
+					start()
+				}()
+				env.Sleep(interval * 5 / 2)
+				stop()
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if again == nil {
+				t.Error("a second Start did not panic")
+			}
+			if c.Ticks() != 2 || s.Now() != 3*interval {
+				t.Errorf("%d ticks, loop ended at %v; want 2 ticks and the end at %v", c.Ticks(), s.Now(), 3*interval)
+			}
+		})
 	}
 }

@@ -40,8 +40,7 @@ type Controller struct {
 	mu      conc.Mutex
 	stages  map[string]*managedStage
 	order   []string // deterministic iteration order
-	started bool
-	stopped bool
+	loop    conc.TickLoop
 	ticks   int64
 	monitor *Monitor // optional, see EnableMonitoring
 }
@@ -199,32 +198,8 @@ func (c *Controller) History(id string) []TuningDecision {
 
 // Start launches the autonomous control loop on a thread of the
 // environment. It may be called at most once.
-func (c *Controller) Start() {
-	c.mu.Lock()
-	if c.started {
-		c.mu.Unlock()
-		panic("control: controller started twice")
-	}
-	c.started = true
-	c.mu.Unlock()
-	c.env.Go("prisma-controller", func() {
-		for {
-			c.env.Sleep(c.interval)
-			c.mu.Lock()
-			stopped := c.stopped
-			c.mu.Unlock()
-			if stopped {
-				return
-			}
-			c.Tick()
-		}
-	})
-}
+func (c *Controller) Start() { c.loop.Start(c.env, "prisma-controller", c.interval, c.Tick) }
 
 // Stop terminates the autonomous loop after its current sleep. Safe to call
 // without Start and more than once.
-func (c *Controller) Stop() {
-	c.mu.Lock()
-	c.stopped = true
-	c.mu.Unlock()
-}
+func (c *Controller) Stop() { c.loop.Stop() }

@@ -25,8 +25,7 @@ type LeaderGroup[T Ticker] struct {
 	mu        conc.Mutex
 	replicas  []T
 	alive     []bool
-	started   bool
-	stopped   bool
+	loop      conc.TickLoop
 	failovers int64
 	lastLead  int
 }
@@ -115,30 +114,8 @@ func (g *LeaderGroup[T]) Tick() int {
 
 // Start launches the group's autonomous loop.
 func (g *LeaderGroup[T]) Start() {
-	g.mu.Lock()
-	if g.started {
-		g.mu.Unlock()
-		panic("control: leader group started twice")
-	}
-	g.started = true
-	g.mu.Unlock()
-	g.env.Go("prisma-leader-group", func() {
-		for {
-			g.env.Sleep(g.interval)
-			g.mu.Lock()
-			stopped := g.stopped
-			g.mu.Unlock()
-			if stopped {
-				return
-			}
-			g.Tick()
-		}
-	})
+	g.loop.Start(g.env, "prisma-leader-group", g.interval, func() { g.Tick() })
 }
 
 // Stop terminates the autonomous loop after its current sleep.
-func (g *LeaderGroup[T]) Stop() {
-	g.mu.Lock()
-	g.stopped = true
-	g.mu.Unlock()
-}
+func (g *LeaderGroup[T]) Stop() { g.loop.Stop() }

@@ -27,7 +27,7 @@ func aliasingStage(t testing.TB, nFiles, shards int, pool *mempool.Pool) (*Stage
 	if pool != nil {
 		mem.SetBufferPool(pool)
 	}
-	pf, err := NewPrefetcher(env, mem, PrefetcherConfig{
+	pf, err := NewPrefetcher(env, mem, testManifest(names, 1000), PrefetcherConfig{
 		InitialProducers:      2,
 		MaxProducers:          4,
 		InitialBufferCapacity: nFiles, // no producer parking: all samples in flight at once

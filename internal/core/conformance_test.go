@@ -11,6 +11,7 @@ import (
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/distrib"
 	"github.com/dsrhaslab/prisma-go/internal/ipc"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
@@ -35,16 +36,19 @@ func newReaderFixture(t *testing.T) *readerFixture {
 	t.Helper()
 	fx := &readerFixture{mem: storage.NewMemBackend(), pool: mempool.New(mempool.Config{Debug: true})}
 	fx.mem.SetBufferPool(fx.pool)
+	var samples []dataset.Sample
 	for i := 0; i < 24; i++ {
 		fx.plan = append(fx.plan, fmt.Sprintf("train/%03d.bin", i))
 		fx.mem.AddSeeded(fx.plan[i], 1500+i, int64(i)+1)
+		samples = append(samples, dataset.Sample{Name: fx.plan[i], Size: int64(1500 + i)})
 	}
 	for i := 0; i < 4; i++ {
 		fx.val = append(fx.val, fmt.Sprintf("val/%03d.bin", i))
 		fx.mem.AddSeeded(fx.val[i], 900+i, int64(-i)-1)
+		samples = append(samples, dataset.Sample{Name: fx.val[i], Size: int64(900 + i)})
 	}
 	env := conc.NewReal()
-	pf, err := core.NewPrefetcher(env, fx.mem, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, fx.mem, dataset.MustNew(samples), core.PrefetcherConfig{
 		InitialProducers: 2, MaxProducers: 2, InitialBufferCapacity: 64, MaxBufferCapacity: 64,
 	})
 	if err != nil {

@@ -44,7 +44,7 @@ func TestPooledSimEpochLeakAudit(t *testing.T) {
 		}
 		backend := storage.NewModeledBackend(man, dev)
 		backend.SetBufferPool(pool)
-		pf, err := NewPrefetcher(env, backend, PrefetcherConfig{
+		pf, err := NewPrefetcher(env, backend, man, PrefetcherConfig{
 			InitialProducers:      3,
 			MaxProducers:          6,
 			InitialBufferCapacity: 8,
@@ -109,7 +109,7 @@ func TestLeakAuditDetectsDeliberateLeak(t *testing.T) {
 	mem.AddSeeded("leak.bin", 4096, 1)
 	mem.AddSeeded("ok.bin", 4096, 2)
 	mem.SetBufferPool(pool)
-	pf, err := NewPrefetcher(env, mem, PrefetcherConfig{
+	pf, err := NewPrefetcher(env, mem, testManifest([]string{"leak.bin", "ok.bin"}, 4096), PrefetcherConfig{
 		InitialProducers: 1, MaxProducers: 2, InitialBufferCapacity: 4, MaxBufferCapacity: 8,
 	})
 	if err != nil {

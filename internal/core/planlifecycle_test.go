@@ -32,7 +32,7 @@ func TestHangRegressionTwoConsumersRace(t *testing.T) {
 	var errs [2]error
 	s.Spawn("driver", func(*sim.Process) {
 		backend, names := testBackend(env, 1, 1000, time.Millisecond, 2)
-		pf, err := NewPrefetcher(env, backend, pfConfig(1, 4))
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 4))
 		if err != nil {
 			t.Error(err)
 			return
@@ -87,8 +87,8 @@ func TestHangRegressionTwoConsumersRace(t *testing.T) {
 // immediately.
 func TestHangRegressionIdleDownScale(t *testing.T) {
 	runSim(t, func(env conc.Env) {
-		backend, _ := testBackend(env, 2, 1000, time.Millisecond, 2)
-		pf, err := NewPrefetcher(env, backend, pfConfig(4, 8))
+		backend, names := testBackend(env, 2, 1000, time.Millisecond, 2)
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(4, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestEpochCancelWakesBlockedConsumer(t *testing.T) {
 	s.Spawn("driver", func(*sim.Process) {
 		backend, names := testBackend(env, 6, 1000, 10*time.Millisecond, 1)
 		cfg := pfConfig(1, 2) // tiny buffer: fills after two reads
-		pf, err := NewPrefetcher(env, backend, cfg)
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
 		if err != nil {
 			t.Error(err)
 			return
@@ -210,7 +210,7 @@ func TestEpochCancelReleasesPooledBuffers(t *testing.T) {
 		}
 		backend := storage.NewModeledBackend(man, dev)
 		backend.SetBufferPool(pool)
-		pf, err := NewPrefetcher(env, backend, PrefetcherConfig{
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), PrefetcherConfig{
 			InitialProducers:      2,
 			MaxProducers:          4,
 			InitialBufferCapacity: 3,
@@ -273,7 +273,7 @@ func TestConsumerTakeDeadline(t *testing.T) {
 		backend, names := testBackend(env, 1, 1000, 20*time.Millisecond, 1)
 		cfg := pfConfig(1, 4)
 		cfg.TakeDeadline = 5 * time.Millisecond
-		pf, err := NewPrefetcher(env, backend, cfg)
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestConsumerTakeDeadline(t *testing.T) {
 func TestSubmitCancelResubmitLifecycle(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 12, 1000, time.Millisecond, 2)
-		pf, err := NewPrefetcher(env, backend, pfConfig(2, 4))
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(2, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func TestSubmitCancelResubmitLifecycle(t *testing.T) {
 func TestEpochHistoryPruned(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 2, 1000, time.Millisecond, 1)
-		pf, err := NewPrefetcher(env, backend, pfConfig(1, 4))
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +422,7 @@ func TestCapacityBelowShards(t *testing.T) {
 					backend, names := testBackend(env, samples, 1000, time.Millisecond, 4)
 					cfg := pfConfig(4, 16)
 					cfg.BufferShards = shards
-					pf, err := NewPrefetcher(env, backend, cfg)
+					pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -7,14 +7,11 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 )
 
 // Plan-lifecycle errors (DESIGN.md §12).
 var (
-	// ErrNoPrefetcher is returned by Stage plan operations when the stage
-	// has no prefetch object attached — distinct from ErrClosed, which
-	// means a previously working data plane has shut down.
-	ErrNoPrefetcher = errors.New("core: stage has no prefetch object")
 	// ErrEpochCancelled is delivered to consumers blocked on a sample whose
 	// plan epoch was cancelled, and to producers parking such a sample.
 	ErrEpochCancelled = errors.New("core: plan epoch cancelled")
@@ -152,7 +149,7 @@ type planManager struct {
 	parked int       // producers waiting on ready
 	closed bool
 	nextID EpochID
-	names  *nameTable // what a popped slot's producer reads
+	names  *dataset.Names // what a popped slot's producer reads
 	// epochs holds the retained epochs in issue order — ascending id — for
 	// lookup by binary search, listing and pruning.
 	epochs []*epochState
@@ -173,10 +170,11 @@ type planManager struct {
 	delivered, dropped   int64
 }
 
-func newPlanManager(env conc.Env, names *nameTable) *planManager {
+func newPlanManager(env conc.Env, names *dataset.Names) *planManager {
 	pm := &planManager{
 		env:   env,
 		names: names,
+		heads: make([]PlanPos, names.Len()),
 		dups:  make(map[int32][]PlanPos),
 	}
 	pm.mu = env.NewMutex()
@@ -208,10 +206,6 @@ func (pm *planManager) register(slots []int32, held bool) (EpochID, error) {
 	pm.epochs = append(pm.epochs, ep)
 	pm.fifo = append(pm.fifo, ep)
 	pm.submitted++
-	if n := pm.names.len(); n > len(pm.heads) {
-		// The table only grows, and every slot of the plan is in it.
-		pm.heads = append(pm.heads, make([]PlanPos, n-len(pm.heads))...)
-	}
 	for i, s := range slots {
 		pm.addLocked(s, PlanPos{Epoch: ep.id, Index: i})
 	}
@@ -240,7 +234,7 @@ func (pm *planManager) pop(out []PlanClaim, max int, same func(first, next strin
 	start := len(out)
 	run, at, ok, stopped = pm.popLocked(out, max, same, stop)
 	for i := start; i < len(run); i++ {
-		run[i].Name = pm.names.name(run[i].Slot)
+		run[i].Name = pm.names.Name(int(run[i].Slot))
 	}
 	return run, at, ok, stopped
 }
@@ -266,7 +260,7 @@ func (pm *planManager) popLocked(out []PlanClaim, max int, same func(first, next
 	for {
 		out = append(out, PlanClaim{PlanPos: PlanPos{Epoch: ep.id, Index: i}, Slot: ep.slots[i]})
 		i++
-		if i-ep.next == max || i == len(ep.slots) || !same(pm.names.name(out[first].Slot), pm.names.name(ep.slots[i])) {
+		if i-ep.next == max || i == len(ep.slots) || !same(pm.names.Name(int(out[first].Slot)), pm.names.Name(int(ep.slots[i]))) {
 			break
 		}
 	}
@@ -392,8 +386,7 @@ func (pm *planManager) epochLocked(id EpochID) *epochState {
 func (pm *planManager) claim(slot int32) (PlanClaim, bool) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if int(slot) >= len(pm.heads) || pm.heads[slot].Epoch == 0 {
-		// Past heads: a name a submission is adding, not yet registered.
+	if pm.heads[slot].Epoch == 0 {
 		return PlanClaim{}, false
 	}
 	pos := pm.heads[slot]
@@ -471,7 +464,7 @@ func (pm *planManager) nameAt(pos PlanPos) (name string, ok bool) {
 	if !ok {
 		return "", false
 	}
-	return pm.names.name(slot), true
+	return pm.names.Name(int(slot)), true
 }
 
 // slotAtLocked is nameAt's check, reporting the entry's slot: a binary

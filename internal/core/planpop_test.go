@@ -108,7 +108,7 @@ func never() bool { return false }
 // turns true ends the wait as stopped, with nothing popped.
 func TestPlanPopStopPredicate(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
-		pm := newPlanManager(env, newNameTable())
+		pm := newPlanManager(env, testTable())
 		defer pm.close() // releases the producer should the test fail
 		var stop atomic.Bool
 		results := make(chan popResult, 1)
@@ -130,7 +130,7 @@ func TestPlanPopStopPredicate(t *testing.T) {
 // plan's first position.
 func TestPlanPopHeldRegistration(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
-		pm := newPlanManager(env, newNameTable())
+		pm := newPlanManager(env, testTable("a", "b"))
 		defer pm.close()
 		results := make(chan popResult, 1)
 		popAsync(env, pm, never, results)
@@ -151,7 +151,7 @@ func TestPlanPopHeldRegistration(t *testing.T) {
 // are still popped after it; only then does pop report the store drained.
 func TestPlanPopDeliversBeforeStop(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
-		pm := newPlanManager(env, newNameTable())
+		pm := newPlanManager(env, testTable("a", "b", "c"))
 		id, err := pm.registerNames([]string{"a", "b"}, false)
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +181,7 @@ func TestPlanPopDeliversBeforeStop(t *testing.T) {
 // positions follow at once.
 func TestPlanPopSkipsCancelledEpoch(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
-		pm := newPlanManager(env, newNameTable())
+		pm := newPlanManager(env, testTable("a", "b", "c", "x", "y"))
 		first, _ := pm.registerNames([]string{"a", "b", "c"}, false)
 		second, _ := pm.registerNames([]string{"x", "y"}, false)
 		if n := pm.unpopped(); n != 5 {
@@ -217,7 +217,7 @@ func TestPlanPopSkipsCancelledEpoch(t *testing.T) {
 // and a second registration the other; each gets its epoch's position.
 func TestPlanPopWakesParkedProducers(t *testing.T) {
 	forEachEnv(t, func(t *testing.T, env conc.Env) {
-		pm := newPlanManager(env, newNameTable())
+		pm := newPlanManager(env, testTable("p", "q"))
 		defer pm.close() // releases the producers should the test fail
 		results := make(chan popResult, 2)
 		popAsync(env, pm, never, results)
@@ -257,7 +257,7 @@ func TestPlanPopRunRules(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			runSim(t, func(env conc.Env) {
-				pm := newPlanManager(env, newNameTable())
+				pm := newPlanManager(env, testTable("a1", "a2", "a3", "a4", "b1"))
 				env.Sleep(3 * time.Millisecond)
 				var first EpochID
 				for i, p := range tc.plans {

@@ -62,7 +62,7 @@ func (l *readLog) reads() []string {
 func TestPlanStoreEmptyPlanRetires(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 1)
-		pf, err := NewPrefetcher(env, backend, pfConfig(1, 4))
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestPlanStoreEmptyPlanRetires(t *testing.T) {
 func TestPlanStoreTraceSamplingAfterSubmit(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 8, 1000, time.Millisecond, 2)
-		pf, err := NewPrefetcher(env, backend, pfConfig(2, 4))
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(2, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestPlanStoreEpochsInPlanOrder(t *testing.T) {
 		cfg := pfConfig(1, 16)
 		cfg.BatchSamples = 4
 		cfg.Coalescer = log
-		pf, err := NewPrefetcher(env, log, cfg)
+		pf, err := NewPrefetcher(env, log, testManifest(names, 1000), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestEpochCancelReadsNoUnpoppedName(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		modeled, names := testBackend(env, 20, 1000, 5*time.Millisecond, 1)
 		log := &readLog{Backend: modeled}
-		pf, err := NewPrefetcher(env, log, pfConfig(1, 2))
+		pf, err := NewPrefetcher(env, log, testManifest(names, 1000), pfConfig(1, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestPlanStoreLockOrder(t *testing.T) {
 	backend, names := testBackend(env, 64, 1000, 20*time.Microsecond, 4)
 	cfg := pfConfig(2, 4)
 	cfg.BufferShards = 4
-	pf, err := NewPrefetcher(env, backend, cfg)
+	pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
@@ -112,8 +113,8 @@ type Prefetcher struct {
 	buffer  *Buffer
 	tracer  *obs.Tracer // set before Start via setTracer; nil-safe
 
-	plans *planManager // epoch/claim lifecycle (DESIGN.md §12)
-	names *nameTable   // name → slot, shared with the stage
+	plans *planManager   // epoch/claim lifecycle (DESIGN.md §12)
+	names *dataset.Names // the manifest's name → slot index (names.go)
 
 	mu      conc.Mutex
 	target  int // desired t
@@ -138,12 +139,17 @@ type Prefetcher struct {
 	batchFallbacks *metrics.Counter // batches degraded to per-sample reads
 }
 
-// NewPrefetcher builds (but does not start) a prefetcher.
-func NewPrefetcher(env conc.Env, backend storage.Backend, cfg PrefetcherConfig) (*Prefetcher, error) {
+// NewPrefetcher builds (but does not start) a prefetcher over the dataset
+// manifest m: its flat index is the one name table the prefetcher, its plan
+// manager and its stage share, so a plan may name only files m lists.
+func NewPrefetcher(env conc.Env, backend storage.Backend, m *dataset.Manifest, cfg PrefetcherConfig) (*Prefetcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	names := newNameTable()
+	if m == nil {
+		return nil, errors.New("core: prefetcher needs a dataset manifest")
+	}
+	names := m.Names()
 	pf := &Prefetcher{
 		env:            env,
 		backend:        backend,
@@ -200,7 +206,7 @@ func (pf *Prefetcher) setTracer(t *obs.Tracer) {
 // half-registered plan. On success the result reports every name as
 // enqueued.
 func (pf *Prefetcher) SubmitEpoch(names []string) (PlanResult, error) {
-	slots, err := pf.names.plan(names)
+	slots, err := planSlots(pf.names, names)
 	if err != nil {
 		return PlanResult{}, err
 	}
@@ -502,7 +508,7 @@ func (pf *Prefetcher) producerLoop() {
 		}
 		if !batched {
 			for i, e := range run {
-				resp, rerr := pf.backend.Read(storage.Request{Name: e.Name, Ctx: ctxs[i], Slot: pf.names.leafSlot(e.Slot)})
+				resp, rerr := pf.backend.Read(storage.Request{Name: e.Name, Ctx: ctxs[i], Slot: int(e.Slot) + 1})
 				datas = append(datas, resp.Data)
 				details = append(details, resp.Detail)
 				errs = append(errs, rerr)

@@ -77,10 +77,19 @@ func TestPrefetcherConfigValidate(t *testing.T) {
 	}
 }
 
+// TestPrefetcherNeedsManifest: a prefetcher is built over the dataset
+// manifest, whose index is its stage's name table; without one it is not
+// built.
+func TestPrefetcherNeedsManifest(t *testing.T) {
+	if _, err := NewPrefetcher(conc.NewReal(), storage.NewMemBackend(), nil, pfConfig(1, 4)); err == nil {
+		t.Fatal("NewPrefetcher without a manifest succeeded")
+	}
+}
+
 func TestPrefetcherDeliversPlannedFiles(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 20, 1000, time.Millisecond, 4)
-		pf, err := NewPrefetcher(env, backend, pfConfig(2, 8))
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(2, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +119,7 @@ func TestPrefetcherRespectsProducerLimit(t *testing.T) {
 	s.Spawn("driver", func(*sim.Process) {
 		backend, names := testBackend(env, 30, 1000, time.Millisecond, 8)
 		readers := storage.NewReaderCount(env, backend)
-		pf, _ := NewPrefetcher(env, readers, pfConfig(3, 64))
+		pf, _ := NewPrefetcher(env, readers, testManifest(names, 1000), pfConfig(3, 64))
 		pf.Start()
 		_, _ = pf.SubmitEpoch(names)
 		for _, n := range names {
@@ -138,7 +147,7 @@ func TestPrefetcherReadsInPlanOrder(t *testing.T) {
 		dev, _ := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e12, Channels: 1})
 		var order []string
 		rec := &recordingBackend{inner: storage.NewModeledBackend(m, dev), order: &order}
-		pf, _ := NewPrefetcher(env, rec, pfConfig(1, 8))
+		pf, _ := NewPrefetcher(env, rec, m, pfConfig(1, 8))
 		pf.Start()
 		_, _ = pf.SubmitEpoch([]string{"b", "c", "a"})
 		for _, n := range []string{"b", "c", "a"} {
@@ -174,7 +183,7 @@ func TestPrefetcherSetProducersScalesUp(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 40, 1000, time.Millisecond, 8)
 		readers := storage.NewReaderCount(env, backend)
-		pf, _ := NewPrefetcher(env, readers, pfConfig(1, 64))
+		pf, _ := NewPrefetcher(env, readers, testManifest(names, 1000), pfConfig(1, 64))
 		pf.Start()
 		pf.SetProducers(6)
 		if target, running := pf.Producers(); target != 6 || running != 6 {
@@ -194,7 +203,7 @@ func TestPrefetcherSetProducersScalesUp(t *testing.T) {
 func TestPrefetcherSetProducersScalesDown(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 10, 1000, time.Millisecond, 8)
-		pf, _ := NewPrefetcher(env, backend, pfConfig(4, 64))
+		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(4, 64))
 		pf.Start()
 		_, _ = pf.SubmitEpoch(names[:5])
 		for _, n := range names[:5] {
@@ -217,10 +226,10 @@ func TestPrefetcherSetProducersScalesDown(t *testing.T) {
 
 func TestPrefetcherClampsToMaxProducers(t *testing.T) {
 	runSim(t, func(env conc.Env) {
-		backend, _ := testBackend(env, 1, 1, time.Millisecond, 1)
+		backend, names := testBackend(env, 1, 1, time.Millisecond, 1)
 		cfg := pfConfig(1, 4)
 		cfg.MaxProducers = 4
-		pf, _ := NewPrefetcher(env, backend, cfg)
+		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1), cfg)
 		pf.Start()
 		pf.SetProducers(100)
 		if target, _ := pf.Producers(); target != 4 {
@@ -235,7 +244,7 @@ func TestPrefetcherErrorReachesConsumer(t *testing.T) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 2)
 		faulty := storage.NewFaultyBackend(env, backend)
 		faulty.FailName("f0001")
-		pf, _ := NewPrefetcher(env, faulty, pfConfig(2, 8))
+		pf, _ := NewPrefetcher(env, faulty, testManifest(names, 1000), pfConfig(2, 8))
 		pf.Start()
 		_, _ = pf.SubmitEpoch(names)
 		for _, n := range names {
@@ -261,7 +270,7 @@ func TestPrefetcherErrorReachesConsumer(t *testing.T) {
 func TestPrefetcherPlannedBookkeeping(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 2)
-		pf, _ := NewPrefetcher(env, backend, pfConfig(1, 8))
+		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 8))
 		pf.Start()
 		if ps := pf.PlanStats(); ps.EntriesPending != 0 {
 			t.Errorf("%d entries pending before SubmitEpoch", ps.EntriesPending)
@@ -285,8 +294,8 @@ func TestPrefetcherMultiEpochPlan(t *testing.T) {
 	// The same file planned for two epochs is prefetched and consumable
 	// twice.
 	runSim(t, func(env conc.Env) {
-		backend, _ := testBackend(env, 2, 1000, time.Millisecond, 2)
-		pf, _ := NewPrefetcher(env, backend, pfConfig(1, 8))
+		backend, names := testBackend(env, 2, 1000, time.Millisecond, 2)
+		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 8))
 		pf.Start()
 		_, _ = pf.SubmitEpoch([]string{"f0000", "f0001"})
 		_, _ = pf.SubmitEpoch([]string{"f0001", "f0000"})
@@ -306,7 +315,7 @@ func TestPrefetcherMultiEpochPlan(t *testing.T) {
 func TestPrefetcherCloseIdempotentAndRejectsPlans(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 2, 1000, time.Millisecond, 1)
-		pf, _ := NewPrefetcher(env, backend, pfConfig(1, 4))
+		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 4))
 		pf.Start()
 		pf.Close()
 		pf.Close()
@@ -322,7 +331,7 @@ func TestPrefetcherStartsBeforeEpoch(t *testing.T) {
 	// buffer should already hold samples before any consumer arrives.
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 20, 1000, time.Millisecond, 4)
-		pf, _ := NewPrefetcher(env, backend, pfConfig(4, 8))
+		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(4, 8))
 		pf.Start()
 		_, _ = pf.SubmitEpoch(names)
 		env.Sleep(50 * time.Millisecond) // head start
@@ -351,7 +360,7 @@ func TestPrefetcherFaultDoesNotStallOthers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, _ := NewPrefetcher(env, resilient, pfConfig(4, 16))
+		pf, _ := NewPrefetcher(env, resilient, testManifest(names, 1000), pfConfig(4, 16))
 		pf.Start()
 		_, _ = pf.SubmitEpoch(names)
 		for _, n := range names {
@@ -399,7 +408,7 @@ func TestPrefetcherTransientFaultRetriedToSuccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, _ := NewPrefetcher(env, resilient, pfConfig(2, 8))
+		pf, _ := NewPrefetcher(env, resilient, testManifest(names, 1000), pfConfig(2, 8))
 		pf.Start()
 		_, _ = pf.SubmitEpoch(names)
 		for _, n := range names {
@@ -430,7 +439,7 @@ func TestSetProducersFloor(t *testing.T) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 1)
 		cfg := pfConfig(2, 8)
 		cfg.TakeDeadline = time.Second
-		pf, err := NewPrefetcher(env, backend, cfg)
+		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

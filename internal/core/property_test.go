@@ -55,7 +55,7 @@ func TestPrefetcherDeliveryProperty(t *testing.T) {
 				pool = mempool.New(mempool.Config{Debug: true})
 				backend.SetBufferPool(pool)
 			}
-			pf, err := NewPrefetcher(env, backend, PrefetcherConfig{
+			pf, err := NewPrefetcher(env, backend, man, PrefetcherConfig{
 				InitialProducers:      producers,
 				MaxProducers:          8,
 				InitialBufferCapacity: bufCap,

@@ -184,8 +184,8 @@ func TestTakeAheadSkipsProducerErrors(t *testing.T) {
 func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		pm := newPlanManager(conc.NewReal(), newNameTable())
 		names := []string{"a", "b", "c"}
+		pm := newPlanManager(conc.NewReal(), testTable(names...))
 		var (
 			plans     = map[EpochID][]string{}
 			live      []EpochID
@@ -264,7 +264,7 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 				if !slices.Contains(live, c.Epoch) {
 					continue // its epoch was cancelled: the entry is dropped
 				}
-				name := pm.names.name(c.Slot)
+				name := pm.names.Name(int(c.Slot))
 				u := append(unclaimed[name], c.PlanPos)
 				sort.Slice(u, func(i, j int) bool { return u[i].before(u[j]) })
 				unclaimed[name] = u
@@ -316,7 +316,7 @@ func TestPlanManagerPositionalClaimProperty(t *testing.T) {
 // position, over a plan where every name is planned many times. Whoever
 // wins an entry, each is claimed exactly once and none is lost.
 func TestPositionalClaimRacesByNameClaim(t *testing.T) {
-	pm := newPlanManager(conc.NewReal(), newNameTable())
+	pm := newPlanManager(conc.NewReal(), testTable("dup0", "dup1", "dup2", "dup3", "dup4", "dup5", "dup6"))
 	const n = 2000
 	plan := make([]string, n)
 	for i := range plan {
@@ -410,7 +410,7 @@ func TestTakeAheadPooledLeakAudit(t *testing.T) {
 		}
 		backend := storage.NewModeledBackend(man, dev)
 		backend.SetBufferPool(pool)
-		pf, err := NewPrefetcher(env, backend, pfConfig(2, 8))
+		pf, err := NewPrefetcher(env, backend, man, pfConfig(2, 8))
 		if err != nil {
 			t.Error(err)
 			return

@@ -91,7 +91,7 @@ type StageStats struct {
 	RegionPayloads int64
 	InlinePayloads int64
 
-	// Prefetcher state (zero-valued when no prefetcher is attached).
+	// Prefetcher state.
 	QueueLen         int
 	TargetProducers  int
 	RunningProducers int
@@ -120,8 +120,7 @@ type StageStats struct {
 
 	Buffer BufferStats
 
-	// Plan reflects the plan manager: epoch lifecycle and claim activity
-	// (zero-valued when no prefetcher is attached).
+	// Plan reflects the plan manager: epoch lifecycle and claim activity.
 	Plan PlanStats
 
 	// Pool reflects the sample buffer pool (zero-valued when pooling is
@@ -178,12 +177,12 @@ func (s StageStats) Attribution(prev StageStats, consumers int) obs.Attribution 
 type Stage struct {
 	env       conc.Env
 	backend   storage.Backend
-	pf        *Prefetcher                   // nil for a bare interception point
+	pf        *Prefetcher
 	tracer    *obs.Tracer                   // nil-safe; set once via SetTracer before traffic
 	pool      *mempool.Pool                 // nil when pooling is off; stats only
 	gate      TenantGate                    // nil when multi-tenant QoS is off
 	chain     func(*StageStats)             // nil unless the storage chain reports into the snapshot
-	names     *nameTable                    // the prefetcher's, or the stage's own without one
+	names     *dataset.Names                // the prefetcher's (names.go)
 	epochHook func(names []string)          // nil unless a plan observer (tier warmer) is attached
 	partition func(names []string) []string // nil unless a plan partitioner (cluster fabric) is attached
 
@@ -199,19 +198,19 @@ type Stage struct {
 	inlined      *metrics.Counter
 }
 
-// NewStage assembles a stage over backend serving planned reads from pf. A
-// nil pf makes a bare interception point: every read bypasses to backend and
-// the plan operations fail with ErrNoPrefetcher.
+// NewStage assembles a stage over backend serving planned reads from pf,
+// which it requires. The stage resolves names in pf's table — the dataset
+// manifest's — so a plan naming a file outside the manifest fails
+// SubmitEpoch and issues no epoch, and an unplanned read of one fails with
+// storage.NotExistError before any storage layer sees it. A listed name
+// reaches the backend as the manifest's own string with its position
+// (storage.Request.Slot), so the leaf need not look it up again.
 func NewStage(env conc.Env, backend storage.Backend, pf *Prefetcher) *Stage {
-	names := newNameTable()
-	if pf != nil {
-		names = pf.names
-	}
 	return &Stage{
 		env:          env,
 		backend:      backend,
 		pf:           pf,
-		names:        names,
+		names:        pf.names,
 		reads:        metrics.NewCounter(env),
 		hits:         metrics.NewCounter(env),
 		bypasses:     metrics.NewCounter(env),
@@ -229,9 +228,7 @@ func NewStage(env conc.Env, backend storage.Backend, pf *Prefetcher) *Stage {
 // prefetcher and buffer. Call before traffic starts.
 func (s *Stage) SetTracer(t *obs.Tracer) {
 	s.tracer = t
-	if s.pf != nil {
-		s.pf.setTracer(t)
-	}
+	s.pf.setTracer(t)
 }
 
 // Tracer exposes the attached tracer (nil when tracing is off).
@@ -295,12 +292,13 @@ func (s *Stage) Read(req ReadRequest) (storage.Data, PlanPos, error) {
 
 // serve answers an admitted, sampling-decided request from the prefetcher
 // when it is planned, and from the backend otherwise. The name resolves
-// once, here; a listed name reaches the backend as the table's own string.
+// once, here; a listed name reaches the backend as the table's own string,
+// and an unlisted one reaches nothing.
 func (s *Stage) serve(req ReadRequest) (storage.Data, PlanPos, error) {
 	s.reads.Inc()
-	slot, listed := s.names.slot(req.Name)
-	if listed && s.pf != nil {
-		if data, at, planned, err := s.pf.read(req, slot); planned {
+	slot, listed := s.names.Slot(req.Name)
+	if listed {
+		if data, at, planned, err := s.pf.read(req, int32(slot)); planned {
 			if err != nil {
 				s.errors.Inc()
 				return storage.Data{}, PlanPos{}, err
@@ -310,14 +308,11 @@ func (s *Stage) serve(req ReadRequest) (storage.Data, PlanPos, error) {
 		}
 	}
 	s.bypasses.Inc()
-	name, leaf := req.Name, 0
-	if listed {
-		name, leaf = s.names.name(slot), s.names.leafSlot(slot)
-	} else if s.names.manifest {
+	if !listed {
 		s.errors.Inc()
 		return storage.Data{}, PlanPos{}, &storage.NotExistError{Name: req.Name}
 	}
-	resp, err := s.backend.Read(storage.Request{Name: name, Ctx: req.Ctx, Slot: leaf})
+	resp, err := s.backend.Read(storage.Request{Name: s.names.Name(slot), Ctx: req.Ctx, Slot: slot + 1})
 	if err != nil {
 		s.errors.Inc()
 		return storage.Data{}, PlanPos{}, err
@@ -345,27 +340,15 @@ func (s *Stage) SetChainStats(f func(*StageStats)) { s.chain = f }
 // from remote data loaders too. Call before traffic starts.
 func (s *Stage) SetEpochPlanHook(f func(names []string)) { s.epochHook = f }
 
-// SetManifest makes the dataset manifest's flat index the stage's name
-// table. Every name is resolved once, where it enters the stage: a
-// submitted plan naming a file outside the manifest fails SubmitEpoch and
-// issues no epoch — at the same chokepoint as the epoch-plan hook, so plans
-// from IPC clients are checked like in-process ones — and an unplanned read
-// of one fails with storage.NotExistError before any storage layer sees
-// it. A listed name reaches the backend as the manifest's own string with
-// its position (storage.Request.Slot), so the leaf need not look it up
-// again. Call before traffic starts; without a manifest (the default) the
-// stage's table holds the names its plans named and refuses nothing.
-func (s *Stage) SetManifest(m *dataset.Manifest) { s.names.setManifest(m) }
-
-// Name resolves a name still in its wire bytes to the stage's own string
-// for it, without allocating: ok is false for a name no manifest lists and
-// no plan has named.
+// Name resolves a name still in its wire bytes to the manifest's own string
+// for it, without allocating: ok is false for a name the manifest does not
+// list.
 func (s *Stage) Name(b []byte) (string, bool) {
-	slot, ok := s.names.slotBytes(b)
+	slot, ok := s.names.SlotBytes(b)
 	if !ok {
 		return "", false
 	}
-	return s.names.name(slot), true
+	return s.names.Name(slot), true
 }
 
 // SetPlanPartitioner registers a function that narrows every submitted
@@ -392,9 +375,6 @@ func (s *Stage) SetPlanPartitioner(f func(names []string) []string) { s.partitio
 // itself checks the entry under the sample's shard lock.
 func (s *Stage) TakeAhead(tenant string, at PlanPos, maxBytes int64) (storage.Data, bool) {
 	pf := s.pf
-	if pf == nil {
-		return storage.Data{}, false
-	}
 	var start time.Duration
 	if s.gate != nil {
 		start = s.env.Now()
@@ -437,19 +417,17 @@ func (s *Stage) NoteReadPayloads(region, inline int64) {
 func (s *Stage) Size(name string) (int64, error) { return s.backend.Size(name) }
 
 // SubmitPlan forwards an epoch's shuffled filename list to the prefetcher.
-// It returns ErrNoPrefetcher when the stage has no prefetcher.
 func (s *Stage) SubmitPlan(names []string) error {
 	_, err := s.SubmitEpoch(names)
 	return err
 }
 
 // SubmitEpoch is SubmitPlan returning the issued epoch id and the number
-// of entries actually enqueued (see Prefetcher.SubmitEpoch).
+// of entries actually enqueued (see Prefetcher.SubmitEpoch). The plan is
+// resolved here, at the same chokepoint as the epoch-plan hook, so plans
+// from IPC clients are checked like in-process ones.
 func (s *Stage) SubmitEpoch(names []string) (PlanResult, error) {
-	if s.pf == nil {
-		return PlanResult{}, ErrNoPrefetcher
-	}
-	slots, err := s.names.plan(names)
+	slots, err := planSlots(s.names, names)
 	if err != nil {
 		return PlanResult{}, err
 	}
@@ -466,10 +444,7 @@ func (s *Stage) SubmitEpoch(names []string) (PlanResult, error) {
 // network for the submitter's reply, and then for its first reads
 // (DESIGN.md §28).
 func (s *Stage) SubmitEpochHeld(names [][]byte) (PlanResult, error) {
-	if s.pf == nil {
-		return PlanResult{}, ErrNoPrefetcher
-	}
-	slots, err := s.names.planBytes(names)
+	slots, err := planSlotsBytes(s.names, names)
 	if err != nil {
 		return PlanResult{}, err
 	}
@@ -478,23 +453,19 @@ func (s *Stage) SubmitEpochHeld(names [][]byte) (PlanResult, error) {
 
 // StartProducers wakes the producers a held submission left parked. Waking
 // them with nothing to pop is harmless: they park again.
-func (s *Stage) StartProducers() {
-	if s.pf != nil {
-		s.pf.plans.wake()
-	}
-}
+func (s *Stage) StartProducers() { s.pf.plans.wake() }
 
 // submitSlots registers a resolved plan. The partitioner and the plan hook
 // see the plan as the table's own strings.
 func (s *Stage) submitSlots(slots []int32, held bool) (PlanResult, error) {
 	var names []string
 	if s.partition != nil || s.epochHook != nil {
-		names = s.names.names(slots)
+		names = slotNames(s.names, slots)
 	}
 	submit := slots
 	if s.partition != nil {
 		// Every name resolved above; this pass only finds the subset's slots.
-		submit, _ = s.names.plan(s.partition(names))
+		submit, _ = planSlots(s.names, s.partition(names))
 	}
 	res, err := s.pf.submit(submit, held)
 	if err == nil && s.epochHook != nil {
@@ -506,29 +477,13 @@ func (s *Stage) submitSlots(slots []int32, held bool) (PlanResult, error) {
 // CancelEpoch cancels a submitted plan epoch (control interface): queued
 // entries are dropped, buffered samples released, and blocked consumers
 // woken with ErrEpochCancelled. Reports how many plan entries it removed.
-func (s *Stage) CancelEpoch(id EpochID) (int, error) {
-	if s.pf == nil {
-		return 0, ErrNoPrefetcher
-	}
-	return s.pf.CancelEpoch(id)
-}
+func (s *Stage) CancelEpoch(id EpochID) (int, error) { return s.pf.CancelEpoch(id) }
 
 // Epochs lists the retained plan epochs' statuses (control interface).
-// Empty without a prefetcher.
-func (s *Stage) Epochs() []EpochStatus {
-	if s.pf == nil {
-		return nil
-	}
-	return s.pf.Epochs()
-}
+func (s *Stage) Epochs() []EpochStatus { return s.pf.Epochs() }
 
 // SetTakeDeadline adjusts the consumer take deadline (control interface).
-// No-op without a prefetcher.
-func (s *Stage) SetTakeDeadline(d time.Duration) {
-	if s.pf != nil {
-		s.pf.SetTakeDeadline(d)
-	}
-}
+func (s *Stage) SetTakeDeadline(d time.Duration) { s.pf.SetTakeDeadline(d) }
 
 // Stats snapshots the stage (control interface).
 func (s *Stage) Stats() StageStats {
@@ -539,21 +494,19 @@ func (s *Stage) Stats() StageStats {
 		Bypasses: s.bypasses.Value(),
 		Errors:   s.errors.Value(),
 		Shed:     s.shed.Value(),
+		QueueLen: s.pf.QueueLen(),
 	}
-	if s.pf != nil {
-		st.QueueLen = s.pf.QueueLen()
-		st.TargetProducers, st.RunningProducers = s.pf.Producers()
-		st.PrefetchedFiles = s.pf.PrefetchedFiles()
-		st.ReadErrors = s.pf.ReadErrors()
-		st.Buffer = s.pf.Buffer().Stats()
-		st.Plan = s.pf.PlanStats()
-		st.StorageReadLatency = s.pf.ReadLatency()
-		st.StorageBusy = st.StorageReadLatency.Sum
-		st.BatchReads = s.pf.BatchReads()
-		st.BatchedSamples = s.pf.BatchedSamples()
-		st.BatchFallbacks = s.pf.BatchFallbacks()
-		st.BatchEnabled = s.pf.BatchEnabled()
-	}
+	st.TargetProducers, st.RunningProducers = s.pf.Producers()
+	st.PrefetchedFiles = s.pf.PrefetchedFiles()
+	st.ReadErrors = s.pf.ReadErrors()
+	st.Buffer = s.pf.Buffer().Stats()
+	st.Plan = s.pf.PlanStats()
+	st.StorageReadLatency = s.pf.ReadLatency()
+	st.StorageBusy = st.StorageReadLatency.Sum
+	st.BatchReads = s.pf.BatchReads()
+	st.BatchedSamples = s.pf.BatchedSamples()
+	st.BatchFallbacks = s.pf.BatchFallbacks()
+	st.BatchEnabled = s.pf.BatchEnabled()
 	st.TraceSampling = s.tracer.Sampling()
 	if s.pool != nil {
 		st.Pool = s.pool.Stats()
@@ -570,25 +523,11 @@ func (s *Stage) Stats() StageStats {
 	return st
 }
 
-// SetProducers adjusts the prefetcher's t (control interface). No-op
-// without a prefetcher.
-func (s *Stage) SetProducers(n int) {
-	if s.pf != nil {
-		s.pf.SetProducers(n)
-	}
-}
+// SetProducers adjusts the prefetcher's t (control interface).
+func (s *Stage) SetProducers(n int) { s.pf.SetProducers(n) }
 
-// SetBufferCapacity adjusts the prefetcher's N (control interface). No-op
-// without a prefetcher.
-func (s *Stage) SetBufferCapacity(n int) {
-	if s.pf != nil {
-		s.pf.Buffer().SetCapacity(n)
-	}
-}
+// SetBufferCapacity adjusts the prefetcher's N (control interface).
+func (s *Stage) SetBufferCapacity(n int) { s.pf.Buffer().SetCapacity(n) }
 
 // Close shuts down the prefetcher.
-func (s *Stage) Close() {
-	if s.pf != nil {
-		s.pf.Close()
-	}
-}
+func (s *Stage) Close() { s.pf.Close() }

@@ -12,7 +12,7 @@ import (
 // newTestStage builds a stage with a prefetch object over a modeled backend.
 func newTestStage(env conc.Env, nFiles int, producers int) (*Stage, []string) {
 	backend, names := testBackend(env, nFiles, 1000, time.Millisecond, 4)
-	pf, err := NewPrefetcher(env, backend, pfConfig(producers, 8))
+	pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(producers, 8))
 	if err != nil {
 		panic(err)
 	}
@@ -65,7 +65,7 @@ func TestStageErrorCounting(t *testing.T) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 2)
 		faulty := storage.NewFaultyBackend(env, backend)
 		faulty.FailName(names[0])
-		pf, _ := NewPrefetcher(env, faulty, pfConfig(1, 8))
+		pf, _ := NewPrefetcher(env, faulty, testManifest(names, 1000), pfConfig(1, 8))
 		st := NewStage(env, faulty, pf)
 		pf.Start()
 		_ = st.SubmitPlan(names[:1])
@@ -80,34 +80,6 @@ func TestStageErrorCounting(t *testing.T) {
 			t.Fatalf("Errors = %d, want 2", st.Stats().Errors)
 		}
 		st.Close()
-	})
-}
-
-func TestStageWithoutPrefetcher(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		backend, names := testBackend(env, 2, 1000, time.Millisecond, 1)
-		st := NewStage(env, backend, nil)
-		if err := st.SubmitPlan(names); !errors.Is(err, ErrNoPrefetcher) {
-			t.Fatalf("SubmitPlan = %v, want ErrNoPrefetcher", err)
-		}
-		if _, err := st.SubmitEpoch(names); !errors.Is(err, ErrNoPrefetcher) {
-			t.Fatalf("SubmitEpoch = %v, want ErrNoPrefetcher", err)
-		}
-		if _, err := st.CancelEpoch(1); !errors.Is(err, ErrNoPrefetcher) {
-			t.Fatalf("CancelEpoch = %v, want ErrNoPrefetcher", err)
-		}
-		if eps := st.Epochs(); eps != nil {
-			t.Fatalf("Epochs = %v, want nil for plain stage", eps)
-		}
-		d, _, err := st.Read(ReadRequest{Name: names[0]})
-		if err != nil || d.Size != 1000 {
-			t.Fatalf("Read = %+v, %v", d, err)
-		}
-		st.SetProducers(5)       // must not panic
-		st.SetBufferCapacity(10) // must not panic
-		if s := st.Stats(); s.Bypasses != 1 {
-			t.Fatalf("Bypasses = %d, want 1", s.Bypasses)
-		}
 	})
 }
 

@@ -55,7 +55,7 @@ func TestStorageBusyIsSumOfReadIntervals(t *testing.T) {
 					cfg.BatchSamples = tc.batch
 					cfg.Coalescer = vectoredModel{backend}
 				}
-				pf, err := NewPrefetcher(env, backend, cfg)
+				pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

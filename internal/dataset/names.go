@@ -8,7 +8,7 @@ import (
 )
 
 // Names is a set of distinct, non-empty names, each at a slot: its position
-// in the order the names were added. It is the data plane's one name → slot
+// in the list the set was built from. It is the data plane's one name → slot
 // index (DESIGN.md §12): a name is resolved once, where it enters, and
 // everything below works on its slot and on the Names' own string for it.
 //
@@ -17,8 +17,8 @@ import (
 // only on a tag match. The hash is hash/maphash under a seed drawn per
 // process, so names arriving over a socket cannot be chosen to collide.
 //
-// The zero value is an empty set. Lookups may run concurrently with each
-// other; Add may not run concurrently with anything.
+// The zero value is an empty set. A set is fixed once built, so lookups
+// may run concurrently.
 type Names struct {
 	names []string // slot → name
 	tab   []uint64 // tag<<32 | slot+1; 0 is an empty bucket
@@ -99,36 +99,6 @@ func (x *Names) Slot(name string) (int, bool) {
 // keep.
 func (x *Names) SlotBytes(name []byte) (int, bool) {
 	return x.Slot(unsafe.String(unsafe.SliceData(name), len(name)))
-}
-
-// Add gives name the next slot unless the set holds it already, and
-// reports its slot and whether it was added. The set keeps name itself.
-func (x *Names) Add(name string) (slot int, added bool) {
-	if s, ok := x.Slot(name); ok {
-		return s, false
-	}
-	if 2*(len(x.names)+1) > len(x.tab) {
-		old := x.tab
-		x.tab = make([]uint64, tableSize(len(x.names)+1))
-		for _, e := range old {
-			if e != 0 {
-				s := int(uint32(e)) - 1
-				x.insert(maphash.String(hashSeed, x.names[s]), s)
-			}
-		}
-	}
-	slot = len(x.names)
-	x.names = append(x.names, name)
-	x.insert(maphash.String(hashSeed, name), slot)
-	return slot, true
-}
-
-// Clone returns a copy that Add can grow while lookups go on in x.
-func (x *Names) Clone() *Names {
-	return &Names{
-		names: append([]string(nil), x.names...),
-		tab:   append([]uint64(nil), x.tab...),
-	}
 }
 
 // insert places slot, whose name hashed to h, in the first empty bucket

@@ -339,7 +339,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 				backend = &linkBackend{link: linkDev, inner: shared}
 			}
 			readers[n] = storage.NewReaderCount(env, backend)
-			pf, err := core.NewPrefetcher(env, readers[n], cfg.Stage)
+			pf, err := core.NewPrefetcher(env, readers[n], man, cfg.Stage)
 			if err != nil {
 				runErr = err
 				return
@@ -413,6 +413,16 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		var lastBackendReads int64
 
 		barrier := conc.NewBarrier(env, cfg.Nodes)
+		// await is one barrier round; false means a node left its epoch
+		// loop before this round and the run cannot complete.
+		var stranded bool
+		await := func() bool {
+			if barrier.Await() {
+				return true
+			}
+			stranded = true
+			return false
+		}
 		wg := env.NewWaitGroup()
 		wg.Add(cfg.Nodes)
 		start := env.Now()
@@ -424,6 +434,9 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			}
 			env.Go(nodeNames[n], func() {
 				defer wg.Done()
+				// Leaving, early or after the last round, releases every
+				// node still waiting for this one.
+				defer barrier.Break()
 				gpus := train.NewGPUCluster(env, 1)
 				for epoch := 0; epoch < cfg.Epochs; epoch++ {
 					full := man.EpochFileList(cfg.Seed+7, epoch)
@@ -440,13 +453,12 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 					}
 					if err := stages[n].SubmitPlan(plan); err != nil {
 						runErr = err
-						barrier.Break()
 						return
 					}
 					// No worker reads until every node's plan is in: a
 					// forwarded read racing the owner's submission would
 					// bypass the plan and duplicate the slow-store read.
-					if !barrier.Await() {
+					if !await() {
 						return
 					}
 
@@ -483,7 +495,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 						if cfg.PerStepSync > 0 {
 							env.Sleep(cfg.PerStepSync)
 						}
-						if !barrier.Await() { // all-reduce
+						if !await() { // all-reduce
 							return
 						}
 						if cfg.StepCompute > 0 && take > 0 {
@@ -492,7 +504,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 					}
 					gpus.Drain()
 
-					if !barrier.Await() { // epoch drain
+					if !await() { // epoch drain
 						return
 					}
 					if n == 0 {
@@ -511,7 +523,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 						out.EpochBackendReads = append(out.EpochBackendReads, reads-lastBackendReads)
 						lastBackendReads = reads
 					}
-					if !barrier.Await() { // ledger reset before next epoch
+					if !await() { // ledger reset before next epoch
 						return
 					}
 				}
@@ -519,6 +531,9 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		}
 		wg.Wait()
 		out.Makespan = env.Now() - start
+		if stranded && runErr == nil {
+			runErr = errors.New("distrib: a node left the barrier rounds before the others")
+		}
 
 		for _, ctl := range controllers {
 			ctl.Stop()

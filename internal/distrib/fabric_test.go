@@ -41,7 +41,7 @@ func newFabricFixture(t *testing.T, env conc.Env, files int) *fabricFixture {
 	shared := storage.NewModeledBackend(man, dev)
 	names := []string{"node-0", "node-1"}
 	for n := 0; n < 2; n++ {
-		pf, err := core.NewPrefetcher(env, shared, core.PrefetcherConfig{
+		pf, err := core.NewPrefetcher(env, shared, man, core.PrefetcherConfig{
 			InitialProducers: 2, MaxProducers: 8,
 			InitialBufferCapacity: 32, MaxBufferCapacity: 256,
 			TakeDeadline: 2 * time.Second,

@@ -4,11 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"github.com/dsrhaslab/prisma-go/internal/core"
-	"github.com/dsrhaslab/prisma-go/internal/sim"
-	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
 func ringKeys(n int, seed int64) []string {
@@ -110,7 +105,6 @@ func TestRingStabilityUnderJoinLeave(t *testing.T) {
 // Fabric.OwnedSubset of the plan holds exactly the entries the ring gives
 // it, in plan order, and together they cover every entry once.
 func TestPartitionPlanDisjointComplete(t *testing.T) {
-	env := conc.NewSimEnv(sim.New())
 	nodes := ringNodes(5)
 	plan := ringKeys(3000, 11)
 	index := make(map[string]int, len(plan))
@@ -124,13 +118,7 @@ func TestPartitionPlanDisjointComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewFabric(env, FabricConfig{
-			Node: node, Ring: r, Stage: core.NewStage(env, storage.NewMemBackend(), nil),
-			Slow: storage.NewMemBackend(), InstallPartitioner: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := &Fabric{node: node, ring: r}
 		prevIdx := -1
 		for _, k := range f.OwnedSubset(plan) {
 			if owner, dup := seen[k]; dup {

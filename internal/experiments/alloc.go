@@ -143,7 +143,7 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer ch.Close()
-		pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
+		pf, err := core.NewPrefetcher(env, ch.Backend, uniformManifest(names, int64(cfg.FileSize)), core.PrefetcherConfig{
 			InitialProducers:      cfg.Producers,
 			MaxProducers:          cfg.Producers,
 			InitialBufferCapacity: cfg.BufferCap,

@@ -137,7 +137,11 @@ func RunAttributionCell(label string, cfg AttributionConfig) (AttributionCell, e
 	var runErr error
 	s.Spawn("attribution-cell", func(*sim.Process) {
 		backend := newPatternBackend(env, cfg)
-		pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+		names := make([]string, cfg.Files)
+		for i := range names {
+			names[i] = attributionName(i)
+		}
+		pf, err := core.NewPrefetcher(env, backend, uniformManifest(names, backend.size), core.PrefetcherConfig{
 			InitialProducers:      cfg.Producers,
 			MaxProducers:          cfg.Producers,
 			InitialBufferCapacity: cfg.BufferCap,
@@ -154,10 +158,6 @@ func RunAttributionCell(label string, cfg AttributionConfig) (AttributionCell, e
 		pf.Start()
 		defer st.Close()
 
-		names := make([]string, cfg.Files)
-		for i := range names {
-			names[i] = attributionName(i)
-		}
 		if err := st.SubmitPlan(names); err != nil {
 			runErr = err
 			return

@@ -108,7 +108,7 @@ func runBatchCell(setup string, cfg BatchCompareConfig, batch int) (BatchRow, er
 		return row, err
 	}
 
-	pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, ch.Backend, uniformManifest(names, int64(cfg.FileSize)), core.PrefetcherConfig{
 		InitialProducers:      cfg.Producers,
 		MaxProducers:          cfg.Producers,
 		InitialBufferCapacity: cfg.Files,

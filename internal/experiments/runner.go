@@ -87,7 +87,7 @@ func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int
 
 		case "prisma", "prisma-valprefetch":
 			counted := storage.NewReaderCount(env, backend)
-			pf, err := core.NewPrefetcher(env, counted, cal.TFPrismaStage)
+			pf, err := core.NewPrefetcher(env, counted, all, cal.TFPrismaStage)
 			if err != nil {
 				runErr = err
 				return
@@ -199,7 +199,7 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 
 		case "prisma":
 			counted = storage.NewReaderCount(env, backend)
-			pf, err := core.NewPrefetcher(env, counted, cal.TorchPrismaStage)
+			pf, err := core.NewPrefetcher(env, counted, all, cal.TorchPrismaStage)
 			if err != nil {
 				runErr = err
 				return
@@ -265,6 +265,16 @@ func mergeManifests(a, b *dataset.Manifest) *dataset.Manifest {
 	}
 	for i := 0; i < b.Len(); i++ {
 		samples = append(samples, b.Sample(i))
+	}
+	return dataset.MustNew(samples)
+}
+
+// uniformManifest lists names, each size bytes, for a stage over a backend
+// that holds exactly those files.
+func uniformManifest(names []string, size int64) *dataset.Manifest {
+	samples := make([]dataset.Sample, len(names))
+	for i, n := range names {
+		samples[i] = dataset.Sample{Name: n, Size: size}
 	}
 	return dataset.MustNew(samples)
 }

@@ -37,8 +37,7 @@ type Arbiter struct {
 	mu      conc.Mutex
 	tenants map[string]*tenant
 	order   []string
-	started bool
-	stopped bool
+	loop    conc.TickLoop
 }
 
 // NewArbiter creates an arbiter over a device capacity (requests/s).
@@ -236,30 +235,8 @@ func (a *Arbiter) maxMin() map[string]float64 {
 
 // Start runs the arbitration loop every interval until Stop.
 func (a *Arbiter) Start(interval time.Duration) {
-	a.mu.Lock()
-	if a.started {
-		a.mu.Unlock()
-		panic("fairness: arbiter started twice")
-	}
-	a.started = true
-	a.mu.Unlock()
-	a.env.Go("fairness-arbiter", func() {
-		for {
-			a.env.Sleep(interval)
-			a.mu.Lock()
-			stopped := a.stopped
-			a.mu.Unlock()
-			if stopped {
-				return
-			}
-			a.Tick(interval)
-		}
-	})
+	a.loop.Start(a.env, "fairness-arbiter", interval, func() { a.Tick(interval) })
 }
 
 // Stop terminates the loop after its current sleep.
-func (a *Arbiter) Stop() {
-	a.mu.Lock()
-	a.stopped = true
-	a.mu.Unlock()
-}
+func (a *Arbiter) Stop() { a.loop.Stop() }

@@ -484,3 +484,47 @@ func TestEndToEndFairSharing(t *testing.T) {
 		}
 	})
 }
+
+// TestArbiterStartsOnceAndStopsAfterItsSleep: the arbitration loop panics on
+// a second Start, measures demand once per interval, and ends after the
+// sleep a Stop lands in, leaving nothing running.
+func TestArbiterStartsOnceAndStopsAfterItsSleep(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	s := sim.New()
+	env := conc.NewSimEnv(s)
+	var measured int
+	var again any
+	s.Spawn("driver", func(*sim.Process) {
+		a, err := NewArbiter(env, 100)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		b, err := NewTokenBucket(env, 100, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := a.Register("job", 1, b, func() int64 { measured++; return 0 }); err != nil {
+			t.Error(err)
+			return
+		}
+		measured = 0 // Register reads the demand once
+		a.Start(interval)
+		func() {
+			defer func() { again = recover() }()
+			a.Start(interval)
+		}()
+		env.Sleep(interval * 5 / 2)
+		a.Stop()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if again == nil {
+		t.Error("a second Start did not panic")
+	}
+	if measured != 2 || s.Now() != 3*interval {
+		t.Errorf("%d ticks, loop ended at %v; want 2 ticks and the end at %v", measured, s.Now(), 3*interval)
+	}
+}

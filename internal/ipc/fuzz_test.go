@@ -311,7 +311,7 @@ func fuzzServer(f *testing.F) (*Server, *core.Stage, []string, string) {
 	}
 	env := conc.NewReal()
 	backend := storagetest.OpenDir(f, dir)
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
 		InitialProducers: 1, MaxProducers: 4, InitialBufferCapacity: 8, MaxBufferCapacity: 32,
 	})
 	if err != nil {

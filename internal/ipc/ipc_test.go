@@ -46,7 +46,7 @@ func startServerWithConfig(t *testing.T, nFiles int, cfg ServeConfig) (*Server, 
 	}
 	env := conc.NewReal()
 	backend := storagetest.OpenDir(t, dir)
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
 		InitialProducers: 2, MaxProducers: 8, InitialBufferCapacity: 8, MaxBufferCapacity: 64,
 	})
 	if err != nil {

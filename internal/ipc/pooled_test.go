@@ -36,7 +36,7 @@ func startPooledServer(t *testing.T, nFiles int) (*mempool.Pool, []string, strin
 	backend := storagetest.OpenDir(t, dir)
 	pool := mempool.New(mempool.Config{Debug: true})
 	backend.SetBufferPool(pool)
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
 		InitialProducers: 2, MaxProducers: 8, InitialBufferCapacity: 8, MaxBufferCapacity: 64,
 	})
 	if err != nil {

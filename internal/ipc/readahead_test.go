@@ -15,6 +15,7 @@ import (
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
@@ -57,17 +58,20 @@ func startAheadServerPool(t *testing.T, nFiles, size int, pool *mempool.Pool) *a
 	t.Helper()
 	fx := &aheadFixture{t: t, mem: storage.NewMemBackend(), pool: pool}
 	fx.mem.SetBufferPool(fx.pool)
+	var samples []dataset.Sample
 	for i := 0; i < nFiles; i++ {
 		fx.names = append(fx.names, fmt.Sprintf("train/%05d.bin", i))
 		fx.mem.AddSeeded(fx.names[i], size+i%97, int64(i)+1)
+		samples = append(samples, dataset.Sample{Name: fx.names[i], Size: int64(size + i%97)})
 	}
 	for i := 0; i < 64; i++ {
 		fx.unplanned = append(fx.unplanned, fmt.Sprintf("val/%03d.bin", i))
 		fx.mem.AddSeeded(fx.unplanned[i], size, int64(-i)-1)
+		samples = append(samples, dataset.Sample{Name: fx.unplanned[i], Size: int64(size)})
 	}
 	fx.backend = &countingBackend{Backend: fx.mem}
 	env := conc.NewReal()
-	pf, err := core.NewPrefetcher(env, fx.backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, fx.backend, dataset.MustNew(samples), core.PrefetcherConfig{
 		InitialProducers: 2, MaxProducers: 2, InitialBufferCapacity: 64, MaxBufferCapacity: 64,
 	})
 	if err != nil {

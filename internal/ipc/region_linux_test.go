@@ -82,7 +82,8 @@ func TestRegionCarriesReadPayloads(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i * 7)
 	}
-	fx.mem.Add("val/big.bin", big)
+	bigName := fx.unplanned[0] // listed, never planned, now larger than the region
+	fx.mem.Add(bigName, big)
 	c := fx.dial()
 	for epoch := int64(0); epoch < 2; epoch++ {
 		plan := shuffled(fx.names, epoch)
@@ -103,7 +104,7 @@ func TestRegionCarriesReadPayloads(t *testing.T) {
 	if st.ReadAheadSamples == 0 || c.StashHits() != st.ReadAheadSamples {
 		t.Fatalf("pushed %d, stash hits %d: the region did not carry pushed samples", st.ReadAheadSamples, c.StashHits())
 	}
-	d, err := c.Read("val/big.bin")
+	d, err := c.Read(bigName)
 	if err != nil || string(d.Bytes) != string(big) {
 		t.Fatalf("Read(big) = %d bytes, %v", len(d.Bytes), err)
 	}

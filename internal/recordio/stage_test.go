@@ -37,7 +37,7 @@ func TestPrismaPrefetchesFromPackedShards(t *testing.T) {
 		}
 		dev, _ := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1.4e9, Channels: 4})
 		packed := recordio.NewIndexedBackend(ix, storage.NewModeledBackend(shardMan, dev))
-		pf, err := core.NewPrefetcher(env, packed, core.PrefetcherConfig{
+		pf, err := core.NewPrefetcher(env, packed, man, core.PrefetcherConfig{
 			InitialProducers: 4, MaxProducers: 8, InitialBufferCapacity: 16, MaxBufferCapacity: 64,
 		})
 		if err != nil {

@@ -93,8 +93,9 @@ func readAheadRun(t *testing.T, ahead bool) (delivered []time.Duration, stats Te
 		if err != nil {
 			t.Fatal(err)
 		}
-		backend := storage.NewModeledBackend(dataset.MustNew(samples), dev)
-		pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+		man := dataset.MustNew(samples)
+		backend := storage.NewModeledBackend(man, dev)
+		pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
 			InitialProducers: 4, MaxProducers: 4, InitialBufferCapacity: 64, MaxBufferCapacity: 64,
 		})
 		if err != nil {

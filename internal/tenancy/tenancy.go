@@ -199,8 +199,7 @@ type Manager struct {
 	mu         conc.Mutex
 	tenants    map[string]*state
 	overloaded bool
-	started    bool
-	stopped    bool
+	loop       conc.TickLoop
 
 	// sloMu makes an SLO evaluation and the boosts it applies one step
 	// for Stats, which never shows a tenant in breach without its boost.
@@ -621,33 +620,11 @@ func (m *Manager) Tick(interval time.Duration) { m.tick(interval) }
 
 // Start runs the evaluation loop every TickInterval until Stop.
 func (m *Manager) Start() {
-	m.mu.Lock()
-	if m.started {
-		m.mu.Unlock()
-		panic("tenancy: manager started twice")
-	}
-	m.started = true
-	m.mu.Unlock()
-	m.env.Go("tenancy-manager", func() {
-		for {
-			m.env.Sleep(m.cfg.TickInterval)
-			m.mu.Lock()
-			stopped := m.stopped
-			m.mu.Unlock()
-			if stopped {
-				return
-			}
-			m.tick(m.cfg.TickInterval)
-		}
-	})
+	m.loop.Start(m.env, "tenancy-manager", m.cfg.TickInterval, func() { m.tick(m.cfg.TickInterval) })
 }
 
 // Stop terminates the loop after its current sleep.
-func (m *Manager) Stop() {
-	m.mu.Lock()
-	m.stopped = true
-	m.mu.Unlock()
-}
+func (m *Manager) Stop() { m.loop.Stop() }
 
 // TenantStats is one tenant's monitoring snapshot (rendered by /tenants,
 // prisma-ctl tenants, and the prisma_tenant_* Prometheus metrics).

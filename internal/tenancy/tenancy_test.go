@@ -525,3 +525,37 @@ func TestSetSLOClearSLO(t *testing.T) {
 		}
 	})
 }
+
+// TestManagerStartsOnceAndStopsAfterItsSleep: the evaluation loop panics on
+// a second Start, probes the load once per TickInterval, and ends after the
+// sleep a Stop lands in, leaving nothing running.
+func TestManagerStartsOnceAndStopsAfterItsSleep(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	s := sim.New()
+	env := conc.NewSimEnv(s)
+	var probes int
+	var again any
+	s.Spawn("driver", func(*sim.Process) {
+		m, err := New(env, Config{Capacity: 100, TickInterval: interval, Load: func() Load { probes++; return Load{} }})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		m.Start()
+		func() {
+			defer func() { again = recover() }()
+			m.Start()
+		}()
+		env.Sleep(interval * 5 / 2)
+		m.Stop()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if again == nil {
+		t.Error("a second Start did not panic")
+	}
+	if probes != 2 || s.Now() != 3*interval {
+		t.Errorf("%d ticks, loop ended at %v; want 2 ticks and the end at %v", probes, s.Now(), 3*interval)
+	}
+}

@@ -202,9 +202,22 @@ func TestOptimizedPropagatesReaderError(t *testing.T) {
 	})
 }
 
-// prismaFixture wires a stage over the backend.
-func prismaFixture(env conc.Env, backend storage.Backend, producers int) *core.Stage {
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+// both lists a train and a validation manifest's samples together, as one
+// backend serves them.
+func both(train, val *dataset.Manifest) *dataset.Manifest {
+	var all []dataset.Sample
+	for _, m := range []*dataset.Manifest{train, val} {
+		for i := 0; i < m.Len(); i++ {
+			all = append(all, m.Sample(i))
+		}
+	}
+	return dataset.MustNew(all)
+}
+
+// prismaFixture wires a stage over the backend, which serves the train and
+// validation manifests' files.
+func prismaFixture(env conc.Env, backend storage.Backend, trainMan, valMan *dataset.Manifest, producers int) *core.Stage {
+	pf, err := core.NewPrefetcher(env, backend, both(trainMan, valMan), core.PrefetcherConfig{
 		InitialProducers: producers, MaxProducers: 32,
 		InitialBufferCapacity: 16, MaxBufferCapacity: 512,
 	})
@@ -219,7 +232,7 @@ func prismaFixture(env conc.Env, backend storage.Backend, producers int) *core.S
 func TestPrismaTrainHitsValBypasses(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		trainMan, valMan, backend := fixtures(env, 30, 10, time.Millisecond, 8)
-		st := prismaFixture(env, backend, 4)
+		st := prismaFixture(env, backend, trainMan, valMan, 4)
 		p, err := NewPrisma(env, st, trainMan, valMan, 7, Costs{}, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +261,7 @@ func TestPrismaValidationPrefetchExtension(t *testing.T) {
 	// them too, so validation reads hit the buffer and run in parallel.
 	runSim(t, func(env conc.Env) {
 		trainMan, valMan, backend := fixtures(env, 10, 40, time.Millisecond, 8)
-		stBypass := prismaFixture(env, backend, 4)
+		stBypass := prismaFixture(env, backend, trainMan, valMan, 4)
 		pOff, _ := NewPrisma(env, stBypass, trainMan, valMan, 7, Costs{}, 0)
 		vit, _ := pOff.ValIter(0)
 		start := env.Now()
@@ -260,8 +273,7 @@ func TestPrismaValidationPrefetchExtension(t *testing.T) {
 		stBypass.Close()
 
 		trainMan2, valMan2, backend2 := fixtures(env, 10, 40, time.Millisecond, 8)
-		_ = trainMan2
-		stPlan := prismaFixture(env, backend2, 4)
+		stPlan := prismaFixture(env, backend2, trainMan2, valMan2, 4)
 		pOn, _ := NewPrisma(env, stPlan, trainMan2, valMan2, 7, Costs{}, 0)
 		pOn.SetPrefetchValidation(true)
 		vit2, _ := pOn.ValIter(0)
@@ -288,7 +300,7 @@ func TestPrismaFasterThanBaselineIOBound(t *testing.T) {
 		drain(t, bit)
 		baseElapsed := env.Now() - baseStart
 
-		st := prismaFixture(env, backend, 4)
+		st := prismaFixture(env, backend, trainMan, valMan, 4)
 		pp, _ := NewPrisma(env, st, trainMan, valMan, 7, Costs{}, 0)
 		pit, _ := pp.TrainIter(1)
 		pStart := env.Now()
@@ -306,7 +318,7 @@ func TestPrismaReaderConcurrencyBounded(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		trainMan, valMan, backend := fixtures(env, 100, 5, time.Millisecond, 8)
 		readers := storage.NewReaderCount(env, backend)
-		pf, err := core.NewPrefetcher(env, readers, core.PrefetcherConfig{
+		pf, err := core.NewPrefetcher(env, readers, both(trainMan, valMan), core.PrefetcherConfig{
 			InitialProducers: 4, MaxProducers: 32,
 			InitialBufferCapacity: 16, MaxBufferCapacity: 512,
 		})
@@ -346,7 +358,7 @@ func TestEndToEndTrainRunComparison(t *testing.T) {
 		baseT = res.Elapsed
 
 		trainMan2, valMan2, backend2 := fixtures(env, 320, 32, time.Millisecond, 8)
-		st := prismaFixture(env, backend2, 4)
+		st := prismaFixture(env, backend2, trainMan2, valMan2, 4)
 		pp, _ := NewPrisma(env, st, trainMan2, valMan2, 7, Costs{}, 0)
 		gpus2 := train.NewGPUCluster(env, 4)
 		res2, err := train.Run(env, cfg, pp, gpus2)
@@ -423,7 +435,7 @@ func TestRealModeEndToEnd(t *testing.T) {
 		t.Fatalf("baseline samples = %d/%d, want 48/4", res.TrainSamples, res.ValSamples)
 	}
 
-	st := prismaFixture(env, backend, 2)
+	st := prismaFixture(env, backend, trainMan, valMan, 2)
 	defer st.Close()
 	pp, err := NewPrisma(env, st, trainMan, valMan, 7, Costs{}, 0)
 	if err != nil {

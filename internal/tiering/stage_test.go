@@ -14,13 +14,22 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
 
+// manifestOf lists names, each size bytes, as a dataset manifest.
+func manifestOf(names []string, size int64) *dataset.Manifest {
+	samples := make([]dataset.Sample, len(names))
+	for i, n := range names {
+		samples[i] = dataset.Sample{Name: n, Size: size}
+	}
+	return dataset.MustNew(samples)
+}
+
 func TestPrefetcherOverTieredBackend(t *testing.T) {
 	// Composition: PRISMA's producers read through the tiered backend.
 	// Epoch 1 pulls from the slow tier and promotes; epoch 2's prefetch
 	// runs at fast-tier speed — the two optimization objects stack.
 	tiering.RunSim(t, func(env conc.Env) {
 		b, names := tiering.TieredFixture(env, tiering.Config{FastCapacity: 1 << 30, PromoteAfter: 1}, 60, 100_000)
-		pf, err := core.NewPrefetcher(env, b, core.PrefetcherConfig{
+		pf, err := core.NewPrefetcher(env, b, manifestOf(names, 100_000), core.PrefetcherConfig{
 			InitialProducers: 2, MaxProducers: 8,
 			InitialBufferCapacity: 16, MaxBufferCapacity: 64,
 		})
@@ -68,8 +77,9 @@ func TestTwoJobsSharedDataset(t *testing.T) {
 	var devReads int64
 	s.Spawn("jobs", func(*sim.Process) {
 		b, dev, names := tiering.DeviceFixture(env, tiering.Config{FastCapacity: 1 << 30, PromoteAfter: 1}, files, 100_000)
+		man := manifestOf(names, 100_000)
 		mkStage := func() *core.Stage {
-			pf, err := core.NewPrefetcher(env, b, core.PrefetcherConfig{
+			pf, err := core.NewPrefetcher(env, b, man, core.PrefetcherConfig{
 				InitialProducers: 2, MaxProducers: 8,
 				InitialBufferCapacity: 16, MaxBufferCapacity: 64,
 			})
@@ -81,15 +91,11 @@ func TestTwoJobsSharedDataset(t *testing.T) {
 			return st
 		}
 		stA, stB := mkStage(), mkStage()
-		samples := make([]dataset.Sample, len(names))
-		for i, n := range names {
-			samples[i] = dataset.Sample{Name: n, Size: 100_000}
-		}
 		wg := env.NewWaitGroup()
 		wg.Add(2)
 		runJob := func(st *core.Stage, seed int64) {
 			defer wg.Done()
-			plan := dataset.MustNew(samples).EpochFileList(seed, 0)
+			plan := man.EpochFileList(seed, 0)
 			if err := st.SubmitPlan(plan); err != nil {
 				t.Error(err)
 				return

@@ -207,8 +207,22 @@ func TestWorkerErrorSurfacesAndReleasesWorkers(t *testing.T) {
 	}
 }
 
-func prismaStage(env conc.Env, backend storage.Backend, accessCost time.Duration) *core.Stage {
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+// both lists a train and a validation manifest's samples together, as one
+// backend serves them.
+func both(train, val *dataset.Manifest) *dataset.Manifest {
+	var all []dataset.Sample
+	for _, m := range []*dataset.Manifest{train, val} {
+		for i := 0; i < m.Len(); i++ {
+			all = append(all, m.Sample(i))
+		}
+	}
+	return dataset.MustNew(all)
+}
+
+// prismaStage wires a stage over the backend, which serves the train and
+// validation manifests' files.
+func prismaStage(env conc.Env, backend storage.Backend, trainMan, valMan *dataset.Manifest, accessCost time.Duration) *core.Stage {
+	pf, err := core.NewPrefetcher(env, backend, both(trainMan, valMan), core.PrefetcherConfig{
 		InitialProducers: 4, MaxProducers: 16,
 		InitialBufferCapacity: 32, MaxBufferCapacity: 256,
 		BufferAccessCost: accessCost,
@@ -237,7 +251,7 @@ func TestPrismaLoaderBeatsNativeAtLowWorkers(t *testing.T) {
 		dl.Close()
 
 		trainMan2, valMan2, backend2 := fixtures(env, 400, 4, time.Millisecond, 8)
-		st := prismaStage(env, backend2, 20*time.Microsecond)
+		st := prismaStage(env, backend2, trainMan2, valMan2, 20*time.Microsecond)
 		pl, _ := NewPrismaLoader(env, st, trainMan2, valMan2, 7, cfg(0, 8))
 		pit, _ := pl.TrainIter(0)
 		start = env.Now()
@@ -270,7 +284,7 @@ func TestPrismaLoaderLosesAtHighWorkers(t *testing.T) {
 		dl.Close()
 
 		trainMan2, valMan2, backend2 := fixtures(env, 800, 4, time.Millisecond, 8)
-		st := prismaStage(env, backend2, 150*time.Microsecond) // heavy IPC serialization
+		st := prismaStage(env, backend2, trainMan2, valMan2, 150*time.Microsecond) // heavy IPC serialization
 		pl, _ := NewPrismaLoader(env, st, trainMan2, valMan2, 7, cfg(8, 8))
 		pit, _ := pl.TrainIter(0)
 		start = env.Now()
@@ -290,7 +304,7 @@ func TestPrismaLoaderLosesAtHighWorkers(t *testing.T) {
 func TestPrismaLoaderValBypasses(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		trainMan, valMan, backend := fixtures(env, 16, 8, time.Millisecond, 8)
-		st := prismaStage(env, backend, 0)
+		st := prismaStage(env, backend, trainMan, valMan, 0)
 		pl, _ := NewPrismaLoader(env, st, trainMan, valMan, 7, cfg(2, 4))
 		it, _ := pl.TrainIter(0)
 		drain(t, it)
@@ -344,7 +358,7 @@ func TestPrismaLoaderIPCEndToEnd(t *testing.T) {
 
 	env := conc.NewReal()
 	backend := storagetest.OpenDir(t, dir)
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, backend, all, core.PrefetcherConfig{
 		InitialProducers: 2, MaxProducers: 8, InitialBufferCapacity: 16, MaxBufferCapacity: 64,
 	})
 	if err != nil {
@@ -463,7 +477,7 @@ func TestPrismaFlatAcrossWorkerCounts(t *testing.T) {
 	s.Spawn("driver", func(*sim.Process) {
 		for _, w := range []int{0, 2, 8} {
 			trainMan, valMan, backend := fixtures(env, 400, 4, time.Millisecond, 8)
-			st := prismaStage(env, backend, 50*time.Microsecond)
+			st := prismaStage(env, backend, trainMan, valMan, 50*time.Microsecond)
 			pl, _ := NewPrismaLoader(env, st, trainMan, valMan, 7, cfg(w, 8))
 			it, _ := pl.TrainIter(0)
 			start := env.Now()

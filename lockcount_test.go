@@ -79,7 +79,7 @@ func TestPlannedReadLockBudget(t *testing.T) {
 	leaf.SetManifest(manifest)
 	ch := foldOptions(t, &chain.Chain{Env: env, Pool: pool, Tracer: tracer, Backend: leaf}, opts)
 	defer ch.Close()
-	pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, ch.Backend, manifest, core.PrefetcherConfig{
 		InitialProducers:      opts.InitialProducers,
 		MaxProducers:          opts.MaxProducers,
 		InitialBufferCapacity: opts.InitialBuffer,
@@ -91,7 +91,6 @@ func TestPlannedReadLockBudget(t *testing.T) {
 	}
 	stage := core.NewStage(env, ch.Backend, pf)
 	defer stage.Close()
-	stage.SetManifest(manifest)
 	stage.SetTracer(tracer)
 	stage.SetBufferPool(pool)
 	pf.Start()

@@ -121,7 +121,13 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 		Tiering:           TieringOptions{Enable: true, CapacityBytes: 1 << 24, PromoteAfter: 1},
 		DisableResilience: true,
 	})
-	pf, err := core.NewPrefetcher(env, ch.Backend, core.PrefetcherConfig{
+	var names []string
+	for w := 0; w < workers; w++ {
+		for i := 0; i < 64; i++ {
+			names = append(names, fmt.Sprintf("w%d/s%d", w, i))
+		}
+	}
+	pf, err := core.NewPrefetcher(env, ch.Backend, testManifest(names, 4096), core.PrefetcherConfig{
 		InitialProducers:      1,
 		MaxProducers:          2,
 		InitialBufferCapacity: 4,

@@ -430,7 +430,7 @@ func Open(opts Options) (*Prisma, error) {
 	}
 	// The buffer keeps a shard per CPU, up to 16, clamped to N (§V-B: the
 	// contention sharding removes grows with concurrent workers).
-	pf, err := core.NewPrefetcher(env, backend, core.PrefetcherConfig{
+	pf, err := core.NewPrefetcher(env, backend, manifest, core.PrefetcherConfig{
 		InitialProducers:      opts.InitialProducers,
 		MaxProducers:          opts.MaxProducers,
 		InitialBufferCapacity: opts.InitialBuffer,
@@ -447,9 +447,6 @@ func Open(opts Options) (*Prisma, error) {
 	stage := core.NewStage(env, backend, pf)
 	p.teardown.push(noErr(stage.Close))
 	p.stage, p.reader = stage, stage
-	// Resolved at the stage, not in Prisma.SubmitEpoch: plans submitted
-	// over IPC reach the stage directly.
-	stage.SetManifest(manifest)
 	stage.SetTracer(p.tracer)
 	stage.SetBufferPool(pool)
 	stage.SetChainStats(ch.Snapshot)

@@ -30,6 +30,15 @@ func makeDataset(t *testing.T, n int) string {
 	return dir
 }
 
+// testManifest lists names, each size bytes, as a dataset manifest.
+func testManifest(names []string, size int64) *dataset.Manifest {
+	samples := make([]dataset.Sample, len(names))
+	for i, n := range names {
+		samples[i] = dataset.Sample{Name: n, Size: size}
+	}
+	return dataset.MustNew(samples)
+}
+
 func open(t *testing.T, dir string, mutate func(*Options)) *Prisma {
 	t.Helper()
 	opts := Options{Dir: dir}

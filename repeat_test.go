@@ -10,6 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
+	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
@@ -226,5 +230,59 @@ func TestUnlistedNameRefusedAtStage(t *testing.T) {
 	}
 	if n := strings.Count(string(raw), "\n"); n != 1 || strings.Contains(string(raw), late) {
 		t.Fatalf("recorder saw %d reads, want only the listed one: %s", n, raw)
+	}
+}
+
+// TestSimStageRefusesUnlistedNames: a stage built under the sim clock, as
+// every simulation builds one, refuses a plan naming a file its manifest
+// does not list, and an unplanned read of one, with the errors Open's stage
+// gives for the same names.
+func TestSimStageRefusesUnlistedNames(t *testing.T) {
+	dir := makeDataset(t, 4)
+	manifest, err := dataset.FromDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ghost = "train/ghost.jpg"
+	plan := []string{manifest.Sample(0).Name, ghost}
+	p := open(t, dir, nil)
+	_, _, openPlanErr := p.SubmitEpoch(plan)
+	_, openReadErr := p.Read(ghost)
+	if openPlanErr == nil || openReadErr == nil {
+		t.Fatalf("Open's stage: plan %v, read %v; want both refused", openPlanErr, openReadErr)
+	}
+
+	s := sim.New()
+	env := conc.NewSimEnv(s)
+	var simPlanErr, simReadErr error
+	var epochs []core.EpochStatus
+	s.Spawn("driver", func(*sim.Process) {
+		dev, err := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e9, Channels: 1})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		backend := storage.NewModeledBackend(manifest, dev)
+		pf, err := core.NewPrefetcher(env, backend, manifest, core.DefaultPrefetcherConfig())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		st := core.NewStage(env, backend, pf)
+		pf.Start()
+		defer st.Close()
+		_, simPlanErr = st.SubmitEpoch(plan)
+		_, _, simReadErr = st.Read(core.ReadRequest{Name: ghost})
+		epochs = st.Epochs()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if simPlanErr == nil || simPlanErr.Error() != openPlanErr.Error() || len(epochs) != 0 {
+		t.Fatalf("sim stage's plan: %v with %d epochs issued; want %q and none", simPlanErr, len(epochs), openPlanErr)
+	}
+	var ne *storage.NotExistError
+	if !errors.As(simReadErr, &ne) || simReadErr.Error() != openReadErr.Error() {
+		t.Fatalf("sim stage's unplanned read: %v; want %q", simReadErr, openReadErr)
 	}
 }
