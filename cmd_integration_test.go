@@ -2,9 +2,11 @@ package prisma_test
 
 // End-to-end integration of the shipped binaries: prisma-datagen writes a
 // dataset, prisma-server serves it on a UNIX socket, prisma-ctl inspects
-// and tunes it over the same socket.
+// and tunes it over the same socket, and a client in the test's process
+// reads through it.
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +14,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	prisma "github.com/dsrhaslab/prisma-go"
+	"github.com/dsrhaslab/prisma-go/internal/ipc"
 )
 
 // buildCommands compiles the three binaries once into a temp dir.
@@ -147,7 +152,39 @@ func TestBinariesEndToEnd(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// 6. Bad invocations fail cleanly.
+	// 6. A reader in another process than the server's: its payloads come
+	//    out of the server's shared arena, where the build has one.
+	c, err := prisma.Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, name := range names[:4] {
+		got, err := c.Read(name)
+		if err != nil {
+			t.Fatalf("Read(%s): %v", name, err)
+		}
+		if want, _ := os.ReadFile(filepath.Join(dataDir, name)); !bytes.Equal(got, want) {
+			t.Fatalf("Read(%s): %d bytes, not the file's %d", name, len(got), len(want))
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena, inline := st.ArenaPayloads, st.InlinePayloads
+	if !ipc.RegionSupported {
+		arena, inline = inline, arena
+	}
+	if arena < 4 || inline != 0 || st.RegionPayloads != 0 {
+		t.Fatalf("payloads: %d in the arena, %d in a region, %d inline; want every one of at least 4 in the arena (inline without one)",
+			st.ArenaPayloads, st.RegionPayloads, st.InlinePayloads)
+	}
+	if stats = ctl("stats"); !strings.Contains(stats, "in the arena") {
+		t.Fatalf("stats without the arena's payload count:\n%s", stats)
+	}
+
+	// 7. Bad invocations fail cleanly.
 	if out, err := exec.Command(filepath.Join(bin, "prisma-ctl"), "-socket", sock, "set-producers", "4").CombinedOutput(); err == nil {
 		t.Fatalf("ctl accepted a retired subcommand: %s", out)
 	}

@@ -221,12 +221,11 @@ func TestReaderConformance(t *testing.T) {
 		}},
 		{"socket", func(t *testing.T, fx *readerFixture) core.Reader {
 			sock := filepath.Join(t.TempDir(), "conformance.sock")
-			srv, err := ipc.Serve(sock, fx.stage, nil)
+			srv, err := ipc.ServeWithConfig(sock, fx.stage, nil, ipc.ServeConfig{Tenants: fx.mgr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { srv.Close() })
-			srv.SetTenantManager(fx.mgr)
 			return &socketReader{t: t, sock: sock, conns: map[string]*ipc.Client{}}
 		}},
 	}

@@ -467,6 +467,15 @@ func (pm *planManager) nameAt(pos PlanPos) (name string, ok bool) {
 	return pm.names.Name(int(slot)), true
 }
 
+// planned reports whether pos lies inside an active epoch's plan, claimed
+// or not.
+func (pm *planManager) planned(pos PlanPos) bool {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	ep := pm.epochLocked(pos.Epoch)
+	return ep != nil && ep.state == EpochActive && pos.Index >= 0 && pos.Index < len(ep.slots)
+}
+
 // slotAtLocked is nameAt's check, reporting the entry's slot: a binary
 // search for the epoch and an index into heads, no hashing.
 func (pm *planManager) slotAtLocked(pos PlanPos) (int32, bool) {

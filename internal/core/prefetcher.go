@@ -113,8 +113,9 @@ type Prefetcher struct {
 	buffer  *Buffer
 	tracer  *obs.Tracer // set before Start via setTracer; nil-safe
 
-	plans *planManager   // epoch/claim lifecycle (DESIGN.md §12)
-	names *dataset.Names // the manifest's name → slot index (names.go)
+	plans   *planManager   // epoch/claim lifecycle (DESIGN.md §12)
+	names   *dataset.Names // the manifest's name → slot index (names.go)
+	largest int64          // the manifest's largest sample
 
 	mu      conc.Mutex
 	target  int // desired t
@@ -157,6 +158,7 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, m *dataset.Manifest, c
 		buffer:         NewShardedBuffer(env, cfg.InitialBufferCapacity, cfg.BufferAccessCost, cfg.BufferShards),
 		plans:          newPlanManager(env, names),
 		names:          names,
+		largest:        m.MaxSize(),
 		batchMax:       1,
 		readLat:        metrics.NewBucketedHistogram(env, nil),
 		prefetched:     metrics.NewCounter(env),

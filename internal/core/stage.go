@@ -84,10 +84,12 @@ type StageStats struct {
 	ReadAheadSamples int64
 	ReadAheadWasted  int64
 
-	// Socket read payloads (DESIGN.md §28): RegionPayloads crossed in a
-	// connection's shared-memory payload region, InlinePayloads rode the
-	// socket — on connections without a region, or not fitting what a
-	// reply left of it.
+	// Socket read payloads: ArenaPayloads were read by the client where
+	// the producer put them, in the server's shared arena (DESIGN.md §29);
+	// RegionPayloads crossed in a connection's shared-memory payload region
+	// (§28); InlinePayloads rode the socket — on connections with neither,
+	// or not in the arena or fitting what a reply left of the region.
+	ArenaPayloads  int64
 	RegionPayloads int64
 	InlinePayloads int64
 
@@ -194,6 +196,7 @@ type Stage struct {
 	throttleWait *metrics.Counter // nanoseconds blocked in gate.Admit
 	aheadSamples *metrics.Counter
 	aheadWasted  *metrics.Counter
+	inArena      *metrics.Counter
 	inRegion     *metrics.Counter
 	inlined      *metrics.Counter
 }
@@ -219,6 +222,7 @@ func NewStage(env conc.Env, backend storage.Backend, pf *Prefetcher) *Stage {
 		throttleWait: metrics.NewCounter(env),
 		aheadSamples: metrics.NewCounter(env),
 		aheadWasted:  metrics.NewCounter(env),
+		inArena:      metrics.NewCounter(env),
 		inRegion:     metrics.NewCounter(env),
 		inlined:      metrics.NewCounter(env),
 	}
@@ -242,6 +246,15 @@ func (s *Stage) SetBufferPool(p *mempool.Pool) { s.pool = p }
 
 // BufferPool exposes the registered pool (nil when pooling is off).
 func (s *Stage) BufferPool() *mempool.Pool { return s.pool }
+
+// ParkBound reports how many samples the stage holds at most outside its
+// readers — the prefetch buffer at its largest capacity, plus one read in
+// flight per producer — and the size of the largest sample its manifest
+// lists: the socket server sizes its shared arena by them (DESIGN.md §29).
+func (s *Stage) ParkBound() (samples int, largest int64) {
+	cfg := s.pf.Config()
+	return cfg.MaxBufferCapacity + cfg.MaxProducers, s.pf.largest
+}
 
 // SetTraceSampling adjusts the tracer's head-sampling probability at
 // runtime (control interface). No-op without a tracer.
@@ -400,10 +413,18 @@ func (s *Stage) TakeAhead(tenant string, at PlanPos, maxBytes int64) (storage.Da
 // unread (the IPC server relays the count from the request that carries it).
 func (s *Stage) NoteReadAheadWasted(n int64) { s.aheadWasted.Add(n) }
 
+// Planned reports whether at lies inside an active epoch's plan, claimed
+// or not: the socket server's test for whether a connection's stride has
+// entries left (DESIGN.md §29).
+func (s *Stage) Planned(at PlanPos) bool { return s.pf.plans.planned(at) }
+
 // NoteReadPayloads records how the payloads of one socket read reply
-// crossed: region through the connection's payload region, inline on the
-// socket.
-func (s *Stage) NoteReadPayloads(region, inline int64) {
+// crossed: arena read where they were parked, region through the
+// connection's payload region, inline on the socket.
+func (s *Stage) NoteReadPayloads(arena, region, inline int64) {
+	if arena > 0 {
+		s.inArena.Add(arena)
+	}
 	if region > 0 {
 		s.inRegion.Add(region)
 	}
@@ -518,6 +539,7 @@ func (s *Stage) Stats() StageStats {
 	st.ThrottleWait = time.Duration(s.throttleWait.Value())
 	st.ReadAheadSamples = s.aheadSamples.Value()
 	st.ReadAheadWasted = s.aheadWasted.Value()
+	st.ArenaPayloads = s.inArena.Value()
 	st.RegionPayloads = s.inRegion.Value()
 	st.InlinePayloads = s.inlined.Value()
 	return st

@@ -39,6 +39,7 @@ type Manifest struct {
 	names *Names
 	sizes []int64
 	total int64
+	max   int64
 }
 
 // New builds a manifest from samples. Sample names must be unique and
@@ -52,6 +53,7 @@ func New(samples []Sample) (*Manifest, error) {
 		}
 		names[i], m.sizes[i] = s.Name, s.Size
 		m.total += s.Size
+		m.max = max(m.max, s.Size)
 	}
 	var err error
 	if m.names, err = NewNames(names); err != nil {
@@ -93,6 +95,10 @@ func (m *Manifest) Index(name string) (int, bool) { return m.names.Slot(name) }
 
 // TotalBytes reports the sum of all sample sizes.
 func (m *Manifest) TotalBytes() int64 { return m.total }
+
+// MaxSize reports the largest sample's size, or zero for an empty
+// manifest.
+func (m *Manifest) MaxSize() int64 { return m.max }
 
 // MeanSize reports the average sample size, or zero for an empty manifest.
 func (m *Manifest) MeanSize() int64 {

@@ -22,6 +22,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
 
@@ -68,6 +69,10 @@ type AllocConfig struct {
 	// §28), so every payload rides the socket, as against a server that
 	// predates the region.
 	Inline bool
+	// Arena serves without tenants, so the pool is carved from a shared
+	// arena (DESIGN.md §29) the clients are granted in place of regions;
+	// otherwise the server has a tenant manager and grants regions.
+	Arena bool
 }
 
 func (c AllocConfig) withDefaults() AllocConfig {
@@ -155,6 +160,7 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		stage := core.NewStage(env, ch.Backend, pf)
+		stage.SetBufferPool(pool)
 		pf.Start()
 		defer stage.Close()
 
@@ -167,7 +173,14 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 		}
 		defer os.RemoveAll(tmp)
 		sock := filepath.Join(tmp, "alloc.sock")
-		srv, err := ipc.Serve(sock, stage, nil)
+		var serve ipc.ServeConfig
+		if !cfg.Arena {
+			// Only the server hears of the tenants: reads pass no gate.
+			if serve.Tenants, err = tenancy.New(env, tenancy.Config{Capacity: 1e9}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		srv, err := ipc.ServeWithConfig(sock, stage, nil, serve)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,7 +269,9 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 		}
 		b.ReportMetric(float64(stashHits)/float64(b.N), stashHitsMetric)
 		st := stage.Stats()
-		b.ReportMetric(float64(st.RegionPayloads)/float64(max(st.RegionPayloads+st.InlinePayloads, 1)), regionShareMetric)
+		payloads := float64(max(st.ArenaPayloads+st.RegionPayloads+st.InlinePayloads, 1))
+		b.ReportMetric(float64(st.RegionPayloads)/payloads, regionShareMetric)
+		b.ReportMetric(float64(st.ArenaPayloads)/payloads, arenaShareMetric)
 	}
 }
 
@@ -270,6 +285,9 @@ const stashHitsMetric = "stash-hits/op"
 // inline on the socket.
 const regionShareMetric = "region-share"
 
+// arenaShareMetric is regionShareMetric for the shared arena.
+const arenaShareMetric = "arena-share"
+
 // AllocResult is one measured cell of the allocation sweep.
 type AllocResult struct {
 	Config      AllocConfig
@@ -282,8 +300,10 @@ type AllocResult struct {
 	// it can slightly exceed the timed region's true share).
 	StashHitsPerOp float64
 	// RegionShare is the share of payloads that crossed in a payload
-	// region (warm-up epoch included).
+	// region, and ArenaShare of those read in the shared arena (warm-up
+	// epoch included).
 	RegionShare float64
+	ArenaShare  float64
 }
 
 // RunAllocCell measures one cell with the standard benchmark machinery.
@@ -298,6 +318,7 @@ func RunAllocCell(cfg AllocConfig) AllocResult {
 
 		StashHitsPerOp: r.Extra[stashHitsMetric],
 		RegionShare:    r.Extra[regionShareMetric],
+		ArenaShare:     r.Extra[arenaShareMetric],
 	}
 }
 

@@ -222,6 +222,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	write("prisma_plan_dropped_total", "Plan entries dropped by cancellation.", "counter", float64(s.Plan.Dropped))
 	write("prisma_readahead_samples_total", "Samples sent to a socket client behind the reply it asked for.", "counter", float64(s.ReadAheadSamples))
 	write("prisma_readahead_wasted_total", "Pushed samples socket clients reported dropping unread.", "counter", float64(s.ReadAheadWasted))
+	write("prisma_read_payloads_arena_total", "Socket read payloads the client read where the producer put them, in the server's shared arena.", "counter", float64(s.ArenaPayloads))
 	write("prisma_read_payloads_region_total", "Socket read payloads that crossed in a connection's shared-memory payload region.", "counter", float64(s.RegionPayloads))
 	write("prisma_read_payloads_inline_total", "Socket read payloads that rode the socket inline.", "counter", float64(s.InlinePayloads))
 	write("prisma_backend_retries_total", "Backend read attempts beyond the first.", "counter", float64(s.Resilience.Retries))
@@ -249,6 +250,8 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		write("prisma_pool_outstanding_refs", "Buffer leases currently held somewhere in the pipeline.", "gauge", float64(s.Pool.Outstanding))
 		write("prisma_pool_free_buffers", "Idle buffers parked on the pool's free lists.", "gauge", float64(s.Pool.FreeBuffers))
 		write("prisma_pool_free_bytes", "Bytes held idle by the pool's free lists.", "gauge", float64(s.Pool.FreeBytes))
+		write("prisma_pool_arena_bytes", "Size of the shared arena the pool carves buffers from (0 without one).", "gauge", float64(s.Pool.ArenaCapacity))
+		write("prisma_pool_arena_carved_bytes", "Bytes of the shared arena carved into pool buffers.", "gauge", float64(s.Pool.ArenaCarved))
 	}
 	tierEnabled := 0.0
 	if s.TierEnabled() {

@@ -95,9 +95,14 @@ type Client struct {
 
 	// Payload region (DESIGN.md §28): the server-written mapping read
 	// payloads may arrive in, nil while the connection reads inline.
-	// regionAsked records that this connection already asked for one.
+	// regionAsked records that this connection already asked for one. On a
+	// connection granted the server's arena (§29) region is the arena's
+	// mapping, inArena is set, and arena holds the reference that shares
+	// the mapping of an arena this process made (nil for a private one).
 	region      []byte
 	regionAsked bool
+	inArena     bool
+	arena       *arena
 }
 
 // stashed is one pushed sample awaiting the read that asks for it.
@@ -312,20 +317,25 @@ func (c *Client) poisonLocked() {
 	}
 }
 
-// dropRegionLocked unmaps the connection's payload region; the next
-// connection asks for its own. Caller holds c.mu.
+// dropRegionLocked unmaps the connection's payload region, or lets go of
+// its share of this process's arena; the next connection asks for its own.
+// Caller holds c.mu.
 func (c *Client) dropRegionLocked() {
-	unmapRegion(c.region)
-	c.region, c.regionAsked = nil, false
+	if c.arena != nil {
+		c.arena.release()
+	} else {
+		unmapRegion(c.region)
+	}
+	c.region, c.regionAsked, c.inArena, c.arena = nil, false, false, nil
 }
 
-// askRegionLocked asks the server for the connection's payload region
-// (OpRegion) and maps it; the reply carries the region's descriptor. A
-// server that cannot or does not know how to grant one answers with an
-// error and the connection reads inline. A region that fails the checks
-// below is refused, which costs the connection — its server believes the
-// region engaged — and keeps every later connection inline. Caller holds
-// c.mu.
+// askRegionLocked asks the server for the server's arena, or else the
+// connection's payload region (OpRegion), and maps what it grants; the
+// reply carries the descriptor. A server that cannot or does not know how
+// to grant either answers with an error and the connection reads inline. A
+// grant that fails the checks below is refused, which costs the connection
+// — its server believes it engaged — and keeps every later connection
+// inline. Caller holds c.mu.
 func (c *Client) askRegionLocked() error {
 	c.regionAsked = true
 	uc, ok := c.conn.(*net.UnixConn)
@@ -334,7 +344,7 @@ func (c *Client) askRegionLocked() error {
 	}
 	catch := &fdCatcher{conn: uc}
 	c.rd.src = catch
-	resp, err := c.exchangeLocked(OpRegion, 0, nil)
+	resp, err := c.exchangeLocked(OpRegion, 0, arenaAsk)
 	c.rd.src = c.conn
 	defer closeFDs(catch.fds) // the mapping outlives the descriptor
 	if isCleanError(err) {
@@ -343,14 +353,14 @@ func (c *Client) askRegionLocked() error {
 	if err != nil {
 		return err
 	}
-	size, k := binary.Uvarint(resp)
+	size, arena, err := parseGrant(resp)
 	switch {
-	case k <= 0 || size == 0 || size > MaxFrame:
-		err = fmt.Errorf("malformed region size in %d-byte reply", len(resp))
+	case err != nil:
 	case catch.truncated || len(catch.fds) != 1:
 		err = fmt.Errorf("region reply carried %d descriptors (truncated: %v), want 1", len(catch.fds), catch.truncated)
 	default:
-		c.region, err = mapRegion(catch.fds[0], int(size))
+		c.region, c.arena, err = mapRegion(catch.fds[0], size)
+		c.inArena = err == nil && arena
 	}
 	if err != nil {
 		c.cfg.InlineOnly = true
@@ -358,6 +368,34 @@ func (c *Client) askRegionLocked() error {
 	}
 	return nil
 }
+
+// parseGrant decodes the OK reply to OpRegion: the size of what the
+// descriptor maps, and whether it is the server's arena rather than a
+// region. A region is at most MaxFrame bytes, an arena maxArenaSize.
+func parseGrant(resp []byte) (size int, arena bool, err error) {
+	n, k := binary.Uvarint(resp)
+	if k <= 0 {
+		return 0, false, fmt.Errorf("malformed region size in %d-byte reply", len(resp))
+	}
+	if rest := resp[k:]; len(rest) > 0 {
+		kind, k2 := binary.Uvarint(rest)
+		if kind != arenaVersion || k2 != len(rest) {
+			return 0, false, fmt.Errorf("malformed arena grant in %d-byte reply", len(resp))
+		}
+		arena = true
+	}
+	limit := uint64(MaxFrame)
+	if arena {
+		limit = maxArenaSize
+	}
+	if n == 0 || n > limit {
+		return 0, false, fmt.Errorf("region size %d outside (0, %d]", n, limit)
+	}
+	return int(n), arena, nil
+}
+
+// arenaAsk is OpRegion's payload from a client that reads an arena.
+var arenaAsk = binary.AppendUvarint(nil, arenaVersion)
 
 // fdCatcher reads a UNIX socket as conn.Read does, keeping every descriptor
 // that rides the bytes read.
@@ -649,12 +687,30 @@ func (c *Client) exchangeReadLocked(opcode byte, name string, trace uint64) (sto
 	if left > 0 {
 		// Behind the sample: the server's note that this was a planned read,
 		// and the plan entries it pushed ahead.
-		if err := c.readPushed(&left, tail.window); err != nil {
+		release, err := c.readPushed(&left, tail.window)
+		if err != nil {
 			data.Release()
 			return storage.Data{}, err
 		}
+		if release {
+			c.releaseLeasesLocked()
+		}
 	}
 	return data, nil
+}
+
+// releaseLeasesLocked sends OpRelease, which has no reply: the reply just
+// decoded was the last of the connection's stride, and what it lent from
+// the arena is copied out. A failed send severs the connection — the
+// server then ends the leases itself — while the samples already decoded
+// stay in the stash. Caller holds c.mu.
+func (c *Client) releaseLeasesLocked() {
+	c.wire = appendFrameHeader(c.wire[:0], OpRelease, 0, 0)
+	if _, err := c.conn.Write(c.wire); err != nil {
+		c.broken = true
+		c.dropRegionLocked()
+		c.conn.Close()
+	}
 }
 
 // readUvarint decodes one uvarint field of a frame with *left bytes to go.
@@ -731,27 +787,32 @@ func (c *Client) readSample(left *int) (storage.Data, error) {
 // readPushed decodes the tail of a planned read's reply — a count and that
 // many named samples — into the stash. A planned reply means the reader is
 // past whatever the stash still holds, so that is dropped first; the new
-// samples then fill the stash from its start. On error the caller poisons
-// the connection, which drops what was stashed so far.
-func (c *Client) readPushed(left *int, window int) error {
+// samples then fill the stash from its start. On an arena connection the
+// count's endOfPlan bit asks for OpRelease once the reply is decoded, which
+// release reports. On error the caller poisons the connection, which drops
+// what was stashed so far.
+func (c *Client) readPushed(left *int, window int) (release bool, err error) {
 	if window == 0 {
-		return fmt.Errorf("ipc: read response length mismatch (%d bytes behind the payload)", *left)
+		return false, fmt.Errorf("ipc: read response length mismatch (%d bytes behind the payload)", *left)
 	}
 	c.dropStashLocked(c.filled)
 	count, err := c.readUvarint(left, "pushed-sample count")
 	if err != nil {
-		return err
+		return false, err
+	}
+	if c.inArena && count&endOfPlan != 0 {
+		release, count = true, count&^endOfPlan
 	}
 	if count > uint64(window) {
-		return fmt.Errorf("ipc: %d pushed samples exceed the window of %d asked for", count, window)
+		return false, fmt.Errorf("ipc: %d pushed samples exceed the window of %d asked for", count, window)
 	}
 	for ; count > 0; count-- {
 		nlen, err := c.readUvarint(left, "pushed-sample name length")
 		if err != nil {
-			return err
+			return false, err
 		}
 		if nlen == 0 || nlen > uint64(*left) {
-			return fmt.Errorf("ipc: pushed-sample name of %d bytes in a frame with %d to go", nlen, *left)
+			return false, fmt.Errorf("ipc: pushed-sample name of %d bytes in a frame with %d to go", nlen, *left)
 		}
 		slot := &c.stash[c.filled]
 		if slot.name = slot.name[:0]; cap(slot.name) < int(nlen) {
@@ -759,18 +820,18 @@ func (c *Client) readPushed(left *int, window int) error {
 		}
 		slot.name = slot.name[:nlen]
 		if err := c.rd.readFull(slot.name); err != nil {
-			return err
+			return false, err
 		}
 		*left -= int(nlen)
 		if slot.data, err = c.readSample(left); err != nil {
-			return err
+			return false, err
 		}
 		c.filled++
 	}
 	if *left != 0 {
-		return fmt.Errorf("ipc: read response length mismatch (%d bytes behind the last sample)", *left)
+		return false, fmt.Errorf("ipc: read response length mismatch (%d bytes behind the last sample)", *left)
 	}
-	return nil
+	return release, nil
 }
 
 // SubmitPlan forwards an epoch's shuffled filename list. A plan mutates
@@ -852,6 +913,14 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.dropStashLocked(c.filled)
+	if c.inArena {
+		// The last reply's leases end here, not with the connection: the
+		// server retires the arena buffers of a connection that ends
+		// holding them, since it cannot tell that from a client cut off
+		// while still copying. If the send fails, that is what happens.
+		c.wire = appendFrameHeader(c.wire[:0], OpRelease, 0, 0)
+		_, _ = c.conn.Write(c.wire)
+	}
 	c.dropRegionLocked()
 	if c.conn == nil {
 		return nil

@@ -18,16 +18,18 @@ import (
 )
 
 // scriptedConn is a net.Conn whose peer already said everything it will
-// ever say: reads drain a fixed byte stream, writes vanish. It puts the
-// client's reply decoder in front of arbitrary bytes without a socket.
+// ever say: reads drain a fixed byte stream, writes are kept and never
+// answered. It puts the client's reply decoder in front of arbitrary bytes
+// without a socket.
 type scriptedConn struct {
 	net.Conn // nil: the deadline and address methods are never called here
 	r        *bytes.Reader
+	w        bytes.Buffer
 	closed   bool
 }
 
 func (c *scriptedConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
-func (c *scriptedConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *scriptedConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 func (c *scriptedConn) Close() error                { c.closed = true; return nil }
 
 // scriptedClient is a pooled client (debug pool, for the leak audit) whose
@@ -143,10 +145,28 @@ func FuzzFrame(f *testing.F) {
 	for _, reply := range malformedRegionReplies() {
 		f.Add(reply)
 	}
+	// Grants: a region's, an arena's with its flag, and ones that lie.
+	for _, grant := range [][]byte{
+		binary.AppendUvarint(nil, regionSize),
+		binary.AppendUvarint(binary.AppendUvarint(nil, maxArenaSize), arenaVersion),
+		binary.AppendUvarint(binary.AppendUvarint(nil, maxArenaSize+1), arenaVersion),
+		binary.AppendUvarint(binary.AppendUvarint(nil, maxArenaSize), 2),
+		append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), arenaVersion), 0),
+	} {
+		var frame bytes.Buffer
+		_ = writeFrame(&frame, OpRegion, 0, okResponse(grant))
+		f.Add(frame.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzClientRead(t, data, false)
-		fuzzClientRead(t, data, true)
+		for _, mode := range []clientMode{plainClient, regionClient, arenaClient} {
+			fuzzClientRead(t, data, mode)
+		}
+		// Whatever a grant says, a size is accepted only within the bound
+		// of what it grants.
+		if size, arena, err := parseGrant(data); err == nil && (size <= 0 || size > MaxFrame && !arena || size > maxArenaSize) {
+			t.Fatalf("parseGrant accepted %d bytes (arena %v)", size, arena)
+		}
 		opcode, trace, payload, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -179,15 +199,27 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
+// clientMode is what a scripted client's connection was granted.
+type clientMode int
+
+const (
+	plainClient  clientMode = iota // nothing: every payload inline
+	regionClient                   // a payload region
+	arenaClient                    // the server's arena
+)
+
 // fuzzClientRead feeds data to a pooled client as the reply to one read,
-// on a connection with a payload region when region is set (and this build
-// has regions).
-func fuzzClientRead(t *testing.T, data []byte, region bool) {
+// on a connection granted what mode says (where this build has regions).
+func fuzzClientRead(t *testing.T, data []byte, mode clientMode) {
 	c, pool := scriptedClient(data)
-	if region {
-		if c, pool = scriptedRegionClient(data); c == nil {
-			return
-		}
+	switch mode {
+	case regionClient:
+		c, pool = scriptedRegionClient(data)
+	case arenaClient:
+		c, pool = scriptedArenaClient(data)
+	}
+	if c == nil {
+		return
 	}
 	d, err := c.Read("requested.bin")
 	switch {
@@ -244,27 +276,49 @@ func FuzzServerHandle(f *testing.F) {
 	// More pairs than the payload holds.
 	f.Add(uint8(OpControl), append(binary.AppendUvarint(nil, 1<<40), 1, 'k', 1, 'v'))
 	f.Add(uint8(99), []byte{1, 2, 3})
-	// A region request: on the plain connection (not a UNIX socket) and on
-	// the one that already holds its region, both an error and no memfd.
+	// A region request, and an arena request: on the plain connection (not
+	// a UNIX socket) and on the ones already granted, all errors and no
+	// memfd.
 	f.Add(uint8(OpRegion), []byte{})
+	f.Add(uint8(OpRegion), arenaAsk)
 	f.Add(uint8(OpRead), appendString(nil, names[1]))
+	// A release: never answered, wherever it comes.
+	f.Add(uint8(OpRelease), []byte{})
+	f.Add(uint8(OpRelease), []byte{1, 2, 3})
 
-	// Every input runs on two connections: one without a region, and one
-	// that holds a region as if granted, whose reads place payloads in it.
-	conns := []*connState{newConnState(nil), newConnState(nil)}
+	// Every input runs on three connections: one without a region, one
+	// that holds a region as if granted, whose reads place payloads in it,
+	// and one granted the server's arena, whose reads lend payloads from
+	// it until the next input.
+	conns := []*connState{newConnState(nil), newConnState(nil), newConnState(nil)}
 	if fd, mem, err := newRegion(regionSize); err == nil {
 		closeFDs([]int{fd})
 		conns[1].region = mem
 		f.Cleanup(func() { unmapRegion(mem) })
 	}
+	conns[2].arena = srv.arena
+	f.Cleanup(func() {
+		for _, cs := range conns {
+			cs.releaseLent(false)
+		}
+	})
 	f.Fuzz(func(t *testing.T, opcode uint8, payload []byte) {
 		if opcode == OpPlan {
 			opcode = OpPing
 		}
 		for _, cs := range conns {
-			r := srv.safeHandle(cs, opcode, 0, payload)
+			r, reply := srv.serveFrame(cs, opcode, 0, payload)
 			if cs.fd != -1 {
 				t.Fatalf("opcode %d left descriptor %d to pass on a connection that may not have one", opcode, cs.fd)
+			}
+			if !reply {
+				if opcode != OpRelease || cs.nlent != 0 {
+					t.Fatalf("opcode %d unanswered with %d leases held", opcode, cs.nlent)
+				}
+				continue
+			}
+			if cs.arena == nil && cs.nlent != 0 {
+				t.Fatalf("opcode %d lent %d payloads on a connection without an arena", opcode, cs.nlent)
 			}
 			resp := r.head
 			if r.samples {
@@ -295,7 +349,8 @@ func FuzzServerHandle(f *testing.F) {
 }
 
 // fuzzServer builds a server directly (fuzz entry points receive a
-// *testing.F, so the testing.T-based startServer helper does not apply).
+// *testing.F, so the testing.T-based startServer helper does not apply),
+// with a pooled leaf and, where this build has them, an arena.
 func fuzzServer(f *testing.F) (*Server, *core.Stage, []string, string) {
 	f.Helper()
 	dir := f.TempDir()
@@ -311,6 +366,8 @@ func fuzzServer(f *testing.F) (*Server, *core.Stage, []string, string) {
 	}
 	env := conc.NewReal()
 	backend := storagetest.OpenDir(f, dir)
+	pool := mempool.New(mempool.Config{Debug: true})
+	backend.SetBufferPool(pool)
 	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
 		InitialProducers: 1, MaxProducers: 4, InitialBufferCapacity: 8, MaxBufferCapacity: 32,
 	})
@@ -318,6 +375,7 @@ func fuzzServer(f *testing.F) (*Server, *core.Stage, []string, string) {
 		f.Fatal(err)
 	}
 	stage := core.NewStage(env, backend, pf)
+	stage.SetBufferPool(pool)
 	pf.Start()
 	sock := filepath.Join(f.TempDir(), "fuzz.sock")
 	srv, err := Serve(sock, stage, nil)

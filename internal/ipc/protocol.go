@@ -48,6 +48,17 @@
 // server that predates the region answers OpRegion as an unknown opcode
 // and the connection stays inline, as do non-Linux builds and connections
 // that are not UNIX-domain sockets.
+//
+// Shared arena (DESIGN.md §29): a client that can read one sends OpRegion
+// with the payload uvarint 1. A server whose buffer pool is carved from an
+// arena answers OK | size | uvarint 1 and passes the arena's descriptor;
+// locations then name arena offsets, where the producer put the payload,
+// and the payload stays leased to the connection until its next frame. A
+// planned reply whose pushed count has bit 0x40 set left the connection's
+// stride at the end of the plan: the client answers it with a header-only
+// OpRelease, which gets no reply, so an idle connection holds no lease.
+// Every other pairing — an old client's empty payload, an old server that
+// ignores it, a server without an arena — gets the region above.
 package ipc
 
 import (
@@ -91,10 +102,16 @@ const (
 	// applied all or none. Resendable: every value is absolute.
 	OpControl = 17
 
-	// OpRegion asks for the connection's payload region. The OK reply is
-	// the region's size (uvarint) and carries its descriptor; a connection
-	// gets one region, so asking again is an error.
+	// OpRegion asks for the connection's payload region, or with the
+	// payload uvarint 1 for the server's arena where it has one. The OK
+	// reply is the size (uvarint), followed by uvarint 1 for an arena, and
+	// carries the descriptor; a connection gets one grant, so asking again
+	// is an error.
 	OpRegion = 18
+
+	// OpRelease ends the leases an arena connection holds for its last
+	// reply. Header only, and never answered.
+	OpRelease = 19
 )
 
 // Response status bytes.
@@ -138,6 +155,21 @@ const (
 // of up to 3.8 MiB, and a payload that does not fit what is left of it goes
 // inline instead.
 const regionSize = 4 << 20
+
+// maxArenaSize is the largest arena a server makes (arenaBytes) and a
+// client maps.
+const maxArenaSize = 1 << 30
+
+// arenaVersion is OpRegion's payload from a client that reads an arena,
+// and the field behind the size in a reply that grants one.
+const arenaVersion = 1
+
+// endOfPlan is the bit of a planned reply's pushed count that asks an arena
+// client for OpRelease: the reply left the connection's confirmed stride
+// with no next planned entry, so no request may come to end its leases.
+// Counts never reach it (maxAheadWindow < endOfPlan), so on a connection
+// without an arena it reads as a count past the window.
+const endOfPlan = 0x40
 
 // regionAlign is where payloads start in a region: every offset the server
 // writes is a multiple of it. Both ends copy between the region and

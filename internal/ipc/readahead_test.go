@@ -18,6 +18,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
+	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 )
 
 // The read-ahead contract (DESIGN.md §19), over real sockets with a debug
@@ -56,6 +57,25 @@ func startAheadServer(t *testing.T, nFiles, size int) *aheadFixture {
 
 func startAheadServerPool(t *testing.T, nFiles, size int, pool *mempool.Pool) *aheadFixture {
 	t.Helper()
+	return startAheadServerWith(t, nFiles, size, pool, ServeConfig{Tenants: regionTenants(t)})
+}
+
+// regionTenants is a tenant manager for a fixture's server: a server with
+// tenants grants each connection a payload region of its own (DESIGN.md
+// §28) rather than its shared arena. The stage is given no tenant gate, so
+// reads are served as on a server without tenants.
+func regionTenants(t testing.TB) *tenancy.Manager {
+	t.Helper()
+	m, err := tenancy.New(conc.NewReal(), tenancy.Config{Capacity: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// startAheadServerWith is startAheadServerPool serving with cfg.
+func startAheadServerWith(t *testing.T, nFiles, size int, pool *mempool.Pool, cfg ServeConfig) *aheadFixture {
+	t.Helper()
 	fx := &aheadFixture{t: t, mem: storage.NewMemBackend(), pool: pool}
 	fx.mem.SetBufferPool(fx.pool)
 	var samples []dataset.Sample
@@ -81,7 +101,7 @@ func startAheadServerPool(t *testing.T, nFiles, size int, pool *mempool.Pool) *a
 	fx.stage.SetBufferPool(fx.pool)
 	pf.Start()
 	fx.sock = filepath.Join(t.TempDir(), "ahead.sock")
-	if fx.srv, err = Serve(fx.sock, fx.stage, nil); err != nil {
+	if fx.srv, err = ServeWithConfig(fx.sock, fx.stage, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
@@ -715,7 +735,10 @@ func TestReadAheadRoutedReadsGetNoExtras(t *testing.T) {
 		return d, core.PlanPos{}, err
 	})
 	fx.sock = filepath.Join(t.TempDir(), "routed.sock")
-	srv, err := Serve(fx.sock, fx.stage, routed)
+	// With tenants, as the fixture's own server: a server without them
+	// would attach an arena to the fixture's pool and lend from it, and
+	// the audit closes only the fixture's server.
+	srv, err := ServeWithConfig(fx.sock, fx.stage, routed, ServeConfig{Tenants: regionTenants(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

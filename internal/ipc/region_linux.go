@@ -33,7 +33,40 @@ const (
 // what let both ends touch the mapping without a SIGBUS, whatever the peer
 // does with its copy of the descriptor.
 func newRegion(size int) (fd int, mem []byte, err error) {
-	name, _ := syscall.BytePtrFromString("prisma-payload")
+	return newSealedMemfd("prisma-payload", size)
+}
+
+// newArena makes a size-byte arena: a sealed memfd as newRegion's, under
+// its own name, registered so that clients of this process share its
+// mapping. It holds the caller's reference.
+func newArena(size int) (*arena, error) {
+	fd, mem, err := newSealedMemfd("prisma-arena", size)
+	if err != nil {
+		return nil, err
+	}
+	var st syscall.Stat_t
+	if err := syscall.Fstat(fd, &st); err != nil {
+		unmapRegion(mem)
+		syscall.Close(fd)
+		return nil, fmt.Errorf("arena stat: %w", err)
+	}
+	a := &arena{fd: fd, mem: mem, id: fileID{dev: uint64(st.Dev), ino: st.Ino}}
+	a.register()
+	return a, nil
+}
+
+// dupFD duplicates a descriptor (close-on-exec) for a grant to carry away.
+func dupFD(fd int) (int, error) {
+	r, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), syscall.F_DUPFD_CLOEXEC, 0)
+	if errno != 0 {
+		return -1, errno
+	}
+	return int(r), nil
+}
+
+// newSealedMemfd is newRegion under the given name.
+func newSealedMemfd(label string, size int) (fd int, mem []byte, err error) {
+	name, _ := syscall.BytePtrFromString(label)
 	r, _, errno := syscall.Syscall(sysMemfdCreate, uintptr(unsafe.Pointer(name)), mfdCloexec|mfdAllowSealing, 0)
 	if errno != 0 {
 		return -1, nil, fmt.Errorf("memfd_create: %w", errno)
@@ -55,26 +88,32 @@ func newRegion(size int) (fd int, mem []byte, err error) {
 	return fd, mem, nil
 }
 
-// mapRegion maps a region descriptor the server passed, read-only, after
-// checking that it is sealed against shrinking and growing and is exactly
-// size bytes long: a reader of the mapping can then never fault. The
-// caller closes fd either way.
-func mapRegion(fd, size int) ([]byte, error) {
+// mapRegion maps a region or arena descriptor the server passed,
+// read-only, after checking that it is sealed against shrinking and growing
+// and is exactly size bytes long: a reader of the mapping can then never
+// fault. The descriptor of an arena this process made is not mapped again:
+// its mapping is returned with the arena, under a reference the caller
+// releases. The caller closes fd either way.
+func mapRegion(fd, size int) ([]byte, *arena, error) {
 	seals, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), fGetSeals, 0)
 	if errno != 0 {
-		return nil, fmt.Errorf("region seals: %w", errno)
+		return nil, nil, fmt.Errorf("region seals: %w", errno)
 	}
 	if seals&(fSealShrink|fSealGrow) != fSealShrink|fSealGrow {
-		return nil, fmt.Errorf("region not sealed against resizing (seals %#x)", seals)
+		return nil, nil, fmt.Errorf("region not sealed against resizing (seals %#x)", seals)
 	}
 	var st syscall.Stat_t
 	if err := syscall.Fstat(fd, &st); err != nil {
-		return nil, fmt.Errorf("region stat: %w", err)
+		return nil, nil, fmt.Errorf("region stat: %w", err)
 	}
 	if st.Size != int64(size) {
-		return nil, fmt.Errorf("region of %d bytes announced as %d", st.Size, size)
+		return nil, nil, fmt.Errorf("region of %d bytes announced as %d", st.Size, size)
 	}
-	return syscall.Mmap(fd, 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
+	if a := findArena(fileID{dev: uint64(st.Dev), ino: st.Ino}); a != nil {
+		return a.mem, a, nil
+	}
+	mem, err := syscall.Mmap(fd, 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
+	return mem, nil, err
 }
 
 // sendFD writes a whole reply frame with fd attached as SCM_RIGHTS, then

@@ -8,16 +8,19 @@ import (
 )
 
 // RegionSupported is false here: clients never ask for a payload region
-// and servers refuse one, so every payload rides the socket inline.
+// or an arena and servers make neither, so every payload rides the socket
+// inline.
 const RegionSupported = false
 
 var errNoRegion = errors.New("payload region unsupported on this platform")
 
-func newRegion(int) (int, []byte, error) { return -1, nil, errNoRegion }
-func mapRegion(int, int) ([]byte, error) { return nil, errNoRegion }
-func sendFD(net.Conn, []byte, int) error { return errNoRegion }
-func closeFDs([]int)                     {}
-func unmapRegion([]byte)                 {}
+func newRegion(int) (int, []byte, error)         { return -1, nil, errNoRegion }
+func newArena(int) (*arena, error)               { return nil, errNoRegion }
+func dupFD(int) (int, error)                     { return -1, errNoRegion }
+func mapRegion(int, int) ([]byte, *arena, error) { return nil, nil, errNoRegion }
+func sendFD(net.Conn, []byte, int) error         { return errNoRegion }
+func closeFDs([]int)                             {}
+func unmapRegion([]byte)                         {}
 func recvFDs(*net.UnixConn, []byte) (int, []int, bool, error) {
 	return 0, nil, false, errNoRegion
 }

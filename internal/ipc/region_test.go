@@ -29,6 +29,25 @@ func scriptedRegionClient(replies []byte) (*Client, *mempool.Pool) {
 	return c, pool
 }
 
+// scriptedArenaClient is scriptedRegionClient granted an arena instead:
+// the same mapping, with the arena's end-of-plan bit understood.
+func scriptedArenaClient(replies []byte) (*Client, *mempool.Pool) {
+	c, pool := scriptedRegionClient(replies)
+	if c != nil {
+		c.inArena = true
+	}
+	return c, pool
+}
+
+// endOfPlanReply is a planned read reply on a connection with a mapping
+// whose pushed count carries the end-of-plan bit: the requested sample and
+// one pushed sample, both located in the mapping.
+func endOfPlanReply() []byte {
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	return regionReadReply(3, 3, 1, nil, bytes.Join([][]byte{uv(endOfPlan | 1),
+		uv(2), []byte("n1"), uv(4), uv(4), uv(regionAlign + 1)}, nil))
+}
+
 func regionOf(c *Client) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -56,14 +75,15 @@ func malformedRegionReplies() map[string][]byte {
 		return bytes.Join([][]byte{uv(1), uv(5), []byte("a.bin"), uv(3), uv(3), uv(loc)}, nil)
 	}
 	return map[string][]byte{
-		"region: location past the region":       regionReadReply(1, 1, regionTestSize+2, nil, nil),
-		"region: payload runs past the region":   regionReadReply(3, 3, regionTestSize-1, nil, nil),
-		"region: offset overflows":               regionReadReply(1, 1<<63, 1<<63, nil, nil),
-		"region: offset + length overflows":      regionReadReply(1, 1<<64-1, 2, nil, nil),
-		"region: pushed sample past the region":  regionReadReply(3, 3, 1, nil, pushed(regionTestSize+5)),
-		"region: head ends before its location":  append(appendFrameHeader(nil, OpRead, 0, 3), statusOK, 3, 3),
-		"region: inline payload short":           regionReadReply(3, 3, 0, []byte("ab"), nil),
-		"inline: location on a regionless reply": regionReadReply(3, 3, 1, nil, nil),
+		"region: location past the region":         regionReadReply(1, 1, regionTestSize+2, nil, nil),
+		"region: payload runs past the region":     regionReadReply(3, 3, regionTestSize-1, nil, nil),
+		"region: offset overflows":                 regionReadReply(1, 1<<63, 1<<63, nil, nil),
+		"region: offset + length overflows":        regionReadReply(1, 1<<64-1, 2, nil, nil),
+		"region: pushed sample past the region":    regionReadReply(3, 3, 1, nil, pushed(regionTestSize+5)),
+		"region: head ends before its location":    append(appendFrameHeader(nil, OpRead, 0, 3), statusOK, 3, 3),
+		"region: inline payload short":             regionReadReply(3, 3, 0, []byte("ab"), nil),
+		"inline: location on a regionless reply":   regionReadReply(3, 3, 1, nil, nil),
+		"region: end-of-plan bit without an arena": endOfPlanReply(),
 	}
 }
 
@@ -120,6 +140,35 @@ func TestMalformedRegionReplies(t *testing.T) {
 	}
 }
 
+// TestArenaEndOfPlanRelease: a reply whose pushed count carries the
+// end-of-plan bit decodes on an arena connection — both payloads copied out
+// of the mapping — and the client answers it with one header-only
+// OpRelease after the request; without the bit it sends nothing more.
+func TestArenaEndOfPlanRelease(t *testing.T) {
+	if !RegionSupported {
+		t.Skip("no payload regions on this platform")
+	}
+	release := appendFrameHeader(nil, OpRelease, 0, 0)
+	for _, reply := range [][]byte{endOfPlanReply(), goodRegionReplies()[3]} {
+		c, pool := scriptedArenaClient(reply)
+		conn := c.conn.(*scriptedConn)
+		d, err := c.Read("requested.bin")
+		if err != nil || len(d.Bytes) != 3 || stashLen(c) == 0 {
+			t.Fatalf("Read = %d bytes with %d stashed, %v", len(d.Bytes), stashLen(c), err)
+		}
+		d.Release()
+		wrote := conn.w.Bytes()
+		sentRelease := bytes.HasSuffix(wrote, release) && len(wrote) > len(release)
+		if want := bytes.Equal(reply, endOfPlanReply()); sentRelease != want || c.Broken() {
+			t.Fatalf("sent OpRelease %v, want %v (broken %v)", sentRelease, want, c.Broken())
+		}
+		c.Close()
+		if got := pool.Stats().Outstanding; got != 0 {
+			t.Fatalf("%d leases outstanding after Close", got)
+		}
+	}
+}
+
 // TestRegionOnlyOverUnixSockets: neither end offers a region on a
 // connection that is not a UNIX-domain socket. The server answers OpRegion
 // with an error and makes no memfd; the client never asks, and reads the
@@ -129,7 +178,7 @@ func TestRegionOnlyOverUnixSockets(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	cs := newConnState(a)
-	if _, err := parseResponse(handleRegion(cs)); err == nil || cs.region != nil || cs.fd != -1 {
+	if _, err := parseResponse((&Server{}).handleRegion(cs, arenaAsk)); err == nil || cs.region != nil || cs.fd != -1 {
 		t.Fatalf("OpRegion over a pipe: %v, region %v, fd %d", err, cs.region != nil, cs.fd)
 	}
 	// A scripted connection is not a UNIX socket either: had the client

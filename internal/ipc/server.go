@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,19 +12,33 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 )
 
-// ServeConfig tunes server-side resilience. The zero value preserves the
-// historical behaviour (no per-connection deadlines).
+// ServeConfig tunes server-side resilience and tenancy. The zero value
+// preserves the historical behaviour (no per-connection deadlines, one
+// tenant).
 type ServeConfig struct {
 	// IdleTimeout bounds how long a connection may sit idle between
 	// requests, and how long one request frame and its response may take
 	// to cross the wire (0 = none). An expired connection is dropped; the
 	// client redials.
 	IdleTimeout time.Duration
+	// Tenants wires multi-tenant QoS: hello frames authenticate against
+	// the manager, and admission decisions (made by the stage's tenant
+	// gate) see the tenant each connection established. Nil is a
+	// single-tenant server, which carves the stage's buffer pool, if it
+	// has one and the platform a memfd, from a shared arena and grants
+	// that to every client that asks (DESIGN.md §29); a server with
+	// tenants grants each connection a payload region of its own (§28).
+	Tenants *tenancy.Manager
+
+	// arenaSize overrides the arena's size (0 = arenaBytes); tests set it
+	// to fill an arena quickly.
+	arenaSize int
 }
 
 // Server exposes one PRISMA stage over a UNIX domain socket. Each consumer
@@ -38,13 +53,16 @@ type Server struct {
 	listener net.Listener
 	cfg      ServeConfig
 	panics   atomic.Int64
+	// arena is the shared arena the stage's pool carves from (§29): nil
+	// on a server with tenants, without a pool or without a memfd. The
+	// server holds a reference to it until every handler is done.
+	arena *arena
 
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	closed  bool
 	get     func(spans int) ([]byte, error) // OpGet source (pre-marshaled JSON)
 	control func(settings ...string) error  // OpControl: the stage's control table
-	tenancy *tenancy.Manager                // nil = single-tenant (hello still accepted)
 	wg      sync.WaitGroup
 }
 
@@ -57,7 +75,7 @@ func Serve(socketPath string, stage *core.Stage, reader core.Reader) (*Server, e
 	return ServeWithConfig(socketPath, stage, reader, ServeConfig{})
 }
 
-// ServeWithConfig starts a server with explicit resilience settings.
+// ServeWithConfig starts a server with explicit settings.
 func ServeWithConfig(socketPath string, stage *core.Stage, reader core.Reader, cfg ServeConfig) (*Server, error) {
 	l, err := net.Listen("unix", socketPath)
 	if err != nil {
@@ -67,9 +85,48 @@ func ServeWithConfig(socketPath string, stage *core.Stage, reader core.Reader, c
 		reader = stage
 	}
 	s := &Server{stage: stage, reader: reader, listener: l, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	if cfg.Tenants == nil && stage != nil && stage.BufferPool() != nil {
+		pool := stage.BufferPool()
+		s.arena = attachArena(pool, cmp.Or(cfg.arenaSize, arenaBytes(stage, pool)))
+	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
+}
+
+// attachArena makes an arena of size bytes and gives it to pool to carve
+// its buffers from. The pool and the server each hold a reference: the
+// pool's goes once it is detached (Server.Close) with every carved buffer
+// home, the server's once its handlers are done. Nil when no arena could
+// be made: the server then grants regions.
+func attachArena(pool *mempool.Pool, size int) *arena {
+	a, err := newArena(size)
+	if err != nil {
+		return nil
+	}
+	if err := pool.AttachArena(a.mem, a.release); err != nil {
+		a.release()
+		return nil
+	}
+	a.retain() // the server's
+	return a
+}
+
+// arenaBytes sizes the arena of a server over stage from what the stage
+// holds at most at once (Stage.ParkBound), each sample in the pool's class
+// for the largest the manifest lists. A class carves only when every
+// buffer it carved is out, so no class carves more buffers than that;
+// classes are powers of two, so the smaller ones together carve less than
+// the largest again, and twice the product bounds the carving. Leases to
+// clients and in-process readers come on top: past the end, the pool
+// allocates from the heap and those payloads go inline. Capped at
+// maxArenaSize, and a whole number of pages; the memfd is sparse, so only
+// pages a carved buffer was written to cost memory.
+func arenaBytes(stage *core.Stage, pool *mempool.Pool) int {
+	samples, largest := stage.ParkBound()
+	size := 2 * int64(samples) * int64(pool.ClassSize(int(min(largest, maxArenaSize))))
+	const page = 4 << 10
+	return int(min(maxArenaSize, (size+page-1)&^(page-1)))
 }
 
 // SetControlSurface wires the control plane's two opcodes: OpGet answers
@@ -80,22 +137,6 @@ func (s *Server) SetControlSurface(get func(spans int) ([]byte, error), control 
 	s.mu.Lock()
 	s.get, s.control = get, control
 	s.mu.Unlock()
-}
-
-// SetTenantManager wires multi-tenant QoS: hello frames authenticate
-// against the manager, and admission decisions (made by the stage's tenant
-// gate, which shares this manager) surface as typed overload responses.
-// Call before clients connect.
-func (s *Server) SetTenantManager(m *tenancy.Manager) {
-	s.mu.Lock()
-	s.tenancy = m
-	s.mu.Unlock()
-}
-
-func (s *Server) tenantManager() *tenancy.Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tenancy
 }
 
 // Panics reports how many request handlers panicked and were isolated.
@@ -140,14 +181,21 @@ type connState struct {
 	// The payload region (DESIGN.md §28), nil until the client asks for
 	// it. Each read reply fills it from offset 0, so it is rewritten only
 	// by the reply to the connection's next request; regionUsed is how far
-	// the reply under construction got. fd is the region's descriptor
-	// until its reply carries it away (-1 otherwise).
+	// the reply under construction got. fd is the descriptor of the region
+	// or arena granted, until its reply carries it away (-1 otherwise).
 	region     []byte
 	regionUsed int
 	fd         int
-	// Payloads the reply under construction placed in the region and
-	// inline, for the stage's counters.
-	inRegion, inline int64
+	// The server's arena, once granted in place of a region (DESIGN.md
+	// §29), and the samples the last read reply lent the client from it:
+	// their leases end when the connection's next frame arrives, or when
+	// it closes.
+	arena *arena
+	lent  [1 + maxAheadWindow]storage.Data
+	nlent int
+	// Payloads the reply under construction placed in the arena, the
+	// region and inline, for the stage's counters.
+	inArena, inRegion, inline int64
 
 	// startProducers is set by a plan submission, which holds the stage's
 	// parked producers until its reply is written (Stage.SubmitEpochHeld).
@@ -191,14 +239,26 @@ func newConnState(conn net.Conn) *connState {
 }
 
 // place appends a sample's head to the reply under construction and routes
-// its payload: into the region when the connection has one and the payload
-// fits what the reply left of it — the lease ends at once, and the next
-// payload starts at the following regionAlign boundary — or inline, held
-// for the vectored write behind the head.
+// its payload: on an arena connection, by its offset when the producer read
+// it into the arena — lent to the connection until its next frame; into the
+// region when the connection has one and the payload fits what the reply
+// left of it — the lease ends at once, and the next payload starts at the
+// following regionAlign boundary; or inline, held for the vectored write
+// behind the head.
 func (cs *connState) place(d storage.Data) {
 	cs.wbuf = appendSampleHead(cs.wbuf, d)
 	n := len(d.Bytes)
-	if cs.region != nil {
+	switch {
+	case cs.arena != nil:
+		if off, ok := cs.arena.offset(d.Bytes); ok && d.Ref != nil {
+			cs.wbuf = binary.AppendUvarint(cs.wbuf, uint64(off)+1)
+			cs.lent[cs.nlent] = d
+			cs.nlent++
+			cs.inArena++
+			return
+		}
+		cs.wbuf = append(cs.wbuf, 0) // location 0: inline
+	case cs.region != nil:
 		if n > 0 && n <= len(cs.region)-cs.regionUsed {
 			copy(cs.region[cs.regionUsed:], d.Bytes)
 			cs.wbuf = binary.AppendUvarint(cs.wbuf, uint64(cs.regionUsed)+1)
@@ -214,6 +274,24 @@ func (cs *connState) place(d storage.Data) {
 	}
 	cs.held[cs.nheld], cs.cuts[cs.nheld] = d, len(cs.wbuf)
 	cs.nheld++
+}
+
+// releaseLent ends the leases of the samples the connection's last reply
+// lent from the arena. At the connection's next frame the client has
+// copied them out, and they recycle. A connection that ends holding them
+// was dropped under a client that may still be copying — by an idle
+// timeout, a broken frame or Close; a client that closes sends OpRelease
+// first — so they are retired instead: never written again, and their
+// spans of the arena out of use for good.
+func (cs *connState) releaseLent(retire bool) {
+	for i := range cs.lent[:cs.nlent] {
+		if retire {
+			cs.lent[i].Ref.Retire()
+		}
+		cs.lent[i].Release()
+		cs.lent[i] = storage.Data{}
+	}
+	cs.nlent = 0
 }
 
 // releaseHeld ends the connection's reference on every held sample —
@@ -296,6 +374,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	cs := newConnState(conn)
 	defer func() {
 		cs.releaseHeld()
+		cs.releaseLent(true)
 		s.startProducers(cs)
 		unmapRegion(cs.region)
 		conn.Close()
@@ -311,7 +390,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // EOF, idle timeout, or broken peer: drop the connection
 		}
-		resp := s.safeHandle(cs, opcode, trace, payload)
+		resp, reply := s.serveFrame(cs, opcode, trace, payload)
+		if !reply {
+			continue
+		}
 		if s.cfg.IdleTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
@@ -322,6 +404,18 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// serveFrame handles one request frame and reports whether it is answered.
+// Whatever it is, it ends the leases of the reply before it (the client
+// decoded that reply before it could send this); OpRelease does nothing
+// else and gets no reply.
+func (s *Server) serveFrame(cs *connState, opcode byte, trace uint64, payload []byte) (response, bool) {
+	cs.releaseLent(false)
+	if opcode == OpRelease {
+		return response{}, false
+	}
+	return s.safeHandle(cs, opcode, trace, payload), true
 }
 
 // startProducers wakes the producers a plan submission held, once its reply
@@ -399,6 +493,7 @@ func (s *Server) safeHandle(cs *connState, opcode byte, trace uint64, payload []
 		if r := recover(); r != nil {
 			s.panics.Add(1)
 			cs.releaseHeld()
+			cs.releaseLent(false)
 			resp = response{head: errResponse(fmt.Errorf("handler panic on opcode %d: %v", opcode, r))}
 		}
 	}()
@@ -412,7 +507,7 @@ func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte
 		return s.handleRead(cs, opcode, trace, payload)
 
 	case OpRegion:
-		return response{head: handleRegion(cs)}
+		return response{head: s.handleRegion(cs, payload)}
 
 	case OpPlan:
 		// The names stay in the payload: the stage resolves them straight
@@ -453,7 +548,7 @@ func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte
 			cs.role = role
 		}
 		resolved := name
-		if m := s.tenantManager(); m != nil {
+		if m := s.cfg.Tenants; m != nil {
 			resolved, err = m.Authenticate(name, secret)
 			if err != nil {
 				return response{head: errResponse(err)}
@@ -528,25 +623,36 @@ func (s *Server) handleRead(cs *connState, opcode byte, trace uint64, payload []
 	// is written vectored, straight from the (pooled) read buffer. The frame
 	// header's bytes are reserved here and filled in by writeResponse.
 	cs.wbuf = append(cs.wbuf[:frameHeaderLen], statusOK)
-	cs.regionUsed, cs.inRegion, cs.inline = 0, 0, 0
+	cs.regionUsed, cs.inArena, cs.inRegion, cs.inline = 0, 0, 0, 0
 	requested := len(data.Bytes)
 	cs.place(data)
 	if tail.window > 0 && at != (core.PlanPos{}) {
 		s.pushAhead(cs, at, tail, requested)
 	}
-	s.stage.NoteReadPayloads(cs.inRegion, cs.inline)
+	s.stage.NoteReadPayloads(cs.inArena, cs.inRegion, cs.inline)
 	return response{samples: true}
 }
 
-// handleRegion grants the connection its payload region (DESIGN.md §28):
-// one per connection, over a UNIX-domain socket only. The descriptor rides
-// the reply (writeResponse) and is closed once sent.
-func handleRegion(cs *connState) []byte {
+// handleRegion grants the connection its payload region (DESIGN.md §28),
+// or the server's arena to a client that asks for one (§29): one grant per
+// connection, over a UNIX-domain socket only. The descriptor — the
+// region's, or a duplicate of the arena's — rides the reply
+// (writeResponse) and is closed once sent.
+func (s *Server) handleRegion(cs *connState, payload []byte) []byte {
 	switch {
-	case cs.region != nil:
+	case cs.region != nil || cs.arena != nil:
 		return errResponse(errors.New("payload region already granted"))
 	case !cs.unix:
 		return errResponse(errors.New("payload region needs a UNIX-domain socket"))
+	}
+	if v, k := binary.Uvarint(payload); k > 0 && v >= arenaVersion && s.arena != nil {
+		fd, err := dupFD(s.arena.fd)
+		if err != nil {
+			return errResponse(fmt.Errorf("arena: %w", err))
+		}
+		cs.arena, cs.fd = s.arena, fd
+		out := binary.AppendUvarint(nil, uint64(len(s.arena.mem)))
+		return okResponse(binary.AppendUvarint(out, arenaVersion))
 	}
 	fd, mem, err := newRegion(regionSize)
 	if err != nil {
@@ -593,6 +699,12 @@ func (s *Server) pushAhead(cs *connState, at core.PlanPos, tail aheadTail, reque
 	cs.wbuf[countAt] = byte(pushed)
 	if pushed == want && pushed > 0 {
 		cs.ahead.window = min(2*cs.ahead.window, maxAheadWindow)
+	}
+	// A reply that lends arena payloads and leaves the stride at the end of
+	// the plan may be the connection's last for a while: the client is
+	// asked to end the leases at once instead of at its next request.
+	if cs.nlent > 0 && cs.ahead.run >= cs.ahead.need && !s.stage.Planned(cs.ahead.next()) {
+		cs.wbuf[countAt] |= endOfPlan
 	}
 }
 
@@ -660,8 +772,9 @@ func (s *Server) handleControl(opcode byte, payload []byte) []byte {
 	}
 }
 
-// Close stops accepting, severs live connections, and waits for handler
-// goroutines to drain. It does not close the stage.
+// Close stops accepting, detaches the arena, if any, from the stage's
+// pool, severs live connections and waits for handler goroutines to drain.
+// It does not close the stage.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -675,9 +788,21 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	err := s.listener.Close()
+	if s.arena != nil {
+		// Recycling stops before any connection is severed: a buffer that
+		// comes home from here on is dropped, so none a client may still
+		// be copying out is handed to a producer. The pool's reference
+		// goes once the last carved buffer is home, the server's once its
+		// handlers, which may still be granting the arena, are done;
+		// clients of this process hold their own.
+		s.stage.BufferPool().DetachArena()
+	}
 	for _, c := range conns {
 		c.Close()
 	}
 	s.wg.Wait()
+	if s.arena != nil {
+		s.arena.release()
+	}
 	return err
 }

@@ -24,7 +24,6 @@ func (s *Server) severConnsForTest() {
 // consults it per read.
 func tenantFixture(t *testing.T, nFiles int, cfg tenancy.Config) (*Server, *tenancy.Manager, []string, string) {
 	t.Helper()
-	srv, stage, names, sock := startServer(t, nFiles)
 	if cfg.Capacity == 0 {
 		cfg.Capacity = 10_000
 	}
@@ -32,8 +31,8 @@ func tenantFixture(t *testing.T, nFiles int, cfg tenancy.Config) (*Server, *tena
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv, stage, names, sock := startServerWithConfig(t, nFiles, ServeConfig{Tenants: mgr})
 	stage.SetTenantGate(mgr)
-	srv.SetTenantManager(mgr)
 	attachSurface(srv, stage, mgr)
 	return srv, mgr, names, sock
 }

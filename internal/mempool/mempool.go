@@ -12,6 +12,12 @@
 // buffer evicts on read, single ownership moves producer → buffer →
 // consumer without any Retain in the steady state.
 //
+// A pool may carve its buffers from one arena (AttachArena): a span of
+// memory the caller made, such as a shared mapping other processes read
+// (DESIGN.md §29). Carved buffers recycle like any other and are never
+// given back to the heap; once the arena is full, misses allocate from the
+// heap as before.
+//
 // The package is deliberately environment-free: it uses plain sync.Mutex
 // and atomics rather than conc.Env primitives. Under the deterministic
 // simulator only one process runs at a time, so uncontended mutexes and
@@ -127,6 +133,34 @@ type Pool struct {
 	// Debug-mode leak ledger: Get call-site → refs not yet fully released.
 	siteMu sync.Mutex
 	sites  map[string]int
+
+	// arena is nil when no arena is attached, so a miss in a pool without
+	// one never takes arenaMu, which serializes carving.
+	arenaMu sync.Mutex
+	arena   atomic.Pointer[arena]
+}
+
+// arena is the memory AttachArena gave the pool. Buffers are carved from
+// it by bumping used and never returned to it: a carved buffer cycles
+// between its class's free list and its leases until the arena is
+// detached, and is dropped after that.
+type arena struct {
+	mem  []byte
+	used int // bytes carved, alignment gaps included; under Pool.arenaMu
+	// detached is set once, by DetachArena: from then on a carved buffer
+	// that comes home is dropped instead of recycled.
+	detached atomic.Bool
+	// refs is 1 for the attachment plus 1 per carved buffer not yet
+	// dropped; release runs when it reaches 0.
+	refs    atomic.Int64
+	release func()
+}
+
+// drop lets go of one of the arena's references.
+func (a *arena) drop() {
+	if a.refs.Add(-1) == 0 {
+		a.release()
+	}
 }
 
 // New constructs a pool from cfg (zero Config means defaults).
@@ -158,6 +192,16 @@ func (p *Pool) classFor(n int) *class {
 	return p.classes[idx]
 }
 
+// ClassSize reports the size of the buffer a Get of n bytes leases from
+// its class, clamped to the largest class: a larger Get is a plain
+// allocation of its own size.
+func (p *Pool) ClassSize(n int) int {
+	if cls := p.classFor(max(n, 0)); cls != nil {
+		return cls.size
+	}
+	return p.cfg.MaxSize
+}
+
 // Get returns a Ref whose Bytes() slice has length n, with one reference
 // held by the caller. The backing array may be recycled from an earlier
 // Release and contains arbitrary bytes; callers overwrite it in full.
@@ -186,7 +230,10 @@ func (p *Pool) Get(n int) *Ref {
 		} else {
 			cls.mu.Unlock()
 			p.misses.Add(1)
-			r = &Ref{pool: p, cls: cls, buf: make([]byte, cls.size)}
+			r = &Ref{pool: p, cls: cls}
+			if r.buf, r.arena = p.carve(cls.size); r.buf == nil {
+				r.buf = make([]byte, cls.size)
+			}
 		}
 	}
 	r.n = n
@@ -228,9 +275,14 @@ func (p *Pool) release(r *Ref) {
 		}
 		p.siteMu.Unlock()
 		// Poison the full backing array, not just [:n], so stale aliases
-		// into recycled capacity are caught too.
-		for i := range r.buf {
-			r.buf[i] = poisonByte
+		// into recycled capacity are caught too — unless the bytes may
+		// still be read where the pool cannot see: a retired buffer, or
+		// one carved from an arena that is detached while its clients
+		// still map it. Those are dropped, never written again.
+		if !r.retired.Load() && (r.arena == nil || !r.arena.detached.Load()) {
+			for i := range r.buf {
+				r.buf[i] = poisonByte
+			}
 		}
 	}
 	cls := r.cls
@@ -240,7 +292,23 @@ func (p *Pool) release(r *Ref) {
 	}
 	cls.mu.Lock()
 	cls.out--
-	if len(cls.free) < cls.keep {
+	if a := r.arena; a != nil {
+		// A carved buffer cannot go back to the heap: it recycles whatever
+		// the cap, until it is retired or the arena is detached.
+		// DetachArena strips the free lists under the same lock after
+		// setting detached, so no carved buffer is left on one.
+		if !r.retired.Load() && !a.detached.Load() {
+			cls.free = append(cls.free, r)
+			cls.mu.Unlock()
+			p.recycled.Add(1)
+			return
+		}
+		cls.mu.Unlock()
+		p.discarded.Add(1)
+		a.drop()
+		return
+	}
+	if !r.retired.Load() && len(cls.free) < cls.keep {
 		cls.free = append(cls.free, r)
 		cls.mu.Unlock()
 		p.recycled.Add(1)
@@ -249,6 +317,82 @@ func (p *Pool) release(r *Ref) {
 	cls.mu.Unlock()
 	p.discarded.Add(1)
 }
+
+// AttachArena makes mem the memory the pool carves new buffers from: a Get
+// that finds its class's free list empty takes the next free span of mem
+// that fits the class (aligned to the class size, up to a page) before it
+// allocates from the heap. A pool has one arena at most; attaching a
+// second fails. release runs once, after DetachArena, when no buffer carved
+// from mem is left on a lease: the caller may unmap mem then.
+func (p *Pool) AttachArena(mem []byte, release func()) error {
+	p.arenaMu.Lock()
+	defer p.arenaMu.Unlock()
+	if p.arena.Load() != nil {
+		return fmt.Errorf("mempool: an arena is already attached")
+	}
+	a := &arena{mem: mem, release: release}
+	a.refs.Store(1)
+	p.arena.Store(a)
+	return nil
+}
+
+// DetachArena stops carving from the attached arena and drops its buffers
+// from the free lists; each one still on a lease is dropped when it comes
+// home, and the last to go runs the arena's release. No-op without an
+// arena.
+func (p *Pool) DetachArena() {
+	p.arenaMu.Lock()
+	a := p.arena.Swap(nil)
+	p.arenaMu.Unlock()
+	if a == nil {
+		return
+	}
+	a.detached.Store(true)
+	var stripped int64
+	for _, cls := range p.classes {
+		cls.mu.Lock()
+		kept := cls.free[:0]
+		for _, r := range cls.free {
+			if r.arena == a {
+				stripped++
+			} else {
+				kept = append(kept, r)
+			}
+		}
+		clear(cls.free[len(kept):])
+		cls.free = kept
+		cls.mu.Unlock()
+	}
+	a.refs.Add(-stripped)
+	a.drop()
+}
+
+// carve takes size bytes from the attached arena, or returns nil when there
+// is none or it has no room left.
+func (p *Pool) carve(size int) ([]byte, *arena) {
+	if p.arena.Load() == nil {
+		return nil, nil
+	}
+	p.arenaMu.Lock()
+	defer p.arenaMu.Unlock()
+	a := p.arena.Load()
+	if a == nil {
+		return nil, nil
+	}
+	align := min(size, carveAlign)
+	off := (a.used + align - 1) &^ (align - 1)
+	if off+size > len(a.mem) {
+		return nil, nil
+	}
+	a.used = off + size
+	a.refs.Add(1)
+	return a.mem[off : off+size : off+size], a
+}
+
+// carveAlign is the most a carved buffer is aligned to: a page, as the
+// heap aligns large allocations, so copies between carved and heap
+// buffers run aligned to each other.
+const carveAlign = 4 << 10
 
 // Outstanding reports how many refs are currently live (created and not yet
 // fully released).
@@ -293,6 +437,10 @@ type Stats struct {
 	FreeBytes   int64        `json:"free_bytes"`
 	HitRate     float64      `json:"hit_rate"`
 	Classes     []ClassStats `json:"classes,omitempty"`
+	// ArenaCapacity is the size of the attached arena and ArenaCarved how
+	// much of it buffers have been carved from (zero without one).
+	ArenaCapacity int64 `json:"arena_capacity_bytes"`
+	ArenaCarved   int64 `json:"arena_carved_bytes"`
 }
 
 // Stats snapshots the pool counters and per-class free lists.
@@ -317,6 +465,11 @@ func (p *Pool) Stats() Stats {
 	if pooled := s.Gets - s.Oversize; pooled > 0 {
 		s.HitRate = float64(s.Hits) / float64(pooled)
 	}
+	if a := p.arena.Load(); a != nil {
+		p.arenaMu.Lock()
+		s.ArenaCapacity, s.ArenaCarved = int64(len(a.mem)), int64(a.used)
+		p.arenaMu.Unlock()
+	}
 	return s
 }
 
@@ -327,11 +480,14 @@ func (p *Pool) Stats() Stats {
 type Ref struct {
 	pool     *Pool
 	cls      *class
+	arena    *arena // the arena buf was carved from; nil for a heap buffer
 	buf      []byte
 	n        int
 	external bool
 	refs     atomic.Int32
-	site     string
+	// retired is set by Retire: the final release drops the buffer.
+	retired atomic.Bool
+	site    string
 }
 
 // Bytes returns the leased payload slice (length = the Get request).
@@ -358,6 +514,13 @@ func (r *Ref) Retain() {
 		}
 	}
 }
+
+// Retire marks the buffer as one that may still be read where the pool
+// cannot see — by a process copying it out of a shared arena whose
+// connection was dropped under it — so its final release drops it instead
+// of poisoning or recycling it. It keeps the caller's reference; a retired
+// arena buffer takes its span of the arena out of use for good.
+func (r *Ref) Retire() { r.retired.Store(true) }
 
 // Release drops one reference; the final release poisons (debug) and
 // recycles the buffer. Releasing more times than retained panics: the

@@ -124,6 +124,11 @@ type Stats struct {
 	PoolOutstanding int64   // leases currently live (leak indicator)
 	PoolFreeBuffers int     // recycled buffers parked in the pool
 	PoolFreeBytes   int64   // bytes parked in the pool
+	// The socket server's shared arena, which the pool carves its buffers
+	// from (DESIGN.md §29): its size, and how much of it is carved. Zero
+	// without one.
+	PoolArenaBytes       int64
+	PoolArenaCarvedBytes int64
 
 	// Memory-hierarchy telemetry. The fast tier and the shared cache are one
 	// layer with one budget, so with both configured the Cache* and Tier*
@@ -178,7 +183,8 @@ type Stats struct {
 	ReadAheadWasted  int64 // pushed samples clients reported dropping unread
 
 	// Socket payload telemetry: how read payloads crossed to socket
-	// clients (DESIGN.md §28).
+	// clients (DESIGN.md §28, §29).
+	ArenaPayloads  int64 // read by the client where the producer put them, in the server's shared arena
 	RegionPayloads int64 // copied through the connection's shared-memory payload region
 	InlinePayloads int64 // written to the socket: no region, or too large for what a reply left of it
 
@@ -278,6 +284,9 @@ func statsFrom(s core.StageStats) Stats {
 		PoolFreeBuffers: s.Pool.FreeBuffers,
 		PoolFreeBytes:   s.Pool.FreeBytes,
 
+		PoolArenaBytes:       s.Pool.ArenaCapacity,
+		PoolArenaCarvedBytes: s.Pool.ArenaCarved,
+
 		TierEnabled:            s.TierEnabled(),
 		TierFastHits:           tier.FastHits,
 		TierSlowReads:          tier.SlowReads,
@@ -315,6 +324,7 @@ func statsFrom(s core.StageStats) Stats {
 
 		ReadAheadSamples: s.ReadAheadSamples,
 		ReadAheadWasted:  s.ReadAheadWasted,
+		ArenaPayloads:    s.ArenaPayloads,
 		RegionPayloads:   s.RegionPayloads,
 		InlinePayloads:   s.InlinePayloads,
 
@@ -940,6 +950,12 @@ func (p *Prisma) AdminHandler() http.Handler {
 // ServeUnix exposes this stage to other processes over a UNIX domain
 // socket — the integration path for multi-process data loaders (§IV's
 // PyTorch client/server). Connect with Dial from this package.
+//
+// Without tenancy the buffer pool is then carved from one shared arena
+// that every client maps, so a socket client copies each payload from
+// where the producer read it (DESIGN.md §29); with tenants configured,
+// each connection keeps a payload region of its own. A Sample read
+// in-process stays readable after Close until it is released.
 func (p *Prisma) ServeUnix(socketPath string) error {
 	if p.server != nil {
 		return errors.New("prisma: already serving")
@@ -947,12 +963,9 @@ func (p *Prisma) ServeUnix(socketPath string) error {
 	// Socket reads take the same route as in-process ones: p.reader, which
 	// under Cluster.Enable is the fabric (ownership routing for OpRead, the
 	// owner-side serve for OpPeerRead).
-	srv, err := ipc.Serve(socketPath, p.stage, p.reader)
+	srv, err := ipc.ServeWithConfig(socketPath, p.stage, p.reader, ipc.ServeConfig{Tenants: p.tenants})
 	if err != nil {
 		return err
-	}
-	if p.tenants != nil {
-		srv.SetTenantManager(p.tenants)
 	}
 	srv.SetControlSurface(p.snapshot, p.Control)
 	p.server = srv

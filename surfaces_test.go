@@ -219,6 +219,8 @@ var surfaceMetricFamilies = []string{
 	"prisma_plan_epochs_cancelled_total",
 	"prisma_plan_epochs_live",
 	"prisma_plan_epochs_submitted_total",
+	"prisma_pool_arena_bytes",
+	"prisma_pool_arena_carved_bytes",
 	"prisma_pool_discarded_total",
 	"prisma_pool_enabled",
 	"prisma_pool_free_buffers",
@@ -235,6 +237,7 @@ var surfaceMetricFamilies = []string{
 	"prisma_producers",
 	"prisma_queue_length",
 	"prisma_read_errors_total",
+	"prisma_read_payloads_arena_total",
 	"prisma_read_payloads_inline_total",
 	"prisma_read_payloads_region_total",
 	"prisma_readahead_samples_total",
@@ -313,7 +316,7 @@ var surfaceBundleKeys = []string{
 // surfaceStatsKeys is the stage snapshot as /stats serves it.
 func surfaceStatsKeys() []string {
 	keys := []string{
-		"BatchEnabled", "BatchFallbacks", "BatchReads",
+		"ArenaPayloads", "BatchEnabled", "BatchFallbacks", "BatchReads",
 		"BatchedSamples", "Buffer", "Buffer.Capacity",
 		"Buffer.ConsumerWait", "Buffer.ConsumerWaitBufferFull", "Buffer.ConsumerWaitStorage",
 		"Buffer.Len", "Buffer.MeanOccupancy", "Buffer.ProducerWait",
@@ -324,6 +327,7 @@ func surfaceStatsKeys() []string {
 		"Plan", "Plan.claims_in_flight", "Plan.delivered",
 		"Plan.dropped", "Plan.entries_pending", "Plan.epochs_cancelled",
 		"Plan.epochs_live", "Plan.epochs_submitted", "Pool",
+		"Pool.arena_capacity_bytes", "Pool.arena_carved_bytes",
 		"Pool.classes", "Pool.discarded", "Pool.free_buffers",
 		"Pool.free_bytes", "Pool.gets", "Pool.hit_rate",
 		"Pool.hits", "Pool.misses", "Pool.outstanding",
