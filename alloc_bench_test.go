@@ -45,9 +45,9 @@ var allocBudgetRows = []string{
 	"compressed_allocs_per_op",    // pooled + compressed shards
 	"batched_allocs_per_op",       // pooled + read coalescing
 	"resilient_allocs_per_op",     // pooled + resilient layer
-	"ipc_client_allocs_per_op",    // the socket hop alone, read-ahead and the payload region engaged
-	"ipc_inline_allocs_per_op",    // the same hop on a connection without a payload region
-	"ipc_arena_allocs_per_op",     // the same hop through the server's shared arena
+	"ipc_client_allocs_per_op",    // the socket hop alone, read-ahead and the arena engaged, on a server with tenants
+	"ipc_inline_allocs_per_op",    // the same hop on a connection that never asked for the arena
+	"ipc_arena_allocs_per_op",     // the same hop on a server without tenants
 	"dir_allocs_per_op",           // the directory leaf alone, over real files
 	"dir_pinned_allocs_per_op",    // the same leaf given its manifest, reading pinned files
 	"tier_declined_allocs_per_op", // a miss a full fast tier declines
@@ -267,39 +267,34 @@ func TestAllocRegressionGate(t *testing.T) {
 	// window — most reads are stash hits, the rest multi-sample exchanges.
 	// The whole process is counted, so a zero here is a zero for the client
 	// decode, the stash and the server's push path together.
-	// Where this build has payload regions the payloads cross in one — the
-	// cell's server has tenants, so it grants regions — and the cell fails
-	// if the region never engaged; the inline cell is the
-	// same hop on connections that never asked for one.
+	// The cell's server has tenants, and its pool is carved from the
+	// shared arena it grants (DESIGN.md §29), so payloads are read where
+	// the producer put them and lent to the connection until its next
+	// frame; where this build has an arena the cell fails unless it
+	// engaged. The inline cell is the same hop on connections that never
+	// asked for the arena, and the arena cell the same hop on a server
+	// without tenants.
 	ipcCell := experiments.AllocConfig{Pool: true, Consumers: 1, Files: 512, FileSize: 4 << 10, BufferCap: 64}
 	ipcClient := cell("pooled ipc client", ipcCell)
 	over("pooled ipc.Client.Read", "ipc_client_allocs_per_op", float64(ipcClient.AllocsPerOp))
 	ipcCell.Inline = true
 	ipcInline := cell("pooled ipc client, inline", ipcCell)
-	over("pooled ipc.Client.Read without a payload region", "ipc_inline_allocs_per_op", float64(ipcInline.AllocsPerOp))
-	for _, r := range []experiments.AllocResult{ipcClient, ipcInline} {
+	over("pooled ipc.Client.Read without the arena", "ipc_inline_allocs_per_op", float64(ipcInline.AllocsPerOp))
+	ipcCell.Inline, ipcCell.NoTenants = false, true
+	ipcArena := cell("pooled ipc client, no tenants", ipcCell)
+	over("pooled ipc.Client.Read from a server without tenants", "ipc_arena_allocs_per_op", float64(ipcArena.AllocsPerOp))
+	for _, r := range []experiments.AllocResult{ipcClient, ipcInline, ipcArena} {
 		if r.StashHitsPerOp < 0.5 {
 			t.Errorf("only %.2f of the ipc client cell's reads were stash hits: the cell is not exercising read-ahead", r.StashHitsPerOp)
 		}
 	}
-	if ipc.RegionSupported && ipcClient.RegionShare < 0.99 {
-		t.Errorf("only %.2f of the ipc client cell's payloads crossed in a payload region: the region did not engage", ipcClient.RegionShare)
+	for _, r := range []experiments.AllocResult{ipcClient, ipcArena} {
+		if ipc.ArenaSupported && r.ArenaShare < 0.99 {
+			t.Errorf("only %.2f of an ipc client cell's payloads were read in the arena: the arena did not engage", r.ArenaShare)
+		}
 	}
-	if ipcInline.RegionShare != 0 {
-		t.Errorf("%.2f of the inline cell's payloads crossed in a payload region", ipcInline.RegionShare)
-	}
-	// Arena cell: the same hop with the server's pool carved from a shared
-	// arena, so payloads are read where the producer put them and lent to
-	// the connection until its next frame (DESIGN.md §29). It fails unless
-	// the arena engaged where the build has one.
-	ipcCell.Inline, ipcCell.Arena = false, true
-	ipcArena := cell("pooled ipc client, arena", ipcCell)
-	over("pooled ipc.Client.Read through the shared arena", "ipc_arena_allocs_per_op", float64(ipcArena.AllocsPerOp))
-	if ipcArena.StashHitsPerOp < 0.5 {
-		t.Errorf("only %.2f of the arena cell's reads were stash hits: the cell is not exercising read-ahead", ipcArena.StashHitsPerOp)
-	}
-	if ipc.RegionSupported && ipcArena.ArenaShare < 0.99 {
-		t.Errorf("only %.2f of the arena cell's payloads were read in the arena: the arena did not engage", ipcArena.ArenaShare)
+	if ipcInline.ArenaShare != 0 {
+		t.Errorf("%.2f of the inline cell's payloads were read in the arena", ipcInline.ArenaShare)
 	}
 	// Directory leaf cell: the one cell over real files. The row is the
 	// raw body's; package os, which every other platform reads through,

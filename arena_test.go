@@ -40,11 +40,12 @@ func socketDataset(t *testing.T) (string, map[string][]byte) {
 // stridedSocketEpochs drives the socket path a multi-process loader takes —
 // Open, ServeUnix, DialWithOptions, EnablePooledReads, ReadSample — over
 // socketDataset with mutate's options, two clients striding each of three
-// epochs' plans. Every epoch must deliver every planned entry exactly once
-// and byte-identical to its file, with no lease outstanding on the server's
-// pool or on either client's between epochs. It returns the server's stats
-// and the number of payloads read.
-func stridedSocketEpochs(t *testing.T, mutate func(*Options)) (Stats, int64) {
+// epochs' plans, as the tenants named (none: the default tenant). Every
+// epoch must deliver every planned entry exactly once and byte-identical to
+// its file, with no lease outstanding on the server's pool or on either
+// client's between epochs. It returns the server's stats and the number of
+// payloads read.
+func stridedSocketEpochs(t *testing.T, mutate func(*Options), tenants ...string) (Stats, int64) {
 	t.Helper()
 	dir, want := socketDataset(t)
 	p := open(t, dir, func(o *Options) {
@@ -55,13 +56,17 @@ func stridedSocketEpochs(t *testing.T, mutate func(*Options)) (Stats, int64) {
 			mutate(o)
 		}
 	})
-	sock := filepath.Join(shortTempDir(t), "region.sock")
+	sock := filepath.Join(shortTempDir(t), "arena.sock")
 	if err := p.ServeUnix(sock); err != nil {
 		t.Fatal(err)
 	}
 	clients := make([]*Client, 2)
 	for i := range clients {
-		c, err := DialWithOptions(sock, DialOptions{})
+		var opts DialOptions
+		if len(tenants) > 0 {
+			opts.Tenant = tenants[i]
+		}
+		c, err := DialWithOptions(sock, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,12 +123,17 @@ func stridedSocketEpochs(t *testing.T, mutate func(*Options)) (Stats, int64) {
 		// The server drops an inline payload's lease once the reply is
 		// written, and an arena payload's when the client's end-of-plan
 		// release arrives; both may trail the client's decode by a moment.
+		// A shared cache's residents keep one lease each.
+		leases := func() (int64, int64) {
+			st := p.Stats()
+			return st.PoolOutstanding, int64(st.CacheResidents)
+		}
 		deadline := time.Now().Add(2 * time.Second)
-		for p.Stats().PoolOutstanding != 0 && time.Now().Before(deadline) {
+		for got, want := leases(); got != want && time.Now().Before(deadline); got, want = leases() {
 			time.Sleep(time.Millisecond)
 		}
-		if got := p.Stats().PoolOutstanding; got != 0 {
-			t.Fatalf("epoch %d: %d server leases outstanding between epochs", epoch, got)
+		if got, want := leases(); got != want {
+			t.Fatalf("epoch %d: %d server leases outstanding between epochs, want %d", epoch, got, want)
 		}
 		for ci, c := range clients {
 			if got := c.pool.Stats().Outstanding; got != 0 {
@@ -139,37 +149,60 @@ func stridedSocketEpochs(t *testing.T, mutate func(*Options)) (Stats, int64) {
 // (DESIGN.md §29), where this build has one.
 func TestArenaEndToEnd(t *testing.T) {
 	st, reads := stridedSocketEpochs(t, nil)
-	if !ipc.RegionSupported {
+	if !ipc.ArenaSupported {
 		if st.InlinePayloads != reads {
 			t.Fatalf("%d of %d payloads inline on a build without shared memory", st.InlinePayloads, reads)
 		}
 		return
 	}
-	if st.ArenaPayloads != reads || st.RegionPayloads != 0 || st.InlinePayloads != 0 {
-		t.Fatalf("%d payloads in the arena, %d in a region, %d inline; want %d, 0, 0", st.ArenaPayloads, st.RegionPayloads, st.InlinePayloads, reads)
+	if st.ArenaPayloads != reads || st.InlinePayloads != 0 {
+		t.Fatalf("%d payloads in the arena, %d inline; want %d, 0", st.ArenaPayloads, st.InlinePayloads, reads)
 	}
 	if st.PoolArenaBytes == 0 || st.PoolArenaCarvedBytes == 0 {
 		t.Fatalf("pool reports %d of %d arena bytes carved", st.PoolArenaCarvedBytes, st.PoolArenaBytes)
 	}
 }
 
-// TestPayloadRegionEndToEnd: a server with tenants keeps a payload region
-// per connection (DESIGN.md §28), so every payload crosses in one there.
-func TestPayloadRegionEndToEnd(t *testing.T) {
+// TestArenaTenantsEndToEnd: a server with tenants grants every tenant the
+// one shared arena (DESIGN.md §29), so two tenants striding disjoint halves
+// of each plan read every payload in it.
+func TestArenaTenantsEndToEnd(t *testing.T) {
 	st, reads := stridedSocketEpochs(t, func(o *Options) {
-		o.Tenancy = TenancyOptions{Enable: true, Capacity: 1e9, MaxQueueDepth: -1}
-	})
-	if !ipc.RegionSupported {
-		if st.RegionPayloads != 0 || st.ArenaPayloads != 0 {
-			t.Fatalf("%d payloads in a region and %d in an arena on a build without shared memory", st.RegionPayloads, st.ArenaPayloads)
+		o.Tenancy = TenancyOptions{Enable: true, Capacity: 1e9, MaxQueueDepth: -1,
+			Tenants: []TenantSpec{{Name: "a"}, {Name: "b"}}}
+	}, "a", "b")
+	if !ipc.ArenaSupported {
+		if st.InlinePayloads != reads {
+			t.Fatalf("%d of %d payloads inline on a build without shared memory", st.InlinePayloads, reads)
 		}
 		return
 	}
-	if st.RegionPayloads != reads || st.ArenaPayloads != 0 || st.InlinePayloads != 0 {
-		t.Fatalf("%d payloads in a region, %d in an arena, %d inline; want %d, 0, 0", st.RegionPayloads, st.ArenaPayloads, st.InlinePayloads, reads)
+	if st.ArenaPayloads != reads || st.InlinePayloads != 0 {
+		t.Fatalf("%d payloads in the arena, %d inline; want %d, 0", st.ArenaPayloads, st.InlinePayloads, reads)
 	}
-	if st.PoolArenaBytes != 0 {
-		t.Fatalf("a tenancy server's pool has an arena of %d bytes", st.PoolArenaBytes)
+}
+
+// TestArenaCoversTheHierarchy: the shared cache keeps the buffers its raw
+// residents were read into, so the arena's size counts the hierarchy's
+// byte budget on top of what the stage parks. With a cache budget larger
+// than the rest of the arena, and residents that outgrow that rest, the
+// payloads of every epoch, the cached ones included, stay in the arena.
+func TestArenaCoversTheHierarchy(t *testing.T) {
+	if !ipc.ArenaSupported {
+		t.Skip("no shared arena on this platform")
+	}
+	const cache = 16 << 20
+	st, reads := stridedSocketEpochs(t, func(o *Options) {
+		// 2 × (4 + 2) buffers of the 512 KiB class: 6 MiB parked, less
+		// than the 13.3 MiB of classes the dataset's residents take.
+		o.InitialBuffer, o.MaxBuffer, o.MaxProducers = 4, 4, 2
+		o.Tenancy = TenancyOptions{Enable: true, Capacity: 1e9, MaxQueueDepth: -1, SharedCacheBytes: cache}
+	})
+	if st.CacheResidents != 96 || st.PoolArenaBytes < cache { // socketDataset's 96 files
+		t.Fatalf("%d residents, arena of %d bytes: want every file resident, and an arena past the %d-byte cache", st.CacheResidents, st.PoolArenaBytes, cache)
+	}
+	if share := float64(st.ArenaPayloads) / float64(reads); share < 0.99 {
+		t.Fatalf("%d of %d payloads in the arena (%.3f), %d inline; want at least 0.99", st.ArenaPayloads, reads, share, st.InlinePayloads)
 	}
 }
 
@@ -187,7 +220,7 @@ func arenaMappings(t *testing.T) int {
 // lives in the arena its pool carves from, and stays readable after Close
 // until it is released; the arena goes with the last such Sample.
 func TestSampleOutlivesClose(t *testing.T) {
-	if !ipc.RegionSupported {
+	if !ipc.ArenaSupported {
 		t.Skip("no shared arena on this platform")
 	}
 	dir, want := socketDataset(t)

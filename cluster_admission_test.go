@@ -123,7 +123,14 @@ func TestClusterLoopbackAdmission(t *testing.T) {
 					}
 				}
 			}
-			// The server drops the last reply's lease just after writing it.
+			// Each connection holds its last reply's arena leases until its
+			// next frame (DESIGN.md §29): a ping ends them, and the server
+			// drops an inline reply's lease just after writing it.
+			for _, c := range []*Client{untagged, named} {
+				if err := c.Ping(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for deadline := time.Now().Add(2 * time.Second); p0.Stats().PoolOutstanding != 0 && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 			}

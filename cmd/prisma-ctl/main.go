@@ -110,7 +110,7 @@ func main() {
 				s.BatchReads, s.BatchedSamples, s.BatchFallbacks)
 		}
 		fmt.Printf("socket read-ahead: %d samples pushed, %d wasted\n", s.ReadAheadSamples, s.ReadAheadWasted)
-		fmt.Printf("socket payloads:  %d in the arena, %d through the payload region, %d inline\n", s.ArenaPayloads, s.RegionPayloads, s.InlinePayloads)
+		fmt.Printf("socket payloads:  %d in the arena, %d inline\n", s.ArenaPayloads, s.InlinePayloads)
 		if s.PoolArenaBytes > 0 {
 			fmt.Printf("shared arena:     %.1f of %.1f MiB carved\n", float64(s.PoolArenaCarvedBytes)/(1<<20), float64(s.PoolArenaBytes)/(1<<20))
 		}

@@ -173,12 +173,12 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	arena, inline := st.ArenaPayloads, st.InlinePayloads
-	if !ipc.RegionSupported {
+	if !ipc.ArenaSupported {
 		arena, inline = inline, arena
 	}
-	if arena < 4 || inline != 0 || st.RegionPayloads != 0 {
-		t.Fatalf("payloads: %d in the arena, %d in a region, %d inline; want every one of at least 4 in the arena (inline without one)",
-			st.ArenaPayloads, st.RegionPayloads, st.InlinePayloads)
+	if arena < 4 || inline != 0 {
+		t.Fatalf("payloads: %d in the arena, %d inline; want every one of at least 4 in the arena (inline without one)",
+			st.ArenaPayloads, st.InlinePayloads)
 	}
 	if stats = ctl("stats"); !strings.Contains(stats, "in the arena") {
 		t.Fatalf("stats without the arena's payload count:\n%s", stats)

@@ -104,6 +104,15 @@ func (r *socketReader) Read(req core.ReadRequest) (storage.Data, core.PlanPos, e
 	return d, core.PlanPos{}, err
 }
 
+// ping sends a frame on every connection, which ends its arena leases.
+func (r *socketReader) ping() {
+	for _, c := range r.conns {
+		if err := c.Ping(); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+}
+
 // outcome is what one request of the conformance sequence came to.
 type outcome struct {
 	Name, Tenant string
@@ -180,8 +189,13 @@ func runReaderSequence(t *testing.T, fx *readerFixture, r core.Reader) rowResult
 	res.Reads, res.Hits, res.Bypasses, res.Errors, res.Shed = st.Reads, st.Hits, st.Bypasses, st.Errors, st.Shed
 	res.PlanDelivered = st.Plan.Delivered
 	res.PlanPending, res.PlanClaims, res.BufferLeft = int64(st.Plan.EntriesPending), int64(st.Plan.ClaimsInFlight), int64(st.Buffer.Len)
-	// The socket row's server drops a sample's lease after the reply is on
-	// the wire, which the client can see first: give the last one a moment.
+	// The socket row's connections each hold their last reply's arena
+	// leases until their next frame (DESIGN.md §29), which a ping sends;
+	// its server drops an inline sample's lease after the reply is on the
+	// wire, which the client can see first: give the last one a moment.
+	if s, ok := r.(*socketReader); ok {
+		s.ping()
+	}
 	for deadline := time.Now().Add(2 * time.Second); fx.pool.Stats().Outstanding != 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}

@@ -86,11 +86,9 @@ type StageStats struct {
 
 	// Socket read payloads: ArenaPayloads were read by the client where
 	// the producer put them, in the server's shared arena (DESIGN.md §29);
-	// RegionPayloads crossed in a connection's shared-memory payload region
-	// (§28); InlinePayloads rode the socket — on connections with neither,
-	// or not in the arena or fitting what a reply left of the region.
+	// InlinePayloads rode the socket — on connections without the arena,
+	// or not in it.
 	ArenaPayloads  int64
-	RegionPayloads int64
 	InlinePayloads int64
 
 	// Prefetcher state.
@@ -197,7 +195,6 @@ type Stage struct {
 	aheadSamples *metrics.Counter
 	aheadWasted  *metrics.Counter
 	inArena      *metrics.Counter
-	inRegion     *metrics.Counter
 	inlined      *metrics.Counter
 }
 
@@ -223,7 +220,6 @@ func NewStage(env conc.Env, backend storage.Backend, pf *Prefetcher) *Stage {
 		aheadSamples: metrics.NewCounter(env),
 		aheadWasted:  metrics.NewCounter(env),
 		inArena:      metrics.NewCounter(env),
-		inRegion:     metrics.NewCounter(env),
 		inlined:      metrics.NewCounter(env),
 	}
 }
@@ -419,14 +415,10 @@ func (s *Stage) NoteReadAheadWasted(n int64) { s.aheadWasted.Add(n) }
 func (s *Stage) Planned(at PlanPos) bool { return s.pf.plans.planned(at) }
 
 // NoteReadPayloads records how the payloads of one socket read reply
-// crossed: arena read where they were parked, region through the
-// connection's payload region, inline on the socket.
-func (s *Stage) NoteReadPayloads(arena, region, inline int64) {
+// crossed: arena read where they were parked, inline on the socket.
+func (s *Stage) NoteReadPayloads(arena, inline int64) {
 	if arena > 0 {
 		s.inArena.Add(arena)
-	}
-	if region > 0 {
-		s.inRegion.Add(region)
 	}
 	if inline > 0 {
 		s.inlined.Add(inline)
@@ -463,7 +455,7 @@ func (s *Stage) SubmitEpoch(names []string) (PlanResult, error) {
 // producers start: woken first, a fresh epoch's producers can hold every P
 // and CPU filling the buffer for milliseconds before anything polls the
 // network for the submitter's reply, and then for its first reads
-// (DESIGN.md §28).
+// (DESIGN.md §29).
 func (s *Stage) SubmitEpochHeld(names [][]byte) (PlanResult, error) {
 	slots, err := planSlotsBytes(s.names, names)
 	if err != nil {
@@ -540,7 +532,6 @@ func (s *Stage) Stats() StageStats {
 	st.ReadAheadSamples = s.aheadSamples.Value()
 	st.ReadAheadWasted = s.aheadWasted.Value()
 	st.ArenaPayloads = s.inArena.Value()
-	st.RegionPayloads = s.inRegion.Value()
 	st.InlinePayloads = s.inlined.Value()
 	return st
 }

@@ -65,14 +65,14 @@ type AllocConfig struct {
 	// one ranged read each, split into per-sample views aliasing the
 	// shared region buffer. A cell whose coalescer never engages fails.
 	Batch int
-	// Inline dials clients that never ask for a payload region (DESIGN.md
-	// §28), so every payload rides the socket, as against a server that
-	// predates the region.
+	// Inline dials clients that never ask for the server's shared arena
+	// (DESIGN.md §29), so every payload rides the socket, as against a
+	// server that has none.
 	Inline bool
-	// Arena serves without tenants, so the pool is carved from a shared
-	// arena (DESIGN.md §29) the clients are granted in place of regions;
-	// otherwise the server has a tenant manager and grants regions.
-	Arena bool
+	// NoTenants serves without a tenant manager; otherwise the server has
+	// one, which only the server hears of, so reads pass no gate. Either
+	// way the pool is carved from the shared arena the clients are granted.
+	NoTenants bool
 }
 
 func (c AllocConfig) withDefaults() AllocConfig {
@@ -174,7 +174,7 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 		defer os.RemoveAll(tmp)
 		sock := filepath.Join(tmp, "alloc.sock")
 		var serve ipc.ServeConfig
-		if !cfg.Arena {
+		if !cfg.NoTenants {
 			// Only the server hears of the tenants: reads pass no gate.
 			if serve.Tenants, err = tenancy.New(env, tenancy.Config{Capacity: 1e9}); err != nil {
 				b.Fatal(err)
@@ -269,8 +269,7 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 		}
 		b.ReportMetric(float64(stashHits)/float64(b.N), stashHitsMetric)
 		st := stage.Stats()
-		payloads := float64(max(st.ArenaPayloads+st.RegionPayloads+st.InlinePayloads, 1))
-		b.ReportMetric(float64(st.RegionPayloads)/payloads, regionShareMetric)
+		payloads := float64(max(st.ArenaPayloads+st.InlinePayloads, 1))
 		b.ReportMetric(float64(st.ArenaPayloads)/payloads, arenaShareMetric)
 	}
 }
@@ -280,12 +279,9 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 // that never touched the socket.
 const stashHitsMetric = "stash-hits/op"
 
-// regionShareMetric names the benchmark metric reporting which share of
-// the payloads the server sent crossed in a payload region rather than
-// inline on the socket.
-const regionShareMetric = "region-share"
-
-// arenaShareMetric is regionShareMetric for the shared arena.
+// arenaShareMetric names the benchmark metric reporting which share of
+// the payloads the server sent the client read in the shared arena rather
+// than inline on the socket.
 const arenaShareMetric = "arena-share"
 
 // AllocResult is one measured cell of the allocation sweep.
@@ -299,11 +295,9 @@ type AllocResult struct {
 	// clients' read-ahead stashes (warm-up epoch included in the count, so
 	// it can slightly exceed the timed region's true share).
 	StashHitsPerOp float64
-	// RegionShare is the share of payloads that crossed in a payload
-	// region, and ArenaShare of those read in the shared arena (warm-up
-	// epoch included).
-	RegionShare float64
-	ArenaShare  float64
+	// ArenaShare is the share of payloads read in the shared arena
+	// (warm-up epoch included).
+	ArenaShare float64
 }
 
 // RunAllocCell measures one cell with the standard benchmark machinery.
@@ -317,7 +311,6 @@ func RunAllocCell(cfg AllocConfig) AllocResult {
 		Ops:         r.N,
 
 		StashHitsPerOp: r.Extra[stashHitsMetric],
-		RegionShare:    r.Extra[regionShareMetric],
 		ArenaShare:     r.Extra[arenaShareMetric],
 	}
 }

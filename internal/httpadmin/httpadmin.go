@@ -223,7 +223,6 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	write("prisma_readahead_samples_total", "Samples sent to a socket client behind the reply it asked for.", "counter", float64(s.ReadAheadSamples))
 	write("prisma_readahead_wasted_total", "Pushed samples socket clients reported dropping unread.", "counter", float64(s.ReadAheadWasted))
 	write("prisma_read_payloads_arena_total", "Socket read payloads the client read where the producer put them, in the server's shared arena.", "counter", float64(s.ArenaPayloads))
-	write("prisma_read_payloads_region_total", "Socket read payloads that crossed in a connection's shared-memory payload region.", "counter", float64(s.RegionPayloads))
 	write("prisma_read_payloads_inline_total", "Socket read payloads that rode the socket inline.", "counter", float64(s.InlinePayloads))
 	write("prisma_backend_retries_total", "Backend read attempts beyond the first.", "counter", float64(s.Resilience.Retries))
 	write("prisma_backend_exhausted_total", "Backend reads that failed after all retry attempts.", "counter", float64(s.Resilience.Exhausted))

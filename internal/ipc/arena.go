@@ -9,7 +9,7 @@ import (
 // read-write mapping the stage's buffer pool carves its buffers from, so
 // the producers read payloads straight into memory every client that asks
 // is granted. A client in the process that made it shares that mapping
-// instead of making its own (mapRegion), so a page is mapped — and counted
+// instead of making its own (mapGrant), so a page is mapped — and counted
 // in the process's resident set — once.
 type arena struct {
 	fd  int    // kept for the grants, which pass duplicates of it
@@ -73,7 +73,7 @@ func (a *arena) release() {
 	}
 	arenasMu.Unlock()
 	if last {
-		unmapRegion(a.mem)
+		unmapShared(a.mem)
 		closeFDs([]int{a.fd})
 	}
 }

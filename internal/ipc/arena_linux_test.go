@@ -7,8 +7,6 @@ import (
 	"encoding/binary"
 	"net"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -21,9 +19,9 @@ import (
 
 // The shared arena (DESIGN.md §29) over real sockets and real memfds.
 
-// startArenaServer is startAheadServer without tenants: its server carves
-// its pool from an arena of size bytes (0 = what arenaBytes works out) and
-// grants it.
+// startArenaServer is startAheadServer without tenants, whose server
+// carves its pool from an arena of size bytes (0 = what arenaBytes works
+// out) and grants it.
 func startArenaServer(t *testing.T, nFiles, size, bytes int) *aheadFixture {
 	t.Helper()
 	fx := startAheadServerWith(t, nFiles, size, mempool.New(mempool.Config{Debug: true}), ServeConfig{arenaSize: bytes})
@@ -90,8 +88,8 @@ func TestArenaCarriesStridedReads(t *testing.T) {
 		}
 	}
 	st := fx.stage.Stats()
-	if want := int64(epochs * len(fx.names)); st.ArenaPayloads != want || st.RegionPayloads != 0 || st.InlinePayloads != 0 {
-		t.Fatalf("%d payloads in the arena, %d in a region, %d inline; want %d, 0, 0", st.ArenaPayloads, st.RegionPayloads, st.InlinePayloads, want)
+	if want := int64(epochs * len(fx.names)); st.ArenaPayloads != want || st.InlinePayloads != 0 {
+		t.Fatalf("%d payloads in the arena, %d inline; want %d, 0", st.ArenaPayloads, st.InlinePayloads, want)
 	}
 	if st.ReadAheadSamples == 0 {
 		t.Fatal("nothing was pushed: the arena did not carry read-ahead")
@@ -102,8 +100,8 @@ func TestArenaCarriesStridedReads(t *testing.T) {
 		t.Fatalf("pool arena stats: %d of %d carved, want an arena of %d", st.Pool.ArenaCarved, st.Pool.ArenaCapacity, size)
 	}
 	for ci, c := range clients {
-		if !c.inArena || c.arena != fx.srv.arena || len(regionOf(c)) != size {
-			t.Fatalf("client %d: in arena %v, shares the server's %v, mapping of %d bytes", ci, c.inArena, c.arena == fx.srv.arena, len(regionOf(c)))
+		if !c.inArena || c.arena != fx.srv.arena || len(mappingOf(c)) != size {
+			t.Fatalf("client %d: in arena %v, shares the server's %v, mapping of %d bytes", ci, c.inArena, c.arena == fx.srv.arena, len(mappingOf(c)))
 		}
 	}
 	if got := arenaMappings(t); got != maps+1 {
@@ -185,7 +183,7 @@ func TestArenaDroppedConnectionKeepsLentBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			mem := mapGrant(t, conn)
+			mem := mapArena(t, conn)
 			name := fx.unplanned[0]
 			if err := writeFrame(conn, OpRead, 0, appendString(nil, name)); err != nil {
 				t.Fatal(err)
@@ -206,7 +204,7 @@ func TestArenaDroppedConnectionKeepsLentBytes(t *testing.T) {
 				d.Release()
 			}
 			// Only now does the client decode the reply and copy out.
-			_, _, payload, err := readFrame(conn)
+			_, _, payload, err := frameReader(conn).readFrame()
 			if err != nil || len(payload) < 1 || payload[0] != statusOK {
 				t.Fatalf("reply: %q, %v", payload, err)
 			}
@@ -231,26 +229,39 @@ func TestArenaDroppedConnectionKeepsLentBytes(t *testing.T) {
 	}
 }
 
-// mapGrant asks for the server's arena on conn and maps the grant; the
-// mapping, this process's own, is shared under a reference released at
-// the test's end.
-func mapGrant(t *testing.T, conn net.Conn) []byte {
+// askGrant sends OpArena with payload on conn and returns the reply's
+// body — nil for an error reply — and the descriptors that rode it, which
+// the caller closes.
+func askGrant(t *testing.T, conn net.Conn, payload []byte) ([]byte, []int) {
 	t.Helper()
-	if err := writeFrame(conn, OpRegion, 0, arenaAsk); err != nil {
+	if err := writeFrame(conn, OpArena, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 256)
 	n, fds, truncated, err := recvFDs(conn.(*net.UnixConn), buf)
-	defer closeFDs(fds)
-	if err != nil || truncated || n < frameHeaderLen || len(fds) != 1 {
+	if err != nil || truncated || n < frameHeaderLen {
+		closeFDs(fds)
 		t.Fatalf("grant: %d bytes, %d descriptors, truncated %v, %v", n, len(fds), truncated, err)
 	}
 	body, err := parseResponse(buf[frameHeaderLen:n])
 	if err != nil {
-		t.Fatal(err)
+		return nil, fds
+	}
+	return body, fds
+}
+
+// mapArena asks for the server's arena on conn and maps the grant; the
+// mapping, this process's own, is shared under a reference released at
+// the test's end.
+func mapArena(t *testing.T, conn net.Conn) []byte {
+	t.Helper()
+	body, fds := askGrant(t, conn, arenaAsk)
+	defer closeFDs(fds)
+	if body == nil || len(fds) != 1 {
+		t.Fatalf("grant refused, or with %d descriptors", len(fds))
 	}
 	size, _ := binary.Uvarint(body)
-	mem, a, err := mapRegion(fds[0], int(size))
+	mem, a, err := mapGrant(fds[0], int(size))
 	if err != nil || a == nil {
 		t.Fatalf("mapping the grant: shared %v, %v", a != nil, err)
 	}
@@ -281,29 +292,29 @@ func awaitWholeFrame(t *testing.T, conn net.Conn) {
 }
 
 // TestArenaReleaseWithNothingLent: OpRelease is never answered and ends
-// nothing where nothing is lent — on a connection without an arena, twice
-// in a row, between other requests — and the stream stays in step.
+// nothing where nothing is lent — on a connection granted the arena or
+// not, twice in a row, between other requests — and the stream stays in
+// step.
 func TestArenaReleaseWithNothingLent(t *testing.T) {
-	for _, arena := range []bool{false, true} {
-		cfg := ServeConfig{}
-		if !arena {
-			cfg.Tenants = regionTenants(t)
-		}
-		fx := startAheadServerWith(t, 8, 3000, mempool.New(mempool.Config{Debug: true}), cfg)
+	fx := startArenaServer(t, 8, 3000, 0)
+	for _, granted := range []bool{false, true} {
 		conn, err := net.Dial("unix", fx.sock)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if granted {
+			mapArena(t, conn)
 		}
 		for _, op := range []byte{OpRelease, OpRelease, OpPing, OpRelease, OpPing} {
 			if err := writeFrame(conn, op, 7, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		rd := newConnReader(conn, serverReadBuf) // both replies may arrive in one read
+		rd := frameReader(conn) // both replies may arrive in one read
 		for i := 0; i < 2; i++ {
 			opcode, trace, payload, err := rd.readFrame()
 			if err != nil || opcode != OpPing || trace != 7 || len(payload) != 1 || payload[0] != statusOK {
-				t.Fatalf("arena %v: reply %d: opcode %d trace %d %q %v, want the ping's", arena, i, opcode, trace, payload, err)
+				t.Fatalf("granted %v: reply %d: opcode %d trace %d %q %v, want the ping's", granted, i, opcode, trace, payload, err)
 			}
 		}
 		conn.Close()
@@ -327,9 +338,9 @@ func TestArenaFullSendsInline(t *testing.T) {
 		}
 	}
 	st := fx.stage.Stats()
-	if st.ArenaPayloads == 0 || st.InlinePayloads == 0 || st.ArenaPayloads+st.InlinePayloads != int64(2*len(fx.names)) || st.RegionPayloads != 0 {
-		t.Fatalf("%d payloads in the arena, %d inline, %d in a region; want both of the first two, summing to %d",
-			st.ArenaPayloads, st.InlinePayloads, st.RegionPayloads, 2*len(fx.names))
+	if st.ArenaPayloads == 0 || st.InlinePayloads == 0 || st.ArenaPayloads+st.InlinePayloads != int64(2*len(fx.names)) {
+		t.Fatalf("%d payloads in the arena, %d inline; want both, summing to %d",
+			st.ArenaPayloads, st.InlinePayloads, 2*len(fx.names))
 	}
 	if st.Pool.ArenaCarved != full || st.Pool.ArenaCapacity != full {
 		t.Fatalf("arena %d of %d bytes carved, want all %d", st.Pool.ArenaCarved, st.Pool.ArenaCapacity, full)
@@ -337,55 +348,161 @@ func TestArenaFullSendsInline(t *testing.T) {
 	fx.audit()
 }
 
-// TestArenaPairings: a client that predates the arena (OpRegion with an
-// empty payload) gets a region from a server with an arena, and a new
-// client gets a region from a server with tenants, which has none — the
-// reply an old server sends — and reads through it. Only a new client of a
-// server with an arena gets the arena.
+// TestArenaPairings: a client that predates the arena (OpArena with an
+// empty payload, asking for a payload region) gets an error reply and no
+// descriptor, and reads inline on the same connection; a new client of a
+// server with tenants is granted the server's arena and reads in it.
 func TestArenaPairings(t *testing.T) {
-	fx := startArenaServer(t, 8, 3000, 0)
-	grant := func(payload []byte) (size uint64, flag []byte, target string) {
-		t.Helper()
-		conn, err := net.Dial("unix", fx.sock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if err := writeFrame(conn, OpRegion, 0, payload); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 256)
-		n, fds, truncated, err := recvFDs(conn.(*net.UnixConn), buf)
-		defer closeFDs(fds)
-		if err != nil || truncated || n < frameHeaderLen || len(fds) != 1 {
-			t.Fatalf("grant: %d bytes, %d descriptors, truncated %v, %v", n, len(fds), truncated, err)
-		}
-		body, err := parseResponse(buf[frameHeaderLen:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		size, k := binary.Uvarint(body)
-		target, _ = os.Readlink(filepath.Join("/proc/self/fd", strconv.Itoa(fds[0])))
-		return size, body[k:], target
+	fx := startAheadServer(t, 8, 3000) // with tenants
+	if fx.srv.arena == nil {
+		t.Fatal("a server with tenants made no arena")
 	}
-	if size, flag, target := grant(nil); size != regionSize || len(flag) != 0 || !strings.Contains(target, "prisma-payload") {
-		t.Fatalf("old client: %d bytes, flag %q, %s; want a region of %d", size, flag, target, regionSize)
+	conn, err := net.Dial("unix", fx.sock)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if size, flag, target := grant(arenaAsk); size != uint64(len(fx.srv.arena.mem)) || string(flag) != string(arenaAsk) || !strings.Contains(target, "prisma-arena") {
-		t.Fatalf("new client: %d bytes, flag %q, %s; want the arena of %d", size, flag, target, len(fx.srv.arena.mem))
+	defer conn.Close()
+	if body, fds := askGrant(t, conn, nil); body != nil || len(fds) != 0 {
+		closeFDs(fds)
+		t.Fatalf("old client's ask for a payload region: %q with %d descriptors, want an error and none", body, len(fds))
+	}
+	fx.oldRead(conn, fx.unplanned[0])
+	if st := fx.stage.Stats(); st.InlinePayloads != 1 || st.ArenaPayloads != 0 {
+		t.Fatalf("old client: %d payloads inline and %d in the arena, want 1 and 0", st.InlinePayloads, st.ArenaPayloads)
 	}
 
-	plain := startAheadServer(t, 8, 3000) // with tenants
-	if plain.srv.arena != nil {
-		t.Fatal("a server with tenants made an arena")
+	c := fx.dial()
+	fx.mustRead(c, fx.unplanned[1])
+	if !c.inArena || c.arena != fx.srv.arena || len(mappingOf(c)) != len(fx.srv.arena.mem) {
+		t.Fatalf("new client of a server with tenants: in arena %v, shares the server's %v, mapping of %d bytes", c.inArena, c.arena == fx.srv.arena, len(mappingOf(c)))
 	}
-	c := plain.dial()
-	plain.mustRead(c, plain.names[0])
-	if c.inArena || c.arena != nil || len(regionOf(c)) != regionSize {
-		t.Fatalf("new client of a server with tenants: in arena %v, region of %d bytes", c.inArena, len(regionOf(c)))
+	if st := fx.stage.Stats(); st.ArenaPayloads != 1 || st.InlinePayloads != 1 {
+		t.Fatalf("%d payloads in the arena and %d inline, want 1 and 1", st.ArenaPayloads, st.InlinePayloads)
 	}
-	if st := plain.stage.Stats(); st.RegionPayloads != 1 || st.ArenaPayloads != 0 {
-		t.Fatalf("%d payloads in a region and %d in an arena, want 1 and 0", st.RegionPayloads, st.ArenaPayloads)
+	fx.audit()
+}
+
+// TestArenaOneGrantPerConnection: the server grants its arena once per
+// connection and keeps no descriptor for it beyond the arena's own; asking
+// again is an error that passes none. Closing either end leaves no
+// descriptor behind, and the arena goes with the server and its last
+// client.
+func TestArenaOneGrantPerConnection(t *testing.T) {
+	maps, fds := arenaMappings(t), openFDs(t)
+	fx := startArenaServer(t, 8, 3000, 0)
+	// The arena's mapping and descriptor, and the listener.
+	if got := arenaMappings(t); got != maps+1 {
+		t.Fatalf("%d arena mappings with the server up, want %d", got, maps+1)
 	}
-	plain.audit()
+	base := openFDs(t)
+	if base != fds+2 {
+		t.Fatalf("%d descriptors with the server up, want %d", base, fds+2)
+	}
+	conn, err := net.Dial("unix", fx.sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func() ([]byte, int) {
+		t.Helper()
+		body, fds := askGrant(t, conn, arenaAsk)
+		closeFDs(fds)
+		return body, len(fds)
+	}
+	body, got := ask()
+	if size, _ := binary.Uvarint(body); size != uint64(len(fx.srv.arena.mem)) || got != 1 {
+		t.Fatalf("grant: size %d with %d descriptors, want %d with 1", size, got, len(fx.srv.arena.mem))
+	}
+	if body, got := ask(); body != nil || got != 0 {
+		t.Fatalf("second ask: %q with %d descriptors, want an error and none", body, got)
+	}
+	// The server kept no duplicate: only the two ends of the socket are
+	// new.
+	if got := openFDs(t); got != base+2 {
+		t.Fatalf("%d descriptors with one connection open, want %d", got, base+2)
+	}
+	conn.Close()
+	settle(t, "descriptors after the client hung up", openFDs, base)
+
+	// A client's Close and the server's Close, with the arena engaged on a
+	// live connection: the client shares the server's mapping.
+	c := fx.dial()
+	fx.mustRead(c, fx.unplanned[0])
+	if mappingOf(c) == nil || arenaMappings(t) != maps+1 {
+		t.Fatalf("arena not shared: %d mappings", arenaMappings(t))
+	}
+	c.Close()
+	fx.audit()
+	if got := arenaMappings(t); got != maps {
+		t.Fatalf("%d arena mappings after both ends closed, want %d", got, maps)
+	}
+	settle(t, "descriptors after both ends closed", openFDs, fds)
+}
+
+// TestArenaRedialMapsAgain: a poisoned connection lets go of its share of
+// the arena; the redial is granted it again.
+func TestArenaRedialMapsAgain(t *testing.T) {
+	fx := startArenaServer(t, 8, 3000, 0)
+	c := fx.dial()
+	fx.mustRead(c, fx.unplanned[0])
+	if c.arena != fx.srv.arena {
+		t.Fatal("no share of the arena after the first read")
+	}
+	c.mu.Lock()
+	c.poisonLocked()
+	c.mu.Unlock()
+	if mappingOf(c) != nil || c.arena != nil || c.inArena {
+		t.Fatal("poisoned connection kept its share of the arena")
+	}
+	fx.mustRead(c, fx.unplanned[1])
+	if !c.inArena || c.arena != fx.srv.arena || c.Reconnects() != 1 {
+		t.Fatalf("after the redial: in arena %v, shares the server's %v, %d reconnects", c.inArena, c.arena == fx.srv.arena, c.Reconnects())
+	}
+	fx.audit()
+}
+
+// TestArenaGrantIsReadOnly: a client can write nothing through the
+// descriptor it is granted — not by mapping it writable, nor by making a
+// read-only mapping writable, nor by writing the file — so no client can
+// change the payloads another is lent, or the hierarchy's residents. The
+// server's own mapping stays writable: its producers read on into it, and
+// a client reads their bytes.
+func TestArenaGrantIsReadOnly(t *testing.T) {
+	fx := startArenaServer(t, 8, 3000, 0)
+	conn, err := net.Dial("unix", fx.sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body, fds := askGrant(t, conn, arenaAsk)
+	defer closeFDs(fds)
+	if body == nil || len(fds) != 1 {
+		t.Fatalf("grant refused, or with %d descriptors", len(fds))
+	}
+	fd, size := fds[0], len(fx.srv.arena.mem)
+	if mem, err := syscall.Mmap(fd, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED); err == nil {
+		syscall.Munmap(mem)
+		t.Error("the grant mapped read-write")
+	}
+	mem, err := syscall.Mmap(fd, 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		t.Fatalf("the grant did not map read-only: %v", err)
+	}
+	if err := syscall.Mprotect(mem, syscall.PROT_READ|syscall.PROT_WRITE); err == nil {
+		t.Error("a read-only mapping of the grant was made writable")
+	}
+	syscall.Munmap(mem)
+	if _, err := syscall.Pwrite(fd, []byte{1}, 0); err == nil {
+		t.Error("the grant was written through")
+	}
+	c := fx.dial()
+	if _, err := c.SubmitEpoch(fx.names); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range fx.names {
+		fx.mustRead(c, name)
+	}
+	if st := fx.stage.Stats(); st.ArenaPayloads != int64(len(fx.names)) {
+		t.Fatalf("%d of %d payloads in the arena", st.ArenaPayloads, len(fx.names))
+	}
+	fx.audit()
 }

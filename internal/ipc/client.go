@@ -50,10 +50,10 @@ type DialConfig struct {
 	// happen at admission, before the read executes, so the resend is safe
 	// even though reads are otherwise non-resendable.
 	OverloadRetries int
-	// InlineOnly never asks for a payload region, so every payload rides
-	// the socket, as it does with a server that predates the region. The
-	// public API never sets it; the inline path's tests and allocation
-	// gate do, and a client sets it on itself when it refuses a region.
+	// InlineOnly never asks for the server's arena, so every payload rides
+	// the socket, as it does with a server that has none. The public API
+	// never sets it; the inline path's tests and allocation gate do, and a
+	// client sets it on itself when it refuses a grant.
 	InlineOnly bool
 }
 
@@ -93,16 +93,16 @@ type Client struct {
 	helloRole   string
 	helloSent   bool
 
-	// Payload region (DESIGN.md §28): the server-written mapping read
-	// payloads may arrive in, nil while the connection reads inline.
-	// regionAsked records that this connection already asked for one. On a
-	// connection granted the server's arena (§29) region is the arena's
-	// mapping, inArena is set, and arena holds the reference that shares
+	// The shared mapping read payloads may arrive in (DESIGN.md §29), nil
+	// while the connection reads inline: the server's arena, or the
+	// payload region a server that predates the arena grants. asked
+	// records that this connection already asked. On a connection granted
+	// the arena inArena is set, and arena holds the reference that shares
 	// the mapping of an arena this process made (nil for a private one).
-	region      []byte
-	regionAsked bool
-	inArena     bool
-	arena       *arena
+	mapping []byte
+	asked   bool
+	inArena bool
+	arena   *arena
 }
 
 // stashed is one pushed sample awaiting the read that asks for it.
@@ -307,48 +307,48 @@ func (c *Client) replyBody(left int) ([]byte, error) {
 }
 
 // poisonLocked marks the connection unusable and severs it, with its
-// payload region. Caller holds c.mu.
+// shared mapping. Caller holds c.mu.
 func (c *Client) poisonLocked() {
 	c.broken = true
 	c.dropStashLocked(c.filled)
-	c.dropRegionLocked()
+	c.dropMappingLocked()
 	if c.conn != nil {
 		c.conn.Close()
 	}
 }
 
-// dropRegionLocked unmaps the connection's payload region, or lets go of
-// its share of this process's arena; the next connection asks for its own.
+// dropMappingLocked unmaps the connection's shared mapping, or lets go of
+// its share of this process's arena; the next connection asks again.
 // Caller holds c.mu.
-func (c *Client) dropRegionLocked() {
+func (c *Client) dropMappingLocked() {
 	if c.arena != nil {
 		c.arena.release()
 	} else {
-		unmapRegion(c.region)
+		unmapShared(c.mapping)
 	}
-	c.region, c.regionAsked, c.inArena, c.arena = nil, false, false, nil
+	c.mapping, c.asked, c.inArena, c.arena = nil, false, false, nil
 }
 
-// askRegionLocked asks the server for the server's arena, or else the
-// connection's payload region (OpRegion), and maps what it grants; the
-// reply carries the descriptor. A server that cannot or does not know how
-// to grant either answers with an error and the connection reads inline. A
-// grant that fails the checks below is refused, which costs the connection
-// — its server believes it engaged — and keeps every later connection
-// inline. Caller holds c.mu.
-func (c *Client) askRegionLocked() error {
-	c.regionAsked = true
+// askArenaLocked asks the server for its arena (OpArena) and maps what
+// it grants — the arena, or the payload region of a server that predates
+// the arena; the reply carries the descriptor. A server that cannot or
+// does not know how to grant either answers with an error and the
+// connection reads inline. A grant that fails the checks below is refused,
+// which costs the connection — its server believes it engaged — and keeps
+// every later connection inline. Caller holds c.mu.
+func (c *Client) askArenaLocked() error {
+	c.asked = true
 	uc, ok := c.conn.(*net.UnixConn)
-	if !ok || !RegionSupported || c.cfg.InlineOnly {
+	if !ok || !ArenaSupported || c.cfg.InlineOnly {
 		return nil
 	}
 	catch := &fdCatcher{conn: uc}
 	c.rd.src = catch
-	resp, err := c.exchangeLocked(OpRegion, 0, arenaAsk)
+	resp, err := c.exchangeLocked(OpArena, 0, arenaAsk)
 	c.rd.src = c.conn
 	defer closeFDs(catch.fds) // the mapping outlives the descriptor
 	if isCleanError(err) {
-		return nil // no region here: read inline
+		return nil // no grant here: read inline
 	}
 	if err != nil {
 		return err
@@ -357,19 +357,19 @@ func (c *Client) askRegionLocked() error {
 	switch {
 	case err != nil:
 	case catch.truncated || len(catch.fds) != 1:
-		err = fmt.Errorf("region reply carried %d descriptors (truncated: %v), want 1", len(catch.fds), catch.truncated)
+		err = fmt.Errorf("grant carried %d descriptors (truncated: %v), want 1", len(catch.fds), catch.truncated)
 	default:
-		c.region, c.arena, err = mapRegion(catch.fds[0], size)
+		c.mapping, c.arena, err = mapGrant(catch.fds[0], size)
 		c.inArena = err == nil && arena
 	}
 	if err != nil {
 		c.cfg.InlineOnly = true
-		return fmt.Errorf("ipc: payload region refused: %w", err)
+		return fmt.Errorf("ipc: shared memory grant refused: %w", err)
 	}
 	return nil
 }
 
-// parseGrant decodes the OK reply to OpRegion: the size of what the
+// parseGrant decodes the OK reply to OpArena: the size of what the
 // descriptor maps, and whether it is the server's arena rather than a
 // region. A region is at most MaxFrame bytes, an arena maxArenaSize.
 func parseGrant(resp []byte) (size int, arena bool, err error) {
@@ -394,7 +394,7 @@ func parseGrant(resp []byte) (size int, arena bool, err error) {
 	return int(n), arena, nil
 }
 
-// arenaAsk is OpRegion's payload from a client that reads an arena.
+// arenaAsk is OpArena's payload from a client that reads an arena.
 var arenaAsk = binary.AppendUvarint(nil, arenaVersion)
 
 // fdCatcher reads a UNIX socket as conn.Read does, keeping every descriptor
@@ -562,8 +562,8 @@ func (c *Client) read(opcode byte, name string, trace uint64) (storage.Data, err
 			return storage.Data{}, fmt.Errorf("%w: %v", ErrConnBroken, err)
 		}
 	}
-	if !c.regionAsked {
-		if err := c.askRegionLocked(); err != nil {
+	if !c.asked {
+		if err := c.askArenaLocked(); err != nil {
 			c.poisonLocked()
 			return storage.Data{}, fmt.Errorf("%w: %v", ErrConnBroken, err)
 		}
@@ -708,7 +708,7 @@ func (c *Client) releaseLeasesLocked() {
 	c.wire = appendFrameHeader(c.wire[:0], OpRelease, 0, 0)
 	if _, err := c.conn.Write(c.wire); err != nil {
 		c.broken = true
-		c.dropRegionLocked()
+		c.dropMappingLocked()
 		c.conn.Close()
 	}
 }
@@ -729,12 +729,13 @@ func (c *Client) readUvarint(left *int, what string) (uint64, error) {
 }
 
 // readSample decodes one sample (size, payload length, location on a
-// connection with a region, payload) of a frame with *left bytes to go,
-// landing the payload in a pool buffer when the client has a pool and in a
-// fresh allocation otherwise — the only difference between pooled and
-// unpooled reads. A payload in the region is copied out here, before the
-// client can send the request whose reply rewrites the region. The payload
-// length is checked against the frame's remainder, or the region, before
+// connection with a shared mapping, payload) of a frame with *left bytes to
+// go, landing the payload in a pool buffer when the client has a pool and
+// in a fresh allocation otherwise — the only difference between pooled and
+// unpooled reads. A payload in the mapping is copied out here, before the
+// client can send its next frame, which ends the server's lease on it (or,
+// from an old server's region, whose reply rewrites it). The payload
+// length is checked against the frame's remainder, or the mapping, before
 // anything is allocated.
 func (c *Client) readSample(left *int) (storage.Data, error) {
 	size, err := c.readUvarint(left, "read response")
@@ -745,18 +746,18 @@ func (c *Client) readSample(left *int) (storage.Data, error) {
 	if err != nil {
 		return storage.Data{}, err
 	}
-	var src []byte // the payload in the region; nil when it is inline
-	if c.region != nil {
+	var src []byte // the payload in the mapping; nil when it is inline
+	if c.mapping != nil {
 		loc, err := c.readUvarint(left, "payload location")
 		if err != nil {
 			return storage.Data{}, err
 		}
 		if loc > 0 {
-			off, room := loc-1, uint64(len(c.region))
+			off, room := loc-1, uint64(len(c.mapping))
 			if off > room || blen > room-off {
-				return storage.Data{}, fmt.Errorf("ipc: %d-byte payload at offset %d outside the %d-byte region", blen, off, room)
+				return storage.Data{}, fmt.Errorf("ipc: %d-byte payload at offset %d outside the %d-byte mapping", blen, off, room)
 			}
-			src = c.region[off : off+blen]
+			src = c.mapping[off : off+blen]
 		}
 	}
 	if src == nil && blen > uint64(*left) {
@@ -921,7 +922,7 @@ func (c *Client) Close() error {
 		c.wire = appendFrameHeader(c.wire[:0], OpRelease, 0, 0)
 		_, _ = c.conn.Write(c.wire)
 	}
-	c.dropRegionLocked()
+	c.dropMappingLocked()
 	if c.conn == nil {
 		return nil
 	}

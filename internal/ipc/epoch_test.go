@@ -94,7 +94,7 @@ func TestSocketPlanStartsProducers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !hangUp {
-			if _, _, _, err := readFrame(conn); err != nil {
+			if _, _, _, err := frameReader(conn).readFrame(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -15,6 +15,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
+	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 )
 
 // scriptedConn is a net.Conn whose peer already said everything it will
@@ -145,16 +146,17 @@ func FuzzFrame(f *testing.F) {
 	for _, reply := range malformedRegionReplies() {
 		f.Add(reply)
 	}
-	// Grants: a region's, an arena's with its flag, and ones that lie.
+	// Grants: an old server's payload region, an arena's with its flag,
+	// and ones that lie.
 	for _, grant := range [][]byte{
-		binary.AppendUvarint(nil, regionSize),
+		binary.AppendUvarint(nil, 4<<20),
 		binary.AppendUvarint(binary.AppendUvarint(nil, maxArenaSize), arenaVersion),
 		binary.AppendUvarint(binary.AppendUvarint(nil, maxArenaSize+1), arenaVersion),
 		binary.AppendUvarint(binary.AppendUvarint(nil, maxArenaSize), 2),
 		append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), arenaVersion), 0),
 	} {
 		var frame bytes.Buffer
-		_ = writeFrame(&frame, OpRegion, 0, okResponse(grant))
+		_ = writeFrame(&frame, OpArena, 0, okResponse(grant))
 		f.Add(frame.Bytes())
 	}
 
@@ -167,7 +169,7 @@ func FuzzFrame(f *testing.F) {
 		if size, arena, err := parseGrant(data); err == nil && (size <= 0 || size > MaxFrame && !arena || size > maxArenaSize) {
 			t.Fatalf("parseGrant accepted %d bytes (arena %v)", size, arena)
 		}
-		opcode, trace, payload, err := readFrame(bytes.NewReader(data))
+		opcode, trace, payload, err := frameReader(bytes.NewReader(data)).readFrame()
 		if err != nil {
 			return
 		}
@@ -267,7 +269,7 @@ func TestMalformedPushedReplies(t *testing.T) {
 // which would wedge the fuzz worker. Plan/read interleavings are covered
 // by the deterministic tests; here we fuzz the stateless parsing surface.
 func FuzzServerHandle(f *testing.F) {
-	srv, _, names, _ := fuzzServer(f)
+	srv, _, names, _ := fuzzServer(f, nil)
 	f.Add(uint8(OpRead), appendString(nil, names[0]))
 	f.Add(uint8(OpGet), []byte{})
 	f.Add(uint8(OpGet), binary.AppendUvarint(nil, 2))
@@ -276,38 +278,37 @@ func FuzzServerHandle(f *testing.F) {
 	// More pairs than the payload holds.
 	f.Add(uint8(OpControl), append(binary.AppendUvarint(nil, 1<<40), 1, 'k', 1, 'v'))
 	f.Add(uint8(99), []byte{1, 2, 3})
-	// A region request, and an arena request: on the plain connection (not
-	// a UNIX socket) and on the ones already granted, all errors and no
-	// memfd.
-	f.Add(uint8(OpRegion), []byte{})
-	f.Add(uint8(OpRegion), arenaAsk)
+	// An old client's request for a payload region, and an arena request:
+	// on the plain connection (not a UNIX socket) and on the ones already
+	// granted, all errors and no descriptor.
+	f.Add(uint8(OpArena), []byte{})
+	f.Add(uint8(OpArena), arenaAsk)
 	f.Add(uint8(OpRead), appendString(nil, names[1]))
 	// A release: never answered, wherever it comes.
 	f.Add(uint8(OpRelease), []byte{})
 	f.Add(uint8(OpRelease), []byte{1, 2, 3})
 
-	// Every input runs on three connections: one without a region, one
-	// that holds a region as if granted, whose reads place payloads in it,
-	// and one granted the server's arena, whose reads lend payloads from
-	// it until the next input.
-	conns := []*connState{newConnState(nil), newConnState(nil), newConnState(nil)}
-	if fd, mem, err := newRegion(regionSize); err == nil {
-		closeFDs([]int{fd})
-		conns[1].region = mem
-		f.Cleanup(func() { unmapRegion(mem) })
-	}
-	conns[2].arena = srv.arena
+	// Every input runs on three connections: one without the arena, one
+	// granted it, whose reads lend payloads from it until the next input,
+	// and one granted the arena of a server with tenants.
+	tenantSrv, _, _, _ := fuzzServer(f, testTenants(f))
+	conns := []struct {
+		srv *Server
+		cs  *connState
+	}{{srv, newConnState(nil)}, {srv, newConnState(nil)}, {tenantSrv, newConnState(nil)}}
+	conns[1].cs.arena, conns[2].cs.arena = srv.arena, tenantSrv.arena
 	f.Cleanup(func() {
-		for _, cs := range conns {
-			cs.releaseLent(false)
+		for _, c := range conns {
+			c.cs.releaseLent(false)
 		}
 	})
 	f.Fuzz(func(t *testing.T, opcode uint8, payload []byte) {
 		if opcode == OpPlan {
 			opcode = OpPing
 		}
-		for _, cs := range conns {
-			r, reply := srv.serveFrame(cs, opcode, 0, payload)
+		for _, c := range conns {
+			cs := c.cs
+			r, reply := c.srv.serveFrame(cs, opcode, 0, payload)
 			if cs.fd != -1 {
 				t.Fatalf("opcode %d left descriptor %d to pass on a connection that may not have one", opcode, cs.fd)
 			}
@@ -350,8 +351,9 @@ func FuzzServerHandle(f *testing.F) {
 
 // fuzzServer builds a server directly (fuzz entry points receive a
 // *testing.F, so the testing.T-based startServer helper does not apply),
-// with a pooled leaf and, where this build has them, an arena.
-func fuzzServer(f *testing.F) (*Server, *core.Stage, []string, string) {
+// with tenants (nil for none), a pooled leaf and, where this build has
+// one, an arena.
+func fuzzServer(f *testing.F, tenants *tenancy.Manager) (*Server, *core.Stage, []string, string) {
 	f.Helper()
 	dir := f.TempDir()
 	samples := make([]dataset.Sample, 4)
@@ -378,7 +380,7 @@ func fuzzServer(f *testing.F) (*Server, *core.Stage, []string, string) {
 	stage.SetBufferPool(pool)
 	pf.Start()
 	sock := filepath.Join(f.TempDir(), "fuzz.sock")
-	srv, err := Serve(sock, stage, nil)
+	srv, err := ServeWithConfig(sock, stage, nil, ServeConfig{Tenants: tenants})
 	if err != nil {
 		f.Fatal(err)
 	}

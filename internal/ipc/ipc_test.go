@@ -360,7 +360,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err := writeFrame(&buf, opcode, trace, payload); err != nil {
 			return false
 		}
-		gotOp, gotTrace, gotPayload, err := readFrame(&buf)
+		gotOp, gotTrace, gotPayload, err := frameReader(&buf).readFrame()
 		if err != nil || gotOp != opcode || gotTrace != trace {
 			return false
 		}
@@ -387,15 +387,15 @@ func TestFrameRejectsOversize(t *testing.T) {
 	// A hostile length prefix is rejected before allocation.
 	var hdr [13]byte
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, _, err := readFrame(bytes.NewReader(hdr[:])); err != ErrFrameTooLarge {
+	if _, _, _, err := frameReader(bytes.NewReader(hdr[:])).readFrame(); err != ErrFrameTooLarge {
 		t.Fatalf("readFrame oversize = %v, want ErrFrameTooLarge", err)
 	}
 	// Frames shorter than opcode+trace are malformed.
-	if _, _, _, err := readFrame(bytes.NewReader(make([]byte, 4))); err == nil {
+	if _, _, _, err := frameReader(bytes.NewReader(make([]byte, 4))).readFrame(); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
 	short := [4]byte{0, 0, 0, 5} // length 5 < 9: opcode but truncated trace
-	if _, _, _, err := readFrame(bytes.NewReader(append(short[:], make([]byte, 5)...))); err == nil {
+	if _, _, _, err := frameReader(bytes.NewReader(append(short[:], make([]byte, 5)...))).readFrame(); err == nil {
 		t.Fatal("short frame accepted")
 	}
 }
@@ -404,7 +404,7 @@ func TestFrameTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
 	_ = writeFrame(&buf, OpRead, 7, []byte("hello"))
 	raw := buf.Bytes()
-	if _, _, _, err := readFrame(bytes.NewReader(raw[:len(raw)-2])); err == nil {
+	if _, _, _, err := frameReader(bytes.NewReader(raw[:len(raw)-2])).readFrame(); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }

@@ -147,12 +147,13 @@ func (ts *truncatingReadServer) acceptLoop() {
 
 func (ts *truncatingReadServer) serve(conn net.Conn, truncate bool) {
 	defer conn.Close()
+	rd := frameReader(conn)
 	for {
-		opcode, trace, _, err := readFrame(conn)
+		opcode, trace, _, err := rd.readFrame()
 		if err != nil {
 			return
 		}
-		if opcode == OpRegion {
+		if opcode == OpArena {
 			_ = writeFrame(conn, opcode, trace, preRegionReply())
 			continue
 		}

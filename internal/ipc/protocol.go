@@ -34,31 +34,29 @@
 // Servers that predate the tail ignore trailing request bytes and clients
 // that predate it never send it, so both mixed pairings keep working.
 //
-// Payload region (DESIGN.md §28): before a connection's first read the
-// client sends OpRegion; the server answers with the region's size and
-// passes a sealed memfd of that size with SCM_RIGHTS. From then on every
-// sample head in a read reply carries a third field,
+// Shared arena (DESIGN.md §29): before a connection's first read a client
+// that can read one sends OpArena with the payload uvarint 1. A server
+// whose buffer pool is carved from an arena answers OK | uvarint size |
+// uvarint 1 and passes a write-sealed duplicate of the arena's descriptor
+// with SCM_RIGHTS. From then on every sample head in a read reply on that
+// connection carries a third field,
 //
 //	uvarint size | uvarint length | uvarint location
 //
 // where location 0 means the payload follows inline, as above, and k > 0
-// that it sits at region offset k-1. The region is rewritten only by the
-// reply to the connection's next request, and the client copies each
-// payload out while decoding, so the mapping needs no release protocol. A
-// server that predates the region answers OpRegion as an unknown opcode
-// and the connection stays inline, as do non-Linux builds and connections
-// that are not UNIX-domain sockets.
-//
-// Shared arena (DESIGN.md §29): a client that can read one sends OpRegion
-// with the payload uvarint 1. A server whose buffer pool is carved from an
-// arena answers OK | size | uvarint 1 and passes the arena's descriptor;
-// locations then name arena offsets, where the producer put the payload,
-// and the payload stays leased to the connection until its next frame. A
-// planned reply whose pushed count has bit 0x40 set left the connection's
-// stride at the end of the plan: the client answers it with a header-only
-// OpRelease, which gets no reply, so an idle connection holds no lease.
-// Every other pairing — an old client's empty payload, an old server that
-// ignores it, a server without an arena — gets the region above.
+// that it sits at arena offset k-1, where the producer put it. The payload
+// stays leased to the connection until its next frame, and the client
+// copies it out while decoding. A planned reply whose pushed count has bit
+// 0x40 set left the connection's stride at the end of the plan: the client
+// answers it with a header-only OpRelease, which gets no reply, so an idle
+// connection holds no lease. Every other pairing stays inline: a server
+// without an arena, or one that predates OpArena, answers with an error,
+// as it does an old client's empty payload, and the connection stays
+// healthy. A server that predates the arena ignores the payload and grants
+// a payload region, OK | uvarint size, whose locations the client reads the
+// same way; such a region is rewritten only by the reply to the
+// connection's next request. Non-Linux builds and connections that are not
+// UNIX-domain sockets never ask.
 package ipc
 
 import (
@@ -102,12 +100,11 @@ const (
 	// applied all or none. Resendable: every value is absolute.
 	OpControl = 17
 
-	// OpRegion asks for the connection's payload region, or with the
-	// payload uvarint 1 for the server's arena where it has one. The OK
-	// reply is the size (uvarint), followed by uvarint 1 for an arena, and
-	// carries the descriptor; a connection gets one grant, so asking again
-	// is an error.
-	OpRegion = 18
+	// OpArena with the payload uvarint 1 asks for the server's arena. The
+	// OK reply is the size (uvarint) followed by uvarint 1, and carries the
+	// descriptor; a connection gets one grant, so asking again is an error,
+	// as is asking a server without an arena, or with any other payload.
+	OpArena = 18
 
 	// OpRelease ends the leases an arena connection holds for its last
 	// reply. Header only, and never answered.
@@ -134,8 +131,8 @@ var ErrFrameTooLarge = errors.New("ipc: frame exceeds maximum size")
 // Read-ahead bounds. Constants, not knobs: both ends clamp to them.
 const (
 	// maxAheadWindow is the most samples one reply carries behind the
-	// requested one. With payloads crossing in the payload region (DESIGN.md
-	// §28) an exchange moves no sample bytes through the kernel, so what it
+	// requested one. With payloads crossing in shared memory (DESIGN.md
+	// §29) an exchange moves no sample bytes through the kernel, so what it
 	// costs is the round trip itself — two syscalls and a wakeup on each
 	// side — and every sample pushed is one exchange saved. Two clients
 	// striding a plan of 4 KiB samples got 8.5 samples per reply at 8, 88 %
@@ -150,17 +147,11 @@ const (
 	maxAheadBytes = 128 << 10
 )
 
-// regionSize is a payload region's length, a constant and not a knob: it
-// holds a full read-ahead window (maxAheadBytes) behind a requested sample
-// of up to 3.8 MiB, and a payload that does not fit what is left of it goes
-// inline instead.
-const regionSize = 4 << 20
-
 // maxArenaSize is the largest arena a server makes (arenaBytes) and a
 // client maps.
 const maxArenaSize = 1 << 30
 
-// arenaVersion is OpRegion's payload from a client that reads an arena,
+// arenaVersion is OpArena's payload from a client that reads an arena,
 // and the field behind the size in a reply that grants one.
 const arenaVersion = 1
 
@@ -170,15 +161,6 @@ const arenaVersion = 1
 // Counts never reach it (maxAheadWindow < endOfPlan), so on a connection
 // without an arena it reads as a count past the window.
 const endOfPlan = 0x40
-
-// regionAlign is where payloads start in a region: every offset the server
-// writes is a multiple of it. Both ends copy between the region and
-// page-aligned pool buffers, and a copy whose source and destination are
-// not aligned to each other runs at a third to a half of the aligned speed
-// and swings with the machine's load: 100 KB copies between cache-resident
-// buffers on a 2-vCPU Xeon VM ran at 8–18 GB/s misaligned and 22–31 GB/s
-// aligned. A cache line is enough.
-const regionAlign = 64
 
 // frameHeaderLen is the fixed prefix of every frame: length, opcode, trace.
 const frameHeaderLen = 13

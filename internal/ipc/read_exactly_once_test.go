@@ -14,10 +14,10 @@ import (
 )
 
 // preRegionReply is how a server that predates the payload region answers
-// OpRegion: as an unknown opcode. Fake servers send it so that a client's
+// OpArena: as an unknown opcode. Fake servers send it so that a client's
 // region request meets them as it meets a real old server, and the client
 // reads inline.
-func preRegionReply() []byte { return errResponse(fmt.Errorf("unknown opcode %d", OpRegion)) }
+func preRegionReply() []byte { return errResponse(fmt.Errorf("unknown opcode %d", OpArena)) }
 
 // countingServer records how many frames of each opcode it receives. Its
 // first badConns connections answer any request with a truncated frame and
@@ -58,12 +58,13 @@ func (cs *countingServer) acceptLoop() {
 
 func (cs *countingServer) serve(conn net.Conn, misbehave bool) {
 	defer conn.Close()
+	rd := frameReader(conn)
 	for {
-		opcode, trace, _, err := readFrame(conn)
+		opcode, trace, _, err := rd.readFrame()
 		if err != nil {
 			return
 		}
-		if opcode == OpRegion {
+		if opcode == OpArena {
 			if err := writeFrame(conn, opcode, trace, preRegionReply()); err != nil {
 				return
 			}

@@ -57,14 +57,14 @@ func startAheadServer(t *testing.T, nFiles, size int) *aheadFixture {
 
 func startAheadServerPool(t *testing.T, nFiles, size int, pool *mempool.Pool) *aheadFixture {
 	t.Helper()
-	return startAheadServerWith(t, nFiles, size, pool, ServeConfig{Tenants: regionTenants(t)})
+	return startAheadServerWith(t, nFiles, size, pool, ServeConfig{Tenants: testTenants(t)})
 }
 
-// regionTenants is a tenant manager for a fixture's server: a server with
-// tenants grants each connection a payload region of its own (DESIGN.md
-// §28) rather than its shared arena. The stage is given no tenant gate, so
-// reads are served as on a server without tenants.
-func regionTenants(t testing.TB) *tenancy.Manager {
+// testTenants is a tenant manager for a fixture's server, which grants its
+// arena to every tenant as a server without tenants does (DESIGN.md §29).
+// The stage is given no tenant gate, so reads are served as on a server
+// without tenants.
+func testTenants(t testing.TB) *tenancy.Manager {
 	t.Helper()
 	m, err := tenancy.New(conc.NewReal(), tenancy.Config{Capacity: 1e9})
 	if err != nil {
@@ -608,7 +608,7 @@ func (fx *aheadFixture) oldRead(conn net.Conn, name string) {
 	if err := writeFrame(conn, OpRead, 0, appendString(nil, name)); err != nil {
 		fx.t.Fatal(err)
 	}
-	opcode, _, payload, err := readFrame(conn)
+	opcode, _, payload, err := frameReader(conn).readFrame()
 	if err != nil || opcode != OpRead || len(payload) < 1 || payload[0] != statusOK {
 		fx.t.Fatalf("reply to %s: opcode %d, %d bytes, %v", name, opcode, len(payload), err)
 	}
@@ -626,7 +626,7 @@ func (fx *aheadFixture) oldRead(conn net.Conn, name string) {
 // TestReadAheadOldClientNewServer speaks the pre-read-ahead client's wire
 // format at a new server, strided and planned — the pattern that would earn
 // pushes — and requires the pre-read-ahead reply every time: no pushes, and
-// no location field, as the client never asked for a payload region.
+// no location field, as the client never asked for the arena.
 func TestReadAheadOldClientNewServer(t *testing.T) {
 	fx := startAheadServer(t, 256, 2000)
 	plan := shuffled(fx.names, 6)
@@ -644,9 +644,9 @@ func TestReadAheadOldClientNewServer(t *testing.T) {
 	if st := fx.stage.Stats(); st.ReadAheadSamples != 0 || st.Plan.Delivered != int64(len(plan)) {
 		t.Fatalf("pushed %d samples at a client that never asked; delivered %d", st.ReadAheadSamples, st.Plan.Delivered)
 	}
-	// Nor a payload region: every payload rode the socket inline.
-	if st := fx.stage.Stats(); st.RegionPayloads != 0 || st.InlinePayloads != int64(len(plan)) {
-		t.Fatalf("%d payloads in a region and %d inline, want 0 and %d", st.RegionPayloads, st.InlinePayloads, len(plan))
+	// Nor the arena: every payload rode the socket inline.
+	if st := fx.stage.Stats(); st.ArenaPayloads != 0 || st.InlinePayloads != int64(len(plan)) {
+		t.Fatalf("%d payloads in the arena and %d inline, want 0 and %d", st.ArenaPayloads, st.InlinePayloads, len(plan))
 	}
 	fx.audit()
 }
@@ -654,8 +654,8 @@ func TestReadAheadOldClientNewServer(t *testing.T) {
 // TestReadAheadNewClientOldServer: a server that predates the tail ignores
 // it and answers with the one sample, which the new client takes as an
 // unplanned read: nothing stashed, nothing wasted. The same server predates
-// the payload region and answers the client's OpRegion as an unknown
-// opcode, so the connection stays inline and healthy.
+// the arena and answers the client's OpArena as an unknown opcode, so the
+// connection stays inline and healthy.
 func TestReadAheadNewClientOldServer(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "old.sock")
 	l, err := net.Listen("unix", sock)
@@ -666,12 +666,13 @@ func TestReadAheadNewClientOldServer(t *testing.T) {
 	tails := make(chan aheadTail, 16)
 	serve := func(conn net.Conn) {
 		defer conn.Close()
+		rd := frameReader(conn)
 		for {
-			opcode, trace, payload, err := readFrame(conn)
+			opcode, trace, payload, err := rd.readFrame()
 			if err != nil {
 				return
 			}
-			if opcode == OpRegion {
+			if opcode == OpArena {
 				_ = writeFrame(conn, opcode, trace, preRegionReply())
 				continue
 			}
@@ -714,7 +715,7 @@ func TestReadAheadNewClientOldServer(t *testing.T) {
 		if c.StashHits() != 0 || c.StashDrops() != 0 || stashLen(c) != 0 {
 			t.Fatal("a plain reply touched the stash")
 		}
-		if regionOf(c) != nil || c.Broken() {
+		if mappingOf(c) != nil || c.Broken() {
 			t.Fatal("an old server's unknown-opcode answer left a region or a poisoned connection")
 		}
 		c.Close()
@@ -735,10 +736,9 @@ func TestReadAheadRoutedReadsGetNoExtras(t *testing.T) {
 		return d, core.PlanPos{}, err
 	})
 	fx.sock = filepath.Join(t.TempDir(), "routed.sock")
-	// With tenants, as the fixture's own server: a server without them
-	// would attach an arena to the fixture's pool and lend from it, and
-	// the audit closes only the fixture's server.
-	srv, err := ServeWithConfig(fx.sock, fx.stage, routed, ServeConfig{Tenants: regionTenants(t)})
+	// The fixture's own server already carves the pool from its arena, so
+	// this one makes none and sends every payload inline.
+	srv, err := Serve(fx.sock, fx.stage, routed)
 	if err != nil {
 		t.Fatal(err)
 	}

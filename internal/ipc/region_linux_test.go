@@ -3,6 +3,7 @@
 package ipc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -18,17 +19,18 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
-// The payload region (DESIGN.md §28) over real sockets and real memfds.
+// The client's checks on a grant, over real sockets and real memfds: the
+// payload region a server that predates the arena (DESIGN.md §29) grants.
 
-// regionMappings counts this process's mappings of payload regions, both
-// ends' (the server's read-write, the client's read-only).
+// regionMappings counts this process's mappings of the memfds the refusal
+// cases pass.
 func regionMappings(t *testing.T) int {
 	t.Helper()
 	maps, err := os.ReadFile("/proc/self/maps")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return strings.Count(string(maps), "memfd:prisma-payload")
+	return strings.Count(string(maps), "memfd:test-region")
 }
 
 // openFDs counts this process's open descriptors.
@@ -69,153 +71,6 @@ func settle(t *testing.T, what string, count func(*testing.T) int, want int) {
 	}
 	if got := count(t); got != want {
 		t.Fatalf("%s: %d, want %d", what, got, want)
-	}
-}
-
-// TestRegionCarriesReadPayloads: a strided reader's payloads — requested and
-// pushed — all cross in the region, byte-exact and exactly once, and a
-// payload larger than the region falls back inline on the same connection.
-// Both pools end the run with every lease home.
-func TestRegionCarriesReadPayloads(t *testing.T) {
-	fx := startAheadServer(t, 512, 3000)
-	big := make([]byte, regionSize+1)
-	for i := range big {
-		big[i] = byte(i * 7)
-	}
-	bigName := fx.unplanned[0] // listed, never planned, now larger than the region
-	fx.mem.Add(bigName, big)
-	c := fx.dial()
-	for epoch := int64(0); epoch < 2; epoch++ {
-		plan := shuffled(fx.names, epoch)
-		if _, err := c.SubmitEpoch(plan); err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range plan {
-			fx.mustRead(c, name)
-		}
-	}
-	if region := regionOf(c); len(region) != regionSize {
-		t.Fatalf("client region of %d bytes, want %d", len(region), regionSize)
-	}
-	st := fx.stage.Stats()
-	if planned := int64(2 * len(fx.names)); st.RegionPayloads != planned || st.InlinePayloads != 0 {
-		t.Fatalf("%d payloads in the region and %d inline, want %d and 0", st.RegionPayloads, st.InlinePayloads, planned)
-	}
-	if st.ReadAheadSamples == 0 || c.StashHits() != st.ReadAheadSamples {
-		t.Fatalf("pushed %d, stash hits %d: the region did not carry pushed samples", st.ReadAheadSamples, c.StashHits())
-	}
-	d, err := c.Read(bigName)
-	if err != nil || string(d.Bytes) != string(big) {
-		t.Fatalf("Read(big) = %d bytes, %v", len(d.Bytes), err)
-	}
-	d.Release()
-	if st := fx.stage.Stats(); st.InlinePayloads != 1 {
-		t.Fatalf("%d inline payloads after a read larger than the region, want 1", st.InlinePayloads)
-	}
-	fx.audit()
-}
-
-// TestRegionOneGrantPerConnection: the server grants one region per
-// connection, passes its descriptor and keeps none; asking again is an
-// error that creates no second memfd. Closing either end leaves no mapping
-// and no descriptor behind.
-func TestRegionOneGrantPerConnection(t *testing.T) {
-	srv, _, _, sock := startServer(t, 4)
-	maps, fds := regionMappings(t), openFDs(t)
-	conn, err := net.Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ask := func() ([]byte, []int) {
-		t.Helper()
-		if err := writeFrame(conn, OpRegion, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 256)
-		n, got, truncated, err := recvFDs(conn.(*net.UnixConn), buf)
-		if err != nil || truncated || n < frameHeaderLen {
-			t.Fatalf("region reply: %d bytes, truncated %v, %v", n, truncated, err)
-		}
-		body, err := parseResponse(buf[frameHeaderLen:n])
-		closeFDs(got)
-		if err != nil {
-			return nil, got
-		}
-		return body, got
-	}
-	body, got := ask()
-	if size, _ := binary.Uvarint(body); size != regionSize || len(got) != 1 {
-		t.Fatalf("grant: size %d with %d descriptors, want %d with 1", size, len(got), regionSize)
-	}
-	if body, got := ask(); body != nil || len(got) != 0 {
-		t.Fatalf("second ask: %q with %d descriptors, want an error and none", body, len(got))
-	}
-	if got := regionMappings(t); got != maps+1 {
-		t.Fatalf("%d region mappings after two asks, want %d: a second memfd was made", got, maps+1)
-	}
-	// The server kept the mapping, not the descriptor: only the two ends
-	// of the socket are new.
-	if got := openFDs(t); got != fds+2 {
-		t.Fatalf("%d descriptors with one connection open, want %d", got, fds+2)
-	}
-	conn.Close()
-	settle(t, "region mappings after the client hung up", regionMappings, maps)
-
-	// A client's Close and the server's Close, with a region engaged on a
-	// live connection.
-	c, err := Dial(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Read("f000.bin"); err != nil {
-		t.Fatal(err)
-	}
-	if regionOf(c) == nil || regionMappings(t) != maps+2 {
-		t.Fatalf("region not engaged: %d mappings", regionMappings(t))
-	}
-	c.Close()
-	srv.Close()
-	if got := regionMappings(t); got != maps {
-		t.Fatalf("%d region mappings after both ends closed, want %d", got, maps)
-	}
-	settle(t, "descriptors after both ends closed", openFDs, fds-1) // the listener is gone too
-}
-
-// TestRegionRedialMapsAFreshRegion: a poisoned connection takes its region
-// with it; the redial asks for and maps a new one.
-func TestRegionRedialMapsAFreshRegion(t *testing.T) {
-	_, _, names, sock := startServer(t, 4)
-	maps := regionMappings(t)
-	c, err := Dial(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Read(names[0]); err != nil {
-		t.Fatal(err)
-	}
-	if regionOf(c) == nil {
-		t.Fatal("no region after the first read")
-	}
-	c.mu.Lock()
-	c.poisonLocked()
-	c.mu.Unlock()
-	if regionOf(c) != nil {
-		t.Fatal("poisoned connection kept its region")
-	}
-	settle(t, "region mappings after poisoning", regionMappings, maps)
-	d, err := c.Read(names[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Release()
-	if regionOf(c) == nil || c.Reconnects() != 1 {
-		t.Fatalf("after the redial: region %v, %d reconnects", regionOf(c) != nil, c.Reconnects())
-	}
-	// One mapping at each end of the one live connection: the old pair is
-	// gone.
-	if got := regionMappings(t); got != maps+2 {
-		t.Fatalf("%d region mappings on one live connection, want %d", got, maps+2)
 	}
 }
 
@@ -289,12 +144,13 @@ func TestRegionRefusedUnlessSealedAndSized(t *testing.T) {
 					}
 					go func(conn net.Conn) {
 						defer conn.Close()
+						rd := frameReader(conn)
 						for {
-							opcode, trace, _, err := readFrame(conn)
+							opcode, trace, _, err := rd.readFrame()
 							if err != nil {
 								return
 							}
-							if opcode == OpRegion {
+							if opcode == OpArena {
 								asks.Add(1)
 								body := okResponse(binary.AppendUvarint(nil, tc.announce))
 								frame := append(appendFrameHeader(nil, opcode, trace, len(body)), body...)
@@ -325,11 +181,11 @@ func TestRegionRefusedUnlessSealedAndSized(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if _, err := c.Read("x"); !errors.Is(err, ErrConnBroken) || !strings.Contains(err.Error(), "region refused") {
-				t.Fatalf("Read = %v, want ErrConnBroken refusing the region", err)
+			if _, err := c.Read("x"); !errors.Is(err, ErrConnBroken) || !strings.Contains(err.Error(), "grant refused") {
+				t.Fatalf("Read = %v, want ErrConnBroken refusing the grant", err)
 			}
-			if !c.Broken() || regionOf(c) != nil || reads.Load() != 0 {
-				t.Fatalf("broken %v, region %v, %d reads sent", c.Broken(), regionOf(c) != nil, reads.Load())
+			if !c.Broken() || mappingOf(c) != nil || reads.Load() != 0 {
+				t.Fatalf("broken %v, region %v, %d reads sent", c.Broken(), mappingOf(c) != nil, reads.Load())
 			}
 			if got := regionMappings(t); got != maps {
 				t.Fatalf("%d region mappings, want %d", got, maps)
@@ -345,5 +201,115 @@ func TestRegionRefusedUnlessSealedAndSized(t *testing.T) {
 				t.Fatalf("server saw %d region requests and %d reads, want 1 and 1", asks.Load(), reads.Load())
 			}
 		})
+	}
+}
+
+// TestRegionGrantFromAnOldServer: a server that predates the arena ignores
+// the client's ask and grants a payload region — OK | uvarint size, no
+// arena field — of up to MaxFrame bytes. The client maps that foreign
+// memfd privately, not as an arena: its reads decode payloads located
+// anywhere in the region byte-exact, and payloads inline beside them, and
+// it never sends OpRelease, not even on Close, which unmaps the region.
+func TestRegionGrantFromAnOldServer(t *testing.T) {
+	const size = MaxFrame
+	fd := sealedMemfd(t, size, fSealShrink|fSealGrow)
+	defer syscall.Close(fd)
+	last := make([]byte, 10<<10)
+	for i := range last {
+		last[i] = byte(i*7 + 3)
+	}
+	// What each read is answered with, in order: a payload at the region's
+	// end, one inline, one at its start.
+	replies := []struct {
+		payload []byte
+		off     int // -1: inline
+	}{{last, size - len(last)}, {[]byte("inline"), -1}, {[]byte("first"), 0}}
+	for _, r := range replies {
+		if r.off >= 0 {
+			if _, err := syscall.Pwrite(fd, r.payload, int64(r.off)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sock := filepath.Join(t.TempDir(), "old.sock")
+	l, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var seen []byte // every opcode the server read, in order
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		rd := frameReader(conn)
+		for reads := 0; ; {
+			opcode, trace, _, err := rd.readFrame()
+			if err != nil {
+				return
+			}
+			seen = append(seen, opcode)
+			var frame []byte
+			switch {
+			case opcode == OpArena:
+				body := okResponse(binary.AppendUvarint(nil, size))
+				frame = append(appendFrameHeader(nil, opcode, trace, len(body)), body...)
+				if _, _, err := conn.(*net.UnixConn).WriteMsgUnix(frame, syscall.UnixRights(fd), nil); err != nil {
+					return
+				}
+				continue
+			case opcode == OpRead && reads < len(replies):
+				r := replies[reads]
+				reads++
+				body := binary.AppendUvarint([]byte{statusOK}, uint64(len(r.payload)))
+				body = binary.AppendUvarint(body, uint64(len(r.payload)))
+				body = binary.AppendUvarint(body, uint64(r.off+1))
+				if r.off < 0 {
+					body = append(body, r.payload...)
+				}
+				frame = append(appendFrameHeader(nil, opcode, trace, len(body)), body...)
+			default:
+				body := errResponse(errors.New("unexpected request"))
+				frame = append(appendFrameHeader(nil, opcode, trace, len(body)), body...)
+			}
+			if _, err := conn.Write(frame); err != nil {
+				return
+			}
+		}
+	}()
+	maps := regionMappings(t)
+	c, err := Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range replies {
+		d, err := c.Read("x")
+		if err != nil || !bytes.Equal(d.Bytes, r.payload) {
+			t.Fatalf("read %d = %d bytes, %v; want the server's %d", i, len(d.Bytes), err, len(r.payload))
+		}
+		d.Release()
+	}
+	c.mu.Lock()
+	mapped, inArena, shared := len(c.mapping), c.inArena, c.arena != nil
+	c.mu.Unlock()
+	if mapped != size || inArena || shared {
+		t.Fatalf("mapping %d bytes (in an arena %v, shared %v), want a private %d-byte region", mapped, inArena, shared, size)
+	}
+	if got := regionMappings(t); got != maps+1 {
+		t.Fatalf("%d region mappings with the client open, want %d", got, maps+1)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if want := []byte{OpArena, OpRead, OpRead, OpRead}; !bytes.Equal(seen, want) {
+		t.Fatalf("server read opcodes %v, want %v (no OpRelease)", seen, want)
+	}
+	if got := regionMappings(t); got != maps {
+		t.Fatalf("%d region mappings after Close, want %d", got, maps)
 	}
 }

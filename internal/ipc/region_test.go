@@ -8,24 +8,24 @@ import (
 	"testing"
 
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
-	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
-// regionTestSize is the region a scripted client decodes against: small,
+// regionTestSize is the mapping a scripted client decodes against: small,
 // so that a fuzz input can reach past its end.
 const regionTestSize = 64 << 10
 
-// scriptedRegionClient is scriptedClient holding a real payload region of
-// regionTestSize bytes, as if the server had granted it; nil where this
-// build has no regions.
+// scriptedRegionClient is scriptedClient holding a real shared mapping of
+// regionTestSize bytes, as if a server that predates the arena had granted
+// it as a payload region; nil where this build has no shared memory. The
+// client holds the only reference to the arena behind it, which its Close
+// releases.
 func scriptedRegionClient(replies []byte) (*Client, *mempool.Pool) {
-	fd, mem, err := newRegion(regionTestSize)
+	a, err := newArena(regionTestSize)
 	if err != nil {
 		return nil, nil
 	}
-	closeFDs([]int{fd})
 	c, pool := scriptedClient(replies)
-	c.region, c.regionAsked = mem, true
+	c.mapping, c.arena, c.asked = a.mem, a, true
 	return c, pool
 }
 
@@ -45,13 +45,13 @@ func scriptedArenaClient(replies []byte) (*Client, *mempool.Pool) {
 func endOfPlanReply() []byte {
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	return regionReadReply(3, 3, 1, nil, bytes.Join([][]byte{uv(endOfPlan | 1),
-		uv(2), []byte("n1"), uv(4), uv(4), uv(regionAlign + 1)}, nil))
+		uv(2), []byte("n1"), uv(4), uv(4), uv(65)}, nil))
 }
 
-func regionOf(c *Client) []byte {
+func mappingOf(c *Client) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.region
+	return c.mapping
 }
 
 // regionReadReply encodes the OK reply to an untraced OpRead on a
@@ -106,7 +106,7 @@ func goodRegionReplies() [][]byte {
 // a region each fail the read with the connection poisoned, the region
 // unmapped and no lease leaked — never a panic or a fault.
 func TestMalformedRegionReplies(t *testing.T) {
-	if !RegionSupported {
+	if !ArenaSupported {
 		t.Skip("no payload regions on this platform")
 	}
 	for name, reply := range malformedRegionReplies() {
@@ -118,8 +118,8 @@ func TestMalformedRegionReplies(t *testing.T) {
 		if _, err := c.Read("requested.bin"); !errors.Is(err, ErrConnBroken) {
 			t.Errorf("%s: Read = %v, want ErrConnBroken", name, err)
 		}
-		if !c.Broken() || c.region != nil {
-			t.Errorf("%s: poisoned %v, region kept %v", name, c.Broken(), c.region != nil)
+		if !c.Broken() || c.mapping != nil {
+			t.Errorf("%s: poisoned %v, region kept %v", name, c.Broken(), c.mapping != nil)
 		}
 		if got := pool.Stats().Outstanding; got != 0 {
 			t.Errorf("%s: %d leases leaked\n%s", name, got, mempool.FormatLeaks(pool.Leaks()))
@@ -145,7 +145,7 @@ func TestMalformedRegionReplies(t *testing.T) {
 // of the mapping — and the client answers it with one header-only
 // OpRelease after the request; without the bit it sends nothing more.
 func TestArenaEndOfPlanRelease(t *testing.T) {
-	if !RegionSupported {
+	if !ArenaSupported {
 		t.Skip("no payload regions on this platform")
 	}
 	release := appendFrameHeader(nil, OpRelease, 0, 0)
@@ -169,24 +169,24 @@ func TestArenaEndOfPlanRelease(t *testing.T) {
 	}
 }
 
-// TestRegionOnlyOverUnixSockets: neither end offers a region on a
-// connection that is not a UNIX-domain socket. The server answers OpRegion
-// with an error and makes no memfd; the client never asks, and reads the
-// inline reply the way it always did.
-func TestRegionOnlyOverUnixSockets(t *testing.T) {
+// TestArenaOnlyOverUnixSockets: neither end offers the arena on a
+// connection that is not a UNIX-domain socket. The server answers OpArena
+// with an error and passes no descriptor; the client never asks, and reads
+// the inline reply the way it always did.
+func TestArenaOnlyOverUnixSockets(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 	cs := newConnState(a)
-	if _, err := parseResponse((&Server{}).handleRegion(cs, arenaAsk)); err == nil || cs.region != nil || cs.fd != -1 {
-		t.Fatalf("OpRegion over a pipe: %v, region %v, fd %d", err, cs.region != nil, cs.fd)
+	if _, err := parseResponse((&Server{}).handleArena(cs, arenaAsk)); err == nil || cs.arena != nil || cs.fd != -1 {
+		t.Fatalf("OpArena over a pipe: %v, arena %v, fd %d", err, cs.arena != nil, cs.fd)
 	}
 	// A scripted connection is not a UNIX socket either: had the client
 	// asked, the one reply it is given would have answered the request.
 	c, pool := scriptedClient(readReply([]byte("abc"), nil))
 	d, err := c.Read("requested.bin")
-	if err != nil || string(d.Bytes) != "abc" || c.region != nil {
-		t.Fatalf("Read = %q, %v (region %v)", d.Bytes, err, c.region != nil)
+	if err != nil || string(d.Bytes) != "abc" || c.mapping != nil {
+		t.Fatalf("Read = %q, %v (region %v)", d.Bytes, err, c.mapping != nil)
 	}
 	d.Release()
 	c.Close()
@@ -195,10 +195,10 @@ func TestRegionOnlyOverUnixSockets(t *testing.T) {
 	}
 }
 
-// TestRegionInlineOnlyClient: a client that never asks (as one that
-// predates the region) reads inline from a new server, and the server
-// counts every payload it sent that way.
-func TestRegionInlineOnlyClient(t *testing.T) {
+// TestArenaInlineOnlyClient: a client that never asks (as one that
+// predates the arena and the payload region) reads inline from a new
+// server, and the server counts every payload it sent that way.
+func TestArenaInlineOnlyClient(t *testing.T) {
 	_, stage, names, sock := startServer(t, 8)
 	c, err := DialWithConfig(sock, DialConfig{InlineOnly: true})
 	if err != nil {
@@ -211,54 +211,8 @@ func TestRegionInlineOnlyClient(t *testing.T) {
 			t.Fatalf("Read(%s) = %d bytes, %v", name, len(d.Bytes), err)
 		}
 	}
-	if st := stage.Stats(); c.region != nil || st.RegionPayloads != 0 || st.InlinePayloads != int64(len(names)) {
-		t.Fatalf("region %v; %d payloads in a region and %d inline, want 0 and %d",
-			c.region != nil, st.RegionPayloads, st.InlinePayloads, len(names))
+	if st := stage.Stats(); c.mapping != nil || st.ArenaPayloads != 0 || st.InlinePayloads != int64(len(names)) {
+		t.Fatalf("mapping %v; %d payloads in the arena and %d inline, want 0 and %d",
+			c.mapping != nil, st.ArenaPayloads, st.InlinePayloads, len(names))
 	}
-}
-
-// TestRegionPayloadsStartAligned: the server starts every payload it places
-// in a region on a regionAlign boundary, packs them in order, and sends
-// inline the one that does not fit what alignment left of the region.
-func TestRegionPayloadsStartAligned(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	cs := newConnState(a)
-	cs.region = make([]byte, 4*regionAlign)
-	// The second payload spills one byte into a second line; the third
-	// fills the region, so the fourth goes inline.
-	sizes := []int{1, regionAlign + 1, regionAlign, regionAlign}
-	want := []uint64{0, regionAlign, 3 * regionAlign}
-	for i, n := range sizes {
-		cs.place(storage.Data{Size: int64(n), Bytes: bytes.Repeat([]byte{byte('a' + i)}, n)})
-	}
-	rest := cs.wbuf
-	for i, n := range sizes {
-		var head [3]uint64
-		for k := range head {
-			v, m := binary.Uvarint(rest)
-			if m <= 0 {
-				t.Fatalf("payload %d: short head", i)
-			}
-			head[k], rest = v, rest[m:]
-		}
-		if head[1] != uint64(n) {
-			t.Fatalf("payload %d: length %d, want %d", i, head[1], n)
-		}
-		if i == len(sizes)-1 {
-			if head[2] != 0 || cs.nheld != 1 {
-				t.Fatalf("last payload at location %d with %d held, want inline", head[2], cs.nheld)
-			}
-			continue
-		}
-		off := head[2] - 1
-		if head[2] == 0 || off != want[i] || off%regionAlign != 0 {
-			t.Fatalf("payload %d at offset %d (location %d), want %d", i, off, head[2], want[i])
-		}
-		if got := cs.region[off : off+uint64(n)]; !bytes.Equal(got, bytes.Repeat([]byte{byte('a' + i)}, n)) {
-			t.Fatalf("payload %d: region holds %q", i, got)
-		}
-	}
-	cs.releaseHeld()
 }

@@ -46,8 +46,9 @@ func (fs *flakyServer) acceptLoop() {
 
 func (fs *flakyServer) serve(conn net.Conn, misbehave bool) {
 	defer conn.Close()
+	rd := frameReader(conn)
 	for {
-		opcode, trace, _, err := readFrame(conn)
+		opcode, trace, _, err := rd.readFrame()
 		if err != nil {
 			return
 		}
@@ -125,8 +126,9 @@ func TestClientReadTimeoutPoisonsConnection(t *testing.T) {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
+				rd := frameReader(c)
 				for {
-					if _, _, _, err := readFrame(c); err != nil {
+					if _, _, _, err := rd.readFrame(); err != nil {
 						return
 					}
 					// Swallow the request; never respond.

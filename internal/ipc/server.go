@@ -30,10 +30,9 @@ type ServeConfig struct {
 	// Tenants wires multi-tenant QoS: hello frames authenticate against
 	// the manager, and admission decisions (made by the stage's tenant
 	// gate) see the tenant each connection established. Nil is a
-	// single-tenant server, which carves the stage's buffer pool, if it
-	// has one and the platform a memfd, from a shared arena and grants
-	// that to every client that asks (DESIGN.md §29); a server with
-	// tenants grants each connection a payload region of its own (§28).
+	// single-tenant server. Either way the server carves the stage's
+	// buffer pool, if it has one and the platform a memfd, from a shared
+	// arena and grants that to every client that asks (DESIGN.md §29).
 	Tenants *tenancy.Manager
 
 	// arenaSize overrides the arena's size (0 = arenaBytes); tests set it
@@ -54,8 +53,8 @@ type Server struct {
 	cfg      ServeConfig
 	panics   atomic.Int64
 	// arena is the shared arena the stage's pool carves from (§29): nil
-	// on a server with tenants, without a pool or without a memfd. The
-	// server holds a reference to it until every handler is done.
+	// on a server without a pool or without a memfd. The server holds a
+	// reference to it until every handler is done.
 	arena *arena
 
 	mu      sync.Mutex
@@ -85,7 +84,7 @@ func ServeWithConfig(socketPath string, stage *core.Stage, reader core.Reader, c
 		reader = stage
 	}
 	s := &Server{stage: stage, reader: reader, listener: l, cfg: cfg, conns: make(map[net.Conn]struct{})}
-	if cfg.Tenants == nil && stage != nil && stage.BufferPool() != nil {
+	if stage != nil && stage.BufferPool() != nil {
 		pool := stage.BufferPool()
 		s.arena = attachArena(pool, cmp.Or(cfg.arenaSize, arenaBytes(stage, pool)))
 	}
@@ -98,7 +97,7 @@ func ServeWithConfig(socketPath string, stage *core.Stage, reader core.Reader, c
 // its buffers from. The pool and the server each hold a reference: the
 // pool's goes once it is detached (Server.Close) with every carved buffer
 // home, the server's once its handlers are done. Nil when no arena could
-// be made: the server then grants regions.
+// be made: the server then sends every payload inline.
 func attachArena(pool *mempool.Pool, size int) *arena {
 	a, err := newArena(size)
 	if err != nil {
@@ -113,18 +112,24 @@ func attachArena(pool *mempool.Pool, size int) *arena {
 }
 
 // arenaBytes sizes the arena of a server over stage from what the stage
-// holds at most at once (Stage.ParkBound), each sample in the pool's class
-// for the largest the manifest lists. A class carves only when every
-// buffer it carved is out, so no class carves more buffers than that;
-// classes are powers of two, so the smaller ones together carve less than
-// the largest again, and twice the product bounds the carving. Leases to
-// clients and in-process readers come on top: past the end, the pool
-// allocates from the heap and those payloads go inline. Capped at
-// maxArenaSize, and a whole number of pages; the memfd is sparse, so only
-// pages a carved buffer was written to cost memory.
+// holds at most at once (Stage.ParkBound). Its samples each take the
+// pool's class for the largest the manifest lists. A class carves only
+// when every buffer it carved is out, so no class carves more buffers than
+// that; classes are powers of two, so the smaller ones together carve less
+// than the largest again, and twice the product bounds the carving. The
+// storage chain's memory hierarchy keeps its raw residents in the carved
+// buffers they were read into, charged at their class, so its byte budget
+// (tiering.Config.FastCapacity, in the stage's snapshot) comes on top.
+// Leases to clients and in-process readers come on top as well: past the
+// end, the pool allocates from the heap and those payloads go inline.
+// Capped at maxArenaSize, and a whole number of pages; the memfd is
+// sparse, so only pages a carved buffer was written to cost memory.
 func arenaBytes(stage *core.Stage, pool *mempool.Pool) int {
 	samples, largest := stage.ParkBound()
 	size := 2 * int64(samples) * int64(pool.ClassSize(int(min(largest, maxArenaSize))))
+	if st := stage.Stats(); st.TieringEnabled {
+		size += min(st.Tiering.Capacity, maxArenaSize)
+	}
 	const page = 4 << 10
 	return int(min(maxArenaSize, (size+page-1)&^(page-1)))
 }
@@ -176,26 +181,20 @@ const serverReadBuf = minFill
 // allocation count is zero.
 type connState struct {
 	rd   *connReader
-	unix bool // a UNIX-domain socket: the only kind a payload region is passed over
+	unix bool // a UNIX-domain socket: the only kind the arena is granted over
 
-	// The payload region (DESIGN.md §28), nil until the client asks for
-	// it. Each read reply fills it from offset 0, so it is rewritten only
-	// by the reply to the connection's next request; regionUsed is how far
-	// the reply under construction got. fd is the descriptor of the region
-	// or arena granted, until its reply carries it away (-1 otherwise).
-	region     []byte
-	regionUsed int
-	fd         int
-	// The server's arena, once granted in place of a region (DESIGN.md
-	// §29), and the samples the last read reply lent the client from it:
-	// their leases end when the connection's next frame arrives, or when
-	// it closes.
+	// The server's arena, once granted (DESIGN.md §29), and the samples
+	// the last read reply lent the client from it: their leases end when
+	// the connection's next frame arrives, or when it closes. fd is the
+	// duplicate of the arena's descriptor granted, until its reply carries
+	// it away (-1 otherwise).
 	arena *arena
+	fd    int
 	lent  [1 + maxAheadWindow]storage.Data
 	nlent int
-	// Payloads the reply under construction placed in the arena, the
-	// region and inline, for the stage's counters.
-	inArena, inRegion, inline int64
+	// Payloads the reply under construction placed in the arena and
+	// inline, for the stage's counters.
+	inArena, inline int64
 
 	// startProducers is set by a plan submission, which holds the stage's
 	// parked producers until its reply is written (Stage.SubmitEpochHeld).
@@ -240,16 +239,11 @@ func newConnState(conn net.Conn) *connState {
 
 // place appends a sample's head to the reply under construction and routes
 // its payload: on an arena connection, by its offset when the producer read
-// it into the arena — lent to the connection until its next frame; into the
-// region when the connection has one and the payload fits what the reply
-// left of it — the lease ends at once, and the next payload starts at the
-// following regionAlign boundary; or inline, held for the vectored write
-// behind the head.
+// it into the arena — lent to the connection until its next frame; or
+// inline, held for the vectored write behind the head.
 func (cs *connState) place(d storage.Data) {
 	cs.wbuf = appendSampleHead(cs.wbuf, d)
-	n := len(d.Bytes)
-	switch {
-	case cs.arena != nil:
+	if cs.arena != nil {
 		if off, ok := cs.arena.offset(d.Bytes); ok && d.Ref != nil {
 			cs.wbuf = binary.AppendUvarint(cs.wbuf, uint64(off)+1)
 			cs.lent[cs.nlent] = d
@@ -258,18 +252,8 @@ func (cs *connState) place(d storage.Data) {
 			return
 		}
 		cs.wbuf = append(cs.wbuf, 0) // location 0: inline
-	case cs.region != nil:
-		if n > 0 && n <= len(cs.region)-cs.regionUsed {
-			copy(cs.region[cs.regionUsed:], d.Bytes)
-			cs.wbuf = binary.AppendUvarint(cs.wbuf, uint64(cs.regionUsed)+1)
-			cs.regionUsed += (n + regionAlign - 1) &^ (regionAlign - 1)
-			cs.inRegion++
-			d.Release()
-			return
-		}
-		cs.wbuf = append(cs.wbuf, 0) // location 0: inline
 	}
-	if n > 0 {
+	if len(d.Bytes) > 0 {
 		cs.inline++
 	}
 	cs.held[cs.nheld], cs.cuts[cs.nheld] = d, len(cs.wbuf)
@@ -376,7 +360,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		cs.releaseHeld()
 		cs.releaseLent(true)
 		s.startProducers(cs)
-		unmapRegion(cs.region)
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -430,7 +413,7 @@ func (s *Server) startProducers(cs *connState) {
 // writeResponse sends one reply frame. A read reply goes out as a single
 // vectored write that interleaves the head bytes in wbuf with the held
 // samples' payloads, so pooled payloads go from the buffer pool to the
-// socket without an intermediate copy; the reply that grants a region
+// socket without an intermediate copy; the reply that grants the arena
 // carries its descriptor. Caller releases the held samples.
 func (s *Server) writeResponse(conn net.Conn, cs *connState, opcode byte, trace uint64, r response) error {
 	if !r.samples {
@@ -442,8 +425,8 @@ func (s *Server) writeResponse(conn net.Conn, cs *connState, opcode byte, trace 
 		cs.wbuf = appendFrameHeader(cs.wbuf[:0], opcode, trace, len(r.head))
 		cs.wbuf = append(cs.wbuf, r.head...)
 		if fd >= 0 {
-			// The region's descriptor rides its reply; the connection keeps
-			// only the mapping.
+			// The arena's duplicate descriptor rides its reply; the
+			// connection keeps none.
 			return sendFD(conn, cs.wbuf, fd)
 		}
 		_, err := conn.Write(cs.wbuf)
@@ -506,8 +489,8 @@ func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte
 	case OpRead, OpPeerRead:
 		return s.handleRead(cs, opcode, trace, payload)
 
-	case OpRegion:
-		return response{head: s.handleRegion(cs, payload)}
+	case OpArena:
+		return response{head: s.handleArena(cs, payload)}
 
 	case OpPlan:
 		// The names stay in the payload: the stage resolves them straight
@@ -623,43 +606,40 @@ func (s *Server) handleRead(cs *connState, opcode byte, trace uint64, payload []
 	// is written vectored, straight from the (pooled) read buffer. The frame
 	// header's bytes are reserved here and filled in by writeResponse.
 	cs.wbuf = append(cs.wbuf[:frameHeaderLen], statusOK)
-	cs.regionUsed, cs.inArena, cs.inRegion, cs.inline = 0, 0, 0, 0
+	cs.inArena, cs.inline = 0, 0
 	requested := len(data.Bytes)
 	cs.place(data)
 	if tail.window > 0 && at != (core.PlanPos{}) {
 		s.pushAhead(cs, at, tail, requested)
 	}
-	s.stage.NoteReadPayloads(cs.inArena, cs.inRegion, cs.inline)
+	s.stage.NoteReadPayloads(cs.inArena, cs.inline)
 	return response{samples: true}
 }
 
-// handleRegion grants the connection its payload region (DESIGN.md §28),
-// or the server's arena to a client that asks for one (§29): one grant per
-// connection, over a UNIX-domain socket only. The descriptor — the
-// region's, or a duplicate of the arena's — rides the reply
-// (writeResponse) and is closed once sent.
-func (s *Server) handleRegion(cs *connState, payload []byte) []byte {
-	switch {
-	case cs.region != nil || cs.arena != nil:
-		return errResponse(errors.New("payload region already granted"))
+// handleArena grants the server's arena to a client that asks for it
+// (DESIGN.md §29): one grant per connection, over a UNIX-domain socket
+// only. A duplicate of the arena's descriptor rides the reply
+// (writeResponse) and is closed once sent. Any other ask — an old client's
+// empty one for a payload region, or one of a server without an arena —
+// is refused, and the client reads inline.
+func (s *Server) handleArena(cs *connState, payload []byte) []byte {
+	switch v, k := binary.Uvarint(payload); {
+	case cs.arena != nil:
+		return errResponse(errors.New("arena already granted"))
 	case !cs.unix:
-		return errResponse(errors.New("payload region needs a UNIX-domain socket"))
+		return errResponse(errors.New("arena needs a UNIX-domain socket"))
+	case k <= 0 || v < arenaVersion:
+		return errResponse(errors.New("payload regions are retired: ask for the arena"))
+	case s.arena == nil:
+		return errResponse(errors.New("no arena"))
 	}
-	if v, k := binary.Uvarint(payload); k > 0 && v >= arenaVersion && s.arena != nil {
-		fd, err := dupFD(s.arena.fd)
-		if err != nil {
-			return errResponse(fmt.Errorf("arena: %w", err))
-		}
-		cs.arena, cs.fd = s.arena, fd
-		out := binary.AppendUvarint(nil, uint64(len(s.arena.mem)))
-		return okResponse(binary.AppendUvarint(out, arenaVersion))
-	}
-	fd, mem, err := newRegion(regionSize)
+	fd, err := dupFD(s.arena.fd)
 	if err != nil {
-		return errResponse(fmt.Errorf("payload region: %w", err))
+		return errResponse(fmt.Errorf("arena: %w", err))
 	}
-	cs.region, cs.fd = mem, fd
-	return okResponse(binary.AppendUvarint(nil, uint64(len(mem))))
+	cs.arena, cs.fd = s.arena, fd
+	out := binary.AppendUvarint(nil, uint64(len(s.arena.mem)))
+	return okResponse(binary.AppendUvarint(out, arenaVersion))
 }
 
 // appendSampleHead encodes a sample's size and payload length; the payload

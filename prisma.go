@@ -183,10 +183,9 @@ type Stats struct {
 	ReadAheadWasted  int64 // pushed samples clients reported dropping unread
 
 	// Socket payload telemetry: how read payloads crossed to socket
-	// clients (DESIGN.md §28, §29).
+	// clients (DESIGN.md §29).
 	ArenaPayloads  int64 // read by the client where the producer put them, in the server's shared arena
-	RegionPayloads int64 // copied through the connection's shared-memory payload region
-	InlinePayloads int64 // written to the socket: no region, or too large for what a reply left of it
+	InlinePayloads int64 // written to the socket: no arena on the connection, or not in it
 
 	// Plan-lifecycle telemetry (the epoch-aware plan manager).
 	EpochsSubmitted int64 // plan epochs submitted since Open
@@ -325,7 +324,6 @@ func statsFrom(s core.StageStats) Stats {
 		ReadAheadSamples: s.ReadAheadSamples,
 		ReadAheadWasted:  s.ReadAheadWasted,
 		ArenaPayloads:    s.ArenaPayloads,
-		RegionPayloads:   s.RegionPayloads,
 		InlinePayloads:   s.InlinePayloads,
 
 		EpochsSubmitted: s.Plan.EpochsSubmitted,
@@ -951,10 +949,9 @@ func (p *Prisma) AdminHandler() http.Handler {
 // socket — the integration path for multi-process data loaders (§IV's
 // PyTorch client/server). Connect with Dial from this package.
 //
-// Without tenancy the buffer pool is then carved from one shared arena
-// that every client maps, so a socket client copies each payload from
-// where the producer read it (DESIGN.md §29); with tenants configured,
-// each connection keeps a payload region of its own. A Sample read
+// The buffer pool is then carved from one shared arena that every client
+// maps read-only, with tenants or without, so a socket client copies each
+// payload from where the producer read it (DESIGN.md §29). A Sample read
 // in-process stays readable after Close until it is released.
 func (p *Prisma) ServeUnix(socketPath string) error {
 	if p.server != nil {

@@ -239,7 +239,6 @@ var surfaceMetricFamilies = []string{
 	"prisma_read_errors_total",
 	"prisma_read_payloads_arena_total",
 	"prisma_read_payloads_inline_total",
-	"prisma_read_payloads_region_total",
 	"prisma_readahead_samples_total",
 	"prisma_readahead_wasted_total",
 	"prisma_reads_total",
@@ -334,7 +333,7 @@ func surfaceStatsKeys() []string {
 		"Pool.oversize", "Pool.recycled", "PoolEnabled",
 		"PrefetchedFiles", "QueueLen", "ReadAheadSamples",
 		"ReadAheadWasted", "ReadErrors", "Reads",
-		"RegionPayloads", "Resilience", "Resilience.Attempts",
+		"Resilience", "Resilience.Attempts",
 		"Resilience.BreakerOpens", "Resilience.DeadlineExceeded", "Resilience.Degraded",
 		"Resilience.Exhausted", "Resilience.Failures", "Resilience.FastFails",
 		"Resilience.Retries", "Resilience.State", "Resilience.UnsupportedOps",
