@@ -28,8 +28,6 @@ import (
 func BenchmarkHotPathAllocs(b *testing.B) {
 	b.Run("unpooled", experiments.AllocBenchmark(experiments.AllocConfig{Pool: false}))
 	b.Run("pooled", experiments.AllocBenchmark(experiments.AllocConfig{Pool: true}))
-	b.Run("pooled-compressed", experiments.AllocBenchmark(experiments.AllocConfig{Pool: true, Compressed: true}))
-	b.Run("pooled-batched", experiments.AllocBenchmark(experiments.AllocConfig{Pool: true, Batch: 4}))
 }
 
 // allocBudget is the committed allocation budget (alloc_budget.txt) the CI
@@ -42,8 +40,6 @@ var allocBudgetRows = []string{
 	"pooled_allocs_per_op",        // hard ceiling for the pooled variant
 	"min_reduction_percent",       // required pooled-vs-unpooled drop
 	"cached_allocs_per_op",        // pooled + the hierarchy as the shared cache builds it
-	"compressed_allocs_per_op",    // pooled + compressed shards
-	"batched_allocs_per_op",       // pooled + read coalescing
 	"resilient_allocs_per_op",     // pooled + resilient layer
 	"ipc_client_allocs_per_op",    // the socket hop alone, read-ahead and the arena engaged, on a server with tenants
 	"ipc_inline_allocs_per_op",    // the same hop on a connection that never asked for the arena
@@ -242,21 +238,6 @@ func TestAllocRegressionGate(t *testing.T) {
 	// stay within its own per-sample budget on top of the pool.
 	cached := cell("pooled+cache", experiments.AllocConfig{Pool: true, SharedCache: 8 << 20})
 	over("pooled hot path with the shared cache", "cached_allocs_per_op", float64(cached.AllocsPerOp))
-	// Compressed cell: LZ-packed shards decoded in place into pooled
-	// buffers must stay within the same per-sample budget — transparent
-	// compression is not allowed to cost the hot path its zero-alloc
-	// property. The pack view sits over the resilient row, as Open folds it
-	// by default.
-	compressed := cell("pooled+compressed", experiments.AllocConfig{Pool: true, Compressed: true, Resilient: true})
-	over("pooled hot path over compressed shards", "compressed_allocs_per_op", float64(compressed.AllocsPerOp))
-	// Batched cell: FIFO runs coalesced into vectored reads and split into
-	// views aliasing the shared region buffer must keep the hot path at
-	// zero allocations — batching exists to remove per-request costs, not
-	// to trade them for per-sample ones. The vectored reads go through the
-	// resilient row, as Open folds it by default, and a cell whose coalescer
-	// never engages fails rather than measuring per-sample reads.
-	batched := cell("pooled+batched", experiments.AllocConfig{Pool: true, Batch: 4, Resilient: true})
-	over("pooled hot path with read coalescing", "batched_allocs_per_op", float64(batched.AllocsPerOp))
 	// Resilient cell: the retry/breaker layer Open interposes by default
 	// must ride the pooled hot path for free (it once cost one escaping
 	// closure per read, invisible while the gate's chain had no such layer).

@@ -9,7 +9,6 @@ package prisma
 // "max-threads"). prisma-bench prints the corresponding tables.
 
 import (
-	"bytes"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -26,7 +25,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/fairness"
 	"github.com/dsrhaslab/prisma-go/internal/ipc"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
-	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/storage/storagetest"
@@ -373,29 +371,6 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := client.Read("f"); err != nil { // unplanned: bypass path
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRecordCodec measures the packed-format encode/decode pair on a
-// typical ImageNet-sized payload.
-func BenchmarkRecordCodec(b *testing.B) {
-	payload := make([]byte, 113_000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	var buf bytes.Buffer
-	w := recordio.NewWriter(&buf)
-	if _, _, err := w.WriteRecord(payload); err != nil {
-		b.Fatal(err)
-	}
-	frame := buf.Bytes()
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := recordio.Decode(frame); err != nil {
 			b.Fatal(err)
 		}
 	}

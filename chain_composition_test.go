@@ -15,7 +15,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/experiments"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
-	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
@@ -28,10 +27,8 @@ type chainSwitch struct {
 }
 
 // chainSwitches lists the switches of every row of chain.Layers, in table
-// order: the hierarchy has two, its two budgets, and the pack view none —
-// Options cannot turn it on until Open detects a pack index, so the packed
-// cells turn it on themselves. A row without an entry here fails every
-// composition test, so no layer goes untested.
+// order: the hierarchy has two, its two budgets. A row without an entry
+// here fails every composition test, so no layer goes untested.
 func chainSwitches(t *testing.T) []chainSwitch {
 	t.Helper()
 	byRow := map[string][]chainSwitch{
@@ -43,7 +40,6 @@ func chainSwitches(t *testing.T) []chainSwitch {
 			{name: "tiering", on: func(o *Options, tier TieringOptions, _ int64) { o.Tiering = tier }},
 		},
 		"resilient": {{name: "resilient", on: func(o *Options, _ TieringOptions, _ int64) { o.DisableResilience = false }}},
-		"pack":      nil,
 	}
 	var out []chainSwitch
 	for _, l := range chain.Layers {
@@ -112,12 +108,12 @@ func (c chainCell) String() string {
 }
 
 // fold folds the table into ch (its clock, pool and leaf set) for the cell,
-// as Open does — with the pack view on top over ix, when set — and checks it
-// built exactly the rows the cell switched on. ch.Close undoes it.
-func (c chainCell) fold(t *testing.T, ch *chain.Chain, tier TieringOptions, cacheBytes int64, ix *recordio.Index) *chain.Chain {
+// as Open does, and checks it built exactly the rows the cell switched on.
+// ch.Close undoes it.
+func (c chainCell) fold(t *testing.T, ch *chain.Chain, tier TieringOptions, cacheBytes int64) *chain.Chain {
 	t.Helper()
 	opts := Options{DisableResilience: true, ReadDeadline: 10 * time.Second}
-	on := map[string]bool{"pack": ix != nil}
+	on := map[string]bool{}
 	for i, sw := range c.switches {
 		if c.mask&(1<<i) != 0 {
 			sw.on(&opts, tier, cacheBytes)
@@ -130,9 +126,7 @@ func (c chainCell) fold(t *testing.T, ch *chain.Chain, tier TieringOptions, cach
 			want = append(want, l.Name)
 		}
 	}
-	cfg := chainConfig(opts.withDefaults())
-	cfg.Index = ix
-	if err := ch.Fold(cfg); err != nil {
+	if err := ch.Fold(chainConfig(opts.withDefaults())); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(ch.Built) != fmt.Sprint(want) {
@@ -156,131 +150,6 @@ func tierStats(ch *chain.Chain) tiering.Stats {
 	var s core.StageStats
 	ch.Snapshot(&s)
 	return s.Tiering
-}
-
-// packChainDataset writes files records into one recordio shard inside a
-// fresh MemBackend and returns the store, index, names, and ground-truth
-// payloads. compressed packs with CodecLZ (repetitive payloads so the codec
-// actually engages), otherwise CodecNone — the path whose views alias the
-// coalescer's shared region buffer.
-func packChainDataset(t *testing.T, files, size int, compressed bool) (*storage.MemBackend, *recordio.Index, []string, [][]byte) {
-	t.Helper()
-	mem := storage.NewMemBackend()
-	names := make([]string, files)
-	contents := make([][]byte, files)
-	for i := range names {
-		names[i] = fmt.Sprintf("chain%04d.bin", i)
-		buf := make([]byte, size)
-		for j := range buf {
-			if compressed {
-				buf[j] = byte((i + j/64) % 7) // repetitive: compresses
-			} else {
-				buf[j] = byte(i*31 + j*7 + j>>3)
-			}
-		}
-		contents[i] = buf
-	}
-	ix, err := recordio.PackMem(mem, "chain/shard-00000.rec", names, contents, compressed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compressed && ix.StoredBytes*2 > ix.PayloadBytes {
-		t.Fatalf("fixture compressed only to %d of %d bytes", ix.StoredBytes, ix.PayloadBytes)
-	}
-	return mem, ix, names, contents
-}
-
-// runChainCell streams the packed dataset through the full prefetch
-// pipeline over the chain the cell folds, with coalescing budget k (0 =
-// per-sample), asserting every delivered payload is bit-identical to the
-// packed ground truth, nothing leaks from the pool, and — when coalescing
-// is on — the batched counters actually moved (the chain did not silently
-// fall back sample-by-sample).
-func runChainCell(t *testing.T, wrap chainCell, compressed bool, k int) {
-	t.Helper()
-	env := conc.NewReal()
-	mem, ix, names, contents := packChainDataset(t, 16, 4<<10, compressed)
-	pool := mempool.New(mempool.Config{Debug: true})
-	mem.SetBufferPool(pool)
-
-	ch := wrap.fold(t, &chain.Chain{Env: env, Pool: pool, Backend: mem},
-		TieringOptions{Enable: true, CapacityBytes: 64 << 20, PromoteAfter: 1}, 64<<20, ix)
-
-	pf, err := core.NewPrefetcher(env, ch.Backend, testManifest(names, 4<<10), core.PrefetcherConfig{
-		InitialProducers:      2,
-		MaxProducers:          2,
-		InitialBufferCapacity: len(names),
-		MaxBufferCapacity:     len(names),
-		BatchSamples:          k,
-		Coalescer:             ch.Coalescer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stage := core.NewStage(env, ch.Backend, pf)
-	if err := stage.SubmitPlan(names); err != nil {
-		stage.Close()
-		t.Fatal(err)
-	}
-	pf.Start()
-
-	for i, name := range names {
-		d, _, err := stage.Read(core.ReadRequest{Name: name})
-		if err != nil {
-			stage.Close()
-			t.Fatalf("%s k=%d: read %s: %v", wrap, k, name, err)
-		}
-		if !bytes.Equal(d.Bytes, contents[i]) {
-			d.Release()
-			stage.Close()
-			t.Fatalf("%s k=%d: %s: payload differs from ground truth (%d bytes, want %d)",
-				wrap, k, name, d.Size, len(contents[i]))
-		}
-		d.Release()
-	}
-	batched, fallbacks := pf.BatchedSamples(), pf.BatchFallbacks()
-	stage.Close()
-	ch.Close()
-	if k > 1 && batched == 0 && fallbacks == 0 {
-		t.Fatalf("%s k=%d: coalescer never engaged (0 batched samples, 0 fallbacks)", wrap, k)
-	}
-	if leaks := pool.Leaks(); len(leaks) != 0 {
-		t.Fatalf("%s k=%d: pool leaks:\n%s", wrap, k, mempool.FormatLeaks(leaks))
-	}
-	if n := pool.Outstanding(); n != 0 {
-		t.Fatalf("%s k=%d: %d pooled refs still outstanding", wrap, k, n)
-	}
-}
-
-// TestBatchChainComposition is the chain-composition property suite: for
-// every subset of the serving-chain wrappers nested in canonical order
-// between the shard store and the recordio view layer, a coalesced run at
-// every budget K delivers byte-for-byte what the per-sample run delivers
-// (both are checked against the packed ground truth), with no pooled-ref
-// leaks. This is the regression net for range-read bypasses: a wrapper
-// that mangles, truncates, or double-releases a vectored read fails here.
-func TestBatchChainComposition(t *testing.T) {
-	for _, wrap := range chainCells(t) {
-		t.Run(wrap.String(), func(t *testing.T) {
-			for _, k := range []int{0, 1, 2, 3, 4, 8} {
-				runChainCell(t, wrap, false, k)
-			}
-		})
-	}
-}
-
-// TestBatchChainCompositionCompressed repeats the property over LZ-packed
-// shards (decompression copies out of the region instead of aliasing it)
-// for the bare store and the full chain at representative budgets.
-func TestBatchChainCompositionCompressed(t *testing.T) {
-	cells := chainCells(t)
-	for _, wrap := range []chainCell{cells[0], cells[len(cells)-1]} {
-		t.Run(wrap.String(), func(t *testing.T) {
-			for _, k := range []int{0, 1, 4, 8} {
-				runChainCell(t, wrap, true, k)
-			}
-		})
-	}
 }
 
 // wholeFileChain is the fixture of the whole-file composition cells: 32
@@ -319,7 +188,7 @@ func newWholeFileChain(t *testing.T, wrap chainCell, tier TieringOptions, seed i
 		mem.Add(c.names[i], c.contents[c.names[i]])
 	}
 	mem.SetBufferPool(c.pool)
-	c.chain = wrap.fold(t, &chain.Chain{Env: env, Pool: c.pool, Backend: mem}, tier, wholeCacheBytes, nil)
+	c.chain = wrap.fold(t, &chain.Chain{Env: env, Pool: c.pool, Backend: mem}, tier, wholeCacheBytes)
 	pf, err := core.NewPrefetcher(env, c.chain.Backend, testManifest(c.names, wholeFileSize), core.PrefetcherConfig{
 		InitialProducers:      2,
 		MaxProducers:          2,
@@ -373,28 +242,32 @@ func (c *wholeFileChain) closeAndAudit(t *testing.T) {
 	}
 }
 
-// TestChainCompositionDecliningTier runs the same property with the tier in
-// the state the packed cells never reach (they only send it shard ranges,
-// which are never admitted): whole files, a compressing tier a quarter the
-// size of the set (plus the shared cache's recency window, when on),
-// shuffled epochs. From the second epoch on every miss is offered to a full
-// tier and declined, concurrently from two producers, next to hits that
-// decode residents — for every subset of the other wrappers around it, each
-// delivery is bit-identical to ground truth, the hierarchy stays within its
-// budget without swapping a resident of the tier's part, and the pool audit
-// finds nothing held once the chain is closed.
+// TestChainCompositionDecliningTier is the chain-composition property
+// suite, over every subset of the table's switches: whole files, a
+// compressing tier a quarter the size of the set (plus the shared cache's
+// recency window, when on), shuffled epochs, each delivery bit-identical to
+// ground truth and the pool audit finding nothing held once the chain is
+// closed. With the tier on, from the second epoch on every miss is offered
+// to a full tier and declined, concurrently from two producers, next to
+// hits that decode residents — for every subset of the other wrappers
+// around it the hierarchy stays within its budget without swapping a
+// resident of the tier's part.
 func TestChainCompositionDecliningTier(t *testing.T) {
 	const (
 		files  = wholeFiles
 		epochs = 4
 	)
 	for _, wrap := range chainCells(t) {
-		if !wrap.has("tiering") {
-			continue
-		}
 		t.Run(wrap.String(), func(t *testing.T) {
 			c := newWholeFileChain(t, wrap,
 				TieringOptions{Enable: true, CapacityBytes: files * wholeFileSize / 4, PromoteAfter: 1, Compress: true}, 22)
+			if !wrap.has("tiering") {
+				for e := 0; e < epochs; e++ {
+					c.epoch(t, e)
+				}
+				c.closeAndAudit(t)
+				return
+			}
 			var filled tiering.Stats
 			for e := 0; e < epochs; e++ {
 				c.epoch(t, e)

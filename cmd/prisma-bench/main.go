@@ -187,11 +187,8 @@ func main() {
 	if what == "tiering" || what == "all" {
 		runTiering(report)
 	}
-	if what == "batch" || what == "all" {
-		runBatch(report)
-	}
 	switch what {
-	case "fig2", "fig3", "fig4", "ablation", "distrib", "cluster", "chaos", "buffer-shards", "attribution", "alloc", "tiering", "batch", "all":
+	case "fig2", "fig3", "fig4", "ablation", "distrib", "cluster", "chaos", "buffer-shards", "attribution", "alloc", "tiering", "all":
 	default:
 		log.Fatalf("prisma-bench: unknown target %q", what)
 	}
@@ -271,43 +268,6 @@ func runAlloc(consumerCSV string, report func(string)) {
 		log.Fatal(err)
 	}
 	fmt.Println()
-}
-
-// runBatch runs the plan-aware read-coalescing comparison (real time, not
-// sim: the cell counts backend requests, a property of the live pipeline)
-// and asserts the coalescer's economy claim so CI can run this target as a
-// gate: at batch budget K the coalesced variant issues at least K-fold
-// fewer backend requests than the per-sample baseline while moving exactly
-// the same bytes, with no per-sample fallbacks.
-func runBatch(report func(string)) {
-	cfg := experiments.BatchCompareConfig{} // defaults: 64 records, K=4
-	per, batched, err := experiments.RunBatchCompare(cfg, report)
-	if err != nil {
-		log.Fatalf("prisma-bench: batch: %v", err)
-	}
-	cfg = experiments.BatchCompareConfig{}.WithDefaults()
-	if per.Samples != batched.Samples {
-		log.Fatalf("prisma-bench: batch: delivered %d vs %d samples", per.Samples, batched.Samples)
-	}
-	if batched.BackendBytes != per.BackendBytes {
-		log.Fatalf("prisma-bench: batch: moved %d bytes batched vs %d per-sample (must be equal)",
-			batched.BackendBytes, per.BackendBytes)
-	}
-	if batched.Fallbacks != 0 {
-		log.Fatalf("prisma-bench: batch: %d per-sample fallbacks, want 0", batched.Fallbacks)
-	}
-	if batched.BackendOps*int64(cfg.BatchSamples) > per.BackendOps {
-		log.Fatalf("prisma-bench: batch: %d backend ops batched vs %d per-sample — less than the %dx reduction the coalescer guarantees",
-			batched.BackendOps, per.BackendOps, cfg.BatchSamples)
-	}
-	fmt.Println()
-	title := fmt.Sprintf("Read coalescing — %d-record packed shard, per-sample vs vectored at batch budget %d",
-		cfg.Files, cfg.BatchSamples)
-	if err := experiments.RenderBatch(os.Stdout, title, []experiments.BatchRow{per, batched}); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nbackend request reduction: %.2fx at equal bytes\n\n",
-		float64(per.BackendOps)/float64(batched.BackendOps))
 }
 
 // runTiering runs the storage-tiering crossover cells (dataset far larger

@@ -105,10 +105,6 @@ func main() {
 				float64(s.TierUsedBytes)/(1<<20), float64(s.TierCapacityBytes)/(1<<20),
 				s.TierPromoteTime, s.TierDecodeTime)
 		}
-		if s.BatchEnabled {
-			fmt.Printf("batched reads:    %d vectored ops, %d samples, %d fallbacks\n",
-				s.BatchReads, s.BatchedSamples, s.BatchFallbacks)
-		}
 		fmt.Printf("socket read-ahead: %d samples pushed, %d wasted\n", s.ReadAheadSamples, s.ReadAheadWasted)
 		fmt.Printf("socket payloads:  %d in the arena, %d inline\n", s.ArenaPayloads, s.InlinePayloads)
 		if s.PoolArenaBytes > 0 {

@@ -40,8 +40,6 @@ var subFlags = []struct{ flag, requires string }{
 	{"tiering-compress", "tiering"},
 	{"tiering-prefetch-next", "tiering"},
 	{"tiering-max-tracked", "tiering"},
-	{"batch-samples", "batch"},
-	{"batch-bytes", "batch"},
 	{"peers", "node-id"},
 	{"vnodes", "node-id"},
 	{"no-partition", "node-id"},
@@ -206,10 +204,6 @@ func main() {
 		tieringPref    = flag.Bool("tiering-prefetch-next", false, "warm next-epoch cold samples into free fast-tier space when a plan is submitted")
 		tieringTracked = flag.Int("tiering-max-tracked", 0, "access-count map bound before decay sweeps, which age residents too (0 = default 65536)")
 
-		batchOn      = flag.Bool("batch", false, "enable plan-aware read coalescing (vectored range reads over packed datasets)")
-		batchSamples = flag.Int("batch-samples", 0, "max FIFO-adjacent samples per vectored read (0 = default 4)")
-		batchBytes   = flag.Int64("batch-bytes", 0, "max stored bytes per vectored read (0 = default 4MiB)")
-
 		nodeID      = flag.String("node-id", "", "this node's name in the cluster placement ring (enables the multi-node prefetch fabric with -peers)")
 		peerList    = flag.String("peers", "", "peer nodes as NAME=SOCKET,... e.g. node-1=/tmp/prisma-1.sock")
 		vnodes      = flag.Int("vnodes", 0, "consistent-hash virtual nodes per ring member (0 = default 64; all nodes must agree)")
@@ -276,11 +270,6 @@ func main() {
 			MaxTrackedNames:   *tieringTracked,
 			Compress:          *tieringComp,
 			PrefetchNextEpoch: *tieringPref,
-		},
-		Batch: prisma.BatchOptions{
-			Enable:     *batchOn,
-			MaxSamples: *batchSamples,
-			MaxBytes:   *batchBytes,
 		},
 		Cluster: prisma.ClusterOptions{
 			Enable:             *nodeID != "",

@@ -305,7 +305,7 @@ func TestServerRejectsOrphanSubFlags(t *testing.T) {
 			}
 		})
 	}
-	if rows < 20 {
+	if rows < 18 {
 		t.Fatalf("only %d flags declare a requirement in prisma-server -h:\n%s", rows, help)
 	}
 }

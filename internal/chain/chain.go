@@ -12,7 +12,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
-	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
 	"github.com/dsrhaslab/prisma-go/internal/trace"
@@ -26,7 +25,6 @@ type Config struct {
 	Fast          *storage.Device           // the hierarchy's fast device (nil in real mode)
 	WarmNextEpoch bool                      // epoch plans go to the hierarchy's warmer
 	Resilience    *storage.ResilienceConfig // the retry and breaker wrapper's
-	Index         *recordio.Index           // the pack view's: sample name to shard record
 }
 
 // Layer is one row of the table: when cfg turns it on, and how it wraps the
@@ -42,12 +40,11 @@ type Layer struct {
 // (the clock, the buffer pool — nil when pooling is off — and the tracer),
 // the chain built so far, and what its layers hand the owner.
 type Chain struct {
-	Env       conc.Env
-	Pool      *mempool.Pool
-	Tracer    *obs.Tracer
-	Backend   storage.Backend   // the leaf before Fold, the top of the chain after
-	Coalescer storage.Coalescer // the pack view's, for core.PrefetcherConfig
-	Built     []string          // the rows folded in, bottom-up
+	Env     conc.Env
+	Pool    *mempool.Pool
+	Tracer  *obs.Tracer
+	Backend storage.Backend // the leaf before Fold, the top of the chain after
+	Built   []string        // the rows folded in, bottom-up
 
 	closers []func()                 // undone newest first by Close
 	stats   []func(*core.StageStats) // each layer's part of a stage snapshot
@@ -55,18 +52,14 @@ type Chain struct {
 	flush   []func() error           // what Flush writes once the data plane is quiet
 }
 
-// Layers is the storage chain above the leaf, bottom-up. Its order has four
-// reasons:
+// Layers is the storage chain above the leaf, bottom-up. Its order has
+// three reasons:
 //   - the recorder is innermost, so the I/O trace sees only device reads
 //     (the hierarchy's promotions and warms among them, its hits not);
 //   - the memory hierarchy is under the resilient wrapper, so hits keep
 //     flowing while the breaker sheds misses;
 //   - the resilient wrapper is above both, so a retried read re-enters the
-//     hierarchy and the trace;
-//   - the pack view is outermost: it turns a sample name into a ranged read
-//     of its shard, which every row below serves, so a batched read is
-//     retried and traced like any other (ranges pass through the hierarchy
-//     uncached).
+//     hierarchy and the trace.
 var Layers = []Layer{
 	{
 		Name: "recorder",
@@ -105,16 +98,6 @@ var Layers = []Layer{
 			}
 			c.stats = append(c.stats, func(s *core.StageStats) { s.Resilience = rb.ResilienceStats() })
 			return rb, nil
-		},
-	},
-	{
-		Name: "pack",
-		On:   func(cfg Config) bool { return cfg.Index != nil },
-		Build: func(c *Chain, cfg Config) (storage.Backend, error) {
-			view := recordio.NewIndexedBackend(cfg.Index, c.Backend)
-			view.SetBufferPool(c.Pool) // decode buffers of compressed records
-			c.Coalescer = view
-			return view, nil
 		},
 	},
 }

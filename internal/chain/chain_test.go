@@ -15,22 +15,17 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
-	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
 	"github.com/dsrhaslab/prisma-go/internal/trace"
 )
 
-const shardName = "chain/shard-00000.rec"
-
-// fixture is a pooled MemBackend leaf holding files samples twice: loose
-// under their names, and packed into one shard the index addresses, so
-// every subset of the rows reads the same names back.
+// fixture is a pooled MemBackend leaf holding files samples, so every
+// subset of the rows reads the same names back.
 type fixture struct {
 	mem      *storage.MemBackend
 	pool     *mempool.Pool
-	ix       *recordio.Index
 	names    []string
 	payloads [][]byte
 }
@@ -42,10 +37,6 @@ func newFixture(t *testing.T, files int) *fixture {
 		f.names = append(f.names, fmt.Sprintf("s%03d", i))
 		f.payloads = append(f.payloads, bytes.Repeat([]byte{byte(i), byte(i >> 3), 0xA5}, 1000+i))
 		f.mem.Add(f.names[i], f.payloads[i])
-	}
-	var err error
-	if f.ix, err = recordio.PackMem(f.mem, shardName, f.names, f.payloads, false); err != nil {
-		t.Fatal(err)
 	}
 	f.mem.SetBufferPool(f.pool)
 	return f
@@ -67,7 +58,6 @@ func (f *fixture) everyRow(t *testing.T) Config {
 		TraceFile:  filepath.Join(t.TempDir(), "io.jsonl"),
 		Hierarchy:  tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1},
 		Resilience: &r,
-		Index:      f.ix,
 	}
 }
 
@@ -82,9 +72,6 @@ func only(cfg Config, on map[string]bool) Config {
 	if !on["resilient"] {
 		cfg.Resilience = nil
 	}
-	if !on["pack"] {
-		cfg.Index = nil
-	}
 	return cfg
 }
 
@@ -98,8 +85,7 @@ func (f *fixture) audit(t *testing.T) {
 
 // TestChainFoldEverySubset folds every subset of the table's rows over one
 // leaf: the fold builds exactly the rows switched on, in table order; every
-// sample reads back byte-identical through them; the pack row, and only it,
-// hands over a coalescer; each row's part of the snapshot is there exactly
+// sample reads back byte-identical through them; each row's part of the snapshot is there exactly
 // when the row is; the recorder's trace reaches its file at Flush; and once
 // the chain is closed (twice) the pool has nothing out.
 func TestChainFoldEverySubset(t *testing.T) {
@@ -122,9 +108,6 @@ func TestChainFoldEverySubset(t *testing.T) {
 			if !slices.Equal(ch.Built, want) {
 				t.Fatalf("built %v, want %v", ch.Built, want)
 			}
-			if (ch.Coalescer != nil) != on["pack"] {
-				t.Fatalf("coalescer %v with the pack row %v", ch.Coalescer, on["pack"])
-			}
 			for pass := 0; pass < 2; pass++ {
 				for i, name := range f.names {
 					resp, err := ch.Backend.Read(storage.Request{Name: name})
@@ -143,7 +126,7 @@ func TestChainFoldEverySubset(t *testing.T) {
 			if s.TieringEnabled != on["hierarchy"] || (s.Resilience.State != "") != on["resilient"] {
 				t.Fatalf("snapshot tiering %v, breaker %q; rows %v", s.TieringEnabled, s.Resilience.State, ch.Built)
 			}
-			if on["hierarchy"] && !on["pack"] && s.Tiering.FastHits == 0 {
+			if on["hierarchy"] && s.Tiering.FastHits == 0 {
 				t.Fatalf("second pass missed the hierarchy: %+v", s.Tiering)
 			}
 			ch.Close()
@@ -201,14 +184,12 @@ func TestChainFoldFailureClosesRowsBelow(t *testing.T) {
 	}
 }
 
-// TestChainRetriesVectoredReads runs the prefetcher with coalescing over
-// the folded resilient and pack rows, in virtual time, above a shard store
-// that fails every second request: each failed vectored read is retried
-// through the resilient row and succeeds, so every sample is delivered
-// byte-identical by batched reads, with no per-sample fallback and no
-// pooled lease left once the stage is closed.
-func TestChainRetriesVectoredReads(t *testing.T) {
-	const k = 4
+// TestChainRetriesFailedReads runs the prefetcher over the folded
+// resilient row, in virtual time, above a store that fails every second
+// request: each failed read is retried through the resilient row and
+// succeeds, so every sample is delivered byte-identical, with no pooled
+// lease left once the stage is closed.
+func TestChainRetriesFailedReads(t *testing.T) {
 	f := newFixture(t, 16)
 	s := sim.New()
 	env := conc.NewSimEnv(s)
@@ -219,7 +200,7 @@ func TestChainRetriesVectoredReads(t *testing.T) {
 		faulty.FailEvery(2)
 		r := storage.DefaultResilienceConfig()
 		ch := &Chain{Env: env, Pool: f.pool, Backend: faulty}
-		if err := ch.Fold(Config{Resilience: &r, Index: f.ix}); err != nil {
+		if err := ch.Fold(Config{Resilience: &r}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -229,8 +210,6 @@ func TestChainRetriesVectoredReads(t *testing.T) {
 			MaxProducers:          2,
 			InitialBufferCapacity: len(f.names),
 			MaxBufferCapacity:     len(f.names),
-			BatchSamples:          k,
-			Coalescer:             ch.Coalescer,
 		})
 		if err != nil {
 			t.Error(err)
@@ -239,8 +218,6 @@ func TestChainRetriesVectoredReads(t *testing.T) {
 		st := core.NewStage(env, ch.Backend, pf)
 		defer st.Close()
 		st.SetChainStats(ch.Snapshot)
-		// The whole plan is queued before the producers start, so every run
-		// is a full, aligned window of k samples of the one shard.
 		if err := st.SubmitPlan(f.names); err != nil {
 			t.Error(err)
 			return
@@ -264,9 +241,8 @@ func TestChainRetriesVectoredReads(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if want := int64(len(f.names) / k); stats.BatchReads != want || stats.BatchedSamples != int64(len(f.names)) || stats.BatchFallbacks != 0 {
-		t.Fatalf("%d vectored reads for %d samples, %d fallbacks; want %d reads for all %d, none",
-			stats.BatchReads, stats.BatchedSamples, stats.BatchFallbacks, want, len(f.names))
+	if stats.PrefetchedFiles != int64(len(f.names)) || stats.ReadErrors != 0 {
+		t.Fatalf("%d samples prefetched, %d read errors; want all %d, none", stats.PrefetchedFiles, stats.ReadErrors, len(f.names))
 	}
 	if injected == 0 || stats.Resilience.Retries != injected || stats.Resilience.Exhausted != 0 {
 		t.Fatalf("%d faults injected, %d retries, %d exhausted: want every fault retried", injected, stats.Resilience.Retries, stats.Resilience.Exhausted)

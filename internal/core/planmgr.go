@@ -128,7 +128,7 @@ type epochState struct {
 // kill.
 //
 // It is also the producers' plan store: each epoch's plan is kept once, as
-// name slots, and producers pop runs of it in order (pop), so plan order
+// name slots, and producers pop it in order (pop), so plan order
 // within and across epochs is the order of registration. Nothing below the
 // stage hashes a name: claims are found by slot, positions by epoch.
 //
@@ -217,55 +217,42 @@ func (pm *planManager) register(slots []int32, held bool) (EpochID, error) {
 	return ep.id, nil
 }
 
-// pop hands a producer its next run: up to max unpopped positions of the
-// oldest live epoch, in plan order, extended past the first only while
-// same(first, next) holds (never consulted when max is 1). A run never
-// crosses an epoch, and one producer pops all of it; cancelled epochs are
-// skipped. The run is appended to out — the producer's reused scratch — as
-// name + slot + position triples (a popped position is not a consumer's
-// claim; it only shares the shape), and at is the epoch's submission time.
-// With nothing to pop it parks until a registration, wake or close,
-// consulting stop on entry and after every wakeup: a true stop abandons the
-// wait (stopped=true). ok is false once the manager is closed with nothing
-// left to pop. stop and same run under mu; the run's names are looked up
-// after it is released, since each is a load from the name table that can
-// miss the cache.
-func (pm *planManager) pop(out []PlanClaim, max int, same func(first, next string) bool, stop func() bool) (run []PlanClaim, at time.Duration, ok, stopped bool) {
-	start := len(out)
-	run, at, ok, stopped = pm.popLocked(out, max, same, stop)
-	for i := start; i < len(run); i++ {
-		run[i].Name = pm.names.Name(int(run[i].Slot))
+// pop hands a producer its next position: the first unpopped one of the
+// oldest live epoch, skipping cancelled epochs, as name + slot + position (a
+// popped position is not a consumer's claim; it only shares the shape), and
+// at is the epoch's submission time. With nothing to pop it parks until a
+// registration, wake or close, consulting stop on entry and after every
+// wakeup: a true stop abandons the wait (stopped=true). ok is false once
+// the manager is closed with nothing left to pop. stop runs under mu; the
+// name is looked up after it is released, since it is a load from the name
+// table that can miss the cache.
+func (pm *planManager) pop(stop func() bool) (e PlanClaim, at time.Duration, ok, stopped bool) {
+	e, at, ok, stopped = pm.popLocked(stop)
+	if ok {
+		e.Name = pm.names.Name(int(e.Slot))
 	}
-	return run, at, ok, stopped
+	return e, at, ok, stopped
 }
 
-func (pm *planManager) popLocked(out []PlanClaim, max int, same func(first, next string) bool, stop func() bool) (run []PlanClaim, at time.Duration, ok, stopped bool) {
+func (pm *planManager) popLocked(stop func() bool) (e PlanClaim, at time.Duration, ok, stopped bool) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	ep := pm.headLocked()
 	for ep == nil {
 		if pm.closed {
-			return out, 0, false, false
+			return PlanClaim{}, 0, false, false
 		}
 		if stop() {
-			return out, 0, false, true
+			return PlanClaim{}, 0, false, true
 		}
 		pm.parked++
 		pm.ready.Wait()
 		pm.parked--
 		ep = pm.headLocked()
 	}
-	first := len(out)
-	i := ep.next
-	for {
-		out = append(out, PlanClaim{PlanPos: PlanPos{Epoch: ep.id, Index: i}, Slot: ep.slots[i]})
-		i++
-		if i-ep.next == max || i == len(ep.slots) || !same(pm.names.Name(int(out[first].Slot)), pm.names.Name(int(ep.slots[i]))) {
-			break
-		}
-	}
-	ep.next = i
-	return out, ep.submittedAt, true, false
+	e = PlanClaim{PlanPos: PlanPos{Epoch: ep.id, Index: ep.next}, Slot: ep.slots[ep.next]}
+	ep.next++
+	return e, ep.submittedAt, true, false
 }
 
 // headLocked returns the oldest epoch with a position left to pop, first

@@ -60,7 +60,7 @@ func awaitPopParked(t *testing.T, env conc.Env, pm *planManager, n int) {
 // popResult is what one pop returned, handed from a parked producer back
 // to the test body.
 type popResult struct {
-	run         []PlanClaim
+	e           PlanClaim
 	ok, stopped bool
 }
 
@@ -68,8 +68,8 @@ type popResult struct {
 // results (buffered by the caller) once the pop returns.
 func popAsync(env conc.Env, pm *planManager, stop func() bool, results chan<- popResult) {
 	env.Go("producer", func() {
-		run, _, ok, stopped := pm.pop(nil, 1, nil, stop)
-		results <- popResult{run, ok, stopped}
+		e, _, ok, stopped := pm.pop(stop)
+		results <- popResult{e, ok, stopped}
 	})
 }
 
@@ -118,7 +118,7 @@ func TestPlanPopStopPredicate(t *testing.T) {
 		settled(t, env, results, "before stop was requested")
 		stop.Store(true)
 		pm.wake()
-		if r := await(t, env, results); r.ok || !r.stopped || len(r.run) != 0 {
+		if r := await(t, env, results); r.ok || !r.stopped || r.e != (PlanClaim{}) {
 			t.Fatalf("pop = %+v, want stopped with nothing popped", r)
 		}
 	})
@@ -140,7 +140,7 @@ func TestPlanPopHeldRegistration(t *testing.T) {
 		}
 		settled(t, env, results, "before the held registration's wake")
 		pm.wake()
-		if r := await(t, env, results); !r.ok || len(r.run) != 1 || r.run[0].Name != "a" {
+		if r := await(t, env, results); !r.ok || r.e.Name != "a" {
 			t.Fatalf("pop = %+v, want the plan's first position", r)
 		}
 	})
@@ -157,21 +157,21 @@ func TestPlanPopDeliversBeforeStop(t *testing.T) {
 			t.Fatal(err)
 		}
 		always := func() bool { return true }
-		run, _, ok, stopped := pm.pop(nil, 1, nil, always)
-		if !ok || stopped || len(run) != 1 || run[0] != (PlanClaim{Name: "a", PlanPos: PlanPos{Epoch: id}}) {
-			t.Fatalf("pop = (%v, ok=%v, stopped=%v), want a at index 0", run, ok, stopped)
+		e, _, ok, stopped := pm.pop(always)
+		if !ok || stopped || e != (PlanClaim{Name: "a", PlanPos: PlanPos{Epoch: id}}) {
+			t.Fatalf("pop = (%v, ok=%v, stopped=%v), want a at index 0", e, ok, stopped)
 		}
 		pm.close()
 		if _, err := pm.registerNames([]string{"c"}, false); err != ErrClosed {
 			t.Fatalf("register after close = %v, want ErrClosed", err)
 		}
-		run, _, ok, stopped = pm.pop(run[:0], 1, nil, always)
-		if !ok || stopped || len(run) != 1 || run[0].Name != "b" || run[0].Index != 1 {
-			t.Fatalf("pop after close = (%v, ok=%v, stopped=%v), want b at index 1", run, ok, stopped)
+		e, _, ok, stopped = pm.pop(always)
+		if !ok || stopped || e.Name != "b" || e.Index != 1 {
+			t.Fatalf("pop after close = (%v, ok=%v, stopped=%v), want b at index 1", e, ok, stopped)
 		}
-		run, _, ok, stopped = pm.pop(run[:0], 1, nil, always)
-		if ok || stopped || len(run) != 0 {
-			t.Fatalf("pop on a drained, closed store = (%v, ok=%v, stopped=%v), want drained", run, ok, stopped)
+		e, _, ok, stopped = pm.pop(always)
+		if ok || stopped || e != (PlanClaim{}) {
+			t.Fatalf("pop on a drained, closed store = (%v, ok=%v, stopped=%v), want drained", e, ok, stopped)
 		}
 	})
 }
@@ -187,9 +187,9 @@ func TestPlanPopSkipsCancelledEpoch(t *testing.T) {
 		if n := pm.unpopped(); n != 5 {
 			t.Fatalf("unpopped = %d, want 5", n)
 		}
-		run, _, _, _ := pm.pop(nil, 1, nil, never)
-		if run[0].Name != "a" || run[0].Epoch != first {
-			t.Fatalf("first pop = %v, want a of epoch %d", run, first)
+		e, _, _, _ := pm.pop(never)
+		if e.Name != "a" || e.Epoch != first {
+			t.Fatalf("first pop = %v, want a of epoch %d", e, first)
 		}
 		if _, err := pm.cancel(first); err != nil {
 			t.Fatal(err)
@@ -199,7 +199,8 @@ func TestPlanPopSkipsCancelledEpoch(t *testing.T) {
 		}
 		var got []PlanClaim
 		for i := 0; i < 2; i++ {
-			got, _, _, _ = pm.pop(got, 1, nil, never)
+			e, _, _, _ := pm.pop(never)
+			got = append(got, e)
 		}
 		// The table gave a, b and c slots 0-2.
 		want := []PlanClaim{{Name: "x", PlanPos: PlanPos{Epoch: second}, Slot: 3}, {Name: "y", PlanPos: PlanPos{Epoch: second, Index: 1}, Slot: 4}}
@@ -229,7 +230,7 @@ func TestPlanPopWakesParkedProducers(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := await(t, env, results)
-			if !r.ok || r.stopped || len(r.run) != 1 || r.run[0].Name != name || r.run[0].Epoch != id {
+			if !r.ok || r.stopped || r.e.Name != name || r.e.Epoch != id {
 				t.Fatalf("woken pop = %+v, want %s of epoch %d", r, name, id)
 			}
 			settled(t, env, results, "with nothing left to pop")
@@ -237,57 +238,35 @@ func TestPlanPopWakesParkedProducers(t *testing.T) {
 	})
 }
 
-// TestPlanPopRunRules: a run is one epoch's next positions in plan order,
-// ended by the run budget, by the first name the predicate rejects, or by
-// the end of the epoch, whichever comes first; it is appended to the
-// caller's scratch and carries the epoch's submission time.
-func TestPlanPopRunRules(t *testing.T) {
-	sameShard := func(first, next string) bool { return first[0] == next[0] }
-	cases := []struct {
-		name  string
-		max   int
-		plans [][]string
-		want  []string // names of the first run
-	}{
-		{"budget", 2, [][]string{{"a1", "a2", "a3"}}, []string{"a1", "a2"}},
-		{"predicate", 8, [][]string{{"a1", "a2", "b1", "a3"}}, []string{"a1", "a2"}},
-		{"epoch-end", 8, [][]string{{"a1", "a2"}, {"a3", "a4"}}, []string{"a1", "a2"}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			runSim(t, func(env conc.Env) {
-				pm := newPlanManager(env, testTable("a1", "a2", "a3", "a4", "b1"))
-				env.Sleep(3 * time.Millisecond)
-				var first EpochID
-				for i, p := range tc.plans {
-					id, err := pm.registerNames(p, false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if i == 0 {
-						first = id
-					}
-				}
-				scratch := make([]PlanClaim, 1, 16)
-				scratch[0] = PlanClaim{Name: "kept"}
-				run, at, ok, _ := pm.pop(scratch, tc.max, sameShard, never)
-				if !ok || at != 3*time.Millisecond {
-					t.Fatalf("pop ok=%v at=%v, want ok at the 3ms submission", ok, at)
-				}
-				if &run[0] != &scratch[0] || run[0].Name != "kept" {
-					t.Fatalf("run %v did not extend the caller's scratch", run)
-				}
-				run = run[1:]
-				if len(run) != len(tc.want) {
-					t.Fatalf("run %v, want %v", run, tc.want)
-				}
-				for i, c := range run {
-					if c.Name != tc.want[i] || c.Epoch != first || c.Index != i {
-						t.Fatalf("run %v, want %v at indexes 0.. of epoch %d", run, tc.want, first)
-					}
-				}
-			})
-		})
-	}
+// TestPlanPopPlanOrder: pop hands out one position at a time, each
+// epoch's positions in plan order and epochs in submission order, each
+// carrying its epoch's submission time.
+func TestPlanPopPlanOrder(t *testing.T) {
+	runSim(t, func(env conc.Env) {
+		pm := newPlanManager(env, testTable("a1", "a2", "a3", "a4"))
+		env.Sleep(3 * time.Millisecond)
+		first, _ := pm.registerNames([]string{"a2", "a1"}, false)
+		env.Sleep(2 * time.Millisecond)
+		second, _ := pm.registerNames([]string{"a4", "a3"}, false)
+		want := []struct {
+			name  string
+			epoch EpochID
+			index int
+			at    time.Duration
+		}{
+			{"a2", first, 0, 3 * time.Millisecond},
+			{"a1", first, 1, 3 * time.Millisecond},
+			{"a4", second, 0, 5 * time.Millisecond},
+			{"a3", second, 1, 5 * time.Millisecond},
+		}
+		for _, w := range want {
+			e, at, ok, _ := pm.pop(never)
+			if !ok || e.Name != w.name || e.Epoch != w.epoch || e.Index != w.index || at != w.at {
+				t.Fatalf("pop = %+v at %v (ok=%v), want %s at index %d of epoch %d, submitted at %v", e, at, ok, w.name, w.index, w.epoch, w.at)
+			}
+		}
+		if n := pm.unpopped(); n != 0 {
+			t.Fatalf("unpopped = %d after popping every position, want 0", n)
+		}
+	})
 }

@@ -16,43 +16,16 @@ import (
 // which keeps every epoch's name list once. These tests drive it through
 // the stage under the simulator, and its lock order on real threads.
 
-// readLog wraps a backend, logging every backend read: a per-sample read
-// is a batch of one, a vectored read one batch of its names. It is also a
-// Coalescer that puts every sample in one container, so with BatchSamples
-// > 1 only the run rules (budget, epoch boundary) end a run.
+// readLog wraps a backend, logging the name of every backend read in read
+// order.
 type readLog struct {
 	storage.Backend
-	batches [][]string
+	names []string
 }
 
 func (l *readLog) Read(req storage.Request) (storage.Response, error) {
-	l.batches = append(l.batches, []string{req.Name})
+	l.names = append(l.names, req.Name)
 	return l.Backend.Read(req)
-}
-
-func (l *readLog) Locate(string) (string, int64, bool) { return "pack-0", 1, true }
-
-func (l *readLog) BatchReader() storage.SampleBatcher { return l }
-
-func (l *readLog) ReadSampleBatch(names []string, out []storage.Data) ([]storage.Data, error) {
-	l.batches = append(l.batches, slices.Clone(names))
-	for _, n := range names {
-		resp, err := l.Backend.Read(storage.Request{Name: n})
-		if err != nil {
-			return out, err
-		}
-		out = append(out, resp.Data)
-	}
-	return out, nil
-}
-
-// reads flattens the log into read order.
-func (l *readLog) reads() []string {
-	var out []string
-	for _, b := range l.batches {
-		out = append(out, b...)
-	}
-	return out
 }
 
 // TestPlanStoreEmptyPlanRetires: an empty plan — SubmitEpoch(nil), or a
@@ -129,18 +102,13 @@ func TestPlanStoreTraceSamplingAfterSubmit(t *testing.T) {
 	})
 }
 
-// TestPlanStoreEpochsInPlanOrder: two epochs submitted back to back over a
-// coalescer are read in plan order — epoch 1 wholly before epoch 2 — and
-// no vectored run spans the boundary, though every sample shares one
-// container and the budget would fit it.
+// TestPlanStoreEpochsInPlanOrder: two epochs submitted back to back are
+// read in plan order — epoch 1 wholly before epoch 2.
 func TestPlanStoreEpochsInPlanOrder(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		modeled, names := testBackend(env, 6, 1000, time.Millisecond, 4)
 		log := &readLog{Backend: modeled}
-		cfg := pfConfig(1, 16)
-		cfg.BatchSamples = 4
-		cfg.Coalescer = log
-		pf, err := NewPrefetcher(env, log, testManifest(names, 1000), cfg)
+		pf, err := NewPrefetcher(env, log, testManifest(names, 1000), pfConfig(1, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,18 +127,8 @@ func TestPlanStoreEpochsInPlanOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got, want := log.reads(), append(slices.Clone(names), second...); !slices.Equal(got, want) {
+		if got, want := log.names, append(slices.Clone(names), second...); !slices.Equal(got, want) {
 			t.Fatalf("backend read order %v, want plan order %v", got, want)
-		}
-		read := 0
-		for _, b := range log.batches {
-			if read < len(names) && read+len(b) > len(names) {
-				t.Errorf("run %v spans the epoch boundary", b)
-			}
-			read += len(b)
-		}
-		if pf.BatchReads() == 0 {
-			t.Error("no vectored read: the coalescer never engaged")
 		}
 	})
 }
@@ -210,7 +168,7 @@ func TestEpochCancelReadsNoUnpoppedName(t *testing.T) {
 			t.Errorf("QueueLen after cancel = %d, want 0", n)
 		}
 		env.Sleep(50 * time.Millisecond) // in-flight reads land and are refused
-		if got := log.reads(); !slices.Equal(got, names[:popped]) {
+		if got := log.names; !slices.Equal(got, names[:popped]) {
 			t.Errorf("backend read %v, want only the %d positions popped before the cancel", got, popped)
 		}
 		e := st.Epochs()[0]

@@ -37,25 +37,7 @@ type PrefetcherConfig struct {
 	// fails with ErrTakeDeadline and the plan entry is returned to its
 	// epoch. Adjustable at runtime via SetTakeDeadline.
 	TakeDeadline time.Duration
-	// BatchSamples, when > 1, coalesces up to that many adjacent plan
-	// entries living in the same storage container (recordio shard) into
-	// one vectored read through Coalescer — the plan-aware read coalescer.
-	// Without a Coalescer every read stays per-sample. A vectored request
-	// wider than the device's channel count stops amortizing and starts
-	// queueing, so callers that know the device pass its channel count
-	// here. 0 or 1 disables coalescing.
-	BatchSamples int
-	// Coalescer is the pack view at the top of the chain, handed over by
-	// the chain's fold (chain.Chain.Coalescer; nil over loose files).
-	Coalescer storage.Coalescer
-	// BatchBytes bounds the stored bytes one coalesced read may carry
-	// (0 = DefaultBatchBytes when coalescing is enabled).
-	BatchBytes int64
 }
-
-// DefaultBatchBytes is the per-batch stored-byte budget when BatchSamples
-// enables coalescing without an explicit BatchBytes.
-const DefaultBatchBytes = 4 << 20
 
 // DefaultPrefetcherConfig mirrors the prototype's conservative starting
 // point: one producer and a small buffer, leaving tuning to the control
@@ -92,12 +74,6 @@ func (c PrefetcherConfig) Validate() error {
 	if c.TakeDeadline < 0 {
 		return fmt.Errorf("core: negative TakeDeadline")
 	}
-	if c.BatchSamples < 0 {
-		return fmt.Errorf("core: negative BatchSamples")
-	}
-	if c.BatchBytes < 0 {
-		return fmt.Errorf("core: negative BatchBytes")
-	}
 	return nil
 }
 
@@ -128,16 +104,9 @@ type Prefetcher struct {
 
 	takeDL atomic.Int64 // consumer take deadline in ns (0 = none)
 
-	// Plan-aware read coalescer budget (batchMax 1: per-sample reads).
-	batchMax   int
-	batchBytes int64
-
-	readLat        *metrics.BucketedHistogram // producer-observed storage read latency
-	prefetched     *metrics.Counter
-	readErrors     *metrics.Counter
-	batchReads     *metrics.Counter // vectored backend ops issued
-	batchedSamples *metrics.Counter // samples served by those ops
-	batchFallbacks *metrics.Counter // batches degraded to per-sample reads
+	readLat    *metrics.BucketedHistogram // producer-observed storage read latency
+	prefetched *metrics.Counter
+	readErrors *metrics.Counter
 }
 
 // NewPrefetcher builds (but does not start) a prefetcher over the dataset
@@ -152,27 +121,16 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, m *dataset.Manifest, c
 	}
 	names := m.Names()
 	pf := &Prefetcher{
-		env:            env,
-		backend:        backend,
-		cfg:            cfg,
-		buffer:         NewShardedBuffer(env, cfg.InitialBufferCapacity, cfg.BufferAccessCost, cfg.BufferShards),
-		plans:          newPlanManager(env, names),
-		names:          names,
-		largest:        m.MaxSize(),
-		batchMax:       1,
-		readLat:        metrics.NewBucketedHistogram(env, nil),
-		prefetched:     metrics.NewCounter(env),
-		readErrors:     metrics.NewCounter(env),
-		batchReads:     metrics.NewCounter(env),
-		batchedSamples: metrics.NewCounter(env),
-		batchFallbacks: metrics.NewCounter(env),
-	}
-	if cfg.BatchSamples > 1 && cfg.Coalescer != nil {
-		pf.batchMax = cfg.BatchSamples
-		pf.batchBytes = cfg.BatchBytes
-		if pf.batchBytes == 0 {
-			pf.batchBytes = DefaultBatchBytes
-		}
+		env:        env,
+		backend:    backend,
+		cfg:        cfg,
+		buffer:     NewShardedBuffer(env, cfg.InitialBufferCapacity, cfg.BufferAccessCost, cfg.BufferShards),
+		plans:      newPlanManager(env, names),
+		names:      names,
+		largest:    m.MaxSize(),
+		readLat:    metrics.NewBucketedHistogram(env, nil),
+		prefetched: metrics.NewCounter(env),
+		readErrors: metrics.NewCounter(env),
 	}
 	pf.mu = env.NewMutex()
 	pf.takeDL.Store(int64(cfg.TakeDeadline))
@@ -388,77 +346,23 @@ func (pf *Prefetcher) Producers() (target, running int) {
 // parked producer re-checks after every change.
 func (pf *Prefetcher) surplus() bool { return pf.retire.Load() }
 
-// producerLoop is the body of one producer thread. It pops contiguous
-// same-shard runs of plan positions from the plan manager — bounded by
-// BatchSamples and BatchBytes; always of length 1 without a coalescer —
-// and serves each run of several samples with one vectored backend read,
-// delivering per-sample views into the buffer with per-entry cancel
-// checks, spans, counters, PopDelay attribution, and pooled
-// single-ownership hand-off. A failed batch falls back to per-sample reads
-// for that run, so batching can degrade but never lose or duplicate a
-// sample.
+// producerLoop is the body of one producer thread. It pops plan positions
+// from the plan manager one at a time, in plan order, reads each sample
+// whole from the backend and parks it in the buffer, with the cancel check,
+// spans, counters, PopDelay attribution and pooled single-ownership
+// hand-off.
 func (pf *Prefetcher) producerLoop() {
 	// prevPark is how long this thread's previous Put parked on a full
 	// shard. It rides on the next Item as PopDelay: that sample's read
 	// started late by (up to) this much because of buffer capacity, which
 	// is the causal signal the consumer-wait attribution needs.
 	var prevPark time.Duration
-	// Per-producer scratch, reused every iteration: the hot path must stay
-	// 0 allocs/op, batched or not.
-	run := make([]PlanClaim, 0, pf.batchMax)
-	ctxs := make([]obs.Ctx, 0, pf.batchMax)
-	names := make([]string, 0, pf.batchMax)
-	datas := make([]storage.Data, 0, pf.batchMax)
-	errs := make([]error, 0, pf.batchMax)
-	details := make([]storage.ReadDetail, 0, pf.batchMax)
-
-	// Run-grouping state for the pop predicate, reset before each pop.
-	// The closure is allocated once per producer; it runs under the plan
-	// lock and touches only the coalescer's read-only index. Without a
-	// coalescer batchMax is 1 and pop never calls it.
-	var reader storage.SampleBatcher
-	var same func(first, cand string) bool
-	var haveFirst bool
-	if pf.batchMax > 1 {
-		co := pf.cfg.Coalescer
-		reader = co.BatchReader()
-		var runShard string
-		var runBytes int64
-		var firstBatchable bool
-		same = func(first, cand string) bool {
-			if !haveFirst {
-				haveFirst = true
-				sh, n, ok := co.Locate(first)
-				firstBatchable = ok
-				if !ok {
-					return false
-				}
-				runShard, runBytes = sh, n
-			}
-			if !firstBatchable {
-				return false
-			}
-			sh, n, ok := co.Locate(cand)
-			if !ok || sh != runShard {
-				return false
-			}
-			if pf.batchBytes > 0 && runBytes+n > pf.batchBytes {
-				return false
-			}
-			runBytes += n
-			return true
-		}
-	}
-
 	for {
 		if pf.retire.Load() && pf.retireOne(false) {
 			return
 		}
 
-		haveFirst = false
-		var at time.Duration
-		var ok, stopped bool
-		run, at, ok, stopped = pf.plans.pop(run[:0], pf.batchMax, same, pf.surplus)
+		e, at, ok, stopped := pf.plans.pop(pf.surplus)
 		if stopped {
 			// Woken while surplus (SetProducers shrank t on an idle plan):
 			// loop to the top, where the retire check decrements running
@@ -474,130 +378,75 @@ func (pf *Prefetcher) producerLoop() {
 		// Each popped position heads one sample-lifecycle trace (head
 		// sampling decides here).
 		readStart := pf.env.Now()
-		names = names[:0]
-		ctxs = ctxs[:0]
-		for _, e := range run {
-			ctx := pf.tracer.StartTrace()
-			if ctx.Sampled {
-				pf.tracer.Record(obs.Span{
-					Trace:   ctx.Trace,
-					Stage:   obs.StageFIFOPop,
-					Name:    e.Name,
-					At:      at,
-					Latency: readStart - at,
-				})
-			}
-			ctxs = append(ctxs, ctx)
-			names = append(names, e.Name)
+		ctx := pf.tracer.StartTrace()
+		if ctx.Sampled {
+			pf.tracer.Record(obs.Span{
+				Trace:   ctx.Trace,
+				Stage:   obs.StageFIFOPop,
+				Name:    e.Name,
+				At:      at,
+				Latency: readStart - at,
+			})
 		}
-
-		datas = datas[:0]
-		errs = errs[:0]
-		details = details[:0]
-		batched := false
-		if len(run) > 1 {
-			res, berr := reader.ReadSampleBatch(names, datas)
-			if berr == nil {
-				datas = res
-				batched = true
-				for range run {
-					errs = append(errs, nil)
-					details = append(details, storage.ReadDetail{})
-				}
-			} else {
-				pf.batchFallbacks.Inc()
-			}
-		}
-		if !batched {
-			for i, e := range run {
-				resp, rerr := pf.backend.Read(storage.Request{Name: e.Name, Ctx: ctxs[i], Slot: int(e.Slot) + 1})
-				datas = append(datas, resp.Data)
-				details = append(details, resp.Detail)
-				errs = append(errs, rerr)
-			}
-		}
+		resp, rerr := pf.backend.Read(storage.Request{Name: e.Name, Ctx: ctx, Slot: int(e.Slot) + 1})
+		d := resp.Data
 		readEnd := pf.env.Now()
 		pf.readLat.Observe(readEnd - readStart)
-		if batched {
-			pf.batchReads.Inc()
-			pf.batchedSamples.Add(int64(len(run)))
-		}
-
-		for i, e := range run {
-			d, rerr, ctx := datas[i], errs[i], ctxs[i]
-			if ctx.Sampled {
-				sp := obs.Span{
-					Trace:   ctx.Trace,
-					Stage:   obs.StageStorageRead,
-					Name:    e.Name,
-					At:      readStart,
-					Latency: readEnd - readStart,
-					Size:    d.Size,
-					Breaker: details[i].Breaker,
-				}
-				if details[i].Attempts > 1 {
-					sp.Retries = details[i].Attempts - 1
-				}
-				if rerr != nil {
-					sp.Error = rerr.Error()
-				}
-				pf.tracer.Record(sp)
+		if ctx.Sampled {
+			sp := obs.Span{
+				Trace:   ctx.Trace,
+				Stage:   obs.StageStorageRead,
+				Name:    e.Name,
+				At:      readStart,
+				Latency: readEnd - readStart,
+				Size:    d.Size,
+				Breaker: resp.Detail.Breaker,
 			}
-			it := Item{
-				Name:      e.Name,
-				Size:      d.Size,
-				Bytes:     d.Bytes,
-				Ref:       d.Ref,
-				Err:       rerr,
-				Ctx:       ctx,
-				PlanPos:   e.PlanPos,
-				ReadStart: readStart,
-				ReadEnd:   readEnd,
-				PopDelay:  prevPark,
+			if resp.Detail.Attempts > 1 {
+				sp.Retries = resp.Detail.Attempts - 1
 			}
 			if rerr != nil {
-				pf.readErrors.Inc()
-			} else {
-				pf.prefetched.Inc()
+				sp.Error = rerr.Error()
 			}
-			parked, perr := pf.buffer.Put(it)
-			switch {
-			case perr == nil:
-				prevPark = parked
-			case errors.Is(perr, ErrEpochCancelled):
-				// Cancelled mid-read or while parked: the view never entered
-				// the buffer, so its pooled lease is this thread's to drop.
-				// The producer itself lives on.
-				it.Release()
-				pf.plans.noteDropped(e.Epoch, 1)
-				prevPark = 0
-			default:
-				// Buffer closed: shutting down. Release this view and every
-				// undelivered one — they never entered the buffer.
-				it.Release()
-				for j := i + 1; j < len(datas); j++ {
-					datas[j].Release()
-				}
-				pf.retireOne(true)
-				return
-			}
+			pf.tracer.Record(sp)
+		}
+		it := Item{
+			Name:      e.Name,
+			Size:      d.Size,
+			Bytes:     d.Bytes,
+			Ref:       d.Ref,
+			Err:       rerr,
+			Ctx:       ctx,
+			PlanPos:   e.PlanPos,
+			ReadStart: readStart,
+			ReadEnd:   readEnd,
+			PopDelay:  prevPark,
+		}
+		if rerr != nil {
+			pf.readErrors.Inc()
+		} else {
+			pf.prefetched.Inc()
+		}
+		parked, perr := pf.buffer.Put(it)
+		switch {
+		case perr == nil:
+			prevPark = parked
+		case errors.Is(perr, ErrEpochCancelled):
+			// Cancelled mid-read or while parked: the sample never entered
+			// the buffer, so its pooled lease is this thread's to drop. The
+			// producer itself lives on.
+			it.Release()
+			pf.plans.noteDropped(e.Epoch, 1)
+			prevPark = 0
+		default:
+			// Buffer closed: shutting down. The sample never entered the
+			// buffer.
+			it.Release()
+			pf.retireOne(true)
+			return
 		}
 	}
 }
-
-// BatchEnabled reports whether the plan-aware read coalescer is active
-// (configured on and handed a Coalescer).
-func (pf *Prefetcher) BatchEnabled() bool { return pf.batchMax > 1 }
-
-// BatchReads reports the number of vectored backend reads issued.
-func (pf *Prefetcher) BatchReads() int64 { return pf.batchReads.Value() }
-
-// BatchedSamples reports how many samples were served by vectored reads.
-func (pf *Prefetcher) BatchedSamples() int64 { return pf.batchedSamples.Value() }
-
-// BatchFallbacks reports how many runs degraded to per-sample reads after
-// a failed batch.
-func (pf *Prefetcher) BatchFallbacks() int64 { return pf.batchFallbacks.Value() }
 
 // ReadLatency returns the producer-observed storage read latency histogram.
 func (pf *Prefetcher) ReadLatency() metrics.HistogramSnapshot {

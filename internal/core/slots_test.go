@@ -110,9 +110,13 @@ func TestSlotCancelSweepsItsOwnPositions(t *testing.T) {
 	e1, _ := pm.registerNames([]string{"a", "b", "c", "d", "a"}, false)
 	e2, _ := pm.registerNames([]string{"a", "c"}, false)
 	// Producers popped (and parked) the first three positions.
-	run, _, ok, _ := pm.pop(nil, 1, nil, func() bool { return false })
-	for i := 0; i < 2 && ok; i++ {
-		run, _, ok, _ = pm.pop(run, 1, nil, func() bool { return false })
+	var run []PlanClaim
+	for i := 0; i < 3; i++ {
+		e, _, ok, _ := pm.pop(func() bool { return false })
+		if !ok {
+			break
+		}
+		run = append(run, e)
 	}
 	if len(run) != 3 || run[2].Name != "c" {
 		t.Fatalf("popped %+v, want a, b, c", run)

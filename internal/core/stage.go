@@ -98,18 +98,9 @@ type StageStats struct {
 	PrefetchedFiles  int64
 	ReadErrors       int64
 
-	// Plan-aware read coalescer state (zero-valued unless the chain has a
-	// pack view and BatchSamples enables it). BatchEnabled
-	// disambiguates "off" from "enabled but idle".
-	BatchReads     int64 // vectored backend ops issued
-	BatchedSamples int64 // samples served by those ops
-	BatchFallbacks int64 // runs degraded to per-sample reads
-	BatchEnabled   bool
-
 	// StorageBusy is cumulative producer time inside backend reads — the
 	// attribution denominator context. It is StorageReadLatency.Sum: a read
 	// counts once it completes, so one still in flight is not in it yet.
-	// A vectored read counts once, for its whole run.
 	StorageBusy time.Duration
 	// TraceSampling is the tracer's current head-sampling probability
 	// (zero when no tracer is attached).
@@ -516,10 +507,6 @@ func (s *Stage) Stats() StageStats {
 	st.Plan = s.pf.PlanStats()
 	st.StorageReadLatency = s.pf.ReadLatency()
 	st.StorageBusy = st.StorageReadLatency.Sum
-	st.BatchReads = s.pf.BatchReads()
-	st.BatchedSamples = s.pf.BatchedSamples()
-	st.BatchFallbacks = s.pf.BatchFallbacks()
-	st.BatchEnabled = s.pf.BatchEnabled()
 	st.TraceSampling = s.tracer.Sampling()
 	if s.pool != nil {
 		st.Pool = s.pool.Stats()

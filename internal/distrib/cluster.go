@@ -274,7 +274,7 @@ func (l *linkBackend) Read(req storage.Request) (storage.Response, error) {
 	if err != nil {
 		return resp, err
 	}
-	l.link.Read(resp.PayloadSize(req))
+	l.link.Read(resp.Data.Size)
 	return resp, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/control"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
-	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/train"
@@ -194,9 +193,9 @@ func RunAblationAlgorithms(cal Calibration, report func(string)) ([]AblationRow,
 
 // RunAblationPackedFormat contrasts per-file random reads against a
 // TFRecord-style packed layout read sequentially in large chunks — the
-// "optimized data formats" class of storage optimization (§II), here built
-// as another self-contained data-plane building block (internal/recordio).
-// A single-reader pass over one training epoch isolates the format effect
+// "optimized data formats" class of storage optimization (§II), modeled as
+// a walk over the shards' byte layout (packedShards, readShard). A
+// single-reader pass over one training epoch isolates the format effect
 // from prefetching.
 func RunAblationPackedFormat(cal Calibration, chunkSizes []int64, report func(string)) ([]AblationRow, error) {
 	var rows []AblationRow
@@ -253,36 +252,16 @@ func RunAblationPackedFormat(cal Calibration, chunkSizes []int64, report func(st
 	// Packed sequential reads at each chunk size (shard order; packed
 	// formats trade shuffle granularity for sequential bandwidth, which
 	// is exactly the trade-off this row quantifies).
+	shards := packedShards(trainSet, 1<<30)
 	for _, chunk := range chunkSizes {
 		chunk := chunk
-		ix, shardMan, err := recordio.PackManifest(trainSet, "packed", 1<<30)
-		if err != nil {
-			return nil, err
-		}
 		err = run(fmt.Sprintf("packed-%dMiB", chunk>>20), func(env conc.Env) error {
 			dev, err := storage.NewDevice(env, cal.Device)
 			if err != nil {
 				return err
 			}
-			backend := storage.NewModeledBackend(shardMan, dev)
-			for _, shard := range ix.Shards() {
-				size, err := backend.Size(shard)
-				if err != nil {
-					return err
-				}
-				it, err := recordio.NewShardIterator(backend, shard, size, chunk)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < trainSet.Len(); i++ {
-					e, ok := ix.Lookup(trainSet.Sample(i).Name)
-					if !ok || e.Shard != shard {
-						continue
-					}
-					if ok, err := it.NextModeled(e.Length); err != nil || !ok {
-						return fmt.Errorf("shard iteration: %v %v", ok, err)
-					}
-				}
+			for _, records := range shards {
+				readShard(dev, records, chunk)
 			}
 			return nil
 		})
@@ -291,6 +270,51 @@ func RunAblationPackedFormat(cal Calibration, chunkSizes []int64, report func(st
 		}
 	}
 	return rows, nil
+}
+
+// packedRecordHeader is the per-record prefix of the TFRecord-style layout:
+// a uint32 payload length and a uint32 checksum.
+const packedRecordHeader = 8
+
+// packedShards lays man's samples into shards of at most shardBytes (a
+// record larger than that gets a shard of its own), in manifest order, and
+// returns each shard's record lengths, header included.
+func packedShards(man *dataset.Manifest, shardBytes int64) [][]int64 {
+	var shards [][]int64
+	var cur []int64
+	var size int64
+	for i := 0; i < man.Len(); i++ {
+		rec := packedRecordHeader + man.Sample(i).Size
+		if size > 0 && size+rec > shardBytes {
+			shards = append(shards, cur)
+			cur, size = nil, 0
+		}
+		cur = append(cur, rec)
+		size += rec
+	}
+	return append(shards, cur)
+}
+
+// readShard charges dev for one sequential pass over a shard of records:
+// one device request of min(chunk, bytes left in the shard) each time the
+// next record reaches past the bytes already read, starting where the
+// read-ahead ended.
+func readShard(dev *storage.Device, records []int64, chunk int64) {
+	var shardSize int64
+	for _, rec := range records {
+		shardSize += rec
+	}
+	var pos, buffered int64 // next record's offset; end of the bytes read
+	for _, rec := range records {
+		end := pos + rec
+		for buffered < end {
+			pos = max(pos, buffered)
+			n := min(chunk, shardSize-pos)
+			dev.Read(n)
+			buffered = pos + n
+		}
+		pos = end
+	}
 }
 
 // RunAblationValPrefetch quantifies the §V-A prototype limitation: PRISMA

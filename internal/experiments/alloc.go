@@ -20,7 +20,6 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/ipc"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
-	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tenancy"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
@@ -49,22 +48,10 @@ type AllocConfig struct {
 	// dataset it converges to all-hits, so the cell measures the cache's
 	// own contribution to the hot path.
 	SharedCache int64
-	// Compressed packs the dataset (compressible patterned payloads) into
-	// LZ-compressed recordio shards held in memory and serves them through
-	// an IndexedBackend, so the cell measures the transparent-decompression
-	// read path: ranged shard read, CRC check, in-place decode into a
-	// pooled buffer.
-	Compressed bool
 	// Resilient interposes the retry/breaker layer at its defaults, as
 	// prisma.Open does unless DisableResilience is set, so the cell's chain
 	// matches what Open builds by default.
 	Resilient bool
-	// Batch, when > 1, packs the dataset into one uncompressed recordio
-	// shard and enables the plan-aware read coalescer at that run budget,
-	// so the cell measures the vectored read path: FIFO runs fetched by
-	// one ranged read each, split into per-sample views aliasing the
-	// shared region buffer. A cell whose coalescer never engages fails.
-	Batch int
 	// Inline dials clients that never ask for the server's shared arena
 	// (DESIGN.md §29), so every payload rides the socket, as against a
 	// server that has none.
@@ -113,29 +100,10 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 		for i := range names {
 			names[i] = fmt.Sprintf("alloc%04d.bin", i)
 		}
-		var layers chain.Config
-		if cfg.Compressed || cfg.Batch > 1 {
-			// Pack compressible payloads (AddSeeded's pseudo-random content
-			// would defeat the codec) into one in-memory shard. The batched
-			// cell packs the same records uncompressed, so its per-sample
-			// views alias the vectored read's region buffer directly.
-			payloads := make([][]byte, len(names))
-			for i := range payloads {
-				payloads[i] = CompressibleSample(i, cfg.FileSize, 0.25)
-			}
-			ix, err := recordio.PackMem(mem, "alloc/shard-00000.rec", names, payloads, cfg.Compressed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if cfg.Compressed && ix.StoredBytes >= ix.PayloadBytes {
-				b.Fatal("alloc: patterned payloads did not compress")
-			}
-			layers.Index = ix
-		} else {
-			for i, name := range names {
-				mem.AddSeeded(name, cfg.FileSize, int64(i)+1)
-			}
+		for i, name := range names {
+			mem.AddSeeded(name, cfg.FileSize, int64(i)+1)
 		}
+		var layers chain.Config
 		if cfg.SharedCache > 0 {
 			layers.Hierarchy = tiering.Config{FastCapacity: cfg.SharedCache, Window: cfg.SharedCache, PromoteAfter: 1}
 		}
@@ -153,8 +121,6 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			MaxProducers:          cfg.Producers,
 			InitialBufferCapacity: cfg.BufferCap,
 			MaxBufferCapacity:     cfg.BufferCap,
-			BatchSamples:          cfg.Batch,
-			Coalescer:             ch.Coalescer,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -260,9 +226,6 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			runEpoch(true)
 		}
 		b.StopTimer()
-		if cfg.Batch > 1 && pf.BatchedSamples() == 0 {
-			b.Fatal("alloc: the coalescer never engaged: every sample was read on its own")
-		}
 		var stashHits int64
 		for _, c := range clients {
 			stashHits += c.StashHits()

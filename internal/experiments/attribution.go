@@ -107,9 +107,6 @@ func newPatternBackend(env conc.Env, cfg AttributionConfig) *patternBackend {
 func attributionName(i int) string { return fmt.Sprintf("s%05d", i) }
 
 func (b *patternBackend) Read(req storage.Request) (storage.Response, error) {
-	if len(req.Ranges) > 0 {
-		return storage.Response{}, fmt.Errorf("patternBackend: %w", storage.ErrUnsupported)
-	}
 	d, ok := b.lat[req.Name]
 	if !ok {
 		return storage.Response{}, fmt.Errorf("patternBackend: unknown file %q", req.Name)

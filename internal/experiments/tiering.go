@@ -55,7 +55,7 @@ func (b *timedBackend) Read(req storage.Request) (storage.Response, error) {
 	if err != nil {
 		return resp, err
 	}
-	b.device.Read(resp.PayloadSize(req))
+	b.device.Read(resp.Data.Size)
 	return resp, nil
 }
 

@@ -280,16 +280,6 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		write("prisma_tiering_promote_seconds_total", "Cumulative read-path admission work (compression included).", "counter", t.PromoteTime.Seconds())
 		write("prisma_tiering_decode_seconds_total", "Cumulative hit-path decompression.", "counter", t.DecodeTime.Seconds())
 	}
-	batchEnabled := 0.0
-	if s.BatchEnabled {
-		batchEnabled = 1
-	}
-	write("prisma_batch_enabled", "1 when plan-aware read coalescing is active.", "gauge", batchEnabled)
-	if s.BatchEnabled {
-		write("prisma_batch_reads_total", "Vectored range reads issued by the coalescer.", "counter", float64(s.BatchReads))
-		write("prisma_batch_samples_total", "Samples delivered through vectored reads.", "counter", float64(s.BatchedSamples))
-		write("prisma_batch_fallbacks_total", "Batches that fell back to per-sample reads.", "counter", float64(s.BatchFallbacks))
-	}
 	clusterEnabled := 0.0
 	if h.cfg.Cluster != nil {
 		clusterEnabled = 1

@@ -160,9 +160,11 @@ func FuzzFrame(f *testing.F) {
 		f.Add(frame.Bytes())
 	}
 
+	clients := newFuzzClients()
+	f.Cleanup(clients.close)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, mode := range []clientMode{plainClient, regionClient, arenaClient} {
-			fuzzClientRead(t, data, mode)
+			fuzzClientRead(t, clients, data, mode)
 		}
 		// Whatever a grant says, a size is accepted only within the bound
 		// of what it grants.
@@ -210,16 +212,54 @@ const (
 	arenaClient                    // the server's arena
 )
 
+// fuzzClients are the parts FuzzFrame's scripted clients are built from,
+// made once per fuzz worker: a debug pool, a read buffer and, where this
+// build has shared memory, one mapping of regionTestSize bytes that every
+// region and arena client borrows a reference to. Made per input, as the
+// scripted* helpers make them, the memfd and its mapping, the 64 KiB read
+// buffer and a fresh pool's first lease of each size cost more than the
+// decode of a small input, and a large input's payload buffer is no longer
+// allocated and zeroed anew on each of its executions.
+type fuzzClients struct {
+	pool  *mempool.Pool
+	rd    *connReader
+	arena *arena // nil where this build has no shared memory
+}
+
+func newFuzzClients() *fuzzClients {
+	fc := &fuzzClients{pool: mempool.New(mempool.Config{Debug: true}), rd: newConnReader(nil, clientReadBuf)}
+	fc.arena, _ = newArena(regionTestSize)
+	return fc
+}
+
+// client returns a client granted what mode says whose server's replies are
+// data, or nil when mode needs shared memory this build does not have. Its
+// Close drops the reference to the mapping it borrowed.
+func (fc *fuzzClients) client(data []byte, mode clientMode) *Client {
+	conn := &scriptedConn{r: bytes.NewReader(data)}
+	fc.rd.reset(conn)
+	c := &Client{path: "/nonexistent/scripted.sock", conn: conn, rd: fc.rd, pool: fc.pool}
+	if mode == plainClient {
+		return c
+	}
+	if fc.arena == nil {
+		return nil
+	}
+	fc.arena.retain()
+	c.mapping, c.arena, c.asked, c.inArena = fc.arena.mem, fc.arena, true, mode == arenaClient
+	return c
+}
+
+func (fc *fuzzClients) close() {
+	if fc.arena != nil {
+		fc.arena.release()
+	}
+}
+
 // fuzzClientRead feeds data to a pooled client as the reply to one read,
 // on a connection granted what mode says (where this build has regions).
-func fuzzClientRead(t *testing.T, data []byte, mode clientMode) {
-	c, pool := scriptedClient(data)
-	switch mode {
-	case regionClient:
-		c, pool = scriptedRegionClient(data)
-	case arenaClient:
-		c, pool = scriptedArenaClient(data)
-	}
+func fuzzClientRead(t *testing.T, fc *fuzzClients, data []byte, mode clientMode) {
+	c, pool := fc.client(data, mode), fc.pool
 	if c == nil {
 		return
 	}

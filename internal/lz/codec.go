@@ -1,13 +1,13 @@
-// Transparent per-sample compression for packed shards. The codec is a
-// small byte-oriented LZ77 in the snappy family: greedy hash-table
-// matching on the encode side, and a decode loop that writes straight
-// into a caller-provided buffer of the known uncompressed size. The
-// decoder allocates nothing — unlike stdlib flate, whose dynamic-Huffman
-// table construction allocates per block and would break the hot path's
-// 0 allocs/op gate — which is what lets compressed records decode in
-// place into pooled buffers.
+// Package lz is the LZ codec the memory hierarchy compresses fast-tier
+// residents with: a small byte-oriented LZ77 in the snappy family, greedy
+// hash-table matching on the encode side, and a decode loop that writes
+// straight into a caller-provided buffer of the known uncompressed size.
+// The decoder allocates nothing — unlike stdlib flate, whose
+// dynamic-Huffman table construction allocates per block and would break
+// the hot path's 0 allocs/op gate — which is what lets compressed
+// residents decode in place into pooled buffers.
 //
-// Compressed stream format (raw size is carried by the index, not the
+// Compressed stream format (raw size is carried by the caller, not the
 // stream):
 //
 //	literal run: 0x00 | uvarint(n) | n bytes
@@ -15,36 +15,18 @@
 //
 // A copy references the last `offset` bytes of the output produced so
 // far; overlapping copies (offset < length) replicate runs, RLE-style.
-package recordio
+package lz
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
 )
 
-// Codec identifies a record payload's encoding in the index.
-type Codec uint8
-
-const (
-	// CodecNone marks a plain payload stored verbatim.
-	CodecNone Codec = 0
-	// CodecLZ marks a payload compressed with the package's LZ codec.
-	CodecLZ Codec = 1
-)
-
-func (c Codec) String() string {
-	switch c {
-	case CodecNone:
-		return "none"
-	case CodecLZ:
-		return "lz"
-	default:
-		return fmt.Sprintf("codec(%d)", uint8(c))
-	}
-}
+// ErrCorrupt reports a stream that does not decode.
+var ErrCorrupt = errors.New("lz: corrupt stream")
 
 const (
 	lzTagLiteral = 0x00
@@ -86,8 +68,8 @@ func appendLiterals(dst, src []byte) []byte {
 // AppendCompress appends the LZ encoding of src to dst and returns the
 // extended slice and true — but only when the encoding is strictly
 // smaller than src. Incompressible payloads return dst at its original
-// length and false, and should be stored as CodecNone: transparent
-// compression must never inflate a shard. Either way the returned slice
+// length and false, and should be stored raw: transparent
+// compression must never inflate a sample. Either way the returned slice
 // keeps whatever capacity the attempt grew, so a caller looping over
 // samples passes out[:0] back in and stops allocating once the scratch
 // has seen its largest sample (cap(dst)-len(dst) >= len(src) suffices
@@ -235,10 +217,4 @@ func DecompressInto(dst, src []byte) error {
 		return fmt.Errorf("%w: decoded %d bytes, want %d", ErrCorrupt, di, len(dst))
 	}
 	return nil
-}
-
-// ContentKey is a payload's dedup identity: packing two samples with the
-// same key stores the bytes once and indexes both names at that record.
-func ContentKey(payload []byte) [sha256.Size]byte {
-	return sha256.Sum256(payload)
 }

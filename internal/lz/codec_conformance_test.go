@@ -1,4 +1,4 @@
-package recordio
+package lz
 
 import (
 	"bytes"

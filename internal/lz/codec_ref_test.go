@@ -1,4 +1,4 @@
-package recordio
+package lz
 
 import (
 	"encoding/binary"
@@ -22,8 +22,8 @@ func refHash(b []byte) uint32 {
 
 // refCompress encodes src with the LZ codec. It returns (compressed, true)
 // only when the encoding is strictly smaller than src; incompressible
-// payloads return (nil, false) and should be stored as CodecNone —
-// transparent compression must never inflate a shard.
+// payloads return (nil, false) and should be stored raw —
+// transparent compression must never inflate a sample.
 func refCompress(src []byte) ([]byte, bool) {
 	if len(src) < lzMinMatch+2 {
 		return nil, false

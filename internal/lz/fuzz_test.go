@@ -1,67 +1,9 @@
-package recordio
+package lz
 
 import (
 	"bytes"
 	"testing"
 )
-
-// FuzzDecode hardens the record decoder against arbitrary byte strings:
-// it must never panic, and whenever it accepts a buffer the re-encoded
-// record must round-trip to the same payload.
-func FuzzDecode(f *testing.F) {
-	// Seed corpus: valid records, empty, truncations, corruptions.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	_, _, _ = w.WriteRecord([]byte("seed payload"))
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add(valid[:3])
-	f.Add(valid[:headerSize])
-	corrupted := append([]byte{}, valid...)
-	corrupted[headerSize] ^= 0x55
-	f.Add(corrupted)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, recLen, err := Decode(data)
-		if err != nil {
-			return
-		}
-		if recLen < headerSize || recLen > int64(len(data)) {
-			t.Fatalf("accepted record length %d outside [8, %d]", recLen, len(data))
-		}
-		// Round-trip: re-encoding the accepted payload reproduces the
-		// record bytes.
-		var out bytes.Buffer
-		wr := NewWriter(&out)
-		if _, _, err := wr.WriteRecord(payload); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), data[:recLen]) {
-			t.Fatalf("re-encode mismatch")
-		}
-	})
-}
-
-// FuzzReaderStream feeds arbitrary streams to the streaming reader: no
-// panics, and every accepted record passes its checksum by construction.
-func FuzzReaderStream(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	_, _, _ = w.WriteRecord([]byte("a"))
-	_, _, _ = w.WriteRecord([]byte("bb"))
-	f.Add(buf.Bytes())
-	f.Add([]byte{1, 2, 3})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		for i := 0; i < 1000; i++ {
-			if _, err := r.Next(); err != nil {
-				return
-			}
-		}
-	})
-}
 
 // FuzzLZ holds the LZ kernels to the oracle in codec_ref_test.go from
 // both ends. As a payload, the input must round-trip through the encoder

@@ -1,5 +1,5 @@
 //go:build !race
 
-package recordio
+package lz
 
 const raceEnabled = false

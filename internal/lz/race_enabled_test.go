@@ -1,6 +1,6 @@
 //go:build race
 
-package recordio
+package lz
 
 // raceEnabled reports that this test binary was built with -race, whose
 // instrumentation makes the codec speed gate meaningless.

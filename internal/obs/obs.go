@@ -48,7 +48,7 @@ const (
 	StageCacheCoalesce  = "sharedcache-coalesce" // joined reader waiting on the leader's fetch
 	StageTierPromote    = "tier-promote"         // read-triggered fast-tier admission
 	StageTierWarm       = "tier-warm"            // plan-driven prefetch into the tier
-	StageDecompress     = "recordio-decompress"  // transparent payload decode
+	StageDecompress     = "tier-decompress"      // transparent payload decode
 	StageTenantThrottle = "tenant-throttle"      // admission-gate rate/byte wait
 	StageTenantShed     = "tenant-shed"          // admission-gate load shed (Error set)
 

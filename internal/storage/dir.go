@@ -19,13 +19,13 @@ import (
 // DirBackend serves reads from a real directory tree. File names use
 // forward slashes relative to the root, matching dataset.FromDir.
 //
-// Every request class goes through one open/size/read/close sequence
-// (fetch). On Linux that sequence is four raw syscalls against a root
-// descriptor opened once (dir_linux.go, DESIGN.md §21), and a leaf given
-// its manifest keeps each listed file open after its first read, so later
-// reads of it skip the open and the close (DESIGN.md §24); every other
-// platform runs the whole sequence through package os (fetchPortable). The
-// split is by platform only: nothing a user can set selects the body.
+// Every read goes through one open/size/read/close sequence (fetch). On
+// Linux that sequence is four raw syscalls against a root descriptor
+// opened once (dir_linux.go, DESIGN.md §21), and a leaf given its manifest
+// keeps each listed file open after its first read, so later reads of it
+// skip the open and the close (DESIGN.md §24); every other platform runs
+// the whole sequence through package os (fetchPortable). The split is by
+// platform only: nothing a user can set selects the body.
 type DirBackend struct {
 	dir  string
 	pool *mempool.Pool
@@ -109,30 +109,22 @@ func checkName(name string) error {
 }
 
 // Read reads from disk: the file is opened once — or not at all, when it
-// is pinned — sized from the open descriptor (never from the caller's N),
-// and the whole file or every requested window is read into a single
-// region — pooled when a pool is attached — so the per-open cost is paid
-// at most once per request whatever its class. A file that grows between
-// the size and the read is truncated to the size (training datasets are
+// is pinned — sized from the open descriptor, and read whole into a single
+// buffer, pooled when a pool is attached. A file that grows between the
+// size and the read is truncated to the size (training datasets are
 // immutable during an epoch); one that shrinks yields an error.
 func (b *DirBackend) Read(req Request) (Response, error) {
-	if err := req.Validate(); err != nil {
-		return Response{}, err
-	}
 	b.gate.RLock()
 	if b.closed {
 		b.gate.RUnlock()
 		return Response{}, ErrDirClosed
 	}
-	size, buf, ref, err := b.fetch(req.Name, req.Slot, req.Ranges)
+	size, buf, ref, err := b.fetch(req.Name, req.Slot)
 	b.gate.RUnlock()
 	if err != nil {
 		return Response{}, err
 	}
-	if len(req.Ranges) == 0 {
-		return Response{Data: Data{Name: req.Name, Size: size, Bytes: buf, Ref: ref}}, nil
-	}
-	return Response{Views: carve(req.Out, req.Name, req.Ranges, size, buf, ref)}, nil
+	return Response{Data: Data{Name: req.Name, Size: size, Bytes: buf, Ref: ref}}, nil
 }
 
 // Size stats the file — the pinned one, for a pinned name, so Size and
@@ -149,32 +141,22 @@ func (b *DirBackend) Size(name string) (int64, error) {
 	return b.size(name)
 }
 
-// fill is the read half of fetch, shared by both bodies: it sizes the one
-// region of the request from the file's size, fills it — the whole file,
-// or each clamped range back to back — and on any failure releases the
-// lease before returning. src is the open file: an *os.File in the portable
-// body, a bare descriptor on Linux — a type parameter rather than an
-// interface value, so the descriptor is never boxed. ReadAt fills its
-// buffer or fails (io.ReaderAt), which is the short-read rule.
-func fill[S io.ReaderAt](src S, pool *mempool.Pool, name string, ranges []Range, size int64) ([]byte, *mempool.Ref, error) {
-	whole := [1]Range{{N: size}}
-	if len(ranges) == 0 {
-		ranges = whole[:]
-	}
-	buf, ref := region(pool, clampedTotal(ranges, size))
-	var pos int64
-	for _, r := range ranges {
-		r = r.Clamp(size)
-		if _, err := src.ReadAt(buf[pos:pos+r.N], r.Off); err != nil {
-			if ref != nil {
-				ref.Release()
-			}
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, nil, fmt.Errorf("storage: short read of %q: %w", name, err)
+// fill is the read half of fetch, shared by both bodies: it reads the
+// file's size bytes into one buffer and on failure releases the lease
+// before returning. src is the open file: an *os.File in the portable body,
+// a bare descriptor on Linux — a type parameter rather than an interface
+// value, so the descriptor is never boxed. ReadAt fills its buffer or fails
+// (io.ReaderAt), which is the short-read rule.
+func fill[S io.ReaderAt](src S, pool *mempool.Pool, name string, size int64) ([]byte, *mempool.Ref, error) {
+	buf, ref := region(pool, size)
+	if _, err := src.ReadAt(buf, 0); err != nil {
+		if ref != nil {
+			ref.Release()
 		}
-		pos += r.N
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, nil, fmt.Errorf("storage: short read of %q: %w", name, err)
 	}
 	return buf, ref, nil
 }
@@ -182,7 +164,7 @@ func fill[S io.ReaderAt](src S, pool *mempool.Pool, name string, ranges []Range,
 // fetchPortable is fetch through package os: nine syscalls and five heap
 // objects per file on Linux (os.Open alone is openat, four fcntl and a
 // failing epoll_ctl), which is why Linux does not use it.
-func (b *DirBackend) fetchPortable(name string, ranges []Range) (int64, []byte, *mempool.Ref, error) {
+func (b *DirBackend) fetchPortable(name string) (int64, []byte, *mempool.Ref, error) {
 	if err := checkName(name); err != nil {
 		return 0, nil, nil, err
 	}
@@ -198,7 +180,7 @@ func (b *DirBackend) fetchPortable(name string, ranges []Range) (int64, []byte, 
 	if info.IsDir() {
 		return 0, nil, nil, &NotExistError{Name: name}
 	}
-	buf, ref, err := fill(f, b.pool, name, ranges, info.Size())
+	buf, ref, err := fill(f, b.pool, name, info.Size())
 	return info.Size(), buf, ref, err
 }
 

@@ -183,20 +183,20 @@ func (f rawFile) ReadAt(p []byte, off int64) (int, error) {
 	return done, nil
 }
 
-// fetch is the one open/size/read/close sequence behind every request
-// class. A manifest file's descriptor is pinned instead of closed after a
+// fetch is the one open/size/read/close sequence behind every read. A
+// manifest file's descriptor is pinned instead of closed after a
 // good read, and its later reads start from there (readPinned); every other
 // descriptor is closed on every path. The pin is looked up first — hint is
 // the request's manifest slot — because a pinned name is spelled as the
 // manifest spells it; any other name passes checkName before it is opened.
 // fill releases the lease on every failed read.
-func (b *DirBackend) fetch(name string, hint int, ranges []Range) (int64, []byte, *mempool.Ref, error) {
+func (b *DirBackend) fetch(name string, hint int) (int64, []byte, *mempool.Ref, error) {
 	if b.portable {
-		return b.fetchPortable(name, ranges)
+		return b.fetchPortable(name)
 	}
 	slot, p := b.pinned(name, hint)
 	if p != 0 {
-		return b.readPinned(name, ranges, p)
+		return b.readPinned(name, p)
 	}
 	if err := checkName(name); err != nil {
 		return 0, nil, nil, err
@@ -215,7 +215,7 @@ func (b *DirBackend) fetch(name string, hint int, ranges []Range) (int64, []byte
 	case st.Mode&syscall.S_IFMT == syscall.S_IFDIR:
 		err = &NotExistError{Name: name}
 	default:
-		buf, ref, err = fill(rawFile(fd), b.pool, name, ranges, st.Size)
+		buf, ref, err = fill(rawFile(fd), b.pool, name, st.Size)
 	}
 	if err != nil || slot < 0 || !b.pin(slot, fd, st.Size) {
 		// Nothing was written through fd, so a failed close loses nothing.
@@ -309,14 +309,13 @@ func (b *DirBackend) unpinAll() {
 	}
 }
 
-// readPinned serves a read of a pinned file. A whole-file read is one
-// preadv (readSized). Anything else — a ranged request, a file of unknown
-// size, or one that has grown or shrunk since it was pinned — sizes the
-// file with fstat and fills the region as an unpinned read does, so the
-// size is still the kernel's at read time.
-func (b *DirBackend) readPinned(name string, ranges []Range, p uint64) (int64, []byte, *mempool.Ref, error) {
+// readPinned serves a read of a pinned file: one preadv (readSized). A
+// file of unknown size, or one that has grown or shrunk since it was
+// pinned, is sized with fstat and read as an unpinned read is, so the size
+// is still the kernel's at read time.
+func (b *DirBackend) readPinned(name string, p uint64) (int64, []byte, *mempool.Ref, error) {
 	fd := pinnedFD(p)
-	if size := int64(p >> 32); len(ranges) == 0 && size != unsized {
+	if size := int64(p >> 32); size != unsized {
 		buf, ref := region(b.pool, size)
 		if readSized(fd, buf) {
 			return size, buf, ref, nil
@@ -329,7 +328,7 @@ func (b *DirBackend) readPinned(name string, ranges []Range, p uint64) (int64, [
 	if errno := fstat(fd, &st); errno != 0 {
 		return 0, nil, nil, pathErr("fstat", name, errno)
 	}
-	buf, ref, err := fill(rawFile(fd), b.pool, name, ranges, st.Size)
+	buf, ref, err := fill(rawFile(fd), b.pool, name, st.Size)
 	return st.Size, buf, ref, err
 }
 

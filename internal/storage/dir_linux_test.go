@@ -20,13 +20,13 @@ import (
 )
 
 func init() {
-	fillers["descriptor"] = func(path string, pool *mempool.Pool, ranges []Range, size int64) ([]byte, *mempool.Ref, error) {
+	fillers["descriptor"] = func(path string, pool *mempool.Pool, size int64) ([]byte, *mempool.Ref, error) {
 		fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 		if err != nil {
 			return nil, nil, err
 		}
 		defer syscall.Close(fd)
-		return fill(rawFile(fd), pool, path, ranges, size)
+		return fill(rawFile(fd), pool, path, size)
 	}
 }
 
@@ -89,9 +89,6 @@ func TestDirSymlinksStayBeneathRoot(t *testing.T) {
 			if d, err := readFile(b, name); !errors.As(err, &ne) {
 				t.Errorf("pooled=%v whole %q = %q, %v; want NotExistError", pooled, name, d.Bytes, err)
 			}
-			if d, err := readRange(b, name, 0, 4); !errors.As(err, &ne) {
-				t.Errorf("pooled=%v ranged %q = %q, %v; want NotExistError", pooled, name, d.Bytes, err)
-			}
 			// Size answers as the read does: it must not report what an
 			// escaping link points at.
 			if n, err := b.Size(name); !errors.As(err, &ne) {
@@ -142,9 +139,9 @@ func openFDs(t *testing.T) int {
 	return len(ents)
 }
 
-// mixedReads issues 10 000 reads of names from 8 goroutines, whole and
-// ranged alternately, and checks each against want: content for the names
-// that must read, failure for every other.
+// mixedReads issues 10 000 reads of names from 8 goroutines and checks each
+// against want: content for the names that must read, failure for every
+// other.
 func mixedReads(t *testing.T, b *DirBackend, names []string, want map[string]string) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -155,29 +152,19 @@ func mixedReads(t *testing.T, b *DirBackend, names []string, want map[string]str
 			for i := 0; i < 1250; i++ {
 				name := names[(i+g)%len(names)]
 				content, good := want[name]
-				if i%2 == 0 {
-					d, err := readFile(b, name)
-					if good != (err == nil) || (good && string(d.Bytes) != content) {
-						t.Errorf("whole %q: %d bytes, %v", name, d.Size, err)
-					}
-					d.Release()
-					continue
+				d, err := readFile(b, name)
+				if good != (err == nil) || (good && string(d.Bytes) != content) {
+					t.Errorf("%q: %d bytes, %v", name, d.Size, err)
 				}
-				views, err := readBatch(b, name, []Range{{Off: 1, N: 3}, {Off: 0, N: 1 << 20}}, nil)
-				if good != (err == nil) || (good && (string(views[0].Bytes) != content[1:4] || string(views[1].Bytes) != content)) {
-					t.Errorf("ranged %q: %d views, %v", name, len(views), err)
-				}
-				for j := range views {
-					views[j].Release()
-				}
+				d.Release()
 			}
 		}(g)
 	}
 	wg.Wait()
 }
 
-// TestDirNoDescriptorLeak: 10 000 reads from 8 goroutines — good whole and
-// ranged ones mixed with every failing kind — through a leaf given its
+// TestDirNoDescriptorLeak: 10 000 reads from 8 goroutines — good ones mixed
+// with every failing kind — through a leaf given its
 // manifest pin exactly the manifest files that read well, leave no lease,
 // and once Close has run the process holds the descriptors it held before
 // the leaf was opened.
@@ -284,10 +271,8 @@ func TestDirDescriptorExhaustion(t *testing.T) {
 		t.Skipf("setrlimit: %v", err)
 	}
 	pinnedWhole, pinnedWholeErr := readFile(rb, "pinned")
-	pinnedRange, pinnedRangeErr := readRange(rb, "pinned", 100, 16)
 	pinnedSize, pinnedSizeErr := b.Size("pinned")
-	_, wholeErr := readFile(rb, "unpinned")
-	_, rangedErr := readRange(rb, "unpinned", 0, 16)
+	_, unpinnedErr := readFile(rb, "unpinned")
 	stats := rb.ResilienceStats()
 	if err := syscall.Setrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {
 		t.Fatalf("restoring RLIMIT_NOFILE: %v", err)
@@ -296,22 +281,16 @@ func TestDirDescriptorExhaustion(t *testing.T) {
 	if pinnedWholeErr != nil || !bytes.Equal(pinnedWhole.Bytes, content) {
 		t.Errorf("pinned whole read with no descriptors left: %v", pinnedWholeErr)
 	}
-	if pinnedRangeErr != nil || !bytes.Equal(pinnedRange.Bytes, content[100:116]) {
-		t.Errorf("pinned ranged read with no descriptors left: %v", pinnedRangeErr)
-	}
 	pinnedWhole.Release()
-	pinnedRange.Release()
 	if pinnedSizeErr != nil || pinnedSize != int64(len(content)) {
 		t.Errorf("Size of the pinned file with no descriptors left = %d, %v", pinnedSize, pinnedSizeErr)
 	}
 	var ne *NotExistError
-	for class, err := range map[string]error{"whole": wholeErr, "ranged": rangedErr} {
-		if !errors.Is(err, syscall.EMFILE) || errors.As(err, &ne) {
-			t.Errorf("unpinned %s read with no descriptors left: %v, want an EMFILE device error", class, err)
-		}
+	if !errors.Is(unpinnedErr, syscall.EMFILE) || errors.As(unpinnedErr, &ne) {
+		t.Errorf("unpinned read with no descriptors left: %v, want an EMFILE device error", unpinnedErr)
 	}
-	// The two pinned reads took one attempt each; every unpinned one retried.
-	if want := int64(2 + 2*cfg.MaxAttempts); stats.Attempts-warm.Attempts != want || stats.Retries-warm.Retries != want-4 {
+	// The pinned read took one attempt; the unpinned one retried.
+	if want := int64(1 + cfg.MaxAttempts); stats.Attempts-warm.Attempts != want || stats.Retries-warm.Retries != want-2 {
 		t.Errorf("resilience stats %+v (before %+v): want %d attempts, every unpinned one retried", stats, warm, want)
 	}
 	d, err = readFile(rb, "unpinned")
@@ -453,14 +432,13 @@ func TestDirSlotHintNeverReadsAnotherFile(t *testing.T) {
 }
 
 // TestDirPinnedFileChangedInPlace: a pinned file that grows or shrinks in
-// place between reads is served at the kernel's size at read time — whole,
-// ranged and by Size — pooled or not, with no lease left behind; so is one
+// place between reads is served at the kernel's size at read time — by Read
+// and by Size — pooled or not, with no lease left behind; so is one
 // that returns to the size it was pinned at.
 func TestDirPinnedFileChangedInPlace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f")
 	content := seeded(8192, 4)
-	ranges := []Range{{Off: 1000, N: 5000}, {Off: 0, N: 10}, {Off: 7000, N: 100}}
 	for _, pooled := range []bool{true, false} {
 		if err := os.WriteFile(path, content[:4096], 0o644); err != nil {
 			t.Fatal(err)
@@ -478,17 +456,6 @@ func TestDirPinnedFileChangedInPlace(t *testing.T) {
 				t.Fatalf("pooled=%v %s whole: %d bytes, %v; want %d", pooled, what, d.Size, err, len(want))
 			}
 			d.Release()
-			views, err := readBatch(b, "f", ranges, nil)
-			if err != nil {
-				t.Fatalf("pooled=%v %s ranged: %v", pooled, what, err)
-			}
-			for i, v := range views {
-				r := ranges[i].Clamp(int64(len(want)))
-				if !bytes.Equal(v.Bytes, want[r.Off:r.Off+r.N]) {
-					t.Fatalf("pooled=%v %s range %+v: %d bytes, differ from the file's", pooled, what, ranges[i], len(v.Bytes))
-				}
-				views[i].Release()
-			}
 			if n, err := b.Size("f"); err != nil || n != int64(len(want)) {
 				t.Fatalf("pooled=%v %s Size = %d, %v; want %d", pooled, what, n, err, len(want))
 			}
@@ -514,7 +481,7 @@ func TestDirPinnedFileChangedInPlace(t *testing.T) {
 }
 
 // TestDirPinnedSurvivesRename: a file renamed over or deleted after its
-// first read is still served — whole, ranged and by Size — from the inode
+// first read is still served — by Read and by Size — from the inode
 // that read pinned, until Close; a file first read after the rename is the
 // new one; and a leaf without a manifest sees every change at once.
 func TestDirPinnedSurvivesRename(t *testing.T) {
@@ -537,11 +504,6 @@ func TestDirPinnedSurvivesRename(t *testing.T) {
 			t.Fatalf("%s: %d bytes, %v; want %d", name, d.Size, err, len(want))
 		}
 		d.Release()
-		r, err := readRange(b, name, 2000, 1000)
-		if err != nil || !bytes.Equal(r.Bytes, want[2000:3000]) {
-			t.Fatalf("%s ranged: %d bytes, %v", name, r.Size, err)
-		}
-		r.Release()
 		if n, err := b.Size(name); err != nil || n != int64(len(want)) {
 			t.Fatalf("Size(%s) = %d, %v; want %d", name, n, err, len(want))
 		}
@@ -633,13 +595,7 @@ func TestDirPinBudgetIsProcessWide(t *testing.T) {
 				for pass := 0; pass < 2; pass++ {
 					for i := range names {
 						i := (i + g*len(names)/2) % len(names)
-						var d Data
-						var err error
-						if i%2 == 0 {
-							d, err = readFile(b, names[i])
-						} else {
-							d, err = readRange(b, names[i], 0, 1<<20)
-						}
+						d, err := readFile(b, names[i])
 						if err != nil || !bytes.Equal(d.Bytes, seeded(512+i, byte(i))) {
 							t.Errorf("%s: %d bytes, %v", names[i], d.Size, err)
 						}

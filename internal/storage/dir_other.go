@@ -31,8 +31,8 @@ func (rootDir) close() error { return nil }
 func refreshPinBudget()       {}
 func (*DirBackend) unpinAll() {}
 
-func (b *DirBackend) fetch(name string, _ int, ranges []Range) (int64, []byte, *mempool.Ref, error) {
-	return b.fetchPortable(name, ranges)
+func (b *DirBackend) fetch(name string, _ int) (int64, []byte, *mempool.Ref, error) {
+	return b.fetchPortable(name)
 }
 
 func (b *DirBackend) size(name string) (int64, error) { return b.sizePortable(name) }

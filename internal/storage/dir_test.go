@@ -49,9 +49,9 @@ func seeded(n int, seed byte) []byte {
 	return buf
 }
 
-// TestDirBytesMatchReadFile: whole-file and ranged reads return exactly
-// what os.ReadFile sees, for sizes around the class and page boundaries
-// (and empty), from either body, pooled or not.
+// TestDirBytesMatchReadFile: reads return exactly what os.ReadFile sees,
+// for sizes around the class and page boundaries (and empty), from either
+// body, pooled or not.
 func TestDirBytesMatchReadFile(t *testing.T) {
 	dir := t.TempDir()
 	sizes := []int{0, 1, 4095, 4096, 4097, 300_000}
@@ -75,18 +75,6 @@ func TestDirBytesMatchReadFile(t *testing.T) {
 			if got, err := b.Size(name); err != nil || got != int64(n) {
 				t.Fatalf("%s Size = %d, %v", name, got, err)
 			}
-			ranges := []Range{{Off: 0, N: 10}, {Off: int64(n) / 2, N: 4096}, {Off: max(int64(n)-1, 0), N: 5}, {Off: int64(n) + 7, N: 1}}
-			views, err := readBatch(b, name, ranges, nil)
-			if err != nil || len(views) != len(ranges) {
-				t.Fatalf("%s ranged: %d views, %v", name, len(views), err)
-			}
-			for j, v := range views {
-				r := ranges[j].Clamp(int64(n))
-				if !bytes.Equal(v.Bytes, want[r.Off:r.Off+r.N]) {
-					t.Fatalf("%s range %+v: differs from file[%d:+%d]", name, ranges[j], r.Off, r.N)
-				}
-				views[j].Release()
-			}
 		}
 	})
 }
@@ -96,14 +84,14 @@ func TestDirBytesMatchReadFile(t *testing.T) {
 // disagrees with the file is exactly the state a file truncated or
 // replaced between the size and the read leaves behind, reproduced here
 // without racing a writer. dir_linux_test.go adds the raw descriptor.
-var fillers = map[string]func(path string, pool *mempool.Pool, ranges []Range, size int64) ([]byte, *mempool.Ref, error){
-	"os.File": func(path string, pool *mempool.Pool, ranges []Range, size int64) ([]byte, *mempool.Ref, error) {
+var fillers = map[string]func(path string, pool *mempool.Pool, size int64) ([]byte, *mempool.Ref, error){
+	"os.File": func(path string, pool *mempool.Pool, size int64) ([]byte, *mempool.Ref, error) {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, nil, err
 		}
 		defer f.Close()
-		return fill(f, pool, path, ranges, size)
+		return fill(f, pool, path, size)
 	},
 }
 
@@ -125,23 +113,14 @@ func TestDirFileChangedUnderRead(t *testing.T) {
 					pool = audit
 				}
 				// Sized at 8192, then truncated to 4096.
-				for _, ranges := range [][]Range{nil, {{Off: 4000, N: 1000}}, {{Off: 0, N: 10}, {Off: 6000, N: 10}}} {
-					buf, ref, err := fillWith(path, pool, ranges, 8192)
-					if !errors.Is(err, io.ErrUnexpectedEOF) || buf != nil || ref != nil {
-						t.Fatalf("shrunk file, ranges %v: %d bytes, ref %v, err %v; want a short-read error and nothing else", ranges, len(buf), ref, err)
-					}
+				buf, ref, err := fillWith(path, pool, 8192)
+				if !errors.Is(err, io.ErrUnexpectedEOF) || buf != nil || ref != nil {
+					t.Fatalf("shrunk file: %d bytes, ref %v, err %v; want a short-read error and nothing else", len(buf), ref, err)
 				}
 				// Sized at 1024, then replaced by 4096 bytes.
-				buf, ref, err := fillWith(path, pool, nil, 1024)
+				buf, ref, err = fillWith(path, pool, 1024)
 				if err != nil || !bytes.Equal(buf, content[:1024]) {
-					t.Fatalf("grown file whole: %d bytes, %v; want the first 1024", len(buf), err)
-				}
-				if ref != nil {
-					ref.Release()
-				}
-				buf, ref, err = fillWith(path, pool, []Range{{Off: 1000, N: 1000}}, 1024)
-				if err != nil || !bytes.Equal(buf, content[1000:1024]) {
-					t.Fatalf("grown file range: %d bytes, %v; want bytes 1000..1023", len(buf), err)
+					t.Fatalf("grown file: %d bytes, %v; want the first 1024", len(buf), err)
 				}
 				if ref != nil {
 					ref.Release()
@@ -177,7 +156,7 @@ func hostileNames(t *testing.T, dir string) []string {
 }
 
 // TestDirHostileNames: names a socket client can send that are not samples
-// are NotExistError from every request class and from Size — typed, so the
+// are NotExistError from Read and from Size — typed, so the
 // resilient layer neither retries them nor counts them against the breaker
 // — with no panic and no lease left behind. A long name that does exist is
 // still served (the stack buffer is an optimisation, not a limit).
@@ -190,9 +169,6 @@ func TestDirHostileNames(t *testing.T) {
 		for _, name := range names {
 			if d, err := readFile(b, name); !errors.As(err, &ne) {
 				t.Errorf("whole %q = %d bytes, %v; want NotExistError", name, d.Size, err)
-			}
-			if out, err := readBatch(b, name, []Range{{Off: 0, N: 4}, {Off: 8, N: 4}}, nil); !errors.As(err, &ne) || len(out) != 0 {
-				t.Errorf("ranged %q = %d views, %v; want NotExistError", name, len(out), err)
 			}
 			if n, err := b.Size(name); !errors.As(err, &ne) {
 				t.Errorf("Size(%q) = %d, %v; want NotExistError", name, n, err)
@@ -275,9 +251,6 @@ func TestDirCloseThenRead(t *testing.T) {
 		}
 		if _, err := readFile(b, "f"); !errors.Is(err, ErrDirClosed) {
 			t.Errorf("%s: Read after Close = %v, want ErrDirClosed", mode, err)
-		}
-		if _, err := readRange(b, "f", 0, 4); !errors.Is(err, ErrDirClosed) {
-			t.Errorf("%s: ranged Read after Close = %v, want ErrDirClosed", mode, err)
 		}
 		if _, err := b.Size("f"); !errors.Is(err, ErrDirClosed) {
 			t.Errorf("%s: Size after Close = %v, want ErrDirClosed", mode, err)

@@ -13,10 +13,9 @@ var ErrInjected = errors.New("storage: injected fault")
 
 // FaultyBackend wraps a Backend and fails or delays selected reads, for
 // failure-path testing of the data plane (producer I/O errors must surface
-// to the consumer that requested the file, not wedge the pipeline). Every
-// request class passes through it, so recordio shard paths stay testable,
-// and it supports transient faults (fail N attempts, then heal) and
-// injected latency for chaos schedules.
+// to the consumer that requested the file, not wedge the pipeline). It
+// supports transient faults (fail N attempts, then heal) and injected
+// latency for chaos schedules.
 type FaultyBackend struct {
 	env   conc.Env
 	inner Backend
@@ -163,10 +162,7 @@ func (f *FaultyBackend) apply(name string) (fire bool, delay time.Duration) {
 	return fire, delay
 }
 
-// Read applies armed faults and latency, otherwise delegates. One armed
-// fault fails the whole request whatever its class — a coalesced vector is
-// one physical request, so a fault fails all of its samples together,
-// exactly what the coalescer's fallback path has to absorb. Faults fire
+// Read applies armed faults and latency, otherwise delegates. Faults fire
 // before the inner read, so a fired fault never strands a lease.
 func (f *FaultyBackend) Read(req Request) (Response, error) {
 	fire, delay := f.apply(req.Name)

@@ -55,13 +55,10 @@ func (b *MemBackend) Content(name string) ([]byte, bool) {
 	return c, ok
 }
 
-// Read copies the requested bytes out — into a pooled buffer when a pool
-// is attached, a fresh allocation otherwise. The copy is deliberate even
+// Read copies the file out — into a pooled buffer when a pool is
+// attached, a fresh allocation otherwise. The copy is deliberate even
 // unpooled: a real backend never aliases its own storage, and the aliasing
-// tests rely on delivered samples being distinct arrays. A ranged request
-// lands every window in one region buffer the views share, which is what
-// lets recordio.IndexedBackend serve packed shards out of memory on the
-// zero-allocation hot path.
+// tests rely on delivered samples being distinct arrays.
 func (b *MemBackend) Read(req Request) (Response, error) {
 	b.mu.Lock()
 	src, ok := b.files[req.Name]
@@ -70,21 +67,9 @@ func (b *MemBackend) Read(req Request) (Response, error) {
 		return Response{}, &NotExistError{Name: req.Name}
 	}
 	size := int64(len(src))
-	if len(req.Ranges) == 0 {
-		buf, ref := region(b.pool, size)
-		copy(buf, src)
-		return Response{Data: Data{Name: req.Name, Size: size, Bytes: buf, Ref: ref}}, nil
-	}
-	if err := req.Validate(); err != nil {
-		return Response{}, err
-	}
-	buf, ref := region(b.pool, clampedTotal(req.Ranges, size))
-	var pos int64
-	for _, r := range req.Ranges {
-		r = r.Clamp(size)
-		pos += int64(copy(buf[pos:], src[r.Off:r.Off+r.N]))
-	}
-	return Response{Views: carve(req.Out, req.Name, req.Ranges, size, buf, ref)}, nil
+	buf, ref := region(b.pool, size)
+	copy(buf, src)
+	return Response{Data: Data{Name: req.Name, Size: size, Bytes: buf, Ref: ref}}, nil
 }
 
 // Size reports the stored length.

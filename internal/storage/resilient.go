@@ -159,7 +159,6 @@ type ResilienceStats struct {
 	DeadlineExceeded int64  // attempts abandoned at the read deadline
 	FastFails        int64  // reads shed while the breaker was open
 	BreakerOpens     int64  // closed/half-open -> open transitions
-	UnsupportedOps   int64  // requests the chain below refused with ErrUnsupported
 	State            string // current breaker state
 	Degraded         bool   // breaker not closed: autotuner backs off
 }
@@ -175,22 +174,17 @@ type ReadDetail struct {
 	// Breaker is the breaker state at completion ("" when no breaker is
 	// configured).
 	Breaker string
-	// Unsupported reports a request the chain below answered with
-	// ErrUnsupported — a chain-composition mistake, distinct from a device
-	// fault (not retried, no breaker penalty).
-	Unsupported bool
 }
 
 // ResilientBackend wraps a Backend with per-read deadlines, bounded retries
 // with exponential backoff and deterministic jitter, and a circuit breaker
-// that sheds load after consecutive failures and probes before recovering —
-// one policy for every request class. All waiting goes through the conc.Env,
-// so sim-mode runs stay virtual-time and reproducible.
+// that sheds load after consecutive failures and probes before recovering.
+// All waiting goes through the conc.Env, so sim-mode runs stay virtual-time
+// and reproducible.
 //
-// Reads of files that do not exist (NotExistError) and requests the chain
-// below cannot serve (ErrUnsupported) are treated as permanent conditions:
-// they are returned immediately, are never retried, and count as breaker
-// successes (the backend answered correctly).
+// Reads of files that do not exist (NotExistError) are treated as a
+// permanent condition: they are returned immediately, are never retried,
+// and count as breaker successes (the backend answered correctly).
 type ResilientBackend struct {
 	env   conc.Env
 	inner Backend
@@ -215,7 +209,6 @@ type ResilientBackend struct {
 	deadlineHits *metrics.Counter
 	fastFails    *metrics.Counter
 	opens        *metrics.Counter
-	unsupported  *metrics.Counter     // requests refused with ErrUnsupported
 	stateTime    *metrics.TimeInState // time spent in each BreakerState
 }
 
@@ -238,7 +231,6 @@ func NewResilientBackend(env conc.Env, inner Backend, cfg ResilienceConfig) (*Re
 		deadlineHits: metrics.NewCounter(env),
 		fastFails:    metrics.NewCounter(env),
 		opens:        metrics.NewCounter(env),
-		unsupported:  metrics.NewCounter(env),
 		stateTime:    metrics.NewTimeInState(env, int(BreakerClosed)),
 	}
 	b.healthy.Store(true)
@@ -250,8 +242,8 @@ func (b *ResilientBackend) Config() ResilienceConfig { return b.cfg }
 
 // Read serves req under the full resilience policy: breaker admission,
 // per-attempt deadline, bounded retries with jittered exponential backoff.
-// Leaves release every reference on failure, so a retried ranged request
-// never duplicates references. The response's Detail (filled on error too)
+// Leaves release every reference on failure, so a retried read never
+// duplicates references. The response's Detail (filled on error too)
 // reports the attempts actually issued and the breaker state at completion.
 func (b *ResilientBackend) Read(req Request) (Response, error) {
 	var lastErr error
@@ -273,20 +265,11 @@ func (b *ResilientBackend) Read(req Request) (Response, error) {
 			return resp, nil
 		}
 		var ne *NotExistError
-		unsupported := errors.Is(err, ErrUnsupported)
-		if unsupported || errors.As(err, &ne) {
-			// A missing file, or a request class the chain below cannot
-			// serve, is a correct answer from a healthy backend, not a
-			// device fault: no retry, no breaker penalty. The miswired
-			// chain is counted so it surfaces in stats instead of
-			// vanishing into a bare error string.
+		if errors.As(err, &ne) {
+			// A missing file is a correct answer from a healthy backend,
+			// not a device fault: no retry, no breaker penalty.
 			b.onSuccess()
-			detail := b.detail(issued)
-			if unsupported {
-				b.unsupported.Inc()
-				detail.Unsupported = true
-			}
-			return Response{Detail: detail}, err
+			return Response{Detail: b.detail(issued)}, err
 		}
 		b.failures.Inc()
 		if errors.Is(err, ErrReadDeadline) {
@@ -330,12 +313,9 @@ func (b *ResilientBackend) attemptOnce(req Request) (Response, error) {
 // attemptDeadline runs the read on its own thread while the caller waits
 // for completion or timer expiry, whichever comes first — the only way to
 // bound a blocking read under both the real and the virtual-time
-// environment. An expired attempt keeps running and appends into whatever
-// slice it was given, so each attempt gets a fresh one: an orphan can
-// never race the caller's scratch.
+// environment. An expired attempt keeps running and releases its own
+// payload when it finishes.
 func (b *ResilientBackend) attemptDeadline(req Request) (Response, error) {
-	out := req.Out
-	req.Out = nil
 	mu := b.env.NewMutex()
 	done := b.env.NewCond(mu)
 	var (
@@ -352,7 +332,7 @@ func (b *ResilientBackend) attemptDeadline(req Request) (Response, error) {
 			// see this result, so pooled payloads must be released here or
 			// their buffers leak for the life of the process.
 			mu.Unlock()
-			r.Release(req)
+			r.Data.Release()
 			return
 		}
 		resp, err, finished = r, rerr, true
@@ -373,9 +353,6 @@ func (b *ResilientBackend) attemptDeadline(req Request) (Response, error) {
 	}
 	if !finished {
 		return Response{}, ErrReadDeadline
-	}
-	if err == nil && len(req.Ranges) > 0 {
-		resp.Views = append(out, resp.Views...)
 	}
 	return resp, err
 }
@@ -516,7 +493,6 @@ func (b *ResilientBackend) ResilienceStats() ResilienceStats {
 		DeadlineExceeded: b.deadlineHits.Value(),
 		FastFails:        b.fastFails.Value(),
 		BreakerOpens:     b.opens.Value(),
-		UnsupportedOps:   b.unsupported.Value(),
 		State:            state.String(),
 		Degraded:         state != BreakerClosed,
 	}

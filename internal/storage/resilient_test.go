@@ -257,30 +257,6 @@ func TestResilientBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestResilientBatchRetries proves the retry machinery covers vectored
-// reads: an injected transient failure on the batch is retried and the
-// whole vector delivered, with the attempt counted like any other read.
-func TestResilientBatchRetries(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		res, faulty := newResilientOverFaulty(t, env, testResilience())
-		faulty.FailNTimes("c", 1)
-		out, err := readBatch(res, "c", []Range{{Off: 0, N: 100}, {Off: 100, N: 200}}, nil)
-		if err != nil {
-			t.Fatalf("batched read after transient fault: %v", err)
-		}
-		if len(out) != 2 || out[0].Size != 100 || out[1].Size != 200 {
-			t.Fatalf("batch = %+v, want sizes 100 and 200", out)
-		}
-		st := res.ResilienceStats()
-		if st.Retries != 1 {
-			t.Errorf("Retries = %d, want 1", st.Retries)
-		}
-		if st.UnsupportedOps != 0 {
-			t.Errorf("UnsupportedOps = %d, want 0 (batch is supported)", st.UnsupportedOps)
-		}
-	})
-}
-
 func TestFaultyBackendTransientHeals(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, P4600())

@@ -365,12 +365,6 @@ func TestDirBackendNamesStayUnderRoot(t *testing.T) {
 			if d, err := readFile(b, name); !errors.As(err, &ne) {
 				t.Errorf("pooled=%v ReadFile(%q) = %q, %v; want NotExistError", pooled, name, d.Bytes, err)
 			}
-			if d, err := readRange(b, name, 0, 4); !errors.As(err, &ne) {
-				t.Errorf("pooled=%v ReadRange(%q) = %q, %v; want NotExistError", pooled, name, d.Bytes, err)
-			}
-			if out, err := readBatch(b, name, []Range{{Off: 0, N: 4}}, nil); !errors.As(err, &ne) || len(out) != 0 {
-				t.Errorf("pooled=%v ReadRangeBatch(%q) = %d views, %v; want NotExistError", pooled, name, len(out), err)
-			}
 			if n, err := b.Size(name); !errors.As(err, &ne) {
 				t.Errorf("pooled=%v Size(%q) = %d, %v; want NotExistError", pooled, name, n, err)
 			}
@@ -416,60 +410,6 @@ func TestFaultyBackendFailName(t *testing.T) {
 			t.Fatalf("armed read err = %v, want ErrInjected", err)
 		}
 	})
-}
-
-func TestModeledReadRange(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		dev, _ := NewDevice(env, DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e6, Channels: 1})
-		b := NewModeledBackend(manifest3(), dev)
-		start := env.Now()
-		d, err := readRange(b, "c", 1000, 1000) // 1ms base + 1ms transfer
-		if err != nil || d.Size != 1000 {
-			t.Fatalf("ReadRange = %+v, %v", d, err)
-		}
-		if env.Now()-start != 2*time.Millisecond {
-			t.Fatalf("elapsed %v, want 2ms", env.Now()-start)
-		}
-		// Truncated at EOF.
-		d, err = readRange(b, "a", 800, 1000)
-		if err != nil || d.Size != 200 {
-			t.Fatalf("truncated ReadRange = %+v, %v", d, err)
-		}
-		// Past EOF.
-		d, err = readRange(b, "a", 5000, 10)
-		if err != nil || d.Size != 0 {
-			t.Fatalf("past-EOF ReadRange = %+v, %v", d, err)
-		}
-		if _, err := readRange(b, "a", -1, 10); err == nil {
-			t.Fatal("negative offset accepted")
-		}
-		if _, err := readRange(b, "ghost", 0, 10); err == nil {
-			t.Fatal("missing file accepted")
-		}
-	})
-}
-
-func TestDirReadRange(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "x"), []byte("0123456789"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b := openDir(t, dir)
-	d, err := readRange(b, "x", 3, 4)
-	if err != nil || string(d.Bytes) != "3456" || d.Size != 4 {
-		t.Fatalf("ReadRange = %+v, %v", d, err)
-	}
-	// Truncated at EOF.
-	d, err = readRange(b, "x", 8, 10)
-	if err != nil || string(d.Bytes) != "89" {
-		t.Fatalf("truncated = %+v, %v", d, err)
-	}
-	if _, err := readRange(b, "x", -1, 1); err == nil {
-		t.Fatal("negative offset accepted")
-	}
-	if _, err := readRange(b, "ghost", 0, 1); err == nil {
-		t.Fatal("missing file accepted")
-	}
 }
 
 func TestPresetSpecsSane(t *testing.T) {

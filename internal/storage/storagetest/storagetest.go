@@ -1,8 +1,8 @@
 // Package storagetest is the middleware conformance suite for the storage
 // read contract (DESIGN.md §18): every layer that wraps a storage.Backend
 // runs Middleware from a test, alone over a probe leaf, and must hand every
-// request class through unchanged — same bytes, same trace context, same
-// Detail, same errors, no leaked references. Each row of chain.Layers has
+// read through unchanged — same bytes, same trace context and manifest
+// slot, same Detail, same errors, no leaked references. Each row of chain.Layers has
 // its cases in rowCases (internal/storage/contract_test.go); an unexported
 // wrapper calls Middleware from its own package's tests.
 package storagetest
@@ -11,6 +11,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -26,7 +30,7 @@ const (
 	FileSize = 4096
 )
 
-// Content is the probe file's payload: distinct-ish bytes so slicing
+// Content is the probe file's payload: distinct-ish bytes so copying
 // errors show up as mismatches, in runs long enough to LZ-compress (the
 // tier's Compress row must take its compressed path).
 func Content() []byte {
@@ -37,17 +41,92 @@ func Content() []byte {
 	return buf
 }
 
-// Probe is the leaf under test layers: a pooled MemBackend holding
-// Content under FileName that records what reached it.
+// The other files of the probe's dataset, each an edge of what a whole-
+// sample read must serve.
+const (
+	// EmptyName is a zero-byte sample.
+	EmptyName = "empty"
+	// OtherName has FileName's size and different bytes, so a layer that
+	// serves one sample's payload for another's name is caught.
+	OtherName = "g"
+	// NoiseName is FileSize bytes that do not LZ-compress: the tier's
+	// Compress row must keep it raw.
+	NoiseName = "noise"
+	// BigName is larger than the 1 MiB fast-tier budgets of the conformance
+	// rows, so every tier declines it.
+	BigName = "big"
+	// NestedName sits in a subdirectory of the dataset.
+	NestedName = "d/h"
+)
+
+// Files is the probe's dataset, name → payload: Content under FileName
+// and the edge files above.
+func Files() map[string][]byte {
+	other := Content()
+	for i := range other {
+		other[i] ^= 0xa5
+	}
+	noise := make([]byte, FileSize)
+	rand.New(rand.NewSource(1)).Read(noise)
+	big := make([]byte, 1<<20+FileSize)
+	for i := range big {
+		big[i] = byte(i >> 9)
+	}
+	nested := Content()[:FileSize/2]
+	return map[string][]byte{
+		FileName:   Content(),
+		EmptyName:  {},
+		OtherName:  other,
+		NoiseName:  noise,
+		BigName:    big,
+		NestedName: nested,
+	}
+}
+
+// Names is the dataset's names in manifest order (sorted, as
+// dataset.FromDir lists them): a request's Slot is a position here + 1.
+func Names() []string {
+	var names []string
+	for n := range Files() {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// slotOf is name's Slot in Names.
+func slotOf(name string) int { return sort.SearchStrings(Names(), name) + 1 }
+
+// Fill adds Files to mem.
+func Fill(mem *storage.MemBackend) {
+	for n, b := range Files() {
+		mem.Add(n, b)
+	}
+}
+
+// WriteDir writes Files under dir.
+func WriteDir(t testing.TB, dir string) {
+	t.Helper()
+	for n, b := range Files() {
+		path := filepath.Join(dir, filepath.FromSlash(n))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Probe is the leaf under test layers: a pooled MemBackend holding Files
+// that records what reached it.
 type Probe struct {
 	mem *storage.MemBackend
-	// Rangeless makes the probe answer ranged requests with
-	// storage.ErrUnsupported, like a store that only knows whole samples.
-	Rangeless bool
-	// Calls counts requests that reached the leaf; Ctx is the trace
-	// context of the last one.
+	// Calls counts requests that reached the leaf; Ctx and Slot are the
+	// trace context and manifest slot of the last one.
 	Calls int
 	Ctx   obs.Ctx
+	Slot  int
 }
 
 // ProbeDetail is stamped on every response the probe serves, so a layer
@@ -57,7 +136,7 @@ var ProbeDetail = storage.ReadDetail{Attempts: 7, Breaker: "probe"}
 // NewProbe builds a probe whose payloads come from pool.
 func NewProbe(pool *mempool.Pool) *Probe {
 	mem := storage.NewMemBackend()
-	mem.Add(FileName, Content())
+	Fill(mem)
 	mem.SetBufferPool(pool)
 	return &Probe{mem: mem}
 }
@@ -65,10 +144,7 @@ func NewProbe(pool *mempool.Pool) *Probe {
 // Read implements storage.Backend.
 func (p *Probe) Read(req storage.Request) (storage.Response, error) {
 	p.Calls++
-	p.Ctx = req.Ctx
-	if p.Rangeless && len(req.Ranges) > 0 {
-		return storage.Response{}, fmt.Errorf("probe: %w", storage.ErrUnsupported)
-	}
+	p.Ctx, p.Slot = req.Ctx, req.Slot
 	resp, err := p.mem.Read(req)
 	resp.Detail = ProbeDetail
 	return resp, err
@@ -95,7 +171,7 @@ type Built struct {
 	// audit.
 	Close func()
 	// Resilience is non-nil for a resilient layer: it stamps its own Detail
-	// instead of passing the leaf's up, and counts UnsupportedOps.
+	// instead of passing the leaf's up.
 	Resilience func() storage.ResilienceStats
 }
 
@@ -107,51 +183,73 @@ type Layer struct {
 	Build func(t *testing.T, env conc.Env, leaf storage.Backend, pool *mempool.Pool) Built
 }
 
-// class is one request class of the table.
+// class is one case of the table: a whole-sample read of a file the probe
+// holds, or of a name it does not.
 type class struct {
-	name    string
-	file    string
-	ranges  []storage.Range
+	name string
+	file string
+	// slot is the request's manifest Slot: 0 (unresolved), name's own, or
+	// a hint naming another file or lying past the manifest. Whatever it
+	// says, the read serves file, and every wrapper passes it down
+	// unchanged.
+	slot int
+	// warm, when set, is read and released before the passes, so another
+	// sample has been served when file is first read.
+	warm string
+	// hold keeps the first pass's payload while the second is read and
+	// released: two references to one sample must stay independent.
+	hold    bool
 	wantErr func(error) bool // nil = must succeed
 }
 
 func classes() []class {
 	var ne *storage.NotExistError
+	notExist := func(err error) bool { return errors.As(err, &ne) }
 	return []class{
 		{name: "whole", file: FileName},
-		{name: "one-range", file: FileName, ranges: []storage.Range{{Off: 100, N: 200}}},
-		{name: "k-ranges", file: FileName, ranges: []storage.Range{{Off: 0, N: 100}, {Off: 500, N: 250}, {Off: 4000, N: 500}}},
-		{name: "past-eof", file: FileName, ranges: []storage.Range{{Off: 5000, N: 10}}},
-		// Views come back in range order, whatever the order and overlap of
-		// the ranges: one region serves them all.
-		{name: "unordered", file: FileName, ranges: []storage.Range{{Off: 3000, N: 100}, {Off: 0, N: 200}, {Off: 150, N: 100}}},
-		{name: "zero-length", file: FileName, ranges: []storage.Range{{Off: 100, N: 0}, {Off: 200, N: 10}}},
-		{name: "negative", file: FileName, ranges: []storage.Range{{Off: 0, N: 10}, {Off: 5, N: -1}},
-			wantErr: func(err error) bool {
-				return err != nil && !errors.Is(err, storage.ErrUnsupported) && !errors.As(err, &ne)
-			}},
-		{name: "missing", file: "ghost", wantErr: func(err error) bool { return errors.As(err, &ne) }},
+		{name: "empty", file: EmptyName},
+		{name: "noise", file: NoiseName},
+		{name: "big", file: BigName},
+		{name: "nested", file: NestedName},
+		{name: "after-other", file: FileName, warm: OtherName},
+		{name: "held", file: FileName, hold: true},
+		{name: "slot", file: FileName, slot: slotOf(FileName)},
+		// The hint names a file already served (and, on a pinning leaf,
+		// pinned): it must not be served in FileName's place.
+		{name: "stale-slot", file: FileName, slot: slotOf(OtherName), warm: OtherName},
+		{name: "slot-past-end", file: FileName, slot: 1 << 20},
+		{name: "missing", file: "ghost", wantErr: notExist},
+		// Names a socket client can send and no dataset holds: the leaf
+		// answers them as unknown files, and no layer makes them anything
+		// else.
+		{name: "escape", file: "../" + FileName, wantErr: notExist},
+		{name: "absolute", file: "/" + FileName, wantErr: notExist},
 	}
 }
 
-// Middleware runs the conformance table over layer: request classes
-// {whole, 1 range, K ranges, past-EOF, unordered and overlapping ranges, a
-// zero-length range, negative, missing name} × {unsampled, sampled ctx},
-// each against a fresh instance (so the first request always reaches the
-// leaf) and issued twice (so hit paths are compared too), plus one ranged
-// request over a rangeless leaf.
+// Middleware runs the conformance table over layer: every class × {unsampled,
+// sampled ctx}, each against a fresh instance (so the first request always
+// reaches the leaf) and issued twice (so hit paths are compared too).
 func Middleware(t *testing.T, layer Layer) {
 	t.Helper()
+	files := Files()
 	for _, c := range classes() {
 		for _, ctx := range []obs.Ctx{{}, {Trace: 42, Sampled: true}} {
 			c, ctx := c, ctx
 			t.Run(fmt.Sprintf("%s/%s/sampled=%v", layer.Name, c.name, ctx.Sampled), func(t *testing.T) {
-				run(t, layer, false, func(b Built, probe *Probe) {
+				run(t, layer, func(b Built, probe *Probe) {
+					if c.warm != "" {
+						resp, err := b.Backend.Read(storage.Request{Name: c.warm, Ctx: ctx})
+						if err != nil {
+							t.Fatalf("read of %q: %v", c.warm, err)
+						}
+						checkPayload(t, files[c.warm], resp)
+						resp.Data.Release()
+					}
+					var held storage.Response
 					for pass := 0; pass < 2; pass++ {
 						before := probe.Calls
-						scratch := []storage.Data{{Name: "sentinel"}}
-						req := storage.Request{Name: c.file, Ranges: c.ranges, Out: scratch, Ctx: ctx}
-						resp, err := b.Backend.Read(req)
+						resp, err := b.Backend.Read(storage.Request{Name: c.file, Ctx: ctx, Slot: c.slot})
 						reached := probe.Calls > before
 						if pass == 0 && !reached {
 							t.Fatalf("first request never reached the leaf")
@@ -159,19 +257,22 @@ func Middleware(t *testing.T, layer Layer) {
 						if reached && probe.Ctx != ctx {
 							t.Fatalf("pass %d: leaf saw ctx %+v, want the ctx that entered %+v", pass, probe.Ctx, ctx)
 						}
+						if reached && probe.Slot != c.slot {
+							t.Fatalf("pass %d: leaf saw slot %d, want the slot that entered %d", pass, probe.Slot, c.slot)
+						}
 						if c.wantErr != nil {
 							if !c.wantErr(err) {
 								t.Fatalf("pass %d: err = %v, want the leaf's typed failure", pass, err)
 							}
-							if n := len(resp.Ranged(req)); n != 0 {
-								t.Fatalf("pass %d: failed request carried %d views", pass, n)
+							if resp.Data.Ref != nil {
+								t.Fatalf("pass %d: failed request carried a reference", pass)
 							}
 							continue
 						}
 						if err != nil {
 							t.Fatalf("pass %d: %v", pass, err)
 						}
-						checkPayload(t, c, req, resp)
+						checkPayload(t, files[c.file], resp)
 						if reached {
 							switch {
 							case b.Resilience != nil && resp.Detail.Attempts != 1:
@@ -180,41 +281,29 @@ func Middleware(t *testing.T, layer Layer) {
 								t.Fatalf("pass %d: Detail = %+v, want the leaf's %+v passed up", pass, resp.Detail, ProbeDetail)
 							}
 						}
-						resp.Release(req)
+						if c.hold && pass == 0 {
+							held = resp
+							continue
+						}
+						resp.Data.Release()
+					}
+					if c.hold {
+						checkPayload(t, files[c.file], held)
+						held.Data.Release()
 					}
 				})
 			})
 		}
 	}
-	t.Run(layer.Name+"/unsupported", func(t *testing.T) {
-		run(t, layer, true, func(b Built, probe *Probe) {
-			req := storage.Request{Name: FileName, Ranges: []storage.Range{{Off: 0, N: 10}}}
-			if _, err := b.Backend.Read(req); !errors.Is(err, storage.ErrUnsupported) {
-				t.Fatalf("ranged read over a rangeless leaf: err = %v, want ErrUnsupported", err)
-			}
-			if b.Resilience != nil {
-				if st := b.Resilience(); st.UnsupportedOps != 1 || st.Retries != 0 || st.Degraded {
-					t.Fatalf("resilience after one unsupported request = %+v, want UnsupportedOps 1, no retry, breaker closed", st)
-				}
-			}
-			// Whole-file requests still pass.
-			whole := storage.Request{Name: FileName}
-			resp, err := b.Backend.Read(whole)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Release(whole)
-		})
-	})
 }
 
-// Leaf runs the request-class table against a leaf backend — no probe
-// below it, so what is checked is the answer itself: the payload of every
-// class, the typed failures, views appended behind the caller's prefix, and
-// zero pooled refs outstanding afterwards. build returns a leaf holding
-// Content under FileName; pool is nil for the unpooled rows.
+// Leaf runs the table against a leaf backend — no probe below it, so what
+// is checked is the answer itself: the payload, the typed failure, and zero
+// pooled refs outstanding afterwards. build returns a leaf holding Files
+// (Fill, WriteDir); pool is nil for the unpooled rows.
 func Leaf(t *testing.T, name string, pooled bool, build func(t *testing.T, pool *mempool.Pool) storage.Backend) {
 	t.Helper()
+	files := Files()
 	for _, c := range classes() {
 		c := c
 		t.Run(fmt.Sprintf("%s/pooled=%v/%s", name, pooled, c.name), func(t *testing.T) {
@@ -224,26 +313,42 @@ func Leaf(t *testing.T, name string, pooled bool, build func(t *testing.T, pool 
 				pool = audit
 			}
 			b := build(t, pool)
+			if c.warm != "" {
+				resp, err := b.Read(storage.Request{Name: c.warm})
+				if err != nil {
+					t.Fatalf("read of %q: %v", c.warm, err)
+				}
+				checkPayload(t, files[c.warm], resp)
+				resp.Data.Release()
+			}
+			var held storage.Response
 			for pass := 0; pass < 2; pass++ {
-				req := storage.Request{Name: c.file, Ranges: c.ranges, Out: []storage.Data{{Name: "sentinel"}}}
-				resp, err := b.Read(req)
+				resp, err := b.Read(storage.Request{Name: c.file, Slot: c.slot})
 				if c.wantErr != nil {
 					if !c.wantErr(err) {
 						t.Fatalf("pass %d: err = %v, want the typed failure", pass, err)
 					}
-					if n := len(resp.Ranged(req)); n != 0 || resp.Data.Ref != nil {
-						t.Fatalf("pass %d: failed request carried %d views, ref %v", pass, n, resp.Data.Ref)
+					if resp.Data.Ref != nil {
+						t.Fatalf("pass %d: failed request carried ref %v", pass, resp.Data.Ref)
 					}
 					continue
 				}
 				if err != nil {
 					t.Fatalf("pass %d: %v", pass, err)
 				}
-				checkPayload(t, c, req, resp)
-				if got := resp.Data.Ref != nil || (len(c.ranges) > 0 && resp.Views[1].Ref != nil); got != pooled {
+				checkPayload(t, files[c.file], resp)
+				if got := resp.Data.Ref != nil; got != pooled {
 					t.Fatalf("pass %d: payload pooled = %v, want %v", pass, got, pooled)
 				}
-				resp.Release(req)
+				if c.hold && pass == 0 {
+					held = resp
+					continue
+				}
+				resp.Data.Release()
+			}
+			if c.hold {
+				checkPayload(t, files[c.file], held)
+				held.Data.Release()
 			}
 			if n := audit.Outstanding(); n != 0 {
 				t.Fatalf("%d pooled refs outstanding: %v", n, audit.Leaks())
@@ -254,14 +359,13 @@ func Leaf(t *testing.T, name string, pooled bool, build func(t *testing.T, pool 
 
 // run builds a fresh probe and layer inside a simulation, runs body, and
 // audits the pool.
-func run(t *testing.T, layer Layer, rangeless bool, body func(Built, *Probe)) {
+func run(t *testing.T, layer Layer, body func(Built, *Probe)) {
 	t.Helper()
 	pool := mempool.New(mempool.Config{Debug: true})
 	s := sim.New()
 	env := conc.NewSimEnv(s)
 	s.Spawn("conformance", func(*sim.Process) {
 		probe := NewProbe(pool)
-		probe.Rangeless = rangeless
 		b := layer.Build(t, env, probe, pool)
 		body(b, probe)
 		if b.Close != nil {
@@ -276,23 +380,10 @@ func run(t *testing.T, layer Layer, rangeless bool, body func(Built, *Probe)) {
 	}
 }
 
-// checkPayload compares resp with what the bare leaf serves for c.
-func checkPayload(t *testing.T, c class, req storage.Request, resp storage.Response) {
+// checkPayload compares resp with want, what the bare leaf serves.
+func checkPayload(t *testing.T, want []byte, resp storage.Response) {
 	t.Helper()
-	content := Content()
-	if len(c.ranges) == 0 {
-		if resp.Data.Size != FileSize || !bytes.Equal(resp.Data.Bytes, content) {
-			t.Fatalf("whole-file payload differs from the leaf's (%d bytes)", resp.Data.Size)
-		}
-		return
-	}
-	if len(resp.Views) != 1+len(c.ranges) || resp.Views[0].Name != "sentinel" {
-		t.Fatalf("Views has %d entries, want the caller's prefix plus %d views", len(resp.Views), len(c.ranges))
-	}
-	for i, v := range resp.Ranged(req) {
-		want := c.ranges[i].Clamp(FileSize)
-		if v.Size != want.N || !bytes.Equal(v.Bytes, content[want.Off:want.Off+want.N]) {
-			t.Fatalf("view %d (%+v): %d bytes, differs from the leaf's %d", i, c.ranges[i], v.Size, want.N)
-		}
+	if resp.Data.Size != int64(len(want)) || !bytes.Equal(resp.Data.Bytes, want) {
+		t.Fatalf("payload differs from the leaf's (%d bytes, want %d)", resp.Data.Size, len(want))
 	}
 }

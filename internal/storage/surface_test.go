@@ -11,9 +11,8 @@ import (
 )
 
 // storageInterfaces is the whole interface surface of the package: the read
-// contract, and the one capability that belongs to the sample view at the
-// top of a chain rather than to a request (DESIGN.md §18).
-var storageInterfaces = map[string]bool{"Backend": true, "Coalescer": true, "SampleBatcher": true}
+// contract (DESIGN.md §18).
+var storageInterfaces = map[string]bool{"Backend": true}
 
 // parseNonTest parses every non-test Go file under root, skipping the
 // benchmark module and dot-directories, and calls visit with each file's
@@ -54,13 +53,11 @@ var layerConstructors = map[string]bool{
 	"tiering.NewBackend":          true,
 	"storage.NewResilientBackend": true,
 	"trace.NewRecorder":           true,
-	"recordio.NewIndexedBackend":  true,
 }
 
 // TestStorageSurface keeps the extension lattice from growing back: the
-// package declares exactly its three interfaces, nothing discovers a storage
-// capability by type assertion (the pack view's Coalescer is handed over by
-// the chain's fold), and no builder wires a layer by hand. A new per-request
+// package declares exactly its one interface, nothing discovers a storage
+// capability by type assertion, and no builder wires a layer by hand. A new per-request
 // capability belongs in Request / Response; a new layer implements Read +
 // Size, becomes a row of chain.Layers and joins the conformance table.
 func TestStorageSurface(t *testing.T) {
@@ -117,7 +114,7 @@ func TestStorageSurface(t *testing.T) {
 	})
 	for name := range declared {
 		if !storageInterfaces[name] {
-			t.Errorf("internal/storage declares interface %s: the read surface is Backend (+ Coalescer/SampleBatcher); carry per-request capabilities in Request/Response instead", name)
+			t.Errorf("internal/storage declares interface %s: the read surface is Backend; carry per-request capabilities in Request/Response instead", name)
 		}
 	}
 	for name := range storageInterfaces {
@@ -126,7 +123,7 @@ func TestStorageSurface(t *testing.T) {
 		}
 	}
 	if len(assertions) != 0 {
-		t.Errorf("type assertions to storage types in non-test code = %q, want none: a capability is handed over by the chain's fold", assertions)
+		t.Errorf("type assertions to storage types in non-test code = %q, want none", assertions)
 	}
 	if len(handWired) != 0 {
 		t.Errorf("layer constructors called outside internal/chain = %q: fold chain.Layers instead", handWired)

@@ -152,6 +152,38 @@ func fullCompressedTier(t testing.TB, capacity int64, files, fileSize, heat int)
 	return b, pool, names
 }
 
+// TestCompressedHitAllocatesNothing pins the hit path of a compressing
+// tier: a resident stored LZ-compressed is decoded in place into a pooled
+// buffer, and the hit allocates nothing.
+func TestCompressedHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const runs = 200
+	b, _, names := fullCompressedTier(t, 20<<10, 64, 16<<10, 1)
+	hot := names[0]
+	if !b.Resident(hot) {
+		t.Fatal("fixture: the first name read should be resident")
+	}
+	before := b.Stats()
+	allocs := testing.AllocsPerRun(runs, func() {
+		resp, err := b.Read(storage.Request{Name: hot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Data.Release()
+	})
+	st := b.Stats()
+	if allocs != 0 {
+		t.Errorf("a compressed hit allocates %v objects, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call on top of the counted runs.
+	if hits := st.FastHits - before.FastHits; hits != runs+1 || st.DecodeTime == before.DecodeTime {
+		t.Errorf("%d hits (want %d), decode time %v -> %v: the reads did not decode a compressed resident", hits, runs+1, before.DecodeTime, st.DecodeTime)
+	}
+	b.Close()
+}
+
 // TestDeclinedMissDoesNoWork pins where the decision is taken: a miss the
 // full tier declines returns the slow tier's payload having compressed
 // nothing, copied nothing, evicted nothing and allocated nothing — had it

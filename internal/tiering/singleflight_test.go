@@ -372,60 +372,6 @@ func TestFailedReadIsNotHandedOn(t *testing.T) {
 	})
 }
 
-// TestRangeMissPassesThrough: a ranged read of a non-resident goes to the
-// slow tier as it is — identical ranges in flight together are not joined and
-// none is kept — but every one counts on the name.
-func TestRangeMissPassesThrough(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		b, dev, names := deviceFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 10}, 1, 10_000)
-		wg := env.NewWaitGroup()
-		wg.Add(5)
-		for i := 0; i < 5; i++ {
-			env.Go(fmt.Sprintf("ranger-%d", i), func() {
-				defer wg.Done()
-				if d, err := readRange(b, names[0], 5000, 1000); err != nil || d.Size != 1000 {
-					t.Errorf("concurrent range = %+v, %v", d, err)
-				}
-			})
-		}
-		wg.Wait()
-		st := b.Stats()
-		if dev.Stats().Reads != 5 || st.SlowReads != 5 || st.Waits != 0 || st.Residents != 0 {
-			t.Fatalf("%d device reads, %+v; want five slow reads, none joined, nothing kept", dev.Stats().Reads, st)
-		}
-		if n := b.accesses[names[0]]; n != 5 {
-			t.Fatalf("name counted %d times, want 5", n)
-		}
-	})
-}
-
-// TestRangeMissAllocatesNothing: a ranged read of a non-resident (the
-// packed-shard path) costs the hierarchy no heap object.
-func TestRangeMissAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	mem := storage.NewMemBackend()
-	mem.AddSeeded("shard", 64<<10, 1)
-	mem.SetBufferPool(mempool.New(mempool.Config{}))
-	b, err := NewBackend(conc.NewReal(), Config{FastCapacity: 1 << 20, PromoteAfter: 1}, mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := storage.Request{Name: "shard", Ranges: []storage.Range{{Off: 4096, N: 1000}}, Out: make([]storage.Data, 0, 1)}
-	read := func() {
-		resp, err := b.Read(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Release(req)
-	}
-	read()
-	if allocs := testing.AllocsPerRun(1000, read); allocs != 0 {
-		t.Fatalf("ranged miss allocates %v/op, want 0", allocs)
-	}
-}
-
 // TestChargesWhatItPins: a pooled raw resident is charged the size class of
 // the buffer it retains, not the payload's length, so the budget bounds the
 // memory the residents hold; an unpooled resident pins its own length and is

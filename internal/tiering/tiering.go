@@ -38,10 +38,10 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/lz"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
-	"github.com/dsrhaslab/prisma-go/internal/recordio"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
@@ -290,60 +290,19 @@ func NewBackend(env conc.Env, cfg Config, slow storage.Backend, fastDevice *stor
 }
 
 // SetTracer attaches the lifecycle tracer: sampled reads then record hit,
-// miss, coalesce, tier-promote and recordio-decompress spans, and the warming
+// miss, coalesce, tier-promote and tier-decompress spans, and the warming
 // worker records tier-warm spans on its own (head-sampled) traces. Nil
 // disables spans; the wait, promote and decode time counters stay on either
 // way.
 func (b *Backend) SetTracer(t *obs.Tracer) { b.tracer = t }
 
-// Read implements storage.Backend, dispatching on the request class.
-//
-// A whole-file read is served from a resident when there is one and
-// otherwise by a slow read — its own, kept per the policy, or one already in
-// flight for the same name (a reader's or the warmer's), whose payload it is
-// handed.
-//
-// A ranged read of a raw resident is served as zero-copy slices of the
-// resident payload (each view retaining its pool reference), charged to the
-// fast device as one request for the total bytes and counted as hits.
-// Anything else — miss, compressed resident (slicing it would need a decode
-// of the whole record, which the whole-file hit path already covers) — goes
-// to the slow tier as one request, with the access recorded in the name's
-// count so range-heavy workloads show up in tier accounting. A range is
-// neither joined nor kept: the whole-file reads Open's stage issues are the
-// traffic the hierarchy is for. Negative ranges pass through for the slow
-// tier to reject.
-func (b *Backend) Read(req storage.Request) (storage.Response, error) {
-	switch {
-	case len(req.Ranges) == 0:
-		return b.fetch(req)
-	case req.Validate() != nil:
-		return b.slow.Read(req)
-	}
-	if views, ok := b.rangesFromResident(req); ok {
-		return storage.Response{Views: views}, nil
-	}
-	resp, err := b.slow.Read(req)
-	if err != nil {
-		return resp, err
-	}
-	b.slowReads.Inc()
-	b.mu.Lock()
-	if el, res := b.resident[req.Name]; res {
-		el.Value.(*entry).count++ // compressed, or it would have been sliced
-	} else {
-		b.noteAccessLocked(req.Name)
-	}
-	b.mu.Unlock()
-	return resp, nil
-}
-
-// fetch serves a whole-file read: from a resident, from the payload of the
-// name's slow read already in flight, or from a slow read of its own. Every
+// Read implements storage.Backend: it serves the file from a resident, from
+// the payload of the name's slow read already in flight (a reader's or the
+// warmer's), or from a slow read of its own, kept per the policy. Every
 // read that is not a hit counts one access on the name — a joined read when
 // it joins, so the issuing reader's admission decision sees it, as it would
 // see the same read a moment earlier.
-func (b *Backend) fetch(req storage.Request) (storage.Response, error) {
+func (b *Backend) Read(req storage.Request) (storage.Response, error) {
 	name := req.Name
 	var waitStart, waited time.Duration
 	counted := false
@@ -509,7 +468,7 @@ func (b *Backend) hitLocked(el *list.Element, req storage.Request) (storage.Resp
 	}
 	dst, dstRef := b.sampleBuf(int(size))
 	decStart := b.env.Now()
-	err := recordio.DecompressInto(dst, bytes)
+	err := lz.DecompressInto(dst, bytes)
 	decDur := b.env.Now() - decStart
 	b.decodeTime.Add(int64(decDur))
 	if ctx.Sampled {
@@ -603,7 +562,7 @@ func rawEntry(name string, data storage.Data) *entry {
 func (b *Backend) compress(src []byte) ([]byte, bool) {
 	scratch := b.scratch.Get().(*[]byte)
 	defer b.scratch.Put(scratch)
-	comp, ok := recordio.AppendCompress((*scratch)[:0], src)
+	comp, ok := lz.AppendCompress((*scratch)[:0], src)
 	*scratch = comp
 	if !ok {
 		return nil, false
@@ -862,40 +821,6 @@ func (b *Backend) warm(name string, free int64) bool {
 
 // Size implements storage.Backend (metadata comes from the slow tier).
 func (b *Backend) Size(name string) (int64, error) { return b.slow.Size(name) }
-
-// rangesFromResident slices every range of req from one raw (or modeled)
-// resident, each view clamped per the read contract and retaining the
-// resident's pool reference; !ok when the name is not resident or is stored
-// compressed.
-func (b *Backend) rangesFromResident(req storage.Request) ([]storage.Data, bool) {
-	b.mu.Lock()
-	el, hit := b.resident[req.Name]
-	if !hit || el.Value.(*entry).compressed {
-		b.mu.Unlock()
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	e.seg.order.MoveToFront(el)
-	e.count++
-	whole := storage.Data{Name: req.Name, Size: e.size, Bytes: e.bytes, Ref: e.ref}
-	views := req.Out
-	var total int64
-	for _, r := range req.Ranges {
-		if e.ref != nil {
-			e.ref.Retain()
-		}
-		v := whole.Slice(r)
-		total += v.Size
-		views = append(views, v)
-	}
-	b.mu.Unlock()
-
-	b.fastHits.Add(int64(len(req.Ranges)))
-	if b.fastDevice != nil {
-		b.fastDevice.Read(total)
-	}
-	return views, true
-}
 
 // noteAccessLocked records a slow-tier access of a non-resident in the
 // bounded access counts. Caller holds b.mu.

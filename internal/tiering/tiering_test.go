@@ -1,7 +1,6 @@
 package tiering
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -591,158 +590,6 @@ func TestTieringUnderConcurrentReaders(t *testing.T) {
 		st := b.Stats()
 		if st.SlowReads != 40 || st.Promotions != 40 {
 			t.Fatalf("stats = %+v, want 40 slow reads and promotions", st)
-		}
-	})
-}
-
-// memFixture builds a tiering backend over an in-memory slow tier with
-// real payloads, so range tests can assert byte identity end to end.
-func memFixture(t *testing.T, env conc.Env, cfg Config, n, size int) (*Backend, []string, [][]byte) {
-	t.Helper()
-	mem := storage.NewMemBackend()
-	names := make([]string, n)
-	contents := make([][]byte, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("m%03d", i)
-		contents[i] = mem.AddSeeded(names[i], size, int64(i)+1)
-	}
-	b, err := NewBackend(env, cfg, mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b, names, contents
-}
-
-// TestReadRangeServedFromResident is the regression test for the range-read
-// bypass: a range of a fast-tier resident must be served from the resident
-// payload and counted as a fast hit, not silently routed to the slow tier.
-func TestReadRangeServedFromResident(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		b, names, contents := memFixture(t, env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 2, 1000)
-		if _, err := readFile(b, names[0]); err != nil {
-			t.Fatal(err)
-		}
-		if !b.Resident(names[0]) {
-			t.Fatal("not promoted")
-		}
-		d, err := readRange(b, names[0], 100, 200)
-		if err != nil || d.Size != 200 {
-			t.Fatalf("ReadRange = %+v, %v", d, err)
-		}
-		if !bytes.Equal(d.Bytes, contents[0][100:300]) {
-			t.Fatal("resident range payload mismatch")
-		}
-		d.Release()
-		st := b.Stats()
-		if st.FastHits != 1 {
-			t.Fatalf("FastHits = %d, want 1 (range must hit the resident)", st.FastHits)
-		}
-		if st.SlowReads != 1 {
-			t.Fatalf("SlowReads = %d, want 1 (only the promoting read)", st.SlowReads)
-		}
-		// Clamped at EOF, still a resident hit.
-		d, err = readRange(b, names[0], 900, 500)
-		if err != nil || d.Size != 100 || !bytes.Equal(d.Bytes, contents[0][900:]) {
-			t.Fatalf("clamped resident range = %+v, %v", d, err)
-		}
-		d.Release()
-		if st := b.Stats(); st.FastHits != 2 || st.SlowReads != 1 {
-			t.Fatalf("stats after clamped hit = %+v", st)
-		}
-	})
-}
-
-// TestReadRangeMissRecordsAccess is the companion regression: a range of a
-// non-resident sample goes to the slow tier AND lands in the promotion
-// counters, so range-heavy workloads are no longer invisible to tier
-// accounting. Ranges alone must never promote (they carry partial payload).
-func TestReadRangeMissRecordsAccess(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		b, names, contents := memFixture(t, env, Config{FastCapacity: 1 << 20, PromoteAfter: 2}, 2, 1000)
-		for i := 0; i < 3; i++ {
-			d, err := readRange(b, names[0], 10, 50)
-			if err != nil || !bytes.Equal(d.Bytes, contents[0][10:60]) {
-				t.Fatalf("slow range %d = %+v, %v", i, d, err)
-			}
-			d.Release()
-		}
-		st := b.Stats()
-		if st.SlowReads != 3 {
-			t.Fatalf("SlowReads = %d, want 3", st.SlowReads)
-		}
-		if st.TrackedNames != 1 {
-			t.Fatalf("TrackedNames = %d, want 1 (range accesses must be recorded)", st.TrackedNames)
-		}
-		if b.Resident(names[0]) {
-			t.Fatal("a partial range must not promote")
-		}
-		// A compressed resident also declines the resident slice path (it
-		// would need a whole-record decode) and serves from the slow tier.
-		mem := storage.NewMemBackend()
-		content := patternedContent(0, 4096) // even index: compressible
-		mem.Add("packed", content)
-		cb, err := NewBackend(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: true}, mem, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readFile(cb, "packed"); err != nil {
-			t.Fatal(err)
-		}
-		if st := cb.Stats(); st.Residents != 1 || st.FastUsed >= st.FastLogical {
-			t.Fatalf("fixture: resident not stored compressed: %+v", st)
-		}
-		d, err := readRange(cb, "packed", 0, 64)
-		if err != nil || !bytes.Equal(d.Bytes, content[:64]) {
-			t.Fatalf("compressed-resident range = %+v, %v", d, err)
-		}
-		d.Release()
-		// The read counts on the resident, not as a non-resident's access.
-		if st := cb.Stats(); st.TrackedNames != 0 || st.SlowReads != 2 || st.FastHits != 0 {
-			t.Fatalf("ranged read of a compressed resident: %+v, want it served slow and counted on the resident", st)
-		}
-	})
-}
-
-// TestReadRangeBatchTiering covers the vectored path: a batch against a
-// resident slices every range from the resident payload (one fast hit per
-// range), and a batch against a cold name is one slow access recorded once.
-func TestReadRangeBatchTiering(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		b, names, contents := memFixture(t, env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 2, 1000)
-		if _, err := readFile(b, names[0]); err != nil {
-			t.Fatal(err)
-		}
-		ranges := []storage.Range{{Off: 0, N: 100}, {Off: 500, N: 200}, {Off: 900, N: 500}}
-		out, err := readBatch(b, names[0], ranges, nil)
-		if err != nil || len(out) != 3 {
-			t.Fatalf("resident batch = %d results, %v", len(out), err)
-		}
-		wantSizes := []int64{100, 200, 100}
-		for i, d := range out {
-			if d.Size != wantSizes[i] || !bytes.Equal(d.Bytes, contents[0][ranges[i].Off:ranges[i].Off+wantSizes[i]]) {
-				t.Fatalf("resident batch segment %d = %+v", i, d)
-			}
-			d.Release()
-		}
-		st := b.Stats()
-		if st.FastHits != 3 || st.SlowReads != 1 {
-			t.Fatalf("stats after resident batch = %+v", st)
-		}
-
-		// Cold name: slow path, one access recorded for the whole vector.
-		out, err = readBatch(b, names[1], ranges[:2], nil)
-		if err != nil || len(out) != 2 {
-			t.Fatalf("cold batch = %d results, %v", len(out), err)
-		}
-		for _, d := range out {
-			d.Release()
-		}
-		st = b.Stats()
-		if st.SlowReads != 2 {
-			t.Fatalf("SlowReads = %d, want 2 (one per vector, not per range)", st.SlowReads)
-		}
-		if st.TrackedNames != 1 {
-			t.Fatalf("TrackedNames = %d, want 1 (the cold batch's name)", st.TrackedNames)
 		}
 	})
 }

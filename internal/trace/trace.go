@@ -30,31 +30,24 @@ type Event struct {
 	Size int64 `json:"size"`
 	// Latency is the request's service duration.
 	Latency time.Duration `json:"latency"`
-	// Op distinguishes request kinds: "" (whole-file read), "size"
-	// (metadata lookup), or "range" (byte-range read).
+	// Op distinguishes request kinds: "" (whole-file read) or "size"
+	// (metadata lookup).
 	Op string `json:"op,omitempty"`
-	// Off and N are the byte-range parameters for op "range".
-	Off int64 `json:"off,omitempty"`
-	N   int64 `json:"n,omitempty"`
 	// Error is the failure message, empty on success.
 	Error string `json:"error,omitempty"`
 }
 
-// Event op tags.
-const (
-	OpSize  = "size"
-	OpRange = "range"
-)
+// OpSize tags a metadata lookup.
+const OpSize = "size"
 
 // Trace is an ordered sequence of events.
 type Trace struct {
 	Events []Event
 }
 
-// Recorder wraps a backend and appends an Event per request — whole-file
-// reads, metadata lookups, and byte-range reads alike (the latter two were
-// historically a recording blind spot, which skewed replayed workloads
-// toward bulk reads). It is safe for concurrent use; events are kept in
+// Recorder wraps a backend and appends an Event per request — reads and
+// metadata lookups alike (lookups were historically a recording blind
+// spot, which skewed replayed workloads toward bulk reads). It is safe for concurrent use; events are kept in
 // completion order.
 type Recorder struct {
 	env   conc.Env
@@ -75,10 +68,7 @@ func (r *Recorder) record(ev Event) {
 	r.mu.Unlock()
 }
 
-// Read implements storage.Backend. A whole-file read records one event; a
-// ranged request records one "range" event per constituent range (all
-// sharing the request's start and latency) so replay and byte accounting
-// see the same access stream a per-sample workload would produce. The
+// Read implements storage.Backend, recording one event per read. The
 // recorder observes reads; payload ownership and the trace context flow
 // through it untouched.
 func (r *Recorder) Read(req storage.Request) (storage.Response, error) {
@@ -87,23 +77,10 @@ func (r *Recorder) Read(req storage.Request) (storage.Response, error) {
 	ev := Event{At: start, Name: req.Name, Latency: r.env.Now() - start}
 	if err != nil {
 		ev.Error = err.Error()
+	} else {
+		ev.Size = resp.Data.Size
 	}
-	if len(req.Ranges) == 0 {
-		if err == nil {
-			ev.Size = resp.Data.Size
-		}
-		r.record(ev)
-		return resp, err
-	}
-	ev.Op = OpRange
-	views := resp.Ranged(req)
-	for i, rg := range req.Ranges {
-		ev.Off, ev.N = rg.Off, rg.N
-		if err == nil {
-			ev.Size = views[i].Size
-		}
-		r.record(ev)
-	}
+	r.record(ev)
 	return resp, err
 }
 
@@ -149,7 +126,9 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a JSON-lines trace.
+// Read parses a JSON-lines trace. An event whose op is neither "" nor
+// "size" is refused: replaying it as a whole-file read would silently
+// change the workload.
 func Read(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	dec := json.NewDecoder(r)
@@ -159,6 +138,9 @@ func Read(r io.Reader) (*Trace, error) {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", len(t.Events)+1, err)
+		}
+		if ev.Op != "" && ev.Op != OpSize {
+			return nil, fmt.Errorf("trace: line %d: unknown op %q", len(t.Events)+1, ev.Op)
 		}
 		t.Events = append(t.Events, ev)
 	}
@@ -276,14 +258,10 @@ func (t *Trace) Replay(env conc.Env, backend storage.Backend, speedup float64) (
 				_, _ = rec.Size(ev.Name)
 				return
 			}
-			req := storage.Request{Name: ev.Name}
-			if ev.Op == OpRange {
-				req.Ranges = []storage.Range{{Off: ev.Off, N: ev.N}}
-			}
 			// Replay discards payloads; release any pooled lease so a
 			// pooled backend can be replayed against without leaking.
-			resp, _ := rec.Read(req)
-			resp.Release(req)
+			resp, _ := rec.Read(storage.Request{Name: ev.Name})
+			resp.Data.Release()
 		})
 	}
 	wg.Wait()

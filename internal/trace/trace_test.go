@@ -100,25 +100,6 @@ func TestRecorderSizeTraced(t *testing.T) {
 	})
 }
 
-func TestRecorderRangeTraced(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		backend, names := backendFixture(env, 1, time.Millisecond, 1)
-		rec := NewRecorder(env, backend)
-		d, err := readRange(rec, names[0], 100, 200)
-		if err != nil || d.Size != 200 {
-			t.Fatalf("ReadRange = %+v, %v", d, err)
-		}
-		tr := rec.Trace()
-		if len(tr.Events) != 1 {
-			t.Fatalf("events = %d, want 1", len(tr.Events))
-		}
-		ev := tr.Events[0]
-		if ev.Op != OpRange || ev.Off != 100 || ev.N != 200 || ev.Size != 200 {
-			t.Fatalf("range event = %+v", ev)
-		}
-	})
-}
-
 func TestTraceSerializationRoundTrip(t *testing.T) {
 	tr := &Trace{Events: []Event{
 		{At: 0, Name: "a", Size: 10, Latency: time.Millisecond},
@@ -143,6 +124,21 @@ func TestTraceSerializationRoundTrip(t *testing.T) {
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("{not json")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestReadRefusesUnknownOps feeds a recorded byte-range event and a typo:
+// replaying either as a whole-file read would change the workload, so the
+// parser names the offending line instead.
+func TestReadRefusesUnknownOps(t *testing.T) {
+	for _, op := range []string{"range", "sise"} {
+		in := `{"at":0,"name":"a","size":4,"latency":1000}` + "\n" +
+			`{"at":1000,"name":"a","size":4,"latency":1000,"op":"size"}` + "\n" +
+			`{"at":2000,"name":"a","size":200,"latency":1000,"op":"` + op + `","off":100,"n":200}` + "\n"
+		_, err := Read(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), op) {
+			t.Fatalf("op %q: Read error = %v, want one naming line 3 and the op", op, err)
+		}
 	}
 }
 

@@ -219,12 +219,7 @@ func TestOpenFailureTearsDown(t *testing.T) {
 	cfg := chainConfig(opts.withDefaults())
 	for i, row := range chain.Layers {
 		if !row.On(cfg) {
-			// Open turns the pack view on only over a pack index it has
-			// detected, and it detects none yet.
-			if row.Name != "pack" {
-				t.Fatalf("row %s: everyLayer leaves it off", row.Name)
-			}
-			continue
+			t.Fatalf("row %s: everyLayer leaves it off", row.Name)
 		}
 		t.Run("row "+row.Name, func(t *testing.T) {
 			defer func() { chain.Layers[i] = row }()

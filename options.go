@@ -90,15 +90,6 @@ type Options struct {
 	// default.
 	Tiering TieringOptions
 
-	// Batch configures plan-aware read coalescing: FIFO-adjacent samples
-	// that live in the same container (e.g. one recordio pack) are fetched
-	// by a single vectored range read instead of one request each. Off by
-	// default. Batching only takes effect when the dataset backend supports
-	// sample batching (packed recordio datasets); over plain directory
-	// backends it is honestly inert — the prefetcher falls back to
-	// per-sample reads and Stats reports BatchEnabled=false.
-	Batch BatchOptions
-
 	// Cluster configures the multi-node prefetch fabric: N prisma-server
 	// instances front the same (slow, typically parallel-filesystem-backed)
 	// dataset, samples are owned by consistent-hash placement, and a read
@@ -175,25 +166,6 @@ type TieringOptions struct {
 	// into free fast-tier space in the background, so an epoch starts
 	// against a warmed tier instead of a cold one.
 	PrefetchNextEpoch bool
-}
-
-// BatchOptions tunes the plan-aware read coalescer. Because the epoch
-// plan is known ahead of time (the FIFO queue is the plan), producers can
-// pop contiguous runs of samples that share a storage container and issue
-// one vectored range read for the run, amortizing per-request latency and
-// splitting the returned region into per-sample views without copying
-// uncompressed payloads.
-type BatchOptions struct {
-	// Enable turns read coalescing on.
-	Enable bool
-	// MaxSamples caps how many FIFO-adjacent samples one vectored read may
-	// carry (default 4). A vector wider than the device's internal
-	// parallelism stops amortizing and starts queueing; size it to that.
-	MaxSamples int
-	// MaxBytes caps the stored bytes one vectored read may carry (default
-	// 4 MiB). A run stops growing before the sample that would cross the
-	// budget.
-	MaxBytes int64
 }
 
 // SLOOptions declares one tenant's latency service-level objective: "the
@@ -365,14 +337,6 @@ func (o Options) withDefaults() Options {
 			o.Tiering.PromoteAfter = 1
 		}
 	}
-	if o.Batch.Enable {
-		if o.Batch.MaxSamples == 0 {
-			o.Batch.MaxSamples = 4
-		}
-		if o.Batch.MaxBytes == 0 {
-			o.Batch.MaxBytes = 4 << 20
-		}
-	}
 	return o
 }
 
@@ -499,14 +463,6 @@ func (o Options) validate() error {
 		}
 		if o.Tiering.MaxTrackedNames < 0 {
 			return fmt.Errorf("prisma: Tiering.MaxTrackedNames %d < 0", o.Tiering.MaxTrackedNames)
-		}
-	}
-	if o.Batch.Enable {
-		if o.Batch.MaxSamples < 1 {
-			return fmt.Errorf("prisma: Batch.MaxSamples %d < 1", o.Batch.MaxSamples)
-		}
-		if o.Batch.MaxBytes < 1 {
-			return fmt.Errorf("prisma: Batch.MaxBytes %d < 1", o.Batch.MaxBytes)
 		}
 	}
 	return nil

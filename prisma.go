@@ -103,9 +103,8 @@ type Stats struct {
 
 	// Attribution inputs: how the consumer wait splits by cause, plus the
 	// producers' cumulative storage time and the trace-sampling knob.
-	// StorageBusy is the sum of the producers' backend read intervals (a
-	// vectored read counts once); a read still in flight counts once it
-	// completes.
+	// StorageBusy is the sum of the producers' backend read intervals; a
+	// read still in flight counts once it completes.
 	ConsumerWaitStorage    time.Duration
 	ConsumerWaitBufferFull time.Duration
 	StorageBusy            time.Duration
@@ -164,14 +163,6 @@ type Stats struct {
 	TierAccessDecays       int64
 	TierPromoteTime        time.Duration // cumulative time spent admitting samples into the tier
 	TierDecodeTime         time.Duration // cumulative time spent decompressing tier hits
-
-	// Batched-read telemetry (zero-valued unless Batch.Enable and the
-	// dataset backend supports sample batching). Rides the stage snapshot,
-	// so remote Client.Stats sees it too.
-	BatchEnabled   bool
-	BatchReads     int64 // vectored range reads issued
-	BatchedSamples int64 // samples delivered through vectored reads
-	BatchFallbacks int64 // batches that fell back to per-sample reads
 
 	// Tenancy telemetry (zero-valued unless Tenancy.Enable).
 	TenantsShed  int64         // reads refused at admission with ErrOverloaded
@@ -313,11 +304,6 @@ func statsFrom(s core.StageStats) Stats {
 		CacheResidents:   cache.Residents,
 		CacheWaitTime:    cache.WaitTime,
 
-		BatchEnabled:   s.BatchEnabled,
-		BatchReads:     s.BatchReads,
-		BatchedSamples: s.BatchedSamples,
-		BatchFallbacks: s.BatchFallbacks,
-
 		TenantsShed:  s.Shed,
 		ThrottleWait: s.ThrottleWait,
 
@@ -336,17 +322,7 @@ func statsFrom(s core.StageStats) Stats {
 	}
 }
 
-// batchSamples resolves the coalescer's sample cap from opts (0 when
-// batching is off, so the prefetcher stays on the per-sample path).
-func batchSamples(opts Options) int {
-	if !opts.Batch.Enable {
-		return 0
-	}
-	return opts.Batch.MaxSamples
-}
-
 // chainConfig maps opts onto the rows of the storage chain (chain.Layers).
-// The pack view stays off until Open detects a pack index.
 func chainConfig(o Options) chain.Config {
 	cfg := chain.Config{TraceFile: o.TraceFile, WarmNextEpoch: o.Tiering.Enable && o.Tiering.PrefetchNextEpoch}
 	// One budget, the sum of the tier's and the shared cache's. The shared
@@ -445,9 +421,6 @@ func Open(opts Options) (*Prisma, error) {
 		MaxBufferCapacity:     opts.MaxBuffer,
 		BufferShards:          min(runtime.GOMAXPROCS(0), 16),
 		TakeDeadline:          opts.ConsumerDeadline,
-		BatchSamples:          batchSamples(opts),
-		BatchBytes:            opts.Batch.MaxBytes,
-		Coalescer:             ch.Coalescer,
 	})
 	if err != nil {
 		return fail(err)

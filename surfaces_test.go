@@ -190,7 +190,6 @@ var surfaceMetricFamilies = []string{
 	"prisma_backend_degraded",
 	"prisma_backend_exhausted_total",
 	"prisma_backend_retries_total",
-	"prisma_batch_enabled",
 	"prisma_breaker_fast_fails_total",
 	"prisma_breaker_opens_total",
 	"prisma_buffer_capacity",
@@ -315,8 +314,7 @@ var surfaceBundleKeys = []string{
 // surfaceStatsKeys is the stage snapshot as /stats serves it.
 func surfaceStatsKeys() []string {
 	keys := []string{
-		"ArenaPayloads", "BatchEnabled", "BatchFallbacks", "BatchReads",
-		"BatchedSamples", "Buffer", "Buffer.Capacity",
+		"ArenaPayloads", "Buffer", "Buffer.Capacity",
 		"Buffer.ConsumerWait", "Buffer.ConsumerWaitBufferFull", "Buffer.ConsumerWaitStorage",
 		"Buffer.Len", "Buffer.MeanOccupancy", "Buffer.ProducerWait",
 		"Buffer.Puts", "Buffer.Shards", "Buffer.Takes",
@@ -336,7 +334,7 @@ func surfaceStatsKeys() []string {
 		"Resilience", "Resilience.Attempts",
 		"Resilience.BreakerOpens", "Resilience.DeadlineExceeded", "Resilience.Degraded",
 		"Resilience.Exhausted", "Resilience.Failures", "Resilience.FastFails",
-		"Resilience.Retries", "Resilience.State", "Resilience.UnsupportedOps",
+		"Resilience.Retries", "Resilience.State",
 		"RunningProducers", "Shed", "StorageBusy",
 		"StorageReadLatency", "StorageReadLatency.buckets", "StorageReadLatency.count",
 		"StorageReadLatency.sum", "TargetProducers", "ThrottleWait",
