@@ -41,8 +41,8 @@ type Config struct {
 	// Producers and BufferCap are the initial t and N.
 	Producers int
 	BufferCap int
-	// AutoTune attaches a controller with the PRISMA autotuner and a
-	// monitor, exercising the degraded-mode back-off path.
+	// AutoTune puts the stage under a controller with the PRISMA
+	// autotuner, exercising the degraded-mode back-off path.
 	AutoTune bool
 	// ControlInterval is the controller tick period when AutoTune is set.
 	ControlInterval time.Duration
@@ -129,13 +129,13 @@ type Result struct {
 	// DegradedObserved reports whether any mid-run stats snapshot saw the
 	// breaker away from closed (the control plane's degraded signal).
 	DegradedObserved bool
-	// MonitorDegraded reports whether the control-plane monitor saw the
-	// degraded signal (AutoTune runs only).
-	MonitorDegraded bool
-	// DegradedBackoff reports that the controller recorded at least one
-	// producer-lowering decision at a tick whose snapshot was degraded —
-	// the autotuner visibly backing off while the breaker sheds load
-	// (AutoTune runs only).
+	// DecisionDegraded reports whether the controller's decision log
+	// recorded the degraded input at some tick (AutoTune runs only).
+	DecisionDegraded bool
+	// DegradedBackoff reports that the decision log holds at least one
+	// producer-lowering decision at a tick whose input was degraded — the
+	// autotuner visibly backing off while the breaker sheds load (AutoTune
+	// runs only).
 	DegradedBackoff bool
 	// EpochTimes holds each epoch's virtual duration; RecoveryRatio is
 	// final epoch time over calibration epoch time.
@@ -221,15 +221,13 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 	defer st.Close()
 
 	var ctl *control.Controller
-	var mon *control.Monitor
 	if cfg.AutoTune {
-		ctl = control.NewController(env, cfg.ControlInterval)
-		mon = ctl.EnableMonitoring(256)
 		pol := control.DefaultPolicy()
 		pol.MaxProducers = cfg.Producers * 4
 		pol.MaxBuffer = cfg.BufferCap * 8
-		if err := ctl.Attach("chaos", st, control.NewAutotuner(), pol,
-			control.Tuning{Producers: cfg.Producers, BufferCapacity: cfg.BufferCap}); err != nil {
+		ctl, err = control.NewController(env, cfg.ControlInterval, st, control.NewAutotuner(), pol,
+			control.Tuning{Producers: cfg.Producers, BufferCapacity: cfg.BufferCap})
+		if err != nil {
 			return res, err
 		}
 		ctl.Start()
@@ -276,21 +274,16 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 		res.EpochTimes[epoch] = env.Now() - start
 	}
 
-	if mon != nil {
-		// The monitor records a snapshot at every tick, immediately before
-		// the tuning decision at the same virtual instant: a degraded
-		// snapshot paired with a producer-lowering decision is the
-		// autotuner's back-off made observable.
-		degradedAt := make(map[time.Duration]bool)
-		for _, snap := range mon.Series("chaos") {
-			if snap.Stats.Resilience.Degraded {
-				res.MonitorDegraded = true
-				degradedAt[snap.At] = true
-			}
-		}
-		for _, dec := range ctl.History("chaos") {
-			if degradedAt[dec.At] && dec.After.Producers < dec.Before.Producers {
-				res.DegradedBackoff = true
+	if ctl != nil {
+		// Each tick's record holds the inputs the decision saw next to the
+		// tuning it left: a degraded input paired with a producer-lowering
+		// decision is the autotuner's back-off made observable.
+		for _, rec := range ctl.Decisions() {
+			if rec.Inputs.Degraded {
+				res.DecisionDegraded = true
+				if rec.After.Producers < rec.Before.Producers {
+					res.DegradedBackoff = true
+				}
 			}
 		}
 	}

@@ -92,17 +92,17 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosWithAutotuner exercises the control-plane path: the monitor
-// must surface the degraded signal and the autotuner must back producers
-// off while the breaker sheds load. Delivery accounting must hold here
-// too; the recovery-ratio bound is relaxed because the tuner may still be
-// re-raising t during the final epoch.
+// TestChaosWithAutotuner exercises the control-plane path: the decision
+// log must record the degraded signal and the autotuner must back
+// producers off while the breaker sheds load. Delivery accounting must
+// hold here too; the recovery-ratio bound is relaxed because the tuner may
+// still be re-raising t during the final epoch.
 func TestChaosWithAutotuner(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
 		seeds = 4
 	}
-	sawMonitorDegraded := false
+	sawDegraded := false
 	sawBackoff := false
 	for seed := 0; seed < seeds; seed++ {
 		cfg := DefaultConfig(int64(seed))
@@ -127,15 +127,15 @@ func TestChaosWithAutotuner(t *testing.T) {
 		if !res.Drained {
 			t.Fatalf("seed %d: pipeline not drained", seed)
 		}
-		if res.MonitorDegraded {
-			sawMonitorDegraded = true
+		if res.DecisionDegraded {
+			sawDegraded = true
 		}
 		if res.DegradedBackoff {
 			sawBackoff = true
 		}
 	}
-	if !sawMonitorDegraded {
-		t.Error("monitor never surfaced the degraded signal across autotuned runs")
+	if !sawDegraded {
+		t.Error("decision log never recorded the degraded signal across autotuned runs")
 	}
 	if !sawBackoff {
 		t.Error("autotuner never backed off producers across degraded runs")

@@ -50,7 +50,7 @@ func (a *AIMD) Decide(prev, cur core.StageStats, applied Tuning, pol Policy) Tun
 	case starvation > pol.StarvationHigh:
 		if next.Producers < pol.MaxProducers {
 			next.Producers++ // additive increase
-		} else if pol.GrowBufferOnStarvation && next.BufferCapacity < pol.MaxBuffer {
+		} else if next.BufferCapacity < pol.MaxBuffer {
 			next.BufferCapacity *= 2
 		}
 	case starvation < pol.StarvationLow && idle > pol.ProducerIdleHigh && cur.QueueLen > 0:
@@ -106,19 +106,4 @@ func (h *HillClimb) Decide(prev, cur core.StageStats, applied Tuning, pol Policy
 		h.dir = +1
 	}
 	return pol.Clamp(next)
-}
-
-// AlgorithmByName builds a fresh instance of a named algorithm — the
-// factory the ablation harness and CLI use.
-func AlgorithmByName(name string) (Algorithm, bool) {
-	switch name {
-	case "prisma-autotune":
-		return NewAutotuner(), true
-	case "aimd":
-		return NewAIMD(), true
-	case "hill-climb":
-		return NewHillClimb(), true
-	default:
-		return nil, false
-	}
 }

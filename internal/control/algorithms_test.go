@@ -114,21 +114,3 @@ func TestHillClimbHoldsOnIdleInterval(t *testing.T) {
 		t.Fatalf("Producers = %d, want hold", tun.Producers)
 	}
 }
-
-func TestAlgorithmByName(t *testing.T) {
-	for _, name := range []string{"prisma-autotune", "aimd", "hill-climb"} {
-		alg, ok := AlgorithmByName(name)
-		if !ok || alg.Name() != name {
-			t.Errorf("AlgorithmByName(%q) = %v, %v", name, alg, ok)
-		}
-	}
-	if _, ok := AlgorithmByName("nonsense"); ok {
-		t.Error("unknown algorithm resolved")
-	}
-	// Instances must be fresh (stateful algorithms cannot be shared).
-	a1, _ := AlgorithmByName("hill-climb")
-	a2, _ := AlgorithmByName("hill-climb")
-	if a1 == a2 {
-		t.Error("factory returned a shared instance")
-	}
-}

@@ -15,7 +15,7 @@ import (
 //
 //   - starvation — cumulative time consumers spent blocked in Take divided
 //     by the interval. High starvation means producers cannot keep up:
-//     raise t, and (policy permitting) double N once t is at its ceiling.
+//     raise t, and double N once t is at its ceiling.
 //   - producer idleness — cumulative time producers spent blocked on a
 //     full buffer, divided by (interval × t). High idleness with no
 //     starvation means the stage is overprovisioned: lower t.
@@ -31,7 +31,7 @@ import (
 // threads add nothing, and starvation alone cannot tell the difference.
 //
 // Autotuner is stateful (it remembers the throughput consequence of its
-// last action); use one instance per attached stage.
+// last action); use one instance per controller.
 type Autotuner struct {
 	lastRaised   bool    // previous decision raised t
 	lastRate     float64 // takes/sec observed before the raise
@@ -107,7 +107,7 @@ func (a *Autotuner) Decide(prev, cur core.StageStats, applied Tuning, pol Policy
 			a.lastRaised = true
 			a.lastRate = rate
 			a.lastRule = "raise-producers"
-		} else if pol.GrowBufferOnStarvation && next.BufferCapacity < pol.MaxBuffer {
+		} else if next.BufferCapacity < pol.MaxBuffer {
 			next.BufferCapacity *= 2
 			a.lastRule = "grow-buffer"
 		}

@@ -45,22 +45,18 @@ type Policy struct {
 	// ProducerIdleHigh: per-producer fraction of the interval spent
 	// blocked on a full buffer above which t is lowered.
 	ProducerIdleHigh float64
-	// GrowBufferOnStarvation doubles N (TensorFlow-autotuner style) when
-	// starvation persists at the producer ceiling.
-	GrowBufferOnStarvation bool
 }
 
 // DefaultPolicy returns the prototype's tuning envelope.
 func DefaultPolicy() Policy {
 	return Policy{
-		MinProducers:           1,
-		MaxProducers:           32,
-		MinBuffer:              4,
-		MaxBuffer:              4096,
-		StarvationHigh:         0.05,
-		StarvationLow:          0.01,
-		ProducerIdleHigh:       0.50,
-		GrowBufferOnStarvation: true,
+		MinProducers:     1,
+		MaxProducers:     32,
+		MinBuffer:        4,
+		MaxBuffer:        4096,
+		StarvationHigh:   0.05,
+		StarvationLow:    0.01,
+		ProducerIdleHigh: 0.50,
 	}
 }
 

@@ -91,18 +91,6 @@ func TestAutotunerDoublesBufferAtProducerCeiling(t *testing.T) {
 	}
 }
 
-func TestAutotunerNoBufferGrowthWhenDisabled(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.MaxProducers = 4
-	pol.GrowBufferOnStarvation = false
-	prev := statsAt(0, 0, 0, 100, 0)
-	cur := statsAt(time.Second, 300*time.Millisecond, 0, 100, 50)
-	got := NewAutotuner().Decide(prev, cur, Tuning{Producers: 4, BufferCapacity: 16}, pol)
-	if got.BufferCapacity != 16 {
-		t.Fatalf("BufferCapacity = %d, want 16", got.BufferCapacity)
-	}
-}
-
 func TestAutotunerLowersIdleProducers(t *testing.T) {
 	pol := DefaultPolicy()
 	prev := statsAt(0, 0, 0, 100, 0)
@@ -235,68 +223,81 @@ func (f *fakeDP) Stats() core.StageStats  { return f.stats }
 func (f *fakeDP) SetProducers(n int)      { f.producers = append(f.producers, n) }
 func (f *fakeDP) SetBufferCapacity(n int) { f.buffers = append(f.buffers, n) }
 
-func TestControllerAttachAppliesInitialTuning(t *testing.T) {
-	env := conc.NewReal()
-	c := NewController(env, time.Second)
-	dp := &fakeDP{}
-	if err := c.Attach("s1", dp, NewAutotuner(), DefaultPolicy(), Tuning{Producers: 3, BufferCapacity: 10}); err != nil {
-		t.Fatal(err)
+// newController builds a controller over dp with the autotuner and the
+// default policy; like buildStage it panics on an error, which only a bad
+// test can cause.
+func newController(env conc.Env, interval time.Duration, dp DataPlane, initial Tuning) *Controller {
+	c, err := NewController(env, interval, dp, NewAutotuner(), DefaultPolicy(), initial)
+	if err != nil {
+		panic(err)
 	}
+	return c
+}
+
+func TestNewControllerAppliesInitialTuning(t *testing.T) {
+	dp := &fakeDP{}
+	c := newController(conc.NewReal(), time.Second, dp, Tuning{Producers: 3, BufferCapacity: 10})
 	if len(dp.producers) != 1 || dp.producers[0] != 3 {
 		t.Fatalf("SetProducers calls = %v, want [3]", dp.producers)
 	}
 	if len(dp.buffers) != 1 || dp.buffers[0] != 10 {
 		t.Fatalf("SetBufferCapacity calls = %v, want [10]", dp.buffers)
 	}
-	if err := c.Attach("s1", dp, NewAutotuner(), DefaultPolicy(), Tuning{}); err == nil {
-		t.Fatal("duplicate Attach accepted")
+	if got := c.Applied(); got != (Tuning{Producers: 3, BufferCapacity: 10}) {
+		t.Fatalf("Applied = %+v", got)
 	}
-	if got := c.Stages(); len(got) != 1 || got[0] != "s1" {
-		t.Fatalf("Stages = %v", got)
+	// The initial tuning is clamped into the policy before it is applied.
+	dp = &fakeDP{}
+	c = newController(conc.NewReal(), time.Second, dp, Tuning{Producers: 100, BufferCapacity: 1})
+	if want := (Tuning{Producers: 32, BufferCapacity: 4}); c.Applied() != want || dp.producers[0] != 32 || dp.buffers[0] != 4 {
+		t.Fatalf("Applied = %+v, calls %v %v; want %+v", c.Applied(), dp.producers, dp.buffers, want)
 	}
 }
 
-func TestControllerAttachRejectsBadPolicy(t *testing.T) {
-	c := NewController(conc.NewReal(), time.Second)
-	if err := c.Attach("s", &fakeDP{}, NewAutotuner(), Policy{}, Tuning{}); err == nil {
-		t.Fatal("invalid policy accepted")
+// TestNewControllerRejectsBadPolicyAndInterval: a refused controller leaves
+// its stage as it found it — no knob is set before the arguments check out.
+func TestNewControllerRejectsBadPolicyAndInterval(t *testing.T) {
+	badBand := DefaultPolicy()
+	badBand.StarvationLow = badBand.StarvationHigh
+	cases := []struct {
+		name     string
+		interval time.Duration
+		pol      Policy
+	}{
+		{"zero policy", time.Second, Policy{}},
+		{"inverted starvation band", time.Second, badBand},
+		{"zero interval", 0, DefaultPolicy()},
+		{"negative interval", -time.Second, DefaultPolicy()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dp := &fakeDP{}
+			if _, err := NewController(conc.NewReal(), tc.interval, dp, NewAutotuner(), tc.pol, Tuning{Producers: 2, BufferCapacity: 8}); err == nil {
+				t.Fatal("accepted")
+			}
+			if len(dp.producers) != 0 || len(dp.buffers) != 0 {
+				t.Fatalf("refused controller set knobs: producers %v, buffers %v", dp.producers, dp.buffers)
+			}
+		})
 	}
 }
 
 func TestControllerTickAppliesDecision(t *testing.T) {
-	env := conc.NewReal()
-	c := NewController(env, time.Second)
 	dp := &fakeDP{}
-	pol := DefaultPolicy()
-	_ = c.Attach("s1", dp, NewAutotuner(), pol, Tuning{Producers: 1, BufferCapacity: 8})
+	c := newController(conc.NewReal(), time.Second, dp, Tuning{Producers: 1, BufferCapacity: 8})
 	// Starving snapshot: controller must raise producers on tick.
 	dp.stats = statsAt(time.Second, 500*time.Millisecond, 0, 50, 10)
 	c.Tick()
-	tun, ok := c.Applied("s1")
-	if !ok || tun.Producers != 2 {
-		t.Fatalf("Applied = %+v, %v, want producers 2", tun, ok)
+	if tun := c.Applied(); tun.Producers != 2 {
+		t.Fatalf("Applied = %+v, want producers 2", tun)
 	}
-	hist := c.History("s1")
-	if len(hist) != 1 || hist[0].Before.Producers != 1 || hist[0].After.Producers != 2 {
-		t.Fatalf("History = %+v", hist)
+	recs := c.Decisions()
+	if len(recs) != 1 || recs[0].Rule != "raise-producers" || recs[0].Before.Producers != 1 || recs[0].After.Producers != 2 {
+		t.Fatalf("Decisions = %+v", recs)
 	}
 	if c.Ticks() != 1 {
 		t.Fatalf("Ticks = %d, want 1", c.Ticks())
 	}
-}
-
-func TestControllerDetach(t *testing.T) {
-	c := NewController(conc.NewReal(), time.Second)
-	dp := &fakeDP{}
-	_ = c.Attach("s1", dp, NewAutotuner(), DefaultPolicy(), Tuning{Producers: 1, BufferCapacity: 8})
-	c.Detach("s1")
-	if len(c.Stages()) != 0 {
-		t.Fatal("stage not detached")
-	}
-	if _, ok := c.Applied("s1"); ok {
-		t.Fatal("Applied found detached stage")
-	}
-	c.Detach("s1") // idempotent
 }
 
 func TestControllerAutonomousLoopInSim(t *testing.T) {
@@ -304,9 +305,7 @@ func TestControllerAutonomousLoopInSim(t *testing.T) {
 	env := conc.NewSimEnv(s)
 	var ticks int64
 	s.Spawn("driver", func(p *sim.Process) {
-		c := NewController(env, 100*time.Millisecond)
-		dp := &fakeDP{}
-		_ = c.Attach("s1", dp, NewAutotuner(), DefaultPolicy(), Tuning{Producers: 1, BufferCapacity: 8})
+		c := newController(env, 100*time.Millisecond, &fakeDP{}, Tuning{Producers: 1, BufferCapacity: 8})
 		c.Start()
 		env.Sleep(time.Second)
 		c.Stop()
@@ -364,8 +363,7 @@ func TestAutotunerConvergesUpward(t *testing.T) {
 	var applied Tuning
 	s.Spawn("driver", func(p *sim.Process) {
 		st, names := buildStage(env, 4000, time.Millisecond, 8)
-		ctl := NewController(env, 50*time.Millisecond)
-		_ = ctl.Attach("stage", st, NewAutotuner(), DefaultPolicy(), Tuning{Producers: 1, BufferCapacity: 16})
+		ctl := newController(env, 50*time.Millisecond, st, Tuning{Producers: 1, BufferCapacity: 16})
 		ctl.Start()
 		_ = st.SubmitPlan(names)
 		for _, n := range names {
@@ -375,7 +373,7 @@ func TestAutotunerConvergesUpward(t *testing.T) {
 			}
 			env.Sleep(250 * time.Microsecond) // consumer compute: 4000/s
 		}
-		applied, _ = ctl.Applied("stage")
+		applied = ctl.Applied()
 		ctl.Stop()
 		st.Close()
 	})
@@ -395,8 +393,7 @@ func TestAutotunerConvergesDownward(t *testing.T) {
 	var applied Tuning
 	s.Spawn("driver", func(p *sim.Process) {
 		st, names := buildStage(env, 1500, time.Millisecond, 8)
-		ctl := NewController(env, 50*time.Millisecond)
-		_ = ctl.Attach("stage", st, NewAutotuner(), DefaultPolicy(), Tuning{Producers: 8, BufferCapacity: 16})
+		ctl := newController(env, 50*time.Millisecond, st, Tuning{Producers: 8, BufferCapacity: 16})
 		ctl.Start()
 		_ = st.SubmitPlan(names)
 		for _, n := range names {
@@ -406,7 +403,7 @@ func TestAutotunerConvergesDownward(t *testing.T) {
 			}
 			env.Sleep(2 * time.Millisecond) // 500/s
 		}
-		applied, _ = ctl.Applied("stage")
+		applied = ctl.Applied()
 		ctl.Stop()
 		st.Close()
 	})
@@ -419,25 +416,19 @@ func TestAutotunerConvergesDownward(t *testing.T) {
 }
 
 // replicaGroup is the replicated per-stage controller: a LeaderGroup of n
-// controllers that all hold stage id, each with its own autotuner, so any
-// of them can take over.
-func replicaGroup(env conc.Env, interval time.Duration, n int, id string, dp DataPlane, initial Tuning) (*LeaderGroup[*Controller], error) {
+// controllers that all hold dp, each with its own autotuner, so any of them
+// can take over.
+func replicaGroup(env conc.Env, interval time.Duration, n int, dp DataPlane, initial Tuning) *LeaderGroup[*Controller] {
 	replicas := make([]*Controller, n)
 	for i := range replicas {
-		replicas[i] = NewController(env, interval)
-		if err := replicas[i].Attach(id, dp, NewAutotuner(), DefaultPolicy(), initial); err != nil {
-			return nil, err
-		}
+		replicas[i] = newController(env, interval, dp, initial)
 	}
-	return NewLeaderGroup(env, interval, replicas), nil
+	return NewLeaderGroup(env, interval, replicas)
 }
 
 func TestReplicaGroupLeaderAndFailover(t *testing.T) {
 	dp := &fakeDP{}
-	g, err := replicaGroup(conc.NewReal(), time.Second, 3, "s1", dp, Tuning{Producers: 1, BufferCapacity: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := replicaGroup(conc.NewReal(), time.Second, 3, dp, Tuning{Producers: 1, BufferCapacity: 8})
 	if g.Leader() != 0 {
 		t.Fatalf("Leader = %d, want 0", g.Leader())
 	}
@@ -457,9 +448,8 @@ func TestReplicaGroupLeaderAndFailover(t *testing.T) {
 		t.Fatalf("Failovers = %d, want 1", g.Failovers())
 	}
 	// Replica 1 continued enforcement: it must have raised producers.
-	tun, ok := g.Replica(1).Applied("s1")
-	if !ok || tun.Producers < 2 {
-		t.Fatalf("replica 1 Applied = %+v, %v", tun, ok)
+	if tun := g.Replica(1).Applied(); tun.Producers < 2 {
+		t.Fatalf("replica 1 Applied = %+v", tun)
 	}
 	g.Recover(0)
 	if g.Leader() != 0 {
@@ -476,11 +466,7 @@ func TestReplicaGroupFailoverDuringTraining(t *testing.T) {
 	var backupDecisions int
 	s.Spawn("driver", func(p *sim.Process) {
 		st, names := buildStage(env, 4000, time.Millisecond, 8)
-		g, err := replicaGroup(env, 50*time.Millisecond, 2, "stage", st, Tuning{Producers: 1, BufferCapacity: 16})
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		g := replicaGroup(env, 50*time.Millisecond, 2, st, Tuning{Producers: 1, BufferCapacity: 16})
 		g.Start()
 		_ = st.SubmitPlan(names)
 		for i, n := range names {
@@ -495,7 +481,11 @@ func TestReplicaGroupFailoverDuringTraining(t *testing.T) {
 			env.Sleep(250 * time.Microsecond)
 		}
 		g.Stop()
-		backupDecisions = len(g.Replica(1).History("stage"))
+		for _, rec := range g.Replica(1).Decisions() {
+			if rec.After != rec.Before {
+				backupDecisions++
+			}
+		}
 		st.Close()
 	})
 	if err := s.Run(); err != nil {
@@ -511,7 +501,8 @@ func TestReplicaGroupFailoverDuringTraining(t *testing.T) {
 
 func TestReplicaGroupAllDead(t *testing.T) {
 	env := conc.NewReal()
-	g := NewLeaderGroup(env, time.Second, []*Controller{NewController(env, time.Second), NewController(env, time.Second)})
+	tun := Tuning{Producers: 1, BufferCapacity: 8}
+	g := NewLeaderGroup(env, time.Second, []*Controller{newController(env, time.Second, &fakeDP{}, tun), newController(env, time.Second, &fakeDP{}, tun)})
 	g.Fail(0)
 	g.Fail(1)
 	if g.Leader() != -1 {
@@ -575,34 +566,6 @@ func TestCapacityHalvingNeverWedgesProducers(t *testing.T) {
 	}
 }
 
-// TestMonitorBufferTakesRate checks the shard-aggregated Takes counter
-// flows into the monitor's derived rates.
-func TestMonitorBufferTakesRate(t *testing.T) {
-	s := sim.New()
-	env := conc.NewSimEnv(s)
-	var rates Rates
-	var ok bool
-	s.Spawn("driver", func(p *sim.Process) {
-		m := NewMonitor(env, 16)
-		var stats core.StageStats
-		stats.Buffer.Takes = 0
-		m.Record("s1", stats)
-		env.Sleep(time.Second)
-		stats.Buffer.Takes = 500
-		m.Record("s1", stats)
-		rates, ok = m.Rate("s1", time.Minute)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("Rate unavailable with two snapshots")
-	}
-	if rates.BufferTakesPerSec < 499 || rates.BufferTakesPerSec > 501 {
-		t.Fatalf("BufferTakesPerSec = %v, want ≈500", rates.BufferTakesPerSec)
-	}
-}
-
 // TestLoopsStartOnceAndStopAfterTheirSleep: the controller's and the leader
 // group's loops panic on a second Start, tick once per interval, and end
 // after the sleep a Stop lands in, leaving nothing running.
@@ -621,7 +584,7 @@ func TestLoopsStartOnceAndStopAfterTheirSleep(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New()
 			env := conc.NewSimEnv(s)
-			c := NewController(env, interval)
+			c := newController(env, interval, &fakeDP{}, Tuning{Producers: 1, BufferCapacity: 8})
 			var again any
 			s.Spawn("driver", func(*sim.Process) {
 				start, stop := tc.loop(env, c)

@@ -7,7 +7,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 )
 
-// decisionLogCap bounds the per-stage decision audit ring.
+// decisionLogCap bounds the decision audit ring.
 const decisionLogCap = 256
 
 // RuleReporter is the optional interface a control algorithm implements to
@@ -42,7 +42,6 @@ type DecisionInputs struct {
 type DecisionRecord struct {
 	At     time.Duration   `json:"at"`
 	Tick   int64           `json:"tick"`
-	Stage  string          `json:"stage"`
 	Rule   string          `json:"rule"`
 	Before Tuning          `json:"before"`
 	After  Tuning          `json:"after"`
@@ -72,47 +71,37 @@ func decisionInputs(prev, cur core.StageStats, applied Tuning) DecisionInputs {
 	return in
 }
 
-// recordDecision appends one audit entry to the stage's bounded ring.
-// Caller holds c.mu.
-func (ms *managedStage) recordDecision(rec DecisionRecord) {
-	ms.decisions = append(ms.decisions, rec)
-	if len(ms.decisions) > decisionLogCap {
-		ms.decisions = ms.decisions[len(ms.decisions)-decisionLogCap:]
+// recordDecision appends one audit entry to the bounded ring. Caller holds
+// c.mu.
+func (c *Controller) recordDecision(rec DecisionRecord) {
+	c.decisions = append(c.decisions, rec)
+	if len(c.decisions) > decisionLogCap {
+		c.decisions = c.decisions[len(c.decisions)-decisionLogCap:]
 	}
 }
 
 // RecordEvent appends an externally-originated control action — e.g. a
-// tenancy SLO breach boost — to stage id's decision audit ring, so every
+// tenancy SLO breach boost — to the decision audit ring, so every
 // control-plane actuation lands in one explainable trail. Before/After
 // carry the currently applied tuning (the event did not retune the stage);
 // the rule string names what happened.
-func (c *Controller) RecordEvent(id, rule string) {
+func (c *Controller) RecordEvent(rule string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ms, ok := c.stages[id]
-	if !ok {
-		return
-	}
-	ms.recordDecision(DecisionRecord{
+	c.recordDecision(DecisionRecord{
 		At:     c.env.Now(),
 		Tick:   c.ticks,
-		Stage:  id,
 		Rule:   rule,
-		Before: ms.applied,
-		After:  ms.applied,
+		Before: c.applied,
+		After:  c.applied,
 	})
 }
 
-// Decisions returns the retained decision audit log for stage id, oldest
-// first.
-func (c *Controller) Decisions(id string) []DecisionRecord {
+// Decisions returns the retained decision audit log, oldest first.
+func (c *Controller) Decisions() []DecisionRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ms, ok := c.stages[id]
-	if !ok {
-		return nil
-	}
-	out := make([]DecisionRecord, len(ms.decisions))
-	copy(out, ms.decisions)
+	out := make([]DecisionRecord, len(c.decisions))
+	copy(out, c.decisions)
 	return out
 }

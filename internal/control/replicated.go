@@ -16,8 +16,7 @@ type Ticker interface{ Tick() }
 // replica — executes rounds. When the leader fails, the next live replica
 // takes over on the following round, resuming from its own (slightly stale)
 // state. It leads the cluster coordinator (internal/distrib); a group of
-// Controllers that all hold the same stages is the replicated per-stage
-// controller.
+// Controllers over the same stage is the replicated per-stage controller.
 type LeaderGroup[T Ticker] struct {
 	env      conc.Env
 	interval time.Duration

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
-	"github.com/dsrhaslab/prisma-go/internal/core"
-	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
@@ -56,55 +54,28 @@ func TestAutotunerResumesAfterDegradedClears(t *testing.T) {
 	}
 }
 
-func TestMonitorDegradedSignalAndRetriesRate(t *testing.T) {
-	s := sim.New()
-	env := conc.NewSimEnv(s)
-	s.Spawn("driver", func(*sim.Process) {
-		m := NewMonitor(env, 16)
-		if m.Degraded("s") {
-			t.Error("Degraded true with no snapshots")
-		}
-		if _, ok := m.Resilience("s"); ok {
-			t.Error("Resilience ok with no snapshots")
-		}
-		// 10 retries/s while the breaker is open.
-		for i := 0; i <= 2; i++ {
-			m.Record("s", core.StageStats{
-				Reads: int64(i * 100),
-				Resilience: storage.ResilienceStats{
-					Retries:  int64(i * 10),
-					State:    "open",
-					Degraded: true,
-				},
-			})
-			if i < 2 {
-				env.Sleep(time.Second)
-			}
-		}
-		if !m.Degraded("s") {
-			t.Error("Degraded = false, want true")
-		}
-		res, ok := m.Resilience("s")
-		if !ok || res.State != "open" || res.Retries != 20 {
-			t.Errorf("Resilience = %+v ok=%v, want open/20", res, ok)
-		}
-		r, ok := m.Rate("s", 2*time.Second)
-		if !ok {
-			t.Fatal("Rate not ok")
-		}
-		if r.RetriesPerSec < 9.9 || r.RetriesPerSec > 10.1 {
-			t.Errorf("RetriesPerSec = %v, want ~10", r.RetriesPerSec)
-		}
-		// Breaker closes: the signal clears on the next snapshot.
-		m.Record("s", core.StageStats{
-			Reads:      300,
-			Resilience: storage.ResilienceStats{Retries: 20, State: "closed"},
-		})
-		if m.Degraded("s") {
-			t.Error("Degraded = true after breaker closed")
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+// TestDecisionLogRecordsDegradedBackoff: the decision log is the control
+// plane's view of degraded mode — a tick over a shedding breaker records
+// the degraded input next to the back-off it caused, and the signal clears
+// on the first tick after the breaker closes.
+func TestDecisionLogRecordsDegradedBackoff(t *testing.T) {
+	dp := &fakeDP{}
+	c := newController(conc.NewReal(), time.Second, dp, Tuning{Producers: 4, BufferCapacity: 16})
+	dp.stats = statsAt(time.Second, 300*time.Millisecond, 0, 100, 50)
+	dp.stats.Resilience = storage.ResilienceStats{State: "open", Degraded: true}
+	c.Tick()
+	dp.stats = statsAt(2*time.Second, 300*time.Millisecond, 0, 100, 100)
+	dp.stats.Resilience = storage.ResilienceStats{State: "closed"}
+	c.Tick()
+
+	recs := c.Decisions()
+	if len(recs) != 2 {
+		t.Fatalf("%d records after two ticks", len(recs))
+	}
+	if r := recs[0]; !r.Inputs.Degraded || r.Rule != "degraded-backoff" || r.After.Producers >= r.Before.Producers {
+		t.Errorf("degraded tick recorded %+v, want a degraded-backoff that lowers t", r)
+	}
+	if recs[1].Inputs.Degraded {
+		t.Error("degraded input still set after the breaker closed")
 	}
 }

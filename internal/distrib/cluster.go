@@ -376,10 +376,10 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		var controllers []*control.Controller
 		var group *control.LeaderGroup[*coordinator]
 		if cfg.Mode == ClusterIndependent {
-			for n, st := range stages {
-				ctl := control.NewController(env, cfg.ControlInterval)
+			for _, st := range stages {
 				initial := control.Tuning{Producers: cfg.Stage.InitialProducers, BufferCapacity: cfg.Stage.InitialBufferCapacity}
-				if err := ctl.Attach(nodeNames[n], st, control.NewAutotuner(), cfg.Policy, initial); err != nil {
+				ctl, err := control.NewController(env, cfg.ControlInterval, st, control.NewAutotuner(), cfg.Policy, initial)
+				if err != nil {
 					runErr = err
 					return
 				}
@@ -547,7 +547,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			if group != nil {
 				t = group.LastLeader().applied(n)
 			} else {
-				t, _ = controllers[n].Applied(nodeNames[n])
+				t = controllers[n].Applied()
 			}
 			out.NodeProducers = append(out.NodeProducers, t.Producers)
 			out.TotalProducers += t.Producers

@@ -165,18 +165,17 @@ func RunAblationDatasets(cal Calibration, report func(string)) ([]AblationRow, e
 // loop, TCP-style AIMD, a throughput-only hill climber, and the
 // TensorFlow-style grow-only policy.
 func RunAblationAlgorithms(cal Calibration, report func(string)) ([]AblationRow, error) {
-	algs := []string{"prisma-autotune", "aimd", "hill-climb", "tf-growth"}
+	algs := []func() control.Algorithm{
+		func() control.Algorithm { return control.NewAutotuner() },
+		func() control.Algorithm { return control.NewAIMD() },
+		func() control.Algorithm { return control.NewHillClimb() },
+		func() control.Algorithm { return control.GrowthAlgorithm{} },
+	}
 	var rows []AblationRow
-	for _, name := range algs {
-		name := name
+	for _, alg := range algs {
+		name := alg().Name()
 		c := cal
-		c.Algorithm = func() control.Algorithm {
-			if name == "tf-growth" {
-				return control.GrowthAlgorithm{}
-			}
-			alg, _ := control.AlgorithmByName(name)
-			return alg
-		}
+		c.Algorithm = alg
 		row, m, err := prismaRow(c, "algorithm", name)
 		if err != nil {
 			return nil, fmt.Errorf("ablation algorithm %s: %w", name, err)

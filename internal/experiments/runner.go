@@ -94,12 +94,11 @@ func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int
 			}
 			stage = core.NewStage(env, backend, pf)
 			pf.Start()
-			ctl = control.NewController(env, cal.ControlInterval)
 			initial := control.Tuning{
 				Producers:      cal.TFPrismaStage.InitialProducers,
 				BufferCapacity: cal.TFPrismaStage.InitialBufferCapacity,
 			}
-			if err := ctl.Attach("tf-stage", stage, cal.algorithm(), cal.Policy, initial); err != nil {
+			if ctl, err = control.NewController(env, cal.ControlInterval, stage, cal.algorithm(), cal.Policy, initial); err != nil {
 				runErr = err
 				return
 			}
@@ -127,7 +126,7 @@ func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int
 		out.Result = res
 		out.Readers = readers()
 		if ctl != nil {
-			out.FinalTuning, _ = ctl.Applied("tf-stage")
+			out.FinalTuning = ctl.Applied()
 			ctl.Stop()
 		}
 		if stage != nil {
@@ -206,12 +205,11 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 			}
 			stage = core.NewStage(env, backend, pf)
 			pf.Start()
-			ctl = control.NewController(env, cal.ControlInterval)
 			initial := control.Tuning{
 				Producers:      cal.TorchPrismaStage.InitialProducers,
 				BufferCapacity: cal.TorchPrismaStage.InitialBufferCapacity,
 			}
-			if err := ctl.Attach("torch-stage", stage, cal.algorithm(), cal.Policy, initial); err != nil {
+			if ctl, err = control.NewController(env, cal.ControlInterval, stage, cal.algorithm(), cal.Policy, initial); err != nil {
 				runErr = err
 				return
 			}
@@ -236,7 +234,7 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 		out.Result = res
 		if stage != nil {
 			out.Readers = counted.Distribution()
-			out.FinalTuning, _ = ctl.Applied("torch-stage")
+			out.FinalTuning = ctl.Applied()
 			out.StageStats = stage.Stats()
 		}
 		if ctl != nil {

@@ -47,7 +47,7 @@ func bundleFixture(t *testing.T) (*httptest.Server, *obs.Tracer) {
 		Tracer:  tracer,
 		Tenants: func() tenancy.Snapshot { return snap },
 		Decisions: func() []control.DecisionRecord {
-			return []control.DecisionRecord{{Tick: 1, Stage: "s", Rule: "slo-breach:victim"}}
+			return []control.DecisionRecord{{Tick: 1, Rule: "slo-breach:victim"}}
 		},
 	}
 	srv := httptest.NewServer(NewWithConfig(dp, cfg))

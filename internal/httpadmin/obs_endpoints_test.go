@@ -97,7 +97,7 @@ func TestDecisionsEndpoint(t *testing.T) {
 	}
 
 	recs = []control.DecisionRecord{{
-		Tick: 3, Stage: "s", Rule: "raise-producers",
+		Tick: 3, Rule: "raise-producers",
 		Before: control.Tuning{Producers: 1, BufferCapacity: 16},
 		After:  control.Tuning{Producers: 2, BufferCapacity: 16},
 	}}

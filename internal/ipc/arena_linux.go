@@ -86,8 +86,7 @@ func dupFD(fd int) (int, error) {
 	return int(r), nil
 }
 
-// mapGrant maps a descriptor the server granted — its arena, or the
-// payload region of a server that predates the arena — read-only, after
+// mapGrant maps the arena descriptor a server granted read-only, after
 // checking that it is sealed against shrinking and growing and is exactly
 // size bytes long: a reader of the mapping can then never fault. The
 // descriptor of an arena this process made is not mapped again: its

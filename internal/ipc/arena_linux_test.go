@@ -100,8 +100,8 @@ func TestArenaCarriesStridedReads(t *testing.T) {
 		t.Fatalf("pool arena stats: %d of %d carved, want an arena of %d", st.Pool.ArenaCarved, st.Pool.ArenaCapacity, size)
 	}
 	for ci, c := range clients {
-		if !c.inArena || c.arena != fx.srv.arena || len(mappingOf(c)) != size {
-			t.Fatalf("client %d: in arena %v, shares the server's %v, mapping of %d bytes", ci, c.inArena, c.arena == fx.srv.arena, len(mappingOf(c)))
+		if c.arena != fx.srv.arena || len(mappingOf(c)) != size {
+			t.Fatalf("client %d: shares the server's arena %v, mapping of %d bytes", ci, c.arena == fx.srv.arena, len(mappingOf(c)))
 		}
 	}
 	if got := arenaMappings(t); got != maps+1 {
@@ -373,8 +373,8 @@ func TestArenaPairings(t *testing.T) {
 
 	c := fx.dial()
 	fx.mustRead(c, fx.unplanned[1])
-	if !c.inArena || c.arena != fx.srv.arena || len(mappingOf(c)) != len(fx.srv.arena.mem) {
-		t.Fatalf("new client of a server with tenants: in arena %v, shares the server's %v, mapping of %d bytes", c.inArena, c.arena == fx.srv.arena, len(mappingOf(c)))
+	if c.arena != fx.srv.arena || len(mappingOf(c)) != len(fx.srv.arena.mem) {
+		t.Fatalf("new client of a server with tenants: shares the server's arena %v, mapping of %d bytes", c.arena == fx.srv.arena, len(mappingOf(c)))
 	}
 	if st := fx.stage.Stats(); st.ArenaPayloads != 1 || st.InlinePayloads != 1 {
 		t.Fatalf("%d payloads in the arena and %d inline, want 1 and 1", st.ArenaPayloads, st.InlinePayloads)
@@ -450,12 +450,12 @@ func TestArenaRedialMapsAgain(t *testing.T) {
 	c.mu.Lock()
 	c.poisonLocked()
 	c.mu.Unlock()
-	if mappingOf(c) != nil || c.arena != nil || c.inArena {
+	if mappingOf(c) != nil || c.arena != nil {
 		t.Fatal("poisoned connection kept its share of the arena")
 	}
 	fx.mustRead(c, fx.unplanned[1])
-	if !c.inArena || c.arena != fx.srv.arena || c.Reconnects() != 1 {
-		t.Fatalf("after the redial: in arena %v, shares the server's %v, %d reconnects", c.inArena, c.arena == fx.srv.arena, c.Reconnects())
+	if c.arena != fx.srv.arena || c.Reconnects() != 1 {
+		t.Fatalf("after the redial: shares the server's arena %v, %d reconnects", c.arena == fx.srv.arena, c.Reconnects())
 	}
 	fx.audit()
 }

@@ -93,15 +93,12 @@ type Client struct {
 	helloRole   string
 	helloSent   bool
 
-	// The shared mapping read payloads may arrive in (DESIGN.md §29), nil
-	// while the connection reads inline: the server's arena, or the
-	// payload region a server that predates the arena grants. asked
-	// records that this connection already asked. On a connection granted
-	// the arena inArena is set, and arena holds the reference that shares
-	// the mapping of an arena this process made (nil for a private one).
+	// The server's arena (DESIGN.md §29), which read payloads may arrive
+	// in, nil while the connection reads inline. asked records that this
+	// connection already asked. arena holds the reference that shares the
+	// mapping of an arena this process made (nil for a private one).
 	mapping []byte
 	asked   bool
-	inArena bool
 	arena   *arena
 }
 
@@ -326,16 +323,15 @@ func (c *Client) dropMappingLocked() {
 	} else {
 		unmapShared(c.mapping)
 	}
-	c.mapping, c.asked, c.inArena, c.arena = nil, false, false, nil
+	c.mapping, c.asked, c.arena = nil, false, nil
 }
 
-// askArenaLocked asks the server for its arena (OpArena) and maps what
-// it grants — the arena, or the payload region of a server that predates
-// the arena; the reply carries the descriptor. A server that cannot or
-// does not know how to grant either answers with an error and the
-// connection reads inline. A grant that fails the checks below is refused,
-// which costs the connection — its server believes it engaged — and keeps
-// every later connection inline. Caller holds c.mu.
+// askArenaLocked asks the server for its arena (OpArena) and maps what it
+// grants; the reply carries the descriptor. A server that cannot or does
+// not know how to grant it answers with an error and the connection reads
+// inline. A grant that fails the checks below is refused, which costs the
+// connection — its server believes it engaged — and keeps every later
+// connection inline. Caller holds c.mu.
 func (c *Client) askArenaLocked() error {
 	c.asked = true
 	uc, ok := c.conn.(*net.UnixConn)
@@ -353,14 +349,13 @@ func (c *Client) askArenaLocked() error {
 	if err != nil {
 		return err
 	}
-	size, arena, err := parseGrant(resp)
+	size, err := parseGrant(resp)
 	switch {
 	case err != nil:
 	case catch.truncated || len(catch.fds) != 1:
 		err = fmt.Errorf("grant carried %d descriptors (truncated: %v), want 1", len(catch.fds), catch.truncated)
 	default:
 		c.mapping, c.arena, err = mapGrant(catch.fds[0], size)
-		c.inArena = err == nil && arena
 	}
 	if err != nil {
 		c.cfg.InlineOnly = true
@@ -369,29 +364,22 @@ func (c *Client) askArenaLocked() error {
 	return nil
 }
 
-// parseGrant decodes the OK reply to OpArena: the size of what the
-// descriptor maps, and whether it is the server's arena rather than a
-// region. A region is at most MaxFrame bytes, an arena maxArenaSize.
-func parseGrant(resp []byte) (size int, arena bool, err error) {
+// parseGrant decodes the OK reply to OpArena, uvarint size | uvarint
+// arenaVersion: the size of the arena the descriptor maps, at most
+// maxArenaSize. A grant without the version, as a server that predates the
+// arena sends for its payload region, is malformed.
+func parseGrant(resp []byte) (size int, err error) {
 	n, k := binary.Uvarint(resp)
 	if k <= 0 {
-		return 0, false, fmt.Errorf("malformed region size in %d-byte reply", len(resp))
+		return 0, fmt.Errorf("malformed arena size in %d-byte reply", len(resp))
 	}
-	if rest := resp[k:]; len(rest) > 0 {
-		kind, k2 := binary.Uvarint(rest)
-		if kind != arenaVersion || k2 != len(rest) {
-			return 0, false, fmt.Errorf("malformed arena grant in %d-byte reply", len(resp))
-		}
-		arena = true
+	if v, k2 := binary.Uvarint(resp[k:]); v != arenaVersion || k2 != len(resp)-k {
+		return 0, fmt.Errorf("malformed arena grant in %d-byte reply", len(resp))
 	}
-	limit := uint64(MaxFrame)
-	if arena {
-		limit = maxArenaSize
+	if n == 0 || n > maxArenaSize {
+		return 0, fmt.Errorf("arena size %d outside (0, %d]", n, maxArenaSize)
 	}
-	if n == 0 || n > limit {
-		return 0, false, fmt.Errorf("region size %d outside (0, %d]", n, limit)
-	}
-	return int(n), arena, nil
+	return int(n), nil
 }
 
 // arenaAsk is OpArena's payload from a client that reads an arena.
@@ -729,14 +717,13 @@ func (c *Client) readUvarint(left *int, what string) (uint64, error) {
 }
 
 // readSample decodes one sample (size, payload length, location on a
-// connection with a shared mapping, payload) of a frame with *left bytes to
+// connection granted the arena, payload) of a frame with *left bytes to
 // go, landing the payload in a pool buffer when the client has a pool and
 // in a fresh allocation otherwise — the only difference between pooled and
-// unpooled reads. A payload in the mapping is copied out here, before the
-// client can send its next frame, which ends the server's lease on it (or,
-// from an old server's region, whose reply rewrites it). The payload
-// length is checked against the frame's remainder, or the mapping, before
-// anything is allocated.
+// unpooled reads. A payload in the arena is copied out here, before the
+// client can send its next frame, which ends the server's lease on it. The
+// payload length is checked against the frame's remainder, or the mapping,
+// before anything is allocated.
 func (c *Client) readSample(left *int) (storage.Data, error) {
 	size, err := c.readUvarint(left, "read response")
 	if err != nil {
@@ -801,7 +788,7 @@ func (c *Client) readPushed(left *int, window int) (release bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	if c.inArena && count&endOfPlan != 0 {
+	if c.mapping != nil && count&endOfPlan != 0 {
 		release, count = true, count&^endOfPlan
 	}
 	if count > uint64(window) {
@@ -914,7 +901,7 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.dropStashLocked(c.filled)
-	if c.inArena {
+	if c.mapping != nil {
 		// The last reply's leases end here, not with the connection: the
 		// server retires the arena buffers of a connection that ends
 		// holding them, since it cannot tell that from a client cut off

@@ -139,18 +139,18 @@ func FuzzFrame(f *testing.F) {
 		f.Add(reply)
 	}
 	// Replies with locations: good ones, and every way a location can lie
-	// about the region, or reach a client that has none.
-	for _, reply := range goodRegionReplies() {
+	// about the arena, or reach a client that has none.
+	for _, reply := range goodArenaReplies() {
 		f.Add(reply)
 	}
-	for _, reply := range malformedRegionReplies() {
+	for _, reply := range malformedArenaReplies() {
 		f.Add(reply)
 	}
-	// Grants: an old server's payload region, an arena's with its flag,
+	// Grants: an arena's with its version, an old server's payload region,
 	// and ones that lie.
 	for _, grant := range [][]byte{
-		binary.AppendUvarint(nil, 4<<20),
 		binary.AppendUvarint(binary.AppendUvarint(nil, maxArenaSize), arenaVersion),
+		binary.AppendUvarint(nil, 4<<20),
 		binary.AppendUvarint(binary.AppendUvarint(nil, maxArenaSize+1), arenaVersion),
 		binary.AppendUvarint(binary.AppendUvarint(nil, maxArenaSize), 2),
 		append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), arenaVersion), 0),
@@ -163,13 +163,12 @@ func FuzzFrame(f *testing.F) {
 	clients := newFuzzClients()
 	f.Cleanup(clients.close)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, mode := range []clientMode{plainClient, regionClient, arenaClient} {
-			fuzzClientRead(t, clients, data, mode)
-		}
-		// Whatever a grant says, a size is accepted only within the bound
-		// of what it grants.
-		if size, arena, err := parseGrant(data); err == nil && (size <= 0 || size > MaxFrame && !arena || size > maxArenaSize) {
-			t.Fatalf("parseGrant accepted %d bytes (arena %v)", size, arena)
+		fuzzClientRead(t, clients, data, false)
+		fuzzClientRead(t, clients, data, true)
+		// Whatever a grant says, a size is accepted only within the arena
+		// bound.
+		if size, err := parseGrant(data); err == nil && (size <= 0 || size > maxArenaSize) {
+			t.Fatalf("parseGrant accepted %d bytes", size)
 		}
 		opcode, trace, payload, err := frameReader(bytes.NewReader(data)).readFrame()
 		if err != nil {
@@ -203,19 +202,10 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// clientMode is what a scripted client's connection was granted.
-type clientMode int
-
-const (
-	plainClient  clientMode = iota // nothing: every payload inline
-	regionClient                   // a payload region
-	arenaClient                    // the server's arena
-)
-
 // fuzzClients are the parts FuzzFrame's scripted clients are built from,
 // made once per fuzz worker: a debug pool, a read buffer and, where this
-// build has shared memory, one mapping of regionTestSize bytes that every
-// region and arena client borrows a reference to. Made per input, as the
+// build has shared memory, one arena of arenaTestSize bytes that every
+// arena client borrows a reference to. Made per input, as the
 // scripted* helpers make them, the memfd and its mapping, the 64 KiB read
 // buffer and a fresh pool's first lease of each size cost more than the
 // decode of a small input, and a large input's payload buffer is no longer
@@ -228,25 +218,26 @@ type fuzzClients struct {
 
 func newFuzzClients() *fuzzClients {
 	fc := &fuzzClients{pool: mempool.New(mempool.Config{Debug: true}), rd: newConnReader(nil, clientReadBuf)}
-	fc.arena, _ = newArena(regionTestSize)
+	fc.arena, _ = newArena(arenaTestSize)
 	return fc
 }
 
-// client returns a client granted what mode says whose server's replies are
-// data, or nil when mode needs shared memory this build does not have. Its
-// Close drops the reference to the mapping it borrowed.
-func (fc *fuzzClients) client(data []byte, mode clientMode) *Client {
+// client returns a client, granted the arena when inArena is set, whose
+// server's replies are data, or nil when that needs shared memory this
+// build does not have. Its Close drops the reference to the arena it
+// borrowed.
+func (fc *fuzzClients) client(data []byte, inArena bool) *Client {
 	conn := &scriptedConn{r: bytes.NewReader(data)}
 	fc.rd.reset(conn)
 	c := &Client{path: "/nonexistent/scripted.sock", conn: conn, rd: fc.rd, pool: fc.pool}
-	if mode == plainClient {
+	if !inArena {
 		return c
 	}
 	if fc.arena == nil {
 		return nil
 	}
 	fc.arena.retain()
-	c.mapping, c.arena, c.asked, c.inArena = fc.arena.mem, fc.arena, true, mode == arenaClient
+	c.mapping, c.arena, c.asked = fc.arena.mem, fc.arena, true
 	return c
 }
 
@@ -257,9 +248,10 @@ func (fc *fuzzClients) close() {
 }
 
 // fuzzClientRead feeds data to a pooled client as the reply to one read,
-// on a connection granted what mode says (where this build has regions).
-func fuzzClientRead(t *testing.T, fc *fuzzClients, data []byte, mode clientMode) {
-	c, pool := fc.client(data, mode), fc.pool
+// on a connection granted the arena when inArena is set (where this build
+// has one).
+func fuzzClientRead(t *testing.T, fc *fuzzClients, data []byte, inArena bool) {
+	c, pool := fc.client(data, inArena), fc.pool
 	if c == nil {
 		return
 	}

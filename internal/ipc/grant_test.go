@@ -10,17 +10,15 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 )
 
-// regionTestSize is the mapping a scripted client decodes against: small,
-// so that a fuzz input can reach past its end.
-const regionTestSize = 64 << 10
+// arenaTestSize is the arena a scripted client decodes against: small, so
+// that a fuzz input can reach past its end.
+const arenaTestSize = 64 << 10
 
-// scriptedRegionClient is scriptedClient holding a real shared mapping of
-// regionTestSize bytes, as if a server that predates the arena had granted
-// it as a payload region; nil where this build has no shared memory. The
-// client holds the only reference to the arena behind it, which its Close
-// releases.
-func scriptedRegionClient(replies []byte) (*Client, *mempool.Pool) {
-	a, err := newArena(regionTestSize)
+// scriptedArenaClient is scriptedClient granted a real arena of
+// arenaTestSize bytes; nil where this build has no shared memory. The
+// client holds the only reference to the arena, which its Close releases.
+func scriptedArenaClient(replies []byte) (*Client, *mempool.Pool) {
+	a, err := newArena(arenaTestSize)
 	if err != nil {
 		return nil, nil
 	}
@@ -29,22 +27,12 @@ func scriptedRegionClient(replies []byte) (*Client, *mempool.Pool) {
 	return c, pool
 }
 
-// scriptedArenaClient is scriptedRegionClient granted an arena instead:
-// the same mapping, with the arena's end-of-plan bit understood.
-func scriptedArenaClient(replies []byte) (*Client, *mempool.Pool) {
-	c, pool := scriptedRegionClient(replies)
-	if c != nil {
-		c.inArena = true
-	}
-	return c, pool
-}
-
 // endOfPlanReply is a planned read reply on a connection with a mapping
 // whose pushed count carries the end-of-plan bit: the requested sample and
 // one pushed sample, both located in the mapping.
 func endOfPlanReply() []byte {
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
-	return regionReadReply(3, 3, 1, nil, bytes.Join([][]byte{uv(endOfPlan | 1),
+	return arenaReadReply(3, 3, 1, nil, bytes.Join([][]byte{uv(endOfPlan | 1),
 		uv(2), []byte("n1"), uv(4), uv(4), uv(65)}, nil))
 }
 
@@ -54,10 +42,11 @@ func mappingOf(c *Client) []byte {
 	return c.mapping
 }
 
-// regionReadReply encodes the OK reply to an untraced OpRead on a
-// connection with a region: the requested sample's head with its location
+// arenaReadReply encodes the OK reply to an untraced OpRead on a
+// connection granted the arena: the requested sample's head with its
+// location
 // (inline bytes follow only at location 0), then tail verbatim.
-func regionReadReply(size, blen, loc uint64, inline, tail []byte) []byte {
+func arenaReadReply(size, blen, loc uint64, inline, tail []byte) []byte {
 	body := binary.AppendUvarint([]byte{statusOK}, size)
 	body = binary.AppendUvarint(body, blen)
 	body = binary.AppendUvarint(body, loc)
@@ -65,52 +54,54 @@ func regionReadReply(size, blen, loc uint64, inline, tail []byte) []byte {
 	return append(appendFrameHeader(nil, OpRead, 0, len(body)), body...)
 }
 
-// malformedRegionReplies are read replies whose locations lie about the
-// region, and one that carries a location to a client without a region;
-// each must fail the read cleanly (TestMalformedRegionReplies) and seeds
-// FuzzFrame. The key says which client decodes it.
-func malformedRegionReplies() map[string][]byte {
+// malformedArenaReplies are read replies whose locations lie about the
+// arena, and ones that carry a location or the end-of-plan bit to a client
+// without an arena; each must fail the read cleanly
+// (TestMalformedArenaReplies) and seeds FuzzFrame. The key says which
+// client decodes it.
+func malformedArenaReplies() map[string][]byte {
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	pushed := func(loc uint64) []byte {
 		return bytes.Join([][]byte{uv(1), uv(5), []byte("a.bin"), uv(3), uv(3), uv(loc)}, nil)
 	}
 	return map[string][]byte{
-		"region: location past the region":         regionReadReply(1, 1, regionTestSize+2, nil, nil),
-		"region: payload runs past the region":     regionReadReply(3, 3, regionTestSize-1, nil, nil),
-		"region: offset overflows":                 regionReadReply(1, 1<<63, 1<<63, nil, nil),
-		"region: offset + length overflows":        regionReadReply(1, 1<<64-1, 2, nil, nil),
-		"region: pushed sample past the region":    regionReadReply(3, 3, 1, nil, pushed(regionTestSize+5)),
-		"region: head ends before its location":    append(appendFrameHeader(nil, OpRead, 0, 3), statusOK, 3, 3),
-		"region: inline payload short":             regionReadReply(3, 3, 0, []byte("ab"), nil),
-		"inline: location on a regionless reply":   regionReadReply(3, 3, 1, nil, nil),
-		"region: end-of-plan bit without an arena": endOfPlanReply(),
+		"arena: location past the arena":           arenaReadReply(1, 1, arenaTestSize+2, nil, nil),
+		"arena: payload runs past the arena":       arenaReadReply(3, 3, arenaTestSize-1, nil, nil),
+		"arena: offset overflows":                  arenaReadReply(1, 1<<63, 1<<63, nil, nil),
+		"arena: offset + length overflows":         arenaReadReply(1, 1<<64-1, 2, nil, nil),
+		"arena: pushed sample past the arena":      arenaReadReply(3, 3, 1, nil, pushed(arenaTestSize+5)),
+		"arena: head ends before its location":     append(appendFrameHeader(nil, OpRead, 0, 3), statusOK, 3, 3),
+		"arena: inline payload short":              arenaReadReply(3, 3, 0, []byte("ab"), nil),
+		"inline: location on an arenaless reply":   arenaReadReply(3, 3, 1, nil, nil),
+		"inline: end-of-plan bit without an arena": readReplyRaw([]byte("abc"), bytes.Join([][]byte{uv(endOfPlan | 1), uv(2), []byte("n1"), uv(1), uv(1), []byte("x")}, nil)),
 	}
 }
 
-// goodRegionReplies are well-formed replies for a client with a region:
+// goodArenaReplies are well-formed replies for a client granted the arena:
 // payloads in it, inline, and pushed behind the requested one.
-func goodRegionReplies() [][]byte {
+func goodArenaReplies() [][]byte {
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	return [][]byte{
-		regionReadReply(3, 3, 1, nil, nil),
-		regionReadReply(3, 3, 0, []byte("abc"), nil),
-		regionReadReply(0, 0, 0, nil, nil),
-		regionReadReply(3, 3, regionTestSize-2, nil, bytes.Join([][]byte{uv(2),
+		arenaReadReply(3, 3, 1, nil, nil),
+		arenaReadReply(3, 3, 0, []byte("abc"), nil),
+		arenaReadReply(0, 0, 0, nil, nil),
+		arenaReadReply(3, 3, arenaTestSize-2, nil, bytes.Join([][]byte{uv(2),
 			uv(2), []byte("n1"), uv(4), uv(4), uv(1),
 			uv(2), []byte("n2"), uv(3), uv(3), uv(0), []byte("xyz")}, nil)),
 	}
 }
 
-// TestMalformedRegionReplies: a location outside the mapping, an offset
-// and length whose sum overflows, and a location sent to a client without
-// a region each fail the read with the connection poisoned, the region
-// unmapped and no lease leaked — never a panic or a fault.
-func TestMalformedRegionReplies(t *testing.T) {
+// TestMalformedArenaReplies: a location outside the mapping, an offset
+// and length whose sum overflows, and a location or the end-of-plan bit
+// sent to a client without an arena each fail the read with the
+// connection poisoned, the arena let go of and no lease leaked — never a
+// panic or a fault.
+func TestMalformedArenaReplies(t *testing.T) {
 	if !ArenaSupported {
-		t.Skip("no payload regions on this platform")
+		t.Skip("no shared arena on this platform")
 	}
-	for name, reply := range malformedRegionReplies() {
-		c, pool := scriptedRegionClient(reply)
+	for name, reply := range malformedArenaReplies() {
+		c, pool := scriptedArenaClient(reply)
 		if name[:len("inline")] == "inline" {
 			c.Close()
 			c, pool = scriptedClient(reply)
@@ -119,15 +110,15 @@ func TestMalformedRegionReplies(t *testing.T) {
 			t.Errorf("%s: Read = %v, want ErrConnBroken", name, err)
 		}
 		if !c.Broken() || c.mapping != nil {
-			t.Errorf("%s: poisoned %v, region kept %v", name, c.Broken(), c.mapping != nil)
+			t.Errorf("%s: poisoned %v, arena kept %v", name, c.Broken(), c.mapping != nil)
 		}
 		if got := pool.Stats().Outstanding; got != 0 {
 			t.Errorf("%s: %d leases leaked\n%s", name, got, mempool.FormatLeaks(pool.Leaks()))
 		}
 		c.Close()
 	}
-	for i, reply := range goodRegionReplies() {
-		c, pool := scriptedRegionClient(reply)
+	for i, reply := range goodArenaReplies() {
+		c, pool := scriptedArenaClient(reply)
 		d, err := c.Read("requested.bin")
 		if err != nil || len(d.Bytes) != int(d.Size) {
 			t.Errorf("good reply %d: Read = %d of %d bytes, %v", i, len(d.Bytes), d.Size, err)
@@ -146,10 +137,10 @@ func TestMalformedRegionReplies(t *testing.T) {
 // OpRelease after the request; without the bit it sends nothing more.
 func TestArenaEndOfPlanRelease(t *testing.T) {
 	if !ArenaSupported {
-		t.Skip("no payload regions on this platform")
+		t.Skip("no shared arena on this platform")
 	}
 	release := appendFrameHeader(nil, OpRelease, 0, 0)
-	for _, reply := range [][]byte{endOfPlanReply(), goodRegionReplies()[3]} {
+	for _, reply := range [][]byte{endOfPlanReply(), goodArenaReplies()[3]} {
 		c, pool := scriptedArenaClient(reply)
 		conn := c.conn.(*scriptedConn)
 		d, err := c.Read("requested.bin")
@@ -186,7 +177,7 @@ func TestArenaOnlyOverUnixSockets(t *testing.T) {
 	c, pool := scriptedClient(readReply([]byte("abc"), nil))
 	d, err := c.Read("requested.bin")
 	if err != nil || string(d.Bytes) != "abc" || c.mapping != nil {
-		t.Fatalf("Read = %q, %v (region %v)", d.Bytes, err, c.mapping != nil)
+		t.Fatalf("Read = %q, %v (arena %v)", d.Bytes, err, c.mapping != nil)
 	}
 	d.Release()
 	c.Close()
@@ -196,8 +187,8 @@ func TestArenaOnlyOverUnixSockets(t *testing.T) {
 }
 
 // TestArenaInlineOnlyClient: a client that never asks (as one that
-// predates the arena and the payload region) reads inline from a new
-// server, and the server counts every payload it sent that way.
+// predates the arena) reads inline from a new server, and the server
+// counts every payload it sent that way.
 func TestArenaInlineOnlyClient(t *testing.T) {
 	_, stage, names, sock := startServer(t, 8)
 	c, err := DialWithConfig(sock, DialConfig{InlineOnly: true})

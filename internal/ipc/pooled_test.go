@@ -154,7 +154,7 @@ func (ts *truncatingReadServer) serve(conn net.Conn, truncate bool) {
 			return
 		}
 		if opcode == OpArena {
-			_ = writeFrame(conn, opcode, trace, preRegionReply())
+			_ = writeFrame(conn, opcode, trace, preArenaReply())
 			continue
 		}
 		if opcode != OpRead {

@@ -53,10 +53,9 @@
 // without an arena, or one that predates OpArena, answers with an error,
 // as it does an old client's empty payload, and the connection stays
 // healthy. A server that predates the arena ignores the payload and grants
-// a payload region, OK | uvarint size, whose locations the client reads the
-// same way; such a region is rewritten only by the reply to the
-// connection's next request. Non-Linux builds and connections that are not
-// UNIX-domain sockets never ask.
+// a payload region, OK | uvarint size; the client refuses that grant, which
+// costs the connection, and its redial reads inline. Non-Linux builds and
+// connections that are not UNIX-domain sockets never ask.
 package ipc
 
 import (

@@ -13,11 +13,10 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 )
 
-// preRegionReply is how a server that predates the payload region answers
-// OpArena: as an unknown opcode. Fake servers send it so that a client's
-// region request meets them as it meets a real old server, and the client
-// reads inline.
-func preRegionReply() []byte { return errResponse(fmt.Errorf("unknown opcode %d", OpArena)) }
+// preArenaReply is how a server that predates OpArena answers it: as an
+// unknown opcode. Fake servers send it so that a client's arena request
+// meets them as it meets a real old server, and the client reads inline.
+func preArenaReply() []byte { return errResponse(fmt.Errorf("unknown opcode %d", OpArena)) }
 
 // countingServer records how many frames of each opcode it receives. Its
 // first badConns connections answer any request with a truncated frame and
@@ -65,7 +64,7 @@ func (cs *countingServer) serve(conn net.Conn, misbehave bool) {
 			return
 		}
 		if opcode == OpArena {
-			if err := writeFrame(conn, opcode, trace, preRegionReply()); err != nil {
+			if err := writeFrame(conn, opcode, trace, preArenaReply()); err != nil {
 				return
 			}
 			continue

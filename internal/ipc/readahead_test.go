@@ -673,7 +673,7 @@ func TestReadAheadNewClientOldServer(t *testing.T) {
 				return
 			}
 			if opcode == OpArena {
-				_ = writeFrame(conn, opcode, trace, preRegionReply())
+				_ = writeFrame(conn, opcode, trace, preArenaReply())
 				continue
 			}
 			name, rest, _ := readString(payload) // all an old server reads; the rest it ignores
@@ -716,7 +716,7 @@ func TestReadAheadNewClientOldServer(t *testing.T) {
 			t.Fatal("a plain reply touched the stash")
 		}
 		if mappingOf(c) != nil || c.Broken() {
-			t.Fatal("an old server's unknown-opcode answer left a region or a poisoned connection")
+			t.Fatal("an old server's unknown-opcode answer left a mapping or a poisoned connection")
 		}
 		c.Close()
 		if got := pool.Stats().Outstanding; got != 0 {

@@ -209,7 +209,6 @@ type ResilientBackend struct {
 	deadlineHits *metrics.Counter
 	fastFails    *metrics.Counter
 	opens        *metrics.Counter
-	stateTime    *metrics.TimeInState // time spent in each BreakerState
 }
 
 // NewResilientBackend wraps inner with the given resilience configuration.
@@ -231,7 +230,6 @@ func NewResilientBackend(env conc.Env, inner Backend, cfg ResilienceConfig) (*Re
 		deadlineHits: metrics.NewCounter(env),
 		fastFails:    metrics.NewCounter(env),
 		opens:        metrics.NewCounter(env),
-		stateTime:    metrics.NewTimeInState(env, int(BreakerClosed)),
 	}
 	b.healthy.Store(true)
 	return b, nil
@@ -449,15 +447,14 @@ func (b *ResilientBackend) onFailure() {
 	}
 }
 
-// setStateLocked transitions the breaker, keeping the time-in-state tracker
-// in step. Caller holds b.mu.
+// setStateLocked transitions the breaker, keeping the healthy mirror in
+// step. Caller holds b.mu.
 func (b *ResilientBackend) setStateLocked(s BreakerState) {
 	if b.state == s {
 		return
 	}
 	b.state = s
 	b.mirrorLocked()
-	b.stateTime.Set(int(s))
 }
 
 // mirrorLocked refreshes the healthy mirror. Caller holds b.mu.
@@ -473,13 +470,6 @@ func (b *ResilientBackend) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// StateDurations reports virtual/wall time spent in each breaker state,
-// keyed by BreakerState value — the control plane's Figure-3-style view of
-// degradation windows.
-func (b *ResilientBackend) StateDurations() map[int]time.Duration {
-	return b.stateTime.Distribution()
 }
 
 // ResilienceStats snapshots the telemetry (the stage's resilience source).

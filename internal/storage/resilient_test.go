@@ -173,10 +173,6 @@ func TestResilientBreakerHalfOpenRecovery(t *testing.T) {
 		if res.State() != BreakerClosed {
 			t.Fatalf("state = %v, want closed after probe", res.State())
 		}
-		durations := res.StateDurations()
-		if durations[int(BreakerOpen)] < cfg.BreakerCooldown {
-			t.Errorf("open-state time = %v, want >= cooldown", durations[int(BreakerOpen)])
-		}
 	})
 }
 

@@ -457,9 +457,9 @@ func Open(opts Options) (*Prisma, error) {
 		pol.MaxProducers = opts.MaxProducers
 		pol.MinBuffer = 1
 		pol.MaxBuffer = opts.MaxBuffer
-		ctl := control.NewController(env, opts.ControlInterval)
 		initial := control.Tuning{Producers: opts.InitialProducers, BufferCapacity: opts.InitialBuffer}
-		if err := ctl.Attach("stage", stage, control.NewAutotuner(), pol, initial); err != nil {
+		ctl, err := control.NewController(env, opts.ControlInterval, stage, control.NewAutotuner(), pol, initial)
+		if err != nil {
 			return fail(err)
 		}
 		ctl.Start()
@@ -508,7 +508,7 @@ func Open(opts Options) (*Prisma, error) {
 			// autotuner's own decisions.
 			ctl := p.ctl
 			cfg.OnSLOAction = func(act tenancy.SLOAction) {
-				ctl.RecordEvent("stage", act.Rule+":"+act.Tenant)
+				ctl.RecordEvent(act.Rule + ":" + act.Tenant)
 			}
 		}
 		mgr, err := tenancy.New(env, cfg)
@@ -881,7 +881,7 @@ func (p *Prisma) ReadSampleAs(tenant, name string) (*Sample, error) {
 func (p *Prisma) adminConfig() httpadmin.Config {
 	cfg := httpadmin.Config{EnablePprof: p.enablePprof, Tracer: p.tracer, Control: p.Control}
 	if p.ctl != nil {
-		cfg.Decisions = func() []control.DecisionRecord { return p.ctl.Decisions("stage") }
+		cfg.Decisions = func() []control.DecisionRecord { return p.ctl.Decisions() }
 	}
 	if p.tenants != nil {
 		mgr := p.tenants
