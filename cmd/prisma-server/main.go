@@ -176,7 +176,7 @@ func main() {
 		noAutotune   = flag.Bool("no-autotune", false, "disable the control-plane feedback loop")
 		interval     = flag.Duration("interval", 500*time.Millisecond, "control loop interval")
 		statsEvery   = flag.Duration("stats", 0, "print stats every interval (0 = off)")
-		traceFile    = flag.String("trace", "", "record backend I/O to this JSON-lines file (analyzed with prisma-trace)")
+		traceFile    = flag.String("trace", "", "write every device read as a span to this JSON-lines file on shutdown (prisma-trace summary|timeline)")
 		httpAddr     = flag.String("http", "", "serve the HTTP admin API (/stats, /metrics, /tenants, /debug/bundle, POST /tuning?KEY=VALUE, ...) on this address, e.g. :9090")
 		sampling     = flag.Float64("sampling", 0, "sample-lifecycle trace probability in [0, 1] (0 = off)")
 		spanFile     = flag.String("span-file", "", "write lifecycle spans to this JSON-lines file on shutdown (prisma-trace attribute; implies -sampling 1 when unset)")

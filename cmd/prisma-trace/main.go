@@ -1,7 +1,8 @@
-// Command prisma-trace analyzes JSON-lines I/O traces recorded by the
-// middleware (Options.TraceFile / prisma-server -trace) and lifecycle span
-// files (Options.SpanFile): it prints latency/throughput summaries, a
-// request-concurrency timeline, and a critical-path latency attribution.
+// Command prisma-trace analyzes span files: the I/O trace the middleware
+// records (Options.TraceFile / prisma-server -trace, one device-read span per
+// device read) and lifecycle span files (Options.SpanFile). It prints
+// latency/throughput summaries and a request-concurrency timeline of a
+// file's reads, and a critical-path latency attribution of a span file.
 //
 // Usage:
 //
@@ -14,19 +15,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/obs"
-	"github.com/dsrhaslab/prisma-go/internal/trace"
 )
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: prisma-trace [flags] summary|timeline|attribute FILE
 
 commands:
-  summary    latency and throughput statistics
-  timeline   per-bucket request concurrency (-bucket controls granularity)
+  summary    latency and throughput statistics of the file's reads
+  timeline   per-bucket read concurrency (-bucket controls granularity)
   attribute  critical-path latency breakdown from a lifecycle span file
              (-consumers sets the denominator)`)
 	os.Exit(2)
@@ -41,25 +42,11 @@ func main() {
 		usage()
 	}
 	cmd, path := flag.Arg(0), flag.Arg(1)
-
-	if cmd == "attribute" {
-		attribute(path, *consumers)
-		return
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		fatal(err)
-	}
+	spans := readSpans(path)
 
 	switch cmd {
 	case "summary":
-		s := tr.Summarize()
+		s := summarize(reads(spans))
 		fmt.Printf("events:        %d (%d errors)\n", s.Events, s.Errors)
 		fmt.Printf("bytes:         %.1f MiB\n", float64(s.Bytes)/(1<<20))
 		fmt.Printf("duration:      %v\n", s.Duration.Round(time.Millisecond))
@@ -71,7 +58,7 @@ func main() {
 		fmt.Printf("latency max:   %v\n", s.MaxLatency.Round(time.Microsecond))
 
 	case "timeline":
-		depth := tr.ConcurrencyTimeline(*bucket)
+		depth := concurrencyTimeline(reads(spans), *bucket)
 		max := 1
 		for _, d := range depth {
 			if d > max {
@@ -83,14 +70,16 @@ func main() {
 			fmt.Printf("%10v  %4d  %s\n", time.Duration(i)*(*bucket), d, bar)
 		}
 
+	case "attribute":
+		attribute(path, spans, *consumers)
+
 	default:
 		usage()
 	}
 }
 
-// attribute reads a lifecycle span file and prints the critical-path
-// latency breakdown.
-func attribute(path string, consumers int) {
+// readSpans parses the span file at path.
+func readSpans(path string) []obs.Span {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
@@ -100,6 +89,89 @@ func attribute(path string, consumers int) {
 	if err != nil {
 		fatal(err)
 	}
+	return spans
+}
+
+// reads keeps a file's read spans: the I/O trace's device reads, a
+// lifecycle span file's producer reads, and lines with no stage (I/O traces
+// written before the trace was a span file).
+func reads(spans []obs.Span) []obs.Span {
+	var out []obs.Span
+	for _, s := range spans {
+		switch s.Stage {
+		case obs.StageDeviceRead, obs.StageStorageRead, "":
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// summary aggregates a file's reads.
+type summary struct {
+	Events        int
+	Errors        int
+	Bytes         int64
+	Duration      time.Duration // last completion − first start
+	ReadsPerSec   float64
+	MeanLatency   time.Duration
+	P50, P95, P99 time.Duration
+	MaxLatency    time.Duration
+}
+
+func summarize(spans []obs.Span) summary {
+	s := summary{Events: len(spans)}
+	if s.Events == 0 {
+		return s
+	}
+	lat := make([]time.Duration, 0, len(spans))
+	var sum time.Duration
+	first, last := spans[0].At, time.Duration(0)
+	for _, sp := range spans {
+		if sp.Error != "" {
+			s.Errors++
+		}
+		s.Bytes += sp.Size
+		lat = append(lat, sp.Latency)
+		sum += sp.Latency
+		first = min(first, sp.At)
+		last = max(last, sp.End())
+		s.MaxLatency = max(s.MaxLatency, sp.Latency)
+	}
+	s.Duration = last - first
+	if s.Duration > 0 {
+		s.ReadsPerSec = float64(s.Events) / s.Duration.Seconds()
+	}
+	s.MeanLatency = sum / time.Duration(s.Events)
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	q := func(p float64) time.Duration {
+		return lat[min(max(int(p*float64(len(lat)))-1, 0), len(lat)-1)]
+	}
+	s.P50, s.P95, s.P99 = q(0.50), q(0.95), q(0.99)
+	return s
+}
+
+// concurrencyTimeline reports, per bucket of the given width, how many reads
+// overlap it — a quick view of the workload's parallelism.
+func concurrencyTimeline(spans []obs.Span, bucket time.Duration) []int {
+	if bucket <= 0 || len(spans) == 0 {
+		return nil
+	}
+	var end time.Duration
+	for _, sp := range spans {
+		end = max(end, sp.End())
+	}
+	depth := make([]int, int(end/bucket)+1)
+	for _, sp := range spans {
+		for b := int(sp.At / bucket); b <= int(sp.End()/bucket) && b < len(depth); b++ {
+			depth[b]++
+		}
+	}
+	return depth
+}
+
+// attribute prints the critical-path latency breakdown of a lifecycle span
+// file.
+func attribute(path string, spans []obs.Span, consumers int) {
 	if len(spans) == 0 {
 		fatal(fmt.Errorf("%s: no spans", path))
 	}

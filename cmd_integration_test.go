@@ -2,11 +2,13 @@ package prisma_test
 
 // End-to-end integration of the shipped binaries: prisma-datagen writes a
 // dataset, prisma-server serves it on a UNIX socket, prisma-ctl inspects
-// and tunes it over the same socket, and a client in the test's process
-// reads through it.
+// and tunes it over the same socket, a client in the test's process reads
+// through it, and prisma-trace reads the I/O trace the server writes at
+// shutdown.
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -49,10 +51,11 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Fatalf("manifest missing: %v", err)
 	}
 
-	// 2. Start the server.
+	// 2. Start the server, recording its device reads.
 	sock := filepath.Join(t.TempDir(), "it.sock")
+	tracePath := filepath.Join(t.TempDir(), "io.trace")
 	server := exec.Command(filepath.Join(bin, "prisma-server"),
-		"-dir", dataDir, "-socket", sock, "-interval", "50ms")
+		"-dir", dataDir, "-socket", sock, "-interval", "50ms", "-trace", tracePath)
 	serverOut := &strings.Builder{}
 	server.Stdout, server.Stderr = serverOut, serverOut
 	if err := server.Start(); err != nil {
@@ -191,6 +194,28 @@ func TestBinariesEndToEnd(t *testing.T) {
 	if out, err := exec.Command(filepath.Join(bin, "prisma-server"), "-socket", sock).CombinedOutput(); err == nil {
 		t.Fatalf("server without -dir succeeded: %s", out)
 	}
+
+	// 8. Shut the server down: it writes its I/O trace, one device-read
+	//    span per read its producers made, and prisma-trace summarizes it.
+	c.Close()
+	if err := server.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Wait(); err != nil {
+		t.Fatalf("server exit: %v\n%s", err, serverOut.String())
+	}
+	trace := filepath.Join(t.TempDir(), "prisma-trace")
+	if out, err := exec.Command("go", "build", "-o", trace, "./cmd/prisma-trace").CombinedOutput(); err != nil {
+		t.Fatalf("building prisma-trace: %v\n%s", err, out)
+	}
+	out, err = exec.Command(trace, "summary", tracePath).CombinedOutput()
+	if err != nil {
+		t.Fatalf("prisma-trace summary: %v\n%s", err, out)
+	}
+	var events, errs int
+	if _, err := fmt.Sscanf(string(out), "events: %d (%d errors)", &events, &errs); err != nil || events < 4 || errs != 0 {
+		t.Fatalf("summary of the server's trace: want at least the 4 reads, no error:\n%s", out)
+	}
 }
 
 func TestBenchAndTraceBinaries(t *testing.T) {
@@ -222,10 +247,13 @@ func TestBenchAndTraceBinaries(t *testing.T) {
 		t.Fatalf("unknown target accepted: %s", out)
 	}
 
-	// prisma-trace analyzes a hand-written trace.
+	// prisma-trace analyzes a hand-written trace: a line written before
+	// the trace was a span file, a device-read span, and a span of another
+	// stage, which is not a read.
 	tracePath := filepath.Join(t.TempDir(), "t.jsonl")
 	traceContent := `{"at":0,"name":"a","size":100,"latency":1000000}
-{"at":500000,"name":"b","size":200,"latency":2000000}
+{"stage":"device-read","at":500000,"name":"b","size":200,"latency":2000000}
+{"trace":7,"stage":"buffer-park","at":0,"name":"c","latency":9000000}
 `
 	if err := os.WriteFile(tracePath, []byte(traceContent), 0o644); err != nil {
 		t.Fatal(err)

@@ -10,17 +10,17 @@ import (
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
-	"github.com/dsrhaslab/prisma-go/internal/trace"
 )
 
 // Config is what the rows read. A row is on when its field is set (the
 // hierarchy's: a positive FastCapacity), so the zero value turns all off.
 type Config struct {
-	TraceFile     string                    // the recorder's: Flush writes the I/O trace there
+	TraceFile     string                    // the recorder's: Flush writes the I/O trace there, as device-read spans
 	Hierarchy     tiering.Config            // one budget; a positive FastCapacity turns the row on
 	Fast          *storage.Device           // the hierarchy's fast device (nil in real mode)
 	WarmNextEpoch bool                      // epoch plans go to the hierarchy's warmer
@@ -48,7 +48,7 @@ type Chain struct {
 
 	closers []func()                 // undone newest first by Close
 	stats   []func(*core.StageStats) // each layer's part of a stage snapshot
-	onPlan  []func(names []string)   // what sees every submitted epoch plan
+	onPlan  []func([]dataset.Sample) // what sees every submitted epoch plan
 	flush   []func() error           // what Flush writes once the data plane is quiet
 }
 
@@ -65,8 +65,8 @@ var Layers = []Layer{
 		Name: "recorder",
 		On:   func(cfg Config) bool { return cfg.TraceFile != "" },
 		Build: func(c *Chain, cfg Config) (storage.Backend, error) {
-			r := trace.NewRecorder(c.Env, c.Backend)
-			c.flush = append(c.flush, func() error { return WriteFile(cfg.TraceFile, "trace", r.Trace().Write) })
+			r := &recorder{env: c.Env, inner: c.Backend, mu: c.Env.NewMutex()}
+			c.flush = append(c.flush, func() error { return WriteFile(cfg.TraceFile, "trace", r.write) })
 			return r, nil
 		},
 	},
@@ -143,9 +143,9 @@ func (c *Chain) WatchesPlans() bool { return len(c.onPlan) > 0 }
 
 // Plan shows a submitted epoch plan to every layer that watches plans
 // (core.Stage.SetEpochPlanHook).
-func (c *Chain) Plan(names []string) {
+func (c *Chain) Plan(plan []dataset.Sample) {
 	for _, f := range c.onPlan {
-		f(names)
+		f(plan)
 	}
 }
 
@@ -174,4 +174,36 @@ func WriteFile(path, what string, write func(io.Writer) error) error {
 		return fmt.Errorf("prisma: %s: %w", what, err)
 	}
 	return nil
+}
+
+// recorder is the recorder row: one device-read span per read that passes
+// it, kept in completion order until Flush writes them. Payload ownership
+// and the trace context flow through it untouched.
+type recorder struct {
+	env   conc.Env
+	inner storage.Backend
+
+	mu    conc.Mutex
+	spans []obs.Span
+}
+
+func (r *recorder) Read(req storage.Request) (storage.Response, error) {
+	start := r.env.Now()
+	resp, err := r.inner.Read(req)
+	sp := obs.Span{Stage: obs.StageDeviceRead, Name: req.Name, At: start, Latency: r.env.Now() - start}
+	if err != nil {
+		sp.Error = err.Error()
+	} else {
+		sp.Size = resp.Data.Size
+	}
+	r.mu.Lock()
+	r.spans = append(r.spans, sp)
+	r.mu.Unlock()
+	return resp, err
+}
+
+func (r *recorder) write(w io.Writer) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return obs.WriteSpans(w, r.spans)
 }

@@ -15,10 +15,10 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/core"
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
+	"github.com/dsrhaslab/prisma-go/internal/obs"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
-	"github.com/dsrhaslab/prisma-go/internal/trace"
 )
 
 // fixture is a pooled MemBackend leaf holding files samples, so every
@@ -86,7 +86,8 @@ func (f *fixture) audit(t *testing.T) {
 // TestChainFoldEverySubset folds every subset of the table's rows over one
 // leaf: the fold builds exactly the rows switched on, in table order; every
 // sample reads back byte-identical through them; each row's part of the snapshot is there exactly
-// when the row is; the recorder's trace reaches its file at Flush; and once
+// when the row is; the recorder's trace reaches its file at Flush, one
+// device-read span of the file's size per read that reached the leaf; and once
 // the chain is closed (twice) the pool has nothing out.
 func TestChainFoldEverySubset(t *testing.T) {
 	f := newFixture(t, 8)
@@ -143,12 +144,22 @@ func TestChainFoldEverySubset(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer file.Close()
-			tr, err := trace.Read(file)
+			spans, err := obs.ReadSpans(file)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tr.Events) == 0 {
-				t.Fatal("the I/O trace recorded no device read")
+			want := int64(2 * len(f.names))
+			if on["hierarchy"] {
+				want = s.Tiering.SlowReads
+			}
+			if int64(len(spans)) != want {
+				t.Fatalf("the I/O trace holds %d spans, want %d: one per read that reached the leaf", len(spans), want)
+			}
+			for _, sp := range spans {
+				i := slices.Index(f.names, sp.Name)
+				if sp.Stage != obs.StageDeviceRead || i < 0 || sp.Size != int64(len(f.payloads[i])) || sp.Error != "" {
+					t.Fatalf("span %+v: want a device-read of a fixture file at its size", sp)
+				}
 			}
 		})
 	}

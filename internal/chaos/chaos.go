@@ -129,13 +129,17 @@ type Result struct {
 	// DegradedObserved reports whether any mid-run stats snapshot saw the
 	// breaker away from closed (the control plane's degraded signal).
 	DegradedObserved bool
-	// DecisionDegraded reports whether the controller's decision log
-	// recorded the degraded input at some tick (AutoTune runs only).
+	// FaultedTicks counts the controller's ticks in the faulted phase, from
+	// the first faulted epoch to the heal (AutoTune runs only).
+	FaultedTicks int64
+	// DecisionDegraded reports whether the controller's decision log, read
+	// at the heal, recorded the degraded input at some tick (AutoTune runs
+	// only).
 	DecisionDegraded bool
-	// DegradedBackoff reports that the decision log holds at least one
-	// producer-lowering decision at a tick whose input was degraded — the
-	// autotuner visibly backing off while the breaker sheds load (AutoTune
-	// runs only).
+	// DegradedBackoff reports that the decision log, read at the heal,
+	// holds at least one producer-lowering decision at a tick whose input
+	// was degraded — the autotuner visibly backing off while the breaker
+	// sheds load, before the recovery wait (AutoTune runs only).
 	DegradedBackoff bool
 	// EpochTimes holds each epoch's virtual duration; RecoveryRatio is
 	// final epoch time over calibration epoch time.
@@ -237,15 +241,23 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 	inj := &injector{env: env, cfg: cfg, faulty: faulty, mu: env.NewMutex()}
 
 	res.EpochTimes = make([]time.Duration, cfg.Epochs)
+	var faultedFrom int64 // the controller's ticks when the faulted phase began
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if epoch == 1 {
 			// Calibration done: spread the fault schedule across the
 			// faulted middle epochs, sized from epoch 0's duration.
 			window := res.EpochTimes[0] * time.Duration(cfg.Epochs-2)
 			env.Go("chaos-injector", func() { inj.run(window) })
+			if ctl != nil {
+				faultedFrom = ctl.Ticks()
+			}
 		}
 		if epoch == cfg.Epochs-1 {
 			inj.stop()
+			if ctl != nil {
+				res.FaultedTicks = ctl.Ticks() - faultedFrom
+				noteBackoff(&res, ctl.Decisions())
+			}
 			faulty.Heal()
 			if err := awaitRecovery(env, st, ch, cfg, samples[0].Name); err != nil {
 				return res, err
@@ -274,20 +286,6 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 		res.EpochTimes[epoch] = env.Now() - start
 	}
 
-	if ctl != nil {
-		// Each tick's record holds the inputs the decision saw next to the
-		// tuning it left: a degraded input paired with a producer-lowering
-		// decision is the autotuner's back-off made observable.
-		for _, rec := range ctl.Decisions() {
-			if rec.Inputs.Degraded {
-				res.DecisionDegraded = true
-				if rec.After.Producers < rec.Before.Producers {
-					res.DegradedBackoff = true
-				}
-			}
-		}
-	}
-
 	stats := st.Stats()
 	res.Injected = faulty.Injected()
 	res.Delayed = faulty.Delayed()
@@ -306,6 +304,20 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 		res.RecoveryRatio = float64(res.EpochTimes[cfg.Epochs-1]) / float64(res.EpochTimes[0])
 	}
 	return res, nil
+}
+
+// noteBackoff reads the decision log. Each tick's record holds the inputs
+// the decision saw next to the tuning it left: a degraded input paired with
+// a producer-lowering decision is the autotuner's back-off made observable.
+func noteBackoff(res *Result, log []control.DecisionRecord) {
+	for _, rec := range log {
+		if rec.Inputs.Degraded {
+			res.DecisionDegraded = true
+			if rec.After.Producers < rec.Before.Producers {
+				res.DegradedBackoff = true
+			}
+		}
+	}
 }
 
 // awaitRecovery drives warm-up reads until the circuit breaker closes

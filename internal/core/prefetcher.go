@@ -89,9 +89,8 @@ type Prefetcher struct {
 	buffer  *Buffer
 	tracer  *obs.Tracer // set before Start via setTracer; nil-safe
 
-	plans   *planManager   // epoch/claim lifecycle (DESIGN.md §12)
-	names   *dataset.Names // the manifest's name → slot index (names.go)
-	largest int64          // the manifest's largest sample
+	plans    *planManager      // epoch/claim lifecycle (DESIGN.md §12)
+	manifest *dataset.Manifest // its name index is the one the stage resolves in (names.go)
 
 	mu      conc.Mutex
 	target  int // desired t
@@ -119,15 +118,13 @@ func NewPrefetcher(env conc.Env, backend storage.Backend, m *dataset.Manifest, c
 	if m == nil {
 		return nil, errors.New("core: prefetcher needs a dataset manifest")
 	}
-	names := m.Names()
 	pf := &Prefetcher{
 		env:        env,
 		backend:    backend,
 		cfg:        cfg,
 		buffer:     NewShardedBuffer(env, cfg.InitialBufferCapacity, cfg.BufferAccessCost, cfg.BufferShards),
-		plans:      newPlanManager(env, names),
-		names:      names,
-		largest:    m.MaxSize(),
+		plans:      newPlanManager(env, m.Names()),
+		manifest:   m,
 		readLat:    metrics.NewBucketedHistogram(env, nil),
 		prefetched: metrics.NewCounter(env),
 		readErrors: metrics.NewCounter(env),
@@ -166,7 +163,7 @@ func (pf *Prefetcher) setTracer(t *obs.Tracer) {
 // half-registered plan. On success the result reports every name as
 // enqueued.
 func (pf *Prefetcher) SubmitEpoch(names []string) (PlanResult, error) {
-	slots, err := planSlots(pf.names, names)
+	slots, err := planSlots(pf.manifest.Names(), names)
 	if err != nil {
 		return PlanResult{}, err
 	}

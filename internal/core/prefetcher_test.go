@@ -177,7 +177,6 @@ func (r *recordingBackend) Read(req storage.Request) (storage.Response, error) {
 	*r.order = append(*r.order, req.Name)
 	return r.inner.Read(req)
 }
-func (r *recordingBackend) Size(name string) (int64, error) { return r.inner.Size(name) }
 
 func TestPrefetcherSetProducersScalesUp(t *testing.T) {
 	runSim(t, func(env conc.Env) {

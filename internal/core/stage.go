@@ -174,7 +174,7 @@ type Stage struct {
 	gate      TenantGate                    // nil when multi-tenant QoS is off
 	chain     func(*StageStats)             // nil unless the storage chain reports into the snapshot
 	names     *dataset.Names                // the prefetcher's (names.go)
-	epochHook func(names []string)          // nil unless a plan observer (tier warmer) is attached
+	epochHook func(plan []dataset.Sample)   // nil unless a plan observer (tier warmer) is attached
 	partition func(names []string) []string // nil unless a plan partitioner (cluster fabric) is attached
 
 	reads        *metrics.Counter
@@ -201,7 +201,7 @@ func NewStage(env conc.Env, backend storage.Backend, pf *Prefetcher) *Stage {
 		env:          env,
 		backend:      backend,
 		pf:           pf,
-		names:        pf.names,
+		names:        pf.manifest.Names(),
 		reads:        metrics.NewCounter(env),
 		hits:         metrics.NewCounter(env),
 		bypasses:     metrics.NewCounter(env),
@@ -240,7 +240,7 @@ func (s *Stage) BufferPool() *mempool.Pool { return s.pool }
 // lists: the socket server sizes its shared arena by them (DESIGN.md §29).
 func (s *Stage) ParkBound() (samples int, largest int64) {
 	cfg := s.pf.Config()
-	return cfg.MaxBufferCapacity + cfg.MaxProducers, s.pf.largest
+	return cfg.MaxBufferCapacity + cfg.MaxProducers, s.pf.manifest.MaxSize()
 }
 
 // SetTraceSampling adjusts the tracer's head-sampling probability at
@@ -334,11 +334,12 @@ func (s *Stage) SetTenantGate(g TenantGate) { s.gate = g }
 func (s *Stage) SetChainStats(f func(*StageStats)) { s.chain = f }
 
 // SetEpochPlanHook registers a callback invoked with every successfully
-// submitted epoch plan. The stage is the one chokepoint both the
-// in-process (Prisma.SubmitEpoch) and IPC (OpSubmitEpoch) submission
+// submitted epoch plan, as the manifest entries it names — each name the
+// manifest's own string with its size. The stage is the one chokepoint both
+// the in-process (Prisma.SubmitEpoch) and IPC (OpSubmitEpoch) submission
 // paths share, so hooking here is what lets the tier warmer see plans
 // from remote data loaders too. Call before traffic starts.
-func (s *Stage) SetEpochPlanHook(f func(names []string)) { s.epochHook = f }
+func (s *Stage) SetEpochPlanHook(f func(plan []dataset.Sample)) { s.epochHook = f }
 
 // Name resolves a name still in its wire bytes to the manifest's own string
 // for it, without allocating: ok is false for a name the manifest does not
@@ -416,10 +417,6 @@ func (s *Stage) NoteReadPayloads(arena, inline int64) {
 	}
 }
 
-// Size reports a file's size from backend metadata (stat-style call: no
-// data moves and the buffer is not consulted).
-func (s *Stage) Size(name string) (int64, error) { return s.backend.Size(name) }
-
 // SubmitPlan forwards an epoch's shuffled filename list to the prefetcher.
 func (s *Stage) SubmitPlan(names []string) error {
 	_, err := s.SubmitEpoch(names)
@@ -459,21 +456,21 @@ func (s *Stage) SubmitEpochHeld(names [][]byte) (PlanResult, error) {
 // them with nothing to pop is harmless: they park again.
 func (s *Stage) StartProducers() { s.pf.plans.wake() }
 
-// submitSlots registers a resolved plan. The partitioner and the plan hook
-// see the plan as the table's own strings.
+// submitSlots registers a resolved plan. The partitioner sees the plan as
+// the table's own strings, the plan hook as the manifest's entries.
 func (s *Stage) submitSlots(slots []int32, held bool) (PlanResult, error) {
-	var names []string
-	if s.partition != nil || s.epochHook != nil {
-		names = slotNames(s.names, slots)
-	}
 	submit := slots
 	if s.partition != nil {
 		// Every name resolved above; this pass only finds the subset's slots.
-		submit, _ = planSlots(s.names, s.partition(names))
+		submit, _ = planSlots(s.names, s.partition(slotNames(s.names, slots)))
 	}
 	res, err := s.pf.submit(submit, held)
 	if err == nil && s.epochHook != nil {
-		s.epochHook(names)
+		plan := make([]dataset.Sample, len(slots))
+		for i, slot := range slots {
+			plan[i] = s.pf.manifest.Sample(int(slot))
+		}
+		s.epochHook(plan)
 	}
 	return res, err
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 )
 
@@ -251,4 +254,80 @@ func TestStageTenantGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestEpochPlanHookSeesManifestEntries: the plan hook sees every accepted
+// plan whole and in order, as the manifest's entries — its own name strings
+// with their sizes — whichever path submitted it; a refused plan never
+// reaches it.
+func TestEpochPlanHookSeesManifestEntries(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		submit    func(st *Stage, plan []string) error
+		partition bool
+		refused   bool
+	}{
+		{name: "names", submit: func(st *Stage, plan []string) error { return st.SubmitPlan(plan) }},
+		{name: "wire-bytes", submit: func(st *Stage, plan []string) error {
+			wire := make([][]byte, len(plan))
+			for i, n := range plan {
+				wire[i] = []byte(n)
+			}
+			_, err := st.SubmitEpochHeld(wire)
+			st.StartProducers()
+			return err
+		}},
+		{name: "partitioned", partition: true, submit: func(st *Stage, plan []string) error { return st.SubmitPlan(plan) }},
+		{name: "refused", refused: true, submit: func(st *Stage, plan []string) error {
+			return st.SubmitPlan(append(plan, "ghost"))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			runSim(t, func(env conc.Env) {
+				samples := make([]dataset.Sample, 4)
+				for i := range samples {
+					samples[i] = dataset.Sample{Name: fmt.Sprintf("f%d", i), Size: int64(1000 + 10*i)}
+				}
+				m := dataset.MustNew(samples)
+				dev, err := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e15, Channels: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				backend := storage.NewModeledBackend(m, dev)
+				pf, err := NewPrefetcher(env, backend, m, pfConfig(2, 8))
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := NewStage(env, backend, pf)
+				defer st.Close()
+				var seen [][]dataset.Sample
+				st.SetEpochPlanHook(func(plan []dataset.Sample) { seen = append(seen, plan) })
+				if c.partition {
+					st.SetPlanPartitioner(func(names []string) []string { return names[:1] })
+				}
+				pf.Start()
+				plan := []string{"f3", "f0", "f2", "f1"}
+				err = c.submit(st, plan)
+				if c.refused {
+					if err == nil || len(seen) != 0 {
+						t.Fatalf("refused plan: err %v, hook saw %d plans; want an error and none", err, len(seen))
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(seen) != 1 || len(seen[0]) != len(plan) {
+					t.Fatalf("hook saw %v, want one plan of %d entries", seen, len(plan))
+				}
+				for i, got := range seen[0] {
+					slot, _ := m.Names().Slot(plan[i])
+					want := m.Sample(slot)
+					if got != want || unsafe.StringData(got.Name) != unsafe.StringData(want.Name) {
+						t.Fatalf("entry %d = %+v, want the manifest's %+v", i, got, want)
+					}
+				}
+			})
+		})
+	}
 }

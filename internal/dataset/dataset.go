@@ -100,14 +100,6 @@ func (m *Manifest) TotalBytes() int64 { return m.total }
 // manifest.
 func (m *Manifest) MaxSize() int64 { return m.max }
 
-// MeanSize reports the average sample size, or zero for an empty manifest.
-func (m *Manifest) MeanSize() int64 {
-	if m.Len() == 0 {
-		return 0
-	}
-	return m.total / int64(m.Len())
-}
-
 // EpochOrder returns the deterministic shuffled visit order for the given
 // epoch: a permutation of [0, Len) produced by a Fisher-Yates shuffle
 // seeded with (seed, epoch). Identical inputs always yield identical

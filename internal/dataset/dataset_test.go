@@ -41,9 +41,6 @@ func TestManifestAccessors(t *testing.T) {
 	if m.TotalBytes() != 1000 {
 		t.Fatalf("TotalBytes = %d, want 1000", m.TotalBytes())
 	}
-	if m.MeanSize() != 250 {
-		t.Fatalf("MeanSize = %d, want 250", m.MeanSize())
-	}
 	s, ok := m.Lookup("c.jpg")
 	if !ok || s.Size != 300 {
 		t.Fatalf("Lookup(c.jpg) = %+v,%v", s, ok)
@@ -148,7 +145,7 @@ func TestSyntheticStatistics(t *testing.T) {
 	if m.Len() != n {
 		t.Fatalf("Len = %d, want %d", m.Len(), n)
 	}
-	got := float64(m.MeanSize())
+	got := float64(m.TotalBytes()) / float64(m.Len())
 	if math.Abs(got-mean)/mean > 0.05 {
 		t.Fatalf("mean size %v deviates >5%% from %v", got, mean)
 	}
@@ -302,9 +299,9 @@ func TestMustNewPanicsOnBadInput(t *testing.T) {
 	MustNew([]Sample{{Name: "", Size: 1}})
 }
 
-func TestMeanSizeEmpty(t *testing.T) {
+func TestEmptyManifest(t *testing.T) {
 	m := MustNew(nil)
-	if m.MeanSize() != 0 || m.Len() != 0 || m.TotalBytes() != 0 {
+	if m.Len() != 0 || m.TotalBytes() != 0 || m.MaxSize() != 0 {
 		t.Fatal("empty manifest stats not zero")
 	}
 }

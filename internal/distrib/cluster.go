@@ -278,8 +278,6 @@ func (l *linkBackend) Read(req storage.Request) (storage.Response, error) {
 	return resp, nil
 }
 
-func (l *linkBackend) Size(name string) (int64, error) { return l.inner.Size(name) }
-
 // takeRetries bounds how often a worker re-claims a sample after a take
 // deadline (the deadline returns the plan entry, so a retry is safe).
 const takeRetries = 3

@@ -115,13 +115,6 @@ func (b *patternBackend) Read(req storage.Request) (storage.Response, error) {
 	return storage.Response{Data: storage.Data{Name: req.Name, Size: b.size}}, nil
 }
 
-func (b *patternBackend) Size(name string) (int64, error) {
-	if _, ok := b.lat[name]; !ok {
-		return 0, fmt.Errorf("patternBackend: unknown file %q", name)
-	}
-	return b.size, nil
-}
-
 // RunAttributionCell runs one epoch of the synthetic workload at the given
 // (t, N, consume) setting and returns both attribution views: the always-on
 // counter-based report and the sampled span stream. Deterministic: same

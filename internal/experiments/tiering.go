@@ -9,6 +9,7 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/chain"
 	"github.com/dsrhaslab/prisma-go/internal/conc"
 	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/sim"
 	"github.com/dsrhaslab/prisma-go/internal/storage"
 	"github.com/dsrhaslab/prisma-go/internal/tiering"
@@ -27,8 +28,9 @@ type TieringRow struct {
 // tieringCell parameterizes one run. capacity == 0 disables tiering (the
 // slow-tier baseline). Epoch traces are explicit so skew and prefetch
 // cells can shape them; prefetchAt[i] is a plan handed to the warmer at
-// the start of epoch i (PR 5's plan manager knows the next epoch's order
-// at SubmitEpoch time — here the cell passes it by hand).
+// the start of epoch i (the stage hands it the next epoch's manifest
+// entries at SubmitEpoch time — here the cell passes them by hand, every
+// entry at the cell's uniform file size).
 type tieringCell struct {
 	files        int
 	fileSize     int
@@ -58,10 +60,6 @@ func (b *timedBackend) Read(req storage.Request) (storage.Response, error) {
 	b.device.Read(resp.Data.Size)
 	return resp, nil
 }
-
-// Size is metadata only — no device charge (the warmer probes sizes
-// before deciding to transfer).
-func (b *timedBackend) Size(name string) (int64, error) { return b.inner.Size(name) }
 
 // tieringName is the canonical sample name for index i.
 func tieringName(i int) string { return fmt.Sprintf("sample-%04d", i) }
@@ -130,7 +128,11 @@ func runTieringCell(setup string, c tieringCell) (TieringRow, error) {
 
 		start := env.Now()
 		for ei, names := range c.epochs {
-			if plan, ok := c.prefetchAt[ei]; ok {
+			if names, ok := c.prefetchAt[ei]; ok {
+				plan := make([]dataset.Sample, len(names))
+				for i, name := range names {
+					plan[i] = dataset.Sample{Name: name, Size: int64(c.fileSize)}
+				}
 				ch.Plan(plan)
 			}
 			epochStart := env.Now()

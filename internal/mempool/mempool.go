@@ -247,23 +247,6 @@ func (p *Pool) Get(n int) *Ref {
 	return r
 }
 
-// External wraps an existing byte slice in a Ref without pooling it. The
-// final Release drops the slice for the GC. It lets code paths that
-// sometimes produce unpooled bytes (oversize reads, pool-disabled A/B runs,
-// legacy backends) share the same ownership discipline.
-func (p *Pool) External(b []byte) *Ref {
-	p.outstanding.Add(1)
-	r := &Ref{pool: p, buf: b, n: len(b), external: true}
-	r.refs.Store(1)
-	if p.cfg.Debug {
-		r.site = callSite(2)
-		p.siteMu.Lock()
-		p.sites[r.site]++
-		p.siteMu.Unlock()
-	}
-	return r
-}
-
 // release is called by Ref.Release on the final reference.
 func (p *Pool) release(r *Ref) {
 	p.outstanding.Add(-1)
@@ -286,7 +269,7 @@ func (p *Pool) release(r *Ref) {
 		}
 	}
 	cls := r.cls
-	if cls == nil || r.external {
+	if cls == nil {
 		p.discarded.Add(1)
 		return
 	}
@@ -478,13 +461,12 @@ func (p *Pool) Stats() Stats {
 // may be handed to another sample at any moment (and is poisoned first in
 // debug builds).
 type Ref struct {
-	pool     *Pool
-	cls      *class
-	arena    *arena // the arena buf was carved from; nil for a heap buffer
-	buf      []byte
-	n        int
-	external bool
-	refs     atomic.Int32
+	pool  *Pool
+	cls   *class
+	arena *arena // the arena buf was carved from; nil for a heap buffer
+	buf   []byte
+	n     int
+	refs  atomic.Int32
 	// retired is set by Retire: the final release drops the buffer.
 	retired atomic.Bool
 	site    string

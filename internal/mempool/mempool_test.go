@@ -140,22 +140,6 @@ func TestLeakLedgerNamesCallSite(t *testing.T) {
 	}
 }
 
-func TestExternalRefNotRecycled(t *testing.T) {
-	p := New(Config{Debug: true})
-	b := []byte{1, 2, 3}
-	r := p.External(b)
-	if &r.Bytes()[0] != &b[0] {
-		t.Fatal("External did not alias the given slice")
-	}
-	r.Release()
-	if s := p.Stats(); s.FreeBuffers != 0 {
-		t.Fatal("external buffer entered the free list")
-	}
-	if p.Outstanding() != 0 {
-		t.Fatal("external ref still outstanding")
-	}
-}
-
 func TestStatsHitRate(t *testing.T) {
 	p := New(Config{MinSize: 64, MaxSize: 64})
 	p.Get(10).Release()

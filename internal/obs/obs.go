@@ -56,11 +56,15 @@ const (
 	// sample's owner node, and the owner-side service of such a read.
 	StagePeerRead  = "peer-read"  // requester-side forwarded read (Error set on peer failure)
 	StagePeerServe = "peer-serve" // owner-side buffer service of a forwarded read
+
+	// The I/O trace (the storage chain's recorder row): every read that
+	// reaches the device, sampled or not, with no trace id.
+	StageDeviceRead = "device-read"
 )
 
-// Span is one timed step of a sample's (or a read's) lifecycle. The JSON
-// field names at/name/latency match trace.Event, so span files parse with
-// the same tooling as flat I/O traces (prisma-trace).
+// Span is one timed step of a sample's (or a read's) lifecycle, and the one
+// record format: lifecycle span files and the I/O trace are both JSON lines
+// of it (prisma-trace reads either).
 type Span struct {
 	// Trace groups the spans of one lifecycle. Sample-lifecycle spans
 	// (fifo-pop, storage-read, buffer-park) carry the trace id assigned at

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -208,6 +209,25 @@ func TestWriteReadSpansRoundTrip(t *testing.T) {
 		if in[i] != out[i] {
 			t.Errorf("span %d changed:\n in: %+v\nout: %+v", i, in[i], out[i])
 		}
+	}
+}
+
+// TestReadSpansRejectsGarbage: a line that is not a span fails the whole
+// file, and the error names the line.
+func TestReadSpansRejectsGarbage(t *testing.T) {
+	good := `{"trace":0,"stage":"device-read","name":"a","at":0,"latency":1000,"size":4}` + "\n"
+	for _, c := range []struct{ name, in, line string }{
+		{"not-json", "{not json\n", "line 1"},
+		{"after-a-good-line", good + "{not json\n", "line 2"},
+		{"wrong-type", `{"stage":"device-read","name":"a","latency":"1ms"}` + "\n", "line 1"},
+		{"truncated", good + good + `{"stage":"device-read","name":"a"`, "line 3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spans, err := ReadSpans(strings.NewReader(c.in))
+			if err == nil || !strings.Contains(err.Error(), c.line) {
+				t.Fatalf("ReadSpans = %d spans, %v; want an error naming %s", len(spans), err, c.line)
+			}
+		})
 	}
 }
 

@@ -63,7 +63,6 @@ type Simulation struct {
 	queue   eventHeap
 	yield   chan struct{}       // processes signal here when they block or finish
 	current *Process            // process executing right now (nil inside scheduler)
-	nlive   int                 // spawned and not yet finished
 	nparked int                 // blocked without a pending event (cond/mutex waits)
 	parked  map[*Process]string // parked process -> reason, for deadlock reports
 	failure error               // first panic escaping a process
@@ -81,9 +80,6 @@ func New() *Simulation {
 
 // Now reports the current virtual time.
 func (s *Simulation) Now() time.Duration { return s.now }
-
-// Live reports the number of spawned processes that have not finished.
-func (s *Simulation) Live() int { return s.nlive }
 
 // Process is a simulated thread of execution. All blocking methods must be
 // called from the goroutine running the process body.
@@ -108,14 +104,6 @@ func (s *Simulation) Spawn(name string, fn func(*Process)) *Process {
 	return s.SpawnAt(s.now, name, fn)
 }
 
-// SpawnAfter registers a process whose body starts after delay d.
-func (s *Simulation) SpawnAfter(d time.Duration, name string, fn func(*Process)) *Process {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: SpawnAfter with negative delay %v", d))
-	}
-	return s.SpawnAt(s.now+d, name, fn)
-}
-
 // SpawnAt registers a process whose body starts at absolute virtual time at,
 // which must not precede the current time.
 func (s *Simulation) SpawnAt(at time.Duration, name string, fn func(*Process)) *Process {
@@ -126,7 +114,6 @@ func (s *Simulation) SpawnAt(at time.Duration, name string, fn func(*Process)) *
 		panic("sim: SpawnAt with nil body")
 	}
 	p := &Process{sim: s, name: name, fn: fn, resume: make(chan struct{}, 1)}
-	s.nlive++
 	s.schedule(at, p)
 	return p
 }
@@ -213,7 +200,6 @@ func (p *Process) top() {
 				p.sim.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
 		}
-		p.sim.nlive--
 		p.sim.yield <- struct{}{}
 	}()
 	p.fn(p)
@@ -256,9 +242,6 @@ func (p *Process) Sleep(d time.Duration) {
 	p.sim.schedule(p.sim.now+d, p)
 	p.block(false, "")
 }
-
-// Yield lets any other process scheduled at the current instant run first.
-func (p *Process) Yield() { p.Sleep(0) }
 
 // park blocks the process with no wake event; some other process must hand
 // it to wake() later. Used by the synchronization primitives.
@@ -315,7 +298,6 @@ func (s *Simulation) Shutdown() {
 func (s *Simulation) abort(p *Process) {
 	if !p.started {
 		// Never ran: nothing to unwind.
-		s.nlive--
 		delete(s.parked, p)
 		return
 	}

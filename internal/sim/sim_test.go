@@ -40,7 +40,7 @@ func TestEventsRunInTimestampOrder(t *testing.T) {
 	var order []string
 	for _, d := range []time.Duration{30, 10, 20} {
 		d := d
-		s.SpawnAfter(d*time.Millisecond, fmt.Sprintf("p%d", d), func(p *Process) {
+		s.SpawnAt(s.Now()+d*time.Millisecond, fmt.Sprintf("p%d", d), func(p *Process) {
 			order = append(order, p.Name())
 		})
 	}
@@ -75,7 +75,7 @@ func TestSleepZeroYields(t *testing.T) {
 	var order []string
 	s.Spawn("a", func(p *Process) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	s.Spawn("b", func(p *Process) { order = append(order, "b") })
@@ -138,7 +138,7 @@ func TestRunUntilStopsAtLimit(t *testing.T) {
 	s := New()
 	var fired []time.Duration
 	for _, d := range []time.Duration{1, 2, 3, 4} {
-		s.SpawnAfter(d*time.Second, "p", func(p *Process) { fired = append(fired, s.Now()) })
+		s.SpawnAt(s.Now()+d*time.Second, "p", func(p *Process) { fired = append(fired, s.Now()) })
 	}
 	if err := s.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestPanicAbortsRemainingProcesses(t *testing.T) {
 		defer func() { cleaned = true }()
 		p.Sleep(time.Hour)
 	})
-	s.SpawnAfter(time.Second, "bomb", func(p *Process) { panic("boom") })
+	s.SpawnAt(s.Now()+time.Second, "bomb", func(p *Process) { panic("boom") })
 	if err := s.Run(); err == nil {
 		t.Fatal("expected error")
 	}
@@ -280,7 +280,7 @@ func TestMutexFIFOOrder(t *testing.T) {
 	})
 	for i := 0; i < 4; i++ {
 		i := i
-		s.SpawnAfter(time.Duration(i+1)*time.Millisecond, fmt.Sprintf("w%d", i), func(p *Process) {
+		s.SpawnAt(s.Now()+time.Duration(i+1)*time.Millisecond, fmt.Sprintf("w%d", i), func(p *Process) {
 			m.Lock()
 			order = append(order, i)
 			m.Unlock()
@@ -332,7 +332,7 @@ func TestCondSignalWakesOne(t *testing.T) {
 			m.Unlock()
 		})
 	}
-	s.SpawnAfter(time.Second, "signaler", func(p *Process) {
+	s.SpawnAt(s.Now()+time.Second, "signaler", func(p *Process) {
 		m.Lock()
 		c.Signal()
 		m.Unlock()
@@ -359,7 +359,7 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 			m.Unlock()
 		})
 	}
-	s.SpawnAfter(time.Second, "b", func(p *Process) {
+	s.SpawnAt(s.Now()+time.Second, "b", func(p *Process) {
 		m.Lock()
 		c.Broadcast()
 		m.Unlock()
@@ -406,7 +406,7 @@ func TestWaitGroupReleasesAtZero(t *testing.T) {
 	})
 	for i := 1; i <= 3; i++ {
 		i := i
-		s.SpawnAfter(time.Duration(i)*time.Second, "worker", func(p *Process) { wg.Done() })
+		s.SpawnAt(s.Now()+time.Duration(i)*time.Second, "worker", func(p *Process) { wg.Done() })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -441,53 +441,6 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	s := New()
-	sem := s.NewSemaphore(2)
-	inside, maxInside := 0, 0
-	for i := 0; i < 6; i++ {
-		s.Spawn(fmt.Sprintf("p%d", i), func(p *Process) {
-			sem.Acquire()
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(time.Second)
-			inside--
-			sem.Release()
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxInside != 2 {
-		t.Fatalf("max concurrency = %d, want 2", maxInside)
-	}
-	if s.Now() != 3*time.Second {
-		t.Fatalf("makespan %v, want 3s (6 jobs / 2 slots)", s.Now())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	s := New()
-	sem := s.NewSemaphore(1)
-	var got1, got2 bool
-	s.Spawn("p", func(p *Process) {
-		got1 = sem.TryAcquire()
-		got2 = sem.TryAcquire()
-		sem.Release()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !got1 || got2 {
-		t.Fatalf("TryAcquire = %v,%v, want true,false", got1, got2)
-	}
-	if sem.Free() != 1 {
-		t.Fatalf("Free = %d, want 1", sem.Free())
-	}
-}
-
 func TestShutdownReleasesSleepers(t *testing.T) {
 	s := New()
 	cleaned := 0
@@ -503,9 +456,6 @@ func TestShutdownReleasesSleepers(t *testing.T) {
 	s.Shutdown()
 	if cleaned != 4 {
 		t.Fatalf("cleaned = %d, want 4", cleaned)
-	}
-	if s.Live() != 0 {
-		t.Fatalf("Live = %d, want 0", s.Live())
 	}
 }
 
@@ -523,16 +473,6 @@ func TestRunAfterShutdownFails(t *testing.T) {
 	if err := s.Run(); err == nil {
 		t.Fatal("Run after Shutdown succeeded")
 	}
-}
-
-func TestSpawnAfterNegativePanics(t *testing.T) {
-	s := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay accepted")
-		}
-	}()
-	s.SpawnAfter(-time.Second, "p", func(*Process) {})
 }
 
 func TestSpawnNilBodyPanics(t *testing.T) {
@@ -555,17 +495,6 @@ func TestWaitGroupWaitOutsideProcessPanics(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-func TestSemaphoreAcquireOutsideProcessPanics(t *testing.T) {
-	s := New()
-	sem := s.NewSemaphore(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("external Acquire on empty semaphore did not panic")
-		}
-	}()
-	sem.Acquire()
 }
 
 func TestNewCondValidation(t *testing.T) {
@@ -609,7 +538,7 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			i := i
 			d := time.Duration(rng.Intn(50)) * time.Millisecond
-			s.SpawnAfter(d, fmt.Sprintf("p%d", i), func(p *Process) {
+			s.SpawnAt(s.Now()+d, fmt.Sprintf("p%d", i), func(p *Process) {
 				p.Sleep(time.Duration(rng.Intn(10)) * time.Millisecond)
 				m.Lock()
 				if i%3 == 0 {
@@ -649,7 +578,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 		ok := true
 		for _, d16 := range delays {
 			d := time.Duration(int(d16)%1000+1000) * time.Microsecond
-			s.SpawnAfter(d, "p", func(p *Process) {
+			s.SpawnAt(s.Now()+d, "p", func(p *Process) {
 				if s.Now() < last {
 					ok = false
 				}
@@ -667,37 +596,6 @@ func TestClockMonotoneProperty(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a semaphore of capacity c never admits more than c holders, for
-// arbitrary job counts and capacities.
-func TestSemaphoreCapacityProperty(t *testing.T) {
-	prop := func(jobs, capRaw uint8) bool {
-		capacity := int(capRaw)%8 + 1
-		n := int(jobs)%40 + 1
-		s := New()
-		sem := s.NewSemaphore(capacity)
-		inside, maxInside := 0, 0
-		for i := 0; i < n; i++ {
-			s.Spawn("p", func(p *Process) {
-				sem.Acquire()
-				inside++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				p.Sleep(time.Millisecond)
-				inside--
-				sem.Release()
-			})
-		}
-		if err := s.Run(); err != nil {
-			return false
-		}
-		return maxInside <= capacity && inside == 0
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -165,54 +165,3 @@ func (w *WaitGroup) Wait() {
 	w.waiters = append(w.waiters, p)
 	p.park("waitgroup wait")
 }
-
-// Semaphore is a counting semaphore with FIFO admission, used to model
-// bounded resources (e.g. device queue slots).
-type Semaphore struct {
-	sim     *Simulation
-	free    int
-	waiters []*Process
-}
-
-// NewSemaphore returns a semaphore with n free slots.
-func (s *Simulation) NewSemaphore(n int) *Semaphore {
-	if n < 0 {
-		panic("sim: NewSemaphore with negative capacity")
-	}
-	return &Semaphore{sim: s, free: n}
-}
-
-// Acquire takes one slot, parking the process while none are free.
-func (sem *Semaphore) Acquire() {
-	if sem.free > 0 {
-		sem.free--
-		return
-	}
-	p := sem.sim.mustCurrent("Semaphore.Acquire")
-	sem.waiters = append(sem.waiters, p)
-	p.park("semaphore wait")
-	// The releasing process transferred the slot directly to us.
-}
-
-// Release returns one slot, waking the longest waiter if any.
-func (sem *Semaphore) Release() {
-	if len(sem.waiters) > 0 {
-		p := sem.waiters[0]
-		sem.waiters = sem.waiters[1:]
-		sem.sim.wake(p) // slot handed over, free count unchanged
-		return
-	}
-	sem.free++
-}
-
-// TryAcquire takes a slot without blocking, reporting success.
-func (sem *Semaphore) TryAcquire() bool {
-	if sem.free > 0 {
-		sem.free--
-		return true
-	}
-	return false
-}
-
-// Free reports the number of currently free slots (waiters imply zero).
-func (sem *Semaphore) Free() int { return sem.free }

@@ -70,8 +70,6 @@ type Response struct {
 type Backend interface {
 	// Read serves req.
 	Read(req Request) (Response, error)
-	// Size reports the file size from metadata, without data transfer.
-	Size(name string) (int64, error)
 }
 
 // NotExistError reports a read of an unknown file.
@@ -139,15 +137,6 @@ func (b *ModeledBackend) Read(req Request) (Response, error) {
 		fillSynthetic(d.Bytes, req.Name)
 	}
 	return Response{Data: d}, nil
-}
-
-// Size reports the manifest size for name.
-func (b *ModeledBackend) Size(name string) (int64, error) {
-	s, ok := b.manifest.Lookup(name)
-	if !ok {
-		return 0, &NotExistError{Name: name}
-	}
-	return s.Size, nil
 }
 
 // ReaderCount is the paper's Fig. 3 instrument: it wraps the backend a sim

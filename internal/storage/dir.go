@@ -127,20 +127,6 @@ func (b *DirBackend) Read(req Request) (Response, error) {
 	return Response{Data: Data{Name: req.Name, Size: size, Bytes: buf, Ref: ref}}, nil
 }
 
-// Size stats the file — the pinned one, for a pinned name, so Size and
-// Read agree.
-func (b *DirBackend) Size(name string) (int64, error) {
-	if err := checkName(name); err != nil {
-		return 0, err
-	}
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	if b.closed {
-		return 0, ErrDirClosed
-	}
-	return b.size(name)
-}
-
 // fill is the read half of fetch, shared by both bodies: it reads the
 // file's size bytes into one buffer and on failure releases the lease
 // before returning. src is the open file: an *os.File in the portable body,
@@ -182,18 +168,6 @@ func (b *DirBackend) fetchPortable(name string) (int64, []byte, *mempool.Ref, er
 	}
 	buf, ref, err := fill(f, b.pool, name, info.Size())
 	return info.Size(), buf, ref, err
-}
-
-// sizePortable is size through package os.
-func (b *DirBackend) sizePortable(name string) (int64, error) {
-	info, err := os.Stat(filepath.Join(b.dir, filepath.FromSlash(name)))
-	if err != nil {
-		return 0, notExist(name, err)
-	}
-	if info.IsDir() {
-		return 0, &NotExistError{Name: name}
-	}
-	return info.Size(), nil
 }
 
 // notExist maps the errors that mean "no such sample" to the typed error:

@@ -5,7 +5,6 @@ package storage
 import (
 	"io"
 	"os"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
@@ -30,10 +29,9 @@ const RawDirLeaf = true
 const sysOpenat2 = 437
 
 const (
-	atFDCWD           = -0x64    // AT_FDCWD
-	atSymlinkNofollow = 0x100    // AT_SYMLINK_NOFOLLOW
-	oPath             = 0x200000 // O_PATH
-	resolveBeneath    = 0x08     // RESOLVE_BENEATH
+	atFDCWD        = -0x64    // AT_FDCWD
+	oPath          = 0x200000 // O_PATH
+	resolveBeneath = 0x08     // RESOLVE_BENEATH
 	// stackName is the longest name (with its NUL) built on the stack;
 	// longer ones, which no generated dataset has, take one allocation.
 	stackName = 256
@@ -125,31 +123,6 @@ func fstat(fd int, st *syscall.Stat_t) syscall.Errno {
 			return err.(syscall.Errno)
 		}
 	}
-}
-
-// stat is fstatat(2) on name relative to the root. It has no beneath rule:
-// see size for when that is enough.
-func (r rootDir) stat(name string, flags int, st *syscall.Stat_t) syscall.Errno {
-	var stack [stackName]byte
-	path := cname(name, &stack)
-	for {
-		_, _, errno := syscall.Syscall6(sysFstatat, uintptr(r.fd), uintptr(unsafe.Pointer(path)), uintptr(unsafe.Pointer(st)), uintptr(flags), 0, 0)
-		if errno != syscall.EINTR {
-			return errno
-		}
-	}
-}
-
-// statBeneath sizes name through the open a read makes — beneath the root,
-// O_PATH so no file is opened — then fstat and close.
-func (r rootDir) statBeneath(name string, st *syscall.Stat_t) syscall.Errno {
-	fd, errno := r.open(name, oPath)
-	if errno != 0 {
-		return errno
-	}
-	errno = fstat(fd, st)
-	syscall.Close(fd)
-	return errno
 }
 
 // pathErr types a failed syscall on name: the errnos that mean "no such
@@ -346,39 +319,4 @@ func readSized(fd int, buf []byte) bool {
 	iov[1].SetLen(1)
 	n, _, errno := syscall.Syscall6(syscall.SYS_PREADV, uintptr(fd), uintptr(unsafe.Pointer(&iov[0])), uintptr(len(iov)), 0, 0, 0)
 	return errno == 0 && int(n) == len(buf)
-}
-
-// size answers what a read of name would find, so Size and Read agree on
-// what exists: a pinned name is the pinned file. Otherwise one fstatat
-// does that only where it cannot leave the root: for a name of one
-// component, not followed if it is itself a link. A link, or a name with
-// directories in it (any of which may be a link), goes through
-// statBeneath. Without openat2 there is no beneath rule to agree with, and
-// one fstatat follows links as the read's openat does.
-func (b *DirBackend) size(name string) (int64, error) {
-	if b.portable {
-		return b.sizePortable(name)
-	}
-	var st syscall.Stat_t
-	var errno syscall.Errno
-	switch _, p := b.pinned(name, 0); {
-	case p != 0:
-		errno = fstat(pinnedFD(p), &st)
-	case !b.root.beneath:
-		errno = b.root.stat(name, 0, &st)
-	case strings.IndexByte(name, '/') >= 0:
-		errno = b.root.statBeneath(name, &st)
-	default:
-		errno = b.root.stat(name, atSymlinkNofollow, &st)
-		if errno == 0 && st.Mode&syscall.S_IFMT == syscall.S_IFLNK {
-			errno = b.root.statBeneath(name, &st)
-		}
-	}
-	switch {
-	case errno != 0:
-		return 0, pathErr("stat", name, errno)
-	case st.Mode&syscall.S_IFMT == syscall.S_IFDIR:
-		return 0, &NotExistError{Name: name}
-	}
-	return st.Size, nil
 }

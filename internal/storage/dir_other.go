@@ -34,5 +34,3 @@ func (*DirBackend) unpinAll() {}
 func (b *DirBackend) fetch(name string, _ int) (int64, []byte, *mempool.Ref, error) {
 	return b.fetchPortable(name)
 }
-
-func (b *DirBackend) size(name string) (int64, error) { return b.sizePortable(name) }

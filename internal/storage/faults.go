@@ -174,6 +174,3 @@ func (f *FaultyBackend) Read(req Request) (Response, error) {
 	}
 	return f.inner.Read(req)
 }
-
-// Size delegates to the wrapped backend (metadata is assumed healthy).
-func (f *FaultyBackend) Size(name string) (int64, error) { return f.inner.Size(name) }

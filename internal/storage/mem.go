@@ -71,14 +71,3 @@ func (b *MemBackend) Read(req Request) (Response, error) {
 	copy(buf, src)
 	return Response{Data: Data{Name: req.Name, Size: size, Bytes: buf, Ref: ref}}, nil
 }
-
-// Size reports the stored length.
-func (b *MemBackend) Size(name string) (int64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c, ok := b.files[name]
-	if !ok {
-		return 0, &NotExistError{Name: name}
-	}
-	return int64(len(c)), nil
-}

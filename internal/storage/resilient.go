@@ -284,11 +284,6 @@ func (b *ResilientBackend) Read(req Request) (Response, error) {
 	}
 }
 
-// Size delegates to the wrapped backend. Metadata lookups are cheap and
-// carry no payload; they bypass retries and the breaker, matching
-// FaultyBackend's healthy-metadata assumption.
-func (b *ResilientBackend) Size(name string) (int64, error) { return b.inner.Size(name) }
-
 // detail builds the per-read annotation.
 func (b *ResilientBackend) detail(issued int) ReadDetail {
 	d := ReadDetail{Attempts: issued}

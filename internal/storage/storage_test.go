@@ -201,24 +201,6 @@ func TestModeledBackendMissingFile(t *testing.T) {
 		if !errors.As(err, &ne) || ne.Name != "nope" {
 			t.Errorf("err = %v, want NotExistError{nope}", err)
 		}
-		if _, err := b.Size("nope"); err == nil {
-			t.Error("Size of missing file succeeded")
-		}
-	})
-}
-
-func TestModeledBackendSizeIsFree(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		dev, _ := NewDevice(env, P4600())
-		b := NewModeledBackend(manifest3(), dev)
-		start := env.Now()
-		n, err := b.Size("c")
-		if err != nil || n != 3000 {
-			t.Fatalf("Size = %d, %v", n, err)
-		}
-		if env.Now() != start {
-			t.Error("Size consumed simulated time")
-		}
 	})
 }
 
@@ -282,7 +264,7 @@ func TestReaderCountConcurrentReads(t *testing.T) {
 }
 
 // TestReaderCountFailedRead: an error passes through unchanged and the
-// reader is released; Size reaches the inner backend.
+// reader is released.
 func TestReaderCountFailedRead(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		dev, _ := NewDevice(env, P4600())
@@ -291,9 +273,6 @@ func TestReaderCountFailedRead(t *testing.T) {
 		var ne *NotExistError
 		if !errors.As(err, &ne) || ne.Name != "nope" {
 			t.Fatalf("err = %v, want NotExistError(nope)", err)
-		}
-		if n, err := rc.Size("c"); err != nil || n != 3000 {
-			t.Fatalf("Size = %d, %v; want 3000", n, err)
 		}
 		env.Sleep(time.Millisecond)
 		for v, d := range rc.Distribution() {
@@ -322,10 +301,6 @@ func TestDirBackendRoundTrip(t *testing.T) {
 	if string(d.Bytes) != string(content) || d.Size != int64(len(content)) {
 		t.Fatalf("Data = %+v", d)
 	}
-	n, err := b.Size("train/x.jpg")
-	if err != nil || n != int64(len(content)) {
-		t.Fatalf("Size = %d, %v", n, err)
-	}
 }
 
 func TestDirBackendMissing(t *testing.T) {
@@ -335,13 +310,10 @@ func TestDirBackendMissing(t *testing.T) {
 	if !errors.As(err, &ne) {
 		t.Fatalf("err = %v, want NotExistError", err)
 	}
-	if _, err := b.Size("ghost"); !errors.As(err, &ne) {
-		t.Fatalf("Size err = %v, want NotExistError", err)
-	}
 }
 
-// TestDirBackendNamesStayUnderRoot: names come from the socket, so every
-// entry point must refuse one that would resolve outside the dataset root
+// TestDirBackendNamesStayUnderRoot: names come from the socket, so a read
+// must refuse one that would resolve outside the dataset root
 // — with the same typed error as any other unknown file.
 func TestDirBackendNamesStayUnderRoot(t *testing.T) {
 	outer := t.TempDir()
@@ -364,9 +336,6 @@ func TestDirBackendNamesStayUnderRoot(t *testing.T) {
 			var ne *NotExistError
 			if d, err := readFile(b, name); !errors.As(err, &ne) {
 				t.Errorf("pooled=%v ReadFile(%q) = %q, %v; want NotExistError", pooled, name, d.Bytes, err)
-			}
-			if n, err := b.Size(name); !errors.As(err, &ne) {
-				t.Errorf("pooled=%v Size(%q) = %d, %v; want NotExistError", pooled, name, n, err)
 			}
 		}
 		// Dot-dot that stays inside the root is an ordinary name.

@@ -150,9 +150,6 @@ func (p *Probe) Read(req storage.Request) (storage.Response, error) {
 	return resp, err
 }
 
-// Size implements storage.Backend.
-func (p *Probe) Size(name string) (int64, error) { return p.mem.Size(name) }
-
 // OpenDir opens a storage.DirBackend over dir, closed when the test ends.
 func OpenDir(t testing.TB, dir string) *storage.DirBackend {
 	t.Helper()

@@ -52,16 +52,17 @@ func parseNonTest(t *testing.T, root string, visit func(rel string, f *ast.File)
 var layerConstructors = map[string]bool{
 	"tiering.NewBackend":          true,
 	"storage.NewResilientBackend": true,
-	"trace.NewRecorder":           true,
 }
 
 // TestStorageSurface keeps the extension lattice from growing back: the
-// package declares exactly its one interface, nothing discovers a storage
-// capability by type assertion, and no builder wires a layer by hand. A new per-request
-// capability belongs in Request / Response; a new layer implements Read +
-// Size, becomes a row of chain.Layers and joins the conformance table.
+// package declares exactly its one interface, whose one method is Read,
+// nothing discovers a storage capability by type assertion, and no builder
+// wires a layer by hand. A new per-request capability belongs in Request /
+// Response; a new layer implements Read, becomes a row of chain.Layers and
+// joins the conformance table.
 func TestStorageSurface(t *testing.T) {
 	declared := map[string]bool{}
+	var methods []string
 	var assertions, handWired []string
 	parseNonTest(t, "../..", func(rel string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(rel))
@@ -91,8 +92,18 @@ func TestStorageSurface(t *testing.T) {
 					}
 				}
 			case *ast.TypeSpec:
-				if _, ok := n.Type.(*ast.InterfaceType); ok && inStorage {
+				if it, ok := n.Type.(*ast.InterfaceType); ok && inStorage {
 					declared[n.Name.Name] = true
+					if n.Name.Name == "Backend" {
+						for _, m := range it.Methods.List {
+							for _, id := range m.Names {
+								methods = append(methods, id.Name)
+							}
+							if len(m.Names) == 0 { // an embedded interface
+								methods = append(methods, "embedded")
+							}
+						}
+					}
 				}
 			case *ast.TypeAssertExpr:
 				if n.Type != nil { // nil is the x.(type) of a type switch
@@ -121,6 +132,9 @@ func TestStorageSurface(t *testing.T) {
 		if !declared[name] {
 			t.Errorf("internal/storage no longer declares interface %s", name)
 		}
+	}
+	if len(methods) != 1 || methods[0] != "Read" {
+		t.Errorf("storage.Backend declares %q, want Read alone: the read contract is one method", methods)
 	}
 	if len(assertions) != 0 {
 		t.Errorf("type assertions to storage types in non-test code = %q, want none", assertions)

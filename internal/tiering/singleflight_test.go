@@ -293,7 +293,7 @@ func TestReaderDuringPromoteIsHandedThePayload(t *testing.T) {
 func TestWarmIsJoined(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, dev, names := deviceFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 1, 1000)
-		b.PrefetchPlan(names)
+		b.PrefetchPlan(plan(names, 1000))
 		env.Sleep(time.Millisecond) // the warm is on the device
 		if _, err := readFile(b, names[0]); err != nil {
 			t.Fatal(err)

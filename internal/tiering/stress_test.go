@@ -95,7 +95,7 @@ func TestTieringStressRace(t *testing.T) {
 					return
 				}
 				if i%50 == 0 {
-					b.PrefetchPlan(names[idx:])
+					b.PrefetchPlan(plan(names[idx:], fileSize))
 				}
 				d.Release()
 			}

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
+	"github.com/dsrhaslab/prisma-go/internal/dataset"
 	"github.com/dsrhaslab/prisma-go/internal/lz"
 	"github.com/dsrhaslab/prisma-go/internal/mempool"
 	"github.com/dsrhaslab/prisma-go/internal/metrics"
@@ -183,7 +184,7 @@ type Backend struct {
 
 	// Next-epoch warming: the latest submitted plan and the lazily
 	// started worker that drains it.
-	plan          []string
+	plan          []dataset.Sample
 	planGen       int
 	workerRunning bool
 	closed        bool
@@ -713,19 +714,21 @@ func (b *Backend) decayAccessesLocked() {
 	b.decays++
 }
 
-// PrefetchPlan hands the warmer the next epoch's access order (PR 5's
-// plan manager knows it at SubmitEpoch time). A lazily started background
-// worker promotes the plan's cold samples into *free* fast-tier space —
-// warming never evicts the current epoch's working set — so when the next
-// epoch starts, its head of the order is already fast. A newer plan
-// supersedes an undrained older one.
-func (b *Backend) PrefetchPlan(names []string) {
+// PrefetchPlan hands the warmer the next epoch's access order, as the
+// manifest entries the plan was checked against (the stage knows it at
+// SubmitEpoch time). A lazily started background worker promotes the plan's
+// cold samples into *free* fast-tier space — warming never evicts the
+// current epoch's working set — so when the next epoch starts, its head of
+// the order is already fast. A sample larger than the free space is skipped
+// on its manifest size, before any slow-tier call. A newer plan supersedes
+// an undrained older one.
+func (b *Backend) PrefetchPlan(plan []dataset.Sample) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return
 	}
-	b.plan = append([]string(nil), names...)
+	b.plan = append([]dataset.Sample(nil), plan...)
 	b.planGen++
 	if !b.workerRunning {
 		b.workerRunning = true
@@ -749,10 +752,10 @@ func (b *Backend) prefetchLoop() {
 		gen := b.planGen
 		b.mu.Unlock()
 
-		for i, name := range plan {
+		for i, s := range plan {
 			b.mu.Lock()
 			stale := b.closed || b.planGen != gen
-			_, res := b.resident[name]
+			_, res := b.resident[s.Name]
 			free := b.main.capacity - b.main.used
 			full := free < b.minStored
 			b.mu.Unlock()
@@ -761,12 +764,12 @@ func (b *Backend) prefetchLoop() {
 			}
 			if full {
 				// Warming never evicts, so with less free space than the
-				// smallest sample ever admitted the rest of the plan would
-				// cost a slow-tier size probe per name and warm nothing.
+				// smallest sample ever admitted the rest of the plan has
+				// nothing to warm.
 				b.prefSkipped.Add(int64(len(plan) - i))
 				break
 			}
-			if res || !b.warm(name, free) {
+			if res || s.Size > free || !b.warm(s.Name) {
 				b.prefSkipped.Inc()
 			}
 		}
@@ -779,11 +782,7 @@ func (b *Backend) prefetchLoop() {
 // like a demand miss's, so a demand read of the same name joins it instead
 // of issuing a second slow read, and is skipped when a demand read is
 // already fetching the name.
-func (b *Backend) warm(name string, free int64) bool {
-	size, err := b.slow.Size(name)
-	if err != nil || size > free {
-		return false
-	}
+func (b *Backend) warm(name string) bool {
 	b.mu.Lock()
 	_, res := b.resident[name]
 	_, busy := b.inflight[name]
@@ -818,9 +817,6 @@ func (b *Backend) warm(name string, free int64) bool {
 	}
 	return true
 }
-
-// Size implements storage.Backend (metadata comes from the slow tier).
-func (b *Backend) Size(name string) (int64, error) { return b.slow.Size(name) }
 
 // noteAccessLocked records a slow-tier access of a non-resident in the
 // bounded access counts. Caller holds b.mu.

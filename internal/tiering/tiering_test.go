@@ -200,16 +200,6 @@ func TestSlowErrorPropagates(t *testing.T) {
 	})
 }
 
-func TestSizeFromSlowTier(t *testing.T) {
-	runSim(t, func(env conc.Env) {
-		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 2, 1234)
-		n, err := b.Size(names[0])
-		if err != nil || n != 1234 {
-			t.Fatalf("Size = %d, %v", n, err)
-		}
-	})
-}
-
 func TestTieringSpeedsUpRepeatedEpochs(t *testing.T) {
 	// The headline behaviour: epoch 1 pays the slow tier; epoch 2 runs at
 	// fast-tier speed once the working set is promoted.
@@ -412,7 +402,7 @@ func TestDecayKeepsPopularity(t *testing.T) {
 func TestPrefetchPlanWarmsFreeSpace(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 4, 1000)
-		b.PrefetchPlan(names)
+		b.PrefetchPlan(plan(names, 1000))
 		env.Sleep(time.Second) // virtual time for the warmer to drain
 		st := b.Stats()
 		if st.PrefetchPromotions != 4 {
@@ -444,7 +434,7 @@ func TestPrefetchNeverEvicts(t *testing.T) {
 		b, names := tieredFixture(env, Config{FastCapacity: 2000, PromoteAfter: 1}, 4, 1000)
 		_, _ = readFile(b, names[0])
 		_, _ = readFile(b, names[1])
-		b.PrefetchPlan(names)
+		b.PrefetchPlan(plan(names, 1000))
 		env.Sleep(time.Second)
 		st := b.Stats()
 		if st.PrefetchPromotions != 0 {
@@ -463,33 +453,32 @@ func TestPrefetchNeverEvicts(t *testing.T) {
 	})
 }
 
-// sizeProbes counts the slow-tier metadata calls the warmer makes (an
-// open + stat + close chain on a directory leaf).
-type sizeProbes struct {
+// slowCalls counts the calls that reach the slow tier.
+type slowCalls struct {
 	storage.Backend
 	n atomic.Int64
 }
 
-func (p *sizeProbes) Size(name string) (int64, error) {
-	p.n.Add(1)
-	return p.Backend.Size(name)
+func (c *slowCalls) Read(req storage.Request) (storage.Response, error) {
+	c.n.Add(1)
+	return c.Backend.Read(req)
 }
 
 func TestWarmerStopsWalkingAFullTier(t *testing.T) {
 	runSim(t, func(env conc.Env) {
-		// Tier fits three files, two are there by demand. The plan's first
-		// two entries are resident (no probe), the third is warmed into the
-		// last free slot (one probe), and with no free byte left the walk
-		// ends: the other three are skipped unprobed.
+		// Tier fits three files, two are there by demand (two slow calls).
+		// The plan's first two entries are resident, the third is warmed
+		// into the last free slot (one slow call), and with no free byte
+		// left the walk ends: the other three are skipped with no slow call.
 		fix, names := tieredFixture(env, Config{FastCapacity: 3000, PromoteAfter: 1}, 6, 1000)
-		probes := &sizeProbes{Backend: fix.slow}
-		b, err := NewBackend(env, fix.cfg, probes, fix.fastDevice)
+		calls := &slowCalls{Backend: fix.slow}
+		b, err := NewBackend(env, fix.cfg, calls, fix.fastDevice)
 		if err != nil {
 			t.Fatal(err)
 		}
 		readTimes(t, b, names[0], 1)
 		readTimes(t, b, names[1], 1)
-		b.PrefetchPlan(names)
+		b.PrefetchPlan(plan(names, 1000))
 		env.Sleep(time.Second)
 		st := b.Stats()
 		if st.PrefetchPromotions != 1 || !b.Resident(names[2]) {
@@ -498,17 +487,41 @@ func TestWarmerStopsWalkingAFullTier(t *testing.T) {
 		if st.PrefetchSkips != 5 {
 			t.Fatalf("skips = %d, want 5 (2 resident + 3 past the end of free space)", st.PrefetchSkips)
 		}
-		if n := probes.n.Load(); n != 1 {
-			t.Fatalf("%d size probes, want 1: a full tier must end the walk, not probe the rest of the plan", n)
+		if n := calls.n.Load(); n != 3 {
+			t.Fatalf("%d slow-tier calls, want 3 (2 demand + 1 warm): a full tier must end the walk", n)
 		}
-		// Next epoch's plan against the now-full tier: no probe at all.
-		b.PrefetchPlan(names)
+		// Next epoch's plan against the now-full tier: no slow-tier call.
+		b.PrefetchPlan(plan(names, 1000))
 		env.Sleep(time.Second)
-		if n := probes.n.Load(); n != 1 {
-			t.Fatalf("%d size probes after a plan against a full tier, want still 1", n)
+		if n := calls.n.Load(); n != 3 {
+			t.Fatalf("%d slow-tier calls after a plan against a full tier, want still 3", n)
 		}
 		if st := b.Stats(); st.PrefetchSkips != 11 || st.Evictions != 0 {
 			t.Fatalf("stats = %+v, want 11 skips and no eviction", st)
+		}
+		b.Close()
+	})
+}
+
+// TestWarmerSizesFromThePlan: the warmer judges fit by the size the plan
+// entry carries, so an entry larger than the free space is skipped with no
+// slow-tier call while a later one that fits is still warmed.
+func TestWarmerSizesFromThePlan(t *testing.T) {
+	runSim(t, func(env conc.Env) {
+		fix, names := tieredFixture(env, Config{FastCapacity: 3000, PromoteAfter: 1}, 2, 1000)
+		calls := &slowCalls{Backend: fix.slow}
+		b, err := NewBackend(env, fix.cfg, calls, fix.fastDevice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.PrefetchPlan([]dataset.Sample{{Name: names[0], Size: 4000}, {Name: names[1], Size: 1000}})
+		env.Sleep(time.Second)
+		st := b.Stats()
+		if st.PrefetchPromotions != 1 || st.PrefetchSkips != 1 || b.Resident(names[0]) || !b.Resident(names[1]) {
+			t.Fatalf("stats = %+v: want the oversize entry skipped and the other warmed", st)
+		}
+		if n := calls.n.Load(); n != 1 {
+			t.Fatalf("%d slow-tier calls, want 1: the oversize entry must not reach the slow tier", n)
 		}
 		b.Close()
 	})
@@ -521,7 +534,7 @@ func TestWarmerYieldsToRacingDemandMiss(t *testing.T) {
 		// finds the name resident and must not enter a second copy. Either
 		// way there is one resident, charged once.
 		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 1, 1000)
-		b.PrefetchPlan(names)
+		b.PrefetchPlan(plan(names, 1000))
 		readTimes(t, b, names[0], 1)
 		env.Sleep(time.Second)
 		st := b.Stats()
@@ -538,8 +551,8 @@ func TestWarmerYieldsToRacingDemandMiss(t *testing.T) {
 func TestNewerPlanSupersedesOlder(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 8, 1000)
-		b.PrefetchPlan(names[:4])
-		b.PrefetchPlan(names[4:]) // latest plan wins
+		b.PrefetchPlan(plan(names[:4], 1000))
+		b.PrefetchPlan(plan(names[4:], 1000)) // latest plan wins
 		env.Sleep(time.Second)
 		for _, n := range names[4:] {
 			if !b.Resident(n) {
@@ -554,7 +567,7 @@ func TestCloseStopsWarmerAndReleasesResidents(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		b, names := tieredFixture(env, Config{FastCapacity: 1 << 20, PromoteAfter: 1}, 4, 1000)
 		_, _ = readFile(b, names[0])
-		b.PrefetchPlan(names)
+		b.PrefetchPlan(plan(names, 1000))
 		b.Close()
 		b.Close() // idempotent (Prisma.Close and Object.Close may both run)
 		st := b.Stats()
@@ -562,7 +575,7 @@ func TestCloseStopsWarmerAndReleasesResidents(t *testing.T) {
 			t.Fatalf("residents survived Close: %+v", st)
 		}
 		// A plan after Close must not revive the worker.
-		b.PrefetchPlan(names)
+		b.PrefetchPlan(plan(names, 1000))
 		env.Sleep(time.Second)
 		if b.Stats().PrefetchPromotions != 0 {
 			t.Fatal("worker ran after Close")

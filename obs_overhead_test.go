@@ -105,8 +105,6 @@ func (m memBackend) Read(req storage.Request) (storage.Response, error) {
 	return storage.Response{Data: storage.Data{Name: req.Name, Size: int64(len(m.payload)), Bytes: m.payload}}, nil
 }
 
-func (m memBackend) Size(name string) (int64, error) { return int64(len(m.payload)), nil }
-
 // runServingChain drives perWorker unplanned tenant reads per worker through
 // the full PR 6/7 serving chain — tenant admission gate with an SLO
 // objective attached, the memory hierarchy — and returns the makespan.

@@ -28,9 +28,10 @@ type Options struct {
 	// ControlInterval is the feedback loop's period (default 500ms).
 	ControlInterval time.Duration
 
-	// TraceFile, when set, records every backend I/O (name, size,
-	// latency, outcome) and writes the trace as JSON lines to this path
-	// on Close — input for offline analysis and replay (prisma-trace).
+	// TraceFile, when set, records every read that reaches the device as
+	// one span (stage "device-read": name, start, latency, size, error)
+	// and writes the spans as JSON lines to this path on Close — input for
+	// offline analysis (prisma-trace summary and timeline).
 	TraceFile string
 
 	// TraceSampling is the probability in [0, 1] that one sample's

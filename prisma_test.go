@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/dataset"
+	"github.com/dsrhaslab/prisma-go/internal/obs"
 )
 
 // makeDataset writes n small files under a temp dir and returns it.
@@ -426,6 +427,56 @@ func TestTraceFileWrittenOnClose(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), `"name":"train/`) {
 		t.Fatalf("trace content unexpected: %s", raw[:min(200, len(raw))])
+	}
+}
+
+// TestTraceFileSpansDeviceReads: the I/O trace is a span file of device
+// reads. Over a hierarchy that holds the dataset (and warms each submitted
+// plan from its manifest sizes), an epoch read twice reaches the device once
+// per file, so the trace holds one device-read span per file, each the
+// file's length.
+func TestTraceFileSpansDeviceReads(t *testing.T) {
+	const files = 8
+	dir := makeDataset(t, files)
+	tracePath := filepath.Join(t.TempDir(), "io.trace")
+	p, err := Open(Options{Dir: dir, TraceFile: tracePath,
+		Tiering: TieringOptions{Enable: true, CapacityBytes: 1 << 20, PrefetchNextEpoch: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := p.ShuffledFileList(5, 0)
+	for pass := 0; pass < 2; pass++ {
+		if err := p.SubmitPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range plan {
+			if _, err := p.Read(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spans, err := obs.ReadSpans(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != files {
+		t.Fatalf("trace holds %d spans, want %d: one per file, not one per read", len(spans), files)
+	}
+	seen := map[string]bool{}
+	for _, s := range spans {
+		info, err := os.Stat(filepath.Join(dir, filepath.FromSlash(s.Name)))
+		if err != nil || s.Stage != obs.StageDeviceRead || s.Size != info.Size() || s.Error != "" || seen[s.Name] {
+			t.Fatalf("span %+v (stat %v): want one device-read per file, sized as the file", s, err)
+		}
+		seen[s.Name] = true
 	}
 }
 
