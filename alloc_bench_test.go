@@ -135,12 +135,12 @@ func dirReadAllocs(t *testing.T, pinned bool) float64 {
 }
 
 // tierDeclinedAllocs measures allocations per whole-file miss that a full,
-// compressing fast tier declines (pooled MemBackend below it): 32 files
-// read once over a tier a quarter their size, so the first few fill it and
-// every later read ties with the residents. A declined miss must cost what
-// the slow read costs and nothing else — the decision precedes the encode,
-// the resident copy and the entry, and the single-flight slot of a read
-// nobody joins is a nil map value.
+// compressing fast tier declines (pooled MemBackend below it; no plan is
+// sized, so it encodes): 32 files read once over a tier a quarter their
+// size, so the first few fill it and every later read ties with the
+// residents. A declined miss must cost what the slow read costs and nothing
+// else — the decision precedes the encode, the resident copy and the entry,
+// and the single-flight slot of a read nobody joins is a nil map value.
 func tierDeclinedAllocs(t *testing.T) float64 {
 	t.Helper()
 	const files, fileSize = 32, 16 << 10

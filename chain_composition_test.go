@@ -156,7 +156,8 @@ func tierStats(ch *chain.Chain) tiering.Stats {
 // compressible 4 KiB files in a pooled MemBackend under the chain a cell
 // folds, streamed through the prefetch pipeline by two producers. When the
 // cell switches the cache on, the shared cache adds wholeCacheBytes to the
-// hierarchy's budget.
+// hierarchy's budget. The stage shows the chain no plan, so a compressing
+// tier encodes every resident main admits.
 type wholeFileChain struct {
 	names    []string
 	contents map[string][]byte

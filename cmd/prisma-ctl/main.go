@@ -100,8 +100,8 @@ func main() {
 				float64(s.CacheUsedBytes)/(1<<20), s.CacheEvictions)
 		}
 		if s.TierEnabled {
-			fmt.Printf("fast tier:        %d hits / %d slow reads, %d residents (%.1f/%.1f MiB), %v promoting, %v decoding\n",
-				s.TierFastHits, s.TierSlowReads, s.TierResidents,
+			fmt.Printf("fast tier:        %d hits / %d slow reads, %d residents (%d encoded, %.1f/%.1f MiB), %v promoting, %v decoding\n",
+				s.TierFastHits, s.TierSlowReads, s.TierResidents, s.TierEncoded,
 				float64(s.TierUsedBytes)/(1<<20), float64(s.TierCapacityBytes)/(1<<20),
 				s.TierPromoteTime, s.TierDecodeTime)
 		}
@@ -218,7 +218,7 @@ func main() {
 		fmt.Printf("capacity:            %.1f MiB\n", float64(s.TierCapacityBytes)/(1<<20))
 		fmt.Printf("used (physical):     %.1f MiB\n", float64(s.TierUsedBytes)/(1<<20))
 		fmt.Printf("held (logical):      %.1f MiB\n", float64(s.TierLogicalBytes)/(1<<20))
-		fmt.Printf("residents:           %d\n", s.TierResidents)
+		fmt.Printf("residents:           %d (%d encoded)\n", s.TierResidents, s.TierEncoded)
 		fmt.Printf("fast hits:           %d\n", s.TierFastHits)
 		fmt.Printf("slow reads:          %d\n", s.TierSlowReads)
 		if total := s.TierFastHits + s.TierSlowReads; total > 0 {

@@ -200,7 +200,7 @@ func main() {
 		tieringOn      = flag.Bool("tiering", false, "enable the fast-tier backend stage (promote hot samples into a byte-budgeted tier)")
 		tieringCap     = flag.Int64("tiering-capacity", 0, "fast-tier byte budget (0 = default 256MiB)")
 		tieringAfter   = flag.Int("tiering-promote-after", 0, "slow-tier reads of a sample before it is a candidate for the tier; a full tier admits it only over strictly colder residents (0 = default 1)")
-		tieringComp    = flag.Bool("tiering-compress", false, "store fast-tier residents compressed, decoded in place on hits")
+		tieringComp    = flag.Bool("tiering-compress", false, "encode fast-tier residents (LZ, decoded in place on hits) when the submitted plans still being read do not fit the budget raw")
 		tieringPref    = flag.Bool("tiering-prefetch-next", false, "warm next-epoch cold samples into free fast-tier space when a plan is submitted")
 		tieringTracked = flag.Int("tiering-max-tracked", 0, "access-count map bound before decay sweeps, which age residents too (0 = default 65536)")
 
@@ -282,7 +282,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("prisma-server: %v", err)
 	}
-	defer p.Close()
 
 	// A stale socket from a previous run would block the listener.
 	_ = os.Remove(*socket)
@@ -320,4 +319,9 @@ func main() {
 	<-sig
 	log.Printf("prisma-server: shutting down")
 	_ = os.Remove(*socket)
+	// Close writes the I/O trace and span file: a run whose trace was lost
+	// must not exit as if it had been written.
+	if err := p.Close(); err != nil {
+		log.Fatalf("prisma-server: %v", err)
+	}
 }

@@ -93,8 +93,9 @@ func readSpans(path string) []obs.Span {
 }
 
 // reads keeps a file's read spans: the I/O trace's device reads, a
-// lifecycle span file's producer reads, and lines with no stage (I/O traces
-// written before the trace was a span file).
+// lifecycle span file's producer reads, and lines with no stage (reads of
+// I/O traces written before the trace was a span file; obs.ReadSpans
+// dropped their metadata lookups).
 func reads(spans []obs.Span) []obs.Span {
 	var out []obs.Span
 	for _, s := range spans {

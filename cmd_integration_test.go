@@ -216,6 +216,33 @@ func TestBinariesEndToEnd(t *testing.T) {
 	if _, err := fmt.Sscanf(string(out), "events: %d (%d errors)", &events, &errs); err != nil || events < 4 || errs != 0 {
 		t.Fatalf("summary of the server's trace: want at least the 4 reads, no error:\n%s", out)
 	}
+
+	// 9. A trace the server cannot write at shutdown fails the run: the
+	//    error is logged and the exit status is non-zero.
+	sock = filepath.Join(t.TempDir(), "lost.sock")
+	lost := exec.Command(filepath.Join(bin, "prisma-server"),
+		"-dir", dataDir, "-socket", sock, "-trace", filepath.Join(t.TempDir(), "no", "such", "dir", "io.trace"))
+	lostOut := &strings.Builder{}
+	lost.Stdout, lost.Stderr = lostOut, lostOut
+	if err := lost.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if _, err := os.Stat(sock); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			_ = lost.Process.Kill()
+			_ = lost.Wait()
+			t.Fatalf("socket never appeared; server output:\n%s", lostOut.String())
+		}
+	}
+	if err := lost.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := lost.Wait(); err == nil || !strings.Contains(lostOut.String(), "io.trace") {
+		t.Fatalf("server exit %v with its I/O trace unwritable, want a non-zero exit naming the trace:\n%s", err, lostOut.String())
+	}
 }
 
 func TestBenchAndTraceBinaries(t *testing.T) {
@@ -264,6 +291,22 @@ func TestBenchAndTraceBinaries(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "events:        2") {
 		t.Errorf("summary output unexpected:\n%s", out)
+	}
+	// An I/O trace written before the trace was a span file: one read and
+	// one metadata lookup ("op":"size"), which is no read.
+	oldPath := filepath.Join(t.TempDir(), "old.jsonl")
+	oldContent := `{"at":0,"name":"a","size":100,"latency":1000000}
+{"at":2000000,"name":"a","size":100,"latency":10000,"op":"size"}
+`
+	if err := os.WriteFile(oldPath, []byte(oldContent), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(filepath.Join(bin, "prisma-trace"), "summary", oldPath).CombinedOutput()
+	if err != nil {
+		t.Fatalf("prisma-trace summary of an old trace: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "events:        1 ") {
+		t.Errorf("old trace: want its one read counted, not its lookup:\n%s", out)
 	}
 	out, err = exec.Command(filepath.Join(bin, "prisma-trace"), "-bucket", "1ms", "timeline", tracePath).CombinedOutput()
 	if err != nil {

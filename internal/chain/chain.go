@@ -46,10 +46,10 @@ type Chain struct {
 	Backend storage.Backend // the leaf before Fold, the top of the chain after
 	Built   []string        // the rows folded in, bottom-up
 
-	closers []func()                 // undone newest first by Close
-	stats   []func(*core.StageStats) // each layer's part of a stage snapshot
-	onPlan  []func([]dataset.Sample) // what sees every submitted epoch plan
-	flush   []func() error           // what Flush writes once the data plane is quiet
+	closers []func()                            // undone newest first by Close
+	stats   []func(*core.StageStats)            // each layer's part of a stage snapshot
+	onPlan  []func(plan, live []dataset.Sample) // what sees every submitted epoch plan
+	flush   []func() error                      // what Flush writes once the data plane is quiet
 }
 
 // Layers is the storage chain above the leaf, bottom-up. Its order has
@@ -82,8 +82,14 @@ var Layers = []Layer{
 			tb.SetBufferPool(c.Pool) // hit-path decode buffers
 			tb.SetTracer(c.Tracer)
 			c.stats = append(c.stats, func(s *core.StageStats) { s.Tiering, s.TieringEnabled = tb.Stats(), true })
+			// A compressing hierarchy sizes the live plans at every
+			// submission, before the warmer sees the new plan, so warm
+			// admissions take the sizing's decision too.
+			if cfg.Hierarchy.Compress {
+				c.onPlan = append(c.onPlan, func(_, live []dataset.Sample) { tb.SizePlans(live) })
+			}
 			if cfg.WarmNextEpoch {
-				c.onPlan = append(c.onPlan, tb.PrefetchPlan)
+				c.onPlan = append(c.onPlan, func(plan, _ []dataset.Sample) { tb.PrefetchPlan(plan) })
 			}
 			return tb, nil
 		},
@@ -141,11 +147,11 @@ func (c *Chain) Snapshot(s *core.StageStats) {
 // one, Plan does nothing and the stage need not hook it.
 func (c *Chain) WatchesPlans() bool { return len(c.onPlan) > 0 }
 
-// Plan shows a submitted epoch plan to every layer that watches plans
-// (core.Stage.SetEpochPlanHook).
-func (c *Chain) Plan(plan []dataset.Sample) {
+// Plan shows a submitted epoch plan and the live set after it to every
+// layer that watches plans (core.Stage.SetEpochPlanHook).
+func (c *Chain) Plan(plan, live []dataset.Sample) {
 	for _, f := range c.onPlan {
-		f(plan)
+		f(plan, live)
 	}
 }
 

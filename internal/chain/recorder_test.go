@@ -206,7 +206,7 @@ func TestChainPlanReachesTheWarmer(t *testing.T) {
 		for i := range plan {
 			plan[i] = m.Sample(i)
 		}
-		ch.Plan(plan)
+		ch.Plan(plan, plan)
 		env.Sleep(time.Second) // virtual time for the warmer to drain
 		tb := ch.Backend.(*tiering.Backend)
 		for _, s := range plan {

@@ -283,6 +283,28 @@ func (pm *planManager) unpopped() int {
 	return n
 }
 
+// live returns the distinct name slots the active epochs' plans name, in the
+// order they are first planned: every sample the stage's producers may still
+// ask the storage chain for.
+func (pm *planManager) live() []int32 {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	seen := make([]bool, len(pm.heads))
+	var out []int32
+	for _, ep := range pm.epochs {
+		if ep.state != EpochActive {
+			continue
+		}
+		for _, slot := range ep.slots {
+			if !seen[slot] {
+				seen[slot] = true
+				out = append(out, slot)
+			}
+		}
+	}
+	return out
+}
+
 // wake makes every parked producer re-evaluate its stop predicate and look
 // for positions again.
 func (pm *planManager) wake() {

@@ -169,13 +169,13 @@ type Stage struct {
 	env       conc.Env
 	backend   storage.Backend
 	pf        *Prefetcher
-	tracer    *obs.Tracer                   // nil-safe; set once via SetTracer before traffic
-	pool      *mempool.Pool                 // nil when pooling is off; stats only
-	gate      TenantGate                    // nil when multi-tenant QoS is off
-	chain     func(*StageStats)             // nil unless the storage chain reports into the snapshot
-	names     *dataset.Names                // the prefetcher's (names.go)
-	epochHook func(plan []dataset.Sample)   // nil unless a plan observer (tier warmer) is attached
-	partition func(names []string) []string // nil unless a plan partitioner (cluster fabric) is attached
+	tracer    *obs.Tracer                       // nil-safe; set once via SetTracer before traffic
+	pool      *mempool.Pool                     // nil when pooling is off; stats only
+	gate      TenantGate                        // nil when multi-tenant QoS is off
+	chain     func(*StageStats)                 // nil unless the storage chain reports into the snapshot
+	names     *dataset.Names                    // the prefetcher's (names.go)
+	epochHook func(plan, live []dataset.Sample) // nil unless a plan observer (memory hierarchy) is attached
+	partition func(names []string) []string     // nil unless a plan partitioner (cluster fabric) is attached
 
 	reads        *metrics.Counter
 	hits         *metrics.Counter
@@ -335,11 +335,13 @@ func (s *Stage) SetChainStats(f func(*StageStats)) { s.chain = f }
 
 // SetEpochPlanHook registers a callback invoked with every successfully
 // submitted epoch plan, as the manifest entries it names — each name the
-// manifest's own string with its size. The stage is the one chokepoint both
-// the in-process (Prisma.SubmitEpoch) and IPC (OpSubmitEpoch) submission
-// paths share, so hooking here is what lets the tier warmer see plans
-// from remote data loaders too. Call before traffic starts.
-func (s *Stage) SetEpochPlanHook(f func(plan []dataset.Sample)) { s.epochHook = f }
+// manifest's own string with its size — and with the live set: each sample
+// the active epochs' plans name (this one's included, as partitioned), once,
+// in the order first planned. The stage is the one chokepoint both the
+// in-process (Prisma.SubmitEpoch) and IPC (OpSubmitEpoch) submission paths
+// share, so hooking here is what lets the memory hierarchy see plans from
+// remote data loaders too. Call before traffic starts.
+func (s *Stage) SetEpochPlanHook(f func(plan, live []dataset.Sample)) { s.epochHook = f }
 
 // Name resolves a name still in its wire bytes to the manifest's own string
 // for it, without allocating: ok is false for a name the manifest does not
@@ -457,7 +459,8 @@ func (s *Stage) SubmitEpochHeld(names [][]byte) (PlanResult, error) {
 func (s *Stage) StartProducers() { s.pf.plans.wake() }
 
 // submitSlots registers a resolved plan. The partitioner sees the plan as
-// the table's own strings, the plan hook as the manifest's entries.
+// the table's own strings, the plan hook as the manifest's entries, with the
+// live set after it.
 func (s *Stage) submitSlots(slots []int32, held bool) (PlanResult, error) {
 	submit := slots
 	if s.partition != nil {
@@ -466,13 +469,18 @@ func (s *Stage) submitSlots(slots []int32, held bool) (PlanResult, error) {
 	}
 	res, err := s.pf.submit(submit, held)
 	if err == nil && s.epochHook != nil {
-		plan := make([]dataset.Sample, len(slots))
-		for i, slot := range slots {
-			plan[i] = s.pf.manifest.Sample(int(slot))
-		}
-		s.epochHook(plan)
+		s.epochHook(s.samples(slots), s.samples(s.pf.plans.live()))
 	}
 	return res, err
+}
+
+// samples returns name slots as the manifest's entries.
+func (s *Stage) samples(slots []int32) []dataset.Sample {
+	out := make([]dataset.Sample, len(slots))
+	for i, slot := range slots {
+		out[i] = s.pf.manifest.Sample(int(slot))
+	}
+	return out
 }
 
 // CancelEpoch cancels a submitted plan epoch (control interface): queued

@@ -256,10 +256,53 @@ func TestStageTenantGate(t *testing.T) {
 	})
 }
 
+// TestEpochPlanHookLiveSet: with each plan the hook sees the live set —
+// every sample the active epochs' plans name, once, in the order first
+// planned — so a small plan submitted while a larger epoch is still being
+// read is shown with that epoch's samples, and an epoch read to the end
+// leaves it.
+func TestEpochPlanHookLiveSet(t *testing.T) {
+	runSim(t, func(env conc.Env) {
+		st, names := newTestStage(env, 6, 2)
+		defer st.Close()
+		var live [][]string
+		st.SetEpochPlanHook(func(_, l []dataset.Sample) {
+			var got []string
+			for _, s := range l {
+				got = append(got, s.Name)
+			}
+			live = append(live, got)
+		})
+		first := []string{names[0], names[1], names[2], names[1]}
+		for _, plan := range [][]string{first, {names[3], names[0]}} {
+			if err := st.SubmitPlan(plan); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, n := range first {
+			if _, _, err := st.Read(ReadRequest{Name: n}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.SubmitPlan([]string{names[4]}); err != nil {
+			t.Fatal(err)
+		}
+		want := [][]string{
+			{names[0], names[1], names[2]},
+			{names[0], names[1], names[2], names[3]},
+			{names[3], names[0], names[4]},
+		}
+		if fmt.Sprint(live) != fmt.Sprint(want) {
+			t.Fatalf("live sets %v, want %v", live, want)
+		}
+	})
+}
+
 // TestEpochPlanHookSeesManifestEntries: the plan hook sees every accepted
 // plan whole and in order, as the manifest's entries — its own name strings
-// with their sizes — whichever path submitted it; a refused plan never
-// reaches it.
+// with their sizes — whichever path submitted it, and the live set as the
+// node reads it (a partitioned plan's subset); a refused plan never reaches
+// it.
 func TestEpochPlanHookSeesManifestEntries(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -300,8 +343,8 @@ func TestEpochPlanHookSeesManifestEntries(t *testing.T) {
 				}
 				st := NewStage(env, backend, pf)
 				defer st.Close()
-				var seen [][]dataset.Sample
-				st.SetEpochPlanHook(func(plan []dataset.Sample) { seen = append(seen, plan) })
+				var seen, live [][]dataset.Sample
+				st.SetEpochPlanHook(func(plan, l []dataset.Sample) { seen, live = append(seen, plan), append(live, l) })
 				if c.partition {
 					st.SetPlanPartitioner(func(names []string) []string { return names[:1] })
 				}
@@ -325,6 +368,18 @@ func TestEpochPlanHookSeesManifestEntries(t *testing.T) {
 					want := m.Sample(slot)
 					if got != want || unsafe.StringData(got.Name) != unsafe.StringData(want.Name) {
 						t.Fatalf("entry %d = %+v, want the manifest's %+v", i, got, want)
+					}
+				}
+				want := len(plan)
+				if c.partition {
+					want = 1
+				}
+				if len(live[0]) != want {
+					t.Fatalf("live set %v, want the %d entries this node reads", live[0], want)
+				}
+				for i, got := range live[0] {
+					if got != seen[0][i] {
+						t.Fatalf("live entry %d = %+v, want %+v", i, got, seen[0][i])
 					}
 				}
 			})

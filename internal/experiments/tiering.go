@@ -133,7 +133,7 @@ func runTieringCell(setup string, c tieringCell) (TieringRow, error) {
 				for i, name := range names {
 					plan[i] = dataset.Sample{Name: name, Size: int64(c.fileSize)}
 				}
-				ch.Plan(plan)
+				ch.Plan(plan, plan) // one epoch is read at a time
 			}
 			epochStart := env.Now()
 			for _, name := range names {

@@ -272,6 +272,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		write("prisma_tiering_logical_bytes", "Decoded sample volume the fast tier holds.", "gauge", float64(t.FastLogical))
 		write("prisma_tiering_capacity_bytes", "The hierarchy's whole byte budget (the tier's plus the shared cache's).", "gauge", float64(t.Capacity))
 		write("prisma_tiering_residents", "Samples resident on the fast tier.", "gauge", float64(t.Residents))
+		write("prisma_tiering_encoded_residents", "Residents stored LZ-encoded (the submitted plan did not fit the budget raw, or none was submitted).", "gauge", float64(t.Encoded))
 		write("prisma_tiering_tracked_names", "Names in the promotion-counter map.", "gauge", float64(t.TrackedNames))
 		write("prisma_tiering_access_decays_total", "Promotion-counter decay sweeps.", "counter", float64(t.AccessDecays))
 		write("prisma_tiering_window_bytes", "The recency window's part of the byte budget (the shared cache's).", "gauge", float64(t.Window))

@@ -189,7 +189,7 @@ func TestMetricsRenderTheWholeHierarchy(t *testing.T) {
 		"prisma_tiering_fast_hits_total", "prisma_tiering_slow_reads_total", "prisma_tiering_promotions_total",
 		"prisma_tiering_evictions_total", "prisma_tiering_declined_total", "prisma_tiering_prefetch_promotions_total",
 		"prisma_tiering_prefetch_skips_total", "prisma_tiering_used_bytes", "prisma_tiering_logical_bytes",
-		"prisma_tiering_capacity_bytes", "prisma_tiering_residents", "prisma_tiering_tracked_names",
+		"prisma_tiering_capacity_bytes", "prisma_tiering_residents", "prisma_tiering_encoded_residents", "prisma_tiering_tracked_names",
 		"prisma_tiering_access_decays_total", "prisma_tiering_window_bytes", "prisma_tiering_joined_reads_total",
 		"prisma_tiering_joined_wait_seconds_total", "prisma_tiering_promote_seconds_total", "prisma_tiering_decode_seconds_total",
 	}

@@ -344,18 +344,26 @@ func WriteSpans(w io.Writer, spans []Span) error {
 	return bw.Flush()
 }
 
-// ReadSpans parses a JSON-lines span file.
+// ReadSpans parses a JSON-lines span file. A line with no stage is one of an
+// I/O trace written before the trace was a span file, whose op tags what it
+// recorded: a read ("read" or no op) is kept, a metadata lookup ("size") is
+// no read and is dropped.
 func ReadSpans(r io.Reader) ([]Span, error) {
 	var out []Span
 	dec := json.NewDecoder(r)
-	for {
-		var s Span
-		if err := dec.Decode(&s); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("obs: span line %d: %w", len(out)+1, err)
+	for line := 1; ; line++ {
+		var l struct {
+			Span
+			Op string `json:"op"`
 		}
-		out = append(out, s)
+		if err := dec.Decode(&l); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("obs: span line %d: %w", line, err)
+		}
+		if l.Stage == "" && l.Op != "" && l.Op != "read" {
+			continue
+		}
+		out = append(out, l.Span)
 	}
-	return out, nil
 }

@@ -231,6 +231,31 @@ func TestReadSpansRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadSpansDropsOldLookups: a line of an I/O trace written before the
+// trace was a span file has no stage; it is a read when its op is "read" or
+// absent, and a metadata lookup, no read at all, when its op is "size". A
+// line after a dropped one is still numbered by its place in the file.
+func TestReadSpansDropsOldLookups(t *testing.T) {
+	const old = `{"at":0,"name":"a","size":100,"latency":1000}
+{"at":2000,"name":"a","size":100,"latency":10,"op":"size"}
+{"at":3000,"name":"b","size":200,"latency":1000,"op":"read"}
+`
+	spans, err := ReadSpans(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, sp := range spans {
+		got = append(got, sp.Name)
+	}
+	if want := []string{"a", "b"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("kept %q, want %q", got, want)
+	}
+	if _, err := ReadSpans(strings.NewReader(old + "{nope\n")); err == nil || !strings.Contains(err.Error(), "line 4") {
+		t.Fatalf("garbage after a lookup: %v, want an error naming line 4", err)
+	}
+}
+
 // TestAttributeShares: the share math clamps, scales, and always sums to 1.
 func TestAttributeShares(t *testing.T) {
 	a := Attribute(AttributionInput{

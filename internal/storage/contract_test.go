@@ -35,6 +35,8 @@ func rowCases() map[string][]rowCase {
 		"recorder": {{"recorder", chain.Config{TraceFile: os.DevNull}}},
 		"hierarchy": {
 			{"tier", tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1})},
+			// No plan is sized, so the compressing tier encodes: the row
+			// takes the encoded path.
 			{"tier-compress", tier(tiering.Config{FastCapacity: 1 << 20, PromoteAfter: 1, Compress: true})},
 			// The second access admits: the first pass is a tracked miss, the
 			// second a miss that promotes.

@@ -110,11 +110,12 @@ func TestPopularityShift(t *testing.T) {
 	})
 }
 
-// fullCompressedTier builds a live compressing tier over a pooled in-memory
-// slow tier of compressible files, reads each once — the first few fill the
-// tier, the rest tie with them and are declined — and then reads every
-// resident heat more times, so the non-residents stay strictly colder
-// however often a test re-reads them (up to heat times).
+// fullCompressedTier builds a live compressing tier (no plan is sized, so it
+// encodes) over a pooled in-memory slow tier of compressible files, reads
+// each once — the first few fill the tier, the rest tie with them and are
+// declined — and then reads every resident heat more times, so the
+// non-residents stay strictly colder however often a test re-reads them (up
+// to heat times).
 func fullCompressedTier(t testing.TB, capacity int64, files, fileSize, heat int) (*Backend, *mempool.Pool, []string) {
 	t.Helper()
 	mem := storage.NewMemBackend()
@@ -235,7 +236,7 @@ func TestUnderEstimateNeverOverCommits(t *testing.T) {
 	// Make room by estimate only: drop residents until the estimate fits
 	// free space while the real size still does not.
 	b.mu.Lock()
-	est := b.estimateStoredLocked(storage.Data{Size: fileSize, Bytes: make([]byte, 1)})
+	est := b.estimateStoredLocked(storage.Data{Size: fileSize, Bytes: make([]byte, 1)}, true)
 	for b.main.capacity-b.main.used < est {
 		b.evictLocked(b.main.order.Back())
 	}

@@ -126,9 +126,9 @@ func TestTieringStressRace(t *testing.T) {
 	}
 }
 
-// TestCompressedHitDecodesInPlace pins the live compressed hit path: the
-// resident is stored compressed (physical < logical) and a hit returns
-// the original bytes in a pooled buffer.
+// TestCompressedHitDecodesInPlace pins the live compressed hit path: with no
+// plan sized the resident is stored compressed (physical < logical), and a
+// hit returns the original bytes in a pooled buffer.
 func TestCompressedHitDecodesInPlace(t *testing.T) {
 	env := conc.NewReal()
 	mem := storage.NewMemBackend()

@@ -9,16 +9,19 @@
 //
 // A resident is raw (the slow tier's pooled buffer, retained) or, with
 // Compress, a private LZ-encoded copy that stretches the budget; compressed
-// hits decode in place into pooled buffers. A file is a promotion candidate
-// after a configurable number of accesses and enters free space
-// unconditionally; once room has to be made it is admitted only over LRU-tail
-// victims that are all strictly colder than it (roomLocked), decided before
-// any compression work. DL training reads every file once per epoch (paper
-// §IV), so over a working set larger than the budget every name is equally
-// hot: ties decline, the resident set goes stable and the hit ratio is the
-// budget's fraction of the set, where admit-every-miss LRU swapped one
-// resident per read and hit almost never; a name that does become hotter than
-// the residents still displaces them.
+// hits decode in place into pooled buffers. Compress encodes only when it
+// must: at each submission the plans still being read are sized against the
+// budget (SizePlans), and while they fit raw every admission is raw, so a hit
+// costs no decode. A
+// file is a promotion candidate after a configurable number of accesses and
+// enters free space unconditionally; once room has to be made it is admitted
+// only over LRU-tail victims that are all strictly colder than it
+// (roomLocked), decided before any compression work. DL training reads every
+// file once per epoch (paper §IV), so over a working set larger than the
+// budget every name is equally hot: ties decline, the resident set goes stable
+// and the hit ratio is the budget's fraction of the set, where
+// admit-every-miss LRU swapped one resident per read and hit almost never; a
+// name that does become hotter than the residents still displaces them.
 //
 // Co-located jobs reading one dataset need the opposite rule: a sample one
 // job has just read is about to be read by the other. Concurrent misses of
@@ -76,10 +79,11 @@ type Config struct {
 	// cannot grow it without bound across epochs and a resident that
 	// stops being read loses its standing. Zero selects DefaultMaxTracked.
 	MaxTracked int
-	// Compress stores promoted payloads LZ-compressed (incompressible
-	// samples stay verbatim), stretching FastCapacity; hits decode in
-	// place into pooled buffers. Only effective in live mode — modeled
-	// (payloadless) reads have nothing to compress.
+	// Compress stores main's admissions LZ-compressed (incompressible
+	// samples stay verbatim), stretching FastCapacity, when the plans still
+	// being read do not fit the budget raw — or before any plan is
+	// submitted (SizePlans); hits decode in place into pooled buffers. Only effective
+	// in live mode — modeled (payloadless) reads have nothing to compress.
 	Compress bool
 }
 
@@ -132,6 +136,8 @@ type Stats struct {
 	Capacity    int64
 	Window      int64
 	Residents   int
+	// Encoded counts the residents stored LZ-compressed; the rest are raw.
+	Encoded int
 	// TrackedNames is the size of the non-residents' access-count map;
 	// AccessDecays counts the halving sweeps that bounded it.
 	TrackedNames int
@@ -181,6 +187,13 @@ type Backend struct {
 	// a time. The slot stays nil until a second reader joins, so a miss
 	// nobody joins allocates nothing.
 	inflight map[string]*flight
+
+	// encode is whether main's admissions are stored LZ-encoded: Compress,
+	// unless the live set SizePlans last saw fits the budget raw. A read
+	// takes it with its admission decision and carries it to prepareEntry.
+	encode bool
+	// encoded counts the residents stored LZ-encoded.
+	encoded int
 
 	// Next-epoch warming: the latest submitted plan and the lazily
 	// started worker that drains it.
@@ -272,6 +285,7 @@ func NewBackend(env conc.Env, cfg Config, slow storage.Backend, fastDevice *stor
 		window:       segment{order: list.New(), capacity: cfg.Window},
 		accesses:     make(map[string]int),
 		inflight:     make(map[string]*flight),
+		encode:       cfg.Compress,
 		fastHits:     metrics.NewCounter(env),
 		slowReads:    metrics.NewCounter(env),
 		waits:        metrics.NewCounter(env),
@@ -386,10 +400,12 @@ func (b *Backend) Read(req storage.Request) (storage.Response, error) {
 	// Decide under the same lock hold, so a candidate main would refuse
 	// anyway is refused here, on its estimated stored size — before the
 	// compression, the copy and the second lock round — and goes to the
-	// window instead, which takes it raw right here.
-	n := b.accesses[name]
+	// window instead, which takes it raw right here. Whether main's copy is
+	// encoded is decided here too, so plans sized meanwhile cannot split
+	// the decision.
+	n, encode := b.accesses[name], b.encode
 	promote := n >= b.cfg.PromoteAfter && data.Size <= b.main.capacity &&
-		b.roomLocked(b.estimateStoredLocked(data), n-1)
+		b.roomLocked(b.estimateStoredLocked(data, encode), n-1)
 	if !promote && b.window.capacity > 0 {
 		b.admitWindowLocked(name, data)
 	}
@@ -397,7 +413,7 @@ func (b *Backend) Read(req storage.Request) (storage.Response, error) {
 	b.mu.Unlock()
 	if promote {
 		promStart := b.env.Now()
-		if stored, ok := b.promote(name, data, n-1); ok {
+		if stored, ok := b.promote(name, data, n-1, encode); ok {
 			promDur := b.env.Now() - promStart
 			b.promoteTime.Add(int64(promDur))
 			b.promotions.Inc()
@@ -493,8 +509,8 @@ func (b *Backend) hitLocked(el *list.Element, req storage.Request) (storage.Resp
 // admits it and retires the flight in one critical section, so no reader of
 // the name is ever between the two. It reports the stored size and whether
 // the copy entered main.
-func (b *Backend) promote(name string, data storage.Data, earlier int) (int64, bool) {
-	e := b.prepareEntry(name, data)
+func (b *Backend) promote(name string, data storage.Data, earlier int, encode bool) (int64, bool) {
+	e := b.prepareEntry(name, data, encode)
 	b.mu.Lock()
 	admitted := b.admitLocked(e, earlier)
 	delete(b.inflight, name)
@@ -528,14 +544,15 @@ func (b *Backend) sampleBuf(n int) ([]byte, *mempool.Ref) {
 	return make([]byte, n), nil
 }
 
-// prepareEntry builds the resident for a slow-tier read. Compressed entries
-// own a private compressed copy (pool buffers are not held hostage at
-// compressed lifetimes) of exactly the stored size; raw entries alias the
-// payload and retain its pooled reference, and are charged the whole buffer
-// they pin, not just the payload's length — so the bytes the tier pins are
-// the bytes FastCapacity is charged. Modeled reads carry sizes only.
-func (b *Backend) prepareEntry(name string, data storage.Data) *entry {
-	if b.cfg.Compress && data.Bytes != nil {
+// prepareEntry builds the resident for a slow-tier read, encoded when encode
+// is set. Compressed entries own a private compressed copy (pool buffers are
+// not held hostage at compressed lifetimes) of exactly the stored size; raw
+// entries alias the payload and retain its pooled reference, and are charged
+// the whole buffer they pin, not just the payload's length — so the bytes the
+// tier pins are the bytes FastCapacity is charged. Modeled reads carry sizes
+// only.
+func (b *Backend) prepareEntry(name string, data storage.Data, encode bool) *entry {
+	if encode && data.Bytes != nil {
 		if comp, ok := b.compress(data.Bytes); ok {
 			return &entry{name: name, seg: &b.main, size: data.Size, stored: int64(len(comp)), bytes: comp, compressed: true}
 		}
@@ -551,11 +568,16 @@ func (b *Backend) prepareEntry(name string, data storage.Data) *entry {
 // rawEntry describes a resident that aliases data's payload, charged the
 // buffer it would pin; the caller retains e.ref when it keeps the entry.
 func rawEntry(name string, data storage.Data) *entry {
-	e := &entry{name: name, size: data.Size, stored: data.Size, bytes: data.Bytes, ref: data.Ref}
+	return &entry{name: name, size: data.Size, stored: rawStored(data), bytes: data.Bytes, ref: data.Ref}
+}
+
+// rawStored is what a raw resident aliasing data's payload is charged: the
+// pooled buffer it pins, or the payload's length when it is not pooled.
+func rawStored(data storage.Data) int64 {
 	if data.Ref != nil {
-		e.stored = int64(data.Ref.Cap())
+		return int64(data.Ref.Cap())
 	}
-	return e
+	return data.Size
 }
 
 // compress LZ-encodes src into recycled scratch and returns an exact-size
@@ -607,11 +629,15 @@ func (b *Backend) fitsLocked(stored int64, earlier int) bool {
 }
 
 // estimateStoredLocked predicts what a slow-tier read would charge against
-// main once prepared — its size scaled by the running stored/logical ratio of
-// main's residents — so the admission rule can run before the compression
-// does. admitLocked re-checks with the exact size. Caller holds b.mu.
-func (b *Backend) estimateStoredLocked(data storage.Data) int64 {
-	if data.Bytes == nil || b.main.logical == 0 {
+// main once prepared, so the admission rule can run before the compression
+// does: a raw copy's exact charge, an encoded one's size scaled by the
+// running stored/logical ratio of main's residents. admitLocked re-checks
+// with the exact size. Caller holds b.mu.
+func (b *Backend) estimateStoredLocked(data storage.Data, encode bool) int64 {
+	if !encode || data.Bytes == nil {
+		return rawStored(data)
+	}
+	if b.main.logical == 0 {
 		return data.Size
 	}
 	return int64(float64(data.Size) * float64(b.main.used) / float64(b.main.logical))
@@ -665,6 +691,9 @@ func (b *Backend) insertLocked(e *entry) {
 	b.resident[e.name] = e.seg.order.PushFront(e)
 	e.seg.used += e.stored
 	e.seg.logical += e.size
+	if e.compressed {
+		b.encoded++
+	}
 }
 
 // evictLocked removes one resident, releases its payload hold and hands its
@@ -676,6 +705,9 @@ func (b *Backend) evictLocked(el *list.Element) {
 	delete(b.resident, victim.name)
 	victim.seg.used -= victim.stored
 	victim.seg.logical -= victim.size
+	if victim.compressed {
+		b.encoded--
+	}
 	victim.drop()
 	if victim.count > 0 {
 		b.trackLocked(victim.name, victim.count)
@@ -712,6 +744,38 @@ func (b *Backend) decayAccessesLocked() {
 		}
 	}
 	b.decays++
+}
+
+// SizePlans sizes the live set — each sample the plans still being read
+// name, once (core.Stage.SetEpochPlanHook) — against the whole budget, main
+// and window together: it adds up what the samples would charge as raw
+// residents, the pooled buffer each would pin, and from then on admissions
+// are raw while that sum fits FastCapacity and LZ-encoded while it does not.
+// A small plan submitted while an epoch over the budget is still being read
+// therefore keeps admissions encoded. Residents keep the form they were
+// admitted in, and a live set that fits only encoded, not raw, stays wholly
+// encoded. Only a compressing hierarchy (Config.Compress) is sized: the
+// chain registers SizePlans only then.
+func (b *Backend) SizePlans(live []dataset.Sample) {
+	var charge int64
+	for _, s := range live {
+		if charge += b.rawCharge(s.Size); charge > b.cfg.FastCapacity {
+			break
+		}
+	}
+	b.mu.Lock()
+	b.encode = charge > b.cfg.FastCapacity
+	b.mu.Unlock()
+}
+
+// rawCharge is what a raw resident of size bytes is charged (rawStored): the
+// pooled buffer a read of it leases, or its own size without a pool or
+// above the pool's largest class.
+func (b *Backend) rawCharge(size int64) int64 {
+	if b.pool == nil {
+		return size
+	}
+	return max(int64(b.pool.ClassSize(int(size))), size)
 }
 
 // PrefetchPlan hands the warmer the next epoch's access order, as the
@@ -799,12 +863,13 @@ func (b *Backend) warm(name string) bool {
 	resp, err := b.slow.Read(storage.Request{Name: name, Ctx: ctx})
 	b.mu.Lock()
 	b.settleLocked(name, resp.Data, err == nil, err == nil)
+	encode := b.encode
 	b.mu.Unlock()
 	if err != nil {
 		return false
 	}
 	defer resp.Data.Release()
-	stored, admitted := b.promote(name, resp.Data, 0)
+	stored, admitted := b.promote(name, resp.Data, 0, encode)
 	if !admitted {
 		return false
 	}
@@ -860,7 +925,7 @@ func (b *Backend) Close() {
 func (b *Backend) Stats() Stats {
 	b.mu.Lock()
 	used, logical, residents := b.main.used+b.window.used, b.main.logical+b.window.logical, len(b.resident)
-	tracked, decays := len(b.accesses), b.decays
+	tracked, decays, encoded := len(b.accesses), b.decays, b.encoded
 	b.mu.Unlock()
 	return Stats{
 		FastHits:           b.fastHits.Value(),
@@ -877,6 +942,7 @@ func (b *Backend) Stats() Stats {
 		Capacity:           b.cfg.FastCapacity,
 		Window:             b.cfg.Window,
 		Residents:          residents,
+		Encoded:            encoded,
 		TrackedNames:       tracked,
 		AccessDecays:       decays,
 		PromoteTime:        time.Duration(b.promoteTime.Value()),

@@ -160,8 +160,11 @@ type TieringOptions struct {
 	// residents that stop being read lose their standing. Default 0
 	// selects the package default (64Ki).
 	MaxTrackedNames int
-	// Compress stores promoted payloads LZ-compressed when that is
-	// smaller, decoding in place into pooled buffers on hits.
+	// Compress lets the tier encode: it stores promoted payloads
+	// LZ-compressed (when that is smaller, decoding in place into pooled
+	// buffers on hits) when the submitted plans still being read do not
+	// fit the budget raw, or before any plan is submitted. While they fit,
+	// residents stay raw and hits decode nothing.
 	Compress bool
 	// PrefetchNextEpoch warms each submitted epoch plan's cold samples
 	// into free fast-tier space in the background, so an epoch starts

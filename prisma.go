@@ -159,6 +159,7 @@ type Stats struct {
 	TierLogicalBytes       int64 // decoded volume those bytes represent
 	TierCapacityBytes      int64 // the one budget: Tiering.CapacityBytes + Tenancy.SharedCacheBytes
 	TierResidents          int
+	TierEncoded            int // residents stored LZ-encoded: the plans being read did not fit the budget raw, or none was submitted
 	TierTrackedNames       int
 	TierAccessDecays       int64
 	TierPromoteTime        time.Duration // cumulative time spent admitting samples into the tier
@@ -289,6 +290,7 @@ func statsFrom(s core.StageStats) Stats {
 		TierLogicalBytes:       tier.FastLogical,
 		TierCapacityBytes:      tier.Capacity,
 		TierResidents:          tier.Residents,
+		TierEncoded:            tier.Encoded,
 		TierTrackedNames:       tier.TrackedNames,
 		TierAccessDecays:       tier.AccessDecays,
 		TierPromoteTime:        tier.PromoteTime,
@@ -643,8 +645,9 @@ func epochsFrom(eps []core.EpochStatus) []EpochStatus {
 // submission.
 func (p *Prisma) SubmitEpoch(names []string) (EpochID, int, error) {
 	// The stage's epoch-plan hook (SetEpochPlanHook, wired in Open when
-	// Tiering.PrefetchNextEpoch is set) hands the plan to the tier
-	// warmer — for this call and for epochs submitted over IPC alike.
+	// Tiering.Compress or Tiering.PrefetchNextEpoch is set) hands the live
+	// set to the hierarchy's sizing and the plan to the tier warmer — for
+	// this call and for epochs submitted over IPC alike.
 	res, err := p.stage.SubmitEpoch(names)
 	return EpochID(res.Epoch), res.Enqueued, err
 }

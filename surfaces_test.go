@@ -259,6 +259,7 @@ var surfaceMetricFamilies = []string{
 	"prisma_tiering_capacity_bytes",
 	"prisma_tiering_declined_total",
 	"prisma_tiering_enabled",
+	"prisma_tiering_encoded_residents",
 	"prisma_tiering_evictions_total",
 	"prisma_tiering_fast_hits_total",
 	"prisma_tiering_logical_bytes",
@@ -281,7 +282,7 @@ var surfaceMetricFamilies = []string{
 // surfaceTieringKeys is the memory hierarchy's snapshot as /tiering serves it.
 var surfaceTieringKeys = []string{
 	"AccessDecays", "Capacity", "Declined",
-	"DecodeTime", "Evictions", "FastHits",
+	"DecodeTime", "Encoded", "Evictions", "FastHits",
 	"FastLogical", "FastUsed", "PrefetchPromotions",
 	"PrefetchSkips", "PromoteTime", "Promotions",
 	"Residents", "SlowReads", "TrackedNames",

@@ -448,8 +448,10 @@ func TestTieringEpochPrefetch(t *testing.T) {
 // epochs, plus one unplanned sample both tenants read — and checks the one
 // hierarchy from Stats: its budget is the two options' sum, every sample
 // ends resident once (the Cache* and Tier* views agree), epoch 2 costs no
-// device read, and the pool holds no more leases than the prefetch buffer
-// can park.
+// device read, and — the plan fitting the budget raw, so no resident is
+// encoded — the pool's leases are exactly the residents': every sample
+// parked in the prefetch buffer or lent to a client is a resident's own
+// buffer.
 func TestTierAndCacheHoldEachSampleOnce(t *testing.T) {
 	const files, buffer = 96, 16
 	dir := t.TempDir()
@@ -552,7 +554,107 @@ func TestTierAndCacheHoldEachSampleOnce(t *testing.T) {
 		t.Fatalf("epoch 2 cost %d device reads and %d tier hits, want 0 and %d (the tier serves what it kept)",
 			st.CacheDeviceReads-first.CacheDeviceReads, st.TierFastHits-first.TierFastHits, files+1)
 	}
-	if st.PoolOutstanding > buffer {
-		t.Fatalf("PoolOutstanding = %d, want <= the buffer's %d: some layer still pins a lease per sample", st.PoolOutstanding, buffer)
+	if st.TierEncoded != 0 || st.PoolOutstanding != int64(st.TierResidents) {
+		t.Fatalf("%d residents encoded, PoolOutstanding = %d; want none encoded and one lease per resident (%d): some layer pins a second lease per sample",
+			st.TierEncoded, st.PoolOutstanding, st.TierResidents)
+	}
+}
+
+// TestSocketPlanThatFitsDecodesNothing drives the plan-sized rule through
+// the public surface only: Open over compressible files with the
+// compressing tier, ServeUnix, and a client that submits each epoch's plan
+// over the socket. The plan fits the budget raw, so every resident is raw:
+// epoch 2 is served byte-identical from the tier with no decode at all.
+func TestSocketPlanThatFitsDecodesNothing(t *testing.T) {
+	const files = 48
+	dir := t.TempDir()
+	contents := map[string][]byte{}
+	for i := 0; i < files; i++ {
+		name := fmt.Sprintf("s%03d.bin", i)
+		contents[name] = experiments.CompressibleSample(i, 6000+i, 0.5)
+		if err := os.WriteFile(filepath.Join(dir, name), contents[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := open(t, dir, func(o *Options) {
+		o.Tiering = TieringOptions{Enable: true, CapacityBytes: 1 << 20, Compress: true}
+	})
+	sock := filepath.Join(shortTempDir(t), "prisma.sock")
+	if err := p.ServeUnix(sock); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	plan := p.ShuffledFileList(5, 0)
+	var first Stats
+	for epoch := 0; epoch < 2; epoch++ {
+		if epoch == 1 {
+			first = p.Stats()
+		}
+		if _, n, err := c.SubmitEpoch(plan); err != nil || n != len(plan) {
+			t.Fatalf("epoch %d: SubmitEpoch enqueued %d of %d: %v", epoch, n, len(plan), err)
+		}
+		for _, name := range plan {
+			data, err := c.Read(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, contents[name]) {
+				t.Fatalf("epoch %d: %s: delivered bytes differ from the file", epoch, name)
+			}
+		}
+	}
+	st := p.Stats()
+	if st.TierResidents != files || st.TierEncoded != 0 {
+		t.Fatalf("%d residents, %d encoded; want all %d resident raw", st.TierResidents, st.TierEncoded, files)
+	}
+	if hits := st.TierFastHits - first.TierFastHits; hits != files || st.TierDecodeTime != first.TierDecodeTime {
+		t.Fatalf("epoch 2: %d tier hits, decode time %v -> %v; want %d hits and nothing decoded",
+			hits, first.TierDecodeTime, st.TierDecodeTime, files)
+	}
+}
+
+// TestSmallPlanKeepsOverBudgetEpochEncoded: the hierarchy sizes every plan
+// still being read, not the latest alone. A plan over the budget is
+// submitted, then a small one that alone would fit raw; the first epoch's
+// reads that follow are still admitted encoded, because its plan is still
+// live.
+func TestSmallPlanKeepsOverBudgetEpochEncoded(t *testing.T) {
+	const files = 48 // each charged an 8 KiB pool class raw: 384 KiB
+	dir := t.TempDir()
+	contents := map[string][]byte{}
+	for i := 0; i < files; i++ {
+		name := fmt.Sprintf("s%03d.bin", i)
+		contents[name] = experiments.CompressibleSample(i, 6000+i, 0.5)
+		if err := os.WriteFile(filepath.Join(dir, name), contents[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := open(t, dir, func(o *Options) {
+		o.DisableAutoTune = true
+		o.InitialProducers, o.InitialBuffer = 1, 2
+		o.Tiering = TieringOptions{Enable: true, CapacityBytes: 128 << 10, Compress: true}
+	})
+	big := p.ShuffledFileList(3, 0)
+	small := big[:4] // 32 KiB raw: fits alone
+	for _, plan := range [][]string{big, small} {
+		if _, n, err := p.SubmitEpoch(plan); err != nil || n != len(plan) {
+			t.Fatalf("SubmitEpoch enqueued %d of %d: %v", n, len(plan), err)
+		}
+	}
+	for _, name := range append(big, small...) {
+		data, err := p.Read(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, contents[name]) {
+			t.Fatalf("%s: delivered bytes differ from the file", name)
+		}
+	}
+	if st := p.Stats(); st.TierResidents <= len(small) || st.TierEncoded != st.TierResidents {
+		t.Fatalf("%d residents, %d encoded; want more than %d, every one encoded", st.TierResidents, st.TierEncoded, len(small))
 	}
 }
