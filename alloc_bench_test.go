@@ -315,11 +315,10 @@ func planAllocsPerEntry(t *testing.T) float64 {
 	}
 	manifest := dataset.MustNew(samples)
 	env := conc.NewReal()
-	pf, err := core.NewPrefetcher(env, storage.NewMemBackend(), manifest, core.DefaultPrefetcherConfig())
+	stage, err := core.NewStage(env, storage.NewMemBackend(), manifest, core.DefaultStageConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, storage.NewMemBackend(), pf)
 	defer stage.Close()
 	sock := filepath.Join(t.TempDir(), "plan.sock")
 	srv, err := ipc.Serve(sock, stage, nil)

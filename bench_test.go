@@ -311,14 +311,13 @@ func BenchmarkStageReadReal(b *testing.B) {
 	}
 	env := conc.NewReal()
 	backend := storagetest.OpenDir(b, dir)
-	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
+	stage, err := core.NewStage(env, backend, man, core.StageConfig{
 		InitialProducers: 4, MaxProducers: 8, InitialBufferCapacity: 64, MaxBufferCapacity: 256,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, pf)
-	pf.Start()
+	stage.Start()
 	defer stage.Close()
 
 	b.ReportAllocs()
@@ -345,14 +344,13 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 	}
 	env := conc.NewReal()
 	backend := storagetest.OpenDir(b, dir)
-	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
+	stage, err := core.NewStage(env, backend, man, core.StageConfig{
 		InitialProducers: 1, MaxProducers: 2, InitialBufferCapacity: 4, MaxBufferCapacity: 8,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, pf)
-	pf.Start()
+	stage.Start()
 	defer stage.Close()
 
 	sock := filepath.Join(b.TempDir(), "bench.sock")

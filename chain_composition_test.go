@@ -190,7 +190,7 @@ func newWholeFileChain(t *testing.T, wrap chainCell, tier TieringOptions, seed i
 	}
 	mem.SetBufferPool(c.pool)
 	c.chain = wrap.fold(t, &chain.Chain{Env: env, Pool: c.pool, Backend: mem}, tier, wholeCacheBytes)
-	pf, err := core.NewPrefetcher(env, c.chain.Backend, testManifest(c.names, wholeFileSize), core.PrefetcherConfig{
+	stage, err := core.NewStage(env, c.chain.Backend, testManifest(c.names, wholeFileSize), core.StageConfig{
 		InitialProducers:      2,
 		MaxProducers:          2,
 		InitialBufferCapacity: 8,
@@ -199,9 +199,9 @@ func newWholeFileChain(t *testing.T, wrap chainCell, tier TieringOptions, seed i
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.stage = core.NewStage(env, c.chain.Backend, pf)
+	c.stage = stage
 	t.Cleanup(func() { c.stage.Close() })
-	pf.Start()
+	c.stage.Start()
 	return c
 }
 

@@ -112,10 +112,9 @@ func (sp *socketPeer) close() {
 	}
 }
 
-// buildFabric assembles the placement ring and fabric for Open. slow is
-// the fully composed backend chain, so failover reads keep resilience,
-// tiering, and caching semantics.
-func buildFabric(p *Prisma, opts ClusterOptions, slow storage.Backend) error {
+// clusterRing builds the placement ring of this node and its peers for
+// Open: the stage's plan partitioner and the fabric both read it.
+func clusterRing(opts ClusterOptions) (*distrib.Ring, error) {
 	nodes := make([]string, 0, len(opts.Peers)+1)
 	nodes = append(nodes, opts.NodeID)
 	for name := range opts.Peers {
@@ -123,15 +122,21 @@ func buildFabric(p *Prisma, opts ClusterOptions, slow storage.Backend) error {
 	}
 	ring, err := distrib.NewRing(nodes, opts.VirtualNodes)
 	if err != nil {
-		return fmt.Errorf("cluster ring: %w", err)
+		return nil, fmt.Errorf("cluster ring: %w", err)
 	}
+	return ring, nil
+}
+
+// buildFabric assembles the fabric over ring for Open. slow is the fully
+// composed backend chain, so failover reads keep resilience, tiering, and
+// caching semantics.
+func buildFabric(p *Prisma, opts ClusterOptions, ring *distrib.Ring, slow storage.Backend) error {
 	fabric, err := distrib.NewFabric(p.env, distrib.FabricConfig{
-		Node:               opts.NodeID,
-		Ring:               ring,
-		Stage:              p.stage,
-		Slow:               slow,
-		Tracer:             p.tracer,
-		InstallPartitioner: !opts.DisablePartitioner,
+		Node:   opts.NodeID,
+		Ring:   ring,
+		Stage:  p.stage,
+		Slow:   slow,
+		Tracer: p.tracer,
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/prisma-go/internal/distrib"
 	"github.com/dsrhaslab/prisma-go/internal/obs"
 )
 
@@ -43,6 +44,14 @@ func TestClusterLoopbackAdmission(t *testing.T) {
 				o.Tenancy = TenancyOptions{Enable: true, Capacity: 1e6, Tenants: []TenantSpec{{Name: "job-a"}}}
 			})
 			p0 := nodes[0].p
+			var members []string
+			for _, n := range nodes {
+				members = append(members, n.name)
+			}
+			ring, err := distrib.NewRing(members, 0) // the placement every node built
+			if err != nil {
+				t.Fatal(err)
+			}
 			full := p0.ShuffledFileList(7, 0)
 			for _, n := range nodes {
 				if err := n.p.SubmitPlan(full); err != nil {
@@ -83,7 +92,7 @@ func TestClusterLoopbackAdmission(t *testing.T) {
 				if err != nil || int64(len(got)) != info.Size() {
 					t.Fatalf("read %d of %s: %d bytes, %v", i, name, len(got), err)
 				}
-				if i%3 != 2 && len(p0.fabric.OwnedSubset([]string{name})) == 1 {
+				if i%3 != 2 && ring.Owner(name) == nodes[0].name {
 					ownedReads++
 					ownedBytes += info.Size()
 				}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	prisma "github.com/dsrhaslab/prisma-go"
+	"github.com/dsrhaslab/prisma-go/internal/core"
 )
 
 // subFlags pairs each flag that only tunes an optional layer with the flag
@@ -42,7 +43,6 @@ var subFlags = []struct{ flag, requires string }{
 	{"tiering-max-tracked", "tiering"},
 	{"peers", "node-id"},
 	{"vnodes", "node-id"},
-	{"no-partition", "node-id"},
 	{"pprof", "http"},
 }
 
@@ -166,13 +166,14 @@ func parseSLOSpecs(s string, tenants []prisma.TenantSpec) error {
 }
 
 func main() {
+	stage := core.DefaultStageConfig()
 	var (
 		dir          = flag.String("dir", "", "dataset root directory (required)")
 		socket       = flag.String("socket", "/tmp/prisma.sock", "UNIX socket path to serve on")
-		producers    = flag.Int("producers", 1, "initial producer threads t")
-		maxProducers = flag.Int("max-producers", 32, "maximum producer threads")
-		buffer       = flag.Int("buffer", 16, "initial buffer capacity N (samples)")
-		maxBuffer    = flag.Int("max-buffer", 4096, "maximum buffer capacity")
+		producers    = flag.Int("producers", stage.InitialProducers, "initial producer threads t")
+		maxProducers = flag.Int("max-producers", stage.MaxProducers, "maximum producer threads")
+		buffer       = flag.Int("buffer", stage.InitialBufferCapacity, "initial buffer capacity N (samples)")
+		maxBuffer    = flag.Int("max-buffer", stage.MaxBufferCapacity, "maximum buffer capacity")
 		noAutotune   = flag.Bool("no-autotune", false, "disable the control-plane feedback loop")
 		interval     = flag.Duration("interval", 500*time.Millisecond, "control loop interval")
 		statsEvery   = flag.Duration("stats", 0, "print stats every interval (0 = off)")
@@ -204,10 +205,9 @@ func main() {
 		tieringPref    = flag.Bool("tiering-prefetch-next", false, "warm next-epoch cold samples into free fast-tier space when a plan is submitted")
 		tieringTracked = flag.Int("tiering-max-tracked", 0, "access-count map bound before decay sweeps, which age residents too (0 = default 65536)")
 
-		nodeID      = flag.String("node-id", "", "this node's name in the cluster placement ring (enables the multi-node prefetch fabric with -peers)")
-		peerList    = flag.String("peers", "", "peer nodes as NAME=SOCKET,... e.g. node-1=/tmp/prisma-1.sock")
-		vnodes      = flag.Int("vnodes", 0, "consistent-hash virtual nodes per ring member (0 = default 64; all nodes must agree)")
-		noPartition = flag.Bool("no-partition", false, "prefetch full epoch plans instead of only ring-owned samples (the independent arrangement; reads still route by ownership)")
+		nodeID   = flag.String("node-id", "", "this node's name in the cluster placement ring (enables the multi-node prefetch fabric with -peers)")
+		peerList = flag.String("peers", "", "peer nodes as NAME=SOCKET,... e.g. node-1=/tmp/prisma-1.sock")
+		vnodes   = flag.Int("vnodes", 0, "consistent-hash virtual nodes per ring member (0 = default 64; all nodes must agree)")
 	)
 	for _, r := range subFlags {
 		f := flag.Lookup(r.flag)
@@ -272,11 +272,10 @@ func main() {
 			PrefetchNextEpoch: *tieringPref,
 		},
 		Cluster: prisma.ClusterOptions{
-			Enable:             *nodeID != "",
-			NodeID:             *nodeID,
-			Peers:              peers,
-			VirtualNodes:       *vnodes,
-			DisablePartitioner: *noPartition,
+			Enable:       *nodeID != "",
+			NodeID:       *nodeID,
+			Peers:        peers,
+			VirtualNodes: *vnodes,
 		},
 	})
 	if err != nil {
@@ -291,8 +290,8 @@ func main() {
 	log.Printf("prisma-server: serving %d files (%.1f MiB) from %s on %s",
 		p.Files(), float64(p.TotalBytes())/(1<<20), *dir, *socket)
 	if *nodeID != "" {
-		log.Printf("prisma-server: cluster node %q in a %d-node ring (clairvoyant partitioning %v)",
-			*nodeID, len(peers)+1, !*noPartition)
+		log.Printf("prisma-server: cluster node %q in a %d-node ring (clairvoyant partitioning)",
+			*nodeID, len(peers)+1)
 	}
 
 	if *httpAddr != "" {

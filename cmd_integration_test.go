@@ -376,7 +376,7 @@ func TestServerRejectsOrphanSubFlags(t *testing.T) {
 			}
 		})
 	}
-	if rows < 18 {
+	if rows < 17 {
 		t.Fatalf("only %d flags declare a requirement in prisma-server -h:\n%s", rows, help)
 	}
 }

@@ -51,16 +51,15 @@ func main() {
 		defer tiered.Close()
 
 		// PRISMA prefetches through the tiered chain.
-		pf, err := core.NewPrefetcher(env, tiered.Backend, man, core.PrefetcherConfig{
+		stage, err := core.NewStage(env, tiered.Backend, man, core.StageConfig{
 			InitialProducers: 4, MaxProducers: 16,
 			InitialBufferCapacity: 64, MaxBufferCapacity: 512,
+			ChainStats: tiered.Snapshot,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		stage := core.NewStage(env, tiered.Backend, pf)
-		stage.SetChainStats(tiered.Snapshot)
-		pf.Start()
+		stage.Start()
 		defer stage.Close()
 
 		fmt.Printf("%d files on an NFS share, 1 GiB local NVMe fast tier\n\n", files)

@@ -136,7 +136,7 @@ func (c *Chain) Close() {
 }
 
 // Snapshot fills in every layer's part of a stage snapshot
-// (core.Stage.SetChainStats).
+// (core.StageConfig.ChainStats).
 func (c *Chain) Snapshot(s *core.StageStats) {
 	for _, f := range c.stats {
 		f(s)
@@ -148,7 +148,7 @@ func (c *Chain) Snapshot(s *core.StageStats) {
 func (c *Chain) WatchesPlans() bool { return len(c.onPlan) > 0 }
 
 // Plan shows a submitted epoch plan and the live set after it to every
-// layer that watches plans (core.Stage.SetEpochPlanHook).
+// layer that watches plans (core.StageConfig.EpochPlanHook).
 func (c *Chain) Plan(plan, live []dataset.Sample) {
 	for _, f := range c.onPlan {
 		f(plan, live)

@@ -216,24 +216,23 @@ func TestChainRetriesFailedReads(t *testing.T) {
 			return
 		}
 		defer ch.Close()
-		pf, err := core.NewPrefetcher(env, ch.Backend, f.manifest(), core.PrefetcherConfig{
+		st, err := core.NewStage(env, ch.Backend, f.manifest(), core.StageConfig{
 			InitialProducers:      2,
 			MaxProducers:          2,
 			InitialBufferCapacity: len(f.names),
 			MaxBufferCapacity:     len(f.names),
+			ChainStats:            ch.Snapshot,
 		})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		st := core.NewStage(env, ch.Backend, pf)
 		defer st.Close()
-		st.SetChainStats(ch.Snapshot)
 		if err := st.SubmitPlan(f.names); err != nil {
 			t.Error(err)
 			return
 		}
-		pf.Start()
+		st.Start()
 		for i, name := range f.names {
 			d, _, err := st.Read(core.ReadRequest{Name: name})
 			same := bytes.Equal(d.Bytes, f.payloads[i])

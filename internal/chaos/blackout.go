@@ -190,32 +190,31 @@ func driveBlackout(env conc.Env, cfg BlackoutConfig) (BlackoutResult, error) {
 	for n := range nodeNames {
 		nodeNames[n] = fmt.Sprintf("node-%d", n)
 	}
+	ring, err := distrib.NewRing(nodeNames, 0)
+	if err != nil {
+		return res, err
+	}
 	stages := make([]*core.Stage, cfg.Nodes)
 	fabrics := make([]*distrib.Fabric, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
-		pf, err := core.NewPrefetcher(env, shared, man, core.PrefetcherConfig{
+		stages[n], err = core.NewStage(env, shared, man, core.StageConfig{
 			InitialProducers:      cfg.Producers,
 			MaxProducers:          cfg.Producers * 4,
 			InitialBufferCapacity: cfg.BufferCap,
 			MaxBufferCapacity:     cfg.BufferCap * 8,
 			TakeDeadline:          cfg.TakeDeadline,
+			PlanPartitioner:       ring.Partitioner(nodeNames[n]),
 		})
-		if err != nil {
-			return res, err
-		}
-		stages[n] = core.NewStage(env, shared, pf)
-		ring, err := distrib.NewRing(nodeNames, 0)
 		if err != nil {
 			return res, err
 		}
 		fabrics[n], err = distrib.NewFabric(env, distrib.FabricConfig{
-			Node: nodeNames[n], Ring: ring, Stage: stages[n],
-			Slow: shared, InstallPartitioner: true,
+			Node: nodeNames[n], Ring: ring, Stage: stages[n], Slow: shared,
 		})
 		if err != nil {
 			return res, err
 		}
-		pf.Start()
+		stages[n].Start()
 	}
 	defer func() {
 		for _, st := range stages {

@@ -201,17 +201,6 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 	if err := ch.Fold(chain.Config{Resilience: &cfg.Resilience}); err != nil {
 		return res, err
 	}
-	pf, err := core.NewPrefetcher(env, ch.Backend, man, core.PrefetcherConfig{
-		InitialProducers:      cfg.Producers,
-		MaxProducers:          cfg.Producers * 4,
-		InitialBufferCapacity: cfg.BufferCap,
-		MaxBufferCapacity:     cfg.BufferCap * 8,
-	})
-	if err != nil {
-		return res, err
-	}
-	st := core.NewStage(env, ch.Backend, pf)
-	st.SetChainStats(ch.Snapshot)
 	var pool *mempool.Pool
 	if cfg.UsePool {
 		// Debug mode: the ledger names any Get call-site whose lease the
@@ -219,9 +208,19 @@ func drive(env conc.Env, cfg Config) (Result, error) {
 		// poisoned so aliasing bugs corrupt visibly.
 		pool = mempool.New(mempool.Config{Debug: true})
 		leaf.SetBufferPool(pool)
-		st.SetBufferPool(pool)
 	}
-	pf.Start()
+	st, err := core.NewStage(env, ch.Backend, man, core.StageConfig{
+		InitialProducers:      cfg.Producers,
+		MaxProducers:          cfg.Producers * 4,
+		InitialBufferCapacity: cfg.BufferCap,
+		MaxBufferCapacity:     cfg.BufferCap * 8,
+		BufferPool:            pool,
+		ChainStats:            ch.Snapshot,
+	})
+	if err != nil {
+		return res, err
+	}
+	st.Start()
 	defer st.Close()
 
 	var ctl *control.Controller

@@ -302,14 +302,13 @@ func driveTenants(env conc.Env, cfg TenantConfig) (TenantResult, error) {
 	if err != nil {
 		return res, err
 	}
-	// The prefetcher is never given a plan: every read bypasses to the
-	// device, so the gate alone shapes the tenants' traffic.
+	// The stage is never given a plan: every read bypasses to the device,
+	// so the gate alone shapes the tenants' traffic.
 	backend := storage.NewModeledBackend(man, dev)
-	pf, err := core.NewPrefetcher(env, backend, man, core.DefaultPrefetcherConfig())
+	st, err := core.NewStage(env, backend, man, core.DefaultStageConfig())
 	if err != nil {
 		return res, err
 	}
-	st := core.NewStage(env, backend, pf)
 	defer st.Close()
 
 	board := &tenantBoard{mu: env.NewMutex()}

@@ -340,7 +340,7 @@ func buildStage(env conc.Env, nFiles int, deviceLat time.Duration, channels int)
 		panic(err)
 	}
 	backend := storage.NewModeledBackend(m, dev)
-	pf, err := core.NewPrefetcher(env, backend, m, core.PrefetcherConfig{
+	st, err := core.NewStage(env, backend, m, core.StageConfig{
 		InitialProducers:      1,
 		MaxProducers:          32,
 		InitialBufferCapacity: 16,
@@ -349,8 +349,7 @@ func buildStage(env conc.Env, nFiles int, deviceLat time.Duration, channels int)
 	if err != nil {
 		panic(err)
 	}
-	st := core.NewStage(env, backend, pf)
-	pf.Start()
+	st.Start()
 	return st, names
 }
 

@@ -27,21 +27,18 @@ func aliasingStage(t testing.TB, nFiles, shards int, pool *mempool.Pool) (*Stage
 	if pool != nil {
 		mem.SetBufferPool(pool)
 	}
-	pf, err := NewPrefetcher(env, mem, testManifest(names, 1000), PrefetcherConfig{
+	st, err := NewStage(env, mem, testManifest(names, 1000), StageConfig{
 		InitialProducers:      2,
 		MaxProducers:          4,
 		InitialBufferCapacity: nFiles, // no producer parking: all samples in flight at once
 		MaxBufferCapacity:     nFiles * 2,
 		BufferShards:          shards,
+		BufferPool:            pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStage(env, mem, pf)
-	if pool != nil {
-		st.SetBufferPool(pool)
-	}
-	pf.Start()
+	st.Start()
 	t.Cleanup(func() { st.Close() })
 	return st, names, truth
 }

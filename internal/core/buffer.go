@@ -51,7 +51,7 @@ type Item struct {
 
 	// Ctx is the sample-lifecycle trace context assigned at plan
 	// submission (zero when unsampled or when the item did not come
-	// through the prefetcher).
+	// through the stage's producers).
 	Ctx obs.Ctx
 	// ReadStart and ReadEnd bound the producer's backend read on the env
 	// clock; PopDelay is how long this sample's FIFO pop was delayed by
@@ -246,19 +246,20 @@ func (s *bufShard) accrue(now time.Duration) {
 }
 
 // SetTracer attaches the tracer used for buffer-park and consumer-wait
-// spans. Call before the buffer sees traffic (Stage.SetTracer does; exported
-// for callers driving a bare buffer, e.g. the contention benchmarks).
+// spans. Call before the buffer sees traffic (NewStage does with
+// StageConfig.Tracer; exported for callers driving a bare buffer, e.g. the
+// contention benchmarks).
 func (b *Buffer) SetTracer(t *obs.Tracer) { b.tracer = t }
 
 // SetEpochCancelled installs the epoch-cancellation predicate consulted by
 // Put (reject items of cancelled epochs) and Take (wake consumers
-// blocked on them). Call before the buffer sees traffic; the prefetcher
-// wires its plan manager here.
+// blocked on them). Call before the buffer sees traffic; NewStage wires
+// its plan manager here.
 func (b *Buffer) SetEpochCancelled(f func(EpochID) bool) { b.epochCancelled = f }
 
 // SetClaimAt installs the positional-claim hook a no-wait take of a plan
 // position consults once it has found the sample parked. Call before the
-// buffer sees traffic; the prefetcher wires its plan manager here.
+// buffer sees traffic; NewStage wires its plan manager here.
 func (b *Buffer) SetClaimAt(f func(PlanPos) bool) { b.claimAt = f }
 
 // rejects reports whether the put filter refuses it — an item of a
@@ -275,10 +276,10 @@ func (b *Buffer) takeCancelled(id EpochID) bool {
 
 // Put parks a sample at its position, blocking while its shard is full
 // (unless a consumer is already waiting for this position), and reports how
-// long the producer was parked on the full shard — the prefetcher threads
+// long the producer was parked on the full shard — the producer threads
 // that into the next Item's PopDelay, the buffer-capacity blame signal of
 // the attribution report. It returns ErrClosed after Close. A position
-// holds one item at a time: the prefetcher puts each plan position once.
+// holds one item at a time: the producers put each plan position once.
 func (b *Buffer) Put(it Item) (parked time.Duration, _ error) {
 	start := b.env.Now()
 	s := b.route(it.PlanPos)

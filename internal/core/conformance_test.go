@@ -48,14 +48,14 @@ func newReaderFixture(t *testing.T) *readerFixture {
 		samples = append(samples, dataset.Sample{Name: fx.val[i], Size: int64(900 + i)})
 	}
 	env := conc.NewReal()
-	pf, err := core.NewPrefetcher(env, fx.mem, dataset.MustNew(samples), core.PrefetcherConfig{
+	stage, err := core.NewStage(env, fx.mem, dataset.MustNew(samples), core.StageConfig{
 		InitialProducers: 2, MaxProducers: 2, InitialBufferCapacity: 64, MaxBufferCapacity: 64,
+		BufferPool: fx.pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.stage = core.NewStage(env, fx.mem, pf)
-	fx.stage.SetBufferPool(fx.pool)
+	fx.stage = stage
 	// Never Started: the test cranks Tick itself, so overload is entered and
 	// left exactly where the request sequence says.
 	fx.mgr, err = tenancy.New(env, tenancy.Config{
@@ -72,7 +72,7 @@ func newReaderFixture(t *testing.T) *readerFixture {
 		}
 	}
 	fx.stage.SetTenantGate(fx.mgr)
-	pf.Start()
+	fx.stage.Start()
 	t.Cleanup(fx.stage.Close)
 	return fx
 }
@@ -226,7 +226,7 @@ func TestReaderConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			fab, err := distrib.NewFabric(conc.NewReal(), distrib.FabricConfig{
-				Node: "solo", Ring: ring, Stage: fx.stage, Slow: fx.mem, InstallPartitioner: true,
+				Node: "solo", Ring: ring, Stage: fx.stage, Slow: fx.mem,
 			})
 			if err != nil {
 				t.Fatal(err)

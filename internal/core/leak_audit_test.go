@@ -44,19 +44,18 @@ func TestPooledSimEpochLeakAudit(t *testing.T) {
 		}
 		backend := storage.NewModeledBackend(man, dev)
 		backend.SetBufferPool(pool)
-		pf, err := NewPrefetcher(env, backend, man, PrefetcherConfig{
+		st, err := NewStage(env, backend, man, StageConfig{
 			InitialProducers:      3,
 			MaxProducers:          6,
 			InitialBufferCapacity: 8,
 			MaxBufferCapacity:     32,
+			BufferPool:            pool,
 		})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		st := NewStage(env, backend, pf)
-		st.SetBufferPool(pool)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 
 		for epoch := 0; epoch < epochs; epoch++ {
@@ -109,15 +108,14 @@ func TestLeakAuditDetectsDeliberateLeak(t *testing.T) {
 	mem.AddSeeded("leak.bin", 4096, 1)
 	mem.AddSeeded("ok.bin", 4096, 2)
 	mem.SetBufferPool(pool)
-	pf, err := NewPrefetcher(env, mem, testManifest([]string{"leak.bin", "ok.bin"}, 4096), PrefetcherConfig{
+	st, err := NewStage(env, mem, testManifest([]string{"leak.bin", "ok.bin"}, 4096), StageConfig{
 		InitialProducers: 1, MaxProducers: 2, InitialBufferCapacity: 4, MaxBufferCapacity: 8,
+		BufferPool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStage(env, mem, pf)
-	st.SetBufferPool(pool)
-	pf.Start()
+	st.Start()
 	defer st.Close()
 
 	if err := st.SubmitPlan([]string{"leak.bin", "ok.bin"}); err != nil {

@@ -7,8 +7,8 @@ import (
 )
 
 // Names stop at the stage's boundary (DESIGN.md §12). The one name table is
-// the dataset manifest's flat index, a *dataset.Names the prefetcher, its
-// plan manager and its stage share; it is fixed before traffic, so lookups
+// the dataset manifest's flat index, a *dataset.Names the stage and its
+// plan manager share; it is fixed before traffic, so lookups
 // never lock. A name is resolved once, where it enters the stage: an
 // unlisted name is refused there, and below it the plan store, the claims
 // and the producers work on its slot. Every name handed down is the table's

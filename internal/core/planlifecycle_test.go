@@ -32,13 +32,12 @@ func TestHangRegressionTwoConsumersRace(t *testing.T) {
 	var errs [2]error
 	s.Spawn("driver", func(*sim.Process) {
 		backend, names := testBackend(env, 1, 1000, time.Millisecond, 2)
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 4))
+		st, err := NewStage(env, backend, testManifest(names, 1000), pfConfig(1, 4))
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		st := NewStage(env, backend, pf)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 		if err := st.SubmitPlan(names[:1]); err != nil {
 			t.Error(err)
@@ -88,25 +87,25 @@ func TestHangRegressionTwoConsumersRace(t *testing.T) {
 func TestHangRegressionIdleDownScale(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 2, 1000, time.Millisecond, 2)
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(4, 8))
+		st, err := NewStage(env, backend, testManifest(names, 1000), pfConfig(4, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf.Start()
+		st.Start()
 		env.Sleep(time.Millisecond) // all four producers park in the plan wait
-		pf.SetProducers(1)
+		st.SetProducers(1)
 		env.Sleep(time.Millisecond) // no plan entries flow: retirement must not need them
-		if target, running := pf.Producers(); target != 1 || running != 1 {
+		if target, running := producers(st); target != 1 || running != 1 {
 			t.Fatalf("Producers = %d/%d after idle down-scale, want 1/1", target, running)
 		}
 		// The survivor still works.
-		if _, err := pf.SubmitEpoch([]string{"f0000"}); err != nil {
+		if _, err := st.SubmitEpoch([]string{"f0000"}); err != nil {
 			t.Fatal(err)
 		}
-		if it, ok := take(pf, "f0000"); !ok || it.Err != nil {
+		if it, ok := take(st, "f0000"); !ok || it.Err != nil {
 			t.Fatalf("take after down-scale = %+v, %v", it, ok)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
@@ -122,15 +121,14 @@ func TestEpochCancelWakesBlockedConsumer(t *testing.T) {
 	s.Spawn("driver", func(*sim.Process) {
 		backend, names := testBackend(env, 6, 1000, 10*time.Millisecond, 1)
 		cfg := pfConfig(1, 2) // tiny buffer: fills after two reads
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
+		st, err := NewStage(env, backend, testManifest(names, 1000), cfg)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		st := NewStage(env, backend, pf)
-		pf.Start()
+		st.Start()
 		defer st.Close()
-		res, err := pf.SubmitEpoch(names)
+		res, err := st.SubmitEpoch(names)
 		if err != nil {
 			t.Error(err)
 			return
@@ -210,20 +208,19 @@ func TestEpochCancelReleasesPooledBuffers(t *testing.T) {
 		}
 		backend := storage.NewModeledBackend(man, dev)
 		backend.SetBufferPool(pool)
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), PrefetcherConfig{
+		st, err := NewStage(env, backend, testManifest(names, 1000), StageConfig{
 			InitialProducers:      2,
 			MaxProducers:          4,
 			InitialBufferCapacity: 3,
 			MaxBufferCapacity:     8,
+			BufferPool:            pool,
 		})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		st := NewStage(env, backend, pf)
-		st.SetBufferPool(pool)
-		pf.Start()
-		res, err := pf.SubmitEpoch(names)
+		st.Start()
+		res, err := st.SubmitEpoch(names)
 		if err != nil {
 			t.Error(err)
 			return
@@ -273,12 +270,11 @@ func TestConsumerTakeDeadline(t *testing.T) {
 		backend, names := testBackend(env, 1, 1000, 20*time.Millisecond, 1)
 		cfg := pfConfig(1, 4)
 		cfg.TakeDeadline = 5 * time.Millisecond
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
+		st, err := NewStage(env, backend, testManifest(names, 1000), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewStage(env, backend, pf)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 		if err := st.SubmitPlan(names); err != nil {
 			t.Fatal(err)
@@ -291,7 +287,7 @@ func TestConsumerTakeDeadline(t *testing.T) {
 		if waited := env.Now() - start; waited < 5*time.Millisecond || waited >= 20*time.Millisecond {
 			t.Fatalf("deadline fired after %v, want within [5ms, 20ms)", waited)
 		}
-		if ps := pf.PlanStats(); ps.EntriesPending != 1 || ps.ClaimsInFlight != 0 {
+		if ps := st.Stats().Plan; ps.EntriesPending != 1 || ps.ClaimsInFlight != 0 {
 			t.Fatalf("PlanStats after deadline = %+v: plan entry lost — retry could never claim it", ps)
 		}
 		env.Sleep(20 * time.Millisecond) // sample is buffered now
@@ -312,15 +308,14 @@ func TestConsumerTakeDeadline(t *testing.T) {
 func TestSubmitCancelResubmitLifecycle(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 12, 1000, time.Millisecond, 2)
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(2, 4))
+		st, err := NewStage(env, backend, testManifest(names, 1000), pfConfig(2, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewStage(env, backend, pf)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 		for round := 0; round < 5; round++ {
-			res, err := pf.SubmitEpoch(names)
+			res, err := st.SubmitEpoch(names)
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
@@ -338,14 +333,14 @@ func TestSubmitCancelResubmitLifecycle(t *testing.T) {
 			if _, _, err := st.Read(ReadRequest{Name: names[11]}); err != nil {
 				t.Fatalf("round %d post-cancel read: %v", round, err)
 			}
-			ps := pf.PlanStats()
+			ps := st.Stats().Plan
 			if ps.EntriesPending != 0 || ps.ClaimsInFlight != 0 {
 				t.Fatalf("round %d: pending=%d claims=%d after cancel, want 0/0",
 					round, ps.EntriesPending, ps.ClaimsInFlight)
 			}
 		}
 		// One full epoch drains normally after all that churn.
-		res, err := pf.SubmitEpoch(names)
+		res, err := st.SubmitEpoch(names)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +354,7 @@ func TestSubmitCancelResubmitLifecycle(t *testing.T) {
 				t.Fatalf("final epoch state = %s, want done", e.State)
 			}
 		}
-		ps := pf.PlanStats()
+		ps := st.Stats().Plan
 		if ps.EpochsSubmitted != 6 || ps.EpochsCancelled != 5 {
 			t.Fatalf("PlanStats = %+v, want 6 submitted / 5 cancelled", ps)
 		}
@@ -379,24 +374,24 @@ func TestSubmitCancelResubmitLifecycle(t *testing.T) {
 func TestEpochHistoryPruned(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 2, 1000, time.Millisecond, 1)
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 4))
+		st, err := NewStage(env, backend, testManifest(names, 1000), pfConfig(1, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf.Start()
-		defer pf.Close()
+		st.Start()
+		defer st.Close()
 		rounds := maxEpochHistory + 8
 		for i := 0; i < rounds; i++ {
-			if _, err := pf.SubmitEpoch(names); err != nil {
+			if _, err := st.SubmitEpoch(names); err != nil {
 				t.Fatal(err)
 			}
 			for _, n := range names {
-				if it, ok := take(pf, n); !ok || it.Err != nil {
+				if it, ok := take(st, n); !ok || it.Err != nil {
 					t.Fatalf("round %d take(%s) = %+v, %v", i, n, it, ok)
 				}
 			}
 		}
-		eps := pf.Epochs()
+		eps := st.Epochs()
 		if len(eps) != maxEpochHistory {
 			t.Fatalf("retained %d epochs, want %d", len(eps), maxEpochHistory)
 		}
@@ -422,20 +417,19 @@ func TestCapacityBelowShards(t *testing.T) {
 					backend, names := testBackend(env, samples, 1000, time.Millisecond, 4)
 					cfg := pfConfig(4, 16)
 					cfg.BufferShards = shards
-					pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
+					st, err := NewStage(env, backend, testManifest(names, 1000), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					st := NewStage(env, backend, pf)
 					st.SetBufferCapacity(capacity)
-					pf.Start()
+					st.Start()
 					if err := st.SubmitPlan(names); err != nil {
 						t.Fatal(err)
 					}
 					done := false
 					env.Go("shard-auditor", func() {
 						for !done {
-							for i, s := range pf.Buffer().shards {
+							for i, s := range st.buffer.shards {
 								s.mu.Lock()
 								awaited := 0
 								for name := range s.items {

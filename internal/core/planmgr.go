@@ -122,7 +122,7 @@ type epochState struct {
 
 // planManager owns the plan lifecycle: epochs move registered → claimed →
 // delivered (or → cancelled), and every entry is accounted exactly once as
-// delivered or dropped. It replaces the prefetcher's ad-hoc
+// delivered or dropped. It replaces the producers' ad-hoc
 // planned-multiplicity map, whose Planned→Take window and
 // no-rollback-on-partial-submit were the hang class this manager exists to
 // kill.
@@ -132,10 +132,10 @@ type epochState struct {
 // within and across epochs is the order of registration. Nothing below the
 // stage hashes a name: claims are found by slot, positions by epoch.
 //
-// Lock order: buffer shard → plan → prefetcher. Buffer shards call into
-// the manager (put filter, cancel predicates, positional claims) under
-// their own locks; no lock is taken under mu, and no planManager method
-// touches the buffer.
+// Lock order: buffer shard → plan → the stage's producer count. Buffer
+// shards call into the manager (put filter, cancel predicates, positional
+// claims) under their own locks; no lock is taken under mu, and no
+// planManager method touches the buffer.
 type planManager struct {
 	env conc.Env
 

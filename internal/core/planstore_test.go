@@ -35,19 +35,26 @@ func (l *readLog) Read(req storage.Request) (storage.Response, error) {
 func TestPlanStoreEmptyPlanRetires(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 1)
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 4))
+		emptyShare := false
+		cfg := pfConfig(1, 4)
+		cfg.PlanPartitioner = func(names []string) []string {
+			if emptyShare {
+				return nil
+			}
+			return names
+		}
+		st, err := NewStage(env, backend, testManifest(names, 1000), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewStage(env, backend, pf)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 		for i := 0; i < 20; i++ {
 			if res, err := st.SubmitEpoch(nil); err != nil || res.Enqueued != 0 {
 				t.Fatalf("SubmitEpoch(nil) = %+v, %v", res, err)
 			}
 		}
-		st.SetPlanPartitioner(func([]string) []string { return nil }) // this node's share is empty
+		emptyShare = true // this node's share is empty
 		for i := 0; i < 20; i++ {
 			if _, err := st.SubmitEpoch(names); err != nil {
 				t.Fatal(err)
@@ -62,7 +69,7 @@ func TestPlanStoreEmptyPlanRetires(t *testing.T) {
 				t.Errorf("empty epoch %d is %s, want %s", e.ID, e.State, EpochDone)
 			}
 		}
-		if ps := pf.PlanStats(); ps.EpochsLive != 0 || ps.EpochsSubmitted != 40 {
+		if ps := st.Stats().Plan; ps.EpochsLive != 0 || ps.EpochsSubmitted != 40 {
 			t.Errorf("PlanStats = %+v, want 0 live of 40 submitted", ps)
 		}
 	})
@@ -74,13 +81,13 @@ func TestPlanStoreEmptyPlanRetires(t *testing.T) {
 func TestPlanStoreTraceSamplingAfterSubmit(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 8, 1000, time.Millisecond, 2)
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(2, 4))
+		cfg := pfConfig(2, 4)
+		cfg.Tracer = obs.NewTracer(env, obs.TracerOptions{})
+		st, err := NewStage(env, backend, testManifest(names, 1000), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewStage(env, backend, pf)
-		st.SetTracer(obs.NewTracer(env, obs.TracerOptions{}))
-		pf.Start()
+		st.Start()
 		defer st.Close()
 		if err := st.SubmitPlan(names); err != nil {
 			t.Fatal(err)
@@ -108,12 +115,11 @@ func TestPlanStoreEpochsInPlanOrder(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		modeled, names := testBackend(env, 6, 1000, time.Millisecond, 4)
 		log := &readLog{Backend: modeled}
-		pf, err := NewPrefetcher(env, log, testManifest(names, 1000), pfConfig(1, 16))
+		st, err := NewStage(env, log, testManifest(names, 1000), pfConfig(1, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewStage(env, log, pf)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 		second := slices.Clone(names)
 		slices.Reverse(second)
@@ -141,12 +147,11 @@ func TestEpochCancelReadsNoUnpoppedName(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		modeled, names := testBackend(env, 20, 1000, 5*time.Millisecond, 1)
 		log := &readLog{Backend: modeled}
-		pf, err := NewPrefetcher(env, log, testManifest(names, 1000), pfConfig(1, 2))
+		st, err := NewStage(env, log, testManifest(names, 1000), pfConfig(1, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewStage(env, log, pf)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 		res, err := st.SubmitEpoch(names)
 		if err != nil {
@@ -157,14 +162,14 @@ func TestEpochCancelReadsNoUnpoppedName(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		popped := len(names) - pf.QueueLen()
+		popped := len(names) - st.Stats().QueueLen
 		if popped >= len(names) {
 			t.Fatalf("all %d positions popped before the cancel: the test cancels nothing", popped)
 		}
 		if _, err := st.CancelEpoch(res.Epoch); err != nil {
 			t.Fatal(err)
 		}
-		if n := pf.QueueLen(); n != 0 {
+		if n := st.Stats().QueueLen; n != 0 {
 			t.Errorf("QueueLen after cancel = %d, want 0", n)
 		}
 		env.Sleep(50 * time.Millisecond) // in-flight reads land and are refused
@@ -190,12 +195,11 @@ func TestPlanStoreLockOrder(t *testing.T) {
 	backend, names := testBackend(env, 64, 1000, 20*time.Microsecond, 4)
 	cfg := pfConfig(2, 4)
 	cfg.BufferShards = 4
-	pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
+	st, err := NewStage(env, backend, testManifest(names, 1000), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStage(env, backend, pf)
-	pf.Start()
+	st.Start()
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
@@ -260,7 +264,7 @@ func TestPlanStoreLockOrder(t *testing.T) {
 			t.Errorf("epoch %d (%s): delivered %d + dropped %d != %d", e.ID, e.State, e.Delivered, e.Dropped, e.Total)
 		}
 	}
-	if _, running := pf.Producers(); running != 0 {
+	if _, running := producers(st); running != 0 {
 		t.Errorf("%d producers still running after Close", running)
 	}
 }

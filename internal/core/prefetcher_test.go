@@ -36,22 +36,28 @@ func testBackend(env conc.Env, n int, size int64, lat time.Duration, channels in
 
 // take is the test-side mirror of the Stage read path: claim the plan
 // entry, wait for the sample, resolve the claim.
-func take(pf *Prefetcher, name string) (Item, bool) {
-	claim, ok := pf.plans.claimName(name)
+func take(st *Stage, name string) (Item, bool) {
+	claim, ok := st.plans.claimName(name)
 	if !ok {
 		return Item{}, false
 	}
-	it, err := pf.buffer.Take(claim.PlanPos, TakeOptions{Deadline: pf.TakeDeadline()})
+	it, err := st.buffer.Take(claim.PlanPos, TakeOptions{Deadline: time.Duration(st.takeDL.Load())})
 	if err != nil {
-		pf.plans.unclaim(claim)
+		st.plans.unclaim(claim)
 		return Item{}, false
 	}
-	pf.plans.deliver(claim)
+	st.plans.deliver(claim)
 	return it, true
 }
 
-func pfConfig(t, n int) PrefetcherConfig {
-	return PrefetcherConfig{
+// producers reports the stage's (target, running) producer counts.
+func producers(st *Stage) (target, running int) {
+	s := st.Stats()
+	return s.TargetProducers, s.RunningProducers
+}
+
+func pfConfig(t, n int) StageConfig {
+	return StageConfig{
 		InitialProducers:      t,
 		MaxProducers:          32,
 		InitialBufferCapacity: n,
@@ -59,8 +65,8 @@ func pfConfig(t, n int) PrefetcherConfig {
 	}
 }
 
-func TestPrefetcherConfigValidate(t *testing.T) {
-	bad := []PrefetcherConfig{
+func TestStageConfigValidate(t *testing.T) {
+	bad := []StageConfig{
 		{InitialProducers: 0, MaxProducers: 1, InitialBufferCapacity: 1, MaxBufferCapacity: 1},
 		{InitialProducers: 2, MaxProducers: 1, InitialBufferCapacity: 1, MaxBufferCapacity: 1},
 		{InitialProducers: 1, MaxProducers: 1, InitialBufferCapacity: 0, MaxBufferCapacity: 1},
@@ -72,41 +78,40 @@ func TestPrefetcherConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	if err := DefaultPrefetcherConfig().Validate(); err != nil {
+	if err := DefaultStageConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
 }
 
-// TestPrefetcherNeedsManifest: a prefetcher is built over the dataset
-// manifest, whose index is its stage's name table; without one it is not
-// built.
-func TestPrefetcherNeedsManifest(t *testing.T) {
-	if _, err := NewPrefetcher(conc.NewReal(), storage.NewMemBackend(), nil, pfConfig(1, 4)); err == nil {
-		t.Fatal("NewPrefetcher without a manifest succeeded")
+// TestStageNeedsManifest: a stage is built over the dataset manifest,
+// whose index is its name table; without one it is not built.
+func TestStageNeedsManifest(t *testing.T) {
+	if _, err := NewStage(conc.NewReal(), storage.NewMemBackend(), nil, pfConfig(1, 4)); err == nil {
+		t.Fatal("NewStage without a manifest succeeded")
 	}
 }
 
 func TestPrefetcherDeliversPlannedFiles(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 20, 1000, time.Millisecond, 4)
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(2, 8))
+		st, err := NewStage(env, backend, testManifest(names, 1000), pfConfig(2, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf.Start()
-		if _, err := pf.SubmitEpoch(names); err != nil {
+		st.Start()
+		if _, err := st.SubmitEpoch(names); err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range names {
-			it, ok := take(pf, n)
+			it, ok := take(st, n)
 			if !ok || it.Err != nil || it.Name != n {
 				t.Fatalf("Take(%s) = %+v, %v", n, it, ok)
 			}
 		}
-		if pf.PrefetchedFiles() != 20 {
-			t.Errorf("PrefetchedFiles = %d, want 20", pf.PrefetchedFiles())
+		if st.Stats().PrefetchedFiles != 20 {
+			t.Errorf("PrefetchedFiles = %d, want 20", st.Stats().PrefetchedFiles)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
@@ -119,17 +124,17 @@ func TestPrefetcherRespectsProducerLimit(t *testing.T) {
 	s.Spawn("driver", func(*sim.Process) {
 		backend, names := testBackend(env, 30, 1000, time.Millisecond, 8)
 		readers := storage.NewReaderCount(env, backend)
-		pf, _ := NewPrefetcher(env, readers, testManifest(names, 1000), pfConfig(3, 64))
-		pf.Start()
-		_, _ = pf.SubmitEpoch(names)
+		st, _ := NewStage(env, readers, testManifest(names, 1000), pfConfig(3, 64))
+		st.Start()
+		_, _ = st.SubmitEpoch(names)
 		for _, n := range names {
-			it, ok := take(pf, n)
+			it, ok := take(st, n)
 			if !ok || it.Err != nil {
 				t.Errorf("Take(%s) failed", n)
 			}
 		}
 		dist = readers.Distribution()
-		pf.Close()
+		st.Close()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -147,13 +152,13 @@ func TestPrefetcherReadsInPlanOrder(t *testing.T) {
 		dev, _ := storage.NewDevice(env, storage.DeviceSpec{BaseLatency: time.Millisecond, BytesPerSecond: 1e12, Channels: 1})
 		var order []string
 		rec := &recordingBackend{inner: storage.NewModeledBackend(m, dev), order: &order}
-		pf, _ := NewPrefetcher(env, rec, m, pfConfig(1, 8))
-		pf.Start()
-		_, _ = pf.SubmitEpoch([]string{"b", "c", "a"})
+		st, _ := NewStage(env, rec, m, pfConfig(1, 8))
+		st.Start()
+		_, _ = st.SubmitEpoch([]string{"b", "c", "a"})
 		for _, n := range []string{"b", "c", "a"} {
-			_, _ = take(pf, n)
+			_, _ = take(st, n)
 		}
-		pf.Close()
+		st.Close()
 		want := "b,c,a"
 		got := ""
 		for i, n := range order {
@@ -182,44 +187,44 @@ func TestPrefetcherSetProducersScalesUp(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 40, 1000, time.Millisecond, 8)
 		readers := storage.NewReaderCount(env, backend)
-		pf, _ := NewPrefetcher(env, readers, testManifest(names, 1000), pfConfig(1, 64))
-		pf.Start()
-		pf.SetProducers(6)
-		if target, running := pf.Producers(); target != 6 || running != 6 {
+		st, _ := NewStage(env, readers, testManifest(names, 1000), pfConfig(1, 64))
+		st.Start()
+		st.SetProducers(6)
+		if target, running := producers(st); target != 6 || running != 6 {
 			t.Fatalf("Producers = %d/%d, want 6/6", target, running)
 		}
-		_, _ = pf.SubmitEpoch(names)
+		_, _ = st.SubmitEpoch(names)
 		for _, n := range names {
-			_, _ = take(pf, n)
+			_, _ = take(st, n)
 		}
 		if max := metrics.MaxValue(readers.Distribution()); max != 6 {
 			t.Errorf("max concurrent readers = %d, want 6", max)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
 func TestPrefetcherSetProducersScalesDown(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 10, 1000, time.Millisecond, 8)
-		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(4, 64))
-		pf.Start()
-		_, _ = pf.SubmitEpoch(names[:5])
+		st, _ := NewStage(env, backend, testManifest(names, 1000), pfConfig(4, 64))
+		st.Start()
+		_, _ = st.SubmitEpoch(names[:5])
 		for _, n := range names[:5] {
-			_, _ = take(pf, n)
+			_, _ = take(st, n)
 		}
-		pf.SetProducers(1)
+		st.SetProducers(1)
 		// Surplus producers retire after their next dequeue attempt; feed
 		// the queue so blocked producers cycle.
-		_, _ = pf.SubmitEpoch(names[5:])
+		_, _ = st.SubmitEpoch(names[5:])
 		for _, n := range names[5:] {
-			_, _ = take(pf, n)
+			_, _ = take(st, n)
 		}
 		env.Sleep(10 * time.Millisecond)
-		if target, _ := pf.Producers(); target != 1 {
+		if target, _ := producers(st); target != 1 {
 			t.Fatalf("target = %d, want 1", target)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
@@ -228,13 +233,13 @@ func TestPrefetcherClampsToMaxProducers(t *testing.T) {
 		backend, names := testBackend(env, 1, 1, time.Millisecond, 1)
 		cfg := pfConfig(1, 4)
 		cfg.MaxProducers = 4
-		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1), cfg)
-		pf.Start()
-		pf.SetProducers(100)
-		if target, _ := pf.Producers(); target != 4 {
+		st, _ := NewStage(env, backend, testManifest(names, 1), cfg)
+		st.Start()
+		st.SetProducers(100)
+		if target, _ := producers(st); target != 4 {
 			t.Fatalf("target = %d, want clamp to 4", target)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
@@ -243,11 +248,11 @@ func TestPrefetcherErrorReachesConsumer(t *testing.T) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 2)
 		faulty := storage.NewFaultyBackend(env, backend)
 		faulty.FailName("f0001")
-		pf, _ := NewPrefetcher(env, faulty, testManifest(names, 1000), pfConfig(2, 8))
-		pf.Start()
-		_, _ = pf.SubmitEpoch(names)
+		st, _ := NewStage(env, faulty, testManifest(names, 1000), pfConfig(2, 8))
+		st.Start()
+		_, _ = st.SubmitEpoch(names)
 		for _, n := range names {
-			it, ok := take(pf, n)
+			it, ok := take(st, n)
 			if !ok {
 				t.Fatalf("Take(%s) closed", n)
 			}
@@ -259,33 +264,33 @@ func TestPrefetcherErrorReachesConsumer(t *testing.T) {
 				t.Errorf("Take(%s).Err = %v, want nil", n, it.Err)
 			}
 		}
-		if pf.ReadErrors() != 1 {
-			t.Errorf("ReadErrors = %d, want 1", pf.ReadErrors())
+		if st.Stats().ReadErrors != 1 {
+			t.Errorf("ReadErrors = %d, want 1", st.Stats().ReadErrors)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
 func TestPrefetcherPlannedBookkeeping(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 2)
-		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 8))
-		pf.Start()
-		if ps := pf.PlanStats(); ps.EntriesPending != 0 {
+		st, _ := NewStage(env, backend, testManifest(names, 1000), pfConfig(1, 8))
+		st.Start()
+		if ps := st.Stats().Plan; ps.EntriesPending != 0 {
 			t.Errorf("%d entries pending before SubmitEpoch", ps.EntriesPending)
 		}
-		_, _ = pf.SubmitEpoch(names[:2])
-		if ps := pf.PlanStats(); ps.EntriesPending != 2 {
+		_, _ = st.SubmitEpoch(names[:2])
+		if ps := st.Stats().Plan; ps.EntriesPending != 2 {
 			t.Errorf("%d entries pending after SubmitEpoch, want 2", ps.EntriesPending)
 		}
-		if _, ok := take(pf, "f0003"); ok {
+		if _, ok := take(st, "f0003"); ok {
 			t.Error("unplanned file claimed")
 		}
-		_, _ = take(pf, "f0000")
-		if ps := pf.PlanStats(); ps.EntriesPending != 1 || ps.Delivered != 1 {
+		_, _ = take(st, "f0000")
+		if ps := st.Stats().Plan; ps.EntriesPending != 1 || ps.Delivered != 1 {
 			t.Errorf("PlanStats after consumption = %+v, want 1 pending / 1 delivered", ps)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
@@ -294,31 +299,31 @@ func TestPrefetcherMultiEpochPlan(t *testing.T) {
 	// twice.
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 2, 1000, time.Millisecond, 2)
-		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 8))
-		pf.Start()
-		_, _ = pf.SubmitEpoch([]string{"f0000", "f0001"})
-		_, _ = pf.SubmitEpoch([]string{"f0001", "f0000"})
+		st, _ := NewStage(env, backend, testManifest(names, 1000), pfConfig(1, 8))
+		st.Start()
+		_, _ = st.SubmitEpoch([]string{"f0000", "f0001"})
+		_, _ = st.SubmitEpoch([]string{"f0001", "f0000"})
 		for _, n := range []string{"f0000", "f0001", "f0001", "f0000"} {
-			it, ok := take(pf, n)
+			it, ok := take(st, n)
 			if !ok || it.Err != nil {
 				t.Fatalf("Take(%s) = %+v, %v", n, it, ok)
 			}
 		}
-		if pf.PrefetchedFiles() != 4 {
-			t.Errorf("PrefetchedFiles = %d, want 4", pf.PrefetchedFiles())
+		if st.Stats().PrefetchedFiles != 4 {
+			t.Errorf("PrefetchedFiles = %d, want 4", st.Stats().PrefetchedFiles)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
 func TestPrefetcherCloseIdempotentAndRejectsPlans(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 2, 1000, time.Millisecond, 1)
-		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(1, 4))
-		pf.Start()
-		pf.Close()
-		pf.Close()
-		if _, err := pf.SubmitEpoch(names); err != ErrClosed {
+		st, _ := NewStage(env, backend, testManifest(names, 1000), pfConfig(1, 4))
+		st.Start()
+		st.Close()
+		st.Close()
+		if _, err := st.SubmitEpoch(names); err != ErrClosed {
 			t.Fatalf("SubmitEpoch after Close = %v, want ErrClosed", err)
 		}
 	})
@@ -330,14 +335,14 @@ func TestPrefetcherStartsBeforeEpoch(t *testing.T) {
 	// buffer should already hold samples before any consumer arrives.
 	runSim(t, func(env conc.Env) {
 		backend, names := testBackend(env, 20, 1000, time.Millisecond, 4)
-		pf, _ := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(4, 8))
-		pf.Start()
-		_, _ = pf.SubmitEpoch(names)
+		st, _ := NewStage(env, backend, testManifest(names, 1000), pfConfig(4, 8))
+		st.Start()
+		_, _ = st.SubmitEpoch(names)
 		env.Sleep(50 * time.Millisecond) // head start
-		if got := pf.Buffer().Len(); got != 8 {
+		if got := st.buffer.Len(); got != 8 {
 			t.Fatalf("buffer holds %d samples after head start, want full at 8", got)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
@@ -359,14 +364,14 @@ func TestPrefetcherFaultDoesNotStallOthers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, _ := NewPrefetcher(env, resilient, testManifest(names, 1000), pfConfig(4, 16))
-		pf.Start()
-		_, _ = pf.SubmitEpoch(names)
+		st, _ := NewStage(env, resilient, testManifest(names, 1000), pfConfig(4, 16))
+		st.Start()
+		_, _ = st.SubmitEpoch(names)
 		for _, n := range names {
 			if n == "f0001" {
 				continue
 			}
-			it, ok := take(pf, n)
+			it, ok := take(st, n)
 			if !ok || it.Err != nil {
 				t.Fatalf("Take(%s) = %+v, %v while fault in flight", n, it, ok)
 			}
@@ -376,17 +381,17 @@ func TestPrefetcherFaultDoesNotStallOthers(t *testing.T) {
 		if now := env.Now(); now >= 30*time.Millisecond {
 			t.Errorf("healthy samples took %v, stalled behind the faulted read", now)
 		}
-		it, ok := take(pf, "f0001")
+		it, ok := take(st, "f0001")
 		if !ok {
 			t.Fatal("Take(f0001) closed")
 		}
 		if !errors.Is(it.Err, storage.ErrInjected) {
 			t.Errorf("Take(f0001).Err = %v, want injected fault", it.Err)
 		}
-		if pf.ReadErrors() != 1 {
-			t.Errorf("ReadErrors = %d, want 1", pf.ReadErrors())
+		if st.Stats().ReadErrors != 1 {
+			t.Errorf("ReadErrors = %d, want 1", st.Stats().ReadErrors)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
@@ -407,26 +412,26 @@ func TestPrefetcherTransientFaultRetriedToSuccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, _ := NewPrefetcher(env, resilient, testManifest(names, 1000), pfConfig(2, 8))
-		pf.Start()
-		_, _ = pf.SubmitEpoch(names)
+		st, _ := NewStage(env, resilient, testManifest(names, 1000), pfConfig(2, 8))
+		st.Start()
+		_, _ = st.SubmitEpoch(names)
 		for _, n := range names {
-			it, ok := take(pf, n)
+			it, ok := take(st, n)
 			if !ok || it.Err != nil {
 				t.Fatalf("Take(%s) = %+v, %v", n, it, ok)
 			}
 		}
-		if pf.ReadErrors() != 0 {
-			t.Errorf("ReadErrors = %d, want 0 (fault healed within retries)", pf.ReadErrors())
+		if st.Stats().ReadErrors != 0 {
+			t.Errorf("ReadErrors = %d, want 0 (fault healed within retries)", st.Stats().ReadErrors)
 		}
-		st := resilient.ResilienceStats()
-		if st.Retries < 2 {
-			t.Errorf("Retries = %d, want >= 2", st.Retries)
+		rs := resilient.ResilienceStats()
+		if rs.Retries < 2 {
+			t.Errorf("Retries = %d, want >= 2", rs.Retries)
 		}
-		if st.Exhausted != 0 {
-			t.Errorf("Exhausted = %d, want 0", st.Exhausted)
+		if rs.Exhausted != 0 {
+			t.Errorf("Exhausted = %d, want 0", rs.Exhausted)
 		}
-		pf.Close()
+		st.Close()
 	})
 }
 
@@ -438,15 +443,14 @@ func TestSetProducersFloor(t *testing.T) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 1)
 		cfg := pfConfig(2, 8)
 		cfg.TakeDeadline = time.Second
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
+		st, err := NewStage(env, backend, testManifest(names, 1000), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewStage(env, backend, pf)
-		pf.Start()
+		st.Start()
 		for _, n := range []int{0, -1} {
 			st.SetProducers(n)
-			if target, _ := pf.Producers(); target != 1 {
+			if target, _ := producers(st); target != 1 {
 				t.Fatalf("SetProducers(%d): t = %d, want 1", n, target)
 			}
 		}

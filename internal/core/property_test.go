@@ -55,7 +55,7 @@ func TestPrefetcherDeliveryProperty(t *testing.T) {
 				pool = mempool.New(mempool.Config{Debug: true})
 				backend.SetBufferPool(pool)
 			}
-			pf, err := NewPrefetcher(env, backend, man, PrefetcherConfig{
+			st, err := NewStage(env, backend, man, StageConfig{
 				InitialProducers:      producers,
 				MaxProducers:          8,
 				InitialBufferCapacity: bufCap,
@@ -66,8 +66,7 @@ func TestPrefetcherDeliveryProperty(t *testing.T) {
 				ok = false
 				return
 			}
-			st := NewStage(env, backend, pf)
-			pf.Start()
+			st.Start()
 			defer st.Close()
 
 			plans := make([][]string, epochs)

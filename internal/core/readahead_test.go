@@ -410,14 +410,14 @@ func TestTakeAheadPooledLeakAudit(t *testing.T) {
 		}
 		backend := storage.NewModeledBackend(man, dev)
 		backend.SetBufferPool(pool)
-		pf, err := NewPrefetcher(env, backend, man, pfConfig(2, 8))
+		cfg := pfConfig(2, 8)
+		cfg.BufferPool = pool
+		st, err := NewStage(env, backend, man, cfg)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		st := NewStage(env, backend, pf)
-		st.SetBufferPool(pool)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 
 		plan := man.EpochFileList(3, 0)

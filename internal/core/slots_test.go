@@ -56,14 +56,13 @@ func slotPlanManager(names ...string) *planManager {
 }
 
 // slotStage is a started stage over backend, whose files are names.
-func slotStage(t *testing.T, env conc.Env, backend storage.Backend, names []string, cfg PrefetcherConfig) *Stage {
+func slotStage(t *testing.T, env conc.Env, backend storage.Backend, names []string, cfg StageConfig) *Stage {
 	t.Helper()
-	pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), cfg)
+	st, err := NewStage(env, backend, testManifest(names, 1000), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStage(env, backend, pf)
-	pf.Start()
+	st.Start()
 	return st
 }
 

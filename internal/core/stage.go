@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/prisma-go/internal/conc"
@@ -15,7 +18,7 @@ import (
 // ReadRequest is one intercepted read (DESIGN.md §20). Who is asking and
 // how the read is traced travel inside the request rather than selecting a
 // different method, so every layer between the interception point and the
-// buffer — fabric, stage, prefetcher — has exactly one read.
+// buffer — fabric, stage — has exactly one read.
 type ReadRequest struct {
 	// Name is the sample's dataset-relative file name.
 	Name string
@@ -67,7 +70,7 @@ type StageStats struct {
 
 	// Request-path counters.
 	Reads    int64 // total intercepted reads
-	Hits     int64 // served by the prefetcher
+	Hits     int64 // served from the prefetch buffer
 	Bypasses int64 // fell through to backend storage
 	Errors   int64 // reads that returned an error
 	Shed     int64 // reads rejected at admission by the tenant gate
@@ -91,7 +94,7 @@ type StageStats struct {
 	ArenaPayloads  int64
 	InlinePayloads int64
 
-	// Prefetcher state.
+	// Producer state.
 	QueueLen         int
 	TargetProducers  int
 	RunningProducers int
@@ -120,7 +123,7 @@ type StageStats struct {
 	PoolEnabled bool
 
 	// Resilience and Tiering are the storage chain's parts of the snapshot,
-	// filled in by what SetChainStats installs (zero-valued without those
+	// filled in by StageConfig.ChainStats (zero-valued without those
 	// layers); TieringEnabled disambiguates "no memory hierarchy" from
 	// "idle". Degraded is the signal the autotuner watches to back off
 	// producers while the circuit breaker sheds load. Riding StageStats means
@@ -162,21 +165,37 @@ func (s StageStats) Attribution(prev StageStats, consumers int) obs.Attribution 
 }
 
 // Stage is one PRISMA data-plane stage: the parallel-prefetch optimization
-// object in front of backend storage, a POSIX-style Read interception point,
-// and the control interface (Stats / SetProducers / SetBufferCapacity). The
-// storage optimizations below it are the chain.Layers table's rows.
+// object in front of backend storage — its producers (prefetcher.go), its
+// bounded buffer and its plan manager — a POSIX-style Read interception
+// point, and the control interface (Stats / SetProducers /
+// SetBufferCapacity / epochs). The storage optimizations below it are the
+// chain.Layers table's rows. NewStage builds it whole from a StageConfig;
+// Start launches its producers.
 type Stage struct {
-	env       conc.Env
-	backend   storage.Backend
-	pf        *Prefetcher
-	tracer    *obs.Tracer                       // nil-safe; set once via SetTracer before traffic
-	pool      *mempool.Pool                     // nil when pooling is off; stats only
-	gate      TenantGate                        // nil when multi-tenant QoS is off
-	chain     func(*StageStats)                 // nil unless the storage chain reports into the snapshot
-	names     *dataset.Names                    // the prefetcher's (names.go)
-	epochHook func(plan, live []dataset.Sample) // nil unless a plan observer (memory hierarchy) is attached
-	partition func(names []string) []string     // nil unless a plan partitioner (cluster fabric) is attached
+	env             conc.Env
+	backend         storage.Backend // bypass reads
+	producerBackend storage.Backend // producer reads (StageConfig.ProducerBackend)
+	cfg             StageConfig
+	buffer          *Buffer
+	plans           *planManager      // epoch/claim lifecycle (DESIGN.md §12)
+	manifest        *dataset.Manifest // its name index is the one the stage resolves in (names.go)
+	names           *dataset.Names
+	gate            TenantGate // nil when multi-tenant QoS is off
 
+	mu      conc.Mutex
+	target  int // desired t
+	running int // producers currently alive
+	nextID  int
+	closed  bool
+	// retire mirrors closed || running > target, stored under mu whenever
+	// one of them changes, so producers check it per run without mu.
+	retire atomic.Bool
+
+	takeDL atomic.Int64 // consumer take deadline in ns (0 = none)
+
+	readLat      *metrics.BucketedHistogram // producer-observed storage read latency
+	prefetched   *metrics.Counter
+	readErrors   *metrics.Counter
 	reads        *metrics.Counter
 	hits         *metrics.Counter
 	bypasses     *metrics.Counter
@@ -189,63 +208,73 @@ type Stage struct {
 	inlined      *metrics.Counter
 }
 
-// NewStage assembles a stage over backend serving planned reads from pf,
-// which it requires. The stage resolves names in pf's table — the dataset
-// manifest's — so a plan naming a file outside the manifest fails
-// SubmitEpoch and issues no epoch, and an unplanned read of one fails with
-// storage.NotExistError before any storage layer sees it. A listed name
-// reaches the backend as the manifest's own string with its position
-// (storage.Request.Slot), so the leaf need not look it up again.
-func NewStage(env conc.Env, backend storage.Backend, pf *Prefetcher) *Stage {
-	return &Stage{
-		env:          env,
-		backend:      backend,
-		pf:           pf,
-		names:        pf.manifest.Names(),
-		reads:        metrics.NewCounter(env),
-		hits:         metrics.NewCounter(env),
-		bypasses:     metrics.NewCounter(env),
-		errors:       metrics.NewCounter(env),
-		shed:         metrics.NewCounter(env),
-		throttleWait: metrics.NewCounter(env),
-		aheadSamples: metrics.NewCounter(env),
-		aheadWasted:  metrics.NewCounter(env),
-		inArena:      metrics.NewCounter(env),
-		inlined:      metrics.NewCounter(env),
+// NewStage builds (but does not start) a stage over backend and the dataset
+// manifest m. The manifest's flat index is the stage's one name table: a
+// plan naming a file outside it fails SubmitEpoch and issues no epoch, and
+// an unplanned read of one fails with storage.NotExistError before any
+// storage layer sees it. A listed name reaches the backend as the
+// manifest's own string with its position (storage.Request.Slot), so the
+// leaf need not look it up again.
+func NewStage(env conc.Env, backend storage.Backend, m *dataset.Manifest, cfg StageConfig) (*Stage, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-}
-
-// SetTracer attaches the observability tracer, propagating it to the
-// prefetcher and buffer. Call before traffic starts.
-func (s *Stage) SetTracer(t *obs.Tracer) {
-	s.tracer = t
-	s.pf.setTracer(t)
+	if m == nil {
+		return nil, errors.New("core: stage needs a dataset manifest")
+	}
+	s := &Stage{
+		env:             env,
+		backend:         backend,
+		producerBackend: backend,
+		cfg:             cfg,
+		buffer:          NewShardedBuffer(env, cfg.InitialBufferCapacity, cfg.BufferAccessCost, cfg.BufferShards),
+		plans:           newPlanManager(env, m.Names()),
+		manifest:        m,
+		names:           m.Names(),
+		readLat:         metrics.NewBucketedHistogram(env, nil),
+		prefetched:      metrics.NewCounter(env),
+		readErrors:      metrics.NewCounter(env),
+		reads:           metrics.NewCounter(env),
+		hits:            metrics.NewCounter(env),
+		bypasses:        metrics.NewCounter(env),
+		errors:          metrics.NewCounter(env),
+		shed:            metrics.NewCounter(env),
+		throttleWait:    metrics.NewCounter(env),
+		aheadSamples:    metrics.NewCounter(env),
+		aheadWasted:     metrics.NewCounter(env),
+		inArena:         metrics.NewCounter(env),
+		inlined:         metrics.NewCounter(env),
+	}
+	if cfg.ProducerBackend != nil {
+		s.producerBackend = cfg.ProducerBackend
+	}
+	s.mu = env.NewMutex()
+	s.takeDL.Store(int64(cfg.TakeDeadline))
+	s.buffer.SetTracer(cfg.Tracer)
+	// Epoch-cancellation awareness: rejected puts and woken consumers both
+	// resolve through the plan manager (shard → plan lock order, §12).
+	s.buffer.SetEpochCancelled(s.plans.cancelledEpoch)
+	s.buffer.SetClaimAt(s.plans.claimAt)
+	return s, nil
 }
 
 // Tracer exposes the attached tracer (nil when tracing is off).
-func (s *Stage) Tracer() *obs.Tracer { return s.tracer }
+func (s *Stage) Tracer() *obs.Tracer { return s.cfg.Tracer }
 
-// SetBufferPool registers the sample buffer pool so its occupancy and
-// hit-rate ride the stage's monitoring snapshot. The pool itself is
-// attached to the storage layers that allocate payloads; the stage only
-// reports it.
-func (s *Stage) SetBufferPool(p *mempool.Pool) { s.pool = p }
-
-// BufferPool exposes the registered pool (nil when pooling is off).
-func (s *Stage) BufferPool() *mempool.Pool { return s.pool }
+// BufferPool exposes the configured pool (nil when pooling is off).
+func (s *Stage) BufferPool() *mempool.Pool { return s.cfg.BufferPool }
 
 // ParkBound reports how many samples the stage holds at most outside its
 // readers — the prefetch buffer at its largest capacity, plus one read in
 // flight per producer — and the size of the largest sample its manifest
 // lists: the socket server sizes its shared arena by them (DESIGN.md §29).
 func (s *Stage) ParkBound() (samples int, largest int64) {
-	cfg := s.pf.Config()
-	return cfg.MaxBufferCapacity + cfg.MaxProducers, s.pf.manifest.MaxSize()
+	return s.cfg.MaxBufferCapacity + s.cfg.MaxProducers, s.manifest.MaxSize()
 }
 
 // SetTraceSampling adjusts the tracer's head-sampling probability at
 // runtime (control interface). No-op without a tracer.
-func (s *Stage) SetTraceSampling(p float64) { s.tracer.SetSampling(p) }
+func (s *Stage) SetTraceSampling(p float64) { s.cfg.Tracer.SetSampling(p) }
 
 // Read is the POSIX interception point: the DL framework's read/pread calls
 // land here (the TensorFlow integration swaps its file-system backend's
@@ -260,7 +289,7 @@ func (s *Stage) SetTraceSampling(p float64) { s.tracer.SetSampling(p) }
 // the serve alone.
 func (s *Stage) Read(req ReadRequest) (storage.Data, PlanPos, error) {
 	if !req.Ctx.Sampled {
-		req.Ctx = s.tracer.StartTrace()
+		req.Ctx = s.cfg.Tracer.StartTrace()
 	}
 	if s.gate == nil || req.Peer {
 		return s.serve(req)
@@ -273,7 +302,7 @@ func (s *Stage) Read(req ReadRequest) (storage.Data, PlanPos, error) {
 			s.throttleWait.Add(int64(wait))
 		}
 		if req.Ctx.Sampled {
-			s.tracer.Record(obs.Span{Trace: req.Ctx.Trace, Stage: obs.StageTenantShed, Name: req.Name, At: start, Latency: now - start, Error: err.Error()})
+			s.cfg.Tracer.Record(obs.Span{Trace: req.Ctx.Trace, Stage: obs.StageTenantShed, Name: req.Name, At: start, Latency: now - start, Error: err.Error()})
 		}
 		s.gate.ObserveLatency(req.Tenant, now-start, true)
 		return storage.Data{}, PlanPos{}, err
@@ -281,7 +310,7 @@ func (s *Stage) Read(req ReadRequest) (storage.Data, PlanPos, error) {
 	if wait := s.env.Now() - start; wait > 0 {
 		s.throttleWait.Add(int64(wait))
 		if req.Ctx.Sampled {
-			s.tracer.Record(obs.Span{Trace: req.Ctx.Trace, Stage: obs.StageTenantThrottle, Name: req.Name, At: start, Latency: wait})
+			s.cfg.Tracer.Record(obs.Span{Trace: req.Ctx.Trace, Stage: obs.StageTenantThrottle, Name: req.Name, At: start, Latency: wait})
 		}
 	}
 	data, at, err := s.serve(req)
@@ -290,28 +319,52 @@ func (s *Stage) Read(req ReadRequest) (storage.Data, PlanPos, error) {
 	return data, at, err
 }
 
-// serve answers an admitted, sampling-decided request from the prefetcher
-// when it is planned, and from the backend otherwise. The name resolves
-// once, here; a listed name reaches the backend as the table's own string,
-// and an unlisted one reaches nothing.
+// serve answers an admitted, sampling-decided request from the buffer when
+// it is planned, and from the backend otherwise. The name resolves once,
+// here; a listed name reaches the backend as the table's own string, and an
+// unlisted one reaches nothing.
+//
+// Claim-or-bypass: the existence check and the exclusive hold on a plan
+// entry happen in one plan-manager critical section, so two consumers
+// racing one multiplicity-1 entry can never both commit to waiting — the
+// loser's claim fails and it bypasses to the backend like any unplanned
+// read (the Planned→Take TOCTOU hang is structurally impossible). The
+// request's trace context flows into the buffer so the Take wait is
+// recorded against the right trace, and a delivered read reports the
+// position of the plan entry it consumed.
 func (s *Stage) serve(req ReadRequest) (storage.Data, PlanPos, error) {
 	s.reads.Inc()
 	slot, listed := s.names.Slot(req.Name)
-	if listed {
-		if data, at, planned, err := s.pf.read(req, int32(slot)); planned {
-			if err != nil {
-				s.errors.Inc()
-				return storage.Data{}, PlanPos{}, err
-			}
-			s.hits.Inc()
-			return data, at, nil
-		}
-	}
-	s.bypasses.Inc()
 	if !listed {
+		s.bypasses.Inc()
 		s.errors.Inc()
 		return storage.Data{}, PlanPos{}, &storage.NotExistError{Name: req.Name}
 	}
+	if claim, ok := s.plans.claim(int32(slot)); ok {
+		it, err := s.buffer.Take(claim.PlanPos, TakeOptions{Ctx: req.Ctx, Deadline: time.Duration(s.takeDL.Load())})
+		if err != nil {
+			if errors.Is(err, ErrEpochCancelled) {
+				s.plans.claimDropped(claim)
+			} else {
+				// Deadline or shutdown: the sample may still arrive, so
+				// the entry goes back to its epoch for a later read to
+				// claim.
+				s.plans.unclaim(claim)
+			}
+			s.errors.Inc()
+			return storage.Data{}, PlanPos{}, err
+		}
+		s.plans.deliver(claim)
+		if it.Err != nil {
+			s.errors.Inc()
+			return storage.Data{}, PlanPos{}, it.Err
+		}
+		// Evict-on-read: the Take transferred the buffer's reference to
+		// us, and returning the Data passes it on to the consumer.
+		s.hits.Inc()
+		return storage.Data{Name: it.Name, Size: it.Size, Bytes: it.Bytes, Ref: it.Ref}, claim.PlanPos, nil
+	}
+	s.bypasses.Inc()
 	resp, err := s.backend.Read(storage.Request{Name: s.names.Name(slot), Ctx: req.Ctx, Slot: slot + 1})
 	if err != nil {
 		s.errors.Inc()
@@ -322,26 +375,11 @@ func (s *Stage) serve(req ReadRequest) (storage.Data, PlanPos, error) {
 
 // SetTenantGate attaches the multi-tenant admission gate. Call before
 // traffic starts; with a nil gate (the default) Read admits everything and
-// observes nothing.
+// observes nothing. It is the stage's one construction-time setter, because
+// the gate is built over the stage: the tenancy manager's load probe reads
+// Stats, and its SLO hook records into the controller, which actuates this
+// stage.
 func (s *Stage) SetTenantGate(g TenantGate) { s.gate = g }
-
-// SetChainStats registers what the storage chain below the stage adds to
-// every snapshot — each of its layers fills in its own part — so breaker
-// state, retry pressure and the memory hierarchy ride the stage's monitoring
-// snapshot (and hence the IPC Stats round trip) wherever their layers sit.
-// Call before traffic starts; nil (the default) leaves those parts
-// zero-valued.
-func (s *Stage) SetChainStats(f func(*StageStats)) { s.chain = f }
-
-// SetEpochPlanHook registers a callback invoked with every successfully
-// submitted epoch plan, as the manifest entries it names — each name the
-// manifest's own string with its size — and with the live set: each sample
-// the active epochs' plans name (this one's included, as partitioned), once,
-// in the order first planned. The stage is the one chokepoint both the
-// in-process (Prisma.SubmitEpoch) and IPC (OpSubmitEpoch) submission paths
-// share, so hooking here is what lets the memory hierarchy see plans from
-// remote data loaders too. Call before traffic starts.
-func (s *Stage) SetEpochPlanHook(f func(plan, live []dataset.Sample)) { s.epochHook = f }
 
 // Name resolves a name still in its wire bytes to the manifest's own string
 // for it, without allocating: ok is false for a name the manifest does not
@@ -353,15 +391,6 @@ func (s *Stage) Name(b []byte) (string, bool) {
 	}
 	return s.names.Name(slot), true
 }
-
-// SetPlanPartitioner registers a function that narrows every submitted
-// epoch plan to the subset this stage should actually prefetch, preserving
-// plan order. The cluster fabric installs the consistent-hash ownership
-// filter here, so a worker can submit the full shuffled epoch order (the
-// clairvoyant signal) to any node while each node prefetches exactly the
-// samples it owns. The epoch-plan hook still observes the full plan. Call
-// before traffic starts; nil (the default) submits plans unfiltered.
-func (s *Stage) SetPlanPartitioner(f func(names []string) []string) { s.partition = f }
 
 // TakeAhead serves the plan entry at position at on behalf of tenant if —
 // and only if — that costs no waiting: the entry is still the next
@@ -377,15 +406,14 @@ func (s *Stage) SetPlanPartitioner(f func(names []string) []string) { s.partitio
 // tenant that one token. Without a gate there is no token, and the take
 // itself checks the entry under the sample's shard lock.
 func (s *Stage) TakeAhead(tenant string, at PlanPos, maxBytes int64) (storage.Data, bool) {
-	pf := s.pf
 	var start time.Duration
 	if s.gate != nil {
 		start = s.env.Now()
-		if _, ok := pf.plans.nameAt(at); !ok || !pf.buffer.parked(at, maxBytes) || !s.gate.TryAdmit(tenant) {
+		if _, ok := s.plans.nameAt(at); !ok || !s.buffer.parked(at, maxBytes) || !s.gate.TryAdmit(tenant) {
 			return storage.Data{}, false
 		}
 	}
-	it, err := pf.buffer.Take(at, TakeOptions{NoWait: true, MaxBytes: maxBytes})
+	it, err := s.buffer.Take(at, TakeOptions{NoWait: true, MaxBytes: maxBytes})
 	if err != nil {
 		return storage.Data{}, false
 	}
@@ -406,7 +434,7 @@ func (s *Stage) NoteReadAheadWasted(n int64) { s.aheadWasted.Add(n) }
 // Planned reports whether at lies inside an active epoch's plan, claimed
 // or not: the socket server's test for whether a connection's stride has
 // entries left (DESIGN.md §29).
-func (s *Stage) Planned(at PlanPos) bool { return s.pf.plans.planned(at) }
+func (s *Stage) Planned(at PlanPos) bool { return s.plans.planned(at) }
 
 // NoteReadPayloads records how the payloads of one socket read reply
 // crossed: arena read where they were parked, inline on the socket.
@@ -419,16 +447,17 @@ func (s *Stage) NoteReadPayloads(arena, inline int64) {
 	}
 }
 
-// SubmitPlan forwards an epoch's shuffled filename list to the prefetcher.
+// SubmitPlan registers an epoch's shuffled filename list for the producers.
 func (s *Stage) SubmitPlan(names []string) error {
 	_, err := s.SubmitEpoch(names)
 	return err
 }
 
 // SubmitEpoch is SubmitPlan returning the issued epoch id and the number
-// of entries actually enqueued (see Prefetcher.SubmitEpoch). The plan is
-// resolved here, at the same chokepoint as the epoch-plan hook, so plans
-// from IPC clients are checked like in-process ones.
+// of entries actually enqueued. The producers read the names in exactly
+// this order. The plan is resolved here, at the same chokepoint as the
+// partitioner and the epoch-plan hook, so plans from IPC clients are
+// checked like in-process ones.
 func (s *Stage) SubmitEpoch(names []string) (PlanResult, error) {
 	slots, err := planSlots(s.names, names)
 	if err != nil {
@@ -456,43 +485,87 @@ func (s *Stage) SubmitEpochHeld(names [][]byte) (PlanResult, error) {
 
 // StartProducers wakes the producers a held submission left parked. Waking
 // them with nothing to pop is harmless: they park again.
-func (s *Stage) StartProducers() { s.pf.plans.wake() }
+func (s *Stage) StartProducers() { s.plans.wake() }
 
-// submitSlots registers a resolved plan. The partitioner sees the plan as
-// the table's own strings, the plan hook as the manifest's entries, with the
-// live set after it.
+// submitSlots registers a resolved plan; held leaves parked producers
+// parked (see SubmitEpochHeld). The partitioner sees the plan as the
+// table's own strings, the plan hook as the manifest's entries, with the
+// live set after it. Registration is one plan-manager critical section:
+// every entry becomes claimable at once, so a consumer can never wait on a
+// sample of a half-registered plan.
 func (s *Stage) submitSlots(slots []int32, held bool) (PlanResult, error) {
 	submit := slots
-	if s.partition != nil {
+	if s.cfg.PlanPartitioner != nil {
 		// Every name resolved above; this pass only finds the subset's slots.
-		submit, _ = planSlots(s.names, s.partition(slotNames(s.names, slots)))
+		submit, _ = planSlots(s.names, s.cfg.PlanPartitioner(slotNames(s.names, slots)))
 	}
-	res, err := s.pf.submit(submit, held)
-	if err == nil && s.epochHook != nil {
-		s.epochHook(s.samples(slots), s.samples(s.pf.plans.live()))
+	at := s.env.Now()
+	id, err := s.plans.register(submit, held)
+	if err != nil {
+		return PlanResult{}, err
 	}
-	return res, err
+	s.recordPlanSpan(obs.StagePlanSubmit, id, at, int64(len(submit)))
+	if s.cfg.EpochPlanHook != nil {
+		s.cfg.EpochPlanHook(s.samples(slots), s.samples(s.plans.live()))
+	}
+	return PlanResult{Epoch: id, Enqueued: len(submit)}, nil
 }
 
 // samples returns name slots as the manifest's entries.
 func (s *Stage) samples(slots []int32) []dataset.Sample {
 	out := make([]dataset.Sample, len(slots))
 	for i, slot := range slots {
-		out[i] = s.pf.manifest.Sample(int(slot))
+		out[i] = s.manifest.Sample(int(slot))
 	}
 	return out
 }
 
-// CancelEpoch cancels a submitted plan epoch (control interface): queued
-// entries are dropped, buffered samples released, and blocked consumers
-// woken with ErrEpochCancelled. Reports how many plan entries it removed.
-func (s *Stage) CancelEpoch(id EpochID) (int, error) { return s.pf.CancelEpoch(id) }
+// CancelEpoch cancels a submitted plan epoch (control interface):
+// unclaimed entries stop being claimable, its unpopped positions are never
+// read, its buffered samples are released back to the pool, in-flight
+// producer reads are refused at Put, and consumers blocked on its samples
+// wake with ErrEpochCancelled. Cancelling a terminal epoch is a no-op; an
+// unknown id is ErrUnknownEpoch. It reports how many registered plan
+// entries the cancellation removed.
+func (s *Stage) CancelEpoch(id EpochID) (int, error) {
+	at := s.env.Now()
+	removed, err := s.plans.cancel(id)
+	if err != nil {
+		return 0, err
+	}
+	// Physical cleanup: the buffered samples' entries were already charged
+	// by the cancel sweep or their claims, so only residue of a pruned
+	// epoch still needs accounting. The drop also wakes blocked consumers
+	// so their cancel predicates re-evaluate.
+	s.plans.noteDropped(id, s.buffer.DropWhere(func(it Item) bool { return it.Epoch == id }))
+	s.recordPlanSpan(obs.StageEpochCancel, id, at, int64(removed))
+	return removed, nil
+}
 
-// Epochs lists the retained plan epochs' statuses (control interface).
-func (s *Stage) Epochs() []EpochStatus { return s.pf.Epochs() }
+// recordPlanSpan emits a control-plane lifecycle span for an epoch submit
+// or cancel, subject to head sampling like any sample trace.
+func (s *Stage) recordPlanSpan(stage string, id EpochID, at time.Duration, size int64) {
+	ctx := s.cfg.Tracer.StartTrace()
+	if !ctx.Sampled {
+		return
+	}
+	s.cfg.Tracer.Record(obs.Span{
+		Trace:   ctx.Trace,
+		Stage:   stage,
+		Name:    fmt.Sprintf("epoch-%d", id),
+		At:      at,
+		Latency: s.env.Now() - at,
+		Size:    size,
+	})
+}
 
-// SetTakeDeadline adjusts the consumer take deadline (control interface).
-func (s *Stage) SetTakeDeadline(d time.Duration) { s.pf.SetTakeDeadline(d) }
+// Epochs lists the retained plan epochs' statuses in submission order
+// (control interface).
+func (s *Stage) Epochs() []EpochStatus { return s.plans.statuses() }
+
+// SetTakeDeadline adjusts the consumer take deadline at runtime (control
+// interface; 0 = none).
+func (s *Stage) SetTakeDeadline(d time.Duration) { s.takeDL.Store(int64(max(d, 0))) }
 
 // Stats snapshots the stage (control interface).
 func (s *Stage) Stats() StageStats {
@@ -503,22 +576,25 @@ func (s *Stage) Stats() StageStats {
 		Bypasses: s.bypasses.Value(),
 		Errors:   s.errors.Value(),
 		Shed:     s.shed.Value(),
-		QueueLen: s.pf.QueueLen(),
+		QueueLen: s.plans.unpopped(),
+
+		PrefetchedFiles: s.prefetched.Value(),
+		ReadErrors:      s.readErrors.Value(),
 	}
-	st.TargetProducers, st.RunningProducers = s.pf.Producers()
-	st.PrefetchedFiles = s.pf.PrefetchedFiles()
-	st.ReadErrors = s.pf.ReadErrors()
-	st.Buffer = s.pf.Buffer().Stats()
-	st.Plan = s.pf.PlanStats()
-	st.StorageReadLatency = s.pf.ReadLatency()
+	s.mu.Lock()
+	st.TargetProducers, st.RunningProducers = s.target, s.running
+	s.mu.Unlock()
+	st.Buffer = s.buffer.Stats()
+	st.Plan = s.plans.stats()
+	st.StorageReadLatency = s.readLat.Snapshot()
 	st.StorageBusy = st.StorageReadLatency.Sum
-	st.TraceSampling = s.tracer.Sampling()
-	if s.pool != nil {
-		st.Pool = s.pool.Stats()
+	st.TraceSampling = s.cfg.Tracer.Sampling()
+	if pool := s.cfg.BufferPool; pool != nil {
+		st.Pool = pool.Stats()
 		st.PoolEnabled = true
 	}
-	if s.chain != nil {
-		s.chain(&st)
+	if s.cfg.ChainStats != nil {
+		s.cfg.ChainStats(&st)
 	}
 	st.ThrottleWait = time.Duration(s.throttleWait.Value())
 	st.ReadAheadSamples = s.aheadSamples.Value()
@@ -528,11 +604,5 @@ func (s *Stage) Stats() StageStats {
 	return st
 }
 
-// SetProducers adjusts the prefetcher's t (control interface).
-func (s *Stage) SetProducers(n int) { s.pf.SetProducers(n) }
-
-// SetBufferCapacity adjusts the prefetcher's N (control interface).
-func (s *Stage) SetBufferCapacity(n int) { s.pf.Buffer().SetCapacity(n) }
-
-// Close shuts down the prefetcher.
-func (s *Stage) Close() { s.pf.Close() }
+// SetBufferCapacity adjusts N (control interface).
+func (s *Stage) SetBufferCapacity(n int) { s.buffer.SetCapacity(n) }

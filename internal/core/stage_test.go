@@ -15,12 +15,11 @@ import (
 // newTestStage builds a stage with a prefetch object over a modeled backend.
 func newTestStage(env conc.Env, nFiles int, producers int) (*Stage, []string) {
 	backend, names := testBackend(env, nFiles, 1000, time.Millisecond, 4)
-	pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(producers, 8))
+	st, err := NewStage(env, backend, testManifest(names, 1000), pfConfig(producers, 8))
 	if err != nil {
 		panic(err)
 	}
-	st := NewStage(env, backend, pf)
-	pf.Start()
+	st.Start()
 	return st, names
 }
 
@@ -68,9 +67,8 @@ func TestStageErrorCounting(t *testing.T) {
 		backend, names := testBackend(env, 4, 1000, time.Millisecond, 2)
 		faulty := storage.NewFaultyBackend(env, backend)
 		faulty.FailName(names[0])
-		pf, _ := NewPrefetcher(env, faulty, testManifest(names, 1000), pfConfig(1, 8))
-		st := NewStage(env, faulty, pf)
-		pf.Start()
+		st, _ := NewStage(env, faulty, testManifest(names, 1000), pfConfig(1, 8))
+		st.Start()
 		_ = st.SubmitPlan(names[:1])
 		if _, _, err := st.Read(ReadRequest{Name: names[0]}); !errors.Is(err, storage.ErrInjected) {
 			t.Fatalf("Read = %v, want injected error", err)
@@ -263,16 +261,22 @@ func TestStageTenantGate(t *testing.T) {
 // leaves it.
 func TestEpochPlanHookLiveSet(t *testing.T) {
 	runSim(t, func(env conc.Env) {
-		st, names := newTestStage(env, 6, 2)
-		defer st.Close()
 		var live [][]string
-		st.SetEpochPlanHook(func(_, l []dataset.Sample) {
+		backend, names := testBackend(env, 6, 1000, time.Millisecond, 4)
+		cfg := pfConfig(2, 8)
+		cfg.EpochPlanHook = func(_, l []dataset.Sample) {
 			var got []string
 			for _, s := range l {
 				got = append(got, s.Name)
 			}
 			live = append(live, got)
-		})
+		}
+		st, err := NewStage(env, backend, testManifest(names, 1000), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Start()
+		defer st.Close()
 		first := []string{names[0], names[1], names[2], names[1]}
 		for _, plan := range [][]string{first, {names[3], names[0]}} {
 			if err := st.SubmitPlan(plan); err != nil {
@@ -337,18 +341,18 @@ func TestEpochPlanHookSeesManifestEntries(t *testing.T) {
 					t.Fatal(err)
 				}
 				backend := storage.NewModeledBackend(m, dev)
-				pf, err := NewPrefetcher(env, backend, m, pfConfig(2, 8))
+				var seen, live [][]dataset.Sample
+				cfg := pfConfig(2, 8)
+				cfg.EpochPlanHook = func(plan, l []dataset.Sample) { seen, live = append(seen, plan), append(live, l) }
+				if c.partition {
+					cfg.PlanPartitioner = func(names []string) []string { return names[:1] }
+				}
+				st, err := NewStage(env, backend, m, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := NewStage(env, backend, pf)
 				defer st.Close()
-				var seen, live [][]dataset.Sample
-				st.SetEpochPlanHook(func(plan, l []dataset.Sample) { seen, live = append(seen, plan), append(live, l) })
-				if c.partition {
-					st.SetPlanPartitioner(func(names []string) []string { return names[:1] })
-				}
-				pf.Start()
+				st.Start()
 				plan := []string{"f3", "f0", "f2", "f1"}
 				err = c.submit(st, plan)
 				if c.refused {

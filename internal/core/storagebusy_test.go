@@ -15,12 +15,11 @@ func TestStorageBusyIsSumOfReadIntervals(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		// More channels than producers: no request queues.
 		backend, names := testBackend(env, files, 1000, lat, 2*producers)
-		pf, err := NewPrefetcher(env, backend, testManifest(names, 1000), pfConfig(producers, files))
+		st, err := NewStage(env, backend, testManifest(names, 1000), pfConfig(producers, files))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewStage(env, backend, pf)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 		if err := st.SubmitPlan(names); err != nil {
 			t.Fatal(err)

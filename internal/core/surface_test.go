@@ -22,6 +22,12 @@ import (
 // relative to root and its source.
 func nonTestGo(t *testing.T, root string, visit func(rel string, src []byte)) {
 	t.Helper()
+	goFiles(t, root, false, visit)
+}
+
+// goFiles is nonTestGo with test files as well when tests is set.
+func goFiles(t *testing.T, root string, tests bool, visit func(rel string, src []byte)) {
+	t.Helper()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -34,7 +40,7 @@ func nonTestGo(t *testing.T, root string, visit func(rel string, src []byte)) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+		if !strings.HasSuffix(rel, ".go") || (!tests && strings.HasSuffix(rel, "_test.go")) {
 			return nil
 		}
 		src, err := os.ReadFile(path)
@@ -106,5 +112,30 @@ func TestReadSurface(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// TestStageBuiltWhole keeps the stage one object built by one constructor
+// (DESIGN.md §9): NewStage takes the wiring in its StageConfig, so the
+// stage's only setters are the runtime controls and SetTenantGate — the
+// tenancy manager is built over the stage (its load probe reads Stats, its
+// SLO hook records into the controller that actuates the stage) — and no
+// Go file outside internal/core, tests included, names the prefetcher the
+// stage absorbed or a setter that once wired a stage after construction.
+func TestStageBuiltWhole(t *testing.T) {
+	allowed := map[string]bool{"SetProducers": true, "SetBufferCapacity": true, "SetTakeDeadline": true, "SetTraceSampling": true, "SetTenantGate": true}
+	for _, name := range methodsMatching(&core.Stage{}, `^Set`) {
+		if !allowed[name] {
+			t.Errorf("core.Stage.%s: wiring belongs in core.StageConfig, runtime knobs in the control table", name)
+		}
+	}
+	gone := regexp.MustCompile(`\b(NewPrefetcher|Prefetcher|PrefetcherConfig|DefaultPrefetcherConfig|SetChainStats|SetEpochPlanHook|SetPlanPartitioner|InstallPartitioner|DisablePartitioner)\b`)
+	goFiles(t, "../..", true, func(rel string, src []byte) {
+		if filepath.ToSlash(filepath.Dir(rel)) == "internal/core" {
+			return
+		}
+		if m := gone.Find(src); m != nil {
+			t.Errorf("%s still mentions %s", rel, m)
+		}
 	})
 }

@@ -86,8 +86,8 @@ type ClusterConfig struct {
 	// coordinated control shifts producers toward the slower paths). A
 	// read pays the PFS service and then the link transfer.
 	Links []storage.DeviceSpec
-	// Stage configures each node's prefetcher.
-	Stage core.PrefetcherConfig
+	// Stage configures each node's stage.
+	Stage core.StageConfig
 	// Policy bounds the control plane.
 	Policy control.Policy
 	// ControlInterval is the tuning period.
@@ -138,7 +138,7 @@ func DefaultClusterConfig() ClusterConfig {
 		PFS: storage.DeviceSpec{
 			Name: "lustre", BaseLatency: 400 * time.Microsecond, BytesPerSecond: 2e9, Channels: 8,
 		},
-		Stage: core.PrefetcherConfig{
+		Stage: core.StageConfig{
 			InitialProducers: 1, MaxProducers: 16,
 			InitialBufferCapacity: 32, MaxBufferCapacity: 1024,
 			TakeDeadline: 5 * time.Second,
@@ -321,6 +321,16 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			nodeNames[n] = fmt.Sprintf("node-%d", n)
 		}
 
+		// One placement ring, immutable, for every node's partitioner and
+		// fabric.
+		var ring *Ring
+		if clairvoyant {
+			if ring, err = NewRing(nodeNames, cfg.VirtualNodes); err != nil {
+				runErr = err
+				return
+			}
+		}
+
 		// Per-node stages: each prefetches through its reader count and
 		// its link; the stage's own reads bypass the count.
 		stages := make([]*core.Stage, cfg.Nodes)
@@ -337,22 +347,20 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 				backend = &linkBackend{link: linkDev, inner: shared}
 			}
 			readers[n] = storage.NewReaderCount(env, backend)
-			pf, err := core.NewPrefetcher(env, readers[n], man, cfg.Stage)
+			stageCfg := cfg.Stage
+			stageCfg.ProducerBackend = readers[n]
+			if clairvoyant {
+				stageCfg.PlanPartitioner = ring.Partitioner(nodeNames[n])
+			}
+			stages[n], err = core.NewStage(env, backend, man, stageCfg)
 			if err != nil {
 				runErr = err
 				return
 			}
-			stages[n] = core.NewStage(env, backend, pf)
-			pf.Start()
+			stages[n].Start()
 			if clairvoyant {
-				ring, err := NewRing(nodeNames, cfg.VirtualNodes)
-				if err != nil {
-					runErr = err
-					return
-				}
 				fabrics[n], err = NewFabric(env, FabricConfig{
-					Node: nodeNames[n], Ring: ring, Stage: stages[n],
-					Slow: backend, InstallPartitioner: true,
+					Node: nodeNames[n], Ring: ring, Stage: stages[n], Slow: backend,
 				})
 				if err != nil {
 					runErr = err

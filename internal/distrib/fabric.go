@@ -35,11 +35,6 @@ type FabricConfig struct {
 	Slow storage.Backend
 	// Tracer records peer-read / peer-serve spans (nil = no tracing).
 	Tracer *obs.Tracer
-	// InstallPartitioner, when true, installs a plan partitioner on Stage so
-	// SubmitEpoch with the full cluster plan prefetches only this node's
-	// ring-owned share (clairvoyant placement). Leave false for modes where
-	// every node sweeps the full plan itself.
-	InstallPartitioner bool
 }
 
 // ClusterStats is one node's view of the fabric's traffic.
@@ -70,11 +65,11 @@ type ClusterStats struct {
 // Fabric is one node's router in the multi-node prefetch fabric: reads of
 // samples this node owns (by consistent-hash placement) go to the local
 // stage; reads owned by a peer are forwarded to that peer's buffer; peer
-// failures fail over to the shared slow store. With a plan partitioner
-// installed, each node prefetches exactly the samples it will serve
-// (clairvoyant placement — the epoch plan reveals the full access order),
-// so cross-node traffic hits warm buffers instead of duplicating slow-store
-// reads.
+// failures fail over to the shared slow store. Its stage is built with the
+// ring's partitioner for the node (Ring.Partitioner), so each node
+// prefetches exactly the samples it will serve (clairvoyant placement — the
+// epoch plan reveals the full access order), and cross-node traffic hits
+// warm buffers instead of duplicating slow-store reads.
 type Fabric struct {
 	env    conc.Env
 	node   string
@@ -128,9 +123,6 @@ func NewFabric(env conc.Env, cfg FabricConfig) (*Fabric, error) {
 		failovers:  metrics.NewCounter(env),
 		waitMu:     env.NewMutex(),
 	}
-	if cfg.InstallPartitioner {
-		f.stage.SetPlanPartitioner(f.OwnedSubset)
-	}
 	return f, nil
 }
 
@@ -145,20 +137,6 @@ func (f *Fabric) SetPeer(node string, p PeerReader) {
 	f.mu.Lock()
 	f.peers[node] = p
 	f.mu.Unlock()
-}
-
-// OwnedSubset filters names down to the subsequence this node owns,
-// preserving order. It is the plan partitioner installed on the stage:
-// SubmitEpoch with the full cluster plan prefetches exactly this node's
-// serving share.
-func (f *Fabric) OwnedSubset(names []string) []string {
-	out := make([]string, 0, len(names)/max(1, f.ring.Size())+1)
-	for _, n := range names {
-		if f.ring.Owner(n) == f.node {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // Read is the fabric's one read and the one place the routing policy lives

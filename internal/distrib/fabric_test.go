@@ -18,6 +18,7 @@ import (
 type fabricFixture struct {
 	man     *dataset.Manifest
 	dev     *storage.Device
+	ring    *Ring
 	stages  [2]*core.Stage
 	fabrics [2]*Fabric
 }
@@ -40,26 +41,24 @@ func newFabricFixture(t *testing.T, env conc.Env, files int) *fabricFixture {
 	fx.dev = dev
 	shared := storage.NewModeledBackend(man, dev)
 	names := []string{"node-0", "node-1"}
+	if fx.ring, err = NewRing(names, 0); err != nil {
+		t.Errorf("ring: %v", err)
+		return nil
+	}
 	for n := 0; n < 2; n++ {
-		pf, err := core.NewPrefetcher(env, shared, man, core.PrefetcherConfig{
+		fx.stages[n], err = core.NewStage(env, shared, man, core.StageConfig{
 			InitialProducers: 2, MaxProducers: 8,
 			InitialBufferCapacity: 32, MaxBufferCapacity: 256,
-			TakeDeadline: 2 * time.Second,
+			TakeDeadline:    2 * time.Second,
+			PlanPartitioner: fx.ring.Partitioner(names[n]),
 		})
 		if err != nil {
-			t.Errorf("prefetcher: %v", err)
+			t.Errorf("stage: %v", err)
 			return nil
 		}
-		fx.stages[n] = core.NewStage(env, shared, pf)
-		pf.Start()
-		ring, err := NewRing(names, 0)
-		if err != nil {
-			t.Errorf("ring: %v", err)
-			return nil
-		}
+		fx.stages[n].Start()
 		fx.fabrics[n], err = NewFabric(env, FabricConfig{
-			Node: names[n], Ring: ring, Stage: fx.stages[n],
-			Slow: shared, InstallPartitioner: true,
+			Node: names[n], Ring: fx.ring, Stage: fx.stages[n], Slow: shared,
 		})
 		if err != nil {
 			t.Errorf("fabric: %v", err)
@@ -91,7 +90,7 @@ func TestFabricRoutesByOwnership(t *testing.T) {
 		}
 		defer fx.close()
 		full := fx.man.EpochFileList(9, 0)
-		owned0 := len(fx.fabrics[0].OwnedSubset(full))
+		owned0 := len(fx.ring.Partitioner("node-0")(full))
 		if owned0 == 0 || owned0 == len(full) {
 			t.Errorf("degenerate split: node-0 owns %d of %d", owned0, len(full))
 			return
@@ -172,7 +171,7 @@ func TestFabricFailoverToSlowStore(t *testing.T) {
 			}
 		}
 		st0 := fx.fabrics[0].Stats()
-		notOwned := int64(len(full)) - int64(len(fx.fabrics[0].OwnedSubset(full)))
+		notOwned := int64(len(full)) - int64(len(fx.ring.Partitioner("node-0")(full)))
 		if st0.Failovers != notOwned {
 			t.Errorf("failovers = %d, want %d", st0.Failovers, notOwned)
 		}

@@ -106,3 +106,19 @@ func (r *Ring) Owner(key string) string {
 	}
 	return r.points[i].node
 }
+
+// Partitioner returns node's plan partitioner: it filters names down to the
+// subsequence node owns, preserving order. A fabric node's stage is built
+// with it (core.StageConfig.PlanPartitioner), so SubmitEpoch with the full
+// cluster plan prefetches exactly that node's serving share.
+func (r *Ring) Partitioner(node string) func(names []string) []string {
+	return func(names []string) []string {
+		out := make([]string, 0, len(names)/max(1, r.Size())+1)
+		for _, n := range names {
+			if r.Owner(n) == node {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+}

@@ -101,9 +101,9 @@ func TestRingStabilityUnderJoinLeave(t *testing.T) {
 	}
 }
 
-// The installed plan partitioners are disjoint and complete: every node's
-// Fabric.OwnedSubset of the plan holds exactly the entries the ring gives
-// it, in plan order, and together they cover every entry once.
+// The ring's plan partitioners are disjoint and complete: every node's
+// Ring.Partitioner share of the plan holds exactly the entries the ring
+// gives it, in plan order, and together they cover every entry once.
 func TestPartitionPlanDisjointComplete(t *testing.T) {
 	nodes := ringNodes(5)
 	plan := ringKeys(3000, 11)
@@ -118,9 +118,8 @@ func TestPartitionPlanDisjointComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := &Fabric{node: node, ring: r}
 		prevIdx := -1
-		for _, k := range f.OwnedSubset(plan) {
+		for _, k := range r.Partitioner(node)(plan) {
 			if owner, dup := seen[k]; dup {
 				t.Fatalf("key %q in partitions of both %q and %q", k, owner, node)
 			}

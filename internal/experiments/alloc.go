@@ -116,18 +116,17 @@ func AllocBenchmark(cfg AllocConfig) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer ch.Close()
-		pf, err := core.NewPrefetcher(env, ch.Backend, uniformManifest(names, int64(cfg.FileSize)), core.PrefetcherConfig{
+		stage, err := core.NewStage(env, ch.Backend, uniformManifest(names, int64(cfg.FileSize)), core.StageConfig{
 			InitialProducers:      cfg.Producers,
 			MaxProducers:          cfg.Producers,
 			InitialBufferCapacity: cfg.BufferCap,
 			MaxBufferCapacity:     cfg.BufferCap,
+			BufferPool:            pool,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		stage := core.NewStage(env, ch.Backend, pf)
-		stage.SetBufferPool(pool)
-		pf.Start()
+		stage.Start()
 		defer stage.Close()
 
 		// os.MkdirTemp rather than b.TempDir: the body also runs outside

@@ -131,21 +131,20 @@ func RunAttributionCell(label string, cfg AttributionConfig) (AttributionCell, e
 		for i := range names {
 			names[i] = attributionName(i)
 		}
-		pf, err := core.NewPrefetcher(env, backend, uniformManifest(names, backend.size), core.PrefetcherConfig{
+		tracer := obs.NewTracer(env, obs.TracerOptions{Sampling: cfg.Sampling, Seed: cfg.Seed})
+		st, err := core.NewStage(env, backend, uniformManifest(names, backend.size), core.StageConfig{
 			InitialProducers:      cfg.Producers,
 			MaxProducers:          cfg.Producers,
 			InitialBufferCapacity: cfg.BufferCap,
 			MaxBufferCapacity:     cfg.BufferCap,
 			BufferShards:          1,
+			Tracer:                tracer,
 		})
 		if err != nil {
 			runErr = err
 			return
 		}
-		st := core.NewStage(env, backend, pf)
-		tracer := obs.NewTracer(env, obs.TracerOptions{Sampling: cfg.Sampling, Seed: cfg.Seed})
-		st.SetTracer(tracer)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 
 		if err := st.SubmitPlan(names); err != nil {

@@ -69,7 +69,7 @@ type Calibration struct {
 	TFPrismaIntercept time.Duration
 	// TFPrismaStage configures PRISMA's data plane for the TensorFlow
 	// (thread-based) integration: buffer access is a plain mutex.
-	TFPrismaStage core.PrefetcherConfig
+	TFPrismaStage core.StageConfig
 
 	// PyTorch-side costs (Fig. 4).
 	TorchCosts          torchmini.Costs
@@ -77,7 +77,7 @@ type Calibration struct {
 	// TorchPrismaStage configures PRISMA's data plane for the PyTorch
 	// (process-based) integration: every buffer access carries the
 	// serialized UDS round-trip cost, the §V-B bottleneck at 8+ workers.
-	TorchPrismaStage core.PrefetcherConfig
+	TorchPrismaStage core.StageConfig
 
 	// Control plane. Algorithm builds each PRISMA stage's control
 	// algorithm (nil = the feedback auto-tuner, control.NewAutotuner).
@@ -119,7 +119,7 @@ func Default() Calibration {
 		// PRISMA moves only I/O: decode stays in the consumer thread.
 		TFPrismaCosts:     tfmini.Costs{Preprocess: 30 * time.Microsecond, Consume: 5 * time.Microsecond},
 		TFPrismaIntercept: 65 * time.Microsecond,
-		TFPrismaStage: core.PrefetcherConfig{
+		TFPrismaStage: core.StageConfig{
 			InitialProducers:      1,
 			MaxProducers:          32,
 			InitialBufferCapacity: 16,
@@ -131,7 +131,7 @@ func Default() Calibration {
 		// PyTorch workers decode in-process; collate assembles the batch.
 		TorchCosts:          torchmini.Costs{Preprocess: 150 * time.Microsecond, Collate: 2 * time.Millisecond},
 		TorchPrefetchFactor: 2,
-		TorchPrismaStage: core.PrefetcherConfig{
+		TorchPrismaStage: core.StageConfig{
 			InitialProducers: 1,
 			MaxProducers:     32,
 			// The PyTorch integration sizes the buffer to cover two

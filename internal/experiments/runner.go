@@ -86,14 +86,17 @@ func RunTF(cal Calibration, model train.Model, batch int, setup string, seed int
 			pipeline, readers = p, p.ActiveReaderDistribution
 
 		case "prisma", "prisma-valprefetch":
+			// Only the producers' reads are counted: the stage's own
+			// bypass reads go to backend directly.
 			counted := storage.NewReaderCount(env, backend)
-			pf, err := core.NewPrefetcher(env, counted, all, cal.TFPrismaStage)
-			if err != nil {
+			stageCfg := cal.TFPrismaStage
+			stageCfg.ProducerBackend = counted
+			var err error
+			if stage, err = core.NewStage(env, backend, all, stageCfg); err != nil {
 				runErr = err
 				return
 			}
-			stage = core.NewStage(env, backend, pf)
-			pf.Start()
+			stage.Start()
 			initial := control.Tuning{
 				Producers:      cal.TFPrismaStage.InitialProducers,
 				BufferCapacity: cal.TFPrismaStage.InitialBufferCapacity,
@@ -197,14 +200,16 @@ func RunTorch(cal Calibration, model train.Model, batch, workers int, setup stri
 			pipeline = p
 
 		case "prisma":
+			// Only the producers' reads are counted, as for TensorFlow.
 			counted = storage.NewReaderCount(env, backend)
-			pf, err := core.NewPrefetcher(env, counted, all, cal.TorchPrismaStage)
-			if err != nil {
+			stageCfg := cal.TorchPrismaStage
+			stageCfg.ProducerBackend = counted
+			var err error
+			if stage, err = core.NewStage(env, backend, all, stageCfg); err != nil {
 				runErr = err
 				return
 			}
-			stage = core.NewStage(env, backend, pf)
-			pf.Start()
+			stage.Start()
 			initial := control.Tuning{
 				Producers:      cal.TorchPrismaStage.InitialProducers,
 				BufferCapacity: cal.TorchPrismaStage.InitialBufferCapacity,

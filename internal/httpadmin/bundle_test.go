@@ -43,12 +43,11 @@ func bundleFixture(t *testing.T) (*httptest.Server, *obs.Tracer) {
 	snap := tenancy.Snapshot{Capacity: 500, Tenants: []tenancy.TenantStats{
 		{Name: "victim", Weight: 1, SLOBoosted: true, SLO: &breach},
 	}}
-	cfg := Config{
-		Tracer:  tracer,
-		Tenants: func() tenancy.Snapshot { return snap },
-		Decisions: func() []control.DecisionRecord {
-			return []control.DecisionRecord{{Tick: 1, Rule: "slo-breach:victim"}}
-		},
+	cfg := dp.config()
+	cfg.Tracer = tracer
+	cfg.Tenants = func() tenancy.Snapshot { return snap }
+	cfg.Decisions = func() []control.DecisionRecord {
+		return []control.DecisionRecord{{Tick: 1, Rule: "slo-breach:victim"}}
 	}
 	srv := httptest.NewServer(NewWithConfig(dp, cfg))
 	t.Cleanup(srv.Close)
@@ -141,11 +140,12 @@ func TestBundleSpanLimit(t *testing.T) {
 	}
 }
 
-// TestBundleMinimal checks the endpoint works over a bare data plane: no
+// TestBundleMinimal checks the endpoint works with no optional source: no
 // tracer, tenants, epochs, or decisions — the optional sections are simply
-// absent, never an error.
+// absent, never an error. A data plane with epoch methods but no epoch
+// source in the Config has no epochs section either.
 func TestBundleMinimal(t *testing.T) {
-	srv := httptest.NewServer(New(&fakeDP{}))
+	srv := httptest.NewServer(NewWithConfig(&epochDP{epochs: []core.EpochStatus{{ID: 1}}}, Config{}))
 	defer srv.Close()
 	b := getBundle(t, srv.URL+"/debug/bundle")
 	if b.Tenants != nil || b.Epochs != nil || b.Decisions != nil || b.Spans != nil {

@@ -10,7 +10,8 @@ import (
 	"github.com/dsrhaslab/prisma-go/internal/core"
 )
 
-// epochDP is a fakeDP that also implements the epochManager extension.
+// epochDP is a fakeDP with a stage's epoch methods. The handler serves
+// them only when its Config names them as sources (config).
 type epochDP struct {
 	fakeDP
 	epochs    []core.EpochStatus
@@ -29,12 +30,15 @@ func (f *epochDP) CancelEpoch(id core.EpochID) (int, error) {
 	return 0, core.ErrUnknownEpoch
 }
 
+// config names dp's epoch methods as the handler's epoch sources.
+func (f *epochDP) config() Config { return Config{Epochs: f.Epochs, CancelEpoch: f.CancelEpoch} }
+
 func TestEpochsEndpoint(t *testing.T) {
 	dp := &epochDP{epochs: []core.EpochStatus{
 		{ID: 1, State: core.EpochDone, Total: 8, Enqueued: 8, Delivered: 8},
 		{ID: 2, State: core.EpochActive, Total: 8, Enqueued: 8, Delivered: 3},
 	}}
-	srv := httptest.NewServer(New(dp))
+	srv := httptest.NewServer(NewWithConfig(dp, dp.config()))
 	t.Cleanup(srv.Close)
 
 	resp, err := http.Get(srv.URL + "/epochs")
@@ -72,7 +76,7 @@ func TestEpochsEndpoint(t *testing.T) {
 
 func TestEpochsEndpointValidation(t *testing.T) {
 	dp := &epochDP{}
-	srv := httptest.NewServer(New(dp))
+	srv := httptest.NewServer(NewWithConfig(dp, dp.config()))
 	t.Cleanup(srv.Close)
 	for _, tc := range []struct {
 		url  string
@@ -94,23 +98,36 @@ func TestEpochsEndpointValidation(t *testing.T) {
 	}
 }
 
+// TestEpochsEndpointNotSupported: without epoch sources in its Config the
+// handler answers 501 to both the list and the cancel, even over a data
+// plane that has the methods — it discovers nothing by type assertion.
 func TestEpochsEndpointNotSupported(t *testing.T) {
-	srv, _ := newServer(t) // plain fakeDP: no epoch manager
-	resp, err := http.Get(srv.URL + "/epochs")
+	dp := &epochDP{epochs: []core.EpochStatus{{ID: 1, State: core.EpochActive, Total: 8}}}
+	srv := httptest.NewServer(NewWithConfig(dp, Config{}))
+	t.Cleanup(srv.Close)
+	get, err := http.Get(srv.URL + "/epochs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("GET /epochs status = %d, want 501", resp.StatusCode)
+	get.Body.Close()
+	post, err := http.Post(srv.URL+"/epochs?cancel=1", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post.Body.Close()
+	if get.StatusCode != http.StatusNotImplemented || post.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("GET /epochs status = %d, POST /epochs?cancel=1 status = %d; want 501 and 501", get.StatusCode, post.StatusCode)
+	}
+	if dp.cancelled != 0 {
+		t.Fatalf("epoch %d cancelled without a source", dp.cancelled)
 	}
 }
 
 func TestMetricsIncludePlanLifecycle(t *testing.T) {
-	dp := &epochDP{}
+	dp := &fakeDP{}
 	dp.stats.Plan = core.PlanStats{EpochsSubmitted: 3, EpochsCancelled: 1, Delivered: 40, Dropped: 8}
 	dp.stats.ReadAheadSamples, dp.stats.ReadAheadWasted = 32, 5
-	srv := httptest.NewServer(New(dp))
+	srv := httptest.NewServer(NewWithConfig(dp, Config{}))
 	t.Cleanup(srv.Close)
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

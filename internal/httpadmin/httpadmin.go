@@ -47,6 +47,12 @@ type Config struct {
 	// Cluster, when set, backs GET /cluster and the prisma_cluster_*
 	// Prometheus metrics with the multi-node fabric's traffic snapshot.
 	Cluster func() distrib.ClusterStats
+	// Epochs, when set, backs GET /epochs and the bundle's epochs section
+	// with the stage's retained plan epochs (core.Stage.Epochs).
+	Epochs func() []core.EpochStatus
+	// CancelEpoch, when set, backs POST /epochs?cancel=ID
+	// (core.Stage.CancelEpoch).
+	CancelEpoch func(core.EpochID) (int, error)
 }
 
 // DefaultBundleSpans bounds the spans embedded in a diagnostic bundle when
@@ -89,8 +95,8 @@ func BuildBundle(dp control.DataPlane, cfg Config, spanLimit int) Bundle {
 		snap := cfg.Tenants()
 		b.Tenants = &snap
 	}
-	if em, ok := dp.(epochManager); ok {
-		b.Epochs = em.Epochs()
+	if cfg.Epochs != nil {
+		b.Epochs = cfg.Epochs()
 	}
 	if cfg.Decisions != nil {
 		b.Decisions = cfg.Decisions()
@@ -117,11 +123,8 @@ type Handler struct {
 	mux *http.ServeMux
 }
 
-// New builds the admin handler over any control.DataPlane (a *core.Stage
-// in practice) with the default Config.
-func New(dp control.DataPlane) *Handler { return NewWithConfig(dp, Config{}) }
-
-// NewWithConfig builds the admin handler with explicit options.
+// NewWithConfig builds the admin handler over any control.DataPlane (a
+// *core.Stage in practice) with cfg's optional surfaces.
 func NewWithConfig(dp control.DataPlane, cfg Config) *Handler {
 	h := &Handler{dp: dp, cfg: cfg, mux: http.NewServeMux()}
 	h.mux.HandleFunc("/healthz", h.healthz)
@@ -484,27 +487,22 @@ func (h *Handler) decisions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, append([]control.DecisionRecord{}, h.cfg.Decisions()...)) // [] rather than null
 }
 
-// epochManager is the optional extension for data planes with an
-// epoch-aware plan manager (core.Stage has one when a prefetcher is
-// attached; its methods degrade gracefully without one).
-type epochManager interface {
-	Epochs() []core.EpochStatus
-	CancelEpoch(id core.EpochID) (int, error)
-}
-
 // epochs serves the plan-epoch lifecycle: GET /epochs lists the retained
 // epoch statuses; POST /epochs?cancel=ID cancels one epoch and reports how
-// many plan entries were removed.
+// many plan entries were removed. Each answers 501 without its source.
 func (h *Handler) epochs(w http.ResponseWriter, r *http.Request) {
-	em, ok := h.dp.(epochManager)
-	if !ok {
-		http.Error(w, "data plane does not support plan epochs", http.StatusNotImplemented)
-		return
-	}
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, append([]core.EpochStatus{}, em.Epochs()...)) // [] rather than null
+		if h.cfg.Epochs == nil {
+			http.Error(w, "plan epochs unavailable: no epoch source attached", http.StatusNotImplemented)
+			return
+		}
+		writeJSON(w, append([]core.EpochStatus{}, h.cfg.Epochs()...)) // [] rather than null
 	case http.MethodPost:
+		if h.cfg.CancelEpoch == nil {
+			http.Error(w, "epoch cancel unavailable: no epoch source attached", http.StatusNotImplemented)
+			return
+		}
 		v := r.URL.Query().Get("cancel")
 		if v == "" {
 			http.Error(w, "nothing to apply (use ?cancel=ID)", http.StatusBadRequest)
@@ -515,7 +513,7 @@ func (h *Handler) epochs(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad epoch id", http.StatusBadRequest)
 			return
 		}
-		removed, err := em.CancelEpoch(core.EpochID(id))
+		removed, err := h.cfg.CancelEpoch(core.EpochID(id))
 		if err != nil {
 			status := http.StatusInternalServerError
 			if errors.Is(err, core.ErrUnknownEpoch) {

@@ -168,7 +168,7 @@ func TestTuningValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /tuning status = %d, want 405", resp.StatusCode)
 	}
-	plain := httptest.NewServer(New(&fakeDP{}))
+	plain := httptest.NewServer(NewWithConfig(&fakeDP{}, Config{}))
 	defer plain.Close()
 	resp, err = http.Post(plain.URL+"/tuning?sampling=0.5", "", nil)
 	if err != nil {
@@ -211,7 +211,7 @@ func TestMetricsRenderTheWholeHierarchy(t *testing.T) {
 				Capacity: c.capacity, Window: c.window, Waits: 3, WaitTime: 2 * time.Second,
 				PromoteTime: time.Second, DecodeTime: 500 * time.Millisecond,
 			}
-			srv := httptest.NewServer(New(dp))
+			srv := httptest.NewServer(NewWithConfig(dp, Config{}))
 			defer srv.Close()
 			resp, err := http.Get(srv.URL + "/metrics")
 			if err != nil {

@@ -21,7 +21,7 @@ func TestAttributionEndpoint(t *testing.T) {
 	dp.stats.Buffer.ConsumerWait = 6 * time.Second
 	dp.stats.Buffer.ConsumerWaitStorage = 5 * time.Second
 	dp.stats.Buffer.ConsumerWaitBufferFull = time.Second
-	srv := httptest.NewServer(New(dp))
+	srv := httptest.NewServer(NewWithConfig(dp, Config{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/attribution")
@@ -66,7 +66,7 @@ func TestAttributionEndpoint(t *testing.T) {
 
 func TestDecisionsEndpoint(t *testing.T) {
 	// Without a source: 501.
-	bare := httptest.NewServer(New(&fakeDP{}))
+	bare := httptest.NewServer(NewWithConfig(&fakeDP{}, Config{}))
 	defer bare.Close()
 	resp, err := http.Get(bare.URL + "/decisions")
 	if err != nil {
@@ -122,7 +122,7 @@ func TestMetricsHistogramExposition(t *testing.T) {
 	h.Observe(300 * time.Microsecond)
 	h.Observe(30 * time.Millisecond)
 	dp.stats.StorageReadLatency = h.Snapshot()
-	srv := httptest.NewServer(New(dp))
+	srv := httptest.NewServer(NewWithConfig(dp, Config{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -176,7 +176,7 @@ func parseTail(line string, n *int64) (int, error) {
 }
 
 func TestPprofGating(t *testing.T) {
-	off := httptest.NewServer(New(&fakeDP{}))
+	off := httptest.NewServer(NewWithConfig(&fakeDP{}, Config{}))
 	defer off.Close()
 	resp, err := http.Get(off.URL + "/debug/pprof/")
 	if err != nil {

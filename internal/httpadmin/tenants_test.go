@@ -55,7 +55,7 @@ func TestTenantsJSON(t *testing.T) {
 }
 
 func TestTenantsNotEnabled(t *testing.T) {
-	srv := httptest.NewServer(New(&fakeDP{}))
+	srv := httptest.NewServer(NewWithConfig(&fakeDP{}, Config{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/tenants")
 	if err != nil {

@@ -402,15 +402,14 @@ func fuzzServer(f *testing.F, tenants *tenancy.Manager) (*Server, *core.Stage, [
 	backend := storagetest.OpenDir(f, dir)
 	pool := mempool.New(mempool.Config{Debug: true})
 	backend.SetBufferPool(pool)
-	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
+	stage, err := core.NewStage(env, backend, man, core.StageConfig{
 		InitialProducers: 1, MaxProducers: 4, InitialBufferCapacity: 8, MaxBufferCapacity: 32,
+		BufferPool: pool,
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, pf)
-	stage.SetBufferPool(pool)
-	pf.Start()
+	stage.Start()
 	sock := filepath.Join(f.TempDir(), "fuzz.sock")
 	srv, err := ServeWithConfig(sock, stage, nil, ServeConfig{Tenants: tenants})
 	if err != nil {

@@ -46,14 +46,16 @@ func startServerWithConfig(t *testing.T, nFiles int, cfg ServeConfig) (*Server, 
 	}
 	env := conc.NewReal()
 	backend := storagetest.OpenDir(t, dir)
-	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
+	// A tracer at sampling 0, as Open builds it, so the control table's
+	// sampling key has something to turn.
+	stage, err := core.NewStage(env, backend, man, core.StageConfig{
 		InitialProducers: 2, MaxProducers: 8, InitialBufferCapacity: 8, MaxBufferCapacity: 64,
+		Tracer: obs.NewTracer(env, obs.TracerOptions{}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, pf)
-	pf.Start()
+	stage.Start()
 
 	sock := filepath.Join(t.TempDir(), "prisma.sock")
 	srv, err := ServeWithConfig(sock, stage, nil, cfg)
@@ -72,7 +74,7 @@ func startServerWithConfig(t *testing.T, nFiles int, cfg ServeConfig) (*Server, 
 // bundle document, and a control table over the stage and, when not nil,
 // its tenants.
 func attachSurface(srv *Server, stage *core.Stage, tenants *tenancy.Manager) {
-	var cfg httpadmin.Config
+	cfg := httpadmin.Config{Epochs: stage.Epochs, CancelEpoch: stage.CancelEpoch}
 	if tenants != nil {
 		cfg.Tenants = tenants.Stats
 	}
@@ -206,7 +208,6 @@ var retiredOpcodes = []byte{3, 4, 5, 7, 8, 9, 11, 13, 14}
 // honored, an empty payload asking for the default.
 func TestControlPairsOverSocket(t *testing.T) {
 	_, stage, _, sock := startServer(t, 1)
-	stage.SetTracer(obs.NewTracer(conc.NewReal(), obs.TracerOptions{Sampling: 1}))
 	c, err := Dial(sock)
 	if err != nil {
 		t.Fatal(err)

@@ -36,15 +36,14 @@ func startPooledServer(t *testing.T, nFiles int) (*mempool.Pool, []string, strin
 	backend := storagetest.OpenDir(t, dir)
 	pool := mempool.New(mempool.Config{Debug: true})
 	backend.SetBufferPool(pool)
-	pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
+	stage, err := core.NewStage(env, backend, man, core.StageConfig{
 		InitialProducers: 2, MaxProducers: 8, InitialBufferCapacity: 8, MaxBufferCapacity: 64,
+		BufferPool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, pf)
-	stage.SetBufferPool(pool)
-	pf.Start()
+	stage.Start()
 	sock := filepath.Join(t.TempDir(), "pooled.sock")
 	srv, err := Serve(sock, stage, nil)
 	if err != nil {

@@ -91,15 +91,15 @@ func startAheadServerWith(t *testing.T, nFiles, size int, pool *mempool.Pool, cf
 	}
 	fx.backend = &countingBackend{Backend: fx.mem}
 	env := conc.NewReal()
-	pf, err := core.NewPrefetcher(env, fx.backend, dataset.MustNew(samples), core.PrefetcherConfig{
+	stage, err := core.NewStage(env, fx.backend, dataset.MustNew(samples), core.StageConfig{
 		InitialProducers: 2, MaxProducers: 2, InitialBufferCapacity: 64, MaxBufferCapacity: 64,
+		BufferPool: fx.pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.stage = core.NewStage(env, fx.backend, pf)
-	fx.stage.SetBufferPool(fx.pool)
-	pf.Start()
+	fx.stage = stage
+	fx.stage.Start()
 	fx.sock = filepath.Join(t.TempDir(), "ahead.sock")
 	if fx.srv, err = ServeWithConfig(fx.sock, fx.stage, nil, cfg); err != nil {
 		t.Fatal(err)

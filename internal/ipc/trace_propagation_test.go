@@ -12,8 +12,8 @@ import (
 // span and the server-side ipc-serve span of one read share a trace id.
 func TestSpanContextPropagatesOverIPC(t *testing.T) {
 	_, stage, names, sock := startServer(t, 2)
-	serverTracer := obs.NewTracer(conc.NewReal(), obs.TracerOptions{Sampling: 1, Seed: 2})
-	stage.SetTracer(serverTracer)
+	serverTracer := stage.Tracer()
+	stage.SetTraceSampling(1)
 
 	c, err := Dial(sock)
 	if err != nil {
@@ -74,8 +74,8 @@ func TestSpanContextPropagatesOverIPC(t *testing.T) {
 // path stays span-free end to end.
 func TestUnsampledReadCrossesIPCSilently(t *testing.T) {
 	_, stage, names, sock := startServer(t, 1)
-	serverTracer := obs.NewTracer(conc.NewReal(), obs.TracerOptions{Sampling: 1, Seed: 2})
-	stage.SetTracer(serverTracer)
+	serverTracer := stage.Tracer()
+	stage.SetTraceSampling(1)
 
 	c, err := Dial(sock)
 	if err != nil {

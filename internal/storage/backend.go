@@ -142,8 +142,9 @@ func (b *ModeledBackend) Read(req Request) (Response, error) {
 // ReaderCount is the paper's Fig. 3 instrument: it wraps the backend a sim
 // setup's reading threads use (the TF pipelines' readers, PRISMA's
 // producers) and records how long each number of threads spent inside Read
-// at once. For PRISMA wrap only the backend handed to the prefetcher, not
-// the stage's, so bypassed (validation) reads do not count. Under the sim
+// at once. For PRISMA wrap only the producers' backend
+// (core.StageConfig.ProducerBackend), not the stage's, so bypassed
+// (validation) reads do not count. Under the sim
 // clock nothing between a producer's read clock and its backend read
 // takes virtual time, so the count is the producers' own.
 type ReaderCount struct {

@@ -95,20 +95,19 @@ func readAheadRun(t *testing.T, ahead bool) (delivered []time.Duration, stats Te
 		}
 		man := dataset.MustNew(samples)
 		backend := storage.NewModeledBackend(man, dev)
-		pf, err := core.NewPrefetcher(env, backend, man, core.PrefetcherConfig{
+		st, err := core.NewStage(env, backend, man, core.StageConfig{
 			InitialProducers: 4, MaxProducers: 4, InitialBufferCapacity: 64, MaxBufferCapacity: 64,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := core.NewStage(env, backend, pf)
 		m, err := New(env, Config{Capacity: rate, Burst: burst})
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = m.Register(Spec{Name: "job", BytesPerSecond: 1e9})
 		st.SetTenantGate(m)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 
 		res, err := st.SubmitEpoch(names)

@@ -217,15 +217,14 @@ func both(train, val *dataset.Manifest) *dataset.Manifest {
 // prismaFixture wires a stage over the backend, which serves the train and
 // validation manifests' files.
 func prismaFixture(env conc.Env, backend storage.Backend, trainMan, valMan *dataset.Manifest, producers int) *core.Stage {
-	pf, err := core.NewPrefetcher(env, backend, both(trainMan, valMan), core.PrefetcherConfig{
+	st, err := core.NewStage(env, backend, both(trainMan, valMan), core.StageConfig{
 		InitialProducers: producers, MaxProducers: 32,
 		InitialBufferCapacity: 16, MaxBufferCapacity: 512,
 	})
 	if err != nil {
 		panic(err)
 	}
-	st := core.NewStage(env, backend, pf)
-	pf.Start()
+	st.Start()
 	return st
 }
 
@@ -318,15 +317,15 @@ func TestPrismaReaderConcurrencyBounded(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		trainMan, valMan, backend := fixtures(env, 100, 5, time.Millisecond, 8)
 		readers := storage.NewReaderCount(env, backend)
-		pf, err := core.NewPrefetcher(env, readers, both(trainMan, valMan), core.PrefetcherConfig{
+		st, err := core.NewStage(env, backend, both(trainMan, valMan), core.StageConfig{
 			InitialProducers: 4, MaxProducers: 32,
 			InitialBufferCapacity: 16, MaxBufferCapacity: 512,
+			ProducerBackend: readers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := core.NewStage(env, backend, pf)
-		pf.Start()
+		st.Start()
 		p, _ := NewPrisma(env, st, trainMan, valMan, 7, Costs{}, 0)
 		it, _ := p.TrainIter(0)
 		drain(t, it)

@@ -29,15 +29,14 @@ func TestPrefetcherOverTieredBackend(t *testing.T) {
 	// runs at fast-tier speed — the two optimization objects stack.
 	tiering.RunSim(t, func(env conc.Env) {
 		b, names := tiering.TieredFixture(env, tiering.Config{FastCapacity: 1 << 30, PromoteAfter: 1}, 60, 100_000)
-		pf, err := core.NewPrefetcher(env, b, manifestOf(names, 100_000), core.PrefetcherConfig{
+		st, err := core.NewStage(env, b, manifestOf(names, 100_000), core.StageConfig{
 			InitialProducers: 2, MaxProducers: 8,
 			InitialBufferCapacity: 16, MaxBufferCapacity: 64,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := core.NewStage(env, b, pf)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 
 		epoch := func() time.Duration {
@@ -79,15 +78,14 @@ func TestTwoJobsSharedDataset(t *testing.T) {
 		b, dev, names := tiering.DeviceFixture(env, tiering.Config{FastCapacity: 1 << 30, PromoteAfter: 1}, files, 100_000)
 		man := manifestOf(names, 100_000)
 		mkStage := func() *core.Stage {
-			pf, err := core.NewPrefetcher(env, b, man, core.PrefetcherConfig{
+			st, err := core.NewStage(env, b, man, core.StageConfig{
 				InitialProducers: 2, MaxProducers: 8,
 				InitialBufferCapacity: 16, MaxBufferCapacity: 64,
 			})
 			if err != nil {
 				panic(err)
 			}
-			st := core.NewStage(env, b, pf)
-			pf.Start()
+			st.Start()
 			return st
 		}
 		stA, stB := mkStage(), mkStage()

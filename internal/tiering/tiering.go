@@ -747,7 +747,7 @@ func (b *Backend) decayAccessesLocked() {
 }
 
 // SizePlans sizes the live set — each sample the plans still being read
-// name, once (core.Stage.SetEpochPlanHook) — against the whole budget, main
+// name, once (core.StageConfig.EpochPlanHook) — against the whole budget, main
 // and window together: it adds up what the samples would charge as raw
 // residents, the pooled buffer each would pin, and from then on admissions
 // are raw while that sum fits FastCapacity and LZ-encoded while it does not.

@@ -222,7 +222,7 @@ func both(train, val *dataset.Manifest) *dataset.Manifest {
 // prismaStage wires a stage over the backend, which serves the train and
 // validation manifests' files.
 func prismaStage(env conc.Env, backend storage.Backend, trainMan, valMan *dataset.Manifest, accessCost time.Duration) *core.Stage {
-	pf, err := core.NewPrefetcher(env, backend, both(trainMan, valMan), core.PrefetcherConfig{
+	st, err := core.NewStage(env, backend, both(trainMan, valMan), core.StageConfig{
 		InitialProducers: 4, MaxProducers: 16,
 		InitialBufferCapacity: 32, MaxBufferCapacity: 256,
 		BufferAccessCost: accessCost,
@@ -230,8 +230,7 @@ func prismaStage(env conc.Env, backend storage.Backend, trainMan, valMan *datase
 	if err != nil {
 		panic(err)
 	}
-	st := core.NewStage(env, backend, pf)
-	pf.Start()
+	st.Start()
 	return st
 }
 
@@ -358,14 +357,13 @@ func TestPrismaLoaderIPCEndToEnd(t *testing.T) {
 
 	env := conc.NewReal()
 	backend := storagetest.OpenDir(t, dir)
-	pf, err := core.NewPrefetcher(env, backend, all, core.PrefetcherConfig{
+	stage, err := core.NewStage(env, backend, all, core.StageConfig{
 		InitialProducers: 2, MaxProducers: 8, InitialBufferCapacity: 16, MaxBufferCapacity: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, backend, pf)
-	pf.Start()
+	stage.Start()
 	defer stage.Close()
 
 	sock := t.TempDir() + "/loader.sock"

@@ -79,21 +79,20 @@ func TestPlannedReadLockBudget(t *testing.T) {
 	leaf.SetManifest(manifest)
 	ch := foldOptions(t, &chain.Chain{Env: env, Pool: pool, Tracer: tracer, Backend: leaf}, opts)
 	defer ch.Close()
-	pf, err := core.NewPrefetcher(env, ch.Backend, manifest, core.PrefetcherConfig{
+	stage, err := core.NewStage(env, ch.Backend, manifest, core.StageConfig{
 		InitialProducers:      opts.InitialProducers,
 		MaxProducers:          opts.MaxProducers,
 		InitialBufferCapacity: opts.InitialBuffer,
 		MaxBufferCapacity:     opts.MaxBuffer,
 		BufferShards:          min(runtime.GOMAXPROCS(0), 16),
+		Tracer:                tracer,
+		BufferPool:            pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, ch.Backend, pf)
 	defer stage.Close()
-	stage.SetTracer(tracer)
-	stage.SetBufferPool(pool)
-	pf.Start()
+	stage.Start()
 
 	names := manifest.EpochFileList(1, 0)
 	if _, err := stage.SubmitEpoch(names); err != nil {
@@ -112,18 +111,22 @@ func TestPlannedReadLockBudget(t *testing.T) {
 		read(n)
 	}
 	settle()
-	before, clocks, produced := env.locks.Load(), env.clocks.Load(), pf.PrefetchedFiles()
+	// The snapshot reading the producer count takes locks and clock
+	// readings of its own, so it stays outside the counted window.
+	produced := stage.Stats().PrefetchedFiles
+	locksBefore, clocksBefore := env.locks.Load(), env.clocks.Load()
 	for _, n := range names[warm : warm+counted] {
 		read(n)
 	}
 	settle()
+	locks, clocks := env.locks.Load()-locksBefore, env.clocks.Load()-clocksBefore
 	// A planned read is one produce and one consume. Where the buffer's
 	// fill at the two ends differs (a shard count that does not divide N),
 	// the producer made a few reads more or fewer than the consumer; charge
 	// the window to the larger count.
-	reads := max(counted, pf.PrefetchedFiles()-produced)
-	per := float64(env.locks.Load()-before) / float64(reads)
-	perClock := float64(env.clocks.Load()-clocks) / float64(reads)
+	reads := max(counted, stage.Stats().PrefetchedFiles-produced)
+	per := float64(locks) / float64(reads)
+	perClock := float64(clocks) / float64(reads)
 	t.Logf("%.3f mutex acquisitions and %.3f clock readings per planned read", per, perClock)
 	if per > maxLocksPerPlannedRead {
 		t.Errorf("%.2f mutex acquisitions per planned read, budget %d", per, maxLocksPerPlannedRead)

@@ -122,19 +122,18 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 			names = append(names, fmt.Sprintf("w%d/s%d", w, i))
 		}
 	}
-	pf, err := core.NewPrefetcher(env, ch.Backend, testManifest(names, 4096), core.PrefetcherConfig{
+	stage, err := core.NewStage(env, ch.Backend, testManifest(names, 4096), core.StageConfig{
 		InitialProducers:      1,
 		MaxProducers:          2,
 		InitialBufferCapacity: 4,
 		MaxBufferCapacity:     8,
+		Tracer:                tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := core.NewStage(env, ch.Backend, pf)
 	defer stage.Close()
 	defer ch.Close()
-	stage.SetTracer(tracer)
 	mgr, err := tenancy.New(env, tenancy.Config{Capacity: 1e9})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +145,7 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 		t.Fatal(err)
 	}
 	stage.SetTenantGate(mgr)
-	pf.Start()
+	stage.Start()
 
 	start := time.Now()
 	var wg sync.WaitGroup

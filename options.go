@@ -3,6 +3,8 @@ package prisma
 import (
 	"fmt"
 	"time"
+
+	"github.com/dsrhaslab/prisma-go/internal/core"
 )
 
 // Options configures Open.
@@ -121,11 +123,6 @@ type ClusterOptions struct {
 	// VirtualNodes is the consistent-hash vnode count per node (default
 	// 64). All nodes must agree on it.
 	VirtualNodes int
-	// DisablePartitioner keeps each node prefetching full epoch plans
-	// instead of only its ring-owned subsequence — the paper's
-	// "independent" arrangement, useful for measuring what clairvoyant
-	// placement saves. Reads still route by ownership.
-	DisablePartitioner bool
 }
 
 // TieringOptions tunes the memory hierarchy on the serving path
@@ -293,19 +290,20 @@ type BufferPoolOptions struct {
 	PerClassCap int
 }
 
-// withDefaults fills zero values.
+// withDefaults fills zero values; t and N default to the stage's own.
 func (o Options) withDefaults() Options {
+	stage := core.DefaultStageConfig()
 	if o.InitialProducers == 0 {
-		o.InitialProducers = 1
+		o.InitialProducers = stage.InitialProducers
 	}
 	if o.MaxProducers == 0 {
-		o.MaxProducers = 32
+		o.MaxProducers = stage.MaxProducers
 	}
 	if o.InitialBuffer == 0 {
-		o.InitialBuffer = 16
+		o.InitialBuffer = stage.InitialBufferCapacity
 	}
 	if o.MaxBuffer == 0 {
-		o.MaxBuffer = 4096
+		o.MaxBuffer = stage.MaxBufferCapacity
 	}
 	if o.ControlInterval == 0 {
 		o.ControlInterval = 500 * time.Millisecond

@@ -416,37 +416,44 @@ func Open(opts Options) (*Prisma, error) {
 	}
 	// The buffer keeps a shard per CPU, up to 16, clamped to N (§V-B: the
 	// contention sharding removes grows with concurrent workers).
-	pf, err := core.NewPrefetcher(env, backend, manifest, core.PrefetcherConfig{
+	stageCfg := core.StageConfig{
 		InitialProducers:      opts.InitialProducers,
 		MaxProducers:          opts.MaxProducers,
 		InitialBufferCapacity: opts.InitialBuffer,
 		MaxBufferCapacity:     opts.MaxBuffer,
 		BufferShards:          min(runtime.GOMAXPROCS(0), 16),
 		TakeDeadline:          opts.ConsumerDeadline,
-	})
-	if err != nil {
-		return fail(err)
+		Tracer:                p.tracer,
+		BufferPool:            pool,
+		ChainStats:            ch.Snapshot,
 	}
-	stage := core.NewStage(env, backend, pf)
-	p.teardown.push(noErr(stage.Close))
-	p.stage, p.reader = stage, stage
-	stage.SetTracer(p.tracer)
-	stage.SetBufferPool(pool)
-	stage.SetChainStats(ch.Snapshot)
 	if ch.WatchesPlans() {
 		// The hook sees each plan as the manifest's strings, built per
 		// submission; without a watcher nothing is built.
-		stage.SetEpochPlanHook(ch.Plan)
+		stageCfg.EpochPlanHook = ch.Plan
 	}
-	pf.Start()
+	var ring *distrib.Ring
+	if opts.Cluster.Enable {
+		// Submitted epoch plans are narrowed to this node's ring-owned
+		// subsequence before prefetching — clairvoyant placement.
+		if ring, err = clusterRing(opts.Cluster); err != nil {
+			return fail(err)
+		}
+		stageCfg.PlanPartitioner = ring.Partitioner(opts.Cluster.NodeID)
+	}
+	stage, err := core.NewStage(env, backend, manifest, stageCfg)
+	if err != nil {
+		return fail(err)
+	}
+	p.teardown.push(noErr(stage.Close))
+	p.stage, p.reader = stage, stage
+	stage.Start()
 
 	if opts.Cluster.Enable {
 		// The fabric sits in front of the stage: reads of ring-owned
 		// samples stay local, the rest forward to the owner's buffer (or
-		// fail over to the composed backend chain). With the partitioner
-		// installed, submitted epoch plans are narrowed to this node's
-		// owned subsequence before prefetching — clairvoyant placement.
-		if err := buildFabric(p, opts.Cluster, backend); err != nil {
+		// fail over to the composed backend chain).
+		if err := buildFabric(p, opts.Cluster, ring, backend); err != nil {
 			return fail(err)
 		}
 		p.reader = p.fabric
@@ -644,7 +651,7 @@ func epochsFrom(eps []core.EpochStatus) []EpochStatus {
 // dropped, so a reader can never block on a sample from a failed
 // submission.
 func (p *Prisma) SubmitEpoch(names []string) (EpochID, int, error) {
-	// The stage's epoch-plan hook (SetEpochPlanHook, wired in Open when
+	// The stage's epoch-plan hook (StageConfig.EpochPlanHook, set in Open when
 	// Tiering.Compress or Tiering.PrefetchNextEpoch is set) hands the live
 	// set to the hierarchy's sizing and the plan to the tier warmer — for
 	// this call and for epochs submitted over IPC alike.
@@ -882,7 +889,13 @@ func (p *Prisma) ReadSampleAs(tenant, name string) (*Sample, error) {
 // shared by AdminHandler and the diagnostic-bundle builder so both
 // surfaces expose the same view.
 func (p *Prisma) adminConfig() httpadmin.Config {
-	cfg := httpadmin.Config{EnablePprof: p.enablePprof, Tracer: p.tracer, Control: p.Control}
+	cfg := httpadmin.Config{
+		EnablePprof: p.enablePprof,
+		Tracer:      p.tracer,
+		Control:     p.Control,
+		Epochs:      p.stage.Epochs,
+		CancelEpoch: p.stage.CancelEpoch,
+	}
 	if p.ctl != nil {
 		cfg.Decisions = func() []control.DecisionRecord { return p.ctl.Decisions() }
 	}

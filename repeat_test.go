@@ -263,13 +263,12 @@ func TestSimStageRefusesUnlistedNames(t *testing.T) {
 			return
 		}
 		backend := storage.NewModeledBackend(manifest, dev)
-		pf, err := core.NewPrefetcher(env, backend, manifest, core.DefaultPrefetcherConfig())
+		st, err := core.NewStage(env, backend, manifest, core.DefaultStageConfig())
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		st := core.NewStage(env, backend, pf)
-		pf.Start()
+		st.Start()
 		defer st.Close()
 		_, simPlanErr = st.SubmitEpoch(plan)
 		_, _, simReadErr = st.Read(core.ReadRequest{Name: ghost})
