@@ -153,7 +153,7 @@ func tierDeclinedAllocs(t *testing.T) float64 {
 	pool := mempool.New(mempool.Config{})
 	mem.SetBufferPool(pool)
 	ch := foldOptions(t, &chain.Chain{Env: conc.NewReal(), Pool: pool, Backend: mem}, Options{
-		Tiering:           TieringOptions{Enable: true, CapacityBytes: files * fileSize / 4, PromoteAfter: 1, Compress: true},
+		Tiering:           TieringOptions{Enable: true, CapacityBytes: files * fileSize / 4, Compress: true},
 		DisableResilience: true,
 	})
 	defer ch.Close()

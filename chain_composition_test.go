@@ -261,7 +261,7 @@ func TestChainCompositionDecliningTier(t *testing.T) {
 	for _, wrap := range chainCells(t) {
 		t.Run(wrap.String(), func(t *testing.T) {
 			c := newWholeFileChain(t, wrap,
-				TieringOptions{Enable: true, CapacityBytes: files * wholeFileSize / 4, PromoteAfter: 1, Compress: true}, 22)
+				TieringOptions{Enable: true, CapacityBytes: files * wholeFileSize / 4, Compress: true}, 22)
 			if !wrap.has("tiering") {
 				for e := 0; e < epochs; e++ {
 					c.epoch(t, e)
@@ -335,7 +335,7 @@ func TestChainCompositionHeldOnce(t *testing.T) {
 		} {
 			t.Run(cell.name+"/"+wrap.String(), func(t *testing.T) {
 				c := newWholeFileChain(t, wrap,
-					TieringOptions{Enable: true, CapacityBytes: cell.capacity, PromoteAfter: 1, Compress: cell.compress}, 23)
+					TieringOptions{Enable: true, CapacityBytes: cell.capacity, Compress: cell.compress}, 23)
 				for e := 0; e < 2; e++ {
 					c.epoch(t, e)
 				}

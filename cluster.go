@@ -120,7 +120,7 @@ func clusterRing(opts ClusterOptions) (*distrib.Ring, error) {
 	for name := range opts.Peers {
 		nodes = append(nodes, name)
 	}
-	ring, err := distrib.NewRing(nodes, opts.VirtualNodes)
+	ring, err := distrib.NewRing(nodes)
 	if err != nil {
 		return nil, fmt.Errorf("cluster ring: %w", err)
 	}

@@ -48,7 +48,7 @@ func TestClusterLoopbackAdmission(t *testing.T) {
 			for _, n := range nodes {
 				members = append(members, n.name)
 			}
-			ring, err := distrib.NewRing(members, 0) // the placement every node built
+			ring, err := distrib.NewRing(members) // the placement every node built
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestClusterLoopbackAdmission(t *testing.T) {
 			defer named.Close()
 
 			// A third of the epoch in-process, a third over an untagged
-			// connection, a third over a connection that said Hello: the
+			// connection, a third over a connection dialed with a tenant: the
 			// first two are the default tenant's and go by ring ownership,
 			// the last stays on this node whoever owns the name.
 			var ownedReads, ownedBytes, namedBytes int64
@@ -153,15 +153,15 @@ func TestClusterLoopbackAdmission(t *testing.T) {
 // A default tenant capped at R reads/s is held to it in cluster mode too.
 func TestClusterLoopbackAdmissionThrottles(t *testing.T) {
 	const (
-		files = 48
-		rate  = 200 // reads/s
-		burst = 4
+		files = 94
+		rate  = 200      // reads/s
+		burst = rate / 4 // the bucket's default depth
 	)
 	dir := makeDataset(t, files)
 	nodes := startClusterNodes(t, dir, 1, func(o *Options) {
 		// No arbitration tick inside the test: the bucket keeps the rate it
 		// was registered with.
-		o.Tenancy = TenancyOptions{Enable: true, Capacity: rate, Burst: burst, TickInterval: time.Hour}
+		o.Tenancy = TenancyOptions{Enable: true, Capacity: rate, TickInterval: time.Hour}
 	})
 	p := nodes[0].p
 	c, err := Dial(nodes[0].sock)
@@ -197,20 +197,22 @@ func TestClusterLoopbackAdmissionThrottles(t *testing.T) {
 
 // An overloaded gate sheds with the typed ErrOverloaded on both transports.
 func TestClusterLoopbackAdmissionSheds(t *testing.T) {
-	dir := makeDataset(t, 8)
+	dir := makeDataset(t, 16)
 	nodes := startClusterNodes(t, dir, 1, func(o *Options) {
-		// One live pooled lease is over the pooled-byte threshold, so the
-		// test enters overload by holding a sample; one token a second means
-		// a second read finds the bucket empty.
-		o.Tenancy = TenancyOptions{Enable: true, Capacity: 1, Burst: 1, TickInterval: 5 * time.Millisecond, MaxPooledBytes: 1}
+		// A one-sample buffer that nobody reads keeps a submitted plan's
+		// entries queued, over the queue-depth threshold, so the test enters
+		// overload by submitting one; one token a second means a second read
+		// finds the bucket empty.
+		o.InitialBuffer, o.MaxBuffer = 1, 1
+		o.Tenancy = TenancyOptions{Enable: true, Capacity: 1, TickInterval: 5 * time.Millisecond, MaxQueueDepth: 1}
 	})
 	p := nodes[0].p
 	names := p.ShuffledFileList(1, 0)
-	held, err := p.ReadSample(names[0])
-	if err != nil {
+	// The reads below name names[1:4], outside the plan: they never wait
+	// on the stalled buffer.
+	if err := p.SubmitPlan(names[4:]); err != nil {
 		t.Fatal(err)
 	}
-	defer held.Release()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		snap, err := p.Tenants()
@@ -221,7 +223,7 @@ func TestClusterLoopbackAdmissionSheds(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("holding a lease over MaxPooledBytes never tripped overload")
+			t.Fatal("a plan queued past MaxQueueDepth never tripped overload")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

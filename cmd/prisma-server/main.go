@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -20,7 +21,10 @@ import (
 	"time"
 
 	prisma "github.com/dsrhaslab/prisma-go"
+	"github.com/dsrhaslab/prisma-go/internal/control"
 	"github.com/dsrhaslab/prisma-go/internal/core"
+	"github.com/dsrhaslab/prisma-go/internal/tenancy"
+	"github.com/dsrhaslab/prisma-go/internal/tiering"
 )
 
 // subFlags pairs each flag that only tunes an optional layer with the flag
@@ -28,30 +32,24 @@ import (
 // ignored, so the server refuses to start instead.
 var subFlags = []struct{ flag, requires string }{
 	{"tenant-capacity", "tenancy"},
-	{"tenant-burst", "tenancy"},
 	{"max-queue-depth", "tenancy"},
-	{"max-pooled-bytes", "tenancy"},
-	{"degraded-factor", "tenancy"},
 	{"shared-cache", "tenancy"},
 	{"tenants", "tenancy"},
 	{"slo", "tenancy"},
-	{"slo-boost", "tenancy"},
 	{"tiering-capacity", "tiering"},
-	{"tiering-promote-after", "tiering"},
 	{"tiering-compress", "tiering"},
 	{"tiering-prefetch-next", "tiering"},
-	{"tiering-max-tracked", "tiering"},
 	{"peers", "node-id"},
-	{"vnodes", "node-id"},
 	{"pprof", "http"},
 }
 
-// checkSubFlags reports the first sub-flag set while its layer is off.
-func checkSubFlags() error {
+// checkSubFlags reports the first sub-flag set on fs while its layer is
+// off.
+func checkSubFlags(fs *flag.FlagSet) error {
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, r := range subFlags {
-		if on := flag.Lookup(r.requires).Value.String(); set[r.flag] && (on == "" || on == "false") {
+		if on := fs.Lookup(r.requires).Value.String(); set[r.flag] && (on == "" || on == "false") {
 			return fmt.Errorf("-%s requires -%s", r.flag, r.requires)
 		}
 	}
@@ -165,150 +163,124 @@ func parseSLOSpecs(s string, tenants []prisma.TenantSpec) error {
 	return nil
 }
 
-func main() {
+// server is what prisma-server's flags set: the Options it opens, and the
+// three flags that act outside them.
+type server struct {
+	opts       prisma.Options
+	socket     string
+	httpAddr   string
+	statsEvery time.Duration
+}
+
+// errNoDir reports a command line without -dir.
+var errNoDir = errors.New("-dir is required")
+
+// parseFlags declares every prisma-server flag on fs and parses args: the
+// one mapping from the command line to Options.
+func parseFlags(fs *flag.FlagSet, args []string) (server, error) {
+	var s server
+	o := &s.opts
 	stage := core.DefaultStageConfig()
-	var (
-		dir          = flag.String("dir", "", "dataset root directory (required)")
-		socket       = flag.String("socket", "/tmp/prisma.sock", "UNIX socket path to serve on")
-		producers    = flag.Int("producers", stage.InitialProducers, "initial producer threads t")
-		maxProducers = flag.Int("max-producers", stage.MaxProducers, "maximum producer threads")
-		buffer       = flag.Int("buffer", stage.InitialBufferCapacity, "initial buffer capacity N (samples)")
-		maxBuffer    = flag.Int("max-buffer", stage.MaxBufferCapacity, "maximum buffer capacity")
-		noAutotune   = flag.Bool("no-autotune", false, "disable the control-plane feedback loop")
-		interval     = flag.Duration("interval", 500*time.Millisecond, "control loop interval")
-		statsEvery   = flag.Duration("stats", 0, "print stats every interval (0 = off)")
-		traceFile    = flag.String("trace", "", "write every device read as a span to this JSON-lines file on shutdown (prisma-trace summary|timeline)")
-		httpAddr     = flag.String("http", "", "serve the HTTP admin API (/stats, /metrics, /tenants, /debug/bundle, POST /tuning?KEY=VALUE, ...) on this address, e.g. :9090")
-		sampling     = flag.Float64("sampling", 0, "sample-lifecycle trace probability in [0, 1] (0 = off)")
-		spanFile     = flag.String("span-file", "", "write lifecycle spans to this JSON-lines file on shutdown (prisma-trace attribute; implies -sampling 1 when unset)")
-		enablePprof  = flag.Bool("pprof", false, "mount /debug/pprof/ on the admin API")
-		noPool       = flag.Bool("no-pool", false, "disable the pooled sample buffers (every hop allocates)")
-		poolMin      = flag.Int("pool-min", 0, "smallest pool size class in bytes (0 = default 4KiB)")
-		poolMax      = flag.Int("pool-max", 0, "largest pool size class in bytes (0 = default 4MiB)")
-		poolCap      = flag.Int("pool-cap", 0, "free buffers retained per size class (0 = 8MiB worth per class, at least 64)")
+	fs.StringVar(&o.Dir, "dir", "", "dataset root directory (required)")
+	fs.StringVar(&s.socket, "socket", "/tmp/prisma.sock", "UNIX socket path to serve on")
+	fs.IntVar(&o.InitialProducers, "producers", stage.InitialProducers, "initial producer threads t")
+	fs.IntVar(&o.MaxProducers, "max-producers", stage.MaxProducers, "maximum producer threads")
+	fs.IntVar(&o.InitialBuffer, "buffer", stage.InitialBufferCapacity, "initial buffer capacity N (samples)")
+	fs.IntVar(&o.MaxBuffer, "max-buffer", stage.MaxBufferCapacity, "maximum buffer capacity")
+	fs.BoolVar(&o.DisableAutoTune, "no-autotune", false, "disable the control-plane feedback loop")
+	fs.DurationVar(&o.ControlInterval, "interval", control.DefaultControlInterval, "control loop interval")
+	fs.DurationVar(&s.statsEvery, "stats", 0, "print stats every interval (0 = off)")
+	fs.StringVar(&o.TraceFile, "trace", "", "write every device read as a span to this JSON-lines file on shutdown (prisma-trace summary|timeline)")
+	fs.StringVar(&s.httpAddr, "http", "", "serve the HTTP admin API (/stats, /metrics, /tenants, /debug/bundle, POST /tuning?KEY=VALUE, ...) on this address, e.g. :9090")
+	fs.Float64Var(&o.TraceSampling, "sampling", 0, "sample-lifecycle trace probability in [0, 1] (0 = off)")
+	fs.StringVar(&o.SpanFile, "span-file", "", "write lifecycle spans to this JSON-lines file on shutdown (prisma-trace attribute; implies -sampling 1 when unset)")
+	fs.BoolVar(&o.EnablePprof, "pprof", false, "mount /debug/pprof/ on the admin API")
+	fs.BoolVar(&o.BufferPool.Disable, "no-pool", false, "disable the pooled sample buffers (every hop allocates)")
 
-		tenancy        = flag.Bool("tenancy", false, "enable multi-tenant admission control (per-tenant QoS and overload shedding)")
-		tenantCapacity = flag.Float64("tenant-capacity", 0, "total read rate (reads/s) shared by tenants (0 = default 10000)")
-		tenantBurst    = flag.Float64("tenant-burst", 0, "per-tenant burst allowance (0 = capacity/4)")
-		maxQueueDepth  = flag.Int("max-queue-depth", 0, "queue-depth saturation threshold for load shedding (0 = default 4096, -1 = off)")
-		maxPooledBytes = flag.Int64("max-pooled-bytes", 0, "outstanding pooled-byte saturation threshold (0 = off)")
-		degradedFactor = flag.Float64("degraded-factor", 0, "capacity scale while the backend breaker is open (0 = default 0.5)")
-		sharedCache    = flag.Int64("shared-cache", 0, "shared read cache capacity in bytes so co-located tenants don't multiply backend load (0 = off; with -tiering it adds to -tiering-capacity: one budget)")
-		tenantSpecs    = flag.String("tenants", "", "pre-registered tenants as NAME[:WEIGHT[:BYTES_PER_SEC[:SECRET]]],...")
-		sloSpecs       = flag.String("slo", "", "per-tenant latency SLOs as TENANT:QUANTILE:THRESHOLD[:SHED_BUDGET[:WINDOW]],... e.g. trainer:0.99:20ms (tenants must appear in -tenants)")
-		sloBoost       = flag.Float64("slo-boost", 0, "arbitration-weight boost factor while a tenant's SLO is breached (0 = default 2; must be > 1)")
+	fs.BoolVar(&o.Tenancy.Enable, "tenancy", false, "enable multi-tenant admission control (per-tenant QoS and overload shedding)")
+	fs.Float64Var(&o.Tenancy.Capacity, "tenant-capacity", 0, fmt.Sprintf("total read rate (reads/s) shared by tenants (0 = default %d)", tenancy.DefaultCapacity))
+	fs.IntVar(&o.Tenancy.MaxQueueDepth, "max-queue-depth", 0, fmt.Sprintf("queue-depth saturation threshold for load shedding (0 = default %d, -1 = off)", tenancy.DefaultMaxQueueDepth))
+	fs.Int64Var(&o.Tenancy.SharedCacheBytes, "shared-cache", 0, "shared read cache capacity in bytes so co-located tenants don't multiply backend load (0 = off; with -tiering it adds to -tiering-capacity: one budget)")
+	tenantSpecs := fs.String("tenants", "", "pre-registered tenants as NAME[:WEIGHT[:BYTES_PER_SEC[:SECRET]]],...")
+	sloSpecs := fs.String("slo", "", "per-tenant latency SLOs as TENANT:QUANTILE:THRESHOLD[:SHED_BUDGET[:WINDOW]],... e.g. trainer:0.99:20ms (tenants must appear in -tenants)")
 
-		tieringOn      = flag.Bool("tiering", false, "enable the fast-tier backend stage (promote hot samples into a byte-budgeted tier)")
-		tieringCap     = flag.Int64("tiering-capacity", 0, "fast-tier byte budget (0 = default 256MiB)")
-		tieringAfter   = flag.Int("tiering-promote-after", 0, "slow-tier reads of a sample before it is a candidate for the tier; a full tier admits it only over strictly colder residents (0 = default 1)")
-		tieringComp    = flag.Bool("tiering-compress", false, "encode fast-tier residents (LZ, decoded in place on hits) when the submitted plans still being read do not fit the budget raw")
-		tieringPref    = flag.Bool("tiering-prefetch-next", false, "warm next-epoch cold samples into free fast-tier space when a plan is submitted")
-		tieringTracked = flag.Int("tiering-max-tracked", 0, "access-count map bound before decay sweeps, which age residents too (0 = default 65536)")
+	fs.BoolVar(&o.Tiering.Enable, "tiering", false, "enable the fast-tier backend stage (promote hot samples into a byte-budgeted tier)")
+	fs.Int64Var(&o.Tiering.CapacityBytes, "tiering-capacity", 0, fmt.Sprintf("fast-tier byte budget (0 = default %dMiB)", tiering.DefaultCapacityBytes>>20))
+	fs.BoolVar(&o.Tiering.Compress, "tiering-compress", false, "encode fast-tier residents (LZ, decoded in place on hits) when the submitted plans still being read do not fit the budget raw")
+	fs.BoolVar(&o.Tiering.PrefetchNextEpoch, "tiering-prefetch-next", false, "warm next-epoch cold samples into free fast-tier space when a plan is submitted")
 
-		nodeID   = flag.String("node-id", "", "this node's name in the cluster placement ring (enables the multi-node prefetch fabric with -peers)")
-		peerList = flag.String("peers", "", "peer nodes as NAME=SOCKET,... e.g. node-1=/tmp/prisma-1.sock")
-		vnodes   = flag.Int("vnodes", 0, "consistent-hash virtual nodes per ring member (0 = default 64; all nodes must agree)")
-	)
+	fs.StringVar(&o.Cluster.NodeID, "node-id", "", "this node's name in the cluster placement ring (enables the multi-node prefetch fabric with -peers)")
+	peerList := fs.String("peers", "", "peer nodes as NAME=SOCKET,... e.g. node-1=/tmp/prisma-1.sock")
 	for _, r := range subFlags {
-		f := flag.Lookup(r.flag)
+		f := fs.Lookup(r.flag)
 		f.Usage += " (requires -" + r.requires + ")"
 	}
-	flag.Parse()
-	if *dir == "" {
+
+	if err := fs.Parse(args); err != nil {
+		return s, err
+	}
+	if o.Dir == "" {
+		return s, errNoDir
+	}
+	if err := checkSubFlags(fs); err != nil {
+		return s, err
+	}
+	var err error
+	if o.Tenancy.Tenants, err = parseTenantSpecs(*tenantSpecs); err != nil {
+		return s, err
+	}
+	if err := parseSLOSpecs(*sloSpecs, o.Tenancy.Tenants); err != nil {
+		return s, err
+	}
+	if o.Cluster.Peers, err = parsePeers(*peerList); err != nil {
+		return s, err
+	}
+	o.Cluster.Enable = o.Cluster.NodeID != ""
+	return s, nil
+}
+
+func main() {
+	s, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if errors.Is(err, errNoDir) {
 		fmt.Fprintln(os.Stderr, "prisma-server: -dir is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := checkSubFlags(); err != nil {
-		log.Fatalf("prisma-server: %v", err)
-	}
-	tenants, err := parseTenantSpecs(*tenantSpecs)
 	if err != nil {
 		log.Fatalf("prisma-server: %v", err)
 	}
-	if err := parseSLOSpecs(*sloSpecs, tenants); err != nil {
-		log.Fatalf("prisma-server: %v", err)
-	}
-	peers, err := parsePeers(*peerList)
-	if err != nil {
-		log.Fatalf("prisma-server: %v", err)
-	}
-
-	p, err := prisma.Open(prisma.Options{
-		Dir:              *dir,
-		InitialProducers: *producers,
-		MaxProducers:     *maxProducers,
-		InitialBuffer:    *buffer,
-		MaxBuffer:        *maxBuffer,
-		DisableAutoTune:  *noAutotune,
-		ControlInterval:  *interval,
-		TraceFile:        *traceFile,
-		TraceSampling:    *sampling,
-		SpanFile:         *spanFile,
-		EnablePprof:      *enablePprof,
-		BufferPool: prisma.BufferPoolOptions{
-			Disable:     *noPool,
-			MinSize:     *poolMin,
-			MaxSize:     *poolMax,
-			PerClassCap: *poolCap,
-		},
-		Tenancy: prisma.TenancyOptions{
-			Enable:           *tenancy,
-			Capacity:         *tenantCapacity,
-			Burst:            *tenantBurst,
-			MaxQueueDepth:    *maxQueueDepth,
-			MaxPooledBytes:   *maxPooledBytes,
-			DegradedFactor:   *degradedFactor,
-			SharedCacheBytes: *sharedCache,
-			SLOBoostFactor:   *sloBoost,
-			Tenants:          tenants,
-		},
-		Tiering: prisma.TieringOptions{
-			Enable:            *tieringOn,
-			CapacityBytes:     *tieringCap,
-			PromoteAfter:      *tieringAfter,
-			MaxTrackedNames:   *tieringTracked,
-			Compress:          *tieringComp,
-			PrefetchNextEpoch: *tieringPref,
-		},
-		Cluster: prisma.ClusterOptions{
-			Enable:       *nodeID != "",
-			NodeID:       *nodeID,
-			Peers:        peers,
-			VirtualNodes: *vnodes,
-		},
-	})
+	p, err := prisma.Open(s.opts)
 	if err != nil {
 		log.Fatalf("prisma-server: %v", err)
 	}
 
 	// A stale socket from a previous run would block the listener.
-	_ = os.Remove(*socket)
-	if err := p.ServeUnix(*socket); err != nil {
+	_ = os.Remove(s.socket)
+	if err := p.ServeUnix(s.socket); err != nil {
 		log.Fatalf("prisma-server: %v", err)
 	}
 	log.Printf("prisma-server: serving %d files (%.1f MiB) from %s on %s",
-		p.Files(), float64(p.TotalBytes())/(1<<20), *dir, *socket)
-	if *nodeID != "" {
+		p.Files(), float64(p.TotalBytes())/(1<<20), s.opts.Dir, s.socket)
+	if s.opts.Cluster.Enable {
 		log.Printf("prisma-server: cluster node %q in a %d-node ring (clairvoyant partitioning)",
-			*nodeID, len(peers)+1)
+			s.opts.Cluster.NodeID, len(s.opts.Cluster.Peers)+1)
 	}
 
-	if *httpAddr != "" {
+	if s.httpAddr != "" {
 		go func() {
-			log.Printf("prisma-server: admin API on %s", *httpAddr)
-			if err := http.ListenAndServe(*httpAddr, p.AdminHandler()); err != nil {
+			log.Printf("prisma-server: admin API on %s", s.httpAddr)
+			if err := http.ListenAndServe(s.httpAddr, p.AdminHandler()); err != nil {
 				log.Printf("prisma-server: admin API: %v", err)
 			}
 		}()
 	}
 
-	if *statsEvery > 0 {
+	if s.statsEvery > 0 {
 		go func() {
-			for range time.Tick(*statsEvery) {
-				s := p.Stats()
+			for range time.Tick(s.statsEvery) {
+				st := p.Stats()
 				log.Printf("stats: reads=%d hits=%d bypasses=%d errors=%d t=%d N=%d buffered=%d queue=%d",
-					s.Reads, s.Hits, s.Bypasses, s.Errors, s.Producers, s.BufferCapacity, s.BufferLen, s.QueueLen)
+					st.Reads, st.Hits, st.Bypasses, st.Errors, st.Producers, st.BufferCapacity, st.BufferLen, st.QueueLen)
 			}
 		}()
 	}
@@ -317,7 +289,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("prisma-server: shutting down")
-	_ = os.Remove(*socket)
+	_ = os.Remove(s.socket)
 	// Close writes the I/O trace and span file: a run whose trace was lost
 	// must not exit as if it had been written.
 	if err := p.Close(); err != nil {

@@ -156,20 +156,21 @@ func TestControlTransportsAgree(t *testing.T) {
 	}
 }
 
-// TestControlSetters: the typed setters are the table's rows. They return
-// the error every transport returns instead of clamping, and SetTenant
-// leaves out a zero knob.
+// TestControlSetters: each knob set alone, one Control call per key, is
+// refused with an error instead of clamped when out of range, and so is a
+// call that sets nothing; a tenant knob set alone leaves the other as it
+// was.
 func TestControlSetters(t *testing.T) {
 	p := open(t, makeDataset(t, 4), func(o *Options) {
 		o.DisableAutoTune = true
 		o.Tenancy = TenancyOptions{Enable: true, Tenants: []TenantSpec{{Name: "a", BytesPerSecond: 1000}}}
 	})
-	for _, err := range []error{p.SetProducers(0), p.SetBufferCapacity(-1), p.SetTraceSampling(1.5), p.SetTenant("a", -1, 0), p.SetTenant("a", 0, 0)} {
+	for _, err := range []error{p.Control("producers=0"), p.Control("buffer=-1"), p.Control("sampling=1.5"), p.Control("tenant.a.weight=-1"), p.Control()} {
 		if err == nil {
-			t.Error("setter accepted a value the table refuses")
+			t.Error("Control accepted a value the table refuses")
 		}
 	}
-	if err := errors.Join(p.SetProducers(3), p.SetBufferCapacity(24), p.SetTraceSampling(0.75), p.SetTenant("a", 0, 2048)); err != nil {
+	if err := errors.Join(p.Control("producers=3"), p.Control("buffer=24"), p.Control("sampling=0.75"), p.Control("tenant.a.bytes=2048")); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := readKnobs(t, p), (knobState{3, 24, 0.75, 1, 2048}); got != want {

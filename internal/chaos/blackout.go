@@ -190,7 +190,7 @@ func driveBlackout(env conc.Env, cfg BlackoutConfig) (BlackoutResult, error) {
 	for n := range nodeNames {
 		nodeNames[n] = fmt.Sprintf("node-%d", n)
 	}
-	ring, err := distrib.NewRing(nodeNames, 0)
+	ring, err := distrib.NewRing(nodeNames)
 	if err != nil {
 		return res, err
 	}

@@ -124,18 +124,3 @@ func (t *Table) lookup(key string) (*row, string, error) {
 	}
 	return nil, "", fmt.Errorf("control: unknown key %q", key)
 }
-
-// Setting formats one key=value pair for Apply.
-func Setting(key string, v any) string { return fmt.Sprintf("%s=%v", key, v) }
-
-// TenantSettings is the pairs that set a tenant's weight and byte budget;
-// a zero leaves the respective knob out, and so unchanged.
-func TenantSettings(name string, weight, bytesPerSecond float64) (out []string) {
-	if weight != 0 {
-		out = append(out, Setting("tenant."+name+".weight", weight))
-	}
-	if bytesPerSecond != 0 {
-		out = append(out, Setting("tenant."+name+".bytes", bytesPerSecond))
-	}
-	return out
-}

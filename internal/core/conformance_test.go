@@ -221,7 +221,7 @@ func TestReaderConformance(t *testing.T) {
 	}{
 		{"stage", func(t *testing.T, fx *readerFixture) core.Reader { return fx.stage }},
 		{"one-node fabric", func(t *testing.T, fx *readerFixture) core.Reader {
-			ring, err := distrib.NewRing([]string{"solo"}, 0)
+			ring, err := distrib.NewRing([]string{"solo"})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -103,8 +103,6 @@ type ClusterConfig struct {
 	// virtual time — the failover exercise for the replicated arrangement
 	// (ignored with Replicas <= 1).
 	FailLeaderAt time.Duration
-	// VirtualNodes is the placement ring's vnode count (0 = default).
-	VirtualNodes int
 
 	// Sharded makes every node plan and read only its round-robin Shard of
 	// the epoch — synchronous data parallelism — instead of the full sweep
@@ -325,7 +323,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		// fabric.
 		var ring *Ring
 		if clairvoyant {
-			if ring, err = NewRing(nodeNames, cfg.VirtualNodes); err != nil {
+			if ring, err = NewRing(nodeNames); err != nil {
 				runErr = err
 				return
 			}

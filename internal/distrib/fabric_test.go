@@ -41,7 +41,7 @@ func newFabricFixture(t *testing.T, env conc.Env, files int) *fabricFixture {
 	fx.dev = dev
 	shared := storage.NewModeledBackend(man, dev)
 	names := []string{"node-0", "node-1"}
-	if fx.ring, err = NewRing(names, 0); err != nil {
+	if fx.ring, err = NewRing(names); err != nil {
 		t.Errorf("ring: %v", err)
 		return nil
 	}
@@ -195,7 +195,7 @@ func TestFabricFailoverToSlowStore(t *testing.T) {
 func TestFabricConfigValidation(t *testing.T) {
 	s := sim.New()
 	env := conc.NewSimEnv(s)
-	ring, err := NewRing([]string{"a"}, 0)
+	ring, err := NewRing([]string{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}

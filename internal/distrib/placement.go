@@ -15,12 +15,11 @@ import (
 // shared knowledge alone). Membership is fixed when NewRing builds it, so
 // a Ring is safe for concurrent reads.
 //
-// Each node is projected onto the ring at VirtualNodes seeded positions;
+// Each node is projected onto the ring at virtualNodes seeded positions;
 // a key is owned by the first virtual node clockwise from its hash. More
 // virtual nodes flatten the per-node keyspace share at the cost of a
 // larger (still tiny) sorted table.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by hash
 	nodes  map[string]struct{}
 }
@@ -30,17 +29,15 @@ type ringPoint struct {
 	node string
 }
 
-// DefaultVirtualNodes balances ownership evenness (a few percent spread at
-// 64 points per node) against table size.
-const DefaultVirtualNodes = 64
+// virtualNodes balances ownership evenness (a few percent spread at 64
+// points per node) against table size. Every node of a cluster must use
+// the same count, so it is fixed.
+const virtualNodes = 64
 
-// NewRing builds a placement ring over the given node ids. vnodes <= 0
-// selects DefaultVirtualNodes. Duplicate node ids are an error.
-func NewRing(nodes []string, vnodes int) (*Ring, error) {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	r := &Ring{vnodes: vnodes, nodes: make(map[string]struct{}, len(nodes))}
+// NewRing builds a placement ring over the given node ids. Duplicate node
+// ids are an error.
+func NewRing(nodes []string) (*Ring, error) {
+	r := &Ring{nodes: make(map[string]struct{}, len(nodes))}
 	for _, n := range nodes {
 		if err := r.add(n); err != nil {
 			return nil, err
@@ -73,7 +70,7 @@ func (r *Ring) add(node string) error {
 		return fmt.Errorf("distrib: duplicate node id %q", node)
 	}
 	r.nodes[node] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < virtualNodes; i++ {
 		r.points = append(r.points, ringPoint{hash: vnodeHash(node, i), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })

@@ -26,7 +26,7 @@ func ringNodes(n int) []string {
 // Every key has exactly one owner, and that owner is a ring member.
 func TestRingSingleOwner(t *testing.T) {
 	for _, nodes := range []int{1, 2, 3, 5, 8} {
-		r, err := NewRing(ringNodes(nodes), 0)
+		r, err := NewRing(ringNodes(nodes))
 		if err != nil {
 			t.Fatalf("NewRing(%d): %v", nodes, err)
 		}
@@ -58,7 +58,7 @@ func TestRingStabilityUnderJoinLeave(t *testing.T) {
 		nodes int
 		seed  int64
 	}{{4, 1}, {8, 2}, {16, 3}} {
-		r, err := NewRing(ringNodes(trial.nodes), 0)
+		r, err := NewRing(ringNodes(trial.nodes))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestRingStabilityUnderJoinLeave(t *testing.T) {
 
 		// Join: keys may only move TO the new node.
 		joined := fmt.Sprintf("node-%d", trial.nodes)
-		grown, err := NewRing(ringNodes(trial.nodes+1), 0)
+		grown, err := NewRing(ringNodes(trial.nodes + 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestPartitionPlanDisjointComplete(t *testing.T) {
 	seen := make(map[string]string)
 	total := 0
 	for _, node := range nodes {
-		r, err := NewRing(nodes, 0)
+		r, err := NewRing(nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,20 +141,20 @@ func TestPartitionPlanDisjointComplete(t *testing.T) {
 
 // Ring construction edge cases.
 func TestRingEdgeCases(t *testing.T) {
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Fatal("duplicate node accepted")
 	}
-	if _, err := NewRing([]string{""}, 0); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Fatal("empty node name accepted")
 	}
-	r, err := NewRing(nil, 0)
+	r, err := NewRing(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if owner := r.Owner("x"); owner != "" {
 		t.Fatalf("empty ring owner = %q, want empty", owner)
 	}
-	solo, err := NewRing([]string{"solo"}, 0)
+	solo, err := NewRing([]string{"solo"})
 	if err != nil {
 		t.Fatal(err)
 	}

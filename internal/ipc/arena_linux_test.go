@@ -130,13 +130,17 @@ func TestArenaLeasesEndAtNextFrame(t *testing.T) {
 	if _, err := c.SubmitEpoch(plan); err != nil {
 		t.Fatal(err)
 	}
-	fx.awaitParked(len(plan))
+	// Nothing reads before the whole plan is parked, so once it is no
+	// producer has a sample left to hold outside the buffer, and every
+	// lease beyond the parked ones is the connection's.
+	settle(t, "samples parked", func(*testing.T) int { return fx.stage.Stats().Buffer.Len }, len(plan))
 	want := func(what string, n int64) {
 		t.Helper()
 		if got := fx.serverLeases(); got != n {
 			t.Fatalf("%s: connection holds %d leases, want %d", what, got, n)
 		}
 	}
+	want("before the first read", 0)
 	fx.mustRead(c, plan[0])
 	want("after the first read", 1)
 	if err := c.Ping(); err != nil {

@@ -10,11 +10,10 @@
 //   - in normal operation the gate throttles: a read blocks briefly until
 //     the tenant's arbiter-granted rate admits it (weighted max-min, so a
 //     greedy tenant is squeezed to its share, never starving the rest);
-//   - under overload (queue depth or outstanding pooled bytes past the
-//     configured thresholds) the gate sheds instead of queueing: requests
-//     from over-budget tenants fail fast with a typed, retryable
-//     OverloadError carrying a retry-after hint, so clients back off
-//     instead of piling onto a saturated server;
+//   - under overload (queue depth past the configured threshold) the gate
+//     sheds instead of queueing: requests from over-budget tenants fail
+//     fast with a typed, retryable OverloadError carrying a retry-after
+//     hint, so clients back off instead of piling onto a saturated server;
 //   - while the storage backend is degraded (circuit breaker open), the
 //     distributable capacity is scaled down by DegradedFactor so every
 //     tenant's grant shrinks proportionally — graceful, attributable
@@ -42,6 +41,13 @@ import (
 // hello frame.
 const DefaultTenant = "default"
 
+// The serving layer's defaults for Config.Capacity and Config.MaxQueueDepth
+// when its options name none.
+const (
+	DefaultCapacity      = 10_000
+	DefaultMaxQueueDepth = 4096
+)
+
 // ErrOverloaded is the sentinel for typed overload rejections:
 // errors.Is(err, tenancy.ErrOverloaded) matches any *OverloadError.
 var ErrOverloaded = errors.New("tenancy: server overloaded")
@@ -64,13 +70,10 @@ func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 
 // Load is the saturation snapshot the manager evaluates each tick. The
 // serving layer injects a probe (Config.Load) so the thresholds see live
-// queue depth and pooled-buffer pressure; tests inject deterministic
-// loads.
+// queue depth and the breaker's state; tests inject deterministic loads.
 type Load struct {
 	// QueueDepth is the number of requests queued or executing server-side.
 	QueueDepth int
-	// PooledBytes is the outstanding pooled sample-buffer footprint.
-	PooledBytes int64
 	// Degraded mirrors the resilient backend's circuit-breaker signal.
 	Degraded bool
 }
@@ -112,9 +115,6 @@ type Config struct {
 	// MaxQueueDepth is the saturation threshold on Load.QueueDepth;
 	// 0 disables the check.
 	MaxQueueDepth int
-	// MaxPooledBytes is the saturation threshold on Load.PooledBytes;
-	// 0 disables the check.
-	MaxPooledBytes int64
 	// MaxRetryAfter clamps the retry-after hint handed to shed clients
 	// (default 5s).
 	MaxRetryAfter time.Duration
@@ -540,13 +540,7 @@ func (m *Manager) tick(interval time.Duration) {
 	if m.cfg.Load != nil {
 		load = m.cfg.Load()
 	}
-	over := false
-	if m.cfg.MaxQueueDepth > 0 && load.QueueDepth >= m.cfg.MaxQueueDepth {
-		over = true
-	}
-	if m.cfg.MaxPooledBytes > 0 && load.PooledBytes >= m.cfg.MaxPooledBytes {
-		over = true
-	}
+	over := m.cfg.MaxQueueDepth > 0 && load.QueueDepth >= m.cfg.MaxQueueDepth
 	m.mu.Lock()
 	m.overloaded = over
 	m.mu.Unlock()

@@ -55,6 +55,10 @@ import (
 // over epoch.
 const DefaultMaxTracked = 64 << 10
 
+// DefaultCapacityBytes is the fast tier's byte budget when the serving
+// layer's options name none.
+const DefaultCapacityBytes = 256 << 20
+
 // Config parameterizes the tiering policy.
 type Config struct {
 	// FastCapacity is the hierarchy's byte budget: what the residents pin (a

@@ -113,7 +113,7 @@ func runServingChain(t *testing.T, tracer *obs.Tracer, perWorker int) time.Durat
 	const workers = 8
 	env := conc.NewReal()
 	ch := foldOptions(t, &chain.Chain{Env: env, Tracer: tracer, Backend: memBackend{payload: make([]byte, 4096)}}, Options{
-		Tiering:           TieringOptions{Enable: true, CapacityBytes: 1 << 24, PromoteAfter: 1},
+		Tiering:           TieringOptions{Enable: true, CapacityBytes: 1 << 24},
 		DisableResilience: true,
 	})
 	var names []string

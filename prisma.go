@@ -330,8 +330,8 @@ func chainConfig(o Options) chain.Config {
 	// One budget, the sum of the tier's and the shared cache's. The shared
 	// cache's part is the recency window, which keeps every miss raw and
 	// LRU, so a job trailing another over the same dataset finds what it
-	// just read; the tier's part follows the tier's promotion threshold,
-	// admission rule and compression.
+	// just read; the tier's part promotes on first access and follows the
+	// tier's admission rule and compression.
 	h := &cfg.Hierarchy
 	h.PromoteAfter = 1
 	if o.Tenancy.Enable {
@@ -339,17 +339,11 @@ func chainConfig(o Options) chain.Config {
 	}
 	if o.Tiering.Enable {
 		h.FastCapacity += o.Tiering.CapacityBytes
-		h.PromoteAfter = o.Tiering.PromoteAfter
-		h.MaxTracked = o.Tiering.MaxTrackedNames
 		h.Compress = o.Tiering.Compress
 	}
 	if !o.DisableResilience {
 		r := storage.DefaultResilienceConfig()
-		r.MaxAttempts = o.ReadRetries
-		r.BaseBackoff = o.RetryBackoff
 		r.ReadDeadline = o.ReadDeadline
-		r.BreakerCooldown = o.BreakerCooldown
-		r.BreakerThreshold = max(o.BreakerThreshold, 0) // -1: retries without a breaker
 		cfg.Resilience = &r
 	}
 	return cfg
@@ -386,11 +380,7 @@ func Open(opts Options) (*Prisma, error) {
 	}
 	var pool *mempool.Pool
 	if !opts.BufferPool.Disable {
-		pool = mempool.New(mempool.Config{
-			MinSize:     opts.BufferPool.MinSize,
-			MaxSize:     opts.BufferPool.MaxSize,
-			PerClassCap: opts.BufferPool.PerClassCap,
-		})
+		pool = mempool.New(mempool.Config{})
 	}
 	// The tracer exists even at sampling 0 so the runtime knob (the control
 	// table's sampling key) can turn tracing on without a restart. It is
@@ -480,35 +470,13 @@ func Open(opts Options) (*Prisma, error) {
 		if mqd < 0 {
 			mqd = 0 // -1 in the public options disables the check
 		}
-		// The pooled-byte pressure probe estimates the outstanding buffer
-		// footprint as live leases times the mean sample size (the pool
-		// tracks lease counts, not bytes).
-		avgSample := int64(1)
-		if n := manifest.Len(); n > 0 {
-			if avgSample = manifest.TotalBytes() / int64(n); avgSample < 1 {
-				avgSample = 1
-			}
-		}
 		cfg := tenancy.Config{
-			Capacity:       opts.Tenancy.Capacity,
-			Burst:          opts.Tenancy.Burst,
-			TickInterval:   opts.Tenancy.TickInterval,
-			DegradedFactor: opts.Tenancy.DegradedFactor,
-			MaxQueueDepth:  mqd,
-			MaxPooledBytes: opts.Tenancy.MaxPooledBytes,
-			MaxRetryAfter:  opts.Tenancy.MaxRetryAfter,
-			SLOBoostFactor: opts.Tenancy.SLOBoostFactor,
+			Capacity:      opts.Tenancy.Capacity,
+			TickInterval:  opts.Tenancy.TickInterval,
+			MaxQueueDepth: mqd,
 			Load: func() tenancy.Load {
 				s := stage.Stats()
-				var pooled int64
-				if pool != nil {
-					pooled = pool.Outstanding() * avgSample
-				}
-				return tenancy.Load{
-					QueueDepth:  s.QueueLen,
-					PooledBytes: pooled,
-					Degraded:    s.Resilience.Degraded,
-				}
+				return tenancy.Load{QueueDepth: s.QueueLen, Degraded: s.Resilience.Degraded}
 			},
 		}
 		if p.ctl != nil {
@@ -547,16 +515,15 @@ func specFrom(ts TenantSpec) tenancy.Spec {
 		Secret:         ts.Secret,
 	}
 	if ts.SLO != nil {
-		spec.SLO = &obs.SLOConfig{
-			Quantile:   ts.SLO.Quantile,
-			Threshold:  ts.SLO.Threshold,
-			ShedBudget: ts.SLO.ShedBudget,
-			Window:     ts.SLO.Window,
-			WarnBurn:   ts.SLO.WarnBurn,
-			BreachBurn: ts.SLO.BreachBurn,
-		}
+		slo := ts.SLO.config()
+		spec.SLO = &slo
 	}
 	return spec
+}
+
+// config maps the public objective to the tracker's.
+func (s *SLOOptions) config() obs.SLOConfig {
+	return obs.SLOConfig{Quantile: s.Quantile, Threshold: s.Threshold, ShedBudget: s.ShedBudget, Window: s.Window}
 }
 
 // Read serves one file through the data plane: planned files come from the
@@ -670,10 +637,6 @@ func (p *Prisma) CancelEpoch(id EpochID) (int, error) {
 // Epochs lists the retained plan epochs' statuses in submission order.
 func (p *Prisma) Epochs() []EpochStatus { return epochsFrom(p.stage.Epochs()) }
 
-// SetConsumerDeadline adjusts Options.ConsumerDeadline at runtime
-// (0 = wait forever).
-func (p *Prisma) SetConsumerDeadline(d time.Duration) { p.stage.SetTakeDeadline(d) }
-
 // ShuffledFileList produces the deterministic per-epoch shuffled filename
 // list — the artifact the paper's job-script module shares between the
 // framework and PRISMA (§IV). Calling it with the same (seed, epoch) in
@@ -703,18 +666,6 @@ func (p *Prisma) Stats() Stats {
 // registered tenant's weight and byte budget in bytes/s, finite and > 0).
 // Every pair is checked before any is applied: a bad one changes nothing.
 func (p *Prisma) Control(settings ...string) error { return p.control.Apply(settings...) }
-
-// SetProducers pins the producer count t (disable AutoTune to keep it).
-func (p *Prisma) SetProducers(n int) error { return p.Control(control.Setting("producers", n)) }
-
-// SetBufferCapacity pins the buffer capacity N.
-func (p *Prisma) SetBufferCapacity(n int) error { return p.Control(control.Setting("buffer", n)) }
-
-// SetTraceSampling adjusts the lifecycle-trace head-sampling probability
-// at runtime.
-func (p *Prisma) SetTraceSampling(prob float64) error {
-	return p.Control(control.Setting("sampling", prob))
-}
 
 // Attribution reports the critical-path latency breakdown accumulated
 // since Open: the share of consumer time lost to storage waits, buffer
@@ -815,14 +766,7 @@ func (p *Prisma) SetTenantSLO(name string, slo SLOOptions) error {
 	if err := (&slo).validate(name); err != nil {
 		return err
 	}
-	return p.tenants.SetSLO(name, obs.SLOConfig{
-		Quantile:   slo.Quantile,
-		Threshold:  slo.Threshold,
-		ShedBudget: slo.ShedBudget,
-		Window:     slo.Window,
-		WarnBurn:   slo.WarnBurn,
-		BreachBurn: slo.BreachBurn,
-	})
+	return p.tenants.SetSLO(name, slo.config())
 }
 
 // ClearTenantSLO detaches a tenant's latency objective, restoring the
@@ -844,12 +788,6 @@ func (p *Prisma) UnregisterTenant(name string) error {
 	return p.tenants.Unregister(name)
 }
 
-// SetTenant adjusts a tenant's arbitration weight and/or byte budget at
-// runtime (zero leaves the respective knob unchanged).
-func (p *Prisma) SetTenant(name string, weight, bytesPerSecond float64) error {
-	return p.Control(control.TenantSettings(name, weight, bytesPerSecond)...)
-}
-
 // Tenants snapshots per-tenant QoS statistics.
 func (p *Prisma) Tenants() (TenantsSnapshot, error) {
 	if p.tenants == nil {
@@ -859,7 +797,8 @@ func (p *Prisma) Tenants() (TenantsSnapshot, error) {
 }
 
 // ReadAs is Read attributed to (and admission-controlled for) the named
-// tenant — the in-process equivalent of a socket client that said Hello.
+// tenant — the in-process equivalent of a socket client dialed with
+// DialOptions.Tenant.
 // Under overload an over-budget tenant gets ErrOverloaded instead of
 // queueing.
 func (p *Prisma) ReadAs(tenant, name string) ([]byte, error) {
@@ -998,8 +937,9 @@ func Dial(socketPath string) (*Client, error) {
 // DialOptions tunes a client connection.
 type DialOptions struct {
 	// Tenant, when non-empty, is the identity this connection assumes at
-	// dial time (equivalent to calling Hello right after Dial). The
-	// identity survives transparent reconnects.
+	// dial time: every later read is attributed to (and
+	// admission-controlled for) it, and the identity survives transparent
+	// reconnects.
 	Tenant string
 	// Secret authenticates Tenant when the server requires one.
 	Secret string
@@ -1033,11 +973,7 @@ func (c *Client) EnablePooledReads(opts BufferPoolOptions) {
 		c.pool = nil
 		return
 	}
-	c.pool = mempool.New(mempool.Config{
-		MinSize:     opts.MinSize,
-		MaxSize:     opts.MaxSize,
-		PerClassCap: opts.PerClassCap,
-	})
+	c.pool = mempool.New(mempool.Config{})
 	c.c.SetBufferPool(c.pool)
 }
 
@@ -1113,22 +1049,6 @@ func (c *Client) Stats() (Stats, error) {
 // table (see Prisma.Control), which applies all of them or none.
 func (c *Client) Control(settings ...string) error { return c.c.Control(settings...) }
 
-// SetProducers adjusts the remote stage's t.
-func (c *Client) SetProducers(n int) error { return c.Control(control.Setting("producers", n)) }
-
-// SetBufferCapacity adjusts the remote stage's N.
-func (c *Client) SetBufferCapacity(n int) error { return c.Control(control.Setting("buffer", n)) }
-
-// SetTraceSampling adjusts the remote stage's trace head-sampling
-// probability.
-func (c *Client) SetTraceSampling(p float64) error { return c.Control(control.Setting("sampling", p)) }
-
-// Hello establishes this connection's tenant identity: every later read
-// is attributed to (and admission-controlled for) the named tenant, and
-// the identity is replayed transparently after a reconnect. Returns the
-// resolved tenant name ("" maps to the default tenant).
-func (c *Client) Hello(tenant, secret string) (string, error) { return c.c.Hello(tenant, secret) }
-
 // Tenants fetches the server's per-tenant QoS snapshot.
 func (c *Client) Tenants() (TenantsSnapshot, error) {
 	b, err := c.get()
@@ -1139,12 +1059,6 @@ func (c *Client) Tenants() (TenantsSnapshot, error) {
 		return TenantsSnapshot{}, errTenancyDisabled
 	}
 	return tenantsFrom(*b.Tenants), nil
-}
-
-// SetTenant adjusts a tenant's arbitration weight and/or byte budget on
-// the server (zero leaves the respective knob unchanged).
-func (c *Client) SetTenant(name string, weight, bytesPerSecond float64) error {
-	return c.Control(control.TenantSettings(name, weight, bytesPerSecond)...)
 }
 
 // Decisions fetches the remote autotuner's decision audit log as a raw

@@ -197,8 +197,9 @@ func TestShuffledFileListDeterministic(t *testing.T) {
 func TestManualTuningWithoutAutotune(t *testing.T) {
 	dir := makeDataset(t, 5)
 	p := open(t, dir, func(o *Options) { o.DisableAutoTune = true })
-	p.SetProducers(3)
-	p.SetBufferCapacity(7)
+	if err := p.Control("producers=3", "buffer=7"); err != nil {
+		t.Fatal(err)
+	}
 	// Producer changes are applied asynchronously but the target is
 	// immediate.
 	if st := p.Stats(); st.Producers != 3 || st.BufferCapacity != 7 {
@@ -325,10 +326,10 @@ func TestServeUnixRoundTrip(t *testing.T) {
 	if st.Hits != int64(len(plan)) {
 		t.Fatalf("remote Hits = %d, want %d", st.Hits, len(plan))
 	}
-	if err := planner.SetProducers(2); err != nil {
+	if err := planner.Control("producers=2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := planner.SetBufferCapacity(64); err != nil {
+	if err := planner.Control("buffer=64"); err != nil {
 		t.Fatal(err)
 	}
 }

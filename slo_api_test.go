@@ -26,10 +26,6 @@ func TestSLOOptionsValidation(t *testing.T) {
 		withSLO(SLOOptions{Quantile: -0.1, Threshold: time.Millisecond}),
 		withSLO(SLOOptions{Threshold: time.Millisecond, ShedBudget: 2}),
 		withSLO(SLOOptions{Threshold: time.Millisecond, Window: -time.Second}),
-		withSLO(SLOOptions{Threshold: time.Millisecond, WarnBurn: -1}),
-		func(o *Options) {
-			o.Tenancy = TenancyOptions{Enable: true, SLOBoostFactor: 0.5}
-		},
 	}
 	for i, mutate := range bad {
 		opts := Options{Dir: dir}

@@ -28,7 +28,6 @@ func TestTenancyOptionsValidation(t *testing.T) {
 	dir := makeDataset(t, 1)
 	bad := []func(*Options){
 		func(o *Options) { o.Tenancy = TenancyOptions{Enable: true, Capacity: -1} },
-		func(o *Options) { o.Tenancy = TenancyOptions{Enable: true, DegradedFactor: 2} },
 		func(o *Options) { o.Tenancy = TenancyOptions{Enable: true, MaxQueueDepth: -2} },
 		func(o *Options) { o.Tenancy = TenancyOptions{Enable: true, SharedCacheBytes: -1} },
 		func(o *Options) {
@@ -53,8 +52,8 @@ func TestTenancyDisabledAPI(t *testing.T) {
 	if err := p.RegisterTenant(TenantSpec{Name: "x"}); err == nil {
 		t.Error("RegisterTenant on a non-tenant instance succeeded")
 	}
-	if err := p.SetTenant("x", 2, 0); err == nil {
-		t.Error("SetTenant on a non-tenant instance succeeded")
+	if err := p.Control("tenant.x.weight=2"); err == nil {
+		t.Error("a tenant setting on a non-tenant instance succeeded")
 	}
 	// The sentinel must be usable for errors.Is even without tenancy on.
 	if ErrOverloaded == nil {
@@ -102,13 +101,13 @@ func TestTenancyInProcessAttribution(t *testing.T) {
 	}
 
 	// Runtime knob adjustment is visible in the next snapshot.
-	if err := p.SetTenant("job-a", 4, 1<<20); err != nil {
+	if err := p.Control("tenant.job-a.weight=4", "tenant.job-a.bytes=1048576"); err != nil {
 		t.Fatal(err)
 	}
 	s, _ = p.Tenants()
 	for _, ts := range s.Tenants {
 		if ts.Name == "job-a" && (ts.Weight != 4 || ts.ByteBudget != 1<<20) {
-			t.Fatalf("job-a after SetTenant = %+v", ts)
+			t.Fatalf("job-a after Control = %+v", ts)
 		}
 	}
 
@@ -189,13 +188,13 @@ func TestTenancyOverSocket(t *testing.T) {
 	if !found {
 		t.Fatal("dial-time hello did not register job-x")
 	}
-	if err := c.SetTenant("job-x", 3, 0); err != nil {
+	if err := c.Control("tenant.job-x.weight=3"); err != nil {
 		t.Fatal(err)
 	}
 	snap, _ = c.Tenants()
 	for _, ts := range snap.Tenants {
 		if ts.Name == "job-x" && ts.Weight != 3 {
-			t.Fatalf("job-x weight = %g after SetTenant", ts.Weight)
+			t.Fatalf("job-x weight = %g after Control", ts.Weight)
 		}
 	}
 
