@@ -37,12 +37,15 @@ type SLOConfig struct {
 	// also the tracker's bucket width, so Window is rounded up to a whole
 	// number of short windows.
 	ShortWindow time.Duration `json:"short_window,omitempty"`
-	// WarnBurn and BreachBurn are burn-rate thresholds: a burn rate of 1
-	// consumes exactly the whole error budget over the window. Defaults 1
-	// and 4 (a breach burns the long window's budget in a quarter of it).
-	WarnBurn   float64 `json:"warn_burn,omitempty"`
-	BreachBurn float64 `json:"breach_burn,omitempty"`
 }
+
+// The burn-rate thresholds of the state machine. A burn rate of 1 consumes
+// exactly the whole error budget over the window; a breach burns the long
+// window's budget in a quarter of it.
+const (
+	warnBurn   = 1
+	breachBurn = 4 * warnBurn
+)
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.Quantile <= 0 || c.Quantile >= 1 {
@@ -59,12 +62,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	}
 	if c.ShortWindow <= 0 {
 		c.ShortWindow = c.Window
-	}
-	if c.WarnBurn <= 0 {
-		c.WarnBurn = 1
-	}
-	if c.BreachBurn < c.WarnBurn {
-		c.BreachBurn = 4 * c.WarnBurn
 	}
 	return c
 }
@@ -173,9 +170,9 @@ func (t *sloTenant) status(name string) SLOStatus {
 	burnLong, good, bad, shed := t.burn(len(t.buckets))
 	state := SLOOK
 	switch {
-	case burnShort >= t.cfg.BreachBurn && burnLong >= t.cfg.WarnBurn:
+	case burnShort >= breachBurn && burnLong >= warnBurn:
 		state = SLOBreach
-	case burnShort >= t.cfg.WarnBurn:
+	case burnShort >= warnBurn:
 		state = SLOWarn
 	}
 	remaining := 1 - burnLong

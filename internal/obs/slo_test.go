@@ -27,8 +27,6 @@ func sloTestConfig() SLOConfig {
 		Threshold:   time.Millisecond,
 		Window:      12 * time.Second,
 		ShortWindow: time.Second,
-		WarnBurn:    1,
-		BreachBurn:  4,
 	}
 }
 
@@ -56,9 +54,6 @@ func TestSLODefaults(t *testing.T) {
 		if cfg.ShortWindow != 5*time.Second {
 			t.Errorf("ShortWindow = %v, want Window/12 = 5s", cfg.ShortWindow)
 		}
-		if cfg.WarnBurn != 1 || cfg.BreachBurn != 4 {
-			t.Errorf("burns = %v/%v, want 1/4", cfg.WarnBurn, cfg.BreachBurn)
-		}
 	})
 }
 
@@ -81,7 +76,7 @@ func TestSLOStateMachine(t *testing.T) {
 
 		// The short window spans this bucket plus the healthy one before
 		// it (200 reads); 20 bad burns exactly the 10% budget: burn rate
-		// 1 => WARN, not BREACH (BreachBurn is 4).
+		// 1 => WARN, not BREACH (the breach burn is 4).
 		env.Sleep(time.Second)
 		observeN(s, "victim", 80, 0)
 		observeN(s, "victim", 20, 2*time.Millisecond)
@@ -94,7 +89,7 @@ func TestSLOStateMachine(t *testing.T) {
 		}
 
 		// A bucket of 100% bad reads pushes the short-window burn past
-		// BreachBurn while the long window is still hot => BREACH.
+		// the breach burn while the long window is still hot => BREACH.
 		env.Sleep(time.Second)
 		observeN(s, "victim", 100, 5*time.Millisecond)
 		tr = s.Evaluate()

@@ -369,8 +369,6 @@ func TestSLONoisyNeighborLifecycle(t *testing.T) {
 			Threshold:   time.Millisecond,
 			Window:      12 * time.Second,
 			ShortWindow: time.Second,
-			WarnBurn:    1,
-			BreachBurn:  4,
 		}})
 		if err != nil {
 			t.Fatal(err)
